@@ -1,0 +1,44 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+
+	"dampi/internal/race"
+	"dampi/workloads/adlb"
+)
+
+// TestWarmReplayAllocBudget guards the per-replay fixed cost: once a
+// RunContext is warm, a guided ADLB replay at 8 ranks allocates what leaves
+// it (trace, reproducer, application payloads), not what its world is made
+// of. Bytes, not mallocs: a single 8 KB slab per rank is one malloc.
+func TestWarmReplayAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	const replays, budgetKB = 200, 32
+	cfg := &ExplorerConfig{Procs: 8, Program: adlb.Program(adlb.DriverConfig{})}
+	rc := NewRunContext(cfg)
+	_, res, err := rc.Run(nil)
+	if err != nil || res.Err != nil {
+		t.Fatalf("self run: %v / %v", err, res.Err)
+	}
+	decisions := res.Decisions
+	replay := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, res, err := rc.Run(decisions); err != nil || res.Err != nil {
+				t.Fatalf("replay: %v / %v", err, res.Err)
+			}
+		}
+	}
+	replay(20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	replay(replays)
+	runtime.ReadMemStats(&after)
+	perReplayKB := float64(after.TotalAlloc-before.TotalAlloc) / replays / 1024
+	t.Logf("warm ADLB p=8 replay: %.1f KB, %.0f mallocs", perReplayKB, float64(after.Mallocs-before.Mallocs)/replays)
+	if perReplayKB > budgetKB {
+		t.Fatalf("warm replay allocates %.1f KB (budget %d KB)", perReplayKB, budgetKB)
+	}
+}

@@ -350,16 +350,15 @@ func (e *Explorer) runOnce(decisions *Decisions) (*RunTrace, *InterleavingResult
 
 // RunContext is a reusable replay slot: it executes sequential instrumented
 // runs of one configuration, recycling the DAMPI Tool (per-rank state,
-// scratch buffers, epoch freelists) and the hook stack across runs, and
-// feeding each world the queue high-water marks of its predecessors. The
-// serial explorer owns one; the parallel engine gives each worker its own.
-// A RunContext must not run concurrently with itself.
+// scratch buffers, epoch freelists), the hook stack and the mpi runtime's
+// storage (mpi.Pools: request slabs, freelists, world skeleton) across runs.
+// The serial explorer owns one; the parallel engine gives each worker its
+// own. A RunContext must not run concurrently with itself.
 type RunContext struct {
 	cfg       *ExplorerConfig
 	tool      *Tool
 	toolHooks *mpi.Hooks // cached stack when no extra hook layers are present
-	hints     mpi.SizeHints
-	pools     *mpi.Pools // per-rank allocation freelists, reused across runs
+	pools     *mpi.Pools // runtime storage carried from world to world
 }
 
 // NewRunContext creates a replay slot for cfg. The config pointer is
@@ -407,9 +406,8 @@ func (rc *RunContext) Run(decisions *Decisions) (*RunTrace, *InterleavingResult,
 	if rc.pools == nil {
 		rc.pools = mpi.NewPools(cfg.Procs)
 	}
-	world := mpi.NewWorld(mpi.Config{Procs: cfg.Procs, Hooks: hooks, Hints: rc.hints, Pools: rc.pools})
+	world := mpi.NewWorld(mpi.Config{Procs: cfg.Procs, Hooks: hooks, Pools: rc.pools})
 	runErr := world.Run(cfg.Program)
-	rc.hints = world.Hints()
 	trace := rc.tool.Trace()
 
 	res := &InterleavingResult{

@@ -853,7 +853,27 @@ func (t *Tool) Trace() *RunTrace {
 			t.sweepUnmatched(st)
 		}
 	}
+	// The trace escapes the replay, so it is allocated — but as two backing
+	// arrays (records, alternates) sliced per epoch, not ~3 objects per epoch.
+	var nEpochs, nAlts int
+	for _, st := range t.states {
+		if st == nil {
+			continue
+		}
+		nEpochs += len(st.epochs)
+		for _, e := range st.epochs {
+			nAlts += len(e.alts)
+		}
+	}
+	// A wildcard-free run keeps Epochs nil, as it serializes ("epochs":null).
 	tr := &RunTrace{}
+	var recs []EpochRecord
+	var alts []int
+	if nEpochs > 0 {
+		tr.Epochs = make([]*EpochRecord, 0, nEpochs)
+		recs = make([]EpochRecord, nEpochs)
+		alts = make([]int, 0, nAlts)
+	}
 	for rank, st := range t.states {
 		if st == nil {
 			continue
@@ -864,7 +884,8 @@ func (t *Tool) Trace() *RunTrace {
 		tr.Unsafe = append(tr.Unsafe, st.unsafe...)
 		tr.Mismatches = append(tr.Mismatches, st.mismatches...)
 		for _, e := range st.epochs {
-			rec := &EpochRecord{
+			rec := &recs[len(tr.Epochs)]
+			*rec = EpochRecord{
 				Rank:   rank,
 				LC:     e.lc,
 				CommID: e.commID,
@@ -875,10 +896,16 @@ func (t *Tool) Trace() *RunTrace {
 				InLoop: e.inLoop,
 				Order:  e.order,
 			}
+			first := len(alts)
 			for _, a := range e.alts {
 				if a != e.chosen {
-					rec.Alternates = append(rec.Alternates, a)
+					alts = append(alts, a)
 				}
+			}
+			if len(alts) > first {
+				// Capacity-clipped: appending to one epoch's alternates must
+				// not overwrite its neighbour's.
+				rec.Alternates = alts[first:len(alts):len(alts)]
 			}
 			tr.Epochs = append(tr.Epochs, rec)
 		}

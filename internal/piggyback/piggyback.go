@@ -149,13 +149,15 @@ func (r *Rank) PostRecvClock(src, tag int, c mpi.Comm) (*mpi.Request, error) {
 
 // WaitClock completes a posted piggyback receive and decodes the clock. The
 // returned clock aliases the Rank's decode buffer: it is valid until the
-// next clock receive.
+// next clock receive. The payload buffer and the request itself go back to
+// the runtime's reuse pools: req must not be used afterwards.
 func (r *Rank) WaitClock(req *mpi.Request) ([]uint64, error) {
 	if _, err := r.p.PMPI().Wait(req); err != nil {
 		return nil, err
 	}
 	r.decBuf = DecodeClockInto(r.decBuf, req.Data())
 	req.Release()
+	req.Free()
 	return r.decBuf, nil
 }
 
@@ -172,12 +174,7 @@ func (r *Rank) RecvClockFrom(src, tag int, c mpi.Comm) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := r.p.PMPI().Wait(req); err != nil {
-		return nil, err
-	}
-	r.decBuf = DecodeClockInto(r.decBuf, req.Data())
-	req.Release()
-	return r.decBuf, nil
+	return r.WaitClock(req)
 }
 
 // Shadows returns a snapshot of the live payload-comm-ID -> shadow map.
@@ -191,9 +188,11 @@ func (r *Rank) Shadows() map[int]mpi.Comm {
 }
 
 // DrainSend completes the piggyback send paired with a completed payload
-// send (eager, so this never blocks in practice).
+// send (eager, so this never blocks in practice) and recycles its request:
+// req must not be used afterwards.
 func (r *Rank) DrainSend(req *mpi.Request) error {
 	_, err := r.p.PMPI().Wait(req)
+	req.Free()
 	return err
 }
 

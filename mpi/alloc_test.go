@@ -3,24 +3,13 @@ package mpi
 import (
 	"runtime"
 	"testing"
+
+	"dampi/internal/race"
 )
 
-// TestEagerSendAllocs guards the pooled eager-send/receive path: one
-// round-trip (Send+Recv on each side) must stay within a small allocation
-// budget now that envelopes, payload buffers and requests are pooled. The
-// pre-pooling runtime spent ~32 allocations per round-trip; the pooled path
-// spends 6. The budget leaves headroom for scheduler noise while still
-// catching a de-pooling regression.
-func TestEagerSendAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation inflates allocation counts")
-	}
-	const iters = 5000
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	w := NewWorld(Config{Procs: 2})
-	err := w.Run(func(p *Proc) error {
+// pingPong is iters blocking round trips between ranks 0 and 1.
+func pingPong(iters int) func(p *Proc) error {
+	return func(p *Proc) error {
 		c := p.CommWorld()
 		buf := []byte("x")
 		for i := 0; i < iters; i++ {
@@ -41,7 +30,25 @@ func TestEagerSendAllocs(t *testing.T) {
 			}
 		}
 		return nil
-	})
+	}
+}
+
+// TestEagerSendAllocs guards the pooled eager-send/receive path: one
+// round-trip (Send+Recv on each side) must stay within a small allocation
+// budget now that envelopes, payload buffers and requests are pooled. The
+// pre-pooling runtime spent ~32 allocations per round-trip; the pooled path
+// spends 6. The budget leaves headroom for scheduler noise while still
+// catching a de-pooling regression.
+func TestEagerSendAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	const iters = 5000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w := NewWorld(Config{Procs: 2})
+	err := w.Run(pingPong(iters))
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -51,4 +58,87 @@ func TestEagerSendAllocs(t *testing.T) {
 		t.Fatalf("eager round-trip costs %.1f allocs (budget 12; pooled baseline is 6, pre-pooling was 32)", perOp)
 	}
 	t.Logf("eager round-trip: %.2f allocs/op", perOp)
+}
+
+// TestWarmPingPongBytes is the byte-denominated twin of TestEagerSendAllocs:
+// a malloc count cannot see an 8 KB slab per rank per world, a byte count
+// can. On warm Pools a blocking round trip recycles its four requests and
+// allocates only the two payload copies the receivers keep and the park
+// closures of whichever side had to block.
+func TestWarmPingPongBytes(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	const worlds, iters, budget = 50, 100, 256
+	pools := NewPools(2)
+	run := func() {
+		if err := NewWorld(Config{Procs: 2, Pools: pools}).Run(pingPong(iters)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < worlds; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perOp := float64(after.TotalAlloc-before.TotalAlloc) / (worlds * iters)
+	t.Logf("warm round-trip: %.0f bytes/op, world spin-up included", perOp)
+	if perOp > budget {
+		t.Fatalf("warm round-trip allocates %.0f bytes (budget %d)", perOp, budget)
+	}
+}
+
+// TestRequestSlabCarriesAcrossWorlds: a world whose ranks use only part of
+// their request slab leaves the rest to the next world on the same Pools,
+// which therefore allocates no slab at all.
+func TestRequestSlabCarriesAcrossWorlds(t *testing.T) {
+	const procs, held = 4, 10 // 2*held application-held requests per rank per world
+	prog := func(p *Proc) error {
+		c := p.CommWorld()
+		peer := p.Rank() ^ 1
+		var reqs []*Request
+		for i := 0; i < held; i++ {
+			r, err := p.Irecv(peer, i, c)
+			if err != nil {
+				return err
+			}
+			s, err := p.Isend(peer, i, []byte{byte(i)}, c)
+			if err != nil {
+				return err
+			}
+			reqs = append(reqs, r, s)
+		}
+		_, err := p.Waitall(reqs)
+		return err
+	}
+	pools := NewPools(procs)
+	for world := 1; world <= 3; world++ {
+		if err := NewWorld(Config{Procs: procs, Pools: pools}).Run(prog); err != nil {
+			t.Fatal(err)
+		}
+		for rank := range pools.ranks {
+			if got, want := len(pools.ranks[rank].reqSlab), reqSlabSize-world*2*held; got != want {
+				t.Fatalf("after world %d rank %d has %d slab entries left, want %d (one slab, continued)", world, rank, got, want)
+			}
+		}
+	}
+}
+
+// TestGetBufKeepsTooSmallBuffer: an oversize request must not cost the
+// freelist a buffer.
+func TestGetBufKeepsTooSmallBuffer(t *testing.T) {
+	var rp rankPool
+	rp.putBuf(make([]byte, 0, 8))
+	rp.putBuf(make([]byte, 0, 8))
+	if b := rp.getBuf(64); cap(b) < 64 {
+		t.Fatalf("getBuf(64) returned capacity %d", cap(b))
+	}
+	if len(rp.bufs) != 2 {
+		t.Fatalf("oversize getBuf left %d pooled buffers, want 2", len(rp.bufs))
+	}
+	if b := rp.getBuf(8); cap(b) != 8 || len(rp.bufs) != 1 {
+		t.Fatalf("fitting getBuf: capacity %d, %d buffers left; want 8 and 1", cap(b), len(rp.bufs))
+	}
 }

@@ -79,17 +79,7 @@ func (m PMPI) enterCollective(c Comm, a collArgs) (collResult, error) {
 	ci.collSeq[me]++
 	inst := ci.colls[seq]
 	if inst == nil {
-		inst = &collective{
-			kind:     a.kind,
-			root:     a.root,
-			n:        len(ci.members),
-			contrib:  make([][]byte, len(ci.members)),
-			pieces:   make([][][]byte, len(ci.members)),
-			colors:   make([]int, len(ci.members)),
-			keys:     make([]int, len(ci.members)),
-			clockIn:  make([][]uint64, len(ci.members)),
-			clockOut: make([][]uint64, len(ci.members)),
-		}
+		inst = ci.newCollective(a.kind, a.root)
 		ci.colls[seq] = inst
 	}
 	if inst.kind != a.kind || inst.root != a.root {
@@ -141,8 +131,47 @@ func (m PMPI) enterCollective(c Comm, a collArgs) (collResult, error) {
 	inst.read++
 	if inst.read == inst.n {
 		delete(ci.colls, seq)
+		ci.retireCollective(inst)
 	}
 	return res, nil
+}
+
+// newCollective starts an instance, reusing a retired one's per-rank arrays
+// when the communicator has any. Caller holds w.mu.
+func (ci *commInfo) newCollective(kind CollKind, root int) *collective {
+	n := len(ci.members)
+	if k := len(ci.collFree); k > 0 {
+		inst := ci.collFree[k-1]
+		ci.collFree = ci.collFree[:k-1]
+		inst.kind, inst.root, inst.n = kind, root, n
+		return inst
+	}
+	return &collective{
+		kind:     kind,
+		root:     root,
+		n:        n,
+		contrib:  make([][]byte, n),
+		pieces:   make([][][]byte, n),
+		colors:   make([]int, n),
+		keys:     make([]int, n),
+		clockIn:  make([][]uint64, n),
+		clockOut: make([][]uint64, n),
+	}
+}
+
+// retireCollective keeps a fully-read instance for reuse. Ranks take only
+// elements out of an instance, never its per-rank arrays, so those are
+// cleared (to drop the payload references) and kept. Caller holds w.mu.
+func (ci *commInfo) retireCollective(inst *collective) {
+	clear(inst.contrib)
+	clear(inst.pieces)
+	clear(inst.clockIn)
+	clear(inst.clockOut)
+	*inst = collective{
+		contrib: inst.contrib, pieces: inst.pieces, colors: inst.colors,
+		keys: inst.keys, clockIn: inst.clockIn, clockOut: inst.clockOut,
+	}
+	ci.collFree = append(ci.collFree, inst)
 }
 
 // computeCollectiveLocked fills in every rank's results once all members
@@ -225,7 +254,7 @@ func (w *World) computeCollectiveLocked(ci *commInfo, inst *collective) error {
 			inst.out[i] = foldContrib(col, inst.op)
 		}
 	case CollCommDup:
-		nc := w.newCommLocked(ci.name+".dup", append([]int(nil), ci.members...))
+		nc := w.newCommLocked(ci.name+".dup", ci.members)
 		inst.newComms = make([]Comm, n)
 		for i := range inst.newComms {
 			inst.newComms[i] = Comm{info: nc, localRank: i}

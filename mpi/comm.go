@@ -14,7 +14,9 @@ type Comm struct {
 	localRank int
 }
 
-// commInfo is the shared, world-side state of a communicator.
+// commInfo is the shared, world-side state of a communicator. Its storage
+// outlives the world when the world runs on carried Pools: see
+// World.newCommLocked.
 type commInfo struct {
 	id      int
 	name    string
@@ -25,8 +27,9 @@ type commInfo struct {
 
 	// Collective rendezvous state: per-rank entry sequence and in-flight
 	// instances keyed by sequence number.
-	collSeq []uint64
-	colls   map[uint64]*collective
+	collSeq  []uint64
+	colls    map[uint64]*collective
+	collFree []*collective // retired instances, reused by enterCollective
 
 	freed []bool // per comm-local rank: has this rank freed the comm?
 }
@@ -35,16 +38,11 @@ type commInfo struct {
 // communicator. Each mailbox has its own lock — the unit of sharding for the
 // matching engine. mb.mu is the innermost lock: code holding it must not
 // acquire w.mu (wakers release mb.mu first), while w.mu holders may take
-// mb.mu (deadlock-detector predicates, Hints).
+// mb.mu (deadlock-detector predicates).
 type mailbox struct {
 	mu         sync.Mutex
 	unexpected []*envelope
 	posted     []*Request
-
-	// Queue high-water marks, reported via World.Hints so later runs can
-	// pre-size their queues.
-	hiUnexpected int
-	hiPosted     int
 }
 
 // envelope is a message in flight (or sitting unexpected).
@@ -57,33 +55,37 @@ type envelope struct {
 }
 
 // newCommLocked creates a communicator over the given world-rank members
-// (index = comm-local rank). Caller holds w.mu.
+// (index = comm-local rank), copying them. Caller holds w.mu. A parked
+// communicator of the same size is reused when the world's Pools carried one
+// over: NewWorld already reset it, so only its identity is rewritten here
+// and its mailboxes keep their grown capacity.
 func (w *World) newCommLocked(name string, members []int) *commInfo {
-	ci := &commInfo{
-		id:      w.nextComm,
-		name:    name,
-		members: members,
-		rankOf:  make(map[int]int, len(members)),
-		boxes:   make([]mailbox, len(members)),
-		collSeq: make([]uint64, len(members)),
-		colls:   make(map[uint64]*collective),
-		freed:   make([]bool, len(members)),
+	n := len(members)
+	j := w.liveComms
+	for j < len(w.comms) && len(w.comms[j].boxes) != n {
+		j++
 	}
-	if h := w.hints; h.MailboxUnexpected > 0 || h.MailboxPosted > 0 {
-		for i := range ci.boxes {
-			if h.MailboxUnexpected > 0 {
-				ci.boxes[i].unexpected = make([]*envelope, 0, h.MailboxUnexpected)
-			}
-			if h.MailboxPosted > 0 {
-				ci.boxes[i].posted = make([]*Request, 0, h.MailboxPosted)
-			}
-		}
+	if j == len(w.comms) {
+		w.comms = append(w.comms, &commInfo{
+			rankOf:  make(map[int]int, n),
+			boxes:   make([]mailbox, n),
+			collSeq: make([]uint64, n),
+			colls:   make(map[uint64]*collective),
+			freed:   make([]bool, n),
+		})
 	}
+	w.comms[w.liveComms], w.comms[j] = w.comms[j], w.comms[w.liveComms]
+	ci := w.comms[w.liveComms]
+	w.liveComms++
+
+	ci.id = w.nextComm
 	w.nextComm++
+	ci.name = name
+	ci.members = append(ci.members[:0], members...)
+	clear(ci.rankOf)
 	for lr, wr := range members {
 		ci.rankOf[wr] = lr
 	}
-	w.comms[ci.id] = ci
 	return ci
 }
 

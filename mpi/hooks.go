@@ -99,6 +99,13 @@ type CollOp struct {
 // Hooks is the tool layer. All fields are optional; nil fields are skipped.
 // Compose multiple tools with pnmpi.Stack. Hooks run outside the runtime
 // lock, on the calling rank's goroutine.
+//
+// Lifetimes: the SendOp/RecvOp/ProbeOp descriptors and the PreWait slice are
+// per-rank scratch owned by the runtime, valid until the hooked MPI call
+// returns; a hook that keeps one must copy it. The request of a blocking
+// Send/Ssend/Recv is recycled (Request.Free) once its Complete hook has
+// returned and may reappear under a new identity; requests of the
+// nonblocking calls belong to the application and are never recycled.
 type Hooks struct {
 	// Init runs on each rank before its program starts. Collective tool
 	// setup (e.g. DAMPI's shadow-communicator duplication) happens here.

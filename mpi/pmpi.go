@@ -102,9 +102,6 @@ func (w *World) deliver(ci *commInfo, dest int, env *envelope, by *Proc) {
 		}
 	}
 	mb.unexpected = append(mb.unexpected, env)
-	if n := len(mb.unexpected); n > mb.hiUnexpected {
-		mb.hiUnexpected = n
-	}
 	mb.mu.Unlock()
 	// A blocked probe on this rank may now be satisfiable.
 	w.wake(w.procs[ci.members[dest]])
@@ -112,14 +109,17 @@ func (w *World) deliver(ci *commInfo, dest int, env *envelope, by *Proc) {
 
 // completeSyncSend finishes the sender side of a synchronous send once its
 // envelope has been matched. Caller holds the destination mailbox lock and
-// must wake the returned proc (if any) after releasing it.
+// must wake the returned proc (if any) after releasing it. The done store is
+// the last access: from then on the sender may consume and Free the request.
 func (w *World) completeSyncSend(env *envelope) *Proc {
-	if env.sreq == nil {
+	sreq := env.sreq
+	if sreq == nil {
 		return nil
 	}
-	env.sreq.status = Status{Source: env.src, Tag: env.tag, Count: len(env.data)}
-	env.sreq.done.Store(true)
-	return env.sreq.proc
+	sp := sreq.proc
+	sreq.status = Status{Source: env.src, Tag: env.tag, Count: len(env.data)}
+	sreq.done.Store(true)
+	return sp
 }
 
 // Irecv posts a nonblocking receive. src may be AnySource; tag may be AnyTag.
@@ -164,9 +164,6 @@ func (m PMPI) Irecv(src, tag int, c Comm) (*Request, error) {
 		}
 	}
 	mb.posted = append(mb.posted, req)
-	if n := len(mb.posted); n > mb.hiPosted {
-		mb.hiPosted = n
-	}
 	mb.mu.Unlock()
 	return req, nil
 }
@@ -346,6 +343,7 @@ func (m PMPI) Send(dest, tag int, data []byte, c Comm) error {
 		return err
 	}
 	_, err = m.Wait(req)
+	req.Free()
 	return err
 }
 
@@ -359,7 +357,9 @@ func (m PMPI) Recv(src, tag int, c Comm) ([]byte, Status, error) {
 	if err != nil {
 		return nil, Status{}, err
 	}
-	return req.data, st, nil
+	data := req.data
+	req.Free()
+	return data, st, nil
 }
 
 func rankStr(r int) string {

@@ -1,36 +1,60 @@
 package mpi
 
-// Allocation pools for the message hot path. Envelopes and payload copies are
-// runtime-internal for most of their life and recycle through per-rank
-// freelists (Pools). Requests escape to the application and cannot be
-// recycled; they are instead slab-allocated per rank (see Proc.newRequest) so
-// the allocator sees one allocation per slab instead of one per request.
+// Allocation pools for the replay hot path. A replay engine runs thousands of
+// short-lived worlds, so whatever a world allocates for its own construction
+// is a fixed cost multiplied by the size of the search. Pools carries three
+// kinds of storage from one world to the next so that a warm replay allocates
+// only what escapes it (application payloads and application-held requests):
+//
+//   - Envelopes and payload copies are runtime-internal for most of their
+//     life and recycle through per-rank freelists.
+//   - Requests are slab-allocated per rank (see Proc.newRequest). The unused
+//     remainder of a slab stays in the rank's pool when its world ends, so the
+//     next world continues the slab instead of starting a new one. Requests
+//     that escape to the application (Isend/Irecv) are never recycled;
+//     requests that never leave the runtime or the tool layer — the implicit
+//     request inside a blocking Send/Recv, the piggyback layer's clock
+//     traffic — return to a per-rank freelist through Request.Free.
+//   - The world skeleton (procs, communicators with their mailboxes) is
+//     parked here when World.Run returns and reset by the next NewWorld, so
+//     mailbox queues keep the capacity earlier replays grew them to.
 //
 // The freelists are deliberately NOT sync.Pools: every access happens on the
 // goroutine currently executing the owning rank's program (gets in Isend on
-// the sender, puts in deliver on the sender, in Irecv and Request.Release on
-// the receiver), so no synchronization is needed at all — and unlike a
-// package-global sync.Pool, a replay engine running many explorations at once
-// never funnels every world's envelope traffic through shared per-P lists.
-// Objects migrate between rank slots over time (an envelope acquired by the
-// sender may be freed by the receiver); each slot is bounded by poolRankCap.
+// the sender, puts in deliver on the sender, in Irecv, Request.Release and
+// Request.Free on the owner), so no synchronization is needed at all — and
+// unlike a package-global sync.Pool, a replay engine running many
+// explorations at once never funnels every world's envelope traffic through
+// shared per-P lists. Objects migrate between rank slots over time (an
+// envelope acquired by the sender may be freed by the receiver); each slot is
+// bounded by poolRankCap.
 
-// poolRankCap bounds each rank's envelope and buffer freelists; beyond it,
-// freed objects are dropped for the GC. Steady-state replay traffic uses a
-// handful of objects per rank, so the cap only matters after a pathological
-// unexpected-queue burst.
+// poolRankCap bounds each rank's envelope, buffer and request freelists;
+// beyond it, freed objects are dropped for the GC. Steady-state replay
+// traffic uses a handful of objects per rank, so the cap only matters after
+// a pathological unexpected-queue burst.
 const poolRankCap = 128
 
-// Pools holds the per-rank freelists for one world at a time. A replay slot
-// (core.RunContext) owns one Pools and threads it through Config.Pools so the
-// warmed-up freelists survive across the thousands of short-lived worlds of
-// an exploration, without any cross-worker sharing.
+// Pools holds the per-rank freelists and the parked skeleton for one world at
+// a time. A replay slot (core.RunContext) owns one Pools and threads it
+// through Config.Pools so the warmed-up storage survives across the thousands
+// of short-lived worlds of an exploration, without any cross-worker sharing.
 //
 // A Pools must not be used by two concurrently-running worlds: slot i is
 // touched only by the goroutine executing rank i, and two live worlds would
-// break that ownership.
+// break that ownership. Handing a Pools to NewWorld invalidates every Proc,
+// Comm and Request of the world that last ran on it.
 type Pools struct {
 	ranks []rankPool
+	skel  skeleton
+}
+
+// skeleton is the world-shaped scaffolding a finished world leaves behind:
+// its procs and every communicator it created. World.Run parks it; the next
+// NewWorld on the same Pools takes it, resets it and builds on it.
+type skeleton struct {
+	procs []*Proc
+	comms []*commInfo
 }
 
 // NewPools creates freelists for worlds of up to procs ranks (grown
@@ -51,12 +75,41 @@ func (pl *Pools) grow(n int) {
 	}
 }
 
+// takeSkeleton hands the parked skeleton to a new world, reset to the state
+// of freshly built storage: queues truncated (keeping their capacity),
+// leftover envelopes recycled, every pointer into the previous world
+// cleared. Called from NewWorld, before any rank goroutine exists, so it may
+// touch every rank's freelist.
+func (pl *Pools) takeSkeleton() skeleton {
+	sk := pl.skel
+	pl.skel = skeleton{}
+	for _, ci := range sk.comms {
+		for i := range ci.boxes {
+			mb := &ci.boxes[i]
+			rp := &pl.ranks[ci.members[i]]
+			for j, env := range mb.unexpected {
+				rp.putEnv(env)
+				mb.unexpected[j] = nil
+			}
+			mb.unexpected = mb.unexpected[:0]
+			clear(mb.posted)
+			mb.posted = mb.posted[:0]
+		}
+		clear(ci.collSeq)
+		clear(ci.colls) // instances a deadlock or abort left half-entered
+		clear(ci.freed)
+	}
+	return sk
+}
+
 // rankPool is one rank's freelists. Owner-goroutine only; padded so adjacent
 // slots (owned by different goroutines) do not share a cache line.
 type rankPool struct {
-	envs []*envelope
-	bufs [][]byte
-	_    [16]byte // pad the two 24-byte slice headers to a 64-byte line
+	envs    []*envelope
+	bufs    [][]byte
+	reqs    []*Request // freed requests (Request.Free)
+	reqSlab []Request  // unused remainder of the current request slab
+	_       [32]byte   // pad the four 24-byte slice headers to two 64-byte lines
 }
 
 func (rp *rankPool) getEnv() *envelope {
@@ -81,15 +134,14 @@ func (rp *rankPool) putEnv(e *envelope) {
 // getBuf returns a zero-length buffer with capacity >= n. Only buffers
 // explicitly returned via Request.Release come back; in steady state the
 // piggyback path (fixed clock-sized messages at high rate) hits the freelist
-// on every send.
+// on every send. A top buffer that is too small stays on the list: an
+// oversize request costs its own allocation and nothing else.
 func (rp *rankPool) getBuf(n int) []byte {
-	if k := len(rp.bufs); k > 0 {
+	if k := len(rp.bufs); k > 0 && cap(rp.bufs[k-1]) >= n {
 		b := rp.bufs[k-1]
 		rp.bufs[k-1] = nil
 		rp.bufs = rp.bufs[:k-1]
-		if cap(b) >= n {
-			return b
-		}
+		return b
 	}
 	return make([]byte, 0, n)
 }
@@ -105,13 +157,22 @@ func (rp *rankPool) putBuf(b []byte) {
 // most this many siblings, a bounded cost traded for ~64x fewer allocations.
 const reqSlabSize = 64
 
-// newRequest slab-allocates a request. Must be called from the proc's owning
-// goroutine (all request-creating entry points are).
+// newRequest returns a zeroed request: a freed one if the rank has any,
+// otherwise the next entry of the rank's slab (which outlives the world: see
+// the file comment). Must be called from the proc's owning goroutine (all
+// request-creating entry points are).
 func (p *Proc) newRequest() *Request {
-	if len(p.reqSlab) == 0 {
-		p.reqSlab = make([]Request, reqSlabSize)
+	rp := p.pool
+	if n := len(rp.reqs); n > 0 {
+		r := rp.reqs[n-1]
+		rp.reqs[n-1] = nil
+		rp.reqs = rp.reqs[:n-1]
+		return r
 	}
-	r := &p.reqSlab[0]
-	p.reqSlab = p.reqSlab[1:]
+	if len(rp.reqSlab) == 0 {
+		rp.reqSlab = make([]Request, reqSlabSize)
+	}
+	r := &rp.reqSlab[0]
+	rp.reqSlab = rp.reqSlab[1:]
 	return r
 }

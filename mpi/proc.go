@@ -12,7 +12,7 @@ import (
 type Proc struct {
 	world *World
 	rank  int
-	cond  *sync.Cond
+	cond  sync.Cond // on world.mu
 	pmpi  PMPI
 
 	// parked is the Dekker flag of the park/wake protocol: stored true
@@ -25,12 +25,17 @@ type Proc struct {
 	finished    bool
 	finalized   bool
 
-	reqSlab []Request // bump allocator for requests; owner-goroutine only
-
-	// pool is this rank's slot in the world's allocation freelists. Like
-	// reqSlab it is owner-goroutine only: every get/put happens on the
+	// pool is this rank's slot in the world's allocation freelists (request
+	// slab included). Owner-goroutine only: every get/put happens on the
 	// goroutine currently executing this rank's program.
 	pool *rankPool
+
+	// Scratch descriptors handed to hooks for the duration of one call (see
+	// the Hooks contract), so a hooked call allocates no descriptor.
+	sendOp  SendOp
+	recvOp  RecvOp
+	probeOp ProbeOp
+	waitReq [1]*Request
 
 	// ToolState is scratch space for the tool layer's per-rank module
 	// (DAMPI hangs its per-rank state here). The runtime never touches it.
@@ -80,14 +85,26 @@ func (p *Proc) Pcontrol(level int, arg string) {
 
 // Isend posts a nonblocking standard (eager) send.
 func (p *Proc) Isend(dest, tag int, data []byte, c Comm) (*Request, error) {
-	return p.isend(dest, tag, data, c, false)
+	return escape(p.isend(dest, tag, data, c, false))
 }
 
 // Issend posts a nonblocking synchronous send.
 func (p *Proc) Issend(dest, tag int, data []byte, c Comm) (*Request, error) {
-	return p.isend(dest, tag, data, c, true)
+	return escape(p.isend(dest, tag, data, c, true))
 }
 
+// escape marks a request as handed to the application, which may hold it
+// indefinitely: Free will never recycle it.
+func escape(req *Request, err error) (*Request, error) {
+	if req != nil {
+		req.escaped = true
+	}
+	return req, err
+}
+
+// isend is the hooked send path shared by the nonblocking calls (whose
+// request escapes to the application) and the blocking ones (whose request
+// never does, and is freed once waited on).
 func (p *Proc) isend(dest, tag int, data []byte, c Comm, sync bool) (*Request, error) {
 	h := p.hooks()
 	if h == nil || (h.PreSend == nil && h.PostSend == nil) {
@@ -97,7 +114,8 @@ func (p *Proc) isend(dest, tag int, data []byte, c Comm, sync bool) (*Request, e
 		}
 		return p.pmpi.Isend(dest, tag, data, c)
 	}
-	op := &SendOp{Dest: dest, Tag: tag, Data: data, Comm: c, Sync: sync}
+	op := &p.sendOp
+	*op = SendOp{Dest: dest, Tag: tag, Data: data, Comm: c, Sync: sync}
 	if h.PreSend != nil {
 		h.PreSend(p, op)
 	}
@@ -138,32 +156,40 @@ func (p *Proc) waitInternal(req *Request) (Status, error) {
 // Send is a blocking standard send (eager-buffered: returns once the message
 // is in flight).
 func (p *Proc) Send(dest, tag int, data []byte, c Comm) error {
-	req, err := p.Isend(dest, tag, data, c)
+	req, err := p.isend(dest, tag, data, c, false)
 	if err != nil {
 		return err
 	}
 	_, err = p.waitInternal(req)
+	req.Free()
 	return err
 }
 
 // Ssend is a blocking synchronous send: returns only when the matching
 // receive has been posted.
 func (p *Proc) Ssend(dest, tag int, data []byte, c Comm) error {
-	req, err := p.Issend(dest, tag, data, c)
+	req, err := p.isend(dest, tag, data, c, true)
 	if err != nil {
 		return err
 	}
 	_, err = p.waitInternal(req)
+	req.Free()
 	return err
 }
 
 // Irecv posts a nonblocking receive; src may be AnySource, tag may be AnyTag.
 func (p *Proc) Irecv(src, tag int, c Comm) (*Request, error) {
+	return escape(p.irecv(src, tag, c))
+}
+
+// irecv is the hooked receive path shared by Irecv and Recv (see isend).
+func (p *Proc) irecv(src, tag int, c Comm) (*Request, error) {
 	h := p.hooks()
 	if h == nil || (h.PreRecv == nil && h.PostRecv == nil) {
 		return p.pmpi.Irecv(src, tag, c)
 	}
-	op := &RecvOp{Src: src, Tag: tag, Comm: c, WasAnySource: src == AnySource}
+	op := &p.recvOp
+	*op = RecvOp{Src: src, Tag: tag, Comm: c, WasAnySource: src == AnySource}
 	if h.PreRecv != nil {
 		h.PreRecv(p, op)
 	}
@@ -179,7 +205,7 @@ func (p *Proc) Irecv(src, tag int, c Comm) (*Request, error) {
 
 // Recv is a blocking receive; returns the payload and its status.
 func (p *Proc) Recv(src, tag int, c Comm) ([]byte, Status, error) {
-	req, err := p.Irecv(src, tag, c)
+	req, err := p.irecv(src, tag, c)
 	if err != nil {
 		return nil, Status{}, err
 	}
@@ -187,7 +213,9 @@ func (p *Proc) Recv(src, tag int, c Comm) ([]byte, Status, error) {
 	if err != nil {
 		return nil, Status{}, err
 	}
-	return req.Data(), st, nil
+	data := req.Data()
+	req.Free()
+	return data, st, nil
 }
 
 // --- Completion ---
@@ -204,7 +232,8 @@ func (p *Proc) observeCompletion(req *Request, st Status) {
 func (p *Proc) Wait(req *Request) (Status, error) {
 	h := p.hooks()
 	if h != nil && h.PreWait != nil {
-		h.PreWait(p, []*Request{req})
+		p.waitReq[0] = req
+		h.PreWait(p, p.waitReq[:])
 	}
 	already := req.consumed
 	st, err := p.pmpi.Wait(req)
@@ -221,7 +250,8 @@ func (p *Proc) Wait(req *Request) (Status, error) {
 func (p *Proc) Test(req *Request) (Status, bool, error) {
 	h := p.hooks()
 	if h != nil && h.PreWait != nil {
-		h.PreWait(p, []*Request{req})
+		p.waitReq[0] = req
+		h.PreWait(p, p.waitReq[:])
 	}
 	already := req.consumed
 	st, ok, err := p.pmpi.Test(req)
@@ -312,7 +342,8 @@ func (p *Proc) Probe(src, tag int, c Comm) (Status, error) {
 	if h == nil || (h.PreProbe == nil && h.PostProbe == nil) {
 		return p.pmpi.Probe(src, tag, c)
 	}
-	op := &ProbeOp{Src: src, Tag: tag, Comm: c, Blocking: true, WasAnySource: src == AnySource}
+	op := &p.probeOp
+	*op = ProbeOp{Src: src, Tag: tag, Comm: c, Blocking: true, WasAnySource: src == AnySource}
 	if h.PreProbe != nil {
 		h.PreProbe(p, op)
 	}
@@ -332,7 +363,8 @@ func (p *Proc) Iprobe(src, tag int, c Comm) (Status, bool, error) {
 	if h == nil || (h.PreProbe == nil && h.PostProbe == nil) {
 		return p.pmpi.Iprobe(src, tag, c)
 	}
-	op := &ProbeOp{Src: src, Tag: tag, Comm: c, WasAnySource: src == AnySource}
+	op := &p.probeOp
+	*op = ProbeOp{Src: src, Tag: tag, Comm: c, WasAnySource: src == AnySource}
 	if h.PreProbe != nil {
 		h.PreProbe(p, op)
 	}

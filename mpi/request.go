@@ -15,7 +15,8 @@ import (
 // owning rank observes done with an atomic load and may then read data/status
 // without further synchronization. `consumed` is owned by the rank's
 // goroutine and is read by the deadlock detector only while that rank is
-// parked under w.mu.
+// parked under w.mu. Once the owner has consumed the completion no other
+// goroutine holds a reference to the request — which is what makes Free safe.
 type Request struct {
 	id   uint64
 	kind RequestKind
@@ -28,6 +29,7 @@ type Request struct {
 	done      atomic.Bool
 	consumed  bool // a Wait/Test observed the completion
 	cancelled bool
+	escaped   bool // handed to the application by Isend/Irecv: never recycled
 	status    Status
 
 	// ToolData is scratch space for tool layers; the runtime never touches
@@ -74,6 +76,26 @@ func (r *Request) Release() {
 	}
 	r.proc.pool.putBuf(r.data)
 	r.data = nil
+}
+
+// Free returns the request to its rank's reuse pool — the MPI_Request_free
+// analogue for requests that never reach the application: the implicit
+// request inside a blocking Send/Ssend/Recv and a tool layer's own PMPI
+// traffic. Call it only from the owning rank, and only when nothing will
+// touch the request again: the next Isend/Irecv on the rank may hand out the
+// same object under a new identity. It does not release the payload (see
+// Release). Requests whose completion has not been consumed by a Wait/Test,
+// requests the application holds (returned by Proc.Isend/Issend/Irecv) and
+// requests already freed are left untouched, so a stray Free is harmless.
+func (r *Request) Free() {
+	if !r.consumed || r.escaped {
+		return
+	}
+	rp := r.proc.pool
+	*r = Request{}
+	if len(rp.reqs) < poolRankCap {
+		rp.reqs = append(rp.reqs, r)
+	}
 }
 
 // Status returns the completion status; valid only after Wait/Test.

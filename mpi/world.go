@@ -14,22 +14,11 @@ type Config struct {
 	// Hooks is the tool layer every MPI call flows through. Nil means no
 	// tool. Compose multiple tools with pnmpi.Stack.
 	Hooks *Hooks
-	// Hints pre-sizes runtime queues from a previous run's high-water marks
-	// (see World.Hints). Zero hints are always valid.
-	Hints SizeHints
-	// Pools supplies per-rank allocation freelists carried across worlds by a
-	// replay engine (see Pools). Nil means the world creates its own. A Pools
-	// must not be shared by two concurrently-running worlds.
+	// Pools supplies the allocation freelists and world skeleton carried
+	// across worlds by a replay engine (see Pools). Nil means the world
+	// creates its own. A Pools must not be shared by two concurrently-running
+	// worlds, and passing it here invalidates the previous world's handles.
 	Pools *Pools
-}
-
-// SizeHints carries observed queue high-water marks across runs so a replay
-// engine can pre-size the next world's allocations.
-type SizeHints struct {
-	// MailboxUnexpected is the deepest unexpected-message queue observed.
-	MailboxUnexpected int
-	// MailboxPosted is the deepest posted-receive queue observed.
-	MailboxPosted int
 }
 
 // World is one simulated MPI job. It owns the matching engine, the
@@ -45,7 +34,7 @@ type SizeHints struct {
 type World struct {
 	size  int
 	hooks *Hooks
-	hints SizeHints
+	pools *Pools // Config.Pools or the world's own: where Run parks the skeleton
 
 	nextReq atomic.Uint64
 	sendSeq atomic.Uint64 // global arrival order for envelopes (diagnostics)
@@ -53,10 +42,14 @@ type World struct {
 
 	worldComm *commInfo // comm 0, immutable after NewWorld
 
-	mu       sync.Mutex
-	procs    []*Proc
-	comms    map[int]*commInfo
-	nextComm int
+	mu    sync.Mutex
+	procs []*Proc
+	// comms[:liveComms] are the communicators this world created, in
+	// creation order; comms[liveComms:] are parked ones from the Pools'
+	// previous world that newCommLocked has not claimed yet.
+	comms     []*commInfo
+	liveComms int
+	nextComm  int
 
 	nblocked  int
 	nfinished int
@@ -68,58 +61,35 @@ func NewWorld(cfg Config) *World {
 	if cfg.Procs < 1 {
 		panic(fmt.Sprintf("mpi: NewWorld with %d procs", cfg.Procs))
 	}
-	w := &World{
-		size:  cfg.Procs,
-		hooks: cfg.Hooks,
-		hints: cfg.Hints,
-		comms: make(map[int]*commInfo),
-	}
-	members := make([]int, w.size)
-	for i := range members {
-		members[i] = i
-	}
-	w.worldComm = w.newCommLocked("world", members)
 	pools := cfg.Pools
 	if pools == nil {
-		pools = NewPools(w.size)
+		pools = NewPools(cfg.Procs)
 	} else {
-		pools.grow(w.size)
+		pools.grow(cfg.Procs)
 	}
-	w.procs = make([]*Proc, w.size)
-	for i := 0; i < w.size; i++ {
-		p := &Proc{world: w, rank: i, pool: &pools.ranks[i]}
-		p.cond = sync.NewCond(&w.mu)
+	w := &World{size: cfg.Procs, hooks: cfg.Hooks, pools: pools}
+	sk := pools.takeSkeleton()
+	w.comms = sk.comms
+	w.procs = sk.procs
+	if len(w.procs) != w.size {
+		w.procs = make([]*Proc, w.size)
+		for i := range w.procs {
+			w.procs[i] = new(Proc)
+		}
+	}
+	members := make([]int, w.size)
+	for i, p := range w.procs {
+		members[i] = i
+		*p = Proc{world: w, rank: i, pool: &pools.ranks[i]}
+		p.cond.L = &w.mu
 		p.pmpi = PMPI{p: p}
-		w.procs[i] = p
 	}
+	w.worldComm = w.newCommLocked("world", members)
 	return w
 }
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
-
-// Hints returns the queue high-water marks observed so far, merged with the
-// hints the world was created with (so hints never shrink across a replay
-// sequence). Feed the result into the next run's Config.Hints.
-func (w *World) Hints() SizeHints {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	h := w.hints
-	for _, ci := range w.comms {
-		for i := range ci.boxes {
-			mb := &ci.boxes[i]
-			mb.mu.Lock()
-			if mb.hiUnexpected > h.MailboxUnexpected {
-				h.MailboxUnexpected = mb.hiUnexpected
-			}
-			if mb.hiPosted > h.MailboxPosted {
-				h.MailboxPosted = mb.hiPosted
-			}
-			mb.mu.Unlock()
-		}
-	}
-	return h
-}
 
 // RankError pairs a rank with the error its program returned.
 type RankError struct {
@@ -199,6 +169,10 @@ func (w *World) Run(program func(p *Proc) error) error {
 		}()
 	}
 	wg.Wait()
+	// Every rank goroutine is gone: leave the skeleton for the next world on
+	// these Pools. Nothing is reset here — tool layers still inspect the
+	// finished world (e.g. draining leftover messages).
+	w.pools.skel = skeleton{procs: w.procs, comms: w.comms}
 
 	w.mu.Lock()
 	failure := w.failure

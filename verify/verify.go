@@ -96,9 +96,11 @@ type Config struct {
 	// Transport selects the piggyback mechanism: Separate (default) or
 	// Inband payload packing.
 	Transport Transport
-	// MixingBound is the bounded-mixing k (default Unbounded = full
-	// coverage). k=0 explores each wildcard epoch's alternates in isolation;
-	// larger k allows k further decision levels below each flip to mix.
+	// MixingBound is the bounded-mixing k. The zero value is k=0, NOT full
+	// coverage: each wildcard epoch's alternates are explored in isolation.
+	// Larger k allows k further decision levels below each flip to mix;
+	// callers that want full depth-first coverage must set Unbounded
+	// explicitly.
 	MixingBound int
 	// AutoLoopThreshold enables automatic loop detection (the paper's §VI
 	// future work): after this many consecutive same-signature wildcard

@@ -84,6 +84,19 @@ func TestRunMatmulFullCoverage(t *testing.T) {
 	}
 }
 
+// TestMixingBoundZeroValueIsKZero pins the trap the Config doc warns about:
+// leaving MixingBound unset is k=0 (10 interleavings of matmul at 4 ranks),
+// not full coverage (162).
+func TestMixingBoundZeroValueIsKZero(t *testing.T) {
+	res, err := verify.Run(verify.Config{Procs: 4}, matmul.Program(matmul.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Interleavings != 10 {
+		t.Fatalf("zero-value MixingBound explored %d interleavings, want the k=0 count 10", res.Interleavings)
+	}
+}
+
 func TestLoopMarkersSuppressExploration(t *testing.T) {
 	marked := matmul.Program(matmul.Config{MarkLoop: true})
 	res, err := verify.Run(verify.Config{Procs: 4, MixingBound: verify.Unbounded}, marked)
