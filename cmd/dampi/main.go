@@ -99,7 +99,7 @@ func main() {
 		autoloop   = flag.Int("autoloop", 0, "auto loop detection threshold (0 = off)")
 		scale      = flag.Int("scale", 100, "traffic divisor for proxy workloads")
 		iters      = flag.Int("iters", 4, "outer iterations for proxy workloads")
-		workers    = flag.Int("workers", 0, "parallel replay workers (0 = serial explorer)")
+		workers    = flag.Int("workers", 0, "parallel replay workers (0 = serial explorer: one worker, errors listed in discovery order)")
 		sampleStr  = flag.String("sample", "", "schedule-sampling strategy: random or pct (default: exhaustive exploration)")
 		samples    = flag.Int("samples", 64, "schedules to sample (with -sample)")
 		seed       = flag.Uint64("seed", 1, "sampling seed; the same seed reproduces the same schedule set (with -sample)")

@@ -121,7 +121,7 @@ func TestDualClockFanInCoverage(t *testing.T) {
 // guided replays in dual-clock mode too.
 func TestDualClockReplayStability(t *testing.T) {
 	ex := NewExplorer(ExplorerConfig{Procs: 4, Program: fanInProgram(4, 2), DualClock: true})
-	trace1, _, err := ex.runOnce(nil)
+	trace1, _, err := ex.rc.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestDualClockReplayStability(t *testing.T) {
 	for _, e := range trace1.Epochs {
 		d.Force(e.ID(), e.Chosen)
 	}
-	_, res, err := ex.runOnce(d)
+	_, res, err := ex.rc.Run(d)
 	if err != nil {
 		t.Fatal(err)
 	}

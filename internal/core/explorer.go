@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"dampi/internal/pnmpi"
 	"dampi/mpi"
@@ -49,9 +50,7 @@ type ExplorerConfig struct {
 	// it on.
 	ChoicePoints bool
 	// Sampler, when non-nil, replaces exhaustive task expansion with a
-	// schedule-sampling policy (see SubtreeTask.Expand). Samplers require
-	// the task-based engines (dexplore/dcoord); the serial Explorer ignores
-	// this field.
+	// schedule-sampling policy (see SubtreeTask.Expand).
 	Sampler Sampler
 	// SampleDepth bounds the exhaustive zone under a Sampler: tasks at
 	// Depth >= SampleDepth spawn no exhaustive children ("exhaustive below
@@ -64,20 +63,12 @@ type ExplorerConfig struct {
 	// OnInterleaving, if set, observes each replay's result as it happens.
 	OnInterleaving func(res *InterleavingResult)
 	// Runner, if set, replaces ExecuteRun as the function that performs one
-	// (self or guided) instrumented run. Both the serial explorer and the
-	// parallel engine route every run through it, which gives tests a seam to
+	// (self or guided) instrumented run. Every engine routes every run
+	// through it (RunContext.Run), which gives tests a seam to
 	// memoize executions: sharing one memoizing Runner across engines makes
 	// the program's residual scheduling non-determinism invisible, so
 	// cross-checks compare pure schedule-generator behavior.
 	Runner func(cfg *ExplorerConfig, decisions *Decisions) (*RunTrace, *InterleavingResult, error)
-}
-
-// run dispatches one replay through Runner, or ExecuteRun when unset.
-func (c *ExplorerConfig) run(decisions *Decisions) (*RunTrace, *InterleavingResult, error) {
-	if c.Runner != nil {
-		return c.Runner(c, decisions)
-	}
-	return ExecuteRun(c, decisions)
 }
 
 // Unbounded disables bounded mixing (full depth-first coverage).
@@ -153,29 +144,132 @@ type Report struct {
 	SampledSchedules []string
 	// FirstTrace is the initial self run's full epoch log.
 	FirstTrace *RunTrace
+
+	// sampledKeys is the distinct sampled decision vectors seen so far;
+	// Seal renders it into SampledSchedules.
+	sampledKeys map[string]struct{}
 }
 
 // Errored reports whether any interleaving failed.
 func (r *Report) Errored() bool { return len(r.Errors) > 0 }
 
-// frame is one epoch decision point on the DFS stack.
-type frame struct {
-	id         EpochID
-	chosen     int   // source forced when reproducing the prefix
-	alts       []int // unexplored alternate sources
-	explorable bool
-	budget     int // remaining mixing depth below a flip here (-1 = unbounded)
+// Add accounts one completed task — the only place a replay is counted, on
+// every engine. ex is the run's expansion (nil for a deadlocked run, which
+// expands nothing), root the trace when the task was the initial
+// self-discovery run (nil otherwise), sampled whether the task was one step
+// of a sampler's walk. The caller has already set res.Index.
+func (r *Report) Add(res *InterleavingResult, ex *Expansion, root *RunTrace, sampled bool) {
+	r.Interleavings++
+	if res.Err != nil {
+		r.Errors = append(r.Errors, res)
+	}
+	if res.Deadlock {
+		r.Deadlocks++
+	}
+	if ex != nil {
+		r.DecisionPoints += ex.DecisionPoints
+		r.AutoAbstracted += ex.AutoAbstracted
+	}
+	if root != nil {
+		r.WildcardsAnalyzed = len(root.Epochs)
+		r.Unsafe = root.Unsafe
+		r.FirstTrace = root
+	}
+	if sampled && res.Decisions != nil {
+		// One completed walk step = one sampled schedule. Its identity is the
+		// run's fully resolved decision vector (forced prefix plus observed
+		// outcomes), not the walk's: two walks whose prefixes resolve to the
+		// same complete schedule sampled one distinct schedule twice.
+		r.Sampled++
+		keys := r.sampledSet()
+		keys[res.Decisions.String()] = struct{}{}
+		r.SampledDistinct = len(keys)
+	}
 }
 
-// Explorer is the paper's Schedule Generator: it owns the DFS stack over
-// epoch decisions and drives guided replays until the space (as bounded by
-// the heuristics) is covered.
+// sampledSet returns the distinct-schedule set, seeding it from
+// SampledSchedules the first time (a report restored from a checkpoint
+// carries only the list).
+func (r *Report) sampledSet() map[string]struct{} {
+	if r.sampledKeys == nil {
+		r.sampledKeys = make(map[string]struct{}, len(r.SampledSchedules))
+		for _, k := range r.SampledSchedules {
+			r.sampledKeys[k] = struct{}{}
+		}
+	}
+	return r.sampledKeys
+}
+
+// Merge folds the partial report o into r: two disjoint sets of completed
+// tasks become one. The root ran in at most one of them, so its aggregates
+// are zero everywhere else. Errors concatenate in argument order; engines
+// whose completion order is scheduling-dependent call SortErrors after the
+// last merge.
+func (r *Report) Merge(o *Report) {
+	r.Interleavings += o.Interleavings
+	r.Deadlocks += o.Deadlocks
+	r.DecisionPoints += o.DecisionPoints
+	r.AutoAbstracted += o.AutoAbstracted
+	r.Errors = append(r.Errors, o.Errors...)
+	r.WildcardsAnalyzed += o.WildcardsAnalyzed
+	r.Unsafe = append(r.Unsafe, o.Unsafe...)
+	if o.FirstTrace != nil {
+		r.FirstTrace = o.FirstTrace
+	}
+	r.StaticPruned += o.StaticPruned
+	r.PruneDisabled = r.PruneDisabled || o.PruneDisabled
+	r.PruneViolations = append(r.PruneViolations, o.PruneViolations...)
+	r.Sampled += o.Sampled
+	if len(o.sampledKeys) > 0 || len(o.SampledSchedules) > 0 {
+		keys := r.sampledSet()
+		for k := range o.sampledKeys {
+			keys[k] = struct{}{}
+		}
+		for _, k := range o.SampledSchedules {
+			keys[k] = struct{}{}
+		}
+		r.SampledDistinct = len(keys)
+	}
+}
+
+// Seal computes the report state that depends on the whole exploration
+// rather than on any one task: the cap flag (the cap was reached and
+// workLeft says tasks remained), the sorted distinct-schedule dump, and the
+// shared prune-hint table's counters. Sealing is idempotent, so a checkpoint
+// may seal a snapshot of a report that is still being added to.
+func (r *Report) Seal(cfg *ExplorerConfig, workLeft bool) {
+	r.Capped = workLeft && cfg.MaxInterleavings > 0 && r.Interleavings >= cfg.MaxInterleavings
+	if keys := r.sampledKeys; len(keys) > 0 {
+		r.SampledSchedules = make([]string, 0, len(keys))
+		for k := range keys {
+			r.SampledSchedules = append(r.SampledSchedules, k)
+		}
+		sort.Strings(r.SampledSchedules)
+	}
+	if h := cfg.PruneHints; h != nil {
+		r.StaticPruned = h.Pruned()
+		r.PruneDisabled = h.Disabled()
+		r.PruneViolations = h.Violations()
+	}
+}
+
+// SortErrors orders the errors by reproducer signature: the deterministic
+// order for engines that complete tasks in a scheduling-dependent order.
+// (The serial explorer keeps DFS discovery order.)
+func (r *Report) SortErrors() {
+	sort.SliceStable(r.Errors, func(i, j int) bool {
+		return r.Errors[i].Decisions.String() < r.Errors[j].Decisions.String()
+	})
+}
+
+// Explorer is the paper's Schedule Generator run by a single worker: a
+// depth-first walk over epoch decisions that pops the deepest pending
+// subtree task, replays it, and pushes its expansion, until the space (as
+// bounded by the heuristics) is covered. It is the one-worker, one-stack case
+// of what internal/dexplore and internal/dcoord do with many.
 type Explorer struct {
-	cfg    ExplorerConfig
-	rc     *RunContext
-	stack  []*frame
-	forced map[EpochID]*frame
-	report *Report
+	cfg ExplorerConfig
+	rc  *RunContext
 }
 
 // NewExplorer creates an explorer for the given configuration.
@@ -186,7 +280,7 @@ func NewExplorer(cfg ExplorerConfig) *Explorer {
 	if cfg.Program == nil {
 		panic("core: ExplorerConfig.Program must be set")
 	}
-	e := &Explorer{cfg: cfg, forced: make(map[EpochID]*frame), report: &Report{}}
+	e := &Explorer{cfg: cfg}
 	e.rc = NewRunContext(&e.cfg)
 	return e
 }
@@ -194,165 +288,55 @@ func NewExplorer(cfg ExplorerConfig) *Explorer {
 // Explore runs the initial self-discovery run and then replays alternate
 // matches depth-first until coverage (under the configured bounds) is
 // complete, the interleaving cap is reached, or StopOnFirstError fires.
+// Interleaving indexes and the error list follow DFS discovery order.
 func (e *Explorer) Explore() (*Report, error) {
-	trace, res, err := e.runOnce(nil)
-	if err != nil {
-		return nil, err
+	cfg := &e.cfg
+	rep := &Report{}
+	stack := []*SubtreeTask{RootTask(cfg)} // pending tasks, deepest last
+	unbuilt := 0                           // children of the last replay under the cap
+	capReached := func(done int) bool {
+		return cfg.MaxInterleavings > 0 && done >= cfg.MaxInterleavings
 	}
-	e.report.WildcardsAnalyzed = len(trace.Epochs)
-	e.report.Unsafe = trace.Unsafe
-	e.report.FirstTrace = trace
-	e.record(res)
-	if !(res.Deadlock) {
-		e.pushNew(trace, nil)
-	}
-	if e.cfg.StopOnFirstError && res.Err != nil {
-		return e.report, nil
-	}
-
-	for {
-		if e.cfg.MaxInterleavings > 0 && e.report.Interleavings >= e.cfg.MaxInterleavings {
-			if e.pendingWork() {
-				e.report.Capped = true
-			}
-			break
-		}
-		f := e.nextFlip()
-		if f == nil {
-			break
-		}
-		// Flip: take the next unexplored alternate at the deepest frame.
-		f.chosen = f.alts[0]
-		f.alts = f.alts[1:]
-		decisions := e.buildDecisions()
-		trace, res, err := e.runOnce(decisions)
+	for len(stack) > 0 && !capReached(rep.Interleavings) {
+		t := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		trace, res, err := e.rc.Run(t.Decisions)
 		if err != nil {
 			return nil, err
 		}
-		e.record(res)
+		res.Index = rep.Interleavings
+		var ex *Expansion
 		if !res.Deadlock {
-			e.pushNew(trace, f)
+			// What the last replay the cap allows spawns will never run: the
+			// report needs its decision points and whether work was left, not
+			// the children's decision prefixes. This keeps a single
+			// instrumented run (MaxInterleavings 1, the Table II measurement)
+			// from paying for an exploration it does not do.
+			ex = t.expand(cfg, trace, !capReached(rep.Interleavings+1))
+			stack = append(stack, ex.stackOrder()...)
+			unbuilt = ex.unbuilt
 		}
-		if e.cfg.StopOnFirstError && res.Err != nil {
+		var root *RunTrace
+		if t.Decisions == nil {
+			root = trace
+		}
+		rep.Add(res, ex, root, t.Sample != nil)
+		if cfg.OnInterleaving != nil {
+			cfg.OnInterleaving(res)
+		}
+		if cfg.StopOnFirstError && res.Err != nil {
 			break
 		}
 	}
-	if h := e.cfg.PruneHints; h != nil {
-		e.report.StaticPruned = h.Pruned()
-		e.report.PruneDisabled = h.Disabled()
-		e.report.PruneViolations = h.Violations()
-	}
-	return e.report, nil
-}
-
-// nextFlip pops exhausted frames and returns the deepest flippable frame.
-func (e *Explorer) nextFlip() *frame {
-	for len(e.stack) > 0 {
-		top := e.stack[len(e.stack)-1]
-		if top.explorable && len(top.alts) > 0 {
-			return top
-		}
-		e.stack = e.stack[:len(e.stack)-1]
-		delete(e.forced, top.id)
-	}
-	return nil
-}
-
-// pendingWork reports whether unexplored alternates remain on the stack.
-func (e *Explorer) pendingWork() bool {
-	for _, f := range e.stack {
-		if f.explorable && len(f.alts) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// buildDecisions forces every stacked frame's current choice: the replay
-// reproduces the whole prefix up to (and including) the flipped frame.
-func (e *Explorer) buildDecisions() *Decisions {
-	d := NewDecisions()
-	for _, f := range e.stack {
-		if f.chosen >= 0 {
-			d.Force(f.id, f.chosen)
-		}
-	}
-	return d
-}
-
-// pushNew appends frames for epochs discovered beyond the forced prefix.
-// flipped is the frame whose flip produced this run (nil for the initial
-// run); bounded mixing derives the new frames' explorability from it.
-func (e *Explorer) pushNew(trace *RunTrace, flipped *frame) {
-	explorable := true
-	budget := e.cfg.MixingBound
-	if flipped != nil {
-		budget, explorable = childBudget(flipped.budget)
-	}
-	det := newLoopDetector(e.cfg.AutoLoopThreshold)
-	for _, rec := range trace.Epochs {
-		if rec.Chosen < 0 {
-			continue // never completed; nothing to reproduce or flip
-		}
-		autoLoop := det.observe(rec)
-		if autoLoop {
-			e.report.AutoAbstracted++
-		}
-		e.cfg.PruneHints.Observe(rec)
-		id := rec.ID()
-		if _, ok := e.forced[id]; ok {
-			continue // part of the forced prefix
-		}
-		canFlip := explorable && !rec.InLoop && !autoLoop
-		alts := append([]int(nil), rec.Alternates...)
-		if canFlip && e.cfg.PruneHints.ShouldPrune(rec) {
-			// Statically deterministic decision point: keep the frame so the
-			// prefix still pins the observed choice, but skip its branches.
-			alts = nil
-		}
-		f := &frame{
-			id:         id,
-			chosen:     rec.Chosen,
-			alts:       alts,
-			explorable: canFlip,
-			budget:     budget,
-		}
-		e.stack = append(e.stack, f)
-		e.forced[id] = f
-		e.report.DecisionPoints++
-	}
-}
-
-// record accounts one interleaving's outcome.
-func (e *Explorer) record(res *InterleavingResult) {
-	e.report.Interleavings++
-	if res.Err != nil {
-		e.report.Errors = append(e.report.Errors, res)
-	}
-	if res.Deadlock {
-		e.report.Deadlocks++
-	}
-	if e.cfg.OnInterleaving != nil {
-		e.cfg.OnInterleaving(res)
-	}
-}
-
-// runOnce executes one (self or guided) instrumented run and stamps the
-// result with the explorer's current interleaving index.
-func (e *Explorer) runOnce(decisions *Decisions) (*RunTrace, *InterleavingResult, error) {
-	trace, res, err := e.rc.Run(decisions)
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Index = e.report.Interleavings
-	return trace, res, nil
+	rep.Seal(cfg, len(stack) > 0 || unbuilt > 0)
+	return rep, nil
 }
 
 // RunContext is a reusable replay slot: it executes sequential instrumented
 // runs of one configuration, recycling the DAMPI Tool (per-rank state,
 // scratch buffers, epoch freelists), the hook stack and the mpi runtime's
 // storage (mpi.Pools: request slabs, freelists, world skeleton) across runs.
-// The serial explorer owns one; the parallel engine gives each worker its
+// The serial explorer owns one; the parallel engines give each worker its
 // own. A RunContext must not run concurrently with itself.
 type RunContext struct {
 	cfg       *ExplorerConfig
@@ -451,5 +435,5 @@ func ExecuteRun(cfg *ExplorerConfig, decisions *Decisions) (*RunTrace, *Interlea
 // decisions, without any exploration: the deterministic-reproducer entry
 // point.
 func Replay(cfg ExplorerConfig, d *Decisions) (*RunTrace, *InterleavingResult, error) {
-	return cfg.run(d)
+	return ExecuteRun(&cfg, d)
 }

@@ -71,7 +71,7 @@ func TestFig3ReproducerReplays(t *testing.T) {
 	repro := rep.Errors[0].Decisions
 	for trial := 0; trial < 5; trial++ {
 		ex2 := NewExplorer(ExplorerConfig{Procs: 3, Program: fig3Program})
-		_, res, err := ex2.runOnce(repro)
+		_, res, err := ex2.rc.Run(repro)
 		if err != nil {
 			t.Fatalf("replay: %v", err)
 		}
@@ -412,7 +412,7 @@ func TestEpochIDsStableAcrossReplays(t *testing.T) {
 	// The (rank, LC) identity of the first run's epochs must reappear in a
 	// guided replay (alignment is what makes the decisions file meaningful).
 	ex := NewExplorer(ExplorerConfig{Procs: 4, Program: fanInProgram(4, 1)})
-	trace1, _, err := ex.runOnce(nil)
+	trace1, _, err := ex.rc.Run(nil)
 	if err != nil {
 		t.Fatalf("run 1: %v", err)
 	}
@@ -420,7 +420,7 @@ func TestEpochIDsStableAcrossReplays(t *testing.T) {
 	for _, e := range trace1.Epochs {
 		d.Force(e.ID(), e.Chosen)
 	}
-	trace2, res, err := ex.runOnce(d)
+	trace2, res, err := ex.rc.Run(d)
 	if err != nil {
 		t.Fatalf("run 2: %v", err)
 	}

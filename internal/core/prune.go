@@ -159,6 +159,20 @@ func (h *PruneHints) WouldPrune(rec *EpochRecord) bool {
 	return ok && len(set) == 1 && set[0] == rec.Chosen
 }
 
+// Restore resumes the table from the state a checkpoint saved: the pruned
+// count continues from pruned, and a table a violation had switched off
+// stays off, with the evidence kept.
+func (h *PruneHints) Restore(pruned int, disabled bool, violations []PruneViolation) {
+	if h == nil {
+		return
+	}
+	h.pruned.Store(int64(pruned))
+	h.disabled.Store(disabled)
+	h.vmu.Lock()
+	h.violations = append([]PruneViolation(nil), violations...)
+	h.vmu.Unlock()
+}
+
 // Pruned returns the number of alternate branches skipped so far.
 func (h *PruneHints) Pruned() int {
 	if h == nil {

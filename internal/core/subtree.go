@@ -1,11 +1,14 @@
 package core
 
-// This file factors the schedule generator's frame logic — mixing-budget
-// inheritance, automatic loop detection, and the derivation of child
-// decision prefixes from a completed run's trace — into a form both the
-// serial Explorer and the parallel engine (internal/dexplore) share. A
-// SubtreeTask is the unit the parallel engine distributes: one subtree of
-// the epoch-decision DFS, identified by its forced-decision prefix.
+import "slices"
+
+// This file is the schedule generator's search logic — mixing-budget
+// inheritance, automatic loop detection, prune hints, and the derivation of
+// child decision prefixes from a completed run's trace. Every engine drives
+// it: the serial Explorer from one stack, internal/dexplore from per-worker
+// deques, internal/dcoord from leases over the wire. A SubtreeTask is the
+// unit they schedule: one subtree of the epoch-decision DFS, identified by
+// its forced-decision prefix.
 
 // SubtreeTask is one independently explorable unit of the epoch-decision
 // search: replay the program under Decisions, then expand every newly
@@ -87,15 +90,36 @@ type Sampler interface {
 // aggregates.
 type Expansion struct {
 	// Children are the subtree tasks spawned by flipping each explorable
-	// new epoch to each of its alternates, in depth-first order: flipping
-	// the deepest epoch's first alternate comes last, so a LIFO frontier
-	// pops it first, mirroring the serial explorer's order.
+	// new epoch to each of its alternates: epochs in commit order, each
+	// epoch's alternates in recorded order. A LIFO frontier therefore
+	// explores the deepest epoch first.
 	Children []*SubtreeTask
 	// DecisionPoints counts the new epoch decision points this run
 	// discovered beyond the forced prefix (explorable or not).
 	DecisionPoints int
 	// AutoAbstracted counts epochs suppressed by automatic loop detection.
 	AutoAbstracted int
+
+	// flipStart holds, per flipped epoch, the index in Children where its
+	// alternates begin.
+	flipStart []int
+	// unbuilt counts the children a count-only expansion did not build.
+	unbuilt int
+}
+
+// stackOrder reorders Children in place for the serial explorer's stack:
+// each flipped epoch's alternates reversed, so that popping from the end
+// flips the deepest epoch first and takes each epoch's alternates in
+// recorded order — the depth-first discovery order reports are indexed by.
+func (ex *Expansion) stackOrder() []*SubtreeTask {
+	for i, start := range ex.flipStart {
+		end := len(ex.Children)
+		if i+1 < len(ex.flipStart) {
+			end = ex.flipStart[i+1]
+		}
+		slices.Reverse(ex.Children[start:end])
+	}
+	return ex.Children
 }
 
 // Expand derives the child subtree tasks of a completed, non-deadlocked run.
@@ -104,18 +128,34 @@ type Expansion struct {
 // which is what makes sampling engine-agnostic); otherwise the exhaustive
 // derivation runs.
 func (t *SubtreeTask) Expand(cfg *ExplorerConfig, trace *RunTrace) *Expansion {
+	return t.expand(cfg, trace, true)
+}
+
+// expand is Expand with the choice of building the exhaustive children or
+// only counting them (see expandExhaustive).
+func (t *SubtreeTask) expand(cfg *ExplorerConfig, trace *RunTrace, build bool) *Expansion {
 	if cfg.Sampler != nil {
 		return cfg.Sampler.Expand(t, cfg, trace)
 	}
-	return t.ExpandExhaustive(cfg, trace)
+	return t.expandExhaustive(cfg, trace, build)
 }
 
-// ExpandExhaustive is the exhaustive DFS derivation, mirroring the serial
-// explorer's pushNew/buildDecisions exactly: a child's prefix is the task's
-// own decisions, plus every new epoch observed before the flipped one pinned
-// to its observed choice, plus the flip itself. Samplers call it for the
-// depth-bounded exhaustive zone below their sampling frontier.
+// ExpandExhaustive is the exhaustive DFS derivation: a child's prefix is the
+// task's own decisions, plus every new epoch observed before the flipped one
+// pinned to its observed choice, plus the flip itself. A statically
+// deterministic decision point (PruneHints) still joins the prefix, so later
+// children pin its observed choice, but spawns no children. Samplers call
+// this for the depth-bounded exhaustive zone below their sampling frontier.
 func (t *SubtreeTask) ExpandExhaustive(cfg *ExplorerConfig, trace *RunTrace) *Expansion {
+	return t.expandExhaustive(cfg, trace, true)
+}
+
+// expandExhaustive is ExpandExhaustive when build is set. Otherwise the scan
+// (counters, prune-hint cross-check and accounting) is identical but no child
+// is built — cloning a decision prefix per child is most of an expansion's
+// cost — and the children are only counted, for a caller that knows they
+// would never run.
+func (t *SubtreeTask) expandExhaustive(cfg *ExplorerConfig, trace *RunTrace, build bool) *Expansion {
 	ex := &Expansion{}
 	det := newLoopDetector(cfg.AutoLoopThreshold)
 	budget, explorable := childBudget(t.Budget)
@@ -133,7 +173,10 @@ func (t *SubtreeTask) ExpandExhaustive(cfg *ExplorerConfig, trace *RunTrace) *Ex
 			continue // part of the forced prefix
 		}
 		ex.DecisionPoints++
-		if t.Explorable && !rec.InLoop && !autoLoop && !cfg.PruneHints.ShouldPrune(rec) {
+		if flip := t.Explorable && !rec.InLoop && !autoLoop && !cfg.PruneHints.ShouldPrune(rec); flip && !build {
+			ex.unbuilt += len(rec.Alternates)
+		} else if flip {
+			ex.flipStart = append(ex.flipStart, len(ex.Children))
 			for _, alt := range rec.Alternates {
 				// Each child adds the prefix pins plus the flip itself on top
 				// of the inherited decisions; size the clone for them up front.

@@ -10,7 +10,7 @@ import (
 
 func TestTraceRoundTrip(t *testing.T) {
 	ex := NewExplorer(ExplorerConfig{Procs: 4, Program: fanInProgram(4, 2)})
-	trace, _, err := ex.runOnce(nil)
+	trace, _, err := ex.rc.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestTraceRoundTrip(t *testing.T) {
 
 func TestTraceFileRoundTrip(t *testing.T) {
 	ex := NewExplorer(ExplorerConfig{Procs: 3, Program: fig3Program})
-	trace, _, err := ex.runOnce(nil)
+	trace, _, err := ex.rc.Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestDecisionsFromTraceReplays(t *testing.T) {
 	// run it was taken from, including the error outcome.
 	ex := NewExplorer(ExplorerConfig{Procs: 3, Program: fig3Program})
 	for attempt := 0; attempt < 50; attempt++ {
-		trace, res, err := ex.runOnce(nil)
+		trace, res, err := ex.rc.Run(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -101,6 +101,7 @@ func runCluster(t *testing.T, workload string, cfg core.ExplorerConfig, n, slots
 	fp := FingerprintFor(workload, &cfg)
 	c, addr := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: 2 * time.Second})
 	var wg sync.WaitGroup
+	var ws []*Worker
 	for i := 0; i < n; i++ {
 		w := NewWorker(WorkerConfig{
 			Addr:        addr,
@@ -109,6 +110,7 @@ func runCluster(t *testing.T, workload string, cfg core.ExplorerConfig, n, slots
 			Fingerprint: fp,
 			Explorer:    cfg,
 		})
+		ws = append(ws, w)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -120,6 +122,12 @@ func runCluster(t *testing.T, workload string, cfg core.ExplorerConfig, n, slots
 	rep, err := waitFor(t, c)
 	if err != nil {
 		t.Fatalf("cluster explore: %v", err)
+	}
+	// A memoized fixture can finish on the first worker before the second
+	// has dialed; without the Stop it would redial a closed listener until
+	// its dial budget ran out and fail the test for being late.
+	for _, w := range ws {
+		w.Stop()
 	}
 	wg.Wait()
 	return rep
@@ -365,4 +373,44 @@ func TestClusterStopDrainsAndCheckpoints(t *testing.T) {
 		t.Fatalf("worker after resume: %v", err)
 	}
 	checkSameReport(t, "drain+resume", serial, rep2)
+}
+
+// TestClusterResumesLocalCheckpoint: the checkpoint format is one format. A
+// frontier written by the in-process work-stealing engine at its
+// interleaving cap resumes under a coordinator, and the two partial runs
+// together produce the serial report.
+func TestClusterResumesLocalCheckpoint(t *testing.T) {
+	memo := newMemoRunner()
+	base := core.ExplorerConfig{Procs: 6, Program: matmul.Program(matmul.Config{}), Runner: memo.Run}
+	serial := runSerial(t, base)
+
+	ckpPath := t.TempDir() + "/ckp.json"
+	capped := base
+	capped.MaxInterleavings = 15
+	part, err := dexplore.New(dexplore.Config{Explorer: capped, Workers: 2, CheckpointPath: ckpPath}).Explore()
+	if err != nil {
+		t.Fatalf("local run: %v", err)
+	}
+	if !part.Capped || part.Interleavings >= serial.Interleavings {
+		t.Fatalf("local run was not partial: %d of %d interleavings, capped=%v",
+			part.Interleavings, serial.Interleavings, part.Capped)
+	}
+	ckp, err := dexplore.LoadCheckpoint(ckpPath)
+	if err != nil {
+		t.Fatalf("loading local checkpoint: %v", err)
+	}
+
+	fp := FingerprintFor("resume-matmul", &base)
+	c, addr := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: 2 * time.Second, Resume: ckp})
+	w := NewWorker(WorkerConfig{Addr: addr, Name: "w0", Slots: 2, Fingerprint: fp, Explorer: base})
+	done := make(chan error, 1)
+	go func() { done <- w.Run() }()
+	rep, err := waitFor(t, c)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("worker after resume: %v", err)
+	}
+	checkSameReport(t, "local+cluster", serial, rep)
 }

@@ -4,13 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
 	"dampi/internal/core"
 	"dampi/internal/dexplore"
-	"dampi/internal/sample"
 )
 
 // Config configures a coordinator. The coordinator never replays anything
@@ -105,6 +103,10 @@ func (w *workerConn) send(fr *frame) error {
 // the frontier and all leases drain.
 type Coordinator struct {
 	cfg Config
+	// ecfg is the exploration the fingerprint describes, as the
+	// ExplorerConfig fields RootTask, Report.Seal and the checkpoint codec
+	// consult (no program: the coordinator never replays).
+	ecfg core.ExplorerConfig
 
 	// managed marks a coordinator embedded in a Server: the Server owns the
 	// listener, the connections and the read loops, attaching workers for
@@ -118,10 +120,9 @@ type Coordinator struct {
 	frontier    []*core.SubtreeTask // LIFO stack of pending tasks
 	leases      map[uint64]*lease
 	nextLease   uint64
-	done        map[string]bool     // completed task keys (dedup after requeue)
-	redelivered map[string]int      // requeue count per task key
-	requeues    int                 // total lease requeues
-	sampledKeys map[string]struct{} // distinct sampled decision vectors
+	done        map[string]bool // completed task keys (dedup after requeue)
+	redelivered map[string]int  // requeue count per task key
+	requeues    int             // total lease requeues
 	report      *core.Report
 	rootDone    bool
 	stopped     bool // drain: no new leases (Stop or StopOnFirstError)
@@ -160,11 +161,11 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:         cfg,
+		ecfg:        cfg.Fingerprint.ExplorerConfig(),
 		workers:     make(map[*workerConn]struct{}),
 		leases:      make(map[uint64]*lease),
 		done:        make(map[string]bool),
 		redelivered: make(map[string]int),
-		sampledKeys: make(map[string]struct{}),
 		report:      &core.Report{},
 		rate:        dexplore.NewRateTracker(dexplore.RateWindow),
 		doneCh:      make(chan struct{}),
@@ -172,74 +173,25 @@ func New(cfg Config) (*Coordinator, error) {
 		monitorStop: make(chan struct{}),
 		start:       time.Now(),
 	}
+	c.ecfg.MaxInterleavings = cfg.MaxInterleavings
 	if ckp := cfg.Resume; ckp != nil {
-		ecfg := fingerprintExplorerConfig(cfg.Fingerprint)
-		if err := ckp.Validate(cfg.Fingerprint.Workload, &ecfg); err != nil {
+		rep, frontier, err := ckp.Restore(cfg.Fingerprint.Workload, &c.ecfg)
+		if err != nil {
 			return nil, err
 		}
-		c.seedFromCheckpoint(ckp)
+		c.report, c.frontier = rep, frontier
+		// The checkpoint's frontier may still contain the root task (a drain
+		// before the root completed).
+		c.rootDone = true
+		for _, t := range c.frontier {
+			if t.Decisions == nil {
+				c.rootDone = false
+			}
+		}
 	} else {
-		ecfg := fingerprintExplorerConfig(cfg.Fingerprint)
-		c.frontier = append(c.frontier, core.RootTask(&ecfg))
+		c.frontier = append(c.frontier, core.RootTask(&c.ecfg))
 	}
 	return c, nil
-}
-
-// fingerprintExplorerConfig projects a fingerprint onto the ExplorerConfig
-// fields checkpoint validation and RootTask consult, rebuilding the seeded
-// sampler for sampling fingerprints so checkpoint signatures match.
-func fingerprintExplorerConfig(f Fingerprint) core.ExplorerConfig {
-	cfg := core.ExplorerConfig{
-		Procs:             f.Procs,
-		Clock:             f.Clock,
-		DualClock:         f.DualClock,
-		Transport:         f.Transport,
-		MixingBound:       f.MixingBound,
-		AutoLoopThreshold: f.AutoLoopThreshold,
-		ChoicePoints:      f.ChoicePoints,
-		SampleDepth:       f.SampleDepth,
-	}
-	if f.SampleStrategy != "" {
-		cfg.Sampler = sample.New(sample.Config{
-			Strategy: sample.Strategy(f.SampleStrategy),
-			Samples:  f.Samples,
-			Seed:     f.SampleSeed,
-			Procs:    f.Procs,
-		})
-	}
-	return cfg
-}
-
-// seedFromCheckpoint restores aggregates and frontier. The checkpoint's
-// frontier may still contain the root task (a drain before the root
-// completed); rootDone is derived from whether a self-discovery task remains.
-func (c *Coordinator) seedFromCheckpoint(ckp *dexplore.Checkpoint) {
-	c.report.Interleavings = ckp.Interleavings
-	c.report.Deadlocks = ckp.Deadlocks
-	c.report.DecisionPoints = ckp.DecisionPoints
-	c.report.AutoAbstracted = ckp.AutoAbstracted
-	c.report.WildcardsAnalyzed = ckp.WildcardsAnalyzed
-	c.report.Unsafe = ckp.Unsafe
-	c.report.FirstTrace = ckp.FirstTrace
-	c.report.Sampled = ckp.Sampled
-	for _, k := range ckp.SampledKeys {
-		c.sampledKeys[k] = struct{}{}
-	}
-	c.report.SampledDistinct = len(c.sampledKeys)
-	for _, ce := range ckp.Errors {
-		c.report.Errors = append(c.report.Errors, &core.InterleavingResult{
-			Err:       errors.New(ce.Message),
-			Deadlock:  ce.Deadlock,
-			Decisions: ce.Decisions,
-		})
-	}
-	c.frontier = append(c.frontier, ckp.Frontier...)
-	c.rootDone = true
-	for _, t := range c.frontier {
-		if t.Decisions == nil {
-			c.rootDone = false
-		}
-	}
 }
 
 // Serve starts accepting workers on ln and runs the lease janitor (and the
@@ -621,22 +573,7 @@ func (c *Coordinator) handleResult(w *workerConn, res *WireResult) {
 	if res.ErrMsg != "" {
 		ir.Err = errors.New(res.ErrMsg)
 	}
-	c.report.Interleavings++
-	if ir.Err != nil {
-		c.report.Errors = append(c.report.Errors, ir)
-	}
-	if ir.Deadlock {
-		c.report.Deadlocks++
-	}
-	c.report.DecisionPoints += res.DecisionPoints
-	c.report.AutoAbstracted += res.AutoAbstracted
-	if res.Sampled && res.Decisions != nil {
-		// Task identity (res.Key) carries the walk/step suffix; schedule
-		// identity is the decision vector alone.
-		c.report.Sampled++
-		c.sampledKeys[res.Decisions.String()] = struct{}{}
-		c.report.SampledDistinct = len(c.sampledKeys)
-	}
+	c.report.Add(ir, &core.Expansion{DecisionPoints: res.DecisionPoints, AutoAbstracted: res.AutoAbstracted}, nil, res.Sampled)
 	c.frontier = append(c.frontier, res.Children...)
 	if res.Root != nil {
 		c.report.WildcardsAnalyzed = res.Root.WildcardsAnalyzed
@@ -719,16 +656,8 @@ func (c *Coordinator) finalize() {
 		return
 	}
 	c.finished = true
-	if max := c.cfg.MaxInterleavings; max > 0 && c.report.Interleavings >= max && c.liveFrontierLocked() > 0 {
-		c.report.Capped = true
-	}
-	sort.SliceStable(c.report.Errors, func(i, j int) bool {
-		return c.report.Errors[i].Decisions.String() < c.report.Errors[j].Decisions.String()
-	})
-	for k := range c.sampledKeys {
-		c.report.SampledSchedules = append(c.report.SampledSchedules, k)
-	}
-	sort.Strings(c.report.SampledSchedules)
+	c.report.Seal(&c.ecfg, c.liveFrontierLocked() > 0)
+	c.report.SortErrors()
 	var ckp *dexplore.Checkpoint
 	if c.cfg.CheckpointPath != "" && !c.noFinalCkp {
 		ckp = c.checkpointLocked()
@@ -773,49 +702,16 @@ func (c *Coordinator) finalize() {
 // format (pending first, then leased: resume pops the deepest work first).
 // Caller holds c.mu.
 func (c *Coordinator) checkpointLocked() *dexplore.Checkpoint {
-	f := c.cfg.Fingerprint
-	ecfg := fingerprintExplorerConfig(f)
-	ckp := &dexplore.Checkpoint{
-		Version:           1,
-		Workload:          f.Workload,
-		Procs:             f.Procs,
-		Clock:             f.Clock,
-		DualClock:         f.DualClock,
-		Transport:         f.Transport,
-		MixingBound:       f.MixingBound,
-		AutoLoopThreshold: f.AutoLoopThreshold,
-		ChoicePoints:      f.ChoicePoints,
-		SampleDepth:       f.SampleDepth,
-		Sampler:           dexplore.SignatureOf(&ecfg),
-		Interleavings:     c.report.Interleavings,
-		Deadlocks:         c.report.Deadlocks,
-		DecisionPoints:    c.report.DecisionPoints,
-		AutoAbstracted:    c.report.AutoAbstracted,
-		WildcardsAnalyzed: c.report.WildcardsAnalyzed,
-		Sampled:           c.report.Sampled,
-		Unsafe:            c.report.Unsafe,
-		FirstTrace:        c.report.FirstTrace,
-	}
-	for k := range c.sampledKeys {
-		ckp.SampledKeys = append(ckp.SampledKeys, k)
-	}
-	sort.Strings(ckp.SampledKeys)
-	for _, res := range c.report.Errors {
-		ckp.Errors = append(ckp.Errors, &dexplore.CheckpointError{
-			Message:   res.Err.Error(),
-			Deadlock:  res.Deadlock,
-			Decisions: res.Decisions,
-		})
-	}
+	var frontier []*core.SubtreeTask
 	for _, t := range c.frontier {
 		if !c.done[taskKey(t)] {
-			ckp.Frontier = append(ckp.Frontier, t)
+			frontier = append(frontier, t)
 		}
 	}
 	for _, l := range c.leases {
-		ckp.Frontier = append(ckp.Frontier, l.task)
+		frontier = append(frontier, l.task)
 	}
-	return ckp
+	return dexplore.NewCheckpoint(c.cfg.Fingerprint.Workload, &c.ecfg, c.report, frontier)
 }
 
 // janitor periodically expires leases: past-TTL (no heartbeat) or past the

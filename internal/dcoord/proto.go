@@ -259,29 +259,9 @@ func (s *JobSpec) Fingerprint() Fingerprint {
 }
 
 // ExplorerConfig projects the spec onto the per-worker replay configuration
-// (the program itself is attached by the worker's factory). A sampling spec
-// gets its sampler built here, so every worker derives the identical seeded
-// schedule set.
+// (the program itself is attached by the worker's factory).
 func (s *JobSpec) ExplorerConfig() core.ExplorerConfig {
-	cfg := core.ExplorerConfig{
-		Procs:             s.Procs,
-		Clock:             s.Clock,
-		DualClock:         s.DualClock,
-		Transport:         s.Transport,
-		MixingBound:       s.MixingBound,
-		AutoLoopThreshold: s.AutoLoopThreshold,
-		ChoicePoints:      s.ChoicePoints,
-		SampleDepth:       s.SampleDepth,
-	}
-	if s.SampleStrategy != "" {
-		cfg.Sampler = sample.New(sample.Config{
-			Strategy: sample.Strategy(s.SampleStrategy),
-			Samples:  s.Samples,
-			Seed:     s.SampleSeed,
-			Procs:    s.Procs,
-		})
-	}
-	return cfg
+	return s.Fingerprint().ExplorerConfig()
 }
 
 // Key is the spec's canonical identity: the hex SHA-256 of its normalized
@@ -347,6 +327,32 @@ func FingerprintFor(workload string, cfg *core.ExplorerConfig) Fingerprint {
 		f.SampleSeed = sc.Seed
 	}
 	return f
+}
+
+// ExplorerConfig is the inverse of FingerprintFor: the ExplorerConfig fields
+// that shape the interleaving space, without a program. A sampling
+// fingerprint gets its seeded sampler rebuilt, so every node derives the
+// identical schedule set and checkpoint sampler signatures match.
+func (f Fingerprint) ExplorerConfig() core.ExplorerConfig {
+	cfg := core.ExplorerConfig{
+		Procs:             f.Procs,
+		Clock:             f.Clock,
+		DualClock:         f.DualClock,
+		Transport:         f.Transport,
+		MixingBound:       f.MixingBound,
+		AutoLoopThreshold: f.AutoLoopThreshold,
+		ChoicePoints:      f.ChoicePoints,
+		SampleDepth:       f.SampleDepth,
+	}
+	if f.SampleStrategy != "" {
+		cfg.Sampler = sample.New(sample.Config{
+			Strategy: sample.Strategy(f.SampleStrategy),
+			Samples:  f.Samples,
+			Seed:     f.SampleSeed,
+			Procs:    f.Procs,
+		})
+	}
+	return cfg
 }
 
 // Check compares a worker's fingerprint against the coordinator's, returning

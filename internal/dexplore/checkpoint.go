@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"dampi/internal/core"
 )
@@ -57,6 +56,14 @@ type Checkpoint struct {
 	Unsafe            []core.UnsafeReport `json:"unsafe,omitempty"`
 	Errors            []*CheckpointError  `json:"errors,omitempty"`
 
+	// Static prune-hint state (absent without hints): the branches skipped
+	// so far, and whether — and on what evidence — a violation switched the
+	// hints off. A resumed run continues counting from here and keeps
+	// disabled hints disabled.
+	StaticPruned    int                   `json:"static_pruned,omitempty"`
+	PruneDisabled   bool                  `json:"prune_disabled,omitempty"`
+	PruneViolations []core.PruneViolation `json:"prune_violations,omitempty"`
+
 	// FirstTrace is the initial self run's epoch log, carried so a resumed
 	// run still reports the canonical trace.
 	FirstTrace *core.RunTrace `json:"first_trace,omitempty"`
@@ -78,7 +85,7 @@ type CheckpointError struct {
 // stop-the-world: every worker mutex is taken in ascending id order — the
 // same order thieves use when transferring a batch — so each pending task is
 // observed in exactly one deque or current slot, and each completed task in
-// exactly one accumulator. In-flight (current) tasks join the frontier:
+// exactly one partial report. In-flight (current) tasks join the frontier:
 // resuming re-runs them, giving at-least-once coverage of every subtree.
 func (e *Engine) snapshotCheckpoint() *Checkpoint {
 	for _, w := range e.ws {
@@ -99,7 +106,7 @@ func (e *Engine) snapshotCheckpoint() *Checkpoint {
 	for i := len(e.ws) - 1; i >= 0; i-- {
 		e.ws[i].mu.Unlock()
 	}
-	return e.buildCheckpoint(rep, frontier)
+	return NewCheckpoint("", &e.cfg.Explorer, rep, frontier)
 }
 
 // SamplerSignature is the optional interface a core.Sampler implements to
@@ -122,11 +129,17 @@ func SignatureOf(cfg *core.ExplorerConfig) string {
 	}
 }
 
-// buildCheckpoint serializes a gathered report plus frontier.
-func (e *Engine) buildCheckpoint(rep *core.Report, frontier []*core.SubtreeTask) *Checkpoint {
-	cfg := &e.cfg.Explorer
+// NewCheckpoint is the one Report-to-Checkpoint copy, shared by this engine
+// and the distributed coordinator: the exploration parameters of cfg, the
+// aggregates of rep, the frontier. It seals a copy of rep first (sorted
+// sampled keys, current prune-hint counters), so rep may be a live report
+// that is still being added to.
+func NewCheckpoint(workload string, cfg *core.ExplorerConfig, rep *core.Report, frontier []*core.SubtreeTask) *Checkpoint {
+	sealed := *rep
+	sealed.Seal(cfg, false)
 	ckp := &Checkpoint{
 		Version:           checkpointVersion,
+		Workload:          workload,
 		Procs:             cfg.Procs,
 		Clock:             cfg.Clock,
 		DualClock:         cfg.DualClock,
@@ -136,23 +149,21 @@ func (e *Engine) buildCheckpoint(rep *core.Report, frontier []*core.SubtreeTask)
 		ChoicePoints:      cfg.ChoicePoints,
 		SampleDepth:       cfg.SampleDepth,
 		Sampler:           SignatureOf(cfg),
-		Interleavings:     rep.Interleavings,
-		Deadlocks:         rep.Deadlocks,
-		DecisionPoints:    rep.DecisionPoints,
-		AutoAbstracted:    rep.AutoAbstracted,
-		WildcardsAnalyzed: rep.WildcardsAnalyzed,
-		Sampled:           rep.Sampled,
-		Unsafe:            rep.Unsafe,
-		FirstTrace:        rep.FirstTrace,
+		Interleavings:     sealed.Interleavings,
+		Deadlocks:         sealed.Deadlocks,
+		DecisionPoints:    sealed.DecisionPoints,
+		AutoAbstracted:    sealed.AutoAbstracted,
+		WildcardsAnalyzed: sealed.WildcardsAnalyzed,
+		Sampled:           sealed.Sampled,
+		SampledKeys:       sealed.SampledSchedules,
+		Unsafe:            sealed.Unsafe,
+		StaticPruned:      sealed.StaticPruned,
+		PruneDisabled:     sealed.PruneDisabled,
+		PruneViolations:   sealed.PruneViolations,
+		FirstTrace:        sealed.FirstTrace,
 		Frontier:          frontier,
 	}
-	e.smu.Lock()
-	for k := range e.sampledKeys {
-		ckp.SampledKeys = append(ckp.SampledKeys, k)
-	}
-	e.smu.Unlock()
-	sort.Strings(ckp.SampledKeys)
-	for _, res := range rep.Errors {
+	for _, res := range sealed.Errors {
 		ckp.Errors = append(ckp.Errors, &CheckpointError{
 			Message:   res.Err.Error(),
 			Deadlock:  res.Deadlock,
@@ -196,38 +207,39 @@ func (c *Checkpoint) Validate(workload string, cfg *core.ExplorerConfig) error {
 	return nil
 }
 
-// seedFromCheckpoint restores aggregates and frontier from a checkpoint in
-// place of the initial self-discovery run.
-func (e *Engine) seedFromCheckpoint(ckp *Checkpoint) error {
-	cfg := &e.cfg.Explorer
-	if err := ckp.Validate("", cfg); err != nil {
-		return err
+// Restore is the one Checkpoint-to-Report copy, the inverse of
+// NewCheckpoint: after validating the checkpoint against the resuming
+// exploration's parameters it returns the report of everything completed so
+// far (for the engine to keep adding to) and a copy of the frontier. The
+// prune-hint table of cfg, if any, resumes from the saved counters.
+func (c *Checkpoint) Restore(workload string, cfg *core.ExplorerConfig) (*core.Report, []*core.SubtreeTask, error) {
+	if err := c.Validate(workload, cfg); err != nil {
+		return nil, nil, err
 	}
-	e.base.Interleavings = ckp.Interleavings
-	e.base.Deadlocks = ckp.Deadlocks
-	e.base.DecisionPoints = ckp.DecisionPoints
-	e.base.AutoAbstracted = ckp.AutoAbstracted
-	e.base.WildcardsAnalyzed = ckp.WildcardsAnalyzed
-	e.base.Unsafe = ckp.Unsafe
-	e.base.FirstTrace = ckp.FirstTrace
-	e.sampledTotal = ckp.Sampled
-	if len(ckp.SampledKeys) > 0 {
-		e.sampledKeys = make(map[string]struct{}, len(ckp.SampledKeys))
-		for _, k := range ckp.SampledKeys {
-			e.sampledKeys[k] = struct{}{}
-		}
+	rep := &core.Report{
+		Interleavings:     c.Interleavings,
+		Deadlocks:         c.Deadlocks,
+		DecisionPoints:    c.DecisionPoints,
+		AutoAbstracted:    c.AutoAbstracted,
+		WildcardsAnalyzed: c.WildcardsAnalyzed,
+		Sampled:           c.Sampled,
+		SampledDistinct:   len(c.SampledKeys),
+		SampledSchedules:  c.SampledKeys,
+		Unsafe:            c.Unsafe,
+		StaticPruned:      c.StaticPruned,
+		PruneDisabled:     c.PruneDisabled,
+		PruneViolations:   c.PruneViolations,
+		FirstTrace:        c.FirstTrace,
 	}
-	for _, ce := range ckp.Errors {
-		e.base.Errors = append(e.base.Errors, &core.InterleavingResult{
+	for _, ce := range c.Errors {
+		rep.Errors = append(rep.Errors, &core.InterleavingResult{
 			Err:       errors.New(ce.Message),
 			Deadlock:  ce.Deadlock,
 			Decisions: ce.Decisions,
 		})
 	}
-	e.issued.Store(int64(ckp.Interleavings))
-	e.completed.Store(int64(ckp.Interleavings))
-	e.scatter(append([]*core.SubtreeTask(nil), ckp.Frontier...))
-	return nil
+	cfg.PruneHints.Restore(rep.StaticPruned, rep.PruneDisabled, rep.PruneViolations)
+	return rep, append([]*core.SubtreeTask(nil), c.Frontier...), nil
 }
 
 // Save writes the checkpoint atomically (temp file + rename), so a crash

@@ -1,8 +1,11 @@
 package dexplore
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"dampi/internal/core"
@@ -64,6 +67,72 @@ func TestCheckpointJSONRoundTrip(t *testing.T) {
 	}
 	if !got.Frontier[1].Decisions.Empty() || got.Frontier[1].Budget != core.Unbounded || got.Frontier[1].Explorable {
 		t.Errorf("frontier[1] mismatch: %+v", got.Frontier[1])
+	}
+}
+
+// TestReportSurvivesCheckpoint: the codec is lossless on the report side —
+// every aggregate of a report, including the static-pruning state, comes
+// back deep-equal from Report → NewCheckpoint → JSON → Restore, along with
+// the frontier; and the resuming run's hint table continues from it.
+func TestReportSurvivesCheckpoint(t *testing.T) {
+	d := core.NewDecisions()
+	d.Force(core.EpochID{Rank: 1, LC: 7}, 3)
+	trace := &core.RunTrace{
+		Epochs: []*core.EpochRecord{{Rank: 1, LC: 7, Tag: 2, Chosen: 0, Alternates: []int{3}, Order: 1}},
+		Unsafe: []core.UnsafeReport{{Rank: 1, LC: 7, Op: "Send", Count: 1}},
+		MaxLC:  7,
+	}
+	violation := core.PruneViolation{Key: core.PruneHintKey{Rank: 1, Tag: 2}, Observed: 0, Senders: []int{3}}
+	rep := &core.Report{
+		Interleavings:     11,
+		Deadlocks:         1,
+		DecisionPoints:    9,
+		AutoAbstracted:    4,
+		WildcardsAnalyzed: 1,
+		Errors: []*core.InterleavingResult{
+			{Err: errors.New("boom"), Deadlock: true, Decisions: d.Clone()},
+			{Err: errors.New("bang"), Decisions: core.NewDecisions()},
+		},
+		Unsafe:           trace.Unsafe,
+		StaticPruned:     5,
+		PruneDisabled:    true,
+		PruneViolations:  []core.PruneViolation{violation},
+		Sampled:          3,
+		SampledDistinct:  2,
+		SampledSchedules: []string{"{r0:[1→2]}", "{r1:[7→3]}"},
+		FirstTrace:       trace,
+	}
+	frontier := []*core.SubtreeTask{
+		{Decisions: d, Budget: 1, Explorable: true, Depth: 2},
+		{Decisions: d.Clone(), Budget: core.Unbounded, Explorable: true, Depth: 3,
+			Sample: &core.SampleState{Walk: 1, Step: 2, Rng: 99, Prio: []int{2, 0, 1}, NextChange: 3}},
+	}
+	cfg := core.ExplorerConfig{Procs: 4, Clock: core.VectorClock, MixingBound: 2}
+
+	var buf bytes.Buffer
+	if err := NewCheckpoint("wl", &cfg, rep, frontier).Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	ckp, err := ReadCheckpoint(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcfg := cfg
+	rcfg.PruneHints = core.NewPruneHints(map[core.PruneHintKey][]int{violation.Key: violation.Senders})
+	got, gotFrontier, err := ckp.Restore("wl", &rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, rep) {
+		t.Errorf("report changed across the checkpoint:\n got %+v\nwant %+v", got, rep)
+	}
+	if !reflect.DeepEqual(gotFrontier, frontier) {
+		t.Errorf("frontier changed across the checkpoint:\n got %+v\nwant %+v", gotFrontier, frontier)
+	}
+	h := rcfg.PruneHints
+	if h.Pruned() != 5 || !h.Disabled() || !reflect.DeepEqual(h.Violations(), rep.PruneViolations) {
+		t.Errorf("hint table resumed at pruned=%d disabled=%v violations=%v, want the checkpoint's",
+			h.Pruned(), h.Disabled(), h.Violations())
 	}
 }
 

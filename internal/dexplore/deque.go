@@ -8,11 +8,11 @@ import (
 )
 
 // worker is one exploration worker: a replay slot plus its own DFS deque and
-// result accumulators. The hot path — pop a task, replay it, push its
+// partial report. The hot path — pop a task, replay it, push its
 // expansion, account the result — touches only this worker's uncontended
 // mutex and a handful of engine atomics; no shared lock is ever taken while
 // work is plentiful. Thieves and checkpoint snapshots take mu from outside,
-// which is why the deque and the accumulators are locked at all.
+// which is why the deque and the report are locked at all.
 type worker struct {
 	id int
 	e  *Engine
@@ -22,13 +22,10 @@ type worker struct {
 	head    int                 // steal end: oldest (shallowest) task first
 	current *core.SubtreeTask   // task being replayed (nil when idle)
 
-	// Result accumulators, merged into the engine report at finish (and read
-	// under mu by checkpoint snapshots). Owner-written only.
-	interleavings  int
-	deadlocks      int
-	decisionPoints int
-	autoAbstracted int
-	errors         []*core.InterleavingResult
+	// rep accounts the tasks this worker completed; merged into the engine
+	// report at finish (and read under mu by checkpoint snapshots).
+	// Owner-written only.
+	rep core.Report
 
 	// size mirrors len(tasks)-head so idle workers can scan for victims
 	// without touching any lock.

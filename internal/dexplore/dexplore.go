@@ -2,11 +2,12 @@
 // epoch-decision depth-first search of internal/core into independent
 // subtree tasks — a forced-decision prefix plus the frame's remaining mixing
 // budget — and feeds them to a worker pool where each worker runs guided
-// replays in its own mpi.World. Per-worker results merge into a single
-// core.Report covering exactly the interleaving set the serial explorer
-// would cover (the expansion logic is shared, see core.SubtreeTask.Expand),
-// with deterministic counts and error reproducers regardless of worker
-// scheduling.
+// replays in its own mpi.World. Each worker accounts what it completes in
+// its own core.Report; the partial reports merge into one covering exactly
+// the interleaving set the serial explorer covers — core.Explorer is the
+// one-worker, one-stack driver of the same core.SubtreeTask.Expand and the
+// same core.Report accounting — with deterministic counts and error
+// reproducers regardless of worker scheduling.
 //
 // Scheduling is work-stealing: each worker owns a DFS deque, pushes its own
 // expansions at the deep end and pops them back LIFO, so the steady state
@@ -29,7 +30,6 @@ package dexplore
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,21 +110,6 @@ type Engine struct {
 	idleCond *sync.Cond
 	idlers   atomic.Int32
 
-	// base holds the aggregates that live outside the per-worker
-	// accumulators: the root run's (or resumed checkpoint's) counts, the
-	// canonical first trace, unsafe reports and seed errors. Written before
-	// the pool starts, read-only afterwards.
-	base core.Report
-
-	// Sampled-schedule accounting (schedule-sampling mode only). Walk-step
-	// completions are rare relative to the replay hot path, so a plain mutex
-	// around the dedup set is fine; exhaustive tasks never touch it.
-	smu          sync.Mutex
-	sampledTotal int
-	sampledKeys  map[string]struct{} // distinct sampled decision vectors
-
-	report *core.Report // merged at finish; returned by Explore
-
 	ckpMu sync.Mutex // serializes periodic checkpoint snapshot+save pairs
 	cbMu  sync.Mutex // serializes the OnInterleaving callback
 
@@ -141,11 +126,7 @@ func New(cfg Config) *Engine {
 	if cfg.Explorer.Program == nil {
 		panic("dexplore: Config.Explorer.Program must be set")
 	}
-	e := &Engine{
-		cfg:    cfg,
-		report: &core.Report{},
-		rate:   NewRateTracker(RateWindow),
-	}
+	e := &Engine{cfg: cfg, rate: NewRateTracker(RateWindow)}
 	workers := cfg.Workers
 	if workers < 1 {
 		workers = 1
@@ -176,18 +157,21 @@ func (e *Engine) Stop() {
 // exhaustion) and returns the merged coverage report.
 func (e *Engine) Explore() (*core.Report, error) {
 	e.start = time.Now()
-	if e.cfg.Resume != nil {
-		if err := e.seedFromCheckpoint(e.cfg.Resume); err != nil {
+	// The initial self-discovery run is a task like any other: alone in the
+	// frontier, so it runs first, and its expansion feeds the pool.
+	frontier := []*core.SubtreeTask{core.RootTask(&e.cfg.Explorer)}
+	if ckp := e.cfg.Resume; ckp != nil {
+		done, pending, err := ckp.Restore("", &e.cfg.Explorer)
+		if err != nil {
 			return nil, err
 		}
-	} else if done, err := e.runRoot(); err != nil {
-		return nil, err
-	} else if done {
-		if err := e.finish(); err != nil {
-			return nil, err
-		}
-		return e.report, nil
+		// What the checkpoint had counted starts out in worker 0's report.
+		e.ws[0].rep = *done
+		e.issued.Store(int64(done.Interleavings))
+		e.completed.Store(int64(done.Interleavings))
+		frontier = pending
 	}
+	e.scatter(frontier)
 
 	// Progress monitor. Stopped via doneCh before Explore returns. It is the
 	// sole caller of snapshot(), so the rate tracker needs no lock.
@@ -228,53 +212,11 @@ func (e *Engine) Explore() (*core.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e.finish(); err != nil {
-		return nil, err
-	}
-	return e.report, nil
+	return e.finish()
 }
 
-// runRoot performs the initial self-discovery run and seeds the deques.
-// It returns done=true when exploration must end immediately (an erroring
-// initial run with StopOnFirstError).
-func (e *Engine) runRoot() (bool, error) {
-	root := core.RootTask(&e.cfg.Explorer)
-	rc := core.NewRunContext(&e.cfg.Explorer)
-	e.ws[0].rc = rc // worker 0 inherits the warmed-up run context
-	tr, r, err := rc.Run(root.Decisions)
-	if err != nil {
-		return false, err
-	}
-	e.base.WildcardsAnalyzed = len(tr.Epochs)
-	e.base.Unsafe = tr.Unsafe
-	e.base.FirstTrace = tr
-	e.base.Interleavings = 1
-	r.Index = 0
-	if r.Err != nil {
-		e.base.Errors = append(e.base.Errors, r)
-	}
-	if r.Deadlock {
-		e.base.Deadlocks++
-	}
-	e.issued.Store(1)
-	e.completed.Store(1)
-	if !r.Deadlock {
-		ex := root.Expand(&e.cfg.Explorer, tr)
-		e.base.DecisionPoints += ex.DecisionPoints
-		e.base.AutoAbstracted += ex.AutoAbstracted
-		e.scatter(ex.Children)
-	}
-	if cb := e.cfg.Explorer.OnInterleaving; cb != nil {
-		cb(r)
-	}
-	if e.cfg.Explorer.StopOnFirstError && r.Err != nil {
-		return true, nil
-	}
-	return false, nil
-}
-
-// scatter seeds tasks round-robin across the worker deques (root expansion
-// and checkpoint resume — both before the pool starts, so plain pushes).
+// scatter seeds tasks round-robin across the worker deques (the root task, or
+// a resumed frontier — before the pool starts, so plain pushes).
 func (e *Engine) scatter(ts []*core.SubtreeTask) {
 	if len(ts) == 0 {
 		return
@@ -415,8 +357,8 @@ func (e *Engine) wakeAll() {
 	e.idleMu.Unlock()
 }
 
-// complete merges one finished replay into the worker's local accumulators,
-// pushes the subtree's children onto the worker's own deque, and triggers
+// complete accounts one finished replay in the worker's own report, pushes
+// the subtree's children onto the worker's own deque, and triggers
 // cancellation, wakeups and checkpoints as needed. No shared lock is taken
 // unless workers are parked or a checkpoint is due.
 func (e *Engine) complete(w *worker, t *core.SubtreeTask, trace *core.RunTrace, res *core.InterleavingResult, err error) {
@@ -432,25 +374,6 @@ func (e *Engine) complete(w *worker, t *core.SubtreeTask, trace *core.RunTrace, 
 		w.mu.Unlock()
 		e.wakeAll()
 		return
-	}
-
-	if t.Sample != nil {
-		// One completed walk step = one sampled schedule. The dedup key is the
-		// run's fully resolved decision vector (forced prefix plus observed
-		// outcomes), not the walk identity: two walks whose forced prefixes
-		// resolve to the same complete schedule sampled one distinct schedule
-		// twice. The same key the distributed coordinator uses.
-		key := t.Decisions.String()
-		if res.Decisions != nil {
-			key = res.Decisions.String()
-		}
-		e.smu.Lock()
-		if e.sampledKeys == nil {
-			e.sampledKeys = make(map[string]struct{})
-		}
-		e.sampledTotal++
-		e.sampledKeys[key] = struct{}{}
-		e.smu.Unlock()
 	}
 
 	var ex *core.Expansion
@@ -470,19 +393,15 @@ func (e *Engine) complete(w *worker, t *core.SubtreeTask, trace *core.RunTrace, 
 	}
 	c := e.completed.Add(1)
 	res.Index = int(c) - 1
+	var root *core.RunTrace
+	if t.Decisions == nil {
+		root = trace
+	}
 
 	w.mu.Lock()
 	w.current = nil
-	w.interleavings++
-	if res.Deadlock {
-		w.deadlocks++
-	}
-	if res.Err != nil {
-		w.errors = append(w.errors, res)
-	}
+	w.rep.Add(res, ex, root, t.Sample != nil)
 	if ex != nil {
-		w.decisionPoints += ex.DecisionPoints
-		w.autoAbstracted += ex.AutoAbstracted
 		w.tasks = append(w.tasks, ex.Children...)
 		w.size.Store(int32(len(w.tasks) - w.head))
 	}
@@ -513,44 +432,21 @@ func (e *Engine) complete(w *worker, t *core.SubtreeTask, trace *core.RunTrace, 
 	}
 }
 
-// gatherLocked sums the base aggregates and every worker's accumulators into
-// a fresh report. Caller holds all worker mutexes (stop-the-world) or has
-// joined the pool.
+// gatherLocked merges every worker's partial report into a fresh one. Caller
+// holds all worker mutexes (stop-the-world) or has joined the pool.
 func (e *Engine) gatherLocked() *core.Report {
-	rep := &core.Report{
-		Interleavings:     e.base.Interleavings,
-		Deadlocks:         e.base.Deadlocks,
-		DecisionPoints:    e.base.DecisionPoints,
-		AutoAbstracted:    e.base.AutoAbstracted,
-		WildcardsAnalyzed: e.base.WildcardsAnalyzed,
-		Unsafe:            e.base.Unsafe,
-		FirstTrace:        e.base.FirstTrace,
-		Errors:            append([]*core.InterleavingResult(nil), e.base.Errors...),
-	}
+	rep := &core.Report{}
 	for _, w := range e.ws {
-		rep.Interleavings += w.interleavings
-		rep.Deadlocks += w.deadlocks
-		rep.DecisionPoints += w.decisionPoints
-		rep.AutoAbstracted += w.autoAbstracted
-		rep.Errors = append(rep.Errors, w.errors...)
+		rep.Merge(&w.rep)
 	}
-	e.smu.Lock()
-	rep.Sampled = e.sampledTotal
-	rep.SampledDistinct = len(e.sampledKeys)
-	for k := range e.sampledKeys {
-		rep.SampledSchedules = append(rep.SampledSchedules, k)
-	}
-	e.smu.Unlock()
-	sort.Strings(rep.SampledSchedules)
 	return rep
 }
 
-// finish computes the terminal report state — the cap flag and a
-// deterministic error order (completion order is scheduling-dependent, so
-// errors sort by their reproducer signature) — and writes the final
-// checkpoint. Called after the pool has joined; the worker locks are taken
+// finish merges and seals the report — completion order is
+// scheduling-dependent, so errors sort by their reproducer signature — and
+// writes the final checkpoint. Called after the pool has joined; the worker locks are taken
 // anyway so a straggling monitor snapshot stays race-free.
-func (e *Engine) finish() error {
+func (e *Engine) finish() (*core.Report, error) {
 	for _, w := range e.ws {
 		w.mu.Lock()
 	}
@@ -563,28 +459,17 @@ func (e *Engine) finish() error {
 		e.ws[i].mu.Unlock()
 	}
 
-	*e.report = *rep
-	if h := e.cfg.Explorer.PruneHints; h != nil {
-		// The hint table is shared by every worker; its counters are atomics,
-		// so reading after the pool has joined is race-free.
-		e.report.StaticPruned = h.Pruned()
-		e.report.PruneDisabled = h.Disabled()
-		e.report.PruneViolations = h.Violations()
-	}
-	max := e.cfg.Explorer.MaxInterleavings
-	if max > 0 && e.report.Interleavings >= max && len(leftovers) > 0 {
-		e.report.Capped = true
-	}
-	sort.SliceStable(e.report.Errors, func(i, j int) bool {
-		return e.report.Errors[i].Decisions.String() < e.report.Errors[j].Decisions.String()
-	})
+	// The hint table is shared by every worker; its counters are atomics, so
+	// Seal's read after the pool has joined is race-free.
+	rep.Seal(&e.cfg.Explorer, len(leftovers) > 0)
+	rep.SortErrors()
 	if e.cfg.CheckpointPath != "" {
-		ckp := e.buildCheckpoint(e.report, leftovers)
+		ckp := NewCheckpoint("", &e.cfg.Explorer, rep, leftovers)
 		if err := ckp.Save(e.cfg.CheckpointPath); err != nil {
-			return fmt.Errorf("dexplore: writing final checkpoint: %w", err)
+			return nil, fmt.Errorf("dexplore: writing final checkpoint: %w", err)
 		}
 	}
-	return nil
+	return rep, nil
 }
 
 // snapshot builds a Progress. Called only from the monitor goroutine, which

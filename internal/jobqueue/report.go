@@ -2,7 +2,6 @@ package jobqueue
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"dampi/internal/core"
@@ -45,8 +44,8 @@ type JobReport struct {
 }
 
 // NewJobReport reduces a merged exploration report to its durable form.
-// Errors are sorted by reproducer signature so the rendering is deterministic
-// regardless of worker completion order.
+// Errors keep the report's order, which the coordinator has already made
+// deterministic (sorted by reproducer signature).
 func NewJobReport(spec dcoord.JobSpec, rep *core.Report, elapsedSec float64) *JobReport {
 	r := &JobReport{
 		Workload:          spec.Workload,
@@ -71,9 +70,6 @@ func NewJobReport(spec dcoord.JobSpec, rep *core.Report, elapsedSec float64) *Jo
 		}
 		r.Errors = append(r.Errors, je)
 	}
-	sort.Slice(r.Errors, func(i, j int) bool {
-		return r.Errors[i].Decisions.String() < r.Errors[j].Decisions.String()
-	})
 	return r
 }
 

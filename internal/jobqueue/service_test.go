@@ -126,6 +126,7 @@ func serialReport(t *testing.T, f *testFactory, spec dcoord.JobSpec) *JobReport 
 	if err != nil {
 		t.Fatalf("serial explore: %v", err)
 	}
+	rep.SortErrors() // the serial explorer lists errors in discovery order, the cluster by reproducer
 	return NewJobReport(spec, rep, 0)
 }
 

@@ -1,7 +1,7 @@
 // TestParallelScalingRegression guards the work-stealing engine's reason to
 // exist: a multi-worker pool must not fall off a cliff relative to one
-// worker. It is a coarse tripwire, not a benchmark — the committed numbers
-// live in BENCH_replay.json (see BenchmarkReplayBaseline).
+// worker. It is a coarse tripwire, not a benchmark — the measured numbers
+// come from the ledger (`go run ./bench`, see bench/README.md).
 package dampi
 
 import (
@@ -57,4 +57,20 @@ func TestParallelScalingRegression(t *testing.T) {
 		t.Errorf("workers=4 throughput %.1f/s is below %.0f%% of workers=1 %.1f/s: parallel pool is serializing",
 			w4, tolerance*100, w1)
 	}
+}
+
+// parallelProcs is the P count a workers-wide section is pinned to: at least
+// the serial setting, raised toward the worker count but never past NumCPU —
+// Ps beyond physical cores add scheduler churn, not parallelism, so on a
+// machine with >= workers cores this yields GOMAXPROCS >= workers and on a
+// smaller machine it honestly reports what the hardware can do.
+func parallelProcs(workers, serial int) int {
+	p := workers
+	if n := runtime.NumCPU(); p > n {
+		p = n
+	}
+	if p < serial {
+		p = serial
+	}
+	return p
 }

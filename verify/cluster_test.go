@@ -31,12 +31,14 @@ func TestClusterMatchesLocalRun(t *testing.T) {
 	wcfg := ccfg
 	wcfg.Addr = c.Addr().String()
 	var wg sync.WaitGroup
+	var ws []*verify.Worker
 	for i := 0; i < 2; i++ {
 		wcfg.WorkerName = string(rune('a' + i))
 		w, err := verify.Join(wcfg, racyProgram)
 		if err != nil {
 			t.Fatalf("Join: %v", err)
 		}
+		ws = append(ws, w)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -48,6 +50,12 @@ func TestClusterMatchesLocalRun(t *testing.T) {
 	res, err := c.Wait()
 	if err != nil {
 		t.Fatalf("Wait: %v", err)
+	}
+	// The job is a handful of replays: it can finish on the first worker
+	// before the second has dialed, and a late worker would redial the closed
+	// listener until its dial budget ran out.
+	for _, w := range ws {
+		w.Stop()
 	}
 	wg.Wait()
 

@@ -38,28 +38,35 @@ func errorLines(r *verify.Result) []string {
 
 // TestSampleSeedDeterminism: the same seed reproduces the same schedule set
 // — identical sampled counts, identical distinct decision vectors, identical
-// verdicts — across independent runs.
+// verdicts — across independent runs and across the local engines: the
+// serial explorer (Workers 0), a one-worker pool and a stealing pool all
+// route completions through the same expansion seam and the same report
+// accounting. (TestSampleClusterMatchesSerial extends the chain to dcoord.)
 func TestSampleSeedDeterminism(t *testing.T) {
 	a, err := verify.Run(sampleCfg(7), pollProgram)
 	if err != nil {
 		t.Fatalf("run A: %v", err)
 	}
-	b, err := verify.Run(sampleCfg(7), pollProgram)
-	if err != nil {
-		t.Fatalf("run B: %v", err)
-	}
-	if a.Sampled != b.Sampled || a.SampledDistinct != b.SampledDistinct {
-		t.Errorf("sampled counts differ: A %d/%d, B %d/%d",
-			a.Sampled, a.SampledDistinct, b.Sampled, b.SampledDistinct)
-	}
-	if !reflect.DeepEqual(a.SampledSchedules, b.SampledSchedules) {
-		t.Errorf("schedule sets differ:\nA: %v\nB: %v", a.SampledSchedules, b.SampledSchedules)
-	}
-	if a.Summary() != b.Summary() {
-		t.Errorf("summaries differ:\nA: %s\nB: %s", a.Summary(), b.Summary())
-	}
-	if !reflect.DeepEqual(errorLines(a), errorLines(b)) {
-		t.Errorf("verdicts differ:\nA: %v\nB: %v", errorLines(a), errorLines(b))
+	for _, workers := range []int{0, 1, 4} {
+		cfg := sampleCfg(7)
+		cfg.Workers = workers
+		b, err := verify.Run(cfg, pollProgram)
+		if err != nil {
+			t.Fatalf("run B (workers=%d): %v", workers, err)
+		}
+		if a.Sampled != b.Sampled || a.SampledDistinct != b.SampledDistinct {
+			t.Errorf("workers=%d: sampled counts differ: A %d/%d, B %d/%d",
+				workers, a.Sampled, a.SampledDistinct, b.Sampled, b.SampledDistinct)
+		}
+		if !reflect.DeepEqual(a.SampledSchedules, b.SampledSchedules) {
+			t.Errorf("workers=%d: schedule sets differ:\nA: %v\nB: %v", workers, a.SampledSchedules, b.SampledSchedules)
+		}
+		if a.Summary() != b.Summary() {
+			t.Errorf("workers=%d: summaries differ:\nA: %s\nB: %s", workers, a.Summary(), b.Summary())
+		}
+		if !reflect.DeepEqual(errorLines(a), errorLines(b)) {
+			t.Errorf("workers=%d: verdicts differ:\nA: %v\nB: %v", workers, errorLines(a), errorLines(b))
+		}
 	}
 	if a.Sampled == 0 {
 		t.Error("sampling mode reported zero sampled schedules")
@@ -189,12 +196,14 @@ func TestSampleClusterMatchesSerial(t *testing.T) {
 	wcfg := ccfg
 	wcfg.Addr = c.Addr().String()
 	var wg sync.WaitGroup
+	var ws []*verify.Worker
 	for i := 0; i < 2; i++ {
 		wcfg.WorkerName = string(rune('a' + i))
 		w, err := verify.Join(wcfg, pollProgram)
 		if err != nil {
 			t.Fatalf("Join: %v", err)
 		}
+		ws = append(ws, w)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -206,6 +215,12 @@ func TestSampleClusterMatchesSerial(t *testing.T) {
 	res, err := c.Wait()
 	if err != nil {
 		t.Fatalf("Wait: %v", err)
+	}
+	// The job is a handful of replays: it can finish on the first worker
+	// before the second has dialed, and a late worker would redial the closed
+	// listener until its dial budget ran out.
+	for _, w := range ws {
+		w.Stop()
 	}
 	wg.Wait()
 

@@ -126,9 +126,11 @@ type Config struct {
 	ArtifactsDir string
 	// Workers selects the parallel exploration engine: the number of
 	// concurrent replay workers, each running guided replays in its own
-	// isolated MPI world. 0 runs the serial legacy explorer. The parallel
-	// engine covers exactly the same interleaving set and reports the same
-	// errors and counts; only result arrival order differs.
+	// isolated MPI world. 0 runs the serial explorer: one worker, one stack,
+	// no goroutines, interleavings and errors numbered in depth-first
+	// discovery order. The parallel engine covers exactly the same
+	// interleaving set and reports the same errors and counts; only result
+	// arrival order differs, and errors are listed by reproducer.
 	Workers int
 	// CheckpointFile, if non-empty (parallel engine only), persists the
 	// exploration frontier every CheckpointEvery replays and at the end, so
@@ -325,19 +327,12 @@ func Run(cfg Config, program func(p *mpi.Proc) error) (*Result, error) {
 	if err := cfg.configureSampling(&ecfg); err != nil {
 		return nil, err
 	}
-	workers := cfg.Workers
-	if ecfg.Sampler != nil && workers < 1 {
-		// Sampling lives at the task-expansion seam; the legacy serial
-		// explorer predates it, so serial sample runs route through the
-		// parallel engine with one worker (same determinism, same report).
-		workers = 1
-	}
 	var rep *core.Report
 	var err error
-	if workers > 0 {
+	if cfg.Workers > 0 {
 		dcfg := dexplore.Config{
 			Explorer:        ecfg,
-			Workers:         workers,
+			Workers:         cfg.Workers,
 			CheckpointPath:  cfg.CheckpointFile,
 			CheckpointEvery: cfg.CheckpointEvery,
 			OnProgress:      cfg.OnProgress,
