@@ -402,19 +402,8 @@ func (rc *RunContext) Run(decisions *Decisions) (*RunTrace, *InterleavingResult,
 	// The reproducer pins the forced prefix plus every observed choice, so
 	// replaying it deterministically reproduces this interleaving even when
 	// the interesting match happened by accident in a self run.
-	if decisions != nil {
-		res.Decisions = decisions.Clone()
-	} else {
-		res.Decisions = NewDecisions()
-	}
-	for _, rec := range trace.Epochs {
-		if rec.Chosen < 0 {
-			continue
-		}
-		if _, ok := res.Decisions.Lookup(rec.Rank, rec.LC); !ok {
-			res.Decisions.Force(rec.ID(), rec.Chosen)
-		}
-	}
+	res.Decisions = decisions.CloneWithCapacity(len(trace.Epochs))
+	res.Decisions.pin(trace.Epochs)
 	var re *mpi.RunError
 	if errors.As(runErr, &re) && re.Deadlock != nil {
 		res.Deadlock = true

@@ -181,9 +181,7 @@ func (t *SubtreeTask) expandExhaustive(cfg *ExplorerConfig, trace *RunTrace, bui
 				// Each child adds the prefix pins plus the flip itself on top
 				// of the inherited decisions; size the clone for them up front.
 				d := t.Decisions.CloneWithCapacity(len(prefix) + 1)
-				for _, p := range prefix {
-					d.Force(p.ID(), p.Chosen)
-				}
+				d.pin(prefix)
 				d.Force(rec.ID(), alt)
 				ex.Children = append(ex.Children, &SubtreeTask{
 					Decisions:  d,
@@ -254,9 +252,7 @@ func ObserveEpochs(cfg *ExplorerConfig, trace *RunTrace) {
 // child of the same flip would have.
 func (t *SubtreeTask) FlipChild(f Flippable, alt int) *SubtreeTask {
 	d := t.Decisions.CloneWithCapacity(len(f.Prefix) + 1)
-	for _, p := range f.Prefix {
-		d.Force(p.ID(), p.Chosen)
-	}
+	d.pin(f.Prefix)
 	d.Force(f.Rec.ID(), alt)
 	return &SubtreeTask{
 		Decisions:  d,

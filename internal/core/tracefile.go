@@ -53,11 +53,7 @@ func ReadTrace(r io.Reader) (*RunTrace, error) {
 // offline scheduler (or a user, from a saved artifact) replays a run.
 func DecisionsFromTrace(t *RunTrace) *Decisions {
 	d := NewDecisions()
-	for _, e := range t.Epochs {
-		if e.Chosen >= 0 {
-			d.Force(e.ID(), e.Chosen)
-		}
-	}
+	d.pin(t.Epochs)
 	return d
 }
 

@@ -183,6 +183,14 @@ func checkSameReport(t *testing.T, label string, serial, dist *core.Report) {
 			}
 		}
 	}
+	// A result frame carries its reproducer only when it failed; the sorted
+	// lines above compare signatures, this catches a failure that crossed
+	// the wire without one on both sides of a degenerate comparison.
+	for _, e := range dist.Errors {
+		if e.Decisions.Empty() {
+			t.Errorf("%s: failing interleaving #%d arrived without its reproducer: %v", label, e.Index, e.Err)
+		}
+	}
 	if dist.FirstTrace == nil {
 		t.Errorf("%s: distributed report lost the canonical first trace", label)
 	}
@@ -228,6 +236,9 @@ func TestDistributedSerialEquivalence(t *testing.T) {
 			if serial.Interleavings < 2 {
 				t.Fatalf("degenerate fixture: %d interleavings", serial.Interleavings)
 			}
+			if tc.name == "fan-in-error" && len(serial.Errors) == 0 {
+				t.Fatal("degenerate fixture: the error case found no error")
+			}
 			dist := runCluster(t, "eq-"+tc.name, tc.cfg, 2, 2)
 			checkSameReport(t, tc.name, serial, dist)
 		})
@@ -237,19 +248,24 @@ func TestDistributedSerialEquivalence(t *testing.T) {
 // killAfter wraps a Runner so the worker crashes (abrupt connection drop,
 // abandoning its leases and any in-flight work) after n completed replays.
 type killAfter struct {
-	inner func(*core.ExplorerConfig, *core.Decisions) (*core.RunTrace, *core.InterleavingResult, error)
-	mu    sync.Mutex
-	n     int
-	w     *Worker
+	inner  func(*core.ExplorerConfig, *core.Decisions) (*core.RunTrace, *core.InterleavingResult, error)
+	mu     sync.Mutex
+	n      int
+	w      *Worker
+	killed chan struct{} // closed when the worker is killed
 }
 
 func (k *killAfter) Run(cfg *core.ExplorerConfig, d *core.Decisions) (*core.RunTrace, *core.InterleavingResult, error) {
 	k.mu.Lock()
 	k.n--
 	kill := k.n < 0
+	first := k.n == -1
 	k.mu.Unlock()
 	if kill {
 		k.w.Kill()
+		if first {
+			close(k.killed)
+		}
 		// Stall so the result (if the send were even attempted) loses the
 		// race with the connection teardown, like a wedged process.
 		time.Sleep(50 * time.Millisecond)
@@ -272,7 +288,7 @@ func TestWorkerKillMidExplorationRecovers(t *testing.T) {
 
 	// Victim: dies after 3 replays, mid-lease.
 	victimCfg := base
-	k := &killAfter{inner: memo.Run, n: 3}
+	k := &killAfter{inner: memo.Run, n: 3, killed: make(chan struct{})}
 	victimCfg.Runner = k.Run
 	victim := NewWorker(WorkerConfig{Addr: addr, Name: "victim", Slots: 2, Fingerprint: fp, Explorer: victimCfg})
 	k.w = victim
@@ -280,8 +296,7 @@ func TestWorkerKillMidExplorationRecovers(t *testing.T) {
 	survivor := NewWorker(WorkerConfig{Addr: addr, Name: "survivor", Slots: 2, Fingerprint: fp, Explorer: base})
 
 	var wg sync.WaitGroup
-	for _, w := range []*Worker{victim, survivor} {
-		w := w
+	run := func(w *Worker) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -290,6 +305,16 @@ func TestWorkerKillMidExplorationRecovers(t *testing.T) {
 			}
 		}()
 	}
+	// The survivor joins once the victim is dead: memoized replays are nearly
+	// free, and a survivor racing from the start finished the whole job
+	// before the victim's fourth replay in one run out of ten.
+	run(victim)
+	select {
+	case <-k.killed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the victim was never leased a fourth task")
+	}
+	run(survivor)
 	rep, err := waitFor(t, c)
 	if err != nil {
 		t.Fatalf("cluster explore after kill: %v", err)

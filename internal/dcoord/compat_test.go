@@ -1,7 +1,10 @@
 package dcoord
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -105,11 +108,11 @@ func TestJoinRejectsWrongProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, &frame{Type: msgHello, Proto: protoVersion + 7, Worker: "future", Slots: 1, Fingerprint: &fp}); err != nil {
+	if _, err := writeFrame(conn, &frame{Type: msgHello, Proto: protoVersion + 7, Worker: "future", Slots: 1, Fingerprint: &fp}); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	fr, err := readFrame(conn)
+	fr, _, err := readFrame(conn, maxFrameSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,36 +122,85 @@ func TestJoinRejectsWrongProtocol(t *testing.T) {
 }
 
 // TestJoinRejectsOldProtocols: workers from before the batched-lease task
-// frame (protocol 1) or the multi-job frames (protocol 2) are refused at
-// hello with an error naming both versions. An old worker would drop the
-// frames it does not know — batched tasks for v1, job announcements for v2 —
-// and silently idle or misroute results, so the pairing must fail loudly.
+// frame (protocol 1), the multi-job frames (protocol 2) or the wire-carried
+// task key (protocol 3) are refused at hello, by a one-shot coordinator and by
+// a job-queue server alike, with an error naming both versions. An old worker
+// would drop the frames it does not know — batched tasks for v1, job
+// announcements for v2 — or, for v3, be sent keys it ignores and have its own
+// results checked against them, so the pairing must fail loudly.
 func TestJoinRejectsOldProtocols(t *testing.T) {
 	fp := baseFingerprint()
-	c, addr := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: time.Second})
+	c, caddr := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: time.Second})
 	defer c.Stop()
+	s, saddr := startServer(t, ServerConfig{})
+	defer s.Close(false)
 
-	for _, old := range []int{1, 2} {
+	for _, addr := range []string{caddr, saddr} {
+		for _, old := range []int{1, 2, 3} {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := writeFrame(conn, &frame{Type: msgHello, Proto: old, Worker: "legacy", Slots: 1, Fingerprint: &fp}); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			fr, _, err := readFrame(conn, maxFrameSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fr.Type != msgReject {
+				t.Fatalf("v%d worker got %s frame, want reject", old, fr.Type)
+			}
+			if !strings.Contains(fr.Reason, fmt.Sprintf("protocol version %d", old)) || !strings.Contains(fr.Reason, "speaks 4") {
+				t.Errorf("reject reason %q does not name both protocol versions", fr.Reason)
+			}
+			conn.Close()
+		}
+	}
+}
+
+// TestHelloFrameBounded: a peer that has not said hello may announce at most
+// 64 KiB; a larger header closes the connection before anything is
+// allocated for it, on the coordinator and on the server. After the welcome
+// the same announcement is an ordinary (if large) frame.
+func TestHelloFrameBounded(t *testing.T) {
+	fp := baseFingerprint()
+	c, caddr := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: time.Second})
+	defer c.Stop()
+	s, saddr := startServer(t, ServerConfig{})
+	defer s.Close(false)
+
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], maxHelloSize+1)
+	for _, addr := range []string{caddr, saddr} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := writeFrame(conn, &frame{Type: msgHello, Proto: old, Worker: "legacy", Slots: 1, Fingerprint: &fp}); err != nil {
+		if _, err := conn.Write(hdr[:]); err != nil {
 			t.Fatal(err)
 		}
+		// The peer hangs up on the header alone: no body was sent, so a read
+		// loop waiting for 64 KiB + 1 bytes would sit here until the deadline.
 		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		fr, err := readFrame(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fr.Type != msgReject {
-			t.Fatalf("v%d worker got %s frame, want reject", old, fr.Type)
-		}
-		if !strings.Contains(fr.Reason, fmt.Sprintf("protocol version %d", old)) || !strings.Contains(fr.Reason, "3") {
-			t.Errorf("reject reason %q does not name both protocol versions", fr.Reason)
+		if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Errorf("%s: oversized hello header answered with %d bytes, err %v; want the connection closed", addr, n, err)
 		}
 		conn.Close()
 	}
+	if _, _, err := readFrame(bytes.NewReader(hdr[:]), maxHelloSize); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Errorf("readFrame accepted a %d-byte announcement under the hello cap: %v", maxHelloSize+1, err)
+	}
+
+	// Past the handshake the cap is the frame cap: a joined worker's
+	// heartbeat padded beyond 64 KiB is read, not refused.
+	f := dialFake(t, caddr, fp, strings.Repeat("w", maxHelloSize/2), 1)
+	defer f.close()
+	f.recvTask()
+	f.send(&frame{Type: msgHeartbeat, Worker: strings.Repeat("h", 2*maxHelloSize)})
+	f.send(&frame{Type: msgHeartbeat})
+	waitStatus(t, c, "frames past the hello cap", func(st Status) bool { return st.FramesIn >= 3 && st.WireBytesIn > 2*maxHelloSize })
 }
 
 // TestResumeRejectsEachMismatch: a coordinator resuming a checkpoint under

@@ -1,10 +1,12 @@
 package dcoord
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dampi/internal/core"
@@ -64,19 +66,35 @@ type Config struct {
 	ProgressEvery time.Duration
 }
 
+// pending is one frontier entry: a task and its key, rendered once when the
+// task enters the frontier and carried from there to the lease, the task
+// frame and the result's echo.
+type pending struct {
+	key  string
+	task *core.SubtreeTask
+}
+
 // lease is one outstanding task assignment.
 type lease struct {
-	id      uint64
-	task    *core.SubtreeTask
-	key     string
+	id uint64
+	pending
 	conn    *workerConn
 	granted time.Time
 	expires time.Time
 }
 
+// wireStats counts the frames and bytes the connections of one listener
+// moved, each direction. A managed coordinator shares its Server's: the
+// connections outlive the job.
+type wireStats struct {
+	framesIn, framesOut, bytesIn, bytesOut atomic.Int64
+}
+
 // workerConn is one connected worker session.
 type workerConn struct {
 	conn  net.Conn
+	r     *bufio.Reader // every read goes through it, the hello included
+	wire  *wireStats
 	name  string
 	slots int
 	since time.Time
@@ -95,7 +113,44 @@ func (w *workerConn) send(fr *frame) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
 	_ = w.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-	return writeFrame(w.conn, fr)
+	n, err := writeFrame(w.conn, fr)
+	if err == nil {
+		w.wire.framesOut.Add(1)
+		w.wire.bytesOut.Add(int64(n))
+	}
+	return err
+}
+
+// recv reads the connection's next frame, of at most limit payload bytes.
+func (w *workerConn) recv(limit int) (*frame, error) {
+	fr, n, err := readFrame(w.r, limit)
+	if err == nil {
+		w.wire.framesIn.Add(1)
+		w.wire.bytesIn.Add(int64(n))
+	}
+	return fr, err
+}
+
+// acceptHello reads a new connection's opening frame (bounded in size and
+// time: the peer is unidentified) and builds its session. It returns nil,
+// with the connection closed, unless the frame is a hello.
+func acceptHello(conn net.Conn, wire *wireStats) (*workerConn, *frame) {
+	w := &workerConn{conn: conn, r: bufio.NewReader(conn), wire: wire, since: time.Now()}
+	_ = conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	fr, err := w.recv(maxHelloSize)
+	if err != nil || fr.Type != msgHello {
+		conn.Close()
+		return nil, nil
+	}
+	_ = conn.SetReadDeadline(time.Time{})
+	w.name, w.slots = fr.Worker, fr.Slots
+	if w.name == "" {
+		w.name = conn.RemoteAddr().String()
+	}
+	if w.slots < 1 {
+		w.slots = 1
+	}
+	return w, fr
 }
 
 // Coordinator owns a distributed exploration: it serves the wire protocol,
@@ -114,10 +169,14 @@ type Coordinator struct {
 	// completion with a jobdone frame and leaves every connection open.
 	managed bool
 
+	// wire counts this coordinator's frame traffic (the Server's, when
+	// managed).
+	wire *wireStats
+
 	mu          sync.Mutex
 	ln          net.Listener
 	workers     map[*workerConn]struct{}
-	frontier    []*core.SubtreeTask // LIFO stack of pending tasks
+	frontier    []pending // LIFO stack
 	leases      map[uint64]*lease
 	nextLease   uint64
 	done        map[string]bool // completed task keys (dedup after requeue)
@@ -162,6 +221,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:         cfg,
 		ecfg:        cfg.Fingerprint.ExplorerConfig(),
+		wire:        &wireStats{},
 		workers:     make(map[*workerConn]struct{}),
 		leases:      make(map[uint64]*lease),
 		done:        make(map[string]bool),
@@ -179,19 +239,29 @@ func New(cfg Config) (*Coordinator, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.report, c.frontier = rep, frontier
+		c.report, c.frontier = rep, keyed(frontier)
 		// The checkpoint's frontier may still contain the root task (a drain
 		// before the root completed).
 		c.rootDone = true
-		for _, t := range c.frontier {
+		for _, t := range frontier {
 			if t.Decisions == nil {
 				c.rootDone = false
 			}
 		}
 	} else {
-		c.frontier = append(c.frontier, core.RootTask(&c.ecfg))
+		c.frontier = keyed([]*core.SubtreeTask{core.RootTask(&c.ecfg)})
 	}
 	return c, nil
+}
+
+// keyed turns tasks into frontier entries, rendering each one's key — the
+// one place a key is computed, and outside c.mu.
+func keyed(tasks []*core.SubtreeTask) []pending {
+	out := make([]pending, len(tasks))
+	for i, t := range tasks {
+		out[i] = pending{key: taskKey(t), task: t}
+	}
+	return out
 }
 
 // Serve starts accepting workers on ln and runs the lease janitor (and the
@@ -318,20 +388,9 @@ func (c *Coordinator) acceptLoop(ln net.Listener) {
 
 // handleConn performs the handshake and then runs the worker's read loop.
 func (c *Coordinator) handleConn(conn net.Conn) {
-	_ = conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	fr, err := readFrame(conn)
-	if err != nil || fr.Type != msgHello {
-		conn.Close()
+	w, fr := acceptHello(conn, c.wire)
+	if w == nil {
 		return
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-
-	w := &workerConn{conn: conn, name: fr.Worker, slots: fr.Slots, since: time.Now()}
-	if w.name == "" {
-		w.name = conn.RemoteAddr().String()
-	}
-	if w.slots < 1 {
-		w.slots = 1
 	}
 	if fr.Proto != protoVersion {
 		_ = w.send(&frame{Type: msgReject, Reason: fmt.Sprintf("dcoord: protocol version %d, coordinator speaks %d", fr.Proto, protoVersion)})
@@ -371,7 +430,7 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	c.dispatch()
 
 	for {
-		fr, err := readFrame(conn)
+		fr, err := w.recv(maxFrameSize)
 		if err != nil {
 			c.dropWorker(w)
 			return
@@ -434,12 +493,8 @@ func (c *Coordinator) requeueLocked(l *lease) error {
 		return fmt.Errorf("dcoord: task %s lost its lease %d times (redelivery cap %d): poison task or cluster too unstable",
 			l.key, n, c.cfg.MaxRedeliveries)
 	}
-	if !c.stopped {
-		c.frontier = append(c.frontier, l.task)
-		return nil
-	}
-	// Draining: keep the task for the final checkpoint, but do not reissue.
-	c.frontier = append(c.frontier, l.task)
+	// While draining the task is kept for the final checkpoint, not reissued.
+	c.frontier = append(c.frontier, l.pending)
 	return nil
 }
 
@@ -486,22 +541,21 @@ func (c *Coordinator) dispatch() {
 				if max := c.cfg.MaxInterleavings; max > 0 && c.report.Interleavings+len(c.leases) >= max {
 					break
 				}
-				t := c.popLiveLocked()
-				if t == nil {
+				p, ok := c.popLiveLocked()
+				if !ok {
 					break
 				}
 				c.nextLease++
 				l := &lease{
 					id:      c.nextLease,
-					task:    t,
-					key:     taskKey(t),
+					pending: p,
 					conn:    w,
 					granted: now,
 					expires: now.Add(c.cfg.LeaseTTL),
 				}
 				c.leases[l.id] = l
 				w.active++
-				batch = append(batch, wireTask{Lease: l.id, Task: t, Root: t.Decisions == nil})
+				batch = append(batch, wireTask{Lease: l.id, Key: p.key, Task: p.task, Root: p.task.Decisions == nil})
 			}
 			if len(batch) > 0 {
 				sends = append(sends, send{w: w, fr: &frame{Type: msgTask, Job: c.cfg.JobID, Tasks: batch}})
@@ -519,28 +573,36 @@ func (c *Coordinator) dispatch() {
 // popLiveLocked pops the deepest pending task whose subtree has not already
 // been completed (a requeued copy may have been raced by a late delivery).
 // Caller holds c.mu.
-func (c *Coordinator) popLiveLocked() *core.SubtreeTask {
+func (c *Coordinator) popLiveLocked() (pending, bool) {
 	for n := len(c.frontier); n > 0; n = len(c.frontier) {
-		t := c.frontier[n-1]
+		p := c.frontier[n-1]
 		c.frontier = c.frontier[:n-1]
-		if !c.done[taskKey(t)] {
-			return t
+		if !c.done[p.key] {
+			return p, true
 		}
 	}
-	return nil
+	return pending{}, false
 }
 
 // handleResult merges one completed replay: dedup by task key, fold the
 // outcome and expansion into the report and frontier, trigger cancellation,
-// checkpoints, and completion.
+// checkpoints, and completion. While the lease is held the key is the
+// lease's own and the echo only has to agree with it; the echo is all that
+// identifies a late result whose lease already expired.
 func (c *Coordinator) handleResult(w *workerConn, res *WireResult) {
+	children := keyed(res.Children)
 	c.mu.Lock()
+	key, fatal := res.Key, res.Fatal
 	if l, ok := c.leases[res.Lease]; ok && l.conn == w {
 		delete(c.leases, res.Lease)
 		w.active--
+		if key != l.key && fatal == "" {
+			fatal = fmt.Sprintf("dcoord: result for lease %d echoes key %q, the lease is for %q", l.id, key, l.key)
+		}
+		key = l.key
 	}
-	if res.Fatal != "" {
-		c.failLocked(fmt.Errorf("dcoord: worker %s: %s", w.name, res.Fatal))
+	if fatal != "" {
+		c.failLocked(fmt.Errorf("dcoord: worker %s: %s", w.name, fatal))
 		fin := c.finishable()
 		c.mu.Unlock()
 		if fin {
@@ -548,7 +610,7 @@ func (c *Coordinator) handleResult(w *workerConn, res *WireResult) {
 		}
 		return
 	}
-	if c.finished || c.done[res.Key] {
+	if c.finished || c.done[key] {
 		// Late duplicate of a requeued-and-completed task: at-least-once
 		// delivery, effectively-once merge.
 		fin := c.finishable()
@@ -560,7 +622,7 @@ func (c *Coordinator) handleResult(w *workerConn, res *WireResult) {
 		c.dispatch()
 		return
 	}
-	c.done[res.Key] = true
+	c.done[key] = true
 	w.completed++
 
 	ir := &core.InterleavingResult{
@@ -574,7 +636,7 @@ func (c *Coordinator) handleResult(w *workerConn, res *WireResult) {
 		ir.Err = errors.New(res.ErrMsg)
 	}
 	c.report.Add(ir, &core.Expansion{DecisionPoints: res.DecisionPoints, AutoAbstracted: res.AutoAbstracted}, nil, res.Sampled)
-	c.frontier = append(c.frontier, res.Children...)
+	c.frontier = append(c.frontier, children...)
 	if res.Root != nil {
 		c.report.WildcardsAnalyzed = res.Root.WildcardsAnalyzed
 		c.report.Unsafe = res.Root.Unsafe
@@ -638,8 +700,8 @@ func (c *Coordinator) finishable() bool {
 // outstanding, so the O(n) scan is off the hot path.
 func (c *Coordinator) liveFrontierLocked() int {
 	n := 0
-	for _, t := range c.frontier {
-		if !c.done[taskKey(t)] {
+	for _, p := range c.frontier {
+		if !c.done[p.key] {
 			n++
 		}
 	}
@@ -703,9 +765,9 @@ func (c *Coordinator) finalize() {
 // Caller holds c.mu.
 func (c *Coordinator) checkpointLocked() *dexplore.Checkpoint {
 	var frontier []*core.SubtreeTask
-	for _, t := range c.frontier {
-		if !c.done[taskKey(t)] {
-			frontier = append(frontier, t)
+	for _, p := range c.frontier {
+		if !c.done[p.key] {
+			frontier = append(frontier, p.task)
 		}
 	}
 	for _, l := range c.leases {

@@ -37,7 +37,7 @@ func dialFake(t *testing.T, addr string, fp Fingerprint, name string, slots int)
 
 func (f *fakeWorker) send(fr *frame) {
 	f.t.Helper()
-	if err := writeFrame(f.conn, fr); err != nil {
+	if _, err := writeFrame(f.conn, fr); err != nil {
 		f.t.Fatalf("fake worker send %s: %v", fr.Type, err)
 	}
 }
@@ -46,7 +46,7 @@ func (f *fakeWorker) send(fr *frame) {
 func (f *fakeWorker) recv() *frame {
 	f.t.Helper()
 	_ = f.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	fr, err := readFrame(f.conn)
+	fr, _, err := readFrame(f.conn, maxFrameSize)
 	if err != nil {
 		f.t.Fatalf("fake worker recv: %v", err)
 	}
@@ -118,8 +118,8 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	// The requeued task must be re-leased (to the only — still silent —
 	// worker): at-least-once delivery survives a hang.
 	re := f.recvTask()
-	if taskKey(re.Task) != taskKey(task.Task) {
-		t.Errorf("requeued lease carries task %s, want %s", taskKey(re.Task), taskKey(task.Task))
+	if re.Key != task.Key || re.Key != taskKey(re.Task) {
+		t.Errorf("requeued lease carries key %q for task %s, want %q", re.Key, taskKey(re.Task), task.Key)
 	}
 	if re.Lease == task.Lease {
 		t.Errorf("requeued task reused lease id %d", re.Lease)
@@ -170,7 +170,7 @@ func TestHardLeaseAgeCapsHeartbeats(t *testing.T) {
 			case <-done:
 				return
 			case <-ticker.C:
-				if err := writeFrame(f.conn, &frame{Type: msgHeartbeat, Worker: "wedged"}); err != nil {
+				if _, err := writeFrame(f.conn, &frame{Type: msgHeartbeat, Worker: "wedged"}); err != nil {
 					return
 				}
 			}
@@ -192,7 +192,7 @@ func TestRedeliveryCapAborts(t *testing.T) {
 	// Swallow every lease silently; expiry after expiry burns the cap.
 	go func() {
 		for {
-			if _, err := readFrame(f.conn); err != nil {
+			if _, _, err := readFrame(f.conn, maxFrameSize); err != nil {
 				return
 			}
 		}
@@ -264,6 +264,72 @@ func TestLateResultDeduplicated(t *testing.T) {
 	}
 	if len(rep.Errors) != 0 {
 		t.Errorf("forged late duplicate entered the report: %v", rep.Errors)
+	}
+}
+
+// TestHeldLeaseRejectsMismatchedEcho: while a lease is held the coordinator
+// knows which task it is for; a result echoing another key is a protocol
+// violation that fails the exploration instead of marking the wrong subtree
+// done.
+func TestHeldLeaseRejectsMismatchedEcho(t *testing.T) {
+	cfg := leaseTestConfig(time.Second)
+	c, addr := startCoordinator(t, cfg)
+
+	f := dialFake(t, addr, cfg.Fingerprint, "confused", 1)
+	defer f.close()
+	root := f.recvTask()
+	f.send(&frame{Type: msgResult, Result: &WireResult{
+		Lease: root.Lease,
+		Key:   dec(0, 1, 2).String(),
+		Root:  &RootInfo{},
+	}})
+	_, err := waitFor(t, c)
+	if err == nil {
+		t.Fatal("a result echoing another task's key was merged")
+	}
+	for _, want := range []string{"confused", "echoes key", root.Key} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}
+
+// TestLateResultMergesByEchoedKey: a result that outlived its lease is
+// identified by the key it echoes — the coordinator no longer holds anything
+// else for it. It merges once, and the requeued copy of the same task, leased
+// again meanwhile, is deduplicated when it completes.
+func TestLateResultMergesByEchoedKey(t *testing.T) {
+	cfg := leaseTestConfig(50 * time.Millisecond)
+	cfg.MaxRedeliveries = 100
+	c, addr := startCoordinator(t, cfg)
+	defer c.Stop()
+
+	f := dialFake(t, addr, cfg.Fingerprint, "tardy", 1)
+	defer f.close()
+	first := f.recvTask()
+	waitStatus(t, c, "root lease expiry", func(st Status) bool { return st.Requeues >= 1 })
+	second := f.recvTask() // the requeued root, under a fresh lease
+
+	f.send(&frame{Type: msgResult, Result: &WireResult{
+		Lease: first.Lease, // expired
+		Key:   first.Key,
+		Root:  &RootInfo{WildcardsAnalyzed: 1, FirstTrace: &core.RunTrace{}},
+	}})
+	waitStatus(t, c, "late root merge", func(st Status) bool { return st.Interleavings == 1 && st.DoneSet == 1 })
+	f.send(&frame{Type: msgResult, Result: &WireResult{
+		Lease:  second.Lease,
+		Key:    second.Key,
+		ErrMsg: "the duplicate must not be merged",
+		Root:   &RootInfo{},
+	}})
+
+	rep, err := waitFor(t, c)
+	if err != nil {
+		t.Fatalf("explore: %v", err)
+	}
+	if rep.Interleavings != 1 || len(rep.Errors) != 0 || rep.WildcardsAnalyzed != 1 {
+		t.Errorf("report = %d interleavings, %d errors, %d wildcards; want the late result alone (1, 0, 1)",
+			rep.Interleavings, len(rep.Errors), rep.WildcardsAnalyzed)
 	}
 }
 

@@ -42,12 +42,21 @@ import (
 // frames announce which exploration the leases that follow belong to, and
 // the hello may omit the fingerprint (an any-workload worker builds its
 // program per job from the announced JobSpec). A v2 worker would drop every
-// job announcement and misroute results, so the pairing is refused.
-const protoVersion = 3
+// job announcement and misroute results, so the pairing is refused. Version 4
+// moved the task key onto the wire: a task frame carries it and the result
+// echoes it instead of each side rendering the decision prefix again. A v4
+// worker would echo the empty key a v3 coordinator never sent, collapsing
+// its done-set into one entry, so the pairing is refused.
+const protoVersion = 4
 
 // maxFrameSize bounds a single frame (a frontier expansion or the root
 // trace can be large, but anything beyond this is a corrupt stream).
 const maxFrameSize = 64 << 20
+
+// maxHelloSize bounds the one frame read from a peer that has not identified
+// itself yet: a hello is a few hundred bytes, and readFrame allocates what
+// the 4-byte header announces.
+const maxHelloSize = 64 << 10
 
 // Frame types.
 const (
@@ -120,9 +129,12 @@ type frame struct {
 	Result *WireResult `json:"result,omitempty"`
 }
 
-// wireTask is one leased task inside a batched task frame.
+// wireTask is one leased task inside a batched task frame. Key is the task's
+// identity as the coordinator computed it when the task entered its frontier;
+// the worker echoes it in the result without rendering it again.
 type wireTask struct {
 	Lease uint64            `json:"lease"`
+	Key   string            `json:"key"`
 	Task  *core.SubtreeTask `json:"task"`
 	Root  bool              `json:"root,omitempty"`
 }
@@ -133,8 +145,9 @@ type wireTask struct {
 type WireResult struct {
 	// Lease echoes the task frame's lease ID.
 	Lease uint64 `json:"lease"`
-	// Key is the task's stable identity (the decision-prefix signature); the
-	// coordinator deduplicates completions by it.
+	// Key echoes the task frame's key (the decision-prefix signature). The
+	// coordinator deduplicates completions by its own copy while the lease is
+	// held, and by this one for a result that outlived its lease.
 	Key string `json:"key"`
 
 	// Fatal, if non-empty, reports a replay-harness failure (not a program
@@ -142,7 +155,9 @@ type WireResult struct {
 	// engines' error return.
 	Fatal string `json:"fatal,omitempty"`
 
-	// Interleaving outcome.
+	// Interleaving outcome. Decisions, the run's full-depth reproducer and
+	// the largest thing in the frame, travels only when the report keeps it:
+	// with an error, a deadlock, or a sampled schedule.
 	ErrMsg     string                `json:"err,omitempty"`
 	Deadlock   bool                  `json:"deadlock,omitempty"`
 	Decisions  *core.Decisions       `json:"decisions,omitempty"`
@@ -388,43 +403,43 @@ func (f Fingerprint) Check(worker Fingerprint) error {
 }
 
 // writeFrame serializes one frame as a 4-byte big-endian length prefix
-// followed by the JSON payload. Callers serialize concurrent writers.
-func writeFrame(w io.Writer, fr *frame) error {
+// followed by the JSON payload, in one Write (one syscall on a TCP
+// connection), and reports the bytes written. Callers serialize concurrent
+// writers.
+func writeFrame(w io.Writer, fr *frame) (int, error) {
 	body, err := json.Marshal(fr)
 	if err != nil {
-		return fmt.Errorf("dcoord: encoding %s frame: %w", fr.Type, err)
+		return 0, fmt.Errorf("dcoord: encoding %s frame: %w", fr.Type, err)
 	}
 	if len(body) > maxFrameSize {
-		return fmt.Errorf("dcoord: %s frame too large (%d bytes)", fr.Type, len(body))
+		return 0, fmt.Errorf("dcoord: %s frame too large (%d bytes)", fr.Type, len(body))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
-	return err
+	buf := make([]byte, 4, 4+len(body))
+	binary.BigEndian.PutUint32(buf, uint32(len(body)))
+	return w.Write(append(buf, body...))
 }
 
-// readFrame reads one length-prefixed JSON frame.
-func readFrame(r io.Reader) (*frame, error) {
+// readFrame reads one length-prefixed JSON frame of at most limit payload
+// bytes and reports the bytes consumed. Read loops hand it one bufio.Reader
+// per connection, so header and payload usually cost one syscall together.
+func readFrame(r io.Reader, limit int) (*frame, int, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrameSize {
-		return nil, fmt.Errorf("dcoord: frame of %d bytes exceeds limit", n)
+	if int64(n) > int64(limit) {
+		return nil, 0, fmt.Errorf("dcoord: frame of %d bytes exceeds limit %d", n, limit)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	fr := &frame{}
 	if err := json.Unmarshal(body, fr); err != nil {
-		return nil, fmt.Errorf("dcoord: decoding frame: %w", err)
+		return nil, 0, fmt.Errorf("dcoord: decoding frame: %w", err)
 	}
-	return fr, nil
+	return fr, 4 + len(body), nil
 }
 
 // taskKey is the stable identity of a subtree task: its decision-prefix

@@ -69,6 +69,9 @@ func (p *poolWorker) eligible(spec *JobSpec) bool {
 // routes frames between the pooled connections and the active job.
 type Server struct {
 	cfg ServerConfig
+	// wire counts the pool's frame traffic across jobs; each job's
+	// coordinator reports it in its Status.
+	wire wireStats
 
 	mu      sync.Mutex
 	ln      net.Listener
@@ -131,20 +134,9 @@ func (s *Server) leaseTTL() time.Duration {
 // with the active job when eligible), then routes its frames until the
 // connection dies or the server closes.
 func (s *Server) handleConn(conn net.Conn) {
-	_ = conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	fr, err := readFrame(conn)
-	if err != nil || fr.Type != msgHello {
-		conn.Close()
+	w, fr := acceptHello(conn, &s.wire)
+	if w == nil {
 		return
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-
-	w := &workerConn{conn: conn, name: fr.Worker, slots: fr.Slots, since: time.Now()}
-	if w.name == "" {
-		w.name = conn.RemoteAddr().String()
-	}
-	if w.slots < 1 {
-		w.slots = 1
 	}
 	if fr.Proto != protoVersion {
 		_ = w.send(&frame{Type: msgReject, Reason: fmt.Sprintf("dcoord: protocol version %d, server speaks %d", fr.Proto, protoVersion)})
@@ -189,7 +181,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 
 	for {
-		fr, err := readFrame(conn)
+		fr, err := w.recv(maxFrameSize)
 		if err != nil {
 			s.removeWorker(w)
 			return
@@ -275,6 +267,7 @@ func (s *Server) RunJob(spec JobSpec, jcfg JobConfig) (*core.Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.wire = &s.wire
 
 	s.mu.Lock()
 	if s.closed {

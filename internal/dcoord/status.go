@@ -35,9 +35,16 @@ type Status struct {
 	// Sampled counts walk-step schedules merged in sampling mode (0 for
 	// exhaustive explorations); SampledDistinct is the size of the distinct
 	// decision-vector set among them.
-	Sampled         int            `json:"sampled,omitempty"`
-	SampledDistinct int            `json:"sampled_distinct,omitempty"`
-	Workers         []WorkerStatus `json:"workers"`
+	Sampled         int `json:"sampled,omitempty"`
+	SampledDistinct int `json:"sampled_distinct,omitempty"`
+	// Frames and bytes moved over worker connections since the listener
+	// started (for a job-queue job: since the service did — the pool's
+	// connections outlive jobs), as seen by the coordinator.
+	FramesIn     int64          `json:"frames_in"`
+	FramesOut    int64          `json:"frames_out"`
+	WireBytesIn  int64          `json:"wire_bytes_in"`
+	WireBytesOut int64          `json:"wire_bytes_out"`
+	Workers      []WorkerStatus `json:"workers"`
 }
 
 // WorkerStatus is one connected worker's live state.
@@ -85,6 +92,10 @@ func (c *Coordinator) Status() Status {
 		Capped:          c.report.Capped,
 		Sampled:         c.report.Sampled,
 		SampledDistinct: c.report.SampledDistinct,
+		FramesIn:        c.wire.framesIn.Load(),
+		FramesOut:       c.wire.framesOut.Load(),
+		WireBytesIn:     c.wire.bytesIn.Load(),
+		WireBytesOut:    c.wire.bytesOut.Load(),
 	}
 	switch {
 	case c.runErr != nil:
@@ -159,6 +170,8 @@ func WriteMetrics(w io.Writer, st Status) {
 	fmt.Fprintf(w, "# HELP dampi_static_pruned_total Branches skipped by static prune hints.\n# TYPE dampi_static_pruned_total counter\ndampi_static_pruned_total %d\n", st.StaticPruned)
 	fmt.Fprintf(w, "# HELP dampi_sampled_schedules_total Walk-step schedules merged in sampling mode.\n# TYPE dampi_sampled_schedules_total counter\ndampi_sampled_schedules_total %d\n", st.Sampled)
 	fmt.Fprintf(w, "# HELP dampi_sample_duplicates_total Sampled schedules whose decision vector was already sampled.\n# TYPE dampi_sample_duplicates_total counter\ndampi_sample_duplicates_total %d\n", st.Sampled-st.SampledDistinct)
+	fmt.Fprintf(w, "# HELP dampi_wire_frames_total Frames moved over worker connections.\n# TYPE dampi_wire_frames_total counter\ndampi_wire_frames_total{dir=\"in\"} %d\ndampi_wire_frames_total{dir=\"out\"} %d\n", st.FramesIn, st.FramesOut)
+	fmt.Fprintf(w, "# HELP dampi_wire_bytes_total Bytes moved over worker connections, frame headers included.\n# TYPE dampi_wire_bytes_total counter\ndampi_wire_bytes_total{dir=\"in\"} %d\ndampi_wire_bytes_total{dir=\"out\"} %d\n", st.WireBytesIn, st.WireBytesOut)
 	fmt.Fprintf(w, "# HELP dampi_workers_connected Connected workers.\n# TYPE dampi_workers_connected gauge\ndampi_workers_connected %d\n", len(st.Workers))
 	fmt.Fprintf(w, "# HELP dampi_worker_lease_age_seconds Age of each worker's oldest outstanding lease.\n# TYPE dampi_worker_lease_age_seconds gauge\n")
 	for _, ws := range st.Workers {

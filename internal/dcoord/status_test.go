@@ -104,6 +104,7 @@ var statusGoldenFields = []string{
 	"state", "workload", "procs", "elapsed_sec", "interleavings", "errors",
 	"deadlocks", "decision_points", "frontier_depth", "active_leases",
 	"done_set_size", "requeues", "per_second_mean", "per_second_window",
+	"frames_in", "frames_out", "wire_bytes_in", "wire_bytes_out",
 	"workers",
 }
 
@@ -139,6 +140,16 @@ func TestStatusGoldenFieldSet(t *testing.T) {
 		if _, ok := raw[field]; !ok {
 			t.Errorf("/status is missing %q", field)
 		}
+	}
+	// One hello in; a welcome and the root task frame out. Every frame is at
+	// least its 4-byte header and a JSON object.
+	var st Status
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.FramesIn != 1 || st.FramesOut != 2 || st.WireBytesIn < 6 || st.WireBytesOut < 12 {
+		t.Errorf("wire counters = %d frames / %d bytes in, %d / %d out; want 1 frame in, 2 out",
+			st.FramesIn, st.WireBytesIn, st.FramesOut, st.WireBytesOut)
 	}
 	var workers []map[string]json.RawMessage
 	if err := json.Unmarshal(raw["workers"], &workers); err != nil || len(workers) != 1 {
@@ -209,6 +220,14 @@ func TestMetricsExpositionParses(t *testing.T) {
 	}
 	if samples < 10 {
 		t.Errorf("only %d samples; the exposition looks truncated:\n%s", samples, raw)
+	}
+	for _, want := range []string{
+		`dampi_wire_frames_total{dir="in"} 1`, `dampi_wire_frames_total{dir="out"} 2`,
+		`dampi_wire_bytes_total{dir="in"} `, `dampi_wire_bytes_total{dir="out"} `,
+	} {
+		if !strings.Contains(string(raw), "\n"+want) {
+			t.Errorf("exposition lacks %q", want)
+		}
 	}
 }
 

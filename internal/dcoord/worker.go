@@ -1,6 +1,7 @@
 package dcoord
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -296,8 +297,12 @@ func (w *Worker) session(conn net.Conn) (bool, error) {
 		smu.Lock()
 		defer smu.Unlock()
 		_ = conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-		return writeFrame(conn, fr)
+		_, err := writeFrame(conn, fr)
+		return err
 	}
+	// Every read of the session goes through one buffer, the handshake's
+	// included, so a task frame costs one syscall and no byte is stranded.
+	r := bufio.NewReader(conn)
 	hello := &frame{Type: msgHello, Proto: protoVersion, Worker: w.cfg.Name, Slots: w.cfg.Slots}
 	if fp := w.cfg.Fingerprint; fp != (Fingerprint{}) {
 		hello.Fingerprint = &fp
@@ -309,7 +314,7 @@ func (w *Worker) session(conn net.Conn) (bool, error) {
 		return false, err
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	fr, err := readFrame(conn)
+	fr, _, err := readFrame(r, maxFrameSize)
 	if err != nil {
 		return false, err
 	}
@@ -408,7 +413,7 @@ func (w *Worker) session(conn net.Conn) (bool, error) {
 	}
 read:
 	for {
-		fr, err := readFrame(conn)
+		fr, _, err := readFrame(r, maxFrameSize)
 		if err != nil {
 			readErr = err
 			break
@@ -449,7 +454,7 @@ read:
 						reason = rt.err
 					}
 					_ = send(&frame{Type: msgResult, Job: fr.Job, Result: &WireResult{
-						Lease: wt.Lease, Key: taskKey(wt.Task), Fatal: reason,
+						Lease: wt.Lease, Key: wt.Key, Fatal: reason,
 					}})
 					continue
 				}
@@ -485,18 +490,20 @@ read:
 // self-discovery extras.
 func (w *Worker) execute(rt *jobRuntime, rc *core.RunContext, wt wireTask) *WireResult {
 	t := wt.Task
-	out := &WireResult{Lease: wt.Lease, Key: taskKey(t), Sampled: t.Sample != nil}
+	out := &WireResult{Lease: wt.Lease, Key: wt.Key, Sampled: t.Sample != nil}
 	trace, res, err := rc.Run(t.Decisions)
 	if err != nil {
 		out.Fatal = err.Error()
 		return out
 	}
 	out.Deadlock = res.Deadlock
-	out.Decisions = res.Decisions
 	out.Epochs = res.Epochs
 	out.Mismatches = res.Mismatches
 	if res.Err != nil {
 		out.ErrMsg = res.Err.Error()
+	}
+	if out.ErrMsg != "" || out.Deadlock || out.Sampled {
+		out.Decisions = res.Decisions // the cases Report.Add keeps it
 	}
 	if !res.Deadlock {
 		ex := t.Expand(&rt.cfg, trace)

@@ -130,7 +130,9 @@ func TestProgressCallback(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	var mu sync.Mutex
 	var progress []Progress
-	cfg := core.ExplorerConfig{Procs: 8, Program: matmul.Program(matmul.Config{})}
+	// Unbounded and capped: tens of milliseconds of work, so the 1 ms ticker
+	// fires on a loaded host (the k = 0 space is 64 replays, ~3 ms).
+	cfg := core.ExplorerConfig{Procs: 8, MixingBound: core.Unbounded, MaxInterleavings: 1500, Program: matmul.Program(matmul.Config{})}
 	rep, err := New(Config{
 		Explorer:      cfg,
 		Workers:       2,

@@ -2,13 +2,16 @@ package dexplore
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"dampi/internal/core"
+	"dampi/workloads/adlb"
 	"dampi/workloads/matmul"
 )
 
@@ -340,5 +343,71 @@ func TestPeriodicCheckpointWrites(t *testing.T) {
 		if e.Name() != filepath.Base(path) {
 			t.Errorf("stray checkpoint temp file %s", e.Name())
 		}
+	}
+}
+
+// TestLoadsParentCheckpoint: testdata/checkpoint_parent.json was written by
+// `dampi -workload adlb -procs 6 -k 0 -max 4 -workers 1 -checkpoint` at the
+// commit before core.Decisions became a sorted slice — map-ordered keys, "10"
+// before "2". It loads unchanged: each frontier task's prefix holds exactly
+// the decisions a reflective decode of the same bytes finds, and the resumed
+// run reaches the total the parent binary reaches from the same file.
+func TestLoadsParentCheckpoint(t *testing.T) {
+	const path = "testdata/checkpoint_parent.json"
+	ckp, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.ExplorerConfig{Procs: 6, MixingBound: 0, Program: adlb.Program(adlb.DriverConfig{})}
+	rep, frontier, err := ckp.Restore("", &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want struct {
+		Frontier []struct {
+			Decisions struct {
+				ByRank map[string]map[string]int `json:"by_rank"`
+			} `json:"decisions"`
+		} `json:"frontier"`
+	}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Interleavings != 4 || len(frontier) != 47 || len(want.Frontier) != 47 {
+		t.Fatalf("restored %d interleavings and %d tasks (reflective: %d), want 4 and 47", rep.Interleavings, len(frontier), len(want.Frontier))
+	}
+	for i, task := range frontier {
+		n := 0
+		for rs, m := range want.Frontier[i].Decisions.ByRank {
+			for lcs, src := range m {
+				rank, _ := strconv.Atoi(rs)
+				lc, _ := strconv.ParseUint(lcs, 10, 64)
+				if got, ok := task.Decisions.Lookup(rank, lc); !ok || got != src {
+					t.Errorf("task %d: Lookup(%d,%d) = %d,%v, the file says %d", i, rank, lc, got, ok, src)
+				}
+				n++
+			}
+		}
+		if task.Decisions.Len() != n {
+			t.Errorf("task %d: %d decisions, the file has %d", i, task.Decisions.Len(), n)
+		}
+	}
+	const last = "{r0:[0→1 1→2 2→2 3→3 4→3 5→4 6→4 7→1 8→5 9→5 10→5 11→1] r2:[0→0] r5:[0→0]}"
+	if got := frontier[len(frontier)-1].Decisions.String(); got != last {
+		t.Errorf("last task = %s\nwant        %s", got, last)
+	}
+	// Resuming drains the frontier exactly as the parent binary does from the
+	// same file: at k = 0 no frontier task may flip further, so the total is
+	// the 4 replays done plus the 47 pending.
+	resumed, err := New(Config{Explorer: cfg, Workers: 2, Resume: ckp}).Explore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Interleavings != 51 || resumed.Errored() {
+		t.Errorf("resumed run: %d interleavings, %d errors; want 51 and none", resumed.Interleavings, len(resumed.Errors))
 	}
 }

@@ -125,10 +125,14 @@ func TestResumeValidation(t *testing.T) {
 func TestOnProgressViaPublicAPI(t *testing.T) {
 	var mu sync.Mutex
 	got := 0
+	// Unbounded and capped: a run of tens of milliseconds, long enough for the
+	// 1 ms ticker to fire on a loaded host (the k = 0 space is 64 replays, ~3 ms).
 	_, err := verify.Run(verify.Config{
-		Procs:         8,
-		Workers:       2,
-		ProgressEvery: time.Millisecond,
+		Procs:            8,
+		Workers:          2,
+		MixingBound:      verify.Unbounded,
+		MaxInterleavings: 1500,
+		ProgressEvery:    time.Millisecond,
 		OnProgress: func(p verify.Progress) {
 			mu.Lock()
 			got++
