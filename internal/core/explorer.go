@@ -291,44 +291,11 @@ func NewExplorer(cfg ExplorerConfig) *Explorer {
 // Interleaving indexes and the error list follow DFS discovery order.
 func (e *Explorer) Explore() (*Report, error) {
 	cfg := &e.cfg
-	rep := &Report{}
-	stack := []*SubtreeTask{RootTask(cfg)} // pending tasks, deepest last
-	unbuilt := 0                           // children of the last replay under the cap
-	capReached := func(done int) bool {
-		return cfg.MaxInterleavings > 0 && done >= cfg.MaxInterleavings
+	rep, left, unbuilt, err := e.rc.Explore([]*SubtreeTask{RootTask(cfg)}, cfg.MaxInterleavings, true, nil)
+	if err != nil {
+		return nil, err
 	}
-	for len(stack) > 0 && !capReached(rep.Interleavings) {
-		t := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		trace, res, err := e.rc.Run(t.Decisions)
-		if err != nil {
-			return nil, err
-		}
-		res.Index = rep.Interleavings
-		var ex *Expansion
-		if !res.Deadlock {
-			// What the last replay the cap allows spawns will never run: the
-			// report needs its decision points and whether work was left, not
-			// the children's decision prefixes. This keeps a single
-			// instrumented run (MaxInterleavings 1, the Table II measurement)
-			// from paying for an exploration it does not do.
-			ex = t.expand(cfg, trace, !capReached(rep.Interleavings+1))
-			stack = append(stack, ex.stackOrder()...)
-			unbuilt = ex.unbuilt
-		}
-		var root *RunTrace
-		if t.Decisions == nil {
-			root = trace
-		}
-		rep.Add(res, ex, root, t.Sample != nil)
-		if cfg.OnInterleaving != nil {
-			cfg.OnInterleaving(res)
-		}
-		if cfg.StopOnFirstError && res.Err != nil {
-			break
-		}
-	}
-	rep.Seal(cfg, len(stack) > 0 || unbuilt > 0)
+	rep.Seal(cfg, len(left) > 0 || unbuilt > 0)
 	return rep, nil
 }
 
@@ -409,6 +376,56 @@ func (rc *RunContext) Run(decisions *Decisions) (*RunTrace, *InterleavingResult,
 		res.Deadlock = true
 	}
 	return trace, res, nil
+}
+
+// Explore is the depth-first loop every single-stack search runs — the serial
+// Explorer over the whole space, a cluster worker over the subtrees of one
+// lease: pop the deepest pending task of stack, replay it, account it, push
+// its expansion, until the stack is empty, budget replays are done (0 = no
+// bound), StopOnFirstError fires, or yield (consulted after each replay, so
+// never before the first; nil = never) asks for the rest back. It returns the
+// unsealed report of what it ran, indexed from 0 in discovery order, and the
+// tasks left on the stack. final says nothing will run after the budget: what
+// the last replay it allows spawns is then only counted (unbuilt), not built.
+func (rc *RunContext) Explore(stack []*SubtreeTask, budget int, final bool, yield func() bool) (rep *Report, left []*SubtreeTask, unbuilt int, err error) {
+	cfg := rc.cfg
+	rep = &Report{}
+	spent := func(done int) bool { return budget > 0 && done >= budget }
+	for len(stack) > 0 && !spent(rep.Interleavings) {
+		t := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		trace, res, err := rc.Run(t.Decisions)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		res.Index = rep.Interleavings
+		var ex *Expansion
+		if !res.Deadlock {
+			// What the last replay a final budget allows spawns will never
+			// run: the report needs its decision points and whether work was
+			// left, not the children's decision prefixes. This keeps a single
+			// instrumented run (MaxInterleavings 1, the Table II measurement)
+			// from paying for an exploration it does not do.
+			ex = t.expand(cfg, trace, !(final && spent(rep.Interleavings+1)))
+			stack = append(stack, ex.stackOrder()...)
+			unbuilt = ex.unbuilt
+		}
+		var root *RunTrace
+		if t.Decisions == nil {
+			root = trace
+		}
+		rep.Add(res, ex, root, t.Sample != nil)
+		if cfg.OnInterleaving != nil {
+			cfg.OnInterleaving(res)
+		}
+		if cfg.StopOnFirstError && res.Err != nil {
+			break
+		}
+		if yield != nil && yield() {
+			break
+		}
+	}
+	return rep, stack, unbuilt, nil
 }
 
 // ExecuteRun performs one (self or guided) instrumented run: it builds a

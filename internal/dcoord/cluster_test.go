@@ -3,6 +3,7 @@ package dcoord
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -94,22 +95,54 @@ func startCoordinator(t *testing.T, cfg Config) (*Coordinator, string) {
 	return c, ln.Addr().String()
 }
 
+// shape is the cluster a test explores on. roots and slice go through the
+// unexported seams: they change how the work is cut into leases, never what
+// the report says.
+type shape struct {
+	workers, slots int
+	roots          int           // Coordinator.maxRoots; 0 = maxLeaseRoots
+	slice          time.Duration // Worker.slice; negative = leaseSlice
+	max            int           // Config.MaxInterleavings
+}
+
+// setMaxRoots shrinks the roots-per-lease bound of a served coordinator that
+// no worker has joined yet.
+func (c *Coordinator) setMaxRoots(n int) {
+	c.mu.Lock()
+	c.maxRoots = n
+	c.mu.Unlock()
+}
+
 // runCluster explores cfg with n in-process workers against a TCP
 // coordinator and returns the merged report.
 func runCluster(t *testing.T, workload string, cfg core.ExplorerConfig, n, slots int) *core.Report {
 	t.Helper()
+	rep, _ := runShaped(t, workload, cfg, shape{workers: n, slots: slots, slice: -1})
+	return rep
+}
+
+// runShaped is runCluster on an explicit shape; it also returns the
+// coordinator's final status.
+func runShaped(t *testing.T, workload string, cfg core.ExplorerConfig, sh shape) (*core.Report, Status) {
+	t.Helper()
 	fp := FingerprintFor(workload, &cfg)
-	c, addr := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: 2 * time.Second})
+	c, addr := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: 2 * time.Second, MaxInterleavings: sh.max})
+	if sh.roots > 0 {
+		c.setMaxRoots(sh.roots)
+	}
 	var wg sync.WaitGroup
 	var ws []*Worker
-	for i := 0; i < n; i++ {
+	for i := 0; i < sh.workers; i++ {
 		w := NewWorker(WorkerConfig{
 			Addr:        addr,
 			Name:        fmt.Sprintf("w%d", i),
-			Slots:       slots,
+			Slots:       sh.slots,
 			Fingerprint: fp,
 			Explorer:    cfg,
 		})
+		if sh.slice >= 0 {
+			w.slice = sh.slice
+		}
 		ws = append(ws, w)
 		wg.Add(1)
 		go func() {
@@ -130,7 +163,7 @@ func runCluster(t *testing.T, workload string, cfg core.ExplorerConfig, n, slots
 		w.Stop()
 	}
 	wg.Wait()
-	return rep
+	return rep, c.Status()
 }
 
 // waitFor waits for the coordinator with a hang guard.
@@ -172,6 +205,9 @@ func checkSameReport(t *testing.T, label string, serial, dist *core.Report) {
 	}
 	if got, want := dist.AutoAbstracted, serial.AutoAbstracted; got != want {
 		t.Errorf("%s: auto-abstracted = %d, want %d", label, got, want)
+	}
+	if dist.Sampled != serial.Sampled || !slices.Equal(dist.SampledSchedules, serial.SampledSchedules) {
+		t.Errorf("%s: sampled %d schedules %v, want %d %v", label, dist.Sampled, dist.SampledSchedules, serial.Sampled, serial.SampledSchedules)
 	}
 	se, de := errLines(serial), errLines(dist)
 	if len(se) != len(de) {
@@ -338,8 +374,10 @@ func TestClusterStopDrainsAndCheckpoints(t *testing.T) {
 	ckpPath := t.TempDir() + "/ckp.json"
 	c, addr := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: 2 * time.Second, CheckpointPath: ckpPath})
 
-	// Gate the worker after a few replays so Stop fires while work remains.
-	gate := make(chan struct{})
+	// Gate the worker after a few replays so Stop fires while work remains:
+	// the root lease has merged, and the fourth replay parks inside the lease
+	// after it — what that lease ran and what it hands back must both survive.
+	gate, parked := make(chan struct{}), make(chan struct{})
 	ran := 0
 	var mu sync.Mutex
 	gcfg := base
@@ -349,24 +387,24 @@ func TestClusterStopDrainsAndCheckpoints(t *testing.T) {
 		n := ran
 		mu.Unlock()
 		if n == 4 {
+			close(parked)
 			<-gate
 		}
 		return memo.Run(cfg, d)
 	}
 	w := NewWorker(WorkerConfig{Addr: addr, Name: "w0", Slots: 1, Fingerprint: fp, Explorer: gcfg})
+	w.slice = time.Hour // a loaded host must not end the second lease before run #4
 	done := make(chan error, 1)
 	go func() { done <- w.Run() }()
 
-	// Wait until some results are in, then drain while run #4 is parked.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if c.Status().Interleavings >= 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no progress: %+v", c.Status())
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Drain while run #4 is parked.
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("no progress: %+v", c.Status())
+	}
+	if st := c.Status(); st.Interleavings != 1 || st.ActiveLeases != 1 {
+		t.Fatalf("parked mid-lease with %d replays merged and %d leases held, want the root's 1 and 1", st.Interleavings, st.ActiveLeases)
 	}
 	c.Stop()
 	close(gate)
@@ -377,8 +415,8 @@ func TestClusterStopDrainsAndCheckpoints(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("worker after drain: %v", err)
 	}
-	if rep.Interleavings >= serial.Interleavings {
-		t.Fatalf("drain merged %d interleavings, expected a partial run (< %d)", rep.Interleavings, serial.Interleavings)
+	if rep.Interleavings < 4 || rep.Interleavings >= serial.Interleavings {
+		t.Fatalf("drain merged %d interleavings, expected the held lease's and a partial run (4 <= n < %d)", rep.Interleavings, serial.Interleavings)
 	}
 
 	// Resume from the drain checkpoint; the union must equal the serial run.

@@ -122,12 +122,14 @@ func TestJoinRejectsWrongProtocol(t *testing.T) {
 }
 
 // TestJoinRejectsOldProtocols: workers from before the batched-lease task
-// frame (protocol 1), the multi-job frames (protocol 2) or the wire-carried
-// task key (protocol 3) are refused at hello, by a one-shot coordinator and by
-// a job-queue server alike, with an error naming both versions. An old worker
-// would drop the frames it does not know — batched tasks for v1, job
-// announcements for v2 — or, for v3, be sent keys it ignores and have its own
-// results checked against them, so the pairing must fail loudly.
+// frame (protocol 1), the multi-job frames (protocol 2), the wire-carried
+// task key (protocol 3) or the subtree lease (protocol 4) are refused at
+// hello, by a one-shot coordinator and by a job-queue server alike, with an
+// error naming both versions. An old worker would drop the frames it does not
+// know — batched tasks for v1, job announcements for v2 — or, for v3, be sent
+// keys it ignores and have its own results checked against them, or, for v4,
+// find no task in a lease and answer with no delta, so the pairing must fail
+// loudly.
 func TestJoinRejectsOldProtocols(t *testing.T) {
 	fp := baseFingerprint()
 	c, caddr := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: time.Second})
@@ -136,7 +138,7 @@ func TestJoinRejectsOldProtocols(t *testing.T) {
 	defer s.Close(false)
 
 	for _, addr := range []string{caddr, saddr} {
-		for _, old := range []int{1, 2, 3} {
+		for _, old := range []int{1, 2, 3, 4} {
 			conn, err := net.Dial("tcp", addr)
 			if err != nil {
 				t.Fatal(err)
@@ -152,7 +154,7 @@ func TestJoinRejectsOldProtocols(t *testing.T) {
 			if fr.Type != msgReject {
 				t.Fatalf("v%d worker got %s frame, want reject", old, fr.Type)
 			}
-			if !strings.Contains(fr.Reason, fmt.Sprintf("protocol version %d", old)) || !strings.Contains(fr.Reason, "speaks 4") {
+			if !strings.Contains(fr.Reason, fmt.Sprintf("protocol version %d", old)) || !strings.Contains(fr.Reason, "speaks 5") {
 				t.Errorf("reject reason %q does not name both protocol versions", fr.Reason)
 			}
 			conn.Close()

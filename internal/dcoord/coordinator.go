@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,33 +28,27 @@ type Config struct {
 	// MaxInterleavings caps the number of distinct subtrees explored
 	// (0 = unlimited), like core.ExplorerConfig.MaxInterleavings.
 	MaxInterleavings int
-	// StopOnFirstError stops issuing new tasks once a failing interleaving
-	// is reported; in-flight leases drain and are counted.
+	// StopOnFirstError stops issuing new leases once a failing interleaving
+	// is reported; in-flight leases drain (at most one time slice per slot)
+	// and are counted.
 	StopOnFirstError bool
 	// LeaseTTL is how long a lease survives without a heartbeat before its
-	// task is requeued. Default 10s.
+	// subtrees are requeued. Default 10s.
 	LeaseTTL time.Duration
 	// MaxLeaseAge is the hard per-lease deadline: even a heartbeating worker
 	// forfeits a lease this old (a hung replay keeps the connection's
 	// heartbeats flowing, so TTL alone cannot catch it). Default 30×LeaseTTL.
 	MaxLeaseAge time.Duration
-	// MaxRedeliveries caps how many times one task may be requeued after
+	// MaxRedeliveries caps how many times one subtree may be requeued after
 	// lease loss before the exploration aborts (a poison task must not loop
 	// forever). Default 3.
 	MaxRedeliveries int
-	// LeaseBatch is the extra leases granted to each worker beyond its slot
-	// count: the prefetch depth that keeps a worker's next tasks in flight
-	// while every slot is replaying, hiding one network round trip per task.
-	// 0 means one extra lease per slot (double buffering); negative disables
-	// prefetch (at most one lease per slot). Each batched task keeps its own
-	// lease, so expiry, requeue and dedup are unchanged.
-	LeaseBatch int
 	// CheckpointPath, if non-empty, receives a frontier checkpoint (the
 	// dexplore.Checkpoint format) every CheckpointEvery completions and at
 	// the end, so a killed coordinator resumes with Resume.
 	CheckpointPath string
-	// CheckpointEvery is the completions between periodic checkpoint writes.
-	// Default 32.
+	// CheckpointEvery is the merged replays between periodic checkpoint
+	// writes (at most one per returned lease). Default 32.
 	CheckpointEvery int
 	// Resume, if non-nil, seeds the exploration from a saved checkpoint
 	// instead of leasing the initial self-discovery run. Validated against
@@ -74,10 +69,19 @@ type pending struct {
 	task *core.SubtreeTask
 }
 
-// lease is one outstanding task assignment.
+// maxLeaseRoots bounds the subtrees of one lease: past it the guided share
+// only moves untouched roots out and back.
+const maxLeaseRoots = 16
+
+// minLeaseBudget floors a lease's share of the cap's remaining replays (while
+// that many remain), so the end of a capped run is not one round trip per replay.
+const minLeaseBudget = 8
+
+// lease is one outstanding assignment — subtrees taken from the shallow end
+// of the frontier and the replays the worker may spend on them, as the task
+// frame carries them — and who holds it since when.
 type lease struct {
-	id uint64
-	pending
+	wireTask
 	conn    *workerConn
 	granted time.Time
 	expires time.Time
@@ -103,15 +107,20 @@ type workerConn struct {
 
 	// guarded by Coordinator.mu
 	active    int // leases currently held
-	completed int // results merged from this session
+	completed int // replays merged from this session
 	gone      bool
 }
 
-// send writes one frame under the connection's write lock with a deadline,
-// so a stalled worker cannot wedge the coordinator.
+// send writes one frame under the connection's write lock.
 func (w *workerConn) send(fr *frame) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
+	return w.write(fr)
+}
+
+// write writes one frame with a deadline, so a stalled worker cannot wedge
+// the coordinator. Caller holds w.wmu.
+func (w *workerConn) write(fr *frame) error {
 	_ = w.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
 	n, err := writeFrame(w.conn, fr)
 	if err == nil {
@@ -129,6 +138,47 @@ func (w *workerConn) recv(limit int) (*frame, error) {
 		w.wire.bytesIn.Add(int64(n))
 	}
 	return fr, err
+}
+
+// welcome registers the worker and writes its welcome frame as one step under
+// the write lock: a grant (or job announcement) another connection triggers
+// may see the registration at once, but its frame waits behind the welcome —
+// the worker fails a handshake that a task frame overtakes. register runs
+// under the owner's own lock and reports whether the worker was admitted.
+func (w *workerConn) welcome(ttl time.Duration, register func() bool) (bool, error) {
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	if !register() {
+		return false, nil
+	}
+	return true, w.write(&frame{Type: msgWelcome, LeaseTTLMillis: ttl.Milliseconds()})
+}
+
+// serve is the read loop of a welcomed connection: heartbeats renew, and
+// results merge into, the exploration current names (nil between a server's
+// jobs; a result tagged with another job is dropped, and one for a finished
+// exploration at handleResult). It returns when the connection dies.
+func (w *workerConn) serve(current func() (c *Coordinator, job string)) {
+	for {
+		fr, err := w.recv(maxFrameSize)
+		if err != nil {
+			return
+		}
+		c, job := current()
+		if c == nil {
+			continue
+		}
+		switch fr.Type {
+		case msgHeartbeat:
+			c.renewLeases(w)
+		case msgResult:
+			if fr.Result != nil && fr.Job == job {
+				c.handleResult(w, fr.Result)
+			}
+		default:
+			// Unknown frame from a matching-version worker: ignore.
+		}
+	}
 }
 
 // acceptHello reads a new connection's opening frame (bounded in size and
@@ -154,7 +204,7 @@ func acceptHello(conn net.Conn, wire *wireStats) (*workerConn, *frame) {
 }
 
 // Coordinator owns a distributed exploration: it serves the wire protocol,
-// leases subtree tasks to workers, merges their results, and terminates when
+// leases subtrees to workers, merges their report deltas, and terminates when
 // the frontier and all leases drain.
 type Coordinator struct {
 	cfg Config
@@ -173,17 +223,21 @@ type Coordinator struct {
 	// managed).
 	wire *wireStats
 
-	mu          sync.Mutex
-	ln          net.Listener
-	workers     map[*workerConn]struct{}
-	frontier    []pending // LIFO stack
+	mu       sync.Mutex
+	maxRoots int // maxLeaseRoots; tests shrink it
+	ln       net.Listener
+	workers  map[*workerConn]struct{}
+	// frontier holds the pending subtrees, oldest (shallowest) first: grants
+	// take from the front, leftovers and requeues join at the back. Every key
+	// in it is distinct, not done, and in no held lease.
+	frontier    []pending
 	leases      map[uint64]*lease
-	nextLease   uint64
-	done        map[string]bool // completed task keys (dedup after requeue)
-	redelivered map[string]int  // requeue count per task key
-	requeues    int             // total lease requeues
+	nextLease   uint64          // = leases granted so far
+	outstanding int             // sum of the held leases' budgets
+	done        map[string]bool // keys of leased roots explored (dedup after requeue)
+	redelivered map[string]int  // requeue count per root key
+	requeues    int             // leases lost and requeued
 	report      *core.Report
-	rootDone    bool
 	stopped     bool // drain: no new leases (Stop or StopOnFirstError)
 	noFinalCkp  bool // Abort: crash semantics, skip the final checkpoint
 	finished    bool
@@ -222,6 +276,7 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:         cfg,
 		ecfg:        cfg.Fingerprint.ExplorerConfig(),
 		wire:        &wireStats{},
+		maxRoots:    maxLeaseRoots,
 		workers:     make(map[*workerConn]struct{}),
 		leases:      make(map[uint64]*lease),
 		done:        make(map[string]bool),
@@ -239,14 +294,19 @@ func New(cfg Config) (*Coordinator, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.report, c.frontier = rep, keyed(frontier)
-		// The checkpoint's frontier may still contain the root task (a drain
-		// before the root completed).
-		c.rootDone = true
-		for _, t := range frontier {
-			if t.Decisions == nil {
-				c.rootDone = false
+		// A key the checkpoint lists twice is one subtree. Its frontier may
+		// still contain the root task (a drain before the root completed);
+		// otherwise the root is done.
+		c.report = rep
+		seen := make(map[string]bool, len(frontier))
+		for _, p := range keyed(frontier) {
+			if !seen[p.key] {
+				seen[p.key] = true
+				c.frontier = append(c.frontier, p)
 			}
+		}
+		if !seen[rootKey] {
+			c.done[rootKey] = true
 		}
 	} else {
 		c.frontier = keyed([]*core.SubtreeTask{core.RootTask(&c.ecfg)})
@@ -412,40 +472,24 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		return
 	}
 
-	c.mu.Lock()
-	finished := c.finished
-	if !finished {
-		c.workers[w] = struct{}{}
-	}
-	c.mu.Unlock()
-	if finished {
+	admitted, err := w.welcome(c.cfg.LeaseTTL, func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if !c.finished {
+			c.workers[w] = struct{}{}
+		}
+		return !c.finished
+	})
+	if !admitted {
 		_ = w.send(&frame{Type: msgDone})
 		conn.Close()
 		return
 	}
-	if err := w.send(&frame{Type: msgWelcome, LeaseTTLMillis: c.cfg.LeaseTTL.Milliseconds()}); err != nil {
-		c.dropWorker(w)
-		return
+	if err == nil {
+		c.dispatch()
+		w.serve(func() (*Coordinator, string) { return c, c.cfg.JobID })
 	}
-	c.dispatch()
-
-	for {
-		fr, err := w.recv(maxFrameSize)
-		if err != nil {
-			c.dropWorker(w)
-			return
-		}
-		switch fr.Type {
-		case msgHeartbeat:
-			c.renewLeases(w)
-		case msgResult:
-			if fr.Result != nil {
-				c.handleResult(w, fr.Result)
-			}
-		default:
-			// Unknown frame from a matching-version worker: ignore.
-		}
-	}
+	c.dropWorker(w)
 }
 
 // dropWorker unregisters a disconnected (or write-failed) worker and
@@ -458,18 +502,7 @@ func (c *Coordinator) dropWorker(w *workerConn) {
 	}
 	w.gone = true
 	delete(c.workers, w)
-	var failed error
-	for id, l := range c.leases {
-		if l.conn == w {
-			delete(c.leases, id)
-			if err := c.requeueLocked(l); err != nil && failed == nil {
-				failed = err
-			}
-		}
-	}
-	if failed != nil {
-		c.failLocked(failed)
-	}
+	c.requeueLocked(func(l *lease) bool { return l.conn == w })
 	fin := c.finishable()
 	c.mu.Unlock()
 	w.conn.Close()
@@ -480,22 +513,43 @@ func (c *Coordinator) dropWorker(w *workerConn) {
 	c.dispatch()
 }
 
-// requeueLocked returns a lost lease's task to the frontier, enforcing the
-// redelivery cap. Caller holds c.mu and has already removed the lease.
-func (c *Coordinator) requeueLocked(l *lease) error {
+// releaseLocked ends a held lease: its slot is free and its budget back in
+// the pool. Caller holds c.mu.
+func (c *Coordinator) releaseLocked(l *lease) {
+	delete(c.leases, l.Lease)
 	l.conn.active--
-	if c.done[l.key] {
-		return nil // a competing delivery already completed it
+	c.outstanding -= l.Budget
+}
+
+// requeueLocked forfeits every held lease lost says is lost: its budget
+// returns to the pool and each root no competing delivery has completed goes
+// back to the frontier, under the per-root redelivery cap — past it the
+// exploration fails. Caller holds c.mu.
+func (c *Coordinator) requeueLocked(lost func(*lease) bool) {
+	for _, l := range c.leases {
+		if !lost(l) {
+			continue
+		}
+		c.releaseLocked(l)
+		requeued := false
+		for i, key := range l.Keys {
+			if c.done[key] {
+				continue
+			}
+			requeued = true
+			c.redelivered[key]++
+			if n := c.redelivered[key]; n > c.cfg.MaxRedeliveries {
+				c.failLocked(fmt.Errorf("dcoord: task %s lost its lease %d times (redelivery cap %d): poison task or cluster too unstable",
+					key, n, c.cfg.MaxRedeliveries))
+				continue
+			}
+			// While draining the task is kept for the final checkpoint, not reissued.
+			c.frontier = append(c.frontier, pending{key, l.Tasks[i]})
+		}
+		if requeued {
+			c.requeues++
+		}
 	}
-	c.requeues++
-	c.redelivered[l.key]++
-	if n := c.redelivered[l.key]; n > c.cfg.MaxRedeliveries {
-		return fmt.Errorf("dcoord: task %s lost its lease %d times (redelivery cap %d): poison task or cluster too unstable",
-			l.key, n, c.cfg.MaxRedeliveries)
-	}
-	// While draining the task is kept for the final checkpoint, not reissued.
-	c.frontier = append(c.frontier, l.pending)
-	return nil
 }
 
 // renewLeases extends every lease held by w (heartbeat arrival).
@@ -510,22 +564,10 @@ func (c *Coordinator) renewLeases(w *workerConn) {
 	c.mu.Unlock()
 }
 
-// leaseCapacity is how many leases a worker may hold at once: its slots plus
-// the configured prefetch depth.
-func (c *Coordinator) leaseCapacity(w *workerConn) int {
-	switch batch := c.cfg.LeaseBatch; {
-	case batch > 0:
-		return w.slots + batch
-	case batch < 0:
-		return w.slots
-	default:
-		return 2 * w.slots
-	}
-}
-
-// dispatch hands frontier tasks to workers with free lease capacity, one
-// batched frame per worker per round. Frame writes happen outside c.mu; a
-// failed write drops the worker (which requeues every batched lease).
+// dispatch grants a lease to every free worker slot while the frontier has
+// subtrees (and the cap replays) to share, one frame per worker per round.
+// Frame writes happen outside c.mu; a failed write drops the worker (which
+// requeues its leases).
 func (c *Coordinator) dispatch() {
 	type send struct {
 		w  *workerConn
@@ -535,27 +577,18 @@ func (c *Coordinator) dispatch() {
 	now := time.Now()
 	c.mu.Lock()
 	if !c.stopped && c.runErr == nil && !c.finished {
+		slots := 0
+		for w := range c.workers {
+			slots += w.slots
+		}
 		for w := range c.workers {
 			var batch []wireTask
-			for capacity := c.leaseCapacity(w); w.active < capacity; {
-				if max := c.cfg.MaxInterleavings; max > 0 && c.report.Interleavings+len(c.leases) >= max {
+			for w.active < w.slots {
+				l := c.grantLocked(w, slots, now)
+				if l == nil {
 					break
 				}
-				p, ok := c.popLiveLocked()
-				if !ok {
-					break
-				}
-				c.nextLease++
-				l := &lease{
-					id:      c.nextLease,
-					pending: p,
-					conn:    w,
-					granted: now,
-					expires: now.Add(c.cfg.LeaseTTL),
-				}
-				c.leases[l.id] = l
-				w.active++
-				batch = append(batch, wireTask{Lease: l.id, Key: p.key, Task: p.task, Root: p.task.Decisions == nil})
+				batch = append(batch, l.wireTask)
 			}
 			if len(batch) > 0 {
 				sends = append(sends, send{w: w, fr: &frame{Type: msgTask, Job: c.cfg.JobID, Tasks: batch}})
@@ -570,83 +603,143 @@ func (c *Coordinator) dispatch() {
 	}
 }
 
-// popLiveLocked pops the deepest pending task whose subtree has not already
-// been completed (a requeued copy may have been raced by a late delivery).
+// grantLocked leases w its share of the frontier, or nothing when there is
+// nothing to share. The share is guided self-scheduling over the slots
+// attached: 1/(2·slots) of the live subtrees, oldest first — the shallowest,
+// so the largest, the rule dexplore's thieves follow — and under
+// MaxInterleavings the same fraction of the replays neither merged nor
+// budgeted to a held lease, so grants shrink as the work does and the cap is
+// met exactly. The self-discovery task goes out alone with one replay: its
+// trace, alerts and expansion are what every other slot is waiting for.
 // Caller holds c.mu.
-func (c *Coordinator) popLiveLocked() (pending, bool) {
-	for n := len(c.frontier); n > 0; n = len(c.frontier) {
-		p := c.frontier[n-1]
-		c.frontier = c.frontier[:n-1]
-		if !c.done[p.key] {
-			return p, true
-		}
+func (c *Coordinator) grantLocked(w *workerConn, slots int, now time.Time) *lease {
+	if len(c.frontier) == 0 {
+		return nil
 	}
-	return pending{}, false
+	share := func(n int) int { return (n + 2*slots - 1) / (2 * slots) }
+	n, budget := min(share(len(c.frontier)), c.maxRoots), 0
+	if limit := c.cfg.MaxInterleavings; limit > 0 {
+		avail := limit - c.report.Interleavings - c.outstanding
+		if avail <= 0 {
+			return nil
+		}
+		budget = min(avail, max(share(avail), minLeaseBudget))
+		n = min(n, budget)
+	}
+	if c.frontier[0].key == rootKey {
+		n, budget = 1, 1
+	}
+	c.nextLease++
+	l := &lease{
+		wireTask: wireTask{Lease: c.nextLease, Budget: budget, Keys: make([]string, n), Tasks: make([]*core.SubtreeTask, n)},
+		conn:     w,
+		granted:  now,
+		expires:  now.Add(c.cfg.LeaseTTL),
+	}
+	for i, p := range c.frontier[:n] {
+		l.Keys[i], l.Tasks[i] = p.key, p.task
+	}
+	c.frontier = c.frontier[n:]
+	c.leases[l.Lease] = l
+	c.outstanding += budget
+	w.active++
+	return l
 }
 
-// handleResult merges one completed replay: dedup by task key, fold the
-// outcome and expansion into the report and frontier, trigger cancellation,
-// checkpoints, and completion. While the lease is held the key is the
-// lease's own and the echo only has to agree with it; the echo is all that
-// identifies a late result whose lease already expired.
-func (c *Coordinator) handleResult(w *workerConn, res *WireResult) {
-	children := keyed(res.Children)
-	c.mu.Lock()
-	key, fatal := res.Key, res.Fatal
-	if l, ok := c.leases[res.Lease]; ok && l.conn == w {
-		delete(c.leases, res.Lease)
-		w.active--
-		if key != l.key && fatal == "" {
-			fatal = fmt.Sprintf("dcoord: result for lease %d echoes key %q, the lease is for %q", l.id, key, l.key)
-		}
-		key = l.key
+// checkDelta vets a lease's decoded delta — untrusted input — against what
+// the lease allowed: counts in range, at most budget replays (0 = no bound),
+// at least one replay per root it completed and none without, and the root
+// run's aggregates only from a lease over the root.
+func checkDelta(rep *core.Report, completed, budget int, overRoot bool) error {
+	n := rep.Interleavings
+	switch {
+	case n < 0 || rep.Deadlocks < 0 || rep.DecisionPoints < 0 || rep.AutoAbstracted < 0 || rep.Sampled < 0 || rep.StaticPruned < 0:
+		return errors.New("reports a negative count")
+	case budget > 0 && n > budget:
+		return fmt.Errorf("reports %d replays on a budget of %d", n, budget)
+	case rep.Deadlocks > n || len(rep.Errors) > n || rep.Sampled > n || rep.SampledDistinct > n:
+		return fmt.Errorf("reports more outcomes than its %d replays", n)
+	case completed > n || (completed == 0) != (n == 0):
+		return fmt.Errorf("reports %d replays for %d subtrees explored", n, completed)
+	case !overRoot && (rep.FirstTrace != nil || rep.WildcardsAnalyzed != 0 || len(rep.Unsafe) > 0):
+		return errors.New("carries the self-discovery run's trace or alerts without holding the root task")
 	}
-	if fatal != "" {
-		c.failLocked(fmt.Errorf("dcoord: worker %s: %s", w.name, fatal))
-		fin := c.finishable()
-		c.mu.Unlock()
-		if fin {
-			c.finalize()
-		}
-		return
-	}
-	if c.finished || c.done[key] {
-		// Late duplicate of a requeued-and-completed task: at-least-once
-		// delivery, effectively-once merge.
-		fin := c.finishable()
-		c.mu.Unlock()
-		if fin {
-			c.finalize()
-			return
-		}
-		c.dispatch()
-		return
-	}
-	c.done[key] = true
-	w.completed++
+	return nil
+}
 
-	ir := &core.InterleavingResult{
-		Index:      c.report.Interleavings,
-		Decisions:  res.Decisions,
-		Deadlock:   res.Deadlock,
-		Mismatches: res.Mismatches,
-		Epochs:     res.Epochs,
+// handleResult merges one returned lease: the report delta folds into the
+// report, the leftover frontier joins the coordinator's, and every leased
+// root the leftovers do not hand back is done. Dedup is per root and all or
+// nothing — a delta is one sum, so if any of its roots was already completed
+// by a competing delivery the whole result is dropped (and the roots only it
+// held go back to the frontier). While the lease is held its roots are the
+// lease's own and the echoed keys only have to agree with them; the echo is
+// all that identifies a late result whose lease already expired.
+func (c *Coordinator) handleResult(w *workerConn, res *WireResult) {
+	// Decode outside the lock: c.ecfg is read-only after New.
+	var delta *core.Report
+	var left []pending
+	bad := errors.New("has no delta")
+	if d := res.Delta; d != nil {
+		rep, tasks, err := d.Restore("", &c.ecfg)
+		delta, left, bad = rep, keyed(tasks), err
 	}
-	if res.ErrMsg != "" {
-		ir.Err = errors.New(res.ErrMsg)
+
+	c.mu.Lock()
+	if c.finished {
+		c.mu.Unlock()
+		return
 	}
-	c.report.Add(ir, &core.Expansion{DecisionPoints: res.DecisionPoints, AutoAbstracted: res.AutoAbstracted}, nil, res.Sampled)
-	c.frontier = append(c.frontier, children...)
-	if res.Root != nil {
-		c.report.WildcardsAnalyzed = res.Root.WildcardsAnalyzed
-		c.report.Unsafe = res.Root.Unsafe
-		c.report.FirstTrace = res.Root.FirstTrace
-		c.rootDone = true
+	keys, budget := res.Keys, 0
+	l, held := c.leases[res.Lease]
+	if held = held && l.conn == w; held {
+		c.releaseLocked(l)
+		keys, budget = l.Keys, l.Budget
+		if !slices.Equal(keys, res.Keys) {
+			bad = fmt.Errorf("echoes keys %q, the lease is for %q", res.Keys, keys)
+		}
 	}
-	if c.cfg.StopOnFirstError && ir.Err != nil {
-		c.stopped = true
+	// What the result says of its roots: which it hands back untouched, and
+	// whether a competing delivery completed one already.
+	roots := make(map[string]bool, len(keys)) // key → handed back
+	stale := false
+	for _, k := range keys {
+		roots[k] = false
+		stale = stale || c.done[k]
 	}
-	c.sinceCkp++
+	completed := len(roots)
+	handed := make(map[string]bool, len(left))
+	for _, p := range left {
+		if handed[p.key] || (c.done[p.key] && !stale) {
+			bad = fmt.Errorf("hands back subtree %s twice, or after it was explored", p.key)
+		}
+		handed[p.key] = true
+		if back, ok := roots[p.key]; ok && !back {
+			roots[p.key] = true
+			completed--
+		}
+	}
+	if _, overRoot := roots[rootKey]; bad == nil {
+		bad = checkDelta(delta, completed, budget, overRoot)
+	}
+	switch {
+	case res.Fatal != "":
+		c.failLocked(fmt.Errorf("dcoord: worker %s: %s", w.name, res.Fatal))
+	case bad != nil:
+		c.failLocked(fmt.Errorf("dcoord: worker %s: result for lease %d %w", w.name, res.Lease, bad))
+	case stale:
+		// Late duplicate of requeued-and-completed work: at-least-once
+		// delivery, effectively-once merge.
+		if held {
+			for i, key := range keys {
+				if !c.done[key] {
+					c.frontier = append(c.frontier, pending{key, l.Tasks[i]})
+				}
+			}
+		}
+	case held || c.lateMergeableLocked(roots, delta.Interleavings):
+		c.mergeLocked(w, delta, left, roots, held)
+	}
 	var ckp *dexplore.Checkpoint
 	if c.cfg.CheckpointPath != "" && c.sinceCkp >= c.cfg.CheckpointEvery {
 		c.sinceCkp = 0
@@ -666,6 +759,60 @@ func (c *Coordinator) handleResult(w *workerConn, res *WireResult) {
 	c.dispatch()
 }
 
+// lateMergeableLocked reports whether a result that outlived its lease can
+// still be merged: each of its roots (none of them done) must be waiting in
+// the frontier or under a newer lease, where its requeue put it — a key from
+// nowhere names no subtree of this exploration — and the cap must have room
+// for its replays, whose budget went back to the pool when the lease was
+// lost. Caller holds c.mu.
+func (c *Coordinator) lateMergeableLocked(roots map[string]bool, replays int) bool {
+	if limit := c.cfg.MaxInterleavings; limit > 0 && replays > limit-c.report.Interleavings-c.outstanding {
+		return false
+	}
+	found := 0
+	for _, p := range c.frontier {
+		if _, ok := roots[p.key]; ok {
+			found++
+		}
+	}
+	for _, l := range c.leases {
+		for _, key := range l.Keys {
+			if _, ok := roots[key]; ok {
+				found++
+			}
+		}
+	}
+	return found == len(roots)
+}
+
+// mergeLocked folds a vetted delta into the exploration. roots maps each
+// root of the result to whether it was handed back. A late result's roots
+// were requeued when its lease was lost: the ones it hands back are already
+// waiting, and the ones it completed leave the frontier here (a copy under a
+// newer lease is dropped when that lease returns). Caller holds c.mu.
+func (c *Coordinator) mergeLocked(w *workerConn, delta *core.Report, left []pending, roots map[string]bool, held bool) {
+	for k, back := range roots {
+		if !back {
+			c.done[k] = true
+		}
+	}
+	if !held {
+		waiting := func(p pending) bool { _, ok := roots[p.key]; return ok }
+		c.frontier = slices.DeleteFunc(c.frontier, func(p pending) bool { return c.done[p.key] })
+		left = slices.DeleteFunc(left, waiting)
+	}
+	c.frontier = append(c.frontier, left...)
+	for _, e := range delta.Errors {
+		e.Index += c.report.Interleavings
+	}
+	c.report.Merge(delta)
+	w.completed += delta.Interleavings
+	c.sinceCkp += delta.Interleavings
+	if c.cfg.StopOnFirstError && len(delta.Errors) > 0 {
+		c.stopped = true
+	}
+}
+
 // failLocked records the first fatal error and stops issuing. Caller holds
 // c.mu.
 func (c *Coordinator) failLocked(err error) {
@@ -676,9 +823,8 @@ func (c *Coordinator) failLocked(err error) {
 }
 
 // finishable reports whether the exploration is over: nothing leased, and
-// either drained/errored or no live work remains (and the root ran, so an
-// empty frontier means exhaustion rather than not-started). Caller holds
-// c.mu.
+// either drained/errored or no work remains (and the root ran, so an empty
+// frontier means exhaustion rather than not-started). Caller holds c.mu.
 func (c *Coordinator) finishable() bool {
 	if c.finished || len(c.leases) > 0 {
 		return false
@@ -686,26 +832,13 @@ func (c *Coordinator) finishable() bool {
 	if c.stopped || c.runErr != nil {
 		return true
 	}
-	if !c.rootDone {
+	if !c.done[rootKey] {
 		return false
 	}
 	if max := c.cfg.MaxInterleavings; max > 0 && c.report.Interleavings >= max {
 		return true
 	}
-	return c.liveFrontierLocked() == 0
-}
-
-// liveFrontierLocked counts pending tasks not already completed by a
-// competing delivery. Caller holds c.mu; only called when no leases are
-// outstanding, so the O(n) scan is off the hot path.
-func (c *Coordinator) liveFrontierLocked() int {
-	n := 0
-	for _, p := range c.frontier {
-		if !c.done[p.key] {
-			n++
-		}
-	}
-	return n
+	return len(c.frontier) == 0
 }
 
 // finalize ends the exploration exactly once: terminal report state (cap
@@ -718,7 +851,7 @@ func (c *Coordinator) finalize() {
 		return
 	}
 	c.finished = true
-	c.report.Seal(&c.ecfg, c.liveFrontierLocked() > 0)
+	c.report.Seal(&c.ecfg, len(c.frontier) > 0)
 	c.report.SortErrors()
 	var ckp *dexplore.Checkpoint
 	if c.cfg.CheckpointPath != "" && !c.noFinalCkp {
@@ -761,24 +894,26 @@ func (c *Coordinator) finalize() {
 }
 
 // checkpointLocked snapshots coordinator state in the dexplore.Checkpoint
-// format (pending first, then leased: resume pops the deepest work first).
-// Caller holds c.mu.
+// format: the frontier plus every leased root not already completed by a
+// competing delivery. Caller holds c.mu.
 func (c *Coordinator) checkpointLocked() *dexplore.Checkpoint {
-	var frontier []*core.SubtreeTask
+	frontier := make([]*core.SubtreeTask, 0, len(c.frontier))
 	for _, p := range c.frontier {
-		if !c.done[p.key] {
-			frontier = append(frontier, p.task)
-		}
+		frontier = append(frontier, p.task)
 	}
 	for _, l := range c.leases {
-		frontier = append(frontier, l.task)
+		for i, key := range l.Keys {
+			if !c.done[key] {
+				frontier = append(frontier, l.Tasks[i])
+			}
+		}
 	}
 	return dexplore.NewCheckpoint(c.cfg.Fingerprint.Workload, &c.ecfg, c.report, frontier)
 }
 
 // janitor periodically expires leases: past-TTL (no heartbeat) or past the
-// hard age cap (hung replay under a live heartbeat). Expired tasks requeue
-// under the redelivery cap.
+// hard age cap (hung replay under a live heartbeat). Expired leases requeue
+// their roots under the redelivery cap.
 func (c *Coordinator) janitor() {
 	period := c.cfg.LeaseTTL / 4
 	if period < 5*time.Millisecond {
@@ -793,19 +928,10 @@ func (c *Coordinator) janitor() {
 		case <-ticker.C:
 		}
 		now := time.Now()
-		var failed error
 		c.mu.Lock()
-		for id, l := range c.leases {
-			if now.After(l.expires) || now.Sub(l.granted) > c.cfg.MaxLeaseAge {
-				delete(c.leases, id)
-				if err := c.requeueLocked(l); err != nil && failed == nil {
-					failed = err
-				}
-			}
-		}
-		if failed != nil {
-			c.failLocked(failed)
-		}
+		c.requeueLocked(func(l *lease) bool {
+			return now.After(l.expires) || now.Sub(l.granted) > c.cfg.MaxLeaseAge
+		})
 		fin := c.finishable()
 		c.mu.Unlock()
 		if fin {

@@ -1,12 +1,14 @@
 package dcoord
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"dampi/internal/core"
+	"dampi/internal/dexplore"
 )
 
 // fakeWorker is a raw protocol client: it joins the coordinator but runs no
@@ -15,7 +17,7 @@ import (
 type fakeWorker struct {
 	t       *testing.T
 	conn    net.Conn
-	pending []wireTask // tasks unpacked from batched frames, not yet consumed
+	pending []wireTask // leases unpacked from task frames, not yet consumed
 }
 
 // dialFake joins addr with the given fingerprint and returns after the
@@ -53,8 +55,7 @@ func (f *fakeWorker) recv() *frame {
 	return fr
 }
 
-// recvTask returns the next leased task, reading (batched) task frames as
-// needed.
+// recvTask returns the next lease, reading task frames as needed.
 func (f *fakeWorker) recvTask() wireTask {
 	f.t.Helper()
 	for len(f.pending) == 0 {
@@ -69,6 +70,29 @@ func (f *fakeWorker) recvTask() wireTask {
 }
 
 func (f *fakeWorker) close() { f.conn.Close() }
+
+// result returns lease wt the way a worker does: rep is what its replays
+// add to the report, left what it hands back.
+func (f *fakeWorker) result(fp Fingerprint, wt wireTask, rep *core.Report, left ...*core.SubtreeTask) {
+	f.t.Helper()
+	f.send(&frame{Type: msgResult, Result: &WireResult{Lease: wt.Lease, Keys: wt.Keys, Delta: deltaOf(fp, rep, left...)}})
+}
+
+// deltaOf renders a report delta in the checkpoint codec.
+func deltaOf(fp Fingerprint, rep *core.Report, left ...*core.SubtreeTask) *dexplore.Checkpoint {
+	cfg := fp.ExplorerConfig()
+	return dexplore.NewCheckpoint("", &cfg, rep, left)
+}
+
+// rootRun is the delta of a self-discovery run that found one decision point.
+func rootRun() *core.Report {
+	return &core.Report{Interleavings: 1, DecisionPoints: 1, WildcardsAnalyzed: 1, FirstTrace: &core.RunTrace{}}
+}
+
+// failedRun is the delta of one replay that failed with msg.
+func failedRun(msg string) *core.Report {
+	return &core.Report{Interleavings: 1, Errors: []*core.InterleavingResult{{Err: errors.New(msg), Decisions: core.NewDecisions()}}}
+}
 
 // waitStatus polls the coordinator until cond holds or the deadline passes.
 func waitStatus(t *testing.T, c *Coordinator, what string, cond func(Status) bool) Status {
@@ -106,8 +130,8 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	f := dialFake(t, addr, cfg.Fingerprint, "silent", 1)
 	defer f.close()
 	task := f.recvTask()
-	if !task.Root || task.Task == nil {
-		t.Fatalf("first lease is not the root task: %+v", task)
+	if len(task.Tasks) != 1 || task.Tasks[0] == nil || task.Keys[0] != rootKey || task.Budget != 1 {
+		t.Fatalf("first lease is not the root task alone with a budget of 1: %+v", task)
 	}
 
 	st := waitStatus(t, c, "lease expiry requeue", func(st Status) bool { return st.Requeues >= 1 })
@@ -118,8 +142,8 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 	// The requeued task must be re-leased (to the only — still silent —
 	// worker): at-least-once delivery survives a hang.
 	re := f.recvTask()
-	if re.Key != task.Key || re.Key != taskKey(re.Task) {
-		t.Errorf("requeued lease carries key %q for task %s, want %q", re.Key, taskKey(re.Task), task.Key)
+	if len(re.Tasks) != 1 || re.Keys[0] != task.Keys[0] || re.Keys[0] != taskKey(re.Tasks[0]) {
+		t.Errorf("requeued lease carries keys %q for tasks %v, want %q", re.Keys, re.Tasks, task.Keys)
 	}
 	if re.Lease == task.Lease {
 		t.Errorf("requeued task reused lease id %d", re.Lease)
@@ -228,32 +252,19 @@ func TestLateResultDeduplicated(t *testing.T) {
 	fin := dialFake(t, addr, cfg.Fingerprint, "finisher", 1)
 	defer fin.close()
 	re := fin.recvTask()
-	fin.send(&frame{Type: msgResult, Result: &WireResult{
-		Lease:          re.Lease,
-		Key:            taskKey(re.Task),
-		Decisions:      core.NewDecisions(),
-		Children:       []*core.SubtreeTask{child},
-		DecisionPoints: 1,
-		Root:           &RootInfo{WildcardsAnalyzed: 1, FirstTrace: &core.RunTrace{}},
-	}})
+	fin.result(cfg.Fingerprint, re, rootRun(), child)
 	waitStatus(t, c, "real root merge", func(st Status) bool { return st.Interleavings == 1 })
 
 	// The sluggard now delivers its stale root result — with a forged error
 	// that must NOT enter the report.
-	slug.send(&frame{Type: msgResult, Result: &WireResult{
-		Lease:     rootFrame.Lease,
-		Key:       taskKey(rootFrame.Task),
-		ErrMsg:    "forged late-duplicate error",
-		Decisions: core.NewDecisions(),
-	}})
+	slug.result(cfg.Fingerprint, rootFrame, failedRun("forged late-duplicate error"))
 
 	// Finish the child so the exploration ends.
 	cf := fin.recvTask()
-	fin.send(&frame{Type: msgResult, Result: &WireResult{
-		Lease:     cf.Lease,
-		Key:       taskKey(cf.Task),
-		Decisions: cf.Task.Decisions,
-	}})
+	if len(cf.Tasks) != 1 || cf.Keys[0] != taskKey(child) {
+		t.Fatalf("second lease = %+v, want the child alone", cf)
+	}
+	fin.result(cfg.Fingerprint, cf, &core.Report{Interleavings: 1})
 
 	rep, err := waitFor(t, c)
 	if err != nil {
@@ -280,14 +291,14 @@ func TestHeldLeaseRejectsMismatchedEcho(t *testing.T) {
 	root := f.recvTask()
 	f.send(&frame{Type: msgResult, Result: &WireResult{
 		Lease: root.Lease,
-		Key:   dec(0, 1, 2).String(),
-		Root:  &RootInfo{},
+		Keys:  []string{dec(0, 1, 2).String()},
+		Delta: deltaOf(cfg.Fingerprint, rootRun()),
 	}})
 	_, err := waitFor(t, c)
 	if err == nil {
 		t.Fatal("a result echoing another task's key was merged")
 	}
-	for _, want := range []string{"confused", "echoes key", root.Key} {
+	for _, want := range []string{"confused", "echoes key", root.Keys[0]} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}
@@ -310,18 +321,11 @@ func TestLateResultMergesByEchoedKey(t *testing.T) {
 	waitStatus(t, c, "root lease expiry", func(st Status) bool { return st.Requeues >= 1 })
 	second := f.recvTask() // the requeued root, under a fresh lease
 
-	f.send(&frame{Type: msgResult, Result: &WireResult{
-		Lease: first.Lease, // expired
-		Key:   first.Key,
-		Root:  &RootInfo{WildcardsAnalyzed: 1, FirstTrace: &core.RunTrace{}},
-	}})
+	late := rootRun()
+	late.DecisionPoints = 0
+	f.result(cfg.Fingerprint, first, late) // first's lease has expired
 	waitStatus(t, c, "late root merge", func(st Status) bool { return st.Interleavings == 1 && st.DoneSet == 1 })
-	f.send(&frame{Type: msgResult, Result: &WireResult{
-		Lease:  second.Lease,
-		Key:    second.Key,
-		ErrMsg: "the duplicate must not be merged",
-		Root:   &RootInfo{},
-	}})
+	f.result(cfg.Fingerprint, second, failedRun("the duplicate must not be merged"))
 
 	rep, err := waitFor(t, c)
 	if err != nil {

@@ -3,17 +3,18 @@
 // internal/dexplore across machines, in the spirit of the paper's
 // distributed-replay outlook. The coordinator owns the frontier of
 // core.SubtreeTask subtrees and the report aggregation; workers connect over
-// TCP, replay subtrees with their own core.RunContext, and stream back
-// results plus discovered expansions. The merged report covers exactly the
-// interleaving set a single-process run would cover.
+// TCP and are leased sets of subtrees, which each explores depth-first on its
+// own core.RunContext (the loop core.Explorer runs) for a time slice, sending
+// back one report delta and the subtrees it did not get to. The coordinator is
+// on the path of a lease, not of a replay. The merged report covers exactly
+// the interleaving set a single-process run would cover.
 //
-// Fault tolerance is lease-based: every task handed to a worker carries a
-// time-bounded lease renewed by heartbeats. A lease expires when its worker
-// crashes, hangs, or disconnects, and the task is requeued (with a
-// redelivery cap so a poison task cannot loop forever). Completed-task
-// deduplication makes the at-least-once delivery effectively-once in the
-// report, so killing a worker mid-exploration still yields the identical
-// report.
+// Fault tolerance is lease-based: every lease is time-bounded and renewed by
+// heartbeats. It expires when its worker crashes, hangs, or disconnects, and
+// its subtrees are requeued (with a redelivery cap so a poison subtree cannot
+// loop forever). Completed-subtree deduplication makes the at-least-once
+// delivery effectively-once in the report, so killing a worker
+// mid-exploration still yields the identical report.
 //
 // The wire protocol is deliberately boring: length-prefixed JSON frames over
 // a plain TCP connection (stdlib only), with a fingerprint handshake that
@@ -30,6 +31,7 @@ import (
 	"io"
 
 	"dampi/internal/core"
+	"dampi/internal/dexplore"
 	"dampi/internal/sample"
 )
 
@@ -46,10 +48,13 @@ import (
 // moved the task key onto the wire: a task frame carries it and the result
 // echoes it instead of each side rendering the decision prefix again. A v4
 // worker would echo the empty key a v3 coordinator never sent, collapsing
-// its done-set into one entry, so the pairing is refused.
-const protoVersion = 4
+// its done-set into one entry, so the pairing is refused. Version 5 made the
+// lease a set of subtrees with a replay budget and its result one report
+// delta: a v4 worker would find no task in a v5 lease, and a v5 coordinator no
+// delta in a v4 result, so the pairing is refused.
+const protoVersion = 5
 
-// maxFrameSize bounds a single frame (a frontier expansion or the root
+// maxFrameSize bounds a single frame (a lease's leftover frontier or the root
 // trace can be large, but anything beyond this is a corrupt stream).
 const maxFrameSize = 64 << 20
 
@@ -69,9 +74,9 @@ const (
 	// msgReject refuses a hello (fingerprint or protocol mismatch). The
 	// worker must not retry: the mismatch is permanent.
 	msgReject = "reject"
-	// msgTask leases a batch of subtree tasks to the worker.
+	// msgTask grants the worker leases, one per free slot.
 	msgTask = "task"
-	// msgResult returns a completed task's outcome and expansion.
+	// msgResult returns one lease: what was explored and what was not.
 	msgResult = "result"
 	// msgHeartbeat renews all of the worker's leases.
 	msgHeartbeat = "heartbeat"
@@ -119,71 +124,43 @@ type frame struct {
 	Job  string   `json:"job,omitempty"`
 	Spec *JobSpec `json:"spec,omitempty"`
 
-	// task: a batch of individually-leased subtree tasks. Batching lets a
-	// worker prefetch its next replays while every slot is busy, halving the
-	// round trips per task; each element still carries its own lease so
-	// expiry, requeue and dedup stay per-task.
+	// task: the leases granted this round, one per free slot of the worker.
 	Tasks []wireTask `json:"tasks,omitempty"`
 
 	// result
 	Result *WireResult `json:"result,omitempty"`
 }
 
-// wireTask is one leased task inside a batched task frame. Key is the task's
+// wireTask is one lease: subtrees from the coordinator's frontier and the
+// number of replays the worker may spend on them. Keys[i] is Tasks[i]'s
 // identity as the coordinator computed it when the task entered its frontier;
-// the worker echoes it in the result without rendering it again.
+// the worker echoes the keys in the result without rendering them again.
 type wireTask struct {
-	Lease uint64            `json:"lease"`
-	Key   string            `json:"key"`
-	Task  *core.SubtreeTask `json:"task"`
-	Root  bool              `json:"root,omitempty"`
+	Lease  uint64              `json:"lease"`
+	Keys   []string            `json:"keys"`
+	Tasks  []*core.SubtreeTask `json:"tasks"`
+	Budget int                 `json:"budget,omitempty"` // 0 = unbounded
 }
 
-// WireResult is one completed replay in wire form: the interleaving outcome
-// (errors travel as strings; live error values do not survive JSON, same as
-// dexplore.CheckpointError) plus the subtree expansion computed worker-side.
+// WireResult returns one lease.
 type WireResult struct {
-	// Lease echoes the task frame's lease ID.
-	Lease uint64 `json:"lease"`
-	// Key echoes the task frame's key (the decision-prefix signature). The
-	// coordinator deduplicates completions by its own copy while the lease is
-	// held, and by this one for a result that outlived its lease.
-	Key string `json:"key"`
+	// Lease and Keys echo the task frame's. The coordinator deduplicates by
+	// its own copy of the keys while the lease is held, and by these for a
+	// result that outlived its lease.
+	Lease uint64   `json:"lease"`
+	Keys  []string `json:"keys"`
 
 	// Fatal, if non-empty, reports a replay-harness failure (not a program
 	// error): the exploration must abort, matching the single-process
 	// engines' error return.
 	Fatal string `json:"fatal,omitempty"`
 
-	// Interleaving outcome. Decisions, the run's full-depth reproducer and
-	// the largest thing in the frame, travels only when the report keeps it:
-	// with an error, a deadlock, or a sampled schedule.
-	ErrMsg     string                `json:"err,omitempty"`
-	Deadlock   bool                  `json:"deadlock,omitempty"`
-	Decisions  *core.Decisions       `json:"decisions,omitempty"`
-	Epochs     int                   `json:"epochs,omitempty"`
-	Mismatches []core.ForcedMismatch `json:"mismatches,omitempty"`
-
-	// Sampled marks a walk-step completion (schedule sampling): the
-	// coordinator counts it toward the sampled-schedule totals, with
-	// Decisions as the distinct-vector dedup key.
-	Sampled bool `json:"sampled,omitempty"`
-
-	// Expansion (empty for deadlocked runs).
-	Children       []*core.SubtreeTask `json:"children,omitempty"`
-	DecisionPoints int                 `json:"decision_points,omitempty"`
-	AutoAbstracted int                 `json:"auto_abstracted,omitempty"`
-
-	// Root carries the self-discovery run's extras (only on the root task).
-	Root *RootInfo `json:"root,omitempty"`
-}
-
-// RootInfo is what only the initial self-discovery run contributes to the
-// report: the canonical trace, the wildcard count and the §V alerts.
-type RootInfo struct {
-	WildcardsAnalyzed int                 `json:"wildcards_analyzed"`
-	Unsafe            []core.UnsafeReport `json:"unsafe,omitempty"`
-	FirstTrace        *core.RunTrace      `json:"first_trace,omitempty"`
+	// Delta is everything the lease's replays add to the exploration, in the
+	// checkpoint codec: the report of the replays run (a failing or sampled
+	// one with its reproducer, the root with its trace) and, as its frontier,
+	// what is left of the lease's subtrees — the expansions not reached and
+	// any root not started. A leased root absent from the frontier is done.
+	Delta *dexplore.Checkpoint `json:"delta,omitempty"`
 }
 
 // JobSpec is the complete, self-contained description of one verification
@@ -441,6 +418,9 @@ func readFrame(r io.Reader, limit int) (*frame, int, error) {
 	}
 	return fr, 4 + len(body), nil
 }
+
+// rootKey is the key of the initial self-discovery task.
+var rootKey = taskKey(&core.SubtreeTask{})
 
 // taskKey is the stable identity of a subtree task: its decision-prefix
 // signature. Each task in one exploration has a distinct prefix (the serial

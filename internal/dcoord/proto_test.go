@@ -8,6 +8,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,26 +21,22 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	fp := baseFingerprint()
 	task := &core.SubtreeTask{Decisions: dec(1, 3, 0), Budget: 2, Explorable: true}
+	child := &core.SubtreeTask{Decisions: dec(2, 1, 1), Budget: core.Unbounded, Explorable: true}
+	failed := &core.Report{
+		Interleavings: 3, DecisionPoints: 3, WildcardsAnalyzed: 5,
+		Errors: []*core.InterleavingResult{{Index: 2, Err: errors.New("rank 2: assertion failed"), Decisions: dec(1, 3, 0)}},
+	}
 	frames := []*frame{
 		{Type: msgHello, Proto: protoVersion, Worker: "w1", Slots: 4, Fingerprint: &fp},
 		{Type: msgWelcome, LeaseTTLMillis: 10000},
 		{Type: msgReject, Reason: "dcoord: procs mismatch"},
 		{Type: msgTask, Tasks: []wireTask{
-			{Lease: 41, Task: &core.SubtreeTask{Budget: core.Unbounded, Explorable: true}, Root: true},
-			{Lease: 42, Key: taskKey(task), Task: task},
+			{Lease: 41, Keys: []string{rootKey}, Tasks: []*core.SubtreeTask{{Budget: core.Unbounded, Explorable: true}}, Budget: 1},
+			{Lease: 42, Keys: []string{taskKey(task), taskKey(child)}, Tasks: []*core.SubtreeTask{task, child}},
 		}},
 		{Type: msgHeartbeat, Worker: "w1"},
 		{Type: msgDone},
-		{Type: msgResult, Result: &WireResult{
-			Lease:          42,
-			Key:            taskKey(task),
-			ErrMsg:         "rank 2: assertion failed",
-			Decisions:      dec(1, 3, 0),
-			Epochs:         7,
-			Children:       []*core.SubtreeTask{{Decisions: dec(2, 1, 1), Budget: core.Unbounded, Explorable: true}},
-			DecisionPoints: 3,
-			Root:           &RootInfo{WildcardsAnalyzed: 5},
-		}},
+		{Type: msgResult, Result: &WireResult{Lease: 42, Keys: []string{taskKey(task)}, Delta: deltaOf(fp, failed, child)}},
 	}
 	for _, in := range frames {
 		t.Run(in.Type, func(t *testing.T) {
@@ -62,22 +59,31 @@ func TestFrameRoundTrip(t *testing.T) {
 			if len(out.Tasks) != len(in.Tasks) {
 				t.Fatalf("task batch length changed: %d -> %d", len(in.Tasks), len(out.Tasks))
 			}
-			for i := range in.Tasks {
-				if out.Tasks[i].Lease != in.Tasks[i].Lease || out.Tasks[i].Root != in.Tasks[i].Root ||
-					out.Tasks[i].Key != in.Tasks[i].Key || taskKey(out.Tasks[i].Task) != taskKey(in.Tasks[i].Task) {
-					t.Errorf("batched task %d changed: %+v -> %+v", i, in.Tasks[i], out.Tasks[i])
+			for i, want := range in.Tasks {
+				got := out.Tasks[i]
+				if got.Lease != want.Lease || got.Budget != want.Budget || !slices.Equal(got.Keys, want.Keys) ||
+					!slices.EqualFunc(got.Tasks, want.Tasks, func(a, b *core.SubtreeTask) bool { return taskKey(a) == taskKey(b) }) {
+					t.Errorf("lease %d changed: %+v -> %+v", i, want, got)
 				}
 			}
 			if in.Result != nil {
-				if out.Result.Key != in.Result.Key || out.Result.ErrMsg != in.Result.ErrMsg ||
-					out.Result.Epochs != in.Result.Epochs || out.Result.DecisionPoints != in.Result.DecisionPoints {
+				if out.Result.Lease != in.Result.Lease || !slices.Equal(out.Result.Keys, in.Result.Keys) {
 					t.Errorf("result changed: %+v -> %+v", in.Result, out.Result)
 				}
-				if len(out.Result.Children) != 1 || taskKey(out.Result.Children[0]) != taskKey(in.Result.Children[0]) {
-					t.Errorf("children changed: %+v", out.Result.Children)
+				ecfg := fp.ExplorerConfig()
+				rep, left, err := out.Result.Delta.Restore("", &ecfg)
+				if err != nil {
+					t.Fatalf("delta does not restore: %v", err)
 				}
-				if out.Result.Root == nil || out.Result.Root.WildcardsAnalyzed != 5 {
-					t.Errorf("root info changed: %+v", out.Result.Root)
+				if rep.Interleavings != 3 || rep.DecisionPoints != 3 || rep.WildcardsAnalyzed != 5 {
+					t.Errorf("delta counts changed: %+v", rep)
+				}
+				if len(rep.Errors) != 1 || rep.Errors[0].Index != 2 || rep.Errors[0].Err.Error() != "rank 2: assertion failed" ||
+					rep.Errors[0].Decisions.String() != dec(1, 3, 0).String() {
+					t.Errorf("delta errors changed: %+v", rep.Errors)
+				}
+				if len(left) != 1 || taskKey(left[0]) != taskKey(child) {
+					t.Errorf("leftover frontier changed: %+v", left)
 				}
 			}
 		})
@@ -117,14 +123,14 @@ func TestTaskKeyDistinguishesPrefixes(t *testing.T) {
 		t.Fatalf("distinct prefixes share key %q", taskKey(a))
 	}
 	var buf bytes.Buffer
-	if _, err := writeFrame(&buf, &frame{Type: msgTask, Tasks: []wireTask{{Lease: 1, Task: a}}}); err != nil {
+	if _, err := writeFrame(&buf, &frame{Type: msgTask, Tasks: []wireTask{{Lease: 1, Tasks: []*core.SubtreeTask{a}}}}); err != nil {
 		t.Fatal(err)
 	}
 	fr, _, err := readFrame(&buf, maxFrameSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := fr.Tasks[0].Task
+	got := fr.Tasks[0].Tasks[0]
 	if taskKey(got) != taskKey(a) {
 		t.Errorf("key unstable across codec: %q -> %q", taskKey(a), taskKey(got))
 	}
@@ -160,23 +166,23 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return w.buf.Write(p)
 }
 
-// TestResultCarriesReproducerOnlyWhenKept: the run's full-depth decision
-// vector is the largest thing in a result frame and the coordinator keeps it
-// in three cases only — an error, a deadlock, a sampled schedule. A clean
-// exhaustive replay's frame has no "decisions" member at all; its key is the
-// one the task frame carried, not a fresh rendering.
+// TestResultCarriesReproducerOnlyWhenKept: a run's full-depth decision vector
+// is the largest thing a replay produces and the report keeps it in three
+// cases only — an error, a deadlock, a sampled schedule. A clean exhaustive
+// lease's delta has no decision vector in it at all; its keys are the ones the
+// task frame carried, not a fresh rendering.
 func TestResultCarriesReproducerOnlyWhenKept(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		err      error
 		deadlock bool
 		sample   *core.SampleState
-		want     bool
+		want     string // the delta member carrying the vector
 	}{
-		{name: "clean", want: false},
-		{name: "error", err: errors.New("rank 2: boom"), want: true},
-		{name: "deadlock", deadlock: true, want: true},
-		{name: "sampled", sample: &core.SampleState{Walk: 1, Step: 2}, want: true},
+		{name: "clean"},
+		{name: "error", err: errors.New("rank 2: boom"), want: "errors"},
+		{name: "deadlock", err: errors.New("deadlock"), deadlock: true, want: "errors"},
+		{name: "sampled", sample: &core.SampleState{Walk: 1, Step: 2}, want: "sampled_keys"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := core.ExplorerConfig{Procs: 3, Runner: func(_ *core.ExplorerConfig, d *core.Decisions) (*core.RunTrace, *core.InterleavingResult, error) {
@@ -185,9 +191,12 @@ func TestResultCarriesReproducerOnlyWhenKept(t *testing.T) {
 			w := NewWorker(WorkerConfig{Addr: "unused", Explorer: cfg})
 			rt := &jobRuntime{cfg: cfg}
 			task := &core.SubtreeTask{Decisions: dec(0, 1, 2), Budget: core.Unbounded, Explorable: true, Sample: tc.sample}
-			res := w.execute(rt, rt.get(), wireTask{Lease: 7, Key: "key-from-the-task-frame", Task: task})
-			if res.Key != "key-from-the-task-frame" || res.Lease != 7 {
-				t.Errorf("result echoes lease %d key %q, want the task frame's", res.Lease, res.Key)
+			res := w.runLease(rt, rt.get(), wireTask{Lease: 7, Keys: []string{"key-from-the-task-frame"}, Tasks: []*core.SubtreeTask{task}})
+			if !slices.Equal(res.Keys, []string{"key-from-the-task-frame"}) || res.Lease != 7 {
+				t.Errorf("result echoes lease %d keys %q, want the task frame's", res.Lease, res.Keys)
+			}
+			if res.Delta == nil || res.Delta.Interleavings != 1 || len(res.Delta.Frontier) != 0 {
+				t.Fatalf("delta = %+v, want one replay and nothing left", res.Delta)
 			}
 
 			var buf bytes.Buffer
@@ -195,16 +204,28 @@ func TestResultCarriesReproducerOnlyWhenKept(t *testing.T) {
 				t.Fatal(err)
 			}
 			var raw struct {
-				Result map[string]json.RawMessage `json:"result"`
+				Result struct {
+					Delta map[string]json.RawMessage `json:"delta"`
+				} `json:"result"`
 			}
 			if err := json.Unmarshal(buf.Bytes()[4:], &raw); err != nil {
 				t.Fatal(err)
 			}
-			if _, got := raw.Result["decisions"]; got != tc.want {
-				t.Errorf("result frame has a decisions member: %v, want %v\n%s", got, tc.want, buf.Bytes()[4:])
+			vector := strings.Trim(task.Decisions.String(), "{}")
+			for _, member := range []string{"errors", "sampled_keys"} {
+				body, got := raw.Result.Delta[member]
+				if got != (member == tc.want) {
+					t.Errorf("delta has a %q member: %v, want %v\n%s", member, got, member == tc.want, buf.Bytes()[4:])
+				}
+				if got && member == "sampled_keys" && !strings.Contains(string(body), vector) {
+					t.Errorf("sampled key %s does not carry the vector %s", body, vector)
+				}
 			}
-			if tc.want && res.Decisions.String() != task.Decisions.String() {
-				t.Errorf("reproducer = %s, want %s", res.Decisions, task.Decisions)
+			if bytes.Contains(buf.Bytes(), []byte(`"by_rank"`)) != (tc.want == "errors") {
+				t.Errorf("decision vector on the wire: want it only with an error\n%s", buf.Bytes()[4:])
+			}
+			if tc.want == "errors" && res.Delta.Errors[0].Decisions.String() != task.Decisions.String() {
+				t.Errorf("reproducer = %s, want %s", res.Delta.Errors[0].Decisions, task.Decisions)
 			}
 		})
 	}
@@ -230,8 +251,8 @@ func FuzzReadFrame(f *testing.F) {
 	task := &core.SubtreeTask{Decisions: dec(1, 3, 0), Budget: 2, Explorable: true}
 	for _, fr := range []*frame{
 		{Type: msgHello, Proto: protoVersion, Worker: "w1", Slots: 4, Fingerprint: &fp},
-		{Type: msgTask, Job: "j1", Tasks: []wireTask{{Lease: 42, Key: taskKey(task), Task: task}}},
-		{Type: msgResult, Result: &WireResult{Lease: 42, Key: taskKey(task), ErrMsg: "boom", Decisions: dec(1, 3, 0), Children: []*core.SubtreeTask{task}}},
+		{Type: msgTask, Job: "j1", Tasks: []wireTask{{Lease: 42, Keys: []string{taskKey(task)}, Tasks: []*core.SubtreeTask{task}, Budget: 3}}},
+		{Type: msgResult, Result: &WireResult{Lease: 42, Keys: []string{taskKey(task)}, Delta: deltaOf(fp, failedRun("boom"), task)}},
 	} {
 		var buf bytes.Buffer
 		if _, err := writeFrame(&buf, fr); err != nil {
@@ -240,7 +261,7 @@ func FuzzReadFrame(f *testing.F) {
 		f.Add(buf.Bytes(), maxHelloSize)
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, '{'}, maxHelloSize)
-	f.Add(framed([]byte(`{"type":"result","result":{"decisions":{"by_rank":{"1":{"1":1},"01":{"2":2}}}}}`)), 1<<10)
+	f.Add(framed([]byte(`{"type":"result","result":{"delta":{"errors":[{"decisions":{"by_rank":{"1":{"1":1},"01":{"2":2}}}}]}}}`)), 1<<10)
 
 	f.Fuzz(func(t *testing.T, data []byte, limit int) {
 		if limit < 0 || limit > 1<<20 {

@@ -17,13 +17,12 @@ import (
 // boundaries and the next job's leases are dispatched to the workers that
 // are already there.
 type ServerConfig struct {
-	// LeaseTTL, MaxLeaseAge, MaxRedeliveries, LeaseBatch, CheckpointEvery
-	// and ProgressEvery carry the per-job engine knobs, with the same
-	// defaults as Config.
+	// LeaseTTL, MaxLeaseAge, MaxRedeliveries, CheckpointEvery and
+	// ProgressEvery carry the per-job engine knobs, with the same defaults as
+	// Config.
 	LeaseTTL        time.Duration
 	MaxLeaseAge     time.Duration
 	MaxRedeliveries int
-	LeaseBatch      int
 	CheckpointEvery int
 	ProgressEvery   time.Duration
 	// OnEvent, if non-nil, receives human-readable lifecycle lines (worker
@@ -154,18 +153,24 @@ func (s *Server) handleConn(conn net.Conn) {
 		pw.any = false
 	}
 
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	var cur *Coordinator
+	var job string
+	var spec JobSpec
+	admitted, err := w.welcome(s.leaseTTL(), func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if !s.closed {
+			s.pool[w] = pw
+			cur, job, spec = s.cur, s.curJob, s.curSpec
+		}
+		return !s.closed
+	})
+	if !admitted {
 		_ = w.send(&frame{Type: msgDone})
 		conn.Close()
 		return
 	}
-	s.pool[w] = pw
-	cur, job, spec := s.cur, s.curJob, s.curSpec
-	s.mu.Unlock()
-
-	if err := w.send(&frame{Type: msgWelcome, LeaseTTLMillis: s.leaseTTL().Milliseconds()}); err != nil {
+	if err != nil {
 		s.removeWorker(w)
 		return
 	}
@@ -179,32 +184,12 @@ func (s *Server) handleConn(conn net.Conn) {
 			cur.dispatch()
 		}
 	}
-
-	for {
-		fr, err := w.recv(maxFrameSize)
-		if err != nil {
-			s.removeWorker(w)
-			return
-		}
+	w.serve(func() (*Coordinator, string) {
 		s.mu.Lock()
-		cur, job := s.cur, s.curJob
-		s.mu.Unlock()
-		switch fr.Type {
-		case msgHeartbeat:
-			if cur != nil {
-				cur.renewLeases(w)
-			}
-		case msgResult:
-			// Results for finished jobs are dropped at the handleResult
-			// dedup (the old coordinator is finished); results for unknown
-			// jobs are dropped here.
-			if cur != nil && fr.Result != nil && fr.Job == job {
-				cur.handleResult(w, fr.Result)
-			}
-		default:
-			// Unknown frame from a matching-version worker: ignore.
-		}
-	}
+		defer s.mu.Unlock()
+		return s.cur, s.curJob
+	})
+	s.removeWorker(w)
 }
 
 // removeWorker drops a dead connection from the pool and requeues any leases
@@ -256,7 +241,6 @@ func (s *Server) RunJob(spec JobSpec, jcfg JobConfig) (*core.Report, error) {
 		LeaseTTL:         s.cfg.LeaseTTL,
 		MaxLeaseAge:      s.cfg.MaxLeaseAge,
 		MaxRedeliveries:  s.cfg.MaxRedeliveries,
-		LeaseBatch:       s.cfg.LeaseBatch,
 		CheckpointPath:   jcfg.CheckpointPath,
 		CheckpointEvery:  s.cfg.CheckpointEvery,
 		Resume:           jcfg.Resume,

@@ -20,8 +20,13 @@ type Status struct {
 	Errors        int     `json:"errors"`
 	Deadlocks     int     `json:"deadlocks"`
 	DecisionPts   int     `json:"decision_points"`
+	// FrontierDepth counts the subtrees waiting to be leased; LeasesGranted
+	// the leases handed out so far (interleavings ÷ leases_granted is the
+	// replays one round trip carries); DoneSet the leased subtrees explored,
+	// held for dedup — one entry per lease root, not per replay.
 	FrontierDepth int     `json:"frontier_depth"`
 	ActiveLeases  int     `json:"active_leases"`
+	LeasesGranted uint64  `json:"leases_granted"`
 	DoneSet       int     `json:"done_set_size"`
 	Requeues      int     `json:"requeues"`
 	MeanPerSec    float64 `json:"per_second_mean"`
@@ -84,6 +89,7 @@ func (c *Coordinator) Status() Status {
 		DecisionPts:     c.report.DecisionPoints,
 		FrontierDepth:   len(c.frontier),
 		ActiveLeases:    len(c.leases),
+		LeasesGranted:   c.nextLease,
 		DoneSet:         len(c.done),
 		Requeues:        c.requeues,
 		MeanPerSec:      mean,
@@ -162,8 +168,9 @@ func WriteMetrics(w io.Writer, st Status) {
 	fmt.Fprintf(w, "# HELP dampi_interleavings_total Replays merged into the report.\n# TYPE dampi_interleavings_total counter\ndampi_interleavings_total %d\n", st.Interleavings)
 	fmt.Fprintf(w, "# HELP dampi_interleavings_per_second Trailing-window completion rate.\n# TYPE dampi_interleavings_per_second gauge\ndampi_interleavings_per_second %g\n", st.WindowPerSec)
 	fmt.Fprintf(w, "# HELP dampi_frontier_depth Pending subtree tasks.\n# TYPE dampi_frontier_depth gauge\ndampi_frontier_depth %d\n", st.FrontierDepth)
-	fmt.Fprintf(w, "# HELP dampi_active_leases Tasks currently leased to workers.\n# TYPE dampi_active_leases gauge\ndampi_active_leases %d\n", st.ActiveLeases)
-	fmt.Fprintf(w, "# HELP dampi_done_set_size Completed task keys held for at-least-once dedup.\n# TYPE dampi_done_set_size gauge\ndampi_done_set_size %d\n", st.DoneSet)
+	fmt.Fprintf(w, "# HELP dampi_active_leases Leases currently held by workers.\n# TYPE dampi_active_leases gauge\ndampi_active_leases %d\n", st.ActiveLeases)
+	fmt.Fprintf(w, "# HELP dampi_leases_total Leases granted.\n# TYPE dampi_leases_total counter\ndampi_leases_total %d\n", st.LeasesGranted)
+	fmt.Fprintf(w, "# HELP dampi_done_set_size Explored lease roots (one per subtree leased, not per replay) held for at-least-once dedup.\n# TYPE dampi_done_set_size gauge\ndampi_done_set_size %d\n", st.DoneSet)
 	fmt.Fprintf(w, "# HELP dampi_requeues_total Leases lost and requeued (crash, hang, disconnect).\n# TYPE dampi_requeues_total counter\ndampi_requeues_total %d\n", st.Requeues)
 	fmt.Fprintf(w, "# HELP dampi_errors_total Failing interleavings found.\n# TYPE dampi_errors_total counter\ndampi_errors_total %d\n", st.Errors)
 	fmt.Fprintf(w, "# HELP dampi_deadlocks_total Deadlocked interleavings found.\n# TYPE dampi_deadlocks_total counter\ndampi_deadlocks_total %d\n", st.Deadlocks)
@@ -177,7 +184,7 @@ func WriteMetrics(w io.Writer, st Status) {
 	for _, ws := range st.Workers {
 		fmt.Fprintf(w, "dampi_worker_lease_age_seconds{worker=%q} %g\n", ws.Name, ws.OldestLeaseSec)
 	}
-	fmt.Fprintf(w, "# HELP dampi_worker_completed_total Results merged per worker session.\n# TYPE dampi_worker_completed_total counter\n")
+	fmt.Fprintf(w, "# HELP dampi_worker_completed_total Replays merged per worker session.\n# TYPE dampi_worker_completed_total counter\n")
 	for _, ws := range st.Workers {
 		fmt.Fprintf(w, "dampi_worker_completed_total{worker=%q} %d\n", ws.Name, ws.Completed)
 	}

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dampi/internal/core"
 )
 
 // TestStatusEndpointJSON: /status serves the live snapshot with the fields
@@ -103,7 +105,7 @@ func TestMetricsEndpoint(t *testing.T) {
 var statusGoldenFields = []string{
 	"state", "workload", "procs", "elapsed_sec", "interleavings", "errors",
 	"deadlocks", "decision_points", "frontier_depth", "active_leases",
-	"done_set_size", "requeues", "per_second_mean", "per_second_window",
+	"leases_granted", "done_set_size", "requeues", "per_second_mean", "per_second_window",
 	"frames_in", "frames_out", "wire_bytes_in", "wire_bytes_out",
 	"workers",
 }
@@ -150,6 +152,11 @@ func TestStatusGoldenFieldSet(t *testing.T) {
 	if st.FramesIn != 1 || st.FramesOut != 2 || st.WireBytesIn < 6 || st.WireBytesOut < 12 {
 		t.Errorf("wire counters = %d frames / %d bytes in, %d / %d out; want 1 frame in, 2 out",
 			st.FramesIn, st.WireBytesIn, st.FramesOut, st.WireBytesOut)
+	}
+	// The root is leased, so nothing waits in the frontier and nothing is done.
+	if st.LeasesGranted != 1 || st.ActiveLeases != 1 || st.FrontierDepth != 0 || st.DoneSet != 0 {
+		t.Errorf("leases granted/active = %d/%d, frontier %d, done-set %d; want 1/1, 0, 0",
+			st.LeasesGranted, st.ActiveLeases, st.FrontierDepth, st.DoneSet)
 	}
 	var workers []map[string]json.RawMessage
 	if err := json.Unmarshal(raw["workers"], &workers); err != nil || len(workers) != 1 {
@@ -224,6 +231,7 @@ func TestMetricsExpositionParses(t *testing.T) {
 	for _, want := range []string{
 		`dampi_wire_frames_total{dir="in"} 1`, `dampi_wire_frames_total{dir="out"} 2`,
 		`dampi_wire_bytes_total{dir="in"} `, `dampi_wire_bytes_total{dir="out"} `,
+		`dampi_leases_total 1`, `dampi_frontier_depth 0`,
 	} {
 		if !strings.Contains(string(raw), "\n"+want) {
 			t.Errorf("exposition lacks %q", want)
@@ -244,13 +252,7 @@ func TestStatusStateTransitions(t *testing.T) {
 	// Complete the root with no children: the exploration finishes.
 	f := dialFake(t, addr, cfg.Fingerprint, "oneshot", 1)
 	defer f.close()
-	fr := f.recvTask()
-	f.send(&frame{Type: msgResult, Result: &WireResult{
-		Lease:     fr.Lease,
-		Key:       taskKey(fr.Task),
-		Decisions: fr.Task.Decisions,
-		Root:      &RootInfo{},
-	}})
+	f.result(cfg.Fingerprint, f.recvTask(), &core.Report{Interleavings: 1})
 	if _, err := waitFor(t, c); err != nil {
 		t.Fatalf("explore: %v", err)
 	}

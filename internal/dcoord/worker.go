@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dampi/internal/core"
+	"dampi/internal/dexplore"
 )
 
 // WorkerConfig configures a worker process.
@@ -57,11 +58,19 @@ type WorkerConfig struct {
 	OnEvent func(string)
 }
 
+// leaseSlice is how long a slot explores one lease before handing the rest
+// back: long enough that the lease's round trip is noise beside the replays it
+// carries, short enough that an idle slot is not kept waiting for a share and
+// a crash loses little.
+const leaseSlice = 10 * time.Millisecond
+
 // Worker is one replay node of a distributed exploration: it joins the
-// coordinator, replays leased subtree tasks, and streams back results until
+// coordinator, explores leased subtrees, and sends back report deltas until
 // the coordinator reports the exploration done.
 type Worker struct {
 	cfg WorkerConfig
+	// slice is leaseSlice; tests shrink it before Run.
+	slice time.Duration
 
 	mu       sync.Mutex
 	conn     net.Conn // current session's connection, for Stop/Kill
@@ -106,12 +115,12 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.MaxDials <= 0 {
 		cfg.MaxDials = 30
 	}
-	return &Worker{cfg: cfg, stopCh: make(chan struct{})}
+	return &Worker{cfg: cfg, slice: leaseSlice, stopCh: make(chan struct{})}
 }
 
-// Stop drains gracefully: in-flight replays finish and their results are
-// delivered, then the worker disconnects and Run returns nil. The SIGTERM
-// path.
+// Stop drains gracefully: each slot finishes the replay it is in and delivers
+// its lease — what it explored and the subtrees it did not reach — then the
+// worker disconnects and Run returns nil. The SIGTERM path.
 func (w *Worker) Stop() {
 	w.mu.Lock()
 	w.stopping = true
@@ -271,8 +280,8 @@ func (w *Worker) runtimeFor(job string, spec *JobSpec) *jobRuntime {
 	return rt
 }
 
-// slotTask is one leased task routed to a replay slot, with the runtime of
-// the job it belongs to.
+// slotTask is one lease routed to a replay slot, with the runtime of the job
+// it belongs to.
 type slotTask struct {
 	rt  *jobRuntime
 	job string
@@ -360,12 +369,11 @@ func (w *Worker) session(conn net.Conn) (bool, error) {
 	}()
 
 	// Slots: RunContexts live in the per-job runtime freelists so tool state
-	// recycles across one job's replays (same per-worker ownership as
-	// dexplore) and is dropped when the job ends. The channel buffer holds
-	// the coordinator's prefetch batch (it grants up to 2×slots leases by
-	// default), so the reader unpacks a whole task frame without blocking
-	// and a finishing slot starts its next replay with no round trip.
-	tasks := make(chan slotTask, 2*w.cfg.Slots)
+	// recycles across one job's leases (same per-worker ownership as
+	// dexplore) and is dropped when the job ends. The coordinator grants one
+	// lease per free slot, so the buffer takes a whole task frame without
+	// blocking the reader.
+	tasks := make(chan slotTask, w.cfg.Slots)
 	var slotWG sync.WaitGroup
 	for i := 0; i < w.cfg.Slots; i++ {
 		slotWG.Add(1)
@@ -373,7 +381,7 @@ func (w *Worker) session(conn net.Conn) (bool, error) {
 			defer slotWG.Done()
 			for st := range tasks {
 				rc := st.rt.get()
-				res := w.execute(st.rt, rc, st.wt)
+				res := w.runLease(st.rt, rc, st.wt)
 				st.rt.put(rc)
 				if err := send(&frame{Type: msgResult, Job: st.job, Result: res}); err != nil {
 					return // session is over; the lease will expire and requeue
@@ -443,7 +451,7 @@ read:
 		case msgTask:
 			rt := runtimes[fr.Job]
 			for _, wt := range fr.Tasks {
-				if wt.Task == nil {
+				if len(wt.Tasks) == 0 {
 					continue
 				}
 				if rt == nil || rt.err != "" {
@@ -454,7 +462,7 @@ read:
 						reason = rt.err
 					}
 					_ = send(&frame{Type: msgResult, Job: fr.Job, Result: &WireResult{
-						Lease: wt.Lease, Key: wt.Key, Fatal: reason,
+						Lease: wt.Lease, Keys: wt.Keys, Fatal: reason,
 					}})
 					continue
 				}
@@ -472,7 +480,7 @@ read:
 		}
 	}
 	close(tasks)
-	slotWG.Wait() // graceful: in-flight replays finish and deliver
+	slotWG.Wait() // graceful: in-flight leases are cut short and delivered
 	close(hbStop)
 	hbWG.Wait()
 	w.mu.Lock()
@@ -485,38 +493,20 @@ read:
 	return false, readErr
 }
 
-// execute replays one leased task and builds its wire result: the
-// interleaving outcome, the subtree expansion, and (for the root task) the
-// self-discovery extras.
-func (w *Worker) execute(rt *jobRuntime, rc *core.RunContext, wt wireTask) *WireResult {
-	t := wt.Task
-	out := &WireResult{Lease: wt.Lease, Key: wt.Key, Sampled: t.Sample != nil}
-	trace, res, err := rc.Run(t.Decisions)
+// runLease explores one lease on the loop core.Explorer runs — its roots
+// depth-first until they are exhausted, the budget is spent, the time slice
+// has passed or the worker is halted — and returns what that added to the
+// exploration and what is left of it.
+func (w *Worker) runLease(rt *jobRuntime, rc *core.RunContext, wt wireTask) *WireResult {
+	out := &WireResult{Lease: wt.Lease, Keys: wt.Keys}
+	start := time.Now()
+	rep, left, _, err := rc.Explore(wt.Tasks, wt.Budget, false, func() bool {
+		return time.Since(start) >= w.slice || w.halted()
+	})
 	if err != nil {
 		out.Fatal = err.Error()
 		return out
 	}
-	out.Deadlock = res.Deadlock
-	out.Epochs = res.Epochs
-	out.Mismatches = res.Mismatches
-	if res.Err != nil {
-		out.ErrMsg = res.Err.Error()
-	}
-	if out.ErrMsg != "" || out.Deadlock || out.Sampled {
-		out.Decisions = res.Decisions // the cases Report.Add keeps it
-	}
-	if !res.Deadlock {
-		ex := t.Expand(&rt.cfg, trace)
-		out.Children = ex.Children
-		out.DecisionPoints = ex.DecisionPoints
-		out.AutoAbstracted = ex.AutoAbstracted
-	}
-	if wt.Root {
-		out.Root = &RootInfo{
-			WildcardsAnalyzed: len(trace.Epochs),
-			Unsafe:            trace.Unsafe,
-			FirstTrace:        trace,
-		}
-	}
+	out.Delta = dexplore.NewCheckpoint("", &rt.cfg, rep, left)
 	return out
 }

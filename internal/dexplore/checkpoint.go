@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"dampi/internal/core"
 )
@@ -76,6 +77,7 @@ type Checkpoint struct {
 // CheckpointError is a failed interleaving's durable form: the reproducer
 // plus the error text (the live error value does not survive JSON).
 type CheckpointError struct {
+	Index     int             `json:"index,omitempty"`
 	Message   string          `json:"message"`
 	Deadlock  bool            `json:"deadlock,omitempty"`
 	Decisions *core.Decisions `json:"decisions"`
@@ -165,6 +167,7 @@ func NewCheckpoint(workload string, cfg *core.ExplorerConfig, rep *core.Report, 
 	}
 	for _, res := range sealed.Errors {
 		ckp.Errors = append(ckp.Errors, &CheckpointError{
+			Index:     res.Index,
 			Message:   res.Err.Error(),
 			Deadlock:  res.Deadlock,
 			Decisions: res.Decisions,
@@ -203,6 +206,10 @@ func (c *Checkpoint) Validate(workload string, cfg *core.ExplorerConfig) error {
 		return fmt.Errorf("dexplore: checkpoint sample-depth=%d, config sample-depth=%d", c.SampleDepth, cfg.SampleDepth)
 	case c.Sampler != SignatureOf(cfg):
 		return fmt.Errorf("dexplore: checkpoint sampler=%q, config sampler=%q", c.Sampler, SignatureOf(cfg))
+	case slices.Contains(c.Frontier, nil):
+		return errors.New("dexplore: checkpoint frontier holds a null task")
+	case slices.Contains(c.Errors, nil):
+		return errors.New("dexplore: checkpoint error list holds a null entry")
 	}
 	return nil
 }
@@ -233,6 +240,7 @@ func (c *Checkpoint) Restore(workload string, cfg *core.ExplorerConfig) (*core.R
 	}
 	for _, ce := range c.Errors {
 		rep.Errors = append(rep.Errors, &core.InterleavingResult{
+			Index:     ce.Index,
 			Err:       errors.New(ce.Message),
 			Deadlock:  ce.Deadlock,
 			Decisions: ce.Decisions,
