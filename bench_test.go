@@ -209,66 +209,6 @@ func BenchmarkFig9_ADLB(b *testing.B) {
 	}
 }
 
-// --- Parallel exploration engine ------------------------------------------
-
-// BenchmarkParallelExplore_Matmul sweeps the worker-pool size over the
-// Figure 6 matmul configuration (workers=0 is the serial legacy explorer).
-// Wall-clock gains track the machine's core count; the interleavings metric
-// shows the covered set is identical at every pool size.
-func BenchmarkParallelExplore_Matmul(b *testing.B) {
-	prog := matmul.Program(matmul.Config{})
-	for _, workers := range []int{0, 1, 2, 4, 8} {
-		name := fmt.Sprintf("workers=%d", workers)
-		if workers == 0 {
-			name = "serial"
-		}
-		b.Run(name, func(b *testing.B) {
-			count := 0
-			for i := 0; i < b.N; i++ {
-				res, err := verify.Run(verify.Config{
-					Procs: 8, MaxInterleavings: 2000, Workers: workers,
-				}, prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Errored() {
-					b.Fatal(res.Errors[0].Err)
-				}
-				count = res.Interleavings
-			}
-			b.ReportMetric(float64(count), "interleavings")
-		})
-	}
-}
-
-// BenchmarkParallelExplore_ADLB sweeps the worker-pool size over the
-// Figure 9 ADLB configuration at k=1.
-func BenchmarkParallelExplore_ADLB(b *testing.B) {
-	prog := adlb.Program(adlb.DriverConfig{})
-	for _, workers := range []int{0, 1, 2, 4, 8} {
-		name := fmt.Sprintf("workers=%d", workers)
-		if workers == 0 {
-			name = "serial"
-		}
-		b.Run(name, func(b *testing.B) {
-			count := 0
-			for i := 0; i < b.N; i++ {
-				res, err := verify.Run(verify.Config{
-					Procs: 8, MixingBound: 1, MaxInterleavings: 2000, Workers: workers,
-				}, prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Errored() {
-					b.Fatal(res.Errors[0].Err)
-				}
-				count = res.Interleavings
-			}
-			b.ReportMetric(float64(count), "interleavings")
-		})
-	}
-}
-
 // --- Ablations -------------------------------------------------------------
 
 // Ablation 1 (DESIGN.md): Lamport vs vector clocks — the per-run
@@ -357,42 +297,6 @@ func BenchmarkAblation_LoopAbstraction(b *testing.B) {
 	}
 }
 
-// Ablation 4: runtime message-matching fast path — the raw simulator's
-// point-to-point throughput, the floor under every other number here.
-func BenchmarkRuntime_PingPong(b *testing.B) {
-	b.ReportAllocs()
-	w := mpi.NewWorld(mpi.Config{Procs: 2})
-	done := make(chan error, 1)
-	go func() {
-		done <- w.Run(func(p *mpi.Proc) error {
-			c := p.CommWorld()
-			buf := []byte("x")
-			for i := 0; i < b.N; i++ {
-				if p.Rank() == 0 {
-					if err := p.Send(1, 0, buf, c); err != nil {
-						return err
-					}
-					if _, _, err := p.Recv(1, 0, c); err != nil {
-						return err
-					}
-				} else {
-					if _, _, err := p.Recv(0, 0, c); err != nil {
-						return err
-					}
-					if err := p.Send(0, 0, buf, c); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-	}()
-	if err := <-done; err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(2, "msgs/op")
-}
-
 // --- Figure 4: clock-mode coverage on the cross-coupled pattern -----------
 
 // fig4CrossCoupled is the paper's Fig. 4 pattern (see
@@ -446,7 +350,7 @@ func BenchmarkFig4_ClockModes(b *testing.B) {
 	}
 }
 
-// Ablation 5: the dual-clock §V extension — instrumentation cost and the
+// Ablation 4: the dual-clock §V extension — instrumentation cost and the
 // extra coverage it buys on a pending-wildcard-heavy pattern.
 func BenchmarkAblation_DualClock(b *testing.B) {
 	wl, err := workloads.Get("104.milc")

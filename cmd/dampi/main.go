@@ -294,8 +294,8 @@ func main() {
 	if *resume && *ckpFile == "" {
 		fatal(fmt.Errorf("-resume requires -checkpoint"))
 	}
-	if *resume && *workers < 1 && *serve == "" {
-		fatal(fmt.Errorf("-resume requires -workers >= 1 (or -serve)"))
+	if *ckpFile != "" && *workers < 1 && *serve == "" {
+		fatal(fmt.Errorf("-checkpoint requires -workers >= 1 (or -serve): the serial explorer neither writes nor resumes checkpoints"))
 	}
 	if *serve != "" && *join != "" {
 		fatal(fmt.Errorf("-serve and -join are mutually exclusive"))

@@ -378,12 +378,12 @@ func (rc *RunContext) Run(decisions *Decisions) (*RunTrace, *InterleavingResult,
 	return trace, res, nil
 }
 
-// Explore is the depth-first loop every single-stack search runs — the serial
-// Explorer over the whole space, a cluster worker over the subtrees of one
-// lease: pop the deepest pending task of stack, replay it, account it, push
-// its expansion, until the stack is empty, budget replays are done (0 = no
-// bound), StopOnFirstError fires, or yield (consulted after each replay, so
-// never before the first; nil = never) asks for the rest back. It returns the
+// Explore is the depth-first loop every search runs — the serial Explorer
+// over the whole space, a dexplore slot or a cluster worker over the subtrees
+// of one lease: pop the deepest pending task of stack, replay it, account it,
+// push its expansion, until the stack is empty, budget replays are done (0 =
+// no bound), StopOnFirstError fires, or yield (consulted after each replay,
+// so never before the first; nil = never) asks for the rest back. It returns the
 // unsealed report of what it ran, indexed from 0 in discovery order, and the
 // tasks left on the stack. final says nothing will run after the budget: what
 // the last replay it allows spawns is then only counted (unbuilt), not built.

@@ -5,8 +5,9 @@ import "slices"
 // This file is the schedule generator's search logic — mixing-budget
 // inheritance, automatic loop detection, prune hints, and the derivation of
 // child decision prefixes from a completed run's trace. Every engine drives
-// it: the serial Explorer from one stack, internal/dexplore from per-worker
-// deques, internal/dcoord from leases over the wire. A SubtreeTask is the
+// it through RunContext.Explore: the serial Explorer over the whole space,
+// internal/dexplore and internal/dcoord over the subtrees of one lease at a
+// time, in-process and over the wire. A SubtreeTask is the
 // unit they schedule: one subtree of the epoch-decision DFS, identified by
 // its forced-decision prefix.
 
@@ -124,7 +125,7 @@ func (ex *Expansion) stackOrder() []*SubtreeTask {
 
 // Expand derives the child subtree tasks of a completed, non-deadlocked run.
 // With a Sampler configured, expansion is delegated to it (the one seam all
-// engines — serial, work-stealing, distributed — route completions through,
+// engines — serial, in-process, distributed — route completions through,
 // which is what makes sampling engine-agnostic); otherwise the exhaustive
 // derivation runs.
 func (t *SubtreeTask) Expand(cfg *ExplorerConfig, trace *RunTrace) *Expansion {

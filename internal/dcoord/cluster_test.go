@@ -100,8 +100,8 @@ func startCoordinator(t *testing.T, cfg Config) (*Coordinator, string) {
 // the report says.
 type shape struct {
 	workers, slots int
-	roots          int           // Coordinator.maxRoots; 0 = maxLeaseRoots
-	slice          time.Duration // Worker.slice; negative = leaseSlice
+	roots          int           // Coordinator.maxRoots; 0 = dexplore.MaxLeaseRoots
+	slice          time.Duration // Worker.slice; negative = dexplore.LeaseSlice
 	max            int           // Config.MaxInterleavings
 }
 
@@ -439,7 +439,7 @@ func TestClusterStopDrainsAndCheckpoints(t *testing.T) {
 }
 
 // TestClusterResumesLocalCheckpoint: the checkpoint format is one format. A
-// frontier written by the in-process work-stealing engine at its
+// frontier written by the in-process lease engine at its
 // interleaving cap resumes under a coordinator, and the two partial runs
 // together produce the serial report.
 func TestClusterResumesLocalCheckpoint(t *testing.T) {

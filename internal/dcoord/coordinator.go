@@ -69,14 +69,6 @@ type pending struct {
 	task *core.SubtreeTask
 }
 
-// maxLeaseRoots bounds the subtrees of one lease: past it the guided share
-// only moves untouched roots out and back.
-const maxLeaseRoots = 16
-
-// minLeaseBudget floors a lease's share of the cap's remaining replays (while
-// that many remain), so the end of a capped run is not one round trip per replay.
-const minLeaseBudget = 8
-
 // lease is one outstanding assignment — subtrees taken from the shallow end
 // of the frontier and the replays the worker may spend on them, as the task
 // frame carries them — and who holds it since when.
@@ -224,16 +216,14 @@ type Coordinator struct {
 	wire *wireStats
 
 	mu       sync.Mutex
-	maxRoots int // maxLeaseRoots; tests shrink it
+	maxRoots int // dexplore.MaxLeaseRoots; tests shrink it
 	ln       net.Listener
 	workers  map[*workerConn]struct{}
-	// frontier holds the pending subtrees, oldest (shallowest) first: grants
-	// take from the front, leftovers and requeues join at the back. Every key
-	// in it is distinct, not done, and in no held lease.
-	frontier    []pending
+	// front is the frontier and the grant rule the in-process engine runs
+	// too. Every key in its Tasks is distinct, not done, and in no held lease.
+	front       dexplore.Frontier[pending]
 	leases      map[uint64]*lease
 	nextLease   uint64          // = leases granted so far
-	outstanding int             // sum of the held leases' budgets
 	done        map[string]bool // keys of leased roots explored (dedup after requeue)
 	redelivered map[string]int  // requeue count per root key
 	requeues    int             // leases lost and requeued
@@ -276,7 +266,8 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:         cfg,
 		ecfg:        cfg.Fingerprint.ExplorerConfig(),
 		wire:        &wireStats{},
-		maxRoots:    maxLeaseRoots,
+		maxRoots:    dexplore.MaxLeaseRoots,
+		front:       dexplore.Frontier[pending]{Max: cfg.MaxInterleavings},
 		workers:     make(map[*workerConn]struct{}),
 		leases:      make(map[uint64]*lease),
 		done:        make(map[string]bool),
@@ -302,14 +293,14 @@ func New(cfg Config) (*Coordinator, error) {
 		for _, p := range keyed(frontier) {
 			if !seen[p.key] {
 				seen[p.key] = true
-				c.frontier = append(c.frontier, p)
+				c.front.Tasks = append(c.front.Tasks, p)
 			}
 		}
 		if !seen[rootKey] {
-			c.done[rootKey] = true
+			c.done[rootKey], c.front.RootDone = true, true
 		}
 	} else {
-		c.frontier = keyed([]*core.SubtreeTask{core.RootTask(&c.ecfg)})
+		c.front.Tasks = keyed([]*core.SubtreeTask{core.RootTask(&c.ecfg)})
 	}
 	return c, nil
 }
@@ -333,38 +324,45 @@ func (c *Coordinator) Serve(ln net.Listener) {
 	c.ln = ln
 	c.mu.Unlock()
 	go c.acceptLoop(ln)
-	go c.janitor()
-	if c.cfg.OnProgress != nil {
-		c.monitorWG.Add(1)
-		go c.monitor()
-	}
-	// A resumed-but-already-complete checkpoint (or an immediate Stop) must
-	// not wait for a worker that will never be needed.
-	c.mu.Lock()
-	fin := c.finishable()
-	c.mu.Unlock()
-	if fin {
-		c.finalize()
-	}
+	c.run()
 }
 
 // startManaged runs a Server-embedded coordinator: the janitor and monitor
 // start, but no listener is owned — the Server attaches already-connected
-// workers instead. Like Serve, an already-complete resume must finish
-// without waiting for a worker.
+// workers instead.
 func (c *Coordinator) startManaged() {
 	c.managed = true
+	c.run()
+}
+
+// run starts the janitor and the progress monitor. A resumed-but-already-
+// complete checkpoint (or an immediate Stop) must not wait for a worker that
+// will never be needed.
+func (c *Coordinator) run() {
 	go c.janitor()
 	if c.cfg.OnProgress != nil {
 		c.monitorWG.Add(1)
-		go c.monitor()
+		go func() {
+			defer c.monitorWG.Done()
+			dexplore.Monitor(c.cfg.ProgressEvery, c.monitorStop, func() { c.cfg.OnProgress(c.progress()) })
+		}()
 	}
 	c.mu.Lock()
+	c.unlockAndAdvance()
+}
+
+// unlockAndAdvance releases c.mu and does what the state it leaves calls
+// for: the exploration ends if it is over (reported), and otherwise every free
+// slot the frontier has work for is granted a lease.
+func (c *Coordinator) unlockAndAdvance() bool {
 	fin := c.finishable()
 	c.mu.Unlock()
 	if fin {
 		c.finalize()
+	} else {
+		c.dispatch()
 	}
+	return fin
 }
 
 // attachWorker registers an already-handshaken connection for this job,
@@ -412,11 +410,7 @@ func (c *Coordinator) Wait() (*core.Report, error) {
 func (c *Coordinator) Stop() {
 	c.mu.Lock()
 	c.stopped = true
-	fin := c.finishable()
-	c.mu.Unlock()
-	if fin {
-		c.finalize()
-	}
+	c.unlockAndAdvance()
 }
 
 // Abort ends the exploration with an error and crash semantics: no final
@@ -428,11 +422,7 @@ func (c *Coordinator) Abort(err error) {
 	c.mu.Lock()
 	c.failLocked(err)
 	c.noFinalCkp = true
-	fin := c.finishable()
-	c.mu.Unlock()
-	if fin {
-		c.finalize()
-	}
+	c.unlockAndAdvance()
 }
 
 // acceptLoop admits workers until the listener closes.
@@ -503,14 +493,8 @@ func (c *Coordinator) dropWorker(w *workerConn) {
 	w.gone = true
 	delete(c.workers, w)
 	c.requeueLocked(func(l *lease) bool { return l.conn == w })
-	fin := c.finishable()
-	c.mu.Unlock()
+	c.unlockAndAdvance()
 	w.conn.Close()
-	if fin {
-		c.finalize()
-		return
-	}
-	c.dispatch()
 }
 
 // releaseLocked ends a held lease: its slot is free and its budget back in
@@ -518,7 +502,7 @@ func (c *Coordinator) dropWorker(w *workerConn) {
 func (c *Coordinator) releaseLocked(l *lease) {
 	delete(c.leases, l.Lease)
 	l.conn.active--
-	c.outstanding -= l.Budget
+	c.front.Release(l.Budget)
 }
 
 // requeueLocked forfeits every held lease lost says is lost: its budget
@@ -544,7 +528,7 @@ func (c *Coordinator) requeueLocked(lost func(*lease) bool) {
 				continue
 			}
 			// While draining the task is kept for the final checkpoint, not reissued.
-			c.frontier = append(c.frontier, pending{key, l.Tasks[i]})
+			c.front.Tasks = append(c.front.Tasks, pending{key, l.Tasks[i]})
 		}
 		if requeued {
 			c.requeues++
@@ -603,45 +587,24 @@ func (c *Coordinator) dispatch() {
 	}
 }
 
-// grantLocked leases w its share of the frontier, or nothing when there is
-// nothing to share. The share is guided self-scheduling over the slots
-// attached: 1/(2·slots) of the live subtrees, oldest first — the shallowest,
-// so the largest, the rule dexplore's thieves follow — and under
-// MaxInterleavings the same fraction of the replays neither merged nor
-// budgeted to a held lease, so grants shrink as the work does and the cap is
-// met exactly. The self-discovery task goes out alone with one replay: its
-// trace, alerts and expansion are what every other slot is waiting for.
-// Caller holds c.mu.
+// grantLocked leases w its share of the frontier (dexplore.Frontier.Grant is
+// the rule), or nothing when there is nothing to share. Caller holds c.mu.
 func (c *Coordinator) grantLocked(w *workerConn, slots int, now time.Time) *lease {
-	if len(c.frontier) == 0 {
+	roots, budget := c.front.Grant(slots, c.maxRoots, c.report.Interleavings)
+	if roots == nil {
 		return nil
-	}
-	share := func(n int) int { return (n + 2*slots - 1) / (2 * slots) }
-	n, budget := min(share(len(c.frontier)), c.maxRoots), 0
-	if limit := c.cfg.MaxInterleavings; limit > 0 {
-		avail := limit - c.report.Interleavings - c.outstanding
-		if avail <= 0 {
-			return nil
-		}
-		budget = min(avail, max(share(avail), minLeaseBudget))
-		n = min(n, budget)
-	}
-	if c.frontier[0].key == rootKey {
-		n, budget = 1, 1
 	}
 	c.nextLease++
 	l := &lease{
-		wireTask: wireTask{Lease: c.nextLease, Budget: budget, Keys: make([]string, n), Tasks: make([]*core.SubtreeTask, n)},
+		wireTask: wireTask{Lease: c.nextLease, Budget: budget, Keys: make([]string, len(roots)), Tasks: make([]*core.SubtreeTask, len(roots))},
 		conn:     w,
 		granted:  now,
 		expires:  now.Add(c.cfg.LeaseTTL),
 	}
-	for i, p := range c.frontier[:n] {
+	for i, p := range roots {
 		l.Keys[i], l.Tasks[i] = p.key, p.task
 	}
-	c.frontier = c.frontier[n:]
 	c.leases[l.Lease] = l
-	c.outstanding += budget
 	w.active++
 	return l
 }
@@ -733,7 +696,7 @@ func (c *Coordinator) handleResult(w *workerConn, res *WireResult) {
 		if held {
 			for i, key := range keys {
 				if !c.done[key] {
-					c.frontier = append(c.frontier, pending{key, l.Tasks[i]})
+					c.front.Tasks = append(c.front.Tasks, pending{key, l.Tasks[i]})
 				}
 			}
 		}
@@ -766,11 +729,11 @@ func (c *Coordinator) handleResult(w *workerConn, res *WireResult) {
 // for its replays, whose budget went back to the pool when the lease was
 // lost. Caller holds c.mu.
 func (c *Coordinator) lateMergeableLocked(roots map[string]bool, replays int) bool {
-	if limit := c.cfg.MaxInterleavings; limit > 0 && replays > limit-c.report.Interleavings-c.outstanding {
+	if replays > c.front.Room(c.report.Interleavings) {
 		return false
 	}
 	found := 0
-	for _, p := range c.frontier {
+	for _, p := range c.front.Tasks {
 		if _, ok := roots[p.key]; ok {
 			found++
 		}
@@ -798,10 +761,11 @@ func (c *Coordinator) mergeLocked(w *workerConn, delta *core.Report, left []pend
 	}
 	if !held {
 		waiting := func(p pending) bool { _, ok := roots[p.key]; return ok }
-		c.frontier = slices.DeleteFunc(c.frontier, func(p pending) bool { return c.done[p.key] })
+		c.front.Tasks = slices.DeleteFunc(c.front.Tasks, func(p pending) bool { return c.done[p.key] })
 		left = slices.DeleteFunc(left, waiting)
 	}
-	c.frontier = append(c.frontier, left...)
+	c.front.Tasks = append(c.front.Tasks, left...)
+	c.front.RootDone = c.done[rootKey]
 	for _, e := range delta.Errors {
 		e.Index += c.report.Interleavings
 	}
@@ -822,23 +786,10 @@ func (c *Coordinator) failLocked(err error) {
 	c.stopped = true
 }
 
-// finishable reports whether the exploration is over: nothing leased, and
-// either drained/errored or no work remains (and the root ran, so an empty
-// frontier means exhaustion rather than not-started). Caller holds c.mu.
+// finishable reports whether the exploration is over and not yet finalized
+// (dexplore.Frontier.Finishable is the test). Caller holds c.mu.
 func (c *Coordinator) finishable() bool {
-	if c.finished || len(c.leases) > 0 {
-		return false
-	}
-	if c.stopped || c.runErr != nil {
-		return true
-	}
-	if !c.done[rootKey] {
-		return false
-	}
-	if max := c.cfg.MaxInterleavings; max > 0 && c.report.Interleavings >= max {
-		return true
-	}
-	return len(c.frontier) == 0
+	return !c.finished && c.front.Finishable(c.report.Interleavings, c.stopped || c.runErr != nil)
 }
 
 // finalize ends the exploration exactly once: terminal report state (cap
@@ -851,7 +802,7 @@ func (c *Coordinator) finalize() {
 		return
 	}
 	c.finished = true
-	c.report.Seal(&c.ecfg, len(c.frontier) > 0)
+	c.report.Seal(&c.ecfg, len(c.front.Tasks) > 0)
 	c.report.SortErrors()
 	var ckp *dexplore.Checkpoint
 	if c.cfg.CheckpointPath != "" && !c.noFinalCkp {
@@ -897,8 +848,8 @@ func (c *Coordinator) finalize() {
 // format: the frontier plus every leased root not already completed by a
 // competing delivery. Caller holds c.mu.
 func (c *Coordinator) checkpointLocked() *dexplore.Checkpoint {
-	frontier := make([]*core.SubtreeTask, 0, len(c.frontier))
-	for _, p := range c.frontier {
+	frontier := make([]*core.SubtreeTask, 0, len(c.front.Tasks))
+	for _, p := range c.front.Tasks {
 		frontier = append(frontier, p.task)
 	}
 	for _, l := range c.leases {
@@ -932,27 +883,8 @@ func (c *Coordinator) janitor() {
 		c.requeueLocked(func(l *lease) bool {
 			return now.After(l.expires) || now.Sub(l.granted) > c.cfg.MaxLeaseAge
 		})
-		fin := c.finishable()
-		c.mu.Unlock()
-		if fin {
-			c.finalize()
+		if c.unlockAndAdvance() {
 			return
-		}
-		c.dispatch()
-	}
-}
-
-// monitor drives the OnProgress callback, sampling the sliding-window rate.
-func (c *Coordinator) monitor() {
-	defer c.monitorWG.Done()
-	ticker := time.NewTicker(c.cfg.ProgressEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.monitorStop:
-			return
-		case <-ticker.C:
-			c.cfg.OnProgress(c.progress())
 		}
 	}
 }
@@ -961,24 +893,7 @@ func (c *Coordinator) monitor() {
 func (c *Coordinator) progress() dexplore.Progress {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := time.Now()
-	elapsed := now.Sub(c.start)
-	mean := 0.0
-	if s := elapsed.Seconds(); s > 0 {
-		mean = float64(c.report.Interleavings) / s
-	}
-	window, ok := c.rate.Rate(now, c.report.Interleavings)
-	if !ok {
-		window = mean
-	}
-	c.rate.Observe(now, c.report.Interleavings)
-	return dexplore.Progress{
-		Interleavings:   c.report.Interleavings,
-		PerSecond:       mean,
-		WindowPerSecond: window,
-		WindowValid:     ok,
-		FrontierDepth:   len(c.frontier),
-		Busy:            len(c.leases),
-		Elapsed:         elapsed,
-	}
+	p := c.rate.Snapshot(c.start, time.Now(), c.report.Interleavings)
+	p.FrontierDepth, p.Busy = len(c.front.Tasks), len(c.leases)
+	return p
 }

@@ -68,32 +68,23 @@ func (c *Coordinator) Status() Status {
 	now := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	elapsed := now.Sub(c.start)
-	mean := 0.0
-	if s := elapsed.Seconds(); s > 0 {
-		mean = float64(c.report.Interleavings) / s
-	}
-	window, ok := c.rate.Rate(now, c.report.Interleavings)
-	if !ok {
-		window = mean
-	}
-	c.rate.Observe(now, c.report.Interleavings)
+	p := c.rate.Snapshot(c.start, now, c.report.Interleavings)
 	st := Status{
 		State:           "exploring",
 		Workload:        c.cfg.Fingerprint.Workload,
 		Procs:           c.cfg.Fingerprint.Procs,
-		ElapsedSec:      elapsed.Seconds(),
+		ElapsedSec:      p.Elapsed.Seconds(),
 		Interleavings:   c.report.Interleavings,
 		Errors:          len(c.report.Errors),
 		Deadlocks:       c.report.Deadlocks,
 		DecisionPts:     c.report.DecisionPoints,
-		FrontierDepth:   len(c.frontier),
+		FrontierDepth:   len(c.front.Tasks),
 		ActiveLeases:    len(c.leases),
 		LeasesGranted:   c.nextLease,
 		DoneSet:         len(c.done),
 		Requeues:        c.requeues,
-		MeanPerSec:      mean,
-		WindowPerSec:    window,
+		MeanPerSec:      p.PerSecond,
+		WindowPerSec:    p.WindowPerSecond,
 		StaticPruned:    c.report.StaticPruned,
 		Capped:          c.report.Capped,
 		Sampled:         c.report.Sampled,

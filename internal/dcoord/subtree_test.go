@@ -462,8 +462,8 @@ func TestRecordedResultStillMerges(t *testing.T) {
 	c.handleResult(w1, &rec)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.runErr != nil || c.report.Interleavings != 1 || c.report.FirstTrace == nil || len(c.frontier)+len(c.leases) == 0 {
-		t.Errorf("recorded root result: err %v, %d interleavings, trace %v, %d subtrees found", c.runErr, c.report.Interleavings, c.report.FirstTrace != nil, len(c.frontier)+len(c.leases))
+	if c.runErr != nil || c.report.Interleavings != 1 || c.report.FirstTrace == nil || len(c.front.Tasks)+len(c.leases) == 0 {
+		t.Errorf("recorded root result: err %v, %d interleavings, trace %v, %d subtrees found", c.runErr, c.report.Interleavings, c.report.FirstTrace != nil, len(c.front.Tasks)+len(c.leases))
 	}
 }
 

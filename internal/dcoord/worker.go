@@ -58,18 +58,12 @@ type WorkerConfig struct {
 	OnEvent func(string)
 }
 
-// leaseSlice is how long a slot explores one lease before handing the rest
-// back: long enough that the lease's round trip is noise beside the replays it
-// carries, short enough that an idle slot is not kept waiting for a share and
-// a crash loses little.
-const leaseSlice = 10 * time.Millisecond
-
 // Worker is one replay node of a distributed exploration: it joins the
 // coordinator, explores leased subtrees, and sends back report deltas until
 // the coordinator reports the exploration done.
 type Worker struct {
 	cfg WorkerConfig
-	// slice is leaseSlice; tests shrink it before Run.
+	// slice is dexplore.LeaseSlice; tests shrink it before Run.
 	slice time.Duration
 
 	mu       sync.Mutex
@@ -115,7 +109,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.MaxDials <= 0 {
 		cfg.MaxDials = 30
 	}
-	return &Worker{cfg: cfg, slice: leaseSlice, stopCh: make(chan struct{})}
+	return &Worker{cfg: cfg, slice: dexplore.LeaseSlice, stopCh: make(chan struct{})}
 }
 
 // Stop drains gracefully: each slot finishes the replay it is in and delivers

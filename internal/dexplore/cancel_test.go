@@ -2,6 +2,7 @@ package dexplore
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -70,28 +71,35 @@ func TestStopOnFirstErrorParallel(t *testing.T) {
 	}
 }
 
-// TestMaxInterleavingsParallel: the cap is exact under 4 workers — the
-// ticket counter issues exactly MaxInterleavings replays, in-flight results
-// are counted, Capped is set while frontier work remains, and the pool
-// drains cleanly.
+// TestMaxInterleavingsParallel: the cap is exact — the budgets of the leases
+// out never exceed what the cap has left, so the engine stops at exactly
+// min(cap, space) replays and says Capped exactly when the serial explorer
+// does, including at cap = space, where nothing was left to cut off
+// (internal/dcoord's TestClusterCapIsExact table) — and the pool drains.
 func TestMaxInterleavingsParallel(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	cfg := core.ExplorerConfig{
-		Procs:            8,
-		Program:          matmul.Program(matmul.Config{}),
-		MaxInterleavings: 10,
+	memo := newMemoRunner()
+	base := core.ExplorerConfig{Procs: 8, Program: matmul.Program(matmul.Config{}), Runner: memo.Run}
+	const space = 64
+	if got := runSerial(t, base).rep.Interleavings; got != space {
+		t.Fatalf("fixture explores %d interleavings, the caps below assume %d", got, space)
 	}
-	rep, err := New(Config{Explorer: cfg, Workers: 4}).Explore()
-	if err != nil {
-		t.Fatal(err)
+	for _, max := range []int{1, 2, 7, 64, 65} {
+		capped := base
+		capped.MaxInterleavings = max
+		serial := runSerial(t, capped).rep
+		for _, workers := range []int{1, 3} {
+			rep, err := New(Config{Explorer: capped, Workers: workers}).Explore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Interleavings != min(max, space) || rep.Capped != serial.Capped {
+				t.Errorf("cap %d, %d workers: %d interleavings capped=%v, want %d capped=%v",
+					max, workers, rep.Interleavings, rep.Capped, min(max, space), serial.Capped)
+			}
+		}
 	}
 	checkGoroutinesDrained(t, baseline)
-	if rep.Interleavings != 10 {
-		t.Errorf("interleavings = %d, want exactly 10", rep.Interleavings)
-	}
-	if !rep.Capped {
-		t.Error("Capped not set despite pending frontier at the cap")
-	}
 }
 
 // TestStopFromCallback: Stop is safe from inside the OnInterleaving
@@ -118,9 +126,50 @@ func TestStopFromCallback(t *testing.T) {
 	if rep.Interleavings < 3 {
 		t.Errorf("stopped before the third interleaving: %d", rep.Interleavings)
 	}
-	// 3 callbacks + up to 4 in-flight replays that drain after the stop.
-	if rep.Interleavings > 3+4 {
+	// 3 callbacks + at most the replay each other slot was in at the stop.
+	if rep.Interleavings > 3+3 {
 		t.Errorf("exploration ran on after Stop: %d interleavings", rep.Interleavings)
+	}
+}
+
+// TestCallbackOncePerReplay: OnInterleaving runs serialized, once per replay,
+// and the indexes it sees are a permutation of 0..N-1 whichever slots ran
+// what.
+func TestCallbackOncePerReplay(t *testing.T) {
+	memo := newMemoRunner()
+	var inside atomic.Int32
+	seen := map[string]int{}
+	var indexes []int
+	cfg := core.ExplorerConfig{
+		Procs:   6,
+		Program: matmul.Program(matmul.Config{}),
+		Runner:  memo.Run,
+		OnInterleaving: func(res *core.InterleavingResult) {
+			if inside.Add(1) != 1 {
+				t.Error("OnInterleaving entered concurrently")
+			}
+			seen[res.Decisions.String()]++
+			indexes = append(indexes, res.Index)
+			inside.Add(-1)
+		},
+	}
+	e := New(Config{Explorer: cfg, Workers: 4})
+	e.slice = 0 // a lease per replay: as many merges and hand-offs between slots as there can be
+	rep, err := e.Explore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Interleavings < 20 {
+		t.Fatalf("fixture too small: %d interleavings", rep.Interleavings)
+	}
+	if len(seen) != rep.Interleavings || len(indexes) != rep.Interleavings {
+		t.Errorf("%d callbacks over %d distinct interleavings, the report has %d", len(indexes), len(seen), rep.Interleavings)
+	}
+	slices.Sort(indexes)
+	for i, idx := range indexes {
+		if idx != i {
+			t.Fatalf("sorted indexes[%d] = %d, want a permutation of 0..%d", i, idx, len(indexes)-1)
+		}
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 const checkpointVersion = 1
 
 // Checkpoint is a consistent snapshot of an exploration: the aggregates of
-// every completed replay plus the frontier of subtree tasks still to run
-// (including tasks that were in flight at snapshot time — resuming re-runs
+// every merged replay plus the frontier of subtree tasks still to run
+// (including the roots of the leases out at snapshot time — resuming re-runs
 // them, giving at-least-once coverage of every subtree). Decision prefixes
 // round-trip through the same JSON format as core.Decisions files, so a
 // frontier entry is itself a valid guided-replay artifact.
@@ -69,8 +69,8 @@ type Checkpoint struct {
 	// run still reports the canonical trace.
 	FirstTrace *core.RunTrace `json:"first_trace,omitempty"`
 
-	// Frontier holds the pending subtree tasks, deepest last (the engine
-	// pops from the end).
+	// Frontier holds the pending subtree tasks, oldest first (the engines
+	// lease from the front).
 	Frontier []*core.SubtreeTask `json:"frontier"`
 }
 
@@ -81,34 +81,6 @@ type CheckpointError struct {
 	Message   string          `json:"message"`
 	Deadlock  bool            `json:"deadlock,omitempty"`
 	Decisions *core.Decisions `json:"decisions"`
-}
-
-// snapshotCheckpoint gathers a consistent cut of the exploration via a brief
-// stop-the-world: every worker mutex is taken in ascending id order — the
-// same order thieves use when transferring a batch — so each pending task is
-// observed in exactly one deque or current slot, and each completed task in
-// exactly one partial report. In-flight (current) tasks join the frontier:
-// resuming re-runs them, giving at-least-once coverage of every subtree.
-func (e *Engine) snapshotCheckpoint() *Checkpoint {
-	for _, w := range e.ws {
-		w.mu.Lock()
-	}
-	rep := e.gatherLocked()
-	var frontier []*core.SubtreeTask
-	for _, w := range e.ws {
-		frontier = append(frontier, w.tasks[w.head:]...)
-	}
-	// In-flight last: on resume the engine pops them (the deepest work at
-	// snapshot time) first.
-	for _, w := range e.ws {
-		if w.current != nil {
-			frontier = append(frontier, w.current)
-		}
-	}
-	for i := len(e.ws) - 1; i >= 0; i-- {
-		e.ws[i].mu.Unlock()
-	}
-	return NewCheckpoint("", &e.cfg.Explorer, rep, frontier)
 }
 
 // SamplerSignature is the optional interface a core.Sampler implements to

@@ -313,6 +313,47 @@ func TestResumeAtLeastOnce(t *testing.T) {
 	}
 }
 
+// TestResumeRootStillPending: an engine stopped before its self-discovery
+// run leaves a checkpoint whose frontier is the root task; resuming it means
+// the root is not done, and the run covers the whole space.
+func TestResumeRootStillPending(t *testing.T) {
+	memo := newMemoRunner()
+	cfg := core.ExplorerConfig{Procs: 6, Program: matmul.Program(matmul.Config{}), Runner: memo.Run}
+	full := runParallel(t, cfg, 2)
+
+	path := filepath.Join(t.TempDir(), "ckp.json")
+	e := New(Config{Explorer: cfg, Workers: 2, CheckpointPath: path})
+	e.Stop()
+	rep, err := e.Explore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckp, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Interleavings != 0 || len(ckp.Frontier) != 1 || ckp.Frontier[0].Decisions != nil {
+		t.Fatalf("stopped before the root: %d interleavings, frontier %+v; want 0 and the root task", rep.Interleavings, ckp.Frontier)
+	}
+
+	resumed := map[string]bool{}
+	rcfg := cfg
+	rcfg.OnInterleaving = func(res *core.InterleavingResult) { resumed[res.Decisions.String()] = true }
+	rrep, err := New(Config{Explorer: rcfg, Workers: 2, Resume: ckp}).Explore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rrep.Interleavings != full.rep.Interleavings || rrep.FirstTrace == nil || rrep.WildcardsAnalyzed != full.rep.WildcardsAnalyzed {
+		t.Errorf("resumed from the root: %d interleavings, R* %d, trace %v; want %d, %d and the first trace",
+			rrep.Interleavings, rrep.WildcardsAnalyzed, rrep.FirstTrace != nil, full.rep.Interleavings, full.rep.WildcardsAnalyzed)
+	}
+	for s := range full.sigs {
+		if !resumed[s] {
+			t.Errorf("interleaving %s missing from the run resumed at the root", s)
+		}
+	}
+}
+
 // TestPeriodicCheckpointWrites: with CheckpointEvery=1 a checkpoint exists on
 // disk well before the exploration finishes (verified post-hoc: the final
 // file must parse and carry the fingerprint).

@@ -1,35 +1,39 @@
 // Package dexplore is the parallel schedule generator: it partitions the
 // epoch-decision depth-first search of internal/core into independent
 // subtree tasks — a forced-decision prefix plus the frame's remaining mixing
-// budget — and feeds them to a worker pool where each worker runs guided
-// replays in its own mpi.World. Each worker accounts what it completes in
-// its own core.Report; the partial reports merge into one covering exactly
-// the interleaving set the serial explorer covers — core.Explorer is the
-// one-worker, one-stack driver of the same core.SubtreeTask.Expand and the
-// same core.Report accounting — with deterministic counts and error
-// reproducers regardless of worker scheduling.
+// budget — and shares them among a pool of slots, each running guided replays
+// in its own mpi.World. The merged report covers exactly the interleaving set
+// the serial explorer covers — core.Explorer is the one-slot case of the same
+// core.RunContext.Explore loop and the same core.Report accounting — with
+// deterministic counts and error reproducers regardless of scheduling.
 //
-// Scheduling is work-stealing: each worker owns a DFS deque, pushes its own
-// expansions at the deep end and pops them back LIFO, so the steady state
-// touches only the worker's own (uncontended) lock plus a handful of engine
-// atomics. A worker that runs dry steals the oldest — shallowest, and
-// therefore largest — half of a victim's deque. There is no engine-wide
-// mutex and no per-completion broadcast; idle workers park on a condition
-// variable and are woken only when new work actually appears.
+// Scheduling is by subtree lease, the in-process case of what internal/dcoord
+// does over a wire: one frontier under one mutex, from which a slot is granted
+// a few subtrees and a replay budget (Frontier.Grant, the rule both engines
+// run), explores them depth-first on its own core.RunContext for a time slice,
+// and hands in a report delta. The stack it did not get to it keeps, as its
+// next lease, unless another slot is waiting for work — then the older half
+// rejoins the frontier — so each slot's search stays depth-first and the
+// frontier small. The mutex is taken per slice, not per replay; between two
+// replays a slot looks at three atomics. An in-process lease cannot be lost or
+// duplicated, so there are no keys, no codec and no done-set here.
 //
-// The frontier of pending tasks is periodically checkpointed to a JSON file
-// (reusing the core.Decisions round-trip format) via a brief stop-the-world
-// over the deques, so a killed exploration resumes without redoing completed
-// subtrees; see Checkpoint. A progress callback reports live throughput:
-// interleavings/sec, frontier depth and busy workers.
+// The frontier is periodically checkpointed to a JSON file (reusing the
+// core.Decisions round-trip format) — the pending subtrees, the roots of the
+// leases out and the merged report, one consistent cut under the mutex — so a
+// killed exploration resumes without redoing completed subtrees; see
+// Checkpoint. A progress callback reports live throughput: interleavings/sec,
+// frontier depth and busy slots.
 //
-// Cancellation is cooperative: MaxInterleavings stops issuing new replays
-// once the cap is reached, StopOnFirstError (and Stop) stop after the
-// current replays drain, and in-flight results are always counted.
+// Cancellation is cooperative: MaxInterleavings is met exactly by the budgets
+// of the leases out, StopOnFirstError (and Stop) end every lease after the
+// replay it is in, and those replays are always counted.
 package dexplore
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,14 +46,16 @@ type Config struct {
 	// Explorer carries the exploration parameters (program, procs, clocks,
 	// bounds); see core.ExplorerConfig.
 	Explorer core.ExplorerConfig
-	// Workers is the worker-pool size; values below 1 run a pool of one.
+	// Workers is the number of slots exploring leases concurrently; values
+	// below 1 run one.
 	Workers int
 	// CheckpointPath, if non-empty, receives a frontier checkpoint every
-	// CheckpointEvery completed replays and once more when exploration ends
-	// (complete, capped, or stopped).
+	// CheckpointEvery merged replays (at most one per returned lease) and once
+	// more when exploration ends (complete, capped, or stopped).
 	CheckpointPath string
-	// CheckpointEvery is the number of completed replays between periodic
-	// checkpoint writes. Default 32.
+	// CheckpointEvery is the number of replays between periodic checkpoint
+	// writes, and the most a lease runs before it is merged while
+	// checkpointing — what a crash can lose per slot. Default 32.
 	CheckpointEvery int
 	// Resume, if non-nil, seeds the exploration from a saved checkpoint
 	// instead of performing the initial self-discovery run. The checkpoint's
@@ -78,9 +84,11 @@ type Progress struct {
 	// (the first snapshot, and any sub-second run): WindowPerSecond then
 	// merely echoes the mean and should not be presented as a window rate.
 	WindowValid bool
-	// FrontierDepth is the number of pending (unstarted) subtree tasks.
+	// FrontierDepth is the number of pending subtrees: those waiting to be
+	// leased, plus (in-process engine) those its slots held when each last
+	// merged.
 	FrontierDepth int
-	// Busy is the number of workers currently executing a replay.
+	// Busy is the number of slots currently holding a lease.
 	Busy int
 	// Elapsed is the wall time since the exploration started.
 	Elapsed time.Duration
@@ -91,27 +99,29 @@ type Progress struct {
 // OnInterleaving callback).
 type Engine struct {
 	cfg Config
-	ws  []*worker
+	// slot is what every slot's RunContext replays under: cfg.Explorer with
+	// observe as the per-replay callback.
+	slot core.ExplorerConfig
+	// maxRoots and slice are MaxLeaseRoots and LeaseSlice; tests vary them
+	// before Explore.
+	maxRoots int
+	slice    time.Duration
 
-	// Hot-path coordination is atomics only; there is no engine-wide mutex.
-	issued    atomic.Int64 // replay tickets taken (the MaxInterleavings budget)
-	completed atomic.Int64 // replays merged; drives Index and checkpoint cadence
-	pending   atomic.Int64 // tasks in deques or in flight; 0 means drained
-	stopped   atomic.Bool  // Stop() or StopOnFirstError fired
-	failed    atomic.Bool  // fatal replay-harness error recorded in runErr
+	mu       sync.Mutex
+	cond     *sync.Cond // slots wait here for a grant or the end
+	front    Frontier[*core.SubtreeTask]
+	holding  [][]*core.SubtreeTask // per slot, the roots of the lease it holds
+	report   *core.Report          // every lease merged so far
+	runErr   error                 // first fatal replay-harness error
+	sinceCkp int                   // replays merged since the last periodic checkpoint
+	saving   bool                  // a periodic checkpoint is being written
 
-	errMu  sync.Mutex
-	runErr error
+	// What a slot looks at between two replays of a lease.
+	halted    atomic.Bool  // Stop, StopOnFirstError or a fatal error: every lease ends
+	waiting   atomic.Int32 // slots waiting for work: a slot that has some hands it back
+	completed atomic.Int64 // replays observed so far, the next result's Index
 
-	// Workers park here after a fruitless steal sweep. idlers is maintained
-	// under idleMu but read as an atomic hint by completers, so the
-	// work-plentiful path never touches idleMu at all (see complete).
-	idleMu   sync.Mutex
-	idleCond *sync.Cond
-	idlers   atomic.Int32
-
-	ckpMu sync.Mutex // serializes periodic checkpoint snapshot+save pairs
-	cbMu  sync.Mutex // serializes the OnInterleaving callback
+	cbMu sync.Mutex // serializes the OnInterleaving callback
 
 	start time.Time
 	rate  *RateTracker // owned by the progress-monitor goroutine
@@ -126,31 +136,39 @@ func New(cfg Config) *Engine {
 	if cfg.Explorer.Program == nil {
 		panic("dexplore: Config.Explorer.Program must be set")
 	}
-	e := &Engine{cfg: cfg, rate: NewRateTracker(RateWindow)}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
+	if cfg.Workers < 1 {
+		cfg.Workers = 1
 	}
-	if e.cfg.CheckpointEvery <= 0 {
-		e.cfg.CheckpointEvery = 32
+	if cfg.CheckpointEvery <= 0 {
+		cfg.CheckpointEvery = 32
 	}
-	if e.cfg.ProgressEvery <= 0 {
-		e.cfg.ProgressEvery = time.Second
+	if cfg.ProgressEvery <= 0 {
+		cfg.ProgressEvery = time.Second
 	}
-	e.idleCond = sync.NewCond(&e.idleMu)
-	for i := 0; i < workers; i++ {
-		e.ws = append(e.ws, &worker{id: i, e: e})
+	e := &Engine{
+		cfg:      cfg,
+		slot:     cfg.Explorer,
+		maxRoots: MaxLeaseRoots,
+		slice:    LeaseSlice,
+		front:    Frontier[*core.SubtreeTask]{Max: cfg.Explorer.MaxInterleavings},
+		holding:  make([][]*core.SubtreeTask, cfg.Workers),
+		report:   &core.Report{},
+		rate:     NewRateTracker(RateWindow),
 	}
+	e.slot.OnInterleaving = e.observe
+	e.cond = sync.NewCond(&e.mu)
 	return e
 }
 
-// Stop requests cooperative cancellation: no new replays are issued,
-// in-flight replays drain and are counted, and Explore returns the partial
-// report (with a final checkpoint if CheckpointPath is set). Safe to call
-// from any goroutine, any number of times.
+// Stop requests cooperative cancellation: no new lease is granted, every
+// slot finishes the replay it is in and hands its lease back, and Explore
+// returns the partial report (with a final checkpoint if CheckpointPath is
+// set). Safe to call from any goroutine, any number of times.
 func (e *Engine) Stop() {
-	e.stopped.Store(true)
-	e.wakeAll()
+	e.mu.Lock()
+	e.halted.Store(true)
+	e.cond.Broadcast()
+	e.mu.Unlock()
 }
 
 // Explore runs the exploration to completion (or cap, stop, resume
@@ -158,20 +176,19 @@ func (e *Engine) Stop() {
 func (e *Engine) Explore() (*core.Report, error) {
 	e.start = time.Now()
 	// The initial self-discovery run is a task like any other: alone in the
-	// frontier, so it runs first, and its expansion feeds the pool.
-	frontier := []*core.SubtreeTask{core.RootTask(&e.cfg.Explorer)}
+	// frontier, so it is leased first, and its expansion feeds the pool.
+	e.front.Tasks = []*core.SubtreeTask{core.RootTask(&e.cfg.Explorer)}
 	if ckp := e.cfg.Resume; ckp != nil {
 		done, pending, err := ckp.Restore("", &e.cfg.Explorer)
 		if err != nil {
 			return nil, err
 		}
-		// What the checkpoint had counted starts out in worker 0's report.
-		e.ws[0].rep = *done
-		e.issued.Store(int64(done.Interleavings))
+		// A frontier that still holds the root task was cut before the root
+		// completed; otherwise the root is done.
+		e.report, e.front.Tasks = done, pending
+		e.front.RootDone = !slices.ContainsFunc(pending, func(t *core.SubtreeTask) bool { return t.Decisions == nil })
 		e.completed.Store(int64(done.Interleavings))
-		frontier = pending
 	}
-	e.scatter(frontier)
 
 	// Progress monitor. Stopped via doneCh before Explore returns. It is the
 	// sole caller of snapshot(), so the rate tracker needs no lock.
@@ -181,329 +198,205 @@ func (e *Engine) Explore() (*core.Report, error) {
 		monitorWG.Add(1)
 		go func() {
 			defer monitorWG.Done()
-			ticker := time.NewTicker(e.cfg.ProgressEvery)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-doneCh:
-					return
-				case <-ticker.C:
-					e.cfg.OnProgress(e.snapshot())
-				}
-			}
+			Monitor(e.cfg.ProgressEvery, doneCh, func() { e.cfg.OnProgress(e.snapshot()) })
 		}()
 	}
 
 	var wg sync.WaitGroup
-	for _, w := range e.ws {
+	for id := range e.holding {
 		wg.Add(1)
-		go func(w *worker) {
+		go func() {
 			defer wg.Done()
-			e.runWorker(w)
-		}(w)
+			e.runSlot(id)
+		}()
 	}
 	wg.Wait()
 	close(doneCh)
 	monitorWG.Wait()
-
-	e.errMu.Lock()
-	err := e.runErr
-	e.errMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
 	return e.finish()
 }
 
-// scatter seeds tasks round-robin across the worker deques (the root task, or
-// a resumed frontier — before the pool starts, so plain pushes).
-func (e *Engine) scatter(ts []*core.SubtreeTask) {
-	if len(ts) == 0 {
-		return
+// runSlot is one slot's life: take a lease, explore it on the loop the serial
+// explorer runs, hand in what that added, until the end. The slot owns a
+// RunContext, so per-replay tool state (hook stacks, clock buffers, the mpi
+// runtime's pools) is recycled across every replay it runs. Explore returns
+// when the lease's time slice has passed, the engine is halted, another slot
+// is waiting for work, or — when checkpointing — it has run CheckpointEvery
+// replays, so that field bounds what a crash loses.
+func (e *Engine) runSlot(id int) {
+	rc := core.NewRunContext(&e.slot)
+	every := math.MaxInt // replays a lease may run before it is merged
+	if e.cfg.CheckpointPath != "" {
+		every = e.cfg.CheckpointEvery
 	}
-	e.pending.Add(int64(len(ts)))
-	n := len(e.ws)
-	for i, w := range e.ws {
-		var chunk []*core.SubtreeTask
-		for j := i; j < len(ts); j += n {
-			chunk = append(chunk, ts[j])
-		}
-		w.push(chunk)
-	}
-}
-
-// runWorker is one worker's loop: pop (or steal), replay, merge, until no
-// work remains or cancellation fires. Each worker owns a RunContext so
-// per-replay tool state (hook stacks, clock buffers, mailbox size hints,
-// envelope/payload freelists) is recycled across the replays it runs instead
-// of rebuilt from scratch.
-func (e *Engine) runWorker(w *worker) {
-	if w.rc == nil {
-		w.rc = core.NewRunContext(&e.cfg.Explorer)
-	}
+	var stack []*core.SubtreeTask
+	budget := 0
 	for {
-		t := e.next(w)
-		if t == nil {
-			return
-		}
-		trace, res, err := w.rc.Run(t.Decisions)
-		e.complete(w, t, trace, res, err)
-	}
-}
-
-// next returns the worker's next task: its own deepest pending task, or a
-// stolen one when its deque is dry. It parks while other workers still hold
-// in-flight tasks (their expansions may produce new work) and returns nil
-// when the exploration is over: cancellation, the interleaving cap, or
-// global completion.
-func (e *Engine) next(w *worker) *core.SubtreeTask {
-	for {
-		if e.done() {
-			return nil
-		}
-		t := w.popOwn()
-		if t == nil {
-			t = e.steal(w)
-		}
-		if t != nil {
-			if !e.takeTicket() {
-				// Budget exhausted after the pop: put the task back so the
-				// final checkpoint still covers it, and wake parked workers
-				// so they observe the cap and exit.
-				w.unpop(t)
-				e.wakeAll()
-				return nil
+		if stack == nil {
+			if stack, budget = e.acquire(id); stack == nil {
+				return
 			}
-			return t
 		}
-		if e.pending.Load() == 0 {
-			e.wakeAll()
-			return nil
-		}
-		// Park. The idlers increment is sequentially consistent with a
-		// completer's idlers check: either the completer sees us (and takes
-		// idleMu, serializing its broadcast against our Wait), or our
-		// increment came later in the total order than its deque publish and
-		// the re-scan below finds the new work.
-		e.idleMu.Lock()
-		e.idlers.Add(1)
-		if !e.done() && e.pending.Load() > 0 && !e.anyQueued() {
-			e.idleCond.Wait()
-		}
-		e.idlers.Add(-1)
-		e.idleMu.Unlock()
+		start, ran := time.Now(), 0
+		rep, left, _, err := rc.Explore(stack, budget, false, func() bool {
+			ran++
+			return e.halted.Load() || e.waiting.Load() > 0 || ran >= every || time.Since(start) >= e.slice
+		})
+		stack, budget = e.release(id, budget, rep, left, err)
 	}
 }
 
-// done reports a terminal state: cancellation, fatal error, or cap.
-func (e *Engine) done() bool {
-	if e.stopped.Load() || e.failed.Load() {
-		return true
-	}
-	max := e.cfg.Explorer.MaxInterleavings
-	return max > 0 && e.issued.Load() >= int64(max)
-}
-
-// anyQueued scans the deque size hints without locking.
-func (e *Engine) anyQueued() bool {
-	for _, w := range e.ws {
-		if w.size.Load() > 0 {
-			return true
+// acquire blocks until slot id is granted a lease, and returns its roots as a
+// stack for Explore to consume (the slot's holding entry stays whole for
+// checkpoints), or nil at the end: the engine is halted, or nothing is leased
+// and no work (or no cap) remains.
+func (e *Engine) acquire(id int) (stack []*core.SubtreeTask, budget int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for !e.halted.Load() {
+		merged := e.report.Interleavings
+		if roots, budget := e.front.Grant(len(e.holding), e.maxRoots, merged); roots != nil {
+			e.holding[id] = roots
+			return slices.Clone(roots), budget
+		}
+		if e.front.Finishable(merged, false) {
+			break
+		}
+		// A slot refused because the leases out hold all the cap has left is
+		// not waiting for work: subtrees handed back would not help it.
+		starved := e.front.Room(merged) > 0
+		if starved {
+			e.waiting.Add(1)
+		}
+		e.cond.Wait()
+		if starved {
+			e.waiting.Add(-1)
 		}
 	}
-	return false
+	return nil, 0
 }
 
-// steal sweeps the other workers (starting past the thief, so victims are
-// spread) and takes half of the first non-empty deque found.
-func (e *Engine) steal(thief *worker) *core.SubtreeTask {
-	n := len(e.ws)
-	for i := 1; i < n; i++ {
-		v := e.ws[(thief.id+i)%n]
-		if v.size.Load() == 0 {
-			continue
-		}
-		if t := v.stealInto(thief); t != nil {
-			return t
-		}
-	}
-	return nil
-}
-
-// takeTicket claims one replay against the MaxInterleavings budget.
-func (e *Engine) takeTicket() bool {
-	max := e.cfg.Explorer.MaxInterleavings
-	if max <= 0 {
-		e.issued.Add(1)
-		return true
-	}
-	for {
-		cur := e.issued.Load()
-		if cur >= int64(max) {
-			return false
-		}
-		if e.issued.CompareAndSwap(cur, cur+1) {
-			return true
-		}
-	}
-}
-
-// wakeAll wakes every parked worker. Cold path only: completion with fresh
-// work checks the idlers hint first and skips this entirely when nobody is
-// parked.
-func (e *Engine) wakeAll() {
-	e.idleMu.Lock()
-	e.idleCond.Broadcast()
-	e.idleMu.Unlock()
-}
-
-// complete accounts one finished replay in the worker's own report, pushes
-// the subtree's children onto the worker's own deque, and triggers
-// cancellation, wakeups and checkpoints as needed. No shared lock is taken
-// unless workers are parked or a checkpoint is due.
-func (e *Engine) complete(w *worker, t *core.SubtreeTask, trace *core.RunTrace, res *core.InterleavingResult, err error) {
+// release ends slot id's lease: what it explored merges into the report and
+// every waiting slot looks again. Of the stack it left, the slot keeps what
+// nobody else needs, as its next lease on a fresh share of the cap — all of
+// it, or the deeper half while a slot is waiting for work (the older half
+// holds the larger subtrees) — so its search stays depth-first and the
+// frontier small; the rest, everything once the engine is halted or the cap
+// has no room, rejoins the frontier. An in-process lease cannot be lost or
+// duplicated, so there is nothing to vet.
+func (e *Engine) release(id, budget int, rep *core.Report, left []*core.SubtreeTask, err error) (keep []*core.SubtreeTask, renewed int) {
+	var ckp *Checkpoint
+	e.mu.Lock()
+	e.holding[id] = nil
+	e.front.Release(budget)
 	if err != nil {
-		e.errMu.Lock()
 		if e.runErr == nil {
 			e.runErr = err
 		}
-		e.errMu.Unlock()
-		e.failed.Store(true)
-		w.mu.Lock()
-		w.current = nil
-		w.mu.Unlock()
-		e.wakeAll()
+		e.halted.Store(true)
+	} else {
+		e.front.RootDone = e.front.RootDone || rep.FirstTrace != nil
+		e.report.Merge(rep)
+		if e.cfg.Explorer.StopOnFirstError && len(rep.Errors) > 0 {
+			e.halted.Store(true)
+		}
+		give := 0
+		switch {
+		case e.halted.Load():
+			give = len(left)
+		case e.waiting.Load() > 0:
+			give = (len(left) + 1) / 2
+		}
+		if give < len(left) {
+			if b, ok := e.front.Renew(len(e.holding), e.report.Interleavings); ok {
+				keep, renewed = left[give:], b
+				e.holding[id] = slices.Clone(keep)
+			} else {
+				give = len(left)
+			}
+		}
+		e.front.Tasks = append(e.front.Tasks, left[:give]...)
+		e.sinceCkp += rep.Interleavings
+		// One periodic write at a time, so an older cut never replaces a newer.
+		if e.cfg.CheckpointPath != "" && e.sinceCkp >= e.cfg.CheckpointEvery && !e.saving {
+			e.sinceCkp, e.saving = 0, true
+			ckp = e.checkpointLocked()
+		}
+	}
+	e.cond.Broadcast()
+	e.mu.Unlock()
+	if ckp != nil {
+		// Best-effort: a failed periodic write must not kill the search.
+		_ = ckp.Save(e.cfg.CheckpointPath)
+		e.mu.Lock()
+		e.saving = false
+		e.mu.Unlock()
+	}
+	return keep, renewed
+}
+
+// observe is every slot's per-replay callback. It numbers the result — Index
+// is unique and in completion order, continuing a resumed run's count — and
+// passes it to the configured OnInterleaving: serialized, and outside the
+// engine's mutex so the callback may call Stop.
+func (e *Engine) observe(res *core.InterleavingResult) {
+	cb := e.cfg.Explorer.OnInterleaving
+	if cb == nil {
+		res.Index = int(e.completed.Add(1)) - 1
 		return
 	}
-
-	var ex *core.Expansion
-	if !res.Deadlock {
-		// Expansion builds decision clones; keep it outside any lock.
-		ex = t.Expand(&e.cfg.Explorer, trace)
-	}
-	children := 0
-	if ex != nil {
-		children = len(ex.Children)
-	}
-	// Publish the children to pending before they become stealable, so the
-	// pending count never undershoots: a thief finishing a stolen child must
-	// not drive pending to zero while its sibling still sits in our deque.
-	if children > 0 {
-		e.pending.Add(int64(children))
-	}
-	c := e.completed.Add(1)
-	res.Index = int(c) - 1
-	var root *core.RunTrace
-	if t.Decisions == nil {
-		root = trace
-	}
-
-	w.mu.Lock()
-	w.current = nil
-	w.rep.Add(res, ex, root, t.Sample != nil)
-	if ex != nil {
-		w.tasks = append(w.tasks, ex.Children...)
-		w.size.Store(int32(len(w.tasks) - w.head))
-	}
-	w.mu.Unlock()
-
-	if e.cfg.Explorer.StopOnFirstError && res.Err != nil {
-		e.stopped.Store(true)
-		e.wakeAll()
-	}
-	if rem := e.pending.Add(-1); rem == 0 {
-		e.wakeAll()
-	} else if children > 0 && e.idlers.Load() != 0 {
-		e.wakeAll()
-	}
-
-	if path := e.cfg.CheckpointPath; path != "" && c%int64(e.cfg.CheckpointEvery) == 0 {
-		// Best-effort: a failed periodic write must not kill the search.
-		e.ckpMu.Lock()
-		_ = e.snapshotCheckpoint().Save(path)
-		e.ckpMu.Unlock()
-	}
-	if cb := e.cfg.Explorer.OnInterleaving; cb != nil {
-		// Serialized, and outside every engine lock so the callback may call
-		// Stop.
-		e.cbMu.Lock()
-		cb(res)
-		e.cbMu.Unlock()
-	}
+	e.cbMu.Lock()
+	defer e.cbMu.Unlock()
+	res.Index = int(e.completed.Add(1)) - 1
+	cb(res)
 }
 
-// gatherLocked merges every worker's partial report into a fresh one. Caller
-// holds all worker mutexes (stop-the-world) or has joined the pool.
-func (e *Engine) gatherLocked() *core.Report {
-	rep := &core.Report{}
-	for _, w := range e.ws {
-		rep.Merge(&w.rep)
+// checkpointLocked cuts a checkpoint: the roots of every lease out — what
+// such a lease has explored since is not merged yet, so resuming re-runs it
+// whole, at-least-once coverage of every subtree — then the frontier, and the
+// merged report. Caller holds e.mu.
+func (e *Engine) checkpointLocked() *Checkpoint {
+	var frontier []*core.SubtreeTask
+	for _, roots := range e.holding {
+		frontier = append(frontier, roots...)
 	}
-	return rep
+	frontier = append(frontier, e.front.Tasks...)
+	return NewCheckpoint("", &e.cfg.Explorer, e.report, frontier)
 }
 
-// finish merges and seals the report — completion order is
-// scheduling-dependent, so errors sort by their reproducer signature — and
-// writes the final checkpoint. Called after the pool has joined; the worker locks are taken
-// anyway so a straggling monitor snapshot stays race-free.
+// finish seals the merged report — completion order is scheduling-dependent,
+// so errors sort by their reproducer signature — and writes the final
+// checkpoint. Called after the pool has joined.
 func (e *Engine) finish() (*core.Report, error) {
-	for _, w := range e.ws {
-		w.mu.Lock()
+	e.mu.Lock()
+	if e.runErr != nil {
+		e.mu.Unlock()
+		return nil, e.runErr
 	}
-	rep := e.gatherLocked()
-	var leftovers []*core.SubtreeTask
-	for _, w := range e.ws {
-		leftovers = append(leftovers, w.tasks[w.head:]...)
-	}
-	for i := len(e.ws) - 1; i >= 0; i-- {
-		e.ws[i].mu.Unlock()
-	}
-
-	// The hint table is shared by every worker; its counters are atomics, so
-	// Seal's read after the pool has joined is race-free.
-	rep.Seal(&e.cfg.Explorer, len(leftovers) > 0)
-	rep.SortErrors()
+	e.report.Seal(&e.cfg.Explorer, len(e.front.Tasks) > 0)
+	e.report.SortErrors()
+	var ckp *Checkpoint
 	if e.cfg.CheckpointPath != "" {
-		ckp := NewCheckpoint("", &e.cfg.Explorer, rep, leftovers)
+		ckp = e.checkpointLocked()
+	}
+	e.mu.Unlock()
+	if ckp != nil {
 		if err := ckp.Save(e.cfg.CheckpointPath); err != nil {
 			return nil, fmt.Errorf("dexplore: writing final checkpoint: %w", err)
 		}
 	}
-	return rep, nil
+	return e.report, nil
 }
 
 // snapshot builds a Progress. Called only from the monitor goroutine, which
-// solely owns the rate tracker; worker counters are read one lock at a time
-// (a slightly torn total is fine for a throughput display).
+// solely owns the rate tracker.
 func (e *Engine) snapshot() Progress {
-	now := time.Now()
-	elapsed := now.Sub(e.start)
-	total := int(e.completed.Load())
-	depth, busy := 0, 0
-	for _, w := range e.ws {
-		depth += int(w.size.Load())
-		w.mu.Lock()
-		if w.current != nil {
-			busy++
-		}
-		w.mu.Unlock()
+	p := e.rate.Snapshot(e.start, time.Now(), int(e.completed.Load()))
+	e.mu.Lock()
+	p.FrontierDepth, p.Busy = len(e.front.Tasks), e.front.held
+	for _, roots := range e.holding {
+		p.FrontierDepth += len(roots)
 	}
-	mean := 0.0
-	if s := elapsed.Seconds(); s > 0 {
-		mean = float64(total) / s
-	}
-	window, ok := e.rate.Rate(now, total)
-	if !ok {
-		window = mean
-	}
-	e.rate.Observe(now, total)
-	return Progress{
-		Interleavings:   total,
-		PerSecond:       mean,
-		WindowPerSecond: window,
-		WindowValid:     ok,
-		FrontierDepth:   depth,
-		Busy:            busy,
-		Elapsed:         elapsed,
-	}
+	e.mu.Unlock()
+	return p
 }

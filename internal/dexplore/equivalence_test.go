@@ -2,12 +2,16 @@ package dexplore
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"dampi/internal/core"
+	"dampi/internal/sample"
 	"dampi/mpi"
 	"dampi/workloads/adlb"
+	"dampi/workloads/iprobe"
 	"dampi/workloads/matmul"
 )
 
@@ -70,7 +74,8 @@ func summarize(t *testing.T, rep *core.Report, sigs map[string]bool) *summary {
 	for _, e := range rep.Errors {
 		s.errs[fmt.Sprintf("%s: %v", e.Decisions, e.Err)] = true
 	}
-	if len(sigs) != rep.Interleavings {
+	// Two sampled walks may resolve to one schedule; exhaustive tasks never do.
+	if len(sigs) != rep.Interleavings && rep.Sampled == 0 {
 		t.Fatalf("explored %d interleavings but %d distinct signatures", rep.Interleavings, len(sigs))
 	}
 	return s
@@ -89,11 +94,33 @@ func runSerial(t *testing.T, cfg core.ExplorerConfig) *summary {
 
 func runParallel(t *testing.T, cfg core.ExplorerConfig, workers int) *summary {
 	t.Helper()
+	return runShaped(t, cfg, shape{slots: workers, slice: -1})
+}
+
+// shape is how an engine cuts the frontier into leases. roots and slice go
+// through the unexported seams: they change which slot replays what, never
+// what the report says.
+type shape struct {
+	slots int
+	roots int           // Engine.maxRoots; 0 = MaxLeaseRoots
+	slice time.Duration // Engine.slice; negative = LeaseSlice
+}
+
+// runShaped explores cfg on an engine of the given shape.
+func runShaped(t *testing.T, cfg core.ExplorerConfig, sh shape) *summary {
+	t.Helper()
 	sigs := map[string]bool{}
 	cfg.OnInterleaving = func(res *core.InterleavingResult) { sigs[res.Decisions.String()] = true }
-	rep, err := New(Config{Explorer: cfg, Workers: workers}).Explore()
+	e := New(Config{Explorer: cfg, Workers: sh.slots})
+	if sh.roots > 0 {
+		e.maxRoots = sh.roots
+	}
+	if sh.slice >= 0 {
+		e.slice = sh.slice
+	}
+	rep, err := e.Explore()
 	if err != nil {
-		t.Fatalf("parallel explore (workers=%d): %v", workers, err)
+		t.Fatalf("parallel explore (%+v): %v", sh, err)
 	}
 	return summarize(t, rep, sigs)
 }
@@ -114,6 +141,9 @@ func checkEquivalent(t *testing.T, workers int, serial, parallel *summary) {
 	}
 	if got, want := parallel.rep.AutoAbstracted, serial.rep.AutoAbstracted; got != want {
 		t.Errorf("workers=%d: auto-abstracted = %d, want %d", workers, got, want)
+	}
+	if pr, sr := parallel.rep, serial.rep; pr.Sampled != sr.Sampled || !slices.Equal(pr.SampledSchedules, sr.SampledSchedules) {
+		t.Errorf("workers=%d: sampled %d schedules %v, want %d %v", workers, pr.Sampled, pr.SampledSchedules, sr.Sampled, sr.SampledSchedules)
 	}
 	for sig := range serial.sigs {
 		if !parallel.sigs[sig] {
@@ -197,6 +227,50 @@ func TestParallelSerialEquivalence(t *testing.T) {
 			}
 			for _, workers := range []int{2, 4} {
 				checkEquivalent(t, workers, serial, runParallel(t, tc.cfg, workers))
+			}
+		})
+	}
+}
+
+// TestLeaseShapeDoesNotChangeReport is internal/dcoord's test of the same
+// name on the in-process engine: how the frontier is cut into leases — roots
+// per lease, the time slice (0 = hand back after every replay), the number of
+// slots — decides which slot replays what and nothing else. Every shape
+// yields the serial report.
+func TestLeaseShapeDoesNotChangeReport(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  core.ExplorerConfig
+	}{
+		{"matmul-k1", core.ExplorerConfig{Procs: 5, MixingBound: 1, Program: matmul.Program(matmul.Config{})}},
+		{"fan-in-error", core.ExplorerConfig{Procs: 5, MixingBound: core.Unbounded, Program: fanInError}},
+		{"flip-deadlock", core.ExplorerConfig{Procs: 5, MixingBound: core.Unbounded, Program: flipDeadlock}},
+		{"sampled", core.ExplorerConfig{Procs: 2, ChoicePoints: true, Program: iprobe.Program(iprobe.Config{}),
+			Sampler: sample.New(sample.Config{Strategy: sample.Random, Samples: 24, Seed: 7, Procs: 2})}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			memo := newMemoRunner()
+			tc.cfg.Runner = memo.Run
+			serial := runSerial(t, tc.cfg)
+			switch {
+			case tc.name == "flip-deadlock":
+				// A self run that deadlocks at once (rank 1 matched first)
+				// legitimately ends the exploration there.
+				if serial.rep.Deadlocks == 0 {
+					t.Fatal("degenerate fixture: the deadlock case found no deadlock")
+				}
+			case serial.rep.Interleavings < 3:
+				t.Fatalf("degenerate fixture: %d interleavings", serial.rep.Interleavings)
+			case tc.name == "sampled" && serial.rep.SampledDistinct == 0:
+				t.Fatal("degenerate fixture: the sampled case sampled nothing")
+			}
+			for _, roots := range []int{1, 3, 0} {
+				for _, slice := range []time.Duration{0, -1} {
+					for _, slots := range []int{1, 3} {
+						checkEquivalent(t, slots, serial, runShaped(t, tc.cfg, shape{slots: slots, roots: roots, slice: slice}))
+					}
+				}
 			}
 		})
 	}

@@ -61,3 +61,34 @@ func (rt *RateTracker) Rate(now time.Time, n int) (float64, bool) {
 	}
 	return float64(n-base.n) / span.Seconds(), true
 }
+
+// Snapshot observes that the cumulative count was n at time now and renders
+// the throughput half of a Progress for an exploration begun at start: the
+// mean since then, and the window rate, which echoes the mean until there is a
+// window to measure over.
+func (rt *RateTracker) Snapshot(start, now time.Time, n int) Progress {
+	p := Progress{Interleavings: n, Elapsed: now.Sub(start)}
+	if s := p.Elapsed.Seconds(); s > 0 {
+		p.PerSecond = float64(n) / s
+	}
+	if p.WindowPerSecond, p.WindowValid = rt.Rate(now, n); !p.WindowValid {
+		p.WindowPerSecond = p.PerSecond
+	}
+	rt.Observe(now, n)
+	return p
+}
+
+// Monitor calls tick every period until stop is closed: the loop behind both
+// engines' OnProgress.
+func Monitor(period time.Duration, stop <-chan struct{}, tick func()) {
+	ticker := time.NewTicker(period)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-ticker.C:
+			tick()
+		}
+	}
+}

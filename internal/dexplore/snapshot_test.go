@@ -10,16 +10,25 @@ import (
 	"dampi/workloads/matmul"
 )
 
-// TestSnapshotDuringStealing: live stop-the-world snapshots taken while a
-// 4-worker engine is actively replaying and stealing never lose a task.
-// stealInto holds both deque locks for the whole transfer and
-// snapshotCheckpoint locks every deque in the same ascending order, so a
-// snapshot can never observe a task in neither deque mid-steal. This drives
-// that guarantee end to end: for every mid-run snapshot, the interleavings
-// already counted in the snapshot plus the ones reachable from its frontier
-// must cover exactly what the uninterrupted run covers. Under -race this also
-// exercises the lock protocol itself.
-func TestSnapshotDuringStealing(t *testing.T) {
+// liveCheckpoint cuts a checkpoint of a running engine, as release does for
+// a periodic write.
+func (e *Engine) liveCheckpoint() *Checkpoint {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.checkpointLocked()
+}
+
+// TestSnapshotDuringExploration: live snapshots taken while a 4-slot engine
+// is actively leasing, replaying and handing subtrees back never lose a task.
+// A grant moves its roots from the frontier to the slot's holding entry, and
+// a release merges the delta and moves the leftover stack back — or into the
+// slot's next holding entry — each as one step under the engine's mutex, the
+// mutex a snapshot is cut under, so a snapshot can never observe a subtree in
+// neither place, or counted and still pending. This drives that guarantee end to end: for every mid-run snapshot,
+// the interleavings already counted in the snapshot plus the ones reachable
+// from its frontier must cover exactly what the uninterrupted run covers.
+// Under -race this also exercises the lock protocol itself.
+func TestSnapshotDuringExploration(t *testing.T) {
 	memo := newMemoRunner()
 	cfg := core.ExplorerConfig{Procs: 6, Program: matmul.Program(matmul.Config{}), Runner: memo.Run}
 	full := runParallel(t, cfg, 4)
@@ -28,17 +37,16 @@ func TestSnapshotDuringStealing(t *testing.T) {
 	}
 
 	// Stretch each (memoized) replay slightly so the snapshot loop below
-	// lands many cuts mid-exploration, between steals.
+	// lands many cuts mid-exploration, between leases.
 	scfg := cfg
 	scfg.Runner = func(c *core.ExplorerConfig, d *core.Decisions) (*core.RunTrace, *core.InterleavingResult, error) {
 		time.Sleep(50 * time.Microsecond)
 		return memo.Run(c, d)
 	}
-	// The engine's base aggregates are written by the root run and read-only
-	// once the pool starts; snapshots are only legal after that point (the
-	// engine itself snapshots from complete()). The root's OnInterleaving
-	// callback fires after the base writes and the deque seeding, so it gates
-	// the snapshot loop.
+	// Explore seeds the frontier before the pool starts, outside the mutex;
+	// snapshots are only legal after that point (the engine itself snapshots
+	// from release()). The root's OnInterleaving callback gates the snapshot
+	// loop.
 	rootDone := make(chan struct{})
 	var rootOnce sync.Once
 	scfg.OnInterleaving = func(*core.InterleavingResult) { rootOnce.Do(func() { close(rootDone) }) }
@@ -62,7 +70,7 @@ collect:
 		case out = <-ch:
 			break collect
 		default:
-			snaps = append(snaps, e.snapshotCheckpoint())
+			snaps = append(snaps, e.liveCheckpoint())
 			runtime.Gosched()
 		}
 	}
@@ -96,7 +104,7 @@ collect:
 		// At-least-once: completions counted in the snapshot plus resumed
 		// replays must reach the uninterrupted total.
 		if rrep.Interleavings < full.rep.Interleavings {
-			t.Errorf("snapshot at %d: resumed total %d < full %d (task lost mid-steal?)",
+			t.Errorf("snapshot at %d: resumed total %d < full %d (task lost between frontier and lease?)",
 				snap.Interleavings, rrep.Interleavings, full.rep.Interleavings)
 		}
 		// Every interleaving the resume did NOT cover must be accounted for by

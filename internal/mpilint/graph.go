@@ -90,8 +90,9 @@ func ProgramSummaries(paths []string, opts Options) ([]*commgraph.Summary, error
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	tc := newTypeChecker(fset)
+	tc := lockChecker()
+	defer checkerMu.Unlock()
+	fset := tc.fset
 	var out []*commgraph.Summary
 	for _, u := range units {
 		var files []*ast.File

@@ -258,8 +258,9 @@ func Run(paths []string, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	tc := newTypeChecker(fset)
+	tc := lockChecker()
+	defer checkerMu.Unlock()
+	fset := tc.fset
 	rep := &Report{}
 	for _, u := range units {
 		if err := lintUnit(fset, tc, u, checks, opts, rep); err != nil {

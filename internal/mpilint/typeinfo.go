@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 )
 
 // mpiPkgPath is the import path of the runtime package the analyzer models.
@@ -36,14 +37,32 @@ type typeChecker struct {
 	modRoots map[string][2]string // dir -> (module root, module path)
 }
 
-func newTypeChecker(fset *token.FileSet) *typeChecker {
-	return &typeChecker{
-		fset:     fset,
-		std:      importer.ForCompiler(fset, "source", nil),
-		cache:    map[string]*types.Package{},
-		busy:     map[string]bool{},
-		modRoots: map[string][2]string{},
+// A process shares one type checker, and with it one FileSet: checking the
+// standard library and dampi/mpi from source is most of what an analysis
+// costs, and every analysis of the process (a test binary runs dozens) would
+// repeat it. Imported packages are therefore as of the first analysis that
+// needed them; the analyzed packages themselves are parsed and checked every
+// time. checkerMu serializes the analyses, which share the caches.
+var (
+	checkerMu sync.Mutex
+	checker   *typeChecker
+)
+
+// lockChecker returns the process's type checker with checkerMu held; the
+// caller unlocks it when its analysis is done.
+func lockChecker() *typeChecker {
+	checkerMu.Lock()
+	if checker == nil {
+		fset := token.NewFileSet()
+		checker = &typeChecker{
+			fset:     fset,
+			std:      importer.ForCompiler(fset, "source", nil),
+			cache:    map[string]*types.Package{},
+			busy:     map[string]bool{},
+			modRoots: map[string][2]string{},
+		}
 	}
+	return checker
 }
 
 // findModule locates the enclosing go.mod of dir and returns the module root

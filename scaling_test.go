@@ -1,6 +1,5 @@
-// TestParallelScalingRegression guards the work-stealing engine's reason to
-// exist: a multi-worker pool must not fall off a cliff relative to one
-// worker. It is a coarse tripwire, not a benchmark — the measured numbers
+// TestParallelScalingRegression guards the parallel engine's reason to
+// exist: a pool of several slots must not fall off a cliff relative to one. It is a coarse tripwire, not a benchmark — the measured numbers
 // come from the ledger (`go run ./bench`, see bench/README.md).
 package dampi
 

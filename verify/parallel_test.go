@@ -3,6 +3,7 @@ package verify_test
 import (
 	"errors"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -108,15 +109,25 @@ func TestCheckpointResumeViaPublicAPI(t *testing.T) {
 	}
 }
 
-// TestResumeValidation: Resume demands a checkpoint file and the parallel
-// engine.
+// TestResumeValidation: Resume demands a checkpoint file, and a checkpoint
+// file — to resume from or only to write — the parallel engine: the serial
+// explorer would silently never touch it.
 func TestResumeValidation(t *testing.T) {
 	prog := matmul.Program(matmul.Config{})
-	if _, err := verify.Run(verify.Config{Procs: 4, Workers: 2, Resume: true}, prog); err == nil {
-		t.Error("Resume without CheckpointFile accepted")
-	}
-	if _, err := verify.Run(verify.Config{Procs: 4, CheckpointFile: "x.json", Resume: true}, prog); err == nil {
-		t.Error("Resume without Workers accepted")
+	for _, tc := range []struct {
+		what string
+		cfg  verify.Config
+		want string // the field the error must name
+	}{
+		{"Resume without CheckpointFile", verify.Config{Procs: 4, Workers: 2, Resume: true}, "CheckpointFile"},
+		{"Resume without Workers", verify.Config{Procs: 4, CheckpointFile: "x.json", Resume: true}, "Workers"},
+		{"CheckpointFile without Workers", verify.Config{Procs: 4, CheckpointFile: filepath.Join(t.TempDir(), "x.json")}, "Workers"},
+	} {
+		if _, err := verify.Run(tc.cfg, prog); err == nil {
+			t.Errorf("%s accepted", tc.what)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %s", tc.what, err, tc.want)
+		}
 	}
 }
 

@@ -39,7 +39,7 @@ func errorLines(r *verify.Result) []string {
 // TestSampleSeedDeterminism: the same seed reproduces the same schedule set
 // — identical sampled counts, identical distinct decision vectors, identical
 // verdicts — across independent runs and across the local engines: the
-// serial explorer (Workers 0), a one-worker pool and a stealing pool all
+// serial explorer (Workers 0), a one-slot pool and a four-slot pool all
 // route completions through the same expansion seam and the same report
 // accounting. (TestSampleClusterMatchesSerial extends the chain to dcoord.)
 func TestSampleSeedDeterminism(t *testing.T) {

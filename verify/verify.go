@@ -115,9 +115,10 @@ type Config struct {
 	CheckLeaks bool
 	// CollectStats enables MPI operation statistics (Table I categories).
 	CollectStats bool
-	// OnInterleaving, if non-nil, observes every explored interleaving. With
-	// Workers > 0 the callback is serialized but results arrive in
-	// completion order, which depends on worker scheduling.
+	// OnInterleaving, if non-nil, observes every explored interleaving,
+	// once. With Workers > 0 the callback is serialized and may stop the
+	// search, but results arrive — and are numbered, Index 0..N-1 — in
+	// completion order, which depends on scheduling.
 	OnInterleaving func(res *InterleavingResult)
 	// ArtifactsDir, if non-empty, receives the run's file artifacts in the
 	// paper's workflow shape: potential_matches.json (the first run's epoch
@@ -125,19 +126,23 @@ type Config struct {
 	// failing interleaving, replayable with Replay or `dampi -replay`).
 	ArtifactsDir string
 	// Workers selects the parallel exploration engine: the number of
-	// concurrent replay workers, each running guided replays in its own
-	// isolated MPI world. 0 runs the serial explorer: one worker, one stack,
-	// no goroutines, interleavings and errors numbered in depth-first
-	// discovery order. The parallel engine covers exactly the same
-	// interleaving set and reports the same errors and counts; only result
-	// arrival order differs, and errors are listed by reproducer.
+	// concurrent replay slots, each leased a few subtrees of the search at a
+	// time and exploring them depth-first in its own isolated MPI worlds. 0
+	// runs the serial explorer: one stack, no goroutines, interleavings and
+	// errors numbered in depth-first discovery order. The parallel engine
+	// covers exactly the same interleaving set and reports the same errors
+	// and counts; only result arrival order differs, and errors are listed
+	// by reproducer.
 	Workers int
-	// CheckpointFile, if non-empty (parallel engine only), persists the
-	// exploration frontier every CheckpointEvery replays and at the end, so
-	// a killed verification can continue with Resume.
+	// CheckpointFile, if non-empty, persists the exploration frontier every
+	// CheckpointEvery replays and at the end, so a killed verification can
+	// continue with Resume. Parallel engine only: with Workers == 0 Run
+	// returns an error rather than silently never writing the file.
 	CheckpointFile string
-	// CheckpointEvery is the number of completed replays between frontier
-	// checkpoint writes (default 32).
+	// CheckpointEvery is the number of merged replays between frontier
+	// checkpoint writes (default 32). While checkpointing, a slot's lease is
+	// merged after at most this many replays, so it also bounds what a
+	// crash loses: CheckpointEvery replays per slot.
 	CheckpointEvery int
 	// Resume loads CheckpointFile and continues a previous exploration
 	// instead of starting from the initial self-discovery run. Leak checks
@@ -280,8 +285,8 @@ func Run(cfg Config, program func(p *mpi.Proc) error) (*Result, error) {
 	if cfg.Resume && cfg.CheckpointFile == "" {
 		return nil, fmt.Errorf("verify: Resume requires CheckpointFile")
 	}
-	if cfg.Resume && cfg.Workers < 1 {
-		return nil, fmt.Errorf("verify: Resume requires the parallel engine (Workers >= 1)")
+	if cfg.CheckpointFile != "" && cfg.Workers < 1 {
+		return nil, fmt.Errorf("verify: CheckpointFile requires the parallel engine (Workers >= 1): the serial explorer neither writes nor resumes checkpoints")
 	}
 	res := &Result{}
 	// Leak and statistics collection instrument the canonical (first) run
