@@ -41,14 +41,7 @@ func serveCluster(cfg verify.ClusterConfig, statusAddr, sampleDump string, verbo
 		}()
 		fmt.Printf("status on http://%s/status (Prometheus metrics on /metrics)\n", statusAddr)
 	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sig
-		signal.Stop(sig) // a second signal kills outright
-		fmt.Fprintf(os.Stderr, "dampi: %v: draining cluster (in-flight replays will be merged)\n", s)
-		c.Stop()
-	}()
+	drainOnSignal("cluster (in-flight replays will be merged)", c.Stop)
 
 	start := time.Now()
 	res, err := c.Wait()
@@ -56,19 +49,9 @@ func serveCluster(cfg verify.ClusterConfig, statusAddr, sampleDump string, verbo
 		fatal(err)
 	}
 	elapsed := time.Since(start)
-	printReportHead(res, cfg.SampleDepth)
-	printReportErrors(res)
-	if sampleDump != "" {
-		if err := writeSampleDump(sampleDump, res.SampledSchedules); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("  sampled schedules saved to %s (%d distinct)\n", sampleDump, len(res.SampledSchedules))
-	}
-	fmt.Println(footer(res.Interleavings, elapsed, lastWindow, lastOK))
-	if res.Errored() {
-		exit(1)
-	}
-	exit(0)
+	res.WriteHead(os.Stdout, res.Summary(), cfg.SampleDepth)
+	res.WriteErrors(os.Stdout)
+	finishReport(res, sampleDump, footer(res.Interleavings, elapsed, lastWindow, lastOK))
 }
 
 // joinCluster runs the worker side: connect to the coordinator at cfg.Addr
@@ -81,16 +64,22 @@ func joinCluster(cfg verify.ClusterConfig, prog func(p *mpi.Proc) error) {
 	if err != nil {
 		fatal(err)
 	}
+	drainOnSignal("(in-flight replays will finish)", w.Stop)
+	if err := w.Run(); err != nil {
+		fatal(err)
+	}
+	exit(0)
+}
+
+// drainOnSignal calls stop on the first SIGINT or SIGTERM; a second signal
+// kills outright.
+func drainOnSignal(what string, stop func()) {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		s := <-sig
 		signal.Stop(sig)
-		fmt.Fprintf(os.Stderr, "dampi: %v: draining (in-flight replays will finish)\n", s)
-		w.Stop()
+		fmt.Fprintf(os.Stderr, "dampi: %v: draining %s\n", s, what)
+		stop()
 	}()
-	if err := w.Run(); err != nil {
-		fatal(err)
-	}
-	exit(0)
 }

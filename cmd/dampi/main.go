@@ -20,7 +20,9 @@
 // The -serve mode runs the distributed coordinator: it owns the exploration
 // frontier and merges worker results into the same report a local run would
 // print. Workers join with `dampid -join` (or `dampi -join`), passing the
-// same workload and exploration flags — the handshake rejects any mismatch.
+// same workload, -scale/-iters and exploration flags — the handshake rejects
+// any mismatch by name — or, with `dampid -join ADDR` alone, none at all: the
+// coordinator announces the exploration as a job spec such a worker builds.
 // SIGTERM drains gracefully on both sides.
 //
 // With -queue, -serve instead runs the persistent verification service: a
@@ -264,37 +266,10 @@ func main() {
 		fatal(fmt.Errorf("unknown transport %q", *transport))
 	}
 
-	if *submitURL != "" {
-		spec := verify.JobSpec{
-			Workload:          wl.Name,
-			Procs:             *procs,
-			Scale:             *scale,
-			Iters:             *iters,
-			Clock:             cm,
-			DualClock:         *dual,
-			Transport:         tp,
-			MixingBound:       *k,
-			AutoLoopThreshold: *autoloop,
-			MaxInterleavings:  *maxN,
-			StopOnFirstError:  *stopErr,
-			ChoicePoints:      *choicePts,
-		}
-		if *sampleStr != "" {
-			// Populated only in sample mode so exhaustive job keys are
-			// unchanged by the new spec fields (they are omitempty).
-			spec.ChoicePoints = true
-			spec.SampleStrategy = *sampleStr
-			spec.Samples = *samples
-			spec.SampleSeed = *seed
-			spec.SampleDepth = *sampleDep
-		}
-		submitJob(*submitURL, spec, *jobTTL, *waitJob)
-	}
-
 	if *resume && *ckpFile == "" {
 		fatal(fmt.Errorf("-resume requires -checkpoint"))
 	}
-	if *ckpFile != "" && *workers < 1 && *serve == "" {
+	if *ckpFile != "" && *workers < 1 && *serve == "" && *submitURL == "" {
 		fatal(fmt.Errorf("-checkpoint requires -workers >= 1 (or -serve): the serial explorer neither writes nor resumes checkpoints"))
 	}
 	if *serve != "" && *join != "" {
@@ -338,7 +313,7 @@ func main() {
 	}
 	if *sampleStr != "" {
 		// Sampling fields are populated only in sample mode so the default
-		// configuration (and its fingerprints and job keys) stays byte-for-
+		// configuration (and its job specs and their keys) stays byte-for-
 		// byte what it was without the flags.
 		cfg.Mode = verify.ModeSample
 		cfg.SampleStrategy = *sampleStr
@@ -349,13 +324,25 @@ func main() {
 		fatal(fmt.Errorf("-sample-dump requires -sample"))
 	}
 
-	if *serve != "" || *join != "" {
+	if *serve != "" || *join != "" || *submitURL != "" {
+		// One description of the exploration for all three: -submit posts the
+		// spec -serve would announce and -join states in its handshake, the
+		// workload parameters included.
 		ccfg := verify.ClusterConfig{
 			Config:     cfg,
 			Workload:   wl.Name,
 			LeaseTTL:   *leaseTTL,
 			Slots:      *slots,
 			WorkerName: *workerName,
+			Scale:      *scale,
+			Iters:      *iters,
+		}
+		if *submitURL != "" {
+			spec, err := ccfg.JobSpec()
+			if err != nil {
+				fatal(err)
+			}
+			submitJob(*submitURL, spec, *jobTTL, *waitJob)
 		}
 		if *serve != "" {
 			if *stats {
@@ -401,7 +388,7 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
-	printReportHead(res, cfg.SampleDepth)
+	res.WriteHead(os.Stdout, res.Summary(), cfg.SampleDepth)
 	if res.Leaks != nil {
 		for _, l := range res.Leaks.CommLeaks {
 			fmt.Printf("  C-leak: %s\n", l)
@@ -431,7 +418,7 @@ func main() {
 		fmt.Printf("  ops: %v (per proc: all=%d sendrecv=%d coll=%d wait=%d)\n",
 			t, t.AllPerProc(), t.SendRecvPerProc(), t.CollPerProc(), t.WaitPerProc())
 	}
-	printReportErrors(res)
+	res.WriteErrors(os.Stdout)
 	if *traceFile != "" && res.FirstTrace != nil {
 		if err := res.FirstTrace.Save(*traceFile); err != nil {
 			fatal(err)
@@ -444,17 +431,7 @@ func main() {
 		}
 		fmt.Printf("  reproducer saved to %s\n", *decFile)
 	}
-	if *sampleDump != "" {
-		if err := writeSampleDump(*sampleDump, res.SampledSchedules); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("  sampled schedules saved to %s (%d distinct)\n", *sampleDump, len(res.SampledSchedules))
-	}
-	fmt.Println(footer(res.Interleavings, elapsed, lastWindow, lastOK))
-	if res.Errored() {
-		exit(1)
-	}
-	exit(0)
+	finishReport(res, *sampleDump, footer(res.Interleavings, elapsed, lastWindow, lastOK))
 }
 
 // stopProfiles flushes any active profiles; every termination path must go

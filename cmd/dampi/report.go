@@ -9,51 +9,30 @@ import (
 	"dampi/verify"
 )
 
-// printReportHead prints the one-line coverage summary, the schedule-sampling
-// coverage statement, and the §V unsafe pattern warnings. Shared by local
-// runs and the distributed coordinator so the two modes render identical
-// reports; the sampling line must stay in sync with jobqueue.JobReport.Text,
-// which renders it for the service's report endpoint.
-func printReportHead(res *verify.Result, sampleDepth int) {
-	fmt.Printf("DAMPI: %s\n", res.Summary())
-	if res.Sampled > 0 {
-		fmt.Printf("  schedule sampling: exhaustive below depth %d, sampled %d schedules beyond, %d distinct\n",
-			sampleDepth, res.Sampled, res.SampledDistinct)
-	}
-	for _, u := range res.Unsafe {
-		fmt.Printf("  warning: %v\n", u)
-	}
-	if res.StaticPruned > 0 || res.PruneDisabled {
-		fmt.Printf("  branches pruned (static): %d\n", res.StaticPruned)
-	}
-	for _, v := range res.PruneViolations {
-		fmt.Printf("  warning: %v (static pruning disabled for this run)\n", v)
-	}
-}
-
-// printReportErrors prints each failing interleaving with its epoch-decisions
-// reproducer.
-func printReportErrors(res *verify.Result) {
-	for _, e := range res.Errors {
-		fmt.Printf("  error in interleaving #%d: %v\n", e.Index, e.Err)
-		fmt.Printf("    reproducer: %v\n", e.Decisions)
-	}
-}
-
-// writeSampleDump writes the distinct sampled decision vectors, one per line
+// finishReport closes a printed report, local or distributed (its head and
+// its errors are core.Report's renderer, which the job queue's text reports
+// use too, so all three print identical reports): the sample dump (with
+// -sample-dump), the throughput footer, and the exit status the verdict calls
+// for. The dump is the distinct sampled decision vectors, one per line
 // — the reproducibility artifact ci/sample_smoke.sh diffs across runs. The
 // vectors arrive sorted from the engine, so two runs with the same seed
 // produce byte-identical dumps.
-func writeSampleDump(path string, schedules []string) error {
-	var b strings.Builder
-	for _, s := range schedules {
-		b.WriteString(s)
-		b.WriteByte('\n')
+func finishReport(res *verify.Result, sampleDump, footer string) {
+	if sampleDump != "" {
+		dump := strings.Join(res.SampledSchedules, "\n")
+		if dump != "" {
+			dump += "\n"
+		}
+		if err := os.WriteFile(sampleDump, []byte(dump), 0o644); err != nil {
+			fatal(fmt.Errorf("sample-dump: %w", err))
+		}
+		fmt.Printf("  sampled schedules saved to %s (%d distinct)\n", sampleDump, len(res.SampledSchedules))
 	}
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-		return fmt.Errorf("sample-dump: %w", err)
+	fmt.Println(footer)
+	if res.Errored() {
+		exit(1)
 	}
-	return nil
+	exit(0)
 }
 
 // footer renders the closing throughput line. windowOK reports whether the

@@ -11,18 +11,20 @@
 //
 // Every exploration flag (-procs, -k, -clock, -dual, -transport, -autoloop,
 // -choice-points, and the -sample/-samples/-seed/-sample-depth sampling
-// parameters) must match the coordinator's: the join handshake rejects any
-// mismatch,
-// because a worker replaying a different program or interleaving space would
-// silently corrupt the merged report. Workload parameters (-scale, -iters)
-// shape the program itself and must likewise be identical on every node.
+// parameters) must match the coordinator's, and so must the workload
+// parameters (-scale, -iters), which shape the program itself: the worker
+// states all of them in its handshake as one job spec, and a one-shot
+// coordinator rejects any mismatch by name (a verification service instead
+// keeps the worker for the jobs it does match), because a worker replaying a
+// different program or interleaving space would silently corrupt the merged
+// report.
 //
-// Without -workload the worker joins as an any-workload node of a
-// verification service (`dampi -serve -queue`): each announced job carries a
-// full spec — workload name, parameters, exploration flags — and the worker
-// builds the program from the registry per job. The exploration flags are
-// then ignored (the job spec governs). A single-exploration coordinator
-// refuses any-workload workers; pass -workload to join one.
+// Without -workload the worker joins as an any-workload node, of a
+// verification service (`dampi -serve -queue`) or of a one-shot `dampi
+// -serve` alike: each announced job carries a full spec — workload name,
+// parameters, exploration flags — and the worker builds the program from the
+// registry per job. The exploration flags are then ignored (the job spec
+// governs).
 //
 // SIGTERM (and SIGINT) drain gracefully: in-flight replays finish and
 // deliver their results before the worker exits. If the coordinator
@@ -70,7 +72,7 @@ func main() {
 	}
 
 	if *name == "" {
-		joinAnyWorkload(*join, *slots, *workerName)
+		run(joinAnyWorkload(*join, *slots, *workerName))
 		return
 	}
 
@@ -121,30 +123,14 @@ func main() {
 		cfg.Seed = *seed
 		cfg.SampleDepth = *sampleDep
 	}
-	w, err := verify.Join(cfg, prog)
-	if err != nil {
-		fatal(err)
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sig
-		signal.Stop(sig) // a second signal kills outright
-		fmt.Fprintf(os.Stderr, "dampid: %v: draining (in-flight replays will finish)\n", s)
-		w.Stop()
-	}()
-
-	if err := w.Run(); err != nil {
-		fatal(err)
-	}
+	run(verify.Join(cfg, prog))
 }
 
-// joinAnyWorkload runs the worker without a pinned program: a verification
-// service announces each job's full spec, and the worker builds the program
-// from the registry per job.
-func joinAnyWorkload(addr string, slots int, name string) {
-	w, err := verify.JoinQueue(verify.ClusterConfig{
+// joinAnyWorkload creates the worker without a pinned program: the
+// coordinator announces each job's full spec, and the worker builds the
+// program from the registry per job.
+func joinAnyWorkload(addr string, slots int, name string) (*verify.Worker, error) {
+	return verify.JoinQueue(verify.ClusterConfig{
 		Addr:       addr,
 		Slots:      slots,
 		WorkerName: name,
@@ -159,6 +145,10 @@ func joinAnyWorkload(addr string, slots int, name string) {
 		}
 		return wl.Program(workloads.Params{Procs: spec.Procs, Scale: spec.Scale, Iters: spec.Iters}), nil
 	})
+}
+
+// run runs a joined worker until the exploration is over.
+func run(w *verify.Worker, err error) {
 	if err != nil {
 		fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 
 	"dampi/internal/pnmpi"
@@ -260,6 +261,60 @@ func (r *Report) SortErrors() {
 	sort.SliceStable(r.Errors, func(i, j int) bool {
 		return r.Errors[i].Decisions.String() < r.Errors[j].Decisions.String()
 	})
+}
+
+// Summary renders the one-line coverage summary every surface prints.
+func (r *Report) Summary() string {
+	s := fmt.Sprintf("interleavings=%d errors=%d deadlocks=%d wildcards=%d",
+		r.Interleavings, len(r.Errors), r.Deadlocks, r.WildcardsAnalyzed)
+	if r.Capped {
+		s += " (capped)"
+	}
+	if r.Sampled > 0 {
+		s += fmt.Sprintf(" sampled=%d distinct=%d", r.Sampled, r.SampledDistinct)
+	}
+	if r.StaticPruned > 0 || r.PruneDisabled {
+		s += fmt.Sprintf(" pruned(static)=%d", r.StaticPruned)
+	}
+	if r.PruneDisabled {
+		s += " (static hints disabled: violation observed)"
+	}
+	if len(r.Unsafe) > 0 {
+		s += fmt.Sprintf(" unsafe-patterns=%d", len(r.Unsafe))
+	}
+	return s
+}
+
+// WriteHead prints the lines that open a printed report — the one renderer
+// behind `dampi`, `dampi -serve` and the job queue's text reports, which CI
+// diffs against each other: the DAMPI line (summary is Summary(), or a
+// caller's extension of it), the schedule-sampling coverage statement
+// (sampleDepth is the exploration's exhaustive/sampled boundary), the §V
+// unsafe-pattern warnings and the static-pruning lines.
+func (r *Report) WriteHead(w io.Writer, summary string, sampleDepth int) {
+	fmt.Fprintf(w, "DAMPI: %s\n", summary)
+	if r.Sampled > 0 {
+		fmt.Fprintf(w, "  schedule sampling: exhaustive below depth %d, sampled %d schedules beyond, %d distinct\n",
+			sampleDepth, r.Sampled, r.SampledDistinct)
+	}
+	for _, u := range r.Unsafe {
+		fmt.Fprintf(w, "  warning: %v\n", u)
+	}
+	if r.StaticPruned > 0 || r.PruneDisabled {
+		fmt.Fprintf(w, "  branches pruned (static): %d\n", r.StaticPruned)
+	}
+	for _, v := range r.PruneViolations {
+		fmt.Fprintf(w, "  warning: %v (static pruning disabled for this run)\n", v)
+	}
+}
+
+// WriteErrors prints each failing interleaving with its epoch-decisions
+// reproducer, closing a printed report.
+func (r *Report) WriteErrors(w io.Writer) {
+	for _, e := range r.Errors {
+		fmt.Fprintf(w, "  error in interleaving #%d: %v\n", e.Index, e.Err)
+		fmt.Fprintf(w, "    reproducer: %v\n", e.Decisions)
+	}
 }
 
 // Explorer is the paper's Schedule Generator run by a single worker: a

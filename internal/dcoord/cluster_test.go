@@ -2,7 +2,6 @@ package dcoord
 
 import (
 	"fmt"
-	"net"
 	"slices"
 	"sort"
 	"sync"
@@ -87,11 +86,10 @@ func startCoordinator(t *testing.T, cfg Config) (*Coordinator, string) {
 	if err != nil {
 		t.Fatalf("New coordinator: %v", err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := c.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	c.Serve(ln)
 	return c, ln.Addr().String()
 }
 
@@ -102,7 +100,7 @@ type shape struct {
 	workers, slots int
 	roots          int           // Coordinator.maxRoots; 0 = dexplore.MaxLeaseRoots
 	slice          time.Duration // Worker.slice; negative = dexplore.LeaseSlice
-	max            int           // Config.MaxInterleavings
+	max            int           // JobSpec.MaxInterleavings
 }
 
 // setMaxRoots shrinks the roots-per-lease bound of a served coordinator that
@@ -126,7 +124,8 @@ func runCluster(t *testing.T, workload string, cfg core.ExplorerConfig, n, slots
 func runShaped(t *testing.T, workload string, cfg core.ExplorerConfig, sh shape) (*core.Report, Status) {
 	t.Helper()
 	fp := FingerprintFor(workload, &cfg)
-	c, addr := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: 2 * time.Second, MaxInterleavings: sh.max})
+	fp.MaxInterleavings = sh.max
+	c, addr := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: 2 * time.Second})
 	if sh.roots > 0 {
 		c.setMaxRoots(sh.roots)
 	}

@@ -16,22 +16,18 @@ import (
 
 // Config configures a coordinator. The coordinator never replays anything
 // itself — it owns the frontier, the leases and the merged report — so it
-// needs no program, only the fingerprint workers must match.
+// needs no program, only the spec of the exploration.
 type Config struct {
-	// Fingerprint is the exploration identity every joining worker must
-	// match exactly.
-	Fingerprint Fingerprint
-	// JobID tags every task frame with the job this exploration belongs to.
-	// Empty for single-job explorations (verify.Serve); set by the job-queue
-	// Server, whose workers route tasks and results by it.
+	// Fingerprint is the exploration: the spec announced to every worker
+	// (Check decides which pinned ones may replay it), normalized and
+	// validated by New. Its MaxInterleavings caps the replays merged (0 =
+	// unlimited), and its StopOnFirstError stops issuing new leases once a
+	// failing interleaving is reported; in-flight leases drain (at most one
+	// time slice per slot) and are counted.
+	Fingerprint JobSpec
+	// JobID tags the exploration's frames: workers route tasks and results by
+	// it. Defaults to the workload name.
 	JobID string
-	// MaxInterleavings caps the number of distinct subtrees explored
-	// (0 = unlimited), like core.ExplorerConfig.MaxInterleavings.
-	MaxInterleavings int
-	// StopOnFirstError stops issuing new leases once a failing interleaving
-	// is reported; in-flight leases drain (at most one time slice per slot)
-	// and are counted.
-	StopOnFirstError bool
 	// LeaseTTL is how long a lease survives without a heartbeat before its
 	// subtrees are requeued. Default 10s.
 	LeaseTTL time.Duration
@@ -80,8 +76,8 @@ type lease struct {
 }
 
 // wireStats counts the frames and bytes the connections of one listener
-// moved, each direction. A managed coordinator shares its Server's: the
-// connections outlive the job.
+// moved, each direction. A served coordinator shares its Server's: the
+// connections can outlive the job.
 type wireStats struct {
 	framesIn, framesOut, bytesIn, bytesOut atomic.Int64
 }
@@ -94,6 +90,9 @@ type workerConn struct {
 	name  string
 	slots int
 	since time.Time
+	// pinned is the exploration the worker's hello said it was built for; nil
+	// for an any-workload worker, which builds whatever is announced.
+	pinned *JobSpec
 
 	wmu sync.Mutex // serializes frame writes (results race heartbeats)
 
@@ -132,47 +131,6 @@ func (w *workerConn) recv(limit int) (*frame, error) {
 	return fr, err
 }
 
-// welcome registers the worker and writes its welcome frame as one step under
-// the write lock: a grant (or job announcement) another connection triggers
-// may see the registration at once, but its frame waits behind the welcome —
-// the worker fails a handshake that a task frame overtakes. register runs
-// under the owner's own lock and reports whether the worker was admitted.
-func (w *workerConn) welcome(ttl time.Duration, register func() bool) (bool, error) {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	if !register() {
-		return false, nil
-	}
-	return true, w.write(&frame{Type: msgWelcome, LeaseTTLMillis: ttl.Milliseconds()})
-}
-
-// serve is the read loop of a welcomed connection: heartbeats renew, and
-// results merge into, the exploration current names (nil between a server's
-// jobs; a result tagged with another job is dropped, and one for a finished
-// exploration at handleResult). It returns when the connection dies.
-func (w *workerConn) serve(current func() (c *Coordinator, job string)) {
-	for {
-		fr, err := w.recv(maxFrameSize)
-		if err != nil {
-			return
-		}
-		c, job := current()
-		if c == nil {
-			continue
-		}
-		switch fr.Type {
-		case msgHeartbeat:
-			c.renewLeases(w)
-		case msgResult:
-			if fr.Result != nil && fr.Job == job {
-				c.handleResult(w, fr.Result)
-			}
-		default:
-			// Unknown frame from a matching-version worker: ignore.
-		}
-	}
-}
-
 // acceptHello reads a new connection's opening frame (bounded in size and
 // time: the peer is unidentified) and builds its session. It returns nil,
 // with the connection closed, unless the frame is a hello.
@@ -185,7 +143,7 @@ func acceptHello(conn net.Conn, wire *wireStats) (*workerConn, *frame) {
 		return nil, nil
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	w.name, w.slots = fr.Worker, fr.Slots
+	w.name, w.slots, w.pinned = fr.Worker, fr.Slots, fr.Spec
 	if w.name == "" {
 		w.name = conn.RemoteAddr().String()
 	}
@@ -195,29 +153,25 @@ func acceptHello(conn net.Conn, wire *wireStats) (*workerConn, *frame) {
 	return w, fr
 }
 
-// Coordinator owns a distributed exploration: it serves the wire protocol,
-// leases subtrees to workers, merges their report deltas, and terminates when
-// the frontier and all leases drain.
+// Coordinator owns one distributed exploration: it leases subtrees to the
+// workers its Server attaches, merges their report deltas, and terminates
+// when the frontier and all leases drain. The Server owns the listener, the
+// connections and the read loops; a one-shot coordinator (ListenAndServe)
+// brings its own.
 type Coordinator struct {
 	cfg Config
-	// ecfg is the exploration the fingerprint describes, as the
-	// ExplorerConfig fields RootTask, Report.Seal and the checkpoint codec
-	// consult (no program: the coordinator never replays).
+	// ecfg is the exploration the spec describes, as the ExplorerConfig
+	// fields RootTask, Report.Seal and the checkpoint codec consult (no
+	// program: the coordinator never replays).
 	ecfg core.ExplorerConfig
 
-	// managed marks a coordinator embedded in a Server: the Server owns the
-	// listener, the connections and the read loops, attaching workers for
-	// the duration of one job. A managed coordinator announces job
-	// completion with a jobdone frame and leaves every connection open.
-	managed bool
-
-	// wire counts this coordinator's frame traffic (the Server's, when
-	// managed).
+	// srv is the Server running this exploration and wire its frame counters
+	// (the coordinator's own until a Server starts it).
+	srv  *Server
 	wire *wireStats
 
 	mu       sync.Mutex
 	maxRoots int // dexplore.MaxLeaseRoots; tests shrink it
-	ln       net.Listener
 	workers  map[*workerConn]struct{}
 	// front is the frontier and the grant rule the in-process engine runs
 	// too. Every key in its Tasks is distinct, not done, and in no held lease.
@@ -241,11 +195,15 @@ type Coordinator struct {
 	monitorWG   sync.WaitGroup
 }
 
-// New creates a coordinator. It validates Resume against the fingerprint and
-// seeds either the checkpointed frontier or the root self-discovery task.
+// New creates a coordinator. It validates the spec, and Resume against it,
+// and seeds either the checkpointed frontier or the root self-discovery task.
 func New(cfg Config) (*Coordinator, error) {
-	if cfg.Fingerprint.Procs < 1 {
-		return nil, fmt.Errorf("dcoord: Fingerprint.Procs must be >= 1")
+	cfg.Fingerprint.Normalize()
+	if err := cfg.Fingerprint.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.JobID == "" {
+		cfg.JobID = cfg.Fingerprint.Workload
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 10 * time.Second
@@ -267,7 +225,7 @@ func New(cfg Config) (*Coordinator, error) {
 		ecfg:        cfg.Fingerprint.ExplorerConfig(),
 		wire:        &wireStats{},
 		maxRoots:    dexplore.MaxLeaseRoots,
-		front:       dexplore.Frontier[pending]{Max: cfg.MaxInterleavings},
+		front:       dexplore.Frontier[pending]{Max: cfg.Fingerprint.MaxInterleavings},
 		workers:     make(map[*workerConn]struct{}),
 		leases:      make(map[uint64]*lease),
 		done:        make(map[string]bool),
@@ -279,7 +237,7 @@ func New(cfg Config) (*Coordinator, error) {
 		monitorStop: make(chan struct{}),
 		start:       time.Now(),
 	}
-	c.ecfg.MaxInterleavings = cfg.MaxInterleavings
+	c.ecfg.MaxInterleavings = cfg.Fingerprint.MaxInterleavings
 	if ckp := cfg.Resume; ckp != nil {
 		rep, frontier, err := ckp.Restore(cfg.Fingerprint.Workload, &c.ecfg)
 		if err != nil {
@@ -315,26 +273,6 @@ func keyed(tasks []*core.SubtreeTask) []pending {
 	return out
 }
 
-// Serve starts accepting workers on ln and runs the lease janitor (and the
-// progress monitor when configured). It returns immediately; use Wait for
-// the result. The coordinator owns ln and closes it when the exploration
-// ends.
-func (c *Coordinator) Serve(ln net.Listener) {
-	c.mu.Lock()
-	c.ln = ln
-	c.mu.Unlock()
-	go c.acceptLoop(ln)
-	c.run()
-}
-
-// startManaged runs a Server-embedded coordinator: the janitor and monitor
-// start, but no listener is owned — the Server attaches already-connected
-// workers instead.
-func (c *Coordinator) startManaged() {
-	c.managed = true
-	c.run()
-}
-
 // run starts the janitor and the progress monitor. A resumed-but-already-
 // complete checkpoint (or an immediate Stop) must not wait for a worker that
 // will never be needed.
@@ -367,7 +305,7 @@ func (c *Coordinator) unlockAndAdvance() bool {
 
 // attachWorker registers an already-handshaken connection for this job,
 // resetting its per-job counters. It reports false when the exploration has
-// already finished (the Server then leaves the worker idle).
+// already finished (the worker then idles in the Server's pool).
 func (c *Coordinator) attachWorker(w *workerConn) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -380,15 +318,19 @@ func (c *Coordinator) attachWorker(w *workerConn) bool {
 	return true
 }
 
-// ListenAndServe listens on addr and Serves. It returns the bound listener
-// (for its address) or an error.
+// ListenAndServe runs the exploration one-shot: on a private Server,
+// listening on addr, whose only job it is. It returns the bound listener (for
+// its address) at once; use Wait for the result. The server ends with the
+// exploration — every worker told done, connections and listener closed —
+// before Wait is released.
 func (c *Coordinator) ListenAndServe(addr string) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
+	s := NewServer(ServerConfig{LeaseTTL: c.cfg.LeaseTTL})
+	s.only = &c.cfg.Fingerprint
+	ln, err := s.ListenAndServe(addr)
 	if err != nil {
 		return nil, err
 	}
-	c.Serve(ln)
-	return ln, nil
+	return ln, s.start(c)
 }
 
 // Wait blocks until the exploration ends and returns the merged report (or
@@ -423,63 +365,6 @@ func (c *Coordinator) Abort(err error) {
 	c.failLocked(err)
 	c.noFinalCkp = true
 	c.unlockAndAdvance()
-}
-
-// acceptLoop admits workers until the listener closes.
-func (c *Coordinator) acceptLoop(ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go c.handleConn(conn)
-	}
-}
-
-// handleConn performs the handshake and then runs the worker's read loop.
-func (c *Coordinator) handleConn(conn net.Conn) {
-	w, fr := acceptHello(conn, c.wire)
-	if w == nil {
-		return
-	}
-	if fr.Proto != protoVersion {
-		_ = w.send(&frame{Type: msgReject, Reason: fmt.Sprintf("dcoord: protocol version %d, coordinator speaks %d", fr.Proto, protoVersion)})
-		conn.Close()
-		return
-	}
-	if fr.Fingerprint == nil {
-		reason := "dcoord: hello without fingerprint"
-		if fr.AnyWorkload {
-			reason = "dcoord: this coordinator runs a single pinned exploration; any-workload workers need a job-queue server (dampi -serve -queue), or rejoin pinned with -workload and matching flags"
-		}
-		_ = w.send(&frame{Type: msgReject, Reason: reason})
-		conn.Close()
-		return
-	}
-	if err := c.cfg.Fingerprint.Check(*fr.Fingerprint); err != nil {
-		_ = w.send(&frame{Type: msgReject, Reason: err.Error()})
-		conn.Close()
-		return
-	}
-
-	admitted, err := w.welcome(c.cfg.LeaseTTL, func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if !c.finished {
-			c.workers[w] = struct{}{}
-		}
-		return !c.finished
-	})
-	if !admitted {
-		_ = w.send(&frame{Type: msgDone})
-		conn.Close()
-		return
-	}
-	if err == nil {
-		c.dispatch()
-		w.serve(func() (*Coordinator, string) { return c, c.cfg.JobID })
-	}
-	c.dropWorker(w)
 }
 
 // dropWorker unregisters a disconnected (or write-failed) worker and
@@ -772,7 +657,7 @@ func (c *Coordinator) mergeLocked(w *workerConn, delta *core.Report, left []pend
 	c.report.Merge(delta)
 	w.completed += delta.Interleavings
 	c.sinceCkp += delta.Interleavings
-	if c.cfg.StopOnFirstError && len(delta.Errors) > 0 {
+	if c.cfg.Fingerprint.StopOnFirstError && len(delta.Errors) > 0 {
 		c.stopped = true
 	}
 }
@@ -793,8 +678,10 @@ func (c *Coordinator) finishable() bool {
 }
 
 // finalize ends the exploration exactly once: terminal report state (cap
-// flag, deterministic error order), final checkpoint, done-frames to every
-// worker, listener close, and the Wait release.
+// flag, deterministic error order), final checkpoint, a jobdone frame to every
+// attached worker, the close of a server that exists for this exploration
+// alone, and then the Wait release — a caller that exits on Wait must not
+// leave workers in a reconnect loop.
 func (c *Coordinator) finalize() {
 	c.mu.Lock()
 	if c.finished {
@@ -812,8 +699,6 @@ func (c *Coordinator) finalize() {
 	for w := range c.workers {
 		conns = append(conns, w)
 	}
-	ln := c.ln
-	managed := c.managed
 	c.mu.Unlock()
 
 	if ckp != nil {
@@ -826,17 +711,12 @@ func (c *Coordinator) finalize() {
 		}
 	}
 	for _, w := range conns {
-		if managed {
-			// The Server keeps the connection for the next job; the worker
-			// just drops this job's replay contexts.
-			_ = w.send(&frame{Type: msgJobDone, Job: c.cfg.JobID})
-			continue
-		}
-		_ = w.send(&frame{Type: msgDone})
-		w.conn.Close()
+		// The connection is the Server's, kept for its next job; the worker
+		// just drops this job's replay contexts.
+		_ = w.send(&frame{Type: msgJobDone, Job: c.cfg.JobID})
 	}
-	if ln != nil {
-		ln.Close()
+	if s := c.srv; s != nil && s.only != nil {
+		s.Close(false)
 	}
 	close(c.janitorStop)
 	close(c.monitorStop)

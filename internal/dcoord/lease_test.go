@@ -17,19 +17,20 @@ import (
 type fakeWorker struct {
 	t       *testing.T
 	conn    net.Conn
+	job     string     // the announced job: result frames are tagged with it
 	pending []wireTask // leases unpacked from task frames, not yet consumed
 }
 
 // dialFake joins addr with the given fingerprint and returns after the
 // welcome frame.
-func dialFake(t *testing.T, addr string, fp Fingerprint, name string, slots int) *fakeWorker {
+func dialFake(t *testing.T, addr string, fp JobSpec, name string, slots int) *fakeWorker {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("fake worker dial: %v", err)
 	}
 	f := &fakeWorker{t: t, conn: conn}
-	f.send(&frame{Type: msgHello, Proto: protoVersion, Worker: name, Slots: slots, Fingerprint: &fp})
+	f.send(&frame{Type: msgHello, Proto: protoVersion, Worker: name, Slots: slots, Spec: &fp})
 	fr := f.recv()
 	if fr.Type != msgWelcome {
 		t.Fatalf("fake worker handshake: got %s frame (reason %q), want welcome", fr.Type, fr.Reason)
@@ -39,6 +40,9 @@ func dialFake(t *testing.T, addr string, fp Fingerprint, name string, slots int)
 
 func (f *fakeWorker) send(fr *frame) {
 	f.t.Helper()
+	if fr.Type == msgResult && fr.Job == "" {
+		fr.Job = f.job
+	}
 	if _, err := writeFrame(f.conn, fr); err != nil {
 		f.t.Fatalf("fake worker send %s: %v", fr.Type, err)
 	}
@@ -55,12 +59,18 @@ func (f *fakeWorker) recv() *frame {
 	return fr
 }
 
-// recvTask returns the next lease, reading task frames as needed.
+// recvTask returns the next lease, reading frames as needed: the job
+// announcement that precedes the first task frame, then task frames.
 func (f *fakeWorker) recvTask() wireTask {
 	f.t.Helper()
 	for len(f.pending) == 0 {
-		fr := f.recv()
-		if fr.Type == msgTask {
+		switch fr := f.recv(); fr.Type {
+		case msgJob:
+			f.job = fr.Job
+		case msgTask:
+			if fr.Job != f.job || f.job == "" {
+				f.t.Fatalf("task frame for job %q, announced %q", fr.Job, f.job)
+			}
 			f.pending = append(f.pending, fr.Tasks...)
 		}
 	}
@@ -73,13 +83,13 @@ func (f *fakeWorker) close() { f.conn.Close() }
 
 // result returns lease wt the way a worker does: rep is what its replays
 // add to the report, left what it hands back.
-func (f *fakeWorker) result(fp Fingerprint, wt wireTask, rep *core.Report, left ...*core.SubtreeTask) {
+func (f *fakeWorker) result(fp JobSpec, wt wireTask, rep *core.Report, left ...*core.SubtreeTask) {
 	f.t.Helper()
 	f.send(&frame{Type: msgResult, Result: &WireResult{Lease: wt.Lease, Keys: wt.Keys, Delta: deltaOf(fp, rep, left...)}})
 }
 
 // deltaOf renders a report delta in the checkpoint codec.
-func deltaOf(fp Fingerprint, rep *core.Report, left ...*core.SubtreeTask) *dexplore.Checkpoint {
+func deltaOf(fp JobSpec, rep *core.Report, left ...*core.SubtreeTask) *dexplore.Checkpoint {
 	cfg := fp.ExplorerConfig()
 	return dexplore.NewCheckpoint("", &cfg, rep, left)
 }
@@ -114,7 +124,7 @@ func waitStatus(t *testing.T, c *Coordinator, what string, cond func(Status) boo
 // (the fake worker never replays, so no program is involved on this side).
 func leaseTestConfig(ttl time.Duration) Config {
 	return Config{
-		Fingerprint: Fingerprint{Workload: "lease-test", Procs: 3, MixingBound: core.Unbounded},
+		Fingerprint: JobSpec{Workload: "lease-test", Procs: 3, Space: dexplore.Space{MixingBound: core.Unbounded}},
 		LeaseTTL:    ttl,
 	}
 }

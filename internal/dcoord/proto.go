@@ -17,9 +17,9 @@
 // mid-exploration still yields the identical report.
 //
 // The wire protocol is deliberately boring: length-prefixed JSON frames over
-// a plain TCP connection (stdlib only), with a fingerprint handshake that
-// refuses workers whose workload or exploration parameters differ from the
-// coordinator's.
+// a plain TCP connection (stdlib only), with a handshake in which a pinned
+// worker states the exploration it was built for as a JobSpec, and is never
+// given work whose workload or exploration parameters differ from it.
 package dcoord
 
 import (
@@ -51,8 +51,14 @@ import (
 // its done-set into one entry, so the pairing is refused. Version 5 made the
 // lease a set of subtrees with a replay budget and its result one report
 // delta: a v4 worker would find no task in a v5 lease, and a v5 coordinator no
-// delta in a v4 result, so the pairing is refused.
-const protoVersion = 5
+// delta in a v4 result, so the pairing is refused. Version 6 made every
+// exploration an announced job: a pinned hello carries a JobSpec where it
+// carried a fingerprint, and a one-shot coordinator announces its exploration
+// and tags its frames like a job-queue server. A v6 pinned worker resolves
+// every task through an announcement a v5 one-shot coordinator never sends
+// (and a v5 worker would run a v6 coordinator's tagged tasks on a program no
+// spec was checked against), so the pairing is refused.
+const protoVersion = 6
 
 // maxFrameSize bounds a single frame (a lease's leftover frontier or the root
 // trace can be large, but anything beyond this is a corrupt stream).
@@ -66,13 +72,14 @@ const maxHelloSize = 64 << 10
 // Frame types.
 const (
 	// msgHello is the worker's opening frame: protocol version, worker name,
-	// slot count and config fingerprint.
+	// slot count, and either the spec it is pinned to or the any-workload
+	// capability.
 	msgHello = "hello"
 	// msgWelcome accepts a hello; carries the lease TTL the worker must
 	// heartbeat within.
 	msgWelcome = "welcome"
-	// msgReject refuses a hello (fingerprint or protocol mismatch). The
-	// worker must not retry: the mismatch is permanent.
+	// msgReject refuses a hello (protocol or, on a one-job server, spec
+	// mismatch). The worker must not retry: the mismatch is permanent.
 	msgReject = "reject"
 	// msgTask grants the worker leases, one per free slot.
 	msgTask = "task"
@@ -80,13 +87,15 @@ const (
 	msgResult = "result"
 	// msgHeartbeat renews all of the worker's leases.
 	msgHeartbeat = "heartbeat"
-	// msgDone tells the worker the exploration is over; it disconnects and
-	// exits cleanly.
+	// msgDone tells the worker the server is closing — a one-job server's
+	// exploration is over, a job-queue service is shutting down; it
+	// disconnects and exits cleanly.
 	msgDone = "done"
-	// msgJob announces the active job: every task frame that follows belongs
-	// to it until the next job or jobdone frame. The spec carries everything
-	// a worker needs to build the program (an any-workload worker constructs
-	// its replay context from it; a pinned worker checks it matches).
+	// msgJob announces the active job — every exploration is one, a one-shot
+	// coordinator's included: every task frame that follows belongs to it
+	// until the next job or jobdone frame. The spec carries everything a
+	// worker needs to build the program (an any-workload worker constructs its
+	// replay context from it; a pinned worker checks it matches).
 	msgJob = "job"
 	// msgJobDone tells the worker one job's exploration ended. Unlike
 	// msgDone the connection stays open: the worker discards that job's
@@ -100,17 +109,15 @@ const (
 type frame struct {
 	Type string `json:"type"`
 
-	// hello. A pinned worker (it runs one caller-supplied program) sends its
-	// Fingerprint plus the workload parameters baked into that program; an
+	// hello. A pinned worker (it runs one caller-supplied program) sends the
+	// Spec it was built for — exploration parameters plus the workload
+	// parameters baked into its program, Scale/Iters 0 meaning unknown; an
 	// any-workload worker sends AnyWorkload instead and builds programs per
 	// job from announced specs.
-	Proto       int          `json:"proto,omitempty"`
-	Worker      string       `json:"worker,omitempty"`
-	Slots       int          `json:"slots,omitempty"`
-	Fingerprint *Fingerprint `json:"fingerprint,omitempty"`
-	AnyWorkload bool         `json:"any_workload,omitempty"`
-	Scale       int          `json:"scale,omitempty"`
-	Iters       int          `json:"iters,omitempty"`
+	Proto       int    `json:"proto,omitempty"`
+	Worker      string `json:"worker,omitempty"`
+	Slots       int    `json:"slots,omitempty"`
+	AnyWorkload bool   `json:"any_workload,omitempty"`
 
 	// reject
 	Reason string `json:"reason,omitempty"`
@@ -118,9 +125,8 @@ type frame struct {
 	// welcome
 	LeaseTTLMillis int64 `json:"lease_ttl_ms,omitempty"`
 
-	// job / jobdone / task / result: the job the frame belongs to. Empty in
-	// single-job explorations (verify.Serve), where there is nothing to
-	// distinguish.
+	// job / jobdone / task / result: the job the frame belongs to. Spec is
+	// the announced job's on a job frame (and the worker's own on a hello).
 	Job  string   `json:"job,omitempty"`
 	Spec *JobSpec `json:"spec,omitempty"`
 
@@ -163,11 +169,14 @@ type WireResult struct {
 	Delta *dexplore.Checkpoint `json:"delta,omitempty"`
 }
 
-// JobSpec is the complete, self-contained description of one verification
-// job: everything a worker needs to rebuild the program (workload name plus
-// the parameters that shape it) and everything that shapes the interleaving
-// space (the Fingerprint fields), plus the job-level exploration bounds. It
-// is the unit the job queue persists and the msgJob frame announces.
+// JobSpec is the complete, self-contained description of one exploration,
+// and the one identity every layer carries and compares: everything a worker
+// needs to rebuild the program (workload name plus the parameters that shape
+// it), the Space that fixes its interleavings, and the job-level bounds. It is
+// the REST body and the WAL record of the job queue, what the msgJob frame
+// announces, what a pinned worker's hello states, and — hashed — the dedup
+// key. Space is embedded, so its fields serialize flat, between iters and
+// max_interleavings, as they did when they were declared here.
 type JobSpec struct {
 	// Workload names the registered program both sides build.
 	Workload string `json:"workload"`
@@ -178,22 +187,10 @@ type JobSpec struct {
 	// Iters is the outer iteration count for the proxies that support it.
 	Iters int `json:"iters,omitempty"`
 
-	// Exploration-space parameters (the Fingerprint fields).
-	Clock             core.ClockMode `json:"clock"`
-	DualClock         bool           `json:"dual_clock,omitempty"`
-	Transport         core.Transport `json:"transport"`
-	MixingBound       int            `json:"mixing_bound"`
-	AutoLoopThreshold int            `json:"auto_loop_threshold,omitempty"`
+	dexplore.Space
 
-	// Schedule-sampling parameters (all omitempty: an exhaustive spec keys
-	// and fingerprints exactly as before the sampling subsystem existed).
-	ChoicePoints   bool   `json:"choice_points,omitempty"`
-	SampleStrategy string `json:"sample_strategy,omitempty"` // "" = exhaustive
-	Samples        int    `json:"samples,omitempty"`
-	SampleSeed     uint64 `json:"sample_seed,omitempty"`
-	SampleDepth    int    `json:"sample_depth,omitempty"`
-
-	// Job-level bounds.
+	// Job-level bounds: the coordinator's, never part of a worker's identity
+	// or of its replay configuration.
 	MaxInterleavings int  `json:"max_interleavings,omitempty"`
 	StopOnFirstError bool `json:"stop_on_first_error,omitempty"`
 }
@@ -215,13 +212,29 @@ func (s *JobSpec) Normalize() {
 	}
 }
 
-// Validate rejects a spec no worker could run.
+// Validate rejects a spec no worker could run. A spec is outside input (a
+// REST body, a hello frame): every field is checked against its range, not
+// only the ones a well-meaning client gets wrong.
 func (s *JobSpec) Validate() error {
-	if s.Workload == "" {
+	switch {
+	case s.Workload == "":
 		return fmt.Errorf("dcoord: job spec without a workload name")
+	case s.Clock != core.Lamport && s.Clock != core.VectorClock:
+		return fmt.Errorf("dcoord: job spec clock %d is neither Lamport (%d) nor vector (%d)", s.Clock, core.Lamport, core.VectorClock)
+	case s.Transport != core.Separate && s.Transport != core.Inband:
+		return fmt.Errorf("dcoord: job spec transport %d is neither separate (%d) nor inband (%d)", s.Transport, core.Separate, core.Inband)
 	}
-	if s.Procs < 1 {
-		return fmt.Errorf("dcoord: job spec procs must be >= 1, got %d", s.Procs)
+	for _, f := range []struct {
+		name   string
+		v, min int
+	}{
+		{"procs", s.Procs, 1}, {"scale", s.Scale, 0}, {"iters", s.Iters, 0},
+		{"mixing_bound", s.MixingBound, core.Unbounded}, {"auto_loop_threshold", s.AutoLoopThreshold, 0},
+		{"samples", s.Samples, 0}, {"sample_depth", s.SampleDepth, 0}, {"max_interleavings", s.MaxInterleavings, 0},
+	} {
+		if f.v < f.min {
+			return fmt.Errorf("dcoord: job spec %s must be >= %d, got %d", f.name, f.min, f.v)
+		}
 	}
 	if s.SampleStrategy != "" {
 		if _, err := sample.ParseStrategy(s.SampleStrategy); err != nil {
@@ -231,29 +244,29 @@ func (s *JobSpec) Validate() error {
 	return nil
 }
 
-// Fingerprint projects the spec onto the exploration-compatibility
-// fingerprint pinned workers are checked against.
-func (s *JobSpec) Fingerprint() Fingerprint {
-	return Fingerprint{
-		Workload:          s.Workload,
-		Procs:             s.Procs,
-		Clock:             s.Clock,
-		DualClock:         s.DualClock,
-		Transport:         s.Transport,
-		MixingBound:       s.MixingBound,
-		AutoLoopThreshold: s.AutoLoopThreshold,
-		ChoicePoints:      s.ChoicePoints,
-		SampleStrategy:    s.SampleStrategy,
-		Samples:           s.Samples,
-		SampleSeed:        s.SampleSeed,
-		SampleDepth:       s.SampleDepth,
+// FingerprintFor describes the exploration an explorer configuration runs as
+// a spec: the workload name, the world size, the Space and the bounds.
+// Coordinator and pinned workers build theirs through this one function, so
+// the two cannot drift; the caller adds the workload parameters it knows.
+func FingerprintFor(workload string, cfg *core.ExplorerConfig) JobSpec {
+	return JobSpec{
+		Workload:         workload,
+		Procs:            cfg.Procs,
+		Space:            dexplore.SpaceOf(cfg),
+		MaxInterleavings: cfg.MaxInterleavings,
+		StopOnFirstError: cfg.StopOnFirstError,
 	}
 }
 
-// ExplorerConfig projects the spec onto the per-worker replay configuration
-// (the program itself is attached by the worker's factory).
+// ExplorerConfig is the inverse of FingerprintFor: the replay configuration
+// of the spec's exploration, without a program (the worker's factory attaches
+// it; the coordinator never replays). The job-level bounds stay off it: they
+// are the coordinator's to enforce, through lease budgets and its drain, and a
+// worker honouring StopOnFirstError would change what a draining lease counts.
 func (s *JobSpec) ExplorerConfig() core.ExplorerConfig {
-	return s.Fingerprint().ExplorerConfig()
+	cfg := core.ExplorerConfig{Procs: s.Procs}
+	s.Space.Apply(&cfg)
+	return cfg
 }
 
 // Key is the spec's canonical identity: the hex SHA-256 of its normalized
@@ -272,109 +285,32 @@ func (s *JobSpec) Key() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Fingerprint identifies the exploration a node is configured for. Both
-// sides must agree on every field: a mismatched worker would replay a
-// different program or a different interleaving space, silently corrupting
-// the merged report, so the handshake (and checkpoint resume) refuse it.
-type Fingerprint struct {
-	Workload          string         `json:"workload"`
-	Procs             int            `json:"procs"`
-	Clock             core.ClockMode `json:"clock"`
-	DualClock         bool           `json:"dual_clock,omitempty"`
-	Transport         core.Transport `json:"transport"`
-	MixingBound       int            `json:"mixing_bound"`
-	AutoLoopThreshold int            `json:"auto_loop_threshold,omitempty"`
-
-	// Schedule-sampling parameters. A mismatch in any of them means the two
-	// sides would derive different choice-point spaces or different seeded
-	// schedule sets from the same trace.
-	ChoicePoints   bool   `json:"choice_points,omitempty"`
-	SampleStrategy string `json:"sample_strategy,omitempty"` // "" = exhaustive
-	Samples        int    `json:"samples,omitempty"`
-	SampleSeed     uint64 `json:"sample_seed,omitempty"`
-	SampleDepth    int    `json:"sample_depth,omitempty"`
-}
-
-// FingerprintFor derives the fingerprint of an exploration: the workload
-// name plus every ExplorerConfig field that shapes the interleaving space.
-// Coordinator and workers build theirs through this one function so the two
-// cannot drift. Sampler parameters are read back from the config's sampler
-// when it is the standard internal/sample implementation.
-func FingerprintFor(workload string, cfg *core.ExplorerConfig) Fingerprint {
-	f := Fingerprint{
-		Workload:          workload,
-		Procs:             cfg.Procs,
-		Clock:             cfg.Clock,
-		DualClock:         cfg.DualClock,
-		Transport:         cfg.Transport,
-		MixingBound:       cfg.MixingBound,
-		AutoLoopThreshold: cfg.AutoLoopThreshold,
-		ChoicePoints:      cfg.ChoicePoints,
-		SampleDepth:       cfg.SampleDepth,
-	}
-	if s, ok := cfg.Sampler.(*sample.Sampler); ok {
-		sc := s.Config()
-		f.SampleStrategy = string(sc.Strategy)
-		f.Samples = sc.Samples
-		f.SampleSeed = sc.Seed
-	}
-	return f
-}
-
-// ExplorerConfig is the inverse of FingerprintFor: the ExplorerConfig fields
-// that shape the interleaving space, without a program. A sampling
-// fingerprint gets its seeded sampler rebuilt, so every node derives the
-// identical schedule set and checkpoint sampler signatures match.
-func (f Fingerprint) ExplorerConfig() core.ExplorerConfig {
-	cfg := core.ExplorerConfig{
-		Procs:             f.Procs,
-		Clock:             f.Clock,
-		DualClock:         f.DualClock,
-		Transport:         f.Transport,
-		MixingBound:       f.MixingBound,
-		AutoLoopThreshold: f.AutoLoopThreshold,
-		ChoicePoints:      f.ChoicePoints,
-		SampleDepth:       f.SampleDepth,
-	}
-	if f.SampleStrategy != "" {
-		cfg.Sampler = sample.New(sample.Config{
-			Strategy: sample.Strategy(f.SampleStrategy),
-			Samples:  f.Samples,
-			Seed:     f.SampleSeed,
-			Procs:    f.Procs,
-		})
-	}
-	return cfg
-}
-
-// Check compares a worker's fingerprint against the coordinator's, returning
-// a field-naming error on the first mismatch.
-func (f Fingerprint) Check(worker Fingerprint) error {
+// Check reports whether a worker pinned to the exploration w describes can
+// replay job s, naming the first field that says no. Both sides must agree on
+// the program — workload, world size, and the workload parameters unless the
+// worker's are 0, unknown (library callers, who must themselves ensure every
+// node builds the identical program) — and on every field of the Space: a
+// mismatched worker would replay a different program or a different
+// interleaving space, silently corrupting the merged report. The job-level
+// bounds are not compared: they are the coordinator's alone.
+func (s *JobSpec) Check(w *JobSpec) error {
+	n := *s
+	n.Normalize()
+	var err error
 	switch {
-	case f.Workload != worker.Workload:
-		return fmt.Errorf("dcoord: workload mismatch: coordinator %q, worker %q", f.Workload, worker.Workload)
-	case f.Procs != worker.Procs:
-		return fmt.Errorf("dcoord: procs mismatch: coordinator %d, worker %d", f.Procs, worker.Procs)
-	case f.Clock != worker.Clock:
-		return fmt.Errorf("dcoord: clock mismatch: coordinator %v, worker %v", f.Clock, worker.Clock)
-	case f.DualClock != worker.DualClock:
-		return fmt.Errorf("dcoord: dual-clock mismatch: coordinator %v, worker %v", f.DualClock, worker.DualClock)
-	case f.Transport != worker.Transport:
-		return fmt.Errorf("dcoord: transport mismatch: coordinator %v, worker %v", f.Transport, worker.Transport)
-	case f.MixingBound != worker.MixingBound:
-		return fmt.Errorf("dcoord: mixing bound mismatch: coordinator k=%d, worker k=%d", f.MixingBound, worker.MixingBound)
-	case f.AutoLoopThreshold != worker.AutoLoopThreshold:
-		return fmt.Errorf("dcoord: autoloop mismatch: coordinator %d, worker %d", f.AutoLoopThreshold, worker.AutoLoopThreshold)
-	case f.ChoicePoints != worker.ChoicePoints:
-		return fmt.Errorf("dcoord: choice-points mismatch: coordinator %v, worker %v", f.ChoicePoints, worker.ChoicePoints)
-	case f.SampleStrategy != worker.SampleStrategy:
-		return fmt.Errorf("dcoord: sample strategy mismatch: coordinator %q, worker %q", f.SampleStrategy, worker.SampleStrategy)
-	case f.Samples != worker.Samples:
-		return fmt.Errorf("dcoord: sample budget mismatch: coordinator %d, worker %d", f.Samples, worker.Samples)
-	case f.SampleSeed != worker.SampleSeed:
-		return fmt.Errorf("dcoord: sample seed mismatch: coordinator %d, worker %d", f.SampleSeed, worker.SampleSeed)
-	case f.SampleDepth != worker.SampleDepth:
-		return fmt.Errorf("dcoord: sample depth mismatch: coordinator %d, worker %d", f.SampleDepth, worker.SampleDepth)
+	case n.Workload != w.Workload:
+		err = dexplore.Mismatch("workload", "coordinator", n.Workload, "worker", w.Workload)
+	case n.Procs != w.Procs:
+		err = dexplore.Mismatch("procs", "coordinator", n.Procs, "worker", w.Procs)
+	case w.Scale != 0 && w.Scale != n.Scale:
+		err = dexplore.Mismatch("scale", "coordinator", n.Scale, "worker", w.Scale)
+	case w.Iters != 0 && w.Iters != n.Iters:
+		err = dexplore.Mismatch("iters", "coordinator", n.Iters, "worker", w.Iters)
+	default:
+		err = n.Space.Diff(w.Space, "coordinator", "worker")
+	}
+	if err != nil {
+		return fmt.Errorf("dcoord: %w", err)
 	}
 	return nil
 }

@@ -27,7 +27,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		Errors: []*core.InterleavingResult{{Index: 2, Err: errors.New("rank 2: assertion failed"), Decisions: dec(1, 3, 0)}},
 	}
 	frames := []*frame{
-		{Type: msgHello, Proto: protoVersion, Worker: "w1", Slots: 4, Fingerprint: &fp},
+		{Type: msgHello, Proto: protoVersion, Worker: "w1", Slots: 4, Spec: &fp},
 		{Type: msgWelcome, LeaseTTLMillis: 10000},
 		{Type: msgReject, Reason: "dcoord: procs mismatch"},
 		{Type: msgTask, Tasks: []wireTask{
@@ -53,8 +53,8 @@ func TestFrameRoundTrip(t *testing.T) {
 				out.LeaseTTLMillis != in.LeaseTTLMillis {
 				t.Errorf("scalar fields changed: %+v -> %+v", in, out)
 			}
-			if in.Fingerprint != nil && *out.Fingerprint != *in.Fingerprint {
-				t.Errorf("fingerprint changed: %+v -> %+v", *in.Fingerprint, *out.Fingerprint)
+			if in.Spec != nil && *out.Spec != *in.Spec {
+				t.Errorf("spec changed: %+v -> %+v", *in.Spec, *out.Spec)
 			}
 			if len(out.Tasks) != len(in.Tasks) {
 				t.Fatalf("task batch length changed: %d -> %d", len(in.Tasks), len(out.Tasks))
@@ -250,7 +250,7 @@ func FuzzReadFrame(f *testing.F) {
 	fp := baseFingerprint()
 	task := &core.SubtreeTask{Decisions: dec(1, 3, 0), Budget: 2, Explorable: true}
 	for _, fr := range []*frame{
-		{Type: msgHello, Proto: protoVersion, Worker: "w1", Slots: 4, Fingerprint: &fp},
+		{Type: msgHello, Proto: protoVersion, Worker: "w1", Slots: 4, Spec: &fp},
 		{Type: msgTask, Job: "j1", Tasks: []wireTask{{Lease: 42, Keys: []string{taskKey(task)}, Tasks: []*core.SubtreeTask{task}, Budget: 3}}},
 		{Type: msgResult, Result: &WireResult{Lease: 42, Keys: []string{taskKey(task)}, Delta: deltaOf(fp, failedRun("boom"), task)}},
 	} {

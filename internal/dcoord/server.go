@@ -1,6 +1,7 @@
 package dcoord
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -11,11 +12,12 @@ import (
 	"dampi/internal/dexplore"
 )
 
-// ServerConfig configures a persistent cluster server: the long-lived side
-// of verification-as-a-service. Unlike a Coordinator (one exploration, then
-// exit), a Server owns the worker pool across jobs: connections survive job
-// boundaries and the next job's leases are dispatched to the workers that
-// are already there.
+// ServerConfig configures a cluster server: the side of the wire that owns
+// the listener and the worker pool. A Coordinator is one exploration; the
+// Server runs any number of them over its pool, one at a time: connections
+// survive job boundaries and the next job's leases are dispatched to the
+// workers that are already there. A one-shot exploration
+// (Coordinator.ListenAndServe) is a Server with one job.
 type ServerConfig struct {
 	// LeaseTTL, MaxLeaseAge, MaxRedeliveries, CheckpointEvery and
 	// ProgressEvery carry the per-job engine knobs, with the same defaults as
@@ -30,60 +32,43 @@ type ServerConfig struct {
 	OnEvent func(string)
 }
 
-// poolWorker is one pooled connection plus the capability half of its
-// handshake: either pinned to one fingerprint (and optionally to the
-// workload parameters baked into its program) or able to build any workload
-// from a job spec.
-type poolWorker struct {
-	conn *workerConn
-	any  bool
-	fp   Fingerprint // pinned fingerprint; meaningful when !any
-	// scale/iters are the workload parameters a pinned worker's program was
-	// built with; 0 means unknown (library workers), which matches any job.
-	scale, iters int
+// eligible reports whether the worker can replay the job spec describes: an
+// any-workload worker builds whatever is announced, a pinned one only what
+// Check accepts.
+func (w *workerConn) eligible(spec *JobSpec) bool {
+	return w.pinned == nil || spec.Check(w.pinned) == nil
 }
 
-// eligible reports whether this worker can replay a job with the given spec.
-func (p *poolWorker) eligible(spec *JobSpec) bool {
-	if p.any {
-		return true
-	}
-	if p.fp.Check(spec.Fingerprint()) != nil {
-		return false
-	}
-	n := *spec
-	n.Normalize()
-	if p.scale != 0 && p.scale != n.Scale {
-		return false
-	}
-	if p.iters != 0 && p.iters != n.Iters {
-		return false
-	}
-	return true
-}
-
-// Server is a persistent coordinator: it accepts workers once and runs any
-// number of explorations over them, one at a time. Each RunJob embeds a
-// managed Coordinator for the lease/requeue/dedup machinery; the Server
-// routes frames between the pooled connections and the active job.
+// Server accepts workers once and runs any number of explorations over them,
+// one at a time. Each is a Coordinator, which has the lease/requeue/dedup
+// machinery; the Server routes frames between the pooled connections and the
+// current one.
 type Server struct {
 	cfg ServerConfig
 	// wire counts the pool's frame traffic across jobs; each job's
 	// coordinator reports it in its Status.
 	wire wireStats
+	// only, when non-nil, is the one exploration this server exists for
+	// (Coordinator.ListenAndServe sets it before the listener opens). Such a
+	// server differs from a job queue's in two ways: a pinned hello that
+	// only.Check refuses is rejected at the handshake (it could wait for no
+	// later job, only idle), and the server closes when that exploration
+	// finalizes.
+	only *JobSpec
 
-	mu      sync.Mutex
-	ln      net.Listener
-	pool    map[*workerConn]*poolWorker
-	cur     *Coordinator
-	curJob  string
-	curSpec JobSpec
-	closed  bool
+	mu     sync.Mutex
+	ln     net.Listener
+	pool   map[*workerConn]struct{}
+	cur    *Coordinator // the running exploration; nil between jobs
+	closed bool
 }
 
-// NewServer creates a persistent cluster server.
+// NewServer creates a cluster server.
 func NewServer(cfg ServerConfig) *Server {
-	return &Server{cfg: cfg, pool: make(map[*workerConn]*poolWorker)}
+	if cfg.LeaseTTL <= 0 {
+		cfg.LeaseTTL = 10 * time.Second // Config's default: the welcome frame advertises it before any job exists
+	}
+	return &Server{cfg: cfg, pool: make(map[*workerConn]struct{})}
 }
 
 // event emits one lifecycle line.
@@ -93,9 +78,13 @@ func (s *Server) event(format string, args ...any) {
 	}
 }
 
-// Serve starts accepting workers on ln. It returns immediately; the Server
-// owns ln and closes it on Close.
-func (s *Server) Serve(ln net.Listener) {
+// ListenAndServe listens on addr and starts accepting workers. It returns
+// immediately; the Server owns the listener and closes it on Close.
+func (s *Server) ListenAndServe(addr string) (net.Listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	s.ln = ln
 	s.mu.Unlock()
@@ -108,88 +97,106 @@ func (s *Server) Serve(ln net.Listener) {
 			go s.handleConn(conn)
 		}
 	}()
-}
-
-// ListenAndServe listens on addr and Serves.
-func (s *Server) ListenAndServe(addr string) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	s.Serve(ln)
 	return ln, nil
 }
 
-// leaseTTL returns the configured or default lease TTL (the welcome frame
-// advertises it before any job exists).
-func (s *Server) leaseTTL() time.Duration {
-	if s.cfg.LeaseTTL > 0 {
-		return s.cfg.LeaseTTL
-	}
-	return 10 * time.Second
-}
-
 // handleConn performs the handshake, registers the worker in the pool (and
-// with the active job when eligible), then routes its frames until the
+// with the current job when eligible), then routes its frames until the
 // connection dies or the server closes.
 func (s *Server) handleConn(conn net.Conn) {
 	w, fr := acceptHello(conn, &s.wire)
 	if w == nil {
 		return
 	}
-	if fr.Proto != protoVersion {
-		_ = w.send(&frame{Type: msgReject, Reason: fmt.Sprintf("dcoord: protocol version %d, server speaks %d", fr.Proto, protoVersion)})
+	var refuse error
+	switch {
+	case fr.Proto != protoVersion:
+		refuse = fmt.Errorf("dcoord: protocol version %d, coordinator speaks %d", fr.Proto, protoVersion)
+	case w.pinned == nil && !fr.AnyWorkload:
+		refuse = errors.New("dcoord: hello carries neither a spec nor any-workload capability")
+	case w.pinned != nil && s.only != nil:
+		refuse = s.only.Check(w.pinned)
+	}
+	if refuse != nil {
+		_ = w.send(&frame{Type: msgReject, Reason: refuse.Error()})
 		conn.Close()
 		return
-	}
-	if fr.Fingerprint == nil && !fr.AnyWorkload {
-		_ = w.send(&frame{Type: msgReject, Reason: "dcoord: hello carries neither a fingerprint nor any-workload capability"})
-		conn.Close()
-		return
-	}
-	pw := &poolWorker{conn: w, any: fr.AnyWorkload, scale: fr.Scale, iters: fr.Iters}
-	if fr.Fingerprint != nil {
-		pw.fp = *fr.Fingerprint
-		pw.any = false
 	}
 
-	var cur *Coordinator
-	var job string
-	var spec JobSpec
-	admitted, err := w.welcome(s.leaseTTL(), func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if !s.closed {
-			s.pool[w] = pw
-			cur, job, spec = s.cur, s.curJob, s.curSpec
-		}
-		return !s.closed
-	})
+	// Registration and the welcome frame are one step under the write lock: a
+	// grant (or job announcement) another connection triggers may see the
+	// registration at once, but its frame waits behind the welcome — the
+	// worker fails a handshake that a task frame overtakes.
+	w.wmu.Lock()
+	s.mu.Lock()
+	admitted, cur := !s.closed, s.cur
+	if admitted {
+		s.pool[w] = struct{}{}
+	}
+	s.mu.Unlock()
+	answer := &frame{Type: msgDone} // a closed server: nothing is left to join
+	if admitted {
+		answer = &frame{Type: msgWelcome, LeaseTTLMillis: s.cfg.LeaseTTL.Milliseconds()}
+	}
+	err := w.write(answer)
+	w.wmu.Unlock()
 	if !admitted {
-		_ = w.send(&frame{Type: msgDone})
 		conn.Close()
 		return
 	}
-	if err != nil {
-		s.removeWorker(w)
-		return
-	}
-	s.event("worker %s joined (%d slots, any-workload=%v)", w.name, w.slots, pw.any)
-	if cur != nil && pw.eligible(&spec) {
-		if err := w.send(&frame{Type: msgJob, Job: job, Spec: &spec}); err != nil {
-			s.removeWorker(w)
-			return
-		}
-		if cur.attachWorker(w) {
+	if err == nil {
+		s.event("worker %s joined (%d slots, any-workload=%v)", w.name, w.slots, w.pinned == nil)
+		if cur != nil && s.attach(cur, w) {
 			cur.dispatch()
 		}
+		s.serve(w)
 	}
-	w.serve(func() (*Coordinator, string) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.cur, s.curJob
-	})
 	s.removeWorker(w)
+}
+
+// attach announces exploration c to w and registers w with it, if w can
+// replay it and it is still running. The announcement precedes any task frame
+// on the connection: both go through w.send, and no lease is granted to a
+// worker before it is registered.
+func (s *Server) attach(c *Coordinator, w *workerConn) bool {
+	spec := &c.cfg.Fingerprint
+	if !w.eligible(spec) {
+		return false
+	}
+	if err := w.send(&frame{Type: msgJob, Job: c.cfg.JobID, Spec: spec}); err != nil {
+		s.removeWorker(w)
+		return false
+	}
+	return c.attachWorker(w)
+}
+
+// serve is the read loop of a welcomed connection: heartbeats renew, and
+// results merge into, the current exploration (none between jobs; a result
+// tagged with another job is dropped, and one for a finished exploration at
+// handleResult). It returns when the connection dies.
+func (s *Server) serve(w *workerConn) {
+	for {
+		fr, err := w.recv(maxFrameSize)
+		if err != nil {
+			return
+		}
+		s.mu.Lock()
+		c := s.cur
+		s.mu.Unlock()
+		if c == nil {
+			continue
+		}
+		switch fr.Type {
+		case msgHeartbeat:
+			c.renewLeases(w)
+		case msgResult:
+			if fr.Result != nil && fr.Job == c.cfg.JobID {
+				c.handleResult(w, fr.Result)
+			}
+		default:
+			// Unknown frame from a matching-version worker: ignore.
+		}
+	}
 }
 
 // removeWorker drops a dead connection from the pool and requeues any leases
@@ -229,71 +236,66 @@ type JobConfig struct {
 // mid-job are attached on arrival; workers that die mid-job lose their
 // leases to the usual requeue machinery.
 func (s *Server) RunJob(spec JobSpec, jcfg JobConfig) (*core.Report, error) {
-	spec.Normalize()
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	cfg := Config{
-		Fingerprint:      spec.Fingerprint(),
-		JobID:            jcfg.ID,
-		MaxInterleavings: spec.MaxInterleavings,
-		StopOnFirstError: spec.StopOnFirstError,
-		LeaseTTL:         s.cfg.LeaseTTL,
-		MaxLeaseAge:      s.cfg.MaxLeaseAge,
-		MaxRedeliveries:  s.cfg.MaxRedeliveries,
-		CheckpointPath:   jcfg.CheckpointPath,
-		CheckpointEvery:  s.cfg.CheckpointEvery,
-		Resume:           jcfg.Resume,
-		OnProgress:       jcfg.OnProgress,
-		ProgressEvery:    s.cfg.ProgressEvery,
-	}
-	c, err := New(cfg)
+	c, err := New(Config{
+		Fingerprint:     spec,
+		JobID:           jcfg.ID,
+		LeaseTTL:        s.cfg.LeaseTTL,
+		MaxLeaseAge:     s.cfg.MaxLeaseAge,
+		MaxRedeliveries: s.cfg.MaxRedeliveries,
+		CheckpointPath:  jcfg.CheckpointPath,
+		CheckpointEvery: s.cfg.CheckpointEvery,
+		Resume:          jcfg.Resume,
+		OnProgress:      jcfg.OnProgress,
+		ProgressEvery:   s.cfg.ProgressEvery,
+	})
 	if err != nil {
 		return nil, err
 	}
-	c.wire = &s.wire
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("dcoord: server closed")
+	if err := s.start(c); err != nil {
+		return nil, err
 	}
-	if s.cur != nil {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("dcoord: job %s still running", s.curJob)
-	}
-	s.cur = c
-	s.curJob = jcfg.ID
-	s.curSpec = spec
-	var attach []*workerConn
-	for w, pw := range s.pool {
-		if pw.eligible(&spec) {
-			attach = append(attach, w)
-		}
-	}
-	s.mu.Unlock()
-
-	s.event("job %s started: %s procs=%d (%d eligible workers)", jcfg.ID, spec.Workload, spec.Procs, len(attach))
-	c.startManaged()
-	for _, w := range attach {
-		// The job announcement must precede any task frame on this
-		// connection; both go through w.send, so the order holds.
-		if err := w.send(&frame{Type: msgJob, Job: jcfg.ID, Spec: &spec}); err != nil {
-			s.removeWorker(w)
-			continue
-		}
-		c.attachWorker(w)
-	}
-	c.dispatch()
 	rep, err := c.Wait()
-
+	// Cleared before RunJob returns: the caller's next RunJob must not find
+	// this job still running.
 	s.mu.Lock()
-	if s.cur == c {
-		s.cur = nil
-		s.curJob = ""
-	}
+	s.cur = nil
 	s.mu.Unlock()
 	return rep, err
+}
+
+// start makes c the server's current exploration and hands it the pooled
+// workers that can replay it. A worker joining concurrently is attached by
+// exactly one side: it either registered before the snapshot below, or saw c
+// as the current exploration when it did.
+func (s *Server) start(c *Coordinator) error {
+	s.mu.Lock()
+	switch {
+	case s.closed:
+		s.mu.Unlock()
+		return errors.New("dcoord: server closed")
+	case s.cur != nil:
+		s.mu.Unlock()
+		return fmt.Errorf("dcoord: job %s still running", s.cur.cfg.JobID)
+	}
+	c.srv, c.wire = s, &s.wire
+	s.cur = c
+	pool := make([]*workerConn, 0, len(s.pool))
+	for w := range s.pool {
+		pool = append(pool, w)
+	}
+	s.mu.Unlock()
+
+	c.run()
+	eligible := 0
+	for _, w := range pool {
+		if s.attach(c, w) {
+			eligible++
+		}
+	}
+	spec := &c.cfg.Fingerprint
+	s.event("job %s started: %s procs=%d (%d eligible workers)", c.cfg.JobID, spec.Workload, spec.Procs, eligible)
+	c.dispatch()
+	return nil
 }
 
 // CancelJob drains the named active job: no new leases, in-flight replays
@@ -301,9 +303,9 @@ func (s *Server) RunJob(spec JobSpec, jcfg JobConfig) (*core.Report, error) {
 // was the active one.
 func (s *Server) CancelJob(id string) bool {
 	s.mu.Lock()
-	cur, job := s.cur, s.curJob
+	cur := s.cur
 	s.mu.Unlock()
-	if cur == nil || job != id {
+	if cur == nil || cur.cfg.JobID != id {
 		return false
 	}
 	cur.Stop()
@@ -353,12 +355,12 @@ func (s *Server) Close(kill bool) {
 // running.
 func (s *Server) CurrentStatus() (Status, string, bool) {
 	s.mu.Lock()
-	cur, job := s.cur, s.curJob
+	cur := s.cur
 	s.mu.Unlock()
 	if cur == nil {
 		return Status{}, "", false
 	}
-	return cur.Status(), job, true
+	return cur.Status(), cur.cfg.JobID, true
 }
 
 // PoolWorkerStatus is one pooled connection's view for service status: the
@@ -378,16 +380,16 @@ func (s *Server) Workers() []PoolWorkerStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]PoolWorkerStatus, 0, len(s.pool))
-	for w, pw := range s.pool {
+	for w := range s.pool {
 		ws := PoolWorkerStatus{
 			Name:         w.name,
 			Addr:         w.conn.RemoteAddr().String(),
 			Slots:        w.slots,
-			AnyWorkload:  pw.any,
+			AnyWorkload:  w.pinned == nil,
 			ConnectedSec: now.Sub(w.since).Seconds(),
 		}
-		if !pw.any {
-			ws.Workload = pw.fp.Workload
+		if w.pinned != nil {
+			ws.Workload = w.pinned.Workload
 		}
 		out = append(out, ws)
 	}

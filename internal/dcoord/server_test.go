@@ -2,12 +2,14 @@ package dcoord
 
 import (
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"dampi/internal/core"
+	"dampi/internal/dexplore"
 )
 
 // testFactory builds a JobSpec factory over the local test programs, with one
@@ -136,8 +138,8 @@ func TestServerRunsSequentialJobs(t *testing.T) {
 	waitForPool(t, s, 2)
 
 	specs := []JobSpec{
-		{Workload: "fanin", Procs: 3, Clock: core.Lamport, Transport: core.Separate, MixingBound: 1},
-		{Workload: "fanin", Procs: 4, Clock: core.Lamport, Transport: core.Separate, MixingBound: 1},
+		{Workload: "fanin", Procs: 3, Space: dexplore.Space{MixingBound: 1}},
+		{Workload: "fanin", Procs: 4, Space: dexplore.Space{MixingBound: 1}},
 	}
 	for i, spec := range specs {
 		id := fmt.Sprintf("job%d", i)
@@ -186,7 +188,7 @@ func TestServerSkipsIneligiblePinnedWorker(t *testing.T) {
 	defer stop()
 	waitForPool(t, s, 2)
 
-	spec := JobSpec{Workload: "fanin", Procs: 3, Clock: core.Lamport, Transport: core.Separate, MixingBound: 1}
+	spec := JobSpec{Workload: "fanin", Procs: 3, Space: dexplore.Space{MixingBound: 1}}
 	rep, err := runJob(t, s, spec, JobConfig{ID: "onlyany"})
 	if err != nil {
 		t.Fatalf("job with one eligible worker failed: %v", err)
@@ -209,7 +211,7 @@ func TestServerFactoryFailureFailsJob(t *testing.T) {
 	defer stop()
 	waitForPool(t, s, 1)
 
-	spec := JobSpec{Workload: "no-such-workload", Procs: 3, Clock: core.Lamport, Transport: core.Separate, MixingBound: 1}
+	spec := JobSpec{Workload: "no-such-workload", Procs: 3, Space: dexplore.Space{MixingBound: 1}}
 	_, err := runJob(t, s, spec, JobConfig{ID: "bad"})
 	if err == nil {
 		t.Fatal("job with unbuildable spec succeeded")
@@ -224,36 +226,142 @@ func TestServerFactoryFailureFailsJob(t *testing.T) {
 func TestServerRejectsConcurrentJobs(t *testing.T) {
 	s := NewServer(ServerConfig{})
 	s.mu.Lock()
-	s.cur = &Coordinator{} // simulate an active job without running one
-	s.curJob = "busy"
+	s.cur = &Coordinator{cfg: Config{JobID: "busy"}} // simulate an active job without running one
 	s.mu.Unlock()
-	spec := JobSpec{Workload: "fanin", Procs: 3, Clock: core.Lamport, Transport: core.Separate, MixingBound: 1}
-	if _, err := s.RunJob(spec, JobConfig{ID: "second"}); err == nil || !strings.Contains(err.Error(), "still running") {
-		t.Errorf("concurrent RunJob error = %v, want 'still running'", err)
+	spec := JobSpec{Workload: "fanin", Procs: 3, Space: dexplore.Space{MixingBound: 1}}
+	if _, err := s.RunJob(spec, JobConfig{ID: "second"}); err == nil || !strings.Contains(err.Error(), "busy still running") {
+		t.Errorf("concurrent RunJob error = %v, want 'job busy still running'", err)
 	}
 }
 
 // TestPoolWorkerEligible covers the dispatch filter: any-workload workers
-// match everything; pinned workers match only their fingerprint, with 0
-// scale/iters acting as wildcards.
+// match everything; pinned workers match only the jobs JobSpec.Check accepts
+// against their spec, with 0 scale/iters acting as wildcards.
 func TestPoolWorkerEligible(t *testing.T) {
-	spec := JobSpec{Workload: "fanin", Procs: 3, Clock: core.Lamport, Transport: core.Separate, MixingBound: 1, Scale: 50, Iters: 2}
-	fp := spec.Fingerprint()
+	spec := JobSpec{Workload: "fanin", Procs: 3, Scale: 50, Iters: 2, Space: dexplore.Space{MixingBound: 1}}
+	pinned := func(mutate func(*JobSpec)) *JobSpec {
+		w := spec
+		mutate(&w)
+		return &w
+	}
 	cases := []struct {
-		name string
-		pw   poolWorker
-		want bool
+		name   string
+		pinned *JobSpec
+		want   bool
 	}{
-		{"any", poolWorker{any: true}, true},
-		{"pinned-match", poolWorker{fp: fp, scale: 50, iters: 2}, true},
-		{"pinned-wildcard-params", poolWorker{fp: fp}, true},
-		{"pinned-wrong-workload", poolWorker{fp: Fingerprint{Workload: "other", Procs: 3, Clock: core.Lamport, Transport: core.Separate, MixingBound: 1}}, false},
-		{"pinned-wrong-scale", poolWorker{fp: fp, scale: 100}, false},
-		{"pinned-wrong-iters", poolWorker{fp: fp, iters: 4}, false},
+		{"any", nil, true},
+		{"pinned-match", pinned(func(*JobSpec) {}), true},
+		{"pinned-wildcard-params", pinned(func(w *JobSpec) { w.Scale, w.Iters = 0, 0 }), true},
+		{"pinned-other-bounds", pinned(func(w *JobSpec) { w.MaxInterleavings = 7 }), true},
+		{"pinned-wrong-workload", pinned(func(w *JobSpec) { w.Workload = "other" }), false},
+		{"pinned-wrong-space", pinned(func(w *JobSpec) { w.MixingBound = 2 }), false},
+		{"pinned-wrong-scale", pinned(func(w *JobSpec) { w.Scale = 100 }), false},
+		{"pinned-wrong-iters", pinned(func(w *JobSpec) { w.Iters = 4 }), false},
 	}
 	for _, tc := range cases {
-		if got := tc.pw.eligible(&spec); got != tc.want {
+		if got := (&workerConn{pinned: tc.pinned}).eligible(&spec); got != tc.want {
 			t.Errorf("%s: eligible = %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestOneShotIsAOneJobServer: Coordinator.ListenAndServe is a Server whose
+// only job is that coordinator. So an any-workload worker, which a one-shot
+// coordinator used to refuse, builds the announced spec and completes the
+// exploration alone, with the serial report; pinned and any-workload workers
+// share one; and when Wait returns the server is gone — every worker was told
+// done and its Run returns nil, none left redialling a closed listener.
+func TestOneShotIsAOneJobServer(t *testing.T) {
+	f := newTestFactory()
+	spec := JobSpec{Workload: "fanin", Procs: 4, Space: dexplore.Space{MixingBound: core.Unbounded}}
+	cfg, err := f.config(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := runSerial(t, cfg)
+
+	for _, pinned := range []int{0, 2} {
+		t.Run(fmt.Sprintf("pinned=%d", pinned), func(t *testing.T) {
+			c, addr := startCoordinator(t, Config{Fingerprint: spec, LeaseTTL: 2 * time.Second})
+			if st := c.Status(); st.Workload != "fanin" || st.State != "exploring" {
+				t.Fatalf("status before any worker: %+v", st)
+			}
+			// No replay runs until every worker has joined: the exploration
+			// cannot end while one is still dialling.
+			n := pinned + 1
+			var mu sync.Mutex
+			var events []string
+			joined := make(chan struct{}, n)
+			onEvent := func(line string) {
+				mu.Lock()
+				events = append(events, line)
+				mu.Unlock()
+				if strings.HasPrefix(line, "joined ") {
+					joined <- struct{}{}
+				}
+			}
+			gate := make(chan struct{})
+			gated := func(run func(*core.ExplorerConfig, *core.Decisions) (*core.RunTrace, *core.InterleavingResult, error)) func(*core.ExplorerConfig, *core.Decisions) (*core.RunTrace, *core.InterleavingResult, error) {
+				return func(cfg *core.ExplorerConfig, d *core.Decisions) (*core.RunTrace, *core.InterleavingResult, error) {
+					<-gate
+					return run(cfg, d)
+				}
+			}
+			ws := []*Worker{NewWorker(WorkerConfig{Addr: addr, Name: "any", Slots: 2, OnEvent: onEvent, Factory: func(s JobSpec) (core.ExplorerConfig, error) {
+				cfg, err := f.config(s)
+				cfg.Runner = gated(cfg.Runner)
+				return cfg, err
+			}})}
+			for i := 0; i < pinned; i++ {
+				pcfg := cfg
+				pcfg.Runner = gated(cfg.Runner)
+				ws = append(ws, NewWorker(WorkerConfig{Addr: addr, Name: fmt.Sprintf("pinned%d", i), OnEvent: onEvent, Fingerprint: FingerprintFor("fanin", &pcfg), Explorer: pcfg}))
+			}
+			done := make(chan error, n)
+			for _, w := range ws {
+				go func() { done <- w.Run() }()
+			}
+			for i := 0; i < n; i++ {
+				select {
+				case <-joined:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("only %d of %d workers joined: %q", i, n, events)
+				}
+			}
+			close(gate)
+			rep, err := waitFor(t, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSameReport(t, "one-shot", serial, rep)
+			for range ws {
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Errorf("worker after Wait: %v", err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("a worker is still running after Wait returned: %q", events)
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			announced := 0
+			for _, line := range events {
+				if strings.Contains(line, "reconnecting") || strings.Contains(line, "dial ") {
+					t.Errorf("worker event after the exploration: %s", line)
+				}
+				if line == "job fanin: fanin procs=4" {
+					announced++
+				}
+			}
+			if announced != n {
+				t.Errorf("%d of %d workers logged the announcement under the job's id: %q", announced, n, events)
+			}
+			if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+				conn.Close()
+				t.Error("the listener is still open after Wait returned")
+			}
+		})
 	}
 }

@@ -127,8 +127,9 @@ func TestStatusGoldenFieldSet(t *testing.T) {
 
 	srv := httptest.NewServer(c.StatusHandler())
 	defer srv.Close()
-	// One hello in; a welcome and the root task frame out. A frame is counted
-	// once its write has returned, which the fake's read of it can beat.
+	// One hello in; a welcome, the job announcement and the root task frame
+	// out. A frame is counted once its write has returned, which the fake's
+	// read of it can beat.
 	var body []byte
 	var st Status
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
@@ -141,7 +142,7 @@ func TestStatusGoldenFieldSet(t *testing.T) {
 		if err := json.Unmarshal(body, &st); err != nil {
 			t.Fatalf("/status is not a JSON object: %v\n%s", err, body)
 		}
-		if st.FramesOut >= 2 || time.Now().After(deadline) {
+		if st.FramesOut >= 3 || time.Now().After(deadline) {
 			break
 		}
 	}
@@ -156,8 +157,8 @@ func TestStatusGoldenFieldSet(t *testing.T) {
 		}
 	}
 	// Every frame is at least its 4-byte header and a JSON object.
-	if st.FramesIn != 1 || st.FramesOut != 2 || st.WireBytesIn < 6 || st.WireBytesOut < 12 {
-		t.Errorf("wire counters = %d frames / %d bytes in, %d / %d out; want 1 frame in, 2 out",
+	if st.FramesIn != 1 || st.FramesOut != 3 || st.WireBytesIn < 6 || st.WireBytesOut < 18 {
+		t.Errorf("wire counters = %d frames / %d bytes in, %d / %d out; want 1 frame in, 3 out",
 			st.FramesIn, st.WireBytesIn, st.FramesOut, st.WireBytesOut)
 	}
 	// The root is leased, so nothing waits in the frontier and nothing is done.
@@ -189,6 +190,9 @@ func TestMetricsExpositionParses(t *testing.T) {
 	f := dialFake(t, addr, cfg.Fingerprint, "parsed", 1)
 	defer f.close()
 	f.recvTask()
+	// A frame is counted once its write has returned, which the read of it
+	// above can beat.
+	waitStatus(t, c, "the task frame's count", func(st Status) bool { return st.FramesOut >= 3 })
 
 	srv := httptest.NewServer(c.StatusHandler())
 	defer srv.Close()
@@ -236,7 +240,7 @@ func TestMetricsExpositionParses(t *testing.T) {
 		t.Errorf("only %d samples; the exposition looks truncated:\n%s", samples, raw)
 	}
 	for _, want := range []string{
-		`dampi_wire_frames_total{dir="in"} 1`, `dampi_wire_frames_total{dir="out"} 2`,
+		`dampi_wire_frames_total{dir="in"} 1`, `dampi_wire_frames_total{dir="out"} 3`,
 		`dampi_wire_bytes_total{dir="in"} `, `dampi_wire_bytes_total{dir="out"} `,
 		`dampi_leases_total 1`, `dampi_frontier_depth 0`,
 	} {

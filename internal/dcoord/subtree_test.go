@@ -176,7 +176,7 @@ func TestNoGrantBeforeWelcome(t *testing.T) {
 
 // grown returns the root lease with a self-discovery run that found n
 // children, which it hands back as the frontier.
-func grown(f *fakeWorker, fp Fingerprint, n int) []*core.SubtreeTask {
+func grown(f *fakeWorker, fp JobSpec, n int) []*core.SubtreeTask {
 	f.t.Helper()
 	children := make([]*core.SubtreeTask, n)
 	for i := range children {
@@ -264,6 +264,7 @@ func TestOverlappingLateResultsCountOnce(t *testing.T) {
 				r.Interleavings = 2
 				return r
 			}
+			subtrees := 4 // root, a, b, c
 			if lateFirst {
 				x.result(fp, lost, &core.Report{Interleavings: 2})
 				waitStatus(t, c, "late merge", func(st Status) bool { return st.Interleavings == 3 && st.DoneSet == 3 })
@@ -275,20 +276,32 @@ func TestOverlappingLateResultsCountOnce(t *testing.T) {
 				y.result(fp, onlyB, failedRun("dropped: b was done"))
 				x.result(fp, again, &core.Report{Interleavings: 1})
 			} else {
-				x.result(fp, ca, &core.Report{Interleavings: 2})
+				// The late result must find the exploration still running (one
+				// that is over has closed its connections): x's re-lease hands
+				// back a subtree d of its own, which — y still holding b — is
+				// leased to x and returned after the late result, on the same
+				// connection.
+				d := &core.SubtreeTask{Decisions: dec(1, 1, 0), Budget: core.Unbounded, Explorable: true}
+				x.result(fp, ca, &core.Report{Interleavings: 2}, d)
+				onlyD := x.recvTask()
+				if keysOf(onlyD.Tasks...) != keysOf(d) {
+					t.Fatalf("after {c, a} %s is leased, want d", keysOf(onlyD.Tasks...))
+				}
 				y.result(fp, onlyB, &core.Report{Interleavings: 1})
 				waitStatus(t, c, "re-leases merged", func(st Status) bool { return st.Interleavings == 4 })
 				x.result(fp, lost, two("dropped: both were done"))
+				x.result(fp, onlyD, &core.Report{Interleavings: 1})
+				subtrees++
 			}
 			rep, err := waitFor(t, c)
 			if err != nil {
 				t.Fatalf("explore: %v", err)
 			}
-			if rep.Interleavings != 4 || len(rep.Errors) != 0 {
-				t.Errorf("report = %d interleavings, errors %v; want root + a + b + c once each, none", rep.Interleavings, rep.Errors)
+			if rep.Interleavings != subtrees || len(rep.Errors) != 0 {
+				t.Errorf("report = %d interleavings, errors %v; want the %d subtrees once each, none", rep.Interleavings, rep.Errors, subtrees)
 			}
-			if st := c.Status(); st.DoneSet != 4 || st.Requeues != 1 {
-				t.Errorf("done-set %d, requeues %d; want 4 subtrees, 1 lost lease", st.DoneSet, st.Requeues)
+			if st := c.Status(); st.DoneSet != subtrees || st.Requeues != 1 {
+				t.Errorf("done-set %d, requeues %d; want %d subtrees, 1 lost lease", st.DoneSet, st.Requeues, subtrees)
 			}
 		})
 	}
@@ -339,7 +352,7 @@ func TestUntouchedRootHandedBackIsExploredLater(t *testing.T) {
 // exploration naming the worker and the lease.
 func TestLeaseResultOverBudgetRejected(t *testing.T) {
 	cfg := leaseTestConfig(time.Second)
-	cfg.MaxInterleavings = 10
+	cfg.Fingerprint.MaxInterleavings = 10
 	c, addr := startCoordinator(t, cfg)
 	f := dialFake(t, addr, cfg.Fingerprint, "greedy", 1)
 	defer f.close()
@@ -364,30 +377,30 @@ func TestLeaseResultOverBudgetRejected(t *testing.T) {
 func TestNonRootLeaseCannotSetRootAggregates(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		delta func(fp Fingerprint) *WireResult
+		delta func(fp JobSpec) *WireResult
 		want  string
 	}{
-		{"first-trace", func(fp Fingerprint) *WireResult {
+		{"first-trace", func(fp JobSpec) *WireResult {
 			return &WireResult{Delta: deltaOf(fp, &core.Report{Interleavings: 1, FirstTrace: &core.RunTrace{}})}
 		}, "without holding the root"},
-		{"wildcards", func(fp Fingerprint) *WireResult {
+		{"wildcards", func(fp JobSpec) *WireResult {
 			return &WireResult{Delta: deltaOf(fp, &core.Report{Interleavings: 1, WildcardsAnalyzed: 3})}
 		}, "without holding the root"},
-		{"unsafe", func(fp Fingerprint) *WireResult {
+		{"unsafe", func(fp JobSpec) *WireResult {
 			return &WireResult{Delta: deltaOf(fp, &core.Report{Interleavings: 1, Unsafe: []core.UnsafeReport{{}}})}
 		}, "without holding the root"},
-		{"no-delta", func(Fingerprint) *WireResult { return &WireResult{} }, "has no delta"},
-		{"negative", func(fp Fingerprint) *WireResult {
+		{"no-delta", func(JobSpec) *WireResult { return &WireResult{} }, "has no delta"},
+		{"negative", func(fp JobSpec) *WireResult {
 			return &WireResult{Delta: deltaOf(fp, &core.Report{Interleavings: 1, DecisionPoints: -4})}
 		}, "negative count"},
-		{"nothing-explored", func(fp Fingerprint) *WireResult {
+		{"nothing-explored", func(fp JobSpec) *WireResult {
 			return &WireResult{Delta: deltaOf(fp, &core.Report{})}
 		}, "0 replays for 1 subtrees"},
-		{"handed-back-twice", func(fp Fingerprint) *WireResult {
+		{"handed-back-twice", func(fp JobSpec) *WireResult {
 			kid := &core.SubtreeTask{Decisions: dec(1, 1, 2), Budget: core.Unbounded, Explorable: true}
 			return &WireResult{Delta: deltaOf(fp, &core.Report{Interleavings: 1}, kid, kid)}
 		}, "twice"},
-		{"other-space", func(fp Fingerprint) *WireResult {
+		{"other-space", func(fp JobSpec) *WireResult {
 			fp.Procs++
 			return &WireResult{Delta: deltaOf(fp, &core.Report{Interleavings: 1})}
 		}, "procs"},
@@ -506,8 +519,9 @@ func (nullConn) RemoteAddr() net.Addr             { return &net.TCPAddr{} }
 
 // fuzzCoordinator returns an unserved coordinator with one 1-slot worker
 // attached, holding the root lease: lease 1, key rootKey, budget 1.
-func fuzzCoordinator(t *testing.T, fp Fingerprint, max int) (*Coordinator, *workerConn) {
-	c, err := New(Config{Fingerprint: fp, MaxInterleavings: max})
+func fuzzCoordinator(t *testing.T, fp JobSpec, max int) (*Coordinator, *workerConn) {
+	fp.MaxInterleavings = max
+	c, err := New(Config{Fingerprint: fp})
 	if err != nil {
 		t.Fatal(err)
 	}

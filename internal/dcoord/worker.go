@@ -24,26 +24,22 @@ type WorkerConfig struct {
 	// core.RunContext and mpi.World). Default 1.
 	Slots int
 	// Fingerprint, when non-zero, pins the worker to one exploration: it is
-	// sent in the handshake and the worker only ever replays jobs whose spec
-	// matches it. A zero Fingerprint (requires Factory) makes this an
-	// any-workload worker: it advertises the capability instead and builds
-	// its program per job from the announced spec.
-	Fingerprint Fingerprint
+	// the spec sent in the handshake, and the worker only ever replays jobs
+	// whose spec Check accepts against it. Its Scale and Iters are the
+	// workload parameters the worker's program was built with; 0 means
+	// unknown (library callers), which matches any job. A zero Fingerprint
+	// (requires Factory) makes this an any-workload worker: it advertises the
+	// capability instead and builds its program per job from the announced
+	// spec.
+	Fingerprint JobSpec
 	// Explorer carries the replay parameters and the program for pinned
 	// workers. Its exploration fields must agree with Fingerprint (the
-	// caller builds both from one source).
+	// caller builds it with FingerprintFor from this very config).
 	Explorer core.ExplorerConfig
 	// Factory, if non-nil, builds the replay configuration (including the
 	// program) for an announced job spec. Required for any-workload workers;
 	// optional for pinned ones (the pinned Explorer is used instead).
 	Factory func(spec JobSpec) (core.ExplorerConfig, error)
-	// Scale and Iters are the workload parameters a pinned worker's program
-	// was built with, advertised in the handshake so a job-queue server only
-	// dispatches jobs with matching parameters. 0 means unknown (library
-	// callers), which matches any job — those callers must themselves ensure
-	// every node builds the identical program.
-	Scale int
-	Iters int
 	// DialTimeout bounds one connection attempt. Default 5s.
 	DialTimeout time.Duration
 	// BackoffInitial and BackoffMax shape the reconnect backoff (exponential
@@ -87,7 +83,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 			panic("dcoord: WorkerConfig.Explorer.Program must be set")
 		}
 	}
-	if cfg.Factory != nil && (cfg.Fingerprint == Fingerprint{}) && (cfg.Explorer.Program != nil || cfg.Explorer.Runner != nil) {
+	if cfg.Factory != nil && (cfg.Fingerprint == JobSpec{}) && (cfg.Explorer.Program != nil || cfg.Explorer.Runner != nil) {
 		panic("dcoord: any-workload worker with a pinned program; set Fingerprint or drop Explorer")
 	}
 	if cfg.Slots < 1 {
@@ -247,39 +243,38 @@ func (rt *jobRuntime) put(rc *core.RunContext) {
 	rt.mu.Unlock()
 }
 
-// runtimeFor resolves a job announcement into a runtime: through the
-// factory when present, else against the pinned explorer configuration.
+// runtimeFor resolves a job announcement into a runtime — the one way a
+// worker comes by a replay configuration: through the factory when present,
+// else the pinned explorer configuration, checked against the announced spec.
+// The job-level bounds are the coordinator's: whatever the configuration says
+// of them is dropped (a worker honouring StopOnFirstError would change what a
+// draining lease counts).
 func (w *Worker) runtimeFor(job string, spec *JobSpec) *jobRuntime {
-	rt := &jobRuntime{id: job}
-	if spec == nil {
+	rt := &jobRuntime{id: job, cfg: w.cfg.Explorer}
+	switch {
+	case spec == nil:
 		rt.err = "dcoord: job announcement without a spec"
-		return rt
-	}
-	if w.cfg.Factory != nil {
-		cfg, err := w.cfg.Factory(*spec)
-		if err != nil {
+	case w.cfg.Factory != nil:
+		var err error
+		if rt.cfg, err = w.cfg.Factory(*spec); err != nil {
 			rt.err = fmt.Sprintf("dcoord: worker cannot build job spec: %v", err)
-			return rt
 		}
-		rt.cfg = cfg
-		return rt
-	}
-	if err := w.cfg.Fingerprint.Check(spec.Fingerprint()); err != nil {
-		// The server checks eligibility before dispatching, so this is a
+	default:
+		// The server checks eligibility before announcing, so a mismatch is a
 		// server bug; fail the job loudly rather than corrupt its report.
-		rt.err = fmt.Sprintf("dcoord: job spec does not match pinned worker: %v", err)
-		return rt
+		if err := spec.Check(&w.cfg.Fingerprint); err != nil {
+			rt.err = fmt.Sprintf("dcoord: job spec does not match pinned worker: %v", err)
+		}
 	}
-	rt.cfg = w.cfg.Explorer
+	rt.cfg.MaxInterleavings, rt.cfg.StopOnFirstError = 0, false
 	return rt
 }
 
 // slotTask is one lease routed to a replay slot, with the runtime of the job
 // it belongs to.
 type slotTask struct {
-	rt  *jobRuntime
-	job string
-	wt  wireTask
+	rt *jobRuntime
+	wt wireTask
 }
 
 // session runs one connection's lifetime: handshake, then slots replaying
@@ -307,9 +302,8 @@ func (w *Worker) session(conn net.Conn) (bool, error) {
 	// included, so a task frame costs one syscall and no byte is stranded.
 	r := bufio.NewReader(conn)
 	hello := &frame{Type: msgHello, Proto: protoVersion, Worker: w.cfg.Name, Slots: w.cfg.Slots}
-	if fp := w.cfg.Fingerprint; fp != (Fingerprint{}) {
-		hello.Fingerprint = &fp
-		hello.Scale, hello.Iters = w.cfg.Scale, w.cfg.Iters
+	if w.cfg.Fingerprint != (JobSpec{}) {
+		hello.Spec = &w.cfg.Fingerprint
 	} else {
 		hello.AnyWorkload = true
 	}
@@ -377,7 +371,7 @@ func (w *Worker) session(conn net.Conn) (bool, error) {
 				rc := st.rt.get()
 				res := w.runLease(st.rt, rc, st.wt)
 				st.rt.put(rc)
-				if err := send(&frame{Type: msgResult, Job: st.job, Result: res}); err != nil {
+				if err := send(&frame{Type: msgResult, Job: st.rt.id, Result: res}); err != nil {
 					return // session is over; the lease will expire and requeue
 				}
 			}
@@ -406,13 +400,8 @@ func (w *Worker) session(conn net.Conn) (bool, error) {
 		case <-sessDone:
 		}
 	}()
-	// Job runtimes, keyed by job id. Pinned workers pre-seed the empty id:
-	// a single-job coordinator (verify.Serve) announces no jobs and tags no
-	// frames, so its tasks resolve to the pinned program.
-	runtimes := make(map[string]*jobRuntime)
-	if w.cfg.Explorer.Program != nil || w.cfg.Explorer.Runner != nil {
-		runtimes[""] = &jobRuntime{cfg: w.cfg.Explorer}
-	}
+	// The runtime of the announced job: every task resolves through it.
+	var cur *jobRuntime
 read:
 	for {
 		fr, _, err := readFrame(r, maxFrameSize)
@@ -425,25 +414,25 @@ read:
 			done = true
 			break read
 		case msgJob:
-			// A new job supersedes any previous one: the server runs jobs
-			// sequentially, so old runtimes (and their pooled contexts) are
+			// A new job supersedes the previous one: the server runs jobs
+			// sequentially, so the old runtime (and its pooled contexts) is
 			// dropped. In-flight slots keep their own references.
-			rt := w.runtimeFor(fr.Job, fr.Spec)
-			seed := runtimes[""]
-			runtimes = map[string]*jobRuntime{fr.Job: rt}
-			if seed != nil {
-				runtimes[""] = seed
-			}
-			if rt.err != "" {
-				w.event("job %s unrunnable: %s", fr.Job, rt.err)
+			cur = w.runtimeFor(fr.Job, fr.Spec)
+			if cur.err != "" {
+				w.event("job %s unrunnable: %s", fr.Job, cur.err)
 			} else {
 				w.event("job %s: %s procs=%d", fr.Job, fr.Spec.Workload, fr.Spec.Procs)
 			}
 		case msgJobDone:
-			delete(runtimes, fr.Job)
+			if cur != nil && cur.id == fr.Job {
+				cur = nil
+			}
 			w.event("job %s done", fr.Job)
 		case msgTask:
-			rt := runtimes[fr.Job]
+			rt := cur
+			if rt != nil && rt.id != fr.Job {
+				rt = nil
+			}
 			for _, wt := range fr.Tasks {
 				if len(wt.Tasks) == 0 {
 					continue
@@ -461,7 +450,7 @@ read:
 					continue
 				}
 				select {
-				case tasks <- slotTask{rt: rt, job: fr.Job, wt: wt}:
+				case tasks <- slotTask{rt: rt, wt: wt}:
 				case <-w.stopCh:
 				}
 				if w.halted() {

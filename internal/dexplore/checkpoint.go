@@ -30,21 +30,17 @@ type Checkpoint struct {
 	// a name, so single-process checkpoints stay compatible.
 	Workload string `json:"workload,omitempty"`
 
-	// Exploration parameters, validated on resume.
-	Procs             int            `json:"procs"`
-	Clock             core.ClockMode `json:"clock"`
-	DualClock         bool           `json:"dual_clock,omitempty"`
-	Transport         core.Transport `json:"transport"`
-	MixingBound       int            `json:"mixing_bound"`
-	AutoLoopThreshold int            `json:"auto_loop_threshold,omitempty"`
-	ChoicePoints      bool           `json:"choice_points,omitempty"`
-	SampleDepth       int            `json:"sample_depth,omitempty"`
+	// Procs and the embedded Space are the exploration the checkpoint belongs
+	// to, validated on resume.
+	Procs int `json:"procs"`
+	Space
 
-	// Sampler is the schedule-sampler signature ("" = exhaustive). A resumed
-	// run must use the identically parameterized sampler — strategy, budget
-	// and seed — or the walk-step tasks in the frontier would continue under a
-	// different generator stream.
-	Sampler string `json:"sampler,omitempty"`
+	// LegacySampler is only ever read: checkpoints written before Space
+	// carried a sampling exploration's strategy, budget and seed as this one
+	// signature string. Such a file cannot say which Space it belongs to, so
+	// Validate refuses it by name rather than resume a sampler's walk tasks
+	// under whatever the config holds.
+	LegacySampler string `json:"sampler,omitempty"`
 
 	// Aggregates of completed replays.
 	Interleavings     int                 `json:"interleavings"`
@@ -83,26 +79,6 @@ type CheckpointError struct {
 	Decisions *core.Decisions `json:"decisions"`
 }
 
-// SamplerSignature is the optional interface a core.Sampler implements to
-// make its parameters checkpointable: the string must change whenever the
-// sampler would derive a different schedule set (strategy, budget, seed).
-type SamplerSignature interface {
-	Signature() string
-}
-
-// SignatureOf renders a config's sampler for checkpoint validation ("" for
-// exhaustive configs, "custom" for samplers without a Signature).
-func SignatureOf(cfg *core.ExplorerConfig) string {
-	switch s := cfg.Sampler.(type) {
-	case nil:
-		return ""
-	case SamplerSignature:
-		return s.Signature()
-	default:
-		return "custom"
-	}
-}
-
 // NewCheckpoint is the one Report-to-Checkpoint copy, shared by this engine
 // and the distributed coordinator: the exploration parameters of cfg, the
 // aggregates of rep, the frontier. It seals a copy of rep first (sorted
@@ -115,14 +91,7 @@ func NewCheckpoint(workload string, cfg *core.ExplorerConfig, rep *core.Report, 
 		Version:           checkpointVersion,
 		Workload:          workload,
 		Procs:             cfg.Procs,
-		Clock:             cfg.Clock,
-		DualClock:         cfg.DualClock,
-		Transport:         cfg.Transport,
-		MixingBound:       cfg.MixingBound,
-		AutoLoopThreshold: cfg.AutoLoopThreshold,
-		ChoicePoints:      cfg.ChoicePoints,
-		SampleDepth:       cfg.SampleDepth,
-		Sampler:           SignatureOf(cfg),
+		Space:             SpaceOf(cfg),
 		Interleavings:     sealed.Interleavings,
 		Deadlocks:         sealed.Deadlocks,
 		DecisionPoints:    sealed.DecisionPoints,
@@ -149,35 +118,27 @@ func NewCheckpoint(workload string, cfg *core.ExplorerConfig, rep *core.Report, 
 }
 
 // Validate checks that the checkpoint was produced under the given
-// exploration parameters: resuming (or joining a cluster) with a different
-// world size, clock mode, transport or search bound would silently explore a
-// different interleaving space, so every mismatch is a hard error. The
+// exploration parameters: resuming (or merging a lease's delta) with a
+// different world size or Space would silently explore a different
+// interleaving space, so every mismatch is a hard error naming the field. The
 // workload name is checked only when both sides carry one.
 func (c *Checkpoint) Validate(workload string, cfg *core.ExplorerConfig) error {
-	if c.Version != checkpointVersion {
+	var err error
+	switch {
+	case c.Version != checkpointVersion:
 		return fmt.Errorf("dexplore: checkpoint version %d, want %d", c.Version, checkpointVersion)
+	case c.LegacySampler != "":
+		return fmt.Errorf("dexplore: checkpoint sampler=%q: a sampling checkpoint from before the sampler's parameters were recorded field by field cannot be resumed", c.LegacySampler)
+	case c.Workload != "" && workload != "" && c.Workload != workload:
+		err = Mismatch("workload", "checkpoint", c.Workload, "config", workload)
+	case c.Procs != cfg.Procs:
+		err = Mismatch("procs", "checkpoint", c.Procs, "config", cfg.Procs)
+	default:
+		err = c.Space.Diff(SpaceOf(cfg), "checkpoint", "config")
 	}
 	switch {
-	case c.Workload != "" && workload != "" && c.Workload != workload:
-		return fmt.Errorf("dexplore: checkpoint workload=%q, config workload=%q", c.Workload, workload)
-	case c.Procs != cfg.Procs:
-		return fmt.Errorf("dexplore: checkpoint procs=%d, config procs=%d", c.Procs, cfg.Procs)
-	case c.Clock != cfg.Clock:
-		return fmt.Errorf("dexplore: checkpoint clock=%v, config clock=%v", c.Clock, cfg.Clock)
-	case c.DualClock != cfg.DualClock:
-		return fmt.Errorf("dexplore: checkpoint dual-clock=%v, config dual-clock=%v", c.DualClock, cfg.DualClock)
-	case c.Transport != cfg.Transport:
-		return fmt.Errorf("dexplore: checkpoint transport=%v, config transport=%v", c.Transport, cfg.Transport)
-	case c.MixingBound != cfg.MixingBound:
-		return fmt.Errorf("dexplore: checkpoint k=%d, config k=%d", c.MixingBound, cfg.MixingBound)
-	case c.AutoLoopThreshold != cfg.AutoLoopThreshold:
-		return fmt.Errorf("dexplore: checkpoint autoloop=%d, config autoloop=%d", c.AutoLoopThreshold, cfg.AutoLoopThreshold)
-	case c.ChoicePoints != cfg.ChoicePoints:
-		return fmt.Errorf("dexplore: checkpoint choice-points=%v, config choice-points=%v", c.ChoicePoints, cfg.ChoicePoints)
-	case c.SampleDepth != cfg.SampleDepth:
-		return fmt.Errorf("dexplore: checkpoint sample-depth=%d, config sample-depth=%d", c.SampleDepth, cfg.SampleDepth)
-	case c.Sampler != SignatureOf(cfg):
-		return fmt.Errorf("dexplore: checkpoint sampler=%q, config sampler=%q", c.Sampler, SignatureOf(cfg))
+	case err != nil:
+		return fmt.Errorf("dexplore: %w", err)
 	case slices.Contains(c.Frontier, nil):
 		return errors.New("dexplore: checkpoint frontier holds a null task")
 	case slices.Contains(c.Errors, nil):

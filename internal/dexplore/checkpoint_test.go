@@ -25,11 +25,7 @@ func TestCheckpointJSONRoundTrip(t *testing.T) {
 	ckp := &Checkpoint{
 		Version:           checkpointVersion,
 		Procs:             6,
-		Clock:             core.VectorClock,
-		DualClock:         true,
-		Transport:         core.Inband,
-		MixingBound:       2,
-		AutoLoopThreshold: 5,
+		Space:             Space{Clock: core.VectorClock, DualClock: true, Transport: core.Inband, MixingBound: 2, AutoLoopThreshold: 5},
 		Interleavings:     11,
 		Deadlocks:         1,
 		DecisionPoints:    9,
@@ -49,9 +45,7 @@ func TestCheckpointJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != ckp.Version || got.Procs != ckp.Procs || got.Clock != ckp.Clock ||
-		got.DualClock != ckp.DualClock || got.Transport != ckp.Transport ||
-		got.MixingBound != ckp.MixingBound || got.AutoLoopThreshold != ckp.AutoLoopThreshold {
+	if got.Version != ckp.Version || got.Procs != ckp.Procs || got.Space != ckp.Space {
 		t.Errorf("fingerprint mismatch: got %+v", got)
 	}
 	if got.Interleavings != 11 || got.Deadlocks != 1 || got.DecisionPoints != 9 ||

@@ -13,14 +13,10 @@ import (
 // space that produced it.
 func TestCheckpointValidatePerField(t *testing.T) {
 	ckp := &Checkpoint{
-		Version:           checkpointVersion,
-		Workload:          "matmul",
-		Procs:             6,
-		Clock:             core.Lamport,
-		DualClock:         false,
-		Transport:         core.Separate,
-		MixingBound:       1,
-		AutoLoopThreshold: 0,
+		Version:  checkpointVersion,
+		Workload: "matmul",
+		Procs:    6,
+		Space:    Space{Clock: core.Lamport, Transport: core.Separate, MixingBound: 1},
 	}
 	base := core.ExplorerConfig{
 		Procs:       6,
@@ -46,7 +42,7 @@ func TestCheckpointValidatePerField(t *testing.T) {
 		{"clock", "matmul", func(c *core.ExplorerConfig) { c.Clock = core.VectorClock }, "clock"},
 		{"dual-clock", "matmul", func(c *core.ExplorerConfig) { c.DualClock = true }, "dual-clock"},
 		{"transport", "matmul", func(c *core.ExplorerConfig) { c.Transport = core.Inband }, "transport"},
-		{"mixing-bound", "matmul", func(c *core.ExplorerConfig) { c.MixingBound = 3 }, "k="},
+		{"mixing-bound", "matmul", func(c *core.ExplorerConfig) { c.MixingBound = 3 }, "mixing bound"},
 		{"autoloop", "matmul", func(c *core.ExplorerConfig) { c.AutoLoopThreshold = 4 }, "autoloop"},
 	}
 	for _, tc := range cases {

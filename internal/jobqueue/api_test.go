@@ -11,6 +11,7 @@ import (
 
 	"dampi/internal/core"
 	"dampi/internal/dcoord"
+	"dampi/internal/dexplore"
 )
 
 // apiHarness is an API over a live store but an idle job loop: submitted jobs
@@ -111,19 +112,34 @@ func TestAPISubmitRejectsBadSpecs(t *testing.T) {
 	}{
 		{"not json", "{"},
 		{"unknown field", `{"workload":"fanin","procs":3,"bogus":1}`},
-		{"no workload", `{"procs":3}`},
-		{"zero procs", `{"workload":"fanin","procs":0}`},
+		{"workload", `{"procs":3}`},
+		{"procs", `{"workload":"fanin","procs":0}`},
+		// A spec is outside input: {"clock":7} used to run as Lamport under a
+		// dedup key of its own. Each refusal names the field.
+		{"clock", `{"workload":"fanin","procs":3,"clock":7}`},
+		{"transport", `{"workload":"fanin","procs":3,"transport":2}`},
+		{"mixing_bound", `{"workload":"fanin","procs":3,"mixing_bound":-2}`},
+		{"auto_loop_threshold", `{"workload":"fanin","procs":3,"auto_loop_threshold":-1}`},
+		{"samples", `{"workload":"fanin","procs":3,"sample_strategy":"random","samples":-1}`},
+		{"sample_depth", `{"workload":"fanin","procs":3,"sample_depth":-1}`},
+		{"strategy", `{"workload":"fanin","procs":3,"sample_strategy":"quantum"}`},
+		{"max_interleavings", `{"workload":"fanin","procs":3,"max_interleavings":-1}`},
+		{"scale", `{"workload":"fanin","procs":3,"scale":-1}`},
+		{"iters", `{"workload":"fanin","procs":3,"iters":-1}`},
 	}
-	for _, tc := range cases {
+	for i, tc := range cases {
 		var e struct {
 			Error string `json:"error"`
 		}
 		if code := doJSON(t, "POST", h.srv.URL+"/jobs", tc.body, &e); code != http.StatusBadRequest {
 			t.Errorf("%s: code = %d, want 400", tc.name, code)
 		}
-		if e.Error == "" {
-			t.Errorf("%s: no error message", tc.name)
+		if e.Error == "" || (i >= 2 && !strings.Contains(e.Error, tc.name)) {
+			t.Errorf("%s: error message %q does not name it", tc.name, e.Error)
 		}
+	}
+	if jobs := h.store.List(); len(jobs) != 0 {
+		t.Errorf("%d refused specs were queued", len(jobs))
 	}
 }
 
@@ -339,7 +355,7 @@ func TestAPIStatusDuringJob(t *testing.T) {
 	defer h.api.Close()
 	defer h.stopWorkers()
 
-	j, _, err := h.svc.Submit(dcoord.JobSpec{Workload: "slowfanin", Procs: 5, MixingBound: core.Unbounded}, 0)
+	j, _, err := h.svc.Submit(dcoord.JobSpec{Workload: "slowfanin", Procs: 5, Space: dexplore.Space{MixingBound: core.Unbounded}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func canTransition(from, to State) bool {
 }
 
 // active reports whether the state still holds (or will hold) cluster work —
-// the states that participate in dedup-by-fingerprint.
+// the states that participate in dedup by spec key.
 func (s State) active() bool { return s == Queued || s == Running || s == Merging }
 
 // Terminal reports whether the state is final.

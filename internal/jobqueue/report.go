@@ -1,17 +1,18 @@
 package jobqueue
 
 import (
-	"fmt"
+	"errors"
 	"strings"
 
 	"dampi/internal/core"
 	"dampi/internal/dcoord"
 )
 
-// JobError is one failing interleaving, reduced to its durable form: the
-// message plus the epoch-decisions reproducer (errors are not JSON-
-// serializable, messages are).
+// JobError is one failing interleaving, reduced to its durable form: its
+// index in the exploration, the message, and the epoch-decisions reproducer
+// (errors are not JSON-serializable, messages are).
 type JobError struct {
+	Index     int             `json:"index,omitempty"`
 	Message   string          `json:"message"`
 	Deadlock  bool            `json:"deadlock,omitempty"`
 	Decisions *core.Decisions `json:"decisions"`
@@ -64,7 +65,7 @@ func NewJobReport(spec dcoord.JobSpec, rep *core.Report, elapsedSec float64) *Jo
 		ElapsedSec:        elapsedSec,
 	}
 	for _, e := range rep.Errors {
-		je := JobError{Deadlock: e.Deadlock, Decisions: e.Decisions}
+		je := JobError{Index: e.Index, Deadlock: e.Deadlock, Decisions: e.Decisions}
 		if e.Err != nil {
 			je.Message = e.Err.Error()
 		}
@@ -73,41 +74,39 @@ func NewJobReport(spec dcoord.JobSpec, rep *core.Report, elapsedSec float64) *Jo
 	return r
 }
 
-// Summary renders the one-line coverage summary, in exactly the form the CLI
-// prints for a local run (verify.Result.Summary without the leak segment —
-// leak checks instrument the canonical first run of a local exploration and
-// do not exist on the distributed path). The service smoke test diffs this
-// output against a serial `dampi` run, so the formats must not drift.
-func (r *JobReport) Summary() string {
-	s := fmt.Sprintf("interleavings=%d errors=%d deadlocks=%d wildcards=%d",
-		r.Interleavings, len(r.Errors), r.Deadlocks, r.WildcardsAnalyzed)
-	if r.Capped {
-		s += " (capped)"
+// report rebuilds the printable part of the core.Report this was reduced
+// from, so the text forms below come from the one renderer the CLI prints a
+// local run with — the service smoke tests diff the two.
+func (r *JobReport) report() *core.Report {
+	rep := &core.Report{
+		Interleavings:     r.Interleavings,
+		Deadlocks:         r.Deadlocks,
+		WildcardsAnalyzed: r.WildcardsAnalyzed,
+		Capped:            r.Capped,
+		Unsafe:            r.Unsafe,
+		Sampled:           r.Sampled,
+		SampledDistinct:   r.SampledDistinct,
 	}
-	if r.Sampled > 0 {
-		s += fmt.Sprintf(" sampled=%d distinct=%d", r.Sampled, r.SampledDistinct)
+	for _, e := range r.Errors {
+		rep.Errors = append(rep.Errors, &core.InterleavingResult{
+			Index: e.Index, Err: errors.New(e.Message), Deadlock: e.Deadlock, Decisions: e.Decisions,
+		})
 	}
-	if len(r.Unsafe) > 0 {
-		s += fmt.Sprintf(" unsafe-patterns=%d", len(r.Unsafe))
-	}
-	return s
+	return rep
 }
 
+// Summary renders the one-line coverage summary (core.Report.Summary; no leak
+// verdict: leak checks instrument the canonical first run of a local
+// exploration and do not exist on the distributed path).
+func (r *JobReport) Summary() string { return r.report().Summary() }
+
 // Text renders the report exactly as the CLI prints one: the DAMPI summary
-// line, §V warnings, then each failing interleaving with its reproducer.
+// line, the sampling statement, §V warnings, then each failing interleaving
+// with its reproducer.
 func (r *JobReport) Text() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "DAMPI: %s\n", r.Summary())
-	if r.Sampled > 0 {
-		fmt.Fprintf(&b, "  schedule sampling: exhaustive below depth %d, sampled %d schedules beyond, %d distinct\n",
-			r.SampleDepth, r.Sampled, r.SampledDistinct)
-	}
-	for _, u := range r.Unsafe {
-		fmt.Fprintf(&b, "  warning: %v\n", u)
-	}
-	for i, e := range r.Errors {
-		fmt.Fprintf(&b, "  error in interleaving #%d: %s\n", i+1, e.Message)
-		fmt.Fprintf(&b, "    reproducer: %v\n", e.Decisions)
-	}
+	rep := r.report()
+	rep.WriteHead(&b, rep.Summary(), r.SampleDepth)
+	rep.WriteErrors(&b)
 	return b.String()
 }

@@ -3,12 +3,14 @@ package jobqueue
 import (
 	"fmt"
 	"net/http/httptest"
+	"regexp"
 	"sync"
 	"testing"
 	"time"
 
 	"dampi/internal/core"
 	"dampi/internal/dcoord"
+	"dampi/internal/dexplore"
 	"dampi/mpi"
 )
 
@@ -130,9 +132,14 @@ func serialReport(t *testing.T, f *testFactory, spec dcoord.JobSpec) *JobReport 
 	return NewJobReport(spec, rep, 0)
 }
 
+// completionIndex matches the "#<index>" of a printed error: on the cluster
+// it numbers replays in the order their leases merged, which is the
+// scheduler's (the smoke scripts strip it the same way).
+var completionIndex = regexp.MustCompile(`#[0-9]+`)
+
 // checkSameJobReport asserts the service report renders byte-identically to
-// the serial baseline (the acceptance criterion) and agrees on every
-// scheduling-independent measure.
+// the serial baseline (the acceptance criterion), completion indexes aside,
+// and agrees on every scheduling-independent measure.
 func checkSameJobReport(t *testing.T, label string, serial, got *JobReport) {
 	t.Helper()
 	if got == nil {
@@ -144,7 +151,7 @@ func checkSameJobReport(t *testing.T, label string, serial, got *JobReport) {
 		got.AutoAbstracted != serial.AutoAbstracted {
 		t.Errorf("%s: counters differ:\n got %+v\nwant %+v", label, got, serial)
 	}
-	if gt, st := got.Text(), serial.Text(); gt != st {
+	if gt, st := completionIndex.ReplaceAllString(got.Text(), "#"), completionIndex.ReplaceAllString(serial.Text(), "#"); gt != st {
 		t.Errorf("%s: report text differs:\n got: %q\nwant: %q", label, gt, st)
 	}
 }
@@ -274,8 +281,8 @@ func TestServiceDrainsQueueAcrossJobs(t *testing.T) {
 	defer h.stopWorkers()
 
 	specs := []dcoord.JobSpec{
-		{Workload: "fanin", Procs: 3, MixingBound: core.Unbounded},
-		{Workload: "fanin", Procs: 4, MixingBound: core.Unbounded},
+		{Workload: "fanin", Procs: 3, Space: dexplore.Space{MixingBound: core.Unbounded}},
+		{Workload: "fanin", Procs: 4, Space: dexplore.Space{MixingBound: core.Unbounded}},
 	}
 	ids := make([]string, len(specs))
 	for i, spec := range specs {
@@ -314,8 +321,8 @@ func TestServiceDrainsQueueAcrossJobs(t *testing.T) {
 func TestServiceKillRestartRecovers(t *testing.T) {
 	f := newTestFactory()
 	dir := t.TempDir()
-	slow := dcoord.JobSpec{Workload: "slowfanin", Procs: 5, MixingBound: core.Unbounded}
-	quick := dcoord.JobSpec{Workload: "fanin", Procs: 3, MixingBound: core.Unbounded}
+	slow := dcoord.JobSpec{Workload: "slowfanin", Procs: 5, Space: dexplore.Space{MixingBound: core.Unbounded}}
+	quick := dcoord.JobSpec{Workload: "fanin", Procs: 3, Space: dexplore.Space{MixingBound: core.Unbounded}}
 
 	h1 := startHarness(t, dir, f, 2, 1, 1, true) // checkpoint every merge
 	j1, _, err := h1.svc.Submit(slow, 0)
@@ -364,7 +371,7 @@ func TestServiceKillRestartRecovers(t *testing.T) {
 func TestServiceGracefulStopRequeues(t *testing.T) {
 	f := newTestFactory()
 	dir := t.TempDir()
-	spec := dcoord.JobSpec{Workload: "slowfanin", Procs: 5, MixingBound: core.Unbounded}
+	spec := dcoord.JobSpec{Workload: "slowfanin", Procs: 5, Space: dexplore.Space{MixingBound: core.Unbounded}}
 
 	h1 := startHarness(t, dir, f, 1, 1, 1, true)
 	j, _, err := h1.svc.Submit(spec, 0)
@@ -410,7 +417,7 @@ func TestServiceCancelRunningJob(t *testing.T) {
 	defer h.api.Close()
 	defer h.stopWorkers()
 
-	j, _, err := h.svc.Submit(dcoord.JobSpec{Workload: "slowfanin", Procs: 5, MixingBound: core.Unbounded}, 0)
+	j, _, err := h.svc.Submit(dcoord.JobSpec{Workload: "slowfanin", Procs: 5, Space: dexplore.Space{MixingBound: core.Unbounded}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

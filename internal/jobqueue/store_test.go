@@ -8,16 +8,15 @@ import (
 
 	"dampi/internal/core"
 	"dampi/internal/dcoord"
+	"dampi/internal/dexplore"
 )
 
 // testSpec builds a valid job spec; procs varies the dedup key.
 func testSpec(procs int) dcoord.JobSpec {
 	return dcoord.JobSpec{
-		Workload:    "fanin",
-		Procs:       procs,
-		Clock:       core.Lamport,
-		Transport:   core.Separate,
-		MixingBound: 1,
+		Workload: "fanin",
+		Procs:    procs,
+		Space:    dexplore.Space{Clock: core.Lamport, Transport: core.Separate, MixingBound: 1},
 	}
 }
 

@@ -3,7 +3,7 @@
 // whose interleaving space exhaustive DFS cannot finish. A Sampler plugs
 // into the engines at the one seam they all share — SubtreeTask.Expand — so
 // the same seeded walk runs identically on the serial engine, the
-// work-stealing engine, and a dcoord worker cluster.
+// in-process lease engine (dexplore), and a dcoord worker cluster.
 //
 // The sampled space is organized as W independent walks over the flip tree.
 // Each walk step is an ordinary SubtreeTask whose Sample field carries the
@@ -97,15 +97,10 @@ func New(cfg Config) *Sampler {
 	}
 }
 
-// Signature renders the sampler's schedule-determining parameters for
-// checkpoint and job-fingerprint validation: two samplers with equal
-// signatures derive identical schedule sets from identical traces.
-func (s *Sampler) Signature() string {
-	return fmt.Sprintf("%s:samples=%d:seed=%d:procs=%d", s.cfg.Strategy, s.cfg.Samples, s.cfg.Seed, s.cfg.Procs)
-}
-
-// Config returns the (normalized) configuration the sampler was built with;
-// the cluster layer reads it back to fingerprint and re-announce jobs.
+// Config returns the (normalized) configuration the sampler was built with:
+// two samplers with equal Configs derive identical schedule sets from
+// identical traces. dexplore.SpaceOf reads it back into the exploration's
+// identity — what checkpoints, job specs and the cluster handshake compare.
 func (s *Sampler) Config() Config { return s.cfg }
 
 // Walks returns the number of independent walks.

@@ -127,25 +127,3 @@ func TestParseStrategy(t *testing.T) {
 		t.Error("ParseStrategy accepted an unknown strategy")
 	}
 }
-
-// TestSignatureDistinguishesParameters: any schedule-determining parameter
-// change changes the signature (the checkpoint/fingerprint compatibility key).
-func TestSignatureDistinguishesParameters(t *testing.T) {
-	base := Config{Strategy: Random, Samples: 24, Seed: 7, Procs: 4}
-	sigs := map[string]string{}
-	for name, cfg := range map[string]Config{
-		"base":     base,
-		"strategy": {Strategy: PCT, Samples: 24, Seed: 7, Procs: 4},
-		"samples":  {Strategy: Random, Samples: 25, Seed: 7, Procs: 4},
-		"seed":     {Strategy: Random, Samples: 24, Seed: 8, Procs: 4},
-		"procs":    {Strategy: Random, Samples: 24, Seed: 7, Procs: 5},
-	} {
-		sig := New(cfg).Signature()
-		for prev, psig := range sigs {
-			if psig == sig {
-				t.Errorf("signature collision between %s and %s: %s", name, prev, sig)
-			}
-		}
-		sigs[name] = sig
-	}
-}

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"time"
 
-	"dampi/internal/core"
 	"dampi/internal/dcoord"
 	"dampi/internal/dexplore"
 	"dampi/mpi"
@@ -14,18 +13,19 @@ import (
 
 // ClusterConfig configures one node of a distributed verification: either
 // the coordinator (Serve) or a worker (Join). Both sides must be built from
-// the same exploration parameters and workload name — the join handshake
-// refuses any mismatch, because a worker replaying a different program or a
-// different interleaving space would silently corrupt the merged report.
+// the same exploration parameters, workload name and workload parameters —
+// each describes itself as a JobSpec and the join handshake refuses any
+// mismatch, because a worker replaying a different program or a different
+// interleaving space would silently corrupt the merged report.
 type ClusterConfig struct {
-	// Config carries the exploration parameters (Procs, Clock, MixingBound,
-	// ...). Coordinator-side, the fields that require running the program
-	// locally are unsupported: CheckLeaks, CollectStats, OnInterleaving and
-	// Workers must be zero (replays happen on the workers).
+	// Config carries the exploration parameters. On either side PruneHints
+	// must be nil; coordinator-side, so must the fields that require running
+	// the program locally — CheckLeaks, CollectStats, OnInterleaving and
+	// Workers (replays happen on the workers).
 	Config
 
-	// Workload names the program both sides run; part of the compatibility
-	// fingerprint.
+	// Workload names the program both sides run; part of the spec the
+	// handshake compares.
 	Workload string
 
 	// Addr is the coordinator's TCP address: the listen address for Serve
@@ -43,43 +43,35 @@ type ClusterConfig struct {
 	Slots int
 	// WorkerName identifies the worker in status output (default host:pid).
 	WorkerName string
-	// Scale and Iters are the workload parameters the worker's program was
-	// built with. Single-job coordinators ignore them; a job-queue server
-	// uses them to dispatch only matching jobs to a pinned worker (0 =
-	// unknown, matches any job).
+	// Scale and Iters are the workload parameters this node's program was
+	// built with, part of the spec the handshake compares: a coordinator
+	// (one-shot or job queue) gives a pinned worker only jobs whose parameters
+	// match the worker's. 0 is unknown: it matches any job on a worker, and
+	// means the defaults (100, 4) on a coordinator.
 	Scale int
 	Iters int
 	// OnEvent, if non-nil, receives worker lifecycle lines for logging.
 	OnEvent func(string)
 }
 
-// explorerConfig translates the public Config to the core form (program may
-// be nil on the coordinator, which never replays), including the
-// choice-point and schedule-sampling configuration.
-func (cfg *ClusterConfig) explorerConfig(program func(p *mpi.Proc) error) (core.ExplorerConfig, error) {
-	ecfg := core.ExplorerConfig{
-		Procs:             cfg.Procs,
-		Program:           program,
-		Clock:             cfg.Clock,
-		DualClock:         cfg.DualClock,
-		Transport:         cfg.Transport,
-		AutoLoopThreshold: cfg.AutoLoopThreshold,
-		MixingBound:       cfg.MixingBound,
+// JobSpec describes this node's exploration as the one identity the cluster
+// compares: what Serve announces to workers, what Join states in its
+// handshake (and replays under), and what `dampi -submit` posts to a
+// verification service. It refuses what no cluster node supports.
+func (cfg *ClusterConfig) JobSpec() (JobSpec, error) {
+	switch {
+	case cfg.Workload == "":
+		return JobSpec{}, fmt.Errorf("verify: distributed verification requires a Workload name")
+	case cfg.PruneHints != nil:
+		return JobSpec{}, fmt.Errorf("verify: PruneHints is unsupported distributed (static pruning is a local-engine feature: a job spec carries no hint table)")
 	}
-	if err := cfg.configureSampling(&ecfg); err != nil {
-		return core.ExplorerConfig{}, err
-	}
-	return ecfg, nil
-}
-
-// fingerprint derives the compatibility fingerprint both Serve and Join
-// exchange in the handshake.
-func (cfg *ClusterConfig) fingerprint() (dcoord.Fingerprint, error) {
 	ecfg, err := cfg.explorerConfig(nil)
 	if err != nil {
-		return dcoord.Fingerprint{}, err
+		return JobSpec{}, err
 	}
-	return dcoord.FingerprintFor(cfg.Workload, &ecfg), nil
+	spec := dcoord.FingerprintFor(cfg.Workload, &ecfg)
+	spec.Scale, spec.Iters = cfg.Scale, cfg.Iters
+	return spec, nil
 }
 
 // Coordinator is the coordinator side of a distributed verification. It owns
@@ -96,12 +88,6 @@ type Coordinator struct {
 // exploration finishes and returns the merged result, which is identical to
 // what a single-process Run over the same parameters would report.
 func Serve(cfg ClusterConfig) (*Coordinator, error) {
-	if cfg.Procs < 1 {
-		return nil, fmt.Errorf("verify: Procs must be >= 1, got %d", cfg.Procs)
-	}
-	if cfg.Workload == "" {
-		return nil, fmt.Errorf("verify: distributed verification requires a Workload name")
-	}
 	switch {
 	case cfg.CheckLeaks:
 		return nil, fmt.Errorf("verify: CheckLeaks is unsupported distributed (the canonical run happens on a worker); run the leak check locally")
@@ -115,20 +101,18 @@ func Serve(cfg ClusterConfig) (*Coordinator, error) {
 	if cfg.Resume && cfg.CheckpointFile == "" {
 		return nil, fmt.Errorf("verify: Resume requires CheckpointFile")
 	}
-	fp, err := cfg.fingerprint()
+	spec, err := cfg.JobSpec()
 	if err != nil {
 		return nil, err
 	}
 	dcfg := dcoord.Config{
-		Fingerprint:      fp,
-		MaxInterleavings: cfg.MaxInterleavings,
-		StopOnFirstError: cfg.StopOnFirstError,
-		LeaseTTL:         cfg.LeaseTTL,
-		MaxRedeliveries:  cfg.MaxRedeliveries,
-		CheckpointPath:   cfg.CheckpointFile,
-		CheckpointEvery:  cfg.CheckpointEvery,
-		OnProgress:       cfg.OnProgress,
-		ProgressEvery:    cfg.ProgressEvery,
+		Fingerprint:     spec,
+		LeaseTTL:        cfg.LeaseTTL,
+		MaxRedeliveries: cfg.MaxRedeliveries,
+		CheckpointPath:  cfg.CheckpointFile,
+		CheckpointEvery: cfg.CheckpointEvery,
+		OnProgress:      cfg.OnProgress,
+		ProgressEvery:   cfg.ProgressEvery,
 	}
 	if cfg.Resume {
 		ckp, err := dexplore.LoadCheckpoint(cfg.CheckpointFile)
@@ -187,33 +171,23 @@ type Worker struct {
 // program. Run blocks until the exploration is done (nil), the worker is
 // stopped (nil), or the coordinator rejects or disappears (error). The
 // program must be the same workload the coordinator serves — the handshake
-// enforces the name and every exploration parameter.
+// enforces the name, the workload parameters and every exploration parameter.
 func Join(cfg ClusterConfig, program func(p *mpi.Proc) error) (*Worker, error) {
-	if cfg.Procs < 1 {
-		return nil, fmt.Errorf("verify: Procs must be >= 1, got %d", cfg.Procs)
-	}
 	if program == nil {
 		return nil, fmt.Errorf("verify: nil program")
 	}
-	if cfg.Workload == "" {
-		return nil, fmt.Errorf("verify: distributed verification requires a Workload name")
-	}
-	fp, err := cfg.fingerprint()
+	spec, err := cfg.JobSpec()
 	if err != nil {
 		return nil, err
 	}
-	ecfg, err := cfg.explorerConfig(program)
-	if err != nil {
-		return nil, err
-	}
+	ecfg := spec.ExplorerConfig()
+	ecfg.Program = program
 	w := dcoord.NewWorker(dcoord.WorkerConfig{
 		Addr:        cfg.Addr,
 		Name:        cfg.WorkerName,
 		Slots:       cfg.Slots,
-		Fingerprint: fp,
+		Fingerprint: spec,
 		Explorer:    ecfg,
-		Scale:       cfg.Scale,
-		Iters:       cfg.Iters,
 		OnEvent:     cfg.OnEvent,
 	})
 	return &Worker{w: w}, nil

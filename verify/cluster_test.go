@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"dampi/mpi"
 	"dampi/verify"
 )
 
@@ -109,6 +111,8 @@ func TestServeRejectsLocalOnlyOptions(t *testing.T) {
 		{"workers", func(c *verify.ClusterConfig) { c.Workers = 4 }, "Workers"},
 		{"no-workload", func(c *verify.ClusterConfig) { c.Workload = "" }, "Workload"},
 		{"resume", func(c *verify.ClusterConfig) { c.Resume = true }, "CheckpointFile"},
+		{"prune-hints", func(c *verify.ClusterConfig) { c.PruneHints = someHints }, "PruneHints"},
+		{"unknown-mode", func(c *verify.ClusterConfig) { c.Mode = "quantum" }, "Mode"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -121,6 +125,9 @@ func TestServeRejectsLocalOnlyOptions(t *testing.T) {
 		})
 	}
 }
+
+// someHints is a non-empty static prune-hint table.
+var someHints = verify.NewPruneHints(map[verify.PruneHintKey][]int{{Rank: 0, Tag: 0}: {1}})
 
 // TestJoinValidation: worker-side misconfiguration fails before dialing.
 func TestJoinValidation(t *testing.T) {
@@ -137,5 +144,90 @@ func TestJoinValidation(t *testing.T) {
 	bad.Procs = 0
 	if _, err := verify.Join(bad, racyProgram); err == nil {
 		t.Error("Procs=0 accepted")
+	}
+	// A hint table was dropped silently: the worker would replay unpruned
+	// what its owner believes is pruned.
+	bad = good
+	bad.PruneHints = someHints
+	if _, err := verify.Join(bad, racyProgram); err == nil || !strings.Contains(err.Error(), "PruneHints") {
+		t.Errorf("Join with PruneHints: %v, want an error naming the field", err)
+	}
+}
+
+// TestOneShotHandshakeChecksWorkloadParameters: -scale and -iters shape the
+// program, so they are part of the identity a one-shot coordinator's handshake
+// compares, as a job queue's always was: a worker built at scale 50 must not
+// merge results into an exploration built at scale 100. A worker that states
+// no scale (0, a library caller) still joins — as does one that states no
+// workload at all and builds the announced spec.
+func TestOneShotHandshakeChecksWorkloadParameters(t *testing.T) {
+	serial, err := verify.Run(verify.Config{Procs: 3}, racyProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccfg := verify.ClusterConfig{Config: verify.Config{Procs: 3}, Workload: "racy", Addr: "127.0.0.1:0", Scale: 100, Iters: 4}
+	c, err := verify.Serve(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	if spec, err := ccfg.JobSpec(); err != nil || spec.Workload != "racy" || spec.Procs != 3 || spec.Scale != 100 || spec.Iters != 4 {
+		t.Errorf("the coordinator's JobSpec = %+v (err %v)", spec, err)
+	}
+
+	wcfg := ccfg
+	wcfg.Addr = c.Addr().String()
+	for name, mutate := range map[string]func(*verify.ClusterConfig){
+		"scale": func(c *verify.ClusterConfig) { c.Scale = 50 },
+		"iters": func(c *verify.ClusterConfig) { c.Iters = 2 },
+	} {
+		bad := wcfg
+		mutate(&bad)
+		w, err := verify.Join(bad, racyProgram)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Run(); err == nil || !strings.Contains(err.Error(), name+" mismatch") {
+			t.Errorf("worker with another %s: Run = %v, want the handshake to refuse it by name", name, err)
+		}
+	}
+	if st := c.Status(); st.Interleavings != 0 || len(st.Workers) != 0 {
+		t.Fatalf("a refused worker was given work: %+v", st)
+	}
+
+	// Unknown scale joins pinned; no workload at all joins any-workload.
+	wcfg.Scale, wcfg.Iters = 0, 0
+	pinned, err := verify.Join(wcfg, racyProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anyw, err := verify.JoinQueue(verify.ClusterConfig{Addr: wcfg.Addr}, func(spec verify.JobSpec) (func(*mpi.Proc) error, error) {
+		if spec.Workload != "racy" || spec.Procs != 3 || spec.Scale != 100 {
+			return nil, fmt.Errorf("announced %+v", spec)
+		}
+		return racyProgram, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	for _, w := range []*verify.Worker{pinned, anyw} {
+		go func() { errs <- w.Run() }()
+	}
+	res, err := c.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A worker that had not dialled before the handful of replays was over
+	// would otherwise redial the closed listener.
+	pinned.Stop()
+	anyw.Stop()
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Errorf("worker: %v", err)
+		}
+	}
+	if res.Summary() != serial.Summary() {
+		t.Errorf("cluster: %s\nserial:  %s", res.Summary(), serial.Summary())
 	}
 }

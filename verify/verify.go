@@ -191,34 +191,48 @@ const (
 	ModeSample     = "sample"
 )
 
-// configureSampling applies the Mode/ChoicePoints/sampling fields of cfg to
-// an explorer configuration: choice-point recording, the depth bound, and
-// (in sample mode) the seeded sampler. Both the local engines and the
-// cluster layer derive their configurations through this one function.
-func (cfg *Config) configureSampling(ecfg *core.ExplorerConfig) error {
-	ecfg.ChoicePoints = cfg.ChoicePoints
-	ecfg.SampleDepth = cfg.SampleDepth
+// explorerConfig is the one translation of the public Config to the core
+// form, used by Run, Serve and Join: the world, the bounds, and the
+// exploration space — stated once as a dexplore.Space, whose Apply sets the
+// fields and builds the seeded sampler, so the local engines and the cluster
+// layer cannot derive different spaces from one Config. program may be nil on
+// a coordinator, which never replays.
+func (cfg *Config) explorerConfig(program func(p *mpi.Proc) error) (core.ExplorerConfig, error) {
+	if cfg.Procs < 1 {
+		return core.ExplorerConfig{}, fmt.Errorf("verify: Procs must be >= 1, got %d", cfg.Procs)
+	}
+	space := dexplore.Space{
+		Clock:             cfg.Clock,
+		DualClock:         cfg.DualClock,
+		Transport:         cfg.Transport,
+		MixingBound:       cfg.MixingBound,
+		AutoLoopThreshold: cfg.AutoLoopThreshold,
+		ChoicePoints:      cfg.ChoicePoints,
+		SampleDepth:       cfg.SampleDepth,
+	}
 	switch cfg.Mode {
 	case "", ModeExhaustive:
-		return nil
 	case ModeSample:
+		strat, err := sample.ParseStrategy(cfg.SampleStrategy)
+		if err != nil {
+			return core.ExplorerConfig{}, err
+		}
+		// Sampling walks flip completion and probe outcomes too; without
+		// choice points the sampled space would silently shrink to wildcard
+		// sources.
+		space.ChoicePoints = true
+		space.SampleStrategy, space.Samples, space.SampleSeed = string(strat), cfg.Samples, cfg.Seed
 	default:
-		return fmt.Errorf("verify: unknown Mode %q (want %q or %q)", cfg.Mode, ModeExhaustive, ModeSample)
+		return core.ExplorerConfig{}, fmt.Errorf("verify: unknown Mode %q (want %q or %q)", cfg.Mode, ModeExhaustive, ModeSample)
 	}
-	// Sampling walks flip completion and probe outcomes too; without choice
-	// points the sampled space would silently shrink to wildcard sources.
-	ecfg.ChoicePoints = true
-	strat, err := sample.ParseStrategy(cfg.SampleStrategy)
-	if err != nil {
-		return err
+	ecfg := core.ExplorerConfig{
+		Procs:            cfg.Procs,
+		Program:          program,
+		MaxInterleavings: cfg.MaxInterleavings,
+		StopOnFirstError: cfg.StopOnFirstError,
 	}
-	ecfg.Sampler = sample.New(sample.Config{
-		Strategy: strat,
-		Samples:  cfg.Samples,
-		Seed:     cfg.Seed,
-		Procs:    cfg.Procs,
-	})
-	return nil
+	space.Apply(&ecfg)
+	return ecfg, nil
 }
 
 // PruneHints is a static prune-hint table shared by all replay workers.
@@ -249,38 +263,24 @@ type Result struct {
 	leakTracker *leak.Tracker
 }
 
-// Summary renders a one-line human-readable result.
+// Summary renders a one-line human-readable result: the report's coverage
+// summary, then the leak verdict when leaks were checked.
 func (r *Result) Summary() string {
-	s := fmt.Sprintf("interleavings=%d errors=%d deadlocks=%d wildcards=%d",
-		r.Interleavings, len(r.Errors), r.Deadlocks, r.WildcardsAnalyzed)
-	if r.Capped {
-		s += " (capped)"
-	}
-	if r.Sampled > 0 {
-		s += fmt.Sprintf(" sampled=%d distinct=%d", r.Sampled, r.SampledDistinct)
-	}
-	if r.StaticPruned > 0 || r.PruneDisabled {
-		s += fmt.Sprintf(" pruned(static)=%d", r.StaticPruned)
-	}
-	if r.PruneDisabled {
-		s += " (static hints disabled: violation observed)"
-	}
+	s := r.Report.Summary()
 	if r.Leaks != nil {
 		s += fmt.Sprintf(" c-leak=%v r-leak=%v", r.Leaks.HasCommLeak(), r.Leaks.HasRequestLeak())
-	}
-	if len(r.Unsafe) > 0 {
-		s += fmt.Sprintf(" unsafe-patterns=%d", len(r.Unsafe))
 	}
 	return s
 }
 
 // Run verifies program over the space of MPI non-determinism.
 func Run(cfg Config, program func(p *mpi.Proc) error) (*Result, error) {
-	if cfg.Procs < 1 {
-		return nil, fmt.Errorf("verify: Procs must be >= 1, got %d", cfg.Procs)
-	}
 	if program == nil {
 		return nil, fmt.Errorf("verify: nil program")
+	}
+	ecfg, err := cfg.explorerConfig(program)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Resume && cfg.CheckpointFile == "" {
 		return nil, fmt.Errorf("verify: Resume requires CheckpointFile")
@@ -315,25 +315,8 @@ func Run(cfg Config, program func(p *mpi.Proc) error) (*Result, error) {
 		}
 		return hs
 	}
-	ecfg := core.ExplorerConfig{
-		Procs:             cfg.Procs,
-		Program:           program,
-		Clock:             cfg.Clock,
-		DualClock:         cfg.DualClock,
-		Transport:         cfg.Transport,
-		AutoLoopThreshold: cfg.AutoLoopThreshold,
-		MixingBound:       cfg.MixingBound,
-		MaxInterleavings:  cfg.MaxInterleavings,
-		StopOnFirstError:  cfg.StopOnFirstError,
-		PruneHints:        cfg.PruneHints,
-		ExtraHooks:        extra,
-		OnInterleaving:    cfg.OnInterleaving,
-	}
-	if err := cfg.configureSampling(&ecfg); err != nil {
-		return nil, err
-	}
+	ecfg.PruneHints, ecfg.ExtraHooks, ecfg.OnInterleaving = cfg.PruneHints, extra, cfg.OnInterleaving
 	var rep *core.Report
-	var err error
 	if cfg.Workers > 0 {
 		dcfg := dexplore.Config{
 			Explorer:        ecfg,
