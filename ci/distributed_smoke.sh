@@ -3,10 +3,10 @@
 # (all race-instrumented) must produce the same report as a serial run of
 # the same workload. Exercises the full wire path — handshake, job
 # announcement, task leasing, heartbeats, result merging, done broadcast — end
-# to end. One worker is pinned (it states the flags and is checked against
-# them), the other any-workload (it builds what the coordinator announces),
-# and a third, built at another -scale, must be refused by name without
-# disturbing the run.
+# to end. One worker is pinned (`dampi -join`: it states the flags and is
+# checked against them), the other any-workload (`dampid -join ADDR`: it builds
+# what the coordinator announces), and a third, pinned at another -scale, must
+# be refused by name without disturbing the run.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -45,14 +45,14 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 rc=0
-timeout -k 10 60 "$workdir/dampid" -join "$ADDR" $FLAGS -scale 50 -name w3 \
+timeout -k 10 60 "$workdir/dampi" -join "$ADDR" $FLAGS -scale 50 -worker-name w3 \
   > "$workdir/refused.out" 2>&1 || rc=$?
 cat "$workdir/refused.out"
 if [ "$rc" -eq 0 ] || ! grep -q 'scale mismatch' "$workdir/refused.out"; then
   echo "FAIL: a worker built at -scale 50 was not refused by name (exit $rc)" >&2
   exit 1
 fi
-timeout -k 10 240 "$workdir/dampid" -join "$ADDR" $FLAGS -slots 2 -name w1 &
+timeout -k 10 240 "$workdir/dampi" -join "$ADDR" $FLAGS -slots 2 -worker-name w1 &
 timeout -k 10 240 "$workdir/dampid" -join "$ADDR" -slots 2 -name w2 &
 wait "$coord"
 cat "$workdir/cluster.out"

@@ -5,7 +5,9 @@
 # fetched back over HTTP must match a serial run of the same workload.
 # Exercises the full service path — WAL-backed job store, REST submission,
 # job announcement to pooled workers, lease dispatch, report persistence —
-# end to end.
+# end to end. A third job, submitted with a 1 s TTL while a longer one holds
+# the pool, must fail with `ttl expired`: the sweep runs while the service is
+# busy.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -86,6 +88,18 @@ curl -fsS "http://$API/metrics" | tee "$workdir/metrics.out" | grep -q 'dampi_jo
 
 curl -fsS "http://$API/jobs/$job1/report?format=text" | tee "$workdir/job1.out"
 curl -fsS "http://$API/jobs/$job2/report?format=text" | tee "$workdir/job2.out"
+
+echo "== a job's TTL holds while a longer job has the pool =="
+long=$(submit '{"workload":"matmul","procs":6,"clock":0,"transport":0,"mixing_bound":-1}')
+rc=0
+timeout -k 10 120 "$workdir/dampi" -submit "http://$API" -workload matmul -procs 4 -k 1 \
+  -ttl 1s -wait > "$workdir/ttl.out" 2>&1 || rc=$?
+cat "$workdir/ttl.out"
+if [ "$rc" -eq 0 ] || ! grep -q 'ttl expired' "$workdir/ttl.out"; then
+  echo "FAIL: a job queued past its 1s TTL behind $long did not fail with 'ttl expired' (exit $rc)" >&2
+  exit 1
+fi
+curl -fsS -X DELETE "http://$API/jobs/$long" > /dev/null
 
 kill -TERM "$service" 2>/dev/null || true
 wait "$service" 2>/dev/null || true

@@ -31,8 +31,8 @@ func serveCluster(cfg verify.ClusterConfig, statusAddr, sampleDump string, verbo
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("coordinating %q on %s (procs=%d, workers join with: dampid -join %s -workload %s ...)\n",
-		cfg.Workload, c.Addr(), cfg.Procs, c.Addr(), cfg.Workload)
+	fmt.Printf("coordinating %q on %s (procs=%d, workers join with: dampid -join %s)\n",
+		cfg.Workload, c.Addr(), cfg.Procs, c.Addr())
 	if statusAddr != "" {
 		go func() {
 			if err := http.ListenAndServe(statusAddr, c.StatusHandler()); err != nil {

@@ -19,11 +19,11 @@
 //
 // The -serve mode runs the distributed coordinator: it owns the exploration
 // frontier and merges worker results into the same report a local run would
-// print. Workers join with `dampid -join` (or `dampi -join`), passing the
-// same workload, -scale/-iters and exploration flags — the handshake rejects
-// any mismatch by name — or, with `dampid -join ADDR` alone, none at all: the
-// coordinator announces the exploration as a job spec such a worker builds.
-// SIGTERM drains gracefully on both sides.
+// print. It announces the exploration as a job spec, so workers join with
+// `dampid -join ADDR` alone and build the program from it; `dampi -join` is
+// the one way to pin a worker to a workload instead — it passes the same
+// workload, -scale/-iters and exploration flags, and the handshake rejects
+// any mismatch by name. SIGTERM drains gracefully on both sides.
 //
 // With -queue, -serve instead runs the persistent verification service: a
 // durable job queue (write-ahead log + snapshots under -store) with a REST

@@ -51,7 +51,7 @@ func serveQueue(workerAddr, apiAddr, storeDir string, leaseTTL time.Duration, ck
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("verification service: store %s, workers join at %s (dampid -join %s [-workload ...])\n",
+	fmt.Printf("verification service: store %s, workers join at %s (dampid -join %s)\n",
 		storeDir, q.WorkerAddr(), q.WorkerAddr())
 	if addr := q.APIAddr(); addr != nil {
 		fmt.Printf("REST API and dashboard on http://%s/ (POST /jobs, GET /queue, GET /metrics)\n", addr)

@@ -15,12 +15,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"dampi/experiments"
 	"dampi/verify"
-	"dampi/workloads"
-	"dampi/workloads/matmul"
 )
 
 func main() {
@@ -32,7 +29,7 @@ func main() {
 		fig6   = flag.Bool("fig6", false, "Figure 6: matmul interleaving exploration time, DAMPI vs ISP")
 		fig8   = flag.Bool("fig8", false, "Figure 8: matmul under bounded mixing")
 		fig9   = flag.Bool("fig9", false, "Figure 9: ADLB under bounded mixing")
-		ablate = flag.Bool("ablations", false, "ablations: clock modes, piggyback transports, loop abstraction")
+		ablate = flag.Bool("ablations", false, "ablations: clock modes, piggyback transports, dual clock, loop abstraction, Fig. 4 coverage")
 
 		procs   = flag.Int("procs", 0, "override world size (Table II; paper uses 1024)")
 		scale   = flag.Int("scale", 100, "traffic divisor for the ParMETIS proxy")
@@ -82,57 +79,15 @@ func main() {
 }
 
 func printAblations() error {
-	fmt.Println("## Ablations — clock mode, piggyback transport, loop abstraction")
+	fmt.Println("## Ablations — clock mode, piggyback transport, dual clock, loop abstraction, Fig. 4 coverage")
 	fmt.Println()
-	wl, err := workloads.Get("104.milc")
+	rows, err := experiments.Ablations()
 	if err != nil {
 		return err
 	}
-	prog := wl.Program(workloads.Params{Procs: 32})
-
-	fmt.Printf("%-34s %12s %14s\n", "configuration", "time", "extra")
-	for _, mode := range []verify.ClockMode{verify.Lamport, verify.VectorClock} {
-		start := time.Now()
-		res, err := verify.Run(verify.Config{Procs: 32, Clock: mode, MaxInterleavings: 1}, prog)
-		if err != nil {
-			return err
-		}
-		if res.Errored() {
-			return fmt.Errorf("milc/%v: %v", mode, res.Errors[0].Err)
-		}
-		fmt.Printf("%-34s %12v %14s\n", "milc/32 clock="+mode.String(),
-			time.Since(start).Round(time.Millisecond), fmt.Sprintf("R*=%d", res.WildcardsAnalyzed))
-	}
-	for _, tr := range []verify.Transport{verify.Separate, verify.Inband} {
-		start := time.Now()
-		res, err := verify.Run(verify.Config{Procs: 32, Transport: tr, MaxInterleavings: 1}, prog)
-		if err != nil {
-			return err
-		}
-		if res.Errored() {
-			return fmt.Errorf("milc/%v: %v", tr, res.Errors[0].Err)
-		}
-		fmt.Printf("%-34s %12v %14s\n", "milc/32 transport="+tr.String(),
-			time.Since(start).Round(time.Millisecond), "")
-	}
-	for _, marked := range []bool{false, true} {
-		start := time.Now()
-		res, err := verify.Run(verify.Config{
-			Procs: 5, MixingBound: verify.Unbounded, MaxInterleavings: 2000,
-		}, matmul.Program(matmul.Config{MarkLoop: marked}))
-		if err != nil {
-			return err
-		}
-		if res.Errored() {
-			return fmt.Errorf("matmul loop ablation: %v", res.Errors[0].Err)
-		}
-		label := "matmul/5 full exploration"
-		if marked {
-			label = "matmul/5 Pcontrol loop markers"
-		}
-		fmt.Printf("%-34s %12v %14s\n", label,
-			time.Since(start).Round(time.Millisecond),
-			fmt.Sprintf("interleavings=%d", res.Interleavings))
+	fmt.Printf("%-34s %12s %6s %14s %10s\n", "configuration", "time", "R*", "interleavings", "deadlocks")
+	for _, r := range rows {
+		fmt.Printf("%-34s %12v %6d %14d %10d\n", r.Config, r.Time.Round(10e3), r.RStar, r.Interleavings, r.Deadlocks)
 	}
 	fmt.Println()
 	return nil

@@ -3,8 +3,8 @@
 // operation statistics), Table II (DAMPI overhead and local checks on the
 // benchmark suite), Figure 6 (matmul: time to explore interleavings),
 // Figure 8 (matmul under bounded mixing) and Figure 9 (ADLB under bounded
-// mixing). The cmd/experiments binary prints them; the repository-root
-// benchmarks time them.
+// mixing), and the design-choice ablations beside them. The cmd/experiments
+// binary prints them: it is the one regenerator of EXPERIMENTS.md.
 //
 // Absolute numbers differ from the paper — the substrate is an in-process
 // simulator, not an 800-node InfiniBand cluster — but each experiment
@@ -264,6 +264,94 @@ func Fig9(procSizes, ks []int, maxInterleavings, workers int) ([]MixingRow, erro
 			}
 			rows = append(rows, MixingRow{Procs: procs, K: k, Interleavings: res.Interleavings, Capped: res.Capped})
 		}
+	}
+	return rows, nil
+}
+
+// AblationRow is one line of the ablation table: one design choice DESIGN.md
+// calls out, run under one setting — what it costs (Time) and what it covers.
+type AblationRow struct {
+	Config        string
+	Time          time.Duration
+	RStar         int // wildcard epochs analyzed in the first run
+	Interleavings int
+	Deadlocks     int
+}
+
+// Fig4CrossCoupled is the paper's Fig. 4 pattern: ranks 0 and 3 seed ranks 1
+// and 2, which then cross-send after a wildcard receive. The cross sends are
+// concurrent with the other side's wildcard, which Lamport clocks cannot see
+// (one interleaving) and vector clocks can (three, two of them deadlocks); see
+// internal/core.TestFig4LamportIncompleteness for the full analysis.
+func Fig4CrossCoupled(p *mpi.Proc) error {
+	c := p.CommWorld()
+	switch p.Rank() {
+	case 0, 3:
+		dest := 1
+		if p.Rank() == 3 {
+			dest = 2
+		}
+		if err := p.Send(dest, 0, []byte("seed"), c); err != nil {
+			return err
+		}
+		return p.Barrier(c)
+	case 1, 2:
+		if err := p.Barrier(c); err != nil {
+			return err
+		}
+		peer := 3 - p.Rank()
+		if _, _, err := p.Recv(mpi.AnySource, 0, c); err != nil {
+			return err
+		}
+		if err := p.Send(peer, 0, []byte("cross"), c); err != nil {
+			return err
+		}
+		_, _, err := p.Recv(peer, 0, c)
+		return err
+	}
+	return nil
+}
+
+// Ablations runs the design-choice ablations: clock mode, piggyback transport
+// and the §V dual clock as the instrumentation cost of one milc run (the
+// wildcard-heavy Table II row), each against the default configuration's; loop iteration abstraction as matmul's
+// interleaving count with and without Pcontrol markers; and the coverage each
+// clock mode buys on the Fig. 4 pattern. Only the last may find errors, and
+// only the two deadlocks vector clocks expose.
+func Ablations() ([]AblationRow, error) {
+	wl, err := workloads.Get("104.milc")
+	if err != nil {
+		return nil, err
+	}
+	milc := wl.Program(workloads.Params{Procs: 32})
+	var rows []AblationRow
+	for _, a := range []struct {
+		label     string
+		cfg       verify.Config
+		prog      func(p *mpi.Proc) error
+		deadlocks int
+	}{
+		{"milc/32 lamport, separate (base)", verify.Config{Procs: 32, MaxInterleavings: 1}, milc, 0},
+		{"milc/32 clock=vector", verify.Config{Procs: 32, MaxInterleavings: 1, Clock: verify.VectorClock}, milc, 0},
+		{"milc/32 transport=inband", verify.Config{Procs: 32, MaxInterleavings: 1, Transport: verify.Inband}, milc, 0},
+		{"milc/32 dual clock (§V)", verify.Config{Procs: 32, MaxInterleavings: 1, DualClock: true}, milc, 0},
+		{"matmul/5 full exploration", verify.Config{Procs: 5, MixingBound: verify.Unbounded, MaxInterleavings: 2000}, matmul.Program(matmul.Config{}), 0},
+		{"matmul/5 Pcontrol loop markers", verify.Config{Procs: 5, MixingBound: verify.Unbounded, MaxInterleavings: 2000}, matmul.Program(matmul.Config{MarkLoop: true}), 0},
+		{"fig4/4 clock=lamport", verify.Config{Procs: 4, MixingBound: verify.Unbounded}, Fig4CrossCoupled, 0},
+		{"fig4/4 clock=vector", verify.Config{Procs: 4, MixingBound: verify.Unbounded, Clock: verify.VectorClock}, Fig4CrossCoupled, 2},
+	} {
+		start := time.Now()
+		res, err := verify.Run(a.cfg, a.prog)
+		if err != nil {
+			return nil, fmt.Errorf("ablation %s: %w", a.label, err)
+		}
+		if len(res.Errors) != a.deadlocks || res.Deadlocks != a.deadlocks {
+			return nil, fmt.Errorf("ablation %s: %s, want %d deadlocks and no other error", a.label, res.Summary(), a.deadlocks)
+		}
+		rows = append(rows, AblationRow{
+			Config: a.label, Time: time.Since(start),
+			RStar: res.WildcardsAnalyzed, Interleavings: res.Interleavings, Deadlocks: res.Deadlocks,
+		})
 	}
 	return rows, nil
 }

@@ -175,3 +175,37 @@ func TestPaperScale1024(t *testing.T) {
 		t.Error("milc C-leak missed at scale")
 	}
 }
+
+// TestAblationsShape: every ablation row runs, and each design choice shows
+// what DESIGN.md says it buys — clock mode and transport leave R* alone, loop
+// markers shrink matmul's space, and on the Fig. 4 pattern Lamport clocks
+// cover one interleaving where vector clocks find three, two of them
+// deadlocks (Ablations itself fails on any other error).
+func TestAblationsShape(t *testing.T) {
+	rows, err := Ablations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	by := map[string]AblationRow{}
+	for _, r := range rows {
+		by[r.Config] = r
+	}
+	if len(by) != 8 {
+		t.Fatalf("%d distinct rows, want 8: %+v", len(by), rows)
+	}
+	base := by["milc/32 lamport, separate (base)"]
+	if base.RStar == 0 {
+		t.Errorf("milc has no wildcards: %+v", base)
+	}
+	for _, cfg := range []string{"milc/32 clock=vector", "milc/32 transport=inband", "milc/32 dual clock (§V)"} {
+		if by[cfg].RStar != base.RStar {
+			t.Errorf("%s: R* = %d, the baseline's is %d", cfg, by[cfg].RStar, base.RStar)
+		}
+	}
+	if full, marked := by["matmul/5 full exploration"], by["matmul/5 Pcontrol loop markers"]; marked.Interleavings >= full.Interleavings {
+		t.Errorf("loop markers explore %d interleavings, full exploration %d", marked.Interleavings, full.Interleavings)
+	}
+	if lc, vc := by["fig4/4 clock=lamport"], by["fig4/4 clock=vector"]; lc.Interleavings != 1 || vc.Interleavings != 3 || vc.Deadlocks != 2 {
+		t.Errorf("Fig. 4 coverage: lamport %+v, vector %+v; want 1 interleaving against 3 with 2 deadlocks", lc, vc)
+	}
+}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"dampi/internal/pnmpi"
@@ -102,49 +104,83 @@ func (r *InterleavingResult) String() string {
 	return fmt.Sprintf("interleaving #%d: %s decisions=%v", r.Index, state, r.Decisions)
 }
 
-// Report summarizes a coverage exploration.
+// interleavingJSON is the durable form of a failing interleaving — in a
+// checkpoint, a lease delta, a stored job report: its index, the error text
+// (the live error value does not survive JSON) and the reproducer.
+type interleavingJSON struct {
+	Index     int        `json:"index,omitempty"`
+	Message   string     `json:"message"`
+	Deadlock  bool       `json:"deadlock,omitempty"`
+	Decisions *Decisions `json:"decisions"`
+}
+
+// MarshalJSON implements json.Marshaler.
+func (r *InterleavingResult) MarshalJSON() ([]byte, error) {
+	j := interleavingJSON{Index: r.Index, Deadlock: r.Deadlock, Decisions: r.Decisions}
+	if r.Err != nil {
+		j.Message = r.Err.Error()
+	}
+	return json.Marshal(&j)
+}
+
+// UnmarshalJSON implements json.Unmarshaler: Err comes back as a plain error
+// carrying the message.
+func (r *InterleavingResult) UnmarshalJSON(b []byte) error {
+	var j interleavingJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	*r = InterleavingResult{Index: j.Index, Err: errors.New(j.Message), Deadlock: j.Deadlock, Decisions: j.Decisions}
+	return nil
+}
+
+// Report summarizes a coverage exploration. Its JSON form is the aggregate
+// block of a dexplore.Checkpoint, which embeds it — field order and names are
+// that format's, so a counter added here reaches the checkpoint and the
+// cluster's lease delta with it. Capped and SampledDistinct are derived (Seal,
+// Restore) and not stored.
 type Report struct {
-	// AutoAbstracted counts epochs suppressed by automatic loop detection.
-	AutoAbstracted int
 	// Interleavings is the number of runs performed.
-	Interleavings int
-	// Errors holds every failed interleaving (with its reproducer).
-	Errors []*InterleavingResult
+	Interleavings int `json:"interleavings"`
 	// Deadlocks counts interleavings that deadlocked.
-	Deadlocks int
-	// WildcardsAnalyzed is the wildcard epoch count of the initial run (the
-	// paper's R* measure).
-	WildcardsAnalyzed int
+	Deadlocks int `json:"deadlocks,omitempty"`
 	// DecisionPoints is the number of distinct epoch decision points that
 	// entered the DFS stack over the whole exploration.
-	DecisionPoints int
-	// Unsafe aggregates §V pattern detections from the initial run.
-	Unsafe []UnsafeReport
-	// Capped reports whether MaxInterleavings stopped the search early.
-	Capped bool
-	// StaticPruned counts alternate branches skipped because of static
-	// prune hints (ExplorerConfig.PruneHints). With MixingBound 0 each
-	// skipped alternate corresponds to exactly one saved replay, so
-	// Interleavings + StaticPruned equals the unpruned interleaving count.
-	StaticPruned int
-	// PruneDisabled reports that a hint violation switched static pruning
-	// off mid-exploration; branches pruned before the violation were not
-	// re-explored, so coverage may be reduced. PruneViolations carries the
-	// evidence.
-	PruneDisabled   bool
-	PruneViolations []PruneViolation
+	DecisionPoints int `json:"decision_points"`
+	// AutoAbstracted counts epochs suppressed by automatic loop detection.
+	AutoAbstracted int `json:"auto_abstracted,omitempty"`
+	// WildcardsAnalyzed is the wildcard epoch count of the initial run (the
+	// paper's R* measure).
+	WildcardsAnalyzed int `json:"wildcards_analyzed"`
 	// Sampled counts the schedules executed by the sampling subsystem
 	// (walk-step replays); SampledDistinct counts how many had distinct
 	// decision vectors. Duplicates = Sampled - SampledDistinct. Zero unless
 	// a Sampler drove the exploration.
-	Sampled         int
-	SampledDistinct int
+	Sampled         int `json:"sampled,omitempty"`
+	SampledDistinct int `json:"-"`
 	// SampledSchedules lists the distinct sampled decision vectors in sorted
 	// order — the dump behind `dampi -sample-dump` and the seed-determinism
 	// tests. Nil unless a Sampler drove the exploration.
-	SampledSchedules []string
+	SampledSchedules []string `json:"sampled_keys,omitempty"`
+	// Unsafe aggregates §V pattern detections from the initial run.
+	Unsafe []UnsafeReport `json:"unsafe,omitempty"`
+	// Errors holds every failed interleaving (with its reproducer).
+	Errors []*InterleavingResult `json:"errors,omitempty"`
+	// Capped reports whether MaxInterleavings stopped the search early.
+	Capped bool `json:"-"`
+	// StaticPruned counts alternate branches skipped because of static
+	// prune hints (ExplorerConfig.PruneHints). With MixingBound 0 each
+	// skipped alternate corresponds to exactly one saved replay, so
+	// Interleavings + StaticPruned equals the unpruned interleaving count.
+	StaticPruned int `json:"static_pruned,omitempty"`
+	// PruneDisabled reports that a hint violation switched static pruning
+	// off mid-exploration; branches pruned before the violation were not
+	// re-explored, so coverage may be reduced. PruneViolations carries the
+	// evidence.
+	PruneDisabled   bool             `json:"prune_disabled,omitempty"`
+	PruneViolations []PruneViolation `json:"prune_violations,omitempty"`
 	// FirstTrace is the initial self run's full epoch log.
-	FirstTrace *RunTrace
+	FirstTrace *RunTrace `json:"first_trace,omitempty"`
 
 	// sampledKeys is the distinct sampled decision vectors seen so far;
 	// Seal renders it into SampledSchedules.
@@ -252,6 +288,17 @@ func (r *Report) Seal(cfg *ExplorerConfig, workLeft bool) {
 		r.PruneDisabled = h.Disabled()
 		r.PruneViolations = h.Violations()
 	}
+}
+
+// Snapshot returns a sealed copy of r that shares nothing r's later growth or
+// SortErrors writes: what a checkpoint, or a lease's delta, stores of a report
+// that may still be live.
+func (r *Report) Snapshot(cfg *ExplorerConfig) Report {
+	cp := *r
+	cp.Seal(cfg, false)
+	cp.Errors = slices.Clone(r.Errors)
+	cp.sampledKeys = nil
+	return cp
 }
 
 // SortErrors orders the errors by reproducer signature: the deterministic

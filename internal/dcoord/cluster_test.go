@@ -80,11 +80,16 @@ func runSerial(t *testing.T, cfg core.ExplorerConfig) *core.Report {
 }
 
 // startCoordinator brings up a coordinator on an ephemeral localhost port.
-func startCoordinator(t *testing.T, cfg Config) (*Coordinator, string) {
+// Each tweak runs between New and the listener: where a test varies the
+// policy a Config has no field for.
+func startCoordinator(t *testing.T, cfg Config, tweak ...func(*Coordinator)) (*Coordinator, string) {
 	t.Helper()
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New coordinator: %v", err)
+	}
+	for _, f := range tweak {
+		f(c)
 	}
 	ln, err := c.ListenAndServe("127.0.0.1:0")
 	if err != nil {
@@ -109,6 +114,11 @@ func (c *Coordinator) setMaxRoots(n int) {
 	c.mu.Lock()
 	c.maxRoots = n
 	c.mu.Unlock()
+}
+
+// redeliveries sets the redelivery cap (startCoordinator tweak).
+func redeliveries(n int) func(*Coordinator) {
+	return func(c *Coordinator) { c.maxRedeliveries = n }
 }
 
 // runCluster explores cfg with n in-process workers against a TCP
@@ -319,7 +329,7 @@ func TestWorkerKillMidExplorationRecovers(t *testing.T) {
 	}
 
 	fp := FingerprintFor("kill-matmul", &base)
-	c, addr := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: time.Second, MaxRedeliveries: 5})
+	c, addr := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: time.Second}, redeliveries(5))
 
 	// Victim: dies after 3 replays, mid-lease.
 	victimCfg := base

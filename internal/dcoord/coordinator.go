@@ -14,9 +14,11 @@ import (
 	"dampi/internal/dexplore"
 )
 
-// Config configures a coordinator. The coordinator never replays anything
-// itself — it owns the frontier, the leases and the merged report — so it
-// needs no program, only the spec of the exploration.
+// Config is the one statement of how an exploration is run, whoever starts
+// it: a one-shot New + ListenAndServe and a queued Server.RunJob take the same
+// one. The coordinator never replays anything itself — it owns the frontier,
+// the leases and the merged report — so it needs no program, only the spec of
+// the exploration.
 type Config struct {
 	// Fingerprint is the exploration: the spec announced to every worker
 	// (Check decides which pinned ones may replay it), normalized and
@@ -29,33 +31,54 @@ type Config struct {
 	// it. Defaults to the workload name.
 	JobID string
 	// LeaseTTL is how long a lease survives without a heartbeat before its
-	// subtrees are requeued. Default 10s.
+	// subtrees are requeued (default defaultLeaseTTL). It is the pool's, not
+	// the job's: Server.RunJob overwrites it with what its welcomes advertised.
 	LeaseTTL time.Duration
-	// MaxLeaseAge is the hard per-lease deadline: even a heartbeating worker
-	// forfeits a lease this old (a hung replay keeps the connection's
-	// heartbeats flowing, so TTL alone cannot catch it). Default 30×LeaseTTL.
-	MaxLeaseAge time.Duration
-	// MaxRedeliveries caps how many times one subtree may be requeued after
-	// lease loss before the exploration aborts (a poison task must not loop
-	// forever). Default 3.
-	MaxRedeliveries int
 	// CheckpointPath, if non-empty, receives a frontier checkpoint (the
 	// dexplore.Checkpoint format) every CheckpointEvery completions and at
 	// the end, so a killed coordinator resumes with Resume.
 	CheckpointPath string
-	// CheckpointEvery is the merged replays between periodic checkpoint
-	// writes (at most one per returned lease). Default 32.
+	// CheckpointEvery is the merged replays between periodic checkpoint writes
+	// (at most one per returned lease; dexplore.DefaultCheckpointEvery).
 	CheckpointEvery int
 	// Resume, if non-nil, seeds the exploration from a saved checkpoint
 	// instead of leasing the initial self-discovery run. Validated against
 	// Fingerprint.
 	Resume *dexplore.Checkpoint
 	// OnProgress, if non-nil, receives a throughput snapshot every
-	// ProgressEvery (default 1s) while the exploration runs.
+	// ProgressEvery (dexplore.DefaultProgressEvery) while the exploration runs.
 	OnProgress func(dexplore.Progress)
 	// ProgressEvery is the progress-callback period.
 	ProgressEvery time.Duration
 }
+
+// Run policy: what the cluster layer does without being told, each value
+// written once (the lease's shape — slice, roots, budget floor — is
+// dexplore/lease.go's, shared with the in-process engine). None is an option:
+// one value of each is in use; an in-package test that needs another sets the
+// Coordinator field it initializes, between New and the first worker.
+const (
+	// A lease survives defaultLeaseTTL without a heartbeat (the welcome frame
+	// advertises the server's TTL; a worker heartbeats at a third of it) and
+	// leaseAgeTTLs TTLs with them: a hung replay keeps heartbeats flowing.
+	defaultLeaseTTL = 10 * time.Second
+	leaseAgeTTLs    = 30
+	// redeliveryCap is how often one subtree may lose its lease before the
+	// exploration aborts: a poison task must not loop forever.
+	redeliveryCap = 3
+	// Either side gives a frame write writeTimeout and the handshake's answer
+	// helloTimeout; minTick floors the janitor's (TTL/4) and the heartbeat's
+	// (TTL/3) ticker.
+	writeTimeout = 10 * time.Second
+	helloTimeout = 30 * time.Second
+	minTick      = 5 * time.Millisecond
+	// A worker gives one dial dialTimeout, backs off backoffInitial doubling to
+	// backoffMax between failed dials, and gives up after maxDials in a row.
+	dialTimeout    = 5 * time.Second
+	backoffInitial = 100 * time.Millisecond
+	backoffMax     = 3 * time.Second
+	maxDials       = 30
+)
 
 // pending is one frontier entry: a task and its key, rendered once when the
 // task enters the frontier and carried from there to the lease, the task
@@ -112,7 +135,7 @@ func (w *workerConn) send(fr *frame) error {
 // write writes one frame with a deadline, so a stalled worker cannot wedge
 // the coordinator. Caller holds w.wmu.
 func (w *workerConn) write(fr *frame) error {
-	_ = w.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
+	_ = w.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	n, err := writeFrame(w.conn, fr)
 	if err == nil {
 		w.wire.framesOut.Add(1)
@@ -136,7 +159,7 @@ func (w *workerConn) recv(limit int) (*frame, error) {
 // with the connection closed, unless the frame is a hello.
 func acceptHello(conn net.Conn, wire *wireStats) (*workerConn, *frame) {
 	w := &workerConn{conn: conn, r: bufio.NewReader(conn), wire: wire, since: time.Now()}
-	_ = conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	fr, err := w.recv(maxHelloSize)
 	if err != nil || fr.Type != msgHello {
 		conn.Close()
@@ -170,9 +193,13 @@ type Coordinator struct {
 	srv  *Server
 	wire *wireStats
 
-	mu       sync.Mutex
-	maxRoots int // dexplore.MaxLeaseRoots; tests shrink it
-	workers  map[*workerConn]struct{}
+	mu sync.Mutex
+	// maxRoots, maxLeaseAge and maxRedeliveries are dexplore.MaxLeaseRoots,
+	// leaseAgeTTLs × the TTL and redeliveryCap; tests vary them.
+	maxRoots        int
+	maxLeaseAge     time.Duration
+	maxRedeliveries int
+	workers         map[*workerConn]struct{}
 	// front is the frontier and the grant rule the in-process engine runs
 	// too. Every key in its Tasks is distinct, not done, and in no held lease.
 	front       dexplore.Frontier[pending]
@@ -206,36 +233,29 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.JobID = cfg.Fingerprint.Workload
 	}
 	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 10 * time.Second
-	}
-	if cfg.MaxLeaseAge <= 0 {
-		cfg.MaxLeaseAge = 30 * cfg.LeaseTTL
-	}
-	if cfg.MaxRedeliveries <= 0 {
-		cfg.MaxRedeliveries = 3
+		cfg.LeaseTTL = defaultLeaseTTL
 	}
 	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 32
-	}
-	if cfg.ProgressEvery <= 0 {
-		cfg.ProgressEvery = time.Second
+		cfg.CheckpointEvery = dexplore.DefaultCheckpointEvery
 	}
 	c := &Coordinator{
-		cfg:         cfg,
-		ecfg:        cfg.Fingerprint.ExplorerConfig(),
-		wire:        &wireStats{},
-		maxRoots:    dexplore.MaxLeaseRoots,
-		front:       dexplore.Frontier[pending]{Max: cfg.Fingerprint.MaxInterleavings},
-		workers:     make(map[*workerConn]struct{}),
-		leases:      make(map[uint64]*lease),
-		done:        make(map[string]bool),
-		redelivered: make(map[string]int),
-		report:      &core.Report{},
-		rate:        dexplore.NewRateTracker(dexplore.RateWindow),
-		doneCh:      make(chan struct{}),
-		janitorStop: make(chan struct{}),
-		monitorStop: make(chan struct{}),
-		start:       time.Now(),
+		cfg:             cfg,
+		ecfg:            cfg.Fingerprint.ExplorerConfig(),
+		wire:            &wireStats{},
+		maxRoots:        dexplore.MaxLeaseRoots,
+		maxLeaseAge:     leaseAgeTTLs * cfg.LeaseTTL,
+		maxRedeliveries: redeliveryCap,
+		front:           dexplore.Frontier[pending]{Max: cfg.Fingerprint.MaxInterleavings},
+		workers:         make(map[*workerConn]struct{}),
+		leases:          make(map[uint64]*lease),
+		done:            make(map[string]bool),
+		redelivered:     make(map[string]int),
+		report:          &core.Report{},
+		rate:            dexplore.NewRateTracker(dexplore.RateWindow),
+		doneCh:          make(chan struct{}),
+		janitorStop:     make(chan struct{}),
+		monitorStop:     make(chan struct{}),
+		start:           time.Now(),
 	}
 	c.ecfg.MaxInterleavings = cfg.Fingerprint.MaxInterleavings
 	if ckp := cfg.Resume; ckp != nil {
@@ -407,9 +427,9 @@ func (c *Coordinator) requeueLocked(lost func(*lease) bool) {
 			}
 			requeued = true
 			c.redelivered[key]++
-			if n := c.redelivered[key]; n > c.cfg.MaxRedeliveries {
+			if n := c.redelivered[key]; n > c.maxRedeliveries {
 				c.failLocked(fmt.Errorf("dcoord: task %s lost its lease %d times (redelivery cap %d): poison task or cluster too unstable",
-					key, n, c.cfg.MaxRedeliveries))
+					key, n, c.maxRedeliveries))
 				continue
 			}
 			// While draining the task is kept for the final checkpoint, not reissued.
@@ -746,11 +766,7 @@ func (c *Coordinator) checkpointLocked() *dexplore.Checkpoint {
 // hard age cap (hung replay under a live heartbeat). Expired leases requeue
 // their roots under the redelivery cap.
 func (c *Coordinator) janitor() {
-	period := c.cfg.LeaseTTL / 4
-	if period < 5*time.Millisecond {
-		period = 5 * time.Millisecond
-	}
-	ticker := time.NewTicker(period)
+	ticker := time.NewTicker(max(c.cfg.LeaseTTL/4, minTick))
 	defer ticker.Stop()
 	for {
 		select {
@@ -761,7 +777,7 @@ func (c *Coordinator) janitor() {
 		now := time.Now()
 		c.mu.Lock()
 		c.requeueLocked(func(l *lease) bool {
-			return now.After(l.expires) || now.Sub(l.granted) > c.cfg.MaxLeaseAge
+			return now.After(l.expires) || now.Sub(l.granted) > c.maxLeaseAge
 		})
 		if c.unlockAndAdvance() {
 			return

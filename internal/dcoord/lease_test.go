@@ -133,8 +133,7 @@ func leaseTestConfig(ttl time.Duration) Config {
 // heartbeat) forfeits it; the task is requeued and handed out again.
 func TestLeaseExpiryRequeues(t *testing.T) {
 	cfg := leaseTestConfig(50 * time.Millisecond)
-	cfg.MaxRedeliveries = 100 // expiry loops back to the same silent worker
-	c, addr := startCoordinator(t, cfg)
+	c, addr := startCoordinator(t, cfg, redeliveries(100)) // expiry loops back to the same silent worker
 	defer c.Stop()
 
 	f := dialFake(t, addr, cfg.Fingerprint, "silent", 1)
@@ -183,12 +182,10 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 }
 
 // TestHardLeaseAgeCapsHeartbeats: a hung replay under a live connection
-// (heartbeats flowing, no result) still forfeits the lease at MaxLeaseAge.
+// (heartbeats flowing, no result) still forfeits the lease at the hard age cap.
 func TestHardLeaseAgeCapsHeartbeats(t *testing.T) {
 	cfg := leaseTestConfig(50 * time.Millisecond)
-	cfg.MaxLeaseAge = 150 * time.Millisecond
-	cfg.MaxRedeliveries = 100
-	c, addr := startCoordinator(t, cfg)
+	c, addr := startCoordinator(t, cfg, redeliveries(100), func(c *Coordinator) { c.maxLeaseAge = 150 * time.Millisecond })
 	defer c.Stop()
 
 	f := dialFake(t, addr, cfg.Fingerprint, "wedged", 1)
@@ -218,8 +215,7 @@ func TestHardLeaseAgeCapsHeartbeats(t *testing.T) {
 // clear error instead of looping forever.
 func TestRedeliveryCapAborts(t *testing.T) {
 	cfg := leaseTestConfig(40 * time.Millisecond)
-	cfg.MaxRedeliveries = 2
-	c, addr := startCoordinator(t, cfg)
+	c, addr := startCoordinator(t, cfg, redeliveries(2))
 
 	f := dialFake(t, addr, cfg.Fingerprint, "blackhole", 1)
 	defer f.close()
@@ -246,8 +242,7 @@ func TestRedeliveryCapAborts(t *testing.T) {
 // effectively-once merge. A forged duplicate must not corrupt the report.
 func TestLateResultDeduplicated(t *testing.T) {
 	cfg := leaseTestConfig(50 * time.Millisecond)
-	cfg.MaxRedeliveries = 100
-	c, addr := startCoordinator(t, cfg)
+	c, addr := startCoordinator(t, cfg, redeliveries(100))
 	defer c.Stop()
 
 	// The sluggard takes the root lease and sits on it past expiry.
@@ -321,8 +316,7 @@ func TestHeldLeaseRejectsMismatchedEcho(t *testing.T) {
 // again meanwhile, is deduplicated when it completes.
 func TestLateResultMergesByEchoedKey(t *testing.T) {
 	cfg := leaseTestConfig(50 * time.Millisecond)
-	cfg.MaxRedeliveries = 100
-	c, addr := startCoordinator(t, cfg)
+	c, addr := startCoordinator(t, cfg, redeliveries(100))
 	defer c.Stop()
 
 	f := dialFake(t, addr, cfg.Fingerprint, "tardy", 1)

@@ -35,29 +35,13 @@ import (
 	"dampi/internal/sample"
 )
 
-// protoVersion guards the frame format; a worker with a different protocol
-// version is rejected at handshake. Version 2 replaced the task frame's
-// single lease/task/root fields with a batch of wire tasks, so a v1 worker
-// would silently drop every lease a v2 coordinator granted it (and vice
-// versa) — the handshake refuses the pairing instead. Version 3 made the
-// cluster multi-job: task and result frames carry a job id, the job/jobdone
-// frames announce which exploration the leases that follow belong to, and
-// the hello may omit the fingerprint (an any-workload worker builds its
-// program per job from the announced JobSpec). A v2 worker would drop every
-// job announcement and misroute results, so the pairing is refused. Version 4
-// moved the task key onto the wire: a task frame carries it and the result
-// echoes it instead of each side rendering the decision prefix again. A v4
-// worker would echo the empty key a v3 coordinator never sent, collapsing
-// its done-set into one entry, so the pairing is refused. Version 5 made the
-// lease a set of subtrees with a replay budget and its result one report
-// delta: a v4 worker would find no task in a v5 lease, and a v5 coordinator no
-// delta in a v4 result, so the pairing is refused. Version 6 made every
-// exploration an announced job: a pinned hello carries a JobSpec where it
-// carried a fingerprint, and a one-shot coordinator announces its exploration
-// and tags its frames like a job-queue server. A v6 pinned worker resolves
-// every task through an announcement a v5 one-shot coordinator never sends
-// (and a v5 worker would run a v6 coordinator's tagged tasks on a program no
-// spec was checked against), so the pairing is refused.
+// protoVersion guards the frame format; a hello with any other version is
+// rejected at the handshake, both versions named. Version 6: every exploration
+// is an announced job (a one-shot coordinator's too) and every task and result
+// frame is tagged with it, a pinned hello states a JobSpec, a lease is a set of
+// subtrees with a replay budget and its result one report delta. Versions 1–5
+// each lack one of these, so a mixed pair would drop or misroute frames
+// silently and is refused instead (CHANGES.md has the history).
 const protoVersion = 6
 
 // maxFrameSize bounds a single frame (a lease's leftover frontier or the root

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dampi/internal/core"
-	"dampi/internal/dexplore"
 )
 
 // ServerConfig configures a cluster server: the side of the wire that owns
@@ -19,14 +18,12 @@ import (
 // workers that are already there. A one-shot exploration
 // (Coordinator.ListenAndServe) is a Server with one job.
 type ServerConfig struct {
-	// LeaseTTL, MaxLeaseAge, MaxRedeliveries, CheckpointEvery and
-	// ProgressEvery carry the per-job engine knobs, with the same defaults as
-	// Config.
-	LeaseTTL        time.Duration
-	MaxLeaseAge     time.Duration
-	MaxRedeliveries int
+	// LeaseTTL is the pool's lease TTL (default defaultLeaseTTL): the welcome
+	// frame advertises it before any job exists, so every job runs under it.
+	LeaseTTL time.Duration
+	// CheckpointEvery is the checkpoint cadence of a job whose Config sets
+	// none (0 = Config's default).
 	CheckpointEvery int
-	ProgressEvery   time.Duration
 	// OnEvent, if non-nil, receives human-readable lifecycle lines (worker
 	// joined, worker lost, job started) for logging.
 	OnEvent func(string)
@@ -66,7 +63,7 @@ type Server struct {
 // NewServer creates a cluster server.
 func NewServer(cfg ServerConfig) *Server {
 	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 10 * time.Second // Config's default: the welcome frame advertises it before any job exists
+		cfg.LeaseTTL = defaultLeaseTTL
 	}
 	return &Server{cfg: cfg, pool: make(map[*workerConn]struct{})}
 }
@@ -217,37 +214,20 @@ func (s *Server) removeWorker(w *workerConn) {
 	w.conn.Close()
 }
 
-// JobConfig carries the per-job inputs RunJob needs beyond the spec.
-type JobConfig struct {
-	// ID tags every frame of this job.
-	ID string
-	// CheckpointPath, if non-empty, receives periodic frontier checkpoints,
-	// so a crashed server resumes the job instead of restarting it.
-	CheckpointPath string
-	// Resume, if non-nil, seeds the job from a saved checkpoint.
-	Resume *dexplore.Checkpoint
-	// OnProgress, if non-nil, receives throughput snapshots.
-	OnProgress func(dexplore.Progress)
-}
-
-// RunJob runs one exploration over the pooled workers and blocks until it
-// completes, returning the merged report. Jobs run one at a time; calling
-// RunJob concurrently is a caller bug and returns an error. Workers joining
-// mid-job are attached on arrival; workers that die mid-job lose their
-// leases to the usual requeue machinery.
-func (s *Server) RunJob(spec JobSpec, jcfg JobConfig) (*core.Report, error) {
-	c, err := New(Config{
-		Fingerprint:     spec,
-		JobID:           jcfg.ID,
-		LeaseTTL:        s.cfg.LeaseTTL,
-		MaxLeaseAge:     s.cfg.MaxLeaseAge,
-		MaxRedeliveries: s.cfg.MaxRedeliveries,
-		CheckpointPath:  jcfg.CheckpointPath,
-		CheckpointEvery: s.cfg.CheckpointEvery,
-		Resume:          jcfg.Resume,
-		OnProgress:      jcfg.OnProgress,
-		ProgressEvery:   s.cfg.ProgressEvery,
-	})
+// RunJob runs the exploration cfg describes over the pooled workers and
+// blocks until it completes, returning the merged report. cfg is the Config a
+// one-shot New takes; the server fills the two fields that are the pool's, not
+// the job's: LeaseTTL, always — workers heartbeat at a third of what the
+// welcome frame told them, whatever cfg says — and CheckpointEvery when cfg
+// sets none. Jobs run one at a time; calling RunJob concurrently is a caller
+// bug and returns an error. Workers joining mid-job are attached on arrival;
+// workers that die mid-job lose their leases to the usual requeue machinery.
+func (s *Server) RunJob(cfg Config) (*core.Report, error) {
+	cfg.LeaseTTL = s.cfg.LeaseTTL
+	if cfg.CheckpointEvery <= 0 {
+		cfg.CheckpointEvery = s.cfg.CheckpointEvery
+	}
+	c, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}

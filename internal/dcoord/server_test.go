@@ -1,8 +1,12 @@
 package dcoord
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -105,7 +109,7 @@ func waitForPool(t *testing.T, s *Server, n int) {
 }
 
 // runJob runs one job with a hang guard.
-func runJob(t *testing.T, s *Server, spec JobSpec, jcfg JobConfig) (*core.Report, error) {
+func runJob(t *testing.T, s *Server, cfg Config) (*core.Report, error) {
 	t.Helper()
 	type out struct {
 		rep *core.Report
@@ -113,14 +117,14 @@ func runJob(t *testing.T, s *Server, spec JobSpec, jcfg JobConfig) (*core.Report
 	}
 	ch := make(chan out, 1)
 	go func() {
-		rep, err := s.RunJob(spec, jcfg)
+		rep, err := s.RunJob(cfg)
 		ch <- out{rep, err}
 	}()
 	select {
 	case o := <-ch:
 		return o.rep, o.err
 	case <-time.After(60 * time.Second):
-		t.Fatalf("job %s did not finish", jcfg.ID)
+		t.Fatalf("job %s did not finish", cfg.JobID)
 		return nil, nil
 	}
 }
@@ -143,7 +147,7 @@ func TestServerRunsSequentialJobs(t *testing.T) {
 	}
 	for i, spec := range specs {
 		id := fmt.Sprintf("job%d", i)
-		rep, err := runJob(t, s, spec, JobConfig{ID: id})
+		rep, err := runJob(t, s, Config{Fingerprint: spec, JobID: id})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -189,7 +193,7 @@ func TestServerSkipsIneligiblePinnedWorker(t *testing.T) {
 	waitForPool(t, s, 2)
 
 	spec := JobSpec{Workload: "fanin", Procs: 3, Space: dexplore.Space{MixingBound: 1}}
-	rep, err := runJob(t, s, spec, JobConfig{ID: "onlyany"})
+	rep, err := runJob(t, s, Config{Fingerprint: spec, JobID: "onlyany"})
 	if err != nil {
 		t.Fatalf("job with one eligible worker failed: %v", err)
 	}
@@ -212,7 +216,7 @@ func TestServerFactoryFailureFailsJob(t *testing.T) {
 	waitForPool(t, s, 1)
 
 	spec := JobSpec{Workload: "no-such-workload", Procs: 3, Space: dexplore.Space{MixingBound: 1}}
-	_, err := runJob(t, s, spec, JobConfig{ID: "bad"})
+	_, err := runJob(t, s, Config{Fingerprint: spec, JobID: "bad"})
 	if err == nil {
 		t.Fatal("job with unbuildable spec succeeded")
 	}
@@ -229,7 +233,7 @@ func TestServerRejectsConcurrentJobs(t *testing.T) {
 	s.cur = &Coordinator{cfg: Config{JobID: "busy"}} // simulate an active job without running one
 	s.mu.Unlock()
 	spec := JobSpec{Workload: "fanin", Procs: 3, Space: dexplore.Space{MixingBound: 1}}
-	if _, err := s.RunJob(spec, JobConfig{ID: "second"}); err == nil || !strings.Contains(err.Error(), "busy still running") {
+	if _, err := s.RunJob(Config{Fingerprint: spec, JobID: "second"}); err == nil || !strings.Contains(err.Error(), "busy still running") {
 		t.Errorf("concurrent RunJob error = %v, want 'job busy still running'", err)
 	}
 }
@@ -363,5 +367,97 @@ func TestOneShotIsAOneJobServer(t *testing.T) {
 				t.Error("the listener is still open after Wait returned")
 			}
 		})
+	}
+}
+
+// TestRunJobAndOneShotShareAConfig: Server.RunJob takes the Config a one-shot
+// New takes, and the same Config — a cap that binds, a checkpoint path and
+// cadence — run either way yields the same report and the same final
+// checkpoint, byte for byte. One single-slot worker whose slice never ends
+// makes the lease sequence, and so the completion order, a function of the
+// Config alone.
+func TestRunJobAndOneShotShareAConfig(t *testing.T) {
+	f := newTestFactory()
+	spec := JobSpec{Workload: "fanin", Procs: 5, Space: dexplore.Space{MixingBound: core.Unbounded}, MaxInterleavings: 6}
+	run := func(t *testing.T, start func(Config) (string, func() (*core.Report, error))) (report, checkpoint []byte) {
+		t.Helper()
+		cfg := Config{Fingerprint: spec, JobID: "shared", CheckpointPath: filepath.Join(t.TempDir(), "ckp.json"), CheckpointEvery: 3}
+		addr, wait := start(cfg)
+		w := NewWorker(WorkerConfig{Addr: addr, Name: "w", Factory: f.config})
+		w.slice = time.Hour
+		done := make(chan error, 1)
+		go func() { done <- w.Run() }()
+		rep, err := wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Stop()
+		if err := <-done; err != nil {
+			t.Errorf("worker: %v", err)
+		}
+		if rep.Interleavings != spec.MaxInterleavings || !rep.Capped {
+			t.Fatalf("fixture: %s, want a report capped at %d", rep.Summary(), spec.MaxInterleavings)
+		}
+		report, err = json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if checkpoint, err = os.ReadFile(cfg.CheckpointPath); err != nil {
+			t.Fatal(err)
+		}
+		return report, checkpoint
+	}
+	oneRep, oneCkp := run(t, func(cfg Config) (string, func() (*core.Report, error)) {
+		c, addr := startCoordinator(t, cfg)
+		return addr, func() (*core.Report, error) { return waitFor(t, c) }
+	})
+	jobRep, jobCkp := run(t, func(cfg Config) (string, func() (*core.Report, error)) {
+		s, addr := startServer(t, ServerConfig{})
+		t.Cleanup(func() { s.Close(false) })
+		return addr, func() (*core.Report, error) { return runJob(t, s, cfg) }
+	})
+	if !bytes.Equal(oneRep, jobRep) {
+		t.Errorf("reports differ:\none-shot: %s\n  RunJob: %s", oneRep, jobRep)
+	}
+	if !bytes.Equal(oneCkp, jobCkp) {
+		t.Errorf("final checkpoints differ:\none-shot: %s\n  RunJob: %s", oneCkp, jobCkp)
+	}
+}
+
+// TestRunJobAdvertisedTTLWins: the lease TTL is the pool's, not the job's. A
+// worker heartbeats at a third of what its welcome frame said, before any job
+// existed, so RunJob overwrites a Config.LeaseTTL that disagrees — defaulting
+// it would expire every lease of a job that asked for less.
+func TestRunJobAdvertisedTTLWins(t *testing.T) {
+	s, addr := startServer(t, ServerConfig{LeaseTTL: 2 * time.Second})
+	defer s.Close(false)
+	cfg := leaseTestConfig(time.Millisecond)
+	cfg.JobID = "ttl"
+	fake := dialFake(t, addr, cfg.Fingerprint, "held", 1)
+	defer fake.close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.RunJob(cfg)
+		done <- err
+	}()
+	fake.recvTask()
+	s.mu.Lock()
+	c := s.cur
+	s.mu.Unlock()
+	if c.cfg.LeaseTTL != 2*time.Second || c.maxLeaseAge != leaseAgeTTLs*2*time.Second {
+		t.Errorf("job runs under TTL %v (max lease age %v), want the 2s the welcome frame advertised", c.cfg.LeaseTTL, c.maxLeaseAge)
+	}
+	if st := c.Status(); st.Requeues != 0 || st.ActiveLeases != 1 {
+		t.Errorf("the lease did not survive the job's own 1ms TTL: %+v", st)
+	}
+	s.CancelJob("ttl")
+	fake.close() // its lease requeues, and the drain completes
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("drained job: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunJob did not return after the drain")
 	}
 }

@@ -232,8 +232,7 @@ func TestOverlappingLateResultsCountOnce(t *testing.T) {
 	for _, lateFirst := range []bool{true, false} {
 		t.Run(fmt.Sprintf("late-first=%v", lateFirst), func(t *testing.T) {
 			cfg := leaseTestConfig(100 * time.Millisecond)
-			cfg.MaxRedeliveries = 100
-			c, addr := startCoordinator(t, cfg)
+			c, addr := startCoordinator(t, cfg, redeliveries(100))
 			defer c.Stop()
 			c.setMaxRoots(2)
 			fp := cfg.Fingerprint

@@ -40,15 +40,6 @@ type WorkerConfig struct {
 	// program) for an announced job spec. Required for any-workload workers;
 	// optional for pinned ones (the pinned Explorer is used instead).
 	Factory func(spec JobSpec) (core.ExplorerConfig, error)
-	// DialTimeout bounds one connection attempt. Default 5s.
-	DialTimeout time.Duration
-	// BackoffInitial and BackoffMax shape the reconnect backoff (exponential
-	// doubling). Defaults 100ms and 3s.
-	BackoffInitial time.Duration
-	BackoffMax     time.Duration
-	// MaxDials is the number of consecutive failed connection attempts
-	// before Run gives up. Default 30.
-	MaxDials int
 	// OnEvent, if non-nil, receives human-readable lifecycle lines
 	// (connected, reconnecting, rejected) for logging.
 	OnEvent func(string)
@@ -93,18 +84,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		host, _ := os.Hostname()
 		cfg.Name = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	if cfg.BackoffInitial <= 0 {
-		cfg.BackoffInitial = 100 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 3 * time.Second
-	}
-	if cfg.MaxDials <= 0 {
-		cfg.MaxDials = 30
-	}
 	return &Worker{cfg: cfg, slice: dexplore.LeaseSlice, stopCh: make(chan struct{})}
 }
 
@@ -143,32 +122,29 @@ func (w *Worker) event(format string, args ...any) {
 // Run joins the coordinator and processes leases until the exploration ends
 // (returns nil), the handshake is rejected (returns the rejection: the
 // mismatch is permanent, retrying cannot help), or the coordinator stays
-// unreachable past the dial budget.
+// unreachable past the dial budget (maxDials, in coordinator.go's run policy).
 func (w *Worker) Run() error {
-	backoff := w.cfg.BackoffInitial
+	backoff := backoffInitial
 	fails := 0
 	for {
 		if w.halted() {
 			return nil
 		}
-		conn, err := net.DialTimeout("tcp", w.cfg.Addr, w.cfg.DialTimeout)
+		conn, err := net.DialTimeout("tcp", w.cfg.Addr, dialTimeout)
 		if err != nil {
 			fails++
-			if fails >= w.cfg.MaxDials {
+			if fails >= maxDials {
 				return fmt.Errorf("dcoord: coordinator %s unreachable after %d attempts: %w", w.cfg.Addr, fails, err)
 			}
 			w.event("dial %s failed (attempt %d): %v; retrying in %v", w.cfg.Addr, fails, err, backoff)
 			if !w.sleep(backoff) {
 				return nil
 			}
-			backoff *= 2
-			if backoff > w.cfg.BackoffMax {
-				backoff = w.cfg.BackoffMax
-			}
+			backoff = min(2*backoff, backoffMax)
 			continue
 		}
 		fails = 0
-		backoff = w.cfg.BackoffInitial
+		backoff = backoffInitial
 		done, err := w.session(conn)
 		if done {
 			return nil
@@ -180,7 +156,7 @@ func (w *Worker) Run() error {
 			}
 			w.event("session ended: %v; reconnecting", err)
 		}
-		if !w.sleep(w.cfg.BackoffInitial) {
+		if !w.sleep(backoffInitial) {
 			return nil
 		}
 	}
@@ -294,7 +270,7 @@ func (w *Worker) session(conn net.Conn) (bool, error) {
 	send := func(fr *frame) error {
 		smu.Lock()
 		defer smu.Unlock()
-		_ = conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
+		_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		_, err := writeFrame(conn, fr)
 		return err
 	}
@@ -310,7 +286,7 @@ func (w *Worker) session(conn net.Conn) (bool, error) {
 	if err := send(hello); err != nil {
 		return false, err
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	fr, _, err := readFrame(r, maxFrameSize)
 	if err != nil {
 		return false, err
@@ -329,7 +305,7 @@ func (w *Worker) session(conn net.Conn) (bool, error) {
 	}
 	ttl := time.Duration(fr.LeaseTTLMillis) * time.Millisecond
 	if ttl <= 0 {
-		ttl = 10 * time.Second
+		ttl = defaultLeaseTTL
 	}
 	w.event("joined %s (ttl %v, %d slots)", w.cfg.Addr, ttl, w.cfg.Slots)
 
@@ -340,11 +316,7 @@ func (w *Worker) session(conn net.Conn) (bool, error) {
 	hbWG.Add(1)
 	go func() {
 		defer hbWG.Done()
-		period := ttl / 3
-		if period < 5*time.Millisecond {
-			period = 5 * time.Millisecond
-		}
-		ticker := time.NewTicker(period)
+		ticker := time.NewTicker(max(ttl/3, minTick))
 		defer ticker.Stop()
 		for {
 			select {

@@ -42,79 +42,31 @@ type Checkpoint struct {
 	// under whatever the config holds.
 	LegacySampler string `json:"sampler,omitempty"`
 
-	// Aggregates of completed replays.
-	Interleavings     int                 `json:"interleavings"`
-	Deadlocks         int                 `json:"deadlocks,omitempty"`
-	DecisionPoints    int                 `json:"decision_points"`
-	AutoAbstracted    int                 `json:"auto_abstracted,omitempty"`
-	WildcardsAnalyzed int                 `json:"wildcards_analyzed"`
-	Sampled           int                 `json:"sampled,omitempty"`
-	SampledKeys       []string            `json:"sampled_keys,omitempty"`
-	Unsafe            []core.UnsafeReport `json:"unsafe,omitempty"`
-	Errors            []*CheckpointError  `json:"errors,omitempty"`
-
-	// Static prune-hint state (absent without hints): the branches skipped
-	// so far, and whether — and on what evidence — a violation switched the
-	// hints off. A resumed run continues counting from here and keeps
-	// disabled hints disabled.
-	StaticPruned    int                   `json:"static_pruned,omitempty"`
-	PruneDisabled   bool                  `json:"prune_disabled,omitempty"`
-	PruneViolations []core.PruneViolation `json:"prune_violations,omitempty"`
-
-	// FirstTrace is the initial self run's epoch log, carried so a resumed
-	// run still reports the canonical trace.
-	FirstTrace *core.RunTrace `json:"first_trace,omitempty"`
+	// Report is the aggregates of every completed replay, in core.Report's
+	// own JSON form (sealed: sorted sampled keys, current prune-hint counters —
+	// a resumed run continues counting from them and keeps disabled hints
+	// disabled — and the canonical first trace). Capped and SampledDistinct
+	// are derived, not stored; Restore re-derives the latter.
+	core.Report
 
 	// Frontier holds the pending subtree tasks, oldest first (the engines
 	// lease from the front).
 	Frontier []*core.SubtreeTask `json:"frontier"`
 }
 
-// CheckpointError is a failed interleaving's durable form: the reproducer
-// plus the error text (the live error value does not survive JSON).
-type CheckpointError struct {
-	Index     int             `json:"index,omitempty"`
-	Message   string          `json:"message"`
-	Deadlock  bool            `json:"deadlock,omitempty"`
-	Decisions *core.Decisions `json:"decisions"`
-}
-
-// NewCheckpoint is the one Report-to-Checkpoint copy, shared by this engine
-// and the distributed coordinator: the exploration parameters of cfg, the
-// aggregates of rep, the frontier. It seals a copy of rep first (sorted
-// sampled keys, current prune-hint counters), so rep may be a live report
-// that is still being added to.
+// NewCheckpoint is the one Report-to-Checkpoint step, shared by this engine
+// and the distributed coordinator: the exploration parameters of cfg, a sealed
+// snapshot of rep (which may be a live report that is still being added to),
+// the frontier.
 func NewCheckpoint(workload string, cfg *core.ExplorerConfig, rep *core.Report, frontier []*core.SubtreeTask) *Checkpoint {
-	sealed := *rep
-	sealed.Seal(cfg, false)
-	ckp := &Checkpoint{
-		Version:           checkpointVersion,
-		Workload:          workload,
-		Procs:             cfg.Procs,
-		Space:             SpaceOf(cfg),
-		Interleavings:     sealed.Interleavings,
-		Deadlocks:         sealed.Deadlocks,
-		DecisionPoints:    sealed.DecisionPoints,
-		AutoAbstracted:    sealed.AutoAbstracted,
-		WildcardsAnalyzed: sealed.WildcardsAnalyzed,
-		Sampled:           sealed.Sampled,
-		SampledKeys:       sealed.SampledSchedules,
-		Unsafe:            sealed.Unsafe,
-		StaticPruned:      sealed.StaticPruned,
-		PruneDisabled:     sealed.PruneDisabled,
-		PruneViolations:   sealed.PruneViolations,
-		FirstTrace:        sealed.FirstTrace,
-		Frontier:          frontier,
+	return &Checkpoint{
+		Version:  checkpointVersion,
+		Workload: workload,
+		Procs:    cfg.Procs,
+		Space:    SpaceOf(cfg),
+		Report:   rep.Snapshot(cfg),
+		Frontier: frontier,
 	}
-	for _, res := range sealed.Errors {
-		ckp.Errors = append(ckp.Errors, &CheckpointError{
-			Index:     res.Index,
-			Message:   res.Err.Error(),
-			Deadlock:  res.Deadlock,
-			Decisions: res.Decisions,
-		})
-	}
-	return ckp
 }
 
 // Validate checks that the checkpoint was produced under the given
@@ -147,40 +99,20 @@ func (c *Checkpoint) Validate(workload string, cfg *core.ExplorerConfig) error {
 	return nil
 }
 
-// Restore is the one Checkpoint-to-Report copy, the inverse of
-// NewCheckpoint: after validating the checkpoint against the resuming
-// exploration's parameters it returns the report of everything completed so
-// far (for the engine to keep adding to) and a copy of the frontier. The
-// prune-hint table of cfg, if any, resumes from the saved counters.
+// Restore is the inverse of NewCheckpoint: after validating the checkpoint
+// against the resuming exploration's parameters it returns the report of
+// everything completed so far (for the engine to keep adding to) and a copy of
+// the frontier. The prune-hint table of cfg, if any, resumes from the saved
+// counters.
 func (c *Checkpoint) Restore(workload string, cfg *core.ExplorerConfig) (*core.Report, []*core.SubtreeTask, error) {
 	if err := c.Validate(workload, cfg); err != nil {
 		return nil, nil, err
 	}
-	rep := &core.Report{
-		Interleavings:     c.Interleavings,
-		Deadlocks:         c.Deadlocks,
-		DecisionPoints:    c.DecisionPoints,
-		AutoAbstracted:    c.AutoAbstracted,
-		WildcardsAnalyzed: c.WildcardsAnalyzed,
-		Sampled:           c.Sampled,
-		SampledDistinct:   len(c.SampledKeys),
-		SampledSchedules:  c.SampledKeys,
-		Unsafe:            c.Unsafe,
-		StaticPruned:      c.StaticPruned,
-		PruneDisabled:     c.PruneDisabled,
-		PruneViolations:   c.PruneViolations,
-		FirstTrace:        c.FirstTrace,
-	}
-	for _, ce := range c.Errors {
-		rep.Errors = append(rep.Errors, &core.InterleavingResult{
-			Index:     ce.Index,
-			Err:       errors.New(ce.Message),
-			Deadlock:  ce.Deadlock,
-			Decisions: ce.Decisions,
-		})
-	}
+	rep := c.Report
+	rep.Errors = slices.Clone(rep.Errors) // the engine sorts its own list
+	rep.SampledDistinct = len(rep.SampledSchedules)
 	cfg.PruneHints.Restore(rep.StaticPruned, rep.PruneDisabled, rep.PruneViolations)
-	return rep, append([]*core.SubtreeTask(nil), c.Frontier...), nil
+	return &rep, slices.Clone(c.Frontier), nil
 }
 
 // Save writes the checkpoint atomically (temp file + rename), so a crash

@@ -23,15 +23,17 @@ func TestCheckpointJSONRoundTrip(t *testing.T) {
 	d.Force(core.EpochID{Rank: 1, LC: 7}, 3)
 	d.Force(core.EpochID{Rank: 0, LC: 2}, 1)
 	ckp := &Checkpoint{
-		Version:           checkpointVersion,
-		Procs:             6,
-		Space:             Space{Clock: core.VectorClock, DualClock: true, Transport: core.Inband, MixingBound: 2, AutoLoopThreshold: 5},
-		Interleavings:     11,
-		Deadlocks:         1,
-		DecisionPoints:    9,
-		AutoAbstracted:    4,
-		WildcardsAnalyzed: 3,
-		Errors:            []*CheckpointError{{Message: "boom", Deadlock: true, Decisions: d.Clone()}},
+		Version: checkpointVersion,
+		Procs:   6,
+		Space:   Space{Clock: core.VectorClock, DualClock: true, Transport: core.Inband, MixingBound: 2, AutoLoopThreshold: 5},
+		Report: core.Report{
+			Interleavings:     11,
+			Deadlocks:         1,
+			DecisionPoints:    9,
+			AutoAbstracted:    4,
+			WildcardsAnalyzed: 3,
+			Errors:            []*core.InterleavingResult{{Err: errors.New("boom"), Deadlock: true, Decisions: d.Clone()}},
+		},
 		Frontier: []*core.SubtreeTask{
 			{Decisions: d, Budget: 1, Explorable: true},
 			{Decisions: nil, Budget: core.Unbounded, Explorable: false},
@@ -52,7 +54,7 @@ func TestCheckpointJSONRoundTrip(t *testing.T) {
 		got.AutoAbstracted != 4 || got.WildcardsAnalyzed != 3 {
 		t.Errorf("aggregates mismatch: got %+v", got)
 	}
-	if len(got.Errors) != 1 || got.Errors[0].Message != "boom" || !got.Errors[0].Deadlock ||
+	if len(got.Errors) != 1 || got.Errors[0].Err.Error() != "boom" || !got.Errors[0].Deadlock ||
 		got.Errors[0].Decisions.String() != d.String() {
 		t.Errorf("errors mismatch: got %+v", got.Errors)
 	}

@@ -55,7 +55,7 @@ type Config struct {
 	CheckpointPath string
 	// CheckpointEvery is the number of replays between periodic checkpoint
 	// writes, and the most a lease runs before it is merged while
-	// checkpointing — what a crash can lose per slot. Default 32.
+	// checkpointing — what a crash can lose per slot (DefaultCheckpointEvery).
 	CheckpointEvery int
 	// Resume, if non-nil, seeds the exploration from a saved checkpoint
 	// instead of performing the initial self-discovery run. The checkpoint's
@@ -64,7 +64,7 @@ type Config struct {
 	// OnProgress, if non-nil, receives a throughput snapshot every
 	// ProgressEvery during exploration.
 	OnProgress func(Progress)
-	// ProgressEvery is the progress-callback period. Default 1s.
+	// ProgressEvery is the progress-callback period (DefaultProgressEvery).
 	ProgressEvery time.Duration
 }
 
@@ -140,10 +140,7 @@ func New(cfg Config) *Engine {
 		cfg.Workers = 1
 	}
 	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 32
-	}
-	if cfg.ProgressEvery <= 0 {
-		cfg.ProgressEvery = time.Second
+		cfg.CheckpointEvery = DefaultCheckpointEvery
 	}
 	e := &Engine{
 		cfg:      cfg,

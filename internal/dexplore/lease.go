@@ -19,6 +19,15 @@ const MaxLeaseRoots = 16
 // that many remain), so the end of a capped run is not one round trip per replay.
 const minLeaseBudget = 8
 
+// DefaultCheckpointEvery is the merged replays between two periodic
+// checkpoint writes — what a crash can lose per slot — and
+// DefaultProgressEvery the progress-callback period (Monitor applies it), for
+// a Config, this engine's or dcoord's, that sets neither.
+const (
+	DefaultCheckpointEvery = 32
+	DefaultProgressEvery   = time.Second
+)
+
 // Frontier is the scheduling state of a multi-worker exploration, kept under
 // its engine's one mutex: the subtrees waiting to be leased, and what the
 // leases out hold of the interleaving cap. The in-process Engine shares one

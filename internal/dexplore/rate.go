@@ -78,9 +78,13 @@ func (rt *RateTracker) Snapshot(start, now time.Time, n int) Progress {
 	return p
 }
 
-// Monitor calls tick every period until stop is closed: the loop behind both
-// engines' OnProgress.
+// Monitor calls tick every period (DefaultProgressEvery for a Config that set
+// none) until stop is closed: the loop behind both engines' OnProgress and the
+// job queue's TTL sweep.
 func Monitor(period time.Duration, stop <-chan struct{}, tick func()) {
+	if period <= 0 {
+		period = DefaultProgressEvery
+	}
 	ticker := time.NewTicker(period)
 	defer ticker.Stop()
 	for {

@@ -2,6 +2,7 @@ package jobqueue
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -161,7 +162,7 @@ func TestAPIReportLifecycle(t *testing.T) {
 		}
 	}
 	rep := &JobReport{Workload: "fanin", Procs: 3, Interleavings: 2, WildcardsAnalyzed: 1,
-		Errors: []JobError{{Message: "fan-in: rank 2 arrived first", Decisions: &core.Decisions{}}}}
+		Errors: []*core.InterleavingResult{{Err: errors.New("fan-in: rank 2 arrived first"), Decisions: &core.Decisions{}}}}
 	if err := h.store.SaveReport(id, rep); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,12 @@
 // through queued → running → merging → done/failed; every transition is
 // recorded in an append-only WAL with periodic snapshots, so a restarted
 // service resumes exactly where the crashed one stopped (mid-job via the
-// engine's frontier checkpoints).
+// engine's frontier checkpoints). Recovery drops no acknowledged record
+// silently: a torn final WAL line is cut off before anything is appended
+// behind it, and damage with records after it is an error (OpenStore). A
+// job's TTL holds while the service is busy, with that job too (Service.Run's
+// sweeper). A job runs from the dcoord.Config a one-shot exploration does
+// (Service.runOne); the package's two periods are constants in store.go.
 package jobqueue
 
 import (
@@ -85,7 +90,8 @@ type Job struct {
 	StartedAt   time.Time `json:"started_at,omitempty"`
 	FinishedAt  time.Time `json:"finished_at,omitempty"`
 	// TTLSec, when > 0, is the complete-by budget from submission; a job
-	// still queued or running past it is failed by the sweep.
+	// still queued or running past it is failed ("ttl expired"), whatever
+	// else the service is doing.
 	TTLSec int64 `json:"ttl_sec,omitempty"`
 	// Attempts counts dispatches: 1 on first start, +1 per crash-recovery
 	// requeue. A job recovered with Attempts > 0 resumes from its frontier

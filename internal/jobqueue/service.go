@@ -2,7 +2,6 @@ package jobqueue
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"sync"
 	"time"
@@ -23,8 +22,6 @@ type ServiceConfig struct {
 	// names are refused at submission instead of failing the job at
 	// dispatch.
 	Validate func(spec dcoord.JobSpec) error
-	// SweepEvery is the TTL sweep period. Default 5s.
-	SweepEvery time.Duration
 	// OnEvent, if non-nil, receives human-readable lifecycle lines.
 	OnEvent func(string)
 }
@@ -36,6 +33,8 @@ type ServiceConfig struct {
 // so a crashed service resumes exactly where it stopped.
 type Service struct {
 	cfg ServiceConfig
+	// sweepEvery is sweepPeriod; tests shorten it before Run.
+	sweepEvery time.Duration
 
 	wake  chan struct{}
 	stop  chan struct{}
@@ -54,15 +53,13 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if cfg.Store == nil || cfg.Server == nil {
 		return nil, fmt.Errorf("jobqueue: service requires a store and a server")
 	}
-	if cfg.SweepEvery <= 0 {
-		cfg.SweepEvery = 5 * time.Second
-	}
 	return &Service{
-		cfg:   cfg,
-		wake:  make(chan struct{}, 1),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-		start: time.Now(),
+		cfg:        cfg,
+		sweepEvery: sweepPeriod,
+		wake:       make(chan struct{}, 1),
+		stop:       make(chan struct{}),
+		done:       make(chan struct{}),
+		start:      time.Now(),
 	}, nil
 }
 
@@ -130,10 +127,17 @@ func (s *Service) poke() {
 }
 
 // Run drains the queue until Stop or Kill. It blocks; run it in a goroutine.
+// The TTL sweep has a goroutine of its own for as long: runOne holds this loop
+// for a whole job, and a deadline has to hold while it does.
 func (s *Service) Run() {
 	defer close(s.done)
-	sweep := time.NewTicker(s.cfg.SweepEvery)
-	defer sweep.Stop()
+	var sweeper sync.WaitGroup
+	sweeper.Add(1)
+	go func() {
+		defer sweeper.Done()
+		dexplore.Monitor(s.sweepEvery, s.stop, s.sweep)
+	}()
+	defer sweeper.Wait() // before done closes: Stop and Kill close the store after it
 	for {
 		select {
 		case <-s.stop:
@@ -148,21 +152,20 @@ func (s *Service) Run() {
 		case <-s.stop:
 			return
 		case <-s.wake:
-		case <-sweep.C:
-			s.sweep()
 		}
 	}
 }
 
-// sweep fails TTL-expired jobs and cancels overdue running ones.
+// sweep fails queued jobs past their TTL and drains an overdue running one;
+// runOne records why when the drain returns (the deadline is in the WAL
+// already, so no intent needs persisting).
 func (s *Service) sweep() {
 	overdue, err := s.cfg.Store.SweepExpired()
 	if err != nil {
 		s.event("ttl sweep: %v", err)
 	}
 	for _, id := range overdue {
-		if _, err := s.cfg.Store.RequestCancel(id); err == nil {
-			s.cfg.Server.CancelJob(id)
+		if s.cfg.Server.CancelJob(id) {
 			s.event("job %s overdue; canceling", id)
 		}
 	}
@@ -180,7 +183,14 @@ func (s *Service) runOne(j *Job) {
 			return
 		}
 	}
-	jcfg := dcoord.JobConfig{ID: j.ID, CheckpointPath: s.cfg.Store.CheckpointPath(j.ID)}
+	if s.cfg.Store.Overdue(j) {
+		// Past its TTL between two sweeps (or while a longer job held the
+		// loop): failed here, never dispatched.
+		_, _ = s.cfg.Store.SetState(j.ID, Failed, ttlExpired)
+		s.event("job %s: %s before it started", j.ID, ttlExpired)
+		return
+	}
+	jcfg := dcoord.Config{Fingerprint: j.Spec, JobID: j.ID, CheckpointPath: s.cfg.Store.CheckpointPath(j.ID)}
 	if j.Attempts > 0 {
 		// A recovered job: resume from its frontier checkpoint when one was
 		// written; otherwise the exploration restarts (same result, lost
@@ -199,7 +209,7 @@ func (s *Service) runOne(j *Job) {
 	s.event("job %s started (attempt %d)", j.ID, j.Attempts+1)
 
 	started := time.Now()
-	rep, runErr := s.cfg.Server.RunJob(j.Spec, jcfg)
+	rep, runErr := s.cfg.Server.RunJob(jcfg)
 	elapsed := time.Since(started).Seconds()
 
 	if s.isKilled() {
@@ -207,9 +217,18 @@ func (s *Service) runOne(j *Job) {
 		// real crash between dispatch and completion would.
 		return
 	}
-	cur, _ := s.cfg.Store.Get(j.ID)
-	canceled := cur != nil && cur.CancelRequested
-	if s.isStopping() && runErr == nil && !canceled {
+	// Why the job gets no report, if it gets none. A job past its TTL is failed
+	// whether the sweep drained it or it finished by itself: the TTL is a
+	// complete-by budget, not a sweep's timing.
+	var ended string
+	switch cur, _ := s.cfg.Store.Get(j.ID); {
+	case cur == nil:
+	case s.cfg.Store.Overdue(cur):
+		ended = ttlExpired
+	case cur.CancelRequested:
+		ended = "canceled"
+	}
+	if s.isStopping() && runErr == nil && ended == "" {
 		// Graceful shutdown drained the exploration mid-flight: the final
 		// checkpoint holds the remaining frontier, so the job goes back to
 		// the queue and the next start resumes it. (If it actually finished
@@ -224,9 +243,9 @@ func (s *Service) runOne(j *Job) {
 		s.event("job %s failed: %v", j.ID, runErr)
 		return
 	}
-	if canceled {
-		_, _ = s.cfg.Store.SetState(j.ID, Failed, "canceled")
-		s.event("job %s canceled after %d interleavings", j.ID, rep.Interleavings)
+	if ended != "" {
+		_, _ = s.cfg.Store.SetState(j.ID, Failed, ended)
+		s.event("job %s %s after %d interleavings", j.ID, ended, rep.Interleavings)
 		return
 	}
 	if _, err := s.cfg.Store.SetState(j.ID, Merging, ""); err != nil {
@@ -317,9 +336,4 @@ func (s *Service) Kill() {
 	s.cfg.Server.Close(true)
 	<-s.done
 	_ = s.cfg.Store.Close()
-}
-
-// ListenWorkers starts the cluster listener for dampid workers.
-func (s *Service) ListenWorkers(addr string) (net.Listener, error) {
-	return s.cfg.Server.ListenAndServe(addr)
 }

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -166,11 +167,15 @@ type harness struct {
 	api         *httptest.Server
 	runDone     chan struct{}
 	stopWorkers func()
+	// ahead is how far the store's clock runs ahead of the wall clock: the
+	// TTL tests advance it instead of sleeping a deadline out.
+	ahead atomic.Int64
 }
 
 // startHarness opens the store at dir, starts the cluster server, the service
-// loop, an httptest API server, and n any-workload workers.
-func startHarness(t *testing.T, dir string, f *testFactory, n, slots, ckpEvery int, lenient bool) *harness {
+// loop (sweeping every 20 ms unless a tweak, run before the loop starts, says
+// otherwise), an httptest API server, and n any-workload workers.
+func startHarness(t *testing.T, dir string, f *testFactory, n, slots, ckpEvery int, lenient bool, tweak ...func(*Service)) *harness {
 	t.Helper()
 	store, err := OpenStore(StoreConfig{Dir: dir})
 	if err != nil {
@@ -180,6 +185,10 @@ func startHarness(t *testing.T, dir string, f *testFactory, n, slots, ckpEvery i
 	svc, err := NewService(ServiceConfig{Store: store, Server: server})
 	if err != nil {
 		t.Fatalf("NewService: %v", err)
+	}
+	svc.sweepEvery = 20 * time.Millisecond
+	for _, f := range tweak {
+		f(svc)
 	}
 	ln, err := server.ListenAndServe("127.0.0.1:0")
 	if err != nil {
@@ -194,6 +203,7 @@ func startHarness(t *testing.T, dir string, f *testFactory, n, slots, ckpEvery i
 		api:     httptest.NewServer(NewAPI(svc)),
 		runDone: make(chan struct{}),
 	}
+	store.now = func() time.Time { return time.Now().Add(time.Duration(h.ahead.Load())) }
 	go func() {
 		defer close(h.runDone)
 		svc.Run()
@@ -431,6 +441,70 @@ func TestServiceCancelRunningJob(t *testing.T) {
 	}
 	if got.HasReport {
 		t.Error("canceled job has a report")
+	}
+	h.svc.Stop()
+	<-h.runDone
+}
+
+// TestRunningJobPastTTLIsCancelled: a job's TTL holds while the service is
+// busy — with that very job. The sweep has its own goroutine, so an overdue
+// running job is drained and recorded failed with the reason, not done (the
+// sweep used to be polled only between jobs) and not canceled; the queue moves
+// on to the next job.
+func TestRunningJobPastTTLIsCancelled(t *testing.T) {
+	f := newTestFactory()
+	h := startHarness(t, t.TempDir(), f, 1, 1, 0, false)
+	defer h.api.Close()
+	defer h.stopWorkers()
+
+	slow, _, err := h.svc.Submit(dcoord.JobSpec{Workload: "slowfanin", Procs: 5, Space: dexplore.Space{MixingBound: core.Unbounded}}, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, _, err := h.svc.Submit(dcoord.JobSpec{Workload: "fanin", Procs: 3, Space: dexplore.Space{MixingBound: core.Unbounded}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunningProgress(t, h, slow.ID, 1) // partial progress: it is mid-exploration
+	h.ahead.Store(int64(2 * time.Minute))
+
+	got := waitJobTerminal(t, h.store, slow.ID)
+	if got.State != Failed || got.Error != "ttl expired" || got.HasReport {
+		t.Errorf("overdue running job = %s (%q, report=%v), want failed (ttl expired) without a report", got.State, got.Error, got.HasReport)
+	}
+	if got := waitJobTerminal(t, h.store, next.ID); got.State != Done {
+		t.Errorf("job queued behind the overdue one = %s (%q), want done", got.State, got.Error)
+	}
+	h.svc.Stop()
+	<-h.runDone
+}
+
+// TestQueuedJobPastTTLNeverStarts: a job whose TTL ran out while a longer job
+// held the loop is failed when its turn comes, not dispatched. No sweep runs
+// here, so it is runOne's own check that has to catch it.
+func TestQueuedJobPastTTLNeverStarts(t *testing.T) {
+	f := newTestFactory()
+	h := startHarness(t, t.TempDir(), f, 1, 1, 0, false, func(s *Service) { s.sweepEvery = time.Hour })
+	defer h.api.Close()
+	defer h.stopWorkers()
+
+	slow, _, err := h.svc.Submit(dcoord.JobSpec{Workload: "slowfanin", Procs: 5, Space: dexplore.Space{MixingBound: core.Unbounded}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, _, err := h.svc.Submit(dcoord.JobSpec{Workload: "fanin", Procs: 3, Space: dexplore.Space{MixingBound: core.Unbounded}}, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunningProgress(t, h, slow.ID, 1)
+	h.ahead.Store(int64(2 * time.Minute))
+
+	got := waitJobTerminal(t, h.store, queued.ID)
+	if got.State != Failed || got.Error != "ttl expired" || got.Attempts != 0 {
+		t.Errorf("job queued past its TTL = %s (%q, attempts %d), want failed (ttl expired), never started", got.State, got.Error, got.Attempts)
+	}
+	if got := waitJobTerminal(t, h.store, slow.ID); got.State != Done {
+		t.Errorf("the job it waited behind = %s (%q), want done", got.State, got.Error)
 	}
 	h.svc.Stop()
 	<-h.runDone

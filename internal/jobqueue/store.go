@@ -1,7 +1,7 @@
 package jobqueue
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -25,6 +25,16 @@ const (
 	snapshotFile = "snapshot.json"
 	ckpDir       = "ckp"
 	reportsDir   = "reports"
+)
+
+// Run policy, each value written once; neither is an option (one value of
+// each is in use — in-package tests set the unexported field it initializes).
+const (
+	// snapshotRecords is the WAL record count that triggers a snapshot +
+	// truncate, bounding what a restart replays.
+	snapshotRecords = 256
+	// sweepPeriod is how often the service looks for jobs past their TTL.
+	sweepPeriod = 5 * time.Second
 )
 
 // walRecord is one journal line. Op "put" carries the job's full new state
@@ -65,21 +75,18 @@ type Store struct {
 type StoreConfig struct {
 	// Dir is the persistence root; created if missing.
 	Dir string
-	// SnapshotEvery is the WAL record count that triggers a snapshot +
-	// truncate. Default 256.
-	SnapshotEvery int
 }
 
 // OpenStore opens (or creates) the job store at cfg.Dir, replaying the
-// snapshot and WAL. Jobs found in Running or Merging were in flight when the
-// previous process died; they are reverted to Queued — with their attempt
-// count intact, so the service resumes them from their frontier checkpoints.
+// snapshot and WAL. A torn final WAL line — the write a crash interrupted,
+// never acknowledged — is cut off before anything is appended behind it; an
+// undecodable line with records after it is damage, and an error. Jobs found
+// in Running or Merging were in flight when the previous process died; they
+// are reverted to Queued — with their attempt count intact, so the service
+// resumes them from their frontier checkpoints.
 func OpenStore(cfg StoreConfig) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("jobqueue: store dir required")
-	}
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = 256
 	}
 	for _, d := range []string{cfg.Dir, filepath.Join(cfg.Dir, ckpDir), filepath.Join(cfg.Dir, reportsDir)} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -88,12 +95,13 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 	}
 	s := &Store{
 		dir:           cfg.Dir,
-		snapshotEvery: cfg.SnapshotEvery,
+		snapshotEvery: snapshotRecords,
 		now:           time.Now,
 		jobs:          make(map[string]*Job),
 		nextID:        1,
 	}
-	if err := s.load(); err != nil {
+	intact, err := s.load()
+	if err != nil {
 		return nil, err
 	}
 	wal, err := os.OpenFile(filepath.Join(cfg.Dir, walFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -101,6 +109,15 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 		return nil, fmt.Errorf("jobqueue: open wal: %w", err)
 	}
 	s.wal = wal
+	// Cut a torn tail off, durably, before the first append: a record glued
+	// onto the fragment would hide every record behind it from the next load.
+	if err = wal.Truncate(intact); err == nil {
+		err = wal.Sync()
+	}
+	if err != nil {
+		wal.Close()
+		return nil, fmt.Errorf("jobqueue: cut torn wal tail: %w", err)
+	}
 
 	// Crash recovery: in-flight jobs go back to the queue, durably — if we
 	// crashed again before touching them, the next replay would redo the same
@@ -122,67 +139,69 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 	return s, nil
 }
 
-// load replays snapshot.json then wal.jsonl into s.jobs and s.nextID.
-func (s *Store) load() error {
+// load replays snapshot.json then wal.jsonl into s.jobs and s.nextID, and
+// returns the WAL offset just past the last record it applied: what follows
+// is a torn tail. A record is a newline-terminated line; a line that does not
+// decode is the torn tail when it is the last, and damage when records follow.
+func (s *Store) load() (intact int64, err error) {
 	snapPath := filepath.Join(s.dir, snapshotFile)
 	if body, err := os.ReadFile(snapPath); err == nil {
 		var snap snapshot
 		if err := json.Unmarshal(body, &snap); err != nil {
-			return fmt.Errorf("jobqueue: corrupt snapshot %s: %w", snapPath, err)
+			return 0, fmt.Errorf("jobqueue: corrupt snapshot %s: %w", snapPath, err)
 		}
 		for _, j := range snap.Jobs {
+			if j == nil {
+				return 0, fmt.Errorf("jobqueue: corrupt snapshot %s: null job", snapPath)
+			}
 			s.jobs[j.ID] = j
 		}
 		if snap.NextID > s.nextID {
 			s.nextID = snap.NextID
 		}
 	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("jobqueue: %w", err)
+		return 0, fmt.Errorf("jobqueue: %w", err)
 	}
 
 	walPath := filepath.Join(s.dir, walFile)
-	f, err := os.Open(walPath)
-	if os.IsNotExist(err) {
-		return nil
+	body, err := os.ReadFile(walPath)
+	if err != nil && !os.IsNotExist(err) {
+		return 0, fmt.Errorf("jobqueue: %w", err)
 	}
-	if err != nil {
-		return fmt.Errorf("jobqueue: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+	rest := body
+	for lineNo := 1; ; lineNo++ {
+		line, after, terminated := bytes.Cut(rest, []byte{'\n'})
+		if !terminated {
+			break // a fragment without its newline was never acknowledged
 		}
 		var rec walRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// A torn final write from the crash: everything before it is
-			// intact, the un-acknowledged tail is discarded.
-			break
+		if len(line) > 0 {
+			if err := json.Unmarshal(line, &rec); err != nil {
+				if len(after) > 0 {
+					return 0, fmt.Errorf("jobqueue: wal %s line %d is damaged (%v) and records follow it; repair or remove the line", walPath, lineNo, err)
+				}
+				break
+			}
 		}
+		rest = after
 		switch rec.Op {
 		case "put":
 			if rec.Job != nil {
 				s.jobs[rec.Job.ID] = rec.Job
 				if n := idNumber(rec.Job.ID); n >= s.nextID {
-					s.nextID = n + 1
+					s.nextID = n + 1 // even if a later record deletes it
 				}
 			}
 		case "delete":
 			delete(s.jobs, rec.ID)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("jobqueue: read wal: %w", err)
-	}
 	for id := range s.jobs {
 		if n := idNumber(id); n >= s.nextID {
 			s.nextID = n + 1
 		}
 	}
-	return nil
+	return int64(len(body) - len(rest)), nil
 }
 
 // idNumber parses the numeric part of a job ID ("j000042" → 42); 0 when the
@@ -216,9 +235,31 @@ func (s *Store) append(rec walRecord) error {
 	return nil
 }
 
-// snapshotLocked writes the full state to snapshot.json (write-temp-rename,
-// so a crash mid-snapshot leaves the old one intact) and truncates the WAL.
-// Callers hold s.mu.
+// replaceFile atomically replaces path with body, durably: the bytes are
+// fsynced under a temporary name before the rename, so what is recorded once
+// it returns (a truncated WAL, a Done record) never points at a file whose
+// contents a crash can still lose.
+func replaceFile(path string, body []byte) error {
+	f, err := os.OpenFile(path+".tmp", os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(body)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	return err
+}
+
+// snapshotLocked writes the full state to snapshot.json (replaceFile, so a
+// crash mid-snapshot leaves the old one intact) and truncates the WAL it
+// replaces. Callers hold s.mu.
 func (s *Store) snapshotLocked() error {
 	snap := snapshot{Version: 1, NextID: s.nextID, Jobs: make([]*Job, 0, len(s.jobs))}
 	for _, j := range s.jobs {
@@ -229,23 +270,14 @@ func (s *Store) snapshotLocked() error {
 	if err != nil {
 		return fmt.Errorf("jobqueue: marshal snapshot: %w", err)
 	}
-	tmp := filepath.Join(s.dir, snapshotFile+".tmp")
-	if err := os.WriteFile(tmp, body, 0o644); err != nil {
-		return fmt.Errorf("jobqueue: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, snapshotFile)); err != nil {
+	if err := replaceFile(filepath.Join(s.dir, snapshotFile), body); err != nil {
 		return fmt.Errorf("jobqueue: %w", err)
 	}
 	// The snapshot now holds everything; restart the journal. Order matters:
 	// truncating before the rename could lose acknowledged records.
-	if err := s.wal.Close(); err != nil {
-		return fmt.Errorf("jobqueue: %w", err)
+	if err := s.wal.Truncate(0); err != nil {
+		return fmt.Errorf("jobqueue: truncate wal: %w", err)
 	}
-	wal, err := os.OpenFile(filepath.Join(s.dir, walFile), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("jobqueue: reopen wal: %w", err)
-	}
-	s.wal = wal
 	s.walRecords = 0
 	return nil
 }
@@ -438,25 +470,32 @@ func (s *Store) Delete(id string) error {
 	return nil
 }
 
+// ttlExpired is the failure reason of a job that outlived its TTL.
+const ttlExpired = "ttl expired"
+
+// Overdue reports whether the job has a TTL and is past it (store's clock).
+func (s *Store) Overdue(j *Job) bool {
+	d := j.Deadline()
+	return !d.IsZero() && !s.now().Before(d)
+}
+
 // SweepExpired fails queued jobs past their deadline and returns the IDs of
 // running/merging jobs past theirs — those hold live cluster work, so the
 // caller (the service) cancels the exploration and records the failure when
 // the drain completes.
 func (s *Store) SweepExpired() ([]string, error) {
-	now := s.now().UTC()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var overdue []string
 	for _, j := range s.jobs {
-		d := j.Deadline()
-		if d.IsZero() || now.Before(d) {
+		if !s.Overdue(j) {
 			continue
 		}
 		switch j.State {
 		case Queued:
 			j.State = Failed
-			j.Error = "ttl expired"
-			j.FinishedAt = now
+			j.Error = ttlExpired
+			j.FinishedAt = s.now().UTC()
 			if err := s.put(j); err != nil {
 				return overdue, err
 			}
@@ -478,18 +517,14 @@ func (s *Store) ReportPath(id string) string {
 	return filepath.Join(s.dir, reportsDir, id+".json")
 }
 
-// SaveReport persists the merged report (write-temp-rename).
+// SaveReport persists the merged report (replaceFile: the Done record that
+// follows is fsynced, so the report it points to must be too).
 func (s *Store) SaveReport(id string, rep *JobReport) error {
 	body, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return fmt.Errorf("jobqueue: marshal report: %w", err)
 	}
-	path := s.ReportPath(id)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, body, 0o644); err != nil {
-		return fmt.Errorf("jobqueue: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := replaceFile(s.ReportPath(id), body); err != nil {
 		return fmt.Errorf("jobqueue: %w", err)
 	}
 	return nil

@@ -1,8 +1,12 @@
 package jobqueue
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,9 +26,12 @@ func testSpec(procs int) dcoord.JobSpec {
 
 func openTestStore(t *testing.T, dir string, every int) *Store {
 	t.Helper()
-	s, err := OpenStore(StoreConfig{Dir: dir, SnapshotEvery: every})
+	s, err := OpenStore(StoreConfig{Dir: dir})
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
+	}
+	if every > 0 {
+		s.snapshotEvery = every
 	}
 	return s
 }
@@ -178,7 +185,7 @@ func TestStoreRecovery(t *testing.T) {
 	}
 }
 
-// TestStoreSnapshotTruncatesWAL: crossing SnapshotEvery must fold the journal
+// TestStoreSnapshotTruncatesWAL: crossing snapshotEvery must fold the journal
 // into snapshot.json and restart the WAL, and a reopen from that layout sees
 // the same jobs.
 func TestStoreSnapshotTruncatesWAL(t *testing.T) {
@@ -193,7 +200,7 @@ func TestStoreSnapshotTruncatesWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 5 submissions with SnapshotEvery=4: the 4th triggered the snapshot, so
+	// 5 submissions with snapshotEvery=4: the 4th triggered the snapshot, so
 	// only the 5th lives in the restarted journal.
 	if info.Size() == 0 {
 		t.Error("WAL empty; the post-snapshot record is missing")
@@ -210,6 +217,23 @@ func TestStoreSnapshotTruncatesWAL(t *testing.T) {
 	}
 }
 
+// tornPut is what a crash mid-write leaves of a put record.
+const tornPut = `{"op":"put","job":{"id":"j0000`
+
+// appendWAL appends raw bytes to a closed store's journal, as a crash
+// mid-write (or a damaged disk) leaves them.
+func appendWAL(t *testing.T, dir, raw string) {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteString(raw); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestStoreTornWALTail: a crash can tear the final WAL write mid-line; replay
 // keeps everything before it and discards the unacknowledged tail.
 func TestStoreTornWALTail(t *testing.T) {
@@ -220,14 +244,7 @@ func TestStoreTornWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"op":"put","job":{"id":"j0000`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	appendWAL(t, dir, tornPut)
 
 	r := openTestStore(t, dir, 0)
 	defer r.Close()
@@ -236,6 +253,62 @@ func TestStoreTornWALTail(t *testing.T) {
 	}
 	if got := len(r.List()); got != 1 {
 		t.Errorf("store has %d jobs, want 1", got)
+	}
+}
+
+// TestTornWALTailIsCutBeforeAppend: what is appended after a torn tail was
+// recovered from must survive the next restart. Reopening without truncating
+// glued the next record onto the fragment, and the restart after that stopped
+// at the glued line and dropped every acknowledged record behind it.
+func TestTornWALTailIsCutBeforeAppend(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestStore(t, dir, 0)
+	if _, _, err := s.Submit(testSpec(3), 0); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	appendWAL(t, dir, tornPut)
+
+	r := openTestStore(t, dir, 0)
+	for _, procs := range []int{4, 5} {
+		if _, _, err := r.Submit(testSpec(procs), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Close()
+	if wal, err := os.ReadFile(filepath.Join(dir, walFile)); err != nil || bytes.Contains(wal, []byte(tornPut+"{")) {
+		t.Errorf("a record was appended behind the torn fragment (err=%v):\n%s", err, wal)
+	}
+
+	again := openTestStore(t, dir, 0)
+	defer again.Close()
+	if got := len(again.List()); got != 3 {
+		t.Errorf("after the second restart the store has %d jobs, want 3", got)
+	}
+}
+
+// TestDamagedWALRecordMidFileIsAnError: an undecodable line with records
+// after it is not a torn write — what follows it was acknowledged — so the
+// store refuses to open, naming the line, rather than drop it silently. The
+// same line as the journal's last is a torn tail.
+func TestDamagedWALRecordMidFileIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestStore(t, dir, 0)
+	if _, _, err := s.Submit(testSpec(3), 0); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	appendWAL(t, dir, tornPut+"\n")
+	r := openTestStore(t, dir, 0) // damaged, but last: cut off
+	if got := len(r.List()); got != 1 {
+		t.Errorf("store has %d jobs, want 1", got)
+	}
+	r.Close()
+
+	appendWAL(t, dir, tornPut+"\n"+`{"op":"delete","id":"j000001"}`+"\n")
+	_, err := OpenStore(StoreConfig{Dir: dir})
+	if err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("OpenStore over a journal damaged mid-file = %v, want an error naming line 2", err)
 	}
 }
 
@@ -350,4 +423,92 @@ func TestStoreReportRoundtrip(t *testing.T) {
 	if _, err := s.LoadReport("j999999"); err == nil {
 		t.Error("loading a missing report succeeded")
 	}
+}
+
+// FuzzOpenStore: arbitrary journal and snapshot bytes open to an error or to
+// a store holding every record that precedes the damage — never a panic, never
+// fewer — and what such a store then acknowledges survives the next restart.
+// The oracle is the format's definition, not the loader: newline-terminated
+// JSON records, applied in order until the first line that does not decode.
+func FuzzOpenStore(f *testing.F) {
+	dir := f.TempDir()
+	s, err := OpenStore(StoreConfig{Dir: dir})
+	if err != nil {
+		f.Fatal(err)
+	}
+	j1, _, _ := s.Submit(testSpec(3), 0)
+	if _, _, err := s.Submit(testSpec(4), time.Minute); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := s.SetState(j1.ID, Running, ""); err != nil {
+		f.Fatal(err)
+	}
+	s.Close()
+	clean, err := os.ReadFile(filepath.Join(dir, walFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	snap := []byte(`{"version":1,"next_id":9,"jobs":[{"id":"j000007","state":"done"}]}`)
+	f.Add(clean, []byte(nil))
+	f.Add(clean, snap)
+	f.Add(append(bytes.Clone(clean), tornPut...), snap)                                             // torn tail
+	f.Add(append(append(bytes.Clone(clean), tornPut...), clean...), []byte(nil))                    // a record glued onto it
+	f.Add(append(bytes.Clone(clean), `{"op":"delete","id":"j000002"}`+"\n\n"...), snap)             // delete, blank line
+	f.Add([]byte(`{"op":"put"}`+"\n"+`{"op":"put","job":null}`+"\n7\n"), []byte(`{"jobs":[null]}`)) // null jobs
+	f.Fuzz(func(t *testing.T, wal, snap []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, walFile), wal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if snap != nil {
+			if err := os.WriteFile(filepath.Join(dir, snapshotFile), snap, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := OpenStore(StoreConfig{Dir: dir})
+		if err != nil {
+			return
+		}
+		want := map[string]bool{}
+		var sn snapshot
+		if json.Unmarshal(snap, &sn) == nil {
+			for _, j := range sn.Jobs {
+				want[j.ID] = true
+			}
+		}
+		for rest := wal; ; {
+			line, after, ok := bytes.Cut(rest, []byte("\n"))
+			var rec walRecord
+			if !ok || (len(line) > 0 && json.Unmarshal(line, &rec) != nil) {
+				break
+			}
+			if rec.Op == "put" && rec.Job != nil {
+				want[rec.Job.ID] = true
+			} else if rec.Op == "delete" {
+				delete(want, rec.ID)
+			}
+			rest = after
+		}
+		check := func(s *Store, when string) {
+			got := map[string]bool{}
+			for _, j := range s.List() {
+				got[j.ID] = true
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s the store holds %v, want %v", when, got, want)
+			}
+		}
+		check(s, "opened,")
+		j, _, err := s.Submit(testSpec(3), 0)
+		if err != nil {
+			t.Fatalf("submit to the recovered store: %v", err)
+		}
+		want[j.ID] = true
+		s.Close()
+		if s, err = OpenStore(StoreConfig{Dir: dir}); err != nil {
+			t.Fatalf("reopening the recovered store: %v", err)
+		}
+		defer s.Close()
+		check(s, "reopened,")
+	})
 }

@@ -35,9 +35,6 @@ type ClusterConfig struct {
 	// LeaseTTL bounds how long a worker may hold a task without a heartbeat
 	// before it is requeued (coordinator; default 10s).
 	LeaseTTL time.Duration
-	// MaxRedeliveries caps how often one task may lose its lease before the
-	// exploration aborts as unhealthy (coordinator; default 3).
-	MaxRedeliveries int
 
 	// Slots is the worker's concurrent replay slot count (default 1).
 	Slots int
@@ -108,7 +105,6 @@ func Serve(cfg ClusterConfig) (*Coordinator, error) {
 	dcfg := dcoord.Config{
 		Fingerprint:     spec,
 		LeaseTTL:        cfg.LeaseTTL,
-		MaxRedeliveries: cfg.MaxRedeliveries,
 		CheckpointPath:  cfg.CheckpointFile,
 		CheckpointEvery: cfg.CheckpointEvery,
 		OnProgress:      cfg.OnProgress,

@@ -37,16 +37,10 @@ type QueueConfig struct {
 	// Validate, if non-nil, vets specs at submission (the CLI installs the
 	// workload-registry check).
 	Validate func(spec JobSpec) error
-	// LeaseTTL, MaxRedeliveries and CheckpointEvery are the per-job engine
-	// knobs (defaults as in ClusterConfig).
+	// LeaseTTL is the pool's lease TTL and CheckpointEvery each job's
+	// checkpoint cadence (defaults as in ClusterConfig and Config).
 	LeaseTTL        time.Duration
-	MaxRedeliveries int
 	CheckpointEvery int
-	// SnapshotEvery is the WAL record count between store snapshots
-	// (default 256).
-	SnapshotEvery int
-	// TTLSweepEvery is the period of the job-TTL sweep (default 5s).
-	TTLSweepEvery time.Duration
 	// OnEvent, if non-nil, receives service lifecycle lines for logging.
 	OnEvent func(string)
 }
@@ -74,22 +68,20 @@ func ServeQueue(cfg QueueConfig) (*QueueServer, error) {
 	if cfg.WorkerAddr == "" {
 		return nil, fmt.Errorf("verify: ServeQueue requires WorkerAddr")
 	}
-	store, err := jobqueue.OpenStore(jobqueue.StoreConfig{Dir: cfg.StoreDir, SnapshotEvery: cfg.SnapshotEvery})
+	store, err := jobqueue.OpenStore(jobqueue.StoreConfig{Dir: cfg.StoreDir})
 	if err != nil {
 		return nil, err
 	}
 	server := dcoord.NewServer(dcoord.ServerConfig{
 		LeaseTTL:        cfg.LeaseTTL,
-		MaxRedeliveries: cfg.MaxRedeliveries,
 		CheckpointEvery: cfg.CheckpointEvery,
 		OnEvent:         cfg.OnEvent,
 	})
 	svc, err := jobqueue.NewService(jobqueue.ServiceConfig{
-		Store:      store,
-		Server:     server,
-		Validate:   cfg.Validate,
-		SweepEvery: cfg.TTLSweepEvery,
-		OnEvent:    cfg.OnEvent,
+		Store:    store,
+		Server:   server,
+		Validate: cfg.Validate,
+		OnEvent:  cfg.OnEvent,
 	})
 	if err != nil {
 		store.Close()
