@@ -106,9 +106,7 @@ func main() {
 		fmt.Printf("  deadlock in interleaving #%d, reproducer %v\n", e.Index, e.Decisions)
 		var dl *mpi.DeadlockError
 		if errors.As(e.Err, &dl) {
-			for rank, where := range dl.BlockedAt {
-				fmt.Printf("    rank %d stuck in %s\n", rank, where)
-			}
+			fmt.Printf("  stuck at:\n%s", dl.Detail())
 		}
 	}
 

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
+	"dampi/mpi"
 	"dampi/verify"
 	"dampi/workloads"
 )
@@ -207,5 +210,32 @@ func TestAblationsShape(t *testing.T) {
 	}
 	if lc, vc := by["fig4/4 clock=lamport"], by["fig4/4 clock=vector"]; lc.Interleavings != 1 || vc.Interleavings != 3 || vc.Deadlocks != 2 {
 		t.Errorf("Fig. 4 coverage: lamport %+v, vector %+v; want 1 interleaving against 3 with 2 deadlocks", lc, vc)
+	}
+}
+
+// TestFig4DeadlockReportsGolden: under vector clocks the Fig. 4 pattern has
+// two deadlocking interleavings; with a fixed schedule each is found at the
+// same index, under the same decisions, with the same ranks stuck in the same
+// calls.
+func TestFig4DeadlockReportsGolden(t *testing.T) {
+	res, err := verify.Run(verify.Config{Procs: 4, MixingBound: verify.Unbounded, Clock: verify.VectorClock}, Fig4CrossCoupled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got string
+	for _, e := range res.Errors {
+		var dl *mpi.DeadlockError
+		if !errors.As(e.Err, &dl) {
+			t.Fatalf("interleaving #%d: %v, want a deadlock", e.Index, e.Err)
+		}
+		got += fmt.Sprintf("#%d %v\n%s", e.Index, e.Decisions, dl.Detail())
+	}
+	const want = `#1 {r1:[0→2] r2:[0→3]}
+rank 1: Wait(recv peer=2 tag=0 Comm(world#0 rank 1/4))
+#2 {r1:[0→0] r2:[0→1]}
+rank 2: Wait(recv peer=1 tag=0 Comm(world#0 rank 2/4))
+`
+	if got != want {
+		t.Errorf("deadlock reports:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"dampi/internal/clock"
 	"dampi/internal/piggyback"
@@ -72,11 +69,12 @@ type ToolConfig struct {
 // one across sequential replays via Reset) and collect its RunTrace after
 // each run.
 type Tool struct {
-	cfg   ToolConfig
-	order atomic.Uint64 // global decision commit order
-
-	mu     sync.Mutex
+	cfg    ToolConfig
 	states []*rankState
+	// committed is the run's decision epochs in the order they committed:
+	// the world runs its ranks one at a time, so appending at commit is the
+	// global commit order and Trace has nothing to sort.
+	committed []*epoch
 }
 
 // NewTool creates the instrumentation for a run.
@@ -97,12 +95,17 @@ func (t *Tool) Reset(decisions *Decisions) {
 		decisions = NewDecisions()
 	}
 	t.cfg.Decisions = decisions
-	t.order.Store(0)
+	t.committed = t.committed[:0]
 }
 
-// rankState is one rank's DAMPI module state. Accessed only from the owning
-// rank's goroutine (mirroring the paper's decentralized design); the Tool's
-// mutex guards only the states slice itself.
+// commit appends e to the run's commit order.
+func (t *Tool) commit(e *epoch) {
+	t.committed = append(t.committed, e)
+	e.order = uint64(len(t.committed))
+}
+
+// rankState is one rank's DAMPI module state. Accessed only on the owning
+// rank's turn (mirroring the paper's decentralized design).
 type rankState struct {
 	p     *mpi.Proc
 	pb    *piggyback.Rank
@@ -136,6 +139,7 @@ type rankState struct {
 
 // epoch is the per-rank record of one wildcard decision point.
 type epoch struct {
+	rank    int
 	lc      uint64
 	vcSnap  []uint64 // post-tick vector snapshot (vector mode)
 	commID  int
@@ -145,9 +149,24 @@ type epoch struct {
 	guided  bool
 	inLoop  bool
 	chosen  int
-	order   uint64
+	order   uint64 // 1-based position in Tool.committed; 0 = never committed
 	alts    []int
-	seen    []bool // per comm-local source: earliest candidate was evaluated
+	// Per comm-local source: its earliest candidate was evaluated. A bitset
+	// inside the epoch for sources 0..63, seenMore beyond.
+	seen     uint64
+	seenMore []uint64
+}
+
+// sawSource records that src's earliest candidate has been evaluated for e
+// and reports whether it already had been.
+func (e *epoch) sawSource(src int) bool {
+	w, bit := &e.seen, uint64(1)<<(src&63)
+	if src >= 64 {
+		w = &e.seenMore[src>>6-1]
+	}
+	was := *w&bit != 0
+	*w |= bit
+	return was
 }
 
 // recycle readies st for another run on the same rank of a fresh world,
@@ -172,20 +191,19 @@ func (st *rankState) recycle() {
 // newEpoch takes an epoch from the freelist (or allocates one) with a
 // cleared seen set sized for the communicator.
 func (st *rankState) newEpoch(commSize int) *epoch {
+	var e *epoch
 	if n := len(st.epochFree); n > 0 {
-		e := st.epochFree[n-1]
+		e = st.epochFree[n-1]
 		st.epochFree = st.epochFree[:n-1]
-		seen, alts := e.seen, e.alts[:0]
-		*e = epoch{alts: alts}
-		if cap(seen) >= commSize {
-			e.seen = seen[:commSize]
-			clear(e.seen)
-		} else {
-			e.seen = make([]bool, commSize)
-		}
-		return e
+		*e = epoch{alts: e.alts[:0], seenMore: e.seenMore[:0]}
+	} else {
+		e = new(epoch)
 	}
-	return &epoch{seen: make([]bool, commSize)}
+	e.rank = st.p.Rank()
+	if more := (commSize - 1) >> 6; more > 0 {
+		e.seenMore = append(e.seenMore, make([]uint64, more)...)
+	}
+	return e
 }
 
 func (st *rankState) newRecvInfo() *recvInfo {
@@ -317,9 +335,7 @@ func (t *Tool) Hooks() *mpi.Hooks {
 }
 
 func (t *Tool) init(p *mpi.Proc) {
-	t.mu.Lock()
 	st := t.states[p.Rank()]
-	t.mu.Unlock()
 	if st == nil {
 		st = &rankState{p: p, pb: piggyback.NewRank(p), comms: make(map[int]mpi.Comm)}
 	} else {
@@ -341,9 +357,7 @@ func (t *Tool) init(p *mpi.Proc) {
 		st.mode = GuidedRun
 	}
 	p.ToolState = st
-	t.mu.Lock()
 	t.states[p.Rank()] = st
-	t.mu.Unlock()
 	if t.cfg.Transport == Separate {
 		if err := st.pb.SetupWorld(); err != nil {
 			t.abort(p, err)
@@ -509,7 +523,7 @@ func (t *Tool) complete(p *mpi.Proc, req *mpi.Request, status mpi.Status) {
 		}
 		if e := info.epoch; e != nil {
 			e.chosen = status.Source
-			e.order = t.order.Add(1)
+			t.commit(e)
 			st.pendingND--
 			st.commitEpoch(e)
 			if e.guided {
@@ -552,10 +566,9 @@ func (t *Tool) findPotentialMatches(st *rankState, info *recvInfo, req *mpi.Requ
 		if info.epoch == e {
 			continue // the epoch's own match
 		}
-		if e.seen[status.Source] || e.chosen == status.Source {
+		if e.chosen == status.Source || e.sawSource(status.Source) {
 			continue
 		}
-		e.seen[status.Source] = true
 		if st.late(e, mclock) {
 			e.alts = append(e.alts, status.Source)
 		}
@@ -602,7 +615,7 @@ func (t *Tool) postWaitany(p *mpi.Proc, op *mpi.WaitanyOp, idx int, status mpi.S
 			e.alts = append(e.alts, i)
 		}
 	}
-	e.order = t.order.Add(1)
+	t.commit(e)
 	st.epochs = append(st.epochs, e)
 	st.lc.Tick()
 	st.commitEpoch(e)
@@ -673,7 +686,7 @@ func (t *Tool) postProbe(p *mpi.Proc, op *mpi.ProbeOp, status mpi.Status, found 
 			e.chosen = 1
 			e.alts = append(e.alts, 0)
 		}
-		e.order = t.order.Add(1)
+		t.commit(e)
 		st.epochs = append(st.epochs, e)
 		st.lc.Tick()
 		st.commitEpoch(e)
@@ -706,7 +719,7 @@ func (t *Tool) postProbe(p *mpi.Proc, op *mpi.ProbeOp, status mpi.Status, found 
 	e.guided = st.mode == GuidedRun
 	e.inLoop = st.loopDepth > 0
 	e.chosen = status.Source
-	e.order = t.order.Add(1)
+	t.commit(e)
 	st.epochs = append(st.epochs, e)
 	st.lc.Tick()
 	st.commitEpoch(e) // the probe's match decision commits immediately
@@ -831,10 +844,9 @@ func (t *Tool) sweepUnmatched(st *rankState) {
 				if e.tag != mpi.AnyTag && e.tag != status.Tag {
 					continue
 				}
-				if e.seen[status.Source] || e.chosen == status.Source {
+				if e.chosen == status.Source || e.sawSource(status.Source) {
 					continue
 				}
-				e.seen[status.Source] = true
 				if st.late(e, mclock) {
 					e.alts = append(e.alts, status.Source)
 				}
@@ -846,8 +858,6 @@ func (t *Tool) sweepUnmatched(st *rankState) {
 // Trace collects the run's epoch log after World.Run returns. It first
 // sweeps each rank's unmatched incoming piggybacks (see sweepUnmatched).
 func (t *Tool) Trace() *RunTrace {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for _, st := range t.states {
 		if st != nil {
 			t.sweepUnmatched(st)
@@ -874,7 +884,38 @@ func (t *Tool) Trace() *RunTrace {
 		recs = make([]EpochRecord, nEpochs)
 		alts = make([]int, 0, nAlts)
 	}
-	for rank, st := range t.states {
+	emit := func(e *epoch) {
+		rec := &recs[len(tr.Epochs)]
+		*rec = EpochRecord{
+			Rank:   e.rank,
+			LC:     e.lc,
+			CommID: e.commID,
+			Tag:    e.tag,
+			Kind:   e.kind,
+			Chosen: e.chosen,
+			Guided: e.guided,
+			InLoop: e.inLoop,
+			Order:  e.order,
+		}
+		first := len(alts)
+		for _, a := range e.alts {
+			if a != e.chosen {
+				alts = append(alts, a)
+			}
+		}
+		if len(alts) > first {
+			// Capacity-clipped: appending to one epoch's alternates must
+			// not overwrite its neighbour's.
+			rec.Alternates = alts[first:len(alts):len(alts)]
+		}
+		tr.Epochs = append(tr.Epochs, rec)
+	}
+	// Committed epochs in commit order, then the never-completed ones
+	// (order 0, chosen -1) by (rank, lc).
+	for _, e := range t.committed {
+		emit(e)
+	}
+	for _, st := range t.states {
 		if st == nil {
 			continue
 		}
@@ -884,55 +925,10 @@ func (t *Tool) Trace() *RunTrace {
 		tr.Unsafe = append(tr.Unsafe, st.unsafe...)
 		tr.Mismatches = append(tr.Mismatches, st.mismatches...)
 		for _, e := range st.epochs {
-			rec := &recs[len(tr.Epochs)]
-			*rec = EpochRecord{
-				Rank:   rank,
-				LC:     e.lc,
-				CommID: e.commID,
-				Tag:    e.tag,
-				Kind:   e.kind,
-				Chosen: e.chosen,
-				Guided: e.guided,
-				InLoop: e.inLoop,
-				Order:  e.order,
+			if e.order == 0 {
+				emit(e)
 			}
-			first := len(alts)
-			for _, a := range e.alts {
-				if a != e.chosen {
-					alts = append(alts, a)
-				}
-			}
-			if len(alts) > first {
-				// Capacity-clipped: appending to one epoch's alternates must
-				// not overwrite its neighbour's.
-				rec.Alternates = alts[first:len(alts):len(alts)]
-			}
-			tr.Epochs = append(tr.Epochs, rec)
 		}
 	}
-	sortEpochs(tr.Epochs)
 	return tr
-}
-
-// sortEpochs orders by global commit order; never-completed epochs
-// (order 0, chosen -1) sort last by (rank, lc) for determinism.
-func sortEpochs(es []*EpochRecord) {
-	less := func(i, j int) bool {
-		a, b := es[i], es[j]
-		ao, bo := a.Order, b.Order
-		if ao == 0 {
-			ao = ^uint64(0)
-		}
-		if bo == 0 {
-			bo = ^uint64(0)
-		}
-		if ao != bo {
-			return ao < bo
-		}
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
-		}
-		return a.LC < b.LC
-	}
-	sort.Slice(es, less)
 }

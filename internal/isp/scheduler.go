@@ -14,7 +14,6 @@ package isp
 
 import (
 	"fmt"
-	"time"
 
 	"dampi/mpi"
 )
@@ -38,7 +37,6 @@ type Decision struct {
 
 // scheduler is the centralized ISP scheduler for one run.
 type scheduler struct {
-	procs  int
 	world  *mpi.World
 	forced map[DecisionKey]int
 
@@ -52,7 +50,6 @@ type scheduler struct {
 	debts     []*sendRec // wildcard claims made before the send registered
 	held      []*heldOp
 	seq       uint64
-	finished  int
 	readiness int // last readiness-sweep summary
 	decisions []*Decision
 }
@@ -78,7 +75,6 @@ type heldOp struct {
 	rank  int
 	recv  *mpi.RecvOp
 	probe *mpi.ProbeOp
-	reply chan struct{}
 }
 
 type eventKind int
@@ -91,6 +87,7 @@ const (
 	evComplete
 	evColl
 	evFinalize
+	evIdle
 )
 
 type event struct {
@@ -103,6 +100,7 @@ type event struct {
 	status       mpi.Status
 	isRecv       bool // for evComplete: a receive completion
 	wasAnySource bool // for evComplete: the receive was posted wildcard
+	held         bool // set by the scheduler: the rank must park until released
 	reply        chan struct{}
 }
 
@@ -111,7 +109,6 @@ func newScheduler(procs int, world *mpi.World, forced map[DecisionKey]int) *sche
 		forced = make(map[DecisionKey]int)
 	}
 	return &scheduler{
-		procs:  procs,
 		world:  world,
 		forced: forced,
 		events: make(chan *event),
@@ -122,13 +119,21 @@ func newScheduler(procs int, world *mpi.World, forced map[DecisionKey]int) *sche
 }
 
 // roundTrip is the heart of the ISP cost model: the calling rank blocks
-// until the central scheduler has processed its event.
+// until the central scheduler has processed its event. The scheduler is not
+// a rank, so the wait keeps the rank's turn (see the mpi.Hooks contract).
 func (s *scheduler) roundTrip(ev *event) {
 	ev.reply = make(chan struct{})
-	select {
-	case s.events <- ev:
-		<-ev.reply
-	case <-s.done:
+	s.events <- ev
+	<-ev.reply
+}
+
+// holdable is roundTrip for a wildcard receive or probe: if the scheduler
+// holds the operation, the rank parks in the world scheduler until decide
+// has determinized and released it (or the world failed).
+func (s *scheduler) holdable(p *mpi.Proc, ev *event) {
+	s.roundTrip(ev)
+	if ev.held {
+		_ = p.Park("held by ISP scheduler") // a failure resurfaces from the PMPI call
 	}
 }
 
@@ -139,7 +144,7 @@ func (s *scheduler) Hooks() *mpi.Hooks {
 			s.roundTrip(&event{kind: evSend, rank: p.Rank(), send: op})
 		},
 		PreRecv: func(p *mpi.Proc, op *mpi.RecvOp) {
-			s.roundTrip(&event{kind: evRecv, rank: p.Rank(), recv: op})
+			s.holdable(p, &event{kind: evRecv, rank: p.Rank(), recv: op})
 		},
 		PostRecv: func(p *mpi.Proc, op *mpi.RecvOp, req *mpi.Request) {
 			// Remember whether the application posted this receive wildcard;
@@ -147,7 +152,7 @@ func (s *scheduler) Hooks() *mpi.Hooks {
 			req.ToolData = op.WasAnySource
 		},
 		PreProbe: func(p *mpi.Proc, op *mpi.ProbeOp) {
-			s.roundTrip(&event{kind: evProbe, rank: p.Rank(), probe: op})
+			s.holdable(p, &event{kind: evProbe, rank: p.Rank(), probe: op})
 		},
 		PreWait: func(p *mpi.Proc, reqs []*mpi.Request) {
 			s.roundTrip(&event{kind: evWaitEnter, rank: p.Rank()})
@@ -166,38 +171,25 @@ func (s *scheduler) Hooks() *mpi.Hooks {
 		AtFinalize: func(p *mpi.Proc) {
 			s.roundTrip(&event{kind: evFinalize, rank: p.Rank()})
 		},
+		// No rank can take a step without the scheduler releasing a held
+		// operation: every rank is held, finished, or parked inside the
+		// runtime on an unsatisfied condition. This is ISP's quiescence.
+		Idle: func(*mpi.World) {
+			s.roundTrip(&event{kind: evIdle})
+		},
 	}
 }
 
-// loop is the scheduler goroutine.
+// loop is the scheduler goroutine: it serves events until stop.
 func (s *scheduler) loop() {
-	for s.finished < s.procs {
-		if s.world.Failure() != nil {
-			s.releaseAll()
-			// Keep serving events so finishing ranks aren't stranded.
-			select {
-			case ev := <-s.events:
-				s.handle(ev)
-			case <-s.done:
-				s.releaseAll()
-				return
-			}
-			continue
-		}
+	for {
 		select {
 		case ev := <-s.events:
 			s.handle(ev)
 		case <-s.done:
-			s.releaseAll()
 			return
-		case <-time.After(50 * time.Microsecond):
-			// Idle: if the system has quiesced, decide a held wildcard.
-			if len(s.held) > 0 && s.quiescent() {
-				s.decide()
-			}
 		}
 	}
-	s.releaseAll()
 }
 
 func (s *scheduler) stop() {
@@ -235,6 +227,14 @@ func (s *scheduler) readinessSweep() {
 }
 
 func (s *scheduler) handle(ev *event) {
+	defer close(ev.reply)
+	if ev.kind == evIdle {
+		// With nothing held the runtime's own deadlock report is the answer.
+		if len(s.held) > 0 {
+			s.decide()
+		}
+		return
+	}
 	s.readinessSweep()
 	s.status[ev.rank] = running
 	switch ev.kind {
@@ -258,25 +258,23 @@ func (s *scheduler) handle(ev *event) {
 			s.pending = append(s.pending, sr)
 		}
 	case evRecv:
-		if ev.recv.WasAnySource && s.world.Failure() == nil {
+		if ev.recv.WasAnySource {
 			if src, ok := s.forced[DecisionKey{Rank: ev.rank, Idx: s.wcIdx[ev.rank]}]; ok {
 				// Replay: enforce the recorded match.
 				ev.recv.Src = src
 				s.claimSend(ev.rank, ev.recv.Comm.ID(), ev.recv.Tag, src)
 				s.recordDecision(ev.rank, src, nil, true)
 			} else {
-				s.hold(&heldOp{rank: ev.rank, recv: ev.recv, reply: ev.reply})
-				return // released by decide()
+				s.hold(ev, &heldOp{rank: ev.rank, recv: ev.recv})
 			}
 		}
 	case evProbe:
-		if ev.probe.WasAnySource && s.world.Failure() == nil {
+		if ev.probe.WasAnySource {
 			if src, ok := s.forced[DecisionKey{Rank: ev.rank, Idx: s.wcIdx[ev.rank]}]; ok {
 				ev.probe.Src = src
 				s.recordDecision(ev.rank, src, nil, true)
 			} else {
-				s.hold(&heldOp{rank: ev.rank, probe: ev.probe, reply: ev.reply})
-				return
+				s.hold(ev, &heldOp{rank: ev.rank, probe: ev.probe})
 			}
 		}
 	case evWaitEnter:
@@ -291,12 +289,12 @@ func (s *scheduler) handle(ev *event) {
 		// Collectives are deterministic; the round-trip itself is the cost.
 	case evFinalize:
 		s.status[ev.rank] = finished
-		s.finished++
 	}
-	close(ev.reply)
 }
 
-func (s *scheduler) hold(h *heldOp) {
+// hold keeps a wildcard operation back until decide releases it.
+func (s *scheduler) hold(ev *event, h *heldOp) {
+	ev.held = true
 	s.held = append(s.held, h)
 	s.status[h.rank] = heldAtScheduler
 }
@@ -336,28 +334,6 @@ func (s *scheduler) claimSend(dest, commID, tag, src int) {
 		}
 	}
 	s.debts = append(s.debts, &sendRec{src: src, dest: dest, tag: tag, commID: commID})
-}
-
-// quiescent reports whether no rank can take a step without the scheduler
-// releasing a held operation: every rank is held, finished, or parked inside
-// the runtime on an unsatisfied condition. The runtime's blocked set is
-// sampled under its lock, so a true result is stable (a rank whose wakeup is
-// already in flight is not counted as blocked).
-func (s *scheduler) quiescent() bool {
-	blocked := make(map[int]bool)
-	for _, r := range s.world.QuiescentRanks() {
-		blocked[r] = true
-	}
-	for rank, st := range s.status {
-		switch st {
-		case heldAtScheduler, finished:
-		default:
-			if !blocked[rank] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // candidates computes the matchable sources for a held wildcard from the
@@ -420,7 +396,6 @@ func (s *scheduler) decide() {
 		}
 	}
 	s.world.AbortWith(&mpi.DeadlockError{BlockedAt: blockedAt})
-	s.releaseAll()
 }
 
 // release determinizes and releases one held op. chosen < 0 releases the op
@@ -439,13 +414,5 @@ func (s *scheduler) release(i int, h *heldOp, chosen int, alts []int) {
 		s.wcIdx[h.rank]++
 	}
 	s.status[h.rank] = running
-	close(h.reply)
-}
-
-func (s *scheduler) releaseAll() {
-	for _, h := range s.held {
-		s.status[h.rank] = running
-		close(h.reply)
-	}
-	s.held = nil
+	s.world.Unpark(h.rank)
 }

@@ -151,5 +151,12 @@ func Stack(layers ...*mpi.Hooks) *mpi.Hooks {
 			}
 		}
 	}
+	out.Idle = func(w *mpi.World) {
+		for _, l := range ls {
+			if l.Idle != nil {
+				l.Idle(w)
+			}
+		}
+	}
 	return out
 }

@@ -60,8 +60,6 @@ func (m PMPI) enterCollective(c Comm, a collArgs) (collResult, error) {
 		return collResult{}, err
 	}
 	w := p.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.failure != nil {
 		return collResult{}, w.failure
 	}
@@ -89,7 +87,7 @@ func (m PMPI) enterCollective(c Comm, a collArgs) (collResult, error) {
 			Msg: fmt.Sprintf("collective mismatch on %s call #%d: rank %d called %s(root=%d), another rank called %s(root=%d)",
 				c, seq, me, a.kind, a.root, inst.kind, inst.root),
 		}
-		w.failLocked(err)
+		w.fail(err)
 		return collResult{}, err
 	}
 	inst.contrib[me] = a.data
@@ -102,19 +100,19 @@ func (m PMPI) enterCollective(c Comm, a collArgs) (collResult, error) {
 	}
 	inst.arrived++
 	if inst.arrived == inst.n {
-		if err := w.computeCollectiveLocked(ci, inst); err != nil {
-			w.failLocked(err)
+		if err := w.computeCollective(ci, inst); err != nil {
+			w.fail(err)
 			return collResult{}, err
 		}
 		inst.done = true
 		for _, wr := range ci.members {
-			w.procs[wr].cond.Broadcast()
+			if q := w.procs[wr]; q.park.coll == inst {
+				w.setReady(q)
+			}
 		}
 	} else {
-		desc := func() string {
-			return fmt.Sprintf("%s(%s) [%d/%d arrived]", a.kind, c, inst.arrived, inst.n)
-		}
-		if err := w.block(p, desc, func() bool { return inst.done }); err != nil {
+		p.park = parking{kind: parkColl, coll: inst, comm: c}
+		if err := w.block(p); err != nil {
 			return collResult{}, err
 		}
 	}
@@ -137,7 +135,7 @@ func (m PMPI) enterCollective(c Comm, a collArgs) (collResult, error) {
 }
 
 // newCollective starts an instance, reusing a retired one's per-rank arrays
-// when the communicator has any. Caller holds w.mu.
+// when the communicator has any.
 func (ci *commInfo) newCollective(kind CollKind, root int) *collective {
 	n := len(ci.members)
 	if k := len(ci.collFree); k > 0 {
@@ -161,7 +159,7 @@ func (ci *commInfo) newCollective(kind CollKind, root int) *collective {
 
 // retireCollective keeps a fully-read instance for reuse. Ranks take only
 // elements out of an instance, never its per-rank arrays, so those are
-// cleared (to drop the payload references) and kept. Caller holds w.mu.
+// cleared (to drop the payload references) and kept.
 func (ci *commInfo) retireCollective(inst *collective) {
 	clear(inst.contrib)
 	clear(inst.pieces)
@@ -174,13 +172,13 @@ func (ci *commInfo) retireCollective(inst *collective) {
 	ci.collFree = append(ci.collFree, inst)
 }
 
-// computeCollectiveLocked fills in every rank's results once all members
+// computeCollective fills in every rank's results once all members
 // have contributed. Also combines the tool clocks per the paper's rules:
 // Barrier/Allreduce/Allgather/Alltoall/ReduceScatter and the communicator
 // collectives behave like an all-to-all max; Bcast/Scatter deliver the
 // root's clock to everyone; Reduce/Gather deliver the max to the root only;
 // Scan takes a prefix max.
-func (w *World) computeCollectiveLocked(ci *commInfo, inst *collective) error {
+func (w *World) computeCollective(ci *commInfo, inst *collective) error {
 	n := inst.n
 	switch inst.kind {
 	case CollBarrier, CollCommFree:
@@ -254,7 +252,7 @@ func (w *World) computeCollectiveLocked(ci *commInfo, inst *collective) error {
 			inst.out[i] = foldContrib(col, inst.op)
 		}
 	case CollCommDup:
-		nc := w.newCommLocked(ci.name+".dup", ci.members)
+		nc := w.newComm(ci.name+".dup", ci.members)
 		inst.newComms = make([]Comm, n)
 		for i := range inst.newComms {
 			inst.newComms[i] = Comm{info: nc, localRank: i}
@@ -265,7 +263,7 @@ func (w *World) computeCollectiveLocked(ci *commInfo, inst *collective) error {
 		made := make(map[int]*commInfo, len(groups))
 		// Deterministic creation order by color for stable comm IDs.
 		for _, color := range sortedKeys(groups) {
-			made[color] = w.newCommLocked(fmt.Sprintf("%s.split%d", ci.name, color), groups[color])
+			made[color] = w.newComm(fmt.Sprintf("%s.split%d", ci.name, color), groups[color])
 		}
 		for lr := range ci.members {
 			color := inst.colors[lr]

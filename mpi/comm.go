@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Comm is a communicator handle as seen by one rank: it knows the group, the
@@ -16,7 +15,7 @@ type Comm struct {
 
 // commInfo is the shared, world-side state of a communicator. Its storage
 // outlives the world when the world runs on carried Pools: see
-// World.newCommLocked.
+// World.newComm.
 type commInfo struct {
 	id      int
 	name    string
@@ -35,12 +34,8 @@ type commInfo struct {
 }
 
 // mailbox holds the two matching queues of one destination rank in one
-// communicator. Each mailbox has its own lock — the unit of sharding for the
-// matching engine. mb.mu is the innermost lock: code holding it must not
-// acquire w.mu (wakers release mb.mu first), while w.mu holders may take
-// mb.mu (deadlock-detector predicates).
+// communicator.
 type mailbox struct {
-	mu         sync.Mutex
 	unexpected []*envelope
 	posted     []*Request
 }
@@ -54,12 +49,12 @@ type envelope struct {
 	sreq *Request // non-nil for synchronous sends: completed on match
 }
 
-// newCommLocked creates a communicator over the given world-rank members
-// (index = comm-local rank), copying them. Caller holds w.mu. A parked
+// newComm creates a communicator over the given world-rank members
+// (index = comm-local rank), copying them. A parked
 // communicator of the same size is reused when the world's Pools carried one
 // over: NewWorld already reset it, so only its identity is rewritten here
 // and its mailboxes keep their grown capacity.
-func (w *World) newCommLocked(name string, members []int) *commInfo {
+func (w *World) newComm(name string, members []int) *commInfo {
 	n := len(members)
 	j := w.liveComms
 	for j < len(w.comms) && len(w.comms[j].boxes) != n {

@@ -126,11 +126,16 @@ func TestBlockedRanksVisibleMidRun(t *testing.T) {
 	err := w.Run(func(p *Proc) error {
 		c := p.CommWorld()
 		if p.Rank() == 0 {
-			// Wait until rank 1 is blocked in its Recv, then release it.
+			// Wait until rank 1 is blocked in its Recv, then release it. The
+			// observer yields through an MPI poll: a loop without an MPI call
+			// would keep the only turn.
 			for {
 				br := w.BlockedRanks()
 				if len(br) == 1 && br[0] == 1 {
 					break
+				}
+				if _, _, err := p.Iprobe(AnySource, AnyTag, c); err != nil {
+					return err
 				}
 			}
 			return p.Send(1, 0, []byte("release"), c)
@@ -140,5 +145,40 @@ func TestBlockedRanksVisibleMidRun(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestDeadlockReportGolden: with a fixed schedule a deadlock report is one
+// string per program. A collective two of four ranks entered, a third rank
+// in a receive nobody answers, a fourth probing: every park description, none
+// built before the deadlock fired.
+func TestDeadlockReportGolden(t *testing.T) {
+	d := expectDeadlock(t, 4, func(p *Proc) error {
+		c := p.CommWorld()
+		switch p.Rank() {
+		case 2:
+			_, _, err := p.Recv(AnySource, 7, c)
+			return err
+		case 3:
+			req, err := p.Issend(2, 8, []byte("x"), c)
+			if err != nil {
+				return err
+			}
+			if _, err := p.Probe(0, AnyTag, c); err != nil {
+				return err
+			}
+			_, err = p.Wait(req)
+			return err
+		}
+		_, err := p.Allreduce(c, EncodeInt64(1), SumInt64)
+		return err
+	})
+	const want = `rank 0: Allreduce(Comm(world#0 rank 0/4)) [2/4 arrived]
+rank 1: Allreduce(Comm(world#0 rank 1/4)) [2/4 arrived]
+rank 2: Wait(recv peer=-1 tag=7 Comm(world#0 rank 2/4))
+rank 3: Probe(src=0, tag=*, Comm(world#0 rank 3/4))
+`
+	if got := d.Detail(); got != want {
+		t.Errorf("deadlock report:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -2,11 +2,18 @@ package mpi
 
 // This file defines the tool (profiling) interface: the simulator's analogue
 // of PMPI. Every public MPI call on a Proc invokes the corresponding hooks
-// around its "PMPI-level" implementation. Hooks may block (the ISP baseline
-// parks ranks here awaiting scheduler grants) and may rewrite the source of
+// around its "PMPI-level" implementation. Hooks may rewrite the source of
 // wildcard receives and probes (how DAMPI and ISP enforce alternate
 // matches). Tools issue their own traffic through Proc.PMPI(), which bypasses
 // the hooks — exactly like calling PMPI_* from inside a profiling wrapper.
+//
+// The hook contract: a world runs its ranks one at a time (see World), and a
+// hook runs on its rank's turn. A hook may therefore wait for another rank
+// only through PMPI or through Proc.Park — the two ways of waiting that hand
+// the turn on. A hook that waits for another rank on a Go channel, mutex or
+// WaitGroup keeps the only turn and hangs the world. Waiting for something
+// that is not a rank (the ISP baseline's round trip to its scheduler
+// goroutine) is fine: it merely stops the world for as long as it takes.
 
 // SendOp describes a send call entering the tool layer.
 type SendOp struct {
@@ -97,8 +104,8 @@ type CollOp struct {
 }
 
 // Hooks is the tool layer. All fields are optional; nil fields are skipped.
-// Compose multiple tools with pnmpi.Stack. Hooks run outside the runtime
-// lock, on the calling rank's goroutine.
+// Compose multiple tools with pnmpi.Stack. Every hook but Idle runs on the
+// calling rank's goroutine, on that rank's turn.
 //
 // Lifetimes: the SendOp/RecvOp/ProbeOp descriptors and the PreWait slice are
 // per-rank scratch owned by the runtime, valid until the hooked MPI call
@@ -160,4 +167,12 @@ type Hooks struct {
 	// AtFinalize runs when the rank's program returns, before the rank is
 	// marked finished. Leak checks report here.
 	AtFinalize func(p *Proc)
+
+	// Idle runs on the goroutine of World.Run when no rank is runnable and
+	// not all have finished, before the runtime declares a deadlock: a tool
+	// that holds ranks with Proc.Park decides here which to release
+	// (World.Unpark), or fails the world with its own report
+	// (World.AbortWith). If no rank is runnable when it returns, the runtime
+	// reports the deadlock itself.
+	Idle func(w *World)
 }

@@ -5,7 +5,10 @@
 // there is no MPI binding or PMPI interposition path for Go, so this package
 // implements the MPI semantics the verifier observes and controls:
 //
-//   - ranks are goroutines, launched by World.Run;
+//   - ranks are coroutines run one at a time by World.Run: a rank keeps the
+//     turn until an MPI call parks it, polls and finds nothing, or it
+//     returns, and the scheduler then resumes the lowest runnable rank (see
+//     World);
 //   - point-to-point messages are matched with MPI matching semantics:
 //     per-(source, communicator, tag) FIFO ("non-overtaking"), wildcard
 //     source and tag, eager standard sends, synchronous sends, unexpected
@@ -14,22 +17,31 @@
 //     family;
 //   - probes, the common collectives, and communicator management
 //     (dup, split, free) are provided;
-//   - a deadlock is detected precisely: the instant every unfinished rank is
-//     blocked, the runtime stops the world and reports who was stuck where;
+//   - a deadlock is detected precisely: no rank runnable and not all
+//     finished is the deadlock, and the runtime reports who was stuck where;
 //   - every call flows through an optional tool layer (Hooks), the moral
 //     equivalent of the PMPI profiling interface: tools may observe calls,
 //     rewrite wildcard receive sources, attach state to requests, and issue
 //     their own "PMPI-level" (unhooked) operations.
 //
 // Wildcard receives are matched against the earliest eligible message in
-// arrival order, and arrival order depends on goroutine scheduling, so the
-// simulator exhibits genuine non-determinism — exactly the behaviour DAMPI
-// exists to cover.
+// arrival order. Arrival order is fixed by the scheduler's pick rule, so a
+// run is a function of the program and of what the tool layer forces: the
+// non-determinism of a real MPI job — exactly the behaviour DAMPI exists to
+// cover — is the set of alternate matches the verifier replays, not an
+// accident of goroutine timing.
+//
+// What a program author must know: a rank must not wait for another rank
+// through a Go channel, mutex or WaitGroup, only through MPI. The waiting
+// rank would keep the only turn and the world would hang.
 package mpi
 
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 )
 
 // Wildcard and special rank values, mirroring MPI_ANY_SOURCE and MPI_ANY_TAG.
@@ -66,6 +78,16 @@ type DeadlockError struct {
 
 func (e *DeadlockError) Error() string {
 	return fmt.Sprintf("mpi: deadlock detected (%d ranks blocked)", len(e.BlockedAt))
+}
+
+// Detail renders BlockedAt one "rank N: call" line per blocked rank, in rank
+// order: the same text for the same schedule.
+func (e *DeadlockError) Detail() string {
+	var b strings.Builder
+	for _, r := range slices.Sorted(maps.Keys(e.BlockedAt)) {
+		fmt.Fprintf(&b, "rank %d: %s\n", r, e.BlockedAt[r])
+	}
+	return b.String()
 }
 
 // IsDeadlock reports whether err is (or wraps) a deadlock report.

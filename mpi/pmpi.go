@@ -6,10 +6,10 @@ import "fmt"
 // PMPI_* entry points. Tool layers use it to issue their own traffic (e.g.
 // piggyback messages) without re-entering the hooks.
 //
-// Point-to-point operations are mailbox fast paths: they take only the
-// destination mailbox's lock (never w.mu) unless they must park the rank.
-// Communicator topology (members, rankOf) is immutable after creation and
-// freed[i] is written only by rank i, so argument validation needs no lock.
+// A call runs on its rank's turn (see World) and gives the turn up only where
+// it parks (Wait, Waitany, Probe, a collective not yet complete) or polls and
+// finds nothing (Test, Iprobe): between two such points a rank's MPI calls
+// are atomic with respect to every other rank.
 type PMPI struct {
 	p *Proc
 }
@@ -39,8 +39,8 @@ func (m PMPI) isend(dest, tag int, data []byte, c Comm, sync bool) (*Request, er
 		return nil, err
 	}
 	w := p.world
-	if err := w.fastFailure(); err != nil {
-		return nil, err
+	if w.failure != nil {
+		return nil, w.failure
 	}
 	if !c.Valid() {
 		return nil, &UsageError{Rank: p.rank, Op: "Isend", Msg: "invalid communicator"}
@@ -55,7 +55,8 @@ func (m PMPI) isend(dest, tag int, data []byte, c Comm, sync bool) (*Request, er
 		return nil, &UsageError{Rank: p.rank, Op: "Isend", Msg: fmt.Sprintf("negative tag %d", tag)}
 	}
 	req := p.newRequest()
-	req.id = w.nextReq.Add(1)
+	w.nextReq++
+	req.id = w.nextReq
 	req.kind = KindSend
 	req.proc = p
 	req.comm = c
@@ -63,63 +64,53 @@ func (m PMPI) isend(dest, tag int, data []byte, c Comm, sync bool) (*Request, er
 	req.tag = tag
 	buf := append(p.pool.getBuf(len(data)), data...)
 	req.data = buf
-	env := p.pool.getEnv()
+	env := w.pools.getEnv()
 	env.src = c.localRank
 	env.tag = tag
 	env.data = buf
-	env.seq = w.sendSeq.Add(1)
+	w.sendSeq++
+	env.seq = w.sendSeq
 	if sync {
 		env.sreq = req
 	} else {
 		req.status = Status{Source: c.localRank, Tag: tag, Count: len(buf)}
-		req.done.Store(true)
+		req.done = true
 	}
-	w.deliver(c.info, dest, env, p)
+	w.deliver(c.info, dest, env)
 	return req, nil
 }
 
 // deliver matches env against the posted receives of (ci, dest) or queues it
-// as unexpected, holding only that mailbox's lock. Wakeups happen after the
-// lock is released (wake takes w.mu, which must not nest inside mb.mu). by is
-// the proc whose goroutine is executing the call (the sender): a matched
-// envelope recycles into its freelist slot.
-func (w *World) deliver(ci *commInfo, dest int, env *envelope, by *Proc) {
+// as unexpected.
+func (w *World) deliver(ci *commInfo, dest int, env *envelope) {
 	mb := &ci.boxes[dest]
-	mb.mu.Lock()
 	for i, preq := range mb.posted {
 		if preq.matchesEnv(env) {
 			mb.posted = append(mb.posted[:i], mb.posted[i+1:]...)
-			rp := preq.proc
-			preq.completeRecv(env)
-			sp := w.completeSyncSend(env)
-			by.pool.putEnv(env)
-			mb.mu.Unlock()
-			w.wake(rp)
-			if sp != nil {
-				w.wake(sp)
-			}
+			w.match(preq, env)
 			return
 		}
 	}
 	mb.unexpected = append(mb.unexpected, env)
-	mb.mu.Unlock()
 	// A blocked probe on this rank may now be satisfiable.
-	w.wake(w.procs[ci.members[dest]])
+	if dst := w.procs[ci.members[dest]]; dst.park.kind == parkProbe {
+		w.setReady(dst)
+	}
 }
 
-// completeSyncSend finishes the sender side of a synchronous send once its
-// envelope has been matched. Caller holds the destination mailbox lock and
-// must wake the returned proc (if any) after releasing it. The done store is
-// the last access: from then on the sender may consume and Free the request.
-func (w *World) completeSyncSend(env *envelope) *Proc {
-	sreq := env.sreq
-	if sreq == nil {
-		return nil
+// match completes receive r with env — and, for a synchronous send, the
+// sender's request — wakes whoever waits for either, and recycles env.
+func (w *World) match(r *Request, env *envelope) {
+	r.data = env.data
+	r.status = Status{Source: env.src, Tag: env.tag, Count: len(env.data)}
+	r.done = true
+	w.completed(r)
+	if sreq := env.sreq; sreq != nil {
+		sreq.status = r.status
+		sreq.done = true
+		w.completed(sreq)
 	}
-	sp := sreq.proc
-	sreq.status = Status{Source: env.src, Tag: env.tag, Count: len(env.data)}
-	sreq.done.Store(true)
-	return sp
+	w.pools.putEnv(env)
 }
 
 // Irecv posts a nonblocking receive. src may be AnySource; tag may be AnyTag.
@@ -129,8 +120,8 @@ func (m PMPI) Irecv(src, tag int, c Comm) (*Request, error) {
 		return nil, err
 	}
 	w := p.world
-	if err := w.fastFailure(); err != nil {
-		return nil, err
+	if w.failure != nil {
+		return nil, w.failure
 	}
 	if !c.Valid() {
 		return nil, &UsageError{Rank: p.rank, Op: "Irecv", Msg: "invalid communicator"}
@@ -142,53 +133,35 @@ func (m PMPI) Irecv(src, tag int, c Comm) (*Request, error) {
 		return nil, err
 	}
 	req := p.newRequest()
-	req.id = w.nextReq.Add(1)
+	w.nextReq++
+	req.id = w.nextReq
 	req.kind = KindRecv
 	req.proc = p
 	req.comm = c
 	req.peer = src
 	req.tag = tag
 	mb := &c.info.boxes[c.localRank]
-	mb.mu.Lock()
 	for i, env := range mb.unexpected {
 		if req.matchesEnv(env) {
 			mb.unexpected = append(mb.unexpected[:i], mb.unexpected[i+1:]...)
-			req.completeRecv(env)
-			sp := w.completeSyncSend(env)
-			p.pool.putEnv(env)
-			mb.mu.Unlock()
-			if sp != nil {
-				w.wake(sp)
-			}
+			w.match(req, env)
 			return req, nil
 		}
 	}
 	mb.posted = append(mb.posted, req)
-	mb.mu.Unlock()
 	return req, nil
 }
 
 // Wait blocks until the request completes and consumes the completion.
-// Waiting on an already-consumed request returns its cached status. The
-// completed case is lock-free: only an uncompleted request parks the rank.
+// Waiting on an already-consumed request returns its cached status. Only an
+// uncompleted request parks the rank.
 func (m PMPI) Wait(req *Request) (Status, error) {
 	p := m.p
-	if req.consumed {
-		return req.status, nil
-	}
-	if req.done.Load() {
-		req.consumed = true
-		return req.status, nil
-	}
-	w := p.world
-	desc := func() string {
-		return fmt.Sprintf("Wait(%s peer=%d tag=%d %s)", req.kind, req.peer, req.tag, req.comm)
-	}
-	w.mu.Lock()
-	err := w.block(p, desc, func() bool { return req.done.Load() })
-	w.mu.Unlock()
-	if err != nil {
-		return Status{}, err
+	if !req.consumed && !req.done {
+		p.park = parking{kind: parkWait, req: req}
+		if err := p.world.block(p); err != nil {
+			return Status{}, err
+		}
 	}
 	req.consumed = true
 	return req.status, nil
@@ -196,48 +169,53 @@ func (m PMPI) Wait(req *Request) (Status, error) {
 
 // Test checks the request without blocking; on completion it consumes it.
 func (m PMPI) Test(req *Request) (Status, bool, error) {
-	if err := m.p.world.fastFailure(); err != nil {
-		return Status{}, false, err
+	w := m.p.world
+	if w.failure != nil {
+		return Status{}, false, w.failure
 	}
-	if req.consumed {
-		return req.status, true, nil
-	}
-	if !req.done.Load() {
-		return Status{}, false, nil
+	if !req.consumed && !req.done {
+		return Status{}, false, w.poll(m.p)
 	}
 	req.consumed = true
 	return req.status, true, nil
+}
+
+// firstCompleted returns the index of the first completed, unconsumed
+// request in reqs, or -1.
+func firstCompleted(reqs []*Request) int {
+	for i, r := range reqs {
+		if r != nil && r.CompletedPending() {
+			return i
+		}
+	}
+	return -1
 }
 
 // Waitany blocks until at least one unconsumed request in reqs completes,
 // consumes it, and returns its index and status.
 func (m PMPI) Waitany(reqs []*Request) (int, Status, error) {
 	p := m.p
-	for i, r := range reqs {
-		if r != nil && !r.consumed && r.done.Load() {
-			r.consumed = true
-			return i, r.status, nil
+	idx := firstCompleted(reqs)
+	if idx < 0 {
+		p.park = parking{kind: parkWaitany, reqs: reqs}
+		if err := p.world.block(p); err != nil {
+			return -1, Status{}, err
 		}
-	}
-	w := p.world
-	idx := -1
-	pred := func() bool {
-		for i, r := range reqs {
-			if r != nil && !r.consumed && r.done.Load() {
-				idx = i
-				return true
-			}
-		}
-		return false
-	}
-	w.mu.Lock()
-	err := w.block(p, func() string { return fmt.Sprintf("Waitany(%d reqs)", len(reqs)) }, pred)
-	w.mu.Unlock()
-	if err != nil {
-		return -1, Status{}, err
+		idx = firstCompleted(reqs)
 	}
 	reqs[idx].consumed = true
 	return idx, reqs[idx].status, nil
+}
+
+// Testany checks for a completed, unconsumed request without blocking; on
+// success it consumes it and returns its index.
+func (m PMPI) Testany(reqs []*Request) (int, Status, bool, error) {
+	idx := firstCompleted(reqs)
+	if idx < 0 {
+		return -1, Status{}, false, m.p.world.poll(m.p)
+	}
+	reqs[idx].consumed = true
+	return idx, reqs[idx].status, true, nil
 }
 
 // Probe blocks until a message matching (src, tag) is available on c and
@@ -245,8 +223,8 @@ func (m PMPI) Waitany(reqs []*Request) (int, Status, error) {
 func (m PMPI) Probe(src, tag int, c Comm) (Status, error) {
 	p := m.p
 	w := p.world
-	if err := w.fastFailure(); err != nil {
-		return Status{}, err
+	if w.failure != nil {
+		return Status{}, w.failure
 	}
 	if err := c.checkLive(p, "Probe"); err != nil {
 		return Status{}, err
@@ -254,25 +232,13 @@ func (m PMPI) Probe(src, tag int, c Comm) (Status, error) {
 	if err := c.checkPeer(p, "Probe", src, true); err != nil {
 		return Status{}, err
 	}
-	if st, ok := c.info.findUnexpectedStatus(c.localRank, src, tag); ok {
-		return st, nil
-	}
-	var st Status
-	pred := func() bool {
-		s, ok := c.info.findUnexpectedStatus(c.localRank, src, tag)
-		if ok {
-			st = s
+	st, ok := c.info.findUnexpectedStatus(c.localRank, src, tag)
+	if !ok {
+		p.park = parking{kind: parkProbe, src: src, tag: tag, comm: c}
+		if err := w.block(p); err != nil {
+			return Status{}, err
 		}
-		return ok
-	}
-	desc := func() string {
-		return fmt.Sprintf("Probe(src=%s, tag=%s, %s)", rankStr(src), tagStr(tag), c)
-	}
-	w.mu.Lock()
-	err := w.block(p, desc, pred)
-	w.mu.Unlock()
-	if err != nil {
-		return Status{}, err
+		st, _ = c.info.findUnexpectedStatus(c.localRank, src, tag)
 	}
 	return st, nil
 }
@@ -280,8 +246,9 @@ func (m PMPI) Probe(src, tag int, c Comm) (Status, error) {
 // Iprobe checks for a matching message without blocking.
 func (m PMPI) Iprobe(src, tag int, c Comm) (Status, bool, error) {
 	p := m.p
-	if err := p.world.fastFailure(); err != nil {
-		return Status{}, false, err
+	w := p.world
+	if w.failure != nil {
+		return Status{}, false, w.failure
 	}
 	if err := c.checkLive(p, "Iprobe"); err != nil {
 		return Status{}, false, err
@@ -290,17 +257,16 @@ func (m PMPI) Iprobe(src, tag int, c Comm) (Status, bool, error) {
 		return Status{}, false, err
 	}
 	st, ok := c.info.findUnexpectedStatus(c.localRank, src, tag)
-	return st, ok, nil
+	if !ok {
+		return st, false, w.poll(p)
+	}
+	return st, true, nil
 }
 
 // findUnexpectedStatus returns the status of the earliest unexpected envelope
-// at dest matching (src, tag). It copies the status out under the mailbox
-// lock — envelopes are pooled, so no reference may escape the lock.
+// at dest matching (src, tag).
 func (ci *commInfo) findUnexpectedStatus(dest, src, tag int) (Status, bool) {
-	mb := &ci.boxes[dest]
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for _, env := range mb.unexpected {
+	for _, env := range ci.boxes[dest].unexpected {
 		if (src == AnySource || src == env.src) && (tag == AnyTag || tag == env.tag) {
 			return Status{Source: env.src, Tag: env.tag, Count: len(env.data)}, true
 		}
@@ -310,27 +276,22 @@ func (ci *commInfo) findUnexpectedStatus(dest, src, tag int) (Status, bool) {
 
 // Cancel removes a posted, unmatched receive from its matching queue and
 // completes it as cancelled. Returns false if the request already matched
-// or is not a receive. The scan and the cancellation happen under the
-// mailbox lock, so Cancel is atomic with respect to delivery: a request
-// absent from the posted queue has definitely completed.
+// or is not a receive: a request absent from the posted queue has completed.
 func (m PMPI) Cancel(req *Request) (bool, error) {
 	if req.kind != KindRecv {
 		return false, nil
 	}
 	mb := &req.comm.info.boxes[req.comm.localRank]
-	mb.mu.Lock()
 	for i, posted := range mb.posted {
 		if posted == req {
 			mb.posted = append(mb.posted[:i], mb.posted[i+1:]...)
 			req.cancelled = true
 			req.status = Status{Source: AnySource, Tag: AnyTag, Count: 0}
-			req.done.Store(true)
-			mb.mu.Unlock()
+			req.done = true
 			return true, nil
 		}
 	}
-	mb.mu.Unlock()
-	if req.done.Load() {
+	if req.done {
 		return false, nil
 	}
 	return false, fmt.Errorf("mpi: Cancel: request neither posted nor done: %v", req)

@@ -83,10 +83,7 @@ func (m PMPI) CommSplit(c Comm, color, key int, clock []uint64) (Comm, []uint64,
 // CommFree collectively releases c. The handle must not be used afterwards.
 func (m PMPI) CommFree(c Comm, clock []uint64) ([]uint64, error) {
 	if c.Valid() {
-		w := m.p.world
-		w.mu.Lock()
 		c.info.freed[c.localRank] = true
-		w.mu.Unlock()
 	}
 	res, err := m.enterCollective(c, collArgs{kind: CollCommFree, clock: clock})
 	return res.clock, err

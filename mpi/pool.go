@@ -6,8 +6,10 @@ package mpi
 // kinds of storage from one world to the next so that a warm replay allocates
 // only what escapes it (application payloads and application-held requests):
 //
-//   - Envelopes and payload copies are runtime-internal for most of their
-//     life and recycle through per-rank freelists.
+//   - Envelopes are runtime-internal for their whole life and recycle
+//     through one freelist: the sender takes one, whoever matches it (the
+//     sender in deliver, the receiver in Irecv) puts it back.
+//   - Payload copies recycle through per-rank freelists (Request.Release).
 //   - Requests are slab-allocated per rank (see Proc.newRequest). The unused
 //     remainder of a slab stays in the rank's pool when its world ends, so the
 //     next world continues the slab instead of starting a new one. Requests
@@ -19,41 +21,42 @@ package mpi
 //     parked here when World.Run returns and reset by the next NewWorld, so
 //     mailbox queues keep the capacity earlier replays grew them to.
 //
-// The freelists are deliberately NOT sync.Pools: every access happens on the
-// goroutine currently executing the owning rank's program (gets in Isend on
-// the sender, puts in deliver on the sender, in Irecv, Request.Release and
-// Request.Free on the owner), so no synchronization is needed at all — and
-// unlike a package-global sync.Pool, a replay engine running many
-// explorations at once never funnels every world's envelope traffic through
-// shared per-P lists. Objects migrate between rank slots over time (an
-// envelope acquired by the sender may be freed by the receiver); each slot is
-// bounded by poolRankCap.
+// The freelists are deliberately NOT sync.Pools: a world's ranks run one at a
+// time (see World), so every access happens on the turn of the one rank
+// running and no synchronization is needed at all — and unlike a
+// package-global sync.Pool, a replay engine running many explorations at once
+// never funnels every world's envelope traffic through shared per-P lists.
+// Payload buffers migrate between rank slots over time (a buffer acquired by
+// the sender is released by the receiver); each list is bounded by
+// poolRankCap per rank.
 
-// poolRankCap bounds each rank's envelope, buffer and request freelists;
-// beyond it, freed objects are dropped for the GC. Steady-state replay
-// traffic uses a handful of objects per rank, so the cap only matters after
-// a pathological unexpected-queue burst.
+// poolRankCap bounds each rank's buffer and request freelists and, times the
+// rank count, the envelope freelist; beyond it, freed objects are dropped for
+// the GC. Steady-state replay traffic uses a handful of objects per rank, so
+// the cap only matters after a pathological unexpected-queue burst.
 const poolRankCap = 128
 
-// Pools holds the per-rank freelists and the parked skeleton for one world at
-// a time. A replay slot (core.RunContext) owns one Pools and threads it
-// through Config.Pools so the warmed-up storage survives across the thousands
-// of short-lived worlds of an exploration, without any cross-worker sharing.
+// Pools holds the freelists and the parked skeleton for one world at a time.
+// A replay slot (core.RunContext) owns one Pools and threads it through
+// Config.Pools so the warmed-up storage survives across the thousands of
+// short-lived worlds of an exploration, without any cross-worker sharing.
 //
-// A Pools must not be used by two concurrently-running worlds: slot i is
-// touched only by the goroutine executing rank i, and two live worlds would
-// break that ownership. Handing a Pools to NewWorld invalidates every Proc,
-// Comm and Request of the world that last ran on it.
+// A Pools must not be used by two concurrently-running worlds. Handing a
+// Pools to NewWorld invalidates every Proc, Comm and Request of the world
+// that last ran on it.
 type Pools struct {
+	envs  []*envelope
 	ranks []rankPool
 	skel  skeleton
 }
 
 // skeleton is the world-shaped scaffolding a finished world leaves behind:
-// its procs and every communicator it created. World.Run parks it; the next
-// NewWorld on the same Pools takes it, resets it and builds on it.
+// its procs, its runnable-rank bitmap and every communicator it created.
+// World.Run parks it; the next NewWorld on the same Pools takes it, resets it
+// and builds on it.
 type skeleton struct {
 	procs []*Proc
+	ready []uint64
 	comms []*commInfo
 }
 
@@ -65,8 +68,7 @@ func NewPools(procs int) *Pools {
 	return pl
 }
 
-// grow ensures at least n rank slots. Called from NewWorld, before any rank
-// goroutine exists.
+// grow ensures at least n rank slots.
 func (pl *Pools) grow(n int) {
 	if n > len(pl.ranks) {
 		ranks := make([]rankPool, n)
@@ -78,17 +80,16 @@ func (pl *Pools) grow(n int) {
 // takeSkeleton hands the parked skeleton to a new world, reset to the state
 // of freshly built storage: queues truncated (keeping their capacity),
 // leftover envelopes recycled, every pointer into the previous world
-// cleared. Called from NewWorld, before any rank goroutine exists, so it may
-// touch every rank's freelist.
+// cleared.
 func (pl *Pools) takeSkeleton() skeleton {
 	sk := pl.skel
 	pl.skel = skeleton{}
+	clear(sk.ready)
 	for _, ci := range sk.comms {
 		for i := range ci.boxes {
 			mb := &ci.boxes[i]
-			rp := &pl.ranks[ci.members[i]]
 			for j, env := range mb.unexpected {
-				rp.putEnv(env)
+				pl.putEnv(env)
 				mb.unexpected[j] = nil
 			}
 			mb.unexpected = mb.unexpected[:0]
@@ -102,21 +103,18 @@ func (pl *Pools) takeSkeleton() skeleton {
 	return sk
 }
 
-// rankPool is one rank's freelists. Owner-goroutine only; padded so adjacent
-// slots (owned by different goroutines) do not share a cache line.
+// rankPool is one rank's freelists.
 type rankPool struct {
-	envs    []*envelope
 	bufs    [][]byte
 	reqs    []*Request // freed requests (Request.Free)
 	reqSlab []Request  // unused remainder of the current request slab
-	_       [32]byte   // pad the four 24-byte slice headers to two 64-byte lines
 }
 
-func (rp *rankPool) getEnv() *envelope {
-	if n := len(rp.envs); n > 0 {
-		e := rp.envs[n-1]
-		rp.envs[n-1] = nil
-		rp.envs = rp.envs[:n-1]
+func (pl *Pools) getEnv() *envelope {
+	if n := len(pl.envs); n > 0 {
+		e := pl.envs[n-1]
+		pl.envs[n-1] = nil
+		pl.envs = pl.envs[:n-1]
 		return e
 	}
 	return new(envelope)
@@ -124,10 +122,10 @@ func (rp *rankPool) getEnv() *envelope {
 
 // putEnv recycles a matched envelope. The payload buffer is NOT recycled
 // here: it has been handed to the receiving request.
-func (rp *rankPool) putEnv(e *envelope) {
+func (pl *Pools) putEnv(e *envelope) {
 	*e = envelope{}
-	if len(rp.envs) < poolRankCap {
-		rp.envs = append(rp.envs, e)
+	if len(pl.envs) < poolRankCap*len(pl.ranks) {
+		pl.envs = append(pl.envs, e)
 	}
 }
 
@@ -159,8 +157,7 @@ const reqSlabSize = 64
 
 // newRequest returns a zeroed request: a freed one if the rank has any,
 // otherwise the next entry of the rank's slab (which outlives the world: see
-// the file comment). Must be called from the proc's owning goroutine (all
-// request-creating entry points are).
+// the file comment).
 func (p *Proc) newRequest() *Request {
 	rp := p.pool
 	if n := len(rp.reqs); n > 0 {

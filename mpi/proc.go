@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
 // Proc is one rank's handle into the world: the MPI API surface an
 // application programs against. All methods must be called from the rank's
@@ -12,22 +9,19 @@ import (
 type Proc struct {
 	world *World
 	rank  int
-	cond  sync.Cond // on world.mu
 	pmpi  PMPI
 
-	// parked is the Dekker flag of the park/wake protocol: stored true
-	// (under w.mu) before a park predicate is evaluated, loaded by fast-path
-	// wakers after they publish a completion. See World.wake.
-	parked atomic.Bool
+	// The rank's coroutine: the scheduler calls resume to give it the turn,
+	// the rank calls yield to hand the turn back (see World).
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
 
-	blockedAt   func() string // non-nil while parked: lazy deadlock-report description
-	blockedPred func() bool   // the park condition, re-checked by the deadlock detector
-	finished    bool
-	finalized   bool
+	park      parking // what the rank is parked on; kind parkNone while it runs
+	err       error   // what the program returned
+	finished  bool
+	finalized bool
 
-	// pool is this rank's slot in the world's allocation freelists (request
-	// slab included). Owner-goroutine only: every get/put happens on the
-	// goroutine currently executing this rank's program.
+	// pool is this rank's slot in the world's request freelists.
 	pool *rankPool
 
 	// Scratch descriptors handed to hooks for the duration of one call (see
@@ -40,6 +34,77 @@ type Proc struct {
 	// ToolState is scratch space for the tool layer's per-rank module
 	// (DAMPI hangs its per-rank state here). The runtime never touches it.
 	ToolState any
+}
+
+// parking says what a parked rank waits for. The blocked request, request
+// set, probe pattern or collective instance is both the wake-up condition and
+// the deadlock report's description, so parking allocates nothing.
+type parking struct {
+	kind parkKind
+	req  *Request    // parkWait
+	reqs []*Request  // parkWaitany
+	src  int         // parkProbe
+	tag  int         // parkProbe
+	comm Comm        // parkProbe, parkColl
+	coll *collective // parkColl
+	why  string      // parkTool: the tool's description of the hold
+
+	released bool // parkTool: World.Unpark was called
+}
+
+type parkKind uint8
+
+const (
+	parkNone parkKind = iota
+	parkWait
+	parkWaitany
+	parkProbe
+	parkColl
+	parkTool
+)
+
+// satisfied reports whether what the rank waits for has happened.
+func (k *parking) satisfied() bool {
+	switch k.kind {
+	case parkWait:
+		return k.req.done
+	case parkWaitany:
+		return firstCompleted(k.reqs) >= 0
+	case parkProbe:
+		_, ok := k.comm.info.findUnexpectedStatus(k.comm.localRank, k.src, k.tag)
+		return ok
+	case parkColl:
+		return k.coll.done
+	case parkTool:
+		return k.released
+	}
+	return true
+}
+
+// String describes the blocked call for a deadlock report.
+func (k *parking) String() string {
+	switch k.kind {
+	case parkWait:
+		return fmt.Sprintf("Wait(%s peer=%d tag=%d %s)", k.req.kind, k.req.peer, k.req.tag, k.req.comm)
+	case parkWaitany:
+		return fmt.Sprintf("Waitany(%d reqs)", len(k.reqs))
+	case parkProbe:
+		return fmt.Sprintf("Probe(src=%s, tag=%s, %s)", rankStr(k.src), tagStr(k.tag), k.comm)
+	case parkColl:
+		return fmt.Sprintf("%s(%s) [%d/%d arrived]", k.coll.kind, k.comm, k.coll.arrived, k.coll.n)
+	case parkTool:
+		return k.why
+	}
+	return "running"
+}
+
+// Park parks the calling rank in the world scheduler until a tool layer calls
+// World.Unpark for it or the world fails (the failure is returned). It is the
+// one way, besides PMPI, a hook may wait for another rank; why describes the
+// hold in deadlock reports. See Hooks.Idle for who gets to release it.
+func (p *Proc) Park(why string) error {
+	p.park = parking{kind: parkTool, why: why}
+	return p.world.block(p)
 }
 
 // Rank returns this process's world rank.
@@ -63,15 +128,7 @@ func (p *Proc) hooks() *Hooks { return p.world.hooks }
 
 // Abort terminates the whole world with the given error; all blocked and
 // future MPI calls fail.
-func (p *Proc) Abort(err error) {
-	w := p.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err == nil {
-		err = ErrAborted
-	}
-	w.failLocked(err)
-}
+func (p *Proc) Abort(err error) { p.world.AbortWith(err) }
 
 // Pcontrol forwards an MPI_Pcontrol call to the tool layer. DAMPI's
 // loop-iteration abstraction uses level 1 with arg "loop:begin"/"loop:end".
@@ -325,8 +382,8 @@ func (p *Proc) Waitany(reqs []*Request) (int, Status, error) {
 // them all and returns their statuses.
 func (p *Proc) Testall(reqs []*Request) ([]Status, bool, error) {
 	for _, r := range reqs {
-		if r != nil && !r.done.Load() {
-			return nil, false, nil
+		if r != nil && !r.done {
+			return nil, false, p.world.poll(p)
 		}
 	}
 	sts, err := p.Waitall(reqs) // all done: consumes without blocking

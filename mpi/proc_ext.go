@@ -76,19 +76,12 @@ func (p *Proc) Testany(reqs []*Request) (int, Status, bool, error) {
 			return f, reqs[f].Status(), true, nil
 		}
 	}
-	var req *Request
-	idx := -1
-	for i, r := range reqs {
-		if r != nil && !r.consumed && r.done.Load() {
-			idx, req = i, r
-			break
-		}
+	idx, st, ok, err := p.pmpi.Testany(reqs)
+	if err != nil || !ok {
+		return -1, Status{}, false, err
 	}
-	if req == nil {
-		return -1, Status{}, false, p.world.fastFailure()
-	}
-	req.consumed = true
-	p.observeCompletion(req, req.status)
+	req := reqs[idx]
+	p.observeCompletion(req, st)
 	if op != nil && h.PostWaitany != nil {
 		h.PostWaitany(p, op, idx, req.Status())
 	}
@@ -155,8 +148,7 @@ func (r *PersistentRequest) SetData(data []byte) error {
 }
 
 // activeIncomplete reports whether the last started instance has not yet
-// been consumed by a Wait/Test. consumed is owner-goroutine state, so no
-// lock is needed.
+// been consumed by a Wait/Test.
 func (r *PersistentRequest) activeIncomplete() bool {
 	return r.active != nil && !r.active.consumed
 }

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"errors"
-	"runtime"
 	"testing"
 )
 
@@ -102,7 +101,9 @@ func TestSkeletonReusedAfterFailedWorld(t *testing.T) {
 			if p.Rank() == 2 {
 				// Let the others litter first: abort only once they are parked.
 				for len(p.World().BlockedRanks()) < 2 {
-					runtime.Gosched()
+					if _, _, err := p.Iprobe(0, 98, p.CommWorld()); err != nil {
+						return err
+					}
 				}
 				p.Abort(errors.New("boom"))
 				return nil

@@ -1,22 +1,15 @@
 package mpi
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Request is a nonblocking-operation handle, completed by the Wait/Test
 // family. Tools may stash per-request state in ToolData (e.g. DAMPI hangs
 // piggyback bookkeeping off it).
 //
-// Concurrency: `done` is the publication point. A completer writes data and
-// status first and stores done last (under the destination mailbox lock for
-// matched receives, so Cancel's posted-scan is atomic with delivery); the
-// owning rank observes done with an atomic load and may then read data/status
-// without further synchronization. `consumed` is owned by the rank's
-// goroutine and is read by the deadlock detector only while that rank is
-// parked under w.mu. Once the owner has consumed the completion no other
-// goroutine holds a reference to the request — which is what makes Free safe.
+// The rank holding the turn completes a request (World.match, Cancel) by
+// writing data, status and done; the owner reads them on a later turn of its
+// own. Once the owner has consumed the completion nothing else in the world
+// holds a reference to the request — which is what makes Free safe.
 type Request struct {
 	id   uint64
 	kind RequestKind
@@ -26,7 +19,7 @@ type Request struct {
 	tag  int // posted tag (may be AnyTag for receives)
 
 	data      []byte // payload: outgoing for sends, received for receives
-	done      atomic.Bool
+	done      bool
 	consumed  bool // a Wait/Test observed the completion
 	cancelled bool
 	escaped   bool // handed to the application by Isend/Irecv: never recycled
@@ -103,25 +96,14 @@ func (r *Request) Status() Status { return r.status }
 
 // CompletedPending reports whether the request has completed but no
 // Wait/Test has consumed the completion yet — i.e. it was an eligible
-// answer for a Waitany/Testany at the moment of the call. Owner-goroutine
-// only (consumed is unsynchronized); tool layers use it to enumerate the
-// alternate outcomes of a completion choice point.
+// answer for a Waitany/Testany at the moment of the call. Tool layers use it
+// to enumerate the alternate outcomes of a completion choice point.
 func (r *Request) CompletedPending() bool {
-	return !r.consumed && r.done.Load()
+	return !r.consumed && r.done
 }
 
 func (r *Request) String() string {
 	return fmt.Sprintf("Request(%s #%d peer=%d tag=%d %s)", r.kind, r.id, r.peer, r.tag, r.comm)
-}
-
-// completeRecv fills in a receive request from a matched envelope. Caller
-// holds the destination mailbox lock and is responsible for waking the owner
-// after releasing it. The done store is last: it publishes data and status to
-// the owner's lock-free Wait/Test fast path.
-func (r *Request) completeRecv(env *envelope) {
-	r.data = env.data
-	r.status = Status{Source: env.src, Tag: env.tag, Count: len(env.data)}
-	r.done.Store(true)
 }
 
 // matchesEnv reports whether a posted receive can match an envelope under

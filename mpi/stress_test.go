@@ -10,11 +10,11 @@ import (
 )
 
 // TestStressWildcardMailbox hammers a single receiver's mailbox from many
-// concurrent senders while the receiver drains with wildcard receives. It is
-// the sharded matching engine's torture test (run it under -race): every
-// sender's stream must arrive without overtaking per (source, comm, tag) even
-// though deliveries from different sources interleave freely under the
-// per-mailbox locks.
+// senders while the receiver drains with wildcard receives. It is the
+// matching engine's torture test (run it under -race: the coroutine hand-off
+// is the only synchronization between ranks): every sender's stream must
+// arrive without overtaking per (source, comm, tag) however the deliveries
+// from different sources interleave.
 func TestStressWildcardMailbox(t *testing.T) {
 	const (
 		senders = 8

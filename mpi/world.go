@@ -2,9 +2,8 @@ package mpi
 
 import (
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"iter"
+	"math/bits"
 )
 
 // Config controls a World.
@@ -22,38 +21,40 @@ type Config struct {
 }
 
 // World is one simulated MPI job. It owns the matching engine, the
-// communicators and the deadlock detector. A World is good for a single Run.
+// communicators and the rank scheduler. A World is good for a single Run.
 //
-// Locking: message matching is sharded — each (comm, dst) mailbox has its own
-// lock, and the point-to-point fast paths (Isend/Irecv/Test/Iprobe and
-// uncontended Wait) never touch w.mu. The world lock serializes only the slow
-// paths that need global state: parking a rank, deadlock detection,
-// collective rendezvous and communicator create/free. Lock order is strictly
-// w.mu before mailbox.mu; a fast path holding a mailbox lock must release it
-// before waking a parked rank (wake takes w.mu).
+// Scheduling: the ranks of a world run one at a time. Each rank is a
+// coroutine (iter.Pull) resumed by the goroutine that called Run; a rank keeps
+// the turn until an MPI call parks it (an uncompleted Wait/Waitany, a Probe
+// with nothing queued, a collective others have yet to enter, a tool's Park),
+// finds nothing on a poll (Test, Testany, Testall, Iprobe) or returns. The
+// scheduler then resumes the lowest runnable rank — after an empty poll, the
+// next runnable rank round the ring, so a polling loop cannot starve the rank
+// it polls for. No rank runnable and not all finished is the deadlock. Nothing
+// in a World is locked or atomic: whoever holds the turn owns all of it.
 type World struct {
-	size  int
-	hooks *Hooks
-	pools *Pools // Config.Pools or the world's own: where Run parks the skeleton
+	size    int
+	hooks   *Hooks
+	pools   *Pools // Config.Pools or the world's own: where Run parks the skeleton
+	program func(p *Proc) error
 
-	nextReq atomic.Uint64
-	sendSeq atomic.Uint64 // global arrival order for envelopes (diagnostics)
-	failed  atomic.Bool   // fast mirror of failure != nil
+	nextReq uint64
+	sendSeq uint64 // global arrival order for envelopes (diagnostics)
 
 	worldComm *commInfo // comm 0, immutable after NewWorld
 
-	mu    sync.Mutex
 	procs []*Proc
 	// comms[:liveComms] are the communicators this world created, in
 	// creation order; comms[liveComms:] are parked ones from the Pools'
-	// previous world that newCommLocked has not claimed yet.
+	// previous world that newComm has not claimed yet.
 	comms     []*commInfo
 	liveComms int
 	nextComm  int
 
-	nblocked  int
+	ready     []uint64 // bitmap of runnable ranks (the running one included)
+	polled    int      // the rank whose empty poll ended the last turn, or -1
 	nfinished int
-	failure   error // sticky: deadlock or abort; checked by every blocked op
+	failure   error // sticky: deadlock or abort; checked by every blocking op
 }
 
 // NewWorld creates a world with n ranks and the given tool layer.
@@ -67,24 +68,26 @@ func NewWorld(cfg Config) *World {
 	} else {
 		pools.grow(cfg.Procs)
 	}
-	w := &World{size: cfg.Procs, hooks: cfg.Hooks, pools: pools}
+	w := &World{size: cfg.Procs, hooks: cfg.Hooks, pools: pools, polled: -1}
 	sk := pools.takeSkeleton()
 	w.comms = sk.comms
 	w.procs = sk.procs
+	w.ready = sk.ready
 	if len(w.procs) != w.size {
 		w.procs = make([]*Proc, w.size)
 		for i := range w.procs {
 			w.procs[i] = new(Proc)
 		}
+		w.ready = make([]uint64, (w.size+63)/64)
 	}
 	members := make([]int, w.size)
 	for i, p := range w.procs {
 		members[i] = i
 		*p = Proc{world: w, rank: i, pool: &pools.ranks[i]}
-		p.cond.L = &w.mu
 		p.pmpi = PMPI{p: p}
+		w.setReady(p)
 	}
-	w.worldComm = w.newCommLocked("world", members)
+	w.worldComm = w.newComm("world", members)
 	return w
 }
 
@@ -140,51 +143,37 @@ func (e *RunError) Unwrap() []error {
 	return errs
 }
 
-// Run executes program on every rank concurrently and waits for all ranks to
-// return. It returns nil if every rank returned nil, or a *RunError
-// aggregating deadlocks, aborts and per-rank failures.
+// Run executes program on every rank, one rank at a time (see World), until
+// all ranks have returned. It returns nil if every rank returned nil, or a
+// *RunError aggregating deadlocks, aborts and per-rank failures.
 func (w *World) Run(program func(p *Proc) error) error {
-	errs := make([]error, w.size)
-	var wg sync.WaitGroup
-	wg.Add(w.size)
-	for i := 0; i < w.size; i++ {
-		p := w.procs[i]
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[p.rank] = fmt.Errorf("mpi: rank %d panicked: %v", p.rank, r)
-					w.finishRank(p)
-				}
-			}()
-			if w.hooks != nil && w.hooks.Init != nil {
-				w.hooks.Init(p)
-			}
-			err := program(p)
-			if w.hooks != nil && w.hooks.AtFinalize != nil {
-				w.hooks.AtFinalize(p)
-			}
-			errs[p.rank] = err
-			w.finishRank(p)
-		}()
+	w.program = program
+	for _, p := range w.procs {
+		// The coroutine ends with its rank: a failed world resumes every
+		// parked rank with the failure, so none is left to stop.
+		p.resume, _ = iter.Pull(p.main)
 	}
-	wg.Wait()
-	// Every rank goroutine is gone: leave the skeleton for the next world on
+	for w.nfinished < w.size {
+		if r := w.pick(); r >= 0 {
+			w.procs[r].resume()
+		} else {
+			w.idle()
+		}
+	}
+	// Every rank has returned: leave the skeleton for the next world on
 	// these Pools. Nothing is reset here — tool layers still inspect the
 	// finished world (e.g. draining leftover messages).
-	w.pools.skel = skeleton{procs: w.procs, comms: w.comms}
+	w.pools.skel = skeleton{procs: w.procs, comms: w.comms, ready: w.ready}
 
-	w.mu.Lock()
 	failure := w.failure
-	w.mu.Unlock()
-
 	re := &RunError{}
 	if d, ok := failure.(*DeadlockError); ok {
 		re.Deadlock = d
 	} else if failure != nil {
 		re.Aborted = failure
 	}
-	for rank, err := range errs {
+	for _, p := range w.procs {
+		err := p.err
 		if err == nil {
 			continue
 		}
@@ -193,7 +182,7 @@ func (w *World) Run(program func(p *Proc) error) error {
 		if failure != nil && (err == failure || err == ErrAborted || IsDeadlock(err)) {
 			continue
 		}
-		re.RankErrors = append(re.RankErrors, &RankError{Rank: rank, Err: err})
+		re.RankErrors = append(re.RankErrors, &RankError{Rank: p.rank, Err: err})
 	}
 	if re.Deadlock == nil && re.Aborted == nil && len(re.RankErrors) == 0 {
 		return nil
@@ -201,112 +190,133 @@ func (w *World) Run(program func(p *Proc) error) error {
 	return re
 }
 
-// finishRank marks a rank as done and re-checks for deadlock among the rest.
-func (w *World) finishRank(p *Proc) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if p.finished {
-		return
-	}
-	p.finished = true
-	w.nfinished++
-	w.checkDeadlockLocked()
-}
-
-// fastFailure returns the sticky failure without taking w.mu in the common
-// (healthy) case. Fast-path operations call it instead of reading w.failure.
-func (w *World) fastFailure() error {
-	if !w.failed.Load() {
-		return nil
-	}
-	w.mu.Lock()
-	err := w.failure
-	w.mu.Unlock()
-	return err
-}
-
-// wake wakes p if it may be parked. Fast-path completions call it after
-// releasing any mailbox lock — w.mu must never be acquired under one. The
-// parked flag makes the handoff race-free: a parking rank stores it (under
-// w.mu) before evaluating its predicate, and a waker publishes the completion
-// before loading it, so one side always sees the other.
-func (w *World) wake(p *Proc) {
-	if !p.parked.Load() {
-		return
-	}
-	w.mu.Lock()
-	p.cond.Broadcast()
-	w.mu.Unlock()
-}
-
-// block parks rank p until pred() holds or the world fails. desc lazily
-// describes the call for deadlock reports (built only if one fires). Must be
-// called with w.mu held; returns with w.mu held. Returns the sticky failure,
-// if any.
-func (w *World) block(p *Proc, desc func() string, pred func() bool) error {
-	p.parked.Store(true)
-	defer p.parked.Store(false)
-	for {
-		if w.failure != nil {
-			return w.failure
+// main is the body of rank p's coroutine: the tool's Init, the program, the
+// tool's AtFinalize. yield hands the turn back to the scheduler.
+func (p *Proc) main(yield func(struct{}) bool) {
+	w := p.world
+	p.yield = yield
+	defer func() {
+		if r := recover(); r != nil {
+			p.err = fmt.Errorf("mpi: rank %d panicked: %v", p.rank, r)
 		}
-		if pred() {
-			return nil
-		}
-		p.blockedAt = desc
-		p.blockedPred = pred
-		w.nblocked++
-		w.checkDeadlockLocked()
-		if w.failure == nil {
-			// checkDeadlockLocked may have just failed the world (broadcasting
-			// before we parked); only park if there is still something to wait
-			// for.
-			p.cond.Wait()
-		}
-		w.nblocked--
-		p.blockedAt = nil
-		p.blockedPred = nil
+		p.finished = true
+		w.clearReady(p)
+		w.nfinished++
+	}()
+	if w.hooks != nil && w.hooks.Init != nil {
+		w.hooks.Init(p)
+	}
+	p.err = w.program(p)
+	if w.hooks != nil && w.hooks.AtFinalize != nil {
+		w.hooks.AtFinalize(p)
 	}
 }
 
-// checkDeadlockLocked fires when every unfinished rank is blocked. A rank
-// inside a mailbox fast path is neither blocked nor finished, so the check
-// cannot race an in-flight delivery; predicates re-read live mailbox state
-// (taking the mailbox lock under w.mu — the sanctioned lock order), so
-// "everyone blocked with no satisfiable predicate" remains a stable, precise
-// deadlock condition under the sharded engine.
-func (w *World) checkDeadlockLocked() {
+func (w *World) setReady(p *Proc)   { w.ready[p.rank>>6] |= 1 << (p.rank & 63) }
+func (w *World) clearReady(p *Proc) { w.ready[p.rank>>6] &^= 1 << (p.rank & 63) }
+
+// nextReady returns the lowest runnable rank >= from, or -1.
+func (w *World) nextReady(from int) int {
+	for i := from >> 6; i < len(w.ready); i++ {
+		word := w.ready[i]
+		if i == from>>6 {
+			word &^= 1<<(from&63) - 1
+		}
+		if word != 0 {
+			return i<<6 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
+}
+
+// pick chooses the rank to resume: the lowest runnable one, except that the
+// turn after an empty poll goes to the next runnable rank round the ring from
+// the poller (the poller itself only if no other rank can run).
+func (w *World) pick() int {
+	from := w.polled + 1
+	w.polled = -1
+	if r := w.nextReady(from); r >= 0 || from == 0 {
+		return r
+	}
+	return w.nextReady(0)
+}
+
+// idle runs when no rank is runnable and not all have finished. A tool layer
+// that parks ranks itself (Proc.Park) gets to release one; if none becomes
+// runnable, every unfinished rank waits for another and the world is
+// deadlocked.
+func (w *World) idle() {
 	if w.failure != nil {
-		return
+		// fail woke every parked rank and nothing parks in a failed world.
+		panic("mpi: no runnable rank in a failed world")
 	}
-	if w.nblocked+w.nfinished < w.size || w.nblocked == 0 {
-		return
-	}
-	// A rank counts as blocked from park to reschedule; one whose predicate
-	// already holds has merely not woken yet, so the system can still move.
-	for _, p := range w.procs {
-		if p.blockedPred != nil && p.blockedPred() {
+	if w.hooks != nil && w.hooks.Idle != nil {
+		w.hooks.Idle(w)
+		if w.nextReady(0) >= 0 {
 			return
 		}
 	}
 	blocked := make(map[int]string)
 	for _, p := range w.procs {
-		if !p.finished && p.blockedAt != nil {
-			blocked[p.rank] = p.blockedAt()
+		if !p.finished {
+			blocked[p.rank] = p.park.String()
 		}
 	}
-	w.failLocked(&DeadlockError{BlockedAt: blocked})
+	w.fail(&DeadlockError{BlockedAt: blocked})
 }
 
-// failLocked records a sticky failure and wakes every parked rank.
-func (w *World) failLocked(err error) {
+// block parks rank p, which has just set p.park, until what it waits for has
+// happened or the world fails; it returns the sticky failure, if any. Whoever
+// makes the condition true marks p runnable (completed, deliver,
+// enterCollective, Unpark, fail); the condition is still re-checked on every
+// resume.
+func (w *World) block(p *Proc) error {
+	for {
+		if w.failure != nil || p.park.satisfied() {
+			p.park = parking{}
+			return w.failure
+		}
+		if p.finished {
+			// Outside Run (a tool draining a finished world) nobody is left
+			// to make the condition true.
+			p.park = parking{}
+			return ErrFinalized
+		}
+		w.clearReady(p)
+		p.yield(struct{}{})
+	}
+}
+
+// poll ends the turn of a rank whose Test/Iprobe-family call found nothing:
+// p stays runnable, and the ranks after it get to run before it polls again.
+// It returns the sticky failure, which a polling loop must get to see.
+func (w *World) poll(p *Proc) error {
+	if w.failure == nil && !p.finished {
+		w.polled = p.rank
+		p.yield(struct{}{})
+	}
+	return w.failure
+}
+
+// completed wakes the owner of a request that has just completed, if that is
+// what the owner is parked on.
+func (w *World) completed(r *Request) {
+	p := r.proc
+	if k := p.park.kind; k == parkWaitany || k == parkWait && p.park.req == r {
+		w.setReady(p)
+	}
+}
+
+// fail records a sticky failure and wakes every parked rank.
+func (w *World) fail(err error) {
 	if w.failure != nil {
 		return
 	}
 	w.failure = err
-	w.failed.Store(true)
 	for _, p := range w.procs {
-		p.cond.Broadcast()
+		if p.park.kind != parkNone {
+			w.setReady(p)
+		}
 	}
 }
 
@@ -314,50 +324,31 @@ func (w *World) failLocked(err error) {
 // scheduler, which detects deadlocks among operations it holds outside the
 // runtime) use it to fail the run with a descriptive error.
 func (w *World) AbortWith(err error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if err == nil {
 		err = ErrAborted
 	}
-	w.failLocked(err)
+	w.fail(err)
 }
 
 // Failure returns the sticky failure (deadlock or abort), if any.
-func (w *World) Failure() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.failure
-}
+func (w *World) Failure() error { return w.failure }
 
-// QuiescentRanks returns the sorted ranks that are parked inside the
-// runtime with an unsatisfied wait condition: they cannot make progress
-// until some other rank acts. Ranks whose condition already holds (their
-// wakeup is in flight) are excluded — a centralized scheduler polling for
-// global quiescence (ISP) must not mistake them for stuck.
-func (w *World) QuiescentRanks() []int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var out []int
-	for _, p := range w.procs {
-		if p.blockedPred != nil && !p.blockedPred() {
-			out = append(out, p.rank)
-		}
+// Unpark releases a rank parked by Proc.Park; a no-op for any other rank.
+func (w *World) Unpark(rank int) {
+	if p := w.procs[rank]; p.park.kind == parkTool {
+		p.park.released = true
+		w.setReady(p)
 	}
-	sort.Ints(out)
-	return out
 }
 
 // BlockedRanks returns a sorted list of ranks currently parked inside the
 // runtime; useful for tests and tools.
 func (w *World) BlockedRanks() []int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	var out []int
 	for _, p := range w.procs {
-		if p.blockedPred != nil {
+		if p.park.kind != parkNone {
 			out = append(out, p.rank)
 		}
 	}
-	sort.Ints(out)
 	return out
 }

@@ -217,14 +217,6 @@ func TestStaticPruneEquivalentOnAllWorkloads(t *testing.T) {
 				t.Logf("capped at %d interleavings; skipping the counting identity", cap)
 				return
 			}
-			if w.Name == "adlb" {
-				// ADLB derives no hints, so the identity would compare two
-				// unpruned explorations of a program whose self-run shape
-				// depends on message arrival order: its uncapped interleaving
-				// count is not repeatable from run to run (bench/README.md,
-				// "Facts"), with or without pruning.
-				return
-			}
 			if un.Interleavings != pr.Interleavings+pr.StaticPruned {
 				t.Errorf("counting identity broken at k=0: unpruned %d != pruned %d + StaticPruned %d",
 					un.Interleavings, pr.Interleavings, pr.StaticPruned)

@@ -3,10 +3,13 @@ package verify_test
 import (
 	"errors"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 
 	"dampi/mpi"
 	"dampi/verify"
+	"dampi/workloads/adlb"
 	"dampi/workloads/matmul"
 )
 
@@ -230,5 +233,41 @@ func TestAutoLoopThresholdViaPublicAPI(t *testing.T) {
 	}
 	if auto.AutoAbstracted == 0 {
 		t.Error("AutoAbstracted = 0")
+	}
+}
+
+// TestCoverageIsRepeatable: a replay is a function of (program, decisions),
+// so an exploration is a function of the program — the same interleavings, in
+// the same order, however many Ps the Go runtime has. ADLB is the workload
+// whose uncapped count used to differ from run to run (3 398 / 3 576 / 3 728
+// in three runs before the world scheduler).
+func TestCoverageIsRepeatable(t *testing.T) {
+	explore := func() (*verify.Result, []string) {
+		var keys []string
+		res, err := verify.Run(verify.Config{
+			Procs: 8, MixingBound: 1,
+			OnInterleaving: func(r *verify.InterleavingResult) { keys = append(keys, r.Decisions.String()) },
+		}, adlb.Program(adlb.DriverConfig{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Errored() || res.Capped {
+			t.Fatalf("ADLB p=8 k=1: %s", res.Summary())
+		}
+		return res, keys
+	}
+	want, wantKeys := explore()
+	for i := 0; i < 2; i++ {
+		if i == 1 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		}
+		got, keys := explore()
+		if got.Interleavings != want.Interleavings || got.DecisionPoints != want.DecisionPoints {
+			t.Fatalf("run %d: %d interleavings, %d decision points; the first run had %d and %d",
+				i+2, got.Interleavings, got.DecisionPoints, want.Interleavings, want.DecisionPoints)
+		}
+		if !slices.Equal(keys, wantKeys) {
+			t.Fatalf("run %d: same counts, different decision keys or order", i+2)
+		}
 	}
 }
