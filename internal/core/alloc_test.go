@@ -11,14 +11,19 @@ import (
 // TestWarmReplayAllocBudget guards the per-replay fixed cost: once a
 // RunContext is warm, a guided ADLB replay at 8 ranks allocates what leaves
 // it (trace, reproducer, application payloads), not what its world is made
-// of. Bytes, not mallocs: a single 8 KB slab per rank is one malloc.
+// of. Bytes, because a single 8 KB slab per rank is one malloc — and mallocs,
+// because a coroutine started per rank per world is 12 small objects (96 of
+// them, 2.7 KB, at 8 ranks): the replay measures 76 (172 when World.Run
+// called iter.Pull itself), so a budget of 80 lets not even one coroutine's
+// worth of per-world allocation back in unseen.
 func TestWarmReplayAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
-	const replays, budgetKB = 200, 32
+	const replays, budgetKB, budgetMallocs = 200, 32, 80
 	cfg := &ExplorerConfig{Procs: 8, Program: adlb.Program(adlb.DriverConfig{})}
 	rc := NewRunContext(cfg)
+	defer rc.Close()
 	_, res, err := rc.Run(nil)
 	if err != nil || res.Err != nil {
 		t.Fatalf("self run: %v / %v", err, res.Err)
@@ -37,8 +42,12 @@ func TestWarmReplayAllocBudget(t *testing.T) {
 	replay(replays)
 	runtime.ReadMemStats(&after)
 	perReplayKB := float64(after.TotalAlloc-before.TotalAlloc) / replays / 1024
-	t.Logf("warm ADLB p=8 replay: %.1f KB, %.0f mallocs", perReplayKB, float64(after.Mallocs-before.Mallocs)/replays)
+	perReplayMallocs := float64(after.Mallocs-before.Mallocs) / replays
+	t.Logf("warm ADLB p=8 replay: %.1f KB, %.0f mallocs", perReplayKB, perReplayMallocs)
 	if perReplayKB > budgetKB {
 		t.Fatalf("warm replay allocates %.1f KB (budget %d KB)", perReplayKB, budgetKB)
+	}
+	if perReplayMallocs > budgetMallocs {
+		t.Fatalf("warm replay makes %.0f allocations (budget %d)", perReplayMallocs, budgetMallocs)
 	}
 }

@@ -226,6 +226,7 @@ func TestPinMatchesPerRecordForce(t *testing.T) {
 func TestReproducerMatchesPerEpochForce(t *testing.T) {
 	cfg := &ExplorerConfig{Procs: 64, Program: spec.Milc(spec.Config{Scale: 100, Iters: 4})}
 	rc := NewRunContext(cfg)
+	defer rc.Close()
 	prefix := NewDecisions()
 	for round := 0; round < 2; round++ {
 		trace, res, err := rc.Run(prefix)

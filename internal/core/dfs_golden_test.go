@@ -300,6 +300,7 @@ func TestReportMergeIsOrderInsensitive(t *testing.T) {
 		ecfg := goldenConfig(&c, &runs) // the loop below walks the whole tree: no cap, no early stop
 		cfg := &ecfg
 		rc := NewRunContext(cfg)
+		defer rc.Close()
 		whole, parts := &Report{}, [3]*Report{{}, {}, {}}
 		stack := []*SubtreeTask{RootTask(cfg)}
 		for n := 0; len(stack) > 0; n++ {

@@ -404,9 +404,15 @@ func (e *Explorer) Explore() (*Report, error) {
 // RunContext is a reusable replay slot: it executes sequential instrumented
 // runs of one configuration, recycling the DAMPI Tool (per-rank state,
 // scratch buffers, epoch freelists), the hook stack and the mpi runtime's
-// storage (mpi.Pools: request slabs, freelists, world skeleton) across runs.
-// The serial explorer owns one; the parallel engines give each worker its
-// own. A RunContext must not run concurrently with itself.
+// storage (mpi.Pools: request slabs, freelists, world skeleton, the rank
+// coroutines) across runs. The serial explorer owns one; the parallel engines
+// give each worker its own. A RunContext must not run concurrently with
+// itself.
+//
+// The rank coroutines are parked goroutines, not garbage: Explore and
+// ExecuteRun stop them before returning, and a caller that loops over Run
+// itself calls Close after its last run or leaves up to Procs parked
+// goroutines until the process exits.
 type RunContext struct {
 	cfg       *ExplorerConfig
 	tool      *Tool
@@ -418,6 +424,15 @@ type RunContext struct {
 // retained; the caller must keep it alive and unmodified across runs.
 func NewRunContext(cfg *ExplorerConfig) *RunContext {
 	return &RunContext{cfg: cfg}
+}
+
+// Close stops the rank coroutines the context's runs left parked (see
+// mpi.Pools.Close). It is idempotent and the context remains usable; the next
+// Run starts them again.
+func (rc *RunContext) Close() {
+	if rc.pools != nil {
+		rc.pools.Close()
+	}
 }
 
 // Run performs one (self or guided) instrumented run, honoring the Runner
@@ -489,7 +504,10 @@ func (rc *RunContext) Run(decisions *Decisions) (*RunTrace, *InterleavingResult,
 // unsealed report of what it ran, indexed from 0 in discovery order, and the
 // tasks left on the stack. final says nothing will run after the budget: what
 // the last replay it allows spawns is then only counted (unbuilt), not built.
+// The rank coroutines live as long as the call: a lease of a few hundred
+// replays starts them once and stops them on the way out.
 func (rc *RunContext) Explore(stack []*SubtreeTask, budget int, final bool, yield func() bool) (rep *Report, left []*SubtreeTask, unbuilt int, err error) {
+	defer rc.Close()
 	cfg := rc.cfg
 	rep = &Report{}
 	spent := func(done int) bool { return budget > 0 && done >= budget }
@@ -536,7 +554,9 @@ func (rc *RunContext) Explore(stack []*SubtreeTask, budget int, final bool, yiel
 // one-shot form of RunContext.Run, kept as the replay primitive for callers
 // without a replay sequence (Replay, one-off guided runs).
 func ExecuteRun(cfg *ExplorerConfig, decisions *Decisions) (*RunTrace, *InterleavingResult, error) {
-	return NewRunContext(cfg).Run(decisions)
+	rc := NewRunContext(cfg)
+	defer rc.Close()
+	return rc.Run(decisions)
 }
 
 // Replay performs a single guided run of the program under the given

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -93,6 +94,7 @@ func TestRecycledRequestsKeepDistinctIdentities(t *testing.T) {
 		},
 	}
 	rc := NewRunContext(cfg)
+	defer rc.Close()
 	var decisions *Decisions
 	for run := 0; run < 5; run++ { // later runs start on recycled storage
 		_, res, err := rc.Run(decisions)
@@ -151,13 +153,17 @@ func TestRunContextReuseAfterFailedRun(t *testing.T) {
 	}
 
 	fresh := NewRunContext(cfg)
+	defer fresh.Close()
 	_, self, err := fresh.Run(nil)
 	if err != nil || self.Err != nil {
 		t.Fatalf("self run: %v / %v", err, self.Err)
 	}
-	want := render(NewRunContext(cfg), self.Decisions)
+	fresh2 := NewRunContext(cfg)
+	defer fresh2.Close()
+	want := render(fresh2, self.Decisions)
 
 	reused := NewRunContext(cfg)
+	defer reused.Close()
 	render(reused, self.Decisions) // warm: the failed world runs on carried storage too
 	fail.Store(true)
 	_, res, err := reused.Run(self.Decisions)
@@ -179,6 +185,7 @@ func TestWildcardFreeTraceKeepsNilEpochs(t *testing.T) {
 	rc := NewRunContext(&ExplorerConfig{Procs: 2, Program: func(p *mpi.Proc) error {
 		return p.Barrier(p.CommWorld())
 	}})
+	defer rc.Close()
 	tr, res, err := rc.Run(nil)
 	if err != nil || res.Err != nil {
 		t.Fatalf("run: %v / %v", err, res.Err)
@@ -189,5 +196,46 @@ func TestWildcardFreeTraceKeepsNilEpochs(t *testing.T) {
 	}
 	if tr.Epochs != nil || !strings.Contains(string(b), `"epochs":null`) {
 		t.Errorf("wildcard-free trace: Epochs=%v, json %s", tr.Epochs, b)
+	}
+}
+
+// TestRunContextOwnsItsRankCoroutines pins the Close contract where it is
+// stated: a bare Run leaves the context's rank coroutines parked for the next
+// run (that is the point of carrying them), Close stops exactly those, and
+// the two entry points that own a context — Explore and ExecuteRun — return
+// with none running.
+func TestRunContextOwnsItsRankCoroutines(t *testing.T) {
+	const procs = 4
+	cfg := &ExplorerConfig{Procs: procs, Program: fanInProgram(procs, 1), MixingBound: Unbounded}
+	baseline := runtime.NumGoroutine()
+	over := func() int { return runtime.NumGoroutine() - baseline }
+
+	rc := NewRunContext(cfg)
+	for run := 0; run < 3; run++ {
+		if _, res, err := rc.Run(nil); err != nil || res.Err != nil {
+			t.Fatalf("run: %v / %v", err, res.Err)
+		}
+		if got := over(); got != procs {
+			t.Fatalf("after run %d the context holds %d parked coroutines, want %d", run, got, procs)
+		}
+	}
+	rc.Close()
+	rc.Close()
+	if got := over(); got != 0 {
+		t.Fatalf("%d goroutines outlive Close", got)
+	}
+
+	rep, _, _, err := rc.Explore([]*SubtreeTask{RootTask(cfg)}, 0, true, nil)
+	if err != nil || rep.Interleavings != 6 {
+		t.Fatalf("Explore on a closed context: %+v, %v", rep, err)
+	}
+	if got := over(); got != 0 {
+		t.Fatalf("%d goroutines outlive Explore", got)
+	}
+	if _, res, err := ExecuteRun(cfg, nil); err != nil || res.Err != nil {
+		t.Fatalf("ExecuteRun: %v / %v", err, res.Err)
+	}
+	if got := over(); got != 0 {
+		t.Fatalf("%d goroutines outlive ExecuteRun", got)
 	}
 }

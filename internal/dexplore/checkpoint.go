@@ -115,23 +115,42 @@ func (c *Checkpoint) Restore(workload string, cfg *core.ExplorerConfig) (*core.R
 	return &rep, slices.Clone(c.Frontier), nil
 }
 
-// Save writes the checkpoint atomically (temp file + rename), so a crash
-// mid-write never corrupts the previous checkpoint.
+// Save writes the checkpoint atomically and durably (ReplaceFile), so a crash
+// mid-write never corrupts the previous checkpoint and a crash after it never
+// finds the new one empty.
 func (c *Checkpoint) Save(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckp-*")
+	return ReplaceFile(path, c.Write)
+}
+
+// ReplaceFile atomically replaces path with what write produces, durably: the
+// bytes are written and fsynced under a temporary name in path's directory
+// before the rename, so whatever is recorded once it returns (a truncated WAL,
+// a Done record, "resume from here") never points at a file whose contents a
+// crash can still lose, and a failure at any step leaves the previous file
+// as it was. The temporary name is unique, so concurrent replacements of one
+// path each publish a complete file.
+func ReplaceFile(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if err := c.Write(tmp); err != nil {
-		tmp.Close()
-		return err
+	err = f.Chmod(0o644) // CreateTemp's 0600 is for secrets; these are reports
+	if err == nil {
+		err = write(f)
 	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	return os.Rename(tmp.Name(), path)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 // Write serializes the checkpoint as JSON.

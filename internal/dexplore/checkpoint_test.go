@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -66,6 +67,39 @@ func TestCheckpointJSONRoundTrip(t *testing.T) {
 	}
 	if !got.Frontier[1].Decisions.Empty() || got.Frontier[1].Budget != core.Unbounded || got.Frontier[1].Explorable {
 		t.Errorf("frontier[1] mismatch: %+v", got.Frontier[1])
+	}
+}
+
+// TestFailedSaveKeepsPreviousCheckpoint: Save replaces the file only with
+// bytes that were written, fsynced and closed under another name. A write
+// that fails half way (a failed fsync takes the same exit) leaves the
+// checkpoint of the save before it loadable and no temporary file behind.
+func TestFailedSaveKeepsPreviousCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ckp.json")
+	good := &Checkpoint{Version: checkpointVersion, Procs: 3, Report: core.Report{Interleavings: 11}}
+	if err := good.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	full := errors.New("no space left on device")
+	err := ReplaceFile(path, func(w io.Writer) error {
+		if _, err := io.WriteString(w, `{"version": 1, "procs"`); err != nil {
+			return err
+		}
+		return full
+	})
+	if !errors.Is(err, full) {
+		t.Fatalf("ReplaceFile returned %v, want the write's error", err)
+	}
+	got, err := LoadCheckpoint(path)
+	if err != nil || got.Interleavings != 11 {
+		t.Fatalf("after a failed save the checkpoint loads as %+v, %v; want the previous one", got, err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("a failed save left %d files in the directory, want the checkpoint alone", len(entries))
+	}
+	if err := good.Save(filepath.Join(dir, "missing", "ckp.json")); err == nil {
+		t.Fatal("Save into a directory that does not exist succeeded")
 	}
 }
 

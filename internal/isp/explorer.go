@@ -50,6 +50,7 @@ type Explorer struct {
 	stack  []*frame
 	forced map[DecisionKey]*frame
 	report *Report
+	pools  *mpi.Pools // runtime storage carried from run to run, as DAMPI's is
 }
 
 // NewExplorer creates an ISP explorer.
@@ -65,6 +66,8 @@ func NewExplorer(cfg Config) *Explorer {
 
 // Explore covers the interleaving space under ISP's centralized control.
 func (e *Explorer) Explore() (*Report, error) {
+	e.pools = mpi.NewPools(e.cfg.Procs)
+	defer e.pools.Close()
 	decisions, res := e.runOnce(nil)
 	e.record(res)
 	if !res.Deadlock {
@@ -151,7 +154,7 @@ func (e *Explorer) record(res *RunResult) {
 func (e *Explorer) runOnce(forced map[DecisionKey]int) ([]*Decision, *RunResult) {
 	var sched *scheduler
 	hooks := &mpi.Hooks{}
-	world := mpi.NewWorld(mpi.Config{Procs: e.cfg.Procs, Hooks: hooks})
+	world := mpi.NewWorld(mpi.Config{Procs: e.cfg.Procs, Hooks: hooks, Pools: e.pools})
 	sched = newScheduler(e.cfg.Procs, world, forced)
 	*hooks = *sched.Hooks()
 

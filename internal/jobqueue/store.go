@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"dampi/internal/dcoord"
+	"dampi/internal/dexplore"
 )
 
 // Store directory layout. Everything lives under one root so backup/move is
@@ -235,26 +237,12 @@ func (s *Store) append(rec walRecord) error {
 	return nil
 }
 
-// replaceFile atomically replaces path with body, durably: the bytes are
-// fsynced under a temporary name before the rename, so what is recorded once
-// it returns (a truncated WAL, a Done record) never points at a file whose
-// contents a crash can still lose.
+// replaceFile atomically and durably replaces path with body.
 func replaceFile(path string, body []byte) error {
-	f, err := os.OpenFile(path+".tmp", os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
+	return dexplore.ReplaceFile(path, func(w io.Writer) error {
+		_, err := w.Write(body)
 		return err
-	}
-	_, err = f.Write(body)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(f.Name(), path)
-	}
-	return err
+	})
 }
 
 // snapshotLocked writes the full state to snapshot.json (replaceFile, so a

@@ -71,6 +71,7 @@ func TestWarmPingPongBytes(t *testing.T) {
 	}
 	const worlds, iters, budget = 50, 100, 64
 	pools := NewPools(2)
+	defer pools.Close()
 	run := func() {
 		if err := NewWorld(Config{Procs: 2, Pools: pools}).Run(pingPong(iters)); err != nil {
 			t.Fatal(err)
@@ -87,6 +88,28 @@ func TestWarmPingPongBytes(t *testing.T) {
 	t.Logf("warm round-trip: %.0f bytes/op, world spin-up included", perOp)
 	if perOp > budget {
 		t.Fatalf("warm round-trip allocates %.0f bytes (budget %d)", perOp, budget)
+	}
+}
+
+// TestWarmWorldStartsNoCoroutine: on carried Pools a world is scheduled on
+// the coroutines the previous one left parked. An empty 8-rank world then
+// allocates its World, its member list and its RunError, and nothing per
+// rank; each rank started with iter.Pull would be 12 objects more (99 in all
+// when World.Run did that).
+func TestWarmWorldStartsNoCoroutine(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	pools := NewPools(8)
+	defer pools.Close()
+	world := func() {
+		if err := NewWorld(Config{Procs: 8, Pools: pools}).Run(func(*Proc) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	world()
+	if got := testing.AllocsPerRun(100, world); got > 3 {
+		t.Fatalf("a warm empty 8-rank world makes %.0f allocations, want 3", got)
 	}
 }
 
@@ -114,6 +137,7 @@ func TestRequestSlabCarriesAcrossWorlds(t *testing.T) {
 		return err
 	}
 	pools := NewPools(procs)
+	defer pools.Close()
 	for world := 1; world <= 3; world++ {
 		if err := NewWorld(Config{Procs: procs, Pools: pools}).Run(prog); err != nil {
 			t.Fatal(err)

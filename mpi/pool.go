@@ -1,10 +1,13 @@
 package mpi
 
+import "iter"
+
 // Allocation pools for the replay hot path. A replay engine runs thousands of
 // short-lived worlds, so whatever a world allocates for its own construction
-// is a fixed cost multiplied by the size of the search. Pools carries three
-// kinds of storage from one world to the next so that a warm replay allocates
-// only what escapes it (application payloads and application-held requests):
+// is a fixed cost multiplied by the size of the search. Pools carries four
+// things from one world to the next so that a warm replay allocates only what
+// escapes it (application payloads and application-held requests) and starts
+// no goroutine:
 //
 //   - Envelopes are runtime-internal for their whole life and recycle
 //     through one freelist: the sender takes one, whoever matches it (the
@@ -20,6 +23,12 @@ package mpi
 //   - The world skeleton (procs, communicators with their mailboxes) is
 //     parked here when World.Run returns and reset by the next NewWorld, so
 //     mailbox queues keep the capacity earlier replays grew them to.
+//   - The rank coroutines (runner): one per rank, started by the first world
+//     that needs it and parked between worlds, so the next world pays for no
+//     iter.Pull and runs on stacks the earlier ones already grew. Unlike the
+//     storage above they are not garbage when dropped — a parked coroutine is
+//     a goroutine — so a Pools that ran a world must be closed (Pools.Close)
+//     by whoever created it.
 //
 // The freelists are deliberately NOT sync.Pools: a world's ranks run one at a
 // time (see World), so every access happens on the turn of the one rank
@@ -36,18 +45,21 @@ package mpi
 // the cap only matters after a pathological unexpected-queue burst.
 const poolRankCap = 128
 
-// Pools holds the freelists and the parked skeleton for one world at a time.
-// A replay slot (core.RunContext) owns one Pools and threads it through
-// Config.Pools so the warmed-up storage survives across the thousands of
-// short-lived worlds of an exploration, without any cross-worker sharing.
+// Pools holds the freelists, the parked skeleton and the rank coroutines for
+// one world at a time. A replay slot (core.RunContext) owns one Pools and
+// threads it through Config.Pools so the warmed-up storage and stacks survive
+// across the thousands of short-lived worlds of an exploration, without any
+// cross-worker sharing.
 //
 // A Pools must not be used by two concurrently-running worlds. Handing a
 // Pools to NewWorld invalidates every Proc, Comm and Request of the world
-// that last ran on it.
+// that last ran on it. Whoever calls NewPools calls Close once no further
+// world will run on it (see Close).
 type Pools struct {
-	envs  []*envelope
-	ranks []rankPool
-	skel  skeleton
+	envs    []*envelope
+	ranks   []rankPool
+	runners []*runner // by rank; nil until a world needs that rank
+	skel    skeleton
 }
 
 // skeleton is the world-shaped scaffolding a finished world leaves behind:
@@ -74,6 +86,68 @@ func (pl *Pools) grow(n int) {
 		ranks := make([]rankPool, n)
 		copy(ranks, pl.ranks)
 		pl.ranks = ranks
+		runners := make([]*runner, n)
+		copy(runners, pl.runners)
+		pl.runners = runners
+	}
+}
+
+// runner is one rank's coroutine: a loop that takes the next world's Proc for
+// its rank, runs it to the end (Proc.main), hands the turn back and waits for
+// the next world. World.Run sets proc and resumes; the stack the coroutine
+// grew in one world is the stack the next one starts on.
+type runner struct {
+	proc   *Proc // the Proc to run at the next resume; nil between worlds
+	resume func() (struct{}, bool)
+	stop   func()
+}
+
+// runner returns rank r's coroutine, starting it if no world on these Pools
+// has needed that rank since NewPools or the last Close.
+func (pl *Pools) runner(r int) *runner {
+	rn := pl.runners[r]
+	if rn == nil {
+		rn = &runner{}
+		rn.resume, rn.stop = iter.Pull(rn.loop)
+		pl.runners[r] = rn
+	}
+	return rn
+}
+
+// loop is the coroutine's body. Between worlds it references neither the
+// Pools, a World nor a finished Proc, so a parked runner pins nothing but its
+// own stack.
+func (rn *runner) loop(yield func(struct{}) bool) {
+	for {
+		p := rn.proc
+		rn.proc = nil
+		p.main(yield)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// Close stops the rank coroutines. Everything else a Pools holds is ordinary
+// garbage, but a parked coroutine is a goroutine with a stack, and nothing
+// collects it: a Pools that ran a world and is dropped unclosed leaves up to
+// one parked goroutine per rank until the process exits. (A finalizer cannot
+// stand in: Pools → skeleton → Proc → World → Pools is a cycle.) The three
+// owners — a World without Config.Pools, core.RunContext.Explore,
+// core.ExecuteRun — close for their callers; code that drives worlds on its
+// own NewPools, or calls core.RunContext.Run in a loop of its own, closes
+// itself. Close is idempotent, and the Pools remains usable: the next world
+// starts fresh coroutines.
+//
+// Close must not be called while a world is running on the Pools, except by
+// World.Run itself, unwinding: a coroutine parked inside an unfinished world
+// is stopped by failing that world with ErrAborted, so its rank returns.
+func (pl *Pools) Close() {
+	for r, rn := range pl.runners {
+		if rn != nil {
+			pl.runners[r] = nil
+			rn.stop()
+		}
 	}
 }
 

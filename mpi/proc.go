@@ -11,10 +11,10 @@ type Proc struct {
 	rank  int
 	pmpi  PMPI
 
-	// The rank's coroutine: the scheduler calls resume to give it the turn,
-	// the rank calls yield to hand the turn back (see World).
-	resume func() (struct{}, bool)
-	yield  func(struct{}) bool
+	// yield hands the turn back to the scheduler: the yield of the coroutine
+	// the rank runs on this world (see runner). False means the coroutine is
+	// being stopped.
+	yield func(struct{}) bool
 
 	park      parking // what the rank is parked on; kind parkNone while it runs
 	err       error   // what the program returned

@@ -142,6 +142,7 @@ func TestSkeletonReusedAfterFailedWorld(t *testing.T) {
 	for name, fail := range failures {
 		t.Run(name, func(t *testing.T) {
 			pools := NewPools(3)
+			defer pools.Close()
 			w1 := NewWorld(Config{Procs: 3, Pools: pools})
 			err := w1.Run(fail)
 			var re *RunError

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"iter"
 	"math/bits"
 )
 
@@ -13,18 +12,21 @@ type Config struct {
 	// Hooks is the tool layer every MPI call flows through. Nil means no
 	// tool. Compose multiple tools with pnmpi.Stack.
 	Hooks *Hooks
-	// Pools supplies the allocation freelists and world skeleton carried
-	// across worlds by a replay engine (see Pools). Nil means the world
-	// creates its own. A Pools must not be shared by two concurrently-running
-	// worlds, and passing it here invalidates the previous world's handles.
+	// Pools supplies the allocation freelists, world skeleton and rank
+	// coroutines carried across worlds by a replay engine (see Pools), whose
+	// owner calls Pools.Close after the last world. Nil means the world
+	// creates its own and closes it when Run returns. A Pools must not be
+	// shared by two concurrently-running worlds, and passing it here
+	// invalidates the previous world's handles.
 	Pools *Pools
 }
 
 // World is one simulated MPI job. It owns the matching engine, the
 // communicators and the rank scheduler. A World is good for a single Run.
 //
-// Scheduling: the ranks of a world run one at a time. Each rank is a
-// coroutine (iter.Pull) resumed by the goroutine that called Run; a rank keeps
+// Scheduling: the ranks of a world run one at a time. Each rank runs on a
+// coroutine of the world's Pools (see runner), resumed by the goroutine that
+// called Run, which outlives the world when the Pools does; a rank keeps
 // the turn until an MPI call parks it (an uncompleted Wait/Waitany, a Probe
 // with nothing queued, a collective others have yet to enter, a tool's Park),
 // finds nothing on a poll (Test, Testany, Testall, Iprobe) or returns. The
@@ -36,6 +38,7 @@ type World struct {
 	size    int
 	hooks   *Hooks
 	pools   *Pools // Config.Pools or the world's own: where Run parks the skeleton
+	owned   bool   // the Pools is the world's own: Run closes it
 	program func(p *Proc) error
 
 	nextReq uint64
@@ -68,7 +71,7 @@ func NewWorld(cfg Config) *World {
 	} else {
 		pools.grow(cfg.Procs)
 	}
-	w := &World{size: cfg.Procs, hooks: cfg.Hooks, pools: pools, polled: -1}
+	w := &World{size: cfg.Procs, hooks: cfg.Hooks, pools: pools, owned: cfg.Pools == nil, polled: -1}
 	sk := pools.takeSkeleton()
 	w.comms = sk.comms
 	w.procs = sk.procs
@@ -148,14 +151,22 @@ func (e *RunError) Unwrap() []error {
 // *RunError aggregating deadlocks, aborts and per-rank failures.
 func (w *World) Run(program func(p *Proc) error) error {
 	w.program = program
-	for _, p := range w.procs {
-		// The coroutine ends with its rank: a failed world resumes every
-		// parked rank with the failure, so none is left to stop.
-		p.resume, _ = iter.Pull(p.main)
+	// The rank coroutines stop with their owner: here when the Pools is the
+	// world's own — and whoever's it is when Run unwinds with ranks still
+	// inside the program (a rank called runtime.Goexit, a hook panicked on
+	// the scheduler's turn), because a coroutine parked in the middle of this
+	// world cannot start the next one.
+	defer func() {
+		if w.owned || w.nfinished < w.size {
+			w.pools.Close()
+		}
+	}()
+	for r, p := range w.procs {
+		w.pools.runner(r).proc = p
 	}
 	for w.nfinished < w.size {
 		if r := w.pick(); r >= 0 {
-			w.procs[r].resume()
+			w.pools.runners[r].resume()
 		} else {
 			w.idle()
 		}
@@ -190,8 +201,8 @@ func (w *World) Run(program func(p *Proc) error) error {
 	return re
 }
 
-// main is the body of rank p's coroutine: the tool's Init, the program, the
-// tool's AtFinalize. yield hands the turn back to the scheduler.
+// main is one world's turn on rank p's coroutine: the tool's Init, the
+// program, the tool's AtFinalize. yield hands the turn back to the scheduler.
 func (p *Proc) main(yield func(struct{}) bool) {
 	w := p.world
 	p.yield = yield
@@ -283,7 +294,18 @@ func (w *World) block(p *Proc) error {
 			return ErrFinalized
 		}
 		w.clearReady(p)
-		p.yield(struct{}{})
+		w.yield(p)
+	}
+}
+
+// yield hands p's turn back to the scheduler. The coroutine's yield reports
+// false when the coroutine is being stopped under an unfinished world
+// (Pools.Close from an unwinding Run): from then on it no longer switches, so
+// a rank that went on waiting would spin. The world is over: fail it, and
+// block and poll return the failure and the rank unwinds.
+func (w *World) yield(p *Proc) {
+	if !p.yield(struct{}{}) {
+		w.fail(ErrAborted)
 	}
 }
 
@@ -293,7 +315,7 @@ func (w *World) block(p *Proc) error {
 func (w *World) poll(p *Proc) error {
 	if w.failure == nil && !p.finished {
 		w.polled = p.rank
-		p.yield(struct{}{})
+		w.yield(p)
 	}
 	return w.failure
 }
