@@ -5,7 +5,8 @@
 # fetched back over HTTP must match a serial run of the same workload.
 # Exercises the full service path — WAL-backed job store, REST submission,
 # job announcement to pooled workers, lease dispatch, report persistence —
-# end to end. A third job, submitted with a 1 s TTL while a longer one holds
+# end to end, and holds a finished job to its durability budget: at most four
+# store fsyncs, no checkpoint left under store/ckp. A third job, submitted with a 1 s TTL while a longer one holds
 # the pool, must fail with `ttl expired`: the sweep runs while the service is
 # busy.
 set -euo pipefail
@@ -88,6 +89,23 @@ curl -fsS "http://$API/metrics" | tee "$workdir/metrics.out" | grep -q 'dampi_jo
 
 curl -fsS "http://$API/jobs/$job1/report?format=text" | tee "$workdir/job1.out"
 curl -fsS "http://$API/jobs/$job2/report?format=text" | tee "$workdir/job2.out"
+
+# A finished job costs at most four fsyncs of the store (submitted, running,
+# the report file, finished; opening the store was one more) and leaves no
+# checkpoint behind: the report supersedes it.
+syncs=$(awk '/^dampi_store_syncs_total\{/ { n += $2 } END { print n + 0 }' "$workdir/metrics.out")
+if [ "$syncs" -lt 1 ] || [ "$syncs" -gt $((4 * 2 + 1)) ]; then
+  echo "FAIL: /metrics reports $syncs store fsyncs for 2 finished jobs, want at most 4 each" >&2
+  exit 1
+fi
+for _ in $(seq 1 20); do
+  [ -z "$(ls -A "$workdir/store/ckp")" ] && break
+  sleep 0.1
+done
+if [ -n "$(ls -A "$workdir/store/ckp")" ]; then
+  echo "FAIL: store/ckp holds $(ls "$workdir/store/ckp") after its jobs finished" >&2
+  exit 1
+fi
 
 echo "== a job's TTL holds while a longer job has the pool =="
 long=$(submit '{"workload":"matmul","procs":6,"clock":0,"transport":0,"mixing_bound":-1}')

@@ -121,7 +121,7 @@ func main() {
 		slots      = flag.Int("slots", 1, "concurrent replay slots (with -join)")
 		workerName = flag.String("worker-name", "", "worker name in coordinator status (with -join; default host:pid)")
 		ckpFile    = flag.String("checkpoint", "", "frontier checkpoint FILE (parallel engine)")
-		ckpEvery   = flag.Int("checkpoint-every", 0, "replays between checkpoint writes (0 = default)")
+		ckpEvery   = flag.Int("checkpoint-every", 0, "replays between checkpoint writes (0 = one per DefaultCheckpointInterval, 250ms)")
 		resume     = flag.Bool("resume", false, "resume exploration from -checkpoint")
 		lintPath   = flag.String("lint", "", "run the mpilint static analyzer over Go sources at PATH first")
 		prunePath  = flag.String("static-prune", "", "derive static prune hints from the workload's Go sources at PATH (local engines only)")

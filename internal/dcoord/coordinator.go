@@ -35,11 +35,13 @@ type Config struct {
 	// the job's: Server.RunJob overwrites it with what its welcomes advertised.
 	LeaseTTL time.Duration
 	// CheckpointPath, if non-empty, receives a frontier checkpoint (the
-	// dexplore.Checkpoint format) every CheckpointEvery completions and at
-	// the end, so a killed coordinator resumes with Resume.
+	// dexplore.Checkpoint format) periodically and, from a one-shot
+	// coordinator, at the end, so a killed coordinator resumes with Resume. A
+	// Server.RunJob returns the last cut to its caller instead of writing it.
 	CheckpointPath string
-	// CheckpointEvery is the merged replays between periodic checkpoint writes
-	// (at most one per returned lease; dexplore.DefaultCheckpointEvery).
+	// CheckpointEvery, when positive, is the merged replays between periodic
+	// checkpoint writes (at most one per returned lease); 0 = one write per
+	// dexplore.DefaultCheckpointInterval.
 	CheckpointEvery int
 	// Resume, if non-nil, seeds the exploration from a saved checkpoint
 	// instead of leasing the initial self-discovery run. Validated against
@@ -192,6 +194,10 @@ type Coordinator struct {
 	// (the coordinator's own until a Server starts it).
 	srv  *Server
 	wire *wireStats
+	// ckp writes cfg.CheckpointPath (nothing without one) and says when;
+	// ckpBefore is what the Server's earlier jobs wrote.
+	ckp       *dexplore.CheckpointWriter
+	ckpBefore int64
 
 	mu sync.Mutex
 	// maxRoots, maxLeaseAge and maxRedeliveries are dexplore.MaxLeaseRoots,
@@ -213,7 +219,9 @@ type Coordinator struct {
 	noFinalCkp  bool // Abort: crash semantics, skip the final checkpoint
 	finished    bool
 	runErr      error
-	sinceCkp    int
+	// left is the final cut of an exploration run by Server.RunJob, which
+	// hands it to its caller: only that knows whether anyone will read it.
+	left        *dexplore.Checkpoint
 	start       time.Time
 	rate        *dexplore.RateTracker
 	doneCh      chan struct{}
@@ -235,13 +243,11 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = defaultLeaseTTL
 	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = dexplore.DefaultCheckpointEvery
-	}
 	c := &Coordinator{
 		cfg:             cfg,
 		ecfg:            cfg.Fingerprint.ExplorerConfig(),
 		wire:            &wireStats{},
+		ckp:             dexplore.NewCheckpointWriter(cfg.CheckpointPath, cfg.CheckpointEvery),
 		maxRoots:        dexplore.MaxLeaseRoots,
 		maxLeaseAge:     leaseAgeTTLs * cfg.LeaseTTL,
 		maxRedeliveries: redeliveryCap,
@@ -297,6 +303,7 @@ func keyed(tasks []*core.SubtreeTask) []pending {
 // complete checkpoint (or an immediate Stop) must not wait for a worker that
 // will never be needed.
 func (c *Coordinator) run() {
+	c.ckp.Begin()
 	go c.janitor()
 	if c.cfg.OnProgress != nil {
 		c.monitorWG.Add(1)
@@ -590,6 +597,7 @@ func (c *Coordinator) handleResult(w *workerConn, res *WireResult) {
 	if _, overRoot := roots[rootKey]; bad == nil {
 		bad = checkDelta(delta, completed, budget, overRoot)
 	}
+	before := c.report.Interleavings
 	switch {
 	case res.Fatal != "":
 		c.failLocked(fmt.Errorf("dcoord: worker %s: %s", w.name, res.Fatal))
@@ -608,23 +616,24 @@ func (c *Coordinator) handleResult(w *workerConn, res *WireResult) {
 	case held || c.lateMergeableLocked(roots, delta.Interleavings):
 		c.mergeLocked(w, delta, left, roots, held)
 	}
+	// A periodic checkpoint that falls due is cut here, under c.mu, and
+	// written once the next leases are out: no worker waits for an fsync. An
+	// exploration that is over gets its final cut instead.
+	fin := c.finishable()
 	var ckp *dexplore.Checkpoint
-	if c.cfg.CheckpointPath != "" && c.sinceCkp >= c.cfg.CheckpointEvery {
-		c.sinceCkp = 0
+	if !fin && c.ckp.Due(c.report.Interleavings-before) {
 		ckp = c.checkpointLocked()
 	}
-	fin := c.finishable()
 	c.mu.Unlock()
 
-	if ckp != nil {
-		// Best-effort: a failed periodic write must not kill the search.
-		_ = ckp.Save(c.cfg.CheckpointPath)
-	}
 	if fin {
 		c.finalize()
 		return
 	}
 	c.dispatch()
+	if ckp != nil {
+		c.ckp.Periodic(ckp)
+	}
 }
 
 // lateMergeableLocked reports whether a result that outlived its lease can
@@ -676,7 +685,6 @@ func (c *Coordinator) mergeLocked(w *workerConn, delta *core.Report, left []pend
 	}
 	c.report.Merge(delta)
 	w.completed += delta.Interleavings
-	c.sinceCkp += delta.Interleavings
 	if c.cfg.Fingerprint.StopOnFirstError && len(delta.Errors) > 0 {
 		c.stopped = true
 	}
@@ -698,10 +706,11 @@ func (c *Coordinator) finishable() bool {
 }
 
 // finalize ends the exploration exactly once: terminal report state (cap
-// flag, deterministic error order), final checkpoint, a jobdone frame to every
-// attached worker, the close of a server that exists for this exploration
-// alone, and then the Wait release — a caller that exits on Wait must not
-// leave workers in a reconnect loop.
+// flag, deterministic error order), final checkpoint (written by a one-shot
+// exploration, kept for Server.RunJob's caller otherwise), a jobdone frame to
+// every attached worker, the close of a server that exists for this
+// exploration alone, and then the Wait release — a caller that exits on Wait
+// must not leave workers in a reconnect loop.
 func (c *Coordinator) finalize() {
 	c.mu.Lock()
 	if c.finished {
@@ -715,20 +724,27 @@ func (c *Coordinator) finalize() {
 	if c.cfg.CheckpointPath != "" && !c.noFinalCkp {
 		ckp = c.checkpointLocked()
 	}
+	oneShot := c.srv == nil || c.srv.only != nil
+	if !oneShot {
+		c.left = ckp
+	}
 	conns := make([]*workerConn, 0, len(c.workers))
 	for w := range c.workers {
 		conns = append(conns, w)
 	}
 	c.mu.Unlock()
 
-	if ckp != nil {
-		if err := ckp.Save(c.cfg.CheckpointPath); err != nil {
-			c.mu.Lock()
-			if c.runErr == nil {
-				c.runErr = fmt.Errorf("dcoord: writing final checkpoint: %w", err)
-			}
-			c.mu.Unlock()
+	// Either way no periodic write is out, or starts, once the writer is
+	// closed: a slow one can neither replace the final cut with an older one
+	// nor bring back a file its owner has removed.
+	if ckp == nil || !oneShot {
+		c.ckp.Close()
+	} else if err := c.ckp.Final(ckp); err != nil {
+		c.mu.Lock()
+		if c.runErr == nil {
+			c.runErr = fmt.Errorf("dcoord: writing final checkpoint: %w", err)
 		}
+		c.mu.Unlock()
 	}
 	for _, w := range conns {
 		// The connection is the Server's, kept for its next job; the worker

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dampi/internal/core"
+	"dampi/internal/dexplore"
 )
 
 // ServerConfig configures a cluster server: the side of the wire that owns
@@ -22,7 +23,7 @@ type ServerConfig struct {
 	// frame advertises it before any job exists, so every job runs under it.
 	LeaseTTL time.Duration
 	// CheckpointEvery is the checkpoint cadence of a job whose Config sets
-	// none (0 = Config's default).
+	// none (0 = Config's default, by the clock).
 	CheckpointEvery int
 	// OnEvent, if non-nil, receives human-readable lifecycle lines (worker
 	// joined, worker lost, job started) for logging.
@@ -53,11 +54,12 @@ type Server struct {
 	// finalizes.
 	only *JobSpec
 
-	mu     sync.Mutex
-	ln     net.Listener
-	pool   map[*workerConn]struct{}
-	cur    *Coordinator // the running exploration; nil between jobs
-	closed bool
+	mu          sync.Mutex
+	ln          net.Listener
+	pool        map[*workerConn]struct{}
+	cur         *Coordinator // the running exploration; nil between jobs
+	checkpoints int64        // checkpoint files the finished jobs wrote
+	closed      bool
 }
 
 // NewServer creates a cluster server.
@@ -222,25 +224,43 @@ func (s *Server) removeWorker(w *workerConn) {
 // sets none. Jobs run one at a time; calling RunJob concurrently is a caller
 // bug and returns an error. Workers joining mid-job are attached on arrival;
 // workers that die mid-job lose their leases to the usual requeue machinery.
-func (s *Server) RunJob(cfg Config) (*core.Report, error) {
+//
+// With a CheckpointPath the job writes its periodic checkpoints there, but
+// not its last: the final cut — the report and whatever frontier a drain or
+// the cap left — comes back beside the report (nil after a kill), for the
+// caller to save if anyone will resume from it. A completed job's never is,
+// and when RunJob returns nothing is writing the path any more.
+func (s *Server) RunJob(cfg Config) (*core.Report, *dexplore.Checkpoint, error) {
 	cfg.LeaseTTL = s.cfg.LeaseTTL
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = s.cfg.CheckpointEvery
 	}
 	c, err := New(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := s.start(c); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rep, err := c.Wait()
 	// Cleared before RunJob returns: the caller's next RunJob must not find
 	// this job still running.
 	s.mu.Lock()
 	s.cur = nil
+	s.checkpoints = c.ckpBefore + c.ckp.Written()
 	s.mu.Unlock()
-	return rep, err
+	return rep, c.left, err
+}
+
+// CheckpointsWritten is the number of checkpoint files this server's jobs
+// have written, the running one's included.
+func (s *Server) CheckpointsWritten() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.cur != nil {
+		return s.cur.ckpBefore + s.cur.ckp.Written()
+	}
+	return s.checkpoints
 }
 
 // start makes c the server's current exploration and hands it the pooled
@@ -257,7 +277,7 @@ func (s *Server) start(c *Coordinator) error {
 		s.mu.Unlock()
 		return fmt.Errorf("dcoord: job %s still running", s.cur.cfg.JobID)
 	}
-	c.srv, c.wire = s, &s.wire
+	c.srv, c.wire, c.ckpBefore = s, &s.wire, s.checkpoints
 	s.cur = c
 	pool := make([]*workerConn, 0, len(s.pool))
 	for w := range s.pool {

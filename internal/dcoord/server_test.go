@@ -108,7 +108,9 @@ func waitForPool(t *testing.T, s *Server, n int) {
 	t.Fatalf("pool never reached %d workers: %+v", n, s.Workers())
 }
 
-// runJob runs one job with a hang guard.
+// runJob runs one job with a hang guard. What the job left is saved where a
+// one-shot exploration writes its final checkpoint, as a service saves a
+// drained job's.
 func runJob(t *testing.T, s *Server, cfg Config) (*core.Report, error) {
 	t.Helper()
 	type out struct {
@@ -117,7 +119,10 @@ func runJob(t *testing.T, s *Server, cfg Config) (*core.Report, error) {
 	}
 	ch := make(chan out, 1)
 	go func() {
-		rep, err := s.RunJob(cfg)
+		rep, left, err := s.RunJob(cfg)
+		if err == nil && left != nil {
+			err = left.Save(cfg.CheckpointPath)
+		}
 		ch <- out{rep, err}
 	}()
 	select {
@@ -233,7 +238,7 @@ func TestServerRejectsConcurrentJobs(t *testing.T) {
 	s.cur = &Coordinator{cfg: Config{JobID: "busy"}} // simulate an active job without running one
 	s.mu.Unlock()
 	spec := JobSpec{Workload: "fanin", Procs: 3, Space: dexplore.Space{MixingBound: 1}}
-	if _, err := s.RunJob(Config{Fingerprint: spec, JobID: "second"}); err == nil || !strings.Contains(err.Error(), "busy still running") {
+	if _, _, err := s.RunJob(Config{Fingerprint: spec, JobID: "second"}); err == nil || !strings.Contains(err.Error(), "busy still running") {
 		t.Errorf("concurrent RunJob error = %v, want 'job busy still running'", err)
 	}
 }
@@ -437,7 +442,7 @@ func TestRunJobAdvertisedTTLWins(t *testing.T) {
 	defer fake.close()
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.RunJob(cfg)
+		_, _, err := s.RunJob(cfg)
 		done <- err
 	}()
 	fake.recvTask()

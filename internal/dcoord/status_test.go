@@ -107,7 +107,7 @@ var statusGoldenFields = []string{
 	"deadlocks", "decision_points", "frontier_depth", "active_leases",
 	"leases_granted", "done_set_size", "requeues", "per_second_mean", "per_second_window",
 	"frames_in", "frames_out", "wire_bytes_in", "wire_bytes_out",
-	"workers",
+	"checkpoints_written", "workers",
 }
 
 // workerGoldenFields is the contract of each entry in "workers".
@@ -242,7 +242,7 @@ func TestMetricsExpositionParses(t *testing.T) {
 	for _, want := range []string{
 		`dampi_wire_frames_total{dir="in"} 1`, `dampi_wire_frames_total{dir="out"} 3`,
 		`dampi_wire_bytes_total{dir="in"} `, `dampi_wire_bytes_total{dir="out"} `,
-		`dampi_leases_total 1`, `dampi_frontier_depth 0`,
+		`dampi_leases_total 1`, `dampi_frontier_depth 0`, `dampi_checkpoints_written_total 0`,
 	} {
 		if !strings.Contains(string(raw), "\n"+want) {
 			t.Errorf("exposition lacks %q", want)

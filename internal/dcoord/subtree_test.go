@@ -309,7 +309,9 @@ func TestOverlappingLateResultsCountOnce(t *testing.T) {
 // TestUntouchedRootHandedBackIsExploredLater: a lease may return before it
 // reached every root (budget, time slice, a stopping worker). A root that
 // comes back in the leftover frontier was not explored: it must not enter the
-// done-set, and it must be leased again.
+// done-set, and it must be leased again. The frontier here is small, so each
+// grant is floored at all of it (dexplore's minLeaseRoots, the one slot being
+// the only idle one): three leases, not one per subtree.
 func TestUntouchedRootHandedBackIsExploredLater(t *testing.T) {
 	cfg := leaseTestConfig(2 * time.Second)
 	c, addr := startCoordinator(t, cfg)
@@ -318,31 +320,28 @@ func TestUntouchedRootHandedBackIsExploredLater(t *testing.T) {
 	f := dialFake(t, addr, fp, "partial", 1)
 	defer f.close()
 	kids := grown(f, fp, 3)
-	a, b := kids[0], kids[1]
+	a, b, d := kids[0], kids[1], kids[2]
 
-	ab := f.recvTask()
-	if keysOf(ab.Tasks...) != keysOf(a, b) {
-		t.Fatalf("second lease holds %s, want %s", keysOf(ab.Tasks...), keysOf(a, b))
+	all := f.recvTask()
+	if keysOf(all.Tasks...) != keysOf(a, b, d) {
+		t.Fatalf("second lease holds %s, want %s", keysOf(all.Tasks...), keysOf(a, b, d))
 	}
-	f.result(fp, ab, &core.Report{Interleavings: 1}, b) // a explored, b not started
+	f.result(fp, all, &core.Report{Interleavings: 1}, b, d) // a explored, b and d not started
 	st := waitStatus(t, c, "partial lease merged", func(st Status) bool { return st.Interleavings == 2 })
 	if st.DoneSet != 2 {
-		t.Fatalf("done-set holds %d keys after root and a, want 2 (b was handed back)", st.DoneSet)
+		t.Fatalf("done-set holds %d keys after root and a, want 2 (b and d were handed back)", st.DoneSet)
 	}
-	seen := map[string]int{}
-	for range 2 { // c, then b — one root each: half of what is live
-		wt := f.recvTask()
-		for _, k := range wt.Keys {
-			seen[k]++
-		}
-		f.result(fp, wt, &core.Report{Interleavings: len(wt.Keys)})
+	rest := f.recvTask()
+	if keysOf(rest.Tasks...) != keysOf(b, d) {
+		t.Fatalf("third lease holds %s, want the two handed back, %s", keysOf(rest.Tasks...), keysOf(b, d))
 	}
+	f.result(fp, rest, &core.Report{Interleavings: 2})
 	rep, err := waitFor(t, c)
 	if err != nil {
 		t.Fatalf("explore: %v", err)
 	}
-	if rep.Interleavings != 4 || seen[taskKey(b)] != 1 {
-		t.Errorf("%d interleavings, b leased again %d times; want 4 and 1", rep.Interleavings, seen[taskKey(b)])
+	if st := c.Status(); rep.Interleavings != 4 || st.LeasesGranted != 3 || st.DoneSet != 4 {
+		t.Errorf("%d interleavings in %d leases, done-set %d; want 4 in 3, all 4 subtrees done", rep.Interleavings, st.LeasesGranted, st.DoneSet)
 	}
 }
 

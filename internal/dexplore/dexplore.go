@@ -22,8 +22,10 @@
 // core.Decisions round-trip format) — the pending subtrees, the roots of the
 // leases out and the merged report, one consistent cut under the mutex — so a
 // killed exploration resumes without redoing completed subtrees; see
-// Checkpoint. A progress callback reports live throughput: interleavings/sec,
-// frontier depth and busy slots.
+// Checkpoint, and CheckpointWriter for when and in what order the cuts are
+// written (by the clock unless CheckpointEvery says a count; this engine and
+// the cluster coordinator hold one each). A progress callback reports live
+// throughput: interleavings/sec, frontier depth and busy slots.
 //
 // Cancellation is cooperative: MaxInterleavings is met exactly by the budgets
 // of the leases out, StopOnFirstError (and Stop) end every lease after the
@@ -32,7 +34,6 @@ package dexplore
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -49,13 +50,14 @@ type Config struct {
 	// Workers is the number of slots exploring leases concurrently; values
 	// below 1 run one.
 	Workers int
-	// CheckpointPath, if non-empty, receives a frontier checkpoint every
-	// CheckpointEvery merged replays (at most one per returned lease) and once
+	// CheckpointPath, if non-empty, receives a frontier checkpoint
+	// periodically (CheckpointEvery; at most one per returned lease) and once
 	// more when exploration ends (complete, capped, or stopped).
 	CheckpointPath string
-	// CheckpointEvery is the number of replays between periodic checkpoint
-	// writes, and the most a lease runs before it is merged while
-	// checkpointing — what a crash can lose per slot (DefaultCheckpointEvery).
+	// CheckpointEvery, when positive, is the number of replays between
+	// periodic checkpoint writes, and the most a lease runs before it is
+	// merged while checkpointing — what a crash can lose per slot. 0 = one
+	// write per DefaultCheckpointInterval, and a lease runs its time slice.
 	CheckpointEvery int
 	// Resume, if non-nil, seeds the exploration from a saved checkpoint
 	// instead of performing the initial self-discovery run. The checkpoint's
@@ -107,14 +109,15 @@ type Engine struct {
 	maxRoots int
 	slice    time.Duration
 
-	mu       sync.Mutex
-	cond     *sync.Cond // slots wait here for a grant or the end
-	front    Frontier[*core.SubtreeTask]
-	holding  [][]*core.SubtreeTask // per slot, the roots of the lease it holds
-	report   *core.Report          // every lease merged so far
-	runErr   error                 // first fatal replay-harness error
-	sinceCkp int                   // replays merged since the last periodic checkpoint
-	saving   bool                  // a periodic checkpoint is being written
+	// ckp writes CheckpointPath (nothing without one) and says when.
+	ckp *CheckpointWriter
+
+	mu      sync.Mutex
+	cond    *sync.Cond // slots wait here for a grant or the end
+	front   Frontier[*core.SubtreeTask]
+	holding [][]*core.SubtreeTask // per slot, the roots of the lease it holds
+	report  *core.Report          // every lease merged so far
+	runErr  error                 // first fatal replay-harness error
 
 	// What a slot looks at between two replays of a lease.
 	halted    atomic.Bool  // Stop, StopOnFirstError or a fatal error: every lease ends
@@ -139,14 +142,12 @@ func New(cfg Config) *Engine {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = DefaultCheckpointEvery
-	}
 	e := &Engine{
 		cfg:      cfg,
 		slot:     cfg.Explorer,
 		maxRoots: MaxLeaseRoots,
 		slice:    LeaseSlice,
+		ckp:      NewCheckpointWriter(cfg.CheckpointPath, cfg.CheckpointEvery),
 		front:    Frontier[*core.SubtreeTask]{Max: cfg.Explorer.MaxInterleavings},
 		holding:  make([][]*core.SubtreeTask, cfg.Workers),
 		report:   &core.Report{},
@@ -172,6 +173,7 @@ func (e *Engine) Stop() {
 // exhaustion) and returns the merged coverage report.
 func (e *Engine) Explore() (*core.Report, error) {
 	e.start = time.Now()
+	e.ckp.Begin()
 	// The initial self-discovery run is a task like any other: alone in the
 	// frontier, so it is leased first, and its expansion feeds the pool.
 	e.front.Tasks = []*core.SubtreeTask{core.RootTask(&e.cfg.Explorer)}
@@ -218,14 +220,12 @@ func (e *Engine) Explore() (*core.Report, error) {
 // RunContext, so per-replay tool state (hook stacks, clock buffers, the mpi
 // runtime's pools) is recycled across every replay it runs. Explore returns
 // when the lease's time slice has passed, the engine is halted, another slot
-// is waiting for work, or — when checkpointing — it has run CheckpointEvery
-// replays, so that field bounds what a crash loses.
+// is waiting for work, or — when checkpointing under an explicit
+// CheckpointEvery — it has run that many replays, so that field bounds what a
+// crash loses.
 func (e *Engine) runSlot(id int) {
 	rc := core.NewRunContext(&e.slot)
-	every := math.MaxInt // replays a lease may run before it is merged
-	if e.cfg.CheckpointPath != "" {
-		every = e.cfg.CheckpointEvery
-	}
+	every := e.ckp.LeaseCap()
 	var stack []*core.SubtreeTask
 	budget := 0
 	for {
@@ -313,21 +313,14 @@ func (e *Engine) release(id, budget int, rep *core.Report, left []*core.SubtreeT
 			}
 		}
 		e.front.Tasks = append(e.front.Tasks, left[:give]...)
-		e.sinceCkp += rep.Interleavings
-		// One periodic write at a time, so an older cut never replaces a newer.
-		if e.cfg.CheckpointPath != "" && e.sinceCkp >= e.cfg.CheckpointEvery && !e.saving {
-			e.sinceCkp, e.saving = 0, true
+		if e.ckp.Due(rep.Interleavings) {
 			ckp = e.checkpointLocked()
 		}
 	}
 	e.cond.Broadcast()
 	e.mu.Unlock()
 	if ckp != nil {
-		// Best-effort: a failed periodic write must not kill the search.
-		_ = ckp.Save(e.cfg.CheckpointPath)
-		e.mu.Lock()
-		e.saving = false
-		e.mu.Unlock()
+		e.ckp.Periodic(ckp)
 	}
 	return keep, renewed
 }
@@ -378,7 +371,7 @@ func (e *Engine) finish() (*core.Report, error) {
 	}
 	e.mu.Unlock()
 	if ckp != nil {
-		if err := ckp.Save(e.cfg.CheckpointPath); err != nil {
+		if err := e.ckp.Final(ckp); err != nil {
 			return nil, fmt.Errorf("dexplore: writing final checkpoint: %w", err)
 		}
 	}

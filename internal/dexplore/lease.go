@@ -19,14 +19,16 @@ const MaxLeaseRoots = 16
 // that many remain), so the end of a capped run is not one round trip per replay.
 const minLeaseBudget = 8
 
-// DefaultCheckpointEvery is the merged replays between two periodic
-// checkpoint writes — what a crash can lose per slot — and
-// DefaultProgressEvery the progress-callback period (Monitor applies it), for
-// a Config, this engine's or dcoord's, that sets neither.
-const (
-	DefaultCheckpointEvery = 32
-	DefaultProgressEvery   = time.Second
-)
+// minLeaseRoots floors a lease's share of the frontier's subtrees likewise, so
+// the end of a small exploration is not one round trip per subtree — but only
+// up to an equal part for each slot idle at the grant, whose own grant follows:
+// the first leases after the root run still fan out across the slots.
+const minLeaseRoots = 8
+
+// DefaultProgressEvery is the progress-callback period (Monitor applies it)
+// of a Config, this engine's or dcoord's, that sets none. The checkpoint
+// cadence's default is DefaultCheckpointInterval (writer.go).
+const DefaultProgressEvery = time.Second
 
 // Frontier is the scheduling state of a multi-worker exploration, kept under
 // its engine's one mutex: the subtrees waiting to be leased, and what the
@@ -60,12 +62,13 @@ func (f *Frontier[T]) Room(merged int) int {
 // Grant leases the next share of the frontier, or nothing (nil) when there is
 // nothing to share: the roots, and the replays that may be spent on them (0 =
 // no bound). The share is guided self-scheduling over the slots exploring:
-// 1/(2·slots) of the live subtrees, at most maxRoots, oldest first — the
+// 1/(2·slots) of the live subtrees (floored at minLeaseRoots, or at an idle
+// slot's equal part if that is less), at most maxRoots, oldest first — the
 // shallowest, so the largest — and under a cap the same fraction of the
 // replays it has room for (floored at minLeaseBudget), so grants shrink as the
-// work does and the cap is met exactly. Until the self-discovery run is done a
-// grant is one subtree and one replay: that run's trace, alerts and expansion
-// are what every other slot is waiting for. The roots are a view of the
+// work does, but not to nothing, and the cap is met exactly. Until the
+// self-discovery run is done a grant is one subtree and one replay: that
+// run's trace, alerts and expansion are what every other slot is waiting for. The roots are a view of the
 // frontier's old front, which nothing writes again. Every grant ends in one
 // Release of its budget.
 func (f *Frontier[T]) Grant(slots, maxRoots, merged int) (roots []T, budget int) {
@@ -73,7 +76,10 @@ func (f *Frontier[T]) Grant(slots, maxRoots, merged int) (roots []T, budget int)
 	if len(f.Tasks) == 0 || !ok {
 		return nil, 0
 	}
-	n := min(ceilShare(len(f.Tasks), slots), maxRoots)
+	idle := max(slots-f.held, 1) // this grant's slot, and the others still to be granted
+	part := (len(f.Tasks) + idle - 1) / idle
+	n := max(ceilShare(len(f.Tasks), slots), min(minLeaseRoots, part))
+	n = min(n, maxRoots)
 	if budget > 0 {
 		n = min(n, budget)
 	}

@@ -3,7 +3,9 @@ package dexplore
 import "testing"
 
 // TestFrontierGrantRule pins the one grant rule both multi-worker engines
-// run: ceil(live/(2·slots)) roots oldest first, at most maxRoots; under a cap
+// run: ceil(live/(2·slots)) roots oldest first, floored at minLeaseRoots — or
+// at an equal part of what is live for each idle slot, if that is less, so
+// the grants after the root run fan out — and at most maxRoots; under a cap
 // the same share of what it has room for, floored at minLeaseBudget while that
 // much remains, never more roots than replays; the root alone with one
 // replay; nothing without subtrees or room; and the same budget, subtrees or
@@ -12,12 +14,18 @@ func TestFrontierGrantRule(t *testing.T) {
 	cases := []struct {
 		name                           string
 		live, max, merged, outstanding int
+		held                           int // grants out: the slots that are not idle
 		rootPending                    bool
 		slots, maxRoots                int
 		roots, budget                  int
 		renew                          int // Renew's budget; -1 = refused
 	}{
-		{name: "guided share", live: 10, slots: 2, maxRoots: 16, roots: 3},
+		{name: "guided share", live: 40, slots: 2, maxRoots: 16, roots: 10},
+		{name: "root floor", live: 10, held: 1, slots: 2, maxRoots: 16, roots: 8},
+		{name: "root floor takes what is left", live: 5, held: 1, slots: 2, maxRoots: 16, roots: 5},
+		{name: "equal part of two idle slots", live: 10, slots: 2, maxRoots: 16, roots: 5},
+		{name: "equal part of three of four", live: 10, held: 1, slots: 4, maxRoots: 16, roots: 4},
+		{name: "one each", live: 4, slots: 4, maxRoots: 16, roots: 1},
 		{name: "share of one", live: 1, slots: 4, maxRoots: 16, roots: 1},
 		{name: "root bound", live: 1000, slots: 2, maxRoots: 16, roots: 16},
 		{name: "shrunk root bound", live: 1000, slots: 2, maxRoots: 3, roots: 3},
@@ -29,7 +37,7 @@ func TestFrontierGrantRule(t *testing.T) {
 		{name: "cap all held", live: 100, max: 4000, merged: 3990, outstanding: 10, slots: 2, maxRoots: 16, renew: -1},
 	}
 	for _, tc := range cases {
-		f := Frontier[int]{Tasks: make([]int, tc.live), Max: tc.max, RootDone: !tc.rootPending, outstanding: tc.outstanding}
+		f := Frontier[int]{Tasks: make([]int, tc.live), Max: tc.max, RootDone: !tc.rootPending, held: tc.held, outstanding: tc.outstanding}
 		for i := range f.Tasks {
 			f.Tasks[i] = i
 		}
@@ -42,7 +50,7 @@ func TestFrontierGrantRule(t *testing.T) {
 		if tc.roots > 0 {
 			granted = 1
 		}
-		if f.held != granted || f.outstanding != tc.outstanding+tc.budget || len(f.Tasks) != tc.live-tc.roots {
+		if f.held != tc.held+granted || f.outstanding != tc.outstanding+tc.budget || len(f.Tasks) != tc.live-tc.roots {
 			t.Errorf("%s: after the grant %d held, %d outstanding, %d live", tc.name, f.held, f.outstanding, len(f.Tasks))
 		}
 		for i, r := range roots {
@@ -55,7 +63,7 @@ func TestFrontierGrantRule(t *testing.T) {
 				t.Errorf("%s: finishable with a grant out", tc.name)
 			}
 			f.Release(budget)
-			if f.held != 0 || f.outstanding != tc.outstanding {
+			if f.held != tc.held || f.outstanding != tc.outstanding {
 				t.Errorf("%s: after the release %d held, %d outstanding", tc.name, f.held, f.outstanding)
 			}
 		}

@@ -248,13 +248,17 @@ func (a *API) metrics(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprintf(&b, "# HELP dampi_pool_workers Workers connected to the cluster pool.\n# TYPE dampi_pool_workers gauge\ndampi_pool_workers %d\n", len(a.svc.cfg.Server.Workers()))
 	fmt.Fprintf(&b, "# HELP dampi_pool_slots Total concurrent replay slots across the pool.\n# TYPE dampi_pool_slots gauge\ndampi_pool_slots %d\n", a.svc.cfg.Server.TotalSlots())
+	walSyncs, fileSyncs := a.svc.cfg.Store.Syncs()
+	fmt.Fprintf(&b, "# HELP dampi_store_syncs_total Fsyncs the job store has issued: of its WAL, and of the files beside it (reports, snapshots, a drained job's checkpoint).\n# TYPE dampi_store_syncs_total counter\ndampi_store_syncs_total{kind=\"wal\"} %d\ndampi_store_syncs_total{kind=\"file\"} %d\n", walSyncs, fileSyncs)
 	if est, _, ok := a.svc.cfg.Server.CurrentStatus(); ok {
 		dcoord.WriteMetrics(&b, est)
 	} else {
 		// No live exploration: surface the cumulative sampling counters from
 		// finished jobs so a seeded-sampling run stays observable after it
-		// drains. The names match the live dcoord metrics; the two paths are
-		// mutually exclusive, so each scrape carries each name once.
+		// drains, and the checkpoints every job so far has written. The names
+		// match the live dcoord metrics; the two paths are mutually exclusive,
+		// so each scrape carries each name once.
+		fmt.Fprintf(&b, "# HELP dampi_checkpoints_written_total Frontier checkpoint files written, one fsync each.\n# TYPE dampi_checkpoints_written_total counter\ndampi_checkpoints_written_total %d\n", a.svc.cfg.Server.CheckpointsWritten())
 		var sampled, distinct int
 		for _, j := range a.svc.cfg.Store.List() {
 			sampled += j.Sampled

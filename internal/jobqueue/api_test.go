@@ -166,10 +166,7 @@ func TestAPIReportLifecycle(t *testing.T) {
 	if err := h.store.SaveReport(id, rep); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.store.SetSummary(id, rep); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.store.SetState(id, Done, ""); err != nil {
+	if _, err := h.store.Finish(id, rep); err != nil {
 		t.Fatal(err)
 	}
 
@@ -309,7 +306,8 @@ func TestAPIMetricsExposition(t *testing.T) {
 	}
 	body := string(raw)
 	seen := checkExposition(t, body)
-	for _, m := range []string{"dampi_up", "dampi_queue_depth", "dampi_jobs_total", "dampi_pool_workers", "dampi_pool_slots"} {
+	for _, m := range []string{"dampi_up", "dampi_queue_depth", "dampi_jobs_total", "dampi_pool_workers", "dampi_pool_slots",
+		"dampi_store_syncs_total", "dampi_checkpoints_written_total"} {
 		if !seen[m] {
 			t.Errorf("/metrics is missing %s", m)
 		}
@@ -319,6 +317,13 @@ func TestAPIMetricsExposition(t *testing.T) {
 	}
 	if !strings.Contains(body, `dampi_jobs_total{state="queued"} 2`) {
 		t.Errorf("jobs-by-state gauge wrong:\n%s", body)
+	}
+	// Opening the store cut its (empty) journal, and each submission is one
+	// more WAL fsync; nothing has run, so no file and no checkpoint.
+	for _, want := range []string{`dampi_store_syncs_total{kind="wal"} 3`, `dampi_store_syncs_total{kind="file"} 0`, `dampi_checkpoints_written_total 0`} {
+		if !strings.Contains(body, "\n"+want+"\n") {
+			t.Errorf("/metrics lacks %q:\n%s", want, body)
+		}
 	}
 	// Every state's series exists even at zero, so dashboards never lose them.
 	for _, st := range []State{Running, Merging, Done, Failed} {

@@ -173,7 +173,10 @@ func (s *Service) sweep() {
 
 // runOne runs one job start to finish: state transitions are persisted
 // before the action they describe, so the WAL always knows at least as much
-// as the cluster.
+// as the cluster. A job that completes costs four fsyncs — its submission,
+// Running, the report file, Finish — and no checkpoint: the exploration's last
+// cut comes back from RunJob unwritten, and only a drained job, which the next
+// start resumes, has a reader for it.
 func (s *Service) runOne(j *Job) {
 	if s.cfg.Validate != nil {
 		// Re-vet recovered jobs: the registry may have changed across a
@@ -209,7 +212,7 @@ func (s *Service) runOne(j *Job) {
 	s.event("job %s started (attempt %d)", j.ID, j.Attempts+1)
 
 	started := time.Now()
-	rep, runErr := s.cfg.Server.RunJob(jcfg)
+	rep, left, runErr := s.cfg.Server.RunJob(jcfg)
 	elapsed := time.Since(started).Seconds()
 
 	if s.isKilled() {
@@ -229,11 +232,14 @@ func (s *Service) runOne(j *Job) {
 		ended = "canceled"
 	}
 	if s.isStopping() && runErr == nil && ended == "" {
-		// Graceful shutdown drained the exploration mid-flight: the final
-		// checkpoint holds the remaining frontier, so the job goes back to
+		// Graceful shutdown drained the exploration mid-flight: what it left
+		// holds the remaining frontier, so that is saved, the job goes back to
 		// the queue and the next start resumes it. (If it actually finished
-		// during the drain, the resumed checkpoint has an empty frontier and
-		// the next attempt completes instantly with the full report.)
+		// during the drain, the checkpoint has an empty frontier and the next
+		// attempt completes instantly with the full report.)
+		if err := s.cfg.Store.SaveCheckpoint(j.ID, left); err != nil {
+			s.event("job %s: %v; the next start resumes from an older checkpoint, or restarts", j.ID, err)
+		}
 		_, _ = s.cfg.Store.SetState(j.ID, Queued, "")
 		s.event("job %s requeued for the next start (%d interleavings so far)", j.ID, rep.Interleavings)
 		return
@@ -258,12 +264,13 @@ func (s *Service) runOne(j *Job) {
 		s.event("job %s failed: %v", j.ID, err)
 		return
 	}
-	_, _ = s.cfg.Store.SetSummary(j.ID, jrep)
-	if _, err := s.cfg.Store.SetState(j.ID, Done, ""); err != nil {
+	if _, err := s.cfg.Store.Finish(j.ID, jrep); err != nil {
 		s.event("job %s: %v", j.ID, err)
 		return
 	}
-	os.Remove(s.cfg.Store.CheckpointPath(j.ID)) // the report supersedes it
+	// The report supersedes a long job's periodic checkpoints; nothing writes
+	// the path once RunJob has returned.
+	os.Remove(s.cfg.Store.CheckpointPath(j.ID))
 	s.observeDuration(elapsed)
 	s.event("job %s done: %s (%.1fs)", j.ID, jrep.Summary(), elapsed)
 }

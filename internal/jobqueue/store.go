@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dampi/internal/dcoord"
@@ -57,13 +58,18 @@ type snapshot struct {
 }
 
 // Store is the durable job table: an in-memory map backed by the WAL. Every
-// mutation appends (and fsyncs) one record before returning, so an
-// acknowledged submission survives any crash; a snapshot every
-// snapshotEvery records bounds replay time.
+// mutation appends one record before returning, and fsyncs it — so an
+// acknowledged submission survives any crash — unless recovery would do the
+// same without it (SetState to Merging); a snapshot every snapshotEvery
+// records bounds replay time.
 type Store struct {
 	dir           string
 	snapshotEvery int
 	now           func() time.Time // test seam
+
+	// fsyncs so far: of the WAL, and of the files replaced beside it (reports,
+	// snapshots, a drained job's checkpoint).
+	walSyncs, fileSyncs atomic.Int64
 
 	mu         sync.Mutex
 	jobs       map[string]*Job
@@ -114,7 +120,7 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 	// Cut a torn tail off, durably, before the first append: a record glued
 	// onto the fragment would hide every record behind it from the next load.
 	if err = wal.Truncate(intact); err == nil {
-		err = wal.Sync()
+		err = s.syncWAL()
 	}
 	if err != nil {
 		wal.Close()
@@ -134,7 +140,7 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 	}
 	sort.Slice(recovered, func(i, k int) bool { return recovered[i].ID < recovered[k].ID })
 	for _, j := range recovered {
-		if err := s.append(walRecord{Op: "put", Job: j}); err != nil {
+		if err := s.append(walRecord{Op: "put", Job: j}, true); err != nil {
 			return nil, err
 		}
 	}
@@ -216,9 +222,11 @@ func idNumber(id string) uint64 {
 	return n
 }
 
-// append writes one WAL record durably (fsync before return) and triggers a
-// snapshot when the journal has grown enough. Callers hold s.mu.
-func (s *Store) append(rec walRecord) error {
+// append writes one WAL record — durably (fsync before return) when sync is
+// set; otherwise the next synced record carries it to disk, and a crash before
+// that loses it — and triggers a snapshot when the journal has grown enough.
+// Callers hold s.mu.
+func (s *Store) append(rec walRecord, sync bool) error {
 	body, err := json.Marshal(&rec)
 	if err != nil {
 		return fmt.Errorf("jobqueue: marshal wal record: %w", err)
@@ -227,8 +235,10 @@ func (s *Store) append(rec walRecord) error {
 	if _, err := s.wal.Write(body); err != nil {
 		return fmt.Errorf("jobqueue: write wal: %w", err)
 	}
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("jobqueue: sync wal: %w", err)
+	if sync {
+		if err := s.syncWAL(); err != nil {
+			return fmt.Errorf("jobqueue: sync wal: %w", err)
+		}
 	}
 	s.walRecords++
 	if s.walRecords >= s.snapshotEvery {
@@ -237,12 +247,31 @@ func (s *Store) append(rec walRecord) error {
 	return nil
 }
 
-// replaceFile atomically and durably replaces path with body.
-func replaceFile(path string, body []byte) error {
-	return dexplore.ReplaceFile(path, func(w io.Writer) error {
+// syncWAL fsyncs the journal, and counts it.
+func (s *Store) syncWAL() error {
+	s.walSyncs.Add(1)
+	return s.wal.Sync()
+}
+
+// replaceFile atomically and durably replaces path with what write produces
+// (dexplore.ReplaceFile), and counts the fsync.
+func (s *Store) replaceFile(path string, write func(io.Writer) error) error {
+	s.fileSyncs.Add(1)
+	return dexplore.ReplaceFile(path, write)
+}
+
+// writeBytes is the write step of a replaceFile whose content is body.
+func writeBytes(body []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
 		_, err := w.Write(body)
 		return err
-	})
+	}
+}
+
+// Syncs reports how many fsyncs the store has issued since it was opened: of
+// the WAL, and of the files it replaces beside it.
+func (s *Store) Syncs() (wal, file int64) {
+	return s.walSyncs.Load(), s.fileSyncs.Load()
 }
 
 // snapshotLocked writes the full state to snapshot.json (replaceFile, so a
@@ -258,7 +287,7 @@ func (s *Store) snapshotLocked() error {
 	if err != nil {
 		return fmt.Errorf("jobqueue: marshal snapshot: %w", err)
 	}
-	if err := replaceFile(filepath.Join(s.dir, snapshotFile), body); err != nil {
+	if err := s.replaceFile(filepath.Join(s.dir, snapshotFile), writeBytes(body)); err != nil {
 		return fmt.Errorf("jobqueue: %w", err)
 	}
 	// The snapshot now holds everything; restart the journal. Order matters:
@@ -271,9 +300,9 @@ func (s *Store) snapshotLocked() error {
 }
 
 // put persists a job's full state. Callers hold s.mu.
-func (s *Store) put(j *Job) error {
+func (s *Store) put(j *Job, sync bool) error {
 	s.jobs[j.ID] = j
-	return s.append(walRecord{Op: "put", Job: j})
+	return s.append(walRecord{Op: "put", Job: j}, sync)
 }
 
 // Submit accepts a job. When an active job (queued, running or merging)
@@ -305,7 +334,7 @@ func (s *Store) Submit(spec dcoord.JobSpec, ttl time.Duration) (*Job, bool, erro
 		j.TTLSec = int64(ttl / time.Second)
 	}
 	s.nextID++
-	if err := s.put(j); err != nil {
+	if err := s.put(j, true); err != nil {
 		return nil, false, err
 	}
 	return j.clone(), false, nil
@@ -365,9 +394,9 @@ func (s *Store) Counts() map[State]int {
 	return out
 }
 
-// update applies fn to the job under the lock and persists the result. fn
-// returning an error aborts without persisting.
-func (s *Store) update(id string, fn func(*Job) error) (*Job, error) {
+// update applies fn to the job under the lock and persists the result, with
+// an fsync if sync is set. fn returning an error aborts without persisting.
+func (s *Store) update(id string, sync bool, fn func(*Job) error) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -380,16 +409,19 @@ func (s *Store) update(id string, fn func(*Job) error) (*Job, error) {
 	if err := fn(j); err != nil {
 		return nil, err
 	}
-	if err := s.put(j); err != nil {
+	if err := s.put(j, sync); err != nil {
 		return nil, err
 	}
 	return j.clone(), nil
 }
 
 // SetState moves a job along a legal state-machine edge, stamping the
-// lifecycle times. msg becomes the failure reason when to == Failed.
+// lifecycle times. msg becomes the failure reason when to == Failed. Every
+// edge is fsynced but the one into Merging: recovery requeues a Running and a
+// Merging job alike, so losing that record to a crash changes nothing, and the
+// job's next record (Finish, Failed) is synced and carries it.
 func (s *Store) SetState(id string, to State, msg string) (*Job, error) {
-	return s.update(id, func(j *Job) error {
+	return s.update(id, to != Merging, func(j *Job) error {
 		if !canTransition(j.State, to) {
 			return fmt.Errorf("jobqueue: job %s: illegal transition %s → %s", id, j.State, to)
 		}
@@ -411,7 +443,7 @@ func (s *Store) SetState(id string, to State, msg string) (*Job, error) {
 
 // RequestCancel durably marks cancellation intent on an active job.
 func (s *Store) RequestCancel(id string) (*Job, error) {
-	return s.update(id, func(j *Job) error {
+	return s.update(id, true, func(j *Job) error {
 		if j.State.Terminal() {
 			return fmt.Errorf("jobqueue: job %s already %s", id, j.State)
 		}
@@ -420,15 +452,22 @@ func (s *Store) RequestCancel(id string) (*Job, error) {
 	})
 }
 
-// SetSummary records the finished job's headline counters.
-func (s *Store) SetSummary(id string, rep *JobReport) (*Job, error) {
-	return s.update(id, func(j *Job) error {
+// Finish ends a job whose report SaveReport has made durable: its headline
+// counters, HasReport and the Done state are one record, so no crash leaves a
+// job Done without its report or its summary.
+func (s *Store) Finish(id string, rep *JobReport) (*Job, error) {
+	return s.update(id, true, func(j *Job) error {
+		if !canTransition(j.State, Done) {
+			return fmt.Errorf("jobqueue: job %s: illegal transition %s → %s", id, j.State, Done)
+		}
 		j.Interleavings = rep.Interleavings
 		j.ErrorsFound = len(rep.Errors)
 		j.Deadlocks = rep.Deadlocks
 		j.Sampled = rep.Sampled
 		j.SampledDistinct = rep.SampledDistinct
 		j.HasReport = true
+		j.FinishedAt = s.now().UTC()
+		j.State = Done
 		return nil
 	})
 }
@@ -450,7 +489,7 @@ func (s *Store) Delete(id string) error {
 		return fmt.Errorf("jobqueue: job %s is %s; cancel it first", id, j.State)
 	}
 	delete(s.jobs, id)
-	if err := s.append(walRecord{Op: "delete", ID: id}); err != nil {
+	if err := s.append(walRecord{Op: "delete", ID: id}, true); err != nil {
 		return err
 	}
 	os.Remove(s.CheckpointPath(id))
@@ -484,7 +523,7 @@ func (s *Store) SweepExpired() ([]string, error) {
 			j.State = Failed
 			j.Error = ttlExpired
 			j.FinishedAt = s.now().UTC()
-			if err := s.put(j); err != nil {
+			if err := s.put(j, true); err != nil {
 				return overdue, err
 			}
 		case Running, Merging:
@@ -512,7 +551,16 @@ func (s *Store) SaveReport(id string, rep *JobReport) error {
 	if err != nil {
 		return fmt.Errorf("jobqueue: marshal report: %w", err)
 	}
-	if err := replaceFile(s.ReportPath(id), body); err != nil {
+	if err := s.replaceFile(s.ReportPath(id), writeBytes(body)); err != nil {
+		return fmt.Errorf("jobqueue: %w", err)
+	}
+	return nil
+}
+
+// SaveCheckpoint persists what a drained job has left, where the attempt
+// that resumes it looks (CheckpointPath).
+func (s *Store) SaveCheckpoint(id string, ckp *dexplore.Checkpoint) error {
+	if err := s.replaceFile(s.CheckpointPath(id), ckp.Write); err != nil {
 		return fmt.Errorf("jobqueue: %w", err)
 	}
 	return nil

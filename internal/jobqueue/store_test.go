@@ -448,6 +448,24 @@ func FuzzOpenStore(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// The same job's end: Merging is appended without an fsync of its own, and
+	// Finish's carries it.
+	if s, err = OpenStore(StoreConfig{Dir: dir}); err != nil {
+		f.Fatal(err)
+	}
+	for _, to := range []State{Running, Merging} {
+		if _, err := s.SetState(j1.ID, to, ""); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if _, err := s.Finish(j1.ID, &JobReport{Interleavings: 7}); err != nil {
+		f.Fatal(err)
+	}
+	s.Close()
+	ended, err := os.ReadFile(filepath.Join(dir, walFile))
+	if err != nil {
+		f.Fatal(err)
+	}
 	snap := []byte(`{"version":1,"next_id":9,"jobs":[{"id":"j000007","state":"done"}]}`)
 	f.Add(clean, []byte(nil))
 	f.Add(clean, snap)
@@ -455,6 +473,8 @@ func FuzzOpenStore(f *testing.F) {
 	f.Add(append(append(bytes.Clone(clean), tornPut...), clean...), []byte(nil))                    // a record glued onto it
 	f.Add(append(bytes.Clone(clean), `{"op":"delete","id":"j000002"}`+"\n\n"...), snap)             // delete, blank line
 	f.Add([]byte(`{"op":"put"}`+"\n"+`{"op":"put","job":null}`+"\n7\n"), []byte(`{"jobs":[null]}`)) // null jobs
+	f.Add(ended, []byte(nil))                                                                       // a synced record (done) behind an unsynced one (merging)
+	f.Add(ended[:len(ended)-len(ended)/8], snap)                                                    // and torn
 	f.Fuzz(func(t *testing.T, wal, snap []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, walFile), wal, 0o644); err != nil {

@@ -134,15 +134,18 @@ type Config struct {
 	// and counts; only result arrival order differs, and errors are listed
 	// by reproducer.
 	Workers int
-	// CheckpointFile, if non-empty, persists the exploration frontier every
-	// CheckpointEvery replays and at the end, so a killed verification can
-	// continue with Resume. Parallel engine only: with Workers == 0 Run
+	// CheckpointFile, if non-empty, persists the exploration frontier
+	// periodically (CheckpointEvery) and at the end, so a killed verification
+	// can continue with Resume. Parallel engine only: with Workers == 0 Run
 	// returns an error rather than silently never writing the file.
 	CheckpointFile string
-	// CheckpointEvery is the number of merged replays between frontier
-	// checkpoint writes (default 32). While checkpointing, a slot's lease is
-	// merged after at most this many replays, so it also bounds what a
-	// crash loses: CheckpointEvery replays per slot.
+	// CheckpointEvery, when positive, is the number of merged replays between
+	// frontier checkpoint writes. While checkpointing, a slot's lease is then
+	// merged after at most this many replays, so it also bounds what a crash
+	// loses: CheckpointEvery replays per slot. 0 = one per
+	// DefaultCheckpointInterval: a write every 250 ms of wall time, however
+	// many replays that is, so a crash loses at most that much work and a run
+	// shorter than it writes only its final checkpoint.
 	CheckpointEvery int
 	// Resume loads CheckpointFile and continues a previous exploration
 	// instead of starting from the initial self-discovery run. Leak checks
