@@ -8,7 +8,8 @@
 # end to end, and holds a finished job to its durability budget: at most four
 # store fsyncs, no checkpoint left under store/ckp. A third job, submitted with a 1 s TTL while a longer one holds
 # the pool, must fail with `ttl expired`: the sweep runs while the service is
-# busy.
+# busy. Failed jobs — that one, and the long one canceled after it — leave no
+# checkpoint either.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -98,14 +99,15 @@ if [ "$syncs" -lt 1 ] || [ "$syncs" -gt $((4 * 2 + 1)) ]; then
   echo "FAIL: /metrics reports $syncs store fsyncs for 2 finished jobs, want at most 4 each" >&2
   exit 1
 fi
-for _ in $(seq 1 20); do
-  [ -z "$(ls -A "$workdir/store/ckp")" ] && break
-  sleep 0.1
-done
-if [ -n "$(ls -A "$workdir/store/ckp")" ]; then
-  echo "FAIL: store/ckp holds $(ls "$workdir/store/ckp") after its jobs finished" >&2
+no_checkpoints_left() {
+  for _ in $(seq 1 50); do
+    [ -z "$(ls -A "$workdir/store/ckp")" ] && return 0
+    sleep 0.1
+  done
+  echo "FAIL: store/ckp holds $(ls "$workdir/store/ckp") after $1" >&2
   exit 1
-fi
+}
+no_checkpoints_left "its jobs finished"
 
 echo "== a job's TTL holds while a longer job has the pool =="
 long=$(submit '{"workload":"matmul","procs":6,"clock":0,"transport":0,"mixing_bound":-1}')
@@ -117,7 +119,11 @@ if [ "$rc" -eq 0 ] || ! grep -q 'ttl expired' "$workdir/ttl.out"; then
   echo "FAIL: a job queued past its 1s TTL behind $long did not fail with 'ttl expired' (exit $rc)" >&2
   exit 1
 fi
+# Neither failed job keeps a checkpoint: the TTL-expired one never ran, and the
+# long one, canceled here after seconds of periodic checkpoints, is never
+# resumed.
 curl -fsS -X DELETE "http://$API/jobs/$long" > /dev/null
+no_checkpoints_left "one job failed its TTL and one was canceled mid-run"
 
 kill -TERM "$service" 2>/dev/null || true
 wait "$service" 2>/dev/null || true

@@ -57,7 +57,7 @@ func TestCancelledWildcardUnderDAMPI(t *testing.T) {
 
 // TestCancelledDeterministicUnderDAMPI: cancelling a deterministic receive
 // must also cancel (or drain) its paired piggyback receive, keeping the
-// shadow stream aligned for later traffic from the same peer.
+// clock stream aligned for later traffic from the same peer.
 func TestCancelledDeterministicUnderDAMPI(t *testing.T) {
 	prog := func(p *mpi.Proc) error {
 		c := p.CommWorld()

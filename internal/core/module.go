@@ -13,8 +13,9 @@ type Transport int
 
 // Piggyback transports.
 const (
-	// Separate sends one piggyback message per payload over a shadow
-	// communicator — the paper's implementation choice.
+	// Separate sends one piggyback message per payload on the communicator's
+	// tool context (the paper's shadow communicator) — the paper's
+	// implementation choice.
 	Separate Transport = iota
 	// Inband packs the clock into the payload itself ("data payload
 	// packing"): half the messages, at the cost of rewriting every payload
@@ -53,7 +54,7 @@ type ToolConfig struct {
 	// clock, closing the Fig. 10 omission pattern. Lamport mode only.
 	DualClock bool
 	// Transport selects the piggyback mechanism (§II-D): Separate (the
-	// paper's shadow-communicator scheme, default) or Inband payload packing.
+	// paper's separate-message scheme, default) or Inband payload packing.
 	Transport Transport
 	// Decisions guides the run; nil or empty means SELF_RUN everywhere.
 	Decisions *Decisions
@@ -87,8 +88,8 @@ func NewTool(cfg ToolConfig) *Tool {
 
 // Reset prepares the Tool to instrument another sequential run under new
 // decisions, keeping the per-rank state objects (and their scratch buffers,
-// epoch freelists and shadow-comm maps) so a replay sequence stops
-// allocating tool state after the first run. Must not be called while a
+// epoch freelists and comm maps) so a replay sequence stops allocating tool
+// state after the first run. Must not be called while a
 // world is running; collect the previous run's Trace first.
 func (t *Tool) Reset(decisions *Decisions) {
 	if decisions == nil {
@@ -109,7 +110,7 @@ func (t *Tool) commit(e *epoch) {
 type rankState struct {
 	p     *mpi.Proc
 	pb    *piggyback.Rank
-	comms map[int]mpi.Comm // live comms, for the in-band unmatched sweep
+	comms map[int]mpi.Comm // live comms, for the unmatched sweep
 
 	lc    clock.Lamport
 	lcOut clock.Lamport // dual-clock mode: the clock sends/collectives carry
@@ -358,11 +359,6 @@ func (t *Tool) init(p *mpi.Proc) {
 	}
 	p.ToolState = st
 	t.states[p.Rank()] = st
-	if t.cfg.Transport == Separate {
-		if err := st.pb.SetupWorld(); err != nil {
-			t.abort(p, err)
-		}
-	}
 }
 
 // --- point-to-point sends ---
@@ -450,7 +446,7 @@ func (t *Tool) postRecv(p *mpi.Proc, op *mpi.RecvOp, req *mpi.Request) {
 	}
 	if t.cfg.Transport == Separate && op.Src != mpi.AnySource {
 		// Deterministic (or determinized) receive: the piggyback receive can
-		// be posted immediately, paired by (src, tag) FIFO on the shadow comm.
+		// be posted immediately, paired by (src, tag) FIFO on the tool context.
 		pbReq, err := st.pb.PostRecvClock(op.Src, op.Tag, op.Comm)
 		if err != nil {
 			t.abort(p, err)
@@ -487,7 +483,7 @@ func (t *Tool) complete(p *mpi.Proc, req *mpi.Request, status mpi.Status) {
 					t.abort(p, err)
 				} else if !ok {
 					// The piggyback already arrived (payload raced the
-					// cancel); drain it so the shadow stream stays paired.
+					// cancel); drain it so the clock stream stays paired.
 					if _, err := p.PMPI().Wait(info.pbReq); err != nil {
 						t.abort(p, err)
 					}
@@ -755,23 +751,11 @@ func (t *Tool) collClockOut(p *mpi.Proc, op *mpi.CollOp, c []uint64) {
 // --- communicator management ---
 
 func (t *Tool) postCommCreate(p *mpi.Proc, parent, created mpi.Comm) {
-	st := t.state(p)
-	st.comms[created.ID()] = created
-	if t.cfg.Transport == Separate {
-		if err := st.pb.OnCommCreate(created); err != nil {
-			t.abort(p, err)
-		}
-	}
+	t.state(p).comms[created.ID()] = created
 }
 
 func (t *Tool) postCommFree(p *mpi.Proc, c mpi.Comm) {
-	st := t.state(p)
-	delete(st.comms, c.ID())
-	if t.cfg.Transport == Separate {
-		if err := st.pb.OnCommFree(c); err != nil {
-			t.abort(p, err)
-		}
-	}
+	delete(t.state(p).comms, c.ID())
 }
 
 // --- Pcontrol: loop iteration abstraction ---
@@ -794,27 +778,23 @@ func (t *Tool) pcontrol(p *mpi.Proc, level int, arg string) {
 // sweepUnmatched analyzes sends that impinged on a rank but were never
 // received (paper Fig. 3: the alternate send "comes in late" and may match
 // no receive at all in this run). Their piggyback messages are still queued
-// on the shadow communicators, so after the run we probe and receive each
-// leftover piggyback and feed it to the late-message analysis. Runs on the
-// collector goroutine after World.Run returns, so no rank is racing us.
+// on the communicators' tool contexts, so after the run we probe and receive
+// each leftover piggyback and feed it to the late-message analysis. Runs on
+// the collector goroutine after World.Run returns, so no rank is racing us.
 func (t *Tool) sweepUnmatched(st *rankState) {
 	if st.p.World().Failure() != nil {
 		return // deadlocked/aborted runs cannot issue further MPI calls
 	}
 	pm := st.p.PMPI()
-	// Separate transport: leftover piggybacks queue on the shadow comms.
-	// In-band transport: the clocks sit inside the leftover payloads.
-	sources := make(map[int]mpi.Comm)
-	if t.cfg.Transport == Separate {
-		for id, shadow := range st.pb.Shadows() {
-			sources[id] = shadow
+	for commID, c := range st.comms {
+		// Separate transport: leftover piggybacks queue on the tool context.
+		// In-band transport: the clocks sit inside the leftover payloads.
+		if t.cfg.Transport == Separate {
+			var err error
+			if c, err = pm.Tool(c); err != nil {
+				continue
+			}
 		}
-	} else {
-		for id, c := range st.comms {
-			sources[id] = c
-		}
-	}
-	for commID, c := range sources {
 		for {
 			status, found, err := pm.Iprobe(mpi.AnySource, mpi.AnyTag, c)
 			if err != nil || !found {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"dampi/internal/core"
 	"dampi/internal/dcoord"
@@ -89,6 +91,54 @@ func TestFinishedJobLeavesNoCheckpoint(t *testing.T) {
 	}
 	if left := checkpointFiles(t, dir); len(left) != 0 {
 		t.Errorf("ckp/ holds %v after the job finished", left)
+	}
+}
+
+// TestFailedJobLeavesNoCheckpoint: a job that fails after writing periodic
+// checkpoints — canceled mid-run, drained past its TTL, or ended by a worker's
+// fatal result — leaves none on disk either: a failed job is never resumed, so
+// the file had no reader, and it used to stay until DELETE /jobs/{id}.
+func TestFailedJobLeavesNoCheckpoint(t *testing.T) {
+	for _, tc := range []struct {
+		name, workload string
+		ttl            time.Duration
+		strike         func(h *harness, id string)
+		wantError      string
+	}{
+		{name: "canceled", workload: "slowfanin", wantError: "canceled", strike: func(h *harness, id string) {
+			if ok, err := h.svc.Cancel(id); err != nil || !ok {
+				h.t.Fatalf("cancel: ok=%v err=%v", ok, err)
+			}
+		}},
+		{name: "ttl", workload: "slowfanin", ttl: time.Minute, wantError: ttlExpired, strike: func(h *harness, id string) {
+			h.ahead.Store(int64(2 * time.Minute))
+		}},
+		{name: "fatal worker result", workload: "brokenfanin", wantError: "replay harness broke", strike: func(*harness, string) {}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newTestFactory()
+			dir := t.TempDir()
+			h := startHarness(t, dir, f, 1, 1, 1, false)
+			defer h.api.Close()
+			defer h.stopWorkers()
+			j, _, err := h.svc.Submit(dcoord.JobSpec{Workload: tc.workload, Procs: 5, Space: dexplore.Space{MixingBound: core.Unbounded}}, tc.ttl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitRunningProgress(t, h, j.ID, 3)
+			tc.strike(h, j.ID)
+			if got := waitJobTerminal(t, h.store, j.ID); got.State != Failed || !strings.Contains(got.Error, tc.wantError) {
+				t.Fatalf("job = %s (%q), want failed (%s)", got.State, got.Error, tc.wantError)
+			}
+			h.svc.Stop() // runOne has returned
+			<-h.runDone
+			if n := h.server.CheckpointsWritten(); n == 0 {
+				t.Error("fixture: the job wrote no periodic checkpoint before it failed")
+			}
+			if left := checkpointFiles(t, dir); len(left) != 0 {
+				t.Errorf("ckp/ holds %v after the job failed", left)
+			}
+		})
 	}
 }
 

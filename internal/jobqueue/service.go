@@ -244,13 +244,20 @@ func (s *Service) runOne(j *Job) {
 		s.event("job %s requeued for the next start (%d interleavings so far)", j.ID, rep.Interleavings)
 		return
 	}
+	// A job that ends here, failed or done, has no reader for the periodic
+	// checkpoints a long run wrote (only a drained job, above, is resumed), and
+	// nothing writes the path once RunJob has returned: they go with it.
+	fail := func(why string) {
+		_, _ = s.cfg.Store.SetState(j.ID, Failed, why)
+		os.Remove(jcfg.CheckpointPath)
+	}
 	if runErr != nil {
-		_, _ = s.cfg.Store.SetState(j.ID, Failed, runErr.Error())
+		fail(runErr.Error())
 		s.event("job %s failed: %v", j.ID, runErr)
 		return
 	}
 	if ended != "" {
-		_, _ = s.cfg.Store.SetState(j.ID, Failed, ended)
+		fail(ended)
 		s.event("job %s %s after %d interleavings", j.ID, ended, rep.Interleavings)
 		return
 	}
@@ -260,7 +267,7 @@ func (s *Service) runOne(j *Job) {
 	}
 	jrep := NewJobReport(j.Spec, rep, elapsed)
 	if err := s.cfg.Store.SaveReport(j.ID, jrep); err != nil {
-		_, _ = s.cfg.Store.SetState(j.ID, Failed, fmt.Sprintf("persist report: %v", err))
+		fail(fmt.Sprintf("persist report: %v", err))
 		s.event("job %s failed: %v", j.ID, err)
 		return
 	}
@@ -268,9 +275,7 @@ func (s *Service) runOne(j *Job) {
 		s.event("job %s: %v", j.ID, err)
 		return
 	}
-	// The report supersedes a long job's periodic checkpoints; nothing writes
-	// the path once RunJob has returned.
-	os.Remove(s.cfg.Store.CheckpointPath(j.ID))
+	os.Remove(jcfg.CheckpointPath)
 	s.observeDuration(elapsed)
 	s.event("job %s done: %s (%.1fs)", j.ID, jrep.Summary(), elapsed)
 }

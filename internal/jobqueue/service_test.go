@@ -1,6 +1,7 @@
 package jobqueue
 
 import (
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"regexp"
@@ -88,6 +89,9 @@ func slowFanIn(p *mpi.Proc) error {
 type testFactory struct {
 	mu    sync.Mutex
 	memos map[string]*memoRunner
+	// brokenRuns counts the replays of the "brokenfanin" workload, whose
+	// harness fails from the tenth on.
+	brokenRuns atomic.Int64
 }
 
 func newTestFactory() *testFactory { return &testFactory{memos: make(map[string]*memoRunner)} }
@@ -110,10 +114,20 @@ func (f *testFactory) config(spec dcoord.JobSpec) (core.ExplorerConfig, error) {
 		cfg.Program = fanInError
 	case "slowfanin":
 		cfg.Program = slowFanIn
+	case "brokenfanin":
+		cfg.Program = slowFanIn
 	default:
 		return core.ExplorerConfig{}, fmt.Errorf("unknown test workload %q", spec.Workload)
 	}
 	cfg.Runner = f.memo(fmt.Sprintf("%s/%d", spec.Workload, spec.Procs)).Run
+	if run := cfg.Runner; spec.Workload == "brokenfanin" {
+		cfg.Runner = func(cfg *core.ExplorerConfig, d *core.Decisions) (*core.RunTrace, *core.InterleavingResult, error) {
+			if f.brokenRuns.Add(1) >= 10 {
+				return nil, nil, errors.New("replay harness broke")
+			}
+			return run(cfg, d)
+		}
+	}
 	return cfg, nil
 }
 

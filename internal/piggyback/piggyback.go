@@ -1,13 +1,13 @@
 // Package piggyback implements DAMPI's clock transport (paper §II-D): the
-// separate-message piggyback mechanism over shadow communicators.
+// separate-message piggyback mechanism over a private matching context.
 //
-// For every communicator the application uses, the tool duplicates a shadow
-// communicator. Every application send is accompanied by a piggyback message
-// on the shadow communicator carrying the sender's logical clock; every
-// receive posts (or defers) a matching piggyback receive. Because the shadow
-// communicator preserves the same (source, tag) FIFO ordering as the payload
-// communicator, the i-th payload message from a peer pairs with the i-th
-// piggyback message from that peer.
+// Every application send is accompanied by a piggyback message carrying the
+// sender's logical clock on the tool context of the payload's communicator
+// (mpi.PMPI.Tool) — the paper's shadow communicator, which its tool must
+// MPI_Comm_dup and this runtime gives every communicator; every receive posts
+// (or defers) a matching piggyback receive there. The context preserves the
+// payload communicator's (source, tag) FIFO ordering, so the i-th payload
+// message from a peer pairs with the i-th piggyback message from that peer.
 //
 // The delicate case from the paper is the wildcard nonblocking receive: the
 // source is unknown at post time, so blindly posting a wildcard piggyback
@@ -67,8 +67,7 @@ func DecodeClockInto(dst []uint64, b []byte) []uint64 {
 // and are valid only until the next clock receive on this Rank — callers
 // must merge or copy before receiving again.
 type Rank struct {
-	p       *mpi.Proc
-	shadows map[int]mpi.Comm // payload comm ID -> this rank's shadow handle
+	p *mpi.Proc
 
 	encBuf []byte   // scratch for AppendClock in SendClock
 	decBuf []uint64 // scratch for DecodeClockInto; aliased by returned clocks
@@ -76,75 +75,39 @@ type Rank struct {
 
 // NewRank creates the piggyback state for p.
 func NewRank(p *mpi.Proc) *Rank {
-	return &Rank{p: p, shadows: make(map[int]mpi.Comm)}
+	return &Rank{p: p}
 }
 
-// Reset rebinds the Rank to a fresh proc (the same rank of a new world) and
-// clears per-run state, keeping the scratch buffers and map storage so a
-// replay sequence stops allocating after the first run.
+// Reset rebinds the Rank to a fresh proc (the same rank of a new world),
+// keeping the scratch buffers so a replay sequence stops allocating after the
+// first run.
 func (r *Rank) Reset(p *mpi.Proc) {
 	r.p = p
-	clear(r.shadows)
-}
-
-// SetupWorld creates the shadow of MPI_COMM_WORLD. Collective: every rank
-// must call it (from the tool's Init hook).
-func (r *Rank) SetupWorld() error {
-	return r.OnCommCreate(r.p.CommWorld())
-}
-
-// OnCommCreate duplicates a shadow for a newly created (or initial)
-// communicator. Collective over the communicator's group.
-func (r *Rank) OnCommCreate(c mpi.Comm) error {
-	shadow, _, err := r.p.PMPI().CommDup(c, nil)
-	if err != nil {
-		return fmt.Errorf("piggyback: shadow dup for %v: %w", c, err)
-	}
-	r.shadows[c.ID()] = shadow
-	return nil
-}
-
-// OnCommFree releases the shadow of a freed communicator. Collective.
-func (r *Rank) OnCommFree(c mpi.Comm) error {
-	shadow, ok := r.shadows[c.ID()]
-	if !ok {
-		return nil
-	}
-	delete(r.shadows, c.ID())
-	_, err := r.p.PMPI().CommFree(shadow, nil)
-	return err
-}
-
-// Shadow returns the shadow communicator for c.
-func (r *Rank) Shadow(c mpi.Comm) (mpi.Comm, error) {
-	s, ok := r.shadows[c.ID()]
-	if !ok {
-		return mpi.Comm{}, fmt.Errorf("piggyback: no shadow for %v", c)
-	}
-	return s, nil
 }
 
 // SendClock sends the piggyback message accompanying a payload send to
 // (dest, tag) on c. Returns the piggyback request (eager; waited lazily).
 func (r *Rank) SendClock(dest, tag int, c mpi.Comm, clock []uint64) (*mpi.Request, error) {
-	shadow, err := r.Shadow(c)
+	pm := r.p.PMPI()
+	tc, err := pm.Tool(c)
 	if err != nil {
 		return nil, err
 	}
 	// Isend copies the payload before returning, so the scratch buffer is
 	// immediately reusable.
 	r.encBuf = AppendClock(r.encBuf[:0], clock)
-	return r.p.PMPI().Isend(dest, tag, r.encBuf, shadow)
+	return pm.Isend(dest, tag, r.encBuf, tc)
 }
 
 // PostRecvClock posts the piggyback receive paired with a deterministic
 // payload receive from (src, tag) on c.
 func (r *Rank) PostRecvClock(src, tag int, c mpi.Comm) (*mpi.Request, error) {
-	shadow, err := r.Shadow(c)
+	pm := r.p.PMPI()
+	tc, err := pm.Tool(c)
 	if err != nil {
 		return nil, err
 	}
-	return r.p.PMPI().Irecv(src, tag, shadow)
+	return pm.Irecv(src, tag, tc)
 }
 
 // WaitClock completes a posted piggyback receive and decodes the clock. The
@@ -166,25 +129,11 @@ func (r *Rank) WaitClock(req *mpi.Request) ([]uint64, error) {
 // piggyback receive). The returned clock aliases the Rank's decode buffer:
 // it is valid until the next clock receive.
 func (r *Rank) RecvClockFrom(src, tag int, c mpi.Comm) ([]uint64, error) {
-	shadow, err := r.Shadow(c)
-	if err != nil {
-		return nil, err
-	}
-	req, err := r.p.PMPI().Irecv(src, tag, shadow)
+	req, err := r.PostRecvClock(src, tag, c)
 	if err != nil {
 		return nil, err
 	}
 	return r.WaitClock(req)
-}
-
-// Shadows returns a snapshot of the live payload-comm-ID -> shadow map.
-// Used by the post-run sweep for unmatched late messages.
-func (r *Rank) Shadows() map[int]mpi.Comm {
-	out := make(map[int]mpi.Comm, len(r.shadows))
-	for id, c := range r.shadows {
-		out[id] = c
-	}
-	return out
 }
 
 // DrainSend completes the piggyback send paired with a completed payload

@@ -1,6 +1,7 @@
 package piggyback
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -25,7 +26,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSeparateMessagePiggyback exercises the full shadow-communicator
+// TestSeparateMessagePiggyback exercises the full separate-message
 // mechanism directly: deterministic receives pair posted piggyback receives;
 // wildcard receives defer theirs to completion (paper §II-D).
 func TestSeparateMessagePiggyback(t *testing.T) {
@@ -33,9 +34,6 @@ func TestSeparateMessagePiggyback(t *testing.T) {
 	err := w.Run(func(p *mpi.Proc) error {
 		c := p.CommWorld()
 		r := NewRank(p)
-		if err := r.SetupWorld(); err != nil {
-			return err
-		}
 		switch p.Rank() {
 		case 1, 2:
 			// Payload and piggyback to rank 0.
@@ -83,41 +81,40 @@ func TestSeparateMessagePiggyback(t *testing.T) {
 	}
 }
 
-func TestShadowLifecycle(t *testing.T) {
+// TestClockContextFollowsTheCommunicator: a communicator the application
+// creates carries clocks from its first message, with no call from the tool at
+// its creation, and stops when its holder frees it.
+func TestClockContextFollowsTheCommunicator(t *testing.T) {
 	w := mpi.NewWorld(mpi.Config{Procs: 2})
 	err := w.Run(func(p *mpi.Proc) error {
-		c := p.CommWorld()
 		r := NewRank(p)
-		if err := r.SetupWorld(); err != nil {
-			return err
-		}
-		if _, err := r.Shadow(c); err != nil {
-			return err
-		}
-		dup, _, err := p.PMPI().CommDup(c, nil)
+		dup, _, err := p.PMPI().CommDup(p.CommWorld(), nil)
 		if err != nil {
 			return err
 		}
-		if _, err := r.Shadow(dup); err == nil {
-			t.Error("Shadow succeeded before OnCommCreate")
-		}
-		if err := r.OnCommCreate(dup); err != nil {
+		peer := 1 - p.Rank()
+		req, err := r.SendClock(peer, 3, dup, []uint64{uint64(7 + p.Rank())})
+		if err != nil {
 			return err
 		}
-		if _, err := r.Shadow(dup); err != nil {
+		clk, err := r.RecvClockFrom(peer, 3, dup)
+		if err != nil {
 			return err
 		}
-		if len(r.Shadows()) != 2 {
-			t.Errorf("shadows = %d, want 2", len(r.Shadows()))
+		if clk[0] != uint64(7+peer) {
+			t.Errorf("rank %d: clock on the dup = %v, want [%d]", p.Rank(), clk, 7+peer)
 		}
-		if err := r.OnCommFree(dup); err != nil {
+		if err := r.DrainSend(req); err != nil {
 			return err
 		}
-		if _, err := r.Shadow(dup); err == nil {
-			t.Error("shadow survived OnCommFree")
+		if _, err := p.PMPI().CommFree(dup, nil); err != nil {
+			return err
 		}
-		// Freeing an untracked comm is a no-op.
-		return r.OnCommFree(dup)
+		var ue *mpi.UsageError
+		if _, err := r.SendClock(peer, 3, dup, clk); !errors.As(err, &ue) {
+			t.Errorf("rank %d: SendClock on a freed communicator: %v, want a UsageError", p.Rank(), err)
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

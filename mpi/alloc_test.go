@@ -113,6 +113,38 @@ func TestWarmWorldStartsNoCoroutine(t *testing.T) {
 	}
 }
 
+// TestColdNativeWorldPaysNothingForTools: a world on its own Pools that no
+// tool layer asks for a tool context — the native side of every slowdown
+// figure — allocates what it did before communicators had one: 7 984 bytes in
+// 129 objects for an empty 8-rank world (7 976 in 128 now: the per-member
+// arrays of a communicator became one). The context's mailboxes exist from
+// the first PMPI.Tool on, and the handle's three words fit where the second
+// array's header was.
+func TestColdNativeWorldPaysNothingForTools(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	const worlds, budgetBytes, budgetMallocs = 50, 7984, 129
+	world := func() {
+		if err := NewWorld(Config{Procs: 8}).Run(func(*Proc) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	world()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < worlds; i++ {
+		world()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / worlds
+	mallocs := float64(after.Mallocs-before.Mallocs) / worlds
+	t.Logf("cold empty 8-rank world: %.0f bytes, %.1f mallocs", bytes, mallocs)
+	if bytes > budgetBytes || mallocs > budgetMallocs {
+		t.Fatalf("a cold native 8-rank world allocates %.0f bytes in %.1f objects (budget %d in %d)", bytes, mallocs, budgetBytes, budgetMallocs)
+	}
+}
+
 // TestRequestSlabCarriesAcrossWorlds: a world whose ranks use only part of
 // their request slab leaves the rest to the next world on the same Pools,
 // which therefore allocates no slab at all.

@@ -66,15 +66,18 @@ func (m PMPI) enterCollective(c Comm, a collArgs) (collResult, error) {
 	if !c.Valid() {
 		return collResult{}, &UsageError{Rank: p.rank, Op: a.kind.String(), Msg: "invalid communicator"}
 	}
-	if a.kind != CollCommFree {
-		if err := c.checkLive(p, a.kind.String()); err != nil {
-			return collResult{}, err
-		}
-	}
 	ci := c.info
 	me := c.localRank
-	seq := ci.collSeq[me]
-	ci.collSeq[me]++
+	if ci.parent != nil {
+		return collResult{}, &UsageError{Rank: p.rank, Op: a.kind.String(), Msg: fmt.Sprintf("collective on tool context %s", c)}
+	}
+	if a.kind == CollCommFree {
+		ci.ranks[me].freed = true // the handle is dead from here, whoever else has yet to free
+	} else if err := c.checkLive(p, a.kind.String()); err != nil {
+		return collResult{}, err
+	}
+	seq := ci.ranks[me].collSeq
+	ci.ranks[me].collSeq++
 	inst := ci.colls[seq]
 	if inst == nil {
 		inst = ci.newCollective(a.kind, a.root)

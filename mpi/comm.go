@@ -24,13 +24,26 @@ type commInfo struct {
 
 	boxes []mailbox // per comm-local destination rank
 
-	// Collective rendezvous state: per-rank entry sequence and in-flight
-	// instances keyed by sequence number.
-	collSeq  []uint64
-	colls    map[uint64]*collective
+	ranks []commRank // per comm-local rank
+
+	// Collective rendezvous state: in-flight instances keyed by the members'
+	// entry sequence number (commRank.collSeq).
+	colls    map[uint32]*collective
 	collFree []*collective // retired instances, reused by enterCollective
 
-	freed []bool // per comm-local rank: has this rank freed the comm?
+	// The tool context (PMPI.Tool): nil until a tool layer first asks, then
+	// kept with this storage from world to world; toolLive says it is open for
+	// the communicator this storage currently is. In the tool context itself
+	// parent points back, and members and ranks alias the parent's.
+	tool     *commInfo
+	toolLive bool
+	parent   *commInfo
+}
+
+// commRank is one member's state in a communicator.
+type commRank struct {
+	collSeq uint32 // collectives this rank has entered; wraps, as every member's does
+	freed   bool   // this rank has freed its handle
 }
 
 // mailbox holds the two matching queues of one destination rank in one
@@ -62,11 +75,10 @@ func (w *World) newComm(name string, members []int) *commInfo {
 	}
 	if j == len(w.comms) {
 		w.comms = append(w.comms, &commInfo{
-			rankOf:  make(map[int]int, n),
-			boxes:   make([]mailbox, n),
-			collSeq: make([]uint64, n),
-			colls:   make(map[uint64]*collective),
-			freed:   make([]bool, n),
+			rankOf: make(map[int]int, n),
+			boxes:  make([]mailbox, n),
+			ranks:  make([]commRank, n),
+			colls:  make(map[uint32]*collective),
 		})
 	}
 	w.comms[w.liveComms], w.comms[j] = w.comms[j], w.comms[w.liveComms]
@@ -76,6 +88,7 @@ func (w *World) newComm(name string, members []int) *commInfo {
 	ci.id = w.nextComm
 	w.nextComm++
 	ci.name = name
+	ci.toolLive = false
 	ci.members = append(ci.members[:0], members...)
 	clear(ci.rankOf)
 	for lr, wr := range members {
@@ -84,8 +97,42 @@ func (w *World) newComm(name string, members []int) *commInfo {
 	return ci
 }
 
-// ID returns the communicator's world-unique identity. Tool layers use it to
-// key shadow communicators and epoch records.
+// Tool returns c's tool context: a private matching context over the same
+// group, on which a tool layer sends its own point-to-point traffic without
+// ever matching — or being matched by — an application receive or probe on c.
+// A PMPI tool over someone else's MPI must build one with a collective
+// MPI_Comm_dup per communicator; a runtime that owns its communicators gives
+// each a second context instead, as MPICH does for its collectives. The first
+// rank to ask opens it — ranks run one at a time, so nobody parks or yields —
+// and a world no tool asks allocates nothing for it. It lives and dies with c
+// (a freed handle, or a tool handle from before the free, is a UsageError) and
+// has no collectives and no tool context of its own.
+func (m PMPI) Tool(c Comm) (Comm, error) {
+	if !c.Valid() {
+		return Comm{}, &UsageError{Rank: m.p.rank, Op: "Tool", Msg: "invalid communicator"}
+	}
+	if err := c.checkLive(m.p, "Tool"); err != nil {
+		return Comm{}, err
+	}
+	ci := c.info
+	if ci.parent != nil {
+		return Comm{}, &UsageError{Rank: m.p.rank, Op: "Tool", Msg: fmt.Sprintf("%s is a tool context", c)}
+	}
+	if !ci.toolLive {
+		if ci.tool == nil {
+			ci.tool = &commInfo{parent: ci, boxes: make([]mailbox, len(ci.members))}
+		}
+		ci.tool.id = -2 - ci.id // outside nextComm's space: application ids never move
+		ci.tool.members = ci.members
+		ci.tool.ranks = ci.ranks
+		ci.toolLive = true
+	}
+	return Comm{info: ci.tool, localRank: c.localRank}, nil
+}
+
+// ID returns the communicator's world-unique identity: 0 for MPI_COMM_WORLD,
+// then 1, 2, ... in creation order, whether or not a tool layer is watching. A
+// tool context has a negative one.
 func (c Comm) ID() int {
 	if c.info == nil {
 		return -1
@@ -93,12 +140,20 @@ func (c Comm) ID() int {
 	return c.info.id
 }
 
-// Name returns the communicator's debug name.
+// Name returns the communicator's debug name; a tool context is named after
+// its communicator ("world.tool").
 func (c Comm) Name() string {
 	if c.info == nil {
 		return "<nil>"
 	}
-	return c.info.name
+	return c.info.label()
+}
+
+func (ci *commInfo) label() string {
+	if ci.parent != nil {
+		return ci.parent.name + ".tool"
+	}
+	return ci.name
 }
 
 // Rank returns the holder's rank within the communicator.
@@ -122,14 +177,14 @@ func (c Comm) String() string {
 	if c.info == nil {
 		return "Comm(<nil>)"
 	}
-	return fmt.Sprintf("Comm(%s#%d rank %d/%d)", c.info.name, c.info.id, c.localRank, len(c.info.members))
+	return fmt.Sprintf("Comm(%s#%d rank %d/%d)", c.info.label(), c.info.id, c.localRank, len(c.info.members))
 }
 
 // checkLive reports a usage error if the holder already freed this
 // communicator (use-after-free of an MPI communicator handle).
 func (c Comm) checkLive(p *Proc, op string) error {
-	if c.info.freed[c.localRank] {
-		return &UsageError{Rank: p.rank, Op: op, Msg: fmt.Sprintf("use of freed communicator %s#%d", c.info.name, c.info.id)}
+	if c.info.ranks[c.localRank].freed {
+		return &UsageError{Rank: p.rank, Op: op, Msg: fmt.Sprintf("use of freed communicator %s#%d", c.info.label(), c.info.id)}
 	}
 	return nil
 }

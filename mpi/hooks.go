@@ -114,8 +114,10 @@ type CollOp struct {
 // returned and may reappear under a new identity; requests of the
 // nonblocking calls belong to the application and are never recycled.
 type Hooks struct {
-	// Init runs on each rank before its program starts. Collective tool
-	// setup (e.g. DAMPI's shadow-communicator duplication) happens here.
+	// Init runs on each rank before its program starts: per-rank tool set-up.
+	// A tool that wants the instrumented run to take the bare program's
+	// schedule enters no collective here (a private matching context is
+	// PMPI.Tool, not a CommDup).
 	Init func(p *Proc)
 
 	PreSend  func(p *Proc, op *SendOp)

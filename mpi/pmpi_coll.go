@@ -82,9 +82,6 @@ func (m PMPI) CommSplit(c Comm, color, key int, clock []uint64) (Comm, []uint64,
 
 // CommFree collectively releases c. The handle must not be used afterwards.
 func (m PMPI) CommFree(c Comm, clock []uint64) ([]uint64, error) {
-	if c.Valid() {
-		c.info.freed[c.localRank] = true
-	}
 	res, err := m.enterCollective(c, collArgs{kind: CollCommFree, clock: clock})
 	return res.clock, err
 }

@@ -20,9 +20,10 @@ import "iter"
 //     requests that never leave the runtime or the tool layer — the implicit
 //     request inside a blocking Send/Recv, the piggyback layer's clock
 //     traffic — return to a per-rank freelist through Request.Free.
-//   - The world skeleton (procs, communicators with their mailboxes) is
-//     parked here when World.Run returns and reset by the next NewWorld, so
-//     mailbox queues keep the capacity earlier replays grew them to.
+//   - The world skeleton (procs, communicators with their mailboxes and, once
+//     a tool layer has asked for one, their tool contexts) is parked here when
+//     World.Run returns and reset by the next NewWorld, so mailbox queues keep
+//     the capacity earlier replays grew them to.
 //   - The rank coroutines (runner): one per rank, started by the first world
 //     that needs it and parked between worlds, so the next world pays for no
 //     iter.Pull and runs on stacks the earlier ones already grew. Unlike the
@@ -160,21 +161,27 @@ func (pl *Pools) takeSkeleton() skeleton {
 	pl.skel = skeleton{}
 	clear(sk.ready)
 	for _, ci := range sk.comms {
-		for i := range ci.boxes {
-			mb := &ci.boxes[i]
-			for j, env := range mb.unexpected {
-				pl.putEnv(env)
-				mb.unexpected[j] = nil
-			}
-			mb.unexpected = mb.unexpected[:0]
-			clear(mb.posted)
-			mb.posted = mb.posted[:0]
+		pl.resetBoxes(ci.boxes)
+		if ci.tool != nil {
+			pl.resetBoxes(ci.tool.boxes)
 		}
-		clear(ci.collSeq)
+		clear(ci.ranks)
 		clear(ci.colls) // instances a deadlock or abort left half-entered
-		clear(ci.freed)
 	}
 	return sk
+}
+
+func (pl *Pools) resetBoxes(boxes []mailbox) {
+	for i := range boxes {
+		mb := &boxes[i]
+		for j, env := range mb.unexpected {
+			pl.putEnv(env)
+			mb.unexpected[j] = nil
+		}
+		mb.unexpected = mb.unexpected[:0]
+		clear(mb.posted)
+		mb.posted = mb.posted[:0]
+	}
 }
 
 // rankPool is one rank's freelists.

@@ -47,7 +47,7 @@ const Unbounded = core.Unbounded
 // Transport selects the piggyback mechanism (paper §II-D).
 type Transport = core.Transport
 
-// Piggyback transports: Separate (the paper's shadow-communicator scheme,
+// Piggyback transports: Separate (the paper's separate-message scheme,
 // default) or Inband payload packing.
 const (
 	Separate = core.Separate
