@@ -6,7 +6,8 @@
 # to end. One worker is pinned (`dampi -join`: it states the flags and is
 # checked against them), the other any-workload (`dampid -join ADDR`: it builds
 # what the coordinator announces), and a third, pinned at another -scale, must
-# be refused by name without disturbing the run.
+# be refused by name without disturbing the run. Before it, a default-worker
+# run capped with -checkpoint and then resumed must end on the serial summary.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -34,6 +35,16 @@ normalize() {
 
 echo "== serial baseline =="
 timeout -k 10 240 "$workdir/dampi" $FLAGS -leaks=false | tee "$workdir/serial.out"
+
+echo "== default-worker checkpoint, then resume =="
+timeout -k 10 240 "$workdir/dampi" $FLAGS -leaks=false -max 20 -checkpoint "$workdir/serial.ckp.json" \
+  | grep '^DAMPI:'
+timeout -k 10 240 "$workdir/dampi" $FLAGS -leaks=false -checkpoint "$workdir/serial.ckp.json" -resume \
+  | tee "$workdir/resumed.out"
+if [ "$(grep '^DAMPI:' "$workdir/resumed.out")" != "$(grep '^DAMPI:' "$workdir/serial.out")" ]; then
+  echo "FAIL: a resumed default-worker run differs from the uninterrupted one" >&2
+  exit 1
+fi
 
 echo "== distributed run (coordinator + 2 workers) =="
 timeout -k 10 240 "$workdir/dampi" -serve "$ADDR" $FLAGS > "$workdir/cluster.out" &

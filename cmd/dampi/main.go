@@ -101,7 +101,7 @@ func main() {
 		autoloop   = flag.Int("autoloop", 0, "auto loop detection threshold (0 = off)")
 		scale      = flag.Int("scale", 100, "traffic divisor for proxy workloads")
 		iters      = flag.Int("iters", 4, "outer iterations for proxy workloads")
-		workers    = flag.Int("workers", 0, "parallel replay workers (0 = serial explorer: one worker, errors listed in discovery order)")
+		workers    = flag.Int("workers", 0, "concurrent replay slots (0 and 1 = one slot on the main goroutine, errors listed in discovery order)")
 		sampleStr  = flag.String("sample", "", "schedule-sampling strategy: random or pct (default: exhaustive exploration)")
 		samples    = flag.Int("samples", 64, "schedules to sample (with -sample)")
 		seed       = flag.Uint64("seed", 1, "sampling seed; the same seed reproduces the same schedule set (with -sample)")
@@ -120,7 +120,7 @@ func main() {
 		leaseTTL   = flag.Duration("lease-ttl", 0, "distributed task lease TTL (0 = default 10s; with -serve)")
 		slots      = flag.Int("slots", 1, "concurrent replay slots (with -join)")
 		workerName = flag.String("worker-name", "", "worker name in coordinator status (with -join; default host:pid)")
-		ckpFile    = flag.String("checkpoint", "", "frontier checkpoint FILE (parallel engine)")
+		ckpFile    = flag.String("checkpoint", "", "frontier checkpoint FILE, written periodically and at the end (see -resume)")
 		ckpEvery   = flag.Int("checkpoint-every", 0, "replays between checkpoint writes (0 = one per DefaultCheckpointInterval, 250ms)")
 		resume     = flag.Bool("resume", false, "resume exploration from -checkpoint")
 		lintPath   = flag.String("lint", "", "run the mpilint static analyzer over Go sources at PATH first")
@@ -269,9 +269,6 @@ func main() {
 	if *resume && *ckpFile == "" {
 		fatal(fmt.Errorf("-resume requires -checkpoint"))
 	}
-	if *ckpFile != "" && *workers < 1 && *serve == "" && *submitURL == "" {
-		fatal(fmt.Errorf("-checkpoint requires -workers >= 1 (or -serve): the serial explorer neither writes nor resumes checkpoints"))
-	}
 	if *serve != "" && *join != "" {
 		fatal(fmt.Errorf("-serve and -join are mutually exclusive"))
 	}
@@ -367,17 +364,14 @@ func main() {
 	// Track the trailing-window throughput for the footer (and the verbose
 	// progress line). The progress monitor goroutine is joined before Run
 	// returns, so reading lastWindow afterwards is race-free. lastOK stays
-	// false on serial runs (no monitor) and on runs too short for the window
-	// tracker to accumulate a baseline, and the footer then omits the window.
+	// false on runs too short for the window tracker to accumulate a
+	// baseline, and the footer then omits the window.
 	lastWindow, lastOK := 0.0, false
-	if *workers > 0 {
-		printProgress := *verbose
-		cfg.OnProgress = func(p verify.Progress) {
-			lastWindow, lastOK = p.WindowPerSecond, p.WindowValid
-			if printProgress {
-				fmt.Printf("  progress: %d interleavings (%.1f/sec window, %.1f/sec mean) frontier=%d busy=%d\n",
-					p.Interleavings, p.WindowPerSecond, p.PerSecond, p.FrontierDepth, p.Busy)
-			}
+	cfg.OnProgress = func(p verify.Progress) {
+		lastWindow, lastOK = p.WindowPerSecond, p.WindowValid
+		if *verbose {
+			fmt.Printf("  progress: %d interleavings (%.1f/sec window, %.1f/sec mean) frontier=%d busy=%d\n",
+				p.Interleavings, p.WindowPerSecond, p.PerSecond, p.FrontierDepth, p.Busy)
 		}
 	}
 

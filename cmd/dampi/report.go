@@ -36,10 +36,10 @@ func finishReport(res *verify.Result, sampleDump, footer string) {
 }
 
 // footer renders the closing throughput line. windowOK reports whether the
-// trailing-window rate was ever actually measured: on sub-second runs (and
-// serial runs, which have no progress monitor) the window tracker has no
-// baseline sample, so the line falls back to the mean-only form instead of
-// presenting an echo of the mean as a window measurement.
+// trailing-window rate was ever actually measured: on sub-second runs the
+// window tracker has no baseline sample, so the line falls back to the
+// mean-only form instead of presenting an echo of the mean as a window
+// measurement.
 func footer(interleavings int, elapsed time.Duration, window float64, windowOK bool) string {
 	rate := 0.0
 	if s := elapsed.Seconds(); s > 0 {

@@ -303,7 +303,7 @@ func (r *Report) Snapshot(cfg *ExplorerConfig) Report {
 
 // SortErrors orders the errors by reproducer signature: the deterministic
 // order for engines that complete tasks in a scheduling-dependent order.
-// (The serial explorer keeps DFS discovery order.)
+// (One stack keeps DFS discovery order.)
 func (r *Report) SortErrors() {
 	sort.SliceStable(r.Errors, func(i, j int) bool {
 		return r.Errors[i].Decisions.String() < r.Errors[j].Decisions.String()
@@ -368,7 +368,8 @@ func (r *Report) WriteErrors(w io.Writer) {
 // depth-first walk over epoch decisions that pops the deepest pending
 // subtree task, replays it, and pushes its expansion, until the space (as
 // bounded by the heuristics) is covered. It is the one-worker, one-stack case
-// of what internal/dexplore and internal/dcoord do with many.
+// of what internal/dexplore and internal/dcoord do with many, and the
+// reference the one-slot dexplore engine verify.Run runs is tested against.
 type Explorer struct {
 	cfg ExplorerConfig
 	rc  *RunContext
@@ -405,8 +406,8 @@ func (e *Explorer) Explore() (*Report, error) {
 // runs of one configuration, recycling the DAMPI Tool (per-rank state,
 // scratch buffers, epoch freelists), the hook stack and the mpi runtime's
 // storage (mpi.Pools: request slabs, freelists, world skeleton, the rank
-// coroutines) across runs. The serial explorer owns one; the parallel engines
-// give each worker its own. A RunContext must not run concurrently with
+// coroutines) across runs. The serial explorer owns one; the lease engines
+// give each slot its own. A RunContext must not run concurrently with
 // itself.
 //
 // The rank coroutines are parked goroutines, not garbage: Explore and

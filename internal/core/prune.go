@@ -55,8 +55,8 @@ func (v PruneViolation) String() string {
 }
 
 // PruneHints is a shared, concurrency-safe hint table. A nil *PruneHints is
-// valid and prunes nothing. The same table may be shared by many workers
-// (the parallel engine): disabling is a one-way atomic flip visible to all.
+// valid and prunes nothing. The same table may be shared by many replay
+// slots at once: disabling is a one-way atomic flip visible to all.
 type PruneHints struct {
 	sets map[PruneHintKey][]int
 

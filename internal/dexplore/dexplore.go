@@ -1,11 +1,11 @@
-// Package dexplore is the parallel schedule generator: it partitions the
+// Package dexplore is the local schedule generator: it partitions the
 // epoch-decision depth-first search of internal/core into independent
 // subtree tasks — a forced-decision prefix plus the frame's remaining mixing
 // budget — and shares them among a pool of slots, each running guided replays
 // in its own mpi.World. The merged report covers exactly the interleaving set
-// the serial explorer covers — core.Explorer is the one-slot case of the same
-// core.RunContext.Explore loop and the same core.Report accounting — with
-// deterministic counts and error reproducers regardless of scheduling.
+// core.Explorer covers, with deterministic counts and error reproducers
+// regardless of scheduling; one slot, which keeps its whole stack from lease
+// to lease, replays and reports in that explorer's discovery order.
 //
 // Scheduling is by subtree lease, the in-process case of what internal/dcoord
 // does over a wire: one frontier under one mutex, from which a slot is granted
@@ -42,13 +42,13 @@ import (
 	"dampi/internal/core"
 )
 
-// Config configures a parallel exploration.
+// Config configures an exploration.
 type Config struct {
 	// Explorer carries the exploration parameters (program, procs, clocks,
 	// bounds); see core.ExplorerConfig.
 	Explorer core.ExplorerConfig
 	// Workers is the number of slots exploring leases concurrently; values
-	// below 1 run one.
+	// below 1 run one. Slot 0 runs on the caller's goroutine.
 	Workers int
 	// CheckpointPath, if non-empty, receives a frontier checkpoint
 	// periodically (CheckpointEvery; at most one per returned lease) and once
@@ -96,7 +96,7 @@ type Progress struct {
 	Elapsed time.Duration
 }
 
-// Engine is the parallel schedule generator. Create with New, run with
+// Engine is the schedule generator. Create with New, run with
 // Explore; Stop cancels cooperatively from any goroutine (including an
 // OnInterleaving callback).
 type Engine struct {
@@ -117,6 +117,7 @@ type Engine struct {
 	front   Frontier[*core.SubtreeTask]
 	holding [][]*core.SubtreeTask // per slot, the roots of the lease it holds
 	report  *core.Report          // every lease merged so far
+	unbuilt int                   // children the last lease only counted
 	runErr  error                 // first fatal replay-harness error
 
 	// What a slot looks at between two replays of a lease.
@@ -201,14 +202,16 @@ func (e *Engine) Explore() (*core.Report, error) {
 		}()
 	}
 
+	// Slot 0 runs on the caller's goroutine: one slot starts no goroutine.
 	var wg sync.WaitGroup
-	for id := range e.holding {
+	for id := 1; id < len(e.holding); id++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			e.runSlot(id)
 		}()
 	}
+	e.runSlot(0)
 	wg.Wait()
 	close(doneCh)
 	monitorWG.Wait()
@@ -227,34 +230,41 @@ func (e *Engine) runSlot(id int) {
 	rc := core.NewRunContext(&e.slot)
 	every := e.ckp.LeaseCap()
 	var stack []*core.SubtreeTask
-	budget := 0
+	budget, final := 0, false
 	for {
 		if stack == nil {
-			if stack, budget = e.acquire(id); stack == nil {
+			if stack, budget, final = e.acquire(id); stack == nil {
 				return
 			}
 		}
 		start, ran := time.Now(), 0
-		rep, left, _, err := rc.Explore(stack, budget, false, func() bool {
+		rep, left, unbuilt, err := rc.Explore(stack, budget, final, func() bool {
 			ran++
 			return e.halted.Load() || e.waiting.Load() > 0 || ran >= every || time.Since(start) >= e.slice
 		})
-		stack, budget = e.release(id, budget, rep, left, err)
+		stack, budget, final = e.release(id, budget, rep, left, unbuilt, err)
 	}
+}
+
+// lastLocked is Frontier.Last, except while checkpointing: a resume continues
+// from the frontier, which must then hold every child. Caller holds e.mu.
+func (e *Engine) lastLocked() bool {
+	return e.cfg.CheckpointPath == "" && e.front.Last(e.report.Interleavings)
 }
 
 // acquire blocks until slot id is granted a lease, and returns its roots as a
 // stack for Explore to consume (the slot's holding entry stays whole for
-// checkpoints), or nil at the end: the engine is halted, or nothing is leased
-// and no work (or no cap) remains.
-func (e *Engine) acquire(id int) (stack []*core.SubtreeTask, budget int) {
+// checkpoints), its budget and whether it is the last lease, or nil at the
+// end: the engine is halted, or nothing is leased and no work (or no cap)
+// remains.
+func (e *Engine) acquire(id int) (stack []*core.SubtreeTask, budget int, final bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for !e.halted.Load() {
 		merged := e.report.Interleavings
 		if roots, budget := e.front.Grant(len(e.holding), e.maxRoots, merged); roots != nil {
 			e.holding[id] = roots
-			return slices.Clone(roots), budget
+			return slices.Clone(roots), budget, e.lastLocked()
 		}
 		if e.front.Finishable(merged, false) {
 			break
@@ -270,7 +280,7 @@ func (e *Engine) acquire(id int) (stack []*core.SubtreeTask, budget int) {
 			e.waiting.Add(-1)
 		}
 	}
-	return nil, 0
+	return nil, 0, false
 }
 
 // release ends slot id's lease: what it explored merges into the report and
@@ -279,9 +289,10 @@ func (e *Engine) acquire(id int) (stack []*core.SubtreeTask, budget int) {
 // it, or the deeper half while a slot is waiting for work (the older half
 // holds the larger subtrees) — so its search stays depth-first and the
 // frontier small; the rest, everything once the engine is halted or the cap
-// has no room, rejoins the frontier. An in-process lease cannot be lost or
+// has no room, rejoins the frontier. unbuilt counts the children the lease's
+// final replay only counted. An in-process lease cannot be lost or
 // duplicated, so there is nothing to vet.
-func (e *Engine) release(id, budget int, rep *core.Report, left []*core.SubtreeTask, err error) (keep []*core.SubtreeTask, renewed int) {
+func (e *Engine) release(id, budget int, rep *core.Report, left []*core.SubtreeTask, unbuilt int, err error) (keep []*core.SubtreeTask, renewed int, final bool) {
 	var ckp *Checkpoint
 	e.mu.Lock()
 	e.holding[id] = nil
@@ -294,6 +305,7 @@ func (e *Engine) release(id, budget int, rep *core.Report, left []*core.SubtreeT
 	} else {
 		e.front.RootDone = e.front.RootDone || rep.FirstTrace != nil
 		e.report.Merge(rep)
+		e.unbuilt += unbuilt
 		if e.cfg.Explorer.StopOnFirstError && len(rep.Errors) > 0 {
 			e.halted.Store(true)
 		}
@@ -306,7 +318,7 @@ func (e *Engine) release(id, budget int, rep *core.Report, left []*core.SubtreeT
 		}
 		if give < len(left) {
 			if b, ok := e.front.Renew(len(e.holding), e.report.Interleavings); ok {
-				keep, renewed = left[give:], b
+				keep, renewed, final = left[give:], b, e.lastLocked()
 				e.holding[id] = slices.Clone(keep)
 			} else {
 				give = len(left)
@@ -322,7 +334,7 @@ func (e *Engine) release(id, budget int, rep *core.Report, left []*core.SubtreeT
 	if ckp != nil {
 		e.ckp.Periodic(ckp)
 	}
-	return keep, renewed
+	return keep, renewed, final
 }
 
 // observe is every slot's per-replay callback. It numbers the result — Index
@@ -354,17 +366,19 @@ func (e *Engine) checkpointLocked() *Checkpoint {
 	return NewCheckpoint("", &e.cfg.Explorer, e.report, frontier)
 }
 
-// finish seals the merged report — completion order is scheduling-dependent,
-// so errors sort by their reproducer signature — and writes the final
-// checkpoint. Called after the pool has joined.
+// finish seals the merged report — errors keep discovery order on one slot,
+// and sort by reproducer on more, whose completion order is scheduling's —
+// and writes the final checkpoint. Called after the pool has joined.
 func (e *Engine) finish() (*core.Report, error) {
 	e.mu.Lock()
 	if e.runErr != nil {
 		e.mu.Unlock()
 		return nil, e.runErr
 	}
-	e.report.Seal(&e.cfg.Explorer, len(e.front.Tasks) > 0)
-	e.report.SortErrors()
+	e.report.Seal(&e.cfg.Explorer, len(e.front.Tasks) > 0 || e.unbuilt > 0)
+	if len(e.holding) > 1 {
+		e.report.SortErrors()
+	}
 	var ckp *Checkpoint
 	if e.cfg.CheckpointPath != "" {
 		ckp = e.checkpointLocked()

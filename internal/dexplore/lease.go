@@ -117,6 +117,14 @@ func (f *Frontier[T]) share(slots, merged int) (budget int, ok bool) {
 // ceilShare is ceil(n / (2·slots)): one slot's guided share of n.
 func ceilShare(n, slots int) int { return (n + 2*slots - 1) / (2 * slots) }
 
+// Last reports, right after a Grant or Renew, whether that lease is the
+// exploration's last: the only grant out, holding all the room the cap has
+// left, so nothing runs after its budget and the children of the replay that
+// spends it need only be counted.
+func (f *Frontier[T]) Last(merged int) bool {
+	return f.Max > 0 && f.held == 1 && f.Room(merged) == 0
+}
+
 // Release ends a grant: its slot is free and its budget back in the pool.
 func (f *Frontier[T]) Release(budget int) {
 	f.held--

@@ -11,15 +11,14 @@ package leak
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"dampi/mpi"
 )
 
 // Tracker observes one run and reports leaks at finalize. Create one per
-// run and stack its Hooks() below the verifier's.
+// run and stack its Hooks() below the verifier's. A world runs one rank at a
+// time, so the hooks need no lock.
 type Tracker struct {
-	mu    sync.Mutex
 	ranks map[int]*rankLeaks
 }
 
@@ -37,8 +36,6 @@ func NewTracker() *Tracker {
 }
 
 func (t *Tracker) state(rank int) *rankLeaks {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	st := t.ranks[rank]
 	if st == nil {
 		st = &rankLeaks{
@@ -107,8 +104,6 @@ func (r *Report) String() string {
 
 // Report gathers the per-rank results after the run.
 func (t *Tracker) Report() *Report {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	rep := &Report{}
 	ranks := make([]int, 0, len(t.ranks))
 	for r := range t.ranks {

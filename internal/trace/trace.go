@@ -5,27 +5,24 @@
 // not counted, as in the paper.
 package trace
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
-// Stats accumulates per-rank operation counts. All counters are atomic so
-// ranks update concurrently without locks.
+// Stats accumulates per-rank operation counts of one world, which runs one
+// rank at a time: the counters are plain integers.
 type Stats struct {
 	procs    int
-	sendRecv []atomic.Int64
-	coll     []atomic.Int64
-	wait     []atomic.Int64
+	sendRecv []int64
+	coll     []int64
+	wait     []int64
 }
 
 // NewStats creates a collector for a world of the given size.
 func NewStats(procs int) *Stats {
 	return &Stats{
 		procs:    procs,
-		sendRecv: make([]atomic.Int64, procs),
-		coll:     make([]atomic.Int64, procs),
-		wait:     make([]atomic.Int64, procs),
+		sendRecv: make([]int64, procs),
+		coll:     make([]int64, procs),
+		wait:     make([]int64, procs),
 	}
 }
 
@@ -33,13 +30,13 @@ func NewStats(procs int) *Stats {
 func (s *Stats) Procs() int { return s.procs }
 
 // CountSendRecv records one point-to-point operation on rank.
-func (s *Stats) CountSendRecv(rank int) { s.sendRecv[rank].Add(1) }
+func (s *Stats) CountSendRecv(rank int) { s.sendRecv[rank]++ }
 
 // CountCollective records one collective operation on rank.
-func (s *Stats) CountCollective(rank int) { s.coll[rank].Add(1) }
+func (s *Stats) CountCollective(rank int) { s.coll[rank]++ }
 
 // CountWait records one completion operation on rank.
-func (s *Stats) CountWait(rank int) { s.wait[rank].Add(1) }
+func (s *Stats) CountWait(rank int) { s.wait[rank]++ }
 
 // Totals summarizes the counts in the shape of the paper's Table I.
 type Totals struct {
@@ -71,9 +68,9 @@ func (t Totals) String() string {
 func (s *Stats) Totals() Totals {
 	t := Totals{Procs: s.procs}
 	for i := 0; i < s.procs; i++ {
-		t.SendRecv += s.sendRecv[i].Load()
-		t.Coll += s.coll[i].Load()
-		t.Wait += s.wait[i].Load()
+		t.SendRecv += s.sendRecv[i]
+		t.Coll += s.coll[i]
+		t.Wait += s.wait[i]
 	}
 	t.All = t.SendRecv + t.Coll + t.Wait
 	return t
@@ -82,9 +79,9 @@ func (s *Stats) Totals() Totals {
 // RankTotals returns one rank's counts.
 func (s *Stats) RankTotals(rank int) Totals {
 	t := Totals{Procs: 1}
-	t.SendRecv = s.sendRecv[rank].Load()
-	t.Coll = s.coll[rank].Load()
-	t.Wait = s.wait[rank].Load()
+	t.SendRecv = s.sendRecv[rank]
+	t.Coll = s.coll[rank]
+	t.Wait = s.wait[rank]
 	t.All = t.SendRecv + t.Coll + t.Wait
 	return t
 }

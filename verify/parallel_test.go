@@ -2,18 +2,21 @@ package verify_test
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"dampi/mpi"
 	"dampi/verify"
 	"dampi/workloads/matmul"
 )
 
-// TestWorkersFindsInjectedBug: the parallel engine behind Config.Workers
-// finds the same bug as the serial path and reports a working reproducer.
+// TestWorkersFindsInjectedBug: four slots find the same bug as the default
+// one and report a working reproducer.
 func TestWorkersFindsInjectedBug(t *testing.T) {
 	res, err := verify.Run(verify.Config{Procs: 3, Workers: 4}, racyProgram)
 	if err != nil {
@@ -34,8 +37,8 @@ func TestWorkersFindsInjectedBug(t *testing.T) {
 	}
 }
 
-// TestWorkersMatchesSerialCounts: serial and parallel verification agree on
-// the aggregate coverage counts (full set equality is proven in
+// TestWorkersMatchesSerialCounts: the default one slot and every larger pool
+// agree on the aggregate coverage counts (full set equality is proven in
 // internal/dexplore with a memoized runner; counts are stable either way).
 func TestWorkersMatchesSerialCounts(t *testing.T) {
 	prog := matmul.Program(matmul.Config{})
@@ -109,30 +112,124 @@ func TestCheckpointResumeViaPublicAPI(t *testing.T) {
 	}
 }
 
-// TestResumeValidation: Resume demands a checkpoint file, and a checkpoint
-// file — to resume from or only to write — the parallel engine: the serial
-// explorer would silently never touch it.
+// TestResumeValidation: Resume demands a checkpoint file, and a default
+// (one-slot) run both writes one and resumes from it: killed mid-run — here
+// by a panic out of OnInterleaving, which runs on the caller's goroutine — it
+// leaves its last periodic cut on disk, and resuming from that ends with the
+// uninterrupted run's totals.
 func TestResumeValidation(t *testing.T) {
 	prog := matmul.Program(matmul.Config{})
-	for _, tc := range []struct {
-		what string
-		cfg  verify.Config
-		want string // the field the error must name
-	}{
-		{"Resume without CheckpointFile", verify.Config{Procs: 4, Workers: 2, Resume: true}, "CheckpointFile"},
-		{"Resume without Workers", verify.Config{Procs: 4, CheckpointFile: "x.json", Resume: true}, "Workers"},
-		{"CheckpointFile without Workers", verify.Config{Procs: 4, CheckpointFile: filepath.Join(t.TempDir(), "x.json")}, "Workers"},
+	if _, err := verify.Run(verify.Config{Procs: 4, Resume: true}, prog); err == nil {
+		t.Error("Resume without CheckpointFile accepted")
+	} else if !strings.Contains(err.Error(), "CheckpointFile") {
+		t.Errorf("Resume without CheckpointFile: error %q does not name CheckpointFile", err)
+	}
+
+	full, err := verify.Run(verify.Config{Procs: 6}, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ckp.json")
+	killAt := full.Interleavings / 2
+	func() {
+		defer func() {
+			if r := recover(); r != errKilled {
+				t.Fatalf("run was not killed at interleaving %d (recovered %v)", killAt, r)
+			}
+		}()
+		verify.Run(verify.Config{
+			Procs:           6,
+			CheckpointFile:  path,
+			CheckpointEvery: 2,
+			OnInterleaving: func(res *verify.InterleavingResult) {
+				if res.Index == killAt {
+					panic(errKilled)
+				}
+			},
+		}, prog)
+	}()
+
+	res, err := verify.Run(verify.Config{Procs: 6, CheckpointFile: path, Resume: true}, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Interleavings != full.Interleavings {
+		t.Errorf("resumed total = %d, uninterrupted %d", res.Interleavings, full.Interleavings)
+	}
+	if res.WildcardsAnalyzed != full.WildcardsAnalyzed {
+		t.Errorf("resumed R* = %d, want %d", res.WildcardsAnalyzed, full.WildcardsAnalyzed)
+	}
+}
+
+var errKilled = errors.New("killed")
+
+// relayed fails on every interleaving. Rank 3's message reaches rank 0's
+// first wildcard receive before rank 2's, which waits on rank 3 too, so the
+// self run's reproducer sorts after its flip's: discovery order is not
+// reproducer order.
+func relayed(p *mpi.Proc) error {
+	c := p.CommWorld()
+	switch p.Rank() {
+	case 3:
+		if err := p.Send(0, 0, []byte{3}, c); err != nil {
+			return err
+		}
+		return p.Send(2, 0, []byte{3}, c)
+	case 2:
+		if _, _, err := p.Recv(3, 0, c); err != nil {
+			return err
+		}
+		return p.Send(0, 0, []byte{2}, c)
+	case 0:
+		for i := 0; i < 2; i++ {
+			if _, _, err := p.Recv(mpi.AnySource, 0, c); err != nil {
+				return err
+			}
+		}
+		return errInjected
+	}
+	return nil
+}
+
+// TestWorkersZeroIsOneSlot: Workers 0 and 1 are the same one-slot engine —
+// the same interleavings observed in the same order, the same report, errors
+// in discovery order — uncapped, capped and stopped at the first error.
+func TestWorkersZeroIsOneSlot(t *testing.T) {
+	run := func(cfg verify.Config) (observed []string, rep string) {
+		cfg.OnInterleaving = func(res *verify.InterleavingResult) {
+			observed = append(observed, fmt.Sprintf("#%d %v", res.Index, res.Decisions))
+		}
+		res, err := verify.Run(cfg, relayed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		res.WriteHead(&b, res.Summary(), 0)
+		res.WriteErrors(&b)
+		fmt.Fprintf(&b, "decision points %d\n", res.DecisionPoints)
+		for i, e := range res.Errors {
+			if e.Index != i {
+				t.Errorf("%+v: error #%d listed %d: not discovery order", cfg, e.Index, i)
+			}
+		}
+		return observed, b.String()
+	}
+	for _, cfg := range []verify.Config{
+		{Procs: 4},
+		{Procs: 4, MaxInterleavings: 1},
+		{Procs: 4, StopOnFirstError: true},
 	} {
-		if _, err := verify.Run(tc.cfg, prog); err == nil {
-			t.Errorf("%s accepted", tc.what)
-		} else if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not name %s", tc.what, err, tc.want)
+		zeroSeen, zero := run(cfg)
+		cfg.Workers = 1
+		oneSeen, one := run(cfg)
+		if !slices.Equal(zeroSeen, oneSeen) || zero != one {
+			t.Errorf("%+v:\nWorkers 0 observed %v and reported\n%s\nWorkers 1 observed %v and reported\n%s", cfg, zeroSeen, zero, oneSeen, one)
 		}
 	}
 }
 
 // TestOnProgressViaPublicAPI: Config.OnProgress delivers throughput
-// snapshots from the parallel engine.
+// snapshots.
 func TestOnProgressViaPublicAPI(t *testing.T) {
 	var mu sync.Mutex
 	got := 0

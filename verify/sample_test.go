@@ -38,10 +38,10 @@ func errorLines(r *verify.Result) []string {
 
 // TestSampleSeedDeterminism: the same seed reproduces the same schedule set
 // — identical sampled counts, identical distinct decision vectors, identical
-// verdicts — across independent runs and across the local engines: the
-// serial explorer (Workers 0), a one-slot pool and a four-slot pool all
-// route completions through the same expansion seam and the same report
-// accounting. (TestSampleClusterMatchesSerial extends the chain to dcoord.)
+// verdicts — across independent runs and across slot counts: one slot
+// (Workers 0 and 1) and four slots all route completions through the same
+// expansion seam and the same report accounting.
+// (TestSampleClusterMatchesSerial extends the chain to dcoord.)
 func TestSampleSeedDeterminism(t *testing.T) {
 	a, err := verify.Run(sampleCfg(7), pollProgram)
 	if err != nil {

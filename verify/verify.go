@@ -116,28 +116,25 @@ type Config struct {
 	// CollectStats enables MPI operation statistics (Table I categories).
 	CollectStats bool
 	// OnInterleaving, if non-nil, observes every explored interleaving,
-	// once. With Workers > 0 the callback is serialized and may stop the
-	// search, but results arrive — and are numbered, Index 0..N-1 — in
-	// completion order, which depends on scheduling.
+	// once. Calls are always serialized. Results arrive — and are numbered,
+	// Index 0..N-1 — in completion order: depth-first discovery order on one
+	// slot, scheduling-dependent with more.
 	OnInterleaving func(res *InterleavingResult)
 	// ArtifactsDir, if non-empty, receives the run's file artifacts in the
 	// paper's workflow shape: potential_matches.json (the first run's epoch
 	// log) and error_<n>.decisions.json (one Epoch Decisions reproducer per
 	// failing interleaving, replayable with Replay or `dampi -replay`).
 	ArtifactsDir string
-	// Workers selects the parallel exploration engine: the number of
-	// concurrent replay slots, each leased a few subtrees of the search at a
-	// time and exploring them depth-first in its own isolated MPI worlds. 0
-	// runs the serial explorer: one stack, no goroutines, interleavings and
-	// errors numbered in depth-first discovery order. The parallel engine
-	// covers exactly the same interleaving set and reports the same errors
-	// and counts; only result arrival order differs, and errors are listed
-	// by reproducer.
+	// Workers is the number of concurrent replay slots, each leased a few
+	// subtrees of the search at a time and exploring them depth-first in its
+	// own isolated MPI worlds. 0 and 1 run one slot on the caller's
+	// goroutine; errors in discovery order. More slots cover exactly the same
+	// interleaving set and report the same errors and counts; only result
+	// arrival order differs, and errors are listed by reproducer.
 	Workers int
 	// CheckpointFile, if non-empty, persists the exploration frontier
 	// periodically (CheckpointEvery) and at the end, so a killed verification
-	// can continue with Resume. Parallel engine only: with Workers == 0 Run
-	// returns an error rather than silently never writing the file.
+	// can continue with Resume.
 	CheckpointFile string
 	// CheckpointEvery, when positive, is the number of merged replays between
 	// frontier checkpoint writes. While checkpointing, a slot's lease is then
@@ -152,8 +149,8 @@ type Config struct {
 	// and statistics are skipped on resume: their canonical first run
 	// already happened in the original exploration.
 	Resume bool
-	// OnProgress, if non-nil (parallel engine only), receives a live
-	// throughput snapshot every ProgressEvery (default 1s).
+	// OnProgress, if non-nil, receives a live throughput snapshot every
+	// ProgressEvery (default 1s).
 	OnProgress func(p Progress)
 	// ProgressEvery is the OnProgress period.
 	ProgressEvery time.Duration
@@ -248,7 +245,7 @@ type PruneHintKey = core.PruneHintKey
 // point; see core.NewPruneHints.
 func NewPruneHints(sets map[PruneHintKey][]int) *PruneHints { return core.NewPruneHints(sets) }
 
-// Progress is a live exploration throughput snapshot (parallel engine).
+// Progress is a live exploration throughput snapshot.
 type Progress = dexplore.Progress
 
 // Result is the outcome of a verification.
@@ -288,16 +285,13 @@ func Run(cfg Config, program func(p *mpi.Proc) error) (*Result, error) {
 	if cfg.Resume && cfg.CheckpointFile == "" {
 		return nil, fmt.Errorf("verify: Resume requires CheckpointFile")
 	}
-	if cfg.CheckpointFile != "" && cfg.Workers < 1 {
-		return nil, fmt.Errorf("verify: CheckpointFile requires the parallel engine (Workers >= 1): the serial explorer neither writes nor resumes checkpoints")
-	}
 	res := &Result{}
 	// Leak and statistics collection instrument the canonical (first) run
 	// only, matching the paper's single-run overhead and local-check
 	// methodology. On resume that run already happened in the original
-	// exploration, so the hooks stay off. The mutex makes the first-run claim
-	// safe under the parallel engine (whose root run happens before any
-	// worker starts, but the guard costs nothing).
+	// exploration, so the hooks stay off. Slots call the factory concurrently,
+	// so the first-run claim takes a mutex (the root run happens before any
+	// other slot is granted work, but the guard costs nothing).
 	var firstMu sync.Mutex
 	firstRun := !cfg.Resume
 	extra := func() []*mpi.Hooks {
@@ -319,27 +313,22 @@ func Run(cfg Config, program func(p *mpi.Proc) error) (*Result, error) {
 		return hs
 	}
 	ecfg.PruneHints, ecfg.ExtraHooks, ecfg.OnInterleaving = cfg.PruneHints, extra, cfg.OnInterleaving
-	var rep *core.Report
-	if cfg.Workers > 0 {
-		dcfg := dexplore.Config{
-			Explorer:        ecfg,
-			Workers:         cfg.Workers,
-			CheckpointPath:  cfg.CheckpointFile,
-			CheckpointEvery: cfg.CheckpointEvery,
-			OnProgress:      cfg.OnProgress,
-			ProgressEvery:   cfg.ProgressEvery,
-		}
-		if cfg.Resume {
-			ckp, lerr := dexplore.LoadCheckpoint(cfg.CheckpointFile)
-			if lerr != nil {
-				return nil, fmt.Errorf("verify: loading checkpoint: %w", lerr)
-			}
-			dcfg.Resume = ckp
-		}
-		rep, err = dexplore.New(dcfg).Explore()
-	} else {
-		rep, err = core.NewExplorer(ecfg).Explore()
+	dcfg := dexplore.Config{
+		Explorer:        ecfg,
+		Workers:         cfg.Workers,
+		CheckpointPath:  cfg.CheckpointFile,
+		CheckpointEvery: cfg.CheckpointEvery,
+		OnProgress:      cfg.OnProgress,
+		ProgressEvery:   cfg.ProgressEvery,
 	}
+	if cfg.Resume {
+		ckp, err := dexplore.LoadCheckpoint(cfg.CheckpointFile)
+		if err != nil {
+			return nil, fmt.Errorf("verify: loading checkpoint: %w", err)
+		}
+		dcfg.Resume = ckp
+	}
+	rep, err := dexplore.New(dcfg).Explore()
 	if err != nil {
 		return nil, err
 	}
