@@ -165,6 +165,21 @@ func (d *Decisions) Len() int {
 	return len(d.entries)
 }
 
+// InRange reports the first decision a procs-rank world cannot replay: one
+// naming no rank of it, or forcing a negative value or — unless choices (a
+// choice point forces a request index) — a source past its last rank.
+func (d *Decisions) InRange(procs int, choices bool) error {
+	if d == nil {
+		return nil
+	}
+	for _, e := range d.entries {
+		if e.rank < 0 || e.rank >= procs || e.src < 0 || !choices && e.src >= procs {
+			return fmt.Errorf("core: decision r%d@%d→%d is out of range for %d ranks", e.rank, e.lc, e.src, procs)
+		}
+	}
+	return nil
+}
+
 // Clone returns a deep copy (interleaving results keep their reproducer).
 func (d *Decisions) Clone() *Decisions {
 	return d.CloneWithCapacity(0)

@@ -235,7 +235,7 @@ func TestServerFactoryFailureFailsJob(t *testing.T) {
 func TestServerRejectsConcurrentJobs(t *testing.T) {
 	s := NewServer(ServerConfig{})
 	s.mu.Lock()
-	s.cur = &Coordinator{cfg: Config{JobID: "busy"}} // simulate an active job without running one
+	s.cur = &Coordinator{machine: machine{cfg: Config{JobID: "busy"}}} // simulate an active job without running one
 	s.mu.Unlock()
 	spec := JobSpec{Workload: "fanin", Procs: 3, Space: dexplore.Space{MixingBound: 1}}
 	if _, _, err := s.RunJob(Config{Fingerprint: spec, JobID: "second"}); err == nil || !strings.Contains(err.Error(), "busy still running") {

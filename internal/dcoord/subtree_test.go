@@ -190,239 +190,6 @@ func grown(f *fakeWorker, fp JobSpec, n int) []*core.SubtreeTask {
 	return children
 }
 
-// keysOf renders tasks' keys.
-func keysOf(tasks ...*core.SubtreeTask) string {
-	var keys []string
-	for _, t := range tasks {
-		keys = append(keys, taskKey(t))
-	}
-	return strings.Join(keys, " ")
-}
-
-// heartbeat keeps f's leases alive until the returned stop is called.
-func heartbeat(f *fakeWorker) (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ticker := time.NewTicker(10 * time.Millisecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				if _, err := writeFrame(f.conn, &frame{Type: msgHeartbeat}); err != nil {
-					return
-				}
-			}
-		}
-	}()
-	return func() { close(done); wg.Wait() }
-}
-
-// TestOverlappingLateResultsCountOnce: a lease over {a, b} expires; its roots
-// are leased again as {c, a} and {b}; then all three results arrive. A delta
-// is one sum, so dedup is all or nothing: whichever side lands first is
-// merged, anything overlapping it afterwards is dropped whole, and a root
-// only the dropped lease held (c) goes back to be explored. Every subtree is
-// counted exactly once either way, and no dropped result's error gets in.
-func TestOverlappingLateResultsCountOnce(t *testing.T) {
-	for _, lateFirst := range []bool{true, false} {
-		t.Run(fmt.Sprintf("late-first=%v", lateFirst), func(t *testing.T) {
-			cfg := leaseTestConfig(100 * time.Millisecond)
-			c, addr := startCoordinator(t, cfg, redeliveries(100))
-			defer c.Stop()
-			c.setMaxRoots(2)
-			fp := cfg.Fingerprint
-
-			x := dialFake(t, addr, fp, "x", 1)
-			defer x.close()
-			kids := grown(x, fp, 3)
-			a, b, cc := kids[0], kids[1], kids[2]
-			lost := x.recvTask() // {a, b}: sat on until it expires
-			if got := keysOf(lost.Tasks...); got != keysOf(a, b) {
-				t.Fatalf("second lease holds %s, want %s", got, keysOf(a, b))
-			}
-			waitStatus(t, c, "lease expiry", func(st Status) bool { return st.Requeues >= 1 })
-			ca := x.recvTask() // the frontier was [c], then a and b came back
-			stopX := heartbeat(x)
-			defer stopX()
-			y := dialFake(t, addr, fp, "y", 1)
-			defer y.close()
-			stopY := heartbeat(y)
-			defer stopY()
-			onlyB := y.recvTask()
-			if keysOf(ca.Tasks...) != keysOf(cc, a) || keysOf(onlyB.Tasks...) != keysOf(b) {
-				t.Fatalf("re-leases hold %s and %s, want %s and %s", keysOf(ca.Tasks...), keysOf(onlyB.Tasks...), keysOf(cc, a), keysOf(b))
-			}
-
-			two := func(msg string) *core.Report {
-				r := failedRun(msg)
-				r.Interleavings = 2
-				return r
-			}
-			subtrees := 4 // root, a, b, c
-			if lateFirst {
-				x.result(fp, lost, &core.Report{Interleavings: 2})
-				waitStatus(t, c, "late merge", func(st Status) bool { return st.Interleavings == 3 && st.DoneSet == 3 })
-				x.result(fp, ca, two("dropped: a was done"))
-				again := x.recvTask() // y still holds its lease: only x is free for c
-				if keysOf(again.Tasks...) != keysOf(cc) {
-					t.Fatalf("after the drop %s is leased, want c back", keysOf(again.Tasks...))
-				}
-				y.result(fp, onlyB, failedRun("dropped: b was done"))
-				x.result(fp, again, &core.Report{Interleavings: 1})
-			} else {
-				// The late result must find the exploration still running (one
-				// that is over has closed its connections): x's re-lease hands
-				// back a subtree d of its own, which — y still holding b — is
-				// leased to x and returned after the late result, on the same
-				// connection.
-				d := &core.SubtreeTask{Decisions: dec(1, 1, 0), Budget: core.Unbounded, Explorable: true}
-				x.result(fp, ca, &core.Report{Interleavings: 2}, d)
-				onlyD := x.recvTask()
-				if keysOf(onlyD.Tasks...) != keysOf(d) {
-					t.Fatalf("after {c, a} %s is leased, want d", keysOf(onlyD.Tasks...))
-				}
-				y.result(fp, onlyB, &core.Report{Interleavings: 1})
-				waitStatus(t, c, "re-leases merged", func(st Status) bool { return st.Interleavings == 4 })
-				x.result(fp, lost, two("dropped: both were done"))
-				x.result(fp, onlyD, &core.Report{Interleavings: 1})
-				subtrees++
-			}
-			rep, err := waitFor(t, c)
-			if err != nil {
-				t.Fatalf("explore: %v", err)
-			}
-			if rep.Interleavings != subtrees || len(rep.Errors) != 0 {
-				t.Errorf("report = %d interleavings, errors %v; want the %d subtrees once each, none", rep.Interleavings, rep.Errors, subtrees)
-			}
-			if st := c.Status(); st.DoneSet != subtrees || st.Requeues != 1 {
-				t.Errorf("done-set %d, requeues %d; want %d subtrees, 1 lost lease", st.DoneSet, st.Requeues, subtrees)
-			}
-		})
-	}
-}
-
-// TestUntouchedRootHandedBackIsExploredLater: a lease may return before it
-// reached every root (budget, time slice, a stopping worker). A root that
-// comes back in the leftover frontier was not explored: it must not enter the
-// done-set, and it must be leased again. The frontier here is small, so each
-// grant is floored at all of it (dexplore's minLeaseRoots, the one slot being
-// the only idle one): three leases, not one per subtree.
-func TestUntouchedRootHandedBackIsExploredLater(t *testing.T) {
-	cfg := leaseTestConfig(2 * time.Second)
-	c, addr := startCoordinator(t, cfg)
-	defer c.Stop()
-	fp := cfg.Fingerprint
-	f := dialFake(t, addr, fp, "partial", 1)
-	defer f.close()
-	kids := grown(f, fp, 3)
-	a, b, d := kids[0], kids[1], kids[2]
-
-	all := f.recvTask()
-	if keysOf(all.Tasks...) != keysOf(a, b, d) {
-		t.Fatalf("second lease holds %s, want %s", keysOf(all.Tasks...), keysOf(a, b, d))
-	}
-	f.result(fp, all, &core.Report{Interleavings: 1}, b, d) // a explored, b and d not started
-	st := waitStatus(t, c, "partial lease merged", func(st Status) bool { return st.Interleavings == 2 })
-	if st.DoneSet != 2 {
-		t.Fatalf("done-set holds %d keys after root and a, want 2 (b and d were handed back)", st.DoneSet)
-	}
-	rest := f.recvTask()
-	if keysOf(rest.Tasks...) != keysOf(b, d) {
-		t.Fatalf("third lease holds %s, want the two handed back, %s", keysOf(rest.Tasks...), keysOf(b, d))
-	}
-	f.result(fp, rest, &core.Report{Interleavings: 2})
-	rep, err := waitFor(t, c)
-	if err != nil {
-		t.Fatalf("explore: %v", err)
-	}
-	if st := c.Status(); rep.Interleavings != 4 || st.LeasesGranted != 3 || st.DoneSet != 4 {
-		t.Errorf("%d interleavings in %d leases, done-set %d; want 4 in 3, all 4 subtrees done", rep.Interleavings, st.LeasesGranted, st.DoneSet)
-	}
-}
-
-// TestLeaseResultOverBudgetRejected: a budget is the coordinator's hold on
-// the cap; a result claiming more replays than its lease allowed fails the
-// exploration naming the worker and the lease.
-func TestLeaseResultOverBudgetRejected(t *testing.T) {
-	cfg := leaseTestConfig(time.Second)
-	cfg.Fingerprint.MaxInterleavings = 10
-	c, addr := startCoordinator(t, cfg)
-	f := dialFake(t, addr, cfg.Fingerprint, "greedy", 1)
-	defer f.close()
-	root := f.recvTask()
-	over := rootRun()
-	over.Interleavings = root.Budget + 1
-	f.result(cfg.Fingerprint, root, over)
-	_, err := waitFor(t, c)
-	for _, want := range []string{"greedy", fmt.Sprintf("lease %d", root.Lease), "2 replays on a budget of 1"} {
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("error %v does not mention %q", err, want)
-		}
-	}
-	if st := c.Status(); st.Interleavings != 0 {
-		t.Errorf("the rejected result was merged: %+v", st)
-	}
-}
-
-// TestNonRootLeaseCannotSetRootAggregates: FirstTrace, R* and the unsafe
-// alerts describe the self-discovery run; only the lease over the root task
-// may report them. So does a lease with no delta at all, or a negative count.
-func TestNonRootLeaseCannotSetRootAggregates(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		delta func(fp JobSpec) *WireResult
-		want  string
-	}{
-		{"first-trace", func(fp JobSpec) *WireResult {
-			return &WireResult{Delta: deltaOf(fp, &core.Report{Interleavings: 1, FirstTrace: &core.RunTrace{}})}
-		}, "without holding the root"},
-		{"wildcards", func(fp JobSpec) *WireResult {
-			return &WireResult{Delta: deltaOf(fp, &core.Report{Interleavings: 1, WildcardsAnalyzed: 3})}
-		}, "without holding the root"},
-		{"unsafe", func(fp JobSpec) *WireResult {
-			return &WireResult{Delta: deltaOf(fp, &core.Report{Interleavings: 1, Unsafe: []core.UnsafeReport{{}}})}
-		}, "without holding the root"},
-		{"no-delta", func(JobSpec) *WireResult { return &WireResult{} }, "has no delta"},
-		{"negative", func(fp JobSpec) *WireResult {
-			return &WireResult{Delta: deltaOf(fp, &core.Report{Interleavings: 1, DecisionPoints: -4})}
-		}, "negative count"},
-		{"nothing-explored", func(fp JobSpec) *WireResult {
-			return &WireResult{Delta: deltaOf(fp, &core.Report{})}
-		}, "0 replays for 1 subtrees"},
-		{"handed-back-twice", func(fp JobSpec) *WireResult {
-			kid := &core.SubtreeTask{Decisions: dec(1, 1, 2), Budget: core.Unbounded, Explorable: true}
-			return &WireResult{Delta: deltaOf(fp, &core.Report{Interleavings: 1}, kid, kid)}
-		}, "twice"},
-		{"other-space", func(fp JobSpec) *WireResult {
-			fp.Procs++
-			return &WireResult{Delta: deltaOf(fp, &core.Report{Interleavings: 1})}
-		}, "procs"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := leaseTestConfig(time.Second)
-			c, addr := startCoordinator(t, cfg)
-			f := dialFake(t, addr, cfg.Fingerprint, "impostor", 1)
-			defer f.close()
-			grown(f, cfg.Fingerprint, 1)
-			wt := f.recvTask()
-			res := tc.delta(cfg.Fingerprint)
-			res.Lease, res.Keys = wt.Lease, wt.Keys
-			f.send(&frame{Type: msgResult, Result: res})
-			_, err := waitFor(t, c)
-			for _, want := range []string{"impostor", fmt.Sprintf("lease %d", wt.Lease), tc.want} {
-				if err == nil || !strings.Contains(err.Error(), want) {
-					t.Errorf("error %v does not mention %q", err, want)
-				}
-			}
-		})
-	}
-}
-
 // recordedResult is the body of a result frame a worker of this protocol
 // version sent for a three-rank fan-in's root lease (testdata, committed).
 const recordedResult = "testdata/result_root_v5.json"
@@ -524,18 +291,17 @@ func fuzzCoordinator(t *testing.T, fp JobSpec, max int) (*Coordinator, *workerCo
 		t.Fatal(err)
 	}
 	w := &workerConn{conn: nullConn{}, wire: c.wire, name: "fuzz", slots: 1, since: time.Now()}
-	c.workers[w] = struct{}{}
-	c.dispatch()
-	if l := c.leases[1]; l == nil || l.Keys[0] != rootKey || l.Budget != 1 {
-		t.Fatalf("root lease = %+v", l)
+	c.step(evAttach{w}, time.Now())
+	if len(c.leases) != 1 || c.leases[0].Lease != 1 || c.leases[0].Keys[0] != rootKey || c.leases[0].Budget != 1 {
+		t.Fatalf("root lease = %+v", c.leases)
 	}
 	return c, w
 }
 
 // FuzzLeaseResult: a result frame's body is untrusted past the frame reader.
-// Whatever arrives for a held lease — or for none — the coordinator either
-// fails the exploration or merges it; it never panics, and it never counts
-// more replays than the cap.
+// Whatever arrives for a held lease — or for none — the machine either fails
+// the exploration or merges it; it never panics, and it never counts more
+// replays than the cap.
 func FuzzLeaseResult(f *testing.F) {
 	const max = 3
 	cfg := core.ExplorerConfig{Procs: 3, MixingBound: core.Unbounded}
@@ -572,13 +338,11 @@ func FuzzLeaseResult(f *testing.F) {
 			res.Lease = 1
 		}
 		c, w := fuzzCoordinator(t, fp, max)
-		c.handleResult(w, &res)
-		c.mu.Lock()
-		defer c.mu.Unlock()
+		c.step(c.decode(w, &res), time.Now())
 		if n := c.report.Interleavings; n < 0 || n > max || (c.runErr != nil && n != 0) {
 			t.Fatalf("%d interleavings merged (cap %d, err %v) from %s", n, max, c.runErr, body)
 		}
-		if held && c.leases[1] != nil {
+		if held && slices.ContainsFunc(c.leases, func(l *lease) bool { return l.Lease == 1 }) {
 			t.Fatalf("lease 1 still held after its result: %s", body)
 		}
 	})

@@ -73,7 +73,9 @@ func NewCheckpoint(workload string, cfg *core.ExplorerConfig, rep *core.Report, 
 // exploration parameters: resuming (or merging a lease's delta) with a
 // different world size or Space would silently explore a different
 // interleaving space, so every mismatch is a hard error naming the field. The
-// workload name is checked only when both sides carry one.
+// workload name is checked only when both sides carry one. A checkpoint is
+// outside input, so a null task or error entry, a negative count and a frontier
+// decision the world cannot replay (FuzzResume) are refused too.
 func (c *Checkpoint) Validate(workload string, cfg *core.ExplorerConfig) error {
 	var err error
 	switch {
@@ -95,6 +97,13 @@ func (c *Checkpoint) Validate(workload string, cfg *core.ExplorerConfig) error {
 		return errors.New("dexplore: checkpoint frontier holds a null task")
 	case slices.Contains(c.Errors, nil):
 		return errors.New("dexplore: checkpoint error list holds a null entry")
+	case min(c.Interleavings, c.Deadlocks, c.DecisionPoints, c.AutoAbstracted, c.WildcardsAnalyzed, c.Sampled, c.StaticPruned) < 0:
+		return errors.New("dexplore: checkpoint report holds a negative count")
+	}
+	for _, t := range c.Frontier {
+		if err := t.Decisions.InRange(c.Procs, c.ChoicePoints); err != nil {
+			return fmt.Errorf("dexplore: checkpoint frontier: %w", err)
+		}
 	}
 	return nil
 }

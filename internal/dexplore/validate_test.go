@@ -99,3 +99,46 @@ func rewriteCheckpoint(t *testing.T, ckp *Checkpoint) *Checkpoint {
 	}
 	return got
 }
+
+// TestCheckpointValidateRefusesWhatCannotReplay: a frontier decision naming no
+// rank of the world, or forcing a source past it, replays into a failure the
+// program cannot have (an out-of-range peer is a usage error) or silently
+// explores another subtree; negative counts make a negative report. Each is
+// refused naming the problem. A choice point's decision is a request index,
+// which the world size does not bound.
+func TestCheckpointValidateRefusesWhatCannotReplay(t *testing.T) {
+	decided := func(rank, src int) []*core.SubtreeTask {
+		d := core.NewDecisions()
+		d.Force(core.EpochID{Rank: rank, LC: 4}, src)
+		return []*core.SubtreeTask{core.RootTask(&core.ExplorerConfig{}), {Decisions: d, Budget: core.Unbounded, Explorable: true}}
+	}
+	for _, tc := range []struct {
+		name     string
+		choices  bool
+		rep      core.Report
+		frontier []*core.SubtreeTask
+		want     string // "" = accepted
+	}{
+		{"in-range", false, core.Report{Interleavings: 2}, decided(2, 1), ""},
+		{"rank-past-the-world", false, core.Report{}, decided(3, 1), "r3@4→1 is out of range for 3 ranks"},
+		{"negative-rank", false, core.Report{}, decided(-1, 1), "r-1@4→1 is out of range"},
+		{"source-past-the-world", false, core.Report{}, decided(0, 9), "r0@4→9 is out of range"},
+		{"negative-source", false, core.Report{}, decided(0, -3), "r0@4→-3 is out of range"},
+		{"request-index", true, core.Report{}, decided(0, 9), ""},
+		{"negative-request-index", true, core.Report{}, decided(0, -1), "out of range"},
+		{"negative-interleavings", false, core.Report{Interleavings: -5}, nil, "negative count"},
+		{"negative-deadlocks", false, core.Report{Interleavings: 1, Deadlocks: -1}, nil, "negative count"},
+		{"negative-static-pruned", false, core.Report{StaticPruned: -2}, nil, "negative count"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := core.ExplorerConfig{Procs: 3, ChoicePoints: tc.choices}
+			err := NewCheckpoint("", &cfg, &tc.rep, tc.frontier).Validate("", &cfg)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("refused: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("error %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+}
