@@ -161,7 +161,7 @@ func TestDefaultCadenceFollowsTheClock(t *testing.T) {
 		if c.ckp.LeaseCap() != dexplore.NewCheckpointWriter("p", 0).LeaseCap() {
 			t.Errorf("a Config without CheckpointEvery checkpoints by count")
 		}
-		c.ckp.Interval = time.Hour // shorter than the interval on any host
+		c.cad.Interval = time.Hour // shorter than the interval on any host
 	}
 
 	cfg := config()
@@ -195,7 +195,7 @@ func TestDefaultCadenceFollowsTheClock(t *testing.T) {
 
 	const interval = 5 * time.Millisecond
 	cfg = config()
-	c, addr = startCoordinator(t, cfg, func(c *Coordinator) { c.ckp.Interval = interval })
+	c, addr = startCoordinator(t, cfg, func(c *Coordinator) { c.cad.Interval = interval })
 	start := time.Now()
 	stop = slowWorker(t, addr, fp, base, 2*time.Millisecond, time.Millisecond)
 	rep, err = waitFor(t, c)
@@ -231,7 +231,7 @@ func TestKillResumeUnderDefaultCadence(t *testing.T) {
 	var cuts [][]byte
 	cfg := Config{Fingerprint: fp, LeaseTTL: 2 * time.Second, CheckpointPath: filepath.Join(t.TempDir(), "ckp.json")}
 	c, addr := startCoordinator(t, cfg, func(c *Coordinator) {
-		c.ckp.Interval = time.Nanosecond
+		c.cad.Interval = time.Nanosecond
 		c.ckp.Save = func(ckp *dexplore.Checkpoint, path string) error { // one write at a time: no lock
 			var b bytes.Buffer
 			if err := ckp.Write(&b); err != nil {

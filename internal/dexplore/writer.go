@@ -15,44 +15,78 @@ import (
 // checkpoint.
 const DefaultCheckpointInterval = 250 * time.Millisecond
 
+// Cadence is when a periodic checkpoint falls due: every Every merged
+// replays, or with no Every once Interval has passed since the start or the
+// last cut — and never while the last cut is still out. It is a value with no
+// clock and no lock: its holder keeps it under its own mutex and hands it the
+// time, the CheckpointWriter its clock's, the cluster coordinator's machine
+// its event's.
+type Cadence struct {
+	Every int // merged replays between periodic cuts; 0 = by Interval
+	// Interval is the default cadence's period (DefaultCheckpointInterval).
+	// Not an option — one value is in use — but the seam of a holder's
+	// in-package test, which shortens it before the start.
+	Interval time.Duration
+	since    int       // replays merged since the last cut
+	last     time.Time // the start, then the last cut
+	out      bool      // a cut is out: Due said so, Saved has not been called
+}
+
+// NewCadence is every merged replays, or by default (0 or less) one cut per
+// DefaultCheckpointInterval.
+func NewCadence(every int) Cadence {
+	return Cadence{Every: max(every, 0), Interval: DefaultCheckpointInterval}
+}
+
+// Begin starts the clock at now, unless it has started.
+func (c *Cadence) Begin(now time.Time) {
+	if c.last.IsZero() {
+		c.last = now
+	}
+}
+
+// Due counts replays just merged at now and reports whether a cut falls due;
+// on true one is out until Saved.
+func (c *Cadence) Due(merged int, now time.Time) bool {
+	c.since += merged
+	if c.out || c.Every > 0 && c.since < c.Every || c.Every == 0 && now.Sub(c.last) < c.Interval {
+		return false
+	}
+	c.since, c.last, c.out = 0, now, true
+	return true
+}
+
+// Saved says the cut that is out has been written (or dropped).
+func (c *Cadence) Saved() { c.out = false }
+
 // CheckpointWriter is the one writer of an exploration's checkpoint file,
 // held by the in-process Engine and by the cluster Coordinator. It owns the
-// path, the cadence — an explicit count of merged replays, or by default the
-// clock — and the order of the writes: one periodic write at a time, each
-// cut newer than the last, and none begun after Close. The holder cuts the
-// checkpoints, under its own mutex, and calls Due from under it; the writes
-// happen outside it. A writer without a path is never due.
+// path and the order of the writes: one periodic write at a time, each cut
+// newer than the last, and none begun after Close. The Engine also asks it
+// when a write falls due (Due, on its Cadence and the clock); the
+// coordinator's machine keeps a Cadence of its own, on its events' time. The
+// holder cuts the checkpoints under its own mutex; the writes happen outside
+// it. A writer without a path is never due.
 type CheckpointWriter struct {
-	path  string
-	every int // merged replays between periodic writes; 0 = by Interval
-	// Interval is the default cadence's period (DefaultCheckpointInterval) and
-	// Save the write step (Checkpoint.Save). Neither is an option — one value
-	// of each is in use — but the seam of a holder's in-package test, which
-	// shortens the one or holds the other open, before Begin.
-	Interval time.Duration
-	Save     func(*Checkpoint, string) error
+	path string
+	// Save is the write step (Checkpoint.Save). Not an option, but the seam
+	// of a holder's in-package test, which holds it open or fails it.
+	Save func(*Checkpoint, string) error
 
 	written atomic.Int64 // files written (each one fsync), the final included
 
 	mu      sync.Mutex
 	idle    *sync.Cond // a periodic write has ended
-	since   int        // replays merged since the last periodic cut
-	last    time.Time  // the run's start, then the last periodic cut
-	due     bool       // a periodic cut is out: Due said so, Periodic has not returned
-	writing bool       // and its write has begun
-	closed  bool       // no periodic write begins any more
+	cad     Cadence
+	writing bool // a periodic write has begun
+	closed  bool // no periodic write begins any more
 }
 
 // NewCheckpointWriter creates the writer of path ("" = none). every is the
 // explicit cadence, in merged replays; 0 or less selects the default, one
 // write per DefaultCheckpointInterval.
 func NewCheckpointWriter(path string, every int) *CheckpointWriter {
-	w := &CheckpointWriter{
-		path:     path,
-		every:    max(every, 0),
-		Interval: DefaultCheckpointInterval,
-		Save:     (*Checkpoint).Save,
-	}
+	w := &CheckpointWriter{path: path, Save: (*Checkpoint).Save, cad: NewCadence(every)}
 	w.idle = sync.NewCond(&w.mu)
 	return w
 }
@@ -61,7 +95,7 @@ func NewCheckpointWriter(path string, every int) *CheckpointWriter {
 // counts from here.
 func (w *CheckpointWriter) Begin() {
 	w.mu.Lock()
-	w.last = time.Now()
+	w.cad.Begin(time.Now())
 	w.mu.Unlock()
 }
 
@@ -69,10 +103,10 @@ func (w *CheckpointWriter) Begin() {
 // explicit count, which so bounds what a crash loses per slot, and no bound
 // under the default cadence — there a lease's time slice is the bound.
 func (w *CheckpointWriter) LeaseCap() int {
-	if w.path == "" || w.every == 0 {
+	if w.path == "" || w.cad.Every == 0 {
 		return math.MaxInt
 	}
-	return w.every
+	return w.cad.Every
 }
 
 // Due counts merged replays just merged and reports whether a periodic write
@@ -85,23 +119,7 @@ func (w *CheckpointWriter) Due(merged int) bool {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.since += merged
-	if w.due || w.closed {
-		return false
-	}
-	if w.every > 0 {
-		if w.since < w.every {
-			return false
-		}
-	} else {
-		now := time.Now()
-		if now.Sub(w.last) < w.Interval {
-			return false
-		}
-		w.last = now
-	}
-	w.since, w.due = 0, true
-	return true
+	return !w.closed && w.cad.Due(merged, time.Now())
 }
 
 // Periodic writes the checkpoint a true Due asked for — unless the writer was
@@ -117,7 +135,8 @@ func (w *CheckpointWriter) Periodic(ckp *Checkpoint) {
 		_ = w.write(ckp)
 	}
 	w.mu.Lock()
-	w.due, w.writing = false, false
+	w.cad.Saved()
+	w.writing = false
 	w.idle.Broadcast()
 	w.mu.Unlock()
 }
