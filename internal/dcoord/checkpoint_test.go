@@ -20,7 +20,7 @@ import (
 func startQueued(t *testing.T, cfg Config, tweak func(*Coordinator)) (c *Coordinator, addr string, wait func() (*core.Report, *dexplore.Checkpoint, error)) {
 	t.Helper()
 	s, addr := startServer(t, ServerConfig{})
-	t.Cleanup(func() { s.Close(false) })
+	t.Cleanup(func() { s.Close() })
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -105,8 +105,9 @@ func TestSlowPeriodicWriteCannotOutliveTheExploration(t *testing.T) {
 				if err := os.Remove(cfg.CheckpointPath); err != nil {
 					t.Fatal(err)
 				}
-				if c.ckp.Due(100) {
-					t.Error("a write falls due after the exploration ended")
+				c.ckp.Periodic(c.left)
+				if _, err := os.Stat(cfg.CheckpointPath); !os.IsNotExist(err) || c.ckp.Written() != 1 {
+					t.Errorf("a periodic write after the exploration ended brought the file back (stat: %v)", err)
 				}
 				return
 			}
@@ -158,7 +159,7 @@ func TestDefaultCadenceFollowsTheClock(t *testing.T) {
 		return Config{Fingerprint: fp, LeaseTTL: 2 * time.Second, CheckpointPath: filepath.Join(t.TempDir(), "ckp.json")}
 	}
 	anHour := func(c *Coordinator) {
-		if c.ckp.LeaseCap() != dexplore.NewCheckpointWriter("p", 0).LeaseCap() {
+		if c.cad.Every != 0 {
 			t.Errorf("a Config without CheckpointEvery checkpoints by count")
 		}
 		c.cad.Interval = time.Hour // shorter than the interval on any host

@@ -290,12 +290,26 @@ func TestDistributedSerialEquivalence(t *testing.T) {
 	}
 }
 
-// killAfter wraps a Runner so the worker crashes (abrupt connection drop,
-// abandoning its leases and any in-flight work) after n completed replays.
+// drop closes the named worker's connection from the server's side: what the
+// coordinator sees when that worker's process dies.
+func (s *Server) drop(name string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for w := range s.pool {
+		if w.name == name {
+			w.conn.Close()
+		}
+	}
+}
+
+// killAfter wraps a Runner so the worker crashes after n completed replays:
+// mid-lease, its connection is closed by the server, so nothing it sends
+// afterwards is read, and then it is stopped, so it does not redial.
 type killAfter struct {
 	inner  func(*core.ExplorerConfig, *core.Decisions) (*core.RunTrace, *core.InterleavingResult, error)
 	mu     sync.Mutex
 	n      int
+	srv    *Server
 	w      *Worker
 	killed chan struct{} // closed when the worker is killed
 }
@@ -303,17 +317,12 @@ type killAfter struct {
 func (k *killAfter) Run(cfg *core.ExplorerConfig, d *core.Decisions) (*core.RunTrace, *core.InterleavingResult, error) {
 	k.mu.Lock()
 	k.n--
-	kill := k.n < 0
 	first := k.n == -1
 	k.mu.Unlock()
-	if kill {
-		k.w.Kill()
-		if first {
-			close(k.killed)
-		}
-		// Stall so the result (if the send were even attempted) loses the
-		// race with the connection teardown, like a wedged process.
-		time.Sleep(50 * time.Millisecond)
+	if first {
+		k.srv.drop(k.w.cfg.Name)
+		k.w.Stop()
+		close(k.killed)
 	}
 	return k.inner(cfg, d)
 }
@@ -333,7 +342,7 @@ func TestWorkerKillMidExplorationRecovers(t *testing.T) {
 
 	// Victim: dies after 3 replays, mid-lease.
 	victimCfg := base
-	k := &killAfter{inner: memo.Run, n: 3, killed: make(chan struct{})}
+	k := &killAfter{inner: memo.Run, n: 3, srv: c.srv, killed: make(chan struct{})}
 	victimCfg.Runner = k.Run
 	victim := NewWorker(WorkerConfig{Addr: addr, Name: "victim", Slots: 2, Fingerprint: fp, Explorer: victimCfg})
 	k.w = victim

@@ -284,7 +284,7 @@ func TestJoinRejectsOldProtocols(t *testing.T) {
 	c, caddr := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: time.Second})
 	defer c.Stop()
 	s, saddr := startServer(t, ServerConfig{})
-	defer s.Close(false)
+	defer s.Close()
 
 	for _, addr := range []string{caddr, saddr} {
 		for _, old := range []int{1, 2, 3, 4} {
@@ -320,7 +320,7 @@ func TestHelloFrameBounded(t *testing.T) {
 	c, caddr := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: time.Second})
 	defer c.Stop()
 	s, saddr := startServer(t, ServerConfig{})
-	defer s.Close(false)
+	defer s.Close()
 
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], maxHelloSize+1)

@@ -34,8 +34,9 @@ type Config struct {
 	LeaseTTL time.Duration
 	// CheckpointPath, if non-empty, receives a frontier checkpoint (the
 	// dexplore.Checkpoint format) periodically and, from a one-shot
-	// coordinator, at the end, so a killed coordinator resumes with Resume. A
-	// Server.RunJob returns the last cut to its caller instead of writing it.
+	// coordinator, at the end, so a coordinator that crashed resumes with
+	// Resume. A Server.RunJob returns the last cut to its caller instead of
+	// writing it.
 	CheckpointPath string
 	// CheckpointEvery, when positive, is the merged replays between periodic
 	// checkpoint writes (at most one per returned lease); 0 = one write per
@@ -212,7 +213,7 @@ func New(cfg Config) (*Coordinator, error) {
 			cad:             dexplore.NewCadence(cfg.CheckpointEvery),
 		},
 		wire:   &wireStats{},
-		ckp:    dexplore.NewCheckpointWriter(cfg.CheckpointPath, cfg.CheckpointEvery),
+		ckp:    dexplore.NewCheckpointWriter(cfg.CheckpointPath),
 		rate:   dexplore.NewRateTracker(dexplore.RateWindow),
 		quit:   make(chan struct{}),
 		doneCh: make(chan struct{}),
@@ -320,13 +321,6 @@ func (c *Coordinator) Wait() (*core.Report, error) {
 // SIGTERM path).
 func (c *Coordinator) Stop() { c.apply(evStop{}) }
 
-// Abort ends the exploration with an error and crash semantics: no final
-// checkpoint is written (periodic ones stand), and Wait returns err. The
-// Server's kill path uses it so a simulated crash leaves exactly the state a
-// real one would. Outstanding leases must drain first (a disconnect or the
-// janitor requeues them); the end comes from whichever step empties them.
-func (c *Coordinator) Abort(err error) { c.apply(evAbort{err}) }
-
 // handleResult merges one returned lease, decoded before the lock is taken.
 func (c *Coordinator) handleResult(w *workerConn, res *WireResult) {
 	c.apply(c.decode(w, res))
@@ -355,7 +349,7 @@ func (c *Coordinator) finalize(f actFinalize) {
 		_ = w.send(&frame{Type: msgJobDone, Job: c.cfg.JobID})
 	}
 	if s := c.srv; s != nil && s.only != nil {
-		s.Close(false)
+		s.Close()
 	}
 	close(c.quit)
 	c.monitorWG.Wait()

@@ -55,7 +55,6 @@ type machine struct {
 	requeues    int            // leases lost and requeued
 	report      *core.Report
 	stopped     bool // drain: no new leases (Stop, StopOnFirstError or a failure)
-	noFinalCkp  bool // Abort: crash semantics, skip the final checkpoint
 	finished    bool
 	runErr      error
 	// cad says when a periodic cut falls due (with a CheckpointPath), on the
@@ -63,14 +62,13 @@ type machine struct {
 	cad dexplore.Cadence
 }
 
-// Events: what a read loop, the janitor, the driver or Stop/Abort observed.
+// Events: what a read loop, the janitor, the driver or Stop observed.
 type (
 	evAttach     struct{ w *workerConn } // an announced worker joins
 	evHeartbeat  struct{ w *workerConn } // renews w's leases
 	evDisconnect struct{ w *workerConn } // w's connection died or a write to it failed
 	evTick       struct{}                // the janitor: expire leases
 	evStop       struct{}                // drain
-	evAbort      struct{ err error }     // fail, with crash semantics
 	// evSaved: the periodic cut is written, or the final one failed with err.
 	evSaved struct{ err error }
 	// evResult is one returned lease, decoded outside the lock (decode).
@@ -90,8 +88,8 @@ type (
 		fr *frame
 	}
 	actPeriodic struct{ cut *dexplore.Checkpoint } // save, then report evSaved
-	// actFinalize: the final cut (nil without a path or after Abort) and
-	// jobdone; a failed write of the cut is reported as evSaved.
+	// actFinalize: the final cut (nil without a path) and jobdone; a failed
+	// write of the cut is reported as evSaved.
 	actFinalize struct {
 		cut   *dexplore.Checkpoint
 		conns []*workerConn
@@ -136,9 +134,6 @@ func (m *machine) step(ev any, now time.Time) []any {
 		m.requeue(func(l *lease) bool { return now.After(l.expires) || now.Sub(l.granted) > m.maxLeaseAge })
 	case evStop:
 		m.stopped = true
-	case evAbort:
-		m.fail(ev.err)
-		m.noFinalCkp = true
 	case evResult:
 		if merged := m.result(ev); m.cfg.CheckpointPath != "" && m.cad.Due(merged, now) {
 			cut = m.checkpoint()
@@ -410,7 +405,7 @@ func (m *machine) finalize() actFinalize {
 	m.report.Seal(&m.ecfg, len(m.front.Tasks) > 0)
 	m.report.SortErrors()
 	f := actFinalize{conns: slices.Clone(m.workers)}
-	if m.cfg.CheckpointPath != "" && !m.noFinalCkp {
+	if m.cfg.CheckpointPath != "" {
 		f.cut = m.checkpoint()
 	}
 	return f

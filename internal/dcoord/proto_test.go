@@ -191,7 +191,7 @@ func TestResultCarriesReproducerOnlyWhenKept(t *testing.T) {
 			w := NewWorker(WorkerConfig{Addr: "unused", Explorer: cfg})
 			rt := &jobRuntime{cfg: cfg}
 			task := &core.SubtreeTask{Decisions: dec(0, 1, 2), Budget: core.Unbounded, Explorable: true, Sample: tc.sample}
-			res := w.runLease(rt, rt.get(), wireTask{Lease: 7, Keys: []string{"key-from-the-task-frame"}, Tasks: []*core.SubtreeTask{task}})
+			res := w.runLease(rt, core.NewRunContext(&rt.cfg), wireTask{Lease: 7, Keys: []string{"key-from-the-task-frame"}, Tasks: []*core.SubtreeTask{task}})
 			if !slices.Equal(res.Keys, []string{"key-from-the-task-frame"}) || res.Lease != 7 {
 				t.Errorf("result echoes lease %d keys %q, want the task frame's", res.Lease, res.Keys)
 			}

@@ -225,8 +225,8 @@ func (s *Server) removeWorker(w *workerConn) {
 //
 // With a CheckpointPath the job writes its periodic checkpoints there, but
 // not its last: the final cut — the report and whatever frontier a drain or
-// the cap left — comes back beside the report (nil after a kill), for the
-// caller to save if anyone will resume from it. A completed job's never is,
+// the cap left — comes back beside the report, for the caller to save if
+// anyone will resume from it. A completed job's never is,
 // and when RunJob returns nothing is writing the path any more.
 func (s *Server) RunJob(cfg Config) (*core.Report, *dexplore.Checkpoint, error) {
 	cfg.LeaseTTL = s.cfg.LeaseTTL
@@ -309,13 +309,10 @@ func (s *Server) CancelJob(id string) bool {
 	return true
 }
 
-// Close shuts the server down. Graceful (kill=false): the active job drains
-// via its own Stop path first if the caller wants that — Close itself just
-// stops accepting, tells idle workers the service is over, and closes every
-// connection. Abrupt (kill=true): connections and listener are torn down
-// immediately with no goodbye frames, simulating a crash; tests use it to
-// exercise WAL recovery.
-func (s *Server) Close(kill bool) {
+// Close shuts the server down: it stops accepting, tells every pooled worker
+// the service is over, closes every connection, and drains the active job,
+// whose RunJob then returns what it merged.
+func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -334,17 +331,11 @@ func (s *Server) Close(kill bool) {
 		ln.Close()
 	}
 	for _, w := range conns {
-		if !kill {
-			_ = w.send(&frame{Type: msgDone})
-		}
+		_ = w.send(&frame{Type: msgDone})
 		w.conn.Close()
 	}
 	if cur != nil {
-		if kill {
-			cur.Abort(fmt.Errorf("dcoord: server killed"))
-		} else {
-			cur.Stop()
-		}
+		cur.Stop()
 	}
 }
 

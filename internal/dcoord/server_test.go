@@ -141,7 +141,7 @@ func runJob(t *testing.T, s *Server, cfg Config) (*core.Report, error) {
 func TestServerRunsSequentialJobs(t *testing.T) {
 	f := newTestFactory()
 	s, addr := startServer(t, ServerConfig{})
-	defer s.Close(false)
+	defer s.Close()
 	stop := joinAnyWorkers(t, addr, f, 2, 2)
 	defer stop()
 	waitForPool(t, s, 2)
@@ -174,7 +174,7 @@ func TestServerRunsSequentialJobs(t *testing.T) {
 func TestServerSkipsIneligiblePinnedWorker(t *testing.T) {
 	f := newTestFactory()
 	s, addr := startServer(t, ServerConfig{})
-	defer s.Close(false)
+	defer s.Close()
 
 	// A worker pinned to a 5-proc fanin exploration: wrong procs for the job.
 	pinnedCfg := core.ExplorerConfig{Procs: 5, Clock: core.Lamport, Transport: core.Separate, MixingBound: 1, Program: fanInError}
@@ -215,7 +215,7 @@ func TestServerSkipsIneligiblePinnedWorker(t *testing.T) {
 func TestServerFactoryFailureFailsJob(t *testing.T) {
 	f := newTestFactory()
 	s, addr := startServer(t, ServerConfig{})
-	defer s.Close(false)
+	defer s.Close()
 	stop := joinAnyWorkers(t, addr, f, 1, 1)
 	defer stop()
 	waitForPool(t, s, 1)
@@ -418,7 +418,7 @@ func TestRunJobAndOneShotShareAConfig(t *testing.T) {
 	})
 	jobRep, jobCkp := run(t, func(cfg Config) (string, func() (*core.Report, error)) {
 		s, addr := startServer(t, ServerConfig{})
-		t.Cleanup(func() { s.Close(false) })
+		t.Cleanup(func() { s.Close() })
 		return addr, func() (*core.Report, error) { return runJob(t, s, cfg) }
 	})
 	if !bytes.Equal(oneRep, jobRep) {
@@ -435,7 +435,7 @@ func TestRunJobAndOneShotShareAConfig(t *testing.T) {
 // it would expire every lease of a job that asked for less.
 func TestRunJobAdvertisedTTLWins(t *testing.T) {
 	s, addr := startServer(t, ServerConfig{LeaseTTL: 2 * time.Second})
-	defer s.Close(false)
+	defer s.Close()
 	cfg := leaseTestConfig(time.Millisecond)
 	cfg.JobID = "ttl"
 	fake := dialFake(t, addr, cfg.Fingerprint, "held", 1)

@@ -50,7 +50,7 @@ type Status struct {
 	FramesOut    int64 `json:"frames_out"`
 	WireBytesIn  int64 `json:"wire_bytes_in"`
 	WireBytesOut int64 `json:"wire_bytes_out"`
-	// CheckpointsWritten counts the checkpoint files written, one fsync each:
+	// CheckpointsWritten counts the checkpoint files written, two fsyncs each:
 	// by this exploration, and for a job-queue job by the service's jobs
 	// before it too.
 	CheckpointsWritten int64          `json:"checkpoints_written"`
@@ -175,7 +175,7 @@ func WriteMetrics(w io.Writer, st Status) {
 	fmt.Fprintf(w, "# HELP dampi_sample_duplicates_total Sampled schedules whose decision vector was already sampled.\n# TYPE dampi_sample_duplicates_total counter\ndampi_sample_duplicates_total %d\n", st.Sampled-st.SampledDistinct)
 	fmt.Fprintf(w, "# HELP dampi_wire_frames_total Frames moved over worker connections.\n# TYPE dampi_wire_frames_total counter\ndampi_wire_frames_total{dir=\"in\"} %d\ndampi_wire_frames_total{dir=\"out\"} %d\n", st.FramesIn, st.FramesOut)
 	fmt.Fprintf(w, "# HELP dampi_wire_bytes_total Bytes moved over worker connections, frame headers included.\n# TYPE dampi_wire_bytes_total counter\ndampi_wire_bytes_total{dir=\"in\"} %d\ndampi_wire_bytes_total{dir=\"out\"} %d\n", st.WireBytesIn, st.WireBytesOut)
-	fmt.Fprintf(w, "# HELP dampi_checkpoints_written_total Frontier checkpoint files written, one fsync each.\n# TYPE dampi_checkpoints_written_total counter\ndampi_checkpoints_written_total %d\n", st.CheckpointsWritten)
+	fmt.Fprintf(w, "# HELP dampi_checkpoints_written_total Frontier checkpoint files written, two fsyncs each (the file and its directory).\n# TYPE dampi_checkpoints_written_total counter\ndampi_checkpoints_written_total %d\n", st.CheckpointsWritten)
 	fmt.Fprintf(w, "# HELP dampi_workers_connected Connected workers.\n# TYPE dampi_workers_connected gauge\ndampi_workers_connected %d\n", len(st.Workers))
 	fmt.Fprintf(w, "# HELP dampi_worker_lease_age_seconds Age of each worker's oldest outstanding lease.\n# TYPE dampi_worker_lease_age_seconds gauge\n")
 	for _, ws := range st.Workers {

@@ -212,7 +212,7 @@ func TestRecordedResultStillMerges(t *testing.T) {
 	}}
 	w := NewWorker(WorkerConfig{Addr: "unused", Explorer: cfg})
 	rt := &jobRuntime{cfg: cfg}
-	res := w.runLease(rt, rt.get(), wireTask{Lease: 1, Keys: []string{rootKey}, Tasks: []*core.SubtreeTask{core.RootTask(&cfg)}, Budget: 1})
+	res := w.runLease(rt, core.NewRunContext(&rt.cfg), wireTask{Lease: 1, Keys: []string{rootKey}, Tasks: []*core.SubtreeTask{core.RootTask(&cfg)}, Budget: 1})
 	fresh, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		t.Fatal(err)

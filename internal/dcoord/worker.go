@@ -38,7 +38,8 @@ type WorkerConfig struct {
 	Explorer core.ExplorerConfig
 	// Factory, if non-nil, builds the replay configuration (including the
 	// program) for an announced job spec. Required for any-workload workers;
-	// optional for pinned ones (the pinned Explorer is used instead).
+	// optional for pinned ones (NewWorker makes one of Explorer, which checks
+	// the announced spec against Fingerprint).
 	Factory func(spec JobSpec) (core.ExplorerConfig, error)
 	// OnEvent, if non-nil, receives human-readable lifecycle lines
 	// (connected, reconnecting, rejected) for logging.
@@ -53,19 +54,21 @@ type Worker struct {
 	// slice is dexplore.LeaseSlice; tests shrink it before Run.
 	slice time.Duration
 
-	mu       sync.Mutex
-	conn     net.Conn // current session's connection, for Stop/Kill
-	stopping bool     // graceful: finish in-flight replays, then return
-	killed   bool     // abrupt: drop the connection mid-work (fault injection)
-	stopCh   chan struct{}
+	stopCh   chan struct{} // closed by Stop: the worker is halted
 	stopOnce sync.Once
 }
 
 // NewWorker creates a worker. Like the engines it panics on a config that
 // can never replay anything — a pinned worker without a program, or an
 // unpinned worker without a factory — so misuse fails loudly at startup
-// rather than at first lease.
+// rather than at first lease. A pinned worker without a factory gets one: it
+// replays its Explorer for every announced spec that Check accepts against its
+// Fingerprint — a mismatch is a server bug, and fails the job loudly rather
+// than corrupt its report.
 func NewWorker(cfg WorkerConfig) *Worker {
+	if cfg.Factory != nil && (cfg.Fingerprint == JobSpec{}) && (cfg.Explorer.Program != nil || cfg.Explorer.Runner != nil) {
+		panic("dcoord: any-workload worker with a pinned program; set Fingerprint or drop Explorer")
+	}
 	if cfg.Factory == nil {
 		if cfg.Explorer.Procs < 1 {
 			panic("dcoord: WorkerConfig.Explorer.Procs must be >= 1")
@@ -73,9 +76,13 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		if cfg.Explorer.Program == nil && cfg.Explorer.Runner == nil {
 			panic("dcoord: WorkerConfig.Explorer.Program must be set")
 		}
-	}
-	if cfg.Factory != nil && (cfg.Fingerprint == JobSpec{}) && (cfg.Explorer.Program != nil || cfg.Explorer.Runner != nil) {
-		panic("dcoord: any-workload worker with a pinned program; set Fingerprint or drop Explorer")
+		pinned, ecfg := cfg.Fingerprint, cfg.Explorer
+		cfg.Factory = func(spec JobSpec) (core.ExplorerConfig, error) {
+			if err := spec.Check(&pinned); err != nil {
+				return core.ExplorerConfig{}, fmt.Errorf("job spec does not match pinned worker: %w", err)
+			}
+			return ecfg, nil
+		}
 	}
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
@@ -90,27 +97,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 // Stop drains gracefully: each slot finishes the replay it is in and delivers
 // its lease — what it explored and the subtrees it did not reach — then the
 // worker disconnects and Run returns nil. The SIGTERM path.
-func (w *Worker) Stop() {
-	w.mu.Lock()
-	w.stopping = true
-	w.mu.Unlock()
-	w.stopOnce.Do(func() { close(w.stopCh) })
-}
-
-// Kill simulates a crash: the connection drops immediately, in-flight work
-// is abandoned, and Run returns without delivering results. The
-// coordinator's lease machinery must recover the lost tasks; tests use this
-// to exercise that path.
-func (w *Worker) Kill() {
-	w.mu.Lock()
-	w.killed = true
-	conn := w.conn
-	w.mu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
-	w.stopOnce.Do(func() { close(w.stopCh) })
-}
+func (w *Worker) Stop() { w.stopOnce.Do(func() { close(w.stopCh) }) }
 
 // event emits one lifecycle line.
 func (w *Worker) event(format string, args ...any) {
@@ -167,8 +154,8 @@ type rejectError struct{ reason string }
 
 func (e *rejectError) Error() string { return e.reason }
 
-// sleep waits d or until Stop/Kill; it reports whether the worker should
-// keep going.
+// sleep waits d or until Stop; it reports whether the worker should keep
+// going.
 func (w *Worker) sleep(d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -180,67 +167,37 @@ func (w *Worker) sleep(d time.Duration) bool {
 	}
 }
 
-// halted reports whether Stop or Kill ended the worker's life.
+// halted reports whether Stop ended the worker's life.
 func (w *Worker) halted() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.stopping || w.killed
+	select {
+	case <-w.stopCh:
+		return true
+	default:
+		return false
+	}
 }
 
-// jobRuntime is one job's replay machinery on this worker: the resolved
-// explorer configuration plus a freelist of RunContexts, so tool state
-// recycles across the replays of one job and is dropped with it.
+// jobRuntime is one announced job on this worker: the replay configuration
+// the factory built for it, which each slot's RunContext for the job runs.
 type jobRuntime struct {
 	id  string
 	cfg core.ExplorerConfig
 	err string // non-empty: the spec could not be built; its tasks answer Fatal
-
-	mu   sync.Mutex
-	free []*core.RunContext
 }
 
-// get pops a recycled RunContext or builds a fresh one.
-func (rt *jobRuntime) get() *core.RunContext {
-	rt.mu.Lock()
-	if n := len(rt.free); n > 0 {
-		rc := rt.free[n-1]
-		rt.free = rt.free[:n-1]
-		rt.mu.Unlock()
-		return rc
-	}
-	rt.mu.Unlock()
-	return core.NewRunContext(&rt.cfg)
-}
-
-// put returns a RunContext to the freelist.
-func (rt *jobRuntime) put(rc *core.RunContext) {
-	rt.mu.Lock()
-	rt.free = append(rt.free, rc)
-	rt.mu.Unlock()
-}
-
-// runtimeFor resolves a job announcement into a runtime — the one way a
-// worker comes by a replay configuration: through the factory when present,
-// else the pinned explorer configuration, checked against the announced spec.
+// runtimeFor resolves a job announcement into a runtime through the factory.
 // The job-level bounds are the coordinator's: whatever the configuration says
 // of them is dropped (a worker honouring StopOnFirstError would change what a
 // draining lease counts).
 func (w *Worker) runtimeFor(job string, spec *JobSpec) *jobRuntime {
-	rt := &jobRuntime{id: job, cfg: w.cfg.Explorer}
-	switch {
-	case spec == nil:
+	rt := &jobRuntime{id: job}
+	if spec == nil {
 		rt.err = "dcoord: job announcement without a spec"
-	case w.cfg.Factory != nil:
-		var err error
-		if rt.cfg, err = w.cfg.Factory(*spec); err != nil {
-			rt.err = fmt.Sprintf("dcoord: worker cannot build job spec: %v", err)
-		}
-	default:
-		// The server checks eligibility before announcing, so a mismatch is a
-		// server bug; fail the job loudly rather than corrupt its report.
-		if err := spec.Check(&w.cfg.Fingerprint); err != nil {
-			rt.err = fmt.Sprintf("dcoord: job spec does not match pinned worker: %v", err)
-		}
+		return rt
+	}
+	var err error
+	if rt.cfg, err = w.cfg.Factory(*spec); err != nil {
+		rt.err = fmt.Sprintf("dcoord: worker cannot build job spec: %v", err)
 	}
 	rt.cfg.MaxInterleavings, rt.cfg.StopOnFirstError = 0, false
 	return rt
@@ -258,14 +215,6 @@ type slotTask struct {
 // coordinator declared the exploration over.
 func (w *Worker) session(conn net.Conn) (bool, error) {
 	defer conn.Close()
-	w.mu.Lock()
-	w.conn = conn
-	killed := w.killed
-	w.mu.Unlock()
-	if killed {
-		return false, nil
-	}
-
 	var smu sync.Mutex // serializes result and heartbeat writes
 	send := func(fr *frame) error {
 		smu.Lock()
@@ -328,9 +277,9 @@ func (w *Worker) session(conn net.Conn) (bool, error) {
 		}
 	}()
 
-	// Slots: RunContexts live in the per-job runtime freelists so tool state
-	// recycles across one job's leases (same per-worker ownership as
-	// dexplore) and is dropped when the job ends. The coordinator grants one
+	// Slots: each keeps one RunContext per job, so tool state recycles
+	// across that job's leases (as a dexplore slot keeps one) and is dropped
+	// when the next job's first lease arrives. The coordinator grants one
 	// lease per free slot, so the buffer takes a whole task frame without
 	// blocking the reader.
 	tasks := make(chan slotTask, w.cfg.Slots)
@@ -339,11 +288,13 @@ func (w *Worker) session(conn net.Conn) (bool, error) {
 		slotWG.Add(1)
 		go func() {
 			defer slotWG.Done()
+			var rt *jobRuntime
+			var rc *core.RunContext
 			for st := range tasks {
-				rc := st.rt.get()
-				res := w.runLease(st.rt, rc, st.wt)
-				st.rt.put(rc)
-				if err := send(&frame{Type: msgResult, Job: st.rt.id, Result: res}); err != nil {
+				if st.rt != rt {
+					rt, rc = st.rt, core.NewRunContext(&st.rt.cfg)
+				}
+				if err := send(&frame{Type: msgResult, Job: rt.id, Result: w.runLease(rt, rc, st.wt)}); err != nil {
 					return // session is over; the lease will expire and requeue
 				}
 			}
@@ -351,9 +302,8 @@ func (w *Worker) session(conn net.Conn) (bool, error) {
 	}
 
 	// Reader: the session ends when the coordinator says done, the
-	// connection breaks, or Stop/Kill fires. Kill severs the connection
-	// (abandoning results); Stop only unblocks the pending read — the
-	// connection stays writable so draining slots still deliver.
+	// connection breaks, or Stop fires. Stop only unblocks the pending read —
+	// the connection stays writable so draining slots still deliver.
 	done := false
 	var readErr error
 	sessDone := make(chan struct{})
@@ -361,14 +311,7 @@ func (w *Worker) session(conn net.Conn) (bool, error) {
 	go func() {
 		select {
 		case <-w.stopCh:
-			w.mu.Lock()
-			killed := w.killed
-			w.mu.Unlock()
-			if killed {
-				conn.Close()
-			} else {
-				_ = conn.SetReadDeadline(time.Now())
-			}
+			_ = conn.SetReadDeadline(time.Now())
 		case <-sessDone:
 		}
 	}()
@@ -387,8 +330,8 @@ read:
 			break read
 		case msgJob:
 			// A new job supersedes the previous one: the server runs jobs
-			// sequentially, so the old runtime (and its pooled contexts) is
-			// dropped. In-flight slots keep their own references.
+			// sequentially, so the old runtime is dropped. In-flight slots
+			// keep their own references.
 			cur = w.runtimeFor(fr.Job, fr.Spec)
 			if cur.err != "" {
 				w.event("job %s unrunnable: %s", fr.Job, cur.err)
@@ -438,11 +381,7 @@ read:
 	slotWG.Wait() // graceful: in-flight leases are cut short and delivered
 	close(hbStop)
 	hbWG.Wait()
-	w.mu.Lock()
-	w.conn = nil
-	stopping, killed := w.stopping, w.killed
-	w.mu.Unlock()
-	if done || stopping || killed {
+	if done || w.halted() {
 		return true, nil
 	}
 	return false, readErr

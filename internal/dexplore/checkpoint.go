@@ -133,13 +133,15 @@ func (c *Checkpoint) Save(path string) error {
 
 // ReplaceFile atomically replaces path with what write produces, durably: the
 // bytes are written and fsynced under a temporary name in path's directory
-// before the rename, so whatever is recorded once it returns (a truncated WAL,
-// a Done record, "resume from here") never points at a file whose contents a
-// crash can still lose, and a failure at any step leaves the previous file
-// as it was. The temporary name is unique, so concurrent replacements of one
-// path each publish a complete file.
+// before the rename, and the directory is fsynced after it, so whatever is
+// recorded once it returns (a truncated WAL, a Done record, "resume from
+// here") never points at a file whose contents, or whose rename, a crash can
+// still lose. A failure before the rename leaves the previous file as it was.
+// The temporary name is unique, so concurrent replacements of one path each
+// publish a complete file.
 func ReplaceFile(path string, write func(io.Writer) error) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
@@ -158,8 +160,14 @@ func ReplaceFile(path string, write func(io.Writer) error) error {
 	}
 	if err != nil {
 		os.Remove(f.Name())
+		return err
 	}
-	return err
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close() // only read: its Sync is what can fail
+	return d.Sync()
 }
 
 // Write serializes the checkpoint as JSON.

@@ -22,10 +22,11 @@
 // core.Decisions round-trip format) — the pending subtrees, the roots of the
 // leases out and the merged report, one consistent cut under the mutex — so a
 // killed exploration resumes without redoing completed subtrees; see
-// Checkpoint, and CheckpointWriter for when and in what order the cuts are
-// written (by the clock unless CheckpointEvery says a count; this engine and
-// the cluster coordinator hold one each). A progress callback reports live
-// throughput: interleavings/sec, frontier depth and busy slots.
+// Checkpoint, Cadence for when the cuts fall due (by the clock unless
+// CheckpointEvery says a count) and CheckpointWriter for the order they are
+// written in; this engine and the cluster coordinator hold one of each. A
+// progress callback reports live throughput: interleavings/sec, frontier
+// depth and busy slots.
 //
 // Cancellation is cooperative: MaxInterleavings is met exactly by the budgets
 // of the leases out, StopOnFirstError (and Stop) end every lease after the
@@ -34,6 +35,7 @@ package dexplore
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -109,11 +111,12 @@ type Engine struct {
 	maxRoots int
 	slice    time.Duration
 
-	// ckp writes CheckpointPath (nothing without one) and says when.
+	// ckp writes CheckpointPath (nothing without one).
 	ckp *CheckpointWriter
 
 	mu      sync.Mutex
 	cond    *sync.Cond // slots wait here for a grant or the end
+	cad     Cadence    // when a periodic cut falls due, on the clock
 	front   Frontier[*core.SubtreeTask]
 	holding [][]*core.SubtreeTask // per slot, the roots of the lease it holds
 	report  *core.Report          // every lease merged so far
@@ -148,7 +151,8 @@ func New(cfg Config) *Engine {
 		slot:     cfg.Explorer,
 		maxRoots: MaxLeaseRoots,
 		slice:    LeaseSlice,
-		ckp:      NewCheckpointWriter(cfg.CheckpointPath, cfg.CheckpointEvery),
+		ckp:      NewCheckpointWriter(cfg.CheckpointPath),
+		cad:      NewCadence(cfg.CheckpointEvery),
 		front:    Frontier[*core.SubtreeTask]{Max: cfg.Explorer.MaxInterleavings},
 		holding:  make([][]*core.SubtreeTask, cfg.Workers),
 		report:   &core.Report{},
@@ -174,7 +178,7 @@ func (e *Engine) Stop() {
 // exhaustion) and returns the merged coverage report.
 func (e *Engine) Explore() (*core.Report, error) {
 	e.start = time.Now()
-	e.ckp.Begin()
+	e.cad.Begin(e.start)
 	// The initial self-discovery run is a task like any other: alone in the
 	// frontier, so it is leased first, and its expansion feeds the pool.
 	e.front.Tasks = []*core.SubtreeTask{core.RootTask(&e.cfg.Explorer)}
@@ -228,7 +232,7 @@ func (e *Engine) Explore() (*core.Report, error) {
 // crash loses.
 func (e *Engine) runSlot(id int) {
 	rc := core.NewRunContext(&e.slot)
-	every := e.ckp.LeaseCap()
+	every := e.leaseCap()
 	var stack []*core.SubtreeTask
 	budget, final := 0, false
 	for {
@@ -244,6 +248,16 @@ func (e *Engine) runSlot(id int) {
 		})
 		stack, budget, final = e.release(id, budget, rep, left, unbuilt, err)
 	}
+}
+
+// leaseCap is the most replays a lease may run before it is merged: the
+// explicit CheckpointEvery, which so bounds what a crash loses per slot, and no
+// bound under the default cadence — there a lease's time slice is the bound.
+func (e *Engine) leaseCap() int {
+	if e.cfg.CheckpointPath == "" || e.cad.Every == 0 {
+		return math.MaxInt
+	}
+	return e.cad.Every
 }
 
 // lastLocked is Frontier.Last, except while checkpointing: a resume continues
@@ -325,7 +339,7 @@ func (e *Engine) release(id, budget int, rep *core.Report, left []*core.SubtreeT
 			}
 		}
 		e.front.Tasks = append(e.front.Tasks, left[:give]...)
-		if e.ckp.Due(rep.Interleavings) {
+		if e.cfg.CheckpointPath != "" && e.cad.Due(rep.Interleavings, time.Now()) {
 			ckp = e.checkpointLocked()
 		}
 	}
@@ -333,6 +347,9 @@ func (e *Engine) release(id, budget int, rep *core.Report, left []*core.SubtreeT
 	e.mu.Unlock()
 	if ckp != nil {
 		e.ckp.Periodic(ckp)
+		e.mu.Lock()
+		e.cad.Saved()
+		e.mu.Unlock()
 	}
 	return keep, renewed, final
 }

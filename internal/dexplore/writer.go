@@ -1,7 +1,6 @@
 package dexplore
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,10 +16,10 @@ const DefaultCheckpointInterval = 250 * time.Millisecond
 
 // Cadence is when a periodic checkpoint falls due: every Every merged
 // replays, or with no Every once Interval has passed since the start or the
-// last cut — and never while the last cut is still out. It is a value with no
-// clock and no lock: its holder keeps it under its own mutex and hands it the
-// time, the CheckpointWriter its clock's, the cluster coordinator's machine
-// its event's.
+// last cut — and never while the last cut is still out, so cuts are written
+// one at a time. It is a value with no clock and no lock: its holder keeps it
+// under its own mutex and hands it the time, the Engine its clock's, the
+// cluster coordinator's machine its event's.
 type Cadence struct {
 	Every int // merged replays between periodic cuts; 0 = by Interval
 	// Interval is the default cadence's period (DefaultCheckpointInterval).
@@ -61,81 +60,45 @@ func (c *Cadence) Saved() { c.out = false }
 
 // CheckpointWriter is the one writer of an exploration's checkpoint file,
 // held by the in-process Engine and by the cluster Coordinator. It owns the
-// path and the order of the writes: one periodic write at a time, each cut
-// newer than the last, and none begun after Close. The Engine also asks it
-// when a write falls due (Due, on its Cadence and the clock); the
-// coordinator's machine keeps a Cadence of its own, on its events' time. The
-// holder cuts the checkpoints under its own mutex; the writes happen outside
-// it. A writer without a path is never due.
+// path and the order of the writes: a periodic write never lands after Close,
+// and so never on top of the final cut. When a cut falls due is the holder's
+// Cadence; the holder cuts the checkpoints under its own mutex, and the
+// writes happen outside it.
 type CheckpointWriter struct {
 	path string
 	// Save is the write step (Checkpoint.Save). Not an option, but the seam
 	// of a holder's in-package test, which holds it open or fails it.
 	Save func(*Checkpoint, string) error
 
-	written atomic.Int64 // files written (each one fsync), the final included
+	written atomic.Int64 // files written (each two fsyncs), the final included
 
 	mu      sync.Mutex
 	idle    *sync.Cond // a periodic write has ended
-	cad     Cadence
-	writing bool // a periodic write has begun
-	closed  bool // no periodic write begins any more
+	writing bool       // a periodic write has begun
+	closed  bool       // no periodic write begins any more
 }
 
-// NewCheckpointWriter creates the writer of path ("" = none). every is the
-// explicit cadence, in merged replays; 0 or less selects the default, one
-// write per DefaultCheckpointInterval.
-func NewCheckpointWriter(path string, every int) *CheckpointWriter {
-	w := &CheckpointWriter{path: path, Save: (*Checkpoint).Save, cad: NewCadence(every)}
+// NewCheckpointWriter creates the writer of path.
+func NewCheckpointWriter(path string) *CheckpointWriter {
+	w := &CheckpointWriter{path: path, Save: (*Checkpoint).Save}
 	w.idle = sync.NewCond(&w.mu)
 	return w
 }
 
-// Begin marks the start of the run: the default cadence's first interval
-// counts from here.
-func (w *CheckpointWriter) Begin() {
-	w.mu.Lock()
-	w.cad.Begin(time.Now())
-	w.mu.Unlock()
-}
-
-// LeaseCap is the most replays a lease may run before it is merged: the
-// explicit count, which so bounds what a crash loses per slot, and no bound
-// under the default cadence — there a lease's time slice is the bound.
-func (w *CheckpointWriter) LeaseCap() int {
-	if w.path == "" || w.cad.Every == 0 {
-		return math.MaxInt
-	}
-	return w.cad.Every
-}
-
-// Due counts merged replays just merged and reports whether a periodic write
-// falls due. On true the caller cuts a checkpoint before it releases the mutex
-// it called Due under — cuts are then ordered as the writes are — and owes one
-// Periodic call with it, outside that mutex.
-func (w *CheckpointWriter) Due(merged int) bool {
-	if w.path == "" {
-		return false
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return !w.closed && w.cad.Due(merged, time.Now())
-}
-
-// Periodic writes the checkpoint a true Due asked for — unless the writer was
-// closed in between: the exploration is over, and its last cut is the newer.
-// Best-effort: a failed periodic write must not kill the search, and leaves
-// the previous file.
+// Periodic writes a cut the holder's Cadence said was due — unless the writer
+// was closed in between: the exploration is over, and its last cut is the
+// newer. Best-effort: a failed periodic write must not kill the search, and
+// leaves the previous file. The holder then calls its Cadence's Saved.
 func (w *CheckpointWriter) Periodic(ckp *Checkpoint) {
 	w.mu.Lock()
 	open := !w.closed
 	w.writing = open
 	w.mu.Unlock()
-	if open {
-		_ = w.write(ckp)
+	if !open {
+		return
 	}
+	_ = w.write(ckp)
 	w.mu.Lock()
-	w.cad.Saved()
 	w.writing = false
 	w.idle.Broadcast()
 	w.mu.Unlock()
@@ -170,5 +133,6 @@ func (w *CheckpointWriter) write(ckp *Checkpoint) error {
 	return err
 }
 
-// Written is the number of checkpoint files written so far, one fsync each.
+// Written is the number of checkpoint files written so far, two fsyncs each
+// (the file and its directory).
 func (w *CheckpointWriter) Written() int64 { return w.written.Load() }

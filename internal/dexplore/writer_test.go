@@ -16,69 +16,60 @@ func cutOf(n int) *Checkpoint {
 	return &Checkpoint{Version: checkpointVersion, Report: core.Report{Interleavings: n}}
 }
 
-// TestCheckpointWriterCadence pins the due test: an explicit count falls due
-// on merged replays and bounds a lease; the default falls due on the clock,
-// counted from Begin, and bounds nothing; either way one write at a time and
-// nothing after Close; and without a path a writer is never due.
-func TestCheckpointWriterCadence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckp.json")
-
-	byCount := NewCheckpointWriter(path, 3)
-	byCount.Begin()
-	if byCount.LeaseCap() != 3 {
-		t.Errorf("count cadence: lease cap %d, want 3", byCount.LeaseCap())
-	}
-	if byCount.Due(2) || !byCount.Due(1) {
+// TestCheckpointCadence pins the due test: an explicit count falls due on
+// merged replays and bounds an engine's lease; the default falls due on the
+// clock, counted from Begin, and bounds nothing; either way never while a cut
+// is out. A writer writes nothing after Close, and an engine without a path
+// bounds no lease.
+func TestCheckpointCadence(t *testing.T) {
+	t0 := time.Now()
+	byCount := NewCadence(3)
+	byCount.Begin(t0)
+	if byCount.Due(2, t0) || !byCount.Due(1, t0) {
 		t.Error("count cadence: want due at the third merged replay, not before")
 	}
-	if byCount.Due(5) {
-		t.Error("count cadence: due again while the write is out")
+	if byCount.Due(5, t0) {
+		t.Error("count cadence: due again while the cut is out")
 	}
-	byCount.Periodic(cutOf(3))
-	if !byCount.Due(0) {
-		t.Error("count cadence: the replays merged during the write were not counted")
-	}
-	byCount.Periodic(cutOf(8))
-	// A cut that is out when the writer closes is dropped, not waited for: the
-	// goroutine that owes it may be the one closing (a coordinator's dispatch
-	// can end the exploration).
-	if !byCount.Due(3) {
-		t.Error("count cadence: not due after another three")
-	}
-	byCount.Close()
-	byCount.Periodic(cutOf(11))
-	if byCount.Due(100) {
-		t.Error("count cadence: due after Close")
-	}
-	if byCount.Written() != 2 {
-		t.Errorf("count cadence: %d files written, want the 2 before Close", byCount.Written())
+	byCount.Saved()
+	if !byCount.Due(0, t0) {
+		t.Error("count cadence: the replays merged while the cut was out were not counted")
 	}
 
-	byClock := NewCheckpointWriter(path, 0)
-	if byClock.cad.Interval != DefaultCheckpointInterval {
-		t.Errorf("default cadence: interval %v, want DefaultCheckpointInterval", byClock.cad.Interval)
+	byClock := NewCadence(0)
+	if byClock.Every != 0 || byClock.Interval != DefaultCheckpointInterval {
+		t.Errorf("default cadence: every %d / %v, want the interval alone", byClock.Every, byClock.Interval)
 	}
-	byClock.cad.Interval = time.Hour
-	byClock.Begin()
-	if byClock.LeaseCap() != math.MaxInt {
-		t.Errorf("default cadence: lease cap %d, want none", byClock.LeaseCap())
-	}
-	if byClock.Due(1_000_000) {
+	byClock.Begin(t0)
+	if byClock.Due(1_000_000, t0.Add(DefaultCheckpointInterval-1)) {
 		t.Error("default cadence: due by count")
 	}
-	byClock.cad.last = time.Now().Add(-2 * time.Hour)
-	if !byClock.Due(0) {
+	if !byClock.Due(0, t0.Add(DefaultCheckpointInterval)) {
 		t.Error("default cadence: not due an interval after Begin")
 	}
-	byClock.Periodic(cutOf(1))
-	if byClock.Due(1_000_000) {
+	byClock.Saved()
+	if byClock.Due(1_000_000, t0.Add(2*DefaultCheckpointInterval-1)) {
 		t.Error("default cadence: due again within an interval of the last cut")
 	}
 
-	none := NewCheckpointWriter("", 1)
-	none.Begin()
-	if none.Due(10) || none.LeaseCap() != math.MaxInt {
-		t.Error("a writer without a path is due, or bounds a lease")
+	path := filepath.Join(t.TempDir(), "ckp.json")
+	cfg := core.ExplorerConfig{Procs: 2, Program: fanInError}
+	for _, tc := range []struct {
+		path  string
+		every int
+		want  int
+	}{{path, 3, 3}, {path, 0, math.MaxInt}, {"", 3, math.MaxInt}} {
+		if got := New(Config{Explorer: cfg, CheckpointPath: tc.path, CheckpointEvery: tc.every}).leaseCap(); got != tc.want {
+			t.Errorf("path %q every %d: lease cap %d, want %d", tc.path, tc.every, got, tc.want)
+		}
+	}
+
+	w := NewCheckpointWriter(path)
+	w.Periodic(cutOf(3))
+	w.Close()
+	w.Periodic(cutOf(11))
+	if ckp, err := LoadCheckpoint(path); err != nil || ckp.Interleavings != 3 || w.Written() != 1 {
+		t.Errorf("after Close the file holds %+v (err %v) after %d writes, want the cut at 3 alone", ckp, err, w.Written())
 	}
 }
 
@@ -87,8 +78,7 @@ func TestCheckpointWriterCadence(t *testing.T) {
 // and Close alone leaves nothing in flight to bring a removed file back.
 func TestFinalWaitsForThePeriodicWrite(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckp.json")
-	w := NewCheckpointWriter(path, 1)
-	w.Begin()
+	w := NewCheckpointWriter(path)
 	entered, release := make(chan struct{}), make(chan struct{})
 	w.Save = func(c *Checkpoint, p string) error {
 		if c.Interleavings == 1 { // the periodic cut: held open
@@ -96,9 +86,6 @@ func TestFinalWaitsForThePeriodicWrite(t *testing.T) {
 			<-release
 		}
 		return c.Save(p)
-	}
-	if !w.Due(1) {
-		t.Fatal("not due")
 	}
 	periodic := make(chan struct{})
 	go func() {
@@ -147,10 +134,10 @@ func TestDefaultCadenceFollowsTheClock(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckp.json")
 
 	short := New(Config{Explorer: cfg, Workers: 2, CheckpointPath: path})
-	if short.ckp.cad.Every != 0 || short.ckp.cad.Interval != DefaultCheckpointInterval {
-		t.Fatalf("default cadence is every %d / %v, want the interval alone", short.ckp.cad.Every, short.ckp.cad.Interval)
+	if short.cad.Every != 0 || short.cad.Interval != DefaultCheckpointInterval {
+		t.Fatalf("default cadence is every %d / %v, want the interval alone", short.cad.Every, short.cad.Interval)
 	}
-	short.ckp.cad.Interval = time.Hour // shorter than the interval on any host
+	short.cad.Interval = time.Hour // shorter than the interval on any host
 	rep, err := short.Explore()
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +151,7 @@ func TestDefaultCadenceFollowsTheClock(t *testing.T) {
 
 	const interval = 5 * time.Millisecond
 	long := New(Config{Explorer: slowed(cfg, 3*time.Millisecond), Workers: 2, CheckpointPath: path})
-	long.ckp.cad.Interval = interval
+	long.cad.Interval = interval
 	long.slice = time.Millisecond
 	start := time.Now()
 	if _, err := long.Explore(); err != nil {
@@ -195,7 +182,7 @@ func TestKillResumeUnderDefaultCadence(t *testing.T) {
 	}
 
 	e := New(Config{Explorer: slowed(cfg, 500*time.Microsecond), Workers: 2, CheckpointPath: filepath.Join(t.TempDir(), "ckp.json")})
-	e.ckp.cad.Interval = time.Nanosecond
+	e.cad.Interval = time.Nanosecond
 	e.slice = 500 * time.Microsecond
 	var cuts [][]byte
 	e.ckp.Save = func(c *Checkpoint, p string) error { // one write at a time: no lock

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sort"
 	"strings"
 	"time"
 
@@ -55,8 +56,8 @@ type QueueHints struct {
 	// WindowPerSecond is the active exploration's trailing-window replay
 	// rate (0 when idle).
 	WindowPerSecond float64 `json:"window_per_second"`
-	// RecentJobSeconds is the mean wall time of recently completed jobs (the
-	// sliding window the ETA is computed from; 0 until a job finishes).
+	// RecentJobSeconds is the mean wall time of the last recentJobs done jobs
+	// (the sliding window the ETA is computed from; 0 until a job finishes).
 	RecentJobSeconds float64 `json:"recent_job_seconds"`
 	// EtaSeconds estimates when the queue drains: (depth + running) × the
 	// recent mean job time. 0 when unknown.
@@ -193,12 +194,12 @@ func (a *API) cancel(w http.ResponseWriter, r *http.Request) {
 func (a *API) hints() QueueHints {
 	counts := a.svc.cfg.Store.Counts()
 	h := QueueHints{
-		QueueDepth:       counts[Queued],
-		JobsRunning:      counts[Running] + counts[Merging],
-		TotalSlots:       a.svc.cfg.Server.TotalSlots(),
-		RecentJobSeconds: a.svc.recentJobSeconds(),
-		Jobs:             a.svc.cfg.Store.List(),
+		QueueDepth:  counts[Queued],
+		JobsRunning: counts[Running] + counts[Merging],
+		TotalSlots:  a.svc.cfg.Server.TotalSlots(),
+		Jobs:        a.svc.cfg.Store.List(),
 	}
+	h.RecentJobSeconds = recentJobSeconds(h.Jobs)
 	h.WorkersConnected = len(a.svc.cfg.Server.Workers())
 	if st, _, ok := a.svc.cfg.Server.CurrentStatus(); ok {
 		h.WindowPerSecond = st.WindowPerSec
@@ -215,6 +216,31 @@ func (a *API) hints() QueueHints {
 		h.ScaleHint = "steady"
 	}
 	return h
+}
+
+// recentJobs is how many of the latest done jobs the ETA hint averages.
+const recentJobs = 32
+
+// recentJobSeconds is the mean of FinishedAt − StartedAt (the last attempt's
+// wall time) over the recentJobs done jobs that finished last; 0 when none
+// has. It reads the store, so the hint survives a restart.
+func recentJobSeconds(jobs []*Job) float64 {
+	var done []*Job
+	for _, j := range jobs {
+		if j.State == Done {
+			done = append(done, j)
+		}
+	}
+	if len(done) == 0 {
+		return 0
+	}
+	sort.Slice(done, func(i, k int) bool { return done[i].FinishedAt.Before(done[k].FinishedAt) })
+	done = done[max(0, len(done)-recentJobs):]
+	sum := 0.0
+	for _, j := range done {
+		sum += j.FinishedAt.Sub(j.StartedAt).Seconds()
+	}
+	return sum / float64(len(done))
 }
 
 func (a *API) queue(w http.ResponseWriter, r *http.Request) {
@@ -249,7 +275,7 @@ func (a *API) metrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "# HELP dampi_pool_workers Workers connected to the cluster pool.\n# TYPE dampi_pool_workers gauge\ndampi_pool_workers %d\n", len(a.svc.cfg.Server.Workers()))
 	fmt.Fprintf(&b, "# HELP dampi_pool_slots Total concurrent replay slots across the pool.\n# TYPE dampi_pool_slots gauge\ndampi_pool_slots %d\n", a.svc.cfg.Server.TotalSlots())
 	walSyncs, fileSyncs := a.svc.cfg.Store.Syncs()
-	fmt.Fprintf(&b, "# HELP dampi_store_syncs_total Fsyncs the job store has issued: of its WAL, and of the files beside it (reports, snapshots, a drained job's checkpoint).\n# TYPE dampi_store_syncs_total counter\ndampi_store_syncs_total{kind=\"wal\"} %d\ndampi_store_syncs_total{kind=\"file\"} %d\n", walSyncs, fileSyncs)
+	fmt.Fprintf(&b, "# HELP dampi_store_syncs_total Fsyncs the job store has issued: of its WAL, and of the files beside it (reports, snapshots, a drained job's checkpoint) and their directory.\n# TYPE dampi_store_syncs_total counter\ndampi_store_syncs_total{kind=\"wal\"} %d\ndampi_store_syncs_total{kind=\"file\"} %d\n", walSyncs, fileSyncs)
 	if est, _, ok := a.svc.cfg.Server.CurrentStatus(); ok {
 		dcoord.WriteMetrics(&b, est)
 	} else {
@@ -258,7 +284,7 @@ func (a *API) metrics(w http.ResponseWriter, r *http.Request) {
 		// drains, and the checkpoints every job so far has written. The names
 		// match the live dcoord metrics; the two paths are mutually exclusive,
 		// so each scrape carries each name once.
-		fmt.Fprintf(&b, "# HELP dampi_checkpoints_written_total Frontier checkpoint files written, one fsync each.\n# TYPE dampi_checkpoints_written_total counter\ndampi_checkpoints_written_total %d\n", a.svc.cfg.Server.CheckpointsWritten())
+		fmt.Fprintf(&b, "# HELP dampi_checkpoints_written_total Frontier checkpoint files written, two fsyncs each (the file and its directory).\n# TYPE dampi_checkpoints_written_total counter\ndampi_checkpoints_written_total %d\n", a.svc.cfg.Server.CheckpointsWritten())
 		var sampled, distinct int
 		for _, j := range a.svc.cfg.Store.List() {
 			sampled += j.Sampled

@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"dampi/internal/core"
 	"dampi/internal/dcoord"
@@ -37,7 +38,7 @@ func startAPIHarness(t *testing.T) *apiHarness {
 	h := &apiHarness{svc: svc, store: store, srv: httptest.NewServer(NewAPI(svc))}
 	t.Cleanup(func() {
 		h.srv.Close()
-		server.Close(false)
+		server.Close()
 		store.Close()
 	})
 	return h
@@ -234,8 +235,30 @@ func TestAPIQueueHints(t *testing.T) {
 	}
 
 	// With a 2-minute recent mean, a 2-deep backlog is a >60s ETA: the
-	// autoscaling hint flips to add-workers.
-	h.svc.observeDuration(120)
+	// autoscaling hint flips to add-workers. The mean is read from the store:
+	// two done jobs that ran 1 and 3 minutes by its clock.
+	clock := time.Now()
+	h.store.now = func() time.Time { return clock }
+	for i, ran := range []time.Duration{time.Minute, 3 * time.Minute} {
+		rep := &JobReport{Workload: "fanin", Procs: 5 + i}
+		j, _, err := h.store.Submit(dcoord.JobSpec{Workload: "fanin", Procs: 5 + i}, 0)
+		if err == nil {
+			_, err = h.store.SetState(j.ID, Running, "")
+		}
+		clock = clock.Add(ran)
+		if err == nil {
+			_, err = h.store.SetState(j.ID, Merging, "")
+		}
+		if err == nil {
+			err = h.store.SaveReport(j.ID, rep)
+		}
+		if err == nil {
+			_, err = h.store.Finish(j.ID, rep)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	doJSON(t, "GET", h.srv.URL+"/queue", "", &hints)
 	if hints.RecentJobSeconds != 120 || hints.EtaSeconds != 240 {
 		t.Errorf("hints = %+v, want recent 120s eta 240s", hints)
@@ -357,7 +380,7 @@ func TestAPIDashboard(t *testing.T) {
 // job is active, /status and /metrics embed the exploration snapshot.
 func TestAPIStatusDuringJob(t *testing.T) {
 	f := newTestFactory()
-	h := startHarness(t, t.TempDir(), f, 1, 1, 0, false)
+	h := startHarness(t, t.TempDir(), f, 1, 1, 0)
 	defer h.api.Close()
 	defer h.stopWorkers()
 

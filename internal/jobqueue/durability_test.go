@@ -27,16 +27,17 @@ func checkpointFiles(t *testing.T, dir string) []string {
 	return names
 }
 
-// TestCompleteJobCostsFourFsyncs counts what a job that runs to completion
+// TestCompleteJobCostsFiveFsyncs counts what a job that runs to completion
 // makes durable: three WAL records (submitted, running, finished) and one
-// file (the report), and no checkpoint — it is over before a first periodic
-// one falls due, and its last cut has no reader. The count, not a time, is
-// what a later "one more small fsync" has to change to get in.
-func TestCompleteJobCostsFourFsyncs(t *testing.T) {
+// file (the report, and the directory its rename is in), and no checkpoint —
+// it is over before a first periodic one falls due, and its last cut has no
+// reader. The count, not a time, is what a later "one more small fsync" has
+// to change to get in.
+func TestCompleteJobCostsFiveFsyncs(t *testing.T) {
 	const jobs = 10
 	f := newTestFactory()
 	dir := t.TempDir()
-	h := startHarness(t, dir, f, 2, 1, 0, false)
+	h := startHarness(t, dir, f, 2, 1, 0)
 	defer h.api.Close()
 	defer h.stopWorkers()
 
@@ -54,9 +55,9 @@ func TestCompleteJobCostsFourFsyncs(t *testing.T) {
 	h.svc.Stop() // runOne has returned: the last job's bookkeeping is over
 	<-h.runDone
 	wal, file := h.store.Syncs()
-	// Stop's snapshot is one more file.
-	if wal-wal0 != 3*jobs || file-file0 != jobs+1 {
-		t.Errorf("%d jobs cost %d WAL and %d file fsyncs, want 3 and 1 each (and the shutdown snapshot)", jobs, wal-wal0, file-file0-1)
+	// Stop's snapshot is one more file, and its directory.
+	if wal-wal0 != 3*jobs || file-file0 != 2*jobs+2 {
+		t.Errorf("%d jobs cost %d WAL and %d file fsyncs, want 3 and 2 each (and the shutdown snapshot's 2)", jobs, wal-wal0, file-file0-2)
 	}
 	if n := h.server.CheckpointsWritten(); n != 0 {
 		t.Errorf("%d checkpoints written for jobs that ran to completion, want none", n)
@@ -73,7 +74,7 @@ func TestCompleteJobCostsFourFsyncs(t *testing.T) {
 func TestFinishedJobLeavesNoCheckpoint(t *testing.T) {
 	f := newTestFactory()
 	dir := t.TempDir()
-	h := startHarness(t, dir, f, 2, 1, 1, false)
+	h := startHarness(t, dir, f, 2, 1, 1)
 	defer h.api.Close()
 	defer h.stopWorkers()
 	spec := dcoord.JobSpec{Workload: "slowfanin", Procs: 4, Space: dexplore.Space{MixingBound: core.Unbounded}}
@@ -118,7 +119,7 @@ func TestFailedJobLeavesNoCheckpoint(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newTestFactory()
 			dir := t.TempDir()
-			h := startHarness(t, dir, f, 1, 1, 1, false)
+			h := startHarness(t, dir, f, 1, 1, 1)
 			defer h.api.Close()
 			defer h.stopWorkers()
 			j, _, err := h.svc.Submit(dcoord.JobSpec{Workload: tc.workload, Procs: 5, Space: dexplore.Space{MixingBound: core.Unbounded}}, tc.ttl)
@@ -153,10 +154,11 @@ func TestCrashPointsAtAJobsEnd(t *testing.T) {
 	spec := dcoord.JobSpec{Workload: "fanin", Procs: 4, Space: dexplore.Space{MixingBound: core.Unbounded}}
 	want := serialReport(t, f, spec)
 
-	// One clean run, killed after it: its journal holds the job's four records
-	// in order (nothing snapshots it away), its reports/ the report.
+	// One clean run, read while the service is still up: its journal holds the
+	// job's four records in order (Stop's snapshot would truncate it), its
+	// reports/ the report.
 	clean := t.TempDir()
-	h := startHarness(t, clean, f, 1, 1, 0, true)
+	h := startHarness(t, clean, f, 1, 1, 0)
 	j, _, err := h.svc.Submit(spec, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -164,20 +166,21 @@ func TestCrashPointsAtAJobsEnd(t *testing.T) {
 	if got := waitJobTerminal(t, h.store, j.ID); got.State != Done {
 		t.Fatalf("clean run = %+v", got)
 	}
-	h.svc.Kill()
-	h.api.Close()
-	h.stopWorkers()
 	journal, err := os.ReadFile(filepath.Join(clean, walFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := bytes.SplitAfter(journal, []byte("\n"))
-	if len(records) != 5 || len(records[4]) != 0 {
-		t.Fatalf("the clean run's journal has %d lines, want submitted, running, merging, done:\n%s", len(records)-1, journal)
-	}
 	report, err := os.ReadFile(filepath.Join(clean, reportsDir, j.ID+".json"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	h.svc.Stop()
+	<-h.runDone
+	h.api.Close()
+	h.stopWorkers()
+	records := bytes.SplitAfter(journal, []byte("\n"))
+	if len(records) != 5 || len(records[4]) != 0 {
+		t.Fatalf("the clean run's journal has %d lines, want submitted, running, merging, done:\n%s", len(records)-1, journal)
 	}
 
 	for _, tc := range []struct {
@@ -222,7 +225,7 @@ func TestCrashPointsAtAJobsEnd(t *testing.T) {
 			}
 			peek.Close()
 
-			h := startHarness(t, dir, f, 1, 1, 0, false)
+			h := startHarness(t, dir, f, 1, 1, 0)
 			defer h.api.Close()
 			defer h.stopWorkers()
 			got = waitJobTerminal(t, h.store, j.ID)
@@ -271,7 +274,7 @@ func TestStoreSyncsPerRecord(t *testing.T) {
 	step("running", 1, 0, err)
 	_, err = s.SetState(j.ID, Merging, "")
 	step("merging", 0, 0, err)
-	step("the report", 0, 1, s.SaveReport(j.ID, rep))
+	step("the report", 0, 2, s.SaveReport(j.ID, rep))
 	done, err := s.Finish(j.ID, rep)
 	step("finish", 1, 0, err)
 	if done.State != Done || !done.HasReport || done.Interleavings != 7 || done.Deadlocks != 1 || done.FinishedAt.IsZero() {

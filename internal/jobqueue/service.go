@@ -36,16 +36,10 @@ type Service struct {
 	// sweepEvery is sweepPeriod; tests shorten it before Run.
 	sweepEvery time.Duration
 
-	wake  chan struct{}
-	stop  chan struct{}
-	done  chan struct{}
-	once  sync.Once
-	start time.Time
-
-	mu        sync.Mutex
-	killed    bool
-	stopping  bool
-	durations []float64 // recent job wall-times (seconds), for the ETA hint
+	wake chan struct{}
+	stop chan struct{} // closed by Stop: the service is stopping
+	done chan struct{}
+	once sync.Once
 }
 
 // NewService creates the service; Run starts it.
@@ -59,7 +53,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		wake:       make(chan struct{}, 1),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
-		start:      time.Now(),
 	}, nil
 }
 
@@ -126,7 +119,7 @@ func (s *Service) poke() {
 	}
 }
 
-// Run drains the queue until Stop or Kill. It blocks; run it in a goroutine.
+// Run drains the queue until Stop. It blocks; run it in a goroutine.
 // The TTL sweep has a goroutine of its own for as long: runOne holds this loop
 // for a whole job, and a deadline has to hold while it does.
 func (s *Service) Run() {
@@ -137,7 +130,7 @@ func (s *Service) Run() {
 		defer sweeper.Done()
 		dexplore.Monitor(s.sweepEvery, s.stop, s.sweep)
 	}()
-	defer sweeper.Wait() // before done closes: Stop and Kill close the store after it
+	defer sweeper.Wait() // before done closes: Stop closes the store after it
 	for {
 		select {
 		case <-s.stop:
@@ -173,10 +166,10 @@ func (s *Service) sweep() {
 
 // runOne runs one job start to finish: state transitions are persisted
 // before the action they describe, so the WAL always knows at least as much
-// as the cluster. A job that completes costs four fsyncs — its submission,
-// Running, the report file, Finish — and no checkpoint: the exploration's last
-// cut comes back from RunJob unwritten, and only a drained job, which the next
-// start resumes, has a reader for it.
+// as the cluster. A job that completes costs five fsyncs — its submission,
+// Running, the report file and its directory, Finish — and no checkpoint: the
+// exploration's last cut comes back from RunJob unwritten, and only a drained
+// job, which the next start resumes, has a reader for it.
 func (s *Service) runOne(j *Job) {
 	if s.cfg.Validate != nil {
 		// Re-vet recovered jobs: the registry may have changed across a
@@ -215,11 +208,6 @@ func (s *Service) runOne(j *Job) {
 	rep, left, runErr := s.cfg.Server.RunJob(jcfg)
 	elapsed := time.Since(started).Seconds()
 
-	if s.isKilled() {
-		// Crash simulation: leave the job Running in the WAL, exactly as a
-		// real crash between dispatch and completion would.
-		return
-	}
 	// Why the job gets no report, if it gets none. A job past its TTL is failed
 	// whether the sweep drained it or it finished by itself: the TTL is a
 	// complete-by budget, not a sweep's timing.
@@ -231,7 +219,7 @@ func (s *Service) runOne(j *Job) {
 	case cur.CancelRequested:
 		ended = "canceled"
 	}
-	if s.isStopping() && runErr == nil && ended == "" {
+	if s.stopping() && runErr == nil && ended == "" {
 		// Graceful shutdown drained the exploration mid-flight: what it left
 		// holds the remaining frontier, so that is saved, the job goes back to
 		// the queue and the next start resumes it. (If it actually finished
@@ -276,47 +264,17 @@ func (s *Service) runOne(j *Job) {
 		return
 	}
 	os.Remove(jcfg.CheckpointPath)
-	s.observeDuration(elapsed)
 	s.event("job %s done: %s (%.1fs)", j.ID, jrep.Summary(), elapsed)
 }
 
-// observeDuration records one finished job's wall time (last 32 kept).
-func (s *Service) observeDuration(sec float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.durations = append(s.durations, sec)
-	if len(s.durations) > 32 {
-		s.durations = s.durations[len(s.durations)-32:]
+// stopping reports whether Stop has been called.
+func (s *Service) stopping() bool {
+	select {
+	case <-s.stop:
+		return true
+	default:
+		return false
 	}
-}
-
-// recentJobSeconds is the mean wall time of recently finished jobs (0 when
-// none finished yet).
-func (s *Service) recentJobSeconds() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.durations) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, d := range s.durations {
-		sum += d
-	}
-	return sum / float64(len(s.durations))
-}
-
-// isKilled reports whether Kill fired.
-func (s *Service) isKilled() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.killed
-}
-
-// isStopping reports whether a graceful Stop is in progress.
-func (s *Service) isStopping() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stopping
 }
 
 // Stop shuts down gracefully: the active job drains (its partial state is
@@ -324,28 +282,12 @@ func (s *Service) isStopping() bool {
 // for completed explorations), the store snapshots, the cluster says
 // goodbye.
 func (s *Service) Stop() {
-	s.mu.Lock()
-	s.stopping = true
-	s.mu.Unlock()
 	s.once.Do(func() { close(s.stop) })
 	if _, id, ok := s.cfg.Server.CurrentStatus(); ok {
 		s.cfg.Server.CancelJob(id)
 	}
 	<-s.done
-	s.cfg.Server.Close(false)
+	s.cfg.Server.Close()
 	_ = s.cfg.Store.Snapshot()
-	_ = s.cfg.Store.Close()
-}
-
-// Kill simulates a crash: worker connections drop mid-lease, the WAL is left
-// exactly as it was (the active job still Running), nothing is flushed.
-// Tests reopen the store afterwards and assert recovery.
-func (s *Service) Kill() {
-	s.mu.Lock()
-	s.killed = true
-	s.mu.Unlock()
-	s.once.Do(func() { close(s.stop) })
-	s.cfg.Server.Close(true)
-	<-s.done
 	_ = s.cfg.Store.Close()
 }

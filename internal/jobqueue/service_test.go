@@ -1,9 +1,13 @@
 package jobqueue
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"regexp"
 	"sync"
 	"sync/atomic"
@@ -92,6 +96,10 @@ type testFactory struct {
 	// brokenRuns counts the replays of the "brokenfanin" workload, whose
 	// harness fails from the tenth on.
 	brokenRuns atomic.Int64
+	// stallAfter, when positive, parks every replay past that many for good:
+	// a job that is still running whenever its process is killed.
+	stallAfter int64
+	runs       atomic.Int64
 }
 
 func newTestFactory() *testFactory { return &testFactory{memos: make(map[string]*memoRunner)} }
@@ -124,6 +132,14 @@ func (f *testFactory) config(spec dcoord.JobSpec) (core.ExplorerConfig, error) {
 		cfg.Runner = func(cfg *core.ExplorerConfig, d *core.Decisions) (*core.RunTrace, *core.InterleavingResult, error) {
 			if f.brokenRuns.Add(1) >= 10 {
 				return nil, nil, errors.New("replay harness broke")
+			}
+			return run(cfg, d)
+		}
+	}
+	if run := cfg.Runner; f.stallAfter > 0 {
+		cfg.Runner = func(cfg *core.ExplorerConfig, d *core.Decisions) (*core.RunTrace, *core.InterleavingResult, error) {
+			if f.runs.Add(1) > f.stallAfter {
+				select {}
 			}
 			return run(cfg, d)
 		}
@@ -189,7 +205,7 @@ type harness struct {
 // startHarness opens the store at dir, starts the cluster server, the service
 // loop (sweeping every 20 ms unless a tweak, run before the loop starts, says
 // otherwise), an httptest API server, and n any-workload workers.
-func startHarness(t *testing.T, dir string, f *testFactory, n, slots, ckpEvery int, lenient bool, tweak ...func(*Service)) *harness {
+func startHarness(t *testing.T, dir string, f *testFactory, n, slots, ckpEvery int, tweak ...func(*Service)) *harness {
 	t.Helper()
 	store, err := OpenStore(StoreConfig{Dir: dir})
 	if err != nil {
@@ -222,15 +238,13 @@ func startHarness(t *testing.T, dir string, f *testFactory, n, slots, ckpEvery i
 		defer close(h.runDone)
 		svc.Run()
 	}()
-	h.stopWorkers = joinWorkers(t, h.addr, f, n, slots, lenient)
+	h.stopWorkers = joinWorkers(t, h.addr, f, n, slots)
 	return h
 }
 
 // joinWorkers connects n any-workload workers; the returned func stops them
-// and waits out their Run loops. Lenient workers log instead of failing the
-// test when their Run ends in error — the kill tests sever connections on
-// purpose.
-func joinWorkers(t *testing.T, addr string, f *testFactory, n, slots int, lenient bool) func() {
+// and waits out their Run loops.
+func joinWorkers(t *testing.T, addr string, f *testFactory, n, slots int) func() {
 	t.Helper()
 	var wg sync.WaitGroup
 	workers := make([]*dcoord.Worker, n)
@@ -246,11 +260,7 @@ func joinWorkers(t *testing.T, addr string, f *testFactory, n, slots int, lenien
 		go func() {
 			defer wg.Done()
 			if err := w.Run(); err != nil {
-				if lenient {
-					t.Logf("worker (expected during kill): %v", err)
-				} else {
-					t.Errorf("worker: %v", err)
-				}
+				t.Errorf("worker: %v", err)
 			}
 		}()
 	}
@@ -300,7 +310,7 @@ func waitRunningProgress(t *testing.T, h *harness, id string, min int) {
 // serial verification of the same spec.
 func TestServiceDrainsQueueAcrossJobs(t *testing.T) {
 	f := newTestFactory()
-	h := startHarness(t, t.TempDir(), f, 2, 2, 0, false)
+	h := startHarness(t, t.TempDir(), f, 2, 2, 0)
 	defer h.api.Close()
 	defer h.stopWorkers()
 
@@ -337,56 +347,92 @@ func TestServiceDrainsQueueAcrossJobs(t *testing.T) {
 	<-h.runDone
 }
 
-// TestServiceKillRestartRecovers is the crash-recovery regression: the
-// service is killed mid-job (connections severed, WAL left as-is) with a
-// second job still queued; a fresh service over the same store recovers both,
-// resumes the interrupted exploration from its frontier checkpoint, and both
-// final reports match serial runs — nothing queued or running is lost.
+// crashChildStore, in a child process's environment, is the store directory
+// TestServiceKillRestartRecovers serves there until its parent kills it.
+const crashChildStore = "JOBQUEUE_CRASH_CHILD_STORE"
+
+// TestServiceKillRestartRecovers is the crash-recovery regression: a real
+// service process is killed with SIGKILL mid-job, once the job's periodic
+// checkpoint exists, with a second job still queued; a fresh service over the
+// same store recovers both, resumes the interrupted exploration from its
+// frontier checkpoint, and both final reports match serial runs — nothing
+// queued or running is lost. The child is this test binary, run again with
+// the store directory in its environment.
 func TestServiceKillRestartRecovers(t *testing.T) {
+	if dir := os.Getenv(crashChildStore); dir != "" {
+		// The child: its workers park for good after a few replays, so the job
+		// is still running, its checkpoint written, when the SIGKILL lands.
+		f := newTestFactory()
+		f.stallAfter = 6
+		startHarness(t, dir, f, 2, 1, 1) // checkpoint every merge
+		time.Sleep(time.Minute)
+		t.Fatal("the parent never killed this service")
+	}
 	f := newTestFactory()
 	dir := t.TempDir()
 	slow := dcoord.JobSpec{Workload: "slowfanin", Procs: 5, Space: dexplore.Space{MixingBound: core.Unbounded}}
 	quick := dcoord.JobSpec{Workload: "fanin", Procs: 3, Space: dexplore.Space{MixingBound: core.Unbounded}}
-
-	h1 := startHarness(t, dir, f, 2, 1, 1, true) // checkpoint every merge
-	j1, _, err := h1.svc.Submit(slow, 0)
+	store := openTestStore(t, dir, 0)
+	j1, _, err := store.Submit(slow, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, _, err := h1.svc.Submit(quick, 0)
+	j2, _, err := store.Submit(quick, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitRunningProgress(t, h1, j1.ID, 2)
-	h1.svc.Kill()
-	h1.api.Close()
-	h1.stopWorkers()
+	store.Close()
 
-	h2 := startHarness(t, dir, f, 2, 1, 1, false)
-	defer h2.api.Close()
-	defer h2.stopWorkers()
+	child := exec.Command(os.Args[0], "-test.run=^TestServiceKillRestartRecovers$", "-test.count=1", "-test.timeout=2m")
+	child.Env = append(os.Environ(), crashChildStore+"="+dir)
+	var out bytes.Buffer
+	child.Stdout, child.Stderr = &out, &out
+	if err := child.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- child.Wait() }()
+	ckpPath := filepath.Join(dir, ckpDir, j1.ID+".json")
+	for _, err := os.Stat(ckpPath); err != nil; _, err = os.Stat(ckpPath) {
+		select {
+		case err := <-exited:
+			t.Fatalf("the service exited (%v) before it wrote a checkpoint:\n%s", err, out.Bytes())
+		case <-time.After(time.Millisecond):
+		}
+	}
+	if err := child.Process.Kill(); err != nil { // SIGKILL
+		t.Fatal(err)
+	}
+	<-exited
+	if ckp, err := dexplore.LoadCheckpoint(ckpPath); err != nil || ckp.Interleavings < 1 {
+		t.Fatalf("the killed service left checkpoint %+v (err %v), want one with merged replays", ckp, err)
+	}
+
+	h := startHarness(t, dir, f, 2, 1, 1)
+	defer h.api.Close()
+	defer h.stopWorkers()
 
 	// The interrupted job was recovered to the queue with its attempt count,
 	// so the new service resumes it from the checkpoint instead of restarting.
-	if j, ok := h2.store.Get(j1.ID); !ok || j.Attempts < 1 {
+	if j, ok := h.store.Get(j1.ID); !ok || j.Attempts < 1 {
 		t.Errorf("recovered job = %+v; want attempts >= 1", j)
 	}
 	for _, tc := range []struct {
 		id   string
 		spec dcoord.JobSpec
 	}{{j1.ID, slow}, {j2.ID, quick}} {
-		j := waitJobTerminal(t, h2.store, tc.id)
+		j := waitJobTerminal(t, h.store, tc.id)
 		if j.State != Done {
 			t.Fatalf("job %s = %s (%s), want done", tc.id, j.State, j.Error)
 		}
-		rep, err := h2.store.LoadReport(tc.id)
+		rep, err := h.store.LoadReport(tc.id)
 		if err != nil {
 			t.Fatalf("report %s: %v", tc.id, err)
 		}
 		checkSameJobReport(t, tc.id, serialReport(t, f, tc.spec), rep)
 	}
-	h2.svc.Stop()
-	<-h2.runDone
+	h.svc.Stop()
+	<-h.runDone
 }
 
 // TestServiceGracefulStopRequeues: SIGTERM-style Stop drains the active job
@@ -397,7 +443,7 @@ func TestServiceGracefulStopRequeues(t *testing.T) {
 	dir := t.TempDir()
 	spec := dcoord.JobSpec{Workload: "slowfanin", Procs: 5, Space: dexplore.Space{MixingBound: core.Unbounded}}
 
-	h1 := startHarness(t, dir, f, 1, 1, 1, true)
+	h1 := startHarness(t, dir, f, 1, 1, 1)
 	j, _, err := h1.svc.Submit(spec, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -417,7 +463,7 @@ func TestServiceGracefulStopRequeues(t *testing.T) {
 	}
 	peek.Close()
 
-	h2 := startHarness(t, dir, f, 1, 1, 1, false)
+	h2 := startHarness(t, dir, f, 1, 1, 1)
 	defer h2.api.Close()
 	defer h2.stopWorkers()
 	got := waitJobTerminal(t, h2.store, j.ID)
@@ -437,7 +483,7 @@ func TestServiceGracefulStopRequeues(t *testing.T) {
 // exploration and records the failure instead of a report.
 func TestServiceCancelRunningJob(t *testing.T) {
 	f := newTestFactory()
-	h := startHarness(t, t.TempDir(), f, 1, 1, 0, false)
+	h := startHarness(t, t.TempDir(), f, 1, 1, 0)
 	defer h.api.Close()
 	defer h.stopWorkers()
 
@@ -467,7 +513,7 @@ func TestServiceCancelRunningJob(t *testing.T) {
 // on to the next job.
 func TestRunningJobPastTTLIsCancelled(t *testing.T) {
 	f := newTestFactory()
-	h := startHarness(t, t.TempDir(), f, 1, 1, 0, false)
+	h := startHarness(t, t.TempDir(), f, 1, 1, 0)
 	defer h.api.Close()
 	defer h.stopWorkers()
 
@@ -498,7 +544,7 @@ func TestRunningJobPastTTLIsCancelled(t *testing.T) {
 // here, so it is runOne's own check that has to catch it.
 func TestQueuedJobPastTTLNeverStarts(t *testing.T) {
 	f := newTestFactory()
-	h := startHarness(t, t.TempDir(), f, 1, 1, 0, false, func(s *Service) { s.sweepEvery = time.Hour })
+	h := startHarness(t, t.TempDir(), f, 1, 1, 0, func(s *Service) { s.sweepEvery = time.Hour })
 	defer h.api.Close()
 	defer h.stopWorkers()
 

@@ -68,7 +68,7 @@ type Store struct {
 	now           func() time.Time // test seam
 
 	// fsyncs so far: of the WAL, and of the files replaced beside it (reports,
-	// snapshots, a drained job's checkpoint).
+	// snapshots, a drained job's checkpoint) with their directories.
 	walSyncs, fileSyncs atomic.Int64
 
 	mu         sync.Mutex
@@ -254,9 +254,10 @@ func (s *Store) syncWAL() error {
 }
 
 // replaceFile atomically and durably replaces path with what write produces
-// (dexplore.ReplaceFile), and counts the fsync.
+// (dexplore.ReplaceFile), and counts its two fsyncs: the file and its
+// directory.
 func (s *Store) replaceFile(path string, write func(io.Writer) error) error {
-	s.fileSyncs.Add(1)
+	s.fileSyncs.Add(2)
 	return dexplore.ReplaceFile(path, write)
 }
 
