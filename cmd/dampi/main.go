@@ -215,10 +215,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("ISP: interleavings=%d errors=%d deadlocks=%d capped=%v\n",
-			rep.Interleavings, len(rep.Errors), rep.Deadlocks, rep.Capped)
+		// No reproducer line: ISP keys a decision by (rank, k-th wildcard),
+		// not DAMPI's (rank, LC), so -replay must never be handed one.
+		fmt.Printf("ISP: %s\n", rep.Summary())
 		for _, e := range rep.Errors {
-			fmt.Printf("  %v: %v\n", e, e.Err)
+			fmt.Printf("  error in interleaving #%d: %v\n", e.Index, e.Err)
 		}
 		if rep.Errored() {
 			exit(1)

@@ -66,11 +66,14 @@ type ExplorerConfig struct {
 	// OnInterleaving, if set, observes each replay's result as it happens.
 	OnInterleaving func(res *InterleavingResult)
 	// Runner, if set, replaces ExecuteRun as the function that performs one
-	// (self or guided) instrumented run. Every engine routes every run
-	// through it (RunContext.Run), which gives tests a seam to
-	// memoize executions: sharing one memoizing Runner across engines makes
-	// the program's residual scheduling non-determinism invisible, so
-	// cross-checks compare pure schedule-generator behavior.
+	// (self or guided) run. Every engine routes every run through it
+	// (RunContext.Run), so whatever makes the run, this package's search
+	// drives the runs. Its users: internal/isp, whose centrally scheduled run
+	// records its wildcard decisions as epochs, so ISP and DAMPI share one
+	// search; bench/'s null tree; and tests, which memoize executions —
+	// sharing one memoizing Runner across engines makes the program's
+	// residual scheduling non-determinism invisible, so cross-checks compare
+	// pure schedule-generator behavior.
 	Runner func(cfg *ExplorerConfig, decisions *Decisions) (*RunTrace, *InterleavingResult, error)
 }
 

@@ -189,7 +189,13 @@ func TestSpecValidateRefusesOutOfRange(t *testing.T) {
 	if err := base.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	widest := base
+	widest.Procs = maxProcs
+	if err := widest.Validate(); err != nil {
+		t.Errorf("procs %d refused: %v", maxProcs, err)
+	}
 	for name, mutate := range map[string]func(*JobSpec){
+		"procs":               func(s *JobSpec) { s.Procs = maxProcs + 1 },
 		"clock":               func(s *JobSpec) { s.Clock = 7 },
 		"transport":           func(s *JobSpec) { s.Transport = -1 },
 		"mixing_bound":        func(s *JobSpec) { s.MixingBound = -2 },

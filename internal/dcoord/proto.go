@@ -196,6 +196,12 @@ func (s *JobSpec) Normalize() {
 	}
 }
 
+// maxProcs is the largest world a job spec may ask for: 64× the paper's
+// largest run of 1 024 ranks. A worker sizes its runtime storage by procs
+// before it runs anything, so an unbounded value ends the worker process,
+// not the job. Local verify.Run takes no spec and stays unbounded.
+const maxProcs = 1 << 16
+
 // Validate rejects a spec no worker could run. A spec is outside input (a
 // REST body, a hello frame): every field is checked against its range, not
 // only the ones a well-meaning client gets wrong.
@@ -203,6 +209,8 @@ func (s *JobSpec) Validate() error {
 	switch {
 	case s.Workload == "":
 		return fmt.Errorf("dcoord: job spec without a workload name")
+	case s.Procs > maxProcs:
+		return fmt.Errorf("dcoord: job spec procs must be <= %d, got %d", maxProcs, s.Procs)
 	case s.Clock != core.Lamport && s.Clock != core.VectorClock:
 		return fmt.Errorf("dcoord: job spec clock %d is neither Lamport (%d) nor vector (%d)", s.Clock, core.Lamport, core.VectorClock)
 	case s.Transport != core.Separate && s.Transport != core.Inband:

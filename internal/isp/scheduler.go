@@ -2,9 +2,9 @@
 // authors' earlier centralized dynamic verifier (§II-A). Every MPI call a
 // rank makes performs a synchronous round-trip to a single scheduler
 // goroutine that maintains a global view of pending sends and held wildcard
-// receives, decides wildcard matches from that global view, rewrites the
-// receives to deterministic sources, and drives depth-first replay over its
-// decision points.
+// receives, decides wildcard matches from that global view, and rewrites the
+// receives to deterministic sources. It records each decision as a
+// core.EpochRecord, and core's depth-first search replays them.
 //
 // The architecture — not the specific constants — is the point: the
 // per-call synchronous communication with one central scheduler, and the
@@ -15,43 +15,27 @@ package isp
 import (
 	"fmt"
 
+	"dampi/internal/core"
 	"dampi/mpi"
 )
-
-// DecisionKey identifies a wildcard decision point across runs: the rank and
-// its k-th wildcard operation.
-type DecisionKey struct {
-	Rank int
-	Idx  int
-}
-
-func (k DecisionKey) String() string { return fmt.Sprintf("(%d,#%d)", k.Rank, k.Idx) }
-
-// Decision records one wildcard match the scheduler enforced.
-type Decision struct {
-	Key        DecisionKey
-	Chosen     int
-	Alternates []int
-	Forced     bool
-}
 
 // scheduler is the centralized ISP scheduler for one run.
 type scheduler struct {
 	world  *mpi.World
-	forced map[DecisionKey]int
+	forced *core.Decisions // keyed by (rank, k-th wildcard operation)
 
 	events chan *event
 	done   chan struct{}
 
 	// All state below is owned by the scheduler goroutine.
 	status    []rankStatus
-	wcIdx     []int
+	wcIdx     []uint64   // per rank, the wildcard operations seen so far
 	pending   []*sendRec // unmatched sends, grant order
 	debts     []*sendRec // wildcard claims made before the send registered
-	held      []*heldOp
+	held      []heldOp
 	seq       uint64
 	readiness int // last readiness-sweep summary
-	decisions []*Decision
+	records   []*core.EpochRecord
 }
 
 type rankStatus int
@@ -71,10 +55,28 @@ type sendRec struct {
 	commID int
 }
 
+// heldOp is a receive or probe of one rank: exactly one of recv and probe is
+// set.
 type heldOp struct {
 	rank  int
 	recv  *mpi.RecvOp
 	probe *mpi.ProbeOp
+}
+
+// wildcard reports whether the operation was posted with MPI_ANY_SOURCE.
+func (h heldOp) wildcard() bool {
+	if h.recv != nil {
+		return h.recv.WasAnySource
+	}
+	return h.probe.WasAnySource
+}
+
+// match returns the operation's communicator, tag and epoch kind.
+func (h heldOp) match() (commID, tag int, kind core.EpochKind) {
+	if h.recv != nil {
+		return h.recv.Comm.ID(), h.recv.Tag, core.RecvEpoch
+	}
+	return h.probe.Comm.ID(), h.probe.Tag, core.ProbeEpoch
 }
 
 type eventKind int
@@ -104,17 +106,14 @@ type event struct {
 	reply        chan struct{}
 }
 
-func newScheduler(procs int, world *mpi.World, forced map[DecisionKey]int) *scheduler {
-	if forced == nil {
-		forced = make(map[DecisionKey]int)
-	}
+func newScheduler(procs int, world *mpi.World, forced *core.Decisions) *scheduler {
 	return &scheduler{
 		world:  world,
 		forced: forced,
 		events: make(chan *event),
 		done:   make(chan struct{}),
 		status: make([]rankStatus, procs),
-		wcIdx:  make([]int, procs),
+		wcIdx:  make([]uint64, procs),
 	}
 }
 
@@ -210,12 +209,7 @@ func (s *scheduler) readinessSweep() {
 	}
 	matchable := 0
 	for _, h := range s.held {
-		var commID, tag int
-		if h.recv != nil {
-			commID, tag = h.recv.Comm.ID(), h.recv.Tag
-		} else {
-			commID, tag = h.probe.Comm.ID(), h.probe.Tag
-		}
+		commID, tag, _ := h.match()
 		for _, sr := range s.pending {
 			if sr.commID == commID && sr.dest == h.rank && (tag == mpi.AnyTag || sr.tag == tag) {
 				matchable++
@@ -257,25 +251,18 @@ func (s *scheduler) handle(ev *event) {
 		if sr != nil {
 			s.pending = append(s.pending, sr)
 		}
-	case evRecv:
-		if ev.recv.WasAnySource {
-			if src, ok := s.forced[DecisionKey{Rank: ev.rank, Idx: s.wcIdx[ev.rank]}]; ok {
-				// Replay: enforce the recorded match.
-				ev.recv.Src = src
-				s.claimSend(ev.rank, ev.recv.Comm.ID(), ev.recv.Tag, src)
-				s.recordDecision(ev.rank, src, nil, true)
-			} else {
-				s.hold(ev, &heldOp{rank: ev.rank, recv: ev.recv})
-			}
+	case evRecv, evProbe:
+		h := heldOp{rank: ev.rank, recv: ev.recv, probe: ev.probe}
+		if !h.wildcard() {
+			break
 		}
-	case evProbe:
-		if ev.probe.WasAnySource {
-			if src, ok := s.forced[DecisionKey{Rank: ev.rank, Idx: s.wcIdx[ev.rank]}]; ok {
-				ev.probe.Src = src
-				s.recordDecision(ev.rank, src, nil, true)
-			} else {
-				s.hold(ev, &heldOp{rank: ev.rank, probe: ev.probe})
-			}
+		if src, ok := s.forced.Lookup(ev.rank, s.wcIdx[ev.rank]); ok {
+			s.determinize(h, src, nil, true) // replay: enforce the recorded match
+		} else {
+			// Hold it until decide releases it.
+			ev.held = true
+			s.held = append(s.held, h)
+			s.status[h.rank] = heldAtScheduler
 		}
 	case evWaitEnter:
 		s.status[ev.rank] = inWait
@@ -292,21 +279,23 @@ func (s *scheduler) handle(ev *event) {
 	}
 }
 
-// hold keeps a wildcard operation back until decide releases it.
-func (s *scheduler) hold(ev *event, h *heldOp) {
-	ev.held = true
-	s.held = append(s.held, h)
-	s.status[h.rank] = heldAtScheduler
-}
-
-func (s *scheduler) recordDecision(rank, chosen int, alts []int, forcedDecision bool) {
-	s.decisions = append(s.decisions, &Decision{
-		Key:        DecisionKey{Rank: rank, Idx: s.wcIdx[rank]},
-		Chosen:     chosen,
-		Alternates: alts,
-		Forced:     forcedDecision,
+// determinize rewrites a wildcard operation to the source src and records
+// the decision as the rank's next wildcard epoch: LC is its index among the
+// rank's wildcard operations, Order the release order. guided marks a
+// decision the forced set imposed.
+func (s *scheduler) determinize(h heldOp, src int, alts []int, guided bool) {
+	commID, tag, kind := h.match()
+	if h.recv != nil {
+		h.recv.Src = src
+		s.claimSend(h.rank, commID, tag, src)
+	} else {
+		h.probe.Src = src // probes do not consume the message
+	}
+	s.records = append(s.records, &core.EpochRecord{
+		Rank: h.rank, LC: s.wcIdx[h.rank], CommID: commID, Tag: tag, Kind: kind,
+		Chosen: src, Alternates: alts, Guided: guided, Order: uint64(len(s.records)),
 	})
-	s.wcIdx[rank]++
+	s.wcIdx[h.rank]++
 }
 
 // consumeSend removes the earliest pending send matching a completed
@@ -362,33 +351,28 @@ func (s *scheduler) candidates(rank, commID, tag int) []int {
 // the system is deadlocked.
 func (s *scheduler) decide() {
 	for i, h := range s.held {
-		var commID, tag int
-		if h.recv != nil {
-			commID, tag = h.recv.Comm.ID(), h.recv.Tag
-		} else {
-			commID, tag = h.probe.Comm.ID(), h.probe.Tag
-		}
+		commID, tag, _ := h.match()
 		cands := s.candidates(h.rank, commID, tag)
 		if len(cands) == 0 {
 			if h.probe != nil && !h.probe.Blocking {
 				// A wildcard Iprobe may legitimately find nothing.
-				s.release(i, h, -1, nil)
+				s.release(i, -1, nil)
 				return
 			}
 			continue
 		}
-		chosen := cands[0]
-		s.release(i, h, chosen, cands[1:])
+		s.release(i, cands[0], cands[1:])
 		return
 	}
 	// No held operation can be satisfied: global deadlock.
 	blockedAt := make(map[int]string)
 	for _, h := range s.held {
-		if h.recv != nil {
-			blockedAt[h.rank] = fmt.Sprintf("Recv(src=*, tag=%d) held by ISP scheduler with no matching send", h.recv.Tag)
-		} else {
-			blockedAt[h.rank] = fmt.Sprintf("Probe(src=*, tag=%d) held by ISP scheduler with no matching send", h.probe.Tag)
+		_, tag, kind := h.match()
+		op := "Recv"
+		if kind == core.ProbeEpoch {
+			op = "Probe"
 		}
+		blockedAt[h.rank] = fmt.Sprintf("%s(src=*, tag=%d) held by ISP scheduler with no matching send", op, tag)
 	}
 	for _, r := range s.world.BlockedRanks() {
 		if _, ok := blockedAt[r]; !ok {
@@ -398,18 +382,14 @@ func (s *scheduler) decide() {
 	s.world.AbortWith(&mpi.DeadlockError{BlockedAt: blockedAt})
 }
 
-// release determinizes and releases one held op. chosen < 0 releases the op
-// unmodified (Iprobe with no candidates).
-func (s *scheduler) release(i int, h *heldOp, chosen int, alts []int) {
+// release determinizes held op i to chosen, with the other candidates as its
+// alternates, and lets its rank run. chosen < 0 releases it unmodified: an
+// Iprobe with no candidates takes its wildcard index but records nothing.
+func (s *scheduler) release(i, chosen int, alts []int) {
+	h := s.held[i]
 	s.held = append(s.held[:i], s.held[i+1:]...)
 	if chosen >= 0 {
-		if h.recv != nil {
-			h.recv.Src = chosen
-			s.claimSend(h.rank, h.recv.Comm.ID(), h.recv.Tag, chosen)
-		} else {
-			h.probe.Src = chosen // probes do not consume the message
-		}
-		s.recordDecision(h.rank, chosen, alts, false)
+		s.determinize(h, chosen, alts, false)
 	} else {
 		s.wcIdx[h.rank]++
 	}

@@ -276,20 +276,25 @@ func (a *API) metrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "# HELP dampi_pool_slots Total concurrent replay slots across the pool.\n# TYPE dampi_pool_slots gauge\ndampi_pool_slots %d\n", a.svc.cfg.Server.TotalSlots())
 	walSyncs, fileSyncs := a.svc.cfg.Store.Syncs()
 	fmt.Fprintf(&b, "# HELP dampi_store_syncs_total Fsyncs the job store has issued: of its WAL, and of the files beside it (reports, snapshots, a drained job's checkpoint) and their directory.\n# TYPE dampi_store_syncs_total counter\ndampi_store_syncs_total{kind=\"wal\"} %d\ndampi_store_syncs_total{kind=\"file\"} %d\n", walSyncs, fileSyncs)
-	if est, _, ok := a.svc.cfg.Server.CurrentStatus(); ok {
-		dcoord.WriteMetrics(&b, est)
-	} else {
-		// No live exploration: surface the cumulative sampling counters from
-		// finished jobs so a seeded-sampling run stays observable after it
-		// drains, and the checkpoints every job so far has written. The names
-		// match the live dcoord metrics; the two paths are mutually exclusive,
-		// so each scrape carries each name once.
-		fmt.Fprintf(&b, "# HELP dampi_checkpoints_written_total Frontier checkpoint files written, two fsyncs each (the file and its directory).\n# TYPE dampi_checkpoints_written_total counter\ndampi_checkpoints_written_total %d\n", a.svc.cfg.Server.CheckpointsWritten())
-		var sampled, distinct int
-		for _, j := range a.svc.cfg.Store.List() {
+	// The sampling counters are cumulative over every job: the finished jobs'
+	// sums from the store, plus the live job's merged counts while one runs
+	// (its own store record is left out, so it is never counted twice).
+	est, cur, live := a.svc.cfg.Server.CurrentStatus()
+	var sampled, distinct int
+	for _, j := range a.svc.cfg.Store.List() {
+		if j.ID != cur {
 			sampled += j.Sampled
 			distinct += j.SampledDistinct
 		}
+	}
+	if live {
+		est.Sampled += sampled
+		est.SampledDistinct += distinct
+		dcoord.WriteMetrics(&b, est)
+	} else {
+		// No live exploration: the same names the live dcoord metrics carry,
+		// so each scrape carries each name once.
+		fmt.Fprintf(&b, "# HELP dampi_checkpoints_written_total Frontier checkpoint files written, two fsyncs each (the file and its directory).\n# TYPE dampi_checkpoints_written_total counter\ndampi_checkpoints_written_total %d\n", a.svc.cfg.Server.CheckpointsWritten())
 		fmt.Fprintf(&b, "# HELP dampi_sampled_schedules_total Walk-step schedules merged in sampling mode.\n# TYPE dampi_sampled_schedules_total counter\ndampi_sampled_schedules_total %d\n", sampled)
 		fmt.Fprintf(&b, "# HELP dampi_sample_duplicates_total Sampled schedules whose decision vector was already sampled.\n# TYPE dampi_sample_duplicates_total counter\ndampi_sample_duplicates_total %d\n", sampled-distinct)
 	}

@@ -6,7 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -116,6 +118,8 @@ func TestAPISubmitRejectsBadSpecs(t *testing.T) {
 		{"unknown field", `{"workload":"fanin","procs":3,"bogus":1}`},
 		{"workload", `{"procs":3}`},
 		{"procs", `{"workload":"fanin","procs":0}`},
+		// A worker sizes its runtime by procs: 10¹⁰ would end its process.
+		{"procs", `{"workload":"fanin","procs":10000000000}`},
 		// A spec is outside input: {"clock":7} used to run as Lamport under a
 		// dedup key of its own. Each refusal names the field.
 		{"clock", `{"workload":"fanin","procs":3,"clock":7}`},
@@ -143,6 +147,74 @@ func TestAPISubmitRejectsBadSpecs(t *testing.T) {
 	if jobs := h.store.List(); len(jobs) != 0 {
 		t.Errorf("%d refused specs were queued", len(jobs))
 	}
+}
+
+// FuzzSubmit: a POST /jobs body is outside input. Whatever it is, the
+// handler answers 201, 200 or 400, never a panic or a 5xx. An accepted job
+// holds a valid spec under that spec's key, and the key survives the JSON
+// round trip of the response. The store then reopens to the same jobs. Each
+// body is posted twice, so an accepted one also takes the duplicate path.
+func FuzzSubmit(f *testing.F) {
+	for _, body := range []string{
+		`{"workload":"matmul","procs":6,"scale":100,"iters":4,"clock":0,"transport":0,"mixing_bound":1}`,
+		`{"workload":"iprobe","procs":2,"scale":50,"iters":2,"clock":1,"dual_clock":true,"transport":1,"mixing_bound":-1,"auto_loop_threshold":3,"choice_points":true,"sample_strategy":"pct","samples":64,"sample_seed":7,"sample_depth":2,"max_interleavings":1000,"stop_on_first_error":true}`,
+		`{"workload":"fanin","procs":4,"sample_strategy":"random","samples":16,"sample_seed":3,"sample_depth":1,"ttl_sec":60}`,
+		`{"workload":"fanin","procs":3,"bogus":1}`,
+		`{"workload":"fanin","procs":-3}`,
+		`{"workload":"fanin","procs":10000000000}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dir := t.TempDir()
+		store, err := OpenStore(StoreConfig{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		server := dcoord.NewServer(dcoord.ServerConfig{})
+		defer server.Close()
+		svc, err := NewService(ServiceConfig{Store: store, Server: server})
+		if err != nil {
+			t.Fatal(err)
+		}
+		api := NewAPI(svc)
+		for range 2 {
+			rec := httptest.NewRecorder()
+			api.ServeHTTP(rec, httptest.NewRequest("POST", "/jobs", strings.NewReader(string(body))))
+			if rec.Code == http.StatusBadRequest {
+				continue
+			}
+			if rec.Code != http.StatusCreated && rec.Code != http.StatusOK {
+				t.Fatalf("POST /jobs = %d: %s", rec.Code, rec.Body)
+			}
+			var resp submitResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || resp.Job == nil {
+				t.Fatalf("accepted with body %q (%v)", rec.Body, err)
+			}
+			spec := resp.Job.Spec
+			if err := spec.Validate(); err != nil {
+				t.Errorf("accepted spec %+v is invalid: %v", spec, err)
+			}
+			if stored, ok := store.Get(resp.Job.ID); !ok || stored.SpecKey != resp.Job.SpecKey {
+				t.Errorf("job %s: stored %+v, answered key %s", resp.Job.ID, stored, resp.Job.SpecKey)
+			}
+			if key := spec.Key(); key != resp.Job.SpecKey {
+				t.Errorf("spec %+v: key %s after a JSON round trip, job key %s", spec, key, resp.Job.SpecKey)
+			}
+		}
+		jobs := store.List()
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := OpenStore(StoreConfig{Dir: dir})
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer reopened.Close()
+		if got := reopened.List(); !reflect.DeepEqual(got, jobs) {
+			t.Errorf("reopened store holds %+v, want %+v", got, jobs)
+		}
+	})
 }
 
 func TestAPIReportLifecycle(t *testing.T) {
@@ -409,6 +481,70 @@ func TestAPIStatusDuringJob(t *testing.T) {
 	}
 
 	waitJobTerminal(t, h.store, j.ID)
+	h.svc.Stop()
+	<-h.runDone
+}
+
+// scrapeCounter reads one unlabelled sample from /metrics, which must carry it
+// exactly once.
+func scrapeCounter(t *testing.T, url, name string) int {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var values []int
+	for _, line := range strings.Split(string(raw), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			values = append(values, n)
+		}
+	}
+	if len(values) != 1 {
+		t.Fatalf("/metrics carries %s %d times:\n%s", name, len(values), raw)
+	}
+	return values[0]
+}
+
+// TestSamplingCountersNeverGoBackwards: the sampling counters are counters
+// over the service's life. A second sampled job starting must not drop them
+// to its own live counts, which read 0 when it begins.
+func TestSamplingCountersNeverGoBackwards(t *testing.T) {
+	f := newTestFactory()
+	h := startHarness(t, t.TempDir(), f, 1, 1, 0)
+	defer h.api.Close()
+	defer h.stopWorkers()
+
+	first, _, err := h.svc.Submit(dcoord.JobSpec{Workload: "fanin", Procs: 4, Space: dexplore.Space{SampleStrategy: "random", Samples: 8, SampleSeed: 1}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j := waitJobTerminal(t, h.store, first.ID); j.State != Done || j.Sampled == 0 {
+		t.Fatalf("first sampled job = %s with %d sampled schedules", j.State, j.Sampled)
+	}
+	const sampled = "dampi_sampled_schedules_total"
+	before := scrapeCounter(t, h.api.URL, sampled)
+	if before == 0 {
+		t.Fatalf("%s is 0 after a finished sampled job", sampled)
+	}
+
+	second, _, err := h.svc.Submit(dcoord.JobSpec{Workload: "slowfanin", Procs: 5, Space: dexplore.Space{SampleStrategy: "random", Samples: 500, SampleSeed: 2}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunningProgress(t, h, second.ID, 1)
+	if during := scrapeCounter(t, h.api.URL, sampled); during < before {
+		t.Errorf("%s went backwards: %d after the first job, %d while the second runs", sampled, before, during)
+	}
+	if _, err := h.svc.Cancel(second.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitJobTerminal(t, h.store, second.ID)
 	h.svc.Stop()
 	<-h.runDone
 }
