@@ -64,6 +64,9 @@ type ExplorerConfig struct {
 	// so per-run tools don't leak state across interleavings.
 	ExtraHooks func() []*mpi.Hooks
 	// OnInterleaving, if set, observes each replay's result as it happens.
+	// Setting it costs every replay its reproducer (Decisions), which a
+	// search otherwise builds only for a result it keeps: a failure, or a
+	// sampled step.
 	OnInterleaving func(res *InterleavingResult)
 	// Runner, if set, replaces ExecuteRun as the function that performs one
 	// (self or guided) run. Every engine routes every run through it
@@ -215,11 +218,12 @@ func (r *Report) Add(res *InterleavingResult, ex *Expansion, root *RunTrace, sam
 		r.Unsafe = root.Unsafe
 		r.FirstTrace = root
 	}
-	if sampled && res.Decisions != nil {
+	if sampled {
 		// One completed walk step = one sampled schedule. Its identity is the
 		// run's fully resolved decision vector (forced prefix plus observed
 		// outcomes), not the walk's: two walks whose prefixes resolve to the
-		// same complete schedule sampled one distinct schedule twice.
+		// same complete schedule sampled one distinct schedule twice. Explore
+		// builds that reproducer for every sampled step.
 		r.Sampled++
 		keys := r.sampledSet()
 		keys[res.Decisions.String()] = struct{}{}
@@ -413,6 +417,11 @@ func (e *Explorer) Explore() (*Report, error) {
 // give each slot its own. A RunContext must not run concurrently with
 // itself.
 //
+// Run hands its caller a trace and a reproducer to keep. Explore keeps less:
+// a warm replay there allocates only what outlives it — child tasks, the
+// root's trace, a kept result's reproducer, application payloads — and
+// builds every other trace in storage the context lends the tool and reuses.
+//
 // The rank coroutines are parked goroutines, not garbage: Explore and
 // ExecuteRun stop them before returning, and a caller that loops over Run
 // itself calls Close after its last run or leaves up to Procs parked
@@ -422,6 +431,7 @@ type RunContext struct {
 	tool      *Tool
 	toolHooks *mpi.Hooks // cached stack when no extra hook layers are present
 	pools     *mpi.Pools // runtime storage carried from world to world
+	traces    traceStore // where Explore builds the traces it drops
 }
 
 // NewRunContext creates a replay slot for cfg. The config pointer is
@@ -440,13 +450,54 @@ func (rc *RunContext) Close() {
 }
 
 // Run performs one (self or guided) instrumented run, honoring the Runner
-// test seam when set. The returned result's Index is left 0 for the caller
-// to assign.
+// test seam when set. The trace and the result's reproducer are the caller's
+// to keep; the result's Index is left 0 for the caller to assign.
 func (rc *RunContext) Run(decisions *Decisions) (*RunTrace, *InterleavingResult, error) {
+	if rc.cfg.Runner != nil {
+		return rc.cfg.Runner(rc.cfg, decisions)
+	}
+	trace, res := rc.execute(decisions, nil)
+	res.Decisions = reproducer(decisions, trace)
+	return trace, res, nil
+}
+
+// replay performs task t's run for Explore. A non-root trace is built in the
+// context's lent storage: expand reads it and Explore drops it — a Sampler
+// reads records only inside Expand, and FlipChild copies what a child needs.
+// The reproducer is built only for a result that is kept: a failure (it joins
+// Report.Errors), a sampled step (Report.Add keys it) or one an
+// OnInterleaving observes. A Runner's trace and result are its own.
+func (rc *RunContext) replay(t *SubtreeTask) (*RunTrace, *InterleavingResult, error) {
 	cfg := rc.cfg
 	if cfg.Runner != nil {
-		return cfg.Runner(cfg, decisions)
+		return cfg.Runner(cfg, t.Decisions)
 	}
+	var store *traceStore
+	if t.Decisions != nil {
+		store = &rc.traces
+	}
+	trace, res := rc.execute(t.Decisions, store)
+	if res.Err != nil || t.Sample != nil || cfg.OnInterleaving != nil {
+		res.Decisions = reproducer(t.Decisions, trace)
+	}
+	return trace, res, nil
+}
+
+// reproducer returns the decisions that replay a run: the forced prefix plus
+// every observed choice pinned, so replaying it deterministically reproduces
+// the interleaving even when the interesting match happened by accident in a
+// self run.
+func reproducer(decisions *Decisions, trace *RunTrace) *Decisions {
+	d := decisions.CloneWithCapacity(len(trace.Epochs))
+	d.pin(trace.Epochs)
+	return d
+}
+
+// execute performs one instrumented run on the context's recycled tool, hook
+// stack and pools, and returns its trace — built in store when that is
+// non-nil (see Tool.trace) — and its result, without a reproducer.
+func (rc *RunContext) execute(decisions *Decisions, store *traceStore) (*RunTrace, *InterleavingResult) {
+	cfg := rc.cfg
 	if rc.tool == nil {
 		rc.tool = NewTool(ToolConfig{
 			Procs:     cfg.Procs,
@@ -480,31 +531,27 @@ func (rc *RunContext) Run(decisions *Decisions) (*RunTrace, *InterleavingResult,
 	}
 	world := mpi.NewWorld(mpi.Config{Procs: cfg.Procs, Hooks: hooks, Pools: rc.pools})
 	runErr := world.Run(cfg.Program)
-	trace := rc.tool.Trace()
+	trace := rc.tool.trace(store)
 
 	res := &InterleavingResult{
 		Err:        runErr,
 		Mismatches: trace.Mismatches,
 		Epochs:     len(trace.Epochs),
 	}
-	// The reproducer pins the forced prefix plus every observed choice, so
-	// replaying it deterministically reproduces this interleaving even when
-	// the interesting match happened by accident in a self run.
-	res.Decisions = decisions.CloneWithCapacity(len(trace.Epochs))
-	res.Decisions.pin(trace.Epochs)
 	var re *mpi.RunError
 	if errors.As(runErr, &re) && re.Deadlock != nil {
 		res.Deadlock = true
 	}
-	return trace, res, nil
+	return trace, res
 }
 
 // Explore is the depth-first loop every search runs — the serial Explorer
 // over the whole space, a dexplore slot or a cluster worker over the subtrees
 // of one lease: pop the deepest pending task of stack, replay it, account it,
 // push its expansion, until the stack is empty, budget replays are done (0 =
-// no bound), StopOnFirstError fires, or yield (consulted after each replay,
-// so never before the first; nil = never) asks for the rest back. It returns the
+// no bound), StopOnFirstError fires, or yield (consulted once after every
+// replay, so never before the first; nil = never) asks for the rest back.
+// A replay allocates only what outlives it (see RunContext). It returns the
 // unsealed report of what it ran, indexed from 0 in discovery order, and the
 // tasks left on the stack. final says nothing will run after the budget: what
 // the last replay it allows spawns is then only counted (unbuilt), not built.
@@ -518,7 +565,7 @@ func (rc *RunContext) Explore(stack []*SubtreeTask, budget int, final bool, yiel
 	for len(stack) > 0 && !spent(rep.Interleavings) {
 		t := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		trace, res, err := rc.Run(t.Decisions)
+		trace, res, err := rc.replay(t)
 		if err != nil {
 			return nil, nil, 0, err
 		}
@@ -542,10 +589,8 @@ func (rc *RunContext) Explore(stack []*SubtreeTask, budget int, final bool, yiel
 		if cfg.OnInterleaving != nil {
 			cfg.OnInterleaving(res)
 		}
-		if cfg.StopOnFirstError && res.Err != nil {
-			break
-		}
-		if yield != nil && yield() {
+		handBack := yield != nil && yield()
+		if handBack || cfg.StopOnFirstError && res.Err != nil {
 			break
 		}
 	}

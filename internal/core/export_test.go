@@ -5,3 +5,6 @@ package core
 func GoldenCases() []goldenCase { return goldenCases }
 
 func GoldenConfig(c *goldenCase, runs *[]string) ExplorerConfig { return goldenConfig(c, runs) }
+
+// Fig3Program is the paper's Fig. 3 race, whose flipped match fails.
+var Fig3Program = fig3Program

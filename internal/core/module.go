@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dampi/internal/clock"
 	"dampi/internal/piggyback"
@@ -835,16 +836,34 @@ func (t *Tool) sweepUnmatched(st *rankState) {
 	}
 }
 
-// Trace collects the run's epoch log after World.Run returns. It first
-// sweeps each rank's unmatched incoming piggybacks (see sweepUnmatched).
+// traceStore is storage a trace can be built in instead of fresh arrays: one
+// RunTrace and the backing arrays of its records and alternates, grown to the
+// largest run so far and overwritten by the next.
+type traceStore struct {
+	trace RunTrace
+	recs  []EpochRecord
+	alts  []int
+}
+
+// Trace collects the run's epoch log after World.Run returns, in fresh
+// storage the caller may keep. It first sweeps each rank's unmatched
+// incoming piggybacks (see sweepUnmatched).
 func (t *Tool) Trace() *RunTrace {
+	return t.trace(nil)
+}
+
+// trace is Trace, building the log in s when s is non-nil: the trace then
+// aliases s and is valid only until s is built in again — except its
+// Mismatches, which a result carries out of the replay and so are always
+// fresh.
+func (t *Tool) trace(s *traceStore) *RunTrace {
 	for _, st := range t.states {
 		if st != nil {
 			t.sweepUnmatched(st)
 		}
 	}
-	// The trace escapes the replay, so it is allocated — but as two backing
-	// arrays (records, alternates) sliced per epoch, not ~3 objects per epoch.
+	// A kept trace is allocated as two backing arrays (records, alternates)
+	// sliced per epoch, not ~3 objects per epoch.
 	var nEpochs, nAlts int
 	for _, st := range t.states {
 		if st == nil {
@@ -855,14 +874,22 @@ func (t *Tool) Trace() *RunTrace {
 			nAlts += len(e.alts)
 		}
 	}
-	// A wildcard-free run keeps Epochs nil, as it serializes ("epochs":null).
-	tr := &RunTrace{}
+	var tr *RunTrace
 	var recs []EpochRecord
 	var alts []int
-	if nEpochs > 0 {
-		tr.Epochs = make([]*EpochRecord, 0, nEpochs)
+	switch {
+	case s != nil:
+		s.trace = RunTrace{Epochs: slices.Grow(s.trace.Epochs[:0], nEpochs), Unsafe: s.trace.Unsafe[:0]}
+		s.recs = slices.Grow(s.recs[:0], nEpochs)[:nEpochs]
+		s.alts = slices.Grow(s.alts[:0], nAlts)
+		tr, recs, alts = &s.trace, s.recs, s.alts
+	case nEpochs > 0:
+		tr = &RunTrace{Epochs: make([]*EpochRecord, 0, nEpochs)}
 		recs = make([]EpochRecord, nEpochs)
 		alts = make([]int, 0, nAlts)
+	default:
+		// A wildcard-free run keeps Epochs nil, as it serializes ("epochs":null).
+		tr = &RunTrace{}
 	}
 	emit := func(e *epoch) {
 		rec := &recs[len(tr.Epochs)]

@@ -82,7 +82,9 @@ func RootTask(cfg *ExplorerConfig) *SubtreeTask {
 type Sampler interface {
 	// Expand derives the child tasks of a completed, non-deadlocked run.
 	// Implementations must be deterministic functions of (t, trace) — every
-	// engine and worker must derive the identical child set.
+	// engine and worker must derive the identical child set. The trace is
+	// valid only during the call (a search reuses its storage): keep nothing
+	// of it; FlipChild copies what a child needs.
 	Expand(t *SubtreeTask, cfg *ExplorerConfig, trace *RunTrace) *Expansion
 }
 
@@ -160,8 +162,7 @@ func (t *SubtreeTask) expandExhaustive(cfg *ExplorerConfig, trace *RunTrace, bui
 	ex := &Expansion{}
 	det := newLoopDetector(cfg.AutoLoopThreshold)
 	budget, explorable := childBudget(t.Budget)
-	var prefix []*EpochRecord // new epochs observed so far, in commit order
-	for _, rec := range trace.Epochs {
+	for i, rec := range trace.Epochs {
 		if rec.Chosen < 0 {
 			continue // never completed; nothing to reproduce or flip
 		}
@@ -173,26 +174,36 @@ func (t *SubtreeTask) expandExhaustive(cfg *ExplorerConfig, trace *RunTrace, bui
 		if _, ok := t.Decisions.Lookup(rec.Rank, rec.LC); ok {
 			continue // part of the forced prefix
 		}
+		pins := ex.DecisionPoints // new epochs observed before this one
 		ex.DecisionPoints++
-		if flip := t.Explorable && !rec.InLoop && !autoLoop && !cfg.PruneHints.ShouldPrune(rec); flip && !build {
-			ex.unbuilt += len(rec.Alternates)
-		} else if flip {
-			ex.flipStart = append(ex.flipStart, len(ex.Children))
-			for _, alt := range rec.Alternates {
-				// Each child adds the prefix pins plus the flip itself on top
-				// of the inherited decisions; size the clone for them up front.
-				d := t.Decisions.CloneWithCapacity(len(prefix) + 1)
-				d.pin(prefix)
-				d.Force(rec.ID(), alt)
-				ex.Children = append(ex.Children, &SubtreeTask{
-					Decisions:  d,
-					Budget:     budget,
-					Explorable: explorable,
-					Depth:      t.Depth + 1,
-				})
-			}
+		if flip := t.Explorable && !rec.InLoop && !autoLoop && !cfg.PruneHints.ShouldPrune(rec); !flip || len(rec.Alternates) == 0 {
+			continue
 		}
-		prefix = append(prefix, rec)
+		if !build {
+			ex.unbuilt += len(rec.Alternates)
+			continue
+		}
+		ex.flipStart = append(ex.flipStart, len(ex.Children))
+		// Every alternate carries the same pins: the inherited decisions plus
+		// each new epoch before this one at its observed choice (pin skips the
+		// uncompleted and the already decided). Build them once, with room for
+		// the flip, clone them for every alternate but the last, and give the
+		// last the base itself.
+		base := t.Decisions.CloneWithCapacity(pins + 1)
+		base.pin(trace.Epochs[:i])
+		for j, alt := range rec.Alternates {
+			d := base
+			if j < len(rec.Alternates)-1 {
+				d = base.CloneWithCapacity(1)
+			}
+			d.Force(rec.ID(), alt)
+			ex.Children = append(ex.Children, &SubtreeTask{
+				Decisions:  d,
+				Budget:     budget,
+				Explorable: explorable,
+				Depth:      t.Depth + 1,
+			})
+		}
 	}
 	return ex
 }

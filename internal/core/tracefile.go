@@ -39,11 +39,17 @@ func LoadTrace(path string) (*RunTrace, error) {
 	return ReadTrace(f)
 }
 
-// ReadTrace deserializes a trace from JSON.
+// ReadTrace deserializes a trace from JSON. A null epoch record is an error:
+// no run writes one, and every reader of a trace dereferences its records.
 func ReadTrace(r io.Reader) (*RunTrace, error) {
 	t := &RunTrace{}
 	if err := json.NewDecoder(r).Decode(t); err != nil {
 		return nil, err
+	}
+	for i, rec := range t.Epochs {
+		if rec == nil {
+			return nil, fmt.Errorf("core: trace epoch %d is null", i)
+		}
 	}
 	return t, nil
 }

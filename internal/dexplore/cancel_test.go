@@ -1,6 +1,7 @@
 package dexplore
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"dampi/internal/core"
+	"dampi/mpi"
 	"dampi/workloads/matmul"
 )
 
@@ -169,6 +171,80 @@ func TestCallbackOncePerReplay(t *testing.T) {
 	for i, idx := range indexes {
 		if idx != i {
 			t.Fatalf("sorted indexes[%d] = %d, want a permutation of 0..%d", i, idx, len(indexes)-1)
+		}
+	}
+}
+
+// TestUnobservedErrorIndexes: without an OnInterleaving nothing numbers a
+// result as it completes, and a lease's errors are numbered when it merges.
+// One slot keeps the serial explorer's indexes exactly, over a lease per
+// replay as over one long lease; more slots keep them unique in 0..N-1. The
+// replay count Progress reads ends equal to the report.
+func TestUnobservedErrorIndexes(t *testing.T) {
+	// Rank 0 takes one wildcard message from each other rank and fails, after
+	// the last, unless rank 1's came first: most orders fail.
+	rankOneFirst := func(p *mpi.Proc) error {
+		c := p.CommWorld()
+		if p.Rank() != 0 {
+			return p.Send(0, 0, nil, c)
+		}
+		first := -1
+		for i := 1; i < p.Size(); i++ {
+			_, st, err := p.Recv(mpi.AnySource, 0, c)
+			if err != nil {
+				return err
+			}
+			if first < 0 {
+				first = st.Source
+			}
+		}
+		if first != 1 {
+			return fmt.Errorf("rank %d came first", first)
+		}
+		return nil
+	}
+	cfg := core.ExplorerConfig{Procs: 4, MixingBound: core.Unbounded, Program: rankOneFirst}
+	serial, err := core.NewExplorer(cfg).Explore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(serial.Errors) < 2 {
+		t.Fatalf("degenerate fixture: %d errors", len(serial.Errors))
+	}
+	numbered := func(rep *core.Report) []string {
+		var out []string
+		for _, e := range rep.Errors {
+			out = append(out, fmt.Sprintf("#%d %v: %v", e.Index, e.Decisions, e.Err))
+		}
+		return out
+	}
+	for _, slots := range []int{1, 3} {
+		for _, slice := range []time.Duration{0, LeaseSlice} {
+			e := New(Config{Explorer: cfg, Workers: slots})
+			e.slice = slice
+			rep, err := e.Explore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := int(e.completed.Load()); n != rep.Interleavings || n != serial.Interleavings {
+				t.Errorf("%d slots, slice %v: %d replays counted, %d reported, want %d", slots, slice, n, rep.Interleavings, serial.Interleavings)
+			}
+			if slots == 1 {
+				if got, want := numbered(rep), numbered(serial); !slices.Equal(got, want) {
+					t.Errorf("one slot, slice %v: errors\n  %v\nserial explorer:\n  %v", slice, got, want)
+				}
+				continue
+			}
+			seen := map[int]bool{}
+			for _, r := range rep.Errors {
+				if r.Index < 0 || r.Index >= rep.Interleavings || seen[r.Index] {
+					t.Errorf("%d slots, slice %v: error index %d repeated or outside 0..%d", slots, slice, r.Index, rep.Interleavings-1)
+				}
+				seen[r.Index] = true
+			}
+			if len(rep.Errors) != len(serial.Errors) {
+				t.Errorf("%d slots, slice %v: %d errors, serial %d", slots, slice, len(rep.Errors), len(serial.Errors))
+			}
 		}
 	}
 }

@@ -104,7 +104,7 @@ type Progress struct {
 type Engine struct {
 	cfg Config
 	// slot is what every slot's RunContext replays under: cfg.Explorer with
-	// observe as the per-replay callback.
+	// observe as the per-replay callback, when cfg.Explorer has one.
 	slot core.ExplorerConfig
 	// maxRoots and slice are MaxLeaseRoots and LeaseSlice; tests vary them
 	// before Explore.
@@ -126,7 +126,7 @@ type Engine struct {
 	// What a slot looks at between two replays of a lease.
 	halted    atomic.Bool  // Stop, StopOnFirstError or a fatal error: every lease ends
 	waiting   atomic.Int32 // slots waiting for work: a slot that has some hands it back
-	completed atomic.Int64 // replays observed so far, the next result's Index
+	completed atomic.Int64 // replays completed so far; with a callback, the next result's Index
 
 	cbMu sync.Mutex // serializes the OnInterleaving callback
 
@@ -158,7 +158,12 @@ func New(cfg Config) *Engine {
 		report:   &core.Report{},
 		rate:     NewRateTracker(RateWindow),
 	}
-	e.slot.OnInterleaving = e.observe
+	if cfg.Explorer.OnInterleaving != nil {
+		// Only a caller's callback needs every result numbered as it
+		// completes, and any callback costs every replay its reproducer;
+		// without one, release numbers a lease's errors.
+		e.slot.OnInterleaving = e.observe
+	}
 	e.cond = sync.NewCond(&e.mu)
 	return e
 }
@@ -233,6 +238,7 @@ func (e *Engine) Explore() (*core.Report, error) {
 func (e *Engine) runSlot(id int) {
 	rc := core.NewRunContext(&e.slot)
 	every := e.leaseCap()
+	count := e.slot.OnInterleaving == nil // observe counts the replays otherwise
 	var stack []*core.SubtreeTask
 	budget, final := 0, false
 	for {
@@ -244,6 +250,9 @@ func (e *Engine) runSlot(id int) {
 		start, ran := time.Now(), 0
 		rep, left, unbuilt, err := rc.Explore(stack, budget, final, func() bool {
 			ran++
+			if count {
+				e.completed.Add(1)
+			}
 			return e.halted.Load() || e.waiting.Load() > 0 || ran >= every || time.Since(start) >= e.slice
 		})
 		stack, budget, final = e.release(id, budget, rep, left, unbuilt, err)
@@ -318,6 +327,14 @@ func (e *Engine) release(id, budget int, rep *core.Report, left []*core.SubtreeT
 		e.halted.Store(true)
 	} else {
 		e.front.RootDone = e.front.RootDone || rep.FirstTrace != nil
+		if e.slot.OnInterleaving == nil {
+			// An unobserved error carries its index within the lease, and a
+			// lease merges as one run of consecutive replays: one slot so
+			// keeps depth-first discovery order, and N keep indexes unique.
+			for _, r := range rep.Errors {
+				r.Index += e.report.Interleavings
+			}
+		}
 		e.report.Merge(rep)
 		e.unbuilt += unbuilt
 		if e.cfg.Explorer.StopOnFirstError && len(rep.Errors) > 0 {
@@ -354,20 +371,16 @@ func (e *Engine) release(id, budget int, rep *core.Report, left []*core.SubtreeT
 	return keep, renewed, final
 }
 
-// observe is every slot's per-replay callback. It numbers the result — Index
-// is unique and in completion order, continuing a resumed run's count — and
-// passes it to the configured OnInterleaving: serialized, and outside the
-// engine's mutex so the callback may call Stop.
+// observe is every slot's per-replay callback when the caller configured an
+// OnInterleaving. It counts the replay and numbers the result — Index is
+// unique and in completion order, continuing a resumed run's count — and
+// passes it on: serialized, and outside the engine's mutex so the callback
+// may call Stop.
 func (e *Engine) observe(res *core.InterleavingResult) {
-	cb := e.cfg.Explorer.OnInterleaving
-	if cb == nil {
-		res.Index = int(e.completed.Add(1)) - 1
-		return
-	}
 	e.cbMu.Lock()
 	defer e.cbMu.Unlock()
 	res.Index = int(e.completed.Add(1)) - 1
-	cb(res)
+	e.cfg.Explorer.OnInterleaving(res)
 }
 
 // checkpointLocked cuts a checkpoint: the roots of every lease out — what
