@@ -417,10 +417,11 @@ func (e *Explorer) Explore() (*Report, error) {
 // give each slot its own. A RunContext must not run concurrently with
 // itself.
 //
-// Run hands its caller a trace and a reproducer to keep. Explore keeps less:
-// a warm replay there allocates only what outlives it — child tasks, the
-// root's trace, a kept result's reproducer, application payloads — and
-// builds every other trace in storage the context lends the tool and reuses.
+// Run hands its caller a trace, a result and a reproducer to keep. Explore
+// keeps less: a warm replay there allocates only what outlives it — child
+// tasks, the root's trace, a kept result and its reproducer, application
+// payloads — and builds every other trace, result and expansion in storage
+// the context owns and reuses.
 //
 // The rank coroutines are parked goroutines, not garbage: Explore and
 // ExecuteRun stop them before returning, and a caller that loops over Run
@@ -429,9 +430,11 @@ func (e *Explorer) Explore() (*Report, error) {
 type RunContext struct {
 	cfg       *ExplorerConfig
 	tool      *Tool
-	toolHooks *mpi.Hooks // cached stack when no extra hook layers are present
-	pools     *mpi.Pools // runtime storage carried from world to world
-	traces    traceStore // where Explore builds the traces it drops
+	toolHooks *mpi.Hooks         // cached stack when no extra hook layers are present
+	pools     *mpi.Pools         // runtime storage carried from world to world
+	traces    traceStore         // where Explore builds the traces it drops
+	result    InterleavingResult // where Explore builds the results it drops
+	expansion Expansion          // where Explore builds exhaustive expansions
 }
 
 // NewRunContext creates a replay slot for cfg. The config pointer is
@@ -458,15 +461,16 @@ func (rc *RunContext) Run(decisions *Decisions) (*RunTrace, *InterleavingResult,
 	}
 	trace, res := rc.execute(decisions, nil)
 	res.Decisions = reproducer(decisions, trace)
-	return trace, res, nil
+	return trace, &res, nil
 }
 
 // replay performs task t's run for Explore. A non-root trace is built in the
 // context's lent storage: expand reads it and Explore drops it — a Sampler
 // reads records only inside Expand, and FlipChild copies what a child needs.
-// The reproducer is built only for a result that is kept: a failure (it joins
-// Report.Errors), a sampled step (Report.Add keys it) or one an
-// OnInterleaving observes. A Runner's trace and result are its own.
+// Only a result that is kept is fresh and carries a reproducer: a failure (it
+// joins Report.Errors), a sampled step (Report.Add keys it) or one an
+// OnInterleaving observes. Any other result is the context's own, overwritten
+// by the next replay. A Runner's trace and result are its own.
 func (rc *RunContext) replay(t *SubtreeTask) (*RunTrace, *InterleavingResult, error) {
 	cfg := rc.cfg
 	if cfg.Runner != nil {
@@ -476,10 +480,13 @@ func (rc *RunContext) replay(t *SubtreeTask) (*RunTrace, *InterleavingResult, er
 	if t.Decisions != nil {
 		store = &rc.traces
 	}
-	trace, res := rc.execute(t.Decisions, store)
-	if res.Err != nil || t.Sample != nil || cfg.OnInterleaving != nil {
-		res.Decisions = reproducer(t.Decisions, trace)
+	trace, r := rc.execute(t.Decisions, store)
+	res := &rc.result
+	if r.Err != nil || t.Sample != nil || cfg.OnInterleaving != nil {
+		res = new(InterleavingResult)
+		r.Decisions = reproducer(t.Decisions, trace)
 	}
+	*res = r
 	return trace, res, nil
 }
 
@@ -496,7 +503,7 @@ func reproducer(decisions *Decisions, trace *RunTrace) *Decisions {
 // execute performs one instrumented run on the context's recycled tool, hook
 // stack and pools, and returns its trace — built in store when that is
 // non-nil (see Tool.trace) — and its result, without a reproducer.
-func (rc *RunContext) execute(decisions *Decisions, store *traceStore) (*RunTrace, *InterleavingResult) {
+func (rc *RunContext) execute(decisions *Decisions, store *traceStore) (*RunTrace, InterleavingResult) {
 	cfg := rc.cfg
 	if rc.tool == nil {
 		rc.tool = NewTool(ToolConfig{
@@ -533,14 +540,14 @@ func (rc *RunContext) execute(decisions *Decisions, store *traceStore) (*RunTrac
 	runErr := world.Run(cfg.Program)
 	trace := rc.tool.trace(store)
 
-	res := &InterleavingResult{
+	res := InterleavingResult{
 		Err:        runErr,
 		Mismatches: trace.Mismatches,
 		Epochs:     len(trace.Epochs),
 	}
-	var re *mpi.RunError
-	if errors.As(runErr, &re) && re.Deadlock != nil {
-		res.Deadlock = true
+	if runErr != nil {
+		var re *mpi.RunError
+		res.Deadlock = errors.As(runErr, &re) && re.Deadlock != nil
 	}
 	return trace, res
 }
@@ -577,7 +584,7 @@ func (rc *RunContext) Explore(stack []*SubtreeTask, budget int, final bool, yiel
 			// left, not the children's decision prefixes. This keeps a single
 			// instrumented run (MaxInterleavings 1, the Table II measurement)
 			// from paying for an exploration it does not do.
-			ex = t.expand(cfg, trace, !(final && spent(rep.Interleavings+1)))
+			ex = t.expand(cfg, trace, !(final && spent(rep.Interleavings+1)), &rc.expansion)
 			stack = append(stack, ex.stackOrder()...)
 			unbuilt = ex.unbuilt
 		}

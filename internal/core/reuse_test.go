@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"dampi/internal/core"
@@ -71,6 +72,28 @@ func freshRuns(cfg *core.ExplorerConfig, d *core.Decisions) (*core.RunTrace, *co
 	return core.ExecuteRun(&base, d)
 }
 
+// oddLastFanIn has rank 0 take one wildcard message from each other rank and
+// fail when the last comes from an odd rank: its interleavings fail and pass
+// in turn.
+func oddLastFanIn(p *mpi.Proc) error {
+	c := p.CommWorld()
+	if p.Rank() != 0 {
+		return p.Send(0, 0, nil, c)
+	}
+	var order []int
+	for i := 1; i < p.Size(); i++ {
+		_, st, err := p.Recv(mpi.AnySource, 0, c)
+		if err != nil {
+			return err
+		}
+		order = append(order, st.Source)
+	}
+	if order[len(order)-1]%2 == 1 {
+		return fmt.Errorf("sources arrived in order %v", order)
+	}
+	return nil
+}
+
 // keptResult is what a result carries out of its replay.
 type keptResult struct {
 	Index      int
@@ -79,6 +102,14 @@ type keptResult struct {
 	Mismatches []core.ForcedMismatch
 	Epochs     int
 	Decisions  *core.Decisions
+}
+
+func keep(r *core.InterleavingResult) keptResult {
+	k := keptResult{Index: r.Index, Deadlock: r.Deadlock, Mismatches: r.Mismatches, Epochs: r.Epochs, Decisions: r.Decisions}
+	if r.Err != nil {
+		k.Err = r.Err.Error()
+	}
+	return k
 }
 
 // exploreAndRender explores cfg from the root and a task per forced prefix
@@ -109,11 +140,7 @@ func exploreAndRender(t *testing.T, cfg core.ExplorerConfig, forced func() []*co
 		Kept            []keptResult
 	}{Report: rep, SampledDistinct: rep.SampledDistinct}
 	for _, r := range kept {
-		k := keptResult{Index: r.Index, Deadlock: r.Deadlock, Mismatches: r.Mismatches, Epochs: r.Epochs, Decisions: r.Decisions}
-		if r.Err != nil {
-			k.Err = r.Err.Error()
-		}
-		out.Kept = append(out.Kept, k)
+		out.Kept = append(out.Kept, keep(r))
 	}
 	b, err := json.MarshalIndent(out, "", " ")
 	if err != nil {
@@ -175,5 +202,83 @@ func TestReuseNeverReachesWhatOutlivesAReplay(t *testing.T) {
 	if !errored || !deadlocked || !mismatched || !sampled {
 		t.Errorf("degenerate fixtures: errors %v, deadlocks %v, mismatches %v, sampled schedules %v; want all",
 			errored, deadlocked, mismatched, sampled)
+	}
+}
+
+// render is the JSON of v, which must marshal.
+func render(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestKeptResultsOutliveTheLease: a search reuses one result and one
+// expansion from replay to replay, so whatever it hands out must be fresh. A
+// caller keeps a pointer to every result it is handed — each Report.Errors
+// entry, and, when it observes, every result its OnInterleaving sees — and
+// each must render byte-identically after the same context has run 50 more
+// replays. So must an Expansion the public Expand returned.
+func TestKeptResultsOutliveTheLease(t *testing.T) {
+	const first, more = 20, 50
+	for _, observe := range []bool{false, true} {
+		cfg := core.ExplorerConfig{Procs: 6, MixingBound: core.Unbounded, Program: oddLastFanIn}
+		var observed []*core.InterleavingResult
+		if observe {
+			cfg.OnInterleaving = func(res *core.InterleavingResult) { observed = append(observed, res) }
+		}
+		rc := core.NewRunContext(&cfg)
+
+		// An expansion from the public Expand, made on the same context.
+		root := core.RootTask(&cfg)
+		trace, _, err := rc.Run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := root.Expand(&cfg, trace)
+		renderEx := func() string {
+			var keys []string
+			for _, c := range ex.Children {
+				keys = append(keys, c.Decisions.String())
+			}
+			return render(t, struct {
+				Keys           []string
+				DecisionPoints int
+			}{keys, ex.DecisionPoints})
+		}
+		wantEx := renderEx()
+
+		rep, left, _, err := rc.Explore([]*core.SubtreeTask{root}, first, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := rep.Errors
+		if observe {
+			kept = observed
+		}
+		if len(rep.Errors) == 0 || len(rep.Errors) == first {
+			t.Fatalf("the first lease failed %d of %d replays, want some but not all", len(rep.Errors), first)
+		}
+		want := make([]string, len(kept))
+		for i, r := range kept {
+			want[i] = render(t, keep(r))
+		}
+		rep2, _, _, err := rc.Explore(left, more, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep2.Interleavings != more || len(rep2.Errors) == 0 {
+			t.Fatalf("observe=%v: the second lease ran %d replays with %d errors, want %d replays and some errors", observe, rep2.Interleavings, len(rep2.Errors), more)
+		}
+		for i, r := range kept {
+			if got := render(t, keep(r)); got != want[i] {
+				t.Errorf("observe=%v: kept result %d changed under later replays:\n%s\nwas\n%s", observe, i, got, want[i])
+			}
+		}
+		if got := renderEx(); got != wantEx {
+			t.Errorf("observe=%v: an Expand expansion changed under later replays:\n%s\nwas\n%s", observe, got, wantEx)
+		}
 	}
 }

@@ -131,16 +131,26 @@ func (ex *Expansion) stackOrder() []*SubtreeTask {
 // which is what makes sampling engine-agnostic); otherwise the exhaustive
 // derivation runs.
 func (t *SubtreeTask) Expand(cfg *ExplorerConfig, trace *RunTrace) *Expansion {
-	return t.expand(cfg, trace, true)
+	return t.expand(cfg, trace, true, &Expansion{})
 }
 
 // expand is Expand with the choice of building the exhaustive children or
-// only counting them (see expandExhaustive).
-func (t *SubtreeTask) expand(cfg *ExplorerConfig, trace *RunTrace, build bool) *Expansion {
+// only counting them (see expandExhaustive), and of the storage an exhaustive
+// expansion is built in: ex, reset first. A Sampler's expansion is its own.
+func (t *SubtreeTask) expand(cfg *ExplorerConfig, trace *RunTrace, build bool, ex *Expansion) *Expansion {
 	if cfg.Sampler != nil {
 		return cfg.Sampler.Expand(t, cfg, trace)
 	}
-	return t.expandExhaustive(cfg, trace, build)
+	ex.reset()
+	t.expandExhaustive(cfg, trace, build, ex)
+	return ex
+}
+
+// reset empties ex for another expansion, keeping the capacity of its
+// arrays.
+func (ex *Expansion) reset() {
+	clear(ex.Children)
+	*ex = Expansion{Children: ex.Children[:0], flipStart: ex.flipStart[:0]}
 }
 
 // ExpandExhaustive is the exhaustive DFS derivation: a child's prefix is the
@@ -150,16 +160,17 @@ func (t *SubtreeTask) expand(cfg *ExplorerConfig, trace *RunTrace, build bool) *
 // children pin its observed choice, but spawns no children. Samplers call
 // this for the depth-bounded exhaustive zone below their sampling frontier.
 func (t *SubtreeTask) ExpandExhaustive(cfg *ExplorerConfig, trace *RunTrace) *Expansion {
-	return t.expandExhaustive(cfg, trace, true)
+	ex := &Expansion{}
+	t.expandExhaustive(cfg, trace, true, ex)
+	return ex
 }
 
-// expandExhaustive is ExpandExhaustive when build is set. Otherwise the scan
-// (counters, prune-hint cross-check and accounting) is identical but no child
-// is built — cloning a decision prefix per child is most of an expansion's
-// cost — and the children are only counted, for a caller that knows they
-// would never run.
-func (t *SubtreeTask) expandExhaustive(cfg *ExplorerConfig, trace *RunTrace, build bool) *Expansion {
-	ex := &Expansion{}
+// expandExhaustive is ExpandExhaustive into the empty ex when build is set.
+// Otherwise the scan (counters, prune-hint cross-check and accounting) is
+// identical but no child is built — cloning a decision prefix per child is
+// most of an expansion's cost — and the children are only counted, for a
+// caller that knows they would never run.
+func (t *SubtreeTask) expandExhaustive(cfg *ExplorerConfig, trace *RunTrace, build bool, ex *Expansion) {
 	det := newLoopDetector(cfg.AutoLoopThreshold)
 	budget, explorable := childBudget(t.Budget)
 	for i, rec := range trace.Epochs {
@@ -205,7 +216,6 @@ func (t *SubtreeTask) expandExhaustive(cfg *ExplorerConfig, trace *RunTrace, bui
 			})
 		}
 	}
-	return ex
 }
 
 // Flippable is one record of a completed run eligible for flipping, with the

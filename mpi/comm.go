@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -63,12 +64,20 @@ type envelope struct {
 }
 
 // newComm creates a communicator over the given world-rank members
-// (index = comm-local rank), copying them. A parked
-// communicator of the same size is reused when the world's Pools carried one
-// over: NewWorld already reset it, so only its identity is rewritten here
-// and its mailboxes keep their grown capacity.
+// (index = comm-local rank), copying them.
 func (w *World) newComm(name string, members []int) *commInfo {
-	n := len(members)
+	ci := w.claimComm(name, len(members))
+	copy(ci.members, members)
+	ci.mapRanks()
+	return ci
+}
+
+// claimComm gives a communicator of n members its identity; the caller
+// writes its members (comm-local rank -> world rank) and calls mapRanks. A
+// parked communicator of the same size is reused when the world's Pools
+// carried one over: NewWorld already reset it, so only its identity is
+// rewritten here and its mailboxes keep their grown capacity.
+func (w *World) claimComm(name string, n int) *commInfo {
 	j := w.liveComms
 	for j < len(w.comms) && len(w.comms[j].boxes) != n {
 		j++
@@ -89,12 +98,16 @@ func (w *World) newComm(name string, members []int) *commInfo {
 	w.nextComm++
 	ci.name = name
 	ci.toolLive = false
-	ci.members = append(ci.members[:0], members...)
+	ci.members = slices.Grow(ci.members[:0], n)[:n]
+	return ci
+}
+
+// mapRanks indexes the members claimComm's caller wrote by world rank.
+func (ci *commInfo) mapRanks() {
 	clear(ci.rankOf)
-	for lr, wr := range members {
+	for lr, wr := range ci.members {
 		ci.rankOf[wr] = lr
 	}
-	return ci
 }
 
 // Tool returns c's tool context: a private matching context over the same

@@ -62,7 +62,7 @@ func (m PMPI) isend(dest, tag int, data []byte, c Comm, sync bool) (*Request, er
 	req.comm = c
 	req.peer = dest
 	req.tag = tag
-	buf := append(p.pool.getBuf(len(data)), data...)
+	buf := append(w.pools.getBuf(len(data)), data...)
 	req.data = buf
 	env := w.pools.getEnv()
 	env.src = c.localRank

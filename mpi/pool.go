@@ -9,10 +9,13 @@ import "iter"
 // escapes it (application payloads and application-held requests) and starts
 // no goroutine:
 //
-//   - Envelopes are runtime-internal for their whole life and recycle
-//     through one freelist: the sender takes one, whoever matches it (the
-//     sender in deliver, the receiver in Irecv) puts it back.
-//   - Payload copies recycle through per-rank freelists (Request.Release).
+//   - Envelopes and payload copies recycle through one freelist each per
+//     Pools. An envelope is runtime-internal for its whole life: the sender
+//     takes one, whoever matches it (the sender in deliver, the receiver in
+//     Irecv) puts it back. A payload copy is taken by the sender and comes
+//     back only when the receiver hands it over (Request.Release) — one list
+//     for all ranks, because the rank that takes a buffer is rarely the one
+//     that returns it.
 //   - Requests are slab-allocated per rank (see Proc.newRequest). The unused
 //     remainder of a slab stays in the rank's pool when its world ends, so the
 //     next world continues the slab instead of starting a new one. Requests
@@ -20,10 +23,11 @@ import "iter"
 //     requests that never leave the runtime or the tool layer — the implicit
 //     request inside a blocking Send/Recv, the piggyback layer's clock
 //     traffic — return to a per-rank freelist through Request.Free.
-//   - The world skeleton (procs, communicators with their mailboxes and, once
-//     a tool layer has asked for one, their tool contexts) is parked here when
-//     World.Run returns and reset by the next NewWorld, so mailbox queues keep
-//     the capacity earlier replays grew them to.
+//   - The world skeleton (the World itself, its procs, communicators with
+//     their mailboxes and, once a tool layer has asked for one, their tool
+//     contexts) is parked here when World.Run returns and reset by the next
+//     NewWorld, so mailbox queues keep the capacity earlier replays grew them
+//     to.
 //   - The rank coroutines (runner): one per rank, started by the first world
 //     that needs it and parked between worlds, so the next world pays for no
 //     iter.Pull and runs on stacks the earlier ones already grew. Unlike the
@@ -35,13 +39,10 @@ import "iter"
 // time (see World), so every access happens on the turn of the one rank
 // running and no synchronization is needed at all — and unlike a
 // package-global sync.Pool, a replay engine running many explorations at once
-// never funnels every world's envelope traffic through shared per-P lists.
-// Payload buffers migrate between rank slots over time (a buffer acquired by
-// the sender is released by the receiver); each list is bounded by
-// poolRankCap per rank.
+// never funnels every world's traffic through shared per-P lists.
 
-// poolRankCap bounds each rank's buffer and request freelists and, times the
-// rank count, the envelope freelist; beyond it, freed objects are dropped for
+// poolRankCap bounds each rank's request freelist and, times the rank count,
+// the envelope and buffer freelists; beyond it, freed objects are dropped for
 // the GC. Steady-state replay traffic uses a handful of objects per rank, so
 // the cap only matters after a pathological unexpected-queue burst.
 const poolRankCap = 128
@@ -53,21 +54,24 @@ const poolRankCap = 128
 // cross-worker sharing.
 //
 // A Pools must not be used by two concurrently-running worlds. Handing a
-// Pools to NewWorld invalidates every Proc, Comm and Request of the world
-// that last ran on it. Whoever calls NewPools calls Close once no further
+// Pools to NewWorld invalidates the *World that last ran on it — the new
+// world is the same object, reset — and every Proc, Comm and Request of that
+// world. Whoever calls NewPools calls Close once no further
 // world will run on it (see Close).
 type Pools struct {
 	envs    []*envelope
+	bufs    [][]byte // payload copies handed back by Request.Release
 	ranks   []rankPool
 	runners []*runner // by rank; nil until a world needs that rank
 	skel    skeleton
 }
 
 // skeleton is the world-shaped scaffolding a finished world leaves behind:
-// its procs, its runnable-rank bitmap and every communicator it created.
-// World.Run parks it; the next NewWorld on the same Pools takes it, resets it
-// and builds on it.
+// the World, its procs, its runnable-rank bitmap and every communicator it
+// created. World.Run parks it; the next NewWorld on the same Pools takes it,
+// resets it and builds on it.
 type skeleton struct {
+	world *World
 	procs []*Proc
 	ready []uint64
 	comms []*commInfo
@@ -184,13 +188,6 @@ func (pl *Pools) resetBoxes(boxes []mailbox) {
 	}
 }
 
-// rankPool is one rank's freelists.
-type rankPool struct {
-	bufs    [][]byte
-	reqs    []*Request // freed requests (Request.Free)
-	reqSlab []Request  // unused remainder of the current request slab
-}
-
 func (pl *Pools) getEnv() *envelope {
 	if n := len(pl.envs); n > 0 {
 		e := pl.envs[n-1]
@@ -213,23 +210,31 @@ func (pl *Pools) putEnv(e *envelope) {
 // getBuf returns a zero-length buffer with capacity >= n. Only buffers
 // explicitly returned via Request.Release come back; in steady state the
 // piggyback path (fixed clock-sized messages at high rate) hits the freelist
-// on every send. A top buffer that is too small stays on the list: an
-// oversize request costs its own allocation and nothing else.
-func (rp *rankPool) getBuf(n int) []byte {
-	if k := len(rp.bufs); k > 0 && cap(rp.bufs[k-1]) >= n {
-		b := rp.bufs[k-1]
-		rp.bufs[k-1] = nil
-		rp.bufs = rp.bufs[:k-1]
+// on every send, whichever way the clocks flow. A top buffer that is too
+// small stays on the list: an oversize request costs its own allocation and
+// nothing else.
+func (pl *Pools) getBuf(n int) []byte {
+	if k := len(pl.bufs); k > 0 && cap(pl.bufs[k-1]) >= n {
+		b := pl.bufs[k-1]
+		pl.bufs[k-1] = nil
+		pl.bufs = pl.bufs[:k-1]
 		return b
 	}
 	return make([]byte, 0, n)
 }
 
-func (rp *rankPool) putBuf(b []byte) {
-	if cap(b) == 0 || len(rp.bufs) >= poolRankCap {
+func (pl *Pools) putBuf(b []byte) {
+	if cap(b) == 0 || len(pl.bufs) >= poolRankCap*len(pl.ranks) {
 		return
 	}
-	rp.bufs = append(rp.bufs, b[:0])
+	pl.bufs = append(pl.bufs, b[:0])
+}
+
+// rankPool is one rank's request storage: its freed requests and the rest
+// of its slab.
+type rankPool struct {
+	reqs    []*Request // freed requests (Request.Free)
+	reqSlab []Request  // unused remainder of the current request slab
 }
 
 // reqSlabSize is the per-rank Request slab length. A held request pins at

@@ -151,7 +151,7 @@ func TestSkeletonReusedAfterFailedWorld(t *testing.T) {
 			}
 			for round := 0; round < 2; round++ { // the second round reuses the dup as well
 				w2 := NewWorld(Config{Procs: 3, Pools: pools})
-				if w2.procs[0] != w1.procs[0] || w2.worldComm != w1.worldComm {
+				if w2 != w1 || w2.procs[0] != w1.procs[0] || w2.worldComm != w1.worldComm {
 					t.Fatal("second world did not reuse the parked skeleton")
 				}
 				if err := w2.Run(clean); err != nil {

@@ -67,7 +67,7 @@ func (r *Request) Release() {
 	if r.kind != KindRecv || !r.consumed || r.data == nil {
 		return
 	}
-	r.proc.pool.putBuf(r.data)
+	r.proc.world.pools.putBuf(r.data)
 	r.data = nil
 }
 

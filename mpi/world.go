@@ -17,7 +17,7 @@ type Config struct {
 	// owner calls Pools.Close after the last world. Nil means the world
 	// creates its own and closes it when Run returns. A Pools must not be
 	// shared by two concurrently-running worlds, and passing it here
-	// invalidates the previous world's handles.
+	// invalidates the previous world and its handles.
 	Pools *Pools
 }
 
@@ -60,7 +60,8 @@ type World struct {
 	failure   error // sticky: deadlock or abort; checked by every blocking op
 }
 
-// NewWorld creates a world with n ranks and the given tool layer.
+// NewWorld creates a world with n ranks and the given tool layer. On carried
+// Pools it is the previous world's object, reset (see Pools).
 func NewWorld(cfg Config) *World {
 	if cfg.Procs < 1 {
 		panic(fmt.Sprintf("mpi: NewWorld with %d procs", cfg.Procs))
@@ -71,11 +72,13 @@ func NewWorld(cfg Config) *World {
 	} else {
 		pools.grow(cfg.Procs)
 	}
-	w := &World{size: cfg.Procs, hooks: cfg.Hooks, pools: pools, owned: cfg.Pools == nil, polled: -1}
 	sk := pools.takeSkeleton()
-	w.comms = sk.comms
-	w.procs = sk.procs
-	w.ready = sk.ready
+	w := sk.world
+	if w == nil {
+		w = new(World)
+	}
+	*w = World{size: cfg.Procs, hooks: cfg.Hooks, pools: pools, owned: cfg.Pools == nil, polled: -1,
+		procs: sk.procs, comms: sk.comms, ready: sk.ready}
 	if len(w.procs) != w.size {
 		w.procs = make([]*Proc, w.size)
 		for i := range w.procs {
@@ -83,14 +86,17 @@ func NewWorld(cfg Config) *World {
 		}
 		w.ready = make([]uint64, (w.size+63)/64)
 	}
-	members := make([]int, w.size)
 	for i, p := range w.procs {
-		members[i] = i
 		*p = Proc{world: w, rank: i, pool: &pools.ranks[i]}
 		p.pmpi = PMPI{p: p}
 		w.setReady(p)
 	}
-	w.worldComm = w.newComm("world", members)
+	ci := w.claimComm("world", w.size)
+	for i := range ci.members {
+		ci.members[i] = i
+	}
+	ci.mapRanks()
+	w.worldComm = ci
 	return w
 }
 
@@ -174,14 +180,15 @@ func (w *World) Run(program func(p *Proc) error) error {
 	// Every rank has returned: leave the skeleton for the next world on
 	// these Pools. Nothing is reset here — tool layers still inspect the
 	// finished world (e.g. draining leftover messages).
-	w.pools.skel = skeleton{procs: w.procs, comms: w.comms, ready: w.ready}
+	w.pools.skel = skeleton{world: w, procs: w.procs, comms: w.comms, ready: w.ready}
 
+	// A clean run allocates no RunError.
 	failure := w.failure
-	re := &RunError{}
+	var re *RunError
 	if d, ok := failure.(*DeadlockError); ok {
-		re.Deadlock = d
+		re = &RunError{Deadlock: d}
 	} else if failure != nil {
-		re.Aborted = failure
+		re = &RunError{Aborted: failure}
 	}
 	for _, p := range w.procs {
 		err := p.err
@@ -193,9 +200,12 @@ func (w *World) Run(program func(p *Proc) error) error {
 		if failure != nil && (err == failure || err == ErrAborted || IsDeadlock(err)) {
 			continue
 		}
+		if re == nil {
+			re = &RunError{}
+		}
 		re.RankErrors = append(re.RankErrors, &RankError{Rank: p.rank, Err: err})
 	}
-	if re.Deadlock == nil && re.Aborted == nil && len(re.RankErrors) == 0 {
+	if re == nil {
 		return nil
 	}
 	return re
