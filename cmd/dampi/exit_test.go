@@ -41,7 +41,7 @@ func TestLintExitBehavior(t *testing.T) {
 	// The rleak fixture dir carries seeded, unsuppressed error-severity
 	// diagnostics.
 	badSrc := filepath.Join("..", "..", "internal", "mpilint", "testdata", "src", "rleak")
-	// The fanin workload source lints clean (its one wilddet finding is
+	// The fanin workload source lints clean (its one wildtype finding is
 	// suppressed in-source).
 	goodSrc := filepath.Join("..", "..", "workloads", "fanin")
 

@@ -10,7 +10,6 @@
 //	dampi -workload 104.milc -procs 64 -leaks
 //	dampi -workload matmul -procs 4 -baseline isp
 //	dampi -lint ./workloads/... -workload adlb -procs 8
-//	dampi -workload fanin -procs 4 -k 0 -static-prune ./workloads/fanin
 //	dampi -workload iprobe -procs 2 -sample random -samples 64 -seed 7
 //	dampi -serve :9477 -status :9478 -workload matmul -procs 6 -k 1
 //	dampi -join host:9477 -workload matmul -procs 6 -k 1 -slots 4
@@ -55,16 +54,6 @@
 // With -lint but no -workload, dampi lints and exits (status 1 if any
 // non-suppressed finding). Error-severity lint findings floor the exit code
 // at 1 even when exploration runs and passes.
-//
-// The -static-prune PATH flag statically analyzes the workload's Go sources
-// (the same communication-graph analysis behind mpilint's orphan/
-// tagmismatch/wilddet/cycle checks) and derives prune hints: wildcard
-// decision points whose statically feasible, payload-type-refined sender
-// set is a singleton are not branched on, and the skipped branches are
-// reported as "branches pruned (static)". Every observed match is
-// cross-checked against the hints at runtime; a mismatch disables pruning
-// for the rest of the run and prints a warning. Local engines only
-// (incompatible with -serve, -join, and -submit).
 package main
 
 import (
@@ -124,16 +113,11 @@ func main() {
 		ckpEvery   = flag.Int("checkpoint-every", 0, "replays between checkpoint writes (0 = one per DefaultCheckpointInterval, 250ms)")
 		resume     = flag.Bool("resume", false, "resume exploration from -checkpoint")
 		lintPath   = flag.String("lint", "", "run the mpilint static analyzer over Go sources at PATH first")
-		prunePath  = flag.String("static-prune", "", "derive static prune hints from the workload's Go sources at PATH (local engines only)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the exploration to FILE")
 		memProf    = flag.String("memprofile", "", "write a heap profile to FILE at exit")
 		verbose    = flag.Bool("v", false, "print each interleaving as it is explored")
 	)
 	flag.Parse()
-
-	if *prunePath != "" && (*serve != "" || *join != "" || *submitURL != "") {
-		fatal(fmt.Errorf("-static-prune is a local-engine feature; it cannot be combined with -serve, -join, or -submit"))
-	}
 
 	if *cpuProf != "" || *memProf != "" {
 		stop, err := startProfiles(*cpuProf, *memProf)
@@ -274,23 +258,6 @@ func main() {
 		fatal(fmt.Errorf("-serve and -join are mutually exclusive"))
 	}
 
-	var hints *verify.PruneHints
-	if *prunePath != "" {
-		h, notes, err := verify.StaticHints(*prunePath, *procs)
-		if err != nil {
-			fatal(fmt.Errorf("static-prune: %w", err))
-		}
-		hints = h
-		if hints == nil {
-			fmt.Printf("static-prune: no hints derived from %s; exploring without pruning\n", *prunePath)
-		}
-		if *verbose {
-			for _, n := range notes {
-				fmt.Printf("static-prune: %s\n", n)
-			}
-		}
-	}
-
 	cfg := verify.Config{
 		Procs:             *procs,
 		Clock:             cm,
@@ -306,7 +273,6 @@ func main() {
 		CheckpointFile:    *ckpFile,
 		CheckpointEvery:   *ckpEvery,
 		Resume:            *resume,
-		PruneHints:        hints,
 		ChoicePoints:      *choicePts,
 	}
 	if *sampleStr != "" {

@@ -3,13 +3,14 @@ package commgraph
 import (
 	"fmt"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // Finding is one whole-program diagnostic derived from the match graph.
 type Finding struct {
-	// Check names the graph check: orphan, tagmismatch, wilddet, cycle.
+	// Check names the graph check: orphan, tagmismatch, wildtype, cycle.
 	Check string
 	// Pos anchors the diagnostic at the offending call site.
 	Pos token.Pos
@@ -66,7 +67,7 @@ func Analyze(sum *Summary, sizes []int) []Finding {
 	return out
 }
 
-// analyzeP2P derives orphan, tagmismatch, and wilddet findings at one size.
+// analyzeP2P derives orphan, tagmismatch, and wildtype findings at one size.
 // Sites are aggregated per op: the finding fires only if every certain
 // instance of the op exhibits it (and at least one instance is certain).
 func analyzeP2P(g *Graph, add func(check string, pos token.Pos, msg string)) {
@@ -75,8 +76,8 @@ func analyzeP2P(g *Graph, add func(check string, pos token.Pos, msg string)) {
 		orphan    int
 		tagOnly   int // raw-empty but matchable when the tag is ignored
 		typeDead  int // raw nonempty, type-refined empty
-		singleton int
-		lastSet   []int
+		wildtype  int // wildcard: some, not all, raw senders type-refined away
+		undecoded []int
 		site      *Site
 	}
 	recvAgg := map[*Op]*agg{}
@@ -101,9 +102,9 @@ func analyzeP2P(g *Graph, add func(check string, pos token.Pos, msg string)) {
 			a.orphan++
 		case len(refined) == 0:
 			a.typeDead++
-		case r.Op.Wildcard() && len(refined) == 1:
-			a.singleton++
-			a.lastSet = refined
+		case r.Op.Wildcard() && len(refined) < len(raw):
+			a.wildtype++
+			a.undecoded = minus(raw, refined)
 		}
 	}
 	for _, s := range g.sends() {
@@ -142,10 +143,10 @@ func analyzeP2P(g *Graph, add func(check string, pos token.Pos, msg string)) {
 			add("tagmismatch", op.Pos, fmt.Sprintf(
 				"%s(src=%s, tag=%s) only matches sends whose payload type is incompatible with how the data is decoded (%s)",
 				op.Method, op.Peer, op.Tag, op.Consume))
-		case a.singleton == a.certain:
-			add("wilddet", op.Pos, fmt.Sprintf(
-				"wildcard %s(tag=%s) is statically deterministic: the feasible sender set is {%s}",
-				op.Method, op.Tag, joinInts(a.lastSet)))
+		case a.wildtype == a.certain:
+			add("wildtype", op.Pos, fmt.Sprintf(
+				"wildcard %s(tag=%s): sender(s) {%s} whose payload type this receive cannot decode can match here",
+				op.Method, op.Tag, joinInts(a.undecoded)))
 		}
 	}
 	for op, a := range sendAgg {
@@ -164,6 +165,17 @@ func analyzeP2P(g *Graph, add func(check string, pos token.Pos, msg string)) {
 				op.Method, op.Peer, op.Tag, op.Payload))
 		}
 	}
+}
+
+// minus returns the members of a that b lacks, in a's order.
+func minus(a, b []int) []int {
+	var out []int
+	for _, x := range a {
+		if !slices.Contains(b, x) {
+			out = append(out, x)
+		}
+	}
+	return out
 }
 
 // anySendTo reports whether any may-match send (other than instances of

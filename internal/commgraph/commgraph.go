@@ -3,19 +3,17 @@
 // with symbolic peer/tag expressions and branch guards, instantiated at a
 // concrete world size into an over-approximated match graph.
 //
-// The graph backs two consumers. mpilint derives whole-program checks from
-// it (orphan operations, tag/type mismatches, statically deterministic
-// wildcards, head-to-head receive cycles). The dynamic explorer consumes
-// prune hints (see Hints): wildcard sites whose statically feasible sender
-// set is a singleton need not be branched, subject to a runtime soundness
-// cross-check in internal/core.
+// mpilint derives whole-program checks from the graph (orphan operations,
+// tag/type mismatches, type-confused wildcards, head-to-head receive
+// cycles), and Hints derives the sender set of each wildcard decision point
+// (verify.StaticHints).
 //
 // The model is deliberately an over-approximation on source, destination,
-// tag, and communicator: anything unresolved matches everything. The one
-// dimension where it is finer than the dynamic matcher is payload type
-// (EncodeFloat64/EncodeInt64 vs raw bytes), which the runtime ignores —
-// that refinement is what makes singleton match sets possible at all, and
-// why the runtime cross-check is mandatory.
+// tag, and communicator: anything unresolved matches everything. Payload
+// type (EncodeFloat64/EncodeInt64 vs raw bytes) is the one dimension the
+// runtime matcher ignores, so a type-refined match set (MatchSet with
+// refined) can miss a match an execution makes. The graph checks use the
+// refinement to name suspicious matches; Hints does not use it.
 package commgraph
 
 import "go/token"
@@ -137,7 +135,7 @@ type Summary struct {
 	// Complete is false when the extractor saw MPI activity it could not
 	// summarize (closures doing MPI, the proc escaping to unknown code,
 	// go/select statements touching the proc). Incomplete summaries yield
-	// no findings and no hints.
+	// no findings and no sender sets.
 	Complete bool
 	// Notes records why the summary degraded, for -v style reporting.
 	Notes []string

@@ -3,6 +3,7 @@ package commgraph
 import (
 	"go/token"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -192,10 +193,10 @@ func wildSummary() *Summary {
 	}
 }
 
-func TestAnalyzeWilddetSingleton(t *testing.T) {
+func TestAnalyzeWildtype(t *testing.T) {
 	got := Analyze(wildSummary(), DefaultSizes)
-	if len(got) != 1 || got[0].Check != "wilddet" || got[0].Pos != 10 {
-		t.Fatalf("wilddet findings = %v, want one wilddet at pos 10", got)
+	if len(got) != 1 || got[0].Check != "wildtype" || got[0].Pos != 10 || !strings.Contains(got[0].Message, "sender(s) {2}") {
+		t.Fatalf("wildtype findings = %v, want one wildtype at pos 10 naming sender 2", got)
 	}
 }
 
@@ -230,12 +231,15 @@ func TestAnalyzeCycle(t *testing.T) {
 	}
 }
 
-func TestHintsSingleton(t *testing.T) {
+// TestHintsIgnorePayloadTypes: a hint set is the raw match set, so the
+// sender whose payload the receive cannot decode is in it, as it is in the
+// runtime matcher's.
+func TestHintsIgnorePayloadTypes(t *testing.T) {
 	hints, notes := Hints(wildSummary(), 4)
 	if len(notes) != 0 {
 		t.Errorf("unexpected notes: %v", notes)
 	}
-	want := []HintEntry{{Key: HintKey{Rank: 0, Tag: 3, Probe: false}, Senders: []int{1}}}
+	want := map[HintKey][]int{{Rank: 0, Tag: 3, Probe: false}: {1, 2}}
 	if !reflect.DeepEqual(hints, want) {
 		t.Errorf("hints = %v, want %v", hints, want)
 	}
@@ -272,8 +276,7 @@ func TestHintsUnresolvedTagPoisonsRank(t *testing.T) {
 }
 
 // TestHintsConditionalSitesUnion: sites that only may execute still
-// contribute their senders, so the hint over-approximates every path and a
-// conditional second sender demotes the singleton.
+// contribute their senders, so the hint over-approximates every path.
 func TestHintsConditionalSitesUnion(t *testing.T) {
 	s := wildSummary()
 	s.Ops = append(s.Ops, &Op{
@@ -281,11 +284,9 @@ func TestHintsConditionalSitesUnion(t *testing.T) {
 		Guard: onRank(3), Conditional: true, Blocking: true, Method: "Send", Pos: 50,
 	})
 	hints, _ := Hints(s, 4)
-	if len(hints) != 1 {
-		t.Fatalf("hints = %v, want exactly one entry", hints)
-	}
-	if got := hints[0].Senders; !reflect.DeepEqual(got, []int{1, 3}) {
-		t.Errorf("senders = %v, want [1 3] (conditional sender included)", got)
+	want := map[HintKey][]int{{Rank: 0, Tag: 3}: {1, 2, 3}}
+	if !reflect.DeepEqual(hints, want) {
+		t.Errorf("hints = %v, want %v (conditional sender included)", hints, want)
 	}
 }
 

@@ -14,28 +14,18 @@ type HintKey struct {
 	Probe bool
 }
 
-// HintEntry is the statically feasible, payload-type-refined sender set for
-// one wildcard decision point. The dynamic explorer may skip branching at
-// an epoch whose entry is a singleton; any observed match outside Senders
-// must disable the whole hint table for the run.
-type HintEntry struct {
-	Key     HintKey
-	Senders []int
-}
-
-// Hints derives prune hints from the summary at a concrete world size.
-// Derivation is deliberately conservative:
+// Hints derives, at a concrete world size, the static sender set of every
+// wildcard decision point it can key: the sorted ranks whose sends can
+// match there. The sets come from the unrefined match sets (payload types
+// play no part, as in the runtime matcher), so each is a superset of the
+// senders any execution can match. Derivation is deliberately conservative:
 //
-//   - an incomplete summary yields no hints at all;
-//   - a wildcard site whose tag cannot be resolved poisons every hint for
-//     its ranks (its epochs could collide with any key);
+//   - an incomplete summary yields no sets at all;
+//   - a wildcard site whose tag cannot be resolved drops every set of its
+//     rank (its epochs could collide with any key);
 //   - sites that may execute (conditional, in-loop) still contribute their
-//     sender sets, so the union over-approximates every execution path.
-//
-// The one place derivation is finer than the runtime matcher is payload
-// type; the runtime cross-check (internal/core.PruneHints.Observe) is the
-// safety net for that refinement.
-func Hints(sum *Summary, size int) ([]HintEntry, []string) {
+//     senders, so the union covers every execution path.
+func Hints(sum *Summary, size int) (map[HintKey][]int, []string) {
 	if sum == nil {
 		return nil, []string{"no program summary"}
 	}
@@ -64,12 +54,12 @@ func Hints(sum *Summary, size int) ([]HintEntry, []string) {
 				set = map[int]bool{}
 				sets[key] = set
 			}
-			for _, s := range g.MatchSet(st, true) {
+			for _, s := range g.MatchSet(st, false) {
 				set[s] = true
 			}
 		}
 	}
-	var out []HintEntry
+	var out map[HintKey][]int
 	for key, set := range sets {
 		if poisoned[key.Rank] || len(set) == 0 {
 			continue
@@ -79,17 +69,10 @@ func Hints(sum *Summary, size int) ([]HintEntry, []string) {
 			senders = append(senders, s)
 		}
 		sort.Ints(senders)
-		out = append(out, HintEntry{Key: key, Senders: senders})
+		if out == nil {
+			out = map[HintKey][]int{}
+		}
+		out[key] = senders
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Key, out[j].Key
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
-		}
-		if a.Tag != b.Tag {
-			return a.Tag < b.Tag
-		}
-		return !a.Probe && b.Probe
-	})
 	return out, notes
 }

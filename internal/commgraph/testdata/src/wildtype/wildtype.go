@@ -1,16 +1,16 @@
-// wilddet fixture: rank 0's wildcard receive has two tag-3 senders, but the
-// receiver decodes a float64 vector and only rank 1 sends one — the
-// payload-type-refined match set is the singleton {1}, so the wildcard's
-// nondeterminism is illusory and the dynamic explorer can prune the branch.
+// wildtype fixture: rank 0's wildcard receive has two tag-3 senders, but the
+// receiver decodes a float64 vector and only rank 1 sends one. The runtime
+// matcher ignores payload types, so rank 2's raw bytes can match here and be
+// decoded as garbage.
 package fixture
 
 import "dampi/mpi"
 
-func wildDetProg(p *mpi.Proc) error {
+func wildTypeProg(p *mpi.Proc) error {
 	c := p.CommWorld()
 	switch p.Rank() {
 	case 0:
-		data, _, err := p.Recv(mpi.AnySource, 3, c) // want:wilddet want:wildcard
+		data, _, err := p.Recv(mpi.AnySource, 3, c) // want:wildtype want:wildcard
 		if err != nil {
 			return err
 		}

@@ -51,8 +51,6 @@ type goldenCase struct {
 	AutoLoop         int
 	Max              int
 	StopOnFirstError bool
-	// Hints are static sender sets, keyed like PruneHints.
-	Hints map[PruneHintKey][]int
 	// DeadlockWhen / ErrorWhen make runs satisfying the condition fail.
 	DeadlockWhen *goldenCond
 	ErrorWhen    *goldenCond
@@ -67,7 +65,6 @@ type goldenRecord struct {
 	AutoAbstracted int      `json:"auto_abstracted"`
 	Capped         bool     `json:"capped"`
 	Deadlocks      int      `json:"deadlocks"`
-	StaticPruned   int      `json:"static_pruned"`
 	// Errors lists "#<Index> <reproducer>" in report order.
 	Errors []string `json:"errors"`
 }
@@ -112,29 +109,6 @@ var goldenCases = []goldenCase{
 	{Name: "autoloop-off", Epochs: goldenRepeated, K: 1},
 	{Name: "autoloop-2-k0", Epochs: goldenRepeated, K: 0, AutoLoop: 2},
 	{Name: "autoloop-2-unbounded", Epochs: goldenRepeated, K: Unbounded, AutoLoop: 2},
-	{
-		// Rank 0's tag-7 receives are statically single-sender; the choice
-		// recorded at run time agrees, so their alternates are never flipped.
-		Name: "singleton-hint", K: Unbounded,
-		Epochs: []goldenEpoch{
-			{Rank: 0, LC: 1, Tag: 7, Senders: []int{1, 2}},
-			{Rank: 1, LC: 1, Tag: 3, Senders: []int{0, 2}},
-			{Rank: 0, LC: 2, Tag: 7, Senders: []int{1, 3}},
-			{Rank: 0, LC: 3, Tag: 3, Senders: []int{2, 1}},
-		},
-		Hints: map[PruneHintKey][]int{{Rank: 0, Tag: 7}: {1}},
-	},
-	{
-		// A hint the runs contradict: the first observation outside the set
-		// disables the table, and every later point branches normally.
-		Name: "violated-hint", K: Unbounded,
-		Epochs: []goldenEpoch{
-			{Rank: 0, LC: 1, Tag: 7, Senders: []int{1, 2}},
-			{Rank: 1, LC: 1, Tag: 7, Senders: []int{2, 0}},
-			{Rank: 0, LC: 2, Tag: 7, Senders: []int{1, 2}},
-		},
-		Hints: map[PruneHintKey][]int{{Rank: 0, Tag: 7}: {1}, {Rank: 1, Tag: 7}: {0}},
-	},
 	{
 		// A deadlocked run expands nothing: its later epochs stay unflipped.
 		Name: "deadlock", Epochs: goldenGrid, K: Unbounded,
@@ -230,7 +204,6 @@ func goldenConfig(c *goldenCase, runs *[]string) ExplorerConfig {
 		AutoLoopThreshold: c.AutoLoop,
 		MaxInterleavings:  c.Max,
 		StopOnFirstError:  c.StopOnFirstError,
-		PruneHints:        NewPruneHints(c.Hints),
 		Runner:            goldenRunner(c, runs),
 	}
 }
@@ -248,7 +221,6 @@ func exploreGolden(t *testing.T, c goldenCase) goldenRecord {
 	got.AutoAbstracted = rep.AutoAbstracted
 	got.Capped = rep.Capped
 	got.Deadlocks = rep.Deadlocks
-	got.StaticPruned = rep.StaticPruned
 	for _, e := range rep.Errors {
 		got.Errors = append(got.Errors, fmt.Sprintf("#%d %v", e.Index, e.Decisions))
 	}

@@ -41,12 +41,6 @@ type ExplorerConfig struct {
 	MaxInterleavings int
 	// StopOnFirstError ends exploration at the first erroneous interleaving.
 	StopOnFirstError bool
-	// PruneHints is the optional static prune-hint table (see prune.go): at
-	// a wildcard decision point whose statically derived sender set is a
-	// singleton, branching is skipped. Every observed match is cross-checked
-	// against the table; a violation disables it for the rest of the run.
-	// Nil disables static pruning.
-	PruneHints *PruneHints
 	// ChoicePoints enables the enlarged choice-point space (Waitany/Testany
 	// completion indexes, Iprobe outcomes) — see ToolConfig.Choices. Off by
 	// default so existing explorations are byte-identical; sampling forces
@@ -174,17 +168,6 @@ type Report struct {
 	Errors []*InterleavingResult `json:"errors,omitempty"`
 	// Capped reports whether MaxInterleavings stopped the search early.
 	Capped bool `json:"-"`
-	// StaticPruned counts alternate branches skipped because of static
-	// prune hints (ExplorerConfig.PruneHints). With MixingBound 0 each
-	// skipped alternate corresponds to exactly one saved replay, so
-	// Interleavings + StaticPruned equals the unpruned interleaving count.
-	StaticPruned int `json:"static_pruned,omitempty"`
-	// PruneDisabled reports that a hint violation switched static pruning
-	// off mid-exploration; branches pruned before the violation were not
-	// re-explored, so coverage may be reduced. PruneViolations carries the
-	// evidence.
-	PruneDisabled   bool             `json:"prune_disabled,omitempty"`
-	PruneViolations []PruneViolation `json:"prune_violations,omitempty"`
 	// FirstTrace is the initial self run's full epoch log.
 	FirstTrace *RunTrace `json:"first_trace,omitempty"`
 
@@ -260,9 +243,6 @@ func (r *Report) Merge(o *Report) {
 	if o.FirstTrace != nil {
 		r.FirstTrace = o.FirstTrace
 	}
-	r.StaticPruned += o.StaticPruned
-	r.PruneDisabled = r.PruneDisabled || o.PruneDisabled
-	r.PruneViolations = append(r.PruneViolations, o.PruneViolations...)
 	r.Sampled += o.Sampled
 	if len(o.sampledKeys) > 0 || len(o.SampledSchedules) > 0 {
 		keys := r.sampledSet()
@@ -278,9 +258,9 @@ func (r *Report) Merge(o *Report) {
 
 // Seal computes the report state that depends on the whole exploration
 // rather than on any one task: the cap flag (the cap was reached and
-// workLeft says tasks remained), the sorted distinct-schedule dump, and the
-// shared prune-hint table's counters. Sealing is idempotent, so a checkpoint
-// may seal a snapshot of a report that is still being added to.
+// workLeft says tasks remained) and the sorted distinct-schedule dump.
+// Sealing is idempotent, so a checkpoint may seal a snapshot of a report
+// that is still being added to.
 func (r *Report) Seal(cfg *ExplorerConfig, workLeft bool) {
 	r.Capped = workLeft && cfg.MaxInterleavings > 0 && r.Interleavings >= cfg.MaxInterleavings
 	if keys := r.sampledKeys; len(keys) > 0 {
@@ -289,11 +269,6 @@ func (r *Report) Seal(cfg *ExplorerConfig, workLeft bool) {
 			r.SampledSchedules = append(r.SampledSchedules, k)
 		}
 		sort.Strings(r.SampledSchedules)
-	}
-	if h := cfg.PruneHints; h != nil {
-		r.StaticPruned = h.Pruned()
-		r.PruneDisabled = h.Disabled()
-		r.PruneViolations = h.Violations()
 	}
 }
 
@@ -327,12 +302,6 @@ func (r *Report) Summary() string {
 	if r.Sampled > 0 {
 		s += fmt.Sprintf(" sampled=%d distinct=%d", r.Sampled, r.SampledDistinct)
 	}
-	if r.StaticPruned > 0 || r.PruneDisabled {
-		s += fmt.Sprintf(" pruned(static)=%d", r.StaticPruned)
-	}
-	if r.PruneDisabled {
-		s += " (static hints disabled: violation observed)"
-	}
 	if len(r.Unsafe) > 0 {
 		s += fmt.Sprintf(" unsafe-patterns=%d", len(r.Unsafe))
 	}
@@ -343,8 +312,8 @@ func (r *Report) Summary() string {
 // behind `dampi`, `dampi -serve` and the job queue's text reports, which CI
 // diffs against each other: the DAMPI line (summary is Summary(), or a
 // caller's extension of it), the schedule-sampling coverage statement
-// (sampleDepth is the exploration's exhaustive/sampled boundary), the §V
-// unsafe-pattern warnings and the static-pruning lines.
+// (sampleDepth is the exploration's exhaustive/sampled boundary) and the §V
+// unsafe-pattern warnings.
 func (r *Report) WriteHead(w io.Writer, summary string, sampleDepth int) {
 	fmt.Fprintf(w, "DAMPI: %s\n", summary)
 	if r.Sampled > 0 {
@@ -353,12 +322,6 @@ func (r *Report) WriteHead(w io.Writer, summary string, sampleDepth int) {
 	}
 	for _, u := range r.Unsafe {
 		fmt.Fprintf(w, "  warning: %v\n", u)
-	}
-	if r.StaticPruned > 0 || r.PruneDisabled {
-		fmt.Fprintf(w, "  branches pruned (static): %d\n", r.StaticPruned)
-	}
-	for _, v := range r.PruneViolations {
-		fmt.Fprintf(w, "  warning: %v (static pruning disabled for this run)\n", v)
 	}
 }
 

@@ -15,8 +15,8 @@ type walk struct {
 	Observed []string // "#Index reproducer" per OnInterleaving call
 	Errors   []string // "#Index reproducer" in report order
 
-	Interleavings, DecisionPoints, AutoAbstracted, Deadlocks, StaticPruned int
-	Capped                                                                 bool
+	Interleavings, DecisionPoints, AutoAbstracted, Deadlocks int
+	Capped                                                   bool
 }
 
 // engines are the explorers a golden tree is walked by: the reference, and
@@ -50,7 +50,7 @@ func walkWith(t *testing.T, cfg core.ExplorerConfig, runs *[]string, explore fun
 		w.Errors = append(w.Errors, fmt.Sprintf("#%d %v", e.Index, e.Decisions))
 	}
 	w.Interleavings, w.DecisionPoints, w.AutoAbstracted = rep.Interleavings, rep.DecisionPoints, rep.AutoAbstracted
-	w.Deadlocks, w.StaticPruned, w.Capped = rep.Deadlocks, rep.StaticPruned, rep.Capped
+	w.Deadlocks, w.Capped = rep.Deadlocks, rep.Capped
 	return w
 }
 

@@ -3,8 +3,8 @@ package core
 import "slices"
 
 // This file is the schedule generator's search logic — mixing-budget
-// inheritance, automatic loop detection, prune hints, and the derivation of
-// child decision prefixes from a completed run's trace. Every engine drives
+// inheritance, automatic loop detection, and the derivation of child
+// decision prefixes from a completed run's trace. Every engine drives
 // it through RunContext.Explore: the serial Explorer over the whole space,
 // internal/dexplore and internal/dcoord over the subtrees of one lease at a
 // time, in-process and over the wire. A SubtreeTask is the
@@ -155,10 +155,8 @@ func (ex *Expansion) reset() {
 
 // ExpandExhaustive is the exhaustive DFS derivation: a child's prefix is the
 // task's own decisions, plus every new epoch observed before the flipped one
-// pinned to its observed choice, plus the flip itself. A statically
-// deterministic decision point (PruneHints) still joins the prefix, so later
-// children pin its observed choice, but spawns no children. Samplers call
-// this for the depth-bounded exhaustive zone below their sampling frontier.
+// pinned to its observed choice, plus the flip itself. Samplers call this
+// for the depth-bounded exhaustive zone below their sampling frontier.
 func (t *SubtreeTask) ExpandExhaustive(cfg *ExplorerConfig, trace *RunTrace) *Expansion {
 	ex := &Expansion{}
 	t.expandExhaustive(cfg, trace, true, ex)
@@ -166,10 +164,10 @@ func (t *SubtreeTask) ExpandExhaustive(cfg *ExplorerConfig, trace *RunTrace) *Ex
 }
 
 // expandExhaustive is ExpandExhaustive into the empty ex when build is set.
-// Otherwise the scan (counters, prune-hint cross-check and accounting) is
-// identical but no child is built — cloning a decision prefix per child is
-// most of an expansion's cost — and the children are only counted, for a
-// caller that knows they would never run.
+// Otherwise the scan (counters and accounting) is identical but no child is
+// built — cloning a decision prefix per child is most of an expansion's
+// cost — and the children are only counted, for a caller that knows they
+// would never run.
 func (t *SubtreeTask) expandExhaustive(cfg *ExplorerConfig, trace *RunTrace, build bool, ex *Expansion) {
 	det := newLoopDetector(cfg.AutoLoopThreshold)
 	budget, explorable := childBudget(t.Budget)
@@ -181,13 +179,12 @@ func (t *SubtreeTask) expandExhaustive(cfg *ExplorerConfig, trace *RunTrace, bui
 		if autoLoop {
 			ex.AutoAbstracted++
 		}
-		cfg.PruneHints.Observe(rec)
 		if _, ok := t.Decisions.Lookup(rec.Rank, rec.LC); ok {
 			continue // part of the forced prefix
 		}
 		pins := ex.DecisionPoints // new epochs observed before this one
 		ex.DecisionPoints++
-		if flip := t.Explorable && !rec.InLoop && !autoLoop && !cfg.PruneHints.ShouldPrune(rec); !flip || len(rec.Alternates) == 0 {
+		if !t.Explorable || rec.InLoop || autoLoop || len(rec.Alternates) == 0 {
 			continue
 		}
 		if !build {
@@ -231,11 +228,8 @@ type Flippable struct {
 
 // FlippableRecords scans a completed run's trace with the exhaustive
 // expansion's eligibility rules (skip never-completed and forced-prefix
-// epochs, loop regions, auto-abstracted repetitions, statically pruned
-// points) and returns the flip candidates. The scan is read-only: it does
-// not feed the PruneHints cross-check or any counters, so callers that did
-// not also run an expansion over the trace must call ObserveEpochs first
-// (the hint cross-check is only sound if it sees every run's matches).
+// epochs, loop regions, auto-abstracted repetitions) and returns the flip
+// candidates. The scan is read-only: it feeds no counters.
 func (t *SubtreeTask) FlippableRecords(cfg *ExplorerConfig, trace *RunTrace) []Flippable {
 	var out []Flippable
 	det := newLoopDetector(cfg.AutoLoopThreshold)
@@ -248,24 +242,12 @@ func (t *SubtreeTask) FlippableRecords(cfg *ExplorerConfig, trace *RunTrace) []F
 		if _, ok := t.Decisions.Lookup(rec.Rank, rec.LC); ok {
 			continue
 		}
-		if len(rec.Alternates) > 0 && !rec.InLoop && !autoLoop && !cfg.PruneHints.WouldPrune(rec) {
+		if len(rec.Alternates) > 0 && !rec.InLoop && !autoLoop {
 			out = append(out, Flippable{Rec: rec, Prefix: prefix})
 		}
 		prefix = append(prefix, rec)
 	}
 	return out
-}
-
-// ObserveEpochs feeds every completed epoch of a trace to the static
-// prune-hint cross-check, for expansion paths (sampled walk steps) that
-// bypass ExpandExhaustive.
-func ObserveEpochs(cfg *ExplorerConfig, trace *RunTrace) {
-	if cfg.PruneHints == nil {
-		return
-	}
-	for _, rec := range trace.Epochs {
-		cfg.PruneHints.Observe(rec)
-	}
 }
 
 // FlipChild builds the child task that flips f to the given alternate: the

@@ -32,12 +32,7 @@ type Status struct {
 	Requeues      int     `json:"requeues"`
 	MeanPerSec    float64 `json:"per_second_mean"`
 	WindowPerSec  float64 `json:"per_second_window"`
-	// StaticPruned counts branches skipped by static prune hints. Cluster
-	// explorations do not carry hint tables (static pruning is a local-engine
-	// feature), so this stays 0 there; the field keeps the wire contract
-	// uniform with local reports.
-	StaticPruned int  `json:"static_pruned,omitempty"`
-	Capped       bool `json:"capped,omitempty"`
+	Capped        bool    `json:"capped,omitempty"`
 	// Sampled counts walk-step schedules merged in sampling mode (0 for
 	// exhaustive explorations); SampledDistinct is the size of the distinct
 	// decision-vector set among them.
@@ -89,7 +84,6 @@ func (c *Coordinator) Status() Status {
 		Requeues:        c.requeues,
 		MeanPerSec:      p.PerSecond,
 		WindowPerSec:    p.WindowPerSecond,
-		StaticPruned:    c.report.StaticPruned,
 		Capped:          c.report.Capped,
 		Sampled:         c.report.Sampled,
 		SampledDistinct: c.report.SampledDistinct,
@@ -170,7 +164,6 @@ func WriteMetrics(w io.Writer, st Status) {
 	fmt.Fprintf(w, "# HELP dampi_requeues_total Leases lost and requeued (crash, hang, disconnect).\n# TYPE dampi_requeues_total counter\ndampi_requeues_total %d\n", st.Requeues)
 	fmt.Fprintf(w, "# HELP dampi_errors_total Failing interleavings found.\n# TYPE dampi_errors_total counter\ndampi_errors_total %d\n", st.Errors)
 	fmt.Fprintf(w, "# HELP dampi_deadlocks_total Deadlocked interleavings found.\n# TYPE dampi_deadlocks_total counter\ndampi_deadlocks_total %d\n", st.Deadlocks)
-	fmt.Fprintf(w, "# HELP dampi_static_pruned_total Branches skipped by static prune hints.\n# TYPE dampi_static_pruned_total counter\ndampi_static_pruned_total %d\n", st.StaticPruned)
 	fmt.Fprintf(w, "# HELP dampi_sampled_schedules_total Walk-step schedules merged in sampling mode.\n# TYPE dampi_sampled_schedules_total counter\ndampi_sampled_schedules_total %d\n", st.Sampled)
 	fmt.Fprintf(w, "# HELP dampi_sample_duplicates_total Sampled schedules whose decision vector was already sampled.\n# TYPE dampi_sample_duplicates_total counter\ndampi_sample_duplicates_total %d\n", st.Sampled-st.SampledDistinct)
 	fmt.Fprintf(w, "# HELP dampi_wire_frames_total Frames moved over worker connections.\n# TYPE dampi_wire_frames_total counter\ndampi_wire_frames_total{dir=\"in\"} %d\ndampi_wire_frames_total{dir=\"out\"} %d\n", st.FramesIn, st.FramesOut)

@@ -42,11 +42,18 @@ type Checkpoint struct {
 	// under whatever the config holds.
 	LegacySampler string `json:"sampler,omitempty"`
 
+	// LegacyStaticPruned is only ever read: checkpoints written while the
+	// explorer could skip branches on static hints counted the skipped ones
+	// here. Such a frontier lacks the skipped subtrees, so Validate refuses a
+	// nonzero count by name rather than resume into a clean verdict over an
+	// incomplete search. The old prune_disabled and prune_violations keys
+	// decode into nothing and are ignored.
+	LegacyStaticPruned int `json:"static_pruned,omitempty"`
+
 	// Report is the aggregates of every completed replay, in core.Report's
-	// own JSON form (sealed: sorted sampled keys, current prune-hint counters —
-	// a resumed run continues counting from them and keeps disabled hints
-	// disabled — and the canonical first trace). Capped and SampledDistinct
-	// are derived, not stored; Restore re-derives the latter.
+	// own JSON form (sealed: sorted sampled keys and the canonical first
+	// trace). Capped and SampledDistinct are derived, not stored; Restore
+	// re-derives the latter.
 	core.Report
 
 	// Frontier holds the pending subtree tasks, oldest first (the engines
@@ -83,6 +90,8 @@ func (c *Checkpoint) Validate(workload string, cfg *core.ExplorerConfig) error {
 		return fmt.Errorf("dexplore: checkpoint version %d, want %d", c.Version, checkpointVersion)
 	case c.LegacySampler != "":
 		return fmt.Errorf("dexplore: checkpoint sampler=%q: a sampling checkpoint from before the sampler's parameters were recorded field by field cannot be resumed", c.LegacySampler)
+	case c.LegacyStaticPruned != 0:
+		return fmt.Errorf("dexplore: checkpoint static_pruned=%d: its frontier lacks the branches static pruning skipped, so it cannot be resumed", c.LegacyStaticPruned)
 	case c.Workload != "" && workload != "" && c.Workload != workload:
 		err = Mismatch("workload", "checkpoint", c.Workload, "config", workload)
 	case c.Procs != cfg.Procs:
@@ -97,7 +106,7 @@ func (c *Checkpoint) Validate(workload string, cfg *core.ExplorerConfig) error {
 		return errors.New("dexplore: checkpoint frontier holds a null task")
 	case slices.Contains(c.Errors, nil):
 		return errors.New("dexplore: checkpoint error list holds a null entry")
-	case min(c.Interleavings, c.Deadlocks, c.DecisionPoints, c.AutoAbstracted, c.WildcardsAnalyzed, c.Sampled, c.StaticPruned) < 0:
+	case min(c.Interleavings, c.Deadlocks, c.DecisionPoints, c.AutoAbstracted, c.WildcardsAnalyzed, c.Sampled) < 0:
 		return errors.New("dexplore: checkpoint report holds a negative count")
 	}
 	for _, t := range c.Frontier {
@@ -111,8 +120,7 @@ func (c *Checkpoint) Validate(workload string, cfg *core.ExplorerConfig) error {
 // Restore is the inverse of NewCheckpoint: after validating the checkpoint
 // against the resuming exploration's parameters it returns the report of
 // everything completed so far (for the engine to keep adding to) and a copy of
-// the frontier. The prune-hint table of cfg, if any, resumes from the saved
-// counters.
+// the frontier.
 func (c *Checkpoint) Restore(workload string, cfg *core.ExplorerConfig) (*core.Report, []*core.SubtreeTask, error) {
 	if err := c.Validate(workload, cfg); err != nil {
 		return nil, nil, err
@@ -120,7 +128,6 @@ func (c *Checkpoint) Restore(workload string, cfg *core.ExplorerConfig) (*core.R
 	rep := c.Report
 	rep.Errors = slices.Clone(rep.Errors) // the engine sorts its own list
 	rep.SampledDistinct = len(rep.SampledSchedules)
-	cfg.PruneHints.Restore(rep.StaticPruned, rep.PruneDisabled, rep.PruneViolations)
 	return &rep, slices.Clone(c.Frontier), nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"dampi/internal/core"
@@ -104,9 +105,8 @@ func TestFailedSaveKeepsPreviousCheckpoint(t *testing.T) {
 }
 
 // TestReportSurvivesCheckpoint: the codec is lossless on the report side —
-// every aggregate of a report, including the static-pruning state, comes
-// back deep-equal from Report → NewCheckpoint → JSON → Restore, along with
-// the frontier; and the resuming run's hint table continues from it.
+// every aggregate of a report comes back deep-equal from Report →
+// NewCheckpoint → JSON → Restore, along with the frontier.
 func TestReportSurvivesCheckpoint(t *testing.T) {
 	d := core.NewDecisions()
 	d.Force(core.EpochID{Rank: 1, LC: 7}, 3)
@@ -115,7 +115,6 @@ func TestReportSurvivesCheckpoint(t *testing.T) {
 		Unsafe: []core.UnsafeReport{{Rank: 1, LC: 7, Op: "Send", Count: 1}},
 		MaxLC:  7,
 	}
-	violation := core.PruneViolation{Key: core.PruneHintKey{Rank: 1, Tag: 2}, Observed: 0, Senders: []int{3}}
 	rep := &core.Report{
 		Interleavings:     11,
 		Deadlocks:         1,
@@ -127,9 +126,6 @@ func TestReportSurvivesCheckpoint(t *testing.T) {
 			{Err: errors.New("bang"), Decisions: core.NewDecisions()},
 		},
 		Unsafe:           trace.Unsafe,
-		StaticPruned:     5,
-		PruneDisabled:    true,
-		PruneViolations:  []core.PruneViolation{violation},
 		Sampled:          3,
 		SampledDistinct:  2,
 		SampledSchedules: []string{"{r0:[1→2]}", "{r1:[7→3]}"},
@@ -150,9 +146,7 @@ func TestReportSurvivesCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcfg := cfg
-	rcfg.PruneHints = core.NewPruneHints(map[core.PruneHintKey][]int{violation.Key: violation.Senders})
-	got, gotFrontier, err := ckp.Restore("wl", &rcfg)
+	got, gotFrontier, err := ckp.Restore("wl", &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +156,47 @@ func TestReportSurvivesCheckpoint(t *testing.T) {
 	if !reflect.DeepEqual(gotFrontier, frontier) {
 		t.Errorf("frontier changed across the checkpoint:\n got %+v\nwant %+v", gotFrontier, frontier)
 	}
-	h := rcfg.PruneHints
-	if h.Pruned() != 5 || !h.Disabled() || !reflect.DeepEqual(h.Violations(), rep.PruneViolations) {
-		t.Errorf("hint table resumed at pruned=%d disabled=%v violations=%v, want the checkpoint's",
-			h.Pruned(), h.Disabled(), h.Violations())
+}
+
+// TestStaticPruningCheckpointRefused: checkpoints written while the explorer
+// could skip branches on static hints carry static_pruned, prune_disabled
+// and prune_violations. A nonzero static_pruned means the frontier lacks the
+// skipped subtrees, so resuming it would print a clean verdict over an
+// incomplete search: it is refused by name. The other two keys decode and
+// are ignored, and none of the three is ever written.
+func TestStaticPruningCheckpointRefused(t *testing.T) {
+	cfg := core.ExplorerConfig{Procs: 4, MixingBound: 2}
+	rep := &core.Report{Interleavings: 3, DecisionPoints: 2}
+	var buf bytes.Buffer
+	if err := NewCheckpoint("wl", &cfg, rep, []*core.SubtreeTask{core.RootTask(&cfg)}).Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(buf.Bytes(), []byte("prune")) {
+		t.Fatalf("a checkpoint now writes a pruning key: %s", buf.Bytes())
+	}
+	const old = `"prune_disabled":true,"prune_violations":[{"key":{"Rank":1,"Tag":2,"Probe":false},"observed":0,"senders":[3]}],`
+	for _, tc := range []struct {
+		name, keys, want string // want "" = resumes
+	}{
+		{"disabled-and-violations", old, ""},
+		{"pruned", `"static_pruned":5,` + old, "static_pruned=5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw := bytes.Replace(buf.Bytes(), []byte(`{`), []byte(`{`+tc.keys), 1)
+			ckp, err := ReadCheckpoint(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := ckp.Restore("wl", &cfg)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("refused: %v", err)
+			case tc.want == "" && !reflect.DeepEqual(got, rep):
+				t.Errorf("report changed across the old keys:\n got %+v\nwant %+v", got, rep)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("error %v, want one naming %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -128,7 +128,6 @@ func TestCheckpointValidateRefusesWhatCannotReplay(t *testing.T) {
 		{"negative-request-index", true, core.Report{}, decided(0, -1), "out of range"},
 		{"negative-interleavings", false, core.Report{Interleavings: -5}, nil, "negative count"},
 		{"negative-deadlocks", false, core.Report{Interleavings: 1, Deadlocks: -1}, nil, "negative count"},
-		{"negative-static-pruned", false, core.Report{StaticPruned: -2}, nil, "negative count"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := core.ExplorerConfig{Procs: 3, ChoicePoints: tc.choices}

@@ -67,7 +67,7 @@ func TestJobReportPrintsThroughTheCoreRenderer(t *testing.T) {
 // contract drops on purpose.
 func TestReportFieldsCannotDrift(t *testing.T) {
 	derived := map[string]bool{"Capped": true, "SampledDistinct": true} // Seal and Restore recompute them
-	dropped := map[string]bool{"FirstTrace": true, "StaticPruned": true, "PruneDisabled": true, "PruneViolations": true}
+	dropped := map[string]bool{"FirstTrace": true}
 	d := core.NewDecisions()
 	d.Force(core.EpochID{Rank: 1, LC: 7}, 3)
 	full := core.Report{
@@ -75,9 +75,7 @@ func TestReportFieldsCannotDrift(t *testing.T) {
 		Sampled: 4, SampledDistinct: 1, SampledSchedules: []string{"{r1:[7→3]}"},
 		Unsafe: []core.UnsafeReport{{Rank: 1, LC: 7, Op: "Send", Count: 1}},
 		Errors: []*core.InterleavingResult{{Index: 7, Err: errors.New("boom"), Deadlock: true, Decisions: d}},
-		Capped: true, StaticPruned: 6, PruneDisabled: true,
-		PruneViolations: []core.PruneViolation{{Key: core.PruneHintKey{Rank: 1, Tag: 2}, Senders: []int{3}}},
-		FirstTrace:      &core.RunTrace{Epochs: []*core.EpochRecord{{Rank: 1, LC: 7}}, MaxLC: 7},
+		Capped: true, FirstTrace: &core.RunTrace{Epochs: []*core.EpochRecord{{Rank: 1, LC: 7}}, MaxLC: 7},
 	}
 	spec := dcoord.JobSpec{Workload: "w", Procs: 2}
 	cfg := spec.ExplorerConfig()

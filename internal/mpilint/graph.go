@@ -13,7 +13,7 @@ import (
 
 // This file extracts commgraph.Summary values from mpi.Proc programs: the
 // static communication summaries behind the whole-program graph checks
-// (orphan, tagmismatch, wilddet, cycle) and the explorer's prune hints.
+// (orphan, tagmismatch, wildtype, cycle) and verify.StaticHints' match sets.
 //
 // A program root is a function with the exact signature
 //
@@ -27,7 +27,7 @@ import (
 // and assuming error-free execution (an `if err != nil { return }` arm is
 // taken to be dead). Anything it cannot model — closures doing MPI, the
 // proc escaping into unknown code, go/select/goto — marks the summary
-// incomplete, which disables both the graph checks and hint derivation
+// incomplete, which disables both the graph checks and match-set derivation
 // for that root.
 
 // --- graph check definitions -------------------------------------------
@@ -46,10 +46,10 @@ var tagmismatchCheck = &checkDef{
 	graph:    true,
 }
 
-var wilddetCheck = &checkDef{
-	name:     "wilddet",
-	doc:      "wildcard receive whose static match set is a singleton (informational, graph)",
-	severity: SevInfo,
+var wildtypeCheck = &checkDef{
+	name:     "wildtype",
+	doc:      "wildcard receive a sender of a payload type it cannot decode can match (warning, graph)",
+	severity: SevWarning,
 	graph:    true,
 }
 
@@ -60,7 +60,7 @@ var cycleCheck = &checkDef{
 	graph:    true,
 }
 
-var graphChecks = []*checkDef{orphanCheck, tagmismatchCheck, wilddetCheck, cycleCheck}
+var graphChecks = []*checkDef{orphanCheck, tagmismatchCheck, wildtypeCheck, cycleCheck}
 
 // runGraphChecks runs the whole-program graph checks over one package.
 func runGraphChecks(p *pass, cls *classifier, fset *token.FileSet, files []*ast.File, checks []*checkDef) {

@@ -22,7 +22,7 @@ func TestGraphCheckFixtures(t *testing.T) {
 	for _, dir := range dirs {
 		names[filepath.Base(dir)] = true
 	}
-	for _, check := range []string{"orphan", "tagmismatch", "wilddet", "cycle"} {
+	for _, check := range []string{"orphan", "tagmismatch", "wildtype", "cycle"} {
 		if !names[check] {
 			t.Errorf("graph check %q has no seeded fixture directory", check)
 		}
@@ -46,7 +46,7 @@ func TestGraphCheckFixtures(t *testing.T) {
 
 // TestGraphChecksSilentOnShipped keeps the repo-wide contract the graph
 // checks were tuned against: over every shipped example and workload they
-// produce no unsuppressed findings (fanin's intentional wilddet is
+// produce no unsuppressed findings (fanin's deliberate wildtype is
 // suppressed in-source and must stay that way).
 func TestGraphChecksSilentOnShipped(t *testing.T) {
 	if testing.Short() {
@@ -54,29 +54,28 @@ func TestGraphChecksSilentOnShipped(t *testing.T) {
 	}
 	rep, err := Run(
 		[]string{filepath.Join("..", "..", "examples") + "/...", filepath.Join("..", "..", "workloads") + "/..."},
-		Options{Checks: []string{"orphan", "tagmismatch", "wilddet", "cycle"}},
+		Options{Checks: []string{"orphan", "tagmismatch", "wildtype", "cycle"}},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	suppressedWilddet := 0
+	suppressedWildtype := 0
 	for _, d := range rep.Diags {
 		if d.Suppressed {
-			if d.Check == "wilddet" {
-				suppressedWilddet++
+			if d.Check == "wildtype" {
+				suppressedWildtype++
 			}
 			continue
 		}
 		t.Errorf("unsuppressed graph finding on shipped code: %s", d)
 	}
-	if suppressedWilddet == 0 {
-		t.Error("expected fanin's suppressed wilddet finding; the demotable wildcard was not detected")
+	if suppressedWildtype == 0 {
+		t.Error("expected fanin's suppressed wildtype finding; the type-confused wildcard was not detected")
 	}
 }
 
-// TestProgramSummariesFanin pins the extraction the prune-hint pipeline
-// depends on: the fanin workload yields exactly one complete root whose
-// hint table makes the tag-2 wildcard receive a singleton {1}.
+// TestProgramSummariesFanin pins the extraction verify.StaticHints depends
+// on: the fanin workload yields exactly one complete root.
 func TestProgramSummariesFanin(t *testing.T) {
 	sums, err := ProgramSummaries([]string{filepath.Join("..", "..", "workloads", "fanin")}, Options{})
 	if err != nil {

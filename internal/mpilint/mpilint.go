@@ -26,9 +26,10 @@
 //	              peer at any tested world size
 //	tagmismatch — a send/receive pair that can only fail to match because
 //	              of tags or payload-type use
-//	wilddet     — a wildcard receive whose static match set is a singleton
-//	              (informational: the nondeterminism is illusory, and the
-//	              dynamic explorer can prune the branch)
+//	wildtype    — a wildcard receive that a sender whose payload type it
+//	              cannot decode can match (warning: the runtime matcher
+//	              ignores payload types, and the dynamic explorer explores
+//	              that match)
 //	cycle       — a potential deadlock cycle of blocking specific-source
 //	              receives in the static waits-for graph
 //
@@ -64,13 +65,18 @@ type Severity int
 const (
 	// SevInfo diagnostics (the wildcard audit) inform but never fail a run.
 	SevInfo Severity = iota
+	// SevWarning diagnostics print by default but never fail a run.
+	SevWarning
 	// SevError diagnostics fail the run unless suppressed.
 	SevError
 )
 
 func (s Severity) String() string {
-	if s == SevInfo {
+	switch s {
+	case SevInfo:
 		return "info"
+	case SevWarning:
+		return "warning"
 	}
 	return "error"
 }
@@ -192,7 +198,7 @@ var allChecks = []*checkDef{
 	choicepointCheck,
 	orphanCheck,
 	tagmismatchCheck,
-	wilddetCheck,
+	wildtypeCheck,
 	cycleCheck,
 }
 

@@ -120,7 +120,7 @@ func (s *Sampler) Expand(t *core.SubtreeTask, cfg *core.ExplorerConfig, trace *c
 	var ex *core.Expansion
 	if t.Depth >= cfg.SampleDepth {
 		// Below the exhaustive frontier: keep the scan (decision-point
-		// counts, prune-hint observation) but spawn no exhaustive children.
+		// counts) but spawn no exhaustive children.
 		tt := *t
 		tt.Explorable = false
 		ex = tt.ExpandExhaustive(cfg, trace)
@@ -150,9 +150,8 @@ func (s *Sampler) seedWalks(root *core.SubtreeTask, cfg *core.ExplorerConfig, tr
 
 // step expands one completed walk-step run into the walk's next step (or
 // nothing, when the step budget is spent or the trace has nothing left to
-// flip). The run's epochs still feed the prune-hint cross-check.
+// flip).
 func (s *Sampler) step(t *core.SubtreeTask, cfg *core.ExplorerConfig, trace *core.RunTrace) *core.Expansion {
-	core.ObserveEpochs(cfg, trace)
 	ex := &core.Expansion{}
 	if t.Sample.Step >= s.steps {
 		return ex

@@ -18,10 +18,10 @@ import (
 // mismatch, because a worker replaying a different program or a different
 // interleaving space would silently corrupt the merged report.
 type ClusterConfig struct {
-	// Config carries the exploration parameters. On either side PruneHints
-	// must be nil; coordinator-side, so must the fields that require running
-	// the program locally — CheckLeaks, CollectStats, OnInterleaving and
-	// Workers (replays happen on the workers).
+	// Config carries the exploration parameters. Coordinator-side, the
+	// fields that require running the program locally — CheckLeaks,
+	// CollectStats, OnInterleaving and Workers — must be unset (replays
+	// happen on the workers).
 	Config
 
 	// Workload names the program both sides run; part of the spec the
@@ -56,11 +56,8 @@ type ClusterConfig struct {
 // handshake (and replays under), and what `dampi -submit` posts to a
 // verification service. It refuses what no cluster node supports.
 func (cfg *ClusterConfig) JobSpec() (JobSpec, error) {
-	switch {
-	case cfg.Workload == "":
+	if cfg.Workload == "" {
 		return JobSpec{}, fmt.Errorf("verify: distributed verification requires a Workload name")
-	case cfg.PruneHints != nil:
-		return JobSpec{}, fmt.Errorf("verify: PruneHints is unsupported distributed (static pruning is a local-engine feature: a job spec carries no hint table)")
 	}
 	ecfg, err := cfg.explorerConfig(nil)
 	if err != nil {

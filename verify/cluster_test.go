@@ -111,7 +111,6 @@ func TestServeRejectsLocalOnlyOptions(t *testing.T) {
 		{"workers", func(c *verify.ClusterConfig) { c.Workers = 4 }, "Workers"},
 		{"no-workload", func(c *verify.ClusterConfig) { c.Workload = "" }, "Workload"},
 		{"resume", func(c *verify.ClusterConfig) { c.Resume = true }, "CheckpointFile"},
-		{"prune-hints", func(c *verify.ClusterConfig) { c.PruneHints = someHints }, "PruneHints"},
 		{"unknown-mode", func(c *verify.ClusterConfig) { c.Mode = "quantum" }, "Mode"},
 	}
 	for _, tc := range cases {
@@ -125,9 +124,6 @@ func TestServeRejectsLocalOnlyOptions(t *testing.T) {
 		})
 	}
 }
-
-// someHints is a non-empty static prune-hint table.
-var someHints = verify.NewPruneHints(map[verify.PruneHintKey][]int{{Rank: 0, Tag: 0}: {1}})
 
 // TestJoinValidation: worker-side misconfiguration fails before dialing.
 func TestJoinValidation(t *testing.T) {
@@ -144,13 +140,6 @@ func TestJoinValidation(t *testing.T) {
 	bad.Procs = 0
 	if _, err := verify.Join(bad, racyProgram); err == nil {
 		t.Error("Procs=0 accepted")
-	}
-	// A hint table was dropped silently: the worker would replay unpruned
-	// what its owner believes is pruned.
-	bad = good
-	bad.PruneHints = someHints
-	if _, err := verify.Join(bad, racyProgram); err == nil || !strings.Contains(err.Error(), "PruneHints") {
-		t.Errorf("Join with PruneHints: %v, want an error naming the field", err)
 	}
 }
 

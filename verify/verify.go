@@ -154,13 +154,6 @@ type Config struct {
 	OnProgress func(p Progress)
 	// ProgressEvery is the OnProgress period.
 	ProgressEvery time.Duration
-	// PruneHints is an optional static prune-hint table (usually built with
-	// StaticHints from the program's source): wildcard decision points whose
-	// statically derived sender set is a singleton are not branched on.
-	// Every observed match is cross-checked against the table; a mismatch
-	// disables pruning for the rest of the exploration and is surfaced via
-	// Result.PruneViolations. Nil verifies without static pruning.
-	PruneHints *PruneHints
 	// Mode selects the exploration mode: ModeExhaustive ("" or "exhaustive",
 	// the default full DFS) or ModeSample ("sample", seeded schedule
 	// sampling: exhaustive below SampleDepth, seeded walks beyond).
@@ -235,16 +228,6 @@ func (cfg *Config) explorerConfig(program func(p *mpi.Proc) error) (core.Explore
 	return ecfg, nil
 }
 
-// PruneHints is a static prune-hint table shared by all replay workers.
-type PruneHints = core.PruneHints
-
-// PruneHintKey identifies one wildcard decision-point class in a hint table.
-type PruneHintKey = core.PruneHintKey
-
-// NewPruneHints builds a hint table from sender sets keyed by decision
-// point; see core.NewPruneHints.
-func NewPruneHints(sets map[PruneHintKey][]int) *PruneHints { return core.NewPruneHints(sets) }
-
 // Progress is a live exploration throughput snapshot.
 type Progress = dexplore.Progress
 
@@ -312,7 +295,7 @@ func Run(cfg Config, program func(p *mpi.Proc) error) (*Result, error) {
 		}
 		return hs
 	}
-	ecfg.PruneHints, ecfg.ExtraHooks, ecfg.OnInterleaving = cfg.PruneHints, extra, cfg.OnInterleaving
+	ecfg.ExtraHooks, ecfg.OnInterleaving = extra, cfg.OnInterleaving
 	dcfg := dexplore.Config{
 		Explorer:        ecfg,
 		Workers:         cfg.Workers,

@@ -1,18 +1,18 @@
-// Package fanin is a master-side fan-in workload built so that one of its
-// wildcard decision points is statically deterministic: rank 0 posts a
-// wildcard control receive that two ranks target, but only one of them
-// sends a payload the master actually decodes. The dynamic matcher (which
-// ignores payload types) sees two feasible senders and would branch; the
-// static communication graph's payload-type refinement proves the match is
-// a singleton, so `dampi -static-prune` explores strictly fewer
-// interleavings with an identical verdict. A control probe and a
-// deterministic data fan-in round out the traffic.
+// Package fanin is a master-side fan-in workload around a type-confused
+// wildcard: rank 0 posts a wildcard control receive that two ranks target,
+// but only rank 1 sends the float64 vector the master decodes; rank 2 sends
+// raw bytes. The runtime matcher ignores payload types, so both matches are
+// feasible and the explorer replays both; in the second the master decodes
+// rank 2's bytes as garbage. This program ignores the decoded sum, so it
+// verifies clean, and mpilint's wildtype check names rank 2 statically. A
+// variant that checks the sum is a seeded-bug test of package verify. A
+// control probe and a deterministic data fan-in round out the traffic.
 //
 // The shape is deliberately deterministic at MixingBound 0: rank 2's
 // control send is causally ordered after rank 1's (rank 2 waits for a note
 // from rank 1 first), so the wildcard's observed match never races, and
 // rank 3 pumps rank 0's Lamport clock with pings so rank 2's control send
-// stays "late" and is recorded as the alternate the pruner skips.
+// stays "late" and is recorded as the alternate the explorer flips.
 package fanin
 
 import (
@@ -60,11 +60,9 @@ func Program(cfg Config) func(p *mpi.Proc) error {
 					return err
 				}
 			}
-			// The statically deterministic wildcard: both rank 1 and rank 2
-			// send tagCtl here, but only rank 1's payload is a float64
-			// vector; the static match set refined by payload type is the
-			// singleton {1}.
-			//mpilint:ignore wilddet -- intentional: this demotable wildcard is what -static-prune demonstrates
+			// The type-confused wildcard: both rank 1 and rank 2 send tagCtl
+			// here, but only rank 1's payload is a float64 vector.
+			//mpilint:ignore wildtype -- deliberate: decoding rank 2's raw bytes as garbage is what this workload demonstrates
 			ctl, _, err := p.Recv(mpi.AnySource, tagCtl, c)
 			if err != nil {
 				return err
@@ -111,8 +109,8 @@ func Program(cfg Config) func(p *mpi.Proc) error {
 			if _, _, err := p.Recv(1, tagNote, c); err != nil {
 				return err
 			}
-			// Raw bytes, not an encoded float64 vector: the payload-type
-			// refinement removes this sender from the wildcard's match set.
+			// Raw bytes, not an encoded float64 vector: matched at rank 0's
+			// wildcard, they decode as garbage.
 			if err := p.Send(0, tagCtl, []byte("ctl"), c); err != nil {
 				return err
 			}

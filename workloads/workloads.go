@@ -118,7 +118,7 @@ func init() {
 	})
 	register(&Workload{
 		Name: "fanin", Suite: "paper", MinProcs: fanin.MinProcs, HasWildcards: true,
-		Description: "control/data fan-in with a statically deterministic wildcard (static prune-hint demo)",
+		Description: "control/data fan-in with a type-confused wildcard (a raw-bytes sender can match a float64 decode)",
 		Program: func(p Params) func(*mpi.Proc) error {
 			return fanin.Program(fanin.Config{})
 		},
