@@ -90,12 +90,11 @@ type Table1Row struct {
 func Table1(procSizes []int, scale int) ([]Table1Row, error) {
 	var rows []Table1Row
 	for _, procs := range procSizes {
-		stats := trace.NewStats(procs)
-		w := mpi.NewWorld(mpi.Config{Procs: procs, Hooks: stats.Hooks()})
+		w := mpi.NewWorld(mpi.Config{Procs: procs})
 		if err := w.Run(parmetis.Program(parmetis.Config{Scale: scale})); err != nil {
 			return nil, fmt.Errorf("table1 p=%d: %w", procs, err)
 		}
-		rows = append(rows, Table1Row{Procs: procs, Totals: stats.Totals(), ScaledBy: scale})
+		rows = append(rows, Table1Row{Procs: procs, Totals: trace.NewStats(procs, w.Ops()).Totals(), ScaledBy: scale})
 	}
 	return rows, nil
 }

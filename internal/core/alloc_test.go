@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dampi/internal/race"
+	"dampi/mpi"
 	"dampi/workloads/adlb"
 )
 
@@ -13,8 +14,8 @@ import (
 // it (trace, reproducer, application payloads), not what its world is made
 // of. Bytes, because a single 8 KB slab per rank is one malloc — and mallocs,
 // because a coroutine started per rank per world is 12 small objects (96 of
-// them, 2.7 KB, at 8 ranks): the replay measures 56.00 and 5.77 KB, every run
-// (74 and 6.19 KB when each world built its World, member list and RunError
+// them, 2.7 KB, at 8 ranks): the replay measures 56.00 and 5.85 KB, every run
+// (5.77 KB before a kept trace carried the world's leaks and counts; 74 and 6.19 KB when each world built its World, member list and RunError
 // and clock buffers drained the sender's per-rank freelist, 76 and 6.5 KB
 // when the tool opened each world with a shadow CommDup, 172 when World.Run
 // called iter.Pull itself), so budgets of 62 and 7 KB let neither a
@@ -65,11 +66,54 @@ func TestWarmReplayAllocBudget(t *testing.T) {
 // result and expansion per replay measure 2.14 KB in 73.5, and a fresh trace
 // and reproducer besides 7.01 KB.
 func TestWarmExploreAllocBudget(t *testing.T) {
+	const budgetKB, budgetMallocs = 1.8, 60
+	kb, mallocs := warmExploreCost(t, "ADLB p=8 k=2", adlb.Program(adlb.DriverConfig{}))
+	if kb > budgetKB {
+		t.Fatalf("a replay in a warm lease allocates %.2f KB (budget %.1f KB)", kb, budgetKB)
+	}
+	if mallocs > budgetMallocs {
+		t.Fatalf("a replay in a warm lease makes %.1f allocations (budget %d)", mallocs, budgetMallocs)
+	}
+}
+
+// TestWarmLeakingExploreAllocBudget: a program that leaks a communicator and
+// a request on every rank costs a replay in a warm lease no more than it did
+// when no replay tracked leaks: the runtime builds leak records only for a
+// trace a caller keeps, and the list of requests handed to the program
+// reuses its storage. ADLB p=8, k=2 with the two leaks measures 4.41 KB in
+// 79.8 mallocs per replay, every run (4.66 KB in 87.8 while each collective
+// built a closure for its post hooks, and no replay in a lease tracked
+// leaks); one allocation per rank per world would cross the budget.
+func TestWarmLeakingExploreAllocBudget(t *testing.T) {
+	const budgetKB, budgetMallocs = 4.5, 82
+	run := adlb.Program(adlb.DriverConfig{})
+	kb, mallocs := warmExploreCost(t, "leaking ADLB p=8 k=2", func(p *mpi.Proc) error {
+		c := p.CommWorld()
+		if _, err := p.CommDup(c); err != nil { // never freed
+			return err
+		}
+		if _, err := p.Irecv(p.Rank(), 999, c); err != nil { // never sent, never waited
+			return err
+		}
+		return run(p)
+	})
+	if kb > budgetKB {
+		t.Fatalf("a leaking replay in a warm lease allocates %.2f KB (budget %.1f KB)", kb, budgetKB)
+	}
+	if mallocs > budgetMallocs {
+		t.Fatalf("a leaking replay in a warm lease makes %.1f allocations (budget %d)", mallocs, budgetMallocs)
+	}
+}
+
+// warmExploreCost runs program's p=8, k=2 search for a few dozen replays,
+// then measures a lease of 300 more on the warm context: KB and mallocs per
+// replay. Every replay must be clean.
+func warmExploreCost(t *testing.T, name string, program func(p *mpi.Proc) error) (kb, mallocs float64) {
 	if race.Enabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
-	const warm, replays, budgetKB, budgetMallocs = 40, 300, 1.8, 60
-	cfg := &ExplorerConfig{Procs: 8, Program: adlb.Program(adlb.DriverConfig{}), MixingBound: 2}
+	const warm, replays = 40, 300
+	cfg := &ExplorerConfig{Procs: 8, Program: program, MixingBound: 2}
 	rc := NewRunContext(cfg)
 	_, stack, _, err := rc.Explore([]*SubtreeTask{RootTask(cfg)}, warm, false, nil)
 	if err != nil {
@@ -85,13 +129,8 @@ func TestWarmExploreAllocBudget(t *testing.T) {
 	if rep.Interleavings != replays || rep.Errored() || rep.Deadlocks > 0 {
 		t.Fatalf("lease ran %d replays (%d errors, %d deadlocks), want %d clean ones", rep.Interleavings, len(rep.Errors), rep.Deadlocks, replays)
 	}
-	perReplayKB := float64(after.TotalAlloc-before.TotalAlloc) / replays / 1024
-	perReplayMallocs := float64(after.Mallocs-before.Mallocs) / replays
-	t.Logf("warm ADLB p=8 k=2 lease: %.2f KB, %.2f mallocs per replay", perReplayKB, perReplayMallocs)
-	if perReplayKB > budgetKB {
-		t.Fatalf("a replay in a warm lease allocates %.2f KB (budget %.1f KB)", perReplayKB, budgetKB)
-	}
-	if perReplayMallocs > budgetMallocs {
-		t.Fatalf("a replay in a warm lease makes %.1f allocations (budget %d)", perReplayMallocs, budgetMallocs)
-	}
+	kb = float64(after.TotalAlloc-before.TotalAlloc) / replays / 1024
+	mallocs = float64(after.Mallocs-before.Mallocs) / replays
+	t.Logf("warm %s lease: %.2f KB, %.2f mallocs per replay", name, kb, mallocs)
+	return kb, mallocs
 }

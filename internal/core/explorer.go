@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sort"
 
-	"dampi/internal/pnmpi"
 	"dampi/mpi"
 )
 
@@ -53,10 +52,6 @@ type ExplorerConfig struct {
 	// Depth >= SampleDepth spawn no exhaustive children ("exhaustive below
 	// depth d, sampled beyond").
 	SampleDepth int
-	// ExtraHooks are additional tool layers stacked below DAMPI's (leak
-	// checking, statistics). A fresh set is built per replay via the factory
-	// so per-run tools don't leak state across interleavings.
-	ExtraHooks func() []*mpi.Hooks
 	// OnInterleaving, if set, observes each replay's result as it happens.
 	// Setting it costs every replay its reproducer (Decisions), which a
 	// search otherwise builds only for a result it keeps: a failure, or a
@@ -374,7 +369,7 @@ func (e *Explorer) Explore() (*Report, error) {
 
 // RunContext is a reusable replay slot: it executes sequential instrumented
 // runs of one configuration, recycling the DAMPI Tool (per-rank state,
-// scratch buffers, epoch freelists), the hook stack and the mpi runtime's
+// scratch buffers, epoch freelists), its hooks and the mpi runtime's
 // storage (mpi.Pools: request slabs, freelists, world skeleton, the rank
 // coroutines) across runs. The serial explorer owns one; the lease engines
 // give each slot its own. A RunContext must not run concurrently with
@@ -393,7 +388,7 @@ func (e *Explorer) Explore() (*Report, error) {
 type RunContext struct {
 	cfg       *ExplorerConfig
 	tool      *Tool
-	toolHooks *mpi.Hooks         // cached stack when no extra hook layers are present
+	toolHooks *mpi.Hooks         // the tool's hooks: every run's one tool layer
 	pools     *mpi.Pools         // runtime storage carried from world to world
 	traces    traceStore         // where Explore builds the traces it drops
 	result    InterleavingResult // where Explore builds the results it drops
@@ -463,9 +458,10 @@ func reproducer(decisions *Decisions, trace *RunTrace) *Decisions {
 	return d
 }
 
-// execute performs one instrumented run on the context's recycled tool, hook
-// stack and pools, and returns its trace — built in store when that is
-// non-nil (see Tool.trace) — and its result, without a reproducer.
+// execute performs one instrumented run on the context's recycled tool and
+// pools, and returns its trace and its result, without a reproducer. The
+// trace is built in store when that is non-nil (see Tool.trace); otherwise it
+// is fresh and also carries what the world reported of the program's MPI use.
 func (rc *RunContext) execute(decisions *Decisions, store *traceStore) (*RunTrace, InterleavingResult) {
 	cfg := rc.cfg
 	if rc.tool == nil {
@@ -480,28 +476,18 @@ func (rc *RunContext) execute(decisions *Decisions, store *traceStore) (*RunTrac
 	} else {
 		rc.tool.Reset(decisions)
 	}
-	// ExtraHooks is consulted every run: factories that return layers only
-	// for the first run (e.g. verify's leak checker) get a tool-only stack
-	// afterwards, which is cached and reused.
-	var extra []*mpi.Hooks
-	if cfg.ExtraHooks != nil {
-		extra = cfg.ExtraHooks()
-	}
-	var hooks *mpi.Hooks
-	if len(extra) == 0 {
-		if rc.toolHooks == nil {
-			rc.toolHooks = pnmpi.Stack(rc.tool.Hooks())
-		}
-		hooks = rc.toolHooks
-	} else {
-		hooks = pnmpi.Stack(append([]*mpi.Hooks{rc.tool.Hooks()}, extra...)...)
+	if rc.toolHooks == nil {
+		rc.toolHooks = rc.tool.Hooks()
 	}
 	if rc.pools == nil {
 		rc.pools = mpi.NewPools(cfg.Procs)
 	}
-	world := mpi.NewWorld(mpi.Config{Procs: cfg.Procs, Hooks: hooks, Pools: rc.pools})
+	world := mpi.NewWorld(mpi.Config{Procs: cfg.Procs, Hooks: rc.toolHooks, Pools: rc.pools})
 	runErr := world.Run(cfg.Program)
 	trace := rc.tool.trace(store)
+	if store == nil {
+		trace.CommLeaks, trace.RequestLeaks, trace.Ops = world.CommLeaks(), world.RequestLeaks(), world.Ops()
+	}
 
 	res := InterleavingResult{
 		Err:        runErr,

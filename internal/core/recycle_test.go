@@ -10,8 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"dampi/internal/leak"
-	"dampi/internal/trace"
+	"dampi/internal/pnmpi"
 	"dampi/mpi"
 	"dampi/workloads/adlb"
 )
@@ -75,44 +74,38 @@ func (r *identityRecorder) hooks() *mpi.Hooks {
 	}
 }
 
-// TestRecycledRequestsKeepDistinctIdentities: under the full verifier stack
-// (core.Tool over leak.Tracker over trace.Stats), a recycled request is never
-// seen by a PostSend/PostRecv/Complete hook under the identity it had before
-// it was freed, no request is reissued before its Complete hook ran, and the
-// layers that key on the pointer (leak tracking) stay exact.
+// TestRecycledRequestsKeepDistinctIdentities: under the verifier's tool, on
+// worlds that carry their storage from one to the next, a recycled request is
+// never seen by a PostSend/PostRecv/Complete hook under the identity it had
+// before it was freed, no request is reissued before its Complete hook ran,
+// and the facts the runtime keeps per request and per call (leaked requests,
+// Table I counts) stay exact.
 func TestRecycledRequestsKeepDistinctIdentities(t *testing.T) {
 	const procs = 4
-	var rec *identityRecorder
-	var leaks *leak.Tracker
-	var stats *trace.Stats
-	cfg := &ExplorerConfig{
-		Procs:   procs,
-		Program: adlb.Program(adlb.DriverConfig{}),
-		ExtraHooks: func() []*mpi.Hooks {
-			rec, leaks, stats = newIdentityRecorder(t), leak.NewTracker(), trace.NewStats(procs)
-			return []*mpi.Hooks{leaks.Hooks(), stats.Hooks(), rec.hooks()}
-		},
-	}
-	rc := NewRunContext(cfg)
-	defer rc.Close()
+	program := adlb.Program(adlb.DriverConfig{})
+	pools := mpi.NewPools(procs)
+	defer pools.Close()
+	tool := NewTool(ToolConfig{Procs: procs})
 	var decisions *Decisions
 	for run := 0; run < 5; run++ { // later runs start on recycled storage
-		_, res, err := rc.Run(decisions)
-		if err != nil || res.Err != nil {
-			t.Fatalf("run %d: %v / %v", run, err, res.Err)
+		tool.Reset(decisions)
+		rec := newIdentityRecorder(t)
+		w := mpi.NewWorld(mpi.Config{Procs: procs, Hooks: pnmpi.Stack(tool.Hooks(), rec.hooks()), Pools: pools})
+		if err := w.Run(program); err != nil {
+			t.Fatalf("run %d: %v", run, err)
 		}
-		decisions = res.Decisions
+		decisions = reproducer(decisions, tool.Trace())
 		if len(rec.live) != 0 {
 			t.Errorf("run %d: %d requests never completed: %v", run, len(rec.live), rec.live)
 		}
 		if rec.recycled == 0 {
 			t.Errorf("run %d: no request was recycled; the test exercises nothing", run)
 		}
-		if rep := leaks.Report(); rep.HasRequestLeak() {
-			t.Errorf("run %d: leak tracker confused by recycling: %v", run, rep.RequestLeaks)
+		if leaks := w.RequestLeaks(); len(leaks) > 0 {
+			t.Errorf("run %d: leak facts confused by recycling: %v", run, leaks)
 		}
-		if got, want := int(stats.Totals().SendRecv), len(rec.seen); got < want {
-			t.Errorf("run %d: trace layer counted %d send/recv ops, recorder saw %d", run, got, want)
+		if got, want := int(w.Ops().SendRecv), len(rec.seen); got < want {
+			t.Errorf("run %d: the runtime counted %d send/recv ops, recorder saw %d", run, got, want)
 		}
 	}
 }

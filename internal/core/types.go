@@ -12,7 +12,11 @@
 // decisions, and produces the Epoch Decisions that guide the next replay.
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"dampi/mpi"
+)
 
 // ClockMode selects the causality tracking precision (paper §II-C/§II-F).
 type ClockMode int
@@ -183,6 +187,13 @@ type RunTrace struct {
 	Mismatches []ForcedMismatch `json:"mismatches,omitempty"`
 	// MaxLC is the largest Lamport clock observed (a size measure).
 	MaxLC uint64 `json:"max_lc"`
+	// CommLeaks, RequestLeaks and Ops are what the run's world reported of
+	// the program's own MPI use (mpi.World.CommLeaks, RequestLeaks, Ops): the
+	// paper's Table II leak checks and Table I counts. A trace the run hands
+	// its caller to keep carries them; they are not saved with it.
+	CommLeaks    []mpi.CommLeak    `json:"-"`
+	RequestLeaks []mpi.RequestLeak `json:"-"`
+	Ops          mpi.OpCounts      `json:"-"`
 }
 
 // WildcardCount returns the number of wildcard receive/probe epochs

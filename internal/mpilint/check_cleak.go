@@ -3,9 +3,10 @@ package mpilint
 import "go/ast"
 
 // cleak: a communicator created by CommDup/CommSplit must reach a CommFree
-// — the static mirror of the dynamic C-leak check in internal/leak. Using
-// the communicator for traffic is neutral (it does not free it); escaping
-// the function transfers the obligation to the caller.
+// — the static mirror of the dynamic C-leak check the mpi runtime keeps
+// (World.CommLeaks). Using the communicator for traffic is neutral (it does
+// not free it); escaping the function transfers the obligation to the
+// caller.
 
 var cleakCheck = &checkDef{
 	name:     "cleak",

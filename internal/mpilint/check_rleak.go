@@ -4,10 +4,10 @@ import "go/ast"
 
 // rleak: a request created by Isend/Issend/Irecv must reach a completion
 // call (Wait/Test/Waitall/Waitany/Testall/Testany/Waitsome/Cancel) — the
-// static mirror of the dynamic R-leak check in internal/leak. A request
-// that escapes the function (returned, stored, passed on) is assumed
-// completed elsewhere; a request with no completion and no escape leaks on
-// every path through the function.
+// static mirror of the dynamic R-leak check the mpi runtime keeps
+// (World.RequestLeaks). A request that escapes the function (returned,
+// stored, passed on) is assumed completed elsewhere; a request with no
+// completion and no escape leaks on every path through the function.
 
 var rleakCheck = &checkDef{
 	name:     "rleak",

@@ -4,7 +4,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"dampi/internal/leak"
 	"dampi/internal/mpilint"
 	"dampi/internal/mpilint/testprogs"
 	"dampi/mpi"
@@ -12,7 +11,7 @@ import (
 
 // TestStaticDynamicCrossCheck runs the same programs through both verifiers:
 // mpilint's flow-insensitive rleak/cleak checks over the testprogs sources,
-// and the dynamic leak tracker over an actual execution. For these programs
+// and the runtime's own leak facts over an actual execution. For these programs
 // the two must agree exactly — a static R-leak/C-leak finding in a file iff
 // the dynamic run of that file's program leaks a request/communicator.
 func TestStaticDynamicCrossCheck(t *testing.T) {
@@ -45,20 +44,18 @@ func TestStaticDynamicCrossCheck(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.file, func(t *testing.T) {
-			tr := leak.NewTracker()
-			w := mpi.NewWorld(mpi.Config{Procs: 2, Hooks: tr.Hooks()})
+			w := mpi.NewWorld(mpi.Config{Procs: 2})
 			if err := w.Run(tc.prog); err != nil {
 				t.Fatalf("dynamic run: %v", err)
 			}
-			dyn := tr.Report()
 
 			// Sanity-pin the expected verdicts, then require both sides to
 			// match them — so a failure says which verifier regressed.
-			if got := dyn.HasRequestLeak(); got != tc.wantRleak {
-				t.Errorf("dynamic R-leak = %v, want %v (report: %v)", got, tc.wantRleak, dyn.RequestLeaks)
+			if rleaks := w.RequestLeaks(); (len(rleaks) > 0) != tc.wantRleak {
+				t.Errorf("dynamic R-leak = %v, want %v (report: %v)", len(rleaks) > 0, tc.wantRleak, rleaks)
 			}
-			if got := dyn.HasCommLeak(); got != tc.wantCleak {
-				t.Errorf("dynamic C-leak = %v, want %v (report: %v)", got, tc.wantCleak, dyn.CommLeaks)
+			if cleaks := w.CommLeaks(); (len(cleaks) > 0) != tc.wantCleak {
+				t.Errorf("dynamic C-leak = %v, want %v (report: %v)", len(cleaks) > 0, tc.wantCleak, cleaks)
 			}
 			if got := staticLeaks[tc.file]["rleak"]; got != tc.wantRleak {
 				t.Errorf("static rleak finding = %v, want %v", got, tc.wantRleak)

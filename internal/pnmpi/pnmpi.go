@@ -2,6 +2,8 @@
 // manner of PnMPI module stacking: on the way into the runtime (Pre* hooks
 // and Init) layers run in stack order; on the way out (Post* hooks, Complete,
 // AtFinalize) they run in reverse, so layer 0 brackets everything below it.
+// The verifier runs one tool layer (core.Tool) and needs no stack; tests and
+// the benchmark stack observers beside it.
 //
 // Clock exchange on collectives is special-cased: exactly one layer may own
 // the clock (the first layer providing CollClockIn); its contribution is used
@@ -72,6 +74,20 @@ func Stack(layers ...*mpi.Hooks) *mpi.Hooks {
 		for _, l := range ls {
 			if l.PreWait != nil {
 				l.PreWait(p, reqs)
+			}
+		}
+	}
+	out.PreWaitany = func(p *mpi.Proc, op *mpi.WaitanyOp) {
+		for _, l := range ls {
+			if l.PreWaitany != nil {
+				l.PreWaitany(p, op)
+			}
+		}
+	}
+	out.PostWaitany = func(p *mpi.Proc, op *mpi.WaitanyOp, idx int, st mpi.Status) {
+		for i := len(ls) - 1; i >= 0; i-- {
+			if ls[i].PostWaitany != nil {
+				ls[i].PostWaitany(p, op, idx, st)
 			}
 		}
 	}

@@ -101,3 +101,56 @@ func TestClockOwnership(t *testing.T) {
 		t.Fatalf("owner clock out = %v, want [7] (max over ranks)", gotOut)
 	}
 }
+
+// TestStackComposesEveryHook walks mpi.Hooks by reflection: a layer that sets
+// any one hook is called through a two-layer stack, above or below a layer
+// that sets nothing, so a hook added to mpi.Hooks cannot be dropped by Stack
+// silently. A CollClockOut layer also sets CollClockIn: only the clock owner
+// gets the combined clock back.
+func TestStackComposesEveryHook(t *testing.T) {
+	typ := reflect.TypeOf(mpi.Hooks{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Func {
+			continue
+		}
+		for below := 0; below < 2; below++ {
+			called := false
+			layer := &mpi.Hooks{}
+			set := func(name string) {
+				ft := reflect.ValueOf(layer).Elem().FieldByName(name)
+				ft.Set(reflect.MakeFunc(ft.Type(), func([]reflect.Value) []reflect.Value {
+					if name == f.Name {
+						called = true
+					}
+					out := make([]reflect.Value, ft.Type().NumOut())
+					for j := range out {
+						out[j] = reflect.Zero(ft.Type().Out(j))
+					}
+					return out
+				}))
+			}
+			set(f.Name)
+			if f.Name == "CollClockOut" {
+				set("CollClockIn")
+			}
+			layers := []*mpi.Hooks{layer, {}}
+			if below == 1 {
+				layers[0], layers[1] = layers[1], layers[0]
+			}
+			hook := reflect.ValueOf(Stack(layers...)).Elem().Field(i)
+			if hook.IsNil() {
+				t.Errorf("%s: a two-layer stack leaves it nil", f.Name)
+				continue
+			}
+			args := make([]reflect.Value, hook.Type().NumIn())
+			for j := range args {
+				args[j] = reflect.Zero(hook.Type().In(j))
+			}
+			hook.Call(args)
+			if !called {
+				t.Errorf("%s: the stack does not call it in layer %d of 2", f.Name, below)
+			}
+		}
+	}
+}

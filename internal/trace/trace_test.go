@@ -6,10 +6,19 @@ import (
 	"dampi/mpi"
 )
 
+// run executes program natively and tallies what the world counted.
+func run(t *testing.T, procs int, program func(p *mpi.Proc) error) Totals {
+	t.Helper()
+	w := mpi.NewWorld(mpi.Config{Procs: procs})
+	if err := w.Run(program); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return NewStats(procs, w.Ops()).Totals()
+}
+
 func TestCategoriesCounted(t *testing.T) {
-	s := NewStats(2)
-	w := mpi.NewWorld(mpi.Config{Procs: 2, Hooks: s.Hooks()})
-	err := w.Run(func(p *mpi.Proc) error {
+	var r0 mpi.OpCounts
+	tot := run(t, 2, func(p *mpi.Proc) error {
 		c := p.CommWorld()
 		if p.Rank() == 0 {
 			// 1 blocking send (Send-Recv, no Wait), 1 Isend + Wait.
@@ -23,6 +32,7 @@ func TestCategoriesCounted(t *testing.T) {
 			if _, err := p.Wait(req); err != nil {
 				return err
 			}
+			r0 = p.World().Ops() // rank 0 holds the turn until the barrier: its own calls
 		} else {
 			if _, _, err := p.Recv(0, 0, c); err != nil {
 				return err
@@ -37,10 +47,6 @@ func TestCategoriesCounted(t *testing.T) {
 		}
 		return p.Barrier(c)
 	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	tot := s.Totals()
 	// 2 sends + 2 recvs = 4 Send-Recv; 2 Waits; 2 Barriers.
 	if tot.SendRecv != 4 {
 		t.Errorf("SendRecv = %d, want 4", tot.SendRecv)
@@ -54,9 +60,8 @@ func TestCategoriesCounted(t *testing.T) {
 	if tot.All != 8 {
 		t.Errorf("All = %d, want 8", tot.All)
 	}
-	r0 := s.RankTotals(0)
-	if r0.SendRecv != 2 || r0.Wait != 1 || r0.Coll != 1 {
-		t.Errorf("rank 0 totals = %+v", r0)
+	if want := (mpi.OpCounts{SendRecv: 2, Wait: 1}); r0 != want {
+		t.Errorf("rank 0's counts before its barrier = %+v, want %+v", r0, want)
 	}
 	if tot.AllPerProc() != 4 || tot.SendRecvPerProc() != 2 || tot.CollPerProc() != 1 || tot.WaitPerProc() != 1 {
 		t.Errorf("per-proc helpers wrong: %+v", tot)
@@ -64,9 +69,7 @@ func TestCategoriesCounted(t *testing.T) {
 }
 
 func TestProbesCountAsSendRecv(t *testing.T) {
-	s := NewStats(2)
-	w := mpi.NewWorld(mpi.Config{Procs: 2, Hooks: s.Hooks()})
-	err := w.Run(func(p *mpi.Proc) error {
+	tot := run(t, 2, func(p *mpi.Proc) error {
 		c := p.CommWorld()
 		if p.Rank() == 0 {
 			return p.Send(1, 0, []byte("x"), c)
@@ -77,21 +80,15 @@ func TestProbesCountAsSendRecv(t *testing.T) {
 		_, _, err := p.Recv(0, 0, c)
 		return err
 	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
 	// send + probe + recv.
-	if got := s.Totals().SendRecv; got != 3 {
+	if got := tot.SendRecv; got != 3 {
 		t.Errorf("SendRecv = %d, want 3", got)
 	}
 }
 
 func TestStringers(t *testing.T) {
-	s := NewStats(1)
-	if s.Totals().String() == "" {
-		t.Fatal("empty Totals string")
-	}
-	if s.Procs() != 1 {
-		t.Fatal("Procs wrong")
+	tot := NewStats(1, mpi.OpCounts{SendRecv: 1, Coll: 2, Wait: 3}).Totals()
+	if got, want := tot.String(), "ops{procs=1 all=6 sendrecv=1 coll=2 wait=3}"; got != want {
+		t.Fatalf("Totals string %q, want %q", got, want)
 	}
 }

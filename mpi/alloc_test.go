@@ -120,8 +120,10 @@ func TestWarmWorldStartsNoCoroutine(t *testing.T) {
 // 129 objects for an empty 8-rank world (7 976 in 128 once the per-member
 // arrays of a communicator became one; 7 640 in 126 now that the world
 // communicator's members are written in place and a clean run builds no
-// RunError). The context's mailboxes exist from the first PMPI.Tool on, and
-// the handle's three words fit where the second array's header was.
+// RunError; 7 912 in 126 since each rank's request storage has room for the
+// list of requests handed to the program, which RequestLeaks reads). The
+// context's mailboxes exist from the first PMPI.Tool on, and the handle's
+// three words fit where the second array's header was.
 func TestColdNativeWorldPaysNothingForTools(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation inflates allocation counts")

@@ -190,7 +190,7 @@ func (c Comm) String() string {
 	if c.info == nil {
 		return "Comm(<nil>)"
 	}
-	return fmt.Sprintf("Comm(%s#%d rank %d/%d)", c.info.label(), c.info.id, c.localRank, len(c.info.members))
+	return c.info.ref(c.localRank).String()
 }
 
 // checkLive reports a usage error if the holder already freed this

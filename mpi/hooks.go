@@ -103,9 +103,11 @@ type CollOp struct {
 	Root int // meaningful for rooted collectives; 0 otherwise
 }
 
-// Hooks is the tool layer. All fields are optional; nil fields are skipped.
-// Compose multiple tools with pnmpi.Stack. Every hook but Idle runs on the
-// calling rank's goroutine, on that rank's turn.
+// Hooks is the tool layer: a world has one (Config.Hooks). All fields are
+// optional; nil fields are skipped. Every hook but Idle runs on the calling
+// rank's goroutine, on that rank's turn. What a tool would only count or
+// track per rank — the Table I operation mix, leaked communicators and
+// requests — the world already keeps (World.Ops, CommLeaks, RequestLeaks).
 //
 // Lifetimes: the SendOp/RecvOp/ProbeOp descriptors and the PreWait slice are
 // per-rank scratch owned by the runtime, valid until the hooked MPI call
@@ -167,7 +169,7 @@ type Hooks struct {
 	Pcontrol func(p *Proc, level int, arg string)
 
 	// AtFinalize runs when the rank's program returns, before the rank is
-	// marked finished. Leak checks report here.
+	// marked finished.
 	AtFinalize func(p *Proc)
 
 	// Idle runs on the goroutine of World.Run when no rank is runnable and

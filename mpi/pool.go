@@ -1,6 +1,9 @@
 package mpi
 
-import "iter"
+import (
+	"iter"
+	"slices"
+)
 
 // Allocation pools for the replay hot path. A replay engine runs thousands of
 // short-lived worlds, so whatever a world allocates for its own construction
@@ -230,11 +233,30 @@ func (pl *Pools) putBuf(b []byte) {
 	pl.bufs = append(pl.bufs, b[:0])
 }
 
-// rankPool is one rank's request storage: its freed requests and the rest
-// of its slab.
+// rankPool is one rank's request storage: its freed requests, the rest of
+// its slab, and the requests the current world handed to its program.
 type rankPool struct {
 	reqs    []*Request // freed requests (Request.Free)
 	reqSlab []Request  // unused remainder of the current request slab
+	// escaped holds the requests Isend/Issend/Irecv handed to the program in
+	// this world, the consumed ones dropped whenever it fills: what
+	// RequestLeaks reads. NewWorld empties it, keeping its capacity.
+	escaped []*Request
+}
+
+// escape records a request handed to the program. Before the list grows it
+// drops the requests already consumed, and it grows only if that freed less
+// than half of it: its length stays within twice the program's live handles,
+// in amortized constant time.
+func (rp *rankPool) escape(r *Request) {
+	if l := rp.escaped; len(l) == cap(l) && len(l) > 0 {
+		l = slices.DeleteFunc(l, func(r *Request) bool { return r.consumed })
+		if len(l) > cap(l)/2 {
+			l = slices.Grow(l, cap(l))
+		}
+		rp.escaped = l
+	}
+	rp.escaped = append(rp.escaped, r)
 }
 
 // reqSlabSize is the per-rank Request slab length. A held request pins at

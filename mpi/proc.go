@@ -18,6 +18,7 @@ type Proc struct {
 
 	park      parking // what the rank is parked on; kind parkNone while it runs
 	err       error   // what the program returned
+	returned  bool    // the program returned (did not panic or Goexit)
 	finished  bool
 	finalized bool
 
@@ -151,10 +152,12 @@ func (p *Proc) Issend(dest, tag int, data []byte, c Comm) (*Request, error) {
 }
 
 // escape marks a request as handed to the application, which may hold it
-// indefinitely: Free will never recycle it.
+// indefinitely: Free will never recycle it, and RequestLeaks reports it
+// unless a Wait/Test consumes it.
 func escape(req *Request, err error) (*Request, error) {
 	if req != nil {
 		req.escaped = true
+		req.proc.pool.escape(req)
 	}
 	return req, err
 }
@@ -164,16 +167,9 @@ func escape(req *Request, err error) (*Request, error) {
 // never does, and is freed once waited on).
 func (p *Proc) isend(dest, tag int, data []byte, c Comm, sync bool) (*Request, error) {
 	h := p.hooks()
-	if h == nil || (h.PreSend == nil && h.PostSend == nil) {
-		// No tool observing sends: skip the op-descriptor allocation.
-		if sync {
-			return p.pmpi.Issend(dest, tag, data, c)
-		}
-		return p.pmpi.Isend(dest, tag, data, c)
-	}
 	op := &p.sendOp
 	*op = SendOp{Dest: dest, Tag: tag, Data: data, Comm: c, Sync: sync}
-	if h.PreSend != nil {
+	if h != nil && h.PreSend != nil {
 		h.PreSend(p, op)
 	}
 	var req *Request
@@ -186,7 +182,8 @@ func (p *Proc) isend(dest, tag int, data []byte, c Comm, sync bool) (*Request, e
 	if err != nil {
 		return nil, err
 	}
-	if h.PostSend != nil {
+	p.world.ops.SendRecv++
+	if h != nil && h.PostSend != nil {
 		h.PostSend(p, op, req)
 	}
 	return req, nil
@@ -195,7 +192,7 @@ func (p *Proc) isend(dest, tag int, data []byte, c Comm, sync bool) (*Request, e
 // waitInternal completes the implicit wait inside a blocking operation: the
 // Complete hook still fires (tools must observe every completion), but
 // PreWait does not — a blocking MPI_Send/MPI_Recv is a single operation, not
-// a send plus a wait, and op-statistics tools count it as such.
+// a send plus a wait, and OpCounts counts it as such.
 func (p *Proc) waitInternal(req *Request) (Status, error) {
 	already := req.consumed
 	st, err := p.pmpi.Wait(req)
@@ -242,19 +239,17 @@ func (p *Proc) Irecv(src, tag int, c Comm) (*Request, error) {
 // irecv is the hooked receive path shared by Irecv and Recv (see isend).
 func (p *Proc) irecv(src, tag int, c Comm) (*Request, error) {
 	h := p.hooks()
-	if h == nil || (h.PreRecv == nil && h.PostRecv == nil) {
-		return p.pmpi.Irecv(src, tag, c)
-	}
 	op := &p.recvOp
 	*op = RecvOp{Src: src, Tag: tag, Comm: c, WasAnySource: src == AnySource}
-	if h.PreRecv != nil {
+	if h != nil && h.PreRecv != nil {
 		h.PreRecv(p, op)
 	}
 	req, err := p.pmpi.Irecv(op.Src, op.Tag, op.Comm)
 	if err != nil {
 		return nil, err
 	}
-	if h.PostRecv != nil {
+	p.world.ops.SendRecv++
+	if h != nil && h.PostRecv != nil {
 		h.PostRecv(p, op, req)
 	}
 	return req, nil
@@ -287,6 +282,7 @@ func (p *Proc) observeCompletion(req *Request, st Status) {
 
 // Wait blocks until req completes and consumes the completion.
 func (p *Proc) Wait(req *Request) (Status, error) {
+	p.world.ops.Wait++
 	h := p.hooks()
 	if h != nil && h.PreWait != nil {
 		p.waitReq[0] = req
@@ -305,6 +301,7 @@ func (p *Proc) Wait(req *Request) (Status, error) {
 
 // Test checks req without blocking; a true flag consumes the completion.
 func (p *Proc) Test(req *Request) (Status, bool, error) {
+	p.world.ops.Wait++
 	h := p.hooks()
 	if h != nil && h.PreWait != nil {
 		p.waitReq[0] = req
@@ -339,6 +336,7 @@ func (p *Proc) Waitall(reqs []*Request) ([]Status, error) {
 
 // Waitany blocks until one unconsumed request completes; returns its index.
 func (p *Proc) Waitany(reqs []*Request) (int, Status, error) {
+	p.world.ops.Wait++
 	h := p.hooks()
 	if h != nil && h.PreWait != nil {
 		h.PreWait(p, reqs)
@@ -396,19 +394,17 @@ func (p *Proc) Testall(reqs []*Request) ([]Status, bool, error) {
 // without receiving it.
 func (p *Proc) Probe(src, tag int, c Comm) (Status, error) {
 	h := p.hooks()
-	if h == nil || (h.PreProbe == nil && h.PostProbe == nil) {
-		return p.pmpi.Probe(src, tag, c)
-	}
 	op := &p.probeOp
 	*op = ProbeOp{Src: src, Tag: tag, Comm: c, Blocking: true, WasAnySource: src == AnySource}
-	if h.PreProbe != nil {
+	if h != nil && h.PreProbe != nil {
 		h.PreProbe(p, op)
 	}
 	st, err := p.pmpi.Probe(op.Src, op.Tag, op.Comm)
 	if err != nil {
 		return st, err
 	}
-	if h.PostProbe != nil {
+	p.world.ops.SendRecv++
+	if h != nil && h.PostProbe != nil {
 		h.PostProbe(p, op, st, true)
 	}
 	return st, nil
@@ -417,30 +413,26 @@ func (p *Proc) Probe(src, tag int, c Comm) (Status, error) {
 // Iprobe checks for a matching message without blocking.
 func (p *Proc) Iprobe(src, tag int, c Comm) (Status, bool, error) {
 	h := p.hooks()
-	if h == nil || (h.PreProbe == nil && h.PostProbe == nil) {
-		return p.pmpi.Iprobe(src, tag, c)
-	}
 	op := &p.probeOp
 	*op = ProbeOp{Src: src, Tag: tag, Comm: c, WasAnySource: src == AnySource}
-	if h.PreProbe != nil {
+	if h != nil && h.PreProbe != nil {
 		h.PreProbe(p, op)
 	}
 	st, found, err := p.pmpi.Iprobe(op.Src, op.Tag, op.Comm)
 	if err != nil {
 		return st, found, err
 	}
+	p.world.ops.SendRecv++
+	if h != nil && h.PostProbe != nil {
+		// The tool observes the real outcome, also when its PreProbe forced
+		// the application's (see below), so it can record the decision.
+		h.PostProbe(p, op, st, found)
+	}
 	if found && op.SuppressFound {
 		// A PreProbe hook forced this poll's not-found outcome (guided replay
-		// of an Iprobe choice point): the message stays queued, the
-		// application sees nothing, and the tool still observes the real
-		// outcome so it can record the forced decision.
-		if h.PostProbe != nil {
-			h.PostProbe(p, op, st, true)
-		}
+		// of an Iprobe choice point): the message stays queued and the
+		// application sees nothing.
 		return Status{}, false, nil
-	}
-	if h.PostProbe != nil {
-		h.PostProbe(p, op, st, found)
 	}
 	return st, found, nil
 }

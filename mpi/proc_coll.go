@@ -1,27 +1,37 @@
 package mpi
 
 // Public (hooked) collective API. Each call runs PreColl/PostColl around the
-// PMPI implementation and threads the tool clock through the collective's
-// clock-flow rule.
+// PMPI implementation, threads the tool clock through the collective's
+// clock-flow rule, and counts itself (OpCounts.Coll) once it completes.
 
-func (p *Proc) collHooks(op *CollOp) (clock []uint64, post func(out []uint64)) {
+// preColl runs the PreColl hook and returns this rank's clock contribution.
+func (p *Proc) preColl(op *CollOp) []uint64 {
 	h := p.hooks()
 	if h == nil {
-		return nil, func([]uint64) {}
+		return nil
 	}
 	if h.PreColl != nil {
 		h.PreColl(p, op)
 	}
 	if h.CollClockIn != nil {
-		clock = h.CollClockIn(p, op)
+		return h.CollClockIn(p, op)
 	}
-	return clock, func(out []uint64) {
-		if h.CollClockOut != nil && out != nil {
-			h.CollClockOut(p, op, out)
-		}
-		if h.PostColl != nil {
-			h.PostColl(p, op)
-		}
+	return nil
+}
+
+// postColl counts a completed collective and runs the CollClockOut and
+// PostColl hooks.
+func (p *Proc) postColl(op *CollOp, out []uint64) {
+	p.world.ops.Coll++
+	h := p.hooks()
+	if h == nil {
+		return
+	}
+	if h.CollClockOut != nil && out != nil {
+		h.CollClockOut(p, op, out)
+	}
+	if h.PostColl != nil {
+		h.PostColl(p, op)
 	}
 }
 
@@ -35,24 +45,22 @@ func (p *Proc) checkReduceOp(kind CollKind, op ReduceFunc) error {
 // Barrier synchronizes all ranks of c.
 func (p *Proc) Barrier(c Comm) error {
 	op := &CollOp{Kind: CollBarrier, Comm: c}
-	clk, post := p.collHooks(op)
-	out, err := p.pmpi.Barrier(c, clk)
+	out, err := p.pmpi.Barrier(c, p.preColl(op))
 	if err != nil {
 		return err
 	}
-	post(out)
+	p.postColl(op, out)
 	return nil
 }
 
 // Bcast broadcasts root's data to every rank of c and returns it.
 func (p *Proc) Bcast(c Comm, root int, data []byte) ([]byte, error) {
 	op := &CollOp{Kind: CollBcast, Comm: c, Root: root}
-	clk, post := p.collHooks(op)
-	res, out, err := p.pmpi.Bcast(c, root, data, clk)
+	res, out, err := p.pmpi.Bcast(c, root, data, p.preColl(op))
 	if err != nil {
 		return nil, err
 	}
-	post(out)
+	p.postColl(op, out)
 	return res, nil
 }
 
@@ -62,12 +70,11 @@ func (p *Proc) Reduce(c Comm, root int, data []byte, rop ReduceFunc) ([]byte, er
 		return nil, err
 	}
 	op := &CollOp{Kind: CollReduce, Comm: c, Root: root}
-	clk, post := p.collHooks(op)
-	res, out, err := p.pmpi.Reduce(c, root, data, rop, clk)
+	res, out, err := p.pmpi.Reduce(c, root, data, rop, p.preColl(op))
 	if err != nil {
 		return nil, err
 	}
-	post(out)
+	p.postColl(op, out)
 	return res, nil
 }
 
@@ -77,12 +84,11 @@ func (p *Proc) Allreduce(c Comm, data []byte, rop ReduceFunc) ([]byte, error) {
 		return nil, err
 	}
 	op := &CollOp{Kind: CollAllreduce, Comm: c}
-	clk, post := p.collHooks(op)
-	res, out, err := p.pmpi.Allreduce(c, data, rop, clk)
+	res, out, err := p.pmpi.Allreduce(c, data, rop, p.preColl(op))
 	if err != nil {
 		return nil, err
 	}
-	post(out)
+	p.postColl(op, out)
 	return res, nil
 }
 
@@ -90,48 +96,44 @@ func (p *Proc) Allreduce(c Comm, data []byte, rop ReduceFunc) ([]byte, error) {
 // non-roots).
 func (p *Proc) Gather(c Comm, root int, data []byte) ([][]byte, error) {
 	op := &CollOp{Kind: CollGather, Comm: c, Root: root}
-	clk, post := p.collHooks(op)
-	res, out, err := p.pmpi.Gather(c, root, data, clk)
+	res, out, err := p.pmpi.Gather(c, root, data, p.preColl(op))
 	if err != nil {
 		return nil, err
 	}
-	post(out)
+	p.postColl(op, out)
 	return res, nil
 }
 
 // Allgather collects every rank's data at every rank.
 func (p *Proc) Allgather(c Comm, data []byte) ([][]byte, error) {
 	op := &CollOp{Kind: CollAllgather, Comm: c}
-	clk, post := p.collHooks(op)
-	res, out, err := p.pmpi.Allgather(c, data, clk)
+	res, out, err := p.pmpi.Allgather(c, data, p.preColl(op))
 	if err != nil {
 		return nil, err
 	}
-	post(out)
+	p.postColl(op, out)
 	return res, nil
 }
 
 // Scatter distributes root's pieces, one per rank.
 func (p *Proc) Scatter(c Comm, root int, pieces [][]byte) ([]byte, error) {
 	op := &CollOp{Kind: CollScatter, Comm: c, Root: root}
-	clk, post := p.collHooks(op)
-	res, out, err := p.pmpi.Scatter(c, root, pieces, clk)
+	res, out, err := p.pmpi.Scatter(c, root, pieces, p.preColl(op))
 	if err != nil {
 		return nil, err
 	}
-	post(out)
+	p.postColl(op, out)
 	return res, nil
 }
 
 // Alltoall performs a personalized all-to-all exchange.
 func (p *Proc) Alltoall(c Comm, pieces [][]byte) ([][]byte, error) {
 	op := &CollOp{Kind: CollAlltoall, Comm: c}
-	clk, post := p.collHooks(op)
-	res, out, err := p.pmpi.Alltoall(c, pieces, clk)
+	res, out, err := p.pmpi.Alltoall(c, pieces, p.preColl(op))
 	if err != nil {
 		return nil, err
 	}
-	post(out)
+	p.postColl(op, out)
 	return res, nil
 }
 
@@ -141,12 +143,11 @@ func (p *Proc) Scan(c Comm, data []byte, rop ReduceFunc) ([]byte, error) {
 		return nil, err
 	}
 	op := &CollOp{Kind: CollScan, Comm: c}
-	clk, post := p.collHooks(op)
-	res, out, err := p.pmpi.Scan(c, data, rop, clk)
+	res, out, err := p.pmpi.Scan(c, data, rop, p.preColl(op))
 	if err != nil {
 		return nil, err
 	}
-	post(out)
+	p.postColl(op, out)
 	return res, nil
 }
 
@@ -156,24 +157,22 @@ func (p *Proc) ReduceScatter(c Comm, pieces [][]byte, rop ReduceFunc) ([]byte, e
 		return nil, err
 	}
 	op := &CollOp{Kind: CollReduceScatter, Comm: c}
-	clk, post := p.collHooks(op)
-	res, out, err := p.pmpi.ReduceScatter(c, pieces, rop, clk)
+	res, out, err := p.pmpi.ReduceScatter(c, pieces, rop, p.preColl(op))
 	if err != nil {
 		return nil, err
 	}
-	post(out)
+	p.postColl(op, out)
 	return res, nil
 }
 
 // CommDup collectively duplicates c.
 func (p *Proc) CommDup(c Comm) (Comm, error) {
 	op := &CollOp{Kind: CollCommDup, Comm: c}
-	clk, post := p.collHooks(op)
-	nc, out, err := p.pmpi.CommDup(c, clk)
+	nc, out, err := p.pmpi.CommDup(c, p.preColl(op))
 	if err != nil {
 		return Comm{}, err
 	}
-	post(out)
+	p.postColl(op, out)
 	if h := p.hooks(); h != nil && h.PostCommCreate != nil {
 		h.PostCommCreate(p, c, nc)
 	}
@@ -184,12 +183,11 @@ func (p *Proc) CommDup(c Comm) (Comm, error) {
 // A negative color excludes the caller, which receives an invalid Comm.
 func (p *Proc) CommSplit(c Comm, color, key int) (Comm, error) {
 	op := &CollOp{Kind: CollCommSplit, Comm: c}
-	clk, post := p.collHooks(op)
-	nc, out, err := p.pmpi.CommSplit(c, color, key, clk)
+	nc, out, err := p.pmpi.CommSplit(c, color, key, p.preColl(op))
 	if err != nil {
 		return Comm{}, err
 	}
-	post(out)
+	p.postColl(op, out)
 	if h := p.hooks(); h != nil && h.PostCommCreate != nil && nc.Valid() {
 		h.PostCommCreate(p, c, nc)
 	}
@@ -199,12 +197,11 @@ func (p *Proc) CommSplit(c Comm, color, key int) (Comm, error) {
 // CommFree collectively releases c.
 func (p *Proc) CommFree(c Comm) error {
 	op := &CollOp{Kind: CollCommFree, Comm: c}
-	clk, post := p.collHooks(op)
-	out, err := p.pmpi.CommFree(c, clk)
+	out, err := p.pmpi.CommFree(c, p.preColl(op))
 	if err != nil {
 		return err
 	}
-	post(out)
+	p.postColl(op, out)
 	if h := p.hooks(); h != nil && h.PostCommFree != nil {
 		h.PostCommFree(p, c)
 	}

@@ -52,6 +52,7 @@ func (p *Proc) Waitsome(reqs []*Request) ([]int, []Status, error) {
 // Testany checks for any completed, unconsumed request; on success it
 // consumes it and returns its index (MPI_Testany).
 func (p *Proc) Testany(reqs []*Request) (int, Status, bool, error) {
+	p.world.ops.Wait++
 	h := p.hooks()
 	if h != nil && h.PreWait != nil {
 		h.PreWait(p, reqs)
@@ -100,8 +101,8 @@ func (p *Proc) Cancel(req *Request) (bool, error) {
 	if err != nil || !ok {
 		return ok, err
 	}
-	// Observe the (cancelled) completion so tool layers see the request
-	// retire: leak tracking removes it, DAMPI cleans up its piggyback.
+	// Consume the (cancelled) completion: the request retires, so it is no
+	// R-leak, and tool layers see it retire (DAMPI cleans up its piggyback).
 	_, err = p.Wait(req)
 	return true, err
 }

@@ -10,7 +10,7 @@ type Config struct {
 	// Procs is the number of ranks (MPI_COMM_WORLD size). Must be >= 1.
 	Procs int
 	// Hooks is the tool layer every MPI call flows through. Nil means no
-	// tool. Compose multiple tools with pnmpi.Stack.
+	// tool.
 	Hooks *Hooks
 	// Pools supplies the allocation freelists, world skeleton and rank
 	// coroutines carried across worlds by a replay engine (see Pools), whose
@@ -58,6 +58,8 @@ type World struct {
 	polled    int      // the rank whose empty poll ended the last turn, or -1
 	nfinished int
 	failure   error // sticky: deadlock or abort; checked by every blocking op
+
+	ops OpCounts // the application's calls so far (see Ops)
 }
 
 // NewWorld creates a world with n ranks and the given tool layer. On carried
@@ -87,7 +89,10 @@ func NewWorld(cfg Config) *World {
 		w.ready = make([]uint64, (w.size+63)/64)
 	}
 	for i, p := range w.procs {
-		*p = Proc{world: w, rank: i, pool: &pools.ranks[i]}
+		rp := &pools.ranks[i]
+		clear(rp.escaped)
+		rp.escaped = rp.escaped[:0]
+		*p = Proc{world: w, rank: i, pool: rp}
 		p.pmpi = PMPI{p: p}
 		w.setReady(p)
 	}
@@ -228,6 +233,7 @@ func (p *Proc) main(yield func(struct{}) bool) {
 		w.hooks.Init(p)
 	}
 	p.err = w.program(p)
+	p.returned = true
 	if w.hooks != nil && w.hooks.AtFinalize != nil {
 		w.hooks.AtFinalize(p)
 	}

@@ -19,12 +19,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"dampi/internal/core"
 	"dampi/internal/dexplore"
-	"dampi/internal/leak"
 	"dampi/internal/sample"
 	"dampi/internal/trace"
 	"dampi/mpi"
@@ -146,8 +144,8 @@ type Config struct {
 	CheckpointEvery int
 	// Resume loads CheckpointFile and continues a previous exploration
 	// instead of starting from the initial self-discovery run. Leak checks
-	// and statistics are skipped on resume: their canonical first run
-	// already happened in the original exploration.
+	// and statistics are skipped on resume: they read the canonical first
+	// run, which happened in the original exploration.
 	Resume bool
 	// OnProgress, if non-nil, receives a live throughput snapshot every
 	// ProgressEvery (default 1s).
@@ -238,12 +236,30 @@ type Result struct {
 	*core.Report
 	// Leaks is the leak report of the first (canonical) run; nil unless
 	// CheckLeaks was set.
-	Leaks *leak.Report
+	Leaks *LeakReport
 	// Stats holds operation statistics of the first run; nil unless
 	// CollectStats was set.
 	Stats *trace.Stats
+}
 
-	leakTracker *leak.Tracker
+// LeakReport is the paper's local resource-error checks (Table II) on one
+// run: communicators created but never freed (C-leak) and requests never
+// completed by a Wait/Test (R-leak) when a rank's program returned. The
+// runtime keeps both facts, so the checks add no communication and no tool
+// layer. Each list is ordered by rank, then by text.
+type LeakReport struct {
+	CommLeaks    []mpi.CommLeak
+	RequestLeaks []mpi.RequestLeak
+}
+
+// HasCommLeak reports whether any communicator leaked (Table II "C-Leak").
+func (r *LeakReport) HasCommLeak() bool { return len(r.CommLeaks) > 0 }
+
+// HasRequestLeak reports whether any request leaked (Table II "R-Leak").
+func (r *LeakReport) HasRequestLeak() bool { return len(r.RequestLeaks) > 0 }
+
+func (r *LeakReport) String() string {
+	return fmt.Sprintf("leaks{comms=%d requests=%d}", len(r.CommLeaks), len(r.RequestLeaks))
 }
 
 // Summary renders a one-line human-readable result: the report's coverage
@@ -268,34 +284,7 @@ func Run(cfg Config, program func(p *mpi.Proc) error) (*Result, error) {
 	if cfg.Resume && cfg.CheckpointFile == "" {
 		return nil, fmt.Errorf("verify: Resume requires CheckpointFile")
 	}
-	res := &Result{}
-	// Leak and statistics collection instrument the canonical (first) run
-	// only, matching the paper's single-run overhead and local-check
-	// methodology. On resume that run already happened in the original
-	// exploration, so the hooks stay off. Slots call the factory concurrently,
-	// so the first-run claim takes a mutex (the root run happens before any
-	// other slot is granted work, but the guard costs nothing).
-	var firstMu sync.Mutex
-	firstRun := !cfg.Resume
-	extra := func() []*mpi.Hooks {
-		firstMu.Lock()
-		defer firstMu.Unlock()
-		var hs []*mpi.Hooks
-		if firstRun {
-			if cfg.CheckLeaks {
-				tr := leak.NewTracker()
-				hs = append(hs, tr.Hooks())
-				res.leakTracker = tr
-			}
-			if cfg.CollectStats {
-				res.Stats = trace.NewStats(cfg.Procs)
-				hs = append(hs, res.Stats.Hooks())
-			}
-			firstRun = false
-		}
-		return hs
-	}
-	ecfg.ExtraHooks, ecfg.OnInterleaving = extra, cfg.OnInterleaving
+	ecfg.OnInterleaving = cfg.OnInterleaving
 	dcfg := dexplore.Config{
 		Explorer:        ecfg,
 		Workers:         cfg.Workers,
@@ -315,9 +304,18 @@ func Run(cfg Config, program func(p *mpi.Proc) error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Report = rep
-	if res.leakTracker != nil {
-		res.Leaks = res.leakTracker.Report()
+	res := &Result{Report: rep}
+	// The leak checks and the statistics read the canonical (first) run,
+	// whose trace carries what its world reported, as in the paper's
+	// single-run local checks. On resume that run happened in the original
+	// exploration, and the checkpoint does not carry them.
+	if first := rep.FirstTrace; first != nil && !cfg.Resume {
+		if cfg.CheckLeaks {
+			res.Leaks = &LeakReport{CommLeaks: first.CommLeaks, RequestLeaks: first.RequestLeaks}
+		}
+		if cfg.CollectStats {
+			res.Stats = trace.NewStats(cfg.Procs, first.Ops)
+		}
 	}
 	if cfg.ArtifactsDir != "" {
 		if err := writeArtifacts(cfg.ArtifactsDir, res); err != nil {

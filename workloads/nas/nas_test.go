@@ -27,23 +27,21 @@ func TestKernelsRunAtVariousScales(t *testing.T) {
 
 func TestEPIsAlmostCommunicationFree(t *testing.T) {
 	// DT and EP are the paper's ~1.0x-slowdown rows: tiny op counts.
-	st := trace.NewStats(8)
-	w := mpi.NewWorld(mpi.Config{Procs: 8, Hooks: st.Hooks()})
+	w := mpi.NewWorld(mpi.Config{Procs: 8})
 	if err := w.Run(EP(Config{Iters: 4})); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Totals().AllPerProc(); got > 4 {
+	if got := trace.NewStats(8, w.Ops()).Totals().AllPerProc(); got > 4 {
 		t.Errorf("EP ops/proc = %d, want <= 4", got)
 	}
 }
 
 func TestFTIsAlltoallDominated(t *testing.T) {
-	st := trace.NewStats(8)
-	w := mpi.NewWorld(mpi.Config{Procs: 8, Hooks: st.Hooks()})
+	w := mpi.NewWorld(mpi.Config{Procs: 8})
 	if err := w.Run(FT(Config{Iters: 2})); err != nil {
 		t.Fatal(err)
 	}
-	tot := st.Totals()
+	tot := trace.NewStats(8, w.Ops()).Totals()
 	if tot.Coll <= tot.SendRecv {
 		t.Errorf("FT should be collective-dominated: coll=%d sendrecv=%d", tot.Coll, tot.SendRecv)
 	}

@@ -44,12 +44,11 @@ func TestProxyGeneratesCalibratedTraffic(t *testing.T) {
 	// Measured per-proc op counts should be within 2x of the scaled targets
 	// (the proxy rounds to whole exchange rounds).
 	const procs, scale = 8, 50
-	stats := trace.NewStats(procs)
-	w := mpi.NewWorld(mpi.Config{Procs: procs, Hooks: stats.Hooks()})
+	w := mpi.NewWorld(mpi.Config{Procs: procs})
 	if err := w.Run(Program(Config{Scale: scale})); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	tot := stats.Totals()
+	tot := trace.NewStats(procs, w.Ops()).Totals()
 	srWant, collWant, _ := Counts(procs)
 	srWant /= scale
 	collWant /= scale

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dampi/internal/core"
+	"dampi/internal/pnmpi"
 	"dampi/mpi"
 	"dampi/workloads/skeleton"
 )
@@ -50,18 +51,11 @@ func TestSelfRunTakesTheNativeSchedule(t *testing.T) {
 		for _, transport := range []core.Transport{core.Separate, core.Inband} {
 			for _, clock := range []core.ClockMode{core.Lamport, core.VectorClock} {
 				t.Run(fmt.Sprintf("%s/%v/%v", w.Name, transport, clock), func(t *testing.T) {
-					var log *[]string
-					rep, err := core.NewExplorer(core.ExplorerConfig{
-						Procs: procs, Program: program, Transport: transport, Clock: clock,
-						MaxInterleavings: 1,
-						ExtraHooks: func() []*mpi.Hooks {
-							var h *mpi.Hooks
-							h, log = completions()
-							return []*mpi.Hooks{h}
-						},
-					}).Explore()
-					if err != nil || len(rep.Errors) > 0 {
-						t.Fatalf("self run: %v, %v", err, rep.Errors)
+					tool := core.NewTool(core.ToolConfig{Procs: procs, Transport: transport, Clock: clock})
+					hooks, log := completions()
+					world := mpi.NewWorld(mpi.Config{Procs: procs, Hooks: pnmpi.Stack(tool.Hooks(), hooks)})
+					if err := world.Run(program); err != nil {
+						t.Fatalf("self run: %v", err)
 					}
 					if !slices.Equal(*log, *native) {
 						t.Errorf("the instrumented self run leaves the native schedule: %s", diffAt(*log, *native))
