@@ -117,6 +117,51 @@ func TestDualClockFanInCoverage(t *testing.T) {
 	}
 }
 
+// relayAfterWildcard: rank 1 takes rank 0's message through a wildcard
+// receive, then relays to rank 2, whose answer it takes through a second
+// wildcard. Rank 2's answer is causally after the first wildcard's match, so
+// it is no alternate for it: forcing that match would deadlock.
+func relayAfterWildcard(p *mpi.Proc) error {
+	c := p.CommWorld()
+	switch p.Rank() {
+	case 0:
+		return p.Send(1, 0, []byte("a"), c)
+	case 1:
+		if _, _, err := p.Recv(mpi.AnySource, 0, c); err != nil {
+			return err
+		}
+		if err := p.Send(2, 0, []byte("b"), c); err != nil {
+			return err
+		}
+		_, _, err := p.Recv(mpi.AnySource, 0, c)
+		return err
+	case 2:
+		if _, _, err := p.Recv(1, 0, c); err != nil {
+			return err
+		}
+		return p.Send(1, 0, []byte("c"), c)
+	}
+	return nil
+}
+
+// TestDualClockTransmitClockCatchesUpAtCommit: once a wildcard receive
+// commits its match, the transmit clock carries the epoch's event, so a
+// message sent in reply to the rank's later send is not late for the epoch.
+// A transmit clock that never caught up would offer rank 2's answer as an
+// alternate and explore a deadlocking flip.
+func TestDualClockTransmitClockCatchesUpAtCommit(t *testing.T) {
+	for _, dual := range []bool{false, true} {
+		ex := NewExplorer(ExplorerConfig{Procs: 3, Program: relayAfterWildcard, DualClock: dual, MixingBound: Unbounded})
+		rep, err := ex.Explore()
+		if err != nil {
+			t.Fatalf("dual=%v: Explore: %v", dual, err)
+		}
+		if rep.Interleavings != 1 || rep.Errored() {
+			t.Errorf("dual=%v: interleavings=%d errors=%v, want 1 and none", dual, rep.Interleavings, rep.Errors)
+		}
+	}
+}
+
 // TestDualClockReplayStability: epoch identities must stay stable across
 // guided replays in dual-clock mode too.
 func TestDualClockReplayStability(t *testing.T) {

@@ -557,16 +557,10 @@ func (rc *RunContext) Explore(stack []*SubtreeTask, budget int, final bool, yiel
 // fresh Tool and mpi.World, executes the program under the given decisions,
 // and derives the run's trace and its deterministic reproducer. This is the
 // one-shot form of RunContext.Run, kept as the replay primitive for callers
-// without a replay sequence (Replay, one-off guided runs).
+// without a replay sequence: the deterministic replay of a reproducer, one-off
+// guided runs.
 func ExecuteRun(cfg *ExplorerConfig, decisions *Decisions) (*RunTrace, *InterleavingResult, error) {
 	rc := NewRunContext(cfg)
 	defer rc.Close()
 	return rc.Run(decisions)
-}
-
-// Replay performs a single guided run of the program under the given
-// decisions, without any exploration: the deterministic-reproducer entry
-// point.
-func Replay(cfg ExplorerConfig, d *Decisions) (*RunTrace, *InterleavingResult, error) {
-	return ExecuteRun(&cfg, d)
 }

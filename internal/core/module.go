@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"dampi/internal/clock"
@@ -61,8 +62,9 @@ type ToolConfig struct {
 	Decisions *Decisions
 	// Choices enables the enlarged choice-point space: Waitany/Testany
 	// completion indexes and Iprobe found/not-found outcomes are recorded
-	// (and replayed) as first-class epochs. Off by default — the extra hooks
-	// are not even installed, so existing explorations are byte-identical.
+	// (and replayed) as first-class epochs. Off by default: the choice hooks
+	// return at once, record nothing and force nothing, so existing
+	// explorations are byte-identical.
 	Choices bool
 }
 
@@ -98,12 +100,6 @@ func (t *Tool) Reset(decisions *Decisions) {
 	}
 	t.cfg.Decisions = decisions
 	t.committed = t.committed[:0]
-}
-
-// commit appends e to the run's commit order.
-func (t *Tool) commit(e *epoch) {
-	t.committed = append(t.committed, e)
-	e.order = uint64(len(t.committed))
 }
 
 // rankState is one rank's DAMPI module state. Accessed only on the owning
@@ -190,22 +186,70 @@ func (st *rankState) recycle() {
 	st.mismatches = st.mismatches[:0]
 }
 
-// newEpoch takes an epoch from the freelist (or allocates one) with a
-// cleared seen set sized for the communicator.
-func (st *rankState) newEpoch(commSize int) *epoch {
+// forced is GetSrcFromEpoch of Algorithm 1 for a decision at clock lc. A
+// guided rank whose clock has passed its guided epoch reverts to SELF_RUN
+// ("if LCi > guided_epoch then mode <- SELF_RUN"); a guided one returns the
+// value d forces at lc, if any. Epochs without a forced decision (e.g. loop
+// regions) stay free.
+func (st *rankState) forced(d *Decisions, lc uint64) (int, bool) {
+	if st.mode == GuidedRun && int64(st.lc.Value()) > st.guidedEpoch {
+		st.mode = SelfRun
+	}
+	if st.mode != GuidedRun {
+		return 0, false
+	}
+	return d.Lookup(st.p.Rank(), lc)
+}
+
+// open records a decision epoch at the rank's clock (RecordEpochData of
+// Algorithm 1) and ticks the clock past it (LCi++): an epoch from the freelist
+// or a new one, with a cleared seen set sized for the communicator, undecided
+// (chosen -1). In vector mode the epoch keeps the post-tick vector, its
+// event's clock.
+func (st *rankState) open(kind EpochKind, commID, commSize, tag int) *epoch {
 	var e *epoch
 	if n := len(st.epochFree); n > 0 {
 		e = st.epochFree[n-1]
 		st.epochFree = st.epochFree[:n-1]
-		*e = epoch{alts: e.alts[:0], seenMore: e.seenMore[:0]}
 	} else {
 		e = new(epoch)
 	}
-	e.rank = st.p.Rank()
+	// Zeroed in place, then filled: one literal naming every field is built
+	// on the stack and copied.
+	*e = epoch{alts: e.alts[:0], seenMore: e.seenMore[:0]}
+	e.rank, e.lc, e.commID, e.tag, e.postSeq = st.p.Rank(), st.lc.Value(), commID, tag, st.recvPostSeq
+	e.kind, e.guided, e.inLoop, e.chosen = kind, st.mode == GuidedRun, st.loopDepth > 0, -1
 	if more := (commSize - 1) >> 6; more > 0 {
 		e.seenMore = append(e.seenMore, make([]uint64, more)...)
 	}
+	st.epochs = append(st.epochs, e)
+	st.lc.Tick()
+	if st.vc != nil {
+		st.vc.Tick()
+		e.vcSnap = st.vc.Snapshot()
+	}
 	return e
+}
+
+// decide commits e's decision, chosen: the epoch takes its place in the run's
+// commit order, the dual clock's transmit clock catches up with it (§V:
+// "synchronized when a Wait/Test is encountered"), and a guided epoch that
+// did not get the value its decision forced is a ForcedMismatch.
+func (t *Tool) decide(st *rankState, e *epoch, chosen int) {
+	e.chosen = chosen
+	t.committed = append(t.committed, e)
+	e.order = uint64(len(t.committed))
+	if st.dual {
+		st.lcOut.Merge(e.lc + 1)
+	}
+	if !e.guided {
+		return
+	}
+	if forced, ok := t.cfg.Decisions.Lookup(e.rank, e.lc); ok && forced != chosen {
+		st.mismatches = append(st.mismatches, ForcedMismatch{
+			Epoch: EpochID{Rank: e.rank, LC: e.lc}, Forced: forced, Got: chosen,
+		})
+	}
 }
 
 func (st *rankState) newRecvInfo() *recvInfo {
@@ -282,14 +326,6 @@ func (st *rankState) mergeClock(c []uint64) {
 	}
 }
 
-// commitEpoch synchronizes the transmit clock with a committed epoch's
-// event clock (§V: "synchronized when a Wait/Test is encountered").
-func (st *rankState) commitEpoch(e *epoch) {
-	if st.dual {
-		st.lcOut.Merge(e.lc + 1)
-	}
-}
-
 // late reports whether a message carrying clock mclock is a potential
 // alternate match for epoch e: the send must not be causally after the
 // epoch's decision event. In Lamport mode the epoch event's clock is
@@ -311,13 +347,15 @@ func (t *Tool) abort(p *mpi.Proc, err error) {
 
 // Hooks returns the mpi tool layer implementing Algorithm 1.
 func (t *Tool) Hooks() *mpi.Hooks {
-	h := &mpi.Hooks{
+	return &mpi.Hooks{
 		Init:           t.init,
 		PreSend:        t.preSend,
 		PostSend:       t.postSend,
 		PreRecv:        t.preRecv,
 		PostRecv:       t.postRecv,
 		Complete:       t.complete,
+		PreWaitany:     t.preWaitany,
+		PostWaitany:    t.postWaitany,
 		PreProbe:       t.preProbe,
 		PostProbe:      t.postProbe,
 		PreColl:        t.preColl,
@@ -327,13 +365,6 @@ func (t *Tool) Hooks() *mpi.Hooks {
 		PostCommFree:   t.postCommFree,
 		Pcontrol:       t.pcontrol,
 	}
-	if t.cfg.Choices {
-		// Completion choice points are opt-in: leaving these nil keeps the
-		// runtime's Waitany/Testany fast path (no op descriptor, no epoch).
-		h.PreWaitany = t.preWaitany
-		h.PostWaitany = t.postWaitany
-	}
-	return h
 }
 
 func (t *Tool) init(p *mpi.Proc) {
@@ -406,16 +437,8 @@ func (t *Tool) preRecv(p *mpi.Proc, op *mpi.RecvOp) {
 	if !op.WasAnySource {
 		return
 	}
-	// "if LCi > guided_epoch then mode <- SELF_RUN"
-	if st.mode == GuidedRun && int64(st.lc.Value()) > st.guidedEpoch {
-		st.mode = SelfRun
-	}
-	if st.mode == GuidedRun {
-		// GetSrcFromEpoch: determinize the wildcard receive. Epochs without
-		// a forced decision (e.g. loop regions) stay wildcard.
-		if src, ok := t.cfg.Decisions.Lookup(p.Rank(), st.lc.Value()); ok {
-			op.Src = src
-		}
+	if src, ok := st.forced(t.cfg.Decisions, st.lc.Value()); ok {
+		op.Src = src
 	}
 }
 
@@ -426,24 +449,10 @@ func (t *Tool) postRecv(p *mpi.Proc, op *mpi.RecvOp, req *mpi.Request) {
 	info.postSeq = st.recvPostSeq
 	req.ToolData = info
 	if op.WasAnySource {
-		e := st.newEpoch(op.Comm.Size())
-		e.lc = st.lc.Value()
-		e.commID = op.Comm.ID()
-		e.tag = op.Tag
-		e.postSeq = st.recvPostSeq
-		e.kind = RecvEpoch
-		e.guided = st.mode == GuidedRun
-		e.inLoop = st.loopDepth > 0
-		e.chosen = -1
-		st.epochs = append(st.epochs, e)
-		info.epoch = e
+		// The epoch opens at post; the Wait/Test that completes the receive
+		// decides it (complete).
+		info.epoch = st.open(RecvEpoch, op.Comm.ID(), op.Comm.Size(), op.Tag)
 		st.pendingND++
-		// RecordEpochData ... LCi++
-		st.lc.Tick()
-		if st.vc != nil {
-			st.vc.Tick()
-			e.vcSnap = st.vc.Snapshot() // post-tick: the epoch event's clock
-		}
 	}
 	if t.cfg.Transport == Separate && op.Src != mpi.AnySource {
 		// Deterministic (or determinized) receive: the piggyback receive can
@@ -519,31 +528,24 @@ func (t *Tool) complete(p *mpi.Proc, req *mpi.Request, status mpi.Status) {
 			return
 		}
 		if e := info.epoch; e != nil {
-			e.chosen = status.Source
-			t.commit(e)
 			st.pendingND--
-			st.commitEpoch(e)
-			if e.guided {
-				if forced, ok := t.cfg.Decisions.Lookup(p.Rank(), e.lc); ok && forced != status.Source {
-					st.mismatches = append(st.mismatches, ForcedMismatch{
-						Epoch: EpochID{Rank: p.Rank(), LC: e.lc}, Forced: forced, Got: status.Source,
-					})
-				}
-			}
+			t.decide(st, e, status.Source)
 		}
-		t.findPotentialMatches(st, info, req, status, mclock)
+		st.findPotentialMatches(req.Comm().ID(), status, mclock, info.postSeq, info.epoch)
 		st.mergeClock(mclock)
 		req.ToolData = nil
 		st.recvInfoFree = append(st.recvInfoFree, info)
 	}
 }
 
-// findPotentialMatches is Algorithm 1's late-message analysis: the incoming
-// message is checked against every recorded wildcard epoch of this rank. A
-// source's earliest candidate decides (non-overtaking, §II-C Fig. 2); a
-// message whose receive was posted before the epoch cannot be stolen by it.
-func (t *Tool) findPotentialMatches(st *rankState, info *recvInfo, req *mpi.Request, status mpi.Status, mclock []uint64) {
-	commID := req.Comm().ID()
+// findPotentialMatches is Algorithm 1's late-message analysis: a message on
+// commID with the given status and clock is checked against every recorded
+// wildcard epoch of this rank. postSeq numbers the receive that took it and
+// own is that receive's epoch, if wildcard (a message no receive took passes
+// math.MaxUint64 and nil). A source's earliest candidate decides
+// (non-overtaking, §II-C Fig. 2); a message whose receive was posted before
+// the epoch cannot be stolen by it.
+func (st *rankState) findPotentialMatches(commID int, status mpi.Status, mclock []uint64, postSeq uint64, own *epoch) {
 	for _, e := range st.epochs {
 		if !e.kind.MatchKind() {
 			continue // completion/outcome epochs carry no match decision
@@ -554,13 +556,13 @@ func (t *Tool) findPotentialMatches(st *rankState, info *recvInfo, req *mpi.Requ
 		if e.tag != mpi.AnyTag && e.tag != status.Tag {
 			continue
 		}
-		if info.postSeq < e.postSeq {
+		if postSeq < e.postSeq {
 			// Posted-order guard: this message was claimed by a receive
 			// posted before the epoch; MPI matching would never give it to
 			// the epoch in any execution.
 			continue
 		}
-		if info.epoch == e {
+		if own == e {
 			continue // the epoch's own match
 		}
 		if e.chosen == status.Source || e.sawSource(status.Source) {
@@ -577,56 +579,37 @@ func (t *Tool) findPotentialMatches(st *rankState, info *recvInfo, req *mpi.Requ
 // preWaitany determinizes a Waitany/Testany during a guided replay: a forced
 // decision at the rank's current clock names the completion index to observe.
 func (t *Tool) preWaitany(p *mpi.Proc, op *mpi.WaitanyOp) {
-	st := t.state(p)
-	if st.mode == GuidedRun && int64(st.lc.Value()) > st.guidedEpoch {
-		st.mode = SelfRun
+	if !t.cfg.Choices {
+		return
 	}
-	if st.mode == GuidedRun {
-		if idx, ok := t.cfg.Decisions.Lookup(p.Rank(), st.lc.Value()); ok {
-			op.ForceIndex = idx
-		}
+	st := t.state(p)
+	if idx, ok := st.forced(t.cfg.Decisions, st.lc.Value()); ok {
+		op.ForceIndex = idx
 	}
 }
 
-// postWaitany records a completion choice epoch: the chosen index plus every
-// other request that had also completed (unconsumed) when the call returned —
-// the alternates a replay can force instead. Fires only on positive outcomes,
-// so the epoch count (and the rank's clock) stays aligned across runs
-// regardless of how many empty Testany polls timing produced.
+// postWaitany opens and decides a completion choice epoch: the chosen index
+// plus every other request that had also completed (unconsumed) when the call
+// returned — the alternates a replay can force instead. Fires only on positive
+// outcomes, so the epoch count (and the rank's clock) stays aligned across
+// runs regardless of how many empty Testany polls timing produced.
 func (t *Tool) postWaitany(p *mpi.Proc, op *mpi.WaitanyOp, idx int, status mpi.Status) {
-	st := t.state(p)
-	e := st.newEpoch(0)
-	e.lc = st.lc.Value()
-	e.commID = -1 // not a message-match point: no comm, no late-message analysis
-	e.tag = -1
-	e.postSeq = st.recvPostSeq
-	e.kind = WaitanyEpoch
-	if !op.Blocking {
-		e.kind = TestanyEpoch
+	if !t.cfg.Choices {
+		return
 	}
-	e.guided = st.mode == GuidedRun
-	e.inLoop = st.loopDepth > 0
-	e.chosen = idx
+	st := t.state(p)
+	kind := WaitanyEpoch
+	if !op.Blocking {
+		kind = TestanyEpoch
+	}
+	// Not a message-match point: no comm, no late-message analysis.
+	e := st.open(kind, -1, 0, -1)
 	for i, r := range op.Reqs {
 		if i != idx && r != nil && r.CompletedPending() {
 			e.alts = append(e.alts, i)
 		}
 	}
-	t.commit(e)
-	st.epochs = append(st.epochs, e)
-	st.lc.Tick()
-	st.commitEpoch(e)
-	if st.vc != nil {
-		st.vc.Tick()
-		e.vcSnap = st.vc.Snapshot()
-	}
-	if e.guided {
-		if forced, ok := t.cfg.Decisions.Lookup(p.Rank(), e.lc); ok && forced != idx {
-			st.mismatches = append(st.mismatches, ForcedMismatch{
-				Epoch: EpochID{Rank: p.Rank(), LC: e.lc}, Forced: forced, Got: idx,
-			})
-		}
-	}
+	t.decide(st, e, idx)
 }
 
 // --- probes ---
@@ -637,94 +620,48 @@ func (t *Tool) preProbe(p *mpi.Proc, op *mpi.ProbeOp) {
 	if !op.WasAnySource && !choice {
 		return
 	}
-	if st.mode == GuidedRun && int64(st.lc.Value()) > st.guidedEpoch {
-		st.mode = SelfRun
-	}
-	if choice && st.mode == GuidedRun {
+	lc := st.lc.Value()
+	if choice {
 		// Outcome decision at the current clock: a forced 0 suppresses a
 		// would-be find (the sound branch — forcing a find that timing did
 		// not produce could manufacture a message out of nothing).
-		if out, ok := t.cfg.Decisions.Lookup(p.Rank(), st.lc.Value()); ok && out == 0 {
+		if out, ok := st.forced(t.cfg.Decisions, lc); ok && out == 0 {
 			op.SuppressFound = true
 			return
 		}
+		lc++ // the wildcard source decision sits above the outcome epoch's tick
 	}
 	if !op.WasAnySource {
 		return
 	}
-	if st.mode == GuidedRun {
-		lc := st.lc.Value()
-		if choice {
-			lc++ // the wildcard source decision sits above the outcome epoch's tick
-		}
-		if src, ok := t.cfg.Decisions.Lookup(p.Rank(), lc); ok {
-			op.Src = src
-		}
+	if src, ok := st.forced(t.cfg.Decisions, lc); ok {
+		op.Src = src
 	}
 }
 
+// postProbe opens and decides a probe's epochs: its Iprobe outcome (with
+// Choices), then its wildcard source match. A probe removes no message from
+// the queues, so it takes no piggyback receive.
 func (t *Tool) postProbe(p *mpi.Proc, op *mpi.ProbeOp, status mpi.Status, found bool) {
 	st := t.state(p)
 	if t.cfg.Choices && !op.Blocking && found {
 		// Iprobe outcome epoch: the poll found a message (suppressed or not).
 		// Natural not-found polls record nothing — their count is timing
 		// noise, and recording them would misalign (rank, LC) decisions.
-		e := st.newEpoch(op.Comm.Size())
-		e.lc = st.lc.Value()
-		e.commID = op.Comm.ID()
-		e.tag = op.Tag
-		e.postSeq = st.recvPostSeq
-		e.kind = IprobeEpoch
-		e.guided = st.mode == GuidedRun
-		e.inLoop = st.loopDepth > 0
+		e := st.open(IprobeEpoch, op.Comm.ID(), op.Comm.Size(), op.Tag)
 		if op.SuppressFound {
-			e.chosen = 0 // forced not-found: pinned, no further branches
-		} else {
-			e.chosen = 1
-			e.alts = append(e.alts, 0)
+			t.decide(st, e, 0) // forced not-found: pinned, no further branches
+			return             // the application saw not-found; no source epoch follows
 		}
-		t.commit(e)
-		st.epochs = append(st.epochs, e)
-		st.lc.Tick()
-		st.commitEpoch(e)
-		if st.vc != nil {
-			st.vc.Tick()
-			e.vcSnap = st.vc.Snapshot()
-		}
-		if e.guided {
-			if forced, ok := t.cfg.Decisions.Lookup(p.Rank(), e.lc); ok && forced != e.chosen {
-				st.mismatches = append(st.mismatches, ForcedMismatch{
-					Epoch: EpochID{Rank: p.Rank(), LC: e.lc}, Forced: forced, Got: e.chosen,
-				})
-			}
-		}
-		if op.SuppressFound {
-			return // the application saw not-found; no source epoch follows
-		}
+		e.alts = append(e.alts, 0)
+		t.decide(st, e, 1)
 	}
 	if !op.WasAnySource || !found {
 		// Nonblocking probes count only when the runtime reports a message
 		// ready (flag=true), as in the paper.
 		return
 	}
-	e := st.newEpoch(op.Comm.Size())
-	e.lc = st.lc.Value()
-	e.commID = op.Comm.ID()
-	e.tag = op.Tag
-	e.postSeq = st.recvPostSeq // probes don't consume; order among receives
-	e.kind = ProbeEpoch
-	e.guided = st.mode == GuidedRun
-	e.inLoop = st.loopDepth > 0
-	e.chosen = status.Source
-	t.commit(e)
-	st.epochs = append(st.epochs, e)
-	st.lc.Tick()
-	st.commitEpoch(e) // the probe's match decision commits immediately
-	if st.vc != nil {
-		st.vc.Tick()
-		e.vcSnap = st.vc.Snapshot()
-	}
-	// No piggyback receive: probes don't remove messages from the queues.
+	t.decide(st, st.open(ProbeEpoch, op.Comm.ID(), op.Comm.Size(), op.Tag), status.Source)
 }
 
 // --- collectives ---
@@ -815,23 +752,7 @@ func (t *Tool) sweepUnmatched(st *rankState) {
 				mclock = piggyback.DecodeClockInto(st.clockBuf[:0], data)
 			}
 			st.clockBuf = mclock[:0]
-			for _, e := range st.epochs {
-				if !e.kind.MatchKind() {
-					continue
-				}
-				if e.commID != commID {
-					continue
-				}
-				if e.tag != mpi.AnyTag && e.tag != status.Tag {
-					continue
-				}
-				if e.chosen == status.Source || e.sawSource(status.Source) {
-					continue
-				}
-				if st.late(e, mclock) {
-					e.alts = append(e.alts, status.Source)
-				}
-			}
+			st.findPotentialMatches(commID, status, mclock, math.MaxUint64, nil)
 		}
 	}
 }

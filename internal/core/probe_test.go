@@ -68,7 +68,7 @@ func TestGuidedProbeReplayDeterministic(t *testing.T) {
 		t.Fatal("no reproducer")
 	}
 	for trial := 0; trial < 5; trial++ {
-		_, res, err := Replay(ExplorerConfig{Procs: 3, Program: probeProgram}, repro)
+		_, res, err := ExecuteRun(&ExplorerConfig{Procs: 3, Program: probeProgram}, repro)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -66,7 +66,7 @@ func TestDecisionsFromTraceReplays(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := DecisionsFromTrace(trace)
-		_, replay, err := Replay(ExplorerConfig{Procs: 3, Program: fig3Program}, d)
+		_, replay, err := ExecuteRun(&ExplorerConfig{Procs: 3, Program: fig3Program}, d)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -108,7 +108,7 @@ func TestInbandGuidedReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	repro := rep.Errors[0].Decisions
-	_, res, err := Replay(ExplorerConfig{Procs: 3, Program: fig3Program, Transport: Inband}, repro)
+	_, res, err := ExecuteRun(&ExplorerConfig{Procs: 3, Program: fig3Program, Transport: Inband}, repro)
 	if err != nil {
 		t.Fatal(err)
 	}

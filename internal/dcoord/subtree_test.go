@@ -1,6 +1,8 @@
 package dcoord
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -284,7 +286,7 @@ func (nullConn) RemoteAddr() net.Addr             { return &net.TCPAddr{} }
 
 // fuzzCoordinator returns an unserved coordinator with one 1-slot worker
 // attached, holding the root lease: lease 1, key rootKey, budget 1.
-func fuzzCoordinator(t *testing.T, fp JobSpec, max int) (*Coordinator, *workerConn) {
+func fuzzCoordinator(t testing.TB, fp JobSpec, max int) (*Coordinator, *workerConn) {
 	fp.MaxInterleavings = max
 	c, err := New(Config{Fingerprint: fp})
 	if err != nil {
@@ -344,6 +346,61 @@ func FuzzLeaseResult(f *testing.F) {
 		}
 		if held && slices.ContainsFunc(c.leases, func(l *lease) bool { return l.Lease == 1 }) {
 			t.Fatalf("lease 1 still held after its result: %s", body)
+		}
+	})
+}
+
+// FuzzTaskFrame: a task frame's body is untrusted past the frame reader, and
+// a worker replays what it leases. Whatever leases arrive, the worker answers
+// each — with what its replays added, or Fatal for one its world cannot replay
+// (a null subtree, a decision out of range) — and never panics. The seeds are
+// the frames a coordinator grants: its root lease, then a lease of the
+// subtrees the root's replay left.
+func FuzzTaskFrame(f *testing.F) {
+	cfg := core.ExplorerConfig{Procs: 3, Program: fanInError, MixingBound: core.Unbounded}
+	fp := FingerprintFor("fuzz", &cfg)
+	c, _ := fuzzCoordinator(f, fp, 3)
+	w := NewWorker(WorkerConfig{Addr: "unused", Explorer: cfg})
+	rt := &jobRuntime{id: "fuzz", cfg: cfg}
+	rc := core.NewRunContext(&rt.cfg)
+	f.Cleanup(rc.Close)
+	root := c.leases[0].wireTask
+	res := w.runLease(rt, rc, root)
+	if res.Fatal != "" || len(res.Delta.Frontier) == 0 {
+		f.Fatalf("root lease: %+v", res)
+	}
+	left := res.Delta.Frontier
+	keys := make([]string, len(left))
+	for i, t := range left {
+		keys[i] = taskKey(t)
+	}
+	for _, wt := range []wireTask{root, {Lease: 2, Keys: keys, Tasks: left, Budget: 2}} {
+		var buf bytes.Buffer
+		if _, err := writeFrame(&buf, &frame{Type: msgTask, Job: "fuzz", Tasks: []wireTask{wt}}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, body := range []string{
+		`{"type":"task","job":"fuzz","tasks":[{"lease":3,"keys":["{}"],"tasks":[null]}]}`,
+		`{"type":"task","job":"fuzz","tasks":[{"lease":4,"keys":["{}"],"tasks":[{"decisions":{"by_rank":{"7":{"1":0}}}}]}]}`,
+	} {
+		f.Add(append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fr, _, err := readFrame(bytes.NewReader(data), maxFrameSize)
+		if err != nil {
+			return
+		}
+		for _, wt := range fr.Tasks {
+			res := w.runLease(rt, rc, wt)
+			if res.Lease != wt.Lease || (res.Fatal == "") == (res.Delta == nil) {
+				t.Fatalf("lease %d answered %+v", wt.Lease, res)
+			}
+			if slices.Contains(wt.Tasks, nil) && res.Fatal == "" {
+				t.Fatalf("lease %d with a null subtree ran: %+v", wt.Lease, res)
+			}
 		}
 	})
 }

@@ -390,9 +390,14 @@ read:
 // runLease explores one lease on the loop core.Explorer runs — its roots
 // depth-first until they are exhausted, the budget is spent, the time slice
 // has passed or the worker is halted — and returns what that added to the
-// exploration and what is left of it.
+// exploration and what is left of it. A lease the job's world cannot replay
+// is answered Fatal before anything runs.
 func (w *Worker) runLease(rt *jobRuntime, rc *core.RunContext, wt wireTask) *WireResult {
 	out := &WireResult{Lease: wt.Lease, Keys: wt.Keys}
+	if err := replayable(&rt.cfg, wt.Tasks); err != nil {
+		out.Fatal = err.Error()
+		return out
+	}
 	start := time.Now()
 	rep, left, _, err := rc.Explore(wt.Tasks, wt.Budget, false, func() bool {
 		return time.Since(start) >= w.slice || w.halted()
@@ -403,4 +408,19 @@ func (w *Worker) runLease(rt *jobRuntime, rc *core.RunContext, wt wireTask) *Wir
 	}
 	out.Delta = dexplore.NewCheckpoint("", &rt.cfg, rep, left)
 	return out
+}
+
+// replayable refuses subtrees a worker must not replay: a null one, or one
+// forcing a decision that names no rank of the job's world or a value out of
+// its range (see core.Decisions.InRange). A task frame is untrusted input.
+func replayable(cfg *core.ExplorerConfig, tasks []*core.SubtreeTask) error {
+	for _, t := range tasks {
+		if t == nil {
+			return errors.New("dcoord: task frame holds a null subtree")
+		}
+		if err := t.Decisions.InRange(cfg.Procs, cfg.ChoicePoints); err != nil {
+			return fmt.Errorf("dcoord: task frame: %w", err)
+		}
+	}
+	return nil
 }

@@ -61,7 +61,7 @@ func TestStopOnFirstErrorParallel(t *testing.T) {
 		t.Errorf("exploration ran on after the first error: %d interleavings", rep.Interleavings)
 	}
 	first := rep.Errors[0]
-	_, res, err := core.Replay(core.ExplorerConfig{Procs: 3, Program: fanInError}, first.Decisions)
+	_, res, err := core.ExecuteRun(&core.ExplorerConfig{Procs: 3, Program: fanInError}, first.Decisions)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -252,3 +252,53 @@ func TestClockTrafficRecyclesWhicheverWayItFlows(t *testing.T) {
 		t.Fatalf("a warm world sending %d one-way clock messages makes %.0f allocations, want 0", msgs, got)
 	}
 }
+
+// TestWaitanyOpIsScratch: the WaitanyOp a Waitany or Testany hands the tool
+// layer is per-rank scratch, like SendOp, RecvOp and ProbeOp. A warm world
+// whose tool installs PreWaitany allocates exactly what it does without one,
+// so no call allocates a descriptor (each of the 100 calls allocated one when
+// the op was built per call for a choice-point tool).
+func TestWaitanyOpIsScratch(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	const calls = 100
+	prog := func(p *Proc) error {
+		c := p.CommWorld()
+		var reqs [1]*Request
+		for i := 0; i < calls; i++ {
+			var err error
+			if reqs[0], err = p.Irecv(0, 0, c); err != nil {
+				return err
+			}
+			if err := p.Send(0, 0, nil, c); err != nil {
+				return err
+			}
+			if i%2 == 0 {
+				_, _, err = p.Waitany(reqs[:])
+			} else {
+				_, _, _, err = p.Testany(reqs[:])
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	allocs := func(hooks *Hooks) float64 {
+		pools := NewPools(1)
+		defer pools.Close()
+		world := func() {
+			if err := NewWorld(Config{Procs: 1, Hooks: hooks, Pools: pools}).Run(prog); err != nil {
+				t.Fatal(err)
+			}
+		}
+		world()
+		return testing.AllocsPerRun(20, world)
+	}
+	without := allocs(&Hooks{})
+	with := allocs(&Hooks{PreWaitany: func(*Proc, *WaitanyOp) {}})
+	if with != without {
+		t.Fatalf("%d Waitany/Testany calls make %.0f allocations with a PreWaitany hook, %.0f without", calls, with, without)
+	}
+}

@@ -64,12 +64,12 @@ func (m PMPI) enterCollective(c Comm, a collArgs) (collResult, error) {
 		return collResult{}, w.failure
 	}
 	if !c.Valid() {
-		return collResult{}, &UsageError{Rank: p.rank, Op: a.kind.String(), Msg: "invalid communicator"}
+		return collResult{}, &UsageError{Rank: p.Rank(), Op: a.kind.String(), Msg: "invalid communicator"}
 	}
 	ci := c.info
 	me := c.localRank
 	if ci.parent != nil {
-		return collResult{}, &UsageError{Rank: p.rank, Op: a.kind.String(), Msg: fmt.Sprintf("collective on tool context %s", c)}
+		return collResult{}, &UsageError{Rank: p.Rank(), Op: a.kind.String(), Msg: fmt.Sprintf("collective on tool context %s", c)}
 	}
 	if a.kind == CollCommFree {
 		ci.ranks[me].freed = true // the handle is dead from here, whoever else has yet to free
@@ -85,7 +85,7 @@ func (m PMPI) enterCollective(c Comm, a collArgs) (collResult, error) {
 	}
 	if inst.kind != a.kind || inst.root != a.root {
 		err := &UsageError{
-			Rank: p.rank,
+			Rank: p.Rank(),
 			Op:   a.kind.String(),
 			Msg: fmt.Sprintf("collective mismatch on %s call #%d: rank %d called %s(root=%d), another rank called %s(root=%d)",
 				c, seq, me, a.kind, a.root, inst.kind, inst.root),

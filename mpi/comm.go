@@ -122,14 +122,14 @@ func (ci *commInfo) mapRanks() {
 // has no collectives and no tool context of its own.
 func (m PMPI) Tool(c Comm) (Comm, error) {
 	if !c.Valid() {
-		return Comm{}, &UsageError{Rank: m.p.rank, Op: "Tool", Msg: "invalid communicator"}
+		return Comm{}, &UsageError{Rank: m.p.Rank(), Op: "Tool", Msg: "invalid communicator"}
 	}
 	if err := c.checkLive(m.p, "Tool"); err != nil {
 		return Comm{}, err
 	}
 	ci := c.info
 	if ci.parent != nil {
-		return Comm{}, &UsageError{Rank: m.p.rank, Op: "Tool", Msg: fmt.Sprintf("%s is a tool context", c)}
+		return Comm{}, &UsageError{Rank: m.p.Rank(), Op: "Tool", Msg: fmt.Sprintf("%s is a tool context", c)}
 	}
 	if !ci.toolLive {
 		if ci.tool == nil {
@@ -197,7 +197,7 @@ func (c Comm) String() string {
 // communicator (use-after-free of an MPI communicator handle).
 func (c Comm) checkLive(p *Proc, op string) error {
 	if c.info.ranks[c.localRank].freed {
-		return &UsageError{Rank: p.rank, Op: op, Msg: fmt.Sprintf("use of freed communicator %s#%d", c.info.label(), c.info.id)}
+		return &UsageError{Rank: p.Rank(), Op: op, Msg: fmt.Sprintf("use of freed communicator %s#%d", c.info.label(), c.info.id)}
 	}
 	return nil
 }
@@ -208,7 +208,7 @@ func (c Comm) checkPeer(p *Proc, op string, peer int, anySourceOK bool) error {
 		return nil
 	}
 	if peer < 0 || peer >= len(c.info.members) {
-		return &UsageError{Rank: p.rank, Op: op, Msg: fmt.Sprintf("peer rank %d out of range [0,%d)", peer, len(c.info.members))}
+		return &UsageError{Rank: p.Rank(), Op: op, Msg: fmt.Sprintf("peer rank %d out of range [0,%d)", peer, len(c.info.members))}
 	}
 	return nil
 }

@@ -117,6 +117,43 @@ func TestTestany(t *testing.T) {
 	})
 }
 
+// TestWaitanyWithNothingToWaitFor: a Waitany over no unconsumed request — an
+// empty list, nil requests, consumed ones — returns at once with index -1
+// (MPI_UNDEFINED), and a Waitsome with empty results, instead of parking the
+// rank for good. No completion choice was made, so PostWaitany does not fire.
+func TestWaitanyWithNothingToWaitFor(t *testing.T) {
+	posts := 0
+	hooks := &Hooks{PostWaitany: func(*Proc, *WaitanyOp, int, Status) { posts++ }}
+	err := NewWorld(Config{Procs: 2, Hooks: hooks}).Run(func(p *Proc) error {
+		c := p.CommWorld()
+		if p.Rank() == 1 {
+			return p.Send(0, 0, []byte("x"), c)
+		}
+		req, err := p.Irecv(1, 0, c)
+		if err != nil {
+			return err
+		}
+		if _, err := p.Wait(req); err != nil {
+			return err
+		}
+		for _, reqs := range [][]*Request{nil, {nil, nil}, {req}, {nil, req}} {
+			if idx, st, err := p.Waitany(reqs); err != nil || idx != -1 || st != (Status{}) {
+				return fmt.Errorf("Waitany(%d requests) = %d %+v %v, want -1 at once", len(reqs), idx, st, err)
+			}
+			if idx, sts, err := p.Waitsome(reqs); err != nil || len(idx) != 0 || len(sts) != 0 {
+				return fmt.Errorf("Waitsome(%d requests) = %v %v %v, want empty results", len(reqs), idx, sts, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if posts != 0 {
+		t.Errorf("PostWaitany fired %d times with nothing to wait for", posts)
+	}
+}
+
 func TestCancelUnmatchedReceive(t *testing.T) {
 	run(t, 1, func(p *Proc) error {
 		c := p.CommWorld()

@@ -81,11 +81,11 @@ func (w *World) CommLeaks() []CommLeak {
 		}
 		n := len(out)
 		for _, ci := range w.comms[:w.liveComms] {
-			lr, member := ci.rankOf[p.rank]
+			lr, member := ci.rankOf[p.Rank()]
 			if ci == w.worldComm || !member || ci.ranks[lr].freed {
 				continue
 			}
-			out = append(out, CommLeak{Rank: p.rank, Comm: ci.ref(lr)})
+			out = append(out, CommLeak{Rank: p.Rank(), Comm: ci.ref(lr)})
 		}
 		sortByText(out[n:])
 	}
@@ -105,7 +105,7 @@ func (w *World) RequestLeaks() []RequestLeak {
 		n := len(out)
 		for _, r := range p.pool.escaped {
 			if !r.consumed {
-				out = append(out, RequestLeak{Rank: p.rank, Kind: r.kind, Peer: r.peer, Tag: r.tag, Comm: r.comm.info.ref(r.comm.localRank)})
+				out = append(out, RequestLeak{Rank: p.Rank(), Kind: r.kind, Peer: r.peer, Tag: r.tag, Comm: r.comm.info.ref(r.comm.localRank)})
 			}
 		}
 		sortByText(out[n:])

@@ -50,13 +50,13 @@ type ProbeOp struct {
 	SuppressFound bool
 }
 
-// WaitanyOp describes a Waitany/Testany call entering the tool layer when a
-// choice-point tool is installed. Tools may set ForceIndex to determinize
-// which completion the call observes (how a guided replay enforces a recorded
-// Waitany completion index): the call then waits on that specific request
-// instead of taking the first available completion. A ForceIndex naming a
-// nil or already-consumed request is ignored (the replay records a mismatch
-// through the usual epoch machinery instead of failing).
+// WaitanyOp describes a Waitany/Testany call entering the tool layer (and so
+// each call of Waitsome, which is built from them). Tools may set ForceIndex
+// to determinize which completion the call observes (how a guided replay
+// enforces a recorded Waitany completion index): the call then waits on that
+// specific request instead of taking the first available completion. A
+// ForceIndex naming a nil or already-consumed request is ignored (the replay
+// records a mismatch through the usual epoch machinery instead of failing).
 type WaitanyOp struct {
 	Reqs       []*Request
 	Blocking   bool // Waitany (true) vs Testany (false)
@@ -103,17 +103,18 @@ type CollOp struct {
 	Root int // meaningful for rooted collectives; 0 otherwise
 }
 
-// Hooks is the tool layer: a world has one (Config.Hooks). All fields are
-// optional; nil fields are skipped. Every hook but Idle runs on the calling
-// rank's goroutine, on that rank's turn. What a tool would only count or
-// track per rank — the Table I operation mix, leaked communicators and
-// requests — the world already keeps (World.Ops, CommLeaks, RequestLeaks).
+// Hooks is the tool layer: a world has one (Config.Hooks; a world without
+// one gets noHooks). All fields are optional; nil fields are skipped. Every
+// hook but Idle runs on the calling rank's goroutine, on that rank's turn.
+// What a tool would only count or track per rank — the Table I operation
+// mix, leaked communicators and requests — the world already keeps
+// (World.Ops, CommLeaks, RequestLeaks).
 //
-// Lifetimes: the SendOp/RecvOp/ProbeOp descriptors and the PreWait slice are
-// per-rank scratch owned by the runtime, valid until the hooked MPI call
-// returns; a hook that keeps one must copy it. The request of a blocking
-// Send/Ssend/Recv is recycled (Request.Free) once its Complete hook has
-// returned and may reappear under a new identity; requests of the
+// Lifetimes: the SendOp/RecvOp/ProbeOp/WaitanyOp descriptors and the
+// PreWait slice are per-rank scratch owned by the runtime, valid until the
+// hooked MPI call returns; a hook that keeps one must copy it. The request
+// of a blocking Send/Ssend/Recv is recycled (Request.Free) once its Complete
+// hook has returned and may reappear under a new identity; requests of the
 // nonblocking calls belong to the application and are never recycled.
 type Hooks struct {
 	// Init runs on each rank before its program starts: per-rank tool set-up.
@@ -137,11 +138,11 @@ type Hooks struct {
 
 	// PreWaitany/PostWaitany bracket the multi-request completion choice of
 	// Waitany and Testany (and therefore Waitsome, which is built from them).
-	// They fire only when installed — choice-point tracking is opt-in — and
 	// PostWaitany fires only for a positive outcome (some completion was
 	// observed): a Testany that found nothing ready is timing noise, not a
-	// decision. PostWaitany runs after the Complete hook for the consumed
-	// request, with the index the call returned.
+	// decision, and a Waitany with nothing to wait for returns -1 without
+	// one. PostWaitany runs after the Complete hook for the consumed request,
+	// with the index the call returned.
 	PreWaitany  func(p *Proc, op *WaitanyOp)
 	PostWaitany func(p *Proc, op *WaitanyOp, idx int, st Status)
 
@@ -180,3 +181,7 @@ type Hooks struct {
 	// reports the deadlock itself.
 	Idle func(w *World)
 }
+
+// noHooks is the tool layer of a world configured without one: every hook
+// nil, so a hooked call tests only the field of the hook it would run.
+var noHooks Hooks

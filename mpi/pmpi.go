@@ -1,6 +1,9 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // PMPI exposes the raw, unhooked runtime operations — the analogue of the
 // PMPI_* entry points. Tool layers use it to issue their own traffic (e.g.
@@ -43,7 +46,7 @@ func (m PMPI) isend(dest, tag int, data []byte, c Comm, sync bool) (*Request, er
 		return nil, w.failure
 	}
 	if !c.Valid() {
-		return nil, &UsageError{Rank: p.rank, Op: "Isend", Msg: "invalid communicator"}
+		return nil, &UsageError{Rank: p.Rank(), Op: "Isend", Msg: "invalid communicator"}
 	}
 	if err := c.checkLive(p, "Isend"); err != nil {
 		return nil, err
@@ -52,7 +55,7 @@ func (m PMPI) isend(dest, tag int, data []byte, c Comm, sync bool) (*Request, er
 		return nil, err
 	}
 	if tag < 0 {
-		return nil, &UsageError{Rank: p.rank, Op: "Isend", Msg: fmt.Sprintf("negative tag %d", tag)}
+		return nil, &UsageError{Rank: p.Rank(), Op: "Isend", Msg: fmt.Sprintf("negative tag %d", tag)}
 	}
 	req := p.newRequest()
 	w.nextReq++
@@ -124,7 +127,7 @@ func (m PMPI) Irecv(src, tag int, c Comm) (*Request, error) {
 		return nil, w.failure
 	}
 	if !c.Valid() {
-		return nil, &UsageError{Rank: p.rank, Op: "Irecv", Msg: "invalid communicator"}
+		return nil, &UsageError{Rank: p.Rank(), Op: "Irecv", Msg: "invalid communicator"}
 	}
 	if err := c.checkLive(p, "Irecv"); err != nil {
 		return nil, err
@@ -192,11 +195,15 @@ func firstCompleted(reqs []*Request) int {
 }
 
 // Waitany blocks until at least one unconsumed request in reqs completes,
-// consumes it, and returns its index and status.
+// consumes it, and returns its index and status. With no unconsumed request
+// in reqs it returns at once with index -1 (MPI_UNDEFINED).
 func (m PMPI) Waitany(reqs []*Request) (int, Status, error) {
 	p := m.p
 	idx := firstCompleted(reqs)
 	if idx < 0 {
+		if !slices.ContainsFunc(reqs, func(r *Request) bool { return r != nil && !r.consumed }) {
+			return -1, Status{}, nil
+		}
 		p.park = parking{kind: parkWaitany, reqs: reqs}
 		if err := p.world.block(p); err != nil {
 			return -1, Status{}, err

@@ -8,29 +8,33 @@ import "fmt"
 // tool hooks around the PMPI-level implementation.
 type Proc struct {
 	world *World
-	rank  int
-	pmpi  PMPI
+	// rank is an int32 so that it packs with the flags after it: a Proc
+	// must fit its 352-byte allocation class, which the scratch descriptors
+	// below fill, or a cold world pays for the difference
+	// (TestColdNativeWorldPaysNothingForTools).
+	rank      int32
+	returned  bool // the program returned (did not panic or Goexit)
+	finished  bool
+	finalized bool
 
 	// yield hands the turn back to the scheduler: the yield of the coroutine
 	// the rank runs on this world (see runner). False means the coroutine is
 	// being stopped.
 	yield func(struct{}) bool
 
-	park      parking // what the rank is parked on; kind parkNone while it runs
-	err       error   // what the program returned
-	returned  bool    // the program returned (did not panic or Goexit)
-	finished  bool
-	finalized bool
+	park parking // what the rank is parked on; kind parkNone while it runs
+	err  error   // what the program returned
 
 	// pool is this rank's slot in the world's request freelists.
 	pool *rankPool
 
 	// Scratch descriptors handed to hooks for the duration of one call (see
 	// the Hooks contract), so a hooked call allocates no descriptor.
-	sendOp  SendOp
-	recvOp  RecvOp
-	probeOp ProbeOp
-	waitReq [1]*Request
+	sendOp    SendOp
+	recvOp    RecvOp
+	probeOp   ProbeOp
+	waitanyOp WaitanyOp
+	waitReq   [1]*Request
 
 	// ToolState is scratch space for the tool layer's per-rank module
 	// (DAMPI hangs its per-rank state here). The runtime never touches it.
@@ -41,7 +45,9 @@ type Proc struct {
 // set, probe pattern or collective instance is both the wake-up condition and
 // the deadlock report's description, so parking allocates nothing.
 type parking struct {
-	kind parkKind
+	kind     parkKind
+	released bool // parkTool: World.Unpark was called
+
 	req  *Request    // parkWait
 	reqs []*Request  // parkWaitany
 	src  int         // parkProbe
@@ -49,8 +55,6 @@ type parking struct {
 	comm Comm        // parkProbe, parkColl
 	coll *collective // parkColl
 	why  string      // parkTool: the tool's description of the hold
-
-	released bool // parkTool: World.Unpark was called
 }
 
 type parkKind uint8
@@ -109,7 +113,7 @@ func (p *Proc) Park(why string) error {
 }
 
 // Rank returns this process's world rank.
-func (p *Proc) Rank() int { return p.rank }
+func (p *Proc) Rank() int { return int(p.rank) }
 
 // Size returns the world size.
 func (p *Proc) Size() int { return p.world.size }
@@ -119,12 +123,14 @@ func (p *Proc) World() *World { return p.world }
 
 // CommWorld returns this rank's MPI_COMM_WORLD handle.
 func (p *Proc) CommWorld() Comm {
-	return Comm{info: p.world.worldComm, localRank: p.rank}
+	return Comm{info: p.world.worldComm, localRank: p.Rank()}
 }
 
 // PMPI returns the unhooked operation surface for tool layers.
-func (p *Proc) PMPI() PMPI { return p.pmpi }
+func (p *Proc) PMPI() PMPI { return PMPI{p: p} }
 
+// hooks returns the world's tool layer: noHooks for a world without one, so a
+// hooked call tests only the hook it runs.
 func (p *Proc) hooks() *Hooks { return p.world.hooks }
 
 // Abort terminates the whole world with the given error; all blocked and
@@ -134,7 +140,7 @@ func (p *Proc) Abort(err error) { p.world.AbortWith(err) }
 // Pcontrol forwards an MPI_Pcontrol call to the tool layer. DAMPI's
 // loop-iteration abstraction uses level 1 with arg "loop:begin"/"loop:end".
 func (p *Proc) Pcontrol(level int, arg string) {
-	if h := p.hooks(); h != nil && h.Pcontrol != nil {
+	if h := p.hooks(); h.Pcontrol != nil {
 		h.Pcontrol(p, level, arg)
 	}
 }
@@ -169,21 +175,21 @@ func (p *Proc) isend(dest, tag int, data []byte, c Comm, sync bool) (*Request, e
 	h := p.hooks()
 	op := &p.sendOp
 	*op = SendOp{Dest: dest, Tag: tag, Data: data, Comm: c, Sync: sync}
-	if h != nil && h.PreSend != nil {
+	if h.PreSend != nil {
 		h.PreSend(p, op)
 	}
 	var req *Request
 	var err error
 	if op.Sync {
-		req, err = p.pmpi.Issend(op.Dest, op.Tag, op.Data, op.Comm)
+		req, err = p.PMPI().Issend(op.Dest, op.Tag, op.Data, op.Comm)
 	} else {
-		req, err = p.pmpi.Isend(op.Dest, op.Tag, op.Data, op.Comm)
+		req, err = p.PMPI().Isend(op.Dest, op.Tag, op.Data, op.Comm)
 	}
 	if err != nil {
 		return nil, err
 	}
 	p.world.ops.SendRecv++
-	if h != nil && h.PostSend != nil {
+	if h.PostSend != nil {
 		h.PostSend(p, op, req)
 	}
 	return req, nil
@@ -195,16 +201,11 @@ func (p *Proc) isend(dest, tag int, data []byte, c Comm, sync bool) (*Request, e
 // a send plus a wait, and OpCounts counts it as such.
 func (p *Proc) waitInternal(req *Request) (Status, error) {
 	already := req.consumed
-	st, err := p.pmpi.Wait(req)
+	st, err := p.PMPI().Wait(req)
 	if err != nil {
 		return st, err
 	}
-	if !already {
-		p.observeCompletion(req, st)
-	}
-	// Tool layers may rewrite the payload (Request.ReplaceData) during the
-	// Complete hook; return the request's current status.
-	return req.Status(), nil
+	return p.observe(req, st, already), nil
 }
 
 // Send is a blocking standard send (eager-buffered: returns once the message
@@ -241,15 +242,15 @@ func (p *Proc) irecv(src, tag int, c Comm) (*Request, error) {
 	h := p.hooks()
 	op := &p.recvOp
 	*op = RecvOp{Src: src, Tag: tag, Comm: c, WasAnySource: src == AnySource}
-	if h != nil && h.PreRecv != nil {
+	if h.PreRecv != nil {
 		h.PreRecv(p, op)
 	}
-	req, err := p.pmpi.Irecv(op.Src, op.Tag, op.Comm)
+	req, err := p.PMPI().Irecv(op.Src, op.Tag, op.Comm)
 	if err != nil {
 		return nil, err
 	}
 	p.world.ops.SendRecv++
-	if h != nil && h.PostRecv != nil {
+	if h.PostRecv != nil {
 		h.PostRecv(p, op, req)
 	}
 	return req, nil
@@ -272,50 +273,42 @@ func (p *Proc) Recv(src, tag int, c Comm) ([]byte, Status, error) {
 
 // --- Completion ---
 
-// observeCompletion fires the Complete hook once per request.
-func (p *Proc) observeCompletion(req *Request, st Status) {
-	h := p.hooks()
-	if h != nil && h.Complete != nil {
+// observe fires the Complete hook for a completion the call just consumed —
+// once per request: not when the request had been consumed before the call
+// (already) — and returns the request's status. Tool layers may rewrite the
+// payload (Request.ReplaceData) during the Complete hook, so the status is
+// the request's current one.
+func (p *Proc) observe(req *Request, st Status, already bool) Status {
+	if h := p.hooks(); !already && h.Complete != nil {
 		h.Complete(p, req, st)
+	}
+	return req.Status()
+}
+
+// preWait counts a Wait or Test on req and runs the PreWait hook.
+func (p *Proc) preWait(req *Request) {
+	p.world.ops.Wait++
+	if h := p.hooks(); h.PreWait != nil {
+		p.waitReq[0] = req
+		h.PreWait(p, p.waitReq[:])
 	}
 }
 
 // Wait blocks until req completes and consumes the completion.
 func (p *Proc) Wait(req *Request) (Status, error) {
-	p.world.ops.Wait++
-	h := p.hooks()
-	if h != nil && h.PreWait != nil {
-		p.waitReq[0] = req
-		h.PreWait(p, p.waitReq[:])
-	}
-	already := req.consumed
-	st, err := p.pmpi.Wait(req)
-	if err != nil {
-		return st, err
-	}
-	if !already {
-		p.observeCompletion(req, st)
-	}
-	return req.Status(), nil
+	p.preWait(req)
+	return p.waitInternal(req)
 }
 
 // Test checks req without blocking; a true flag consumes the completion.
 func (p *Proc) Test(req *Request) (Status, bool, error) {
-	p.world.ops.Wait++
-	h := p.hooks()
-	if h != nil && h.PreWait != nil {
-		p.waitReq[0] = req
-		h.PreWait(p, p.waitReq[:])
-	}
+	p.preWait(req)
 	already := req.consumed
-	st, ok, err := p.pmpi.Test(req)
+	st, ok, err := p.PMPI().Test(req)
 	if err != nil || !ok {
 		return st, ok, err
 	}
-	if !already {
-		p.observeCompletion(req, st)
-	}
-	return req.Status(), true, nil
+	return p.observe(req, st, already), true, nil
 }
 
 // Waitall waits for all requests, returning their statuses in order.
@@ -335,45 +328,51 @@ func (p *Proc) Waitall(reqs []*Request) ([]Status, error) {
 }
 
 // Waitany blocks until one unconsumed request completes; returns its index.
+// With no unconsumed request in reqs — none, or all nil or consumed — it
+// returns at once with index -1 (MPI_UNDEFINED).
 func (p *Proc) Waitany(reqs []*Request) (int, Status, error) {
+	idx, st, _, err := p.waitany(reqs, true)
+	return idx, st, err
+}
+
+// waitany is the hooked body of Waitany (blocking) and Testany: it brackets
+// the completion choice with PreWaitany and, for a positive outcome, with
+// PostWaitany after the consumed request's Complete hook.
+func (p *Proc) waitany(reqs []*Request, blocking bool) (int, Status, bool, error) {
 	p.world.ops.Wait++
 	h := p.hooks()
-	if h != nil && h.PreWait != nil {
+	if h.PreWait != nil {
 		h.PreWait(p, reqs)
 	}
-	if h == nil || (h.PreWaitany == nil && h.PostWaitany == nil) {
-		idx, st, err := p.pmpi.Waitany(reqs)
-		if err != nil {
-			return idx, st, err
-		}
-		p.observeCompletion(reqs[idx], st)
-		return idx, reqs[idx].Status(), nil
-	}
-	op := &WaitanyOp{Reqs: reqs, Blocking: true, ForceIndex: -1}
+	op := &p.waitanyOp
+	*op = WaitanyOp{Reqs: reqs, Blocking: blocking, ForceIndex: -1}
 	if h.PreWaitany != nil {
 		h.PreWaitany(p, op)
 	}
-	var idx int
+	idx, ok := op.ForceIndex, true
 	var st Status
 	var err error
-	if f := op.ForceIndex; f >= 0 && f < len(reqs) && reqs[f] != nil && !reqs[f].consumed {
-		// Forced completion: wait on that specific request. The force is only
-		// ever derived from a recorded run in which this request had already
-		// completed at this point, so the wait terminates in any execution
-		// that reproduced the prefix.
-		st, err = p.pmpi.Wait(reqs[f])
-		idx = f
-	} else {
-		idx, st, err = p.pmpi.Waitany(reqs)
+	switch {
+	case idx >= 0 && idx < len(reqs) && reqs[idx] != nil && !reqs[idx].consumed:
+		// Forced completion (guided replay): wait on that specific request.
+		// The force is only ever derived from a recorded run in which this
+		// request had already completed at this point, so the wait
+		// terminates in any execution that reproduced the prefix.
+		st, err = p.PMPI().Wait(reqs[idx])
+	case blocking:
+		idx, st, err = p.PMPI().Waitany(reqs)
+		ok = idx >= 0
+	default:
+		idx, st, ok, err = p.PMPI().Testany(reqs)
 	}
-	if err != nil {
-		return -1, Status{}, err
+	if err != nil || !ok {
+		return -1, Status{}, false, err
 	}
-	p.observeCompletion(reqs[idx], st)
+	st = p.observe(reqs[idx], st, false)
 	if h.PostWaitany != nil {
-		h.PostWaitany(p, op, idx, reqs[idx].Status())
+		h.PostWaitany(p, op, idx, st)
 	}
-	return idx, reqs[idx].Status(), nil
+	return idx, st, true, nil
 }
 
 // Testall reports whether all requests have completed; if so it consumes
@@ -393,42 +392,41 @@ func (p *Proc) Testall(reqs []*Request) ([]Status, bool, error) {
 // Probe blocks until a matching message is available and returns its status
 // without receiving it.
 func (p *Proc) Probe(src, tag int, c Comm) (Status, error) {
-	h := p.hooks()
-	op := &p.probeOp
-	*op = ProbeOp{Src: src, Tag: tag, Comm: c, Blocking: true, WasAnySource: src == AnySource}
-	if h != nil && h.PreProbe != nil {
-		h.PreProbe(p, op)
-	}
-	st, err := p.pmpi.Probe(op.Src, op.Tag, op.Comm)
-	if err != nil {
-		return st, err
-	}
-	p.world.ops.SendRecv++
-	if h != nil && h.PostProbe != nil {
-		h.PostProbe(p, op, st, true)
-	}
-	return st, nil
+	st, _, err := p.probe(src, tag, c, true)
+	return st, err
 }
 
 // Iprobe checks for a matching message without blocking.
 func (p *Proc) Iprobe(src, tag int, c Comm) (Status, bool, error) {
+	return p.probe(src, tag, c, false)
+}
+
+// probe is the hooked body of Probe (blocking) and Iprobe.
+func (p *Proc) probe(src, tag int, c Comm, blocking bool) (Status, bool, error) {
 	h := p.hooks()
 	op := &p.probeOp
-	*op = ProbeOp{Src: src, Tag: tag, Comm: c, WasAnySource: src == AnySource}
-	if h != nil && h.PreProbe != nil {
+	*op = ProbeOp{Src: src, Tag: tag, Comm: c, Blocking: blocking, WasAnySource: src == AnySource}
+	if h.PreProbe != nil {
 		h.PreProbe(p, op)
 	}
-	st, found, err := p.pmpi.Iprobe(op.Src, op.Tag, op.Comm)
+	var st Status
+	var err error
+	found := true
+	if blocking {
+		st, err = p.PMPI().Probe(op.Src, op.Tag, op.Comm)
+	} else {
+		st, found, err = p.PMPI().Iprobe(op.Src, op.Tag, op.Comm)
+	}
 	if err != nil {
-		return st, found, err
+		return st, false, err
 	}
 	p.world.ops.SendRecv++
-	if h != nil && h.PostProbe != nil {
+	if h.PostProbe != nil {
 		// The tool observes the real outcome, also when its PreProbe forced
 		// the application's (see below), so it can record the decision.
 		h.PostProbe(p, op, st, found)
 	}
-	if found && op.SuppressFound {
+	if found && op.SuppressFound && !blocking {
 		// A PreProbe hook forced this poll's not-found outcome (guided replay
 		// of an Iprobe choice point): the message stays queued and the
 		// application sees nothing.

@@ -7,9 +7,6 @@ package mpi
 // preColl runs the PreColl hook and returns this rank's clock contribution.
 func (p *Proc) preColl(op *CollOp) []uint64 {
 	h := p.hooks()
-	if h == nil {
-		return nil
-	}
 	if h.PreColl != nil {
 		h.PreColl(p, op)
 	}
@@ -24,9 +21,6 @@ func (p *Proc) preColl(op *CollOp) []uint64 {
 func (p *Proc) postColl(op *CollOp, out []uint64) {
 	p.world.ops.Coll++
 	h := p.hooks()
-	if h == nil {
-		return
-	}
 	if h.CollClockOut != nil && out != nil {
 		h.CollClockOut(p, op, out)
 	}
@@ -37,7 +31,7 @@ func (p *Proc) postColl(op *CollOp, out []uint64) {
 
 func (p *Proc) checkReduceOp(kind CollKind, op ReduceFunc) error {
 	if op == nil {
-		return &UsageError{Rank: p.rank, Op: kind.String(), Msg: "nil reduce op"}
+		return &UsageError{Rank: p.Rank(), Op: kind.String(), Msg: "nil reduce op"}
 	}
 	return nil
 }
@@ -45,7 +39,7 @@ func (p *Proc) checkReduceOp(kind CollKind, op ReduceFunc) error {
 // Barrier synchronizes all ranks of c.
 func (p *Proc) Barrier(c Comm) error {
 	op := &CollOp{Kind: CollBarrier, Comm: c}
-	out, err := p.pmpi.Barrier(c, p.preColl(op))
+	out, err := p.PMPI().Barrier(c, p.preColl(op))
 	if err != nil {
 		return err
 	}
@@ -56,7 +50,7 @@ func (p *Proc) Barrier(c Comm) error {
 // Bcast broadcasts root's data to every rank of c and returns it.
 func (p *Proc) Bcast(c Comm, root int, data []byte) ([]byte, error) {
 	op := &CollOp{Kind: CollBcast, Comm: c, Root: root}
-	res, out, err := p.pmpi.Bcast(c, root, data, p.preColl(op))
+	res, out, err := p.PMPI().Bcast(c, root, data, p.preColl(op))
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +64,7 @@ func (p *Proc) Reduce(c Comm, root int, data []byte, rop ReduceFunc) ([]byte, er
 		return nil, err
 	}
 	op := &CollOp{Kind: CollReduce, Comm: c, Root: root}
-	res, out, err := p.pmpi.Reduce(c, root, data, rop, p.preColl(op))
+	res, out, err := p.PMPI().Reduce(c, root, data, rop, p.preColl(op))
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +78,7 @@ func (p *Proc) Allreduce(c Comm, data []byte, rop ReduceFunc) ([]byte, error) {
 		return nil, err
 	}
 	op := &CollOp{Kind: CollAllreduce, Comm: c}
-	res, out, err := p.pmpi.Allreduce(c, data, rop, p.preColl(op))
+	res, out, err := p.PMPI().Allreduce(c, data, rop, p.preColl(op))
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +90,7 @@ func (p *Proc) Allreduce(c Comm, data []byte, rop ReduceFunc) ([]byte, error) {
 // non-roots).
 func (p *Proc) Gather(c Comm, root int, data []byte) ([][]byte, error) {
 	op := &CollOp{Kind: CollGather, Comm: c, Root: root}
-	res, out, err := p.pmpi.Gather(c, root, data, p.preColl(op))
+	res, out, err := p.PMPI().Gather(c, root, data, p.preColl(op))
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +101,7 @@ func (p *Proc) Gather(c Comm, root int, data []byte) ([][]byte, error) {
 // Allgather collects every rank's data at every rank.
 func (p *Proc) Allgather(c Comm, data []byte) ([][]byte, error) {
 	op := &CollOp{Kind: CollAllgather, Comm: c}
-	res, out, err := p.pmpi.Allgather(c, data, p.preColl(op))
+	res, out, err := p.PMPI().Allgather(c, data, p.preColl(op))
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +112,7 @@ func (p *Proc) Allgather(c Comm, data []byte) ([][]byte, error) {
 // Scatter distributes root's pieces, one per rank.
 func (p *Proc) Scatter(c Comm, root int, pieces [][]byte) ([]byte, error) {
 	op := &CollOp{Kind: CollScatter, Comm: c, Root: root}
-	res, out, err := p.pmpi.Scatter(c, root, pieces, p.preColl(op))
+	res, out, err := p.PMPI().Scatter(c, root, pieces, p.preColl(op))
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +123,7 @@ func (p *Proc) Scatter(c Comm, root int, pieces [][]byte) ([]byte, error) {
 // Alltoall performs a personalized all-to-all exchange.
 func (p *Proc) Alltoall(c Comm, pieces [][]byte) ([][]byte, error) {
 	op := &CollOp{Kind: CollAlltoall, Comm: c}
-	res, out, err := p.pmpi.Alltoall(c, pieces, p.preColl(op))
+	res, out, err := p.PMPI().Alltoall(c, pieces, p.preColl(op))
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +137,7 @@ func (p *Proc) Scan(c Comm, data []byte, rop ReduceFunc) ([]byte, error) {
 		return nil, err
 	}
 	op := &CollOp{Kind: CollScan, Comm: c}
-	res, out, err := p.pmpi.Scan(c, data, rop, p.preColl(op))
+	res, out, err := p.PMPI().Scan(c, data, rop, p.preColl(op))
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +151,7 @@ func (p *Proc) ReduceScatter(c Comm, pieces [][]byte, rop ReduceFunc) ([]byte, e
 		return nil, err
 	}
 	op := &CollOp{Kind: CollReduceScatter, Comm: c}
-	res, out, err := p.pmpi.ReduceScatter(c, pieces, rop, p.preColl(op))
+	res, out, err := p.PMPI().ReduceScatter(c, pieces, rop, p.preColl(op))
 	if err != nil {
 		return nil, err
 	}
@@ -168,12 +162,12 @@ func (p *Proc) ReduceScatter(c Comm, pieces [][]byte, rop ReduceFunc) ([]byte, e
 // CommDup collectively duplicates c.
 func (p *Proc) CommDup(c Comm) (Comm, error) {
 	op := &CollOp{Kind: CollCommDup, Comm: c}
-	nc, out, err := p.pmpi.CommDup(c, p.preColl(op))
+	nc, out, err := p.PMPI().CommDup(c, p.preColl(op))
 	if err != nil {
 		return Comm{}, err
 	}
 	p.postColl(op, out)
-	if h := p.hooks(); h != nil && h.PostCommCreate != nil {
+	if h := p.hooks(); h.PostCommCreate != nil {
 		h.PostCommCreate(p, c, nc)
 	}
 	return nc, nil
@@ -183,12 +177,12 @@ func (p *Proc) CommDup(c Comm) (Comm, error) {
 // A negative color excludes the caller, which receives an invalid Comm.
 func (p *Proc) CommSplit(c Comm, color, key int) (Comm, error) {
 	op := &CollOp{Kind: CollCommSplit, Comm: c}
-	nc, out, err := p.pmpi.CommSplit(c, color, key, p.preColl(op))
+	nc, out, err := p.PMPI().CommSplit(c, color, key, p.preColl(op))
 	if err != nil {
 		return Comm{}, err
 	}
 	p.postColl(op, out)
-	if h := p.hooks(); h != nil && h.PostCommCreate != nil && nc.Valid() {
+	if h := p.hooks(); h.PostCommCreate != nil && nc.Valid() {
 		h.PostCommCreate(p, c, nc)
 	}
 	return nc, nil
@@ -197,12 +191,12 @@ func (p *Proc) CommSplit(c Comm, color, key int) (Comm, error) {
 // CommFree collectively releases c.
 func (p *Proc) CommFree(c Comm) error {
 	op := &CollOp{Kind: CollCommFree, Comm: c}
-	out, err := p.pmpi.CommFree(c, p.preColl(op))
+	out, err := p.PMPI().CommFree(c, p.preColl(op))
 	if err != nil {
 		return err
 	}
 	p.postColl(op, out)
-	if h := p.hooks(); h != nil && h.PostCommFree != nil {
+	if h := p.hooks(); h.PostCommFree != nil {
 		h.PostCommFree(p, c)
 	}
 	return nil

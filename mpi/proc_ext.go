@@ -28,10 +28,11 @@ func (p *Proc) Sendrecv(dest, sendTag int, data []byte, recvSrc, recvTag int, c 
 
 // Waitsome blocks until at least one unconsumed request completes, then
 // consumes and returns the indices (and statuses) of every completed
-// request (MPI_Waitsome).
+// request (MPI_Waitsome). With no unconsumed request in reqs it returns at
+// once with empty results.
 func (p *Proc) Waitsome(reqs []*Request) ([]int, []Status, error) {
 	idx, st, err := p.Waitany(reqs)
-	if err != nil {
+	if err != nil || idx < 0 {
 		return nil, nil, err
 	}
 	indices := []int{idx}
@@ -52,41 +53,7 @@ func (p *Proc) Waitsome(reqs []*Request) ([]int, []Status, error) {
 // Testany checks for any completed, unconsumed request; on success it
 // consumes it and returns its index (MPI_Testany).
 func (p *Proc) Testany(reqs []*Request) (int, Status, bool, error) {
-	p.world.ops.Wait++
-	h := p.hooks()
-	if h != nil && h.PreWait != nil {
-		h.PreWait(p, reqs)
-	}
-	var op *WaitanyOp
-	if h != nil && (h.PreWaitany != nil || h.PostWaitany != nil) {
-		op = &WaitanyOp{Reqs: reqs, ForceIndex: -1}
-		if h.PreWaitany != nil {
-			h.PreWaitany(p, op)
-		}
-		if f := op.ForceIndex; f >= 0 && f < len(reqs) && reqs[f] != nil && !reqs[f].consumed {
-			// Forced completion (guided replay): the recorded run observed
-			// this request ready here, so waiting for it terminates.
-			st, err := p.pmpi.Wait(reqs[f])
-			if err != nil {
-				return -1, Status{}, false, err
-			}
-			p.observeCompletion(reqs[f], st)
-			if h.PostWaitany != nil {
-				h.PostWaitany(p, op, f, reqs[f].Status())
-			}
-			return f, reqs[f].Status(), true, nil
-		}
-	}
-	idx, st, ok, err := p.pmpi.Testany(reqs)
-	if err != nil || !ok {
-		return -1, Status{}, false, err
-	}
-	req := reqs[idx]
-	p.observeCompletion(req, st)
-	if op != nil && h.PostWaitany != nil {
-		h.PostWaitany(p, op, idx, req.Status())
-	}
-	return idx, req.Status(), true, nil
+	return p.waitany(reqs, false)
 }
 
 // Cancel cancels a posted receive that has not yet matched (MPI_Cancel for
@@ -95,9 +62,9 @@ func (p *Proc) Testany(reqs []*Request) (int, Status, bool, error) {
 // already-matched or send request is a no-op returning false.
 func (p *Proc) Cancel(req *Request) (bool, error) {
 	if req == nil {
-		return false, &UsageError{Rank: p.rank, Op: "Cancel", Msg: "nil request"}
+		return false, &UsageError{Rank: p.Rank(), Op: "Cancel", Msg: "nil request"}
 	}
-	ok, err := p.pmpi.Cancel(req)
+	ok, err := p.PMPI().Cancel(req)
 	if err != nil || !ok {
 		return ok, err
 	}
@@ -141,7 +108,7 @@ func (p *Proc) RecvInit(src, tag int, c Comm) *PersistentRequest {
 // called while an instance is active.
 func (r *PersistentRequest) SetData(data []byte) error {
 	if r.activeIncomplete() {
-		return &UsageError{Rank: r.proc.rank, Op: "SetData", Msg: "persistent request still active"}
+		return &UsageError{Rank: r.proc.Rank(), Op: "SetData", Msg: "persistent request still active"}
 	}
 	r.data = make([]byte, len(data))
 	copy(r.data, data)
@@ -158,7 +125,7 @@ func (r *PersistentRequest) activeIncomplete() bool {
 // with the usual Wait/Test family; Start may be called again afterwards.
 func (r *PersistentRequest) Start() (*Request, error) {
 	if r.activeIncomplete() {
-		return nil, &UsageError{Rank: r.proc.rank, Op: "Start", Msg: "previous instance not yet completed"}
+		return nil, &UsageError{Rank: r.proc.Rank(), Op: "Start", Msg: "previous instance not yet completed"}
 	}
 	var req *Request
 	var err error

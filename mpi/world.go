@@ -79,7 +79,11 @@ func NewWorld(cfg Config) *World {
 	if w == nil {
 		w = new(World)
 	}
-	*w = World{size: cfg.Procs, hooks: cfg.Hooks, pools: pools, owned: cfg.Pools == nil, polled: -1,
+	hooks := cfg.Hooks
+	if hooks == nil {
+		hooks = &noHooks
+	}
+	*w = World{size: cfg.Procs, hooks: hooks, pools: pools, owned: cfg.Pools == nil, polled: -1,
 		procs: sk.procs, comms: sk.comms, ready: sk.ready}
 	if len(w.procs) != w.size {
 		w.procs = make([]*Proc, w.size)
@@ -92,8 +96,7 @@ func NewWorld(cfg Config) *World {
 		rp := &pools.ranks[i]
 		clear(rp.escaped)
 		rp.escaped = rp.escaped[:0]
-		*p = Proc{world: w, rank: i, pool: rp}
-		p.pmpi = PMPI{p: p}
+		*p = Proc{world: w, rank: int32(i), pool: rp}
 		w.setReady(p)
 	}
 	ci := w.claimComm("world", w.size)
@@ -208,7 +211,7 @@ func (w *World) Run(program func(p *Proc) error) error {
 		if re == nil {
 			re = &RunError{}
 		}
-		re.RankErrors = append(re.RankErrors, &RankError{Rank: p.rank, Err: err})
+		re.RankErrors = append(re.RankErrors, &RankError{Rank: p.Rank(), Err: err})
 	}
 	if re == nil {
 		return nil
@@ -223,24 +226,24 @@ func (p *Proc) main(yield func(struct{}) bool) {
 	p.yield = yield
 	defer func() {
 		if r := recover(); r != nil {
-			p.err = fmt.Errorf("mpi: rank %d panicked: %v", p.rank, r)
+			p.err = fmt.Errorf("mpi: rank %d panicked: %v", p.Rank(), r)
 		}
 		p.finished = true
 		w.clearReady(p)
 		w.nfinished++
 	}()
-	if w.hooks != nil && w.hooks.Init != nil {
+	if w.hooks.Init != nil {
 		w.hooks.Init(p)
 	}
 	p.err = w.program(p)
 	p.returned = true
-	if w.hooks != nil && w.hooks.AtFinalize != nil {
+	if w.hooks.AtFinalize != nil {
 		w.hooks.AtFinalize(p)
 	}
 }
 
-func (w *World) setReady(p *Proc)   { w.ready[p.rank>>6] |= 1 << (p.rank & 63) }
-func (w *World) clearReady(p *Proc) { w.ready[p.rank>>6] &^= 1 << (p.rank & 63) }
+func (w *World) setReady(p *Proc)   { w.ready[p.Rank()>>6] |= 1 << (p.Rank() & 63) }
+func (w *World) clearReady(p *Proc) { w.ready[p.Rank()>>6] &^= 1 << (p.Rank() & 63) }
 
 // nextReady returns the lowest runnable rank >= from, or -1.
 func (w *World) nextReady(from int) int {
@@ -277,7 +280,7 @@ func (w *World) idle() {
 		// fail woke every parked rank and nothing parks in a failed world.
 		panic("mpi: no runnable rank in a failed world")
 	}
-	if w.hooks != nil && w.hooks.Idle != nil {
+	if w.hooks.Idle != nil {
 		w.hooks.Idle(w)
 		if w.nextReady(0) >= 0 {
 			return
@@ -286,7 +289,7 @@ func (w *World) idle() {
 	blocked := make(map[int]string)
 	for _, p := range w.procs {
 		if !p.finished {
-			blocked[p.rank] = p.park.String()
+			blocked[p.Rank()] = p.park.String()
 		}
 	}
 	w.fail(&DeadlockError{BlockedAt: blocked})
@@ -330,7 +333,7 @@ func (w *World) yield(p *Proc) {
 // It returns the sticky failure, which a polling loop must get to see.
 func (w *World) poll(p *Proc) error {
 	if w.failure == nil && !p.finished {
-		w.polled = p.rank
+		w.polled = p.Rank()
 		w.yield(p)
 	}
 	return w.failure
@@ -385,7 +388,7 @@ func (w *World) BlockedRanks() []int {
 	var out []int
 	for _, p := range w.procs {
 		if p.park.kind != parkNone {
-			out = append(out, p.rank)
+			out = append(out, p.Rank())
 		}
 	}
 	return out

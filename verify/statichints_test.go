@@ -60,7 +60,7 @@ func TestStaticMatchSetsHoldOnAllWorkloads(t *testing.T) {
 			}
 			checked := 0
 			for _, d := range repros {
-				trace, _, err := core.Replay(core.ExplorerConfig{Procs: procs, Program: prog}, d)
+				trace, _, err := core.ExecuteRun(&core.ExplorerConfig{Procs: procs, Program: prog}, d)
 				if err != nil {
 					t.Fatalf("Replay %v: %v", d, err)
 				}

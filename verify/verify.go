@@ -356,14 +356,7 @@ func MarkLoopEnd(p *mpi.Proc) { p.Pcontrol(core.PcontrolLoopLevel, core.LoopEnd)
 // deterministic replay of a previously discovered interleaving (e.g. an
 // error reproducer from Result.Errors).
 func Replay(procs int, program func(p *mpi.Proc) error, d *Decisions) (*InterleavingResult, error) {
-	if procs < 1 {
-		return nil, fmt.Errorf("verify: Replay procs must be >= 1, got %d", procs)
-	}
-	if program == nil {
-		return nil, fmt.Errorf("verify: nil program")
-	}
-	_, res, err := core.Replay(core.ExplorerConfig{Procs: procs, Program: program}, d)
-	return res, err
+	return replay(procs, program, d, false)
 }
 
 // ReplayChoicePoints replays one decision vector with the enlarged
@@ -373,12 +366,17 @@ func Replay(procs int, program func(p *mpi.Proc) error, d *Decisions) (*Interlea
 // replaying tool tracks the same epochs. Plain Replay would silently take
 // the natural outcomes and report the buggy schedule as clean.
 func ReplayChoicePoints(procs int, program func(p *mpi.Proc) error, d *Decisions) (*InterleavingResult, error) {
+	return replay(procs, program, d, true)
+}
+
+// replay is the body of Replay and ReplayChoicePoints.
+func replay(procs int, program func(p *mpi.Proc) error, d *Decisions, choices bool) (*InterleavingResult, error) {
 	if procs < 1 {
 		return nil, fmt.Errorf("verify: Replay procs must be >= 1, got %d", procs)
 	}
 	if program == nil {
 		return nil, fmt.Errorf("verify: nil program")
 	}
-	_, res, err := core.Replay(core.ExplorerConfig{Procs: procs, Program: program, ChoicePoints: true}, d)
+	_, res, err := core.ExecuteRun(&core.ExplorerConfig{Procs: procs, Program: program, ChoicePoints: choices}, d)
 	return res, err
 }
