@@ -14,8 +14,8 @@ import (
 // it (trace, reproducer, application payloads), not what its world is made
 // of. Bytes, because a single 8 KB slab per rank is one malloc — and mallocs,
 // because a coroutine started per rank per world is 12 small objects (96 of
-// them, 2.7 KB, at 8 ranks): the replay measures 56.00 and 5.85 KB, every run
-// (5.77 KB before a kept trace carried the world's leaks and counts; 74 and 6.19 KB when each world built its World, member list and RunError
+// them, 2.7 KB, at 8 ranks): the replay measures 56.00 and 5.35 KB, every run
+// (5.85 KB while a decision was 24 bytes, 5.77 KB before a kept trace carried the world's leaks and counts; 74 and 6.19 KB when each world built its World, member list and RunError
 // and clock buffers drained the sender's per-rank freelist, 76 and 6.5 KB
 // when the tool opened each world with a shadow CommDup, 172 when World.Run
 // called iter.Pull itself), so budgets of 62 and 7 KB let neither a
@@ -62,11 +62,11 @@ func TestWarmReplayAllocBudget(t *testing.T) {
 // outlives it — its child tasks and application payloads — and builds its
 // trace, result and expansion in the context's reused storage and no
 // reproducer (no result is kept: nothing fails, nothing is sampled, nobody
-// observes). It measures 1.55 KB in 53.4 mallocs, every run; a fresh World,
-// result and expansion per replay measure 2.14 KB in 73.5, and a fresh trace
-// and reproducer besides 7.01 KB.
+// observes). It measures 1.36 KB in 53.4 mallocs, every run (1.55 KB while a
+// decision was 24 bytes); a fresh World, result and expansion per replay
+// measure 2.14 KB in 73.5, and a fresh trace and reproducer besides 7.01 KB.
 func TestWarmExploreAllocBudget(t *testing.T) {
-	const budgetKB, budgetMallocs = 1.8, 60
+	const budgetKB, budgetMallocs = 1.5, 60
 	kb, mallocs := warmExploreCost(t, "ADLB p=8 k=2", adlb.Program(adlb.DriverConfig{}))
 	if kb > budgetKB {
 		t.Fatalf("a replay in a warm lease allocates %.2f KB (budget %.1f KB)", kb, budgetKB)
@@ -80,12 +80,13 @@ func TestWarmExploreAllocBudget(t *testing.T) {
 // a request on every rank costs a replay in a warm lease no more than it did
 // when no replay tracked leaks: the runtime builds leak records only for a
 // trace a caller keeps, and the list of requests handed to the program
-// reuses its storage. ADLB p=8, k=2 with the two leaks measures 4.41 KB in
-// 79.8 mallocs per replay, every run (4.66 KB in 87.8 while each collective
-// built a closure for its post hooks, and no replay in a lease tracked
-// leaks); one allocation per rank per world would cross the budget.
+// reuses its storage. ADLB p=8, k=2 with the two leaks measures 4.22 KB in
+// 79.8 mallocs per replay, every run (4.41 KB while a decision was 24 bytes,
+// 4.66 KB in 87.8 while each collective built a closure for its post hooks,
+// and no replay in a lease tracked leaks); one allocation per rank per world
+// would cross the budget.
 func TestWarmLeakingExploreAllocBudget(t *testing.T) {
-	const budgetKB, budgetMallocs = 4.5, 82
+	const budgetKB, budgetMallocs = 4.35, 82
 	run := adlb.Program(adlb.DriverConfig{})
 	kb, mallocs := warmExploreCost(t, "leaking ADLB p=8 k=2", func(p *mpi.Proc) error {
 		c := p.CommWorld()

@@ -9,28 +9,43 @@ import (
 	"math"
 	"os"
 	"slices"
-	"sort"
 	"strconv"
 )
 
 // Decisions is the Epoch Decisions file of the paper: for each rank, the
-// forced source for each epoch (keyed by the rank's Lamport clock at the
-// epoch) and the rank's guided epoch — the largest forced clock value, past
-// which the rank reverts to SELF_RUN.
+// forced source for each epoch, keyed by the rank's Lamport clock at the
+// epoch. A rank's guided epoch — the largest forced clock value, past which
+// the rank reverts to SELF_RUN — is the LC of its last decision.
 //
 // The set is one slice sorted by (rank, LC) with no duplicate key: a decision
 // prefix is cloned once per child task, rendered into every task key and
 // moved over the wire three times per cluster replay, and all of those are a
-// single linear pass over a sorted slice.
+// single linear pass over a sorted slice. Each rank's decisions are one
+// contiguous run of it, which a replaying rank reads in LC order through a
+// cursor (Tool). An entry is 16 bytes: ranks and sources are 32-bit.
 type Decisions struct {
 	entries []decision
 }
 
-// decision forces one epoch to a communicator-local source.
+// decision forces one epoch to a communicator-local source (or, at a choice
+// point, a request index or found flag).
 type decision struct {
-	rank int
+	rank int32
+	src  int32
 	lc   uint64
-	src  int
+}
+
+// newDecision builds the entry forcing rank's epoch at lc to src. A world has
+// fewer than 2³¹ ranks and a call fewer than 2³¹ requests, so a rank or a
+// source outside int32 is a caller's bug: it panics rather than truncate to
+// some other decision. (Input read from a file or the wire is checked before
+// it gets here: UnmarshalJSON and ReadTrace reject such values.)
+func newDecision(rank int, lc uint64, src int) decision {
+	e := decision{rank: int32(rank), src: int32(src), lc: lc}
+	if int(e.rank) != rank || int(e.src) != src {
+		panic(fmt.Sprintf("core: decision r%d@%d→%d does not fit 32 bits", rank, lc, src))
+	}
+	return e
 }
 
 // compareKey orders decisions by (rank, LC).
@@ -52,11 +67,12 @@ func (d *Decisions) Empty() bool {
 }
 
 // search returns the position of (rank, lc) in the sorted entries, or where
-// it would be inserted.
-func (d *Decisions) search(rank int, lc uint64) (int, bool) {
-	// Written out rather than slices.BinarySearchFunc: every wildcard of a
-	// guided replay and every record of an expansion looks one key up, and
-	// the comparison through a func value is most of a 25-entry search.
+// it would be inserted. Only the random-access reads use it: Lookup, and
+// ofRank once per rank per replay. A replaying rank then reads its decisions
+// through a cursor, and insertions (put) find their place from the end.
+func (d *Decisions) search(rank int32, lc uint64) (int, bool) {
+	// Written out rather than slices.BinarySearchFunc: the comparison through
+	// a func value is most of a 25-entry search.
 	lo, hi := 0, len(d.entries)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -69,38 +85,40 @@ func (d *Decisions) search(rank int, lc uint64) (int, bool) {
 	return lo, lo < len(d.entries) && d.entries[lo].rank == rank && d.entries[lo].lc == lc
 }
 
-// Force records a forced source for an epoch, replacing any earlier one.
+// Force records a forced source for an epoch, replacing any earlier one. It
+// panics on a rank or a source outside int32 (see newDecision).
 func (d *Decisions) Force(id EpochID, src int) {
-	e := decision{rank: id.Rank, lc: id.LC, src: src}
-	if n := len(d.entries); n == 0 || compareKey(d.entries[n-1], e) < 0 {
-		d.entries = append(d.entries, e)
-		return
+	d.put(newDecision(id.Rank, id.LC, src), true)
+}
+
+// put inserts e in its sorted place by one insertion-sort step from the end:
+// a key past the last costs nothing, any other costs the entries it passes,
+// which are the ones it moves. On a key already present, e replaces that
+// decision when replace is set and is dropped otherwise.
+func (d *Decisions) put(e decision, replace bool) {
+	i := len(d.entries)
+	for i > 0 && compareKey(d.entries[i-1], e) > 0 {
+		i--
 	}
-	i, found := d.search(id.Rank, id.LC)
-	if found {
-		d.entries[i].src = src
+	if i > 0 && compareKey(d.entries[i-1], e) == 0 {
+		if replace {
+			d.entries[i-1].src = e.src
+		}
 		return
 	}
 	d.entries = slices.Insert(d.entries, i, e)
 }
 
-// pin forces every completed record the set does not already decide to its
-// observed choice — Force(rec.ID(), rec.Chosen) for each, the first of a
-// repeated record winning — without a sorted insertion per record: a run's
-// reproducer pins every epoch of its trace (3072 on 104.milc at 64 ranks).
-// A trace is in commit order, ascending LC within a rank with the ranks
-// interleaved, so the pins are counted per rank and each is then written
-// straight to its sorted place; one sort repairs whatever that leaves out of
-// order (decisions already present, a trace that breaks the pattern).
+// pin forces every completed record to its observed choice where the set does
+// not already decide its key — the decisions present and the first of a
+// repeated record win — without an insertion per record: a run's reproducer
+// pins every epoch of its trace (3072 on 104.milc at 64 ranks). A trace is in
+// commit order, ascending LC within a rank with the ranks interleaved, so the
+// pins are counted per rank and each is then written straight to its sorted
+// place after the present decisions; one stable sort repairs whatever that
+// leaves out of order (the present decisions, a trace that breaks the
+// pattern), keeping the earlier of two equal keys, and the later copies go.
 func (d *Decisions) pin(recs []*EpochRecord) {
-	decided := Decisions{entries: d.entries}
-	pins := func(rec *EpochRecord) bool {
-		if rec.Chosen < 0 {
-			return false // never completed; nothing to reproduce
-		}
-		_, ok := decided.Lookup(rec.Rank, rec.LC)
-		return !ok
-	}
 	bucket := func(rank int) int {
 		if rank < 0 || rank > len(recs) {
 			return 0 // no sane index: left to the sort
@@ -109,7 +127,7 @@ func (d *Decisions) pin(recs []*EpochRecord) {
 	}
 	next := make([]int, 0, 64) // next[b] is where bucket b's next pin goes
 	for _, rec := range recs {
-		if pins(rec) {
+		if rec.Chosen >= 0 {
 			b := bucket(rec.Rank)
 			for len(next) <= b {
 				next = append(next, 0)
@@ -123,9 +141,9 @@ func (d *Decisions) pin(recs []*EpochRecord) {
 	}
 	d.entries = slices.Grow(d.entries, at-len(d.entries))[:at]
 	for _, rec := range recs {
-		if pins(rec) {
+		if rec.Chosen >= 0 { // a record never completed has nothing to reproduce
 			b := bucket(rec.Rank)
-			d.entries[next[b]] = decision{rank: rec.Rank, lc: rec.LC, src: rec.Chosen}
+			d.entries[next[b]] = newDecision(rec.Rank, rec.LC, rec.Chosen)
 			next[b]++
 		}
 	}
@@ -137,27 +155,27 @@ func (d *Decisions) pin(recs []*EpochRecord) {
 
 // Lookup returns the forced source for an epoch, if any.
 func (d *Decisions) Lookup(rank int, lc uint64) (int, bool) {
-	if d == nil {
+	if d == nil || int(int32(rank)) != rank {
 		return 0, false
 	}
-	if i, found := d.search(rank, lc); found {
-		return d.entries[i].src, true
+	if i, found := d.search(int32(rank), lc); found {
+		return int(d.entries[i].src), true
 	}
 	return 0, false
 }
 
-// GuidedEpoch returns the rank's guided epoch: the largest forced LC, or
-// -1 if the rank has no forced decisions (SELF_RUN from the start).
-func (d *Decisions) GuidedEpoch(rank int) int64 {
-	if d == nil {
-		return -1
+// ofRank returns rank's decisions in ascending LC order: the set's run of
+// them, capacity-clipped, for a replaying rank to read through a cursor.
+func (d *Decisions) ofRank(rank int) []decision {
+	if d == nil || int(int32(rank)) != rank {
+		return nil
 	}
-	// The rank's last entry sits just before the first entry of a later rank.
-	i := sort.Search(len(d.entries), func(i int) bool { return d.entries[i].rank > rank })
-	if i == 0 || d.entries[i-1].rank != rank {
-		return -1
+	lo, _ := d.search(int32(rank), 0)
+	hi := lo
+	for hi < len(d.entries) && d.entries[hi].rank == int32(rank) {
+		hi++
 	}
-	return int64(d.entries[i-1].lc)
+	return d.entries[lo:hi:hi]
 }
 
 // Len returns the total number of forced decisions.
@@ -173,7 +191,7 @@ func (d *Decisions) InRange(procs int, choices bool) error {
 		return nil
 	}
 	for _, e := range d.entries {
-		if e.rank < 0 || e.rank >= procs || e.src < 0 || !choices && e.src >= procs {
+		if e.rank < 0 || int(e.rank) >= procs || e.src < 0 || !choices && int(e.src) >= procs {
 			return fmt.Errorf("core: decision r%d@%d→%d is out of range for %d ranks", e.rank, e.lc, e.src, procs)
 		}
 	}
@@ -449,17 +467,18 @@ func (s *decisionScanner) digits() (uint64, bool) {
 	return v, s.pos > start
 }
 
-// integer scans an optionally negative decimal integer that fits an int.
-func (s *decisionScanner) integer() (int, error) {
+// integer scans an optionally negative decimal integer that fits an int32:
+// the width of a rank and of a source.
+func (s *decisionScanner) integer() (int32, error) {
 	neg := s.accept('-')
 	v, ok := s.digits()
 	switch {
 	case !ok:
 		return 0, s.errorf("want a decimal integer")
-	case !neg && v <= math.MaxInt:
-		return int(v), nil
-	case neg && v <= -math.MinInt:
-		return int(-v), nil
+	case !neg && v <= math.MaxInt32:
+		return int32(v), nil
+	case neg && v <= -math.MinInt32:
+		return int32(-int64(v)), nil
 	}
 	return 0, s.errorf("integer out of range")
 }

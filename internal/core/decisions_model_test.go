@@ -161,8 +161,8 @@ func TestDecisionsAgainstMapModel(t *testing.T) {
 			t.Fatalf("round %d: Empty = %v with %d decisions", round, d.Empty(), model.len())
 		}
 		for r := -2; r < 7; r++ {
-			if got, want := d.GuidedEpoch(r), model.guidedEpoch(r); got != want {
-				t.Fatalf("round %d: GuidedEpoch(%d) = %d, oracle %d", round, r, got, want)
+			if got, want := guidedEpoch(d, r), model.guidedEpoch(r); got != want {
+				t.Fatalf("round %d: guided epoch of rank %d = %d, oracle %d", round, r, got, want)
 			}
 			for lc := uint64(0); lc < 13; lc++ {
 				_, got := d.Lookup(r, lc)
@@ -341,6 +341,13 @@ func TestDecisionsJSONRejects(t *testing.T) {
 		{`{"by_rank":{},"extra":1}`, `"by_rank"`},
 		{`[]`, "offset 0: want '{'"},
 		{`nul`, "want null"},
+		// Ranks and sources are 32-bit: one past either end is refused, not
+		// wrapped onto another rank or source.
+		{`{"by_rank":{"2147483648":{"1":2}}}`, "out of range"},
+		{`{"by_rank":{"-2147483649":{"1":2}}}`, "out of range"},
+		{`{"by_rank":{"0":{"1":2147483648}}}`, "out of range"},
+		{`{"by_rank":{"0":{"1":-2147483649}}}`, "out of range"},
+		{`{"by_rank":{"4294967296":{"1":2}}}`, "out of range"},
 	} {
 		d := NewDecisions()
 		d.Force(EpochID{Rank: 9, LC: 9}, 9)
@@ -355,6 +362,13 @@ func TestDecisionsJSONRejects(t *testing.T) {
 		if d.Len() != 1 {
 			t.Errorf("%q: a failed decode changed the receiver to %s", tc.in, d)
 		}
+	}
+	edge := NewDecisions()
+	if err := edge.UnmarshalJSON([]byte(`{"by_rank":{"-2147483648":{"1":2147483647},"2147483647":{"2":-2147483648}}}`)); err != nil {
+		t.Errorf("the ends of int32: %v", err)
+	}
+	if got := edge.String(); got != "{r-2147483648:[1→2147483647] r2147483647:[2→-2147483648]}" {
+		t.Errorf("the ends of int32 decode to %s", got)
 	}
 	for _, in := range []string{`null`, ` { } `, `{"by_rank":null}`, "{\n\t\"by_rank\" : { }\r\n}"} {
 		d := NewDecisions()
@@ -432,6 +446,11 @@ func FuzzDecisionsJSON(f *testing.F) {
 		`{"by_rank":{"1":{"2":3,"2":4}}}`,
 		`{"by_rank":{"1":{}},"x":[1,{"y":null}]}`,
 		`{"by_rank":{"+1":{"0x2":3}}}`,
+		`{"by_rank":{"2147483648":{"0":1}}}`,
+		`{"by_rank":{"-2147483649":{"0":1}}}`,
+		`{"by_rank":{"0":{"0":2147483648}}}`,
+		`{"by_rank":{"0":{"0":-2147483649}}}`,
+		`{"by_rank":{"-2147483648":{"0":2147483647}}}`,
 	} {
 		f.Add([]byte(seed))
 	}

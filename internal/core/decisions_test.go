@@ -12,8 +12,8 @@ func TestDecisionsBasics(t *testing.T) {
 	if !d.Empty() || d.Len() != 0 {
 		t.Fatal("new decisions not empty")
 	}
-	if ge := d.GuidedEpoch(3); ge != -1 {
-		t.Fatalf("GuidedEpoch on empty = %d, want -1", ge)
+	if ge := guidedEpoch(d, 3); ge != -1 {
+		t.Fatalf("guided epoch on empty = %d, want -1", ge)
 	}
 	d.Force(EpochID{Rank: 1, LC: 0}, 2)
 	d.Force(EpochID{Rank: 1, LC: 5}, 3)
@@ -27,11 +27,11 @@ func TestDecisionsBasics(t *testing.T) {
 	if _, ok := d.Lookup(1, 4); ok {
 		t.Fatal("Lookup hit for absent epoch")
 	}
-	if ge := d.GuidedEpoch(1); ge != 5 {
-		t.Fatalf("GuidedEpoch(1) = %d, want 5", ge)
+	if ge := guidedEpoch(d, 1); ge != 5 {
+		t.Fatalf("guided epoch of rank 1 = %d, want 5", ge)
 	}
-	if ge := d.GuidedEpoch(0); ge != -1 {
-		t.Fatalf("GuidedEpoch(0) = %d, want -1", ge)
+	if ge := guidedEpoch(d, 0); ge != -1 {
+		t.Fatalf("guided epoch of rank 0 = %d, want -1", ge)
 	}
 }
 
@@ -123,7 +123,43 @@ func TestDecisionsString(t *testing.T) {
 	if _, ok := nilD.Lookup(0, 0); ok {
 		t.Fatal("nil decisions lookup hit")
 	}
-	if nilD.GuidedEpoch(0) != -1 {
+	if guidedEpoch(nilD, 0) != -1 {
 		t.Fatal("nil decisions guided epoch")
 	}
+}
+
+// TestDecisionsRefuseWhatDoesNotFit: a rank or a source outside int32 is
+// never truncated — Force panics and leaves the set as it was, and Lookup
+// does not find the decision the truncated key would name.
+func TestDecisionsRefuseWhatDoesNotFit(t *testing.T) {
+	d := NewDecisions()
+	d.Force(EpochID{Rank: 0, LC: 1}, 2)
+	for _, c := range []struct{ rank, src int }{
+		{1 << 31, 0}, {-1<<31 - 1, 0}, {1 << 32, 0}, {0, 1 << 31}, {0, -1<<31 - 1}, {0, 1<<32 + 2},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Force(r%d, src %d) did not panic", c.rank, c.src)
+				}
+			}()
+			d.Force(EpochID{Rank: c.rank, LC: 1}, c.src)
+		}()
+	}
+	if got := d.String(); got != "{r0:[1→2]}" {
+		t.Errorf("a refused Force changed the set to %s", got)
+	}
+	if _, ok := d.Lookup(1<<32, 1); ok {
+		t.Error("Lookup(2³², 1) found rank 0's decision")
+	}
+}
+
+// guidedEpoch is a rank's guided epoch as the replaying rank finds it: the
+// LC of the last decision of its run of the set, or -1 if it has none.
+func guidedEpoch(d *Decisions, rank int) int64 {
+	ds := d.ofRank(rank)
+	if len(ds) == 0 {
+		return -1
+	}
+	return int64(ds[len(ds)-1].lc)
 }

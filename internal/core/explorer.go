@@ -65,7 +65,9 @@ type ExplorerConfig struct {
 	// search; bench/'s null tree; and tests, which memoize executions —
 	// sharing one memoizing Runner across engines makes the program's
 	// residual scheduling non-determinism invisible, so cross-checks compare
-	// pure schedule-generator behavior.
+	// pure schedule-generator behavior. A Runner's trace keeps the Guided
+	// contract: a record is Guided exactly when decisions hold its
+	// (Rank, LC), since the search tells the forced prefix apart by it.
 	Runner func(cfg *ExplorerConfig, decisions *Decisions) (*RunTrace, *InterleavingResult, error)
 }
 

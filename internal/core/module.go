@@ -114,8 +114,9 @@ type rankState struct {
 	dual  bool
 	vc    *clock.Vector // nil in Lamport mode
 
-	mode        Mode
-	guidedEpoch int64
+	// decisions is a cursor over the rank's run of the decisions that guide
+	// the replay (see forced): those at or above its clock, in LC order.
+	decisions []decision
 
 	epochs      []*epoch
 	recvPostSeq uint64
@@ -144,8 +145,9 @@ type epoch struct {
 	tag     int
 	postSeq uint64
 	kind    EpochKind
-	guided  bool
+	guided  bool // a decision forced the epoch, to forced
 	inLoop  bool
+	forced  int
 	chosen  int
 	order   uint64 // 1-based position in Tool.committed; 0 = never committed
 	alts    []int
@@ -175,8 +177,7 @@ func (st *rankState) recycle() {
 	st.lcOut.Set(0)
 	st.vc = nil
 	st.dual = false
-	st.mode = SelfRun
-	st.guidedEpoch = 0
+	st.decisions = nil
 	st.epochFree = append(st.epochFree, st.epochs...)
 	st.epochs = st.epochs[:0]
 	st.recvPostSeq = 0
@@ -186,19 +187,26 @@ func (st *rankState) recycle() {
 	st.mismatches = st.mismatches[:0]
 }
 
-// forced is GetSrcFromEpoch of Algorithm 1 for a decision at clock lc. A
-// guided rank whose clock has passed its guided epoch reverts to SELF_RUN
-// ("if LCi > guided_epoch then mode <- SELF_RUN"); a guided one returns the
-// value d forces at lc, if any. Epochs without a forced decision (e.g. loop
-// regions) stay free.
-func (st *rankState) forced(d *Decisions, lc uint64) (int, bool) {
-	if st.mode == GuidedRun && int64(st.lc.Value()) > st.guidedEpoch {
-		st.mode = SelfRun
+// forced is GetSrcFromEpoch of Algorithm 1: the source the rank's decisions
+// force at clock lc — its clock, or the one above it (a probe's source epoch
+// sits above its outcome epoch) — if any. The rank reads its decisions through
+// a cursor: its clock never decreases, so a decision below it is passed for
+// good. The rank is GUIDED_RUN while decisions remain at or above its clock;
+// once its clock passes its guided epoch (its last decision's LC) none does,
+// and it is SELF_RUN ("if LCi > guided_epoch then mode <- SELF_RUN"). Epochs
+// without a forced decision (e.g. loop regions) stay free.
+func (st *rankState) forced(lc uint64) (int, bool) {
+	now := st.lc.Value()
+	for len(st.decisions) > 0 && st.decisions[0].lc < now {
+		st.decisions = st.decisions[1:]
 	}
-	if st.mode != GuidedRun {
-		return 0, false
+	// At most two steps: lc is now or now+1, and LCs are distinct.
+	for _, d := range st.decisions {
+		if d.lc >= lc {
+			return int(d.src), d.lc == lc
+		}
 	}
-	return d.Lookup(st.p.Rank(), lc)
+	return 0, false
 }
 
 // open records a decision epoch at the rank's clock (RecordEpochData of
@@ -218,7 +226,8 @@ func (st *rankState) open(kind EpochKind, commID, commSize, tag int) *epoch {
 	// on the stack and copied.
 	*e = epoch{alts: e.alts[:0], seenMore: e.seenMore[:0]}
 	e.rank, e.lc, e.commID, e.tag, e.postSeq = st.p.Rank(), st.lc.Value(), commID, tag, st.recvPostSeq
-	e.kind, e.guided, e.inLoop, e.chosen = kind, st.mode == GuidedRun, st.loopDepth > 0, -1
+	e.kind, e.inLoop, e.chosen = kind, st.loopDepth > 0, -1
+	e.forced, e.guided = st.forced(e.lc)
 	if more := (commSize - 1) >> 6; more > 0 {
 		e.seenMore = append(e.seenMore, make([]uint64, more)...)
 	}
@@ -234,7 +243,8 @@ func (st *rankState) open(kind EpochKind, commID, commSize, tag int) *epoch {
 // decide commits e's decision, chosen: the epoch takes its place in the run's
 // commit order, the dual clock's transmit clock catches up with it (§V:
 // "synchronized when a Wait/Test is encountered"), and a guided epoch that
-// did not get the value its decision forced is a ForcedMismatch.
+// did not get the value its decision forced (noted when it opened, as the
+// clock may since have passed it) is a ForcedMismatch.
 func (t *Tool) decide(st *rankState, e *epoch, chosen int) {
 	e.chosen = chosen
 	t.committed = append(t.committed, e)
@@ -242,12 +252,9 @@ func (t *Tool) decide(st *rankState, e *epoch, chosen int) {
 	if st.dual {
 		st.lcOut.Merge(e.lc + 1)
 	}
-	if !e.guided {
-		return
-	}
-	if forced, ok := t.cfg.Decisions.Lookup(e.rank, e.lc); ok && forced != chosen {
+	if e.guided && e.forced != chosen {
 		st.mismatches = append(st.mismatches, ForcedMismatch{
-			Epoch: EpochID{Rank: e.rank, LC: e.lc}, Forced: forced, Got: chosen,
+			Epoch: EpochID{Rank: e.rank, LC: e.lc}, Forced: e.forced, Got: chosen,
 		})
 	}
 }
@@ -383,12 +390,9 @@ func (t *Tool) init(p *mpi.Proc) {
 	} else if t.cfg.DualClock {
 		st.dual = true
 	}
-	// MPI_Init of Algorithm 1: presence of the decisions file selects
-	// GUIDED_RUN; the guided epoch is per-rank.
-	st.guidedEpoch = t.cfg.Decisions.GuidedEpoch(p.Rank())
-	if st.guidedEpoch >= 0 {
-		st.mode = GuidedRun
-	}
+	// MPI_Init of Algorithm 1: a rank with decisions starts GUIDED_RUN, and
+	// its guided epoch is its last decision's LC (see forced).
+	st.decisions = t.cfg.Decisions.ofRank(p.Rank())
 	p.ToolState = st
 	t.states[p.Rank()] = st
 }
@@ -437,7 +441,7 @@ func (t *Tool) preRecv(p *mpi.Proc, op *mpi.RecvOp) {
 	if !op.WasAnySource {
 		return
 	}
-	if src, ok := st.forced(t.cfg.Decisions, st.lc.Value()); ok {
+	if src, ok := st.forced(st.lc.Value()); ok {
 		op.Src = src
 	}
 }
@@ -583,7 +587,7 @@ func (t *Tool) preWaitany(p *mpi.Proc, op *mpi.WaitanyOp) {
 		return
 	}
 	st := t.state(p)
-	if idx, ok := st.forced(t.cfg.Decisions, st.lc.Value()); ok {
+	if idx, ok := st.forced(st.lc.Value()); ok {
 		op.ForceIndex = idx
 	}
 }
@@ -625,7 +629,7 @@ func (t *Tool) preProbe(p *mpi.Proc, op *mpi.ProbeOp) {
 		// Outcome decision at the current clock: a forced 0 suppresses a
 		// would-be find (the sound branch — forcing a find that timing did
 		// not produce could manufacture a message out of nothing).
-		if out, ok := st.forced(t.cfg.Decisions, lc); ok && out == 0 {
+		if out, ok := st.forced(lc); ok && out == 0 {
 			op.SuppressFound = true
 			return
 		}
@@ -634,7 +638,7 @@ func (t *Tool) preProbe(p *mpi.Proc, op *mpi.ProbeOp) {
 	if !op.WasAnySource {
 		return
 	}
-	if src, ok := st.forced(t.cfg.Decisions, lc); ok {
+	if src, ok := st.forced(lc); ok {
 		op.Src = src
 	}
 }

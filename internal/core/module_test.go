@@ -110,7 +110,6 @@ func TestEpochTagAndCommRecorded(t *testing.T) {
 // TestModeAndKindStrings covers the small stringers.
 func TestModeAndKindStrings(t *testing.T) {
 	for _, s := range []string{
-		SelfRun.String(), GuidedRun.String(),
 		RecvEpoch.String(), ProbeEpoch.String(),
 		Lamport.String(), VectorClock.String(),
 		EpochID{Rank: 1, LC: 2}.String(),
@@ -119,6 +118,29 @@ func TestModeAndKindStrings(t *testing.T) {
 	} {
 		if s == "" {
 			t.Error("empty stringer output")
+		}
+	}
+}
+
+// TestGuidedMarksOnlyForcedEpochs: an epoch is guided when a decision forced
+// it, not because its rank is still short of its guided epoch — the search
+// reads the mark as "part of the forced prefix".
+func TestGuidedMarksOnlyForcedEpochs(t *testing.T) {
+	prog := fanInProgram(3, 2) // rank 0: epochs lc=0..3
+	base := runWithTool(t, ToolConfig{Procs: 3}, prog)
+	d := NewDecisions()
+	for _, e := range base.Epochs {
+		if e.LC == 1 || e.LC == 3 {
+			d.Force(e.ID(), e.Chosen)
+		}
+	}
+	trace := runWithTool(t, ToolConfig{Procs: 3, Decisions: d}, prog)
+	if len(trace.Epochs) != 4 || len(trace.Mismatches) != 0 {
+		t.Fatalf("epochs = %d, mismatches %v", len(trace.Epochs), trace.Mismatches)
+	}
+	for _, e := range trace.Epochs {
+		if _, forced := d.Lookup(e.Rank, e.LC); e.Guided != forced {
+			t.Errorf("epoch %v guided = %v, forced = %v", e.ID(), e.Guided, forced)
 		}
 	}
 }

@@ -162,3 +162,51 @@ func TestAnyTagWildcardEpochs(t *testing.T) {
 		t.Errorf("errors: %v", rep.Errors)
 	}
 }
+
+// TestGuidedIprobeMarksBothEpochs: with choice points, a wildcard Iprobe that
+// finds a message opens two epochs — its outcome at the rank's clock and its
+// source one above — and the tool asks for the source decision before the
+// outcome epoch opens. Replaying a reproducer that pins both must mark both
+// guided, so the rank's cursor must not pass the outcome's decision early.
+func TestGuidedIprobeMarksBothEpochs(t *testing.T) {
+	program := func(p *mpi.Proc) error {
+		c := p.CommWorld()
+		if p.Rank() != 0 {
+			return p.Send(0, 0, nil, c)
+		}
+		for got := 0; got < 2; {
+			st, found, err := p.Iprobe(mpi.AnySource, 0, c)
+			if err != nil {
+				return err
+			}
+			if found {
+				if _, _, err := p.Recv(st.Source, st.Tag, c); err != nil {
+					return err
+				}
+				got++
+			}
+		}
+		return nil
+	}
+	cfg := &ExplorerConfig{Procs: 3, Program: program, ChoicePoints: true}
+	self, res, err := ExecuteRun(cfg, nil)
+	if err != nil || res.Err != nil {
+		t.Fatalf("self run: %v / %v", err, res.Err)
+	}
+	kinds := map[EpochKind]int{}
+	for _, e := range self.Epochs {
+		kinds[e.Kind]++
+	}
+	if kinds[IprobeEpoch] != 2 || kinds[ProbeEpoch] != 2 {
+		t.Fatalf("self run epochs by kind = %v, want 2 iprobe and 2 probe", kinds)
+	}
+	trace, again, err := ExecuteRun(cfg, res.Decisions)
+	if err != nil || again.Err != nil || len(again.Mismatches) > 0 {
+		t.Fatalf("replay: %v / %v, mismatches %v", err, again.Err, again.Mismatches)
+	}
+	for _, e := range trace.Epochs {
+		if !e.Guided {
+			t.Errorf("replayed epoch %v not marked guided under %s", e, res.Decisions)
+		}
+	}
+}

@@ -19,9 +19,9 @@ import "slices"
 // round-trip through JSON for checkpoint/resume.
 type SubtreeTask struct {
 	// Decisions is the forced prefix reproduced by this task's replay (nil
-	// for the root self-discovery run). Its keys double as the skip set
-	// during expansion: epochs already forced are part of the prefix, not
-	// new decision points.
+	// for the root self-discovery run). The epochs it forces are part of the
+	// prefix, not new decision points: expansion skips the records its
+	// replay marked Guided.
 	Decisions *Decisions `json:"decisions"`
 	// Budget is the remaining mixing depth for frames discovered by this
 	// task's run (Unbounded = no bound), per the bounded-mixing heuristic
@@ -104,7 +104,8 @@ type Expansion struct {
 	AutoAbstracted int
 
 	// flipStart holds, per flipped epoch, the index in Children where its
-	// alternates begin.
+	// alternates begin (while the children are built, the flipped record's
+	// index in the trace).
 	flipStart []int
 	// unbuilt counts the children a count-only expansion did not build.
 	unbuilt int
@@ -167,10 +168,11 @@ func (t *SubtreeTask) ExpandExhaustive(cfg *ExplorerConfig, trace *RunTrace) *Ex
 // Otherwise the scan (counters and accounting) is identical but no child is
 // built — cloning a decision prefix per child is most of an expansion's
 // cost — and the children are only counted, for a caller that knows they
-// would never run.
+// would never run. The forced prefix is told apart by EpochRecord.Guided,
+// not by looking each record up in the task's decisions.
 func (t *SubtreeTask) expandExhaustive(cfg *ExplorerConfig, trace *RunTrace, build bool, ex *Expansion) {
 	det := newLoopDetector(cfg.AutoLoopThreshold)
-	budget, explorable := childBudget(t.Budget)
+	pins := 0 // new epochs observed before the last flipped one
 	for i, rec := range trace.Epochs {
 		if rec.Chosen < 0 {
 			continue // never completed; nothing to reproduce or flip
@@ -179,10 +181,9 @@ func (t *SubtreeTask) expandExhaustive(cfg *ExplorerConfig, trace *RunTrace, bui
 		if autoLoop {
 			ex.AutoAbstracted++
 		}
-		if _, ok := t.Decisions.Lookup(rec.Rank, rec.LC); ok {
+		if rec.Guided {
 			continue // part of the forced prefix
 		}
-		pins := ex.DecisionPoints // new epochs observed before this one
 		ex.DecisionPoints++
 		if !t.Explorable || rec.InLoop || autoLoop || len(rec.Alternates) == 0 {
 			continue
@@ -191,26 +192,52 @@ func (t *SubtreeTask) expandExhaustive(cfg *ExplorerConfig, trace *RunTrace, bui
 			ex.unbuilt += len(rec.Alternates)
 			continue
 		}
-		ex.flipStart = append(ex.flipStart, len(ex.Children))
-		// Every alternate carries the same pins: the inherited decisions plus
-		// each new epoch before this one at its observed choice (pin skips the
-		// uncompleted and the already decided). Build them once, with room for
-		// the flip, clone them for every alternate but the last, and give the
-		// last the base itself.
-		base := t.Decisions.CloneWithCapacity(pins + 1)
-		base.pin(trace.Epochs[:i])
-		for j, alt := range rec.Alternates {
-			d := base
-			if j < len(rec.Alternates)-1 {
-				d = base.CloneWithCapacity(1)
+		// The flipped record's index, until buildChildren replaces it.
+		ex.flipStart = append(ex.flipStart, i)
+		pins = ex.DecisionPoints - 1
+	}
+	if len(ex.flipStart) > 0 {
+		t.buildChildren(trace, pins, ex)
+	}
+}
+
+// buildChildren builds the children of the records whose indexes the scan
+// left in ex.flipStart, replacing each with where that record's alternates
+// begin in ex.Children. A child carries the inherited decisions, every new
+// epoch before its flipped one pinned to its observed choice, and the flip.
+// So one pass up to the last flipped record grows a single running prefix —
+// sized for the pins it will take — by one pin per new epoch it passes, and
+// every alternate of a flip gets a clone of it plus the flip; the very last
+// alternate takes the running prefix itself.
+func (t *SubtreeTask) buildChildren(trace *RunTrace, pins int, ex *Expansion) {
+	budget, explorable := childBudget(t.Budget)
+	last := ex.flipStart[len(ex.flipStart)-1]
+	prefix := t.Decisions.CloneWithCapacity(pins + 1)
+	next := 0 // the next flip's position in ex.flipStart
+	for i, rec := range trace.Epochs[:last+1] {
+		if rec.Chosen < 0 || rec.Guided {
+			continue
+		}
+		if i == ex.flipStart[next] {
+			ex.flipStart[next] = len(ex.Children)
+			next++
+			for j, alt := range rec.Alternates {
+				d := prefix
+				if i < last || j < len(rec.Alternates)-1 {
+					d = prefix.CloneWithCapacity(1)
+				}
+				d.Force(rec.ID(), alt)
+				ex.Children = append(ex.Children, &SubtreeTask{
+					Decisions:  d,
+					Budget:     budget,
+					Explorable: explorable,
+					Depth:      t.Depth + 1,
+				})
 			}
-			d.Force(rec.ID(), alt)
-			ex.Children = append(ex.Children, &SubtreeTask{
-				Decisions:  d,
-				Budget:     budget,
-				Explorable: explorable,
-				Depth:      t.Depth + 1,
-			})
+		}
+		if i < last {
+			// Pinned in place; the first of a repeated record wins.
+			prefix.put(newDecision(rec.Rank, rec.LC, rec.Chosen), false)
 		}
 	}
 }
@@ -239,7 +266,7 @@ func (t *SubtreeTask) FlippableRecords(cfg *ExplorerConfig, trace *RunTrace) []F
 			continue
 		}
 		autoLoop := det.observe(rec)
-		if _, ok := t.Decisions.Lookup(rec.Rank, rec.LC); ok {
+		if rec.Guided {
 			continue
 		}
 		if len(rec.Alternates) > 0 && !rec.InLoop && !autoLoop {

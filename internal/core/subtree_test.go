@@ -78,8 +78,10 @@ func TestExpandSkipsForcedPrefix(t *testing.T) {
 	d := NewDecisions()
 	d.Force(EpochID{Rank: 0, LC: 1}, 3)
 	task := &SubtreeTask{Decisions: d, Budget: Unbounded, Explorable: true}
+	forced := epochRec(0, 1, 3, 2) // the forced flip itself: prefix, not a decision point
+	forced.Guided = true
 	trace := &RunTrace{Epochs: []*EpochRecord{
-		epochRec(0, 1, 3, 2),    // the forced flip itself: prefix, not a decision point
+		forced,
 		epochRec(1, 4, 0, 2, 3), // new epoch below the flip
 	}}
 	ex := task.Expand(cfg, trace)

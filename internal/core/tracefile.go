@@ -40,7 +40,8 @@ func LoadTrace(path string) (*RunTrace, error) {
 }
 
 // ReadTrace deserializes a trace from JSON. A null epoch record is an error:
-// no run writes one, and every reader of a trace dereferences its records.
+// no run writes one, and every reader of a trace dereferences its records. So
+// is a rank or a choice outside int32, which no decision can hold.
 func ReadTrace(r io.Reader) (*RunTrace, error) {
 	t := &RunTrace{}
 	if err := json.NewDecoder(r).Decode(t); err != nil {
@@ -49,6 +50,9 @@ func ReadTrace(r io.Reader) (*RunTrace, error) {
 	for i, rec := range t.Epochs {
 		if rec == nil {
 			return nil, fmt.Errorf("core: trace epoch %d is null", i)
+		}
+		if int(int32(rec.Rank)) != rec.Rank || int(int32(rec.Chosen)) != rec.Chosen {
+			return nil, fmt.Errorf("core: trace epoch %d: rank %d or choice %d does not fit 32 bits", i, rec.Rank, rec.Chosen)
 		}
 	}
 	return t, nil

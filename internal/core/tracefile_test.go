@@ -135,6 +135,8 @@ func FuzzReadTrace(f *testing.F) {
 		`{"epochs":[{"rank":1000000000,"lc":3,"chosen":2,"order":1},{"rank":2,"lc":0,"chosen":0,"order":2}]}`,
 		`{"epochs":[{"rank":1,"lc":0,"chosen":0,"order":1},{"rank":1,"lc":0,"chosen":2,"order":2}]}`,
 		`{"epochs":[{"rank":0,"lc":5,"chosen":1},{"rank":0,"lc":2,"chosen":0},{"rank":1,"lc":9,"chosen":-1},{"rank":0,"lc":0,"chosen":3}]}`,
+		`{"epochs":[{"rank":4294967296,"lc":1,"chosen":0,"order":1}]}`,
+		`{"epochs":[{"rank":0,"lc":1,"chosen":2147483648,"order":1}]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -166,4 +168,21 @@ func FuzzReadTrace(f *testing.F) {
 			t.Fatalf("%q: emitted %s decodes to %s, want %s", data, body, back, d)
 		}
 	})
+}
+
+// TestReadTraceRejectsWideValues: a record whose rank or choice no decision
+// can hold (outside int32) is an error naming its index, not a trace whose
+// DecisionsFromTrace panics or decides a truncated key.
+func TestReadTraceRejectsWideValues(t *testing.T) {
+	for _, in := range []string{
+		`{"epochs":[{"rank":0,"lc":0,"chosen":0},{"rank":4294967296,"lc":1,"chosen":0}]}`,
+		`{"epochs":[{"rank":0,"lc":0,"chosen":0},{"rank":-2147483649,"lc":1,"chosen":0}]}`,
+		`{"epochs":[{"rank":0,"lc":0,"chosen":0},{"rank":1,"lc":1,"chosen":2147483648}]}`,
+	} {
+		if tr, err := ReadTrace(strings.NewReader(in)); err == nil {
+			t.Errorf("%s accepted as a trace of %d epochs", in, len(tr.Epochs))
+		} else if !strings.Contains(err.Error(), "epoch 1") || !strings.Contains(err.Error(), "32 bits") {
+			t.Errorf("%s: error %q does not name epoch 1 and the width", in, err)
+		}
+	}
 }

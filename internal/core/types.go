@@ -37,25 +37,6 @@ func (m ClockMode) String() string {
 	return "lamport"
 }
 
-// Mode is the per-rank execution mode of Algorithm 1.
-type Mode int
-
-// Execution modes.
-const (
-	// SelfRun lets the MPI runtime pick wildcard matches ("self-discovery").
-	SelfRun Mode = iota
-	// GuidedRun forces wildcard matches from the Epoch Decisions up to the
-	// rank's guided epoch, then reverts to SelfRun.
-	GuidedRun
-)
-
-func (m Mode) String() string {
-	if m == GuidedRun {
-		return "GUIDED_RUN"
-	}
-	return "SELF_RUN"
-}
-
 // EpochKind distinguishes the sources of MPI non-determinism the verifier
 // records as decision points.
 type EpochKind int
@@ -121,7 +102,11 @@ type EpochRecord struct {
 	// Alternates are the potential alternate sources (earliest late send
 	// from each process, per §II-C), excluding Chosen.
 	Alternates []int `json:"alternates,omitempty"`
-	// Guided reports whether this epoch was forced by the decisions file.
+	// Guided reports whether a decision forced this epoch: the decisions the
+	// run was guided by hold (Rank, LC), whether or not the run could honor
+	// them. The search reads it instead of looking the key up — expansion
+	// and FlippableRecords skip guided records as the forced prefix — so
+	// whatever makes a run (ExplorerConfig.Runner) must set it exactly so.
 	Guided bool `json:"guided,omitempty"`
 	// InLoop reports whether the epoch occurred inside a Pcontrol loop
 	// region (loop iteration abstraction: not explored).

@@ -52,13 +52,15 @@ func (e *Explorer) Explore() (*core.Report, error) {
 		MixingBound:      core.Unbounded,
 		MaxInterleavings: e.cfg.MaxInterleavings,
 		StopOnFirstError: e.cfg.StopOnFirstError,
-		Runner:           e.run,
+		Runner:           e.Run,
 	}).Explore()
 }
 
-// run performs one centrally scheduled run with the forced decisions
-// enforced: the core.ExplorerConfig.Runner of ISP's exploration.
-func (e *Explorer) run(cfg *core.ExplorerConfig, forced *core.Decisions) (*core.RunTrace, *core.InterleavingResult, error) {
+// Run performs one centrally scheduled run with the forced decisions
+// enforced: the core.ExplorerConfig.Runner of ISP's exploration. Its records
+// keep the Runner's Guided contract: a record is Guided exactly when forced
+// holds its (rank, k-th wildcard) key.
+func (e *Explorer) Run(cfg *core.ExplorerConfig, forced *core.Decisions) (*core.RunTrace, *core.InterleavingResult, error) {
 	hooks := &mpi.Hooks{}
 	world := mpi.NewWorld(mpi.Config{Procs: cfg.Procs, Hooks: hooks, Pools: e.pools})
 	sched := newScheduler(cfg.Procs, world, forced)

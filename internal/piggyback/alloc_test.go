@@ -15,14 +15,14 @@ func TestAppendClockZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("AppendClock into a sized buffer: %v allocs/op, want 0", allocs)
 	}
-	if got := DecodeClock(buf); len(got) != len(clock) || got[0] != 3 || got[7] != 6 {
+	if got := DecodeClockInto(nil, buf); len(got) != len(clock) || got[0] != 3 || got[7] != 6 {
 		t.Fatalf("round-trip mismatch: %v", got)
 	}
 }
 
 func TestDecodeClockIntoZeroAlloc(t *testing.T) {
 	clock := []uint64{7, 2, 8, 1}
-	b := EncodeClock(clock)
+	b := AppendClock(nil, clock)
 	dst := make([]uint64, 0, len(clock))
 	allocs := testing.AllocsPerRun(100, func() {
 		dst = DecodeClockInto(dst, b)

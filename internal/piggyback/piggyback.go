@@ -23,14 +23,9 @@ import (
 	"dampi/mpi"
 )
 
-// EncodeClock serializes a logical clock (Lamport: one element; vector: N).
-func EncodeClock(clock []uint64) []byte {
-	return AppendClock(make([]byte, 0, 8*len(clock)), clock)
-}
-
-// AppendClock serializes a logical clock onto dst (reusing its capacity) and
-// returns the extended slice — the zero-allocation form of EncodeClock for
-// callers that keep a scratch buffer.
+// AppendClock serializes a logical clock (Lamport: one element; vector: N)
+// onto dst, reusing its capacity, and returns the extended slice: a caller
+// that keeps a scratch buffer encodes without allocating.
 func AppendClock(dst []byte, clock []uint64) []byte {
 	for _, v := range clock {
 		dst = binary.LittleEndian.AppendUint64(dst, v)
@@ -38,14 +33,9 @@ func AppendClock(dst []byte, clock []uint64) []byte {
 	return dst
 }
 
-// DecodeClock deserializes a logical clock.
-func DecodeClock(b []byte) []uint64 {
-	return DecodeClockInto(nil, b)
-}
-
 // DecodeClockInto deserializes a logical clock into dst's storage when it has
 // the capacity (allocating only when it doesn't) and returns the decoded
-// clock. The zero-allocation form of DecodeClock.
+// clock.
 func DecodeClockInto(dst []uint64, b []byte) []uint64 {
 	n := len(b) / 8
 	if cap(dst) >= n {
@@ -154,26 +144,17 @@ func (r *Rank) DrainSend(req *mpi.Request) error {
 // ([u32 clock words][clock...][payload]), halving message count at the cost
 // of touching every payload (and of probes seeing the packed length).
 
-// Pack prepends a clock to a payload.
-func Pack(clock []uint64, payload []byte) []byte {
-	return AppendPacked(make([]byte, 0, 4+8*len(clock)+len(payload)), clock, payload)
-}
-
-// AppendPacked serializes [clock header][clock][payload] onto dst (reusing
-// its capacity) — the zero-allocation form of Pack.
+// AppendPacked prepends a clock to a payload: it serializes [clock
+// header][clock][payload] onto dst, reusing its capacity.
 func AppendPacked(dst []byte, clock []uint64, payload []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(clock)))
 	dst = AppendClock(dst, clock)
 	return append(dst, payload...)
 }
 
-// Unpack splits a packed payload back into clock and application data.
-func Unpack(b []byte) (clock []uint64, payload []byte, err error) {
-	return UnpackInto(nil, b)
-}
-
-// UnpackInto is Unpack decoding the clock into dst's storage when it has the
-// capacity. The returned payload aliases b.
+// UnpackInto splits a packed payload back into clock and application data,
+// decoding the clock into dst's storage when it has the capacity. The
+// returned payload aliases b.
 func UnpackInto(dst []uint64, b []byte) (clock []uint64, payload []byte, err error) {
 	if len(b) < 4 {
 		return nil, nil, fmt.Errorf("piggyback: packed payload too short (%d bytes)", len(b))

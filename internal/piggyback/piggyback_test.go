@@ -10,7 +10,7 @@ import (
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(vals []uint64) bool {
-		got := DecodeClock(EncodeClock(vals))
+		got := DecodeClockInto(nil, AppendClock(nil, vals))
 		if len(got) != len(vals) {
 			return false
 		}
@@ -123,7 +123,7 @@ func TestClockContextFollowsTheCommunicator(t *testing.T) {
 
 func TestPackUnpackRoundTrip(t *testing.T) {
 	f := func(clock []uint64, payload []byte) bool {
-		c, p, err := Unpack(Pack(clock, payload))
+		c, p, err := UnpackInto(nil, AppendPacked(nil, clock, payload))
 		if err != nil {
 			return false
 		}
@@ -148,10 +148,10 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 }
 
 func TestUnpackRejectsGarbage(t *testing.T) {
-	if _, _, err := Unpack([]byte{1, 2}); err == nil {
+	if _, _, err := UnpackInto(nil, []byte{1, 2}); err == nil {
 		t.Error("short buffer accepted")
 	}
-	if _, _, err := Unpack([]byte{255, 255, 0, 0}); err == nil {
+	if _, _, err := UnpackInto(nil, []byte{255, 255, 0, 0}); err == nil {
 		t.Error("truncated clock accepted")
 	}
 }
