@@ -276,14 +276,16 @@ func TestJoinRejectsWrongProtocol(t *testing.T) {
 
 // TestJoinRejectsOldProtocols: workers from before the batched-lease task
 // frame (protocol 1), the multi-job frames (protocol 2), the wire-carried
-// task key (protocol 3), the subtree lease (protocol 4) or the announced
-// one-shot exploration (protocol 5) are refused at hello, by a one-shot
+// task key (protocol 3), the subtree lease (protocol 4), the announced
+// one-shot exploration (protocol 5) or the untouched-root count (protocol 6)
+// — every version below protoVersion — are refused at hello, by a one-shot
 // coordinator and by a job-queue server alike, with an error naming both
 // versions. An old worker would drop the frames it does not know — batched
 // tasks for v1, job announcements for v2 — or, for v3, be sent keys it ignores
 // and have its own results checked against them, or, for v4, find no task in
 // a lease and answer with no delta, or, for v5, state its identity in a field
-// nobody reads and run a one-shot coordinator's tasks unchecked, so the
+// nobody reads and run a one-shot coordinator's tasks unchecked, or, for v6,
+// hand its untouched roots back in its frontier, which fails the job, so the
 // pairing must fail loudly.
 func TestJoinRejectsOldProtocols(t *testing.T) {
 	fp := baseFingerprint()
@@ -293,7 +295,7 @@ func TestJoinRejectsOldProtocols(t *testing.T) {
 	defer s.Close()
 
 	for _, addr := range []string{caddr, saddr} {
-		for _, old := range []int{1, 2, 3, 4} {
+		for old := 1; old < protoVersion; old++ {
 			conn, err := net.Dial("tcp", addr)
 			if err != nil {
 				t.Fatal(err)
@@ -309,7 +311,7 @@ func TestJoinRejectsOldProtocols(t *testing.T) {
 			if fr.Type != msgReject {
 				t.Fatalf("v%d worker got %s frame, want reject", old, fr.Type)
 			}
-			if !strings.Contains(fr.Reason, fmt.Sprintf("protocol version %d", old)) || !strings.Contains(fr.Reason, "speaks 6") {
+			if !strings.Contains(fr.Reason, fmt.Sprintf("protocol version %d", old)) || !strings.Contains(fr.Reason, fmt.Sprintf("speaks %d", protoVersion)) {
 				t.Errorf("reject reason %q does not name both protocol versions", fr.Reason)
 			}
 			conn.Close()

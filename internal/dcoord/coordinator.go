@@ -100,7 +100,9 @@ type workerConn struct {
 	// for an any-workload worker, which builds whatever is announced.
 	pinned *JobSpec
 
-	wmu sync.Mutex // serializes frame writes (results race heartbeats)
+	wmu sync.Mutex  // serializes frame writes (results race heartbeats)
+	out frameWriter // guarded by wmu
+	in  frameReader // the connection's one read loop, the hello included
 
 	// guarded by Coordinator.mu
 	active    int // leases currently held
@@ -119,7 +121,7 @@ func (w *workerConn) send(fr *frame) error {
 // the coordinator. Caller holds w.wmu.
 func (w *workerConn) write(fr *frame) error {
 	_ = w.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	n, err := writeFrame(w.conn, fr)
+	n, err := w.out.write(w.conn, fr)
 	if err == nil {
 		w.wire.framesOut.Add(1)
 		w.wire.bytesOut.Add(int64(n))
@@ -129,7 +131,7 @@ func (w *workerConn) write(fr *frame) error {
 
 // recv reads the connection's next frame, of at most limit payload bytes.
 func (w *workerConn) recv(limit int) (*frame, error) {
-	fr, n, err := readFrame(w.r, limit)
+	fr, n, err := w.in.read(w.r, limit)
 	if err == nil {
 		w.wire.framesIn.Add(1)
 		w.wire.bytesIn.Add(int64(n))

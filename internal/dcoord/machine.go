@@ -268,11 +268,14 @@ func (m *machine) decode(w *workerConn, res *WireResult) evResult {
 
 // result merges one returned lease and reports the replays it added: the
 // delta folds into the report, the leftovers join the frontier, and every
-// leased root they do not hand back is done. Dedup is per root and all or
-// nothing — a delta is one sum, so if a competing delivery completed any of
-// its roots the whole result is dropped (and the roots only it held go back).
-// A held lease's echoed keys only have to agree with it; the echo is all that
-// identifies a late result whose lease already expired.
+// leased root but the untouched prefix is done. A held lease's untouched
+// roots go back to the frontier from the lease itself, ahead of the
+// leftovers; a late result's are waiting already, where its requeue put them.
+// Dedup is per root and all or nothing — a delta is one sum, so if a
+// competing delivery completed any of its roots the whole result is dropped
+// (and the roots only it held go back). A held lease's echoed keys only have
+// to agree with it; the echo is all that identifies a late result whose lease
+// already expired.
 func (m *machine) result(ev evResult) int {
 	res, bad := ev.res, ev.bad
 	keys, budget := res.Keys, 0
@@ -288,29 +291,37 @@ func (m *machine) result(ev evResult) int {
 		}
 	}
 	held := l != nil
-	// What the result says of its roots: which it hands back untouched, and
-	// whether a competing delivery completed one already.
-	roots := make(map[string]bool, len(keys)) // key → handed back
+	// What the result says of its roots: which it did not start, and whether
+	// a competing delivery completed one already.
+	u := res.Untouched
+	roots := make(map[string]bool, len(keys)) // key → untouched
 	stale := false
-	for _, k := range keys {
-		roots[k] = false
+	for i, k := range keys {
+		roots[k] = i < u
 		stale = stale || m.keys[k]
 	}
-	completed := len(roots)
-	handed := make(map[string]bool, len(ev.left))
+	switch {
+	case bad != nil:
+	case u < 0 || u > len(keys):
+		bad = fmt.Errorf("counts %d of its %d roots untouched", u, len(keys))
+	case len(roots) < len(keys):
+		bad = fmt.Errorf("echoes a key twice in %q", keys)
+	}
+	seen := make(map[string]bool, len(ev.left))
 	for _, p := range ev.left {
 		_, own := roots[p.key]
-		if _, had := m.keys[p.key]; handed[p.key] || had && !own && !stale {
-			bad = fmt.Errorf("hands back subtree %s twice, or one it was not leased that is waiting, leased or explored", p.key)
+		_, had := m.keys[p.key]
+		switch {
+		case bad != nil:
+		case own:
+			bad = fmt.Errorf("lists its leased root %s in its frontier", p.key)
+		case seen[p.key] || had && !stale:
+			bad = fmt.Errorf("hands back subtree %s twice, or one that is waiting, leased or explored", p.key)
 		}
-		handed[p.key] = true
-		if back, ok := roots[p.key]; ok && !back {
-			roots[p.key] = true
-			completed--
-		}
+		seen[p.key] = true
 	}
-	if _, overRoot := roots[rootKey]; bad == nil {
-		bad = checkDelta(ev.delta, completed, budget, overRoot)
+	if untouched, overRoot := roots[rootKey]; bad == nil {
+		bad = checkDelta(ev.delta, len(keys)-u, budget, overRoot && !untouched)
 	}
 	before := m.report.Interleavings
 	switch {
@@ -328,8 +339,13 @@ func (m *machine) result(ev evResult) int {
 				}
 			}
 		}
-	case held || m.lateMergeable(roots, ev.delta.Interleavings):
-		m.merge(ev.w, ev.delta, ev.left, roots, held)
+	case held:
+		for i := range u {
+			m.front.Tasks = append(m.front.Tasks, pending{keys[i], l.Tasks[i]})
+		}
+		m.merge(ev.w, ev.delta, ev.left, roots, true)
+	case m.lateMergeable(roots, ev.delta.Interleavings):
+		m.merge(ev.w, ev.delta, ev.left, roots, false)
 	}
 	return m.report.Interleavings - before
 }
@@ -360,20 +376,18 @@ func (m *machine) lateMergeable(roots map[string]bool, replays int) bool {
 }
 
 // merge folds a vetted delta into the exploration. roots maps each root of
-// the result to whether it was handed back. A late result's roots were
-// requeued when its lease was lost: the ones it hands back are already
-// waiting, and the ones it completed leave the frontier here (a copy under a
-// newer lease is dropped when that lease returns).
+// the result to whether it was untouched. A late result's roots were
+// requeued when its lease was lost: the untouched ones are still waiting,
+// and the ones it completed leave the frontier here (a copy under a newer
+// lease is dropped when that lease returns).
 func (m *machine) merge(w *workerConn, delta *core.Report, left []pending, roots map[string]bool, held bool) {
-	for k, back := range roots {
-		if !back {
+	for k, untouched := range roots {
+		if !untouched {
 			m.keys[k] = true
 		}
 	}
 	if !held {
-		waiting := func(p pending) bool { _, ok := roots[p.key]; return ok }
 		m.front.Tasks = slices.DeleteFunc(m.front.Tasks, func(p pending) bool { return m.keys[p.key] })
-		left = slices.DeleteFunc(left, waiting)
 	}
 	for _, p := range left {
 		m.keys[p.key] = false

@@ -74,14 +74,20 @@ func beat(name string) evFn { return func(r *rig) any { return evHeartbeat{r.wor
 func tick() evFn            { return func(*rig) any { return evTick{} } }
 
 // ret returns lease id from name the way a worker does: the lease's own keys
-// echoed, rep the delta, left the named subtrees handed back.
+// echoed, rep the delta, left the named subtrees handed back; every root was
+// started.
 func ret(name string, id uint64, rep *core.Report, left ...string) evFn {
+	return back(name, id, 0, rep, left...)
+}
+
+// back is ret for a lease whose first u roots were never started.
+func back(name string, id uint64, u int, rep *core.Report, left ...string) evFn {
 	return func(r *rig) any {
 		keys := r.granted[id].Keys
 		if keys == nil {
 			r.t.Fatalf("no lease %d was granted", id)
 		}
-		return r.wire(name, &WireResult{Lease: id, Keys: keys, Delta: r.delta(rep, left...)})
+		return r.wire(name, &WireResult{Lease: id, Keys: keys, Untouched: u, Delta: r.delta(rep, left...)})
 	}
 }
 
@@ -346,20 +352,111 @@ func TestOverlappingLateResultsCountOnce(t *testing.T) {
 }
 
 // TestUntouchedRootHandedBackIsExploredLater: a lease may return before it
-// reached every root (budget, time slice, a stopping worker). A root that
-// comes back in the leftover frontier was not explored: it must not enter the
-// done-set, and it must be leased again. The frontier here is small, so each
-// grant is floored at all of it (dexplore's minLeaseRoots, the one slot being
-// the only idle one): three leases, not one per subtree.
+// reached every root (budget, time slice, a stopping worker). A worker starts
+// a lease's roots from the last, so the ones it did not start are a prefix,
+// which it names by count. Those were not explored: they must not enter the
+// done-set, and they must be leased again. The frontier here is small, so
+// each grant is floored at all of it (dexplore's minLeaseRoots, the one slot
+// being the only idle one): three leases, not one per subtree.
 func TestUntouchedRootHandedBackIsExploredLater(t *testing.T) {
 	r := newRig(t, leaseTestConfig(2*time.Second))
 	r.run([]row{
 		{0, join("partial", 1), "partial:#1[root]/1", ""},
 		{1 * ms, ret("partial", 1, rootRun(), "a", "b", "d"), "partial:#2[a b d]/0", ""},
-		// a explored, b and d not started.
-		{2 * ms, ret("partial", 2, &core.Report{Interleavings: 1}, "b", "d"), "partial:#3[b d]/0", "exploring n=2 errors=0 frontier=0 leases=1 granted=3 done=2 requeues=0"},
+		// d explored, a and b not started.
+		{2 * ms, back("partial", 2, 2, &core.Report{Interleavings: 1}), "partial:#3[a b]/0", "exploring n=2 errors=0 frontier=0 leases=1 granted=3 done=2 requeues=0"},
 		{3 * ms, ret("partial", 3, &core.Report{Interleavings: 2}), "end[partial]", "done n=4 errors=0 frontier=0 leases=0 granted=3 done=4 requeues=0"},
 	})
+}
+
+// grownTo is the rows that lease the root to one one-slot worker w and get
+// lease #2 over [a b c] back from it.
+func grownTo() []row {
+	return []row{
+		{0, join("w", 1), "w:#1[root]/1", ""},
+		{1 * ms, ret("w", 1, rootRun(), "a", "b", "c"), "w:#2[a b c]/0", ""},
+	}
+}
+
+// TestUntouchedCountRebuildsRoots: a held lease's untouched roots come back
+// from the lease itself — no decode, no key rendered — ahead of the result's
+// leftovers and in lease order, and only the roots past them are done.
+func TestUntouchedCountRebuildsRoots(t *testing.T) {
+	for _, tc := range []struct {
+		u     int
+		rep   *core.Report
+		left  []string
+		grant string
+		done  int
+	}{
+		{0, &core.Report{Interleavings: 3}, []string{"x"}, "w:#3[x]/0", 4},
+		{1, &core.Report{Interleavings: 2}, []string{"x", "y"}, "w:#3[a x y]/0", 3},
+		{2, &core.Report{Interleavings: 1}, []string{"x"}, "w:#3[a b x]/0", 2},
+		{3, &core.Report{}, nil, "w:#3[a b c]/0", 1},
+	} {
+		t.Run(fmt.Sprint("untouched=", tc.u), func(t *testing.T) {
+			r := newRig(t, leaseTestConfig(time.Second))
+			r.run(append(grownTo(),
+				row{2 * ms, back("w", 2, tc.u, tc.rep, tc.left...), tc.grant,
+					fmt.Sprintf("exploring n=%d errors=0 frontier=0 leases=1 granted=3 done=%d requeues=0", 1+tc.rep.Interleavings, tc.done)}))
+		})
+	}
+}
+
+// TestUntouchedCountHasOneForm: an untouched count outside the lease, or a
+// leased root handed back in the delta's frontier (the form before the
+// count), fails the exploration naming the worker and the lease, and merges
+// nothing.
+func TestUntouchedCountHasOneForm(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		u    int
+		left []string
+		want string
+	}{
+		{"negative", -1, nil, "counts -1 of its 3 roots untouched"},
+		{"past-the-lease", 4, nil, "counts 4 of its 3 roots untouched"},
+		{"root-in-frontier", 1, []string{"x", "c"}, "lists its leased root"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, leaseTestConfig(time.Second))
+			r.run(append(grownTo(),
+				row{2 * ms, back("w", 2, tc.u, &core.Report{Interleavings: 1}, tc.left...), "end[w]",
+					"failed n=1 errors=0 frontier=0 leases=0 granted=2 done=1 requeues=0"}))
+			r.wantErr("worker w", "lease 2", tc.want)
+		})
+	}
+}
+
+// TestLateResultEchoingAKeyTwiceFails: a late result is known by its echo
+// alone, so an echo naming one root twice fails the exploration rather than
+// count that root both ways.
+func TestLateResultEchoingAKeyTwiceFails(t *testing.T) {
+	r := newRig(t, leaseTestConfig(time.Second))
+	r.run(append(grownTo(), row{2 * ms, func(r *rig) any {
+		a := taskKey(r.task("a"))
+		return r.wire("w", &WireResult{Lease: 9, Keys: []string{a, a}, Untouched: 1, Delta: r.delta(&core.Report{Interleavings: 1})})
+	}, "", "failed n=1 errors=0 frontier=0 leases=1 granted=2 done=1 requeues=0"}))
+	r.wantErr("worker w", "lease 9", "echoes a key twice")
+}
+
+// TestLateUntouchedCountMerges: a result that outlived its lease names its
+// untouched roots by count too; they come from the echo and are waiting
+// already under the newer lease, so the merge marks only the others done,
+// and when that newer lease returns, stale, only the untouched root goes
+// back. A second delivery of the same result is a stale duplicate: dropped.
+func TestLateUntouchedCountMerges(t *testing.T) {
+	r := newRig(t, leaseTestConfig(50*ms), func(m *machine) { m.maxRedeliveries = 100 })
+	late := back("w", 2, 1, &core.Report{Interleavings: 2}, "x")
+	dup := failedRun("dropped: b and c were done")
+	dup.Interleavings = 3
+	r.run(append(grownTo(), []row{
+		{52 * ms, tick(), "w:#3[a b c]/0", "exploring n=1 errors=0 frontier=0 leases=1 granted=3 done=1 requeues=1"},
+		{53 * ms, late, "", "exploring n=3 errors=0 frontier=1 leases=1 granted=3 done=3 requeues=1"},
+		{54 * ms, late, "", "exploring n=3 errors=0 frontier=1 leases=1 granted=3 done=3 requeues=1"},
+		{55 * ms, ret("w", 3, dup), "w:#4[x a]/0", "exploring n=3 errors=0 frontier=0 leases=1 granted=4 done=3 requeues=1"},
+		{56 * ms, ret("w", 4, &core.Report{Interleavings: 2}), "end[w]", "done n=5 errors=0 frontier=0 leases=0 granted=4 done=5 requeues=1"},
+	}...))
 }
 
 // TestLeaseResultOverBudgetRejected: a budget is the machine's hold on the
@@ -555,22 +652,31 @@ func TestStatusSamplesInTimeOrder(t *testing.T) {
 	}
 }
 
-// synth is a synthetic result for lease wt, drawn from bits: which roots it
-// hands back, which of six shared subtrees k0…k5 it adds to them, one replay
-// per completed root (plus an extra one, or a failure), and the root run's
-// aggregates when it completed the root.
+// synth is a synthetic result for lease wt, drawn from bits: how many of its
+// roots it leaves untouched (bits 0–1, negated by bit 3: out of range as
+// often as not on a short lease), whether it also lists its last root in its
+// frontier (bit 2, the form the count replaced), which of six shared subtrees
+// k0…k5 it adds (bits 4–9), one replay per root past the untouched ones (plus
+// an extra one, bit 10, or a failure, bit 11), and the root run's aggregates
+// when it started the root.
 func (r *rig) synth(wt wireTask, bits int) *WireResult {
+	u := bits & 3
+	if bits>>3&1 == 1 {
+		u = -u
+	}
 	rep := &core.Report{}
 	var left []*core.SubtreeTask
 	for i, key := range wt.Keys {
-		if bits>>i&1 == 1 {
-			left = append(left, wt.Tasks[i])
+		if i < u {
 			continue
 		}
 		rep.Interleavings++
 		if key == rootKey {
 			rep.FirstTrace, rep.WildcardsAnalyzed = &core.RunTrace{}, 1
 		}
+	}
+	if bits>>2&1 == 1 && len(wt.Tasks) > 0 {
+		left = append(left, wt.Tasks[len(wt.Tasks)-1])
 	}
 	for j := 0; j < 6; j++ {
 		if bits>>(4+j)&1 == 1 {
@@ -581,7 +687,7 @@ func (r *rig) synth(wt wireTask, bits int) *WireResult {
 	if bits>>11&1 == 1 && rep.Interleavings > 0 {
 		rep.Errors = []*core.InterleavingResult{{Err: fmt.Errorf("failure"), Decisions: core.NewDecisions()}}
 	}
-	return &WireResult{Lease: wt.Lease, Keys: wt.Keys, Delta: deltaOf(r.c.cfg.Fingerprint, rep, left...)}
+	return &WireResult{Lease: wt.Lease, Keys: wt.Keys, Untouched: u, Delta: deltaOf(r.c.cfg.Fingerprint, rep, left...)}
 }
 
 // FuzzStep: the machine under any bounded sequence of events from three
@@ -596,6 +702,11 @@ func FuzzStep(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 4, 0, 0, 4, 0, 1, 3, 50, 0, 4, 0, 0, 6, 0, 0})
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 0, 2, 0, 4, 0, 0xf0, 4, 1, 0xf0, 4, 2, 0, 3, 45, 0, 5, 3, 0, 5, 4, 0x04, 7, 0, 0})
 	f.Add([]byte{0, 0, 0, 4, 0, 0x30, 2, 0, 0, 3, 30, 0, 3, 30, 0, 4, 1, 0x03, 1, 0, 0, 4, 0, 0, 8, 0, 0})
+	// Untouched counts out of range: 3 of the root lease's one root, -1 of a
+	// lease over k0…k3, and a leased root listed in the frontier.
+	f.Add([]byte{0, 0, 0, 4, 0, 0x03})
+	f.Add([]byte{0, 0, 0, 4, 0, 0xf0, 4, 0, 0x09})
+	f.Add([]byte{0, 1, 0, 4, 0, 0xf0, 4, 0, 0x05})
 	const max, ttl = 12, 40 * ms
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 3*64 {
@@ -731,7 +842,7 @@ func TestPeriodicCutsOneAtATime(t *testing.T) {
 	r.run([]row{
 		{0, join("w", 1), "w:#1[root]/1", ""},
 		{99 * ms, ret("w", 1, rootRun(), "a", "b"), "w:#2[a b]/0", ""},
-		{100 * ms, ret("w", 2, &core.Report{Interleavings: 1}, "b"), "w:#3[b]/0; cut@2+1", ""},
+		{100 * ms, back("w", 2, 1, &core.Report{Interleavings: 1}), "w:#3[a]/0; cut@2+1", ""},
 		{101 * ms, func(*rig) any { return evSaved{} }, "", ""},
 		{199 * ms, ret("w", 3, &core.Report{Interleavings: 1}, "c"), "w:#4[c]/0", ""},
 		{200 * ms, ret("w", 4, &core.Report{Interleavings: 1}), "end[w] cut@4+0", ""},

@@ -23,12 +23,14 @@
 package dcoord
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"dampi/internal/core"
 	"dampi/internal/dexplore"
@@ -36,22 +38,31 @@ import (
 )
 
 // protoVersion guards the frame format; a hello with any other version is
-// rejected at the handshake, both versions named. Version 6: every exploration
-// is an announced job (a one-shot coordinator's too) and every task and result
-// frame is tagged with it, a pinned hello states a JobSpec, a lease is a set of
-// subtrees with a replay budget and its result one report delta. Versions 1–5
-// each lack one of these, so a mixed pair would drop or misroute frames
-// silently and is refused instead (CHANGES.md has the history).
-const protoVersion = 6
+// rejected at the handshake, both versions named. Version 7: a result names
+// the lease's roots its worker never started by count (WireResult.Untouched)
+// instead of handing them back in its delta's frontier. Version 6: every
+// exploration is an announced job (a one-shot coordinator's too) and every
+// task and result frame is tagged with it, a pinned hello states a JobSpec, a
+// lease is a set of subtrees with a replay budget and its result one report
+// delta. Versions 1–6 each lack one of these, so a mixed pair would drop or
+// misroute frames silently — a v6 coordinator would read a v7 worker's
+// uncounted roots as explored — and is refused instead (CHANGES.md has the
+// history).
+const protoVersion = 7
 
 // maxFrameSize bounds a single frame (a lease's leftover frontier or the root
 // trace can be large, but anything beyond this is a corrupt stream).
 const maxFrameSize = 64 << 20
 
 // maxHelloSize bounds the one frame read from a peer that has not identified
-// itself yet: a hello is a few hundred bytes, and readFrame allocates what
-// the 4-byte header announces.
+// itself yet: a hello is a few hundred bytes, and a frame reader grows its
+// buffer to what the 4-byte header announces.
 const maxHelloSize = 64 << 10
+
+// maxKeptFrame bounds the buffers a connection keeps from one frame to the
+// next: one that grew past it for a large frame (the root's trace, a wide
+// frontier) is dropped after that frame instead of staying pinned.
+const maxKeptFrame = 1 << 20
 
 // Frame types.
 const (
@@ -89,7 +100,13 @@ const (
 
 // frame is the single wire envelope; Type selects which fields are
 // meaningful. One struct (rather than one per message) keeps the codec to a
-// single json.Decoder with no two-phase dispatch.
+// single decode with no two-phase dispatch.
+//
+// A frame is decoded from a body buffer its connection's frameReader reuses
+// for the next frame, so nothing decoded may keep a sub-slice of its input:
+// json.Unmarshal copies strings, and the two types in a frame that decode
+// themselves (core.Decisions, core.InterleavingResult) build new values. A
+// member added here must do the same.
 type frame struct {
 	Type string `json:"type"`
 
@@ -145,11 +162,17 @@ type WireResult struct {
 	// engines' error return.
 	Fatal string `json:"fatal,omitempty"`
 
+	// Untouched is how many of the lease's roots, from the first, the worker
+	// never started. A worker pops its roots from the end of the lease, so the
+	// ones it did not start are always a prefix; the coordinator holds them
+	// already and puts them back without any crossing the wire. Every other
+	// root is done.
+	Untouched int `json:"untouched,omitempty"`
+
 	// Delta is everything the lease's replays add to the exploration, in the
 	// checkpoint codec: the report of the replays run (a failing or sampled
 	// one with its reproducer, the root with its trace) and, as its frontier,
-	// what is left of the lease's subtrees — the expansions not reached and
-	// any root not started. A leased root absent from the frontier is done.
+	// the expansions not reached. It never lists a leased root.
 	Delta *dexplore.Checkpoint `json:"delta,omitempty"`
 }
 
@@ -307,44 +330,76 @@ func (s *JobSpec) Check(w *JobSpec) error {
 	return nil
 }
 
-// writeFrame serializes one frame as a 4-byte big-endian length prefix
-// followed by the JSON payload, in one Write (one syscall on a TCP
-// connection), and reports the bytes written. Callers serialize concurrent
-// writers.
-func writeFrame(w io.Writer, fr *frame) (int, error) {
-	body, err := json.Marshal(fr)
-	if err != nil {
-		return 0, fmt.Errorf("dcoord: encoding %s frame: %w", fr.Type, err)
-	}
-	if len(body) > maxFrameSize {
-		return 0, fmt.Errorf("dcoord: %s frame too large (%d bytes)", fr.Type, len(body))
-	}
-	buf := make([]byte, 4, 4+len(body))
-	binary.BigEndian.PutUint32(buf, uint32(len(body)))
-	return w.Write(append(buf, body...))
+// frameWriter is the writing side of one connection: it encodes every frame
+// into one kept buffer, so a warm write copies the frame once, into that
+// buffer, and allocates nothing. Its zero value is ready; its owner
+// serializes writes.
+type frameWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder // encodes into buf
 }
 
-// readFrame reads one length-prefixed JSON frame of at most limit payload
-// bytes and reports the bytes consumed. Read loops hand it one bufio.Reader
-// per connection, so header and payload usually cost one syscall together.
-func readFrame(r io.Reader, limit int) (*frame, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// write sends one frame to w as a 4-byte big-endian length prefix followed
+// by the JSON payload (the bytes json.Marshal gives), in one Write — one
+// syscall on a TCP connection — and reports the bytes written.
+func (fw *frameWriter) write(w io.Writer, fr *frame) (int, error) {
+	if fw.enc == nil {
+		fw.enc = json.NewEncoder(&fw.buf)
+	}
+	fw.buf.Reset()
+	fw.buf.Write([]byte{0, 0, 0, 0}) // the length, patched once it is known
+	err := fw.enc.Encode(fr)
+	out := fw.buf.Bytes()
+	out = out[:len(out)-1] // Encode ends the value with a newline; a frame does not
+	sent := 0
+	switch n := len(out) - 4; {
+	case err != nil:
+		err = fmt.Errorf("dcoord: encoding %s frame: %w", fr.Type, err)
+	case n > maxFrameSize:
+		err = fmt.Errorf("dcoord: %s frame too large (%d bytes)", fr.Type, n)
+	default:
+		binary.BigEndian.PutUint32(out, uint32(n))
+		sent, err = w.Write(out)
+	}
+	if fw.buf.Cap() > maxKeptFrame {
+		fw.buf = bytes.Buffer{}
+	}
+	return sent, err
+}
+
+// frameReader is the reading side of one connection: it reads every frame
+// body into one kept buffer (see frame for why that is safe). Its zero value
+// is ready; one goroutine at a time reads through it.
+type frameReader struct {
+	hdr  [4]byte
+	body []byte
+}
+
+// read reads one length-prefixed JSON frame of at most limit payload bytes
+// from r and reports the bytes consumed. A header over the limit is refused
+// before the buffer grows. Read loops hand it one bufio.Reader per
+// connection, so header and payload usually cost one syscall together.
+func (fr *frameReader) read(r io.Reader, limit int) (*frame, int, error) {
+	if _, err := io.ReadFull(r, fr.hdr[:]); err != nil {
 		return nil, 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(fr.hdr[:])
 	if int64(n) > int64(limit) {
 		return nil, 0, fmt.Errorf("dcoord: frame of %d bytes exceeds limit %d", n, limit)
 	}
-	body := make([]byte, n)
+	body := slices.Grow(fr.body[:0], int(n))[:n]
+	fr.body = body[:0]
+	if cap(body) > maxKeptFrame {
+		fr.body = nil
+	}
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, 0, err
 	}
-	fr := &frame{}
-	if err := json.Unmarshal(body, fr); err != nil {
+	f := &frame{}
+	if err := json.Unmarshal(body, f); err != nil {
 		return nil, 0, fmt.Errorf("dcoord: decoding frame: %w", err)
 	}
-	return fr, 4 + len(body), nil
+	return f, 4 + len(body), nil
 }
 
 // rootKey is the key of the initial self-discovery task.

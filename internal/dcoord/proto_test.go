@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"reflect"
 	"runtime"
@@ -16,28 +17,52 @@ import (
 	"dampi/internal/race"
 )
 
-// TestFrameRoundTrip: every frame shape survives the length-prefixed JSON
-// codec byte-for-byte in meaning.
-func TestFrameRoundTrip(t *testing.T) {
+// writeFrame writes one frame through a fresh frameWriter, as the first
+// write of a connection does.
+func writeFrame(w io.Writer, fr *frame) (int, error) {
+	var fw frameWriter
+	return fw.write(w, fr)
+}
+
+// readFrame reads one frame through a fresh frameReader, as the first read of
+// a connection does.
+func readFrame(r io.Reader, limit int) (*frame, int, error) {
+	var fr frameReader
+	return fr.read(r, limit)
+}
+
+// everyFrame is one frame of every type, each member its type uses set.
+func everyFrame() []*frame {
 	fp := baseFingerprint()
 	task := &core.SubtreeTask{Decisions: dec(1, 3, 0), Budget: 2, Explorable: true}
+	sibling := &core.SubtreeTask{Decisions: dec(1, 3, 2), Budget: 2, Explorable: true}
 	child := &core.SubtreeTask{Decisions: dec(2, 1, 1), Budget: core.Unbounded, Explorable: true}
 	failed := &core.Report{
 		Interleavings: 3, DecisionPoints: 3, WildcardsAnalyzed: 5,
 		Errors: []*core.InterleavingResult{{Index: 2, Err: errors.New("rank 2: assertion failed"), Decisions: dec(1, 3, 0)}},
 	}
-	frames := []*frame{
+	return []*frame{
 		{Type: msgHello, Proto: protoVersion, Worker: "w1", Slots: 4, Spec: &fp},
 		{Type: msgWelcome, LeaseTTLMillis: 10000},
 		{Type: msgReject, Reason: "dcoord: procs mismatch"},
-		{Type: msgTask, Tasks: []wireTask{
+		{Type: msgJob, Job: "j1", Spec: &fp},
+		{Type: msgTask, Job: "j1", Tasks: []wireTask{
 			{Lease: 41, Keys: []string{rootKey}, Tasks: []*core.SubtreeTask{{Budget: core.Unbounded, Explorable: true}}, Budget: 1},
-			{Lease: 42, Keys: []string{taskKey(task), taskKey(child)}, Tasks: []*core.SubtreeTask{task, child}},
+			{Lease: 42, Keys: []string{taskKey(sibling), taskKey(task)}, Tasks: []*core.SubtreeTask{sibling, task}},
 		}},
 		{Type: msgHeartbeat, Worker: "w1"},
+		{Type: msgResult, Job: "j1", Result: &WireResult{Lease: 42, Keys: []string{taskKey(sibling), taskKey(task)}, Untouched: 1, Delta: deltaOf(fp, failed, child)}},
+		{Type: msgJobDone, Job: "j1"},
 		{Type: msgDone},
-		{Type: msgResult, Result: &WireResult{Lease: 42, Keys: []string{taskKey(task)}, Delta: deltaOf(fp, failed, child)}},
 	}
+}
+
+// TestFrameRoundTrip: every frame shape survives the length-prefixed JSON
+// codec byte-for-byte in meaning.
+func TestFrameRoundTrip(t *testing.T) {
+	fp := baseFingerprint()
+	child := &core.SubtreeTask{Decisions: dec(2, 1, 1), Budget: core.Unbounded, Explorable: true}
+	frames := everyFrame()
 	for _, in := range frames {
 		t.Run(in.Type, func(t *testing.T) {
 			var buf bytes.Buffer
@@ -48,7 +73,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("read: %v", err)
 			}
-			if out.Type != in.Type || out.Proto != in.Proto || out.Worker != in.Worker ||
+			if out.Type != in.Type || out.Job != in.Job || out.Proto != in.Proto || out.Worker != in.Worker ||
 				out.Slots != in.Slots || out.Reason != in.Reason ||
 				out.LeaseTTLMillis != in.LeaseTTLMillis {
 				t.Errorf("scalar fields changed: %+v -> %+v", in, out)
@@ -67,7 +92,7 @@ func TestFrameRoundTrip(t *testing.T) {
 				}
 			}
 			if in.Result != nil {
-				if out.Result.Lease != in.Result.Lease || !slices.Equal(out.Result.Keys, in.Result.Keys) {
+				if out.Result.Lease != in.Result.Lease || !slices.Equal(out.Result.Keys, in.Result.Keys) || out.Result.Untouched != in.Result.Untouched {
 					t.Errorf("result changed: %+v -> %+v", in.Result, out.Result)
 				}
 				ecfg := fp.ExplorerConfig()
@@ -111,6 +136,121 @@ func TestReadFrameRejectsTruncated(t *testing.T) {
 	cut := buf.Bytes()[:buf.Len()-3]
 	if _, _, err := readFrame(bytes.NewReader(cut), maxFrameSize); err == nil {
 		t.Fatal("truncated frame decoded successfully")
+	}
+}
+
+// TestFrameBytesAreMarshals: a frame on the wire is the 4-byte length and
+// the bytes json.Marshal gives, whatever the writer's buffer held before —
+// every frame type, written in turn through one frameWriter, then again.
+func TestFrameBytesAreMarshals(t *testing.T) {
+	var fw frameWriter
+	for round := 0; round < 2; round++ {
+		for _, fr := range everyFrame() {
+			body, err := json.Marshal(fr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+			var got bytes.Buffer
+			if n, err := fw.write(&got, fr); err != nil || n != len(want) || !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("round %d, %s frame: wrote %d bytes (err %v)\n%q\nwant header + json.Marshal\n%q", round, fr.Type, n, err, got.Bytes(), want)
+			}
+		}
+	}
+}
+
+// TestDecodedFrameOwnsItsBytes: a frameReader reads the next frame into the
+// body buffer the last one was decoded from, so nothing decoded may point
+// into it. Every frame type, decoded and then its buffer overwritten, still
+// encodes as it did.
+func TestDecodedFrameOwnsItsBytes(t *testing.T) {
+	for _, in := range everyFrame() {
+		var buf bytes.Buffer
+		if _, err := writeFrame(&buf, in); err != nil {
+			t.Fatal(err)
+		}
+		var fr frameReader
+		out, _, err := fr.read(&buf, maxFrameSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, err := json.Marshal(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := fr.body[:cap(fr.body)]
+		for i := range body {
+			body[i] = '9'
+		}
+		if after, err := json.Marshal(out); err != nil || !bytes.Equal(after, before) {
+			t.Errorf("%s frame changed with its reader's buffer:\n%s\nwas\n%s", in.Type, after, before)
+		}
+	}
+}
+
+// TestLargeFrameBufferNotKept: a buffer grown past maxKeptFrame for one frame
+// is dropped after it, on either side; one under it is kept for the next.
+func TestLargeFrameBufferNotKept(t *testing.T) {
+	var fw frameWriter
+	var fr frameReader
+	for _, tc := range []struct {
+		worker string
+		kept   bool
+	}{
+		{"w1", true},
+		{strings.Repeat("w", maxKeptFrame), false},
+		{"w2", true},
+	} {
+		var buf bytes.Buffer
+		if _, err := fw.write(&buf, &frame{Type: msgHeartbeat, Worker: tc.worker}); err != nil {
+			t.Fatal(err)
+		}
+		size := buf.Len()
+		if kept := fw.buf.Cap() > 0; kept != tc.kept {
+			t.Errorf("a %d-byte frame: writer keeps a %d-byte buffer", size, fw.buf.Cap())
+		}
+		if out, _, err := fr.read(&buf, maxFrameSize); err != nil || out.Worker != tc.worker {
+			t.Fatalf("read back: %v", err)
+		}
+		if kept := cap(fr.body) > 0; kept != tc.kept {
+			t.Errorf("a %d-byte frame: reader keeps a %d-byte buffer", size, cap(fr.body))
+		}
+	}
+}
+
+// TestWarmFrameAllocBudget: a connection's warm write of a heartbeat
+// allocates nothing — no json.Marshal copy, no header+body slice — and its
+// warm read allocates only what decoding keeps (the frame and its strings)
+// plus encoding/json's own bookkeeping: no body. Counts measured with
+// go1.24; skipped under -race, which allocates on its own.
+func TestWarmFrameAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	const wantWrite, wantRead = 0, 7
+	hb := &frame{Type: msgHeartbeat, Worker: "w1"}
+	var fw frameWriter
+	if _, err := fw.write(io.Discard, hb); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() { _, _ = fw.write(io.Discard, hb) }); n > wantWrite {
+		t.Errorf("a warm heartbeat write allocates %v times, want %d", n, wantWrite)
+	}
+	var buf bytes.Buffer
+	if _, err := fw.write(&buf, hb); err != nil {
+		t.Fatal(err)
+	}
+	wire := buf.Bytes()
+	r := bytes.NewReader(wire)
+	var fr frameReader
+	if _, _, err := fr.read(r, maxFrameSize); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		r.Reset(wire)
+		_, _, _ = fr.read(r, maxFrameSize)
+	}); n > wantRead {
+		t.Errorf("a warm heartbeat read allocates %v times, want %d", n, wantRead)
 	}
 }
 
@@ -231,9 +371,12 @@ func TestResultCarriesReproducerOnlyWhenKept(t *testing.T) {
 	}
 }
 
-// FuzzReadFrame: arbitrary bytes never panic readFrame, and a header
+// FuzzReadFrame: arbitrary bytes, read as a sequence of frames through one
+// frameReader as a connection reads them, never panic it; a header
 // announcing more than the limit is refused on the header alone — nothing
-// read past it, nothing allocated for it.
+// read past it, nothing allocated for it; and every frame decodes as it does
+// through a fresh buffer, so a short frame read after a long one sees none of
+// the long one's bytes.
 func FuzzReadFrame(f *testing.F) {
 	framed := func(body []byte) []byte {
 		out := make([]byte, 4, 4+len(body))
@@ -262,36 +405,55 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, '{'}, maxHelloSize)
 	f.Add(framed([]byte(`{"type":"result","result":{"delta":{"errors":[{"decisions":{"by_rank":{"1":{"1":1},"01":{"2":2}}}}]}}}`)), 1<<10)
+	// Sequences: a long frame, then a short one; a long frame, then a short
+	// one cut off, whose missing bytes the long one's buffer still holds.
+	long := framed(ckp)
+	short := framed([]byte(`{"type":"heartbeat","worker":"w"}`))
+	f.Add(slices.Concat(long, short, short), 1<<20)
+	f.Add(slices.Concat(long, short[:len(short)-5]), 1<<20)
 
 	f.Fuzz(func(t *testing.T, data []byte, limit int) {
 		if limit < 0 || limit > 1<<20 {
 			return
 		}
 		r := bytes.NewReader(data)
-		over := len(data) >= 4 && int64(binary.BigEndian.Uint32(data)) > int64(limit)
-		var before, after runtime.MemStats
-		if over {
-			runtime.ReadMemStats(&before)
-		}
-		fr, n, err := readFrame(r, limit)
-		consumed := len(data) - r.Len()
-		switch {
-		case over:
-			runtime.ReadMemStats(&after)
-			if err == nil || consumed != 4 {
-				t.Fatalf("over-limit announcement: err %v, consumed %d bytes; want an error on the header's 4", err, consumed)
+		var reader frameReader
+		for {
+			rest := data[len(data)-r.Len():]
+			over := len(rest) >= 4 && int64(binary.BigEndian.Uint32(rest)) > int64(limit)
+			var before, after runtime.MemStats
+			if over {
+				runtime.ReadMemStats(&before)
 			}
-			// Another goroutine of the test binary may allocate meanwhile;
-			// 1 MiB of slack is far below the announcements that matter.
-			if grew := after.TotalAlloc - before.TotalAlloc; !race.Enabled && grew > uint64(limit)+1<<20 {
-				t.Fatalf("over-limit announcement of %d bytes allocated %d (limit %d)", binary.BigEndian.Uint32(data), grew, limit)
+			fr, n, err := reader.read(r, limit)
+			consumed := len(rest) - r.Len()
+			switch {
+			case over:
+				runtime.ReadMemStats(&after)
+				if err == nil || consumed != 4 {
+					t.Fatalf("over-limit announcement: err %v, consumed %d bytes; want an error on the header's 4", err, consumed)
+				}
+				// Another goroutine of the test binary may allocate meanwhile;
+				// 1 MiB of slack is far below the announcements that matter.
+				if grew := after.TotalAlloc - before.TotalAlloc; !race.Enabled && grew > uint64(limit)+1<<20 {
+					t.Fatalf("over-limit announcement of %d bytes allocated %d (limit %d)", binary.BigEndian.Uint32(rest), grew, limit)
+				}
+				return
+			case err == nil:
+				if fr == nil || n != consumed || n > 4+limit {
+					t.Fatalf("accepted frame %v: reported %d bytes, consumed %d, limit %d", fr, n, consumed, limit)
+				}
+				alone, _, err := readFrame(bytes.NewReader(rest[:n]), limit)
+				got, gerr := json.Marshal(fr)
+				want, werr := json.Marshal(alone)
+				if err != nil || (gerr == nil) != (werr == nil) || !bytes.Equal(got, want) {
+					t.Fatalf("frame read through a used buffer:\n%s\nthrough a fresh one (err %v):\n%s", got, err, want)
+				}
+			case fr != nil || n != 0:
+				t.Fatalf("failed read returned frame %v, %d bytes", fr, n)
+			default:
+				return
 			}
-		case err == nil:
-			if fr == nil || n != consumed || n > 4+limit {
-				t.Fatalf("accepted frame %v: reported %d bytes, consumed %d, limit %d", fr, n, consumed, limit)
-			}
-		case fr != nil || n != 0:
-			t.Fatalf("failed read returned frame %v, %d bytes", fr, n)
 		}
 	})
 }

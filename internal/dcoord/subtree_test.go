@@ -76,6 +76,11 @@ func TestLeaseShapeDoesNotChangeReport(t *testing.T) {
 						if st.Requeues != 0 {
 							t.Errorf("%s: %d requeues on a healthy cluster", label, st.Requeues)
 						}
+						// A zero slice cuts every lease short after its first
+						// replay: each root but the last comes back untouched.
+						if slice == 0 && st.LeasesGranted != uint64(dist.Interleavings) {
+							t.Errorf("%s: %d leases for %d replays, want one each", label, st.LeasesGranted, dist.Interleavings)
+						}
 					}
 				}
 			}
@@ -196,30 +201,29 @@ func grown(f *fakeWorker, fp JobSpec, n int) []*core.SubtreeTask {
 // version sent for a three-rank fan-in's root lease (testdata, committed).
 const recordedResult = "testdata/result_root_v5.json"
 
-// TestRecordedResultStillMerges: the recorded frame is what the worker still
-// produces, field for field, and what the coordinator still merges.
-func TestRecordedResultStillMerges(t *testing.T) {
-	// Which sender wins the self run's first match is the scheduler's choice;
-	// the members of the frame are the same either way.
-	cfg := core.ExplorerConfig{Procs: 3, MixingBound: core.Unbounded, Program: func(p *mpi.Proc) error {
-		if p.Rank() != 0 {
-			return p.Send(0, 0, []byte{byte(p.Rank())}, p.CommWorld())
-		}
-		for i := 0; i < 2; i++ {
-			if _, _, err := p.Recv(mpi.AnySource, 0, p.CommWorld()); err != nil {
-				return err
-			}
-		}
-		return nil
-	}}
-	w := NewWorker(WorkerConfig{Addr: "unused", Explorer: cfg})
-	rt := &jobRuntime{cfg: cfg}
-	res := w.runLease(rt, core.NewRunContext(&rt.cfg), wireTask{Lease: 1, Keys: []string{rootKey}, Tasks: []*core.SubtreeTask{core.RootTask(&cfg)}, Budget: 1})
-	fresh, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		t.Fatal(err)
+// recordedCut is a lease over three roots of a four-rank fan-in with a budget
+// of one replay, and the result frame's body a v7 worker sent for it: the
+// last root explored, the first two untouched (testdata, committed).
+const recordedCut = "testdata/lease_cut_v7.json"
+
+// fanIn is a program whose rank 0 receives one message from every other rank
+// through wildcard receives.
+func fanIn(p *mpi.Proc) error {
+	if p.Rank() != 0 {
+		return p.Send(0, 0, []byte{byte(p.Rank())}, p.CommWorld())
 	}
-	recorded, err := os.ReadFile(recordedResult)
+	for i := 1; i < p.Size(); i++ {
+		if _, _, err := p.Recv(mpi.AnySource, 0, p.CommWorld()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sameMembers fails unless fresh has the members of the recorded frame body.
+func sameMembers(t *testing.T, fresh *WireResult, recorded []byte) {
+	t.Helper()
+	body, err := json.MarshalIndent(fresh, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +231,28 @@ func TestRecordedResultStillMerges(t *testing.T) {
 	if err := json.Unmarshal(recorded, &a); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(fresh, &b); err != nil {
+	if err := json.Unmarshal(body, &b); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := memberTree(b), memberTree(a); got != want {
-		t.Errorf("a result frame's members changed since it was recorded (protoVersion must move with them):\n got %s\nwant %s\nthe frame now:\n%s", got, want, fresh)
+		t.Errorf("a result frame's members changed since it was recorded (protoVersion must move with them):\n got %s\nwant %s\nthe frame now:\n%s", got, want, body)
 	}
+}
+
+// TestRecordedResultStillMerges: the recorded frames are what the worker
+// still produces, field for field, and what the coordinator still merges: a
+// root lease's result, and a result that names its untouched roots by count.
+func TestRecordedResultStillMerges(t *testing.T) {
+	// Which sender wins the self run's first match is the scheduler's choice;
+	// the members of the frame are the same either way.
+	cfg := core.ExplorerConfig{Procs: 3, MixingBound: core.Unbounded, Program: fanIn}
+	w := NewWorker(WorkerConfig{Addr: "unused", Explorer: cfg})
+	rt := &jobRuntime{cfg: cfg}
+	recorded, err := os.ReadFile(recordedResult)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMembers(t, w.runLease(rt, core.NewRunContext(&rt.cfg), wireTask{Lease: 1, Keys: []string{rootKey}, Tasks: []*core.SubtreeTask{core.RootTask(&cfg)}, Budget: 1}), recorded)
 
 	c, w1 := fuzzCoordinator(t, FingerprintFor("fuzz", &cfg), 0)
 	var rec WireResult
@@ -241,9 +261,109 @@ func TestRecordedResultStillMerges(t *testing.T) {
 	}
 	c.handleResult(w1, &rec)
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.runErr != nil || c.report.Interleavings != 1 || c.report.FirstTrace == nil || len(c.front.Tasks)+len(c.leases) == 0 {
 		t.Errorf("recorded root result: err %v, %d interleavings, trace %v, %d subtrees found", c.runErr, c.report.Interleavings, c.report.FirstTrace != nil, len(c.front.Tasks)+len(c.leases))
+	}
+	c.mu.Unlock()
+
+	// The cut lease, replayed afresh, and merged by a coordinator that
+	// resumed with the lease's roots as its frontier and leased them out.
+	body, err := os.ReadFile(recordedCut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cut struct {
+		Task   wireTask        `json:"task"`
+		Result json.RawMessage `json:"result"`
+	}
+	if err := json.Unmarshal(body, &cut); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Procs = 4
+	rt = &jobRuntime{cfg: cfg}
+	sameMembers(t, w.runLease(rt, core.NewRunContext(&rt.cfg), cut.Task), cut.Result)
+
+	ckp := deltaOf(FingerprintFor("fuzz", &cfg), &core.Report{Interleavings: 1}, cut.Task.Tasks...)
+	c, err = New(Config{Fingerprint: FingerprintFor("fuzz", &cfg), Resume: ckp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w4 := &workerConn{conn: nullConn{}, wire: c.wire, name: "recorded", slots: 1, since: time.Now()}
+	c.step(evAttach{w4}, time.Now())
+	if len(c.leases) != 1 || !slices.Equal(c.leases[0].Keys, cut.Task.Keys) {
+		t.Fatalf("the resumed coordinator leased %+v, want the recorded lease's keys %q", c.leases, cut.Task.Keys)
+	}
+	rec = WireResult{}
+	if err := json.Unmarshal(cut.Result, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Untouched != 2 {
+		t.Fatalf("recorded cut result leaves %d roots untouched, want 2", rec.Untouched)
+	}
+	c.handleResult(w4, &rec)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	waiting := slices.Concat(cut.Task.Keys[:2], []string{taskKey(rec.Delta.Frontier[0])})
+	var got []string
+	for _, l := range c.leases {
+		got = append(got, l.Keys...)
+	}
+	if c.runErr != nil || c.report.Interleavings != 2 || !slices.Equal(got, waiting) {
+		t.Errorf("recorded cut result: err %v, %d interleavings, leased %q; want 2 and %q", c.runErr, c.report.Interleavings, got, waiting)
+	}
+}
+
+// TestRunLeaseCountsUntouchedRoots: a worker names the roots it never started
+// by count, lists none of its leased roots in its delta's frontier, and
+// leaves the task frame's roots as they came: a budget of one replay or a
+// stop after the first replay leaves all but the last of three untouched
+// (and the last one's expansion in the frontier, in the slot it was popped
+// from), an exhausted lease none.
+func TestRunLeaseCountsUntouchedRoots(t *testing.T) {
+	body, err := os.ReadFile(recordedCut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cut struct {
+		Task wireTask `json:"task"`
+	}
+	if err := json.Unmarshal(body, &cut); err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.ExplorerConfig{Procs: 4, MixingBound: core.Unbounded, Program: fanIn}
+	for _, tc := range []struct {
+		name                     string
+		budget                   int
+		stop                     bool
+		untouched, replays, left int
+	}{
+		{"budget-1", 1, false, 2, 1, 1},
+		{"stopped", 0, true, 2, 1, 1},
+		{"exhausted", 0, false, 0, 5, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewWorker(WorkerConfig{Addr: "unused", Explorer: cfg})
+			if tc.stop {
+				w.Stop()
+			}
+			rt := &jobRuntime{cfg: cfg}
+			wt := cut.Task
+			wt.Budget = tc.budget
+			wt.Tasks = slices.Clone(cut.Task.Tasks)
+			res := w.runLease(rt, core.NewRunContext(&rt.cfg), wt)
+			if res.Fatal != "" || res.Untouched != tc.untouched || res.Delta.Interleavings != tc.replays || len(res.Delta.Frontier) != tc.left {
+				t.Fatalf("fatal %q, %d untouched, %d replays, %d left; want %d, %d, %d",
+					res.Fatal, res.Untouched, res.Delta.Interleavings, len(res.Delta.Frontier), tc.untouched, tc.replays, tc.left)
+			}
+			for _, sub := range res.Delta.Frontier {
+				if slices.Contains(wt.Keys, taskKey(sub)) {
+					t.Errorf("leased root %s listed in the frontier", taskKey(sub))
+				}
+			}
+			if !slices.Equal(wt.Tasks, cut.Task.Tasks) {
+				t.Error("runLease wrote into the task frame's roots")
+			}
+		})
 	}
 }
 
@@ -322,6 +442,10 @@ func FuzzLeaseResult(f *testing.F) {
 		{Lease: 1, Keys: []string{rootKey}, Delta: deltaOf(fp, &core.Report{}, core.RootTask(&cfg))},
 		{Lease: 1, Keys: []string{rootKey}, Fatal: "harness failure"},
 		{Lease: 9, Keys: []string{taskKey(child), rootKey}, Delta: deltaOf(fp, &core.Report{Interleavings: 2})},
+		{Lease: 1, Keys: []string{rootKey}, Untouched: 1, Delta: deltaOf(fp, &core.Report{})},
+		{Lease: 1, Keys: []string{rootKey}, Untouched: -1, Delta: deltaOf(fp, rootRun(), child)},
+		{Lease: 1, Keys: []string{rootKey}, Untouched: 2, Delta: deltaOf(fp, &core.Report{})},
+		{Lease: 9, Keys: []string{taskKey(child), rootKey}, Untouched: 1, Delta: deltaOf(fp, rootRun())},
 	} {
 		body, err := json.Marshal(res)
 		if err != nil {

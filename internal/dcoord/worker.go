@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -215,17 +216,20 @@ type slotTask struct {
 // coordinator declared the exploration over.
 func (w *Worker) session(conn net.Conn) (bool, error) {
 	defer conn.Close()
-	var smu sync.Mutex // serializes result and heartbeat writes
+	var smu sync.Mutex  // serializes result and heartbeat writes
+	var out frameWriter // guarded by smu
 	send := func(fr *frame) error {
 		smu.Lock()
 		defer smu.Unlock()
 		_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		_, err := writeFrame(conn, fr)
+		_, err := out.write(conn, fr)
 		return err
 	}
 	// Every read of the session goes through one buffer, the handshake's
-	// included, so a task frame costs one syscall and no byte is stranded.
+	// included, so a task frame costs one syscall and no byte is stranded;
+	// in keeps the frame bodies, read by the handshake and then the read loop.
 	r := bufio.NewReader(conn)
+	var in frameReader
 	hello := &frame{Type: msgHello, Proto: protoVersion, Worker: w.cfg.Name, Slots: w.cfg.Slots}
 	if w.cfg.Fingerprint != (JobSpec{}) {
 		hello.Spec = &w.cfg.Fingerprint
@@ -236,7 +240,7 @@ func (w *Worker) session(conn net.Conn) (bool, error) {
 		return false, err
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(helloTimeout))
-	fr, _, err := readFrame(r, maxFrameSize)
+	fr, _, err := in.read(r, maxFrameSize)
 	if err != nil {
 		return false, err
 	}
@@ -319,7 +323,7 @@ func (w *Worker) session(conn net.Conn) (bool, error) {
 	var cur *jobRuntime
 read:
 	for {
-		fr, _, err := readFrame(r, maxFrameSize)
+		fr, _, err := in.read(r, maxFrameSize)
 		if err != nil {
 			readErr = err
 			break
@@ -390,8 +394,9 @@ read:
 // runLease explores one lease on the loop core.Explorer runs — its roots
 // depth-first until they are exhausted, the budget is spent, the time slice
 // has passed or the worker is halted — and returns what that added to the
-// exploration and what is left of it. A lease the job's world cannot replay
-// is answered Fatal before anything runs.
+// exploration and what is left of it: how many roots it never started, and
+// the expansions it did not reach. A lease the job's world cannot replay is
+// answered Fatal before anything runs.
 func (w *Worker) runLease(rt *jobRuntime, rc *core.RunContext, wt wireTask) *WireResult {
 	out := &WireResult{Lease: wt.Lease, Keys: wt.Keys}
 	if err := replayable(&rt.cfg, wt.Tasks); err != nil {
@@ -399,14 +404,20 @@ func (w *Worker) runLease(rt *jobRuntime, rc *core.RunContext, wt wireTask) *Wir
 		return out
 	}
 	start := time.Now()
-	rep, left, _, err := rc.Explore(wt.Tasks, wt.Budget, false, func() bool {
+	// Explore pushes children into its stack's backing array, where one can
+	// take a popped root's slot: it gets a copy, so a root still in wt.Tasks
+	// at its index in left is one Explore never popped.
+	rep, left, _, err := rc.Explore(slices.Clone(wt.Tasks), wt.Budget, false, func() bool {
 		return time.Since(start) >= w.slice || w.halted()
 	})
 	if err != nil {
 		out.Fatal = err.Error()
 		return out
 	}
-	out.Delta = dexplore.NewCheckpoint("", &rt.cfg, rep, left)
+	for out.Untouched < min(len(left), len(wt.Tasks)) && left[out.Untouched] == wt.Tasks[out.Untouched] {
+		out.Untouched++
+	}
+	out.Delta = dexplore.NewCheckpoint("", &rt.cfg, rep, left[out.Untouched:])
 	return out
 }
 
