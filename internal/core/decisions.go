@@ -164,6 +164,30 @@ func (d *Decisions) Lookup(rank int, lc uint64) (int, bool) {
 	return 0, false
 }
 
+// Within reports whether every decision of d is also one of e's (a nil set
+// is within any): e forces all that d forces, so e's subtree lies in d's. One
+// merge pass over the two sorted sets.
+func (d *Decisions) Within(e *Decisions) bool {
+	var a, b []decision
+	if d != nil {
+		a = d.entries
+	}
+	if e != nil {
+		b = e.entries
+	}
+	j := 0
+	for i, x := range a {
+		for j < len(b) && compareKey(b[j], x) < 0 {
+			j++
+		}
+		if len(b)-j < len(a)-i || b[j] != x {
+			return false
+		}
+		j++
+	}
+	return true
+}
+
 // ofRank returns rank's decisions in ascending LC order: the set's run of
 // them, capacity-clipped, for a replaying rank to read through a cursor.
 func (d *Decisions) ofRank(rank int) []decision {

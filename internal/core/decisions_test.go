@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -162,4 +163,48 @@ func guidedEpoch(d *Decisions, rank int) int64 {
 		return -1
 	}
 	return int64(ds[len(ds)-1].lc)
+}
+
+// TestDecisionsWithin: Within is the subset relation of the map form, on
+// random pairs drawn from a small key space (so pairs overlap often), and a
+// nil or empty set is within any while nothing non-empty is within one.
+func TestDecisionsWithin(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	draw := func() (*Decisions, *oracleDecisions) {
+		d, o := NewDecisions(), &oracleDecisions{}
+		for n := rng.Intn(5); n > 0; n-- {
+			id, src := EpochID{Rank: rng.Intn(2), LC: uint64(rng.Intn(3))}, rng.Intn(2)
+			d.Force(id, src)
+			o.force(id, src)
+		}
+		return d, o
+	}
+	within := func(a, b *oracleDecisions) bool {
+		for rank, m := range a.ByRank {
+			for lc, src := range m {
+				if got, ok := b.ByRank[rank][lc]; !ok || got != src {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	hits := 0
+	for i := 0; i < 5000; i++ {
+		d, od := draw()
+		e, oe := draw()
+		want := within(od, oe)
+		if got := d.Within(e); got != want {
+			t.Fatalf("%s within %s = %v, want %v", d, e, got, want)
+		}
+		if want {
+			hits++
+		}
+		if !d.Within(d) || !(*Decisions)(nil).Within(d) || !NewDecisions().Within(d) || d.Within(nil) != d.Empty() {
+			t.Fatalf("%s: not within itself, or the empty set not within it, or within nil", d)
+		}
+	}
+	if hits < 500 {
+		t.Fatalf("only %d of 5000 random pairs nested: the draw does not test the true case", hits)
+	}
 }

@@ -148,8 +148,8 @@ func slowWorker(t *testing.T, addr string, fp JobSpec, cfg core.ExplorerConfig, 
 // TestDefaultCadenceFollowsTheClock: without a CheckpointEvery a coordinator
 // writes by the clock. A run shorter than the interval writes one file, the
 // final one, one-shot, and none at all under a queue, whose caller gets the
-// last cut instead; a run several intervals long writes about one per
-// interval.
+// last cut instead; a run several intervals long writes periodic ones, at
+// most one per interval.
 func TestDefaultCadenceFollowsTheClock(t *testing.T) {
 	memo := newMemoRunner()
 	base := core.ExplorerConfig{Procs: 6, Program: matmul.Program(matmul.Config{}), Runner: memo.Run}
@@ -209,11 +209,13 @@ func TestDefaultCadenceFollowsTheClock(t *testing.T) {
 	if elapsed < 8*interval {
 		t.Fatalf("fixture too fast: %v is not several intervals of %v", elapsed, interval)
 	}
-	// Cuts are an interval apart at least, and a lease and a write apart at
-	// most: the upper bound is exact, the lower one loose.
+	// Cuts are an interval apart at least, whatever the host: the upper
+	// bound. How many fall due is a function of when results merge, which
+	// only the machine rig fixes (TestClockCadenceCutsExactly counts them
+	// exactly); here they must come at all.
 	periodic := c.ckp.Written() - 1
-	if most := int64(elapsed / interval); periodic > most || periodic < most/4 {
-		t.Errorf("%d periodic writes in %v, want about one per %v (%d at most)", periodic, elapsed, interval, most)
+	if most := int64(elapsed / interval); periodic > most || periodic < 1 {
+		t.Errorf("%d periodic writes in %v, want one per %v at most (%d), and some", periodic, elapsed, interval, most)
 	}
 }
 

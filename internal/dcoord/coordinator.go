@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -209,8 +210,6 @@ func New(cfg Config) (*Coordinator, error) {
 			maxLeaseAge:     leaseAgeTTLs * cfg.LeaseTTL,
 			maxRedeliveries: redeliveryCap,
 			front:           dexplore.Frontier[pending]{Max: cfg.Fingerprint.MaxInterleavings},
-			keys:            make(map[string]bool),
-			redelivered:     make(map[string]int),
 			report:          &core.Report{},
 			cad:             dexplore.NewCadence(cfg.CheckpointEvery),
 		},
@@ -230,28 +229,13 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		c.report, frontier = rep, tasks
 	}
-	// A key a checkpoint lists twice is one subtree; without the root task (a
-	// drain before it completed) its frontier means the root is done.
-	for _, p := range keyed(frontier) {
-		if _, dup := c.keys[p.key]; !dup {
-			c.keys[p.key] = false
-			c.front.Tasks = append(c.front.Tasks, p)
-		}
+	for _, t := range frontier {
+		c.front.Tasks = append(c.front.Tasks, pending{task: t})
 	}
-	if _, ok := c.keys[rootKey]; !ok {
-		c.keys[rootKey], c.front.RootDone = true, true
-	}
+	// A frontier that no longer holds the root task was cut after the root
+	// completed.
+	c.front.RootDone = !slices.ContainsFunc(frontier, isRoot)
 	return c, nil
-}
-
-// keyed turns tasks into frontier entries, rendering each one's key — the
-// one place a key is computed, and outside c.mu.
-func keyed(tasks []*core.SubtreeTask) []pending {
-	out := make([]pending, len(tasks))
-	for i, t := range tasks {
-		out[i] = pending{key: taskKey(t), task: t}
-	}
-	return out
 }
 
 // apply takes one step on the goroutine whose event it is, and does its

@@ -84,7 +84,7 @@ func (f *fakeWorker) close() { f.conn.Close() }
 // add to the report, left what it hands back.
 func (f *fakeWorker) result(fp JobSpec, wt wireTask, rep *core.Report, left ...*core.SubtreeTask) {
 	f.t.Helper()
-	f.send(&frame{Type: msgResult, Result: &WireResult{Lease: wt.Lease, Keys: wt.Keys, Delta: deltaOf(fp, rep, left...)}})
+	f.send(&frame{Type: msgResult, Result: &WireResult{Lease: wt.Lease, Delta: deltaOf(fp, rep, left...)}})
 }
 
 // deltaOf renders a report delta in the checkpoint codec.

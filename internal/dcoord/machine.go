@@ -1,6 +1,7 @@
 package dcoord
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -10,12 +11,11 @@ import (
 	"dampi/internal/dexplore"
 )
 
-// pending is one frontier entry: a task and its key, rendered once when the
-// task enters the frontier and carried from there to the lease, the task
-// frame and the result's echo.
+// pending is one frontier entry: a subtree, and how often it has lost a
+// lease (the redelivery cap bounds that).
 type pending struct {
-	key  string
 	task *core.SubtreeTask
+	lost int
 }
 
 // lease is one outstanding assignment — subtrees taken from the shallow end
@@ -23,6 +23,7 @@ type pending struct {
 // frame carries them — and who holds it since when.
 type lease struct {
 	wireTask
+	roots   []pending // the frontier entries Tasks was made of
 	conn    *workerConn
 	granted time.Time
 	expires time.Time
@@ -45,18 +46,16 @@ type machine struct {
 	workers         []*workerConn
 	turn            int // dispatch starts at workers[turn % len]
 	// front is the frontier and the grant rule the in-process engine runs
-	// too. Every key in its Tasks is distinct, not done, and in no held lease.
+	// too. Every subtree not explored yet is in exactly one place: its Tasks,
+	// or one held lease.
 	front     dexplore.Frontier[pending]
 	leases    []*lease
 	nextLease uint64 // = leases granted so far
-	// keys: every subtree key had, false while waiting or leased, true once explored.
-	keys        map[string]bool
-	redelivered map[string]int // requeue count per root key
-	requeues    int            // leases lost and requeued
-	report      *core.Report
-	stopped     bool // drain: no new leases (Stop, StopOnFirstError or a failure)
-	finished    bool
-	runErr      error
+	requeues  int    // leases lost and requeued
+	report    *core.Report
+	stopped   bool // drain: no new leases (Stop, StopOnFirstError or a failure)
+	finished  bool
+	runErr    error
 	// cad says when a periodic cut falls due (with a CheckpointPath), on the
 	// events' clock, which starts at the first event.
 	cad dexplore.Cadence
@@ -76,7 +75,7 @@ type (
 		w     *workerConn
 		res   *WireResult
 		delta *core.Report
-		left  []pending
+		left  []*core.SubtreeTask
 		bad   error // the delta did not decode
 	}
 )
@@ -188,13 +187,14 @@ func (m *machine) grant(w *workerConn, slots int, now time.Time) *lease {
 	}
 	m.nextLease++
 	l := &lease{
-		wireTask: wireTask{Lease: m.nextLease, Budget: budget, Keys: make([]string, len(roots)), Tasks: make([]*core.SubtreeTask, len(roots))},
+		wireTask: wireTask{Lease: m.nextLease, Budget: budget, Tasks: make([]*core.SubtreeTask, len(roots))},
+		roots:    roots,
 		conn:     w,
 		granted:  now,
 		expires:  now.Add(m.cfg.LeaseTTL),
 	}
 	for i, p := range roots {
-		l.Keys[i], l.Tasks[i] = p.key, p.task
+		l.Tasks[i] = p.task
 	}
 	m.leases = append(m.leases, l)
 	w.active++
@@ -202,9 +202,9 @@ func (m *machine) grant(w *workerConn, slots int, now time.Time) *lease {
 }
 
 // requeue forfeits every held lease lost says is lost: its budget returns to
-// the pool and each root no competing delivery has completed goes back to the
-// frontier (while draining, for the final cut), under the per-root
-// redelivery cap — past it the exploration fails.
+// the pool and its roots go back to the frontier (while draining, for the
+// final cut), each counting one more loss — past the redelivery cap the
+// exploration fails. Whatever result the lease still gets is dropped.
 func (m *machine) requeue(lost func(*lease) bool) {
 	held := m.leases[:0]
 	for _, l := range m.leases {
@@ -214,22 +214,14 @@ func (m *machine) requeue(lost func(*lease) bool) {
 		}
 		l.conn.active--
 		m.front.Release(l.Budget)
-		requeued := false
-		for i, key := range l.Keys {
-			if m.keys[key] {
-				continue
-			}
-			requeued = true
-			m.redelivered[key]++
-			if n := m.redelivered[key]; n > m.maxRedeliveries {
+		m.requeues++
+		for _, p := range l.roots {
+			if p.lost++; p.lost > m.maxRedeliveries {
 				m.fail(fmt.Errorf("dcoord: task %s lost its lease %d times (redelivery cap %d): poison task or cluster too unstable",
-					key, n, m.maxRedeliveries))
+					p.task.Decisions, p.lost, m.maxRedeliveries))
 				continue
 			}
-			m.front.Tasks = append(m.front.Tasks, pending{key, l.Tasks[i]})
-		}
-		if requeued {
-			m.requeues++
+			m.front.Tasks = append(m.front.Tasks, p)
 		}
 	}
 	clear(m.leases[len(held):])
@@ -260,148 +252,111 @@ func checkDelta(rep *core.Report, completed, budget int, overRoot bool) error {
 func (m *machine) decode(w *workerConn, res *WireResult) evResult {
 	ev := evResult{w: w, res: res, bad: errors.New("has no delta")}
 	if d := res.Delta; d != nil {
-		rep, tasks, err := d.Restore("", &m.ecfg)
-		ev.delta, ev.left, ev.bad = rep, keyed(tasks), err
+		ev.delta, ev.left, ev.bad = d.Restore("", &m.ecfg)
 	}
 	return ev
 }
 
-// result merges one returned lease and reports the replays it added: the
-// delta folds into the report, the leftovers join the frontier, and every
-// leased root but the untouched prefix is done. A held lease's untouched
-// roots go back to the frontier from the lease itself, ahead of the
-// leftovers; a late result's are waiting already, where its requeue put them.
-// Dedup is per root and all or nothing — a delta is one sum, so if a
-// competing delivery completed any of its roots the whole result is dropped
-// (and the roots only it held go back). A held lease's echoed keys only have
-// to agree with it; the echo is all that identifies a late result whose lease
-// already expired.
+// result merges one returned lease and reports the replays it added — if the
+// lease is held, by this (lease id, connection). Any other result is dropped
+// unread: its lease was lost, and requeue put all of its roots back, so
+// merging it as well would count them twice. A held lease's untouched roots
+// go back to the frontier from the lease itself, ahead of the leftovers;
+// every other root is done.
 func (m *machine) result(ev evResult) int {
-	res, bad := ev.res, ev.bad
-	keys, budget := res.Keys, 0
-	var l *lease
-	if i := slices.IndexFunc(m.leases, func(l *lease) bool { return l.Lease == res.Lease && l.conn == ev.w }); i >= 0 {
-		l = m.leases[i]
-		m.leases = slices.Delete(m.leases, i, i+1)
-		l.conn.active--
-		m.front.Release(l.Budget)
-		keys, budget = l.Keys, l.Budget
-		if !slices.Equal(keys, res.Keys) {
-			bad = fmt.Errorf("echoes keys %q, the lease is for %q", res.Keys, keys)
+	res := ev.res
+	i := slices.IndexFunc(m.leases, func(l *lease) bool { return l.Lease == res.Lease && l.conn == ev.w })
+	if i < 0 {
+		return 0
+	}
+	l := m.leases[i]
+	m.leases = slices.Delete(m.leases, i, i+1)
+	l.conn.active--
+	m.front.Release(l.Budget)
+	u, bad := res.Untouched, ev.bad
+	if bad == nil && (u < 0 || u > len(l.Tasks)) {
+		bad = fmt.Errorf("counts %d of its %d roots untouched", u, len(l.Tasks))
+	}
+	overRoot := false
+	if bad == nil {
+		started := l.Tasks[u:]
+		overRoot = slices.ContainsFunc(started, isRoot)
+		if bad = checkLeftovers(started, ev.left); bad == nil {
+			bad = checkDelta(ev.delta, len(started), l.Budget, overRoot)
 		}
 	}
-	held := l != nil
-	// What the result says of its roots: which it did not start, and whether
-	// a competing delivery completed one already.
-	u := res.Untouched
-	roots := make(map[string]bool, len(keys)) // key → untouched
-	stale := false
-	for i, k := range keys {
-		roots[k] = i < u
-		stale = stale || m.keys[k]
-	}
-	switch {
-	case bad != nil:
-	case u < 0 || u > len(keys):
-		bad = fmt.Errorf("counts %d of its %d roots untouched", u, len(keys))
-	case len(roots) < len(keys):
-		bad = fmt.Errorf("echoes a key twice in %q", keys)
-	}
-	seen := make(map[string]bool, len(ev.left))
-	for _, p := range ev.left {
-		_, own := roots[p.key]
-		_, had := m.keys[p.key]
-		switch {
-		case bad != nil:
-		case own:
-			bad = fmt.Errorf("lists its leased root %s in its frontier", p.key)
-		case seen[p.key] || had && !stale:
-			bad = fmt.Errorf("hands back subtree %s twice, or one that is waiting, leased or explored", p.key)
-		}
-		seen[p.key] = true
-	}
-	if untouched, overRoot := roots[rootKey]; bad == nil {
-		bad = checkDelta(ev.delta, len(keys)-u, budget, overRoot && !untouched)
-	}
-	before := m.report.Interleavings
 	switch {
 	case res.Fatal != "":
 		m.fail(fmt.Errorf("dcoord: worker %s: %s", ev.w.name, res.Fatal))
+		return 0
 	case bad != nil:
 		m.fail(fmt.Errorf("dcoord: worker %s: result for lease %d %w", ev.w.name, res.Lease, bad))
-	case stale:
-		// Late duplicate of requeued-and-completed work: at-least-once
-		// delivery, effectively-once merge.
-		if held {
-			for i, key := range keys {
-				if !m.keys[key] {
-					m.front.Tasks = append(m.front.Tasks, pending{key, l.Tasks[i]})
-				}
-			}
-		}
-	case held:
-		for i := range u {
-			m.front.Tasks = append(m.front.Tasks, pending{keys[i], l.Tasks[i]})
-		}
-		m.merge(ev.w, ev.delta, ev.left, roots, true)
-	case m.lateMergeable(roots, ev.delta.Interleavings):
-		m.merge(ev.w, ev.delta, ev.left, roots, false)
+		return 0
 	}
-	return m.report.Interleavings - before
-}
-
-// lateMergeable reports whether a result that outlived its lease can still be
-// merged: each of its roots (none done) must wait in the frontier or under a
-// newer lease, where its requeue put it — a key from nowhere names no subtree
-// of this exploration — and the cap must have room for its replays, whose
-// budget went back to the pool when the lease was lost.
-func (m *machine) lateMergeable(roots map[string]bool, replays int) bool {
-	if replays > m.front.Room(m.report.Interleavings) {
-		return false
+	m.front.Tasks = append(m.front.Tasks, l.roots[:u]...)
+	for _, t := range ev.left {
+		m.front.Tasks = append(m.front.Tasks, pending{task: t})
 	}
-	found := 0
-	for _, p := range m.front.Tasks {
-		if _, ok := roots[p.key]; ok {
-			found++
-		}
-	}
-	for _, l := range m.leases {
-		for _, key := range l.Keys {
-			if _, ok := roots[key]; ok {
-				found++
-			}
-		}
-	}
-	return found == len(roots)
-}
-
-// merge folds a vetted delta into the exploration. roots maps each root of
-// the result to whether it was untouched. A late result's roots were
-// requeued when its lease was lost: the untouched ones are still waiting,
-// and the ones it completed leave the frontier here (a copy under a newer
-// lease is dropped when that lease returns).
-func (m *machine) merge(w *workerConn, delta *core.Report, left []pending, roots map[string]bool, held bool) {
-	for k, untouched := range roots {
-		if !untouched {
-			m.keys[k] = true
-		}
-	}
-	if !held {
-		m.front.Tasks = slices.DeleteFunc(m.front.Tasks, func(p pending) bool { return m.keys[p.key] })
-	}
-	for _, p := range left {
-		m.keys[p.key] = false
-	}
-	m.front.Tasks = append(m.front.Tasks, left...)
-	m.front.RootDone = m.keys[rootKey]
-	for _, e := range delta.Errors {
+	m.front.RootDone = m.front.RootDone || overRoot
+	for _, e := range ev.delta.Errors {
 		e.Index += m.report.Interleavings
 	}
-	m.report.Merge(delta)
-	w.completed += delta.Interleavings
-	if m.cfg.Fingerprint.StopOnFirstError && len(delta.Errors) > 0 {
+	m.report.Merge(ev.delta)
+	ev.w.completed += ev.delta.Interleavings
+	if m.cfg.Fingerprint.StopOnFirstError && len(ev.delta.Errors) > 0 {
 		m.stopped = true
 	}
+	return ev.delta.Interleavings
+}
+
+// isRoot reports whether t is the self-discovery run, the one task with no
+// decision set (as core and dexplore tell it).
+func isRoot(t *core.SubtreeTask) bool { return t.Decisions == nil }
+
+// checkLeftovers vets the subtrees a held lease's result hands back, by their
+// decisions alone: each must lie strictly below a root of the lease that its
+// worker started — a walk step below the root task or a step of its own walk
+// — and none may be listed twice. A subtree waiting in the frontier, held by
+// another lease or explored lies below no started root of a held lease.
+func checkLeftovers(started, left []*core.SubtreeTask) error {
+	for _, t := range left {
+		if !slices.ContainsFunc(started, func(r *core.SubtreeTask) bool { return below(t, r) }) {
+			return fmt.Errorf("hands back subtree %s, which is below no root it started", t.Decisions)
+		}
+	}
+	// Equal decision sets are equal in size: each leftover is compared only
+	// with those of its size.
+	bySize := slices.Clone(left)
+	slices.SortFunc(bySize, func(a, b *core.SubtreeTask) int { return cmp.Compare(a.Decisions.Len(), b.Decisions.Len()) })
+	for i, a := range bySize {
+		for _, b := range bySize[i+1:] {
+			if b.Decisions.Len() != a.Decisions.Len() {
+				break
+			}
+			if walk(a) == walk(b) && a.Decisions.Within(b.Decisions) {
+				return fmt.Errorf("hands back subtree %s twice", a.Decisions)
+			}
+		}
+	}
+	return nil
+}
+
+// below reports whether t can be a subtree found under root r: its decisions
+// strictly extend r's, and a walk step comes from the root task or from a
+// step of its own walk.
+func below(t, r *core.SubtreeTask) bool {
+	if t.Sample != nil && !isRoot(r) && walk(r) != walk(t) {
+		return false
+	}
+	return r.Decisions.Within(t.Decisions) && !t.Decisions.Within(r.Decisions)
+}
+
+// walk is the sampled walk t is a step of, or -1 for an exhaustive task.
+func walk(t *core.SubtreeTask) int {
+	if t.Sample == nil {
+		return -1
+	}
+	return t.Sample.Walk
 }
 
 // fail records the first fatal error and stops issuing.
@@ -426,18 +381,14 @@ func (m *machine) finalize() actFinalize {
 }
 
 // checkpoint cuts the state in the dexplore.Checkpoint format: the frontier
-// plus every leased root not already completed by a competing delivery.
+// plus every held lease's roots.
 func (m *machine) checkpoint() *dexplore.Checkpoint {
 	frontier := make([]*core.SubtreeTask, 0, len(m.front.Tasks))
 	for _, p := range m.front.Tasks {
 		frontier = append(frontier, p.task)
 	}
 	for _, l := range m.leases {
-		for i, key := range l.Keys {
-			if !m.keys[key] {
-				frontier = append(frontier, l.Tasks[i])
-			}
-		}
+		frontier = append(frontier, l.Tasks...)
 	}
 	return dexplore.NewCheckpoint(m.cfg.Fingerprint.Workload, &m.ecfg, m.report, frontier)
 }

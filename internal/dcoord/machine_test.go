@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -17,14 +18,14 @@ import (
 
 // rig steps one machine on a fake clock: the lease protocol without a socket,
 // a goroutine or a sleep. It names the subtrees it hands out, so rows can
-// spell leases as keys, and remembers every lease granted, so a result can
-// echo it.
+// spell leases by name, and remembers every lease granted, so a result can
+// name one.
 type rig struct {
 	t       *testing.T
 	c       *Coordinator // built by New; only its machine and Status are used
 	start   time.Time
 	workers map[string]*workerConn
-	names   map[string]string // task key → name
+	names   map[string]string // subtree identity (see id) → name
 	tasks   map[string]*core.SubtreeTask
 	granted map[uint64]wireTask
 	ended   int // finalize actions seen
@@ -40,18 +41,42 @@ func newRig(t *testing.T, cfg Config, tweak ...func(*machine)) *rig {
 		f(&c.machine)
 	}
 	return &rig{t: t, c: c, start: time.Unix(1_000_000, 0), workers: map[string]*workerConn{},
-		names: map[string]string{rootKey: "root"}, tasks: map[string]*core.SubtreeTask{}, granted: map[uint64]wireTask{}}
+		names: map[string]string{id(&core.SubtreeTask{}): "root"}, tasks: map[string]*core.SubtreeTask{}, granted: map[uint64]wireTask{}}
 }
 
-// task is the subtree called name, made on first use: a one-entry decision
-// set no other name has, within leaseTestConfig's three ranks.
+// id is a subtree's identity in the rig: its decisions, and the walk of a
+// walk step.
+func id(t *core.SubtreeTask) string {
+	return fmt.Sprintf("%s walk %d", t.Decisions, walk(t))
+}
+
+// task is the subtree called name, made on first use. A name's path says
+// where it lies: "a.x" is below "a", and a name without a dot is a child of
+// the root task. Each has its parent's decisions plus one of an epoch no other
+// name forces (within leaseTestConfig's three ranks), so two names nest only
+// along their path. A last segment "s~2" makes the subtree a step of walk 2.
 func (r *rig) task(name string) *core.SubtreeTask {
 	if t, ok := r.tasks[name]; ok {
 		return t
 	}
+	var parent *core.Decisions
+	depth := 1
+	if i := strings.LastIndex(name, "."); i >= 0 {
+		p := r.task(name[:i])
+		parent, depth = p.Decisions, p.Depth+1
+	}
 	n := len(r.tasks)
-	t := &core.SubtreeTask{Decisions: dec(n%3, uint64(n/3+1), (n+1)%3), Budget: core.Unbounded, Explorable: true}
-	r.tasks[name], r.names[taskKey(t)] = t, name
+	d := parent.CloneWithCapacity(1)
+	d.Force(core.EpochID{Rank: n % 3, LC: uint64(n/3 + 1)}, (n+1)%3)
+	t := &core.SubtreeTask{Decisions: d, Budget: core.Unbounded, Explorable: true, Depth: depth}
+	if _, w, ok := strings.Cut(name[strings.LastIndex(name, ".")+1:], "~"); ok {
+		walk, err := strconv.Atoi(w)
+		if err != nil {
+			r.t.Fatalf("subtree name %q: %v", name, err)
+		}
+		t.Sample = &core.SampleState{Walk: walk, Step: depth}
+	}
+	r.tasks[name], r.names[id(t)] = t, name
 	return t
 }
 
@@ -71,11 +96,11 @@ func join(name string, slots int) evFn {
 	return func(r *rig) any { return evAttach{r.worker(name, slots)} }
 }
 func beat(name string) evFn { return func(r *rig) any { return evHeartbeat{r.worker(name, 1)} } }
+func drop(name string) evFn { return func(r *rig) any { return evDisconnect{r.worker(name, 1)} } }
 func tick() evFn            { return func(*rig) any { return evTick{} } }
 
-// ret returns lease id from name the way a worker does: the lease's own keys
-// echoed, rep the delta, left the named subtrees handed back; every root was
-// started.
+// ret returns lease id from name the way a worker does: rep the delta, left
+// the named subtrees handed back; every root was started.
 func ret(name string, id uint64, rep *core.Report, left ...string) evFn {
 	return back(name, id, 0, rep, left...)
 }
@@ -83,11 +108,10 @@ func ret(name string, id uint64, rep *core.Report, left ...string) evFn {
 // back is ret for a lease whose first u roots were never started.
 func back(name string, id uint64, u int, rep *core.Report, left ...string) evFn {
 	return func(r *rig) any {
-		keys := r.granted[id].Keys
-		if keys == nil {
+		if _, ok := r.granted[id]; !ok {
 			r.t.Fatalf("no lease %d was granted", id)
 		}
-		return r.wire(name, &WireResult{Lease: id, Keys: keys, Untouched: u, Delta: r.delta(rep, left...)})
+		return r.wire(name, &WireResult{Lease: id, Untouched: u, Delta: r.delta(rep, left...)})
 	}
 }
 
@@ -129,7 +153,7 @@ func (r *rig) run(rows []row) {
 	}
 }
 
-// render spells actions as "w:#id[keys]/budget" for a task frame (one lease
+// render spells actions as "w:#id[names]/budget" for a task frame (one lease
 // per element), "cut@N+F" for a periodic cut of N replays and F subtrees, and
 // "end[workers]" (plus its cut) for the end, joined by "; ".
 func (r *rig) render(acts []any) string {
@@ -140,7 +164,7 @@ func (r *rig) render(acts []any) string {
 			var leases []string
 			for _, wt := range a.fr.Tasks {
 				r.granted[wt.Lease] = wt
-				leases = append(leases, fmt.Sprintf("#%d[%s]/%d", wt.Lease, r.keys(wt), wt.Budget))
+				leases = append(leases, fmt.Sprintf("#%d[%s]/%d", wt.Lease, r.spell(wt.Tasks), wt.Budget))
 			}
 			out = append(out, a.w.name+":"+strings.Join(leases, ","))
 		case actPeriodic:
@@ -167,16 +191,13 @@ func cutString(ckp *dexplore.Checkpoint) string {
 	return fmt.Sprintf("cut@%d+%d", ckp.Interleavings, len(ckp.Frontier))
 }
 
-// keys names a lease's subtrees, checking each key is its task's.
-func (r *rig) keys(wt wireTask) string {
+// spell names subtrees, by the rig's name where it has one.
+func (r *rig) spell(tasks []*core.SubtreeTask) string {
 	var ns []string
-	for i, k := range wt.Keys {
-		if taskKey(wt.Tasks[i]) != k {
-			r.t.Fatalf("lease %d carries key %s for task %s", wt.Lease, k, taskKey(wt.Tasks[i]))
-		}
-		n, ok := r.names[k]
+	for _, t := range tasks {
+		n, ok := r.names[id(t)]
 		if !ok {
-			n = k
+			n = id(t)
 		}
 		ns = append(ns, n)
 	}
@@ -186,8 +207,22 @@ func (r *rig) keys(wt wireTask) string {
 // status renders the Status fields the lease protocol moves.
 func (r *rig) status() string {
 	st := r.c.Status()
-	return fmt.Sprintf("%s n=%d errors=%d frontier=%d leases=%d granted=%d done=%d requeues=%d",
-		st.State, st.Interleavings, st.Errors, st.FrontierDepth, st.ActiveLeases, st.LeasesGranted, st.DoneSet, st.Requeues)
+	return fmt.Sprintf("%s n=%d errors=%d frontier=%d leases=%d granted=%d requeues=%d",
+		st.State, st.Interleavings, st.Errors, st.FrontierDepth, st.ActiveLeases, st.LeasesGranted, st.Requeues)
+}
+
+// state renders what a result may change: the report's counts, the frontier
+// and the held leases, by name.
+func (r *rig) state() string {
+	front := make([]*core.SubtreeTask, len(r.c.front.Tasks))
+	for i, p := range r.c.front.Tasks {
+		front[i] = p.task
+	}
+	out := fmt.Sprintf("n=%d errors=%d points=%d front[%s]", r.c.report.Interleavings, len(r.c.report.Errors), r.c.report.DecisionPoints, r.spell(front))
+	for _, l := range r.c.leases {
+		out += fmt.Sprintf(" %s:#%d[%s]", l.conn.name, l.Lease, r.spell(l.Tasks))
+	}
+	return out
 }
 
 // wantErr requires the exploration to have failed with every fragment.
@@ -209,9 +244,9 @@ const ms = time.Millisecond
 func TestLeaseExpiryRequeues(t *testing.T) {
 	r := newRig(t, leaseTestConfig(50*ms), func(m *machine) { m.maxRedeliveries = 100 })
 	r.run([]row{
-		{0, join("silent", 1), "silent:#1[root]/1", "exploring n=0 errors=0 frontier=0 leases=1 granted=1 done=0 requeues=0"},
+		{0, join("silent", 1), "silent:#1[root]/1", "exploring n=0 errors=0 frontier=0 leases=1 granted=1 requeues=0"},
 		{50 * ms, tick(), "", ""},
-		{51 * ms, tick(), "silent:#2[root]/1", "exploring n=0 errors=0 frontier=0 leases=1 granted=2 done=0 requeues=1"},
+		{51 * ms, tick(), "silent:#2[root]/1", "exploring n=0 errors=0 frontier=0 leases=1 granted=2 requeues=1"},
 	})
 }
 
@@ -223,7 +258,7 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 	for at := 15 * ms; at <= 300*ms; at += 15 * ms {
 		rows = append(rows, row{at, beat("slow"), "", ""}, row{at + 14*ms, tick(), "", ""})
 	}
-	rows[len(rows)-1].st = "exploring n=0 errors=0 frontier=0 leases=1 granted=1 done=0 requeues=0"
+	rows[len(rows)-1].st = "exploring n=0 errors=0 frontier=0 leases=1 granted=1 requeues=0"
 	r.run(rows)
 }
 
@@ -236,7 +271,7 @@ func TestHardLeaseAgeCapsHeartbeats(t *testing.T) {
 	for at := 10 * ms; at <= 150*ms; at += 10 * ms {
 		rows = append(rows, row{at, beat("wedged"), "", ""}, row{at, tick(), "", ""})
 	}
-	rows = append(rows, row{151 * ms, tick(), "wedged:#2[root]/1", "exploring n=0 errors=0 frontier=0 leases=1 granted=2 done=0 requeues=1"})
+	rows = append(rows, row{151 * ms, tick(), "wedged:#2[root]/1", "exploring n=0 errors=0 frontier=0 leases=1 granted=2 requeues=1"})
 	r.run(rows)
 }
 
@@ -249,9 +284,26 @@ func TestRedeliveryCapAborts(t *testing.T) {
 		{0, join("blackhole", 1), "blackhole:#1[root]/1", ""},
 		{41 * ms, tick(), "blackhole:#2[root]/1", ""},
 		{82 * ms, tick(), "blackhole:#3[root]/1", ""},
-		{123 * ms, tick(), "end[blackhole]", "failed n=0 errors=0 frontier=0 leases=0 granted=3 done=0 requeues=3"},
+		{123 * ms, tick(), "end[blackhole]", "failed n=0 errors=0 frontier=0 leases=0 granted=3 requeues=3"},
 	})
 	r.wantErr("redelivery cap 2", "lost its lease 3 times")
+}
+
+// TestRedeliveryCountTravelsWithTheSubtree: the cap counts the leases one
+// subtree lost, whichever leases and workers those were, and no other
+// subtree's: a lease's untouched roots go back with their count, and the
+// leftovers it hands back start at none.
+func TestRedeliveryCountTravelsWithTheSubtree(t *testing.T) {
+	r := newRig(t, leaseTestConfig(40*ms), func(m *machine) { m.maxRedeliveries = 1 })
+	r.run([]row{
+		{0, join("w", 1), "w:#1[root]/1", ""},
+		{1 * ms, ret("w", 1, rootRun(), "a", "b"), "w:#2[a b]/0", ""},
+		{42 * ms, tick(), "w:#3[a b]/0", "exploring n=1 errors=0 frontier=0 leases=1 granted=3 requeues=1"},
+		// b explored, a untouched: a has lost one lease, b.x none.
+		{43 * ms, back("w", 3, 1, &core.Report{Interleavings: 1}, "b.x"), "w:#4[a b.x]/0", ""},
+		{84 * ms, tick(), "end[w]", "failed n=2 errors=0 frontier=1 leases=0 granted=4 requeues=2"},
+	})
+	r.wantErr("task " + r.task("a").Decisions.String() + " lost its lease 2 times (redelivery cap 1)")
 }
 
 // TestLateResultDeduplicated: a result arriving after its lease expired and
@@ -264,44 +316,44 @@ func TestLateResultDeduplicated(t *testing.T) {
 		{1 * ms, join("finisher", 1), "", ""},
 		// The expired root goes round to the next worker.
 		{51 * ms, tick(), "finisher:#2[root]/1", ""},
-		{60 * ms, ret("finisher", 2, rootRun(), "c"), "sluggard:#3[c]/0", "exploring n=1 errors=0 frontier=0 leases=1 granted=3 done=1 requeues=1"},
+		{60 * ms, ret("finisher", 2, rootRun(), "c"), "sluggard:#3[c]/0", "exploring n=1 errors=0 frontier=0 leases=1 granted=3 requeues=1"},
 		// The sluggard's stale root result, with a forged error: dropped.
-		{61 * ms, ret("sluggard", 1, failedRun("forged late-duplicate error")), "", "exploring n=1 errors=0 frontier=0 leases=1 granted=3 done=1 requeues=1"},
-		{62 * ms, ret("sluggard", 3, &core.Report{Interleavings: 1}), "end[sluggard finisher]", "done n=2 errors=0 frontier=0 leases=0 granted=3 done=2 requeues=1"},
+		{61 * ms, ret("sluggard", 1, failedRun("forged late-duplicate error")), "", "exploring n=1 errors=0 frontier=0 leases=1 granted=3 requeues=1"},
+		{62 * ms, ret("sluggard", 3, &core.Report{Interleavings: 1}), "end[sluggard finisher]", "done n=2 errors=0 frontier=0 leases=0 granted=3 requeues=1"},
 	})
 }
 
-// TestHeldLeaseRejectsMismatchedEcho: while a lease is held the machine knows
-// which task it is for; a result echoing another key is a protocol violation
-// that fails the exploration instead of marking the wrong subtree done.
-func TestHeldLeaseRejectsMismatchedEcho(t *testing.T) {
-	r := newRig(t, leaseTestConfig(time.Second))
-	other := taskKey(r.task("other"))
-	r.run([]row{
-		{0, join("confused", 1), "confused:#1[root]/1", ""},
-		{1 * ms, func(r *rig) any {
-			return r.wire("confused", &WireResult{Lease: 1, Keys: []string{other}, Delta: r.delta(rootRun())})
-		}, "end[confused]", "failed n=0 errors=0 frontier=0 leases=0 granted=1 done=0 requeues=0"},
-	})
-	r.wantErr("confused", "echoes key", rootKey, other)
-}
-
-// TestLateResultMergesByEchoedKey: a result that outlived its lease is
-// identified by the key it echoes — the machine holds nothing else for it. It
-// merges once, and the requeued copy of the same task, leased again
-// meanwhile, is deduplicated when it completes.
-func TestLateResultMergesByEchoedKey(t *testing.T) {
-	r := newRig(t, leaseTestConfig(50*ms), func(m *machine) { m.maxRedeliveries = 100 })
-	late := rootRun()
-	late.DecisionPoints = 0
-	r.run([]row{
-		{0, join("tardy", 1), "tardy:#1[root]/1", ""},
-		{51 * ms, tick(), "tardy:#2[root]/1", ""},
-		{52 * ms, ret("tardy", 1, late), "", "exploring n=1 errors=0 frontier=0 leases=1 granted=2 done=1 requeues=1"},
-		{53 * ms, ret("tardy", 2, failedRun("the duplicate must not be merged")), "end[tardy]", "done n=1 errors=0 frontier=0 leases=0 granted=2 done=1 requeues=1"},
-	})
-	if rep := r.c.report; rep.WildcardsAnalyzed != 1 || rep.DecisionPoints != 0 {
-		t.Errorf("report carries %d wildcards and %d decision points, want the late result's 1 and 0", rep.WildcardsAnalyzed, rep.DecisionPoints)
+// TestOnlyAHeldLeaseMerges: a result merges only while the machine holds its
+// lease for the connection it arrives on. One for a lease lost to expiry, to
+// a disconnect, or held by another connection is dropped whole — report,
+// frontier and leases stay as they were, and nothing is sent — however much it
+// claims; the lost lease's roots were requeued, and their new lease merges.
+func TestOnlyAHeldLeaseMerges(t *testing.T) {
+	late := failedRun("must not be merged")
+	late.Interleavings, late.DecisionPoints = 3, 7
+	for _, tc := range []struct {
+		name string
+		lose []row // lose lease #2 over [a b c], which w held
+		ev   evFn  // a result that must be dropped
+	}{
+		{"expired", []row{{52 * ms, tick(), "w:#3[a b c]/0", ""}}, ret("w", 2, late, "a.x")},
+		{"disconnected", []row{{3 * ms, join("v", 1), "", ""}, {4 * ms, drop("w"), "v:#3[a b c]/0", ""}}, ret("w", 2, late, "a.x")},
+		{"other-connection", []row{{3 * ms, join("v", 1), "", ""}, {4 * ms, drop("w"), "v:#3[a b c]/0", ""}}, ret("w", 3, late, "a.x")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, leaseTestConfig(50*ms), func(m *machine) { m.maxRedeliveries = 100 })
+			r.run(append(grownTo(), tc.lose...))
+			before := r.state()
+			r.run([]row{{60 * ms, tc.ev, "", "exploring n=1 errors=0 frontier=0 leases=1 granted=3 requeues=1"}})
+			if after := r.state(); after != before {
+				t.Fatalf("a result for a lease not held changed the machine:\n%s\nwas\n%s", after, before)
+			}
+			holder := r.c.leases[0].conn.name
+			r.run([]row{{61 * ms, ret(holder, 3, &core.Report{Interleavings: 3}), "end[" + holder + "]", "done n=4 errors=0 frontier=0 leases=0 granted=3 requeues=1"}})
+			if r.c.runErr != nil || len(r.c.report.Errors) != 0 || r.c.report.DecisionPoints != 1 {
+				t.Errorf("err %v, %d errors, %d decision points: the dropped result got in", r.c.runErr, len(r.c.report.Errors), r.c.report.DecisionPoints)
+			}
+		})
 	}
 }
 
@@ -313,39 +365,36 @@ func twoFailed(msg string) *core.Report {
 }
 
 // TestOverlappingLateResultsCountOnce: a lease over {a, b} expires; its roots
-// are leased again as {c, a} and {b}; then all three results arrive. A delta
-// is one sum, so dedup is all or nothing: whichever side lands first is
-// merged, anything overlapping it afterwards is dropped whole, and a root
-// only the dropped lease held (c) goes back to be explored. Every subtree is
-// counted exactly once either way, and no dropped result's error gets in.
+// are leased again as {c, a} and {b}; then all three results arrive. Only the
+// two held leases merge, whichever order they come in: the expired lease's
+// result is dropped, before or after them. Every subtree is counted exactly
+// once, and the dropped result's error does not get in.
 func TestOverlappingLateResultsCountOnce(t *testing.T) {
 	// The frontier was [c] when a and b came back: {c, a} goes to x, {b} to y.
 	lost := []row{
 		{0, join("x", 1), "x:#1[root]/1", ""},
 		{1 * ms, ret("x", 1, rootRun(), "a", "b", "c"), "x:#2[a b]/0", ""},
 		{102 * ms, tick(), "x:#3[c a]/0", ""},
-		{103 * ms, join("y", 1), "y:#4[b]/0", "exploring n=1 errors=0 frontier=0 leases=2 granted=4 done=1 requeues=1"},
+		{103 * ms, join("y", 1), "y:#4[b]/0", "exploring n=1 errors=0 frontier=0 leases=2 granted=4 requeues=1"},
 	}
 	for _, lateFirst := range []bool{true, false} {
 		t.Run(fmt.Sprintf("late-first=%v", lateFirst), func(t *testing.T) {
 			r := newRig(t, leaseTestConfig(100*ms), func(m *machine) { m.maxRedeliveries, m.maxRoots = 100, 2 })
 			if lateFirst {
 				r.run(append(lost, []row{
-					{104 * ms, ret("x", 2, &core.Report{Interleavings: 2}), "", "exploring n=3 errors=0 frontier=0 leases=2 granted=4 done=3 requeues=1"},
-					// a was done: {c, a} is dropped whole and c leased again.
-					{105 * ms, ret("x", 3, twoFailed("dropped: a was done")), "x:#5[c]/0", "exploring n=3 errors=0 frontier=0 leases=2 granted=5 done=3 requeues=1"},
-					{106 * ms, ret("y", 4, failedRun("dropped: b was done")), "", ""},
-					{107 * ms, ret("x", 5, &core.Report{Interleavings: 1}), "end[x y]", "done n=4 errors=0 frontier=0 leases=0 granted=5 done=4 requeues=1"},
+					{104 * ms, ret("x", 2, twoFailed("dropped: its lease was lost")), "", "exploring n=1 errors=0 frontier=0 leases=2 granted=4 requeues=1"},
+					{105 * ms, ret("x", 3, &core.Report{Interleavings: 2}), "", "exploring n=3 errors=0 frontier=0 leases=1 granted=4 requeues=1"},
+					{106 * ms, ret("y", 4, &core.Report{Interleavings: 1}), "end[x y]", "done n=4 errors=0 frontier=0 leases=0 granted=4 requeues=1"},
 				}...))
 				return
 			}
-			// {c, a} hands back a subtree d of its own, leased to x while y
+			// {c, a} hands back a subtree a.d of its own, leased to x while y
 			// still holds b; the late {a, b} then overlaps both.
 			r.run(append(lost, []row{
-				{104 * ms, ret("x", 3, &core.Report{Interleavings: 2}, "d"), "x:#5[d]/0", ""},
-				{105 * ms, ret("y", 4, &core.Report{Interleavings: 1}), "", "exploring n=4 errors=0 frontier=0 leases=1 granted=5 done=4 requeues=1"},
-				{106 * ms, ret("x", 2, twoFailed("dropped: both were done")), "", "exploring n=4 errors=0 frontier=0 leases=1 granted=5 done=4 requeues=1"},
-				{107 * ms, ret("x", 5, &core.Report{Interleavings: 1}), "end[x y]", "done n=5 errors=0 frontier=0 leases=0 granted=5 done=5 requeues=1"},
+				{104 * ms, ret("x", 3, &core.Report{Interleavings: 2}, "a.d"), "x:#5[a.d]/0", ""},
+				{105 * ms, ret("y", 4, &core.Report{Interleavings: 1}), "", "exploring n=4 errors=0 frontier=0 leases=1 granted=5 requeues=1"},
+				{106 * ms, ret("x", 2, twoFailed("dropped: its lease was lost")), "", "exploring n=4 errors=0 frontier=0 leases=1 granted=5 requeues=1"},
+				{107 * ms, ret("x", 5, &core.Report{Interleavings: 1}), "end[x y]", "done n=5 errors=0 frontier=0 leases=0 granted=5 requeues=1"},
 			}...))
 		})
 	}
@@ -354,18 +403,18 @@ func TestOverlappingLateResultsCountOnce(t *testing.T) {
 // TestUntouchedRootHandedBackIsExploredLater: a lease may return before it
 // reached every root (budget, time slice, a stopping worker). A worker starts
 // a lease's roots from the last, so the ones it did not start are a prefix,
-// which it names by count. Those were not explored: they must not enter the
-// done-set, and they must be leased again. The frontier here is small, so
-// each grant is floored at all of it (dexplore's minLeaseRoots, the one slot
-// being the only idle one): three leases, not one per subtree.
+// which it names by count. Those were not explored: they must be leased
+// again. The frontier here is small, so each grant is floored at all of it
+// (dexplore's minLeaseRoots, the one slot being the only idle one): three
+// leases, not one per subtree.
 func TestUntouchedRootHandedBackIsExploredLater(t *testing.T) {
 	r := newRig(t, leaseTestConfig(2*time.Second))
 	r.run([]row{
 		{0, join("partial", 1), "partial:#1[root]/1", ""},
 		{1 * ms, ret("partial", 1, rootRun(), "a", "b", "d"), "partial:#2[a b d]/0", ""},
 		// d explored, a and b not started.
-		{2 * ms, back("partial", 2, 2, &core.Report{Interleavings: 1}), "partial:#3[a b]/0", "exploring n=2 errors=0 frontier=0 leases=1 granted=3 done=2 requeues=0"},
-		{3 * ms, ret("partial", 3, &core.Report{Interleavings: 2}), "end[partial]", "done n=4 errors=0 frontier=0 leases=0 granted=3 done=4 requeues=0"},
+		{2 * ms, back("partial", 2, 2, &core.Report{Interleavings: 1}), "partial:#3[a b]/0", "exploring n=2 errors=0 frontier=0 leases=1 granted=3 requeues=0"},
+		{3 * ms, ret("partial", 3, &core.Report{Interleavings: 2}), "end[partial]", "done n=4 errors=0 frontier=0 leases=0 granted=3 requeues=0"},
 	})
 }
 
@@ -379,26 +428,25 @@ func grownTo() []row {
 }
 
 // TestUntouchedCountRebuildsRoots: a held lease's untouched roots come back
-// from the lease itself — no decode, no key rendered — ahead of the result's
-// leftovers and in lease order, and only the roots past them are done.
+// from the lease itself — no decode — ahead of the result's leftovers and in
+// lease order, and only the roots past them are done.
 func TestUntouchedCountRebuildsRoots(t *testing.T) {
 	for _, tc := range []struct {
 		u     int
 		rep   *core.Report
 		left  []string
 		grant string
-		done  int
 	}{
-		{0, &core.Report{Interleavings: 3}, []string{"x"}, "w:#3[x]/0", 4},
-		{1, &core.Report{Interleavings: 2}, []string{"x", "y"}, "w:#3[a x y]/0", 3},
-		{2, &core.Report{Interleavings: 1}, []string{"x"}, "w:#3[a b x]/0", 2},
-		{3, &core.Report{}, nil, "w:#3[a b c]/0", 1},
+		{0, &core.Report{Interleavings: 3}, []string{"a.x"}, "w:#3[a.x]/0"},
+		{1, &core.Report{Interleavings: 2}, []string{"b.x", "c.y"}, "w:#3[a b.x c.y]/0"},
+		{2, &core.Report{Interleavings: 1}, []string{"c.x"}, "w:#3[a b c.x]/0"},
+		{3, &core.Report{}, nil, "w:#3[a b c]/0"},
 	} {
 		t.Run(fmt.Sprint("untouched=", tc.u), func(t *testing.T) {
 			r := newRig(t, leaseTestConfig(time.Second))
 			r.run(append(grownTo(),
 				row{2 * ms, back("w", 2, tc.u, tc.rep, tc.left...), tc.grant,
-					fmt.Sprintf("exploring n=%d errors=0 frontier=0 leases=1 granted=3 done=%d requeues=0", 1+tc.rep.Interleavings, tc.done)}))
+					fmt.Sprintf("exploring n=%d errors=0 frontier=0 leases=1 granted=3 requeues=0", 1+tc.rep.Interleavings)}))
 		})
 	}
 }
@@ -416,47 +464,97 @@ func TestUntouchedCountHasOneForm(t *testing.T) {
 	}{
 		{"negative", -1, nil, "counts -1 of its 3 roots untouched"},
 		{"past-the-lease", 4, nil, "counts 4 of its 3 roots untouched"},
-		{"root-in-frontier", 1, []string{"x", "c"}, "lists its leased root"},
+		{"root-in-frontier", 1, []string{"b.x", "c"}, "which is below no root it started"},
+		{"untouched-root-in-frontier", 1, []string{"a"}, "which is below no root it started"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t, leaseTestConfig(time.Second))
 			r.run(append(grownTo(),
 				row{2 * ms, back("w", 2, tc.u, &core.Report{Interleavings: 1}, tc.left...), "end[w]",
-					"failed n=1 errors=0 frontier=0 leases=0 granted=2 done=1 requeues=0"}))
+					"failed n=1 errors=0 frontier=0 leases=0 granted=2 requeues=0"}))
 			r.wantErr("worker w", "lease 2", tc.want)
 		})
 	}
 }
 
-// TestLateResultEchoingAKeyTwiceFails: a late result is known by its echo
-// alone, so an echo naming one root twice fails the exploration rather than
-// count that root both ways.
-func TestLateResultEchoingAKeyTwiceFails(t *testing.T) {
-	r := newRig(t, leaseTestConfig(time.Second))
-	r.run(append(grownTo(), row{2 * ms, func(r *rig) any {
-		a := taskKey(r.task("a"))
-		return r.wire("w", &WireResult{Lease: 9, Keys: []string{a, a}, Untouched: 1, Delta: r.delta(&core.Report{Interleavings: 1})})
-	}, "", "failed n=1 errors=0 frontier=0 leases=1 granted=2 done=1 requeues=0"}))
-	r.wantErr("worker w", "lease 9", "echoes a key twice")
+// TestLeftoverChecksNeedNoKeys: a held lease's leftovers are vetted by their
+// decisions alone — each strictly below a root its worker started, none
+// listed twice — so a result that hands back a subtree from anywhere else
+// fails the exploration, naming the worker, the lease and the subtree, and
+// merges nothing. Here w holds lease #4 over c, v holds #3 over b, a is
+// explored and d waits; then w returns #4.
+func TestLeftoverChecksNeedNoKeys(t *testing.T) {
+	setup := []row{
+		{0, join("w", 1), "w:#1[root]/1", ""},
+		{1 * ms, ret("w", 1, rootRun(), "a", "b", "c", "d"), "w:#2[a]/0", ""},
+		{2 * ms, join("v", 1), "v:#3[b]/0", ""},
+		{3 * ms, ret("w", 2, &core.Report{Interleavings: 1}), "w:#4[c]/0", "exploring n=2 errors=0 frontier=1 leases=2 granted=4 requeues=0"},
+	}
+	const below = "which is below no root it started"
+	for _, tc := range []struct {
+		name string
+		left []string
+		bad  string // the leftover the error names
+		want string
+	}{
+		{"waiting", []string{"d"}, "d", below},
+		{"held-by-another-lease", []string{"c.x", "b"}, "b", below},
+		{"explored", []string{"a"}, "a", below},
+		{"fabricated", []string{"b.z"}, "b.z", below},
+		{"twice", []string{"c.x", "c.y", "c.x"}, "c.x", "twice"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, leaseTestConfig(time.Second), func(m *machine) { m.maxRoots = 1 })
+			r.run(setup)
+			r.run([]row{{4 * ms, ret("w", 4, &core.Report{Interleavings: 1}, tc.left...), "", "failed n=2 errors=0 frontier=1 leases=1 granted=4 requeues=0"}})
+			if got, want := r.state(), "n=2 errors=0 points=1 front[d] v:#3[b]"; got != want {
+				t.Errorf("after the failed result: %s, want %s", got, want)
+			}
+			r.wantErr("worker w", "lease 4", "hands back subtree "+r.task(tc.bad).Decisions.String(), tc.want)
+		})
+	}
 }
 
-// TestLateUntouchedCountMerges: a result that outlived its lease names its
-// untouched roots by count too; they come from the echo and are waiting
-// already under the newer lease, so the merge marks only the others done,
-// and when that newer lease returns, stale, only the untouched root goes
-// back. A second delivery of the same result is a stale duplicate: dropped.
-func TestLateUntouchedCountMerges(t *testing.T) {
-	r := newRig(t, leaseTestConfig(50*ms), func(m *machine) { m.maxRedeliveries = 100 })
-	late := back("w", 2, 1, &core.Report{Interleavings: 2}, "x")
-	dup := failedRun("dropped: b and c were done")
-	dup.Interleavings = 3
-	r.run(append(grownTo(), []row{
-		{52 * ms, tick(), "w:#3[a b c]/0", "exploring n=1 errors=0 frontier=0 leases=1 granted=3 done=1 requeues=1"},
-		{53 * ms, late, "", "exploring n=3 errors=0 frontier=1 leases=1 granted=3 done=3 requeues=1"},
-		{54 * ms, late, "", "exploring n=3 errors=0 frontier=1 leases=1 granted=3 done=3 requeues=1"},
-		{55 * ms, ret("w", 3, dup), "w:#4[x a]/0", "exploring n=3 errors=0 frontier=0 leases=1 granted=4 done=3 requeues=1"},
-		{56 * ms, ret("w", 4, &core.Report{Interleavings: 2}), "end[w]", "done n=5 errors=0 frontier=0 leases=0 granted=4 done=5 requeues=1"},
-	}...))
+// TestWalkStepComesFromItsWalk: a walk step may be handed back from below the
+// root task, which seeds every walk, or from below a step of its own walk; a
+// step of walk 2 from below a step of walk 1 fails the exploration naming
+// the worker and the lease. Two walks and the exhaustive search may all reach
+// one decision set: those are three subtrees, not one listed three times.
+func TestWalkStepComesFromItsWalk(t *testing.T) {
+	for _, tc := range []struct {
+		left string
+		want string // the error; "" for a result that merges
+	}{
+		{"s~1.t~1", ""},
+		{"s~1.t~2", "hands back subtree %s, which is below no root it started"},
+	} {
+		t.Run(tc.left, func(t *testing.T) {
+			r := newRig(t, leaseTestConfig(time.Second))
+			a := r.task("a")
+			twin := func(walk int) *core.SubtreeTask {
+				return &core.SubtreeTask{Decisions: a.Decisions.Clone(), Budget: core.Unbounded, Explorable: true, Depth: 1, Sample: &core.SampleState{Walk: walk, Step: 1}}
+			}
+			leftovers := []*core.SubtreeTask{r.task("u~2"), a, twin(1), twin(2), r.task("s~1")}
+			r.run([]row{
+				{0, join("w", 1), "w:#1[root]/1", ""},
+				{1 * ms, func(r *rig) any {
+					return r.wire("w", &WireResult{Lease: 1, Delta: deltaOf(r.c.cfg.Fingerprint, rootRun(), leftovers...)})
+				}, fmt.Sprintf("w:#2[u~2 a %s %s s~1]/0", id(twin(1)), id(twin(2))), "exploring n=1 errors=0 frontier=0 leases=1 granted=2 requeues=0"},
+			})
+			// u~2, a and the twins untouched, s~1 explored.
+			r.c.step(r.wire("w", &WireResult{Lease: 2, Untouched: 4, Delta: r.delta(&core.Report{Interleavings: 1}, tc.left)}), r.start.Add(2*ms))
+			if tc.want == "" {
+				if r.c.runErr != nil || r.c.report.Interleavings != 2 {
+					t.Fatalf("err %v, %d replays: want the step of its own walk merged", r.c.runErr, r.c.report.Interleavings)
+				}
+				return
+			}
+			if r.c.report.Interleavings != 1 {
+				t.Errorf("%d replays merged from a failed result", r.c.report.Interleavings-1)
+			}
+			r.wantErr("worker w", "lease 2", fmt.Sprintf(tc.want, r.task(tc.left).Decisions))
+		})
+	}
 }
 
 // TestLeaseResultOverBudgetRejected: a budget is the machine's hold on the
@@ -470,7 +568,7 @@ func TestLeaseResultOverBudgetRejected(t *testing.T) {
 	over.Interleavings = 2
 	r.run([]row{
 		{0, join("greedy", 1), "greedy:#1[root]/1", ""},
-		{1 * ms, ret("greedy", 1, over), "end[greedy]", "failed n=0 errors=0 frontier=0 leases=0 granted=1 done=0 requeues=0"},
+		{1 * ms, ret("greedy", 1, over), "end[greedy]", "failed n=0 errors=0 frontier=0 leases=0 granted=1 requeues=0"},
 	})
 	r.wantErr("greedy", "lease 1", "2 replays on a budget of 1")
 }
@@ -499,7 +597,7 @@ func TestNonRootLeaseCannotSetRootAggregates(t *testing.T) {
 		}, "negative count"},
 		{"nothing-explored", func(r *rig) *dexplore.Checkpoint { return r.delta(&core.Report{}) }, "0 replays for 1 subtrees"},
 		{"handed-back-twice", func(r *rig) *dexplore.Checkpoint {
-			return r.delta(&core.Report{Interleavings: 1}, "kid", "kid")
+			return r.delta(&core.Report{Interleavings: 1}, "child.kid", "child.kid")
 		}, "twice"},
 		{"other-space", func(r *rig) *dexplore.Checkpoint {
 			fp := r.c.cfg.Fingerprint
@@ -513,8 +611,8 @@ func TestNonRootLeaseCannotSetRootAggregates(t *testing.T) {
 				{0, join("impostor", 1), "impostor:#1[root]/1", ""},
 				{1 * ms, ret("impostor", 1, rootRun(), "child"), "impostor:#2[child]/0", ""},
 				{2 * ms, func(r *rig) any {
-					return r.wire("impostor", &WireResult{Lease: 2, Keys: r.granted[2].Keys, Delta: tc.delta(r)})
-				}, "end[impostor]", "failed n=1 errors=0 frontier=0 leases=0 granted=2 done=1 requeues=0"},
+					return r.wire("impostor", &WireResult{Lease: 2, Delta: tc.delta(r)})
+				}, "end[impostor]", "failed n=1 errors=0 frontier=0 leases=0 granted=2 requeues=0"},
 			})
 			r.wantErr("impostor", "lease 2", tc.want)
 		})
@@ -566,7 +664,7 @@ func TestStepIsAFunctionOfItsEvents(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s holds no lease: %v", name, steps)
 			}
-			step(at, r.wire(name, &WireResult{Lease: wt.Lease, Keys: wt.Keys, Delta: r.delta(rep, left...)}))
+			step(at, r.wire(name, &WireResult{Lease: wt.Lease, Delta: r.delta(rep, left...)}))
 		}
 		for _, w := range []string{"w1", "w2", "w3"} {
 			step(0, evAttach{r.worker(w, 1)})
@@ -579,12 +677,12 @@ func TestStepIsAFunctionOfItsEvents(t *testing.T) {
 			t.Fatalf("one tick lost %s, want two leases: %v", st, steps)
 		}
 		wt, _ := r.held("w1")
-		ret(53*ms, "w1", &core.Report{Interleavings: len(wt.Keys)}) // merged: a cut falls due
+		ret(53*ms, "w1", &core.Report{Interleavings: len(wt.Tasks)}) // merged: a cut falls due
 		step(54*ms, evSaved{})
 		for at := 55 * ms; r.ended == 0; at += ms {
 			for _, w := range []string{"w1", "w2", "w3"} {
 				if wt, ok := r.held(w); ok && r.ended == 0 {
-					ret(at, w, &core.Report{Interleavings: len(wt.Keys)})
+					ret(at, w, &core.Report{Interleavings: len(wt.Tasks)})
 				}
 			}
 		}
@@ -655,10 +753,11 @@ func TestStatusSamplesInTimeOrder(t *testing.T) {
 // synth is a synthetic result for lease wt, drawn from bits: how many of its
 // roots it leaves untouched (bits 0–1, negated by bit 3: out of range as
 // often as not on a short lease), whether it also lists its last root in its
-// frontier (bit 2, the form the count replaced), which of six shared subtrees
-// k0…k5 it adds (bits 4–9), one replay per root past the untouched ones (plus
-// an extra one, bit 10, or a failure, bit 11), and the root run's aggregates
-// when it started the root.
+// frontier (bit 2, the form the count replaced), which of six subtrees k0…k5
+// it hands back (bits 4–9: kj below its last started root, or below none when
+// bit 12 is set or it started none, and listed twice when bit 13 is set), one
+// replay per root past the untouched ones (plus an extra one, bit 10, or a
+// failure, bit 11), and the root run's aggregates when it started the root.
 func (r *rig) synth(wt wireTask, bits int) *WireResult {
 	u := bits & 3
 	if bits>>3&1 == 1 {
@@ -666,13 +765,16 @@ func (r *rig) synth(wt wireTask, bits int) *WireResult {
 	}
 	rep := &core.Report{}
 	var left []*core.SubtreeTask
-	for i, key := range wt.Keys {
+	parent := ""
+	for i, t := range wt.Tasks {
 		if i < u {
 			continue
 		}
 		rep.Interleavings++
-		if key == rootKey {
+		if isRoot(t) {
 			rep.FirstTrace, rep.WildcardsAnalyzed = &core.RunTrace{}, 1
+		} else {
+			parent = r.names[id(t)] + "."
 		}
 	}
 	if bits>>2&1 == 1 && len(wt.Tasks) > 0 {
@@ -680,24 +782,32 @@ func (r *rig) synth(wt wireTask, bits int) *WireResult {
 	}
 	for j := 0; j < 6; j++ {
 		if bits>>(4+j)&1 == 1 {
-			left = append(left, r.task(fmt.Sprint("k", j)))
+			name := fmt.Sprint("k", j)
+			if bits>>12&1 == 0 {
+				name = parent + name
+			}
+			left = append(left, r.task(name))
+			if bits>>13&1 == 1 {
+				left = append(left, r.task(name))
+			}
 		}
 	}
 	rep.Interleavings += bits >> 10 & 1
 	if bits>>11&1 == 1 && rep.Interleavings > 0 {
 		rep.Errors = []*core.InterleavingResult{{Err: fmt.Errorf("failure"), Decisions: core.NewDecisions()}}
 	}
-	return &WireResult{Lease: wt.Lease, Keys: wt.Keys, Untouched: u, Delta: deltaOf(r.c.cfg.Fingerprint, rep, left...)}
+	return &WireResult{Lease: wt.Lease, Untouched: u, Delta: deltaOf(r.c.cfg.Fingerprint, rep, left...)}
 }
 
 // FuzzStep: the machine under any bounded sequence of events from three
 // workers — attach, disconnect, heartbeat, a tick of the fake clock, a result
 // for a held, an expired or an unknown lease, a duplicate delivery, a stop, a
 // saved cut. After every step nothing has panicked, no more replays are
-// merged than the cap allows, the frontier, the held leases and the done set
-// are disjoint (but for a late result's roots, whose newer lease is dropped
-// when it returns), no result over a done root changes the report, and the end
-// comes at most once, last, with nothing after it.
+// merged than the cap allows, a result for a lease not held (by its id and
+// connection) changed nothing, each subtree is in exactly one place — the
+// frontier, one held lease, or merged (while the exploration has not failed,
+// which drops what it held) — and the end comes at most once, last, with
+// nothing after it.
 func FuzzStep(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 4, 0, 0, 4, 0, 1, 3, 50, 0, 4, 0, 0, 6, 0, 0})
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 0, 2, 0, 4, 0, 0xf0, 4, 1, 0xf0, 4, 2, 0, 3, 45, 0, 5, 3, 0, 5, 4, 0x04, 7, 0, 0})
@@ -707,6 +817,9 @@ func FuzzStep(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 4, 0, 0x03})
 	f.Add([]byte{0, 0, 0, 4, 0, 0xf0, 4, 0, 0x09})
 	f.Add([]byte{0, 1, 0, 4, 0, 0xf0, 4, 0, 0x05})
+	// A leftover below no started root, and one listed twice.
+	f.Add([]byte{0, 0, 0, 4, 0, 0x30, 4, 0x10, 0x10})
+	f.Add([]byte{0, 0, 0, 4, 0, 0x30, 4, 0x20, 0x10})
 	const max, ttl = 12, 40 * ms
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 3*64 {
@@ -719,7 +832,8 @@ func FuzzStep(f *testing.F) {
 		names := []string{"p", "q", "s"}
 		var now time.Duration
 		var last evResult
-		lateDone := map[string]bool{} // done keys a late result completed under a newer lease
+		// Every subtree the machine was given, and whether it was merged.
+		known := map[string]bool{id(&core.SubtreeTask{}): false}
 		ended := false
 		for i := 0; i+2 < len(prog); i += 3 {
 			op, a, bits := prog[i], int(prog[i+1]), int(prog[i+2])|int(prog[i+1])<<8
@@ -748,7 +862,7 @@ func FuzzStep(f *testing.F) {
 			case 5: // any lease ever granted, or none, returns from anyone
 				wt, ok := r.granted[uint64(a%(len(r.granted)+2))]
 				if !ok {
-					wt = wireTask{Lease: uint64(a), Keys: []string{taskKey(r.task(fmt.Sprint("k", a%6)))}, Tasks: []*core.SubtreeTask{r.task(fmt.Sprint("k", a%6))}}
+					wt = wireTask{Lease: uint64(a), Tasks: []*core.SubtreeTask{r.task(fmt.Sprint("k", a%6))}}
 				}
 				last = r.wire(name, r.synth(wt, bits))
 				ev = last
@@ -763,14 +877,13 @@ func FuzzStep(f *testing.F) {
 				ev = evSaved{}
 			}
 			res, isResult := ev.(evResult)
-			wasHeld, doneBefore := false, false
+			var heldLease *lease
 			if isResult {
-				wasHeld = slices.ContainsFunc(r.c.leases, func(l *lease) bool { return l.Lease == res.res.Lease && l.conn == res.w })
-				for _, k := range res.res.Keys {
-					doneBefore = doneBefore || r.c.keys[k]
+				if j := slices.IndexFunc(r.c.leases, func(l *lease) bool { return l.Lease == res.res.Lease && l.conn == res.w }); j >= 0 {
+					heldLease = r.c.leases[j]
 				}
 			}
-			before := r.c.report.Interleavings
+			before := r.state()
 			acts := r.c.step(ev, r.start.Add(now))
 			for j, act := range acts {
 				if _, fin := act.(actFinalize); fin && j != len(acts)-1 {
@@ -788,29 +901,42 @@ func FuzzStep(f *testing.F) {
 			if n := r.c.report.Interleavings; n > max {
 				t.Fatalf("step %d: %d interleavings merged, cap %d", i/3, n, max)
 			}
-			if isResult && doneBefore && r.c.report.Interleavings != before {
-				t.Fatalf("step %d: a result over a done root merged %d replays", i/3, r.c.report.Interleavings-before)
+			// It may take a periodic cut that fell due before it, nothing else.
+			grew := slices.ContainsFunc(acts, func(a any) bool { _, cut := a.(actPeriodic); return !cut })
+			if isResult && heldLease == nil && (grew || r.state() != before) {
+				t.Fatalf("step %d: a result for lease %d, not held, changed the machine (%s):\n%s\nwas\n%s", i/3, res.res.Lease, r.render(acts), r.state(), before)
 			}
-			front := map[string]bool{}
-			for _, p := range r.c.front.Tasks {
-				if front[p.key] || r.c.keys[p.key] {
-					t.Fatalf("step %d: frontier key %s is listed twice or done", i/3, p.key)
+			failed := r.c.runErr != nil
+			if heldLease != nil && !failed {
+				// Merged: the roots it started are done, its leftovers new.
+				for _, t := range heldLease.Tasks[res.res.Untouched:] {
+					known[id(t)] = true
 				}
-				front[p.key] = true
+				for _, lt := range res.left {
+					if _, had := known[id(lt)]; had {
+						t.Fatalf("step %d: a merged result handed back subtree %s, which the machine had", i/3, id(lt))
+					}
+					known[id(lt)] = false
+				}
 			}
-			held := map[string]bool{}
+			where := map[string]int{}
+			for _, p := range r.c.front.Tasks {
+				where[id(p.task)]++
+			}
 			for _, l := range r.c.leases {
-				for _, k := range l.Keys {
-					if held[k] || front[k] {
-						t.Fatalf("step %d: held key %s is held twice or in the frontier", i/3, k)
-					}
-					if r.c.keys[k] && !lateDone[k] {
-						if !isResult || wasHeld {
-							t.Fatalf("step %d: held key %s is done", i/3, k)
-						}
-						lateDone[k] = true
-					}
-					held[k] = true
+				for _, t := range l.Tasks {
+					where[id(t)]++
+				}
+			}
+			for k, n := range where {
+				merged, ok := known[k]
+				if n > 1 || !failed && (!ok || merged) {
+					t.Fatalf("step %d: subtree %s (known %v, merged %v) is waiting or held %d times", i/3, k, ok, merged, n)
+				}
+			}
+			for k, merged := range known {
+				if !failed && !merged && where[k] == 0 {
+					t.Fatalf("step %d: subtree %s is lost: neither merged, waiting nor held", i/3, k)
 				}
 			}
 		}
@@ -829,9 +955,9 @@ func TestPeriodicCutsOneAtATime(t *testing.T) {
 		{0, join("w", 2), "w:#1[root]/1", ""},
 		{1 * ms, ret("w", 1, rootRun(), "a", "b", "c", "d"), "w:#2[a b]/0,#3[c d]/0", ""},
 		{2 * ms, ret("w", 2, &core.Report{Interleavings: 2}), "cut@3+2", ""},
-		{3 * ms, ret("w", 3, &core.Report{Interleavings: 2}, "e", "f"), "w:#4[e]/0,#5[f]/0", ""},
+		{3 * ms, ret("w", 3, &core.Report{Interleavings: 2}, "c.e", "d.f"), "w:#4[c.e]/0,#5[d.f]/0", ""},
 		{4 * ms, func(*rig) any { return evSaved{} }, "", ""},
-		{5 * ms, ret("w", 4, &core.Report{Interleavings: 1}, "g"), "w:#6[g]/0; cut@6+2", ""},
+		{5 * ms, ret("w", 4, &core.Report{Interleavings: 1}, "c.e.g"), "w:#6[c.e.g]/0; cut@6+2", ""},
 		{6 * ms, ret("w", 5, &core.Report{Interleavings: 1}), "", ""},
 		{7 * ms, ret("w", 6, &core.Report{Interleavings: 1}), "end[w] cut@8+0", ""},
 	})
@@ -844,9 +970,53 @@ func TestPeriodicCutsOneAtATime(t *testing.T) {
 		{99 * ms, ret("w", 1, rootRun(), "a", "b"), "w:#2[a b]/0", ""},
 		{100 * ms, back("w", 2, 1, &core.Report{Interleavings: 1}), "w:#3[a]/0; cut@2+1", ""},
 		{101 * ms, func(*rig) any { return evSaved{} }, "", ""},
-		{199 * ms, ret("w", 3, &core.Report{Interleavings: 1}, "c"), "w:#4[c]/0", ""},
+		{199 * ms, ret("w", 3, &core.Report{Interleavings: 1}, "a.c"), "w:#4[a.c]/0", ""},
 		{200 * ms, ret("w", 4, &core.Report{Interleavings: 1}), "end[w] cut@4+0", ""},
 	})
+}
+
+// TestClockCadenceCutsExactly: without a CheckpointEvery a periodic cut
+// falls due at the first merge an interval after the start or the last cut,
+// on the events' clock — so on any host a lease merged every 3ms under a 5ms
+// interval is cut at every second merge (6ms, 12ms, ...): 20 cuts for 40
+// merges, at least an interval apart, and a due cut at the end is the final
+// one instead.
+func TestClockCadenceCutsExactly(t *testing.T) {
+	const interval, every, merges = 5 * ms, 3 * ms, 40
+	cfg := leaseTestConfig(time.Second)
+	cfg.CheckpointPath = "unused"
+	r := newRig(t, cfg)
+	r.c.cad.Interval = interval
+	r.c.step(evAttach{r.worker("w", 1)}, r.start)
+	periodic, path := 0, "x"
+	for k := 1; k <= merges+1; k++ {
+		wt, ok := r.held("w")
+		if !ok {
+			t.Fatalf("merge %d: w holds no lease", k)
+		}
+		var left []string
+		if k <= merges {
+			left, path = []string{path}, path+".x"
+		}
+		at := r.start.Add(time.Duration(k) * every)
+		acts := r.c.step(r.wire("w", &WireResult{Lease: wt.Lease, Delta: r.delta(&core.Report{Interleavings: 1}, left...)}), at)
+		for _, a := range acts {
+			if _, cut := a.(actPeriodic); cut {
+				if k%2 != 0 {
+					t.Errorf("merge %d at %v cut, %v after the last", k, time.Duration(k)*every, every)
+				}
+				periodic++
+				r.c.step(evSaved{}, at)
+			}
+		}
+		r.render(acts)
+	}
+	if r.ended != 1 || r.c.report.Interleavings != merges+1 {
+		t.Fatalf("ended %d times after %d merges, want once after %d", r.ended, r.c.report.Interleavings, merges+1)
+	}
+	if most := int((merges + 1) * every / interval); periodic != merges/2 || periodic > most {
+		t.Errorf("%d periodic cuts, want %d (%d at most)", periodic, merges/2, most)
+	}
 }
 
 // TestFailedFinalCheckpointFailsTheJob: a one-shot exploration whose final
@@ -857,8 +1027,8 @@ func TestFailedFinalCheckpointFailsTheJob(t *testing.T) {
 	r := newRig(t, cfg)
 	r.c.ckp.Save = func(*dexplore.Checkpoint, string) error { return errors.New("disk full") }
 	r.c.apply(evAttach{r.worker("w", 1)})
-	r.c.apply(r.wire("w", &WireResult{Lease: 1, Keys: []string{rootKey}, Delta: r.delta(rootRun())}))
-	if got, want := r.status(), "failed n=1 errors=0 frontier=0 leases=0 granted=1 done=1 requeues=0"; got != want {
+	r.c.apply(r.wire("w", &WireResult{Lease: 1, Delta: r.delta(rootRun())}))
+	if got, want := r.status(), "failed n=1 errors=0 frontier=0 leases=0 granted=1 requeues=0"; got != want {
 		t.Errorf("status %q, want %q", got, want)
 	}
 	if _, err := r.c.Wait(); err == nil || !strings.Contains(err.Error(), "writing final checkpoint: disk full") {

@@ -12,8 +12,10 @@
 // Fault tolerance is lease-based: every lease is time-bounded and renewed by
 // heartbeats. It expires when its worker crashes, hangs, or disconnects, and
 // its subtrees are requeued (with a redelivery cap so a poison subtree cannot
-// loop forever). Completed-subtree deduplication makes the at-least-once
-// delivery effectively-once in the report, so killing a worker
+// loop forever). A result merges only while its lease is held; one that
+// comes back after its lease was lost is dropped, since its subtrees are
+// waiting again. Every subtree is thus in exactly one place — the frontier,
+// one held lease, or merged — and counted once, so killing a worker
 // mid-exploration still yields the identical report.
 //
 // The wire protocol is deliberately boring: length-prefixed JSON frames over
@@ -38,17 +40,20 @@ import (
 )
 
 // protoVersion guards the frame format; a hello with any other version is
-// rejected at the handshake, both versions named. Version 7: a result names
-// the lease's roots its worker never started by count (WireResult.Untouched)
-// instead of handing them back in its delta's frontier. Version 6: every
-// exploration is an announced job (a one-shot coordinator's too) and every
-// task and result frame is tagged with it, a pinned hello states a JobSpec, a
-// lease is a set of subtrees with a replay budget and its result one report
-// delta. Versions 1–6 each lack one of these, so a mixed pair would drop or
-// misroute frames silently — a v6 coordinator would read a v7 worker's
-// uncounted roots as explored — and is refused instead (CHANGES.md has the
-// history).
-const protoVersion = 7
+// rejected at the handshake, both versions named. Version 8: a task frame
+// carries no keys and a result echoes none — a result is known by its lease
+// id and connection alone, and merged only while that lease is held — and a
+// heartbeat names no worker. Version 7: a result names the lease's roots its
+// worker never started by count (WireResult.Untouched) instead of handing
+// them back in its delta's frontier. Version 6: every exploration is an
+// announced job (a one-shot coordinator's too) and every task and result
+// frame is tagged with it, a pinned hello states a JobSpec, a lease is a set
+// of subtrees with a replay budget and its result one report delta. Versions
+// 1–7 each lack one of these, so a mixed pair would drop or misroute frames
+// silently — a v7 coordinator would fail every result of a v8 worker for the
+// keys it does not echo, a v6 one read a v7 worker's uncounted roots as
+// explored — and is refused instead (CHANGES.md has the history).
+const protoVersion = 8
 
 // maxFrameSize bounds a single frame (a lease's leftover frontier or the root
 // trace can be large, but anything beyond this is a corrupt stream).
@@ -80,7 +85,8 @@ const (
 	msgTask = "task"
 	// msgResult returns one lease: what was explored and what was not.
 	msgResult = "result"
-	// msgHeartbeat renews all of the worker's leases.
+	// msgHeartbeat renews all of the leases held by the worker whose
+	// connection it arrives on.
 	msgHeartbeat = "heartbeat"
 	// msgDone tells the worker the server is closing — a one-job server's
 	// exploration is over, a job-queue service is shutting down; it
@@ -139,23 +145,18 @@ type frame struct {
 }
 
 // wireTask is one lease: subtrees from the coordinator's frontier and the
-// number of replays the worker may spend on them. Keys[i] is Tasks[i]'s
-// identity as the coordinator computed it when the task entered its frontier;
-// the worker echoes the keys in the result without rendering them again.
+// number of replays the worker may spend on them.
 type wireTask struct {
 	Lease  uint64              `json:"lease"`
-	Keys   []string            `json:"keys"`
 	Tasks  []*core.SubtreeTask `json:"tasks"`
 	Budget int                 `json:"budget,omitempty"` // 0 = unbounded
 }
 
 // WireResult returns one lease.
 type WireResult struct {
-	// Lease and Keys echo the task frame's. The coordinator deduplicates by
-	// its own copy of the keys while the lease is held, and by these for a
-	// result that outlived its lease.
-	Lease uint64   `json:"lease"`
-	Keys  []string `json:"keys"`
+	// Lease echoes the task frame's. The coordinator merges the result only
+	// while it holds that lease for the connection the result arrives on.
+	Lease uint64 `json:"lease"`
 
 	// Fatal, if non-empty, reports a replay-harness failure (not a program
 	// error): the exploration must abort, matching the single-process
@@ -172,7 +173,8 @@ type WireResult struct {
 	// Delta is everything the lease's replays add to the exploration, in the
 	// checkpoint codec: the report of the replays run (a failing or sampled
 	// one with its reproducer, the root with its trace) and, as its frontier,
-	// the expansions not reached. It never lists a leased root.
+	// the expansions not reached: subtrees below the roots it started, each
+	// listed once, never a leased root.
 	Delta *dexplore.Checkpoint `json:"delta,omitempty"`
 }
 
@@ -400,28 +402,4 @@ func (fr *frameReader) read(r io.Reader, limit int) (*frame, int, error) {
 		return nil, 0, fmt.Errorf("dcoord: decoding frame: %w", err)
 	}
 	return f, 4 + len(body), nil
-}
-
-// rootKey is the key of the initial self-discovery task.
-var rootKey = taskKey(&core.SubtreeTask{})
-
-// taskKey is the stable identity of a subtree task: its decision-prefix
-// signature. Each task in one exploration has a distinct prefix (the serial
-// explorer's per-interleaving signatures are distinct by construction), so
-// the key is unique and survives requeue/redelivery.
-//
-// Walk-step tasks (schedule sampling) carry a walk/step suffix: a walk may
-// land on a decision vector an exhaustive child of the same exploration
-// already completed, and keying by the vector alone would make the done-set
-// dedup swallow the step — silently killing the walk chain. The suffix keeps
-// task identity (lease/requeue/dedup) distinct from schedule identity; the
-// sampled distinct-vector count uses the bare Decisions signature instead
-// (Decisions.String never contains '|', so the suffix cannot collide with an
-// exhaustive key).
-func taskKey(t *core.SubtreeTask) string {
-	k := t.Decisions.String()
-	if s := t.Sample; s != nil {
-		k = fmt.Sprintf("%s|walk=%d,step=%d", k, s.Walk, s.Step)
-	}
-	return k
 }

@@ -47,11 +47,11 @@ func everyFrame() []*frame {
 		{Type: msgReject, Reason: "dcoord: procs mismatch"},
 		{Type: msgJob, Job: "j1", Spec: &fp},
 		{Type: msgTask, Job: "j1", Tasks: []wireTask{
-			{Lease: 41, Keys: []string{rootKey}, Tasks: []*core.SubtreeTask{{Budget: core.Unbounded, Explorable: true}}, Budget: 1},
-			{Lease: 42, Keys: []string{taskKey(sibling), taskKey(task)}, Tasks: []*core.SubtreeTask{sibling, task}},
+			{Lease: 41, Tasks: []*core.SubtreeTask{{Budget: core.Unbounded, Explorable: true}}, Budget: 1},
+			{Lease: 42, Tasks: []*core.SubtreeTask{sibling, task}},
 		}},
-		{Type: msgHeartbeat, Worker: "w1"},
-		{Type: msgResult, Job: "j1", Result: &WireResult{Lease: 42, Keys: []string{taskKey(sibling), taskKey(task)}, Untouched: 1, Delta: deltaOf(fp, failed, child)}},
+		{Type: msgHeartbeat},
+		{Type: msgResult, Job: "j1", Result: &WireResult{Lease: 42, Untouched: 1, Delta: deltaOf(fp, failed, child)}},
 		{Type: msgJobDone, Job: "j1"},
 		{Type: msgDone},
 	}
@@ -86,13 +86,12 @@ func TestFrameRoundTrip(t *testing.T) {
 			}
 			for i, want := range in.Tasks {
 				got := out.Tasks[i]
-				if got.Lease != want.Lease || got.Budget != want.Budget || !slices.Equal(got.Keys, want.Keys) ||
-					!slices.EqualFunc(got.Tasks, want.Tasks, func(a, b *core.SubtreeTask) bool { return taskKey(a) == taskKey(b) }) {
+				if got.Lease != want.Lease || got.Budget != want.Budget || !slices.EqualFunc(got.Tasks, want.Tasks, sameTask) {
 					t.Errorf("lease %d changed: %+v -> %+v", i, want, got)
 				}
 			}
 			if in.Result != nil {
-				if out.Result.Lease != in.Result.Lease || !slices.Equal(out.Result.Keys, in.Result.Keys) || out.Result.Untouched != in.Result.Untouched {
+				if out.Result.Lease != in.Result.Lease || out.Result.Untouched != in.Result.Untouched {
 					t.Errorf("result changed: %+v -> %+v", in.Result, out.Result)
 				}
 				ecfg := fp.ExplorerConfig()
@@ -107,7 +106,7 @@ func TestFrameRoundTrip(t *testing.T) {
 					rep.Errors[0].Decisions.String() != dec(1, 3, 0).String() {
 					t.Errorf("delta errors changed: %+v", rep.Errors)
 				}
-				if len(left) != 1 || taskKey(left[0]) != taskKey(child) {
+				if len(left) != 1 || !sameTask(left[0], child) {
 					t.Errorf("leftover frontier changed: %+v", left)
 				}
 			}
@@ -130,7 +129,7 @@ func TestReadFrameRejectsOversized(t *testing.T) {
 // hanging or returning a partial decode.
 func TestReadFrameRejectsTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := writeFrame(&buf, &frame{Type: msgHeartbeat, Worker: "w"}); err != nil {
+	if _, err := writeFrame(&buf, &frame{Type: msgHeartbeat}); err != nil {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()-3]
@@ -202,7 +201,7 @@ func TestLargeFrameBufferNotKept(t *testing.T) {
 		{"w2", true},
 	} {
 		var buf bytes.Buffer
-		if _, err := fw.write(&buf, &frame{Type: msgHeartbeat, Worker: tc.worker}); err != nil {
+		if _, err := fw.write(&buf, &frame{Type: msgHello, Worker: tc.worker}); err != nil {
 			t.Fatal(err)
 		}
 		size := buf.Len()
@@ -220,15 +219,15 @@ func TestLargeFrameBufferNotKept(t *testing.T) {
 
 // TestWarmFrameAllocBudget: a connection's warm write of a heartbeat
 // allocates nothing — no json.Marshal copy, no header+body slice — and its
-// warm read allocates only what decoding keeps (the frame and its strings)
-// plus encoding/json's own bookkeeping: no body. Counts measured with
+// warm read allocates only what decoding keeps (the frame and its type
+// string) plus encoding/json's own bookkeeping: no body. Counts measured with
 // go1.24; skipped under -race, which allocates on its own.
 func TestWarmFrameAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates")
 	}
-	const wantWrite, wantRead = 0, 7
-	hb := &frame{Type: msgHeartbeat, Worker: "w1"}
+	const wantWrite, wantRead = 0, 6
+	hb := &frame{Type: msgHeartbeat}
 	var fw frameWriter
 	if _, err := fw.write(io.Discard, hb); err != nil {
 		t.Fatal(err)
@@ -254,29 +253,10 @@ func TestWarmFrameAllocBudget(t *testing.T) {
 	}
 }
 
-// TestTaskKeyDistinguishesPrefixes: the dedup key separates distinct
-// decision prefixes and is stable across a JSON round trip.
-func TestTaskKeyDistinguishesPrefixes(t *testing.T) {
-	a := &core.SubtreeTask{Decisions: dec(0, 1, 2), Budget: 1, Explorable: true}
-	b := &core.SubtreeTask{Decisions: dec(0, 1, 3), Budget: 1, Explorable: true}
-	if taskKey(a) == taskKey(b) {
-		t.Fatalf("distinct prefixes share key %q", taskKey(a))
-	}
-	var buf bytes.Buffer
-	if _, err := writeFrame(&buf, &frame{Type: msgTask, Tasks: []wireTask{{Lease: 1, Tasks: []*core.SubtreeTask{a}}}}); err != nil {
-		t.Fatal(err)
-	}
-	fr, _, err := readFrame(&buf, maxFrameSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := fr.Tasks[0].Tasks[0]
-	if taskKey(got) != taskKey(a) {
-		t.Errorf("key unstable across codec: %q -> %q", taskKey(a), taskKey(got))
-	}
-	if !reflect.DeepEqual(got.Budget, a.Budget) || got.Explorable != a.Explorable {
-		t.Errorf("task fields changed: %+v -> %+v", a, got)
-	}
+// sameTask reports whether two subtree tasks are equal field for field.
+func sameTask(a, b *core.SubtreeTask) bool {
+	return a.Decisions.String() == b.Decisions.String() && a.Budget == b.Budget && a.Explorable == b.Explorable &&
+		a.Depth == b.Depth && reflect.DeepEqual(a.Sample, b.Sample)
 }
 
 // TestWriteFrameIsOneWrite: header and payload leave in a single Write — one
@@ -284,7 +264,7 @@ func TestTaskKeyDistinguishesPrefixes(t *testing.T) {
 // is the same.
 func TestWriteFrameIsOneWrite(t *testing.T) {
 	var w countingWriter
-	n, err := writeFrame(&w, &frame{Type: msgHeartbeat, Worker: "w"})
+	n, err := writeFrame(&w, &frame{Type: msgHeartbeat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,8 +289,8 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 // TestResultCarriesReproducerOnlyWhenKept: a run's full-depth decision vector
 // is the largest thing a replay produces and the report keeps it in three
 // cases only — an error, a deadlock, a sampled schedule. A clean exhaustive
-// lease's delta has no decision vector in it at all; its keys are the ones the
-// task frame carried, not a fresh rendering.
+// lease's delta has no decision vector in it at all, and the result names its
+// lease by id.
 func TestResultCarriesReproducerOnlyWhenKept(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -331,9 +311,9 @@ func TestResultCarriesReproducerOnlyWhenKept(t *testing.T) {
 			w := NewWorker(WorkerConfig{Addr: "unused", Explorer: cfg})
 			rt := &jobRuntime{cfg: cfg}
 			task := &core.SubtreeTask{Decisions: dec(0, 1, 2), Budget: core.Unbounded, Explorable: true, Sample: tc.sample}
-			res := w.runLease(rt, core.NewRunContext(&rt.cfg), wireTask{Lease: 7, Keys: []string{"key-from-the-task-frame"}, Tasks: []*core.SubtreeTask{task}})
-			if !slices.Equal(res.Keys, []string{"key-from-the-task-frame"}) || res.Lease != 7 {
-				t.Errorf("result echoes lease %d keys %q, want the task frame's", res.Lease, res.Keys)
+			res := w.runLease(rt, core.NewRunContext(&rt.cfg), wireTask{Lease: 7, Tasks: []*core.SubtreeTask{task}})
+			if res.Lease != 7 {
+				t.Errorf("result names lease %d, want the task frame's 7", res.Lease)
 			}
 			if res.Delta == nil || res.Delta.Interleavings != 1 || len(res.Delta.Frontier) != 0 {
 				t.Fatalf("delta = %+v, want one replay and nothing left", res.Delta)
@@ -394,8 +374,8 @@ func FuzzReadFrame(f *testing.F) {
 	task := &core.SubtreeTask{Decisions: dec(1, 3, 0), Budget: 2, Explorable: true}
 	for _, fr := range []*frame{
 		{Type: msgHello, Proto: protoVersion, Worker: "w1", Slots: 4, Spec: &fp},
-		{Type: msgTask, Job: "j1", Tasks: []wireTask{{Lease: 42, Keys: []string{taskKey(task)}, Tasks: []*core.SubtreeTask{task}, Budget: 3}}},
-		{Type: msgResult, Result: &WireResult{Lease: 42, Keys: []string{taskKey(task)}, Delta: deltaOf(fp, failedRun("boom"), task)}},
+		{Type: msgTask, Job: "j1", Tasks: []wireTask{{Lease: 42, Tasks: []*core.SubtreeTask{task}, Budget: 3}}},
+		{Type: msgResult, Result: &WireResult{Lease: 42, Delta: deltaOf(fp, failedRun("boom"), task)}},
 	} {
 		var buf bytes.Buffer
 		if _, err := writeFrame(&buf, fr); err != nil {
@@ -408,7 +388,7 @@ func FuzzReadFrame(f *testing.F) {
 	// Sequences: a long frame, then a short one; a long frame, then a short
 	// one cut off, whose missing bytes the long one's buffer still holds.
 	long := framed(ckp)
-	short := framed([]byte(`{"type":"heartbeat","worker":"w"}`))
+	short := framed([]byte(`{"type":"heartbeat"}`))
 	f.Add(slices.Concat(long, short, short), 1<<20)
 	f.Add(slices.Concat(long, short[:len(short)-5]), 1<<20)
 

@@ -23,12 +23,10 @@ type Status struct {
 	DecisionPts   int     `json:"decision_points"`
 	// FrontierDepth counts the subtrees waiting to be leased; LeasesGranted
 	// the leases handed out so far (interleavings ÷ leases_granted is the
-	// replays one round trip carries); DoneSet the leased subtrees explored,
-	// held for dedup — one entry per lease root, not per replay.
+	// replays one round trip carries).
 	FrontierDepth int     `json:"frontier_depth"`
 	ActiveLeases  int     `json:"active_leases"`
 	LeasesGranted uint64  `json:"leases_granted"`
-	DoneSet       int     `json:"done_set_size"`
 	Requeues      int     `json:"requeues"`
 	MeanPerSec    float64 `json:"per_second_mean"`
 	WindowPerSec  float64 `json:"per_second_window"`
@@ -94,11 +92,6 @@ func (c *Coordinator) Status() Status {
 
 		CheckpointsWritten: c.ckpBefore + c.ckp.Written(),
 	}
-	for _, done := range c.keys {
-		if done {
-			st.DoneSet++
-		}
-	}
 	switch {
 	case c.runErr != nil:
 		st.State = "failed"
@@ -160,7 +153,6 @@ func WriteMetrics(w io.Writer, st Status) {
 	fmt.Fprintf(w, "# HELP dampi_frontier_depth Pending subtree tasks.\n# TYPE dampi_frontier_depth gauge\ndampi_frontier_depth %d\n", st.FrontierDepth)
 	fmt.Fprintf(w, "# HELP dampi_active_leases Leases currently held by workers.\n# TYPE dampi_active_leases gauge\ndampi_active_leases %d\n", st.ActiveLeases)
 	fmt.Fprintf(w, "# HELP dampi_leases_total Leases granted.\n# TYPE dampi_leases_total counter\ndampi_leases_total %d\n", st.LeasesGranted)
-	fmt.Fprintf(w, "# HELP dampi_done_set_size Explored lease roots (one per subtree leased, not per replay) held for at-least-once dedup.\n# TYPE dampi_done_set_size gauge\ndampi_done_set_size %d\n", st.DoneSet)
 	fmt.Fprintf(w, "# HELP dampi_requeues_total Leases lost and requeued (crash, hang, disconnect).\n# TYPE dampi_requeues_total counter\ndampi_requeues_total %d\n", st.Requeues)
 	fmt.Fprintf(w, "# HELP dampi_errors_total Failing interleavings found.\n# TYPE dampi_errors_total counter\ndampi_errors_total %d\n", st.Errors)
 	fmt.Fprintf(w, "# HELP dampi_deadlocks_total Deadlocked interleavings found.\n# TYPE dampi_deadlocks_total counter\ndampi_deadlocks_total %d\n", st.Deadlocks)

@@ -105,7 +105,7 @@ func TestMetricsEndpoint(t *testing.T) {
 var statusGoldenFields = []string{
 	"state", "workload", "procs", "elapsed_sec", "interleavings", "errors",
 	"deadlocks", "decision_points", "frontier_depth", "active_leases",
-	"leases_granted", "done_set_size", "requeues", "per_second_mean", "per_second_window",
+	"leases_granted", "requeues", "per_second_mean", "per_second_window",
 	"frames_in", "frames_out", "wire_bytes_in", "wire_bytes_out",
 	"checkpoints_written", "workers",
 }
@@ -161,10 +161,10 @@ func TestStatusGoldenFieldSet(t *testing.T) {
 		t.Errorf("wire counters = %d frames / %d bytes in, %d / %d out; want 1 frame in, 3 out",
 			st.FramesIn, st.WireBytesIn, st.FramesOut, st.WireBytesOut)
 	}
-	// The root is leased, so nothing waits in the frontier and nothing is done.
-	if st.LeasesGranted != 1 || st.ActiveLeases != 1 || st.FrontierDepth != 0 || st.DoneSet != 0 {
-		t.Errorf("leases granted/active = %d/%d, frontier %d, done-set %d; want 1/1, 0, 0",
-			st.LeasesGranted, st.ActiveLeases, st.FrontierDepth, st.DoneSet)
+	// The root is leased, so nothing waits in the frontier.
+	if st.LeasesGranted != 1 || st.ActiveLeases != 1 || st.FrontierDepth != 0 {
+		t.Errorf("leases granted/active = %d/%d, frontier %d; want 1/1, 0",
+			st.LeasesGranted, st.ActiveLeases, st.FrontierDepth)
 	}
 	var workers []map[string]json.RawMessage
 	if err := json.Unmarshal(raw["workers"], &workers); err != nil || len(workers) != 1 {

@@ -190,7 +190,7 @@ func grown(f *fakeWorker, fp JobSpec, n int) []*core.SubtreeTask {
 		children[i] = &core.SubtreeTask{Decisions: dec(0, 1, i+1), Budget: core.Unbounded, Explorable: true}
 	}
 	root := f.recvTask()
-	if len(root.Keys) != 1 || root.Keys[0] != rootKey {
+	if len(root.Tasks) != 1 || !isRoot(root.Tasks[0]) {
 		f.t.Fatalf("first lease = %+v, want the root", root)
 	}
 	f.result(fp, root, rootRun(), children...)
@@ -220,7 +220,8 @@ func fanIn(p *mpi.Proc) error {
 	return nil
 }
 
-// sameMembers fails unless fresh has the members of the recorded frame body.
+// sameMembers fails unless fresh has the members of the recorded frame body,
+// but for the keys protocol 8 dropped, which a recording before it carries.
 func sameMembers(t *testing.T, fresh *WireResult, recorded []byte) {
 	t.Helper()
 	body, err := json.MarshalIndent(fresh, "", "  ")
@@ -234,14 +235,17 @@ func sameMembers(t *testing.T, fresh *WireResult, recorded []byte) {
 	if err := json.Unmarshal(body, &b); err != nil {
 		t.Fatal(err)
 	}
+	delete(a, "keys")
 	if got, want := memberTree(b), memberTree(a); got != want {
 		t.Errorf("a result frame's members changed since it was recorded (protoVersion must move with them):\n got %s\nwant %s\nthe frame now:\n%s", got, want, body)
 	}
 }
 
 // TestRecordedResultStillMerges: the recorded frames are what the worker
-// still produces, field for field, and what the coordinator still merges: a
-// root lease's result, and a result that names its untouched roots by count.
+// still produces, field for field (but for the keys a recording before
+// protocol 8 echoes), and what the coordinator still merges, those keys
+// ignored: a root lease's result, and a result that names its untouched
+// roots by count.
 func TestRecordedResultStillMerges(t *testing.T) {
 	// Which sender wins the self run's first match is the scheduler's choice;
 	// the members of the frame are the same either way.
@@ -252,7 +256,7 @@ func TestRecordedResultStillMerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameMembers(t, w.runLease(rt, core.NewRunContext(&rt.cfg), wireTask{Lease: 1, Keys: []string{rootKey}, Tasks: []*core.SubtreeTask{core.RootTask(&cfg)}, Budget: 1}), recorded)
+	sameMembers(t, w.runLease(rt, core.NewRunContext(&rt.cfg), wireTask{Lease: 1, Tasks: []*core.SubtreeTask{core.RootTask(&cfg)}, Budget: 1}), recorded)
 
 	c, w1 := fuzzCoordinator(t, FingerprintFor("fuzz", &cfg), 0)
 	var rec WireResult
@@ -290,8 +294,8 @@ func TestRecordedResultStillMerges(t *testing.T) {
 	}
 	w4 := &workerConn{conn: nullConn{}, wire: c.wire, name: "recorded", slots: 1, since: time.Now()}
 	c.step(evAttach{w4}, time.Now())
-	if len(c.leases) != 1 || !slices.Equal(c.leases[0].Keys, cut.Task.Keys) {
-		t.Fatalf("the resumed coordinator leased %+v, want the recorded lease's keys %q", c.leases, cut.Task.Keys)
+	if len(c.leases) != 1 || !slices.EqualFunc(c.leases[0].Tasks, cut.Task.Tasks, sameTask) {
+		t.Fatalf("the resumed coordinator leased %+v, want the recorded lease's roots %v", c.leases, cut.Task.Tasks)
 	}
 	rec = WireResult{}
 	if err := json.Unmarshal(cut.Result, &rec); err != nil {
@@ -303,13 +307,13 @@ func TestRecordedResultStillMerges(t *testing.T) {
 	c.handleResult(w4, &rec)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	waiting := slices.Concat(cut.Task.Keys[:2], []string{taskKey(rec.Delta.Frontier[0])})
-	var got []string
+	waiting := slices.Concat(cut.Task.Tasks[:2], rec.Delta.Frontier[:1])
+	var got []*core.SubtreeTask
 	for _, l := range c.leases {
-		got = append(got, l.Keys...)
+		got = append(got, l.Tasks...)
 	}
-	if c.runErr != nil || c.report.Interleavings != 2 || !slices.Equal(got, waiting) {
-		t.Errorf("recorded cut result: err %v, %d interleavings, leased %q; want 2 and %q", c.runErr, c.report.Interleavings, got, waiting)
+	if c.runErr != nil || c.report.Interleavings != 2 || !slices.EqualFunc(got, waiting, sameTask) {
+		t.Errorf("recorded cut result: err %v, %d interleavings, leased %v; want 2 and %v", c.runErr, c.report.Interleavings, got, waiting)
 	}
 }
 
@@ -356,8 +360,8 @@ func TestRunLeaseCountsUntouchedRoots(t *testing.T) {
 					res.Fatal, res.Untouched, res.Delta.Interleavings, len(res.Delta.Frontier), tc.untouched, tc.replays, tc.left)
 			}
 			for _, sub := range res.Delta.Frontier {
-				if slices.Contains(wt.Keys, taskKey(sub)) {
-					t.Errorf("leased root %s listed in the frontier", taskKey(sub))
+				if slices.ContainsFunc(wt.Tasks, func(r *core.SubtreeTask) bool { return r.Decisions.String() == sub.Decisions.String() }) {
+					t.Errorf("leased root %s listed in the frontier", sub.Decisions)
 				}
 			}
 			if !slices.Equal(wt.Tasks, cut.Task.Tasks) {
@@ -405,7 +409,7 @@ func (nullConn) SetWriteDeadline(time.Time) error { return nil }
 func (nullConn) RemoteAddr() net.Addr             { return &net.TCPAddr{} }
 
 // fuzzCoordinator returns an unserved coordinator with one 1-slot worker
-// attached, holding the root lease: lease 1, key rootKey, budget 1.
+// attached, holding the root lease: lease 1, the root task, budget 1.
 func fuzzCoordinator(t testing.TB, fp JobSpec, max int) (*Coordinator, *workerConn) {
 	fp.MaxInterleavings = max
 	c, err := New(Config{Fingerprint: fp})
@@ -414,16 +418,16 @@ func fuzzCoordinator(t testing.TB, fp JobSpec, max int) (*Coordinator, *workerCo
 	}
 	w := &workerConn{conn: nullConn{}, wire: c.wire, name: "fuzz", slots: 1, since: time.Now()}
 	c.step(evAttach{w}, time.Now())
-	if len(c.leases) != 1 || c.leases[0].Lease != 1 || c.leases[0].Keys[0] != rootKey || c.leases[0].Budget != 1 {
+	if len(c.leases) != 1 || c.leases[0].Lease != 1 || !isRoot(c.leases[0].Tasks[0]) || c.leases[0].Budget != 1 {
 		t.Fatalf("root lease = %+v", c.leases)
 	}
 	return c, w
 }
 
 // FuzzLeaseResult: a result frame's body is untrusted past the frame reader.
-// Whatever arrives for a held lease — or for none — the machine either fails
-// the exploration or merges it; it never panics, and it never counts more
-// replays than the cap.
+// Whatever arrives for the held lease, the machine either fails the
+// exploration or merges it; whatever arrives for another lease changes
+// nothing. It never panics, and it never counts more replays than the cap.
 func FuzzLeaseResult(f *testing.F) {
 	const max = 3
 	cfg := core.ExplorerConfig{Procs: 3, MixingBound: core.Unbounded}
@@ -436,16 +440,16 @@ func FuzzLeaseResult(f *testing.F) {
 	f.Add(recorded, false)
 	child := &core.SubtreeTask{Decisions: dec(0, 1, 2), Budget: core.Unbounded, Explorable: true}
 	for _, res := range []*WireResult{
-		{Lease: 1, Keys: []string{rootKey}, Delta: deltaOf(fp, rootRun(), child, child)},
-		{Lease: 1, Keys: []string{rootKey}, Delta: deltaOf(fp, failedRun("boom"))},
-		{Lease: 1, Keys: []string{rootKey}, Delta: deltaOf(fp, &core.Report{Interleavings: 1 << 40})},
-		{Lease: 1, Keys: []string{rootKey}, Delta: deltaOf(fp, &core.Report{}, core.RootTask(&cfg))},
-		{Lease: 1, Keys: []string{rootKey}, Fatal: "harness failure"},
-		{Lease: 9, Keys: []string{taskKey(child), rootKey}, Delta: deltaOf(fp, &core.Report{Interleavings: 2})},
-		{Lease: 1, Keys: []string{rootKey}, Untouched: 1, Delta: deltaOf(fp, &core.Report{})},
-		{Lease: 1, Keys: []string{rootKey}, Untouched: -1, Delta: deltaOf(fp, rootRun(), child)},
-		{Lease: 1, Keys: []string{rootKey}, Untouched: 2, Delta: deltaOf(fp, &core.Report{})},
-		{Lease: 9, Keys: []string{taskKey(child), rootKey}, Untouched: 1, Delta: deltaOf(fp, rootRun())},
+		{Lease: 1, Delta: deltaOf(fp, rootRun(), child, child)},
+		{Lease: 1, Delta: deltaOf(fp, failedRun("boom"))},
+		{Lease: 1, Delta: deltaOf(fp, &core.Report{Interleavings: 1 << 40})},
+		{Lease: 1, Delta: deltaOf(fp, &core.Report{}, core.RootTask(&cfg))},
+		{Lease: 1, Fatal: "harness failure"},
+		{Lease: 9, Delta: deltaOf(fp, &core.Report{Interleavings: 2})},
+		{Lease: 1, Untouched: 1, Delta: deltaOf(fp, &core.Report{})},
+		{Lease: 1, Untouched: -1, Delta: deltaOf(fp, rootRun(), child)},
+		{Lease: 1, Untouched: 2, Delta: deltaOf(fp, &core.Report{})},
+		{Lease: 9, Untouched: 1, Delta: deltaOf(fp, rootRun())},
 	} {
 		body, err := json.Marshal(res)
 		if err != nil {
@@ -453,7 +457,7 @@ func FuzzLeaseResult(f *testing.F) {
 		}
 		f.Add(body, true)
 	}
-	f.Add([]byte(`{"lease":1,"keys":["{}"],"delta":{"version":1,"procs":3,"mixing_bound":-1,"interleavings":1,"frontier":[null],"errors":[null]}}`), true)
+	f.Add([]byte(`{"lease":1,"delta":{"version":1,"procs":3,"mixing_bound":-1,"interleavings":1,"frontier":[null],"errors":[null]}}`), true)
 
 	f.Fuzz(func(t *testing.T, body []byte, held bool) {
 		var res WireResult
@@ -468,8 +472,10 @@ func FuzzLeaseResult(f *testing.F) {
 		if n := c.report.Interleavings; n < 0 || n > max || (c.runErr != nil && n != 0) {
 			t.Fatalf("%d interleavings merged (cap %d, err %v) from %s", n, max, c.runErr, body)
 		}
-		if held && slices.ContainsFunc(c.leases, func(l *lease) bool { return l.Lease == 1 }) {
+		if stillHeld := slices.ContainsFunc(c.leases, func(l *lease) bool { return l.Lease == 1 }); res.Lease == 1 && stillHeld {
 			t.Fatalf("lease 1 still held after its result: %s", body)
+		} else if res.Lease != 1 && (!stillHeld || c.runErr != nil || c.report.Interleavings != 0) {
+			t.Fatalf("a result for lease %d, not held, changed the machine (held %v, err %v, %d merged): %s", res.Lease, stillHeld, c.runErr, c.report.Interleavings, body)
 		}
 	})
 }
@@ -494,11 +500,7 @@ func FuzzTaskFrame(f *testing.F) {
 		f.Fatalf("root lease: %+v", res)
 	}
 	left := res.Delta.Frontier
-	keys := make([]string, len(left))
-	for i, t := range left {
-		keys[i] = taskKey(t)
-	}
-	for _, wt := range []wireTask{root, {Lease: 2, Keys: keys, Tasks: left, Budget: 2}} {
+	for _, wt := range []wireTask{root, {Lease: 2, Tasks: left, Budget: 2}} {
 		var buf bytes.Buffer
 		if _, err := writeFrame(&buf, &frame{Type: msgTask, Job: "fuzz", Tasks: []wireTask{wt}}); err != nil {
 			f.Fatal(err)
@@ -506,8 +508,8 @@ func FuzzTaskFrame(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	for _, body := range []string{
-		`{"type":"task","job":"fuzz","tasks":[{"lease":3,"keys":["{}"],"tasks":[null]}]}`,
-		`{"type":"task","job":"fuzz","tasks":[{"lease":4,"keys":["{}"],"tasks":[{"decisions":{"by_rank":{"7":{"1":0}}}}]}]}`,
+		`{"type":"task","job":"fuzz","tasks":[{"lease":3,"tasks":[null]}]}`,
+		`{"type":"task","job":"fuzz","tasks":[{"lease":4,"tasks":[{"decisions":{"by_rank":{"7":{"1":0}}}}]}]}`,
 	} {
 		f.Add(append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...))
 	}

@@ -276,7 +276,7 @@ func (w *Worker) session(conn net.Conn) (bool, error) {
 			case <-hbStop:
 				return
 			case <-ticker.C:
-				_ = send(&frame{Type: msgHeartbeat, Worker: w.cfg.Name})
+				_ = send(&frame{Type: msgHeartbeat})
 			}
 		}
 	}()
@@ -364,7 +364,7 @@ read:
 						reason = rt.err
 					}
 					_ = send(&frame{Type: msgResult, Job: fr.Job, Result: &WireResult{
-						Lease: wt.Lease, Keys: wt.Keys, Fatal: reason,
+						Lease: wt.Lease, Fatal: reason,
 					}})
 					continue
 				}
@@ -398,7 +398,7 @@ read:
 // the expansions it did not reach. A lease the job's world cannot replay is
 // answered Fatal before anything runs.
 func (w *Worker) runLease(rt *jobRuntime, rc *core.RunContext, wt wireTask) *WireResult {
-	out := &WireResult{Lease: wt.Lease, Keys: wt.Keys}
+	out := &WireResult{Lease: wt.Lease}
 	if err := replayable(&rt.cfg, wt.Tasks); err != nil {
 		out.Fatal = err.Error()
 		return out

@@ -15,8 +15,8 @@
 // next lease, unless another slot is waiting for work — then the older half
 // rejoins the frontier — so each slot's search stays depth-first and the
 // frontier small. The mutex is taken per slice, not per replay; between two
-// replays a slot looks at three atomics. An in-process lease cannot be lost or
-// duplicated, so there are no keys, no codec and no done-set here.
+// replays a slot looks at three atomics. An in-process lease cannot be lost,
+// so there is no expiry, no redelivery cap and no codec here.
 //
 // The frontier is periodically checkpointed to a JSON file (reusing the
 // core.Decisions round-trip format) — the pending subtrees, the roots of the
@@ -106,10 +106,12 @@ type Engine struct {
 	// slot is what every slot's RunContext replays under: cfg.Explorer with
 	// observe as the per-replay callback, when cfg.Explorer has one.
 	slot core.ExplorerConfig
-	// maxRoots and slice are MaxLeaseRoots and LeaseSlice; tests vary them
-	// before Explore.
+	// maxRoots and slice are MaxLeaseRoots and LeaseSlice, and now is
+	// time.Now: the clock of the slices, the checkpoint cadence and progress;
+	// tests vary them before Explore.
 	maxRoots int
 	slice    time.Duration
+	now      func() time.Time
 
 	// ckp writes CheckpointPath (nothing without one).
 	ckp *CheckpointWriter
@@ -151,6 +153,7 @@ func New(cfg Config) *Engine {
 		slot:     cfg.Explorer,
 		maxRoots: MaxLeaseRoots,
 		slice:    LeaseSlice,
+		now:      time.Now,
 		ckp:      NewCheckpointWriter(cfg.CheckpointPath),
 		cad:      NewCadence(cfg.CheckpointEvery),
 		front:    Frontier[*core.SubtreeTask]{Max: cfg.Explorer.MaxInterleavings},
@@ -182,7 +185,7 @@ func (e *Engine) Stop() {
 // Explore runs the exploration to completion (or cap, stop, resume
 // exhaustion) and returns the merged coverage report.
 func (e *Engine) Explore() (*core.Report, error) {
-	e.start = time.Now()
+	e.start = e.now()
 	e.cad.Begin(e.start)
 	// The initial self-discovery run is a task like any other: alone in the
 	// frontier, so it is leased first, and its expansion feeds the pool.
@@ -247,13 +250,13 @@ func (e *Engine) runSlot(id int) {
 				return
 			}
 		}
-		start, ran := time.Now(), 0
+		start, ran := e.now(), 0
 		rep, left, unbuilt, err := rc.Explore(stack, budget, final, func() bool {
 			ran++
 			if count {
 				e.completed.Add(1)
 			}
-			return e.halted.Load() || e.waiting.Load() > 0 || ran >= every || time.Since(start) >= e.slice
+			return e.halted.Load() || e.waiting.Load() > 0 || ran >= every || e.now().Sub(start) >= e.slice
 		})
 		stack, budget, final = e.release(id, budget, rep, left, unbuilt, err)
 	}
@@ -356,7 +359,7 @@ func (e *Engine) release(id, budget int, rep *core.Report, left []*core.SubtreeT
 			}
 		}
 		e.front.Tasks = append(e.front.Tasks, left[:give]...)
-		if e.cfg.CheckpointPath != "" && e.cad.Due(rep.Interleavings, time.Now()) {
+		if e.cfg.CheckpointPath != "" && e.cad.Due(rep.Interleavings, e.now()) {
 			ckp = e.checkpointLocked()
 		}
 	}
@@ -425,7 +428,7 @@ func (e *Engine) finish() (*core.Report, error) {
 // snapshot builds a Progress. Called only from the monitor goroutine, which
 // solely owns the rate tracker.
 func (e *Engine) snapshot() Progress {
-	p := e.rate.Snapshot(e.start, time.Now(), int(e.completed.Load()))
+	p := e.rate.Snapshot(e.start, e.now(), int(e.completed.Load()))
 	e.mu.Lock()
 	p.FrontierDepth, p.Busy = len(e.front.Tasks), e.front.held
 	for _, roots := range e.holding {

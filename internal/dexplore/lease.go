@@ -34,8 +34,8 @@ const DefaultProgressEvery = time.Second
 // its engine's one mutex: the subtrees waiting to be leased, and what the
 // leases out hold of the interleaving cap. The in-process Engine shares one
 // among its slots; the cluster Coordinator holds one whose entries carry
-// their wire keys, and adds only what a wire needs (done-set, redelivery,
-// expiry, late results).
+// their redelivery count, and adds only what a wire needs (expiry and the
+// redelivery cap).
 type Frontier[T any] struct {
 	// Tasks holds the pending subtrees, oldest (shallowest) first: grants take
 	// from the front, leftovers and requeues join at the back.

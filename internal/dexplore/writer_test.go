@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -126,8 +127,8 @@ func slowed(cfg core.ExplorerConfig, d time.Duration) core.ExplorerConfig {
 
 // TestDefaultCadenceFollowsTheClock: without a CheckpointEvery an engine
 // writes by the clock — a run shorter than the interval only its final
-// checkpoint, a run several intervals long about one file per interval —
-// and no lease is cut short for it.
+// checkpoint, a run several intervals long one cut at the first merge an
+// interval after the last — and no lease is cut short for it.
 func TestDefaultCadenceFollowsTheClock(t *testing.T) {
 	memo := newMemoRunner()
 	cfg := core.ExplorerConfig{Procs: 6, Program: matmul.Program(matmul.Config{}), Runner: memo.Run}
@@ -149,23 +150,34 @@ func TestDefaultCadenceFollowsTheClock(t *testing.T) {
 		t.Errorf("final checkpoint = %+v (err %v), want %d interleavings and no frontier", ckp, err, rep.Interleavings)
 	}
 
-	const interval = 5 * time.Millisecond
-	long := New(Config{Explorer: slowed(cfg, 3*time.Millisecond), Workers: 2, CheckpointPath: path})
+	// Several intervals on the engine's own clock, which moves only as the
+	// replays do: 3ms each, so every 1ms lease is one replay and merges at a
+	// multiple of 3ms. One slot writes each cut before its next lease, so the
+	// count is exact on any host: a cut at every second merge (6ms, 12ms, ...),
+	// the first 6ms after the start and each 6ms after the last — at least
+	// the 5ms interval apart, the upper bound.
+	const interval, replay = 5 * time.Millisecond, 3 * time.Millisecond
+	var clock atomic.Int64
+	fake := cfg
+	fake.Runner = func(c *core.ExplorerConfig, dec *core.Decisions) (*core.RunTrace, *core.InterleavingResult, error) {
+		clock.Add(int64(replay))
+		return cfg.Runner(c, dec)
+	}
+	long := New(Config{Explorer: fake, Workers: 1, CheckpointPath: path})
 	long.cad.Interval = interval
 	long.slice = time.Millisecond
-	start := time.Now()
-	if _, err := long.Explore(); err != nil {
+	long.now = func() time.Time { return time.Unix(0, clock.Load()) }
+	rep, err = long.Explore()
+	if err != nil {
 		t.Fatal(err)
 	}
-	elapsed := time.Since(start)
+	elapsed := time.Duration(clock.Load())
 	periodic := long.ckp.Written() - 1
 	if elapsed < 8*interval {
-		t.Fatalf("fixture too fast: %v is not several intervals of %v", elapsed, interval)
+		t.Fatalf("fixture too small: %v is not several intervals of %v", elapsed, interval)
 	}
-	// Cuts are an interval apart at least, and a lease's slice, a write and a
-	// busy host apart at most: the upper bound is exact, the lower one loose.
-	if most := int64(elapsed / interval); periodic > most || periodic < most/4 {
-		t.Errorf("%d periodic writes in %v, want about one per %v (%d at most)", periodic, elapsed, interval, most)
+	if most, want := int64(elapsed/interval), int64(rep.Interleavings/2); periodic > most || periodic != want {
+		t.Errorf("%d periodic writes in %v, want one per two replays: %d (%d at most)", periodic, elapsed, want, most)
 	}
 }
 

@@ -474,7 +474,7 @@ func TestAPIStatusDuringJob(t *testing.T) {
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	seen := checkExposition(t, string(raw))
-	for _, m := range []string{"dampi_interleavings_total", "dampi_frontier_depth", "dampi_done_set_size", "dampi_active_leases"} {
+	for _, m := range []string{"dampi_interleavings_total", "dampi_frontier_depth", "dampi_active_leases"} {
 		if !seen[m] {
 			t.Errorf("/metrics during a job is missing %s", m)
 		}

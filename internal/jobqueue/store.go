@@ -224,8 +224,10 @@ func idNumber(id string) uint64 {
 
 // append writes one WAL record — durably (fsync before return) when sync is
 // set; otherwise the next synced record carries it to disk, and a crash before
-// that loses it — and triggers a snapshot when the journal has grown enough.
-// Callers hold s.mu.
+// that loses it — then applies it to memory, and triggers a snapshot when the
+// journal has grown enough. A record that could not be written or synced is
+// not applied: what Get, List and Counts show never runs ahead of the
+// journal. Callers hold s.mu.
 func (s *Store) append(rec walRecord, sync bool) error {
 	body, err := json.Marshal(&rec)
 	if err != nil {
@@ -239,6 +241,11 @@ func (s *Store) append(rec walRecord, sync bool) error {
 		if err := s.syncWAL(); err != nil {
 			return fmt.Errorf("jobqueue: sync wal: %w", err)
 		}
+	}
+	if rec.Op == "delete" {
+		delete(s.jobs, rec.ID)
+	} else {
+		s.jobs[rec.Job.ID] = rec.Job
 	}
 	s.walRecords++
 	if s.walRecords >= s.snapshotEvery {
@@ -300,9 +307,10 @@ func (s *Store) snapshotLocked() error {
 	return nil
 }
 
-// put persists a job's full state. Callers hold s.mu.
+// put persists a job's full state, which then replaces the stored one. j
+// must be a job s.jobs does not hold (a new job, or a clone to change).
+// Callers hold s.mu.
 func (s *Store) put(j *Job, sync bool) error {
-	s.jobs[j.ID] = j
 	return s.append(walRecord{Op: "put", Job: j}, sync)
 }
 
@@ -395,8 +403,9 @@ func (s *Store) Counts() map[State]int {
 	return out
 }
 
-// update applies fn to the job under the lock and persists the result, with
-// an fsync if sync is set. fn returning an error aborts without persisting.
+// update applies fn to a copy of the job under the lock and persists the
+// result, with an fsync if sync is set; the copy replaces the job only once
+// it is persisted. fn returning an error aborts without persisting.
 func (s *Store) update(id string, sync bool, fn func(*Job) error) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -407,6 +416,7 @@ func (s *Store) update(id string, sync bool, fn func(*Job) error) (*Job, error) 
 	if !ok {
 		return nil, fmt.Errorf("jobqueue: no job %s", id)
 	}
+	j = j.clone()
 	if err := fn(j); err != nil {
 		return nil, err
 	}
@@ -489,7 +499,6 @@ func (s *Store) Delete(id string) error {
 	if !j.State.Terminal() {
 		return fmt.Errorf("jobqueue: job %s is %s; cancel it first", id, j.State)
 	}
-	delete(s.jobs, id)
 	if err := s.append(walRecord{Op: "delete", ID: id}, true); err != nil {
 		return err
 	}
@@ -521,6 +530,7 @@ func (s *Store) SweepExpired() ([]string, error) {
 		}
 		switch j.State {
 		case Queued:
+			j = j.clone()
 			j.State = Failed
 			j.Error = ttlExpired
 			j.FinishedAt = s.now().UTC()

@@ -3,6 +3,7 @@ package jobqueue
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -140,6 +141,57 @@ func TestStoreStateMachine(t *testing.T) {
 	}
 	if _, err := s.SetState(j.ID, Failed, "x"); err == nil {
 		t.Error("done → failed was allowed")
+	}
+}
+
+// TestFailedWALWriteChangesNothing: a mutation whose journal record cannot
+// be written returns the error and leaves the jobs as Get, List and Counts
+// showed them — memory never runs ahead of the WAL. The WAL is made
+// unwritable by closing its file under the store.
+func TestFailedWALWriteChangesNothing(t *testing.T) {
+	s := openTestStore(t, t.TempDir(), 0)
+	defer s.Close()
+	queued, _, err := s.Submit(testSpec(3), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merging, _, err := s.Submit(testSpec(4), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, to := range []State{Running, Merging} {
+		if _, err := s.SetState(merging.ID, to, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := func() string {
+		var b strings.Builder
+		for _, j := range s.List() {
+			got, _ := s.Get(j.ID)
+			fmt.Fprintf(&b, "%s %s attempts=%d interleavings=%d report=%v; ", got.ID, got.State, got.Attempts, got.Interleavings, got.HasReport)
+		}
+		c := s.Counts()
+		fmt.Fprintf(&b, "queued=%d running=%d merging=%d done=%d failed=%d", c[Queued], c[Running], c[Merging], c[Done], c[Failed])
+		return b.String()
+	}
+	before := seen()
+	if err := s.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func() error
+	}{
+		{"SetState", func() error { _, err := s.SetState(queued.ID, Running, ""); return err }},
+		{"Finish", func() error { _, err := s.Finish(merging.ID, &JobReport{Interleavings: 7}); return err }},
+		{"Submit", func() error { _, _, err := s.Submit(testSpec(5), 0); return err }},
+	} {
+		if err := tc.mutate(); err == nil || !strings.Contains(err.Error(), "wal") {
+			t.Errorf("%s with an unwritable WAL: err %v, want the write's", tc.name, err)
+		}
+		if after := seen(); after != before {
+			t.Errorf("%s with an unwritable WAL changed the jobs:\n%s\nwas\n%s", tc.name, after, before)
+		}
 	}
 }
 
