@@ -10,6 +10,7 @@ import (
 	"os"
 	"slices"
 	"strconv"
+	"sync"
 )
 
 // Decisions is the Epoch Decisions file of the paper: for each rank, the
@@ -17,15 +18,36 @@ import (
 // epoch. A rank's guided epoch — the largest forced clock value, past which
 // the rank reverts to SELF_RUN — is the LC of its last decision.
 //
-// The set is one slice sorted by (rank, LC) with no duplicate key: a decision
-// prefix is cloned once per child task, rendered into every task key and
-// moved over the wire three times per cluster replay, and all of those are a
-// single linear pass over a sorted slice. Each rank's decisions are one
-// contiguous run of it, which a replaying rank reads in LC order through a
-// cursor (Tool). An entry is 16 bytes: ranks and sources are 32-bit.
+// A set has one of two forms. A flat set is one slice sorted by (rank, LC)
+// with no duplicate key: a file, a frame, a checkpoint and a replay read it,
+// and all of those are a single linear pass over it. Each rank's decisions
+// are one contiguous run of it, which a replaying rank reads in LC order
+// through a cursor (Tool). An entry is 16 bytes: ranks and sources are
+// 32-bit.
+//
+// A prefix node is a child task's prefix as the search builds it (see
+// SubtreeTask.buildChildren): its parent task's set, shared by every sibling,
+// plus the new epochs its parent's run observed before the flipped one,
+// pinned to their observed choices, plus the flip. The pins are a
+// capacity-clipped view of one array per expansion, in commit order, so a
+// child costs one small allocation however long its prefix. The search never
+// changes a node or what it points to once built, and Force refuses a node.
+// Every method reads a node as the flat set it stands for (flattenInto),
+// which a replay builds in its slot's reused scratch and which a file or a
+// frame renders byte for byte as it would render that flat set.
 type Decisions struct {
+	// entries is the flat set, or a node's pins in commit order.
 	entries []decision
+	// parent is a node's parent set (noDecisions for the root task's nil
+	// one); nil marks a flat set.
+	parent *Decisions
+	// flip is a node's flipped epoch.
+	flip decision
 }
+
+// noDecisions is the parent a node records for the root task's nil prefix:
+// the empty flat set, never changed.
+var noDecisions = new(Decisions)
 
 // decision forces one epoch to a communicator-local source (or, at a choice
 // point, a request index or found flag).
@@ -56,6 +78,9 @@ func compareKey(a, b decision) int {
 	return cmp.Compare(a.lc, b.lc)
 }
 
+// sameKey reports whether two decisions force the same epoch.
+func sameKey(a, b decision) bool { return a.rank == b.rank && a.lc == b.lc }
+
 // NewDecisions returns an empty decision set (pure self-run).
 func NewDecisions() *Decisions {
 	return &Decisions{}
@@ -63,8 +88,71 @@ func NewDecisions() *Decisions {
 
 // Empty reports whether no decisions are recorded.
 func (d *Decisions) Empty() bool {
-	return d == nil || len(d.entries) == 0
+	return d == nil || d.parent == nil && len(d.entries) == 0
 }
+
+// isNode reports whether d is a prefix node rather than a flat set.
+func (d *Decisions) isNode() bool {
+	return d != nil && d.parent != nil
+}
+
+// child returns the prefix node of a child of the task whose set is d (nil
+// for the root task): pins, the new epochs the task's run observed before the
+// flipped one, in commit order, and the flip. The node keeps pins as a
+// capacity-clipped view, so the caller may append to its own array but must
+// never overwrite what the view covers.
+func (d *Decisions) child(pins []decision, flip decision) *Decisions {
+	parent := d
+	if parent == nil {
+		parent = noDecisions
+	}
+	return &Decisions{entries: slices.Clip(pins), parent: parent, flip: flip}
+}
+
+// flattenInto returns the flat set d stands for: d itself when it is flat (or
+// nil); for a node, its chain flattened into out's storage, which it returns.
+// The precedence is the one a copy of the parent's set would have had, pinned
+// and flipped: a node's inherited decisions beat its pins, the first of a
+// repeated pinned key wins, and the flip replaces. So for each key the deepest
+// flip that decides it wins, and failing one the first to decide it from the
+// top of the chain down. Laying out the flips deepest first, then the top
+// set, then every node's pins from the top down makes that precedence the
+// order of appearance: one stable sort by key, keeping the first of each key,
+// flattens the chain.
+func (d *Decisions) flattenInto(out *Decisions) *Decisions {
+	if !d.isNode() {
+		return d
+	}
+	flips, n := 0, 0
+	top := d
+	for ; top.parent != nil; top = top.parent {
+		flips++
+		n += len(top.entries)
+	}
+	n += flips + len(top.entries)
+	buf := slices.Grow(out.entries[:0], n)[:n]
+	at := n
+	for i, e := 0, d; e.parent != nil; i, e = i+1, e.parent {
+		buf[i] = e.flip
+		at -= len(e.entries)
+		copy(buf[at:], e.entries)
+	}
+	copy(buf[flips:], top.entries)
+	sortByKey(buf)
+	out.entries = slices.CompactFunc(buf, sameKey)
+	return out
+}
+
+// sortByKey sorts decisions by (rank, LC), keeping equal keys in their order.
+func sortByKey(ds []decision) {
+	if !slices.IsSortedFunc(ds, compareKey) {
+		slices.SortStableFunc(ds, compareKey)
+	}
+}
+
+// flatScratch lends the flat sets MarshalJSON renders a node from, so a
+// frame or a checkpoint of a frontier allocates no set per task.
+var flatScratch = sync.Pool{New: func() any { return new(Decisions) }}
 
 // search returns the position of (rank, lc) in the sorted entries, or where
 // it would be inserted. Only the random-access reads use it: Lookup, and
@@ -86,8 +174,14 @@ func (d *Decisions) search(rank int32, lc uint64) (int, bool) {
 }
 
 // Force records a forced source for an epoch, replacing any earlier one. It
-// panics on a rank or a source outside int32 (see newDecision).
+// panics on a rank or a source outside int32 (see newDecision), and on a
+// prefix node, which the search never changes. A set that has children is not
+// to be forced either: their nodes share its entries. Force a Clone of a
+// task's set, not the set itself.
 func (d *Decisions) Force(id EpochID, src int) {
+	if d.isNode() {
+		panic("core: Force on a prefix node; force a Clone of it")
+	}
 	d.put(newDecision(id.Rank, id.LC, src), true)
 }
 
@@ -147,16 +241,17 @@ func (d *Decisions) pin(recs []*EpochRecord) {
 			next[b]++
 		}
 	}
-	if !slices.IsSortedFunc(d.entries, compareKey) {
-		slices.SortStableFunc(d.entries, compareKey)
-	}
-	d.entries = slices.CompactFunc(d.entries, func(a, b decision) bool { return compareKey(a, b) == 0 })
+	sortByKey(d.entries)
+	d.entries = slices.CompactFunc(d.entries, sameKey)
 }
 
 // Lookup returns the forced source for an epoch, if any.
 func (d *Decisions) Lookup(rank int, lc uint64) (int, bool) {
 	if d == nil || int(int32(rank)) != rank {
 		return 0, false
+	}
+	if d.isNode() {
+		return d.Clone().Lookup(rank, lc)
 	}
 	if i, found := d.search(int32(rank), lc); found {
 		return int(d.entries[i].src), true
@@ -168,6 +263,12 @@ func (d *Decisions) Lookup(rank int, lc uint64) (int, bool) {
 // is within any): e forces all that d forces, so e's subtree lies in d's. One
 // merge pass over the two sorted sets.
 func (d *Decisions) Within(e *Decisions) bool {
+	if d.isNode() {
+		return d.Clone().Within(e)
+	}
+	if e.isNode() {
+		return d.Within(e.Clone())
+	}
 	var a, b []decision
 	if d != nil {
 		a = d.entries
@@ -188,8 +289,8 @@ func (d *Decisions) Within(e *Decisions) bool {
 	return true
 }
 
-// ofRank returns rank's decisions in ascending LC order: the set's run of
-// them, capacity-clipped, for a replaying rank to read through a cursor.
+// ofRank returns rank's decisions in ascending LC order: the flat set's run
+// of them, capacity-clipped, for a replaying rank to read through a cursor.
 func (d *Decisions) ofRank(rank int) []decision {
 	if d == nil || int(int32(rank)) != rank {
 		return nil
@@ -204,6 +305,12 @@ func (d *Decisions) ofRank(rank int) []decision {
 
 // Len returns the total number of forced decisions.
 func (d *Decisions) Len() int {
+	switch {
+	case d == nil:
+		return 0
+	case d.isNode():
+		return d.Clone().Len()
+	}
 	return len(d.entries)
 }
 
@@ -214,6 +321,9 @@ func (d *Decisions) InRange(procs int, choices bool) error {
 	if d == nil {
 		return nil
 	}
+	if d.isNode() {
+		return d.Clone().InRange(procs, choices)
+	}
 	for _, e := range d.entries {
 		if e.rank < 0 || int(e.rank) >= procs || e.src < 0 || !choices && int(e.src) >= procs {
 			return fmt.Errorf("core: decision r%d@%d→%d is out of range for %d ranks", e.rank, e.lc, e.src, procs)
@@ -222,16 +332,22 @@ func (d *Decisions) InRange(procs int, choices bool) error {
 	return nil
 }
 
-// Clone returns a deep copy (interleaving results keep their reproducer).
+// Clone returns a deep copy, flat (interleaving results keep their
+// reproducer).
 func (d *Decisions) Clone() *Decisions {
 	return d.CloneWithCapacity(0)
 }
 
-// CloneWithCapacity returns a deep copy that reserves room for extra
+// CloneWithCapacity returns a flat deep copy that reserves room for extra
 // additional decisions, so a caller about to Force a known number of entries
-// (the expansion hot path clones once per child task) never regrows it. A nil
-// receiver yields a fresh empty set.
+// (a reproducer pins every epoch of its run) never regrows it. A nil receiver
+// yields a fresh empty set.
 func (d *Decisions) CloneWithCapacity(extra int) *Decisions {
+	if d.isNode() {
+		f := d.flattenInto(new(Decisions))
+		f.entries = slices.Grow(f.entries, extra)
+		return f
+	}
 	var src []decision
 	if d != nil {
 		src = d.entries
@@ -243,6 +359,9 @@ func (d *Decisions) CloneWithCapacity(extra int) *Decisions {
 func (d *Decisions) String() string {
 	if d.Empty() {
 		return "{}"
+	}
+	if d.isNode() {
+		return d.Clone().String()
 	}
 	// "12→3 " is seven bytes, and a rank's "r0:[" … "] " six more.
 	b := make([]byte, 0, 10*len(d.entries)+8)
@@ -270,6 +389,11 @@ func (d *Decisions) String() string {
 // {"by_rank":{"<rank>":{"<lc>":src}}} (JSON object keys must be strings),
 // emitted in numeric (rank, LC) order.
 func (d *Decisions) MarshalJSON() ([]byte, error) {
+	if d.isNode() {
+		f := d.flattenInto(flatScratch.Get().(*Decisions))
+		defer flatScratch.Put(f)
+		return f.MarshalJSON()
+	}
 	b := make([]byte, 0, 12*len(d.entries)+16)
 	b = append(b, `{"by_rank":{`...)
 	for i, e := range d.entries {
@@ -307,7 +431,7 @@ func (d *Decisions) UnmarshalJSON(b []byte) error {
 	if err := s.value(); err != nil {
 		return err
 	}
-	d.entries = s.out
+	*d = Decisions{entries: s.out}
 	if len(s.out) == 0 {
 		d.entries = nil // the empty set has one form, NewDecisions's
 	}

@@ -13,6 +13,9 @@ func TestDecisionsBasics(t *testing.T) {
 	if !d.Empty() || d.Len() != 0 {
 		t.Fatal("new decisions not empty")
 	}
+	if n := (*Decisions)(nil).Len(); n != 0 { // the root task's prefix
+		t.Fatalf("nil Len = %d", n)
+	}
 	if ge := guidedEpoch(d, 3); ge != -1 {
 		t.Fatalf("guided epoch on empty = %d, want -1", ge)
 	}

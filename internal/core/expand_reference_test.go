@@ -64,7 +64,8 @@ func referenceExpand(t *SubtreeTask, cfg *ExplorerConfig, trace *RunTrace, build
 // expansionDiff expands t's run both ways — the product's expansion into ex
 // (reused, as a search reuses its own) and the reference — and describes the
 // first way they differ, or returns "": the counters, then every child in
-// stack order. Neither may change the task's decisions.
+// stack order, whose prefix node must flatten to the reference's clone.
+// Neither may change the task's decisions.
 func expansionDiff(t *SubtreeTask, cfg *ExplorerConfig, trace *RunTrace, build bool, ex *Expansion) string {
 	before := t.Decisions.String()
 	got := t.expand(cfg, trace, build, ex)
@@ -85,7 +86,7 @@ func expansionDiff(t *SubtreeTask, cfg *ExplorerConfig, trace *RunTrace, build b
 	}
 	for i, c := range gs {
 		w := ws[i]
-		if c.Decisions.String() != w.Decisions.String() || c.Budget != w.Budget || c.Explorable != w.Explorable || c.Depth != w.Depth || c.Sample != nil {
+		if !slices.Equal(flatEntries(c.Decisions), w.Decisions.entries) || c.Budget != w.Budget || c.Explorable != w.Explorable || c.Depth != w.Depth || c.Sample != nil {
 			return fmt.Sprintf("stack entry %d = %s budget %d explorable %v depth %d, reference %s budget %d explorable %v depth %d",
 				i, c.Decisions, c.Budget, c.Explorable, c.Depth, w.Decisions, w.Budget, w.Explorable, w.Depth)
 		}
@@ -126,8 +127,9 @@ func randomTrace(rng *rand.Rand, d *Decisions) *RunTrace {
 // TestOnePassExpansionMatchesReference: on seeded random synthetic traces —
 // uncompleted records, repeated keys, loop regions, an automatic loop
 // threshold, forced prefixes, every mixing budget, unexplorable tasks, and
-// count-only expansions — the one-pass expansion derives exactly the
-// reference's children, in the same stack order, and the same counters.
+// count-only expansions, tasks whose own prefix is a node — the one-pass
+// expansion derives exactly the reference's children, in the same stack
+// order, and the same counters.
 func TestOnePassExpansionMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	ex := &Expansion{}
@@ -137,6 +139,13 @@ func TestOnePassExpansionMatchesReference(t *testing.T) {
 			d = NewDecisions()
 			for i, n := 0, rng.Intn(8); i < n; i++ {
 				d.Force(EpochID{Rank: rng.Intn(4), LC: uint64(rng.Intn(12))}, rng.Intn(4))
+			}
+			if rng.Intn(2) == 0 {
+				var pins []decision
+				for i, n := 0, rng.Intn(6); i < n; i++ {
+					pins = append(pins, newDecision(rng.Intn(4), uint64(rng.Intn(12)), rng.Intn(4)))
+				}
+				d = d.child(pins, newDecision(rng.Intn(4), uint64(rng.Intn(12)), rng.Intn(4)))
 			}
 		}
 		task := &SubtreeTask{

@@ -67,7 +67,9 @@ type ExplorerConfig struct {
 	// residual scheduling non-determinism invisible, so cross-checks compare
 	// pure schedule-generator behavior. A Runner's trace keeps the Guided
 	// contract: a record is Guided exactly when decisions hold its
-	// (Rank, LC), since the search tells the forced prefix apart by it.
+	// (Rank, LC), since the search tells the forced prefix apart by it. The
+	// decisions are a flat set the calling RunContext reuses for its next
+	// run: a Runner that keeps them keeps a Clone.
 	Runner func(cfg *ExplorerConfig, decisions *Decisions) (*RunTrace, *InterleavingResult, error)
 }
 
@@ -395,6 +397,7 @@ type RunContext struct {
 	traces    traceStore         // where Explore builds the traces it drops
 	result    InterleavingResult // where Explore builds the results it drops
 	expansion Expansion          // where Explore builds exhaustive expansions
+	flat      Decisions          // where a run flattens a prefix node (see flatten)
 }
 
 // NewRunContext creates a replay slot for cfg. The config pointer is
@@ -416,11 +419,12 @@ func (rc *RunContext) Close() {
 // test seam when set. The trace and the result's reproducer are the caller's
 // to keep; the result's Index is left 0 for the caller to assign.
 func (rc *RunContext) Run(decisions *Decisions) (*RunTrace, *InterleavingResult, error) {
+	d := rc.flatten(decisions)
 	if rc.cfg.Runner != nil {
-		return rc.cfg.Runner(rc.cfg, decisions)
+		return rc.cfg.Runner(rc.cfg, d)
 	}
-	trace, res := rc.execute(decisions, nil)
-	res.Decisions = reproducer(decisions, trace)
+	trace, res := rc.execute(d, nil)
+	res.Decisions = reproducer(d, trace)
 	return trace, &res, nil
 }
 
@@ -430,24 +434,34 @@ func (rc *RunContext) Run(decisions *Decisions) (*RunTrace, *InterleavingResult,
 // Only a result that is kept is fresh and carries a reproducer: a failure (it
 // joins Report.Errors), a sampled step (Report.Add keys it) or one an
 // OnInterleaving observes. Any other result is the context's own, overwritten
-// by the next replay. A Runner's trace and result are its own.
+// by the next replay. A Runner's trace and result are its own. A prefix node
+// is flattened into the context's scratch set, which the next replay
+// overwrites: nothing of it is stored back into the task.
 func (rc *RunContext) replay(t *SubtreeTask) (*RunTrace, *InterleavingResult, error) {
 	cfg := rc.cfg
+	d := rc.flatten(t.Decisions)
 	if cfg.Runner != nil {
-		return cfg.Runner(cfg, t.Decisions)
+		return cfg.Runner(cfg, d)
 	}
 	var store *traceStore
-	if t.Decisions != nil {
+	if d != nil {
 		store = &rc.traces
 	}
-	trace, r := rc.execute(t.Decisions, store)
+	trace, r := rc.execute(d, store)
 	res := &rc.result
 	if r.Err != nil || t.Sample != nil || cfg.OnInterleaving != nil {
 		res = new(InterleavingResult)
-		r.Decisions = reproducer(t.Decisions, trace)
+		r.Decisions = reproducer(d, trace)
 	}
 	*res = r
 	return trace, res, nil
+}
+
+// flatten returns the flat set a run under d reads: d itself, or a prefix
+// node flattened into the context's scratch set, which the next run
+// overwrites.
+func (rc *RunContext) flatten(d *Decisions) *Decisions {
+	return d.flattenInto(&rc.flat)
 }
 
 // reproducer returns the decisions that replay a run: the forced prefix plus

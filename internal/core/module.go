@@ -83,9 +83,7 @@ type Tool struct {
 
 // NewTool creates the instrumentation for a run.
 func NewTool(cfg ToolConfig) *Tool {
-	if cfg.Decisions == nil {
-		cfg.Decisions = NewDecisions()
-	}
+	cfg.Decisions = flatOrEmpty(cfg.Decisions)
 	return &Tool{cfg: cfg, states: make([]*rankState, cfg.Procs)}
 }
 
@@ -95,11 +93,21 @@ func NewTool(cfg ToolConfig) *Tool {
 // state after the first run. Must not be called while a
 // world is running; collect the previous run's Trace first.
 func (t *Tool) Reset(decisions *Decisions) {
-	if decisions == nil {
-		decisions = NewDecisions()
-	}
-	t.cfg.Decisions = decisions
+	t.cfg.Decisions = flatOrEmpty(decisions)
 	t.committed = t.committed[:0]
+}
+
+// flatOrEmpty returns the flat set a run reads its decisions from: d itself
+// when flat, a flat copy of a prefix node (RunContext hands a tool the flat
+// set, built in its own scratch), a new empty set for nil.
+func flatOrEmpty(d *Decisions) *Decisions {
+	switch {
+	case d == nil:
+		return NewDecisions()
+	case d.isNode():
+		return d.Clone()
+	}
+	return d
 }
 
 // rankState is one rank's DAMPI module state. Accessed only on the owning

@@ -13,15 +13,17 @@ import "slices"
 
 // SubtreeTask is one independently explorable unit of the epoch-decision
 // search: replay the program under Decisions, then expand every newly
-// discovered wildcard epoch's alternates into child tasks. Tasks are
-// self-contained — two tasks share no mutable state — which is what makes
-// the search embarrassingly parallel and lets a frontier of pending tasks
+// discovered wildcard epoch's alternates into child tasks. Tasks share no
+// mutable state — a child's prefix node shares its parent's decisions and its
+// siblings' pins, none of which the search changes — which is what makes the
+// search embarrassingly parallel and lets a frontier of pending tasks
 // round-trip through JSON for checkpoint/resume.
 type SubtreeTask struct {
 	// Decisions is the forced prefix reproduced by this task's replay (nil
-	// for the root self-discovery run). The epochs it forces are part of the
-	// prefix, not new decision points: expansion skips the records its
-	// replay marked Guided.
+	// for the root self-discovery run); an expansion's children hold prefix
+	// nodes (see Decisions). The epochs it forces are part of the prefix, not
+	// new decision points: expansion skips the records its replay marked
+	// Guided.
 	Decisions *Decisions `json:"decisions"`
 	// Budget is the remaining mixing depth for frames discovered by this
 	// task's run (Unbounded = no bound), per the bounded-mixing heuristic
@@ -166,9 +168,9 @@ func (t *SubtreeTask) ExpandExhaustive(cfg *ExplorerConfig, trace *RunTrace) *Ex
 
 // expandExhaustive is ExpandExhaustive into the empty ex when build is set.
 // Otherwise the scan (counters and accounting) is identical but no child is
-// built — cloning a decision prefix per child is most of an expansion's
-// cost — and the children are only counted, for a caller that knows they
-// would never run. The forced prefix is told apart by EpochRecord.Guided,
+// built — a prefix node per child is most of an expansion's allocation — and
+// the children are only counted, for a caller that knows they would never
+// run. The forced prefix is told apart by EpochRecord.Guided,
 // not by looking each record up in the task's decisions.
 func (t *SubtreeTask) expandExhaustive(cfg *ExplorerConfig, trace *RunTrace, build bool, ex *Expansion) {
 	det := newLoopDetector(cfg.AutoLoopThreshold)
@@ -205,14 +207,15 @@ func (t *SubtreeTask) expandExhaustive(cfg *ExplorerConfig, trace *RunTrace, bui
 // left in ex.flipStart, replacing each with where that record's alternates
 // begin in ex.Children. A child carries the inherited decisions, every new
 // epoch before its flipped one pinned to its observed choice, and the flip.
-// So one pass up to the last flipped record grows a single running prefix —
-// sized for the pins it will take — by one pin per new epoch it passes, and
-// every alternate of a flip gets a clone of it plus the flip; the very last
-// alternate takes the running prefix itself.
+// So one pass up to the last flipped record appends one pin per new epoch it
+// passes to a single array, sized for the pins it will take, and every
+// alternate of a flip gets a prefix node: the task's decisions, a view of the
+// pins so far, and the flip. Which of a repeated record's pins wins is left
+// to the flattening (Decisions.flattenInto): the first.
 func (t *SubtreeTask) buildChildren(trace *RunTrace, pins int, ex *Expansion) {
 	budget, explorable := childBudget(t.Budget)
 	last := ex.flipStart[len(ex.flipStart)-1]
-	prefix := t.Decisions.CloneWithCapacity(pins + 1)
+	prefix := make([]decision, 0, pins)
 	next := 0 // the next flip's position in ex.flipStart
 	for i, rec := range trace.Epochs[:last+1] {
 		if rec.Chosen < 0 || rec.Guided {
@@ -221,14 +224,9 @@ func (t *SubtreeTask) buildChildren(trace *RunTrace, pins int, ex *Expansion) {
 		if i == ex.flipStart[next] {
 			ex.flipStart[next] = len(ex.Children)
 			next++
-			for j, alt := range rec.Alternates {
-				d := prefix
-				if i < last || j < len(rec.Alternates)-1 {
-					d = prefix.CloneWithCapacity(1)
-				}
-				d.Force(rec.ID(), alt)
+			for _, alt := range rec.Alternates {
 				ex.Children = append(ex.Children, &SubtreeTask{
-					Decisions:  d,
+					Decisions:  t.Decisions.child(prefix, newDecision(rec.Rank, rec.LC, alt)),
 					Budget:     budget,
 					Explorable: explorable,
 					Depth:      t.Depth + 1,
@@ -236,8 +234,7 @@ func (t *SubtreeTask) buildChildren(trace *RunTrace, pins int, ex *Expansion) {
 			}
 		}
 		if i < last {
-			// Pinned in place; the first of a repeated record wins.
-			prefix.put(newDecision(rec.Rank, rec.LC, rec.Chosen), false)
+			prefix = append(prefix, newDecision(rec.Rank, rec.LC, rec.Chosen))
 		}
 	}
 }
@@ -279,14 +276,17 @@ func (t *SubtreeTask) FlippableRecords(cfg *ExplorerConfig, trace *RunTrace) []F
 
 // FlipChild builds the child task that flips f to the given alternate: the
 // inherited decisions, plus f's prefix pinned to its observed choices, plus
-// the flip — the same shape (and therefore the same dedup key) an exhaustive
-// child of the same flip would have.
+// the flip — a prefix node that flattens to the set an exhaustive child of
+// the same flip would have.
 func (t *SubtreeTask) FlipChild(f Flippable, alt int) *SubtreeTask {
-	d := t.Decisions.CloneWithCapacity(len(f.Prefix) + 1)
-	d.pin(f.Prefix)
-	d.Force(f.Rec.ID(), alt)
+	pins := make([]decision, 0, len(f.Prefix))
+	for _, rec := range f.Prefix {
+		if rec.Chosen >= 0 { // a record never completed has nothing to reproduce
+			pins = append(pins, newDecision(rec.Rank, rec.LC, rec.Chosen))
+		}
+	}
 	return &SubtreeTask{
-		Decisions:  d,
+		Decisions:  t.Decisions.child(pins, newDecision(f.Rec.Rank, f.Rec.LC, alt)),
 		Budget:     Unbounded,
 		Explorable: true,
 		Depth:      t.Depth + 1,

@@ -14,7 +14,9 @@ import (
 	"testing"
 
 	"dampi/internal/core"
+	"dampi/internal/dexplore"
 	"dampi/internal/race"
+	"dampi/workloads/matmul"
 )
 
 // writeFrame writes one frame through a fresh frameWriter, as the first
@@ -436,4 +438,62 @@ func FuzzReadFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestChainedFrontierMarshalsAsItsFlatClone: a frontier the search built —
+// prefix nodes sharing their parents' decisions and pins — goes into a
+// checkpoint, a lease frame and a result frame byte for byte as a frontier of
+// flat clones of the same prefixes does.
+func TestChainedFrontierMarshalsAsItsFlatClone(t *testing.T) {
+	cfg := core.ExplorerConfig{Procs: 5, MixingBound: core.Unbounded, Program: matmul.Program(matmul.Config{})}
+	rc := core.NewRunContext(&cfg)
+	rep, chained, _, err := rc.Explore([]*core.SubtreeTask{core.RootTask(&cfg)}, 700, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := make([]*core.SubtreeTask, len(chained))
+	deepest := 0
+	for i, task := range chained {
+		cp := *task
+		cp.Decisions = task.Decisions.Clone()
+		flat[i] = &cp
+		deepest = max(deepest, task.Depth)
+	}
+	if len(chained) < 10 || deepest < 2 {
+		t.Fatalf("degenerate fixture: %d tasks, at most %d deep", len(chained), deepest)
+	}
+	encode := func(frontier []*core.SubtreeTask) (ckp, lease, result []byte) {
+		delta := dexplore.NewCheckpoint("matmul", &cfg, rep, frontier)
+		var buf bytes.Buffer
+		if err := delta.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		ckp = bytes.Clone(buf.Bytes())
+		var fw frameWriter
+		for _, fr := range []*frame{
+			{Type: msgTask, Job: "matmul", Tasks: []wireTask{{Lease: 3, Tasks: frontier, Budget: 40}}},
+			{Type: msgResult, Job: "matmul", Result: &WireResult{Lease: 3, Delta: delta}},
+		} {
+			buf.Reset()
+			if _, err := fw.write(&buf, fr); err != nil {
+				t.Fatal(err)
+			}
+			if fr.Type == msgTask {
+				lease = bytes.Clone(buf.Bytes())
+			} else {
+				result = bytes.Clone(buf.Bytes())
+			}
+		}
+		return ckp, lease, result
+	}
+	gotCkp, gotLease, gotResult := encode(chained)
+	wantCkp, wantLease, wantResult := encode(flat)
+	for _, c := range []struct {
+		name      string
+		got, want []byte
+	}{{"checkpoint", gotCkp, wantCkp}, {"lease frame", gotLease, wantLease}, {"result frame", gotResult, wantResult}} {
+		if !bytes.Equal(c.got, c.want) {
+			t.Errorf("%s of the chained frontier differs from its flat clone's:\n got %s\nwant %s", c.name, c.got, c.want)
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -511,5 +512,34 @@ func TestLoadsParentCheckpoint(t *testing.T) {
 	}
 	if resumed.Interleavings != 51 || resumed.Errored() {
 		t.Errorf("resumed run: %d interleavings, %d errors; want 51 and none", resumed.Interleavings, len(resumed.Errors))
+	}
+}
+
+// TestResumesFlatPrefixCheckpoint: testdata/checkpoint_flat_prefixes.json was
+// written by `dampi -workload adlb -procs 5 -k 1 -max 30 -leaks=false
+// -checkpoint` when every frontier task held its own flat copy of its prefix,
+// and checkpoint_flat_prefixes.resumed.txt is what `-resume -v` printed from
+// it then: every interleaving with its reproducer, in discovery order, and
+// the summary. Resumed now, with the file's prefixes at the top of the chains
+// of prefix nodes the search grows below them, the run prints the same lines.
+func TestResumesFlatPrefixCheckpoint(t *testing.T) {
+	ckp, err := LoadCheckpoint("testdata/checkpoint_flat_prefixes.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/checkpoint_flat_prefixes.resumed.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	cfg := core.ExplorerConfig{Procs: 5, MixingBound: 1, Program: adlb.Program(adlb.DriverConfig{})}
+	cfg.OnInterleaving = func(res *core.InterleavingResult) { fmt.Fprintf(&got, "  %v\n", res) }
+	rep, err := New(Config{Explorer: cfg, Workers: 1, Resume: ckp}).Explore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&got, "DAMPI: %s\n", rep.Summary())
+	if got.String() != string(want) {
+		t.Errorf("resumed run printed\n%s\nthe run that wrote the file printed\n%s", got.String(), want)
 	}
 }

@@ -347,13 +347,3 @@ func (fc *funcCtx) classifyUse(id *ast.Ident, res *traceResult,
 		}
 	}
 }
-
-// argIndex returns which argument of call the node occupies, -1 if none.
-func argIndex(call *ast.CallExpr, n ast.Node) int {
-	for i, a := range call.Args {
-		if ast.Node(a) == n {
-			return i
-		}
-	}
-	return -1
-}

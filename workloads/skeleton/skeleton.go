@@ -227,13 +227,3 @@ func LeakComm(p *mpi.Proc, c mpi.Comm) (mpi.Comm, error) {
 	}
 	return dup, nil
 }
-
-// LeakRequest posts a receive that never completes before finalize,
-// implanting an R-leak. The matching send never exists; the request is
-// simply abandoned (legal for nonblocking receives in this simulator, as in
-// MPI with MPI_Request_free semantics left out).
-func LeakRequest(p *mpi.Proc, c mpi.Comm) error {
-	//mpilint:ignore rleak -- intentional leak injector; the dynamic R-leak check must catch it
-	_, err := p.Irecv(c.Rank(), tagBase-1, c) // self, never sent
-	return err
-}
