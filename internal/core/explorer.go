@@ -389,6 +389,12 @@ func (e *Explorer) Explore() (*Report, error) {
 // ExecuteRun stop them before returning, and a caller that loops over Run
 // itself calls Close after its last run or leaves up to Procs parked
 // goroutines until the process exits.
+//
+// What a context builds depends on its config's shape only: Procs, Clock,
+// DualClock, Transport and ChoicePoints (the Tool is made for them, the
+// Pools for Procs). Retarget re-points a context at another config of the
+// same shape — the next job of a cluster worker's slot — so that job starts
+// on the request slabs, world skeleton and tool state the last one built.
 type RunContext struct {
 	cfg       *ExplorerConfig
 	tool      *Tool
@@ -404,6 +410,25 @@ type RunContext struct {
 // retained; the caller must keep it alive and unmodified across runs.
 func NewRunContext(cfg *ExplorerConfig) *RunContext {
 	return &RunContext{cfg: cfg}
+}
+
+// Retarget returns a replay slot for cfg. When cfg has the shape of the
+// config rc runs (see RunContext), that is rc itself, re-pointed at cfg and
+// keeping all it built; otherwise, or when rc is nil, it is a new context,
+// and rc is closed. Like NewRunContext it retains cfg. The program, the
+// bounds, the Sampler and the Runner may all differ: a run reads them from
+// the config pointer, not from anything the context built.
+func (rc *RunContext) Retarget(cfg *ExplorerConfig) *RunContext {
+	if rc == nil {
+		return NewRunContext(cfg)
+	}
+	if old := rc.cfg; old.Procs != cfg.Procs || old.Clock != cfg.Clock || old.DualClock != cfg.DualClock ||
+		old.Transport != cfg.Transport || old.ChoicePoints != cfg.ChoicePoints {
+		rc.Close()
+		return NewRunContext(cfg)
+	}
+	rc.cfg = cfg
+	return rc
 }
 
 // Close stops the rank coroutines the context's runs left parked (see

@@ -244,3 +244,49 @@ func TestRunContextOwnsItsRankCoroutines(t *testing.T) {
 		t.Fatalf("%d coroutines outlive ExecuteRun", got)
 	}
 }
+
+// TestRetargetKeepsOnlyItsShape: Retarget hands back the same context — its
+// Tool and Pools — for a config that differs in anything but the shape (the
+// program and the bounds here), and that context explores the new config
+// exactly as a new one does; a config that differs in one shape field gets
+// a new context.
+func TestRetargetKeepsOnlyItsShape(t *testing.T) {
+	explore := func(rc *RunContext) *Report {
+		t.Helper()
+		rep, _, _, err := rc.Explore([]*SubtreeTask{RootTask(rc.cfg)}, 0, true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	a := &ExplorerConfig{Procs: 4, Program: fanInProgram(4, 1), MixingBound: Unbounded}
+	rc := (*RunContext)(nil).Retarget(a)
+	if got := explore(rc).Interleavings; got != 6 {
+		t.Fatalf("first job: %d interleavings, want 6", got)
+	}
+	tool, pools := rc.tool, rc.pools
+
+	b := &ExplorerConfig{Procs: 4, Program: fanInProgram(4, 2), MixingBound: 1, MaxInterleavings: 100}
+	if rc.Retarget(b) != rc || rc.tool != tool || rc.pools != pools {
+		t.Fatal("a config of the same shape did not keep the context, its Tool and its Pools")
+	}
+	kept, fresh := explore(rc), explore(NewRunContext(b))
+	if kept.Summary() != fresh.Summary() || kept.DecisionPoints != fresh.DecisionPoints {
+		t.Errorf("kept context: %s (%d decision points), new context: %s (%d)",
+			kept.Summary(), kept.DecisionPoints, fresh.Summary(), fresh.DecisionPoints)
+	}
+
+	for name, reshape := range map[string]func(*ExplorerConfig){
+		"procs":         func(c *ExplorerConfig) { c.Procs = 5 },
+		"clock":         func(c *ExplorerConfig) { c.Clock = VectorClock },
+		"dual clock":    func(c *ExplorerConfig) { c.DualClock = true },
+		"transport":     func(c *ExplorerConfig) { c.Transport = Inband },
+		"choice points": func(c *ExplorerConfig) { c.ChoicePoints = true },
+	} {
+		c := *b
+		reshape(&c)
+		if rc.Retarget(&c) == rc {
+			t.Errorf("another %s kept the context", name)
+		}
+	}
+}

@@ -65,9 +65,9 @@ func startServer(t *testing.T, cfg ServerConfig) (*Server, string) {
 	return s, ln.Addr().String()
 }
 
-// joinAnyWorkers connects n any-workload workers and returns a stop func that
-// waits for their Run loops to exit.
-func joinAnyWorkers(t *testing.T, addr string, f *testFactory, n, slots int) func() {
+// joinAnyWorkers connects n any-workload workers building their jobs through
+// factory and returns a stop func that waits for their Run loops to exit.
+func joinAnyWorkers(t *testing.T, addr string, factory func(JobSpec) (core.ExplorerConfig, error), n, slots int) func() {
 	t.Helper()
 	var wg sync.WaitGroup
 	workers := make([]*Worker, n)
@@ -76,7 +76,7 @@ func joinAnyWorkers(t *testing.T, addr string, f *testFactory, n, slots int) fun
 			Addr:    addr,
 			Name:    fmt.Sprintf("any%d", i),
 			Slots:   slots,
-			Factory: f.config,
+			Factory: factory,
 		})
 		workers[i] = w
 		wg.Add(1)
@@ -142,7 +142,7 @@ func TestServerRunsSequentialJobs(t *testing.T) {
 	f := newTestFactory()
 	s, addr := startServer(t, ServerConfig{})
 	defer s.Close()
-	stop := joinAnyWorkers(t, addr, f, 2, 2)
+	stop := joinAnyWorkers(t, addr, f.config, 2, 2)
 	defer stop()
 	waitForPool(t, s, 2)
 
@@ -193,7 +193,7 @@ func TestServerSkipsIneligiblePinnedWorker(t *testing.T) {
 		}
 	}()
 	defer func() { pinned.Stop(); wg.Wait() }()
-	stop := joinAnyWorkers(t, addr, f, 1, 2)
+	stop := joinAnyWorkers(t, addr, f.config, 1, 2)
 	defer stop()
 	waitForPool(t, s, 2)
 
@@ -216,7 +216,7 @@ func TestServerFactoryFailureFailsJob(t *testing.T) {
 	f := newTestFactory()
 	s, addr := startServer(t, ServerConfig{})
 	defer s.Close()
-	stop := joinAnyWorkers(t, addr, f, 1, 1)
+	stop := joinAnyWorkers(t, addr, f.config, 1, 1)
 	defer stop()
 	waitForPool(t, s, 1)
 

@@ -179,7 +179,7 @@ func (w *Worker) halted() bool {
 }
 
 // jobRuntime is one announced job on this worker: the replay configuration
-// the factory built for it, which each slot's RunContext for the job runs.
+// the factory built for it, which a slot's RunContext runs while the job lasts.
 type jobRuntime struct {
 	id  string
 	cfg core.ExplorerConfig
@@ -281,9 +281,12 @@ func (w *Worker) session(conn net.Conn) (bool, error) {
 		}
 	}()
 
-	// Slots: each keeps one RunContext per job, so tool state recycles
-	// across that job's leases (as a dexplore slot keeps one) and is dropped
-	// when the next job's first lease arrives. The coordinator grants one
+	// Slots: each keeps one RunContext for the session, so tool state, request
+	// slabs and the world skeleton recycle across a job's leases (as a
+	// dexplore slot keeps one) and across the jobs that follow it. The next
+	// job's first lease re-points the context at that job's config
+	// (RunContext.Retarget); only a job of another shape — world size, clocks,
+	// transport, choice points — starts a new one. The coordinator grants one
 	// lease per free slot, so the buffer takes a whole task frame without
 	// blocking the reader.
 	tasks := make(chan slotTask, w.cfg.Slots)
@@ -296,7 +299,7 @@ func (w *Worker) session(conn net.Conn) (bool, error) {
 			var rc *core.RunContext
 			for st := range tasks {
 				if st.rt != rt {
-					rt, rc = st.rt, core.NewRunContext(&st.rt.cfg)
+					rt, rc = st.rt, rc.Retarget(&st.rt.cfg)
 				}
 				if err := send(&frame{Type: msgResult, Job: rt.id, Result: w.runLease(rt, rc, st.wt)}); err != nil {
 					return // session is over; the lease will expire and requeue

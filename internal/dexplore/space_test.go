@@ -137,7 +137,9 @@ func (customExpander) Expand(*core.SubtreeTask, *core.ExplorerConfig, *core.RunT
 
 // TestParentCheckpointResavesByteIdentical: exhaustive checkpoints written
 // when Space's fields were declared one by one in Checkpoint load and re-save
-// to the same bytes — embedding flattened them in place. The PR 18 fixture
+// to the same bytes — embedding flattened them in place. The fixtures were
+// written indented and a checkpoint is now written compact, so the bytes
+// compared are the fixture's with its whitespace compacted. The PR 18 fixture
 // (dampi -workload iprobe -procs 2 -choice-points -dual -transport inband
 // -autoloop 3 -k 2 -workers 1 -max 2) sets every field an exhaustive run can
 // and is compared whole; checkpoint_parent.json predates the sorted decisions
@@ -152,10 +154,15 @@ func TestParentCheckpointResavesByteIdentical(t *testing.T) {
 		{"testdata/checkpoint_pr18_exhaustive.json", "", Space{DualClock: true, Transport: core.Inband, MixingBound: 2, AutoLoopThreshold: 3, ChoicePoints: true}},
 		{"testdata/checkpoint_parent.json", `"frontier"`, Space{}},
 	} {
-		want, err := os.ReadFile(tc.path)
+		raw, err := os.ReadFile(tc.path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, raw); err != nil {
+			t.Fatal(err)
+		}
+		want := append(compact.Bytes(), '\n')
 		ckp, err := LoadCheckpoint(tc.path)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,8 @@
 package verify_test
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -71,6 +73,36 @@ func TestRankCoroutinesDieWithTheirOwner(t *testing.T) {
 			w.Stop()
 			wg.Wait()
 		}},
+		{"verify.ServeQueue + verify.JoinQueue, three jobs", func(t *testing.T) {
+			q, err := verify.ServeQueue(verify.QueueConfig{WorkerAddr: "127.0.0.1:0", StoreDir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer q.Stop()
+			w, err := verify.JoinQueue(verify.ClusterConfig{Addr: q.WorkerAddr().String()}, func(verify.JobSpec) (func(*mpi.Proc) error, error) {
+				return racyProgram, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- w.Run() }()
+			defer func() {
+				w.Stop()
+				if err := <-done; err != nil {
+					t.Errorf("worker: %v", err)
+				}
+			}()
+			// Two jobs of one shape, which the worker's slot runs on one
+			// context, then one of another world size, which gets its own.
+			for i, procs := range []int{3, 3, 4} {
+				job, _, err := q.Submit(verify.JobSpec{Workload: "racy", Procs: procs, MaxInterleavings: 100 + i}, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				waitForReport(t, q, job.ID)
+			}
+		}},
 	}
 	for _, s := range surfaces {
 		t.Run(s.name, func(t *testing.T) {
@@ -83,5 +115,20 @@ func TestRankCoroutinesDieWithTheirOwner(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// waitForReport blocks until the service has stored job id's report.
+func waitForReport(t *testing.T, q *verify.QueueServer, id string) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		rec := httptest.NewRecorder()
+		q.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/jobs/"+id+"/report", nil))
+		if rec.Code == http.StatusOK {
+			return
+		}
+		if rec.Code != http.StatusConflict || time.Now().After(deadline) {
+			t.Fatalf("GET report of %s: %d %s", id, rec.Code, rec.Body)
+		}
 	}
 }
