@@ -60,9 +60,6 @@ func NewVector(n, me int) *Vector {
 // Len returns the number of components.
 func (v *Vector) Len() int { return len(v.c) }
 
-// Component returns process j's component of the clock.
-func (v *Vector) Component(j int) uint64 { return v.c[j] }
-
 // Snapshot returns a copy of the current vector, suitable for piggybacking.
 func (v *Vector) Snapshot() []uint64 {
 	s := make([]uint64, len(v.c))

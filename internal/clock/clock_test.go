@@ -40,8 +40,8 @@ func TestVectorBasics(t *testing.T) {
 	if snap[1] != 0 {
 		t.Fatalf("Tick snapshot = %v, want pre-tick", snap)
 	}
-	if v.Component(1) != 1 {
-		t.Fatalf("component after tick = %d", v.Component(1))
+	if v.c[1] != 1 {
+		t.Fatalf("component after tick = %d", v.c[1])
 	}
 	v.Merge([]uint64{4, 0, 2})
 	want := []uint64{4, 1, 2}
@@ -53,7 +53,7 @@ func TestVectorBasics(t *testing.T) {
 	}
 	// Snapshot must be a copy.
 	got[0] = 99
-	if v.Component(0) == 99 {
+	if v.c[0] == 99 {
 		t.Fatal("Snapshot aliases internal state")
 	}
 }

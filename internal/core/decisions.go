@@ -61,7 +61,7 @@ type decision struct {
 // fewer than 2³¹ ranks and a call fewer than 2³¹ requests, so a rank or a
 // source outside int32 is a caller's bug: it panics rather than truncate to
 // some other decision. (Input read from a file or the wire is checked before
-// it gets here: UnmarshalJSON and ReadTrace reject such values.)
+// it gets here: UnmarshalJSON rejects such values.)
 func newDecision(rank int, lc uint64, src int) decision {
 	e := decision{rank: int32(rank), src: int32(src), lc: lc}
 	if int(e.rank) != rank || int(e.src) != src {

@@ -543,7 +543,7 @@ func (t *Tool) complete(p *mpi.Proc, req *mpi.Request, status mpi.Status) {
 			st.pendingND--
 			t.decide(st, e, status.Source)
 		}
-		st.findPotentialMatches(req.Comm().ID(), status, mclock, info.postSeq, info.epoch)
+		st.findPotentialMatches(req.Comm().ID(), status, mclock, info.postSeq)
 		st.mergeClock(mclock)
 		req.ToolData = nil
 		st.recvInfoFree = append(st.recvInfoFree, info)
@@ -552,12 +552,11 @@ func (t *Tool) complete(p *mpi.Proc, req *mpi.Request, status mpi.Status) {
 
 // findPotentialMatches is Algorithm 1's late-message analysis: a message on
 // commID with the given status and clock is checked against every recorded
-// wildcard epoch of this rank. postSeq numbers the receive that took it and
-// own is that receive's epoch, if wildcard (a message no receive took passes
-// math.MaxUint64 and nil). A source's earliest candidate decides
-// (non-overtaking, §II-C Fig. 2); a message whose receive was posted before
-// the epoch cannot be stolen by it.
-func (st *rankState) findPotentialMatches(commID int, status mpi.Status, mclock []uint64, postSeq uint64, own *epoch) {
+// wildcard epoch of this rank. postSeq numbers the receive that took it (a
+// message no receive took passes math.MaxUint64). A source's earliest
+// candidate decides (non-overtaking, §II-C Fig. 2); a message whose receive
+// was posted before the epoch cannot be stolen by it.
+func (st *rankState) findPotentialMatches(commID int, status mpi.Status, mclock []uint64, postSeq uint64) {
 	for _, e := range st.epochs {
 		if !e.kind.MatchKind() {
 			continue // completion/outcome epochs carry no match decision
@@ -574,9 +573,7 @@ func (st *rankState) findPotentialMatches(commID int, status mpi.Status, mclock 
 			// the epoch in any execution.
 			continue
 		}
-		if own == e {
-			continue // the epoch's own match
-		}
+		// decide has already set the receive's own epoch's chosen to status.Source.
 		if e.chosen == status.Source || e.sawSource(status.Source) {
 			continue
 		}
@@ -764,7 +761,7 @@ func (t *Tool) sweepUnmatched(st *rankState) {
 				mclock = piggyback.DecodeClockInto(st.clockBuf[:0], data)
 			}
 			st.clockBuf = mclock[:0]
-			st.findPotentialMatches(commID, status, mclock, math.MaxUint64, nil)
+			st.findPotentialMatches(commID, status, mclock, math.MaxUint64)
 		}
 	}
 }

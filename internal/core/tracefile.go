@@ -7,10 +7,11 @@ import (
 	"os"
 )
 
-// The on-disk artifacts of a verification, mirroring the paper's workflow:
-// each run appends its wildcard epochs and discovered potential matches to a
-// Potential Matches file; the schedule generator turns them into Epoch
-// Decisions files consumed by guided replays (decisions.go).
+// A run's Potential Matches log, written for people to read. The paper passes
+// it to an offline scheduler through a file; here the search keeps every
+// run's trace in memory and derives the next decisions from it
+// (RunContext.Explore), so nothing reads the file back. The one artifact a
+// later run reads is an Epoch Decisions reproducer (decisions.go).
 
 // Save writes the run trace (the Potential Matches log) as JSON.
 func (t *RunTrace) Save(path string) error {
@@ -29,38 +30,8 @@ func (t *RunTrace) Write(w io.Writer) error {
 	return enc.Encode(t)
 }
 
-// LoadTrace reads a Potential Matches file.
-func LoadTrace(path string) (*RunTrace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadTrace(f)
-}
-
-// ReadTrace deserializes a trace from JSON. A null epoch record is an error:
-// no run writes one, and every reader of a trace dereferences its records. So
-// is a rank or a choice outside int32, which no decision can hold.
-func ReadTrace(r io.Reader) (*RunTrace, error) {
-	t := &RunTrace{}
-	if err := json.NewDecoder(r).Decode(t); err != nil {
-		return nil, err
-	}
-	for i, rec := range t.Epochs {
-		if rec == nil {
-			return nil, fmt.Errorf("core: trace epoch %d is null", i)
-		}
-		if int(int32(rec.Rank)) != rec.Rank || int(int32(rec.Chosen)) != rec.Chosen {
-			return nil, fmt.Errorf("core: trace epoch %d: rank %d or choice %d does not fit 32 bits", i, rec.Rank, rec.Chosen)
-		}
-	}
-	return t, nil
-}
-
 // DecisionsFromTrace builds the Epoch Decisions that reproduce the traced
-// run: every completed epoch forced to its observed match. This is how an
-// offline scheduler (or a user, from a saved artifact) replays a run.
+// run: every completed epoch forced to its observed match.
 func DecisionsFromTrace(t *RunTrace) *Decisions {
 	d := NewDecisions()
 	d.pin(t.Epochs)

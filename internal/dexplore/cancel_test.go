@@ -14,6 +14,17 @@ import (
 	"dampi/workloads/matmul"
 )
 
+// Stop requests cooperative cancellation: no new lease is granted, every
+// slot finishes the replay it is in and hands its lease back, and Explore
+// returns the partial report (with a final checkpoint if CheckpointPath is
+// set). Safe to call from any goroutine, any number of times.
+func (e *Engine) Stop() {
+	e.mu.Lock()
+	e.halted.Store(true)
+	e.cond.Broadcast()
+	e.mu.Unlock()
+}
+
 // checkGoroutinesDrained polls until the goroutine count returns to the
 // pre-exploration baseline: workers, rank goroutines of every in-flight
 // mpi.World, and the progress monitor must all have exited.

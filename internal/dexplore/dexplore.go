@@ -126,7 +126,7 @@ type Engine struct {
 	runErr  error                 // first fatal replay-harness error
 
 	// What a slot looks at between two replays of a lease.
-	halted    atomic.Bool  // Stop, StopOnFirstError or a fatal error: every lease ends
+	halted    atomic.Bool  // StopOnFirstError or a fatal error: every lease ends
 	waiting   atomic.Int32 // slots waiting for work: a slot that has some hands it back
 	completed atomic.Int64 // replays completed so far; with a callback, the next result's Index
 
@@ -169,17 +169,6 @@ func New(cfg Config) *Engine {
 	}
 	e.cond = sync.NewCond(&e.mu)
 	return e
-}
-
-// Stop requests cooperative cancellation: no new lease is granted, every
-// slot finishes the replay it is in and hands its lease back, and Explore
-// returns the partial report (with a final checkpoint if CheckpointPath is
-// set). Safe to call from any goroutine, any number of times.
-func (e *Engine) Stop() {
-	e.mu.Lock()
-	e.halted.Store(true)
-	e.cond.Broadcast()
-	e.mu.Unlock()
 }
 
 // Explore runs the exploration to completion (or cap, stop, resume

@@ -103,12 +103,6 @@ func New(cfg Config) *Sampler {
 // identity — what checkpoints, job specs and the cluster handshake compare.
 func (s *Sampler) Config() Config { return s.cfg }
 
-// Walks returns the number of independent walks.
-func (s *Sampler) Walks() int { return s.walks }
-
-// StepsPerWalk returns each walk's step budget.
-func (s *Sampler) StepsPerWalk() int { return s.steps }
-
 // Expand implements core.Sampler. Non-walk tasks expand exhaustively while
 // above the sampling frontier (Depth < SampleDepth) and scan-only below it;
 // the root task additionally seeds the walks from its self-discovery trace.

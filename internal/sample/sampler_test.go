@@ -104,12 +104,12 @@ func TestWalkBudgetDerivation(t *testing.T) {
 	}
 	for _, c := range cases {
 		s := New(Config{Samples: c.samples, Procs: 2})
-		if s.Walks() != c.walks || s.StepsPerWalk() != c.steps {
+		if s.walks != c.walks || s.steps != c.steps {
 			t.Errorf("Samples=%d: walks=%d steps=%d, want %d/%d",
-				c.samples, s.Walks(), s.StepsPerWalk(), c.walks, c.steps)
+				c.samples, s.walks, s.steps, c.walks, c.steps)
 		}
-		if s.Walks()*s.StepsPerWalk() < c.samples {
-			t.Errorf("Samples=%d: budget %d*%d does not cover", c.samples, s.Walks(), s.StepsPerWalk())
+		if s.walks*s.steps < c.samples {
+			t.Errorf("Samples=%d: budget %d*%d does not cover", c.samples, s.walks, s.steps)
 		}
 	}
 }

@@ -72,9 +72,8 @@ func (cfg *ClusterConfig) JobSpec() (JobSpec, error) {
 // the exploration frontier and the merged report; workers created with Join
 // connect to it and replay leased subtrees.
 type Coordinator struct {
-	c   *dcoord.Coordinator
-	ln  net.Listener
-	cfg ClusterConfig
+	c  *dcoord.Coordinator
+	ln net.Listener
 }
 
 // Serve starts the coordinator of a distributed verification, listening on
@@ -122,7 +121,7 @@ func Serve(cfg ClusterConfig) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Coordinator{c: c, ln: ln, cfg: cfg}, nil
+	return &Coordinator{c: c, ln: ln}, nil
 }
 
 // Addr returns the coordinator's bound listen address (useful with ":0").
@@ -134,13 +133,7 @@ func (c *Coordinator) Wait() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Report: rep}
-	if c.cfg.ArtifactsDir != "" {
-		if err := writeArtifacts(c.cfg.ArtifactsDir, res); err != nil {
-			return nil, fmt.Errorf("verify: writing artifacts: %w", err)
-		}
-	}
-	return res, nil
+	return &Result{Report: rep}, nil
 }
 
 // Stop drains the cluster gracefully: no new tasks are leased, in-flight

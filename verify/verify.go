@@ -17,8 +17,6 @@ package verify
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
 	"dampi/internal/core"
@@ -66,18 +64,13 @@ type EpochID = core.EpochID
 type UnsafeReport = core.UnsafeReport
 
 // RunTrace is one run's wildcard-epoch log (the Potential Matches artifact);
-// Result.FirstTrace holds the canonical run's. Save/LoadTrace round-trip it.
+// Result.FirstTrace holds the canonical run's. Save writes it for people to
+// read: the search keeps its state in memory, and a failing interleaving is
+// replayed from its Decisions, not from a trace.
 type RunTrace = core.RunTrace
 
 // LoadDecisions reads an Epoch Decisions file saved with Decisions.Save.
 func LoadDecisions(path string) (*Decisions, error) { return core.LoadDecisions(path) }
-
-// LoadTrace reads a Potential Matches file saved with RunTrace.Save (or via
-// Config.ArtifactsDir).
-func LoadTrace(path string) (*RunTrace, error) { return core.LoadTrace(path) }
-
-// DecisionsFromTrace builds the decisions that replay a traced run.
-func DecisionsFromTrace(t *RunTrace) *Decisions { return core.DecisionsFromTrace(t) }
 
 // Config controls a verification.
 type Config struct {
@@ -118,11 +111,6 @@ type Config struct {
 	// Index 0..N-1 — in completion order: depth-first discovery order on one
 	// slot, scheduling-dependent with more.
 	OnInterleaving func(res *InterleavingResult)
-	// ArtifactsDir, if non-empty, receives the run's file artifacts in the
-	// paper's workflow shape: potential_matches.json (the first run's epoch
-	// log) and error_<n>.decisions.json (one Epoch Decisions reproducer per
-	// failing interleaving, replayable with Replay or `dampi -replay`).
-	ArtifactsDir string
 	// Workers is the number of concurrent replay slots, each leased a few
 	// subtrees of the search at a time and exploring them depth-first in its
 	// own isolated MPI worlds. 0 and 1 run one slot on the caller's
@@ -317,31 +305,7 @@ func Run(cfg Config, program func(p *mpi.Proc) error) (*Result, error) {
 			res.Stats = trace.NewStats(cfg.Procs, first.Ops)
 		}
 	}
-	if cfg.ArtifactsDir != "" {
-		if err := writeArtifacts(cfg.ArtifactsDir, res); err != nil {
-			return nil, fmt.Errorf("verify: writing artifacts: %w", err)
-		}
-	}
 	return res, nil
-}
-
-// writeArtifacts dumps the potential-matches trace and per-error reproducers.
-func writeArtifacts(dir string, res *Result) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	if res.FirstTrace != nil {
-		if err := res.FirstTrace.Save(filepath.Join(dir, "potential_matches.json")); err != nil {
-			return err
-		}
-	}
-	for i, e := range res.Errors {
-		name := fmt.Sprintf("error_%d.decisions.json", i)
-		if err := e.Decisions.Save(filepath.Join(dir, name)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // MarkLoopBegin marks the start of a loop whose wildcard matches should not

@@ -151,34 +151,30 @@ func TestOnInterleavingCallback(t *testing.T) {
 	}
 }
 
+// TestArtifactsDir: an error's reproducer, saved to a file in a directory and
+// read back, replays the same failure — the one file a later run reads.
 func TestArtifactsDir(t *testing.T) {
-	dir := t.TempDir()
-	res, err := verify.Run(verify.Config{Procs: 3, ArtifactsDir: dir}, racyProgram)
+	res, err := verify.Run(verify.Config{Procs: 3}, racyProgram)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if !res.Errored() {
 		t.Fatal("setup: bug not found")
 	}
-	// The trace artifact exists and parses.
-	trace, err := verify.LoadTrace(filepath.Join(dir, "potential_matches.json"))
-	if err != nil {
-		t.Fatalf("trace artifact: %v", err)
+	path := filepath.Join(t.TempDir(), "error_0.decisions.json")
+	if err := res.Errors[0].Decisions.Save(path); err != nil {
+		t.Fatalf("Save: %v", err)
 	}
-	if len(trace.Epochs) == 0 {
-		t.Error("empty trace artifact")
-	}
-	// The reproducer artifact replays the bug.
-	d, err := verify.LoadDecisions(filepath.Join(dir, "error_0.decisions.json"))
+	d, err := verify.LoadDecisions(path)
 	if err != nil {
-		t.Fatalf("decisions artifact: %v", err)
+		t.Fatalf("LoadDecisions: %v", err)
 	}
 	replay, err := verify.Replay(3, racyProgram, d)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
 	if !errors.Is(replay.Err, errInjected) {
-		t.Fatalf("artifact replay diverged: %v", replay.Err)
+		t.Fatalf("saved reproducer replay diverged: %v", replay.Err)
 	}
 }
 

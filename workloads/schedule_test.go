@@ -8,7 +8,6 @@ import (
 	"dampi/internal/core"
 	"dampi/internal/pnmpi"
 	"dampi/mpi"
-	"dampi/workloads/skeleton"
 )
 
 // completions returns a tool layer that logs every completion the application
@@ -66,6 +65,21 @@ func TestSelfRunTakesTheNativeSchedule(t *testing.T) {
 	}
 }
 
+// fanIn has rank 0 of c receive one wildcard message from every other rank,
+// then all of c meet in a barrier.
+func fanIn(p *mpi.Proc, c mpi.Comm) error {
+	if c.Rank() == 0 {
+		for i := 1; i < c.Size(); i++ {
+			if _, _, err := p.Recv(mpi.AnySource, 0, c); err != nil {
+				return err
+			}
+		}
+	} else if err := p.Send(0, 0, mpi.EncodeInt64(int64(c.Rank())), c); err != nil {
+		return err
+	}
+	return p.Barrier(c)
+}
+
 // gridProgram creates, uses and frees communicators the way examples/stencil
 // (a split grid beside a monitor) and skeleton.LeakComm (a dup) do, with a
 // wildcard fan-in on each, and reports the id of every communicator rank 1
@@ -86,7 +100,7 @@ func gridProgram(ids *[]int) func(p *mpi.Proc) error {
 			return err
 		}
 		for _, c := range []mpi.Comm{grid, dup} {
-			if _, err := skeleton.FanIn(p, c, 1); err != nil {
+			if err := fanIn(p, c); err != nil {
 				return err
 			}
 		}
@@ -97,7 +111,7 @@ func gridProgram(ids *[]int) func(p *mpi.Proc) error {
 		if err != nil {
 			return err
 		}
-		if _, err := skeleton.FanIn(p, again, 1); err != nil {
+		if err := fanIn(p, again); err != nil {
 			return err
 		}
 		if p.Rank() == 1 {

@@ -1,6 +1,6 @@
 // Package skeleton provides the communication building blocks the benchmark
 // proxies are composed from: halo exchanges, reduction rounds, transpose
-// all-to-alls, pipelined wavefronts, master/worker fan-ins and resource-leak
+// all-to-alls, pipelined wavefronts, wildcard neighbour pairs and resource-leak
 // injection. Each block issues real MPI traffic with the same operation mix
 // as the pattern it names; payloads are small because the verifier's costs
 // scale with operation counts, not bytes.
@@ -18,7 +18,7 @@ const (
 	tagBase = 1 << 12
 	tagHalo = tagBase + iota
 	tagWave
-	tagFanIn
+	_ // retired; the blank keeps tagPipe's value
 	tagPipe
 )
 
@@ -159,32 +159,6 @@ func Wavefront(p *mpi.Proc, c mpi.Comm, rounds int, wildcard bool) error {
 		}
 	}
 	return nil
-}
-
-// FanIn has rank 0 receive one wildcard message per other rank per round —
-// the master/worker result-collection pattern whose interleavings DAMPI
-// explores. Returns the number of wildcard receives rank 0 posted.
-func FanIn(p *mpi.Proc, c mpi.Comm, rounds int) (int, error) {
-	n := c.Size()
-	wildcards := 0
-	for r := 0; r < rounds; r++ {
-		if c.Rank() == 0 {
-			for i := 1; i < n; i++ {
-				if _, _, err := p.Recv(mpi.AnySource, tagFanIn, c); err != nil {
-					return wildcards, err
-				}
-				wildcards++
-			}
-		} else {
-			if err := p.Send(0, tagFanIn, payload(c.Rank(), r), c); err != nil {
-				return wildcards, err
-			}
-		}
-		if err := p.Barrier(c); err != nil {
-			return wildcards, err
-		}
-	}
-	return wildcards, nil
 }
 
 // WildcardPairs makes each rank receive count messages from its hypercube

@@ -58,22 +58,6 @@ func TestWavefrontBothModes(t *testing.T) {
 	})
 }
 
-func TestFanInCountsWildcards(t *testing.T) {
-	run(t, 4, func(p *mpi.Proc) error {
-		n, err := FanIn(p, p.CommWorld(), 2)
-		if err != nil {
-			return err
-		}
-		if p.Rank() == 0 && n != 6 {
-			t.Errorf("FanIn wildcards = %d, want 6", n)
-		}
-		if p.Rank() != 0 && n != 0 {
-			t.Errorf("non-root FanIn wildcards = %d", n)
-		}
-		return nil
-	})
-}
-
 func TestWildcardPairs(t *testing.T) {
 	run(t, 8, func(p *mpi.Proc) error {
 		return WildcardPairs(p, p.CommWorld(), 5)
