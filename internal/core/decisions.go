@@ -123,15 +123,34 @@ func (d *Decisions) flattenInto(out *Decisions) *Decisions {
 	if !d.isNode() {
 		return d
 	}
-	flips, n := 0, 0
+	n := d.chainLen()
+	out.entries = d.flattenAt(slices.Grow(out.entries[:0], n)[:n])
+	return out
+}
+
+// chainLen is how many entries a node's chain lays out before flattening:
+// every set's entries and every flip.
+func (d *Decisions) chainLen() int {
+	n := 0
+	for ; d.isNode(); d = d.parent {
+		n += len(d.entries) + 1
+	}
+	if d != nil {
+		n += len(d.entries)
+	}
+	return n
+}
+
+// flattenAt lays a node's chain out in buf, whose length is its chainLen, in
+// the order flattenInto describes, and returns the flat entries it sorts and
+// compacts that into.
+func (d *Decisions) flattenAt(buf []decision) []decision {
+	flips := 0
 	top := d
 	for ; top.parent != nil; top = top.parent {
 		flips++
-		n += len(top.entries)
 	}
-	n += flips + len(top.entries)
-	buf := slices.Grow(out.entries[:0], n)[:n]
-	at := n
+	at := len(buf)
 	for i, e := 0, d; e.parent != nil; i, e = i+1, e.parent {
 		buf[i] = e.flip
 		at -= len(e.entries)
@@ -139,8 +158,7 @@ func (d *Decisions) flattenInto(out *Decisions) *Decisions {
 	}
 	copy(buf[flips:], top.entries)
 	sortByKey(buf)
-	out.entries = slices.CompactFunc(buf, sameKey)
-	return out
+	return slices.CompactFunc(buf, sameKey)
 }
 
 // sortByKey sorts decisions by (rank, LC), keeping equal keys in their order.
@@ -150,8 +168,8 @@ func sortByKey(ds []decision) {
 	}
 }
 
-// flatScratch lends the flat sets MarshalJSON renders a node from, so a
-// frame or a checkpoint of a frontier allocates no set per task.
+// flatScratch lends the flat sets a node is read through (MarshalJSON,
+// Lookup, Within, Len, InRange, Compare), so reading one allocates no set.
 var flatScratch = sync.Pool{New: func() any { return new(Decisions) }}
 
 // search returns the position of (rank, lc) in the sorted entries, or where
@@ -251,7 +269,9 @@ func (d *Decisions) Lookup(rank int, lc uint64) (int, bool) {
 		return 0, false
 	}
 	if d.isNode() {
-		return d.Clone().Lookup(rank, lc)
+		f := d.flattenInto(flatScratch.Get().(*Decisions))
+		defer flatScratch.Put(f)
+		return f.Lookup(rank, lc)
 	}
 	if i, found := d.search(int32(rank), lc); found {
 		return int(d.entries[i].src), true
@@ -264,10 +284,14 @@ func (d *Decisions) Lookup(rank int, lc uint64) (int, bool) {
 // merge pass over the two sorted sets.
 func (d *Decisions) Within(e *Decisions) bool {
 	if d.isNode() {
-		return d.Clone().Within(e)
+		f := d.flattenInto(flatScratch.Get().(*Decisions))
+		defer flatScratch.Put(f)
+		return f.Within(e)
 	}
 	if e.isNode() {
-		return d.Within(e.Clone())
+		f := e.flattenInto(flatScratch.Get().(*Decisions))
+		defer flatScratch.Put(f)
+		return d.Within(f)
 	}
 	var a, b []decision
 	if d != nil {
@@ -287,6 +311,35 @@ func (d *Decisions) Within(e *Decisions) bool {
 		j++
 	}
 	return true
+}
+
+// Compare orders two sets by their flat entries, (rank, LC, source) an
+// entry, a set before any that extends it: 0 for two that force the same
+// decisions.
+func (d *Decisions) Compare(e *Decisions) int {
+	if d.isNode() {
+		f := d.flattenInto(flatScratch.Get().(*Decisions))
+		defer flatScratch.Put(f)
+		return f.Compare(e)
+	}
+	if e.isNode() {
+		f := e.flattenInto(flatScratch.Get().(*Decisions))
+		defer flatScratch.Put(f)
+		return d.Compare(f)
+	}
+	var a, b []decision
+	if d != nil {
+		a = d.entries
+	}
+	if e != nil {
+		b = e.entries
+	}
+	return slices.CompareFunc(a, b, func(x, y decision) int {
+		if c := compareKey(x, y); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.src, y.src)
+	})
 }
 
 // ofRank returns rank's decisions in ascending LC order: the flat set's run
@@ -309,7 +362,9 @@ func (d *Decisions) Len() int {
 	case d == nil:
 		return 0
 	case d.isNode():
-		return d.Clone().Len()
+		f := d.flattenInto(flatScratch.Get().(*Decisions))
+		defer flatScratch.Put(f)
+		return len(f.entries)
 	}
 	return len(d.entries)
 }
@@ -322,14 +377,11 @@ func (d *Decisions) InRange(procs int, choices bool) error {
 		return nil
 	}
 	if d.isNode() {
-		return d.Clone().InRange(procs, choices)
+		f := d.flattenInto(flatScratch.Get().(*Decisions))
+		defer flatScratch.Put(f)
+		return f.InRange(procs, choices)
 	}
-	for _, e := range d.entries {
-		if e.rank < 0 || int(e.rank) >= procs || e.src < 0 || !choices && int(e.src) >= procs {
-			return fmt.Errorf("core: decision r%d@%d→%d is out of range for %d ranks", e.rank, e.lc, e.src, procs)
-		}
-	}
-	return nil
+	return inRange(d.entries, procs, choices)
 }
 
 // Clone returns a deep copy, flat (interleaving results keep their

@@ -277,8 +277,9 @@ func TestJoinRejectsWrongProtocol(t *testing.T) {
 // TestJoinRejectsOldProtocols: workers from before the batched-lease task
 // frame (protocol 1), the multi-job frames (protocol 2), the wire-carried
 // task key (protocol 3), the subtree lease (protocol 4), the announced
-// one-shot exploration (protocol 5), the untouched-root count (protocol 6)
-// or the key-free lease (protocol 7) — every version below protoVersion — are
+// one-shot exploration (protocol 5), the untouched-root count (protocol 6),
+// the key-free lease (protocol 7) or the prefix table (protocol 8) — every
+// version below protoVersion — are
 // refused at hello, by a one-shot coordinator and by a job-queue server
 // alike, with an error naming both versions. An old worker would drop the
 // frames it does not know — batched tasks for v1, job announcements for v2 —
@@ -289,7 +290,8 @@ func TestJoinRejectsWrongProtocol(t *testing.T) {
 // its frontier, which fails the job, so the pairing must fail loudly. A v7
 // worker here would only echo keys nobody reads, but the reverse pairing — a
 // v8 worker under a v7 coordinator — fails every result for the keys it does
-// not echo, and one version rule serves both directions.
+// not echo, and one version rule serves both directions. A v8 worker would
+// read a v9 task frame's leases as holding no subtrees.
 func TestJoinRejectsOldProtocols(t *testing.T) {
 	fp := baseFingerprint()
 	c, caddr := startCoordinator(t, Config{Fingerprint: fp, LeaseTTL: time.Second})

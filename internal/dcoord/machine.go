@@ -59,6 +59,8 @@ type machine struct {
 	// cad says when a periodic cut falls due (with a CheckpointPath), on the
 	// events' clock, which starts at the first event.
 	cad dexplore.Cadence
+	// flat is where result flattens the sets of a lease's roots and leftovers.
+	flat core.Flattener
 }
 
 // Events: what a read loop, the janitor, the driver or Stop observed.
@@ -281,8 +283,11 @@ func (m *machine) result(ev evResult) int {
 	if bad == nil {
 		started := l.Tasks[u:]
 		overRoot = slices.ContainsFunc(started, isRoot)
-		if bad = checkLeftovers(started, ev.left); bad == nil {
-			bad = checkDelta(ev.delta, len(started), l.Budget, overRoot)
+		var hang []int
+		if hang, bad = res.Delta.HangFrom(l.Tasks); bad == nil {
+			if bad = checkLeftovers(&m.flat, l.Tasks, u, ev.left, hang); bad == nil {
+				bad = checkDelta(ev.delta, len(started), l.Budget, overRoot)
+			}
 		}
 	}
 	switch {
@@ -315,40 +320,59 @@ func isRoot(t *core.SubtreeTask) bool { return t.Decisions == nil }
 
 // checkLeftovers vets the subtrees a held lease's result hands back, by their
 // decisions alone: each must lie strictly below a root of the lease that its
-// worker started — a walk step below the root task or a step of its own walk
-// — and none may be listed twice. A subtree waiting in the frontier, held by
-// another lease or explored lies below no started root of a held lease.
-func checkLeftovers(started, left []*core.SubtreeTask) error {
+// worker started — the one it hangs from (hang, per leftover, from
+// Checkpoint.HangFrom), or any for one that names none, as a protocol-8
+// recording does — and be a walk step below the root task or a step of its
+// own walk; and none may be listed twice. A subtree waiting in the frontier,
+// held by another lease or explored lies below no started root of a held
+// lease. Every root and leftover is flattened once, into flat's storage.
+func checkLeftovers(flat *core.Flattener, roots []*core.SubtreeTask, untouched int, left []*core.SubtreeTask, hang []int) error {
+	sets := make([]*core.Decisions, 0, len(roots)+len(left))
+	for _, t := range roots {
+		sets = append(sets, t.Decisions)
+	}
 	for _, t := range left {
-		if !slices.ContainsFunc(started, func(r *core.SubtreeTask) bool { return below(t, r) }) {
-			return fmt.Errorf("hands back subtree %s, which is below no root it started", t.Decisions)
+		sets = append(sets, t.Decisions)
+	}
+	sets = flat.Flatten(sets)
+	rootSets, leftSets := sets[:len(roots)], sets[len(roots):]
+	below := func(i, r int) bool {
+		t, root := left[i], roots[r]
+		if t.Sample != nil && !isRoot(root) && walk(root) != walk(t) {
+			return false
+		}
+		return rootSets[r].Within(leftSets[i]) && rootSets[r].Len() < leftSets[i].Len()
+	}
+	for i, t := range left {
+		r := hang[i]
+		switch {
+		case r >= 0 && r < untouched:
+			return fmt.Errorf("hands back subtree %s below root %d, which it never started", t.Decisions, r)
+		case r >= 0 && !below(i, r):
+			return fmt.Errorf("hands back subtree %s, which is not below its root %d", t.Decisions, r)
+		case r < 0:
+			for r = untouched; r < len(roots) && !below(i, r); r++ {
+			}
+			if r == len(roots) {
+				return fmt.Errorf("hands back subtree %s, which is below no root it started", t.Decisions)
+			}
 		}
 	}
-	// Equal decision sets are equal in size: each leftover is compared only
-	// with those of its size.
-	bySize := slices.Clone(left)
-	slices.SortFunc(bySize, func(a, b *core.SubtreeTask) int { return cmp.Compare(a.Decisions.Len(), b.Decisions.Len()) })
-	for i, a := range bySize {
-		for _, b := range bySize[i+1:] {
-			if b.Decisions.Len() != a.Decisions.Len() {
-				break
-			}
-			if walk(a) == walk(b) && a.Decisions.Within(b.Decisions) {
-				return fmt.Errorf("hands back subtree %s twice", a.Decisions)
-			}
+	// Equal sets of one walk sort next to each other.
+	order := make([]int, len(left))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(walk(left[a]), walk(left[b])), leftSets[a].Compare(leftSets[b]))
+	})
+	for k := 1; k < len(order); k++ {
+		a, b := order[k-1], order[k]
+		if walk(left[a]) == walk(left[b]) && leftSets[a].Compare(leftSets[b]) == 0 {
+			return fmt.Errorf("hands back subtree %s twice", left[a].Decisions)
 		}
 	}
 	return nil
-}
-
-// below reports whether t can be a subtree found under root r: its decisions
-// strictly extend r's, and a walk step comes from the root task or from a
-// step of its own walk.
-func below(t, r *core.SubtreeTask) bool {
-	if t.Sample != nil && !isRoot(r) && walk(r) != walk(t) {
-		return false
-	}
-	return r.Decisions.Within(t.Decisions) && !t.Decisions.Within(r.Decisions)
 }
 
 // walk is the sampled walk t is a step of, or -1 for an exhaustive task.

@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -40,20 +41,23 @@ import (
 )
 
 // protoVersion guards the frame format; a hello with any other version is
-// rejected at the handshake, both versions named. Version 8: a task frame
-// carries no keys and a result echoes none — a result is known by its lease
-// id and connection alone, and merged only while that lease is held — and a
-// heartbeat names no worker. Version 7: a result names the lease's roots its
-// worker never started by count (WireResult.Untouched) instead of handing
-// them back in its delta's frontier. Version 6: every exploration is an
-// announced job (a one-shot coordinator's too) and every task and result
-// frame is tagged with it, a pinned hello states a JobSpec, a lease is a set
-// of subtrees with a replay budget and its result one report delta. Versions
-// 1–7 each lack one of these, so a mixed pair would drop or misroute frames
-// silently — a v7 coordinator would fail every result of a v8 worker for the
-// keys it does not echo, a v6 one read a v7 worker's uncounted roots as
-// explored — and is refused instead (CHANGES.md has the history).
-const protoVersion = 8
+// rejected at the handshake, both versions named. Version 9: a task frame's
+// subtrees and a result's leftovers travel in the table form
+// (core.TableWriter), each shared prefix once, and a leftover hangs from the
+// lease root it was found under instead of repeating that root's prefix.
+// Version 8: a task frame carries no keys and a result echoes none — a result
+// is known by its lease id and connection alone, and merged only while that
+// lease is held — and a heartbeat names no worker. Version 7: a result names
+// the lease's roots its worker never started by count (WireResult.Untouched)
+// instead of handing them back in its delta's frontier. Version 6: every
+// exploration is an announced job (a one-shot coordinator's too) and every
+// task and result frame is tagged with it, a pinned hello states a JobSpec, a
+// lease is a set of subtrees with a replay budget and its result one report
+// delta. Versions 1–8 each lack one of these, so a mixed pair would drop or
+// misroute frames silently — a v8 worker would read a v9 task frame as leases
+// without subtrees, a v7 coordinator fail every result of a v8 worker for the
+// keys it does not echo — and is refused instead (CHANGES.md has the history).
+const protoVersion = 9
 
 // maxFrameSize bounds a single frame (a lease's leftover frontier or the root
 // trace can be large, but anything beyond this is a corrupt stream).
@@ -106,13 +110,15 @@ const (
 
 // frame is the single wire envelope; Type selects which fields are
 // meaningful. One struct (rather than one per message) keeps the codec to a
-// single decode with no two-phase dispatch.
+// single decode with no two-phase dispatch. On the wire its leases' subtrees
+// and its result's leftovers are tables (wireFrame); its own members are what
+// the rest of the package reads.
 //
 // A frame is decoded from a body buffer its connection's frameReader reuses
 // for the next frame, so nothing decoded may keep a sub-slice of its input:
-// json.Unmarshal copies strings, and the two types in a frame that decode
-// themselves (core.Decisions, core.InterleavingResult) build new values. A
-// member added here must do the same.
+// json.Unmarshal copies strings, and the types in a frame that decode
+// themselves (core.Decisions, core.TaskTable, core.InterleavingResult,
+// dexplore.Checkpoint) build new values. A member added here must do the same.
 type frame struct {
 	Type string `json:"type"`
 
@@ -145,11 +151,17 @@ type frame struct {
 }
 
 // wireTask is one lease: subtrees from the coordinator's frontier and the
-// number of replays the worker may spend on them.
+// number of replays the worker may spend on them. Its own JSON is protocol
+// 8's, each subtree with its whole prefix; a task frame writes it as a
+// wireLease.
 type wireTask struct {
 	Lease  uint64              `json:"lease"`
 	Tasks  []*core.SubtreeTask `json:"tasks"`
 	Budget int                 `json:"budget,omitempty"` // 0 = unbounded
+
+	// table is the task frame's table Tasks were cut from, whose rows a
+	// worker checks before it replays any (replayable).
+	table *core.TaskTable
 }
 
 // WireResult returns one lease.
@@ -174,8 +186,15 @@ type WireResult struct {
 	// checkpoint codec: the report of the replays run (a failing or sampled
 	// one with its reproducer, the root with its trace) and, as its frontier,
 	// the expansions not reached: subtrees below the roots it started, each
-	// listed once, never a leased root.
+	// listed once, never a leased root. A result frame writes the frontier as
+	// a table hanging from the lease's roots (its own JSON, protocol 8's, has
+	// each leftover's whole prefix).
 	Delta *dexplore.Checkpoint `json:"delta,omitempty"`
+
+	// roots are the lease's roots, as the worker holds them: the leftovers'
+	// chains pass through them, and a result frame writes each leftover as
+	// hanging from its root.
+	roots []*core.SubtreeTask
 }
 
 // JobSpec is the complete, self-contained description of one exploration,
@@ -332,25 +351,112 @@ func (s *JobSpec) Check(w *JobSpec) error {
 	return nil
 }
 
+// frameFields is frame without its methods, for the wire forms to embed.
+type frameFields frame
+
+// wireFrame is a frame as protocol 9 writes it: a task frame's leases as
+// counts and all their subtrees in one table, and a result's delta with its
+// frontier as a table hanging from the lease's roots (dexplore.TableForm).
+type wireFrame struct {
+	*frameFields
+	Tasks  []wireLease      `json:"tasks,omitempty"`
+	Result *wireResult      `json:"result,omitempty"`
+	Table  *json.RawMessage `json:"table,omitempty"` // a pointer: a slice value would be boxed to be encoded
+}
+
+// wireLease is a lease of a task frame: its subtrees are the next Count
+// tasks of the frame's table.
+type wireLease struct {
+	Lease  uint64 `json:"lease"`
+	Count  int    `json:"count"`
+	Budget int    `json:"budget,omitempty"`
+}
+
+// wireResult is a result as protocol 9 writes it.
+type wireResult struct {
+	*WireResult
+	Delta *dexplore.TableForm `json:"delta,omitempty"`
+}
+
+// frameIn is a frame as protocol 9 reads it; the result's delta reads its
+// own table (dexplore.Checkpoint). Type is read outside the embedded
+// members: encoding/json allocates for the path to a member it reaches
+// through one, and a heartbeat is all type.
+type frameIn struct {
+	Type string `json:"type"`
+	*frameFields
+	Tasks []wireLease     `json:"tasks,omitempty"`
+	Table *core.TaskTable `json:"table,omitempty"`
+}
+
+// MarshalJSON implements json.Marshaler: a frame's JSON is its wire form, the
+// bytes a frameWriter sends.
+func (f *frame) MarshalJSON() ([]byte, error) {
+	var fw frameWriter
+	if err := fw.encode(f); err != nil {
+		return nil, err
+	}
+	return bytes.TrimSuffix(fw.buf.Bytes(), []byte{'\n'}), nil
+}
+
 // frameWriter is the writing side of one connection: it encodes every frame
-// into one kept buffer, so a warm write copies the frame once, into that
-// buffer, and allocates nothing. Its zero value is ready; its owner
-// serializes writes.
+// into one kept buffer, its tables through one kept table writer, so a warm
+// write copies the frame once, into that buffer, and a warm heartbeat
+// allocates nothing. Its zero value is ready; its owner serializes writes.
 type frameWriter struct {
 	buf bytes.Buffer
 	enc *json.Encoder // encodes into buf
+
+	tw     core.TableWriter
+	table  json.RawMessage
+	tasks  []*core.SubtreeTask // a task frame's subtrees, lease after lease
+	leases []wireLease
+	wire   wireFrame
+	res    wireResult
+	delta  dexplore.TableForm
+}
+
+// encode appends fr's wire form to buf, newline-terminated.
+func (fw *frameWriter) encode(fr *frame) error {
+	if fw.enc == nil {
+		fw.enc = json.NewEncoder(&fw.buf)
+	}
+	fw.wire = wireFrame{frameFields: (*frameFields)(fr)}
+	if len(fr.Tasks) > 0 {
+		for _, wt := range fr.Tasks {
+			fw.leases = append(fw.leases, wireLease{Lease: wt.Lease, Count: len(wt.Tasks), Budget: wt.Budget})
+			fw.tasks = append(fw.tasks, wt.Tasks...)
+		}
+		fw.table = fw.tw.Append(fw.table[:0], fw.tasks, nil)
+		fw.wire.Tasks, fw.wire.Table = fw.leases, &fw.table
+	}
+	if r := fr.Result; r != nil {
+		fw.res = wireResult{WireResult: r}
+		if r.Delta != nil {
+			fw.table = fw.tw.Append(fw.table[:0], r.Delta.Frontier, r.roots)
+			fw.delta = dexplore.TableForm{Checkpoint: r.Delta, Frontier: &fw.table}
+			fw.res.Delta = &fw.delta
+		}
+		fw.wire.Result = &fw.res
+	}
+	err := fw.enc.Encode(&fw.wire)
+	// Keep the storage, not the frame's values.
+	clear(fw.tasks)
+	fw.tasks, fw.leases = fw.tasks[:0], fw.leases[:0]
+	fw.wire, fw.res, fw.delta = wireFrame{}, wireResult{}, dexplore.TableForm{}
+	if cap(fw.table) > maxKeptFrame {
+		fw.table = nil
+	}
+	return err
 }
 
 // write sends one frame to w as a 4-byte big-endian length prefix followed
 // by the JSON payload (the bytes json.Marshal gives), in one Write — one
 // syscall on a TCP connection — and reports the bytes written.
 func (fw *frameWriter) write(w io.Writer, fr *frame) (int, error) {
-	if fw.enc == nil {
-		fw.enc = json.NewEncoder(&fw.buf)
-	}
 	fw.buf.Reset()
 	fw.buf.Write([]byte{0, 0, 0, 0}) // the length, patched once it is known
-	err := fw.enc.Encode(fr)
+	err := fw.encode(fr)
 	out := fw.buf.Bytes()
 	out = out[:len(out)-1] // Encode ends the value with a newline; a frame does not
 	sent := 0
@@ -375,6 +481,7 @@ func (fw *frameWriter) write(w io.Writer, fr *frame) (int, error) {
 type frameReader struct {
 	hdr  [4]byte
 	body []byte
+	in   frameIn
 }
 
 // read reads one length-prefixed JSON frame of at most limit payload bytes
@@ -398,8 +505,41 @@ func (fr *frameReader) read(r io.Reader, limit int) (*frame, int, error) {
 		return nil, 0, err
 	}
 	f := &frame{}
-	if err := json.Unmarshal(body, f); err != nil {
+	fr.in = frameIn{frameFields: (*frameFields)(f)}
+	err := json.Unmarshal(body, &fr.in)
+	if err == nil {
+		f.Type = fr.in.Type
+		err = fr.in.leases(f)
+	}
+	fr.in = frameIn{}
+	if err != nil {
 		return nil, 0, fmt.Errorf("dcoord: decoding frame: %w", err)
 	}
 	return f, 4 + len(body), nil
+}
+
+// leases cuts the frame's table into its leases, each taking the next of
+// its subtrees as it counts them; a table must be taken whole.
+func (in *frameIn) leases(f *frame) error {
+	var tasks []*core.SubtreeTask
+	if in.Table != nil {
+		if in.Table.Roots() > 0 {
+			return errors.New("a task frame's table hangs from lease roots")
+		}
+		tasks = in.Table.Tasks
+	}
+	if len(in.Tasks) > 0 {
+		f.Tasks = make([]wireTask, len(in.Tasks))
+	}
+	for i, l := range in.Tasks {
+		if l.Count < 0 || l.Count > len(tasks) {
+			return fmt.Errorf("lease %d counts %d subtrees, the table has %d left", l.Lease, l.Count, len(tasks))
+		}
+		f.Tasks[i] = wireTask{Lease: l.Lease, Tasks: tasks[:l.Count:l.Count], Budget: l.Budget, table: in.Table}
+		tasks = tasks[l.Count:]
+	}
+	if len(tasks) > 0 {
+		return fmt.Errorf("%d subtrees of the table are in no lease", len(tasks))
+	}
+	return nil
 }

@@ -219,11 +219,13 @@ func TestLargeFrameBufferNotKept(t *testing.T) {
 	}
 }
 
-// TestWarmFrameAllocBudget: a connection's warm write of a heartbeat
-// allocates nothing — no json.Marshal copy, no header+body slice — and its
-// warm read allocates only what decoding keeps (the frame and its type
-// string) plus encoding/json's own bookkeeping: no body. Counts measured with
-// go1.24; skipped under -race, which allocates on its own.
+// TestWarmFrameAllocBudget: a connection's warm write of a heartbeat, and of
+// a task frame or a clean lease's result, allocates nothing — no json.Marshal
+// copy, no header+body slice, no table: the writer keeps its table scratch (a
+// failing interleaving's reproducer encodes itself) — and its
+// warm heartbeat read allocates only what decoding keeps (the frame and its
+// type string) plus encoding/json's own bookkeeping: no body. Counts measured
+// with go1.24; skipped under -race, which allocates on its own.
 func TestWarmFrameAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector allocates")
@@ -231,11 +233,17 @@ func TestWarmFrameAllocBudget(t *testing.T) {
 	const wantWrite, wantRead = 0, 6
 	hb := &frame{Type: msgHeartbeat}
 	var fw frameWriter
-	if _, err := fw.write(io.Discard, hb); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(200, func() { _, _ = fw.write(io.Discard, hb) }); n > wantWrite {
-		t.Errorf("a warm heartbeat write allocates %v times, want %d", n, wantWrite)
+	child := &core.SubtreeTask{Decisions: dec(2, 1, 1), Budget: core.Unbounded, Explorable: true}
+	clean := &frame{Type: msgResult, Job: "j1", Result: &WireResult{Lease: 42, Untouched: 1, Delta: deltaOf(baseFingerprint(), &core.Report{Interleavings: 3}, child)}}
+	frames := everyFrame()
+	task := frames[slices.IndexFunc(frames, func(fr *frame) bool { return fr.Type == msgTask })]
+	for _, fr := range []*frame{hb, task, clean} {
+		if _, err := fw.write(io.Discard, fr); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(200, func() { _, _ = fw.write(io.Discard, fr) }); n > wantWrite {
+			t.Errorf("a warm %s write allocates %v times, want %d", fr.Type, n, wantWrite)
+		}
 	}
 	var buf bytes.Buffer
 	if _, err := fw.write(&buf, hb); err != nil {
@@ -440,13 +448,16 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// TestChainedFrontierMarshalsAsItsFlatClone: a frontier the search built —
+// TestChainedFrontierDecodesAsItsFlatClone: a frontier the search built —
 // prefix nodes sharing their parents' decisions and pins — goes into a
-// checkpoint, a lease frame and a result frame byte for byte as a frontier of
-// flat clones of the same prefixes does.
-func TestChainedFrontierMarshalsAsItsFlatClone(t *testing.T) {
+// checkpoint, a lease frame and a result frame as a table that writes each
+// shared part once, and reads back, task for task, as the same subtrees a
+// frontier of flat clones of the same prefixes reads back as; its table is
+// the smaller.
+func TestChainedFrontierDecodesAsItsFlatClone(t *testing.T) {
 	cfg := core.ExplorerConfig{Procs: 5, MixingBound: core.Unbounded, Program: matmul.Program(matmul.Config{})}
 	rc := core.NewRunContext(&cfg)
+	defer rc.Close()
 	rep, chained, _, err := rc.Explore([]*core.SubtreeTask{core.RootTask(&cfg)}, 700, false, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -462,38 +473,52 @@ func TestChainedFrontierMarshalsAsItsFlatClone(t *testing.T) {
 	if len(chained) < 10 || deepest < 2 {
 		t.Fatalf("degenerate fixture: %d tasks, at most %d deep", len(chained), deepest)
 	}
-	encode := func(frontier []*core.SubtreeTask) (ckp, lease, result []byte) {
+	ecfg := cfg
+	ecfg.Program = nil
+	// roundTrip writes frontier three ways and reads each back.
+	roundTrip := func(frontier []*core.SubtreeTask) (size [3]int, got [3][]*core.SubtreeTask) {
 		delta := dexplore.NewCheckpoint("matmul", &cfg, rep, frontier)
 		var buf bytes.Buffer
 		if err := delta.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
-		ckp = bytes.Clone(buf.Bytes())
-		var fw frameWriter
-		for _, fr := range []*frame{
-			{Type: msgTask, Job: "matmul", Tasks: []wireTask{{Lease: 3, Tasks: frontier, Budget: 40}}},
+		size[0] = buf.Len()
+		ckp, err := dexplore.ReadCheckpoint(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[0] = ckp.Frontier
+		for i, fr := range []*frame{
+			{Type: msgTask, Job: "matmul", Tasks: []wireTask{{Lease: 3, Tasks: frontier[:1], Budget: 40}, {Lease: 4, Tasks: frontier[1:]}}},
 			{Type: msgResult, Job: "matmul", Result: &WireResult{Lease: 3, Delta: delta}},
 		} {
-			buf.Reset()
-			if _, err := fw.write(&buf, fr); err != nil {
+			n, err := writeFrame(&buf, fr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			size[i+1] = n
+			out, _, err := readFrame(&buf, maxFrameSize)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if fr.Type == msgTask {
-				lease = bytes.Clone(buf.Bytes())
-			} else {
-				result = bytes.Clone(buf.Bytes())
+				got[1] = slices.Concat(out.Tasks[0].Tasks, out.Tasks[1].Tasks)
+				continue
+			}
+			if _, got[2], err = out.Result.Delta.Restore("", &ecfg); err != nil {
+				t.Fatal(err)
 			}
 		}
-		return ckp, lease, result
+		return size, got
 	}
-	gotCkp, gotLease, gotResult := encode(chained)
-	wantCkp, wantLease, wantResult := encode(flat)
-	for _, c := range []struct {
-		name      string
-		got, want []byte
-	}{{"checkpoint", gotCkp, wantCkp}, {"lease frame", gotLease, wantLease}, {"result frame", gotResult, wantResult}} {
-		if !bytes.Equal(c.got, c.want) {
-			t.Errorf("%s of the chained frontier differs from its flat clone's:\n got %s\nwant %s", c.name, c.got, c.want)
+	chainedSize, fromChained := roundTrip(chained)
+	flatSize, fromFlat := roundTrip(flat)
+	for i, name := range []string{"checkpoint", "lease frame", "result frame"} {
+		if !slices.EqualFunc(fromChained[i], flat, sameTask) || !slices.EqualFunc(fromFlat[i], flat, sameTask) {
+			t.Errorf("%s: the chained frontier reads back as %v, its flat clone as %v; want %v", name, fromChained[i], fromFlat[i], flat)
+		}
+		if chainedSize[i] >= flatSize[i] {
+			t.Errorf("%s: the chained frontier takes %d bytes, its flat clone %d", name, chainedSize[i], flatSize[i])
 		}
 	}
 }

@@ -371,6 +371,156 @@ func TestRunLeaseCountsUntouchedRoots(t *testing.T) {
 	}
 }
 
+// cutLease returns a coordinator that resumed with the recorded cut lease's
+// three roots as its frontier and leased them to its one worker.
+func cutLease(t *testing.T) (*Coordinator, *workerConn, wireTask) {
+	t.Helper()
+	body, err := os.ReadFile(recordedCut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cut struct {
+		Task wireTask `json:"task"`
+	}
+	if err := json.Unmarshal(body, &cut); err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.ExplorerConfig{Procs: 4, MixingBound: core.Unbounded}
+	fp := FingerprintFor("fuzz", &cfg)
+	c, err := New(Config{Fingerprint: fp, Resume: deltaOf(fp, &core.Report{Interleavings: 1}, cut.Task.Tasks...)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &workerConn{conn: nullConn{}, wire: c.wire, name: "cut", slots: 1, since: time.Now()}
+	c.step(evAttach{w}, time.Now())
+	if len(c.leases) != 1 || !slices.EqualFunc(c.leases[0].Tasks, cut.Task.Tasks, sameTask) {
+		t.Fatalf("the resumed coordinator leased %+v, want the cut's three roots", c.leases)
+	}
+	return c, w, c.leases[0].wireTask
+}
+
+// TestResultHangsLeftoversFromItsRoots: on the wire a lease's subtrees are
+// one table, and its result's leftovers a table that hangs each from the
+// lease root it was found under, none of whose prefix it repeats. The
+// coordinator merges them, re-linked to the roots it holds, as the subtrees
+// the worker left.
+func TestResultHangsLeftoversFromItsRoots(t *testing.T) {
+	c, cw, lease := cutLease(t)
+	var buf bytes.Buffer
+	if _, err := writeFrame(&buf, &frame{Type: msgTask, Job: "fuzz", Tasks: []wireTask{lease}}); err != nil {
+		t.Fatal(err)
+	}
+	fr, _, err := readFrame(&buf, maxFrameSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.ExplorerConfig{Procs: 4, MixingBound: core.Unbounded, Program: fanIn}
+	w := NewWorker(WorkerConfig{Addr: "unused", Explorer: cfg})
+	w.Stop() // cut short after one replay, as a lease's time slice is
+	rt := &jobRuntime{cfg: cfg}
+	rc := core.NewRunContext(&rt.cfg)
+	defer rc.Close()
+	res := w.runLease(rt, rc, fr.Tasks[0])
+	if res.Fatal != "" || res.Untouched != 2 || len(res.Delta.Frontier) != 1 {
+		t.Fatalf("the cut lease ran to %+v, want two roots untouched and one leftover", res)
+	}
+	buf.Reset()
+	if _, err := writeFrame(&buf, &frame{Type: msgResult, Job: "fuzz", Result: res}); err != nil {
+		t.Fatal(err)
+	}
+	if want := `"frontier":{"roots":3,"pins":[],"nodes":[[2,-1,0,0,1,2]],"tasks":[[3,-1,1,2]]}`; !strings.Contains(buf.String(), want) {
+		t.Errorf("result frame %s\nwants its leftover hanging from root 2: %s", buf.Bytes()[4:], want)
+	}
+	back, _, err := readFrame(&buf, maxFrameSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.handleResult(cw, back.Result)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.runErr != nil || c.report.Interleavings != 2 {
+		t.Fatalf("merging the result: err %v, %d interleavings, want 2", c.runErr, c.report.Interleavings)
+	}
+	var waiting []*core.SubtreeTask // leased again to the freed slot
+	for _, l := range c.leases {
+		waiting = append(waiting, l.Tasks...)
+	}
+	for _, p := range c.front.Tasks {
+		waiting = append(waiting, p.task)
+	}
+	if want := slices.Concat(lease.Tasks[:2], res.Delta.Frontier); !slices.EqualFunc(waiting, want, sameTask) {
+		t.Errorf("the frontier after the result is %v, want %v", waiting, want)
+	}
+}
+
+// TestResultTableRefusedByRule: a result's table is vetted by the rules a
+// flat list is — each leftover strictly below a root the worker started,
+// none listed twice — read through the roots it names. A result breaking one
+// fails the job, naming it, and merges nothing.
+func TestResultTableRefusedByRule(t *testing.T) {
+	// The lease's roots: 0 {r0:[0→1 1→3]}, 1 {r0:[0→2]}, 2 {r0:[0→3]}; the
+	// first two untouched.
+	for _, tc := range []struct{ name, frontier, want string }{
+		{"under-an-untouched-root", `{"roots":3,"pins":[],"nodes":[[0,-1,0,0,2,1]],"tasks":[[3,-1,1,2]]}`, "below root 0, which it never started"},
+		{"twice", `{"roots":3,"pins":[],"nodes":[[2,-1,0,0,1,2],[2,-1,0,0,1,2]],"tasks":[[3,-1,1,2],[4,-1,1,2]]}`, "hands back subtree {r0:[0→3 1→2]} twice"},
+		{"twice-by-another-path", `{"roots":3,"pins":[[0,1,2]],"nodes":[[2,-1,0,0,1,2],[2,0,1,0,1,2]],"tasks":[[3,-1,1,2],[4,-1,1,2]]}`, "twice"},
+		{"flip-undoes-its-root", `{"roots":3,"pins":[],"nodes":[[2,-1,0,0,0,1]],"tasks":[[3,-1,1,2]]}`, "which is not below its root 2"},
+		{"another-lease-shape", `{"roots":2,"pins":[],"nodes":[[1,-1,0,0,1,2]],"tasks":[[2,-1,1,2]]}`, "hangs from 2 lease roots, the lease has 3"},
+		{"out-of-the-world", `{"roots":3,"pins":[[7,1,1]],"nodes":[[2,0,1,0,1,2]],"tasks":[[3,-1,1,2]]}`, "r7@1→1 is out of range for 4 ranks"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, cw, _ := cutLease(t)
+			body := `{"lease":1,"untouched":2,"delta":{"version":2,"procs":4,"clock":0,"transport":0,"mixing_bound":-1,"interleavings":1,"decision_points":2,"wildcards_analyzed":0,"frontier":` + tc.frontier + `}}`
+			var res WireResult
+			if err := json.Unmarshal([]byte(body), &res); err != nil {
+				t.Fatal(err)
+			}
+			c.handleResult(cw, &res)
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			if c.runErr == nil || !strings.Contains(c.runErr.Error(), tc.want) || c.report.Interleavings != 1 {
+				t.Errorf("err %v, %d interleavings; want an error naming %q and nothing merged", c.runErr, c.report.Interleavings, tc.want)
+			}
+		})
+	}
+}
+
+// TestTaskFrameTableRefusedByRule: a worker replays what a task frame's
+// table says, so it answers Fatal for a lease whose subtrees a world cannot
+// replay, and the reader refuses a table its leases do not cut exactly.
+func TestTaskFrameTableRefusedByRule(t *testing.T) {
+	cfg := core.ExplorerConfig{Procs: 3, Program: fanInError, MixingBound: core.Unbounded}
+	w := NewWorker(WorkerConfig{Addr: "unused", Explorer: cfg})
+	rt := &jobRuntime{id: "fuzz", cfg: cfg}
+	rc := core.NewRunContext(&rt.cfg)
+	defer rc.Close()
+	for _, tc := range []struct{ name, body, want string }{
+		{"rank-past-the-world", `{"type":"task","job":"fuzz","tasks":[{"lease":4,"count":1}],"table":{"pins":[[3,1,0]],"nodes":[[-1,0,1,0,2,1]],"tasks":[[0,-1,1,1]]}}`, "fatal: r3@1→0 is out of range for 3 ranks"},
+		{"source-past-the-world", `{"type":"task","job":"fuzz","tasks":[{"lease":4,"count":1}],"table":{"pins":[],"nodes":[[-1,-1,0,0,2,5]],"tasks":[[0,-1,1,1]]}}`, "fatal: r0@2→5 is out of range"},
+		{"cycle", `{"type":"task","job":"fuzz","tasks":[{"lease":4,"count":1}],"table":{"pins":[],"nodes":[[0,-1,0,0,2,1]],"tasks":[[0,-1,1,1]]}}`, "read: parent 0 is not an earlier row"},
+		{"count-past-the-table", `{"type":"task","job":"fuzz","tasks":[{"lease":4,"count":2}],"table":{"pins":[],"nodes":[],"tasks":[[-1,-1,1,0]]}}`, "read: lease 4 counts 2 subtrees, the table has 1 left"},
+		{"subtree-in-no-lease", `{"type":"task","job":"fuzz","tasks":[{"lease":4,"count":0}],"table":{"pins":[],"nodes":[],"tasks":[[-1,-1,1,0]]}}`, "read: 1 subtrees of the table are in no lease"},
+		{"hangs-from-roots", `{"type":"task","job":"fuzz","tasks":[{"lease":4,"count":1}],"table":{"roots":1,"pins":[],"nodes":[[0,-1,0,0,2,1]],"tasks":[[1,-1,1,1]]}}`, "read: a task frame's table hangs from lease roots"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := append(binary.BigEndian.AppendUint32(nil, uint32(len(tc.body))), tc.body...)
+			fr, _, err := readFrame(bytes.NewReader(data), maxFrameSize)
+			got := ""
+			switch {
+			case err != nil:
+				got = "read: " + err.Error()
+			case len(fr.Tasks) != 1:
+				t.Fatalf("read %d leases, want 1", len(fr.Tasks))
+			default:
+				got = "fatal: " + w.runLease(rt, rc, fr.Tasks[0]).Fatal
+			}
+			if want, _, _ := strings.Cut(tc.want, ": "); !strings.HasPrefix(got, want+": ") || !strings.Contains(got, tc.want[len(want)+2:]) {
+				t.Errorf("got %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
 // memberTree renders the member names of a decoded JSON value, sorted, values
 // dropped: the shape of a frame.
 func memberTree(v any) string {
@@ -458,6 +608,28 @@ func FuzzLeaseResult(f *testing.F) {
 		f.Add(body, true)
 	}
 	f.Add([]byte(`{"lease":1,"delta":{"version":1,"procs":3,"mixing_bound":-1,"interleavings":1,"frontier":[null],"errors":[null]}}`), true)
+	// Protocol 9: the root lease's leftovers hanging from its one root, as a
+	// worker's result frame carries them, and tables a worker never writes.
+	root := core.RootTask(&cfg)
+	flip := func(lc uint64, alt int) *core.SubtreeTask {
+		return root.FlipChild(core.Flippable{Rec: &core.EpochRecord{Rank: 0, LC: lc}}, alt)
+	}
+	body, err := json.Marshal(&frame{Type: msgResult, Result: &WireResult{Lease: 1, Delta: deltaOf(fp, rootRun(), flip(0, 2), flip(1, 1)), roots: []*core.SubtreeTask{root}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var v9 struct{ Result json.RawMessage }
+	if err := json.Unmarshal(body, &v9); err != nil || !bytes.Contains(v9.Result, []byte(`"roots":1`)) {
+		f.Fatalf("no protocol 9 result in %s (%v)", body, err)
+	}
+	f.Add([]byte(v9.Result), true)
+	for _, frontier := range []string{
+		`{"roots":1,"pins":[[0,0,1]],"nodes":[[0,0,1,0,1,2],[1,0,1,0,1,2]],"tasks":[[1,-1,1,1],[2,-1,1,2]]}`,
+		`{"roots":1,"pins":[],"nodes":[[1,-1,0,0,1,2]],"tasks":[[1,-1,1,1]]}`,
+		`{"roots":2,"pins":[[9,0,1]],"nodes":[[1,0,1,0,1,2]],"tasks":[[2,-1,1,1]]}`,
+	} {
+		f.Add([]byte(`{"lease":1,"delta":{"version":2,"procs":3,"mixing_bound":-1,"interleavings":1,"decision_points":1,"wildcards_analyzed":1,"first_trace":{},"frontier":`+frontier+`}}`), true)
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte, held bool) {
 		var res WireResult
@@ -510,6 +682,10 @@ func FuzzTaskFrame(f *testing.F) {
 	for _, body := range []string{
 		`{"type":"task","job":"fuzz","tasks":[{"lease":3,"tasks":[null]}]}`,
 		`{"type":"task","job":"fuzz","tasks":[{"lease":4,"tasks":[{"decisions":{"by_rank":{"7":{"1":0}}}}]}]}`,
+		// Protocol 9: a decision out of the world, a cycle, a short count.
+		`{"type":"task","job":"fuzz","tasks":[{"lease":5,"count":1}],"table":{"pins":[[7,1,0]],"nodes":[[-1,0,1,0,2,1]],"tasks":[[0,-1,1,1]]}}`,
+		`{"type":"task","job":"fuzz","tasks":[{"lease":6,"count":1}],"table":{"pins":[],"nodes":[[0,-1,0,0,2,1]],"tasks":[[0,-1,1,1]]}}`,
+		`{"type":"task","job":"fuzz","tasks":[{"lease":7,"count":1},{"lease":8,"count":1,"budget":1}],"table":{"pins":[[0,0,1]],"nodes":[[-1,0,1,0,1,2]],"tasks":[[0,-1,1,1],[-1,-1,1,0]]}}`,
 	} {
 		f.Add(append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...))
 	}

@@ -401,8 +401,8 @@ read:
 // the expansions it did not reach. A lease the job's world cannot replay is
 // answered Fatal before anything runs.
 func (w *Worker) runLease(rt *jobRuntime, rc *core.RunContext, wt wireTask) *WireResult {
-	out := &WireResult{Lease: wt.Lease}
-	if err := replayable(&rt.cfg, wt.Tasks); err != nil {
+	out := &WireResult{Lease: wt.Lease, roots: wt.Tasks}
+	if err := replayable(&rt.cfg, wt); err != nil {
 		out.Fatal = err.Error()
 		return out
 	}
@@ -426,15 +426,18 @@ func (w *Worker) runLease(rt *jobRuntime, rc *core.RunContext, wt wireTask) *Wir
 
 // replayable refuses subtrees a worker must not replay: a null one, or one
 // forcing a decision that names no rank of the job's world or a value out of
-// its range (see core.Decisions.InRange). A task frame is untrusted input.
-func replayable(cfg *core.ExplorerConfig, tasks []*core.SubtreeTask) error {
-	for _, t := range tasks {
-		if t == nil {
-			return errors.New("dcoord: task frame holds a null subtree")
-		}
-		if err := t.Decisions.InRange(cfg.Procs, cfg.ChoicePoints); err != nil {
-			return fmt.Errorf("dcoord: task frame: %w", err)
-		}
+// its range (see core.TaskTable.InRange, which checks a task frame's table
+// row by row). A task frame is untrusted input.
+func replayable(cfg *core.ExplorerConfig, wt wireTask) error {
+	if slices.Contains(wt.Tasks, nil) {
+		return errors.New("dcoord: task frame holds a null subtree")
+	}
+	read := wt.table
+	if read == nil {
+		read = &core.TaskTable{Tasks: wt.Tasks}
+	}
+	if err := read.InRange(cfg.Procs, cfg.ChoicePoints); err != nil {
+		return fmt.Errorf("dcoord: task frame: %w", err)
 	}
 	return nil
 }

@@ -12,15 +12,19 @@ import (
 	"dampi/internal/core"
 )
 
-// checkpointVersion guards the on-disk format.
-const checkpointVersion = 1
+// checkpointVersion guards the on-disk format. Version 2 writes the frontier
+// in the table form (core.TableWriter): each pins array, each distinct prefix
+// node and each task once. Version 1 wrote every task's prefix whole; it is
+// still read, and a binary that knows only version 1 refuses a version-2 file.
+const checkpointVersion = 2
 
 // Checkpoint is a consistent snapshot of an exploration: the aggregates of
 // every merged replay plus the frontier of subtree tasks still to run
 // (including the roots of the leases out at snapshot time — resuming re-runs
-// them, giving at-least-once coverage of every subtree). Decision prefixes
-// round-trip through the same JSON format as core.Decisions files, so a
-// frontier entry is itself a valid guided-replay artifact.
+// them, giving at-least-once coverage of every subtree). Write puts the
+// frontier in the table form; the struct's own JSON (json.Marshal) is the
+// version-1 flat form, each prefix in the core.Decisions file format, and
+// either reads back.
 type Checkpoint struct {
 	Version int `json:"version"`
 
@@ -59,6 +63,10 @@ type Checkpoint struct {
 	// Frontier holds the pending subtree tasks, oldest first (the engines
 	// lease from the front).
 	Frontier []*core.SubtreeTask `json:"frontier"`
+
+	// table is the frontier as read: Validate checks its rows, and a lease
+	// result's hangs from the lease's roots (HangFrom).
+	table *core.TaskTable
 }
 
 // NewCheckpoint is the one Report-to-Checkpoint step, shared by this engine
@@ -86,8 +94,8 @@ func NewCheckpoint(workload string, cfg *core.ExplorerConfig, rep *core.Report, 
 func (c *Checkpoint) Validate(workload string, cfg *core.ExplorerConfig) error {
 	var err error
 	switch {
-	case c.Version != checkpointVersion:
-		return fmt.Errorf("dexplore: checkpoint version %d, want %d", c.Version, checkpointVersion)
+	case c.Version != checkpointVersion && c.Version != 1:
+		return fmt.Errorf("dexplore: checkpoint version %d, want %d (or 1)", c.Version, checkpointVersion)
 	case c.LegacySampler != "":
 		return fmt.Errorf("dexplore: checkpoint sampler=%q: a sampling checkpoint from before the sampler's parameters were recorded field by field cannot be resumed", c.LegacySampler)
 	case c.LegacyStaticPruned != 0:
@@ -109,12 +117,37 @@ func (c *Checkpoint) Validate(workload string, cfg *core.ExplorerConfig) error {
 	case min(c.Interleavings, c.Deadlocks, c.DecisionPoints, c.AutoAbstracted, c.WildcardsAnalyzed, c.Sampled) < 0:
 		return errors.New("dexplore: checkpoint report holds a negative count")
 	}
-	for _, t := range c.Frontier {
-		if err := t.Decisions.InRange(c.Procs, c.ChoicePoints); err != nil {
-			return fmt.Errorf("dexplore: checkpoint frontier: %w", err)
-		}
+	// The frontier as read is checked row by row; one changed since, task by
+	// task.
+	read := c.table
+	if read == nil || !slices.Equal(c.Frontier, read.Tasks) {
+		read = &core.TaskTable{Tasks: c.Frontier}
+	}
+	if err := read.InRange(c.Procs, c.ChoicePoints); err != nil {
+		return fmt.Errorf("dexplore: checkpoint frontier: %w", err)
 	}
 	return nil
+}
+
+// HangFrom re-links the frontier of a lease result's delta to the lease's
+// roots, the objects the coordinator holds for them (core.TaskTable.Relink),
+// and returns, per frontier task, the index of the root it hangs from: -1
+// for one that names none, as every task of a flat frontier.
+func (c *Checkpoint) HangFrom(roots []*core.SubtreeTask) ([]int, error) {
+	hang := make([]int, len(c.Frontier))
+	if c.table == nil || c.table.Roots() == 0 {
+		for i := range hang {
+			hang[i] = -1
+		}
+		return hang, nil
+	}
+	if err := c.table.Relink(roots); err != nil {
+		return nil, fmt.Errorf("dexplore: %w", err)
+	}
+	for i := range hang {
+		hang[i] = c.table.Root(i)
+	}
+	return hang, nil
 }
 
 // Restore is the inverse of NewCheckpoint: after validating the checkpoint
@@ -177,12 +210,42 @@ func ReplaceFile(path string, write func(io.Writer) error) error {
 	return d.Sync()
 }
 
-// Write serializes the checkpoint as compact JSON. The encoder holds the
-// whole file in memory before writing it; indenting would build a second
-// copy, about three times larger on a frontier of long prefixes.
-// ReadCheckpoint reads indented files too.
+// Write serializes the checkpoint as compact JSON, its frontier as a table.
+// The encoder holds the whole file in memory before writing it; indenting
+// would build a second copy. ReadCheckpoint reads indented files too.
 func (c *Checkpoint) Write(w io.Writer) error {
-	return json.NewEncoder(w).Encode(c)
+	var tw core.TableWriter
+	v2 := *c // a version-1 file that was read is written as version 2
+	v2.Version = checkpointVersion
+	table := json.RawMessage(tw.Append(nil, c.Frontier, nil))
+	return json.NewEncoder(w).Encode(TableForm{Checkpoint: &v2, Frontier: &table})
+}
+
+// TableForm is a checkpoint as version 2 writes it: every member as the
+// struct's own, and the frontier as a table (core.TableWriter.Append) —
+// hanging from a lease's roots in that lease's result. It is only ever
+// encoded: Checkpoint reads either form.
+type TableForm struct {
+	*Checkpoint
+	Frontier *json.RawMessage `json:"frontier"` // a pointer: a slice value would be boxed to be encoded
+}
+
+// UnmarshalJSON implements json.Unmarshaler: the frontier is read in either
+// form (core.TaskTable), a table without a reflective walk.
+func (c *Checkpoint) UnmarshalJSON(b []byte) error {
+	type members Checkpoint // the fields, without this method
+	in := struct {
+		*members
+		Frontier *core.TaskTable `json:"frontier"`
+	}{members: (*members)(c)}
+	*c = Checkpoint{}
+	if err := json.Unmarshal(b, &in); err != nil {
+		return err
+	}
+	if t := in.Frontier; t != nil {
+		c.Frontier, c.table = t.Tasks, t
+	}
+	return nil
 }
 
 // LoadCheckpoint reads a checkpoint file saved with Save.
@@ -195,11 +258,16 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return ReadCheckpoint(f)
 }
 
-// ReadCheckpoint deserializes a checkpoint from JSON.
+// ReadCheckpoint deserializes a checkpoint from JSON, in either version. A
+// frontier that hangs from lease roots is a lease result's, never a file's,
+// and is refused.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	ckp := &Checkpoint{}
 	if err := json.NewDecoder(r).Decode(ckp); err != nil {
 		return nil, err
+	}
+	if ckp.table != nil && ckp.table.Roots() > 0 {
+		return nil, errors.New("dexplore: checkpoint frontier hangs from lease roots")
 	}
 	return ckp, nil
 }

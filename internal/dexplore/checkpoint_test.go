@@ -543,3 +543,51 @@ func TestResumesFlatPrefixCheckpoint(t *testing.T) {
 		t.Errorf("resumed run printed\n%s\nthe run that wrote the file printed\n%s", got.String(), want)
 	}
 }
+
+// TestCheckpointBytesGrowLinearlyInChildren: the checkpoint of matmul at
+// p = 64, 128 and 256 (-k -1 -max 20, as `dampi -checkpoint` writes it at
+// the frontier's peak) grows as the frontier's entries do — about 4× per
+// doubling of p, one node row and one task row per subtree — not as the
+// entries of every prefix written whole, as version 1 wrote them (19 217 257
+// bytes at p = 128, 7.8× per doubling). Each expansion's pins array is
+// written once.
+func TestCheckpointBytesGrowLinearlyInChildren(t *testing.T) {
+	want := map[int]int{64: 213902, 128: 908232, 256: 3803208}
+	size := map[int]int{}
+	for _, p := range []int{64, 128, 256} {
+		cfg := &core.ExplorerConfig{Procs: p, MixingBound: core.Unbounded, MaxInterleavings: 20, Program: matmul.Program(matmul.Config{})}
+		rc := core.NewRunContext(cfg)
+		rep := &core.Report{}
+		stack := []*core.SubtreeTask{core.RootTask(cfg)}
+		peak := 0
+		for n := 0; n < cfg.MaxInterleavings && len(stack) > 0; n++ {
+			// One replay per call, the last of a final budget only counted,
+			// as Explore over the whole cap runs them.
+			delta, left, _, err := rc.Explore(stack, 1, n == cfg.MaxInterleavings-1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep.Merge(delta)
+			stack = left
+			if len(stack) <= peak {
+				continue
+			}
+			peak = len(stack)
+			var buf bytes.Buffer
+			if err := NewCheckpoint("", cfg, rep, stack).Write(&buf); err != nil {
+				t.Fatal(err)
+			}
+			size[p] = buf.Len()
+		}
+		rc.Close()
+		t.Logf("matmul p=%d, 20 replays: peak frontier %d tasks, checkpoint %d bytes", p, peak, size[p])
+		if size[p] != want[p] {
+			t.Errorf("p=%d: checkpoint at the peak frontier is %d bytes, want %d", p, size[p], want[p])
+		}
+	}
+	for _, p := range []int{64, 128} {
+		if r := float64(size[2*p]) / float64(size[p]); r > 4.5 {
+			t.Errorf("p=%d→%d: the checkpoint grew %.2f×, want at most 4.5×", p, 2*p, r)
+		}
+	}
+}

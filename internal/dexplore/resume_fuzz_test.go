@@ -39,6 +39,28 @@ func FuzzResume(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(b.Bytes())
+	// Version 2: the frontier of prefix nodes the root run leaves, and tables no
+	// writer makes — a decision out of the world, a cycle, a view past its
+	// array, leftovers hanging from lease roots.
+	rc := core.NewRunContext(&cfg)
+	defer rc.Close()
+	done, left, _, err := rc.Explore([]*core.SubtreeTask{core.RootTask(&cfg)}, 1, false, nil)
+	if err != nil || len(left) == 0 {
+		f.Fatalf("no frontier to seed from: %v", err)
+	}
+	b.Reset()
+	if err := NewCheckpoint("", &cfg, done, left).Write(&b); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b.Bytes())
+	for _, frontier := range []string{
+		`{"pins":[[0,0,1]],"nodes":[[-1,0,1,0,1,5]],"tasks":[[0,-1,1,1]]}`,
+		`{"pins":[],"nodes":[[0,-1,0,0,1,2]],"tasks":[[0,-1,1,1]]}`,
+		`{"pins":[[0,0,1]],"nodes":[[-1,0,2,0,1,2]],"tasks":[[0,-1,1,1]]}`,
+		`{"roots":1,"pins":[],"nodes":[[0,-1,0,0,1,2]],"tasks":[[1,-1,1,1]]}`,
+	} {
+		f.Add([]byte(`{"version":2,"procs":3,"clock":0,"transport":0,"mixing_bound":-1,"interleavings":1,"decision_points":1,"wildcards_analyzed":1,"frontier":` + frontier + `}`))
+	}
 
 	const capped = 64
 	f.Fuzz(func(t *testing.T, body []byte) {

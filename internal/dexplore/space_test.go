@@ -135,24 +135,24 @@ func (customExpander) Expand(*core.SubtreeTask, *core.ExplorerConfig, *core.RunT
 	return &core.Expansion{}
 }
 
-// TestParentCheckpointResavesByteIdentical: exhaustive checkpoints written
-// when Space's fields were declared one by one in Checkpoint load and re-save
-// to the same bytes — embedding flattened them in place. The fixtures were
-// written indented and a checkpoint is now written compact, so the bytes
-// compared are the fixture's with its whitespace compacted. The PR 18 fixture
+// TestParentCheckpointResavesByteIdentical: a checkpoint the parent commit
+// wrote (version 1, each frontier task's prefix whole) loads, saves as
+// version 2 (the frontier as a table) and loads again into the same
+// checkpoint: the report's JSON is the same, and so is the frontier, task for
+// task — its flattened decisions, budget, explorable flag, depth and sample.
+// Everything before the frontier is written byte for byte as the fixture
+// has it, its whitespace compacted, but for the version. The PR 18 fixture
 // (dampi -workload iprobe -procs 2 -choice-points -dual -transport inband
-// -autoloop 3 -k 2 -workers 1 -max 2) sets every field an exhaustive run can
-// and is compared whole; checkpoint_parent.json predates the sorted decisions
-// codec ("10" before "2" inside a frontier entry), so it is compared byte for
-// byte up to the first decisions and as a JSON value beyond.
+// -autoloop 3 -k 2 -workers 1 -max 2) sets every field an exhaustive run
+// can; checkpoint_parent.json predates the sorted decisions codec ("10"
+// before "2" inside a frontier entry).
 func TestParentCheckpointResavesByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		path  string
-		upTo  string // "" = the whole file
 		space Space
 	}{
-		{"testdata/checkpoint_pr18_exhaustive.json", "", Space{DualClock: true, Transport: core.Inband, MixingBound: 2, AutoLoopThreshold: 3, ChoicePoints: true}},
-		{"testdata/checkpoint_parent.json", `"frontier"`, Space{}},
+		{"testdata/checkpoint_pr18_exhaustive.json", Space{DualClock: true, Transport: core.Inband, MixingBound: 2, AutoLoopThreshold: 3, ChoicePoints: true}},
+		{"testdata/checkpoint_parent.json", Space{}},
 	} {
 		raw, err := os.ReadFile(tc.path)
 		if err != nil {
@@ -162,35 +162,50 @@ func TestParentCheckpointResavesByteIdentical(t *testing.T) {
 		if err := json.Compact(&compact, raw); err != nil {
 			t.Fatal(err)
 		}
-		want := append(compact.Bytes(), '\n')
+		want := bytes.Replace(compact.Bytes(), []byte(`{"version":1,`), []byte(`{"version":2,`), 1)
 		ckp, err := LoadCheckpoint(tc.path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ckp.Space != tc.space {
-			t.Errorf("%s: loaded space %+v, want %+v", tc.path, ckp.Space, tc.space)
+		if ckp.Version != 1 || ckp.Space != tc.space {
+			t.Errorf("%s: loaded version %d, space %+v; want 1, %+v", tc.path, ckp.Version, ckp.Space, tc.space)
 		}
 		var buf bytes.Buffer
 		if err := ckp.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
 		got := buf.Bytes()
-		var gotv, wantv any
-		if err := json.Unmarshal(got, &gotv); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(want, &wantv); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotv, wantv) {
-			t.Errorf("%s: changed as a JSON value across load and save", tc.path)
-		}
-		n := len(want)
-		if tc.upTo != "" {
-			n = bytes.Index(want, []byte(tc.upTo))
-		}
+		n := bytes.Index(want, []byte(`"frontier"`))
 		if n <= 0 || len(got) < n || !bytes.Equal(got[:n], want[:n]) {
 			t.Errorf("%s: the first %d bytes changed across load and save:\n got %s\nwant %s", tc.path, n, got[:min(n, len(got))], want[:max(n, 0)])
+		}
+		again, err := ReadCheckpoint(bytes.NewReader(got))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Version != checkpointVersion {
+			t.Errorf("%s: saved as version %d, want %d", tc.path, again.Version, checkpointVersion)
+		}
+		before, err := json.Marshal(&ckp.Report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, err := json.Marshal(&again.Report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Errorf("%s: the report changed across save and load:\n got %s\nwant %s", tc.path, after, before)
+		}
+		if len(again.Frontier) != len(ckp.Frontier) || len(ckp.Frontier) == 0 {
+			t.Fatalf("%s: %d frontier tasks saved, %d read back", tc.path, len(ckp.Frontier), len(again.Frontier))
+		}
+		for i, a := range ckp.Frontier {
+			b := again.Frontier[i]
+			if a.Decisions.String() != b.Decisions.String() || (a.Decisions == nil) != (b.Decisions == nil) || a.Budget != b.Budget ||
+				a.Explorable != b.Explorable || a.Depth != b.Depth || !reflect.DeepEqual(a.Sample, b.Sample) {
+				t.Errorf("%s: frontier task %d changed across save and load:\n got %+v %s\nwant %+v %s", tc.path, i, b, b.Decisions, a, a.Decisions)
+			}
 		}
 	}
 }

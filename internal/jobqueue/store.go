@@ -33,8 +33,9 @@ const (
 // Run policy, each value written once; neither is an option (one value of
 // each is in use — in-package tests set the unexported field it initializes).
 const (
-	// snapshotRecords is the WAL record count that triggers a snapshot +
-	// truncate, bounding what a restart replays.
+	// snapshotRecords is the fewest WAL records that trigger a snapshot +
+	// truncate, bounding what a restart replays (a store of more jobs waits
+	// for as many records as it holds jobs).
 	snapshotRecords = 256
 	// sweepPeriod is how often the service looks for jobs past their TTL.
 	sweepPeriod = 5 * time.Second
@@ -60,8 +61,9 @@ type snapshot struct {
 // Store is the durable job table: an in-memory map backed by the WAL. Every
 // mutation appends one record before returning, and fsyncs it — so an
 // acknowledged submission survives any crash — unless recovery would do the
-// same without it (SetState to Merging); a snapshot every snapshotEvery
-// records bounds replay time.
+// same without it (SetState to Merging); a snapshot once the WAL holds
+// snapshotEvery records, or as many as the store holds jobs if that is more,
+// bounds replay time.
 type Store struct {
 	dir           string
 	snapshotEvery int
@@ -248,7 +250,11 @@ func (s *Store) append(rec walRecord, sync bool) error {
 		s.jobs[rec.Job.ID] = rec.Job
 	}
 	s.walRecords++
-	if s.walRecords >= s.snapshotEvery {
+	// Done jobs stay in the store, so a snapshot encodes every job ever
+	// stored: waiting for as many records as jobs keeps what snapshots cost
+	// per record bounded as the history grows, and snapshotEvery stays the
+	// floor for a small store.
+	if s.walRecords >= max(s.snapshotEvery, len(s.jobs)) {
 		return s.snapshotLocked()
 	}
 	return nil
@@ -291,7 +297,7 @@ func (s *Store) snapshotLocked() error {
 		snap.Jobs = append(snap.Jobs, j)
 	}
 	sort.Slice(snap.Jobs, func(i, k int) bool { return snap.Jobs[i].ID < snap.Jobs[k].ID })
-	body, err := json.MarshalIndent(&snap, "", "  ")
+	body, err := json.Marshal(&snap) // compact: indenting would build a second copy
 	if err != nil {
 		return fmt.Errorf("jobqueue: marshal snapshot: %w", err)
 	}

@@ -269,6 +269,40 @@ func TestStoreSnapshotTruncatesWAL(t *testing.T) {
 	}
 }
 
+// TestSnapshotCostStaysLinearInHistory: done jobs stay in the store, and a
+// snapshot encodes every job it holds. Over 4 000 jobs submitted and
+// finished one after another, all snapshots together encode a small multiple
+// of 4 000 jobs: a snapshot waits for as many WAL records as the store holds
+// jobs. (Snapshotting every 256 records encodes about 125 000.)
+func TestSnapshotCostStaysLinearInHistory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("4 000 jobs, three fsyncs each")
+	}
+	const cycles = 4000
+	s := openTestStore(t, t.TempDir(), 0)
+	defer s.Close()
+	encoded := 0
+	step := func(_ *Job, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.walRecords == 0 { // this record's append snapshotted the store
+			encoded += len(s.jobs)
+		}
+	}
+	for i := 0; i < cycles; i++ {
+		j, _, err := s.Submit(testSpec(3), 0)
+		step(j, err)
+		step(s.SetState(j.ID, Running, ""))
+		step(s.SetState(j.ID, Merging, ""))
+		step(s.Finish(j.ID, &JobReport{}))
+	}
+	if encoded == 0 || encoded > 5*cycles {
+		t.Errorf("snapshots encoded %d jobs over %d finished jobs, want at most %d", encoded, cycles, 5*cycles)
+	}
+}
+
 // tornPut is what a crash mid-write leaves of a put record.
 const tornPut = `{"op":"put","job":{"id":"j0000`
 

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -123,26 +124,32 @@ func TestWarmWorldStartsNoCoroutine(t *testing.T) {
 // RunError; 7 912 in 126 since each rank's request storage has room for the
 // list of requests handed to the program, which RequestLeaks reads). The
 // context's mailboxes exist from the first PMPI.Tool on, and the handle's
-// three words fit where the second array's header was.
+// three words fit where the second array's header was. The memory
+// statistics count every goroutine's allocations, and one stray allocation of
+// another goroutine in the process during a batch reads as the world's, so
+// the figure is the least of three batches.
 func TestColdNativeWorldPaysNothingForTools(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
-	const worlds, budgetBytes, budgetMallocs = 50, 7984, 129
+	const worlds, batches, budgetBytes, budgetMallocs = 50, 3, 7984, 129
 	world := func() {
 		if err := NewWorld(Config{Procs: 8}).Run(func(*Proc) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	world()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < worlds; i++ {
-		world()
+	bytes, mallocs := math.Inf(1), math.Inf(1)
+	for b := 0; b < batches; b++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < worlds; i++ {
+			world()
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/worlds)
+		mallocs = min(mallocs, float64(after.Mallocs-before.Mallocs)/worlds)
 	}
-	runtime.ReadMemStats(&after)
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / worlds
-	mallocs := float64(after.Mallocs-before.Mallocs) / worlds
 	t.Logf("cold empty 8-rank world: %.0f bytes, %.1f mallocs", bytes, mallocs)
 	if bytes > budgetBytes || mallocs > budgetMallocs {
 		t.Fatalf("a cold native 8-rank world allocates %.0f bytes in %.1f objects (budget %d in %d)", bytes, mallocs, budgetBytes, budgetMallocs)
