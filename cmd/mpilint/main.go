@@ -124,7 +124,7 @@ func writeGraphs(out string, size int, paths []string, tests bool) error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
+		defer f.Close() // on an early return; the Close below reports its error
 		w = f
 	}
 	for _, sum := range sums {
@@ -133,7 +133,12 @@ func writeGraphs(out string, size int, paths []string, tests bool) error {
 				sum.Name, sum.File, sum.Line, strings.Join(sum.Notes, "; "))
 			continue
 		}
-		commgraph.WriteDOT(w, sum.Instantiate(size))
+		if err := commgraph.WriteDOT(w, sum.Instantiate(size)); err != nil {
+			return err
+		}
+	}
+	if w != os.Stdout {
+		return w.Close()
 	}
 	return nil
 }

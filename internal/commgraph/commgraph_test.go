@@ -1,6 +1,8 @@
 package commgraph
 
 import (
+	"bytes"
+	"errors"
 	"go/token"
 	"reflect"
 	"strings"
@@ -208,6 +210,36 @@ func TestMatchSetRefinement(t *testing.T) {
 	}
 	if refined := g.MatchSet(wild, true); !reflect.DeepEqual(refined, []int{1}) {
 		t.Errorf("refined match set = %v, want [1] (payload-type refinement)", refined)
+	}
+}
+
+// failingWriter takes its first n bytes, then fails every write.
+type failingWriter struct{ n int }
+
+var errWriteFailed = errors.New("write failed")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, errWriteFailed
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestWriteDOTReportsAFailedWrite: a graph cut short by a failing writer
+// is an error, not a truncated file; an intact one writes whole.
+func TestWriteDOTReportsAFailedWrite(t *testing.T) {
+	g := wildSummary().Instantiate(4)
+	var whole bytes.Buffer
+	if err := WriteDOT(&whole, g); err != nil || !strings.HasSuffix(whole.String(), "}\n") {
+		t.Fatalf("WriteDOT into a buffer: %v\n%s", err, whole.String())
+	}
+	for _, n := range []int{0, whole.Len() / 2, whole.Len() - 1} {
+		if err := WriteDOT(&failingWriter{n: n}, g); !errors.Is(err, errWriteFailed) {
+			t.Errorf("a writer failing after %d of %d bytes: WriteDOT returned %v", n, whole.Len(), err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package commgraph
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"strings"
@@ -10,8 +11,9 @@ import (
 // cluster per rank holding its sites in program order, solid edges for
 // type-refined matches, dashed edges for matches the payload-type
 // refinement rules out. Multiple graphs may be written to the same stream;
-// Graphviz treats them as pages.
-func WriteDOT(w io.Writer, g *Graph) {
+// Graphviz treats them as pages. It returns the first error writing to out.
+func WriteDOT(out io.Writer, g *Graph) error {
+	w := bufio.NewWriter(out) // keeps the first write error; Flush returns it
 	name := sanitizeDOT(g.Summary.Name)
 	fmt.Fprintf(w, "digraph %q {\n", fmt.Sprintf("%s_n%d", name, g.Size))
 	fmt.Fprintf(w, "  label=%q;\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n",
@@ -56,6 +58,7 @@ func WriteDOT(w io.Writer, g *Graph) {
 		}
 	}
 	fmt.Fprintln(w, "}")
+	return w.Flush()
 }
 
 func sanitizeDOT(s string) string {

@@ -705,12 +705,21 @@ func (s *decisionScanner) finish() error {
 
 // Save writes the decisions file (the artifact DAMPI's replays read).
 func (d *Decisions) Save(path string) error {
+	return saveFile(path, d.Write)
+}
+
+// saveFile creates path and writes it with write, returning the first error
+// of the write and of closing the file.
+func saveFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return d.Write(f)
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Write serializes the decisions as JSON.

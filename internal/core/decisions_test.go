@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -82,6 +83,22 @@ func TestDecisionsFileRoundTrip(t *testing.T) {
 	}
 	if src, ok := got.Lookup(3, 9); !ok || src != 4 {
 		t.Fatalf("file round trip = %d,%v", src, ok)
+	}
+}
+
+// TestDecisionsSaveReportsAFailedWrite: a reproducer that cannot be written
+// whole is an error, not a truncated file.
+func TestDecisionsSaveReportsAFailedWrite(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full here:", err)
+	}
+	d := NewDecisions()
+	d.Force(EpochID{Rank: 3, LC: 9}, 4)
+	if err := d.Save("/dev/full"); err == nil {
+		t.Error("Save to a full device returned nil")
+	}
+	if err := (&RunTrace{}).Save("/dev/full"); err == nil {
+		t.Error("RunTrace.Save to a full device returned nil")
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -30,9 +29,10 @@ import (
 // its node's number (-1 for the root task's nil set), its budget,
 // explorable as 0 or 1, its depth and, for a sampled walk step, the walk's
 // state. Rows are numbered from R: in a lease's result, whose leftovers hang
-// from the roots of the lease, numbers 0 to R-1 name those roots, and the
-// coordinator re-links such rows to the root objects it holds (Relink).
-// Everywhere else R is 0 and omitted.
+// from the roots of the lease, numbers 0 to R-1 name those roots, every row
+// and every task hangs from one of them — no flat set, no parent -1, no task
+// -1 — and the coordinator re-links the rows to the root objects it holds
+// (Relink). Everywhere else R is 0 and omitted.
 
 // TableWriter writes task lists in the table form. It keeps its scratch from
 // one list to the next, so a warm writer allocates only where a list is
@@ -219,83 +219,66 @@ func (w *TableWriter) array(ds []decision) (int, int) {
 	return k, len(ds)
 }
 
-// TaskTable is a task list read from its table form, or from the flat form
-// of version-1 checkpoints and protocol-8 frames: a JSON array of tasks,
-// each with its whole set.
+// TaskTable is a task list read from its table form.
 type TaskTable struct {
 	Tasks []*SubtreeTask
 	// pins and sets are what a table's rows are made of: every pins array,
 	// end to end, and every row's set.
-	pins  []decision
-	sets  []Decisions
+	pins []decision
+	sets []Decisions
+	// roots is the number of lease roots; under holds per row, and hang per
+	// task, the lease root it hangs from (nil without roots).
 	roots int
-	// hang holds, per task, the lease root its chain hangs from (-1: none);
-	// nil without roots.
-	hang []int
-	// stubs are the empty placeholders rows hang from, by lease root, until
-	// Relink.
-	stubs map[int]*Decisions
+	under []int
+	hang  []int
 }
 
-// Roots is the number of lease roots the table's rows may hang from: a lease
+// leaseRoot is the parent a row that hangs from a lease root has until
+// Relink: the empty flat set, never changed.
+var leaseRoot = new(Decisions)
+
+// Roots is the number of lease roots the table's rows hang from: a lease
 // result's, 0 for any other list.
 func (t *TaskTable) Roots() int { return t.roots }
-
-// Root returns the lease root task i hangs from, or -1 when it hangs from
-// none.
-func (t *TaskTable) Root(i int) int {
-	if t.hang == nil {
-		return -1
-	}
-	return t.hang[i]
-}
 
 // Relink points every row that hangs from a lease root at that root's set,
 // roots being the lease's roots in order: the objects the reader already
 // holds for them, so a leftover shares its root's prefix and nothing of it is
-// copied. Until then such a row hangs from an empty placeholder.
-func (t *TaskTable) Relink(roots []*SubtreeTask) error {
+// copied. Until then such a row hangs from leaseRoot. It returns, per task,
+// the index of the root it hangs from.
+func (t *TaskTable) Relink(roots []*SubtreeTask) ([]int, error) {
 	if len(roots) != t.roots {
-		return fmt.Errorf("core: task table hangs from %d lease roots, the lease has %d", t.roots, len(roots))
+		return nil, fmt.Errorf("core: task table hangs from %d lease roots, the lease has %d", t.roots, len(roots))
 	}
-	for i := range t.sets {
-		d := &t.sets[i]
-		for k, stub := range t.stubs { // at most one per root of the lease
-			if d.parent == stub {
-				d.parent = roots[k].Decisions
-				if d.parent == nil {
-					d.parent = noDecisions
-				}
-				break
+	for j, k := range t.under {
+		if d := &t.sets[j]; d.parent == leaseRoot {
+			d.parent = roots[k].Decisions
+			if d.parent == nil {
+				d.parent = noDecisions
 			}
 		}
 	}
-	t.stubs = nil
-	return nil
+	return t.hang, nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler. A table is read by a scanner that
 // builds the rows' sets directly — one array holds all the pins, one all the
 // sets, one all the tasks — and refuses a table whose rows do not form a
 // forest: a parent that is not an earlier row, a view outside its array, an
-// unsorted flat set, a task naming no row or a lease root itself. null is the
+// unsorted flat set, a task naming no row or a lease root itself, and in a
+// table with lease roots a row or a task that hangs from none. null is the
 // empty list.
 func (t *TaskTable) UnmarshalJSON(b []byte) error {
 	*t = TaskTable{}
 	s := scanners.Get().(*tableScanner)
 	defer s.release()
 	s.decisionScanner = decisionScanner{buf: b}
-	switch s.space() {
-	case '[':
-		return json.Unmarshal(b, &t.Tasks)
-	case 'n':
+	if s.space() == 'n' {
 		if err := s.consume("null"); err != nil {
 			return err
 		}
-	default:
-		if err := s.table(); err != nil {
-			return err
-		}
+	} else if err := s.table(); err != nil {
+		return err
 	}
 	if s.space(); s.pos < len(s.buf) {
 		return s.errorf("trailing data")
@@ -581,14 +564,11 @@ func (s *tableScanner) task() error {
 
 // build checks the scanned rows and tasks and makes them the table's.
 func (s *tableScanner) build(t *TaskTable) error {
-	t.roots = s.roots
 	pins := slices.Clone(s.pins) // the scratch goes back to the pool
 	sets := make([]Decisions, len(s.rows))
-	t.pins, t.sets = pins, sets
-	var hangs []int // per row, the lease root it hangs from
+	t.pins, t.sets, t.roots = pins, sets, s.roots
 	if s.roots > 0 {
-		hangs = make([]int, len(s.rows))
-		t.stubs = map[int]*Decisions{}
+		t.under = make([]int, len(s.rows))
 	}
 	for j, r := range s.rows {
 		own := s.roots + j
@@ -596,6 +576,8 @@ func (s *tableScanner) build(t *TaskTable) error {
 		switch {
 		case r.parent < -1 || r.parent >= own:
 			return fmt.Errorf("core: task table row %d: parent %d is not an earlier row", own, r.parent)
+		case s.roots > 0 && (r.flat || r.parent == -1):
+			return fmt.Errorf("core: task table row %d hangs from no lease root", own)
 		case r.array == -1 && r.n == 0:
 		case r.array < 0 || r.array >= len(s.ends):
 			return fmt.Errorf("core: task table row %d: no pins array %d", own, r.array)
@@ -619,9 +601,6 @@ func (s *tableScanner) build(t *TaskTable) error {
 				}
 			}
 			sets[j] = Decisions{entries: view}
-			if hangs != nil {
-				hangs[j] = -1
-			}
 			continue
 		}
 		sets[j] = Decisions{entries: view, flip: r.flip}
@@ -629,38 +608,25 @@ func (s *tableScanner) build(t *TaskTable) error {
 		case r.parent == -1:
 			sets[j].parent = noDecisions
 		case r.parent < s.roots:
-			stub := t.stubs[r.parent]
-			if stub == nil {
-				stub = new(Decisions)
-				t.stubs[r.parent] = stub
-			}
-			sets[j].parent = stub
+			sets[j].parent, t.under[j] = leaseRoot, r.parent
 		default:
 			sets[j].parent = &sets[r.parent-s.roots]
-		}
-		if hangs != nil {
-			switch {
-			case r.parent == -1:
-				hangs[j] = -1
-			case r.parent < s.roots:
-				hangs[j] = r.parent
-			default:
-				hangs[j] = hangs[r.parent-s.roots]
+			if t.under != nil {
+				t.under[j] = t.under[r.parent-s.roots]
 			}
 		}
 	}
 	tasks := make([]SubtreeTask, len(s.tasks))
 	t.Tasks = make([]*SubtreeTask, len(s.tasks))
-	if hangs != nil {
+	if s.roots > 0 {
 		t.hang = make([]int, len(s.tasks))
 	}
 	for i, ts := range s.tasks {
 		tasks[i] = SubtreeTask{Budget: ts.budget, Explorable: ts.explorable, Depth: ts.depth, Sample: ts.sample}
 		switch {
+		case ts.node == -1 && s.roots > 0:
+			return fmt.Errorf("core: task table task %d hangs from no lease root", i)
 		case ts.node == -1:
-			if t.hang != nil {
-				t.hang[i] = -1
-			}
 		case ts.node < s.roots && ts.node >= 0:
 			return fmt.Errorf("core: task table task %d is lease root %d itself", i, ts.node)
 		case ts.node < -1 || ts.node >= s.roots+len(sets):
@@ -668,7 +634,7 @@ func (s *tableScanner) build(t *TaskTable) error {
 		default:
 			tasks[i].Decisions = &sets[ts.node-s.roots]
 			if t.hang != nil {
-				t.hang[i] = hangs[ts.node-s.roots]
+				t.hang[i] = t.under[ts.node-s.roots]
 			}
 		}
 		t.Tasks[i] = &tasks[i]

@@ -71,7 +71,7 @@ func TestTableRoundTrip(t *testing.T) {
 	b := w.Append(nil, tasks, nil)
 	got := readTable(t, b)
 	sameTasks(t, got.Tasks, tasks)
-	if got.Roots() != 0 || got.Root(0) != -1 {
+	if got.Roots() != 0 {
 		t.Errorf("a list without roots reads as hanging from %d roots", got.Roots())
 	}
 
@@ -102,13 +102,15 @@ func TestTableRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTableFlatFormStillReads: a version-1 checkpoint's and a protocol-8
-// frame's task list — a JSON array of tasks, each with its whole set — and
-// null read as they always did.
-func TestTableFlatFormStillReads(t *testing.T) {
-	got := readTable(t, []byte(`[{"decisions":{"by_rank":{"0":{"1":2}}},"budget":-1,"explorable":true,"depth":1},{"decisions":null,"budget":3}]`))
-	if len(got.Tasks) != 2 || got.Tasks[0].Decisions.String() != "{r0:[1→2]}" || got.Tasks[1].Decisions != nil || got.Tasks[1].Budget != 3 {
-		t.Errorf("flat list read as %+v", got.Tasks)
+// TestTableRefusesAFlatList: a table reader reads tables only. The flat list
+// of a version-1 checkpoint — a JSON array of tasks, each with its whole set —
+// is the checkpoint reader's to read, and a table reader refuses it; null is
+// the empty list.
+func TestTableRefusesAFlatList(t *testing.T) {
+	var tt TaskTable
+	err := json.Unmarshal([]byte(`[{"decisions":{"by_rank":{"0":{"1":2}}},"budget":-1,"explorable":true,"depth":1}]`), &tt)
+	if err == nil || !strings.Contains(err.Error(), "want '{'") {
+		t.Errorf("a flat list read with error %v, want one asking for a table", err)
 	}
 	if got := readTable(t, []byte(`null`)); len(got.Tasks) != 0 {
 		t.Errorf("null read as %d tasks", len(got.Tasks))
@@ -136,12 +138,7 @@ func TestTableRelinksLeftoversToTheirRoots(t *testing.T) {
 	if got.Roots() != 4 {
 		t.Fatalf("read %d roots, want 4", got.Roots())
 	}
-	for i := range left {
-		if got.Root(i) != i {
-			t.Errorf("leftover %d hangs from root %d, want %d", i, got.Root(i), i)
-		}
-	}
-	if err := got.Relink(roots[:3]); err == nil {
+	if _, err := got.Relink(roots[:3]); err == nil {
 		t.Error("relinked to 3 roots a table that hangs from 4")
 	}
 	held := make([]*SubtreeTask, len(roots)) // the reader's own copies of the roots
@@ -149,8 +146,14 @@ func TestTableRelinksLeftoversToTheirRoots(t *testing.T) {
 		cp := *r
 		held[i] = &cp
 	}
-	if err := got.Relink(held); err != nil {
+	hang, err := got.Relink(held)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for i := range left {
+		if hang[i] != i {
+			t.Errorf("leftover %d hangs from root %d, want %d", i, hang[i], i)
+		}
 	}
 	sameTasks(t, got.Tasks, left)
 	for i, task := range got.Tasks {
@@ -183,6 +186,10 @@ func TestTableRefusesWhatIsNoForest(t *testing.T) {
 		{"flat-set-with-parent", `{"pins":[[0,1,1]],"nodes":[[-1,-1,0,0,5,1],[0,0,1]],"tasks":[]}`, "a flat set with a parent"},
 		{"task-names-no-row", `{"pins":[],"nodes":[],"tasks":[[0,-1,1,1]]}`, "no row 0"},
 		{"task-is-a-root", `{"roots":2,"pins":[],"nodes":[],"tasks":[[1,-1,1,1]]}`, "is lease root 1 itself"},
+		{"row-below-no-root", `{"roots":1,"pins":[],"nodes":[[-1,-1,0,0,1,1]],"tasks":[]}`, "row 1 hangs from no lease root"},
+		{"flat-row-with-roots", `{"roots":1,"pins":[[0,1,1]],"nodes":[[-1,0,1]],"tasks":[]}`, "row 1 hangs from no lease root"},
+		{"flat-row-below-a-root", `{"roots":1,"pins":[[0,1,1]],"nodes":[[0,0,1]],"tasks":[]}`, "row 1 hangs from no lease root"},
+		{"task-below-no-root", `{"roots":1,"pins":[],"nodes":[],"tasks":[[-1,-1,1,0]]}`, "task 0 hangs from no lease root"},
 		{"rank-too-wide", `{"pins":[[4294967296,1,1]],"nodes":[],"tasks":[]}`, "out of range"},
 		{"fractional", `{"pins":[],"nodes":[[-1,-1,0,0,1,1.5]],"tasks":[]}`, "want ','"},
 		{"short-row", `{"pins":[],"nodes":[[-1,-1,0,0]],"tasks":[]}`, "a node row of 4 numbers"},

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 )
 
 // A run's Potential Matches log, written for people to read. The paper passes
@@ -15,12 +14,7 @@ import (
 
 // Save writes the run trace (the Potential Matches log) as JSON.
 func (t *RunTrace) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return t.Write(f)
+	return saveFile(path, t.Write)
 }
 
 // Write serializes the trace as indented JSON.

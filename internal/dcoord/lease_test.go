@@ -81,10 +81,10 @@ func (f *fakeWorker) recvTask() wireTask {
 func (f *fakeWorker) close() { f.conn.Close() }
 
 // result returns lease wt the way a worker does: rep is what its replays
-// add to the report, left what it hands back.
+// add to the report, left what it hands back, each hanging from a root of wt.
 func (f *fakeWorker) result(fp JobSpec, wt wireTask, rep *core.Report, left ...*core.SubtreeTask) {
 	f.t.Helper()
-	f.send(&frame{Type: msgResult, Result: &WireResult{Lease: wt.Lease, Delta: deltaOf(fp, rep, left...)}})
+	f.send(&frame{Type: msgResult, Result: &WireResult{Lease: wt.Lease, Delta: deltaOf(fp, rep, left...), roots: wt.Tasks}})
 }
 
 // deltaOf renders a report delta in the checkpoint codec.
@@ -126,6 +126,13 @@ func leaseTestConfig(ttl time.Duration) Config {
 		Fingerprint: JobSpec{Workload: "lease-test", Procs: 3, Space: dexplore.Space{MixingBound: core.Unbounded}},
 		LeaseTTL:    ttl,
 	}
+}
+
+// flipped is the child of parent a worker's search builds for flipping
+// rank's epoch at lc to src (core.SubtreeTask.FlipChild): its prefix hangs
+// from parent's.
+func flipped(parent *core.SubtreeTask, rank int, lc uint64, src int) *core.SubtreeTask {
+	return parent.FlipChild(core.Flippable{Rec: &core.EpochRecord{Rank: rank, LC: lc}}, src)
 }
 
 // dec builds a one-entry decision set.

@@ -252,9 +252,14 @@ func checkDelta(rep *core.Report, completed, budget int, overRoot bool) error {
 
 // decode turns a result frame into its event; it reads only ecfg.
 func (m *machine) decode(w *workerConn, res *WireResult) evResult {
-	ev := evResult{w: w, res: res, bad: errors.New("has no delta")}
-	if d := res.Delta; d != nil {
-		ev.delta, ev.left, ev.bad = d.Restore("", &m.ecfg)
+	ev := evResult{w: w, res: res}
+	switch {
+	case res.bad != nil:
+		ev.bad = fmt.Errorf("has a delta that does not decode: %w", res.bad)
+	case res.Delta == nil:
+		ev.bad = errors.New("has no delta")
+	default:
+		ev.delta, ev.left, ev.bad = res.Delta.Restore("", &m.ecfg)
 	}
 	return ev
 }
@@ -319,13 +324,12 @@ func (m *machine) result(ev evResult) int {
 func isRoot(t *core.SubtreeTask) bool { return t.Decisions == nil }
 
 // checkLeftovers vets the subtrees a held lease's result hands back, by their
-// decisions alone: each must lie strictly below a root of the lease that its
-// worker started — the one it hangs from (hang, per leftover, from
-// Checkpoint.HangFrom), or any for one that names none, as a protocol-8
-// recording does — and be a walk step below the root task or a step of its
-// own walk; and none may be listed twice. A subtree waiting in the frontier,
-// held by another lease or explored lies below no started root of a held
-// lease. Every root and leftover is flattened once, into flat's storage.
+// decisions alone: each must lie strictly below the root of the lease it
+// hangs from (hang, per leftover, from Checkpoint.HangFrom), which its worker
+// started, and be a walk step below the root task or a step of its own walk;
+// and none may be listed twice. A subtree waiting in the frontier, held by
+// another lease or explored lies below no started root of a held lease. Every
+// root and leftover is flattened once, into flat's storage.
 func checkLeftovers(flat *core.Flattener, roots []*core.SubtreeTask, untouched int, left []*core.SubtreeTask, hang []int) error {
 	sets := make([]*core.Decisions, 0, len(roots)+len(left))
 	for _, t := range roots {
@@ -336,26 +340,14 @@ func checkLeftovers(flat *core.Flattener, roots []*core.SubtreeTask, untouched i
 	}
 	sets = flat.Flatten(sets)
 	rootSets, leftSets := sets[:len(roots)], sets[len(roots):]
-	below := func(i, r int) bool {
-		t, root := left[i], roots[r]
-		if t.Sample != nil && !isRoot(root) && walk(root) != walk(t) {
-			return false
-		}
-		return rootSets[r].Within(leftSets[i]) && rootSets[r].Len() < leftSets[i].Len()
-	}
 	for i, t := range left {
 		r := hang[i]
+		root, set := rootSets[r], leftSets[i]
 		switch {
-		case r >= 0 && r < untouched:
+		case r < untouched:
 			return fmt.Errorf("hands back subtree %s below root %d, which it never started", t.Decisions, r)
-		case r >= 0 && !below(i, r):
+		case t.Sample != nil && !isRoot(roots[r]) && walk(roots[r]) != walk(t), !root.Within(set) || root.Len() >= set.Len():
 			return fmt.Errorf("hands back subtree %s, which is not below its root %d", t.Decisions, r)
-		case r < 0:
-			for r = untouched; r < len(roots) && !below(i, r); r++ {
-			}
-			if r == len(roots) {
-				return fmt.Errorf("hands back subtree %s, which is below no root it started", t.Decisions)
-			}
 		}
 	}
 	// Equal sets of one walk sort next to each other.

@@ -1,6 +1,7 @@
 package dcoord
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -19,7 +20,9 @@ import (
 // rig steps one machine on a fake clock: the lease protocol without a socket,
 // a goroutine or a sleep. It names the subtrees it hands out, so rows can
 // spell leases by name, and remembers every lease granted, so a result can
-// name one.
+// name one. A result reaches the machine as a worker's does: its leftovers
+// hang from the lease's roots, and it is written by a frameWriter and read
+// back by a frameReader.
 type rig struct {
 	t       *testing.T
 	c       *Coordinator // built by New; only its machine and Status are used
@@ -27,6 +30,7 @@ type rig struct {
 	workers map[string]*workerConn
 	names   map[string]string // subtree identity (see id) → name
 	tasks   map[string]*core.SubtreeTask
+	epochs  map[string]int // the epoch each name flips, numbered by first use
 	granted map[uint64]wireTask
 	ended   int // finalize actions seen
 }
@@ -41,7 +45,7 @@ func newRig(t *testing.T, cfg Config, tweak ...func(*machine)) *rig {
 		f(&c.machine)
 	}
 	return &rig{t: t, c: c, start: time.Unix(1_000_000, 0), workers: map[string]*workerConn{},
-		names: map[string]string{id(&core.SubtreeTask{}): "root"}, tasks: map[string]*core.SubtreeTask{}, granted: map[uint64]wireTask{}}
+		names: map[string]string{id(&core.SubtreeTask{}): "root"}, tasks: map[string]*core.SubtreeTask{}, epochs: map[string]int{}, granted: map[uint64]wireTask{}}
 }
 
 // id is a subtree's identity in the rig: its decisions, and the walk of a
@@ -52,32 +56,61 @@ func id(t *core.SubtreeTask) string {
 
 // task is the subtree called name, made on first use. A name's path says
 // where it lies: "a.x" is below "a", and a name without a dot is a child of
-// the root task. Each has its parent's decisions plus one of an epoch no other
-// name forces (within leaseTestConfig's three ranks), so two names nest only
-// along their path. A last segment "s~2" makes the subtree a step of walk 2.
+// the root task. Each is its parent's child flipping an epoch no other name
+// flips (within leaseTestConfig's three ranks), so two names nest only along
+// their path. A last segment "s~2" makes the subtree a step of walk 2.
 func (r *rig) task(name string) *core.SubtreeTask {
 	if t, ok := r.tasks[name]; ok {
 		return t
 	}
-	var parent *core.Decisions
-	depth := 1
+	parent := &core.SubtreeTask{} // the root task
 	if i := strings.LastIndex(name, "."); i >= 0 {
-		p := r.task(name[:i])
-		parent, depth = p.Decisions, p.Depth+1
+		parent = r.task(name[:i])
 	}
-	n := len(r.tasks)
-	d := parent.CloneWithCapacity(1)
-	d.Force(core.EpochID{Rank: n % 3, LC: uint64(n/3 + 1)}, (n+1)%3)
-	t := &core.SubtreeTask{Decisions: d, Budget: core.Unbounded, Explorable: true, Depth: depth}
+	t := r.child(parent, name)
+	r.tasks[name], r.names[id(t)] = t, name
+	return t
+}
+
+// child is the subtree called name built below parent as a worker's search
+// builds a child (core.SubtreeTask.FlipChild): flipping name's epoch.
+func (r *rig) child(parent *core.SubtreeTask, name string) *core.SubtreeTask {
+	n, ok := r.epochs[name]
+	if !ok {
+		n = len(r.epochs)
+		r.epochs[name] = n
+	}
+	t := flipped(parent, n%3, uint64(n/3+1), (n+1)%3)
 	if _, w, ok := strings.Cut(name[strings.LastIndex(name, ".")+1:], "~"); ok {
 		walk, err := strconv.Atoi(w)
 		if err != nil {
 			r.t.Fatalf("subtree name %q: %v", name, err)
 		}
-		t.Sample = &core.SampleState{Walk: walk, Step: depth}
+		t.Sample = &core.SampleState{Walk: walk, Step: t.Depth}
 	}
-	r.tasks[name], r.names[id(t)] = t, name
 	return t
+}
+
+// handed is the subtree called name as a worker holding roots hands it back:
+// a root itself, or, below the root its path runs through, built from the
+// object the worker holds for that root; below none of them the rig's own,
+// which hangs from no root of the lease.
+func (r *rig) handed(roots []*core.SubtreeTask, name string) *core.SubtreeTask {
+	own := r.task(name)
+	for _, root := range roots {
+		if id(root) == id(own) {
+			return root
+		}
+	}
+	i := strings.LastIndex(name, ".")
+	if i < 0 {
+		return own
+	}
+	parent := r.handed(roots, name[:i])
+	if parent == r.task(name[:i]) {
+		return own
+	}
+	return r.child(parent, name)
 }
 
 func (r *rig) worker(name string, slots int) *workerConn {
@@ -108,22 +141,45 @@ func ret(name string, id uint64, rep *core.Report, left ...string) evFn {
 // back is ret for a lease whose first u roots were never started.
 func back(name string, id uint64, u int, rep *core.Report, left ...string) evFn {
 	return func(r *rig) any {
-		if _, ok := r.granted[id]; !ok {
+		wt, ok := r.granted[id]
+		if !ok {
 			r.t.Fatalf("no lease %d was granted", id)
 		}
-		return r.wire(name, &WireResult{Lease: id, Untouched: u, Delta: r.delta(rep, left...)})
+		return r.wire(name, &WireResult{Lease: id, Untouched: u, Delta: r.delta(wt, rep, left...)})
 	}
 }
 
-// wire decodes a result frame's body from name, as the driver does.
+// wire is name's result frame as the driver decodes it: written with the
+// roots of the lease it answers (the granted lease's unless res names its
+// own), as a worker writes it, and read back by a frameReader.
 func (r *rig) wire(name string, res *WireResult) evResult {
-	return r.c.decode(r.worker(name, 1), res)
+	r.t.Helper()
+	return r.from(r.worker(name, 1), res)
 }
 
-func (r *rig) delta(rep *core.Report, left ...string) *dexplore.Checkpoint {
+// from is wire for the result frame that arrives on w.
+func (r *rig) from(w *workerConn, res *WireResult) evResult {
+	r.t.Helper()
+	if res.roots == nil {
+		res.roots = r.granted[res.Lease].Tasks
+	}
+	var buf bytes.Buffer
+	if _, err := writeFrame(&buf, &frame{Type: msgResult, Job: r.c.cfg.JobID, Result: res}); err != nil {
+		r.t.Fatal(err)
+	}
+	fr, _, err := readFrame(&buf, maxFrameSize)
+	if err != nil {
+		r.t.Fatalf("result frame: %v", err)
+	}
+	return r.c.decode(w, fr.Result)
+}
+
+// delta is a worker's delta for lease wt: rep, and the named subtrees handed
+// back from below its roots.
+func (r *rig) delta(wt wireTask, rep *core.Report, left ...string) *dexplore.Checkpoint {
 	tasks := make([]*core.SubtreeTask, len(left))
 	for i, n := range left {
-		tasks[i] = r.task(n)
+		tasks[i] = r.handed(wt.Tasks, n)
 	}
 	return deltaOf(r.c.cfg.Fingerprint, rep, tasks...)
 }
@@ -454,7 +510,7 @@ func TestUntouchedCountRebuildsRoots(t *testing.T) {
 // TestUntouchedCountHasOneForm: an untouched count outside the lease, or a
 // leased root handed back in the delta's frontier (the form before the
 // count), fails the exploration naming the worker and the lease, and merges
-// nothing.
+// nothing: a result's table has no task for a lease root itself.
 func TestUntouchedCountHasOneForm(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -464,8 +520,8 @@ func TestUntouchedCountHasOneForm(t *testing.T) {
 	}{
 		{"negative", -1, nil, "counts -1 of its 3 roots untouched"},
 		{"past-the-lease", 4, nil, "counts 4 of its 3 roots untouched"},
-		{"root-in-frontier", 1, []string{"b.x", "c"}, "which is below no root it started"},
-		{"untouched-root-in-frontier", 1, []string{"a"}, "which is below no root it started"},
+		{"root-in-frontier", 1, []string{"b.x", "c"}, "task 1 is lease root 2 itself"},
+		{"untouched-root-in-frontier", 1, []string{"a"}, "task 0 is lease root 0 itself"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t, leaseTestConfig(time.Second))
@@ -480,9 +536,11 @@ func TestUntouchedCountHasOneForm(t *testing.T) {
 // TestLeftoverChecksNeedNoKeys: a held lease's leftovers are vetted by their
 // decisions alone — each strictly below a root its worker started, none
 // listed twice — so a result that hands back a subtree from anywhere else
-// fails the exploration, naming the worker, the lease and the subtree, and
-// merges nothing. Here w holds lease #4 over c, v holds #3 over b, a is
-// explored and d waits; then w returns #4.
+// fails the exploration, naming the worker and the lease, and merges nothing.
+// A subtree below no root of the lease has no root to hang from in the
+// result's table, whose reader refuses it; one listed twice is named. Here w
+// holds lease #4 over c, v holds #3 over b, a is explored and d waits; then w
+// returns #4.
 func TestLeftoverChecksNeedNoKeys(t *testing.T) {
 	setup := []row{
 		{0, join("w", 1), "w:#1[root]/1", ""},
@@ -490,17 +548,17 @@ func TestLeftoverChecksNeedNoKeys(t *testing.T) {
 		{2 * ms, join("v", 1), "v:#3[b]/0", ""},
 		{3 * ms, ret("w", 2, &core.Report{Interleavings: 1}), "w:#4[c]/0", "exploring n=2 errors=0 frontier=1 leases=2 granted=4 requeues=0"},
 	}
-	const below = "which is below no root it started"
+	const below = "hangs from no lease root"
 	for _, tc := range []struct {
 		name string
 		left []string
-		bad  string // the leftover the error names
+		bad  string // the leftover the error names, if it names one
 		want string
 	}{
-		{"waiting", []string{"d"}, "d", below},
-		{"held-by-another-lease", []string{"c.x", "b"}, "b", below},
-		{"explored", []string{"a"}, "a", below},
-		{"fabricated", []string{"b.z"}, "b.z", below},
+		{"waiting", []string{"d"}, "", below},
+		{"held-by-another-lease", []string{"c.x", "b"}, "", below},
+		{"explored", []string{"a"}, "", below},
+		{"fabricated", []string{"b.z"}, "", below},
 		{"twice", []string{"c.x", "c.y", "c.x"}, "c.x", "twice"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -510,7 +568,10 @@ func TestLeftoverChecksNeedNoKeys(t *testing.T) {
 			if got, want := r.state(), "n=2 errors=0 points=1 front[d] v:#3[b]"; got != want {
 				t.Errorf("after the failed result: %s, want %s", got, want)
 			}
-			r.wantErr("worker w", "lease 4", "hands back subtree "+r.task(tc.bad).Decisions.String(), tc.want)
+			r.wantErr("worker w", "lease 4", tc.want)
+			if tc.bad != "" {
+				r.wantErr("hands back subtree " + r.task(tc.bad).Decisions.String())
+			}
 		})
 	}
 }
@@ -526,13 +587,15 @@ func TestWalkStepComesFromItsWalk(t *testing.T) {
 		want string // the error; "" for a result that merges
 	}{
 		{"s~1.t~1", ""},
-		{"s~1.t~2", "hands back subtree %s, which is below no root it started"},
+		{"s~1.t~2", "hands back subtree %s, which is not below its root 4"},
 	} {
 		t.Run(tc.left, func(t *testing.T) {
 			r := newRig(t, leaseTestConfig(time.Second))
 			a := r.task("a")
-			twin := func(walk int) *core.SubtreeTask {
-				return &core.SubtreeTask{Decisions: a.Decisions.Clone(), Budget: core.Unbounded, Explorable: true, Depth: 1, Sample: &core.SampleState{Walk: walk, Step: 1}}
+			twin := func(walk int) *core.SubtreeTask { // a's set, another object
+				t := r.child(&core.SubtreeTask{}, "a")
+				t.Sample = &core.SampleState{Walk: walk, Step: 1}
+				return t
 			}
 			leftovers := []*core.SubtreeTask{r.task("u~2"), a, twin(1), twin(2), r.task("s~1")}
 			r.run([]row{
@@ -542,7 +605,7 @@ func TestWalkStepComesFromItsWalk(t *testing.T) {
 				}, fmt.Sprintf("w:#2[u~2 a %s %s s~1]/0", id(twin(1)), id(twin(2))), "exploring n=1 errors=0 frontier=0 leases=1 granted=2 requeues=0"},
 			})
 			// u~2, a and the twins untouched, s~1 explored.
-			r.c.step(r.wire("w", &WireResult{Lease: 2, Untouched: 4, Delta: r.delta(&core.Report{Interleavings: 1}, tc.left)}), r.start.Add(2*ms))
+			r.c.step(r.wire("w", &WireResult{Lease: 2, Untouched: 4, Delta: r.delta(r.granted[2], &core.Report{Interleavings: 1}, tc.left)}), r.start.Add(2*ms))
 			if tc.want == "" {
 				if r.c.runErr != nil || r.c.report.Interleavings != 2 {
 					t.Fatalf("err %v, %d replays: want the step of its own walk merged", r.c.runErr, r.c.report.Interleavings)
@@ -583,21 +646,21 @@ func TestNonRootLeaseCannotSetRootAggregates(t *testing.T) {
 		want  string
 	}{
 		{"first-trace", func(r *rig) *dexplore.Checkpoint {
-			return r.delta(&core.Report{Interleavings: 1, FirstTrace: &core.RunTrace{}})
+			return r.delta(r.granted[2], &core.Report{Interleavings: 1, FirstTrace: &core.RunTrace{}})
 		}, "without holding the root"},
 		{"wildcards", func(r *rig) *dexplore.Checkpoint {
-			return r.delta(&core.Report{Interleavings: 1, WildcardsAnalyzed: 3})
+			return r.delta(r.granted[2], &core.Report{Interleavings: 1, WildcardsAnalyzed: 3})
 		}, "without holding the root"},
 		{"unsafe", func(r *rig) *dexplore.Checkpoint {
-			return r.delta(&core.Report{Interleavings: 1, Unsafe: []core.UnsafeReport{{}}})
+			return r.delta(r.granted[2], &core.Report{Interleavings: 1, Unsafe: []core.UnsafeReport{{}}})
 		}, "without holding the root"},
 		{"no-delta", func(*rig) *dexplore.Checkpoint { return nil }, "has no delta"},
 		{"negative", func(r *rig) *dexplore.Checkpoint {
-			return r.delta(&core.Report{Interleavings: 1, DecisionPoints: -4})
+			return r.delta(r.granted[2], &core.Report{Interleavings: 1, DecisionPoints: -4})
 		}, "negative count"},
-		{"nothing-explored", func(r *rig) *dexplore.Checkpoint { return r.delta(&core.Report{}) }, "0 replays for 1 subtrees"},
+		{"nothing-explored", func(r *rig) *dexplore.Checkpoint { return r.delta(r.granted[2], &core.Report{}) }, "0 replays for 1 subtrees"},
 		{"handed-back-twice", func(r *rig) *dexplore.Checkpoint {
-			return r.delta(&core.Report{Interleavings: 1}, "child.kid", "child.kid")
+			return r.delta(r.granted[2], &core.Report{Interleavings: 1}, "child.kid", "child.kid")
 		}, "twice"},
 		{"other-space", func(r *rig) *dexplore.Checkpoint {
 			fp := r.c.cfg.Fingerprint
@@ -664,7 +727,7 @@ func TestStepIsAFunctionOfItsEvents(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s holds no lease: %v", name, steps)
 			}
-			step(at, r.wire(name, &WireResult{Lease: wt.Lease, Delta: r.delta(rep, left...)}))
+			step(at, r.wire(name, &WireResult{Lease: wt.Lease, Delta: r.delta(wt, rep, left...)}))
 		}
 		for _, w := range []string{"w1", "w2", "w3"} {
 			step(0, evAttach{r.worker(w, 1)})
@@ -754,10 +817,11 @@ func TestStatusSamplesInTimeOrder(t *testing.T) {
 // roots it leaves untouched (bits 0–1, negated by bit 3: out of range as
 // often as not on a short lease), whether it also lists its last root in its
 // frontier (bit 2, the form the count replaced), which of six subtrees k0…k5
-// it hands back (bits 4–9: kj below its last started root, or below none when
-// bit 12 is set or it started none, and listed twice when bit 13 is set), one
-// replay per root past the untouched ones (plus an extra one, bit 10, or a
-// failure, bit 11), and the root run's aggregates when it started the root.
+// it hands back (bits 4–9: kj below its last started root, or a child of the
+// root task when bit 12 is set or it started none, and listed twice when bit
+// 13 is set), one replay per root past the untouched ones (plus an extra one,
+// bit 10, or a failure, bit 11), and the root run's aggregates when it
+// started the root. Its leftovers hang from wt's roots, as a worker's do.
 func (r *rig) synth(wt wireTask, bits int) *WireResult {
 	u := bits & 3
 	if bits>>3&1 == 1 {
@@ -786,9 +850,9 @@ func (r *rig) synth(wt wireTask, bits int) *WireResult {
 			if bits>>12&1 == 0 {
 				name = parent + name
 			}
-			left = append(left, r.task(name))
+			left = append(left, r.handed(wt.Tasks, name))
 			if bits>>13&1 == 1 {
-				left = append(left, r.task(name))
+				left = append(left, r.handed(wt.Tasks, name))
 			}
 		}
 	}
@@ -796,7 +860,7 @@ func (r *rig) synth(wt wireTask, bits int) *WireResult {
 	if bits>>11&1 == 1 && rep.Interleavings > 0 {
 		rep.Errors = []*core.InterleavingResult{{Err: fmt.Errorf("failure"), Decisions: core.NewDecisions()}}
 	}
-	return &WireResult{Lease: wt.Lease, Untouched: u, Delta: deltaOf(r.c.cfg.Fingerprint, rep, left...)}
+	return &WireResult{Lease: wt.Lease, Untouched: u, Delta: deltaOf(r.c.cfg.Fingerprint, rep, left...), roots: wt.Tasks}
 }
 
 // FuzzStep: the machine under any bounded sequence of events from three
@@ -857,7 +921,7 @@ func FuzzStep(f *testing.F) {
 					continue
 				}
 				l := r.c.leases[a%len(r.c.leases)]
-				last = r.c.decode(l.conn, r.synth(l.wireTask, bits))
+				last = r.from(l.conn, r.synth(l.wireTask, bits))
 				ev = last
 			case 5: // any lease ever granted, or none, returns from anyone
 				wt, ok := r.granted[uint64(a%(len(r.granted)+2))]
@@ -987,7 +1051,7 @@ func TestClockCadenceCutsExactly(t *testing.T) {
 	cfg.CheckpointPath = "unused"
 	r := newRig(t, cfg)
 	r.c.cad.Interval = interval
-	r.c.step(evAttach{r.worker("w", 1)}, r.start)
+	r.render(r.c.step(evAttach{r.worker("w", 1)}, r.start))
 	periodic, path := 0, "x"
 	for k := 1; k <= merges+1; k++ {
 		wt, ok := r.held("w")
@@ -999,7 +1063,7 @@ func TestClockCadenceCutsExactly(t *testing.T) {
 			left, path = []string{path}, path+".x"
 		}
 		at := r.start.Add(time.Duration(k) * every)
-		acts := r.c.step(r.wire("w", &WireResult{Lease: wt.Lease, Delta: r.delta(&core.Report{Interleavings: 1}, left...)}), at)
+		acts := r.c.step(r.wire("w", &WireResult{Lease: wt.Lease, Delta: r.delta(wt, &core.Report{Interleavings: 1}, left...)}), at)
 		for _, a := range acts {
 			if _, cut := a.(actPeriodic); cut {
 				if k%2 != 0 {
@@ -1027,7 +1091,8 @@ func TestFailedFinalCheckpointFailsTheJob(t *testing.T) {
 	r := newRig(t, cfg)
 	r.c.ckp.Save = func(*dexplore.Checkpoint, string) error { return errors.New("disk full") }
 	r.c.apply(evAttach{r.worker("w", 1)})
-	r.c.apply(r.wire("w", &WireResult{Lease: 1, Delta: r.delta(rootRun())}))
+	wt, _ := r.held("w")
+	r.c.apply(r.wire("w", &WireResult{Lease: wt.Lease, Delta: r.delta(wt, rootRun()), roots: wt.Tasks}))
 	if got, want := r.status(), "failed n=1 errors=0 frontier=0 leases=0 granted=1 requeues=0"; got != want {
 		t.Errorf("status %q, want %q", got, want)
 	}

@@ -21,7 +21,10 @@
 // The wire protocol is deliberately boring: length-prefixed JSON frames over
 // a plain TCP connection (stdlib only), with a handshake in which a pinned
 // worker states the exploration it was built for as a JobSpec, and is never
-// given work whose workload or exploration parameters differ from it.
+// given work whose workload or exploration parameters differ from it. A
+// lease's subtrees travel as one table of prefixes, and a result has one
+// form: its leftovers are a table that hangs each from the lease root it was
+// found under.
 package dcoord
 
 import (
@@ -151,13 +154,12 @@ type frame struct {
 }
 
 // wireTask is one lease: subtrees from the coordinator's frontier and the
-// number of replays the worker may spend on them. Its own JSON is protocol
-// 8's, each subtree with its whole prefix; a task frame writes it as a
-// wireLease.
+// number of replays the worker may spend on them. A task frame writes it as a
+// wireLease and its subtrees in the frame's table.
 type wireTask struct {
-	Lease  uint64              `json:"lease"`
-	Tasks  []*core.SubtreeTask `json:"tasks"`
-	Budget int                 `json:"budget,omitempty"` // 0 = unbounded
+	Lease  uint64
+	Tasks  []*core.SubtreeTask
+	Budget int // 0 = unbounded
 
 	// table is the task frame's table Tasks were cut from, whose rows a
 	// worker checks before it replays any (replayable).
@@ -187,14 +189,17 @@ type WireResult struct {
 	// one with its reproducer, the root with its trace) and, as its frontier,
 	// the expansions not reached: subtrees below the roots it started, each
 	// listed once, never a leased root. A result frame writes the frontier as
-	// a table hanging from the lease's roots (its own JSON, protocol 8's, has
-	// each leftover's whole prefix).
+	// a table hanging from the lease's roots.
 	Delta *dexplore.Checkpoint `json:"delta,omitempty"`
 
 	// roots are the lease's roots, as the worker holds them: the leftovers'
 	// chains pass through them, and a result frame writes each leftover as
 	// hanging from its root.
 	roots []*core.SubtreeTask
+	// bad is why the delta as read did not decode: the result's fault, which
+	// fails the job naming the worker and the lease, not the frame's, which
+	// would only drop the connection.
+	bad error
 }
 
 // JobSpec is the complete, self-contained description of one exploration,
@@ -385,8 +390,31 @@ type wireResult struct {
 type frameIn struct {
 	Type string `json:"type"`
 	*frameFields
-	Tasks []wireLease     `json:"tasks,omitempty"`
-	Table *core.TaskTable `json:"table,omitempty"`
+	Tasks  []wireLease     `json:"tasks,omitempty"`
+	Table  *core.TaskTable `json:"table,omitempty"`
+	Result *resultIn       `json:"result,omitempty"`
+}
+
+// resultIn is a result as read: a delta that does not decode is kept as the
+// result's fault (WireResult.bad), and the members around it still read.
+type resultIn struct {
+	resultFields
+	Delta *deltaIn `json:"delta"`
+}
+
+// resultFields is WireResult, its Delta shadowed in resultIn.
+type resultFields WireResult
+
+// deltaIn is a result's delta as read, and why it did not decode.
+type deltaIn struct {
+	dexplore.Checkpoint
+	err error
+}
+
+// UnmarshalJSON implements json.Unmarshaler; it refuses nothing.
+func (d *deltaIn) UnmarshalJSON(b []byte) error {
+	d.err = d.Checkpoint.UnmarshalJSON(b)
+	return nil
 }
 
 // MarshalJSON implements json.Marshaler: a frame's JSON is its wire form, the
@@ -508,7 +536,7 @@ func (fr *frameReader) read(r io.Reader, limit int) (*frame, int, error) {
 	fr.in = frameIn{frameFields: (*frameFields)(f)}
 	err := json.Unmarshal(body, &fr.in)
 	if err == nil {
-		f.Type = fr.in.Type
+		f.Type, f.Result = fr.in.Type, fr.in.result()
 		err = fr.in.leases(f)
 	}
 	fr.in = frameIn{}
@@ -516,6 +544,19 @@ func (fr *frameReader) read(r io.Reader, limit int) (*frame, int, error) {
 		return nil, 0, fmt.Errorf("dcoord: decoding frame: %w", err)
 	}
 	return f, 4 + len(body), nil
+}
+
+// result is the frame's result, its delta's decode error kept as its fault.
+func (in *frameIn) result() *WireResult {
+	r := in.Result
+	if r == nil {
+		return nil
+	}
+	res := (*WireResult)(&r.resultFields)
+	if d := r.Delta; d != nil {
+		res.Delta, res.bad = &d.Checkpoint, d.err
+	}
+	return res
 }
 
 // leases cuts the frame's table into its leases, each taking the next of

@@ -38,7 +38,6 @@ func everyFrame() []*frame {
 	fp := baseFingerprint()
 	task := &core.SubtreeTask{Decisions: dec(1, 3, 0), Budget: 2, Explorable: true}
 	sibling := &core.SubtreeTask{Decisions: dec(1, 3, 2), Budget: 2, Explorable: true}
-	child := &core.SubtreeTask{Decisions: dec(2, 1, 1), Budget: core.Unbounded, Explorable: true}
 	failed := &core.Report{
 		Interleavings: 3, DecisionPoints: 3, WildcardsAnalyzed: 5,
 		Errors: []*core.InterleavingResult{{Index: 2, Err: errors.New("rank 2: assertion failed"), Decisions: dec(1, 3, 0)}},
@@ -53,7 +52,7 @@ func everyFrame() []*frame {
 			{Lease: 42, Tasks: []*core.SubtreeTask{sibling, task}},
 		}},
 		{Type: msgHeartbeat},
-		{Type: msgResult, Job: "j1", Result: &WireResult{Lease: 42, Untouched: 1, Delta: deltaOf(fp, failed, child)}},
+		{Type: msgResult, Job: "j1", Result: &WireResult{Lease: 42, Untouched: 1, Delta: deltaOf(fp, failed, flipped(task, 2, 1, 1)), roots: []*core.SubtreeTask{sibling, task}}},
 		{Type: msgJobDone, Job: "j1"},
 		{Type: msgDone},
 	}
@@ -63,7 +62,6 @@ func everyFrame() []*frame {
 // codec byte-for-byte in meaning.
 func TestFrameRoundTrip(t *testing.T) {
 	fp := baseFingerprint()
-	child := &core.SubtreeTask{Decisions: dec(2, 1, 1), Budget: core.Unbounded, Explorable: true}
 	frames := everyFrame()
 	for _, in := range frames {
 		t.Run(in.Type, func(t *testing.T) {
@@ -97,6 +95,9 @@ func TestFrameRoundTrip(t *testing.T) {
 					t.Errorf("result changed: %+v -> %+v", in.Result, out.Result)
 				}
 				ecfg := fp.ExplorerConfig()
+				if _, err := out.Result.Delta.HangFrom(in.Result.roots); err != nil {
+					t.Fatalf("delta does not hang from the lease's roots: %v", err)
+				}
 				rep, left, err := out.Result.Delta.Restore("", &ecfg)
 				if err != nil {
 					t.Fatalf("delta does not restore: %v", err)
@@ -108,7 +109,7 @@ func TestFrameRoundTrip(t *testing.T) {
 					rep.Errors[0].Decisions.String() != dec(1, 3, 0).String() {
 					t.Errorf("delta errors changed: %+v", rep.Errors)
 				}
-				if len(left) != 1 || !sameTask(left[0], child) {
+				if len(left) != 1 || !sameTask(left[0], in.Result.Delta.Frontier[0]) {
 					t.Errorf("leftover frontier changed: %+v", left)
 				}
 			}
@@ -233,8 +234,8 @@ func TestWarmFrameAllocBudget(t *testing.T) {
 	const wantWrite, wantRead = 0, 6
 	hb := &frame{Type: msgHeartbeat}
 	var fw frameWriter
-	child := &core.SubtreeTask{Decisions: dec(2, 1, 1), Budget: core.Unbounded, Explorable: true}
-	clean := &frame{Type: msgResult, Job: "j1", Result: &WireResult{Lease: 42, Untouched: 1, Delta: deltaOf(baseFingerprint(), &core.Report{Interleavings: 3}, child)}}
+	root := &core.SubtreeTask{Decisions: dec(1, 3, 0), Budget: 2, Explorable: true}
+	clean := &frame{Type: msgResult, Job: "j1", Result: &WireResult{Lease: 42, Delta: deltaOf(baseFingerprint(), &core.Report{Interleavings: 3}, flipped(root, 2, 1, 1)), roots: []*core.SubtreeTask{root}}}
 	frames := everyFrame()
 	task := frames[slices.IndexFunc(frames, func(fr *frame) bool { return fr.Type == msgTask })]
 	for _, fr := range []*frame{hb, task, clean} {
@@ -321,7 +322,7 @@ func TestResultCarriesReproducerOnlyWhenKept(t *testing.T) {
 			w := NewWorker(WorkerConfig{Addr: "unused", Explorer: cfg})
 			rt := &jobRuntime{cfg: cfg}
 			task := &core.SubtreeTask{Decisions: dec(0, 1, 2), Budget: core.Unbounded, Explorable: true, Sample: tc.sample}
-			res := w.runLease(rt, core.NewRunContext(&rt.cfg), wireTask{Lease: 7, Tasks: []*core.SubtreeTask{task}})
+			res := w.runLease(rt, core.NewRunContext(&rt.cfg), leased(t, wireTask{Lease: 7, Tasks: []*core.SubtreeTask{task}}))
 			if res.Lease != 7 {
 				t.Errorf("result names lease %d, want the task frame's 7", res.Lease)
 			}
@@ -385,7 +386,7 @@ func FuzzReadFrame(f *testing.F) {
 	for _, fr := range []*frame{
 		{Type: msgHello, Proto: protoVersion, Worker: "w1", Slots: 4, Spec: &fp},
 		{Type: msgTask, Job: "j1", Tasks: []wireTask{{Lease: 42, Tasks: []*core.SubtreeTask{task}, Budget: 3}}},
-		{Type: msgResult, Result: &WireResult{Lease: 42, Delta: deltaOf(fp, failedRun("boom"), task)}},
+		{Type: msgResult, Result: &WireResult{Lease: 42, Delta: deltaOf(fp, failedRun("boom"), flipped(task, 2, 1, 1)), roots: []*core.SubtreeTask{task}}},
 	} {
 		var buf bytes.Buffer
 		if _, err := writeFrame(&buf, fr); err != nil {

@@ -156,11 +156,9 @@ func WriteMetrics(w io.Writer, st Status) {
 	fmt.Fprintf(w, "# HELP dampi_requeues_total Leases lost and requeued (crash, hang, disconnect).\n# TYPE dampi_requeues_total counter\ndampi_requeues_total %d\n", st.Requeues)
 	fmt.Fprintf(w, "# HELP dampi_errors_total Failing interleavings found.\n# TYPE dampi_errors_total counter\ndampi_errors_total %d\n", st.Errors)
 	fmt.Fprintf(w, "# HELP dampi_deadlocks_total Deadlocked interleavings found.\n# TYPE dampi_deadlocks_total counter\ndampi_deadlocks_total %d\n", st.Deadlocks)
-	fmt.Fprintf(w, "# HELP dampi_sampled_schedules_total Walk-step schedules merged in sampling mode.\n# TYPE dampi_sampled_schedules_total counter\ndampi_sampled_schedules_total %d\n", st.Sampled)
-	fmt.Fprintf(w, "# HELP dampi_sample_duplicates_total Sampled schedules whose decision vector was already sampled.\n# TYPE dampi_sample_duplicates_total counter\ndampi_sample_duplicates_total %d\n", st.Sampled-st.SampledDistinct)
+	WriteJobCounters(w, st.CheckpointsWritten, st.Sampled, st.SampledDistinct)
 	fmt.Fprintf(w, "# HELP dampi_wire_frames_total Frames moved over worker connections.\n# TYPE dampi_wire_frames_total counter\ndampi_wire_frames_total{dir=\"in\"} %d\ndampi_wire_frames_total{dir=\"out\"} %d\n", st.FramesIn, st.FramesOut)
 	fmt.Fprintf(w, "# HELP dampi_wire_bytes_total Bytes moved over worker connections, frame headers included.\n# TYPE dampi_wire_bytes_total counter\ndampi_wire_bytes_total{dir=\"in\"} %d\ndampi_wire_bytes_total{dir=\"out\"} %d\n", st.WireBytesIn, st.WireBytesOut)
-	fmt.Fprintf(w, "# HELP dampi_checkpoints_written_total Frontier checkpoint files written, two fsyncs each (the file and its directory).\n# TYPE dampi_checkpoints_written_total counter\ndampi_checkpoints_written_total %d\n", st.CheckpointsWritten)
 	fmt.Fprintf(w, "# HELP dampi_workers_connected Connected workers.\n# TYPE dampi_workers_connected gauge\ndampi_workers_connected %d\n", len(st.Workers))
 	fmt.Fprintf(w, "# HELP dampi_worker_lease_age_seconds Age of each worker's oldest outstanding lease.\n# TYPE dampi_worker_lease_age_seconds gauge\n")
 	for _, ws := range st.Workers {
@@ -170,4 +168,14 @@ func WriteMetrics(w io.Writer, st Status) {
 	for _, ws := range st.Workers {
 		fmt.Fprintf(w, "dampi_worker_completed_total{worker=%q} %d\n", ws.Name, ws.Completed)
 	}
+}
+
+// WriteJobCounters writes the counters a job-queue service's /metrics carries
+// whether or not an exploration is live — sampled schedules, their duplicates
+// and checkpoints written — so each name has its HELP and TYPE text from here
+// alone.
+func WriteJobCounters(w io.Writer, checkpoints int64, sampled, distinct int) {
+	fmt.Fprintf(w, "# HELP dampi_sampled_schedules_total Walk-step schedules merged in sampling mode.\n# TYPE dampi_sampled_schedules_total counter\ndampi_sampled_schedules_total %d\n", sampled)
+	fmt.Fprintf(w, "# HELP dampi_sample_duplicates_total Sampled schedules whose decision vector was already sampled.\n# TYPE dampi_sample_duplicates_total counter\ndampi_sample_duplicates_total %d\n", sampled-distinct)
+	fmt.Fprintf(w, "# HELP dampi_checkpoints_written_total Frontier checkpoint files written, two fsyncs each (the file and its directory).\n# TYPE dampi_checkpoints_written_total counter\ndampi_checkpoints_written_total %d\n", checkpoints)
 }

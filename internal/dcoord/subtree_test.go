@@ -185,26 +185,75 @@ func TestNoGrantBeforeWelcome(t *testing.T) {
 // children, which it hands back as the frontier.
 func grown(f *fakeWorker, fp JobSpec, n int) []*core.SubtreeTask {
 	f.t.Helper()
-	children := make([]*core.SubtreeTask, n)
-	for i := range children {
-		children[i] = &core.SubtreeTask{Decisions: dec(0, 1, i+1), Budget: core.Unbounded, Explorable: true}
-	}
 	root := f.recvTask()
 	if len(root.Tasks) != 1 || !isRoot(root.Tasks[0]) {
 		f.t.Fatalf("first lease = %+v, want the root", root)
+	}
+	children := make([]*core.SubtreeTask, n)
+	for i := range children {
+		children[i] = flipped(root.Tasks[0], 0, 1, i+1)
 	}
 	f.result(fp, root, rootRun(), children...)
 	return children
 }
 
-// recordedResult is the body of a result frame a worker of this protocol
-// version sent for a three-rank fan-in's root lease (testdata, committed).
-const recordedResult = "testdata/result_root_v5.json"
+// recordedLeases is a four-rank fan-in's first three leases as they crossed
+// the wire, recorded by the release that introduced protocol 9: each lease's
+// task frame body as the coordinator sent it and the result frame body its
+// worker sent back. The root lease; a lease over the root's three children,
+// cut after one replay; and a lease over the two that one left untouched, cut
+// after one replay too, whose leftover hangs from its second root (testdata,
+// committed).
+const recordedLeases = "testdata/leases_v9.json"
 
-// recordedCut is a lease over three roots of a four-rank fan-in with a budget
-// of one replay, and the result frame's body a v7 worker sent for it: the
-// last root explored, the first two untouched (testdata, committed).
-const recordedCut = "testdata/lease_cut_v7.json"
+// recordedLease is one lease of the recording.
+type recordedLease struct {
+	Task, Result json.RawMessage
+}
+
+// recording reads the recorded leases.
+func recording(t testing.TB) []recordedLease {
+	t.Helper()
+	body, err := os.ReadFile(recordedLeases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec struct {
+		Procs  int
+		Leases []recordedLease
+	}
+	if err := json.Unmarshal(body, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Procs != 4 || len(rec.Leases) != 3 {
+		t.Fatalf("the recording holds %d leases of a %d-rank world, want 3 of 4", len(rec.Leases), rec.Procs)
+	}
+	return rec.Leases
+}
+
+// framed reads a frame body as a frameReader reads it off the wire.
+func framed(t testing.TB, body []byte) *frame {
+	t.Helper()
+	fr, _, err := readFrame(bytes.NewReader(append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)), maxFrameSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fr
+}
+
+// leased is lease wt as a worker reads it off a task frame.
+func leased(t testing.TB, wt wireTask) wireTask {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := writeFrame(&buf, &frame{Type: msgTask, Job: "fuzz", Tasks: []wireTask{wt}}); err != nil {
+		t.Fatal(err)
+	}
+	fr, _, err := readFrame(&buf, maxFrameSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fr.Tasks[0]
+}
 
 // fanIn is a program whose rank 0 receives one message from every other rank
 // through wildcard receives.
@@ -220,120 +269,69 @@ func fanIn(p *mpi.Proc) error {
 	return nil
 }
 
-// sameMembers fails unless fresh has the members of the recorded frame body,
-// but for the keys protocol 8 dropped, which a recording before it carries.
-func sameMembers(t *testing.T, fresh *WireResult, recorded []byte) {
+// sameMembers fails unless the frame body fresh has the members of the
+// recorded one.
+func sameMembers(t *testing.T, fresh, recorded []byte) {
 	t.Helper()
-	body, err := json.MarshalIndent(fresh, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var a, b map[string]any
 	if err := json.Unmarshal(recorded, &a); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(body, &b); err != nil {
+	if err := json.Unmarshal(fresh, &b); err != nil {
 		t.Fatal(err)
 	}
-	delete(a, "keys")
 	if got, want := memberTree(b), memberTree(a); got != want {
-		t.Errorf("a result frame's members changed since it was recorded (protoVersion must move with them):\n got %s\nwant %s\nthe frame now:\n%s", got, want, body)
+		t.Errorf("a frame's members changed since it was recorded (protoVersion must move with them):\n got %s\nwant %s\nthe frame now:\n%s", got, want, fresh)
 	}
 }
 
-// TestRecordedResultStillMerges: the recorded frames are what the worker
-// still produces, field for field (but for the keys a recording before
-// protocol 8 echoes), and what the coordinator still merges, those keys
-// ignored: a root lease's result, and a result that names its untouched
-// roots by count.
+// TestRecordedResultStillMerges: the recorded frames are what the coordinator
+// and its worker still write and what the coordinator still merges. A
+// coordinator fed the recorded results grants the recorded task frames byte
+// for byte, and a worker given those answers with the recorded result frames,
+// member for member.
 func TestRecordedResultStillMerges(t *testing.T) {
-	// Which sender wins the self run's first match is the scheduler's choice;
-	// the members of the frame are the same either way.
-	cfg := core.ExplorerConfig{Procs: 3, MixingBound: core.Unbounded, Program: fanIn}
-	w := NewWorker(WorkerConfig{Addr: "unused", Explorer: cfg})
-	rt := &jobRuntime{cfg: cfg}
-	recorded, err := os.ReadFile(recordedResult)
-	if err != nil {
-		t.Fatal(err)
+	cfg := core.ExplorerConfig{Procs: 4, MixingBound: core.Unbounded, Program: fanIn}
+	c, cw := fuzzCoordinator(t, FingerprintFor("fuzz", &cfg), 0)
+	for i, rec := range recording(t) {
+		var buf bytes.Buffer
+		if _, err := writeFrame(&buf, &frame{Type: msgTask, Job: "fuzz", Tasks: []wireTask{c.leases[0].wireTask}}); err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.Bytes()[4:]; !bytes.Equal(got, rec.Task) {
+			t.Errorf("lease %d: the coordinator writes the task frame\n%s\nrecorded as\n%s", i+1, got, rec.Task)
+		}
+		w := NewWorker(WorkerConfig{Addr: "unused", Explorer: cfg})
+		if i > 0 {
+			w.Stop() // cut short after one replay, as a lease's time slice is
+		}
+		rt := &jobRuntime{id: "fuzz", cfg: cfg}
+		rc := core.NewRunContext(&rt.cfg)
+		res := w.runLease(rt, rc, framed(t, rec.Task).Tasks[0])
+		rc.Close()
+		buf.Reset()
+		if _, err := writeFrame(&buf, &frame{Type: msgResult, Job: "fuzz", Result: res}); err != nil {
+			t.Fatal(err)
+		}
+		sameMembers(t, buf.Bytes()[4:], rec.Result)
+		c.handleResult(cw, framed(t, rec.Result).Result)
+		if c.runErr != nil || c.report.Interleavings != i+1 || len(c.leases) != 1 {
+			t.Fatalf("merging recorded result %d: err %v, %d interleavings, %d leases held; want %d and one", i+1, c.runErr, c.report.Interleavings, len(c.leases), i+1)
+		}
 	}
-	sameMembers(t, w.runLease(rt, core.NewRunContext(&rt.cfg), wireTask{Lease: 1, Tasks: []*core.SubtreeTask{core.RootTask(&cfg)}, Budget: 1}), recorded)
-
-	c, w1 := fuzzCoordinator(t, FingerprintFor("fuzz", &cfg), 0)
-	var rec WireResult
-	if err := json.Unmarshal(recorded, &rec); err != nil {
-		t.Fatal(err)
-	}
-	c.handleResult(w1, &rec)
-	c.mu.Lock()
-	if c.runErr != nil || c.report.Interleavings != 1 || c.report.FirstTrace == nil || len(c.front.Tasks)+len(c.leases) == 0 {
-		t.Errorf("recorded root result: err %v, %d interleavings, trace %v, %d subtrees found", c.runErr, c.report.Interleavings, c.report.FirstTrace != nil, len(c.front.Tasks)+len(c.leases))
-	}
-	c.mu.Unlock()
-
-	// The cut lease, replayed afresh, and merged by a coordinator that
-	// resumed with the lease's roots as its frontier and leased them out.
-	body, err := os.ReadFile(recordedCut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cut struct {
-		Task   wireTask        `json:"task"`
-		Result json.RawMessage `json:"result"`
-	}
-	if err := json.Unmarshal(body, &cut); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Procs = 4
-	rt = &jobRuntime{cfg: cfg}
-	sameMembers(t, w.runLease(rt, core.NewRunContext(&rt.cfg), cut.Task), cut.Result)
-
-	ckp := deltaOf(FingerprintFor("fuzz", &cfg), &core.Report{Interleavings: 1}, cut.Task.Tasks...)
-	c, err = New(Config{Fingerprint: FingerprintFor("fuzz", &cfg), Resume: ckp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w4 := &workerConn{conn: nullConn{}, wire: c.wire, name: "recorded", slots: 1, since: time.Now()}
-	c.step(evAttach{w4}, time.Now())
-	if len(c.leases) != 1 || !slices.EqualFunc(c.leases[0].Tasks, cut.Task.Tasks, sameTask) {
-		t.Fatalf("the resumed coordinator leased %+v, want the recorded lease's roots %v", c.leases, cut.Task.Tasks)
-	}
-	rec = WireResult{}
-	if err := json.Unmarshal(cut.Result, &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Untouched != 2 {
-		t.Fatalf("recorded cut result leaves %d roots untouched, want 2", rec.Untouched)
-	}
-	c.handleResult(w4, &rec)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	waiting := slices.Concat(cut.Task.Tasks[:2], rec.Delta.Frontier[:1])
-	var got []*core.SubtreeTask
-	for _, l := range c.leases {
-		got = append(got, l.Tasks...)
-	}
-	if c.runErr != nil || c.report.Interleavings != 2 || !slices.EqualFunc(got, waiting, sameTask) {
-		t.Errorf("recorded cut result: err %v, %d interleavings, leased %v; want 2 and %v", c.runErr, c.report.Interleavings, got, waiting)
+	if c.report.FirstTrace == nil {
+		t.Error("the recorded root result merged without its trace")
 	}
 }
 
 // TestRunLeaseCountsUntouchedRoots: a worker names the roots it never started
 // by count, lists none of its leased roots in its delta's frontier, and
 // leaves the task frame's roots as they came: a budget of one replay or a
-// stop after the first replay leaves all but the last of three untouched
-// (and the last one's expansion in the frontier, in the slot it was popped
-// from), an exhausted lease none.
+// stop after the first replay leaves the first of the recorded third lease's
+// two roots untouched (and the second one's expansion in the frontier), an
+// exhausted lease none.
 func TestRunLeaseCountsUntouchedRoots(t *testing.T) {
-	body, err := os.ReadFile(recordedCut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cut struct {
-		Task wireTask `json:"task"`
-	}
-	if err := json.Unmarshal(body, &cut); err != nil {
-		t.Fatal(err)
-	}
+	cut := framed(t, recording(t)[2].Task).Tasks[0]
 	cfg := core.ExplorerConfig{Procs: 4, MixingBound: core.Unbounded, Program: fanIn}
 	for _, tc := range []struct {
 		name                     string
@@ -341,9 +339,9 @@ func TestRunLeaseCountsUntouchedRoots(t *testing.T) {
 		stop                     bool
 		untouched, replays, left int
 	}{
-		{"budget-1", 1, false, 2, 1, 1},
-		{"stopped", 0, true, 2, 1, 1},
-		{"exhausted", 0, false, 0, 5, 0},
+		{"budget-1", 1, false, 1, 1, 1},
+		{"stopped", 0, true, 1, 1, 1},
+		{"exhausted", 0, false, 0, 4, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := NewWorker(WorkerConfig{Addr: "unused", Explorer: cfg})
@@ -351,9 +349,9 @@ func TestRunLeaseCountsUntouchedRoots(t *testing.T) {
 				w.Stop()
 			}
 			rt := &jobRuntime{cfg: cfg}
-			wt := cut.Task
+			wt := cut
 			wt.Budget = tc.budget
-			wt.Tasks = slices.Clone(cut.Task.Tasks)
+			wt.Tasks = slices.Clone(cut.Tasks)
 			res := w.runLease(rt, core.NewRunContext(&rt.cfg), wt)
 			if res.Fatal != "" || res.Untouched != tc.untouched || res.Delta.Interleavings != tc.replays || len(res.Delta.Frontier) != tc.left {
 				t.Fatalf("fatal %q, %d untouched, %d replays, %d left; want %d, %d, %d",
@@ -364,37 +362,27 @@ func TestRunLeaseCountsUntouchedRoots(t *testing.T) {
 					t.Errorf("leased root %s listed in the frontier", sub.Decisions)
 				}
 			}
-			if !slices.Equal(wt.Tasks, cut.Task.Tasks) {
+			if !slices.Equal(wt.Tasks, cut.Tasks) {
 				t.Error("runLease wrote into the task frame's roots")
 			}
 		})
 	}
 }
 
-// cutLease returns a coordinator that resumed with the recorded cut lease's
-// three roots as its frontier and leased them to its one worker.
+// cutLease returns a coordinator that merged the recorded results of the
+// first two leases and so holds the third, over roots 0 {r0:[0→3]} and
+// 1 {r0:[0→2]}, for its one worker "fuzz".
 func cutLease(t *testing.T) (*Coordinator, *workerConn, wireTask) {
 	t.Helper()
-	body, err := os.ReadFile(recordedCut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cut struct {
-		Task wireTask `json:"task"`
-	}
-	if err := json.Unmarshal(body, &cut); err != nil {
-		t.Fatal(err)
-	}
+	leases := recording(t)
 	cfg := core.ExplorerConfig{Procs: 4, MixingBound: core.Unbounded}
-	fp := FingerprintFor("fuzz", &cfg)
-	c, err := New(Config{Fingerprint: fp, Resume: deltaOf(fp, &core.Report{Interleavings: 1}, cut.Task.Tasks...)})
-	if err != nil {
-		t.Fatal(err)
+	c, w := fuzzCoordinator(t, FingerprintFor("fuzz", &cfg), 0)
+	for _, rec := range leases[:2] {
+		c.handleResult(w, framed(t, rec.Result).Result)
 	}
-	w := &workerConn{conn: nullConn{}, wire: c.wire, name: "cut", slots: 1, since: time.Now()}
-	c.step(evAttach{w}, time.Now())
-	if len(c.leases) != 1 || !slices.EqualFunc(c.leases[0].Tasks, cut.Task.Tasks, sameTask) {
-		t.Fatalf("the resumed coordinator leased %+v, want the cut's three roots", c.leases)
+	want := framed(t, leases[2].Task).Tasks[0]
+	if c.runErr != nil || len(c.leases) != 1 || c.leases[0].Lease != 3 || !slices.EqualFunc(c.leases[0].Tasks, want.Tasks, sameTask) {
+		t.Fatalf("after the recorded results (err %v) the coordinator holds %+v, want the recorded third lease's two roots", c.runErr, c.leases)
 	}
 	return c, w, c.leases[0].wireTask
 }
@@ -406,30 +394,22 @@ func cutLease(t *testing.T) (*Coordinator, *workerConn, wireTask) {
 // the worker left.
 func TestResultHangsLeftoversFromItsRoots(t *testing.T) {
 	c, cw, lease := cutLease(t)
-	var buf bytes.Buffer
-	if _, err := writeFrame(&buf, &frame{Type: msgTask, Job: "fuzz", Tasks: []wireTask{lease}}); err != nil {
-		t.Fatal(err)
-	}
-	fr, _, err := readFrame(&buf, maxFrameSize)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := core.ExplorerConfig{Procs: 4, MixingBound: core.Unbounded, Program: fanIn}
 	w := NewWorker(WorkerConfig{Addr: "unused", Explorer: cfg})
 	w.Stop() // cut short after one replay, as a lease's time slice is
 	rt := &jobRuntime{cfg: cfg}
 	rc := core.NewRunContext(&rt.cfg)
 	defer rc.Close()
-	res := w.runLease(rt, rc, fr.Tasks[0])
-	if res.Fatal != "" || res.Untouched != 2 || len(res.Delta.Frontier) != 1 {
-		t.Fatalf("the cut lease ran to %+v, want two roots untouched and one leftover", res)
+	res := w.runLease(rt, rc, leased(t, lease))
+	if res.Fatal != "" || res.Untouched != 1 || len(res.Delta.Frontier) != 1 {
+		t.Fatalf("the cut lease ran to %+v, want one root untouched and one leftover", res)
 	}
-	buf.Reset()
+	var buf bytes.Buffer
 	if _, err := writeFrame(&buf, &frame{Type: msgResult, Job: "fuzz", Result: res}); err != nil {
 		t.Fatal(err)
 	}
-	if want := `"frontier":{"roots":3,"pins":[],"nodes":[[2,-1,0,0,1,2]],"tasks":[[3,-1,1,2]]}`; !strings.Contains(buf.String(), want) {
-		t.Errorf("result frame %s\nwants its leftover hanging from root 2: %s", buf.Bytes()[4:], want)
+	if want := `"frontier":{"roots":2,"pins":[],"nodes":[[1,-1,0,0,1,3]],"tasks":[[2,-1,1,2]]}`; !strings.Contains(buf.String(), want) {
+		t.Errorf("result frame %s\nwants its leftover hanging from root 1: %s", buf.Bytes()[4:], want)
 	}
 	back, _, err := readFrame(&buf, maxFrameSize)
 	if err != nil {
@@ -438,8 +418,8 @@ func TestResultHangsLeftoversFromItsRoots(t *testing.T) {
 	c.handleResult(cw, back.Result)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.runErr != nil || c.report.Interleavings != 2 {
-		t.Fatalf("merging the result: err %v, %d interleavings, want 2", c.runErr, c.report.Interleavings)
+	if c.runErr != nil || c.report.Interleavings != 3 {
+		t.Fatalf("merging the result: err %v, %d interleavings, want 3", c.runErr, c.report.Interleavings)
 	}
 	var waiting []*core.SubtreeTask // leased again to the freed slot
 	for _, l := range c.leases {
@@ -448,38 +428,45 @@ func TestResultHangsLeftoversFromItsRoots(t *testing.T) {
 	for _, p := range c.front.Tasks {
 		waiting = append(waiting, p.task)
 	}
-	if want := slices.Concat(lease.Tasks[:2], res.Delta.Frontier); !slices.EqualFunc(waiting, want, sameTask) {
+	if want := slices.Concat(lease.Tasks[:1], res.Delta.Frontier); !slices.EqualFunc(waiting, want, sameTask) {
 		t.Errorf("the frontier after the result is %v, want %v", waiting, want)
 	}
 }
 
-// TestResultTableRefusedByRule: a result's table is vetted by the rules a
-// flat list is — each leftover strictly below a root the worker started,
-// none listed twice — read through the roots it names. A result breaking one
-// fails the job, naming it, and merges nothing.
+// TestResultTableRefusedByRule: a result's leftovers hang from the roots of
+// its lease, each strictly below a root the worker started and none listed
+// twice. A result breaking a rule — and one whose frontier is a flat list, or
+// a table that hangs from as many roots as the lease has not, or holds a row
+// or a task that hangs from none — fails the job, naming the worker, the
+// lease and the fault, and merges nothing.
 func TestResultTableRefusedByRule(t *testing.T) {
-	// The lease's roots: 0 {r0:[0→1 1→3]}, 1 {r0:[0→2]}, 2 {r0:[0→3]}; the
-	// first two untouched.
+	// The lease's roots: 0 {r0:[0→3]}, 1 {r0:[0→2]}; the first untouched.
 	for _, tc := range []struct{ name, frontier, want string }{
-		{"under-an-untouched-root", `{"roots":3,"pins":[],"nodes":[[0,-1,0,0,2,1]],"tasks":[[3,-1,1,2]]}`, "below root 0, which it never started"},
-		{"twice", `{"roots":3,"pins":[],"nodes":[[2,-1,0,0,1,2],[2,-1,0,0,1,2]],"tasks":[[3,-1,1,2],[4,-1,1,2]]}`, "hands back subtree {r0:[0→3 1→2]} twice"},
-		{"twice-by-another-path", `{"roots":3,"pins":[[0,1,2]],"nodes":[[2,-1,0,0,1,2],[2,0,1,0,1,2]],"tasks":[[3,-1,1,2],[4,-1,1,2]]}`, "twice"},
-		{"flip-undoes-its-root", `{"roots":3,"pins":[],"nodes":[[2,-1,0,0,0,1]],"tasks":[[3,-1,1,2]]}`, "which is not below its root 2"},
-		{"another-lease-shape", `{"roots":2,"pins":[],"nodes":[[1,-1,0,0,1,2]],"tasks":[[2,-1,1,2]]}`, "hangs from 2 lease roots, the lease has 3"},
-		{"out-of-the-world", `{"roots":3,"pins":[[7,1,1]],"nodes":[[2,0,1,0,1,2]],"tasks":[[3,-1,1,2]]}`, "r7@1→1 is out of range for 4 ranks"},
+		{"under-an-untouched-root", `{"roots":2,"pins":[],"nodes":[[0,-1,0,0,1,2]],"tasks":[[2,-1,1,2]]}`, "below root 0, which it never started"},
+		{"twice", `{"roots":2,"pins":[],"nodes":[[1,-1,0,0,1,3],[1,-1,0,0,1,3]],"tasks":[[2,-1,1,2],[3,-1,1,2]]}`, "hands back subtree {r0:[0→2 1→3]} twice"},
+		{"twice-by-another-path", `{"roots":2,"pins":[[0,1,3]],"nodes":[[1,-1,0,0,1,3],[1,0,1,0,1,3]],"tasks":[[2,-1,1,2],[3,-1,1,2]]}`, "twice"},
+		{"flip-undoes-its-root", `{"roots":2,"pins":[],"nodes":[[1,-1,0,0,0,1]],"tasks":[[2,-1,1,2]]}`, "which is not below its root 1"},
+		{"another-lease-shape", `{"roots":3,"pins":[],"nodes":[[1,-1,0,0,1,3]],"tasks":[[3,-1,1,2]]}`, "hangs from 3 lease roots, the lease has 2"},
+		{"no-roots", `{"pins":[],"nodes":[[-1,-1,0,0,1,3]],"tasks":[[0,-1,1,2]]}`, "hangs from 0 lease roots, the lease has 2"},
+		{"flat-list", `[{"decisions":{"by_rank":{"0":{"0":2,"1":3}}},"budget":-1,"explorable":true,"depth":2}]`, "frontier is a flat list"},
+		{"row-below-no-root", `{"roots":2,"pins":[],"nodes":[[-1,-1,0,0,1,3]],"tasks":[[2,-1,1,2]]}`, "row 2 hangs from no lease root"},
+		{"flat-row", `{"roots":2,"pins":[[0,0,2,0,1,3]],"nodes":[[-1,0,2]],"tasks":[[2,-1,1,2]]}`, "row 2 hangs from no lease root"},
+		{"task-below-no-root", `{"roots":2,"pins":[],"nodes":[],"tasks":[[-1,-1,1,2]]}`, "task 0 hangs from no lease root"},
+		{"out-of-the-world", `{"roots":2,"pins":[[7,1,1]],"nodes":[[1,0,1,0,1,3]],"tasks":[[2,-1,1,2]]}`, "r7@1→1 is out of range for 4 ranks"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, cw, _ := cutLease(t)
-			body := `{"lease":1,"untouched":2,"delta":{"version":2,"procs":4,"clock":0,"transport":0,"mixing_bound":-1,"interleavings":1,"decision_points":2,"wildcards_analyzed":0,"frontier":` + tc.frontier + `}}`
-			var res WireResult
-			if err := json.Unmarshal([]byte(body), &res); err != nil {
-				t.Fatal(err)
-			}
-			c.handleResult(cw, &res)
+			body := `{"type":"result","job":"fuzz","result":{"lease":3,"untouched":1,"delta":{"version":2,"procs":4,"clock":0,"transport":0,"mixing_bound":-1,"interleavings":1,"decision_points":2,"wildcards_analyzed":0,"frontier":` + tc.frontier + `}}}`
+			c.handleResult(cw, framed(t, []byte(body)).Result)
 			c.mu.Lock()
 			defer c.mu.Unlock()
-			if c.runErr == nil || !strings.Contains(c.runErr.Error(), tc.want) || c.report.Interleavings != 1 {
-				t.Errorf("err %v, %d interleavings; want an error naming %q and nothing merged", c.runErr, c.report.Interleavings, tc.want)
+			for _, want := range []string{"worker fuzz", "lease 3", tc.want} {
+				if c.runErr == nil || !strings.Contains(c.runErr.Error(), want) {
+					t.Errorf("err %v, want one naming %q", c.runErr, want)
+				}
+			}
+			if c.report.Interleavings != 2 {
+				t.Errorf("%d interleavings, want the 2 merged before and nothing of the refused result", c.report.Interleavings)
 			}
 		})
 	}
@@ -487,7 +474,8 @@ func TestResultTableRefusedByRule(t *testing.T) {
 
 // TestTaskFrameTableRefusedByRule: a worker replays what a task frame's
 // table says, so it answers Fatal for a lease whose subtrees a world cannot
-// replay, and the reader refuses a table its leases do not cut exactly.
+// replay, and the reader refuses a table its leases do not cut exactly, and a
+// task list that is no table.
 func TestTaskFrameTableRefusedByRule(t *testing.T) {
 	cfg := core.ExplorerConfig{Procs: 3, Program: fanInError, MixingBound: core.Unbounded}
 	w := NewWorker(WorkerConfig{Addr: "unused", Explorer: cfg})
@@ -501,6 +489,7 @@ func TestTaskFrameTableRefusedByRule(t *testing.T) {
 		{"count-past-the-table", `{"type":"task","job":"fuzz","tasks":[{"lease":4,"count":2}],"table":{"pins":[],"nodes":[],"tasks":[[-1,-1,1,0]]}}`, "read: lease 4 counts 2 subtrees, the table has 1 left"},
 		{"subtree-in-no-lease", `{"type":"task","job":"fuzz","tasks":[{"lease":4,"count":0}],"table":{"pins":[],"nodes":[],"tasks":[[-1,-1,1,0]]}}`, "read: 1 subtrees of the table are in no lease"},
 		{"hangs-from-roots", `{"type":"task","job":"fuzz","tasks":[{"lease":4,"count":1}],"table":{"roots":1,"pins":[],"nodes":[[0,-1,0,0,2,1]],"tasks":[[1,-1,1,1]]}}`, "read: a task frame's table hangs from lease roots"},
+		{"flat-list", `{"type":"task","job":"fuzz","tasks":[{"lease":4,"count":1}],"table":[{"decisions":null,"budget":-1,"explorable":true}]}`, "read: want '{'"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := append(binary.BigEndian.AppendUint32(nil, uint32(len(tc.body))), tc.body...)
@@ -574,26 +563,49 @@ func fuzzCoordinator(t testing.TB, fp JobSpec, max int) (*Coordinator, *workerCo
 	return c, w
 }
 
-// FuzzLeaseResult: a result frame's body is untrusted past the frame reader.
+// resultBody is the result member of res's result frame, as a worker writes
+// it: the body a coordinator's frame reader hands on.
+func resultBody(t testing.TB, res *WireResult) []byte {
+	t.Helper()
+	body, err := json.Marshal(&frame{Type: msgResult, Result: res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fr struct{ Result json.RawMessage }
+	if err := json.Unmarshal(body, &fr); err != nil {
+		t.Fatal(err)
+	}
+	return fr.Result
+}
+
+// FuzzLeaseResult: a result frame's body is untrusted past the frame reader,
+// which reads each input as the result member of a result frame.
 // Whatever arrives for the held lease, the machine either fails the
 // exploration or merges it; whatever arrives for another lease changes
 // nothing. It never panics, and it never counts more replays than the cap.
+// The seeds are results as workers write them — the recorded ones, and
+// results for the root lease whose leftovers hang from its root — and tables
+// no worker writes.
 func FuzzLeaseResult(f *testing.F) {
 	const max = 3
-	cfg := core.ExplorerConfig{Procs: 3, MixingBound: core.Unbounded}
+	cfg := core.ExplorerConfig{Procs: 4, MixingBound: core.Unbounded}
 	fp := FingerprintFor("fuzz", &cfg)
-	recorded, err := os.ReadFile(recordedResult)
-	if err != nil {
-		f.Fatal(err)
+	for _, rec := range recording(f) {
+		var fr struct{ Result json.RawMessage }
+		if err := json.Unmarshal(rec.Result, &fr); err != nil {
+			f.Fatal(err)
+		}
+		f.Add([]byte(fr.Result), true)
+		f.Add([]byte(fr.Result), false)
 	}
-	f.Add(recorded, true)
-	f.Add(recorded, false)
-	child := &core.SubtreeTask{Decisions: dec(0, 1, 2), Budget: core.Unbounded, Explorable: true}
+	root := core.RootTask(&cfg)
+	child := flipped(root, 0, 1, 2)
 	for _, res := range []*WireResult{
+		{Lease: 1, Delta: deltaOf(fp, rootRun(), child, flipped(root, 0, 0, 3))},
 		{Lease: 1, Delta: deltaOf(fp, rootRun(), child, child)},
 		{Lease: 1, Delta: deltaOf(fp, failedRun("boom"))},
 		{Lease: 1, Delta: deltaOf(fp, &core.Report{Interleavings: 1 << 40})},
-		{Lease: 1, Delta: deltaOf(fp, &core.Report{}, core.RootTask(&cfg))},
+		{Lease: 1, Delta: deltaOf(fp, &core.Report{}, root)},
 		{Lease: 1, Fatal: "harness failure"},
 		{Lease: 9, Delta: deltaOf(fp, &core.Report{Interleavings: 2})},
 		{Lease: 1, Untouched: 1, Delta: deltaOf(fp, &core.Report{})},
@@ -601,46 +613,32 @@ func FuzzLeaseResult(f *testing.F) {
 		{Lease: 1, Untouched: 2, Delta: deltaOf(fp, &core.Report{})},
 		{Lease: 9, Untouched: 1, Delta: deltaOf(fp, rootRun())},
 	} {
-		body, err := json.Marshal(res)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(body, true)
+		res.roots = []*core.SubtreeTask{root}
+		f.Add(resultBody(f, res), true)
 	}
-	f.Add([]byte(`{"lease":1,"delta":{"version":1,"procs":3,"mixing_bound":-1,"interleavings":1,"frontier":[null],"errors":[null]}}`), true)
-	// Protocol 9: the root lease's leftovers hanging from its one root, as a
-	// worker's result frame carries them, and tables a worker never writes.
-	root := core.RootTask(&cfg)
-	flip := func(lc uint64, alt int) *core.SubtreeTask {
-		return root.FlipChild(core.Flippable{Rec: &core.EpochRecord{Rank: 0, LC: lc}}, alt)
-	}
-	body, err := json.Marshal(&frame{Type: msgResult, Result: &WireResult{Lease: 1, Delta: deltaOf(fp, rootRun(), flip(0, 2), flip(1, 1)), roots: []*core.SubtreeTask{root}}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var v9 struct{ Result json.RawMessage }
-	if err := json.Unmarshal(body, &v9); err != nil || !bytes.Contains(v9.Result, []byte(`"roots":1`)) {
-		f.Fatalf("no protocol 9 result in %s (%v)", body, err)
-	}
-	f.Add([]byte(v9.Result), true)
 	for _, frontier := range []string{
+		`{"roots":1,"pins":[],"nodes":[],"tasks":[]},"errors":[null]`,
 		`{"roots":1,"pins":[[0,0,1]],"nodes":[[0,0,1,0,1,2],[1,0,1,0,1,2]],"tasks":[[1,-1,1,1],[2,-1,1,2]]}`,
 		`{"roots":1,"pins":[],"nodes":[[1,-1,0,0,1,2]],"tasks":[[1,-1,1,1]]}`,
 		`{"roots":2,"pins":[[9,0,1]],"nodes":[[1,0,1,0,1,2]],"tasks":[[2,-1,1,1]]}`,
+		`{"roots":1,"pins":[],"nodes":[[-1,-1,0,0,1,2]],"tasks":[[1,-1,1,1],[-1,-1,1,0]]}`,
 	} {
-		f.Add([]byte(`{"lease":1,"delta":{"version":2,"procs":3,"mixing_bound":-1,"interleavings":1,"decision_points":1,"wildcards_analyzed":1,"first_trace":{},"frontier":`+frontier+`}}`), true)
+		f.Add([]byte(`{"lease":1,"delta":{"version":2,"procs":4,"mixing_bound":-1,"interleavings":1,"decision_points":1,"wildcards_analyzed":1,"first_trace":{},"frontier":`+frontier+`}}`), true)
 	}
 
 	f.Fuzz(func(t *testing.T, body []byte, held bool) {
-		var res WireResult
-		if json.Unmarshal(body, &res) != nil {
+		frame := append([]byte(`{"type":"result","result":`), body...)
+		frame = append(frame, '}')
+		fr, _, err := readFrame(bytes.NewReader(append(binary.BigEndian.AppendUint32(nil, uint32(len(frame))), frame...)), maxFrameSize)
+		if err != nil || fr.Result == nil {
 			return
 		}
+		res := fr.Result
 		if held {
 			res.Lease = 1
 		}
 		c, w := fuzzCoordinator(t, fp, max)
-		c.step(c.decode(w, &res), time.Now())
+		c.step(c.decode(w, res), time.Now())
 		if n := c.report.Interleavings; n < 0 || n > max || (c.runErr != nil && n != 0) {
 			t.Fatalf("%d interleavings merged (cap %d, err %v) from %s", n, max, c.runErr, body)
 		}
@@ -655,9 +653,9 @@ func FuzzLeaseResult(f *testing.F) {
 // FuzzTaskFrame: a task frame's body is untrusted past the frame reader, and
 // a worker replays what it leases. Whatever leases arrive, the worker answers
 // each — with what its replays added, or Fatal for one its world cannot replay
-// (a null subtree, a decision out of range) — and never panics. The seeds are
-// the frames a coordinator grants: its root lease, then a lease of the
-// subtrees the root's replay left.
+// (a decision out of range) — and never panics. The seeds are the frames a
+// coordinator grants: its root lease, then a lease of the subtrees the root's
+// replay left.
 func FuzzTaskFrame(f *testing.F) {
 	cfg := core.ExplorerConfig{Procs: 3, Program: fanInError, MixingBound: core.Unbounded}
 	fp := FingerprintFor("fuzz", &cfg)
@@ -667,7 +665,7 @@ func FuzzTaskFrame(f *testing.F) {
 	rc := core.NewRunContext(&rt.cfg)
 	f.Cleanup(rc.Close)
 	root := c.leases[0].wireTask
-	res := w.runLease(rt, rc, root)
+	res := w.runLease(rt, rc, leased(f, root))
 	if res.Fatal != "" || len(res.Delta.Frontier) == 0 {
 		f.Fatalf("root lease: %+v", res)
 	}
@@ -679,13 +677,14 @@ func FuzzTaskFrame(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	// A decision out of the world, a cycle, two leases of one table, a flat
+	// list for a table, and a table that hangs from lease roots.
 	for _, body := range []string{
-		`{"type":"task","job":"fuzz","tasks":[{"lease":3,"tasks":[null]}]}`,
-		`{"type":"task","job":"fuzz","tasks":[{"lease":4,"tasks":[{"decisions":{"by_rank":{"7":{"1":0}}}}]}]}`,
-		// Protocol 9: a decision out of the world, a cycle, a short count.
 		`{"type":"task","job":"fuzz","tasks":[{"lease":5,"count":1}],"table":{"pins":[[7,1,0]],"nodes":[[-1,0,1,0,2,1]],"tasks":[[0,-1,1,1]]}}`,
 		`{"type":"task","job":"fuzz","tasks":[{"lease":6,"count":1}],"table":{"pins":[],"nodes":[[0,-1,0,0,2,1]],"tasks":[[0,-1,1,1]]}}`,
 		`{"type":"task","job":"fuzz","tasks":[{"lease":7,"count":1},{"lease":8,"count":1,"budget":1}],"table":{"pins":[[0,0,1]],"nodes":[[-1,0,1,0,1,2]],"tasks":[[0,-1,1,1],[-1,-1,1,0]]}}`,
+		`{"type":"task","job":"fuzz","tasks":[{"lease":9,"count":1}],"table":[{"decisions":{"by_rank":{"0":{"1":2}}},"budget":-1,"explorable":true}]}`,
+		`{"type":"task","job":"fuzz","tasks":[{"lease":10,"count":1}],"table":{"roots":1,"pins":[],"nodes":[[0,-1,0,0,2,1]],"tasks":[[1,-1,1,1]]}}`,
 	} {
 		f.Add(append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...))
 	}
@@ -696,12 +695,12 @@ func FuzzTaskFrame(f *testing.F) {
 			return
 		}
 		for _, wt := range fr.Tasks {
+			if len(wt.Tasks) == 0 {
+				continue // a worker's session answers no empty lease
+			}
 			res := w.runLease(rt, rc, wt)
 			if res.Lease != wt.Lease || (res.Fatal == "") == (res.Delta == nil) {
 				t.Fatalf("lease %d answered %+v", wt.Lease, res)
-			}
-			if slices.Contains(wt.Tasks, nil) && res.Fatal == "" {
-				t.Fatalf("lease %d with a null subtree ran: %+v", wt.Lease, res)
 			}
 		}
 	})

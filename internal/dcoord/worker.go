@@ -424,19 +424,12 @@ func (w *Worker) runLease(rt *jobRuntime, rc *core.RunContext, wt wireTask) *Wir
 	return out
 }
 
-// replayable refuses subtrees a worker must not replay: a null one, or one
-// forcing a decision that names no rank of the job's world or a value out of
-// its range (see core.TaskTable.InRange, which checks a task frame's table
-// row by row). A task frame is untrusted input.
+// replayable refuses subtrees a worker must not replay: one forcing a
+// decision that names no rank of the job's world or a value out of its range.
+// It reads the task frame's table row by row (core.TaskTable.InRange): a task
+// frame is untrusted input.
 func replayable(cfg *core.ExplorerConfig, wt wireTask) error {
-	if slices.Contains(wt.Tasks, nil) {
-		return errors.New("dcoord: task frame holds a null subtree")
-	}
-	read := wt.table
-	if read == nil {
-		read = &core.TaskTable{Tasks: wt.Tasks}
-	}
-	if err := read.InRange(cfg.Procs, cfg.ChoicePoints); err != nil {
+	if err := wt.table.InRange(cfg.Procs, cfg.ChoicePoints); err != nil {
 		return fmt.Errorf("dcoord: task frame: %w", err)
 	}
 	return nil

@@ -131,21 +131,16 @@ func (c *Checkpoint) Validate(workload string, cfg *core.ExplorerConfig) error {
 
 // HangFrom re-links the frontier of a lease result's delta to the lease's
 // roots, the objects the coordinator holds for them (core.TaskTable.Relink),
-// and returns, per frontier task, the index of the root it hangs from: -1
-// for one that names none, as every task of a flat frontier.
+// and returns, per frontier task, the index of the root it hangs from. A
+// frontier that is not a table hanging from as many roots as the lease has is
+// refused.
 func (c *Checkpoint) HangFrom(roots []*core.SubtreeTask) ([]int, error) {
-	hang := make([]int, len(c.Frontier))
-	if c.table == nil || c.table.Roots() == 0 {
-		for i := range hang {
-			hang[i] = -1
-		}
-		return hang, nil
+	if c.table == nil {
+		return nil, errors.New("dexplore: a lease result's frontier is a flat list, not a table hanging from the lease's roots")
 	}
-	if err := c.table.Relink(roots); err != nil {
+	hang, err := c.table.Relink(roots)
+	if err != nil {
 		return nil, fmt.Errorf("dexplore: %w", err)
-	}
-	for i := range hang {
-		hang[i] = c.table.Root(i)
 	}
 	return hang, nil
 }
@@ -231,21 +226,40 @@ type TableForm struct {
 }
 
 // UnmarshalJSON implements json.Unmarshaler: the frontier is read in either
-// form (core.TaskTable), a table without a reflective walk.
+// form (frontierIn), a table without a reflective walk.
 func (c *Checkpoint) UnmarshalJSON(b []byte) error {
 	type members Checkpoint // the fields, without this method
 	in := struct {
 		*members
-		Frontier *core.TaskTable `json:"frontier"`
+		Frontier *frontierIn `json:"frontier"`
 	}{members: (*members)(c)}
 	*c = Checkpoint{}
 	if err := json.Unmarshal(b, &in); err != nil {
 		return err
 	}
-	if t := in.Frontier; t != nil {
-		c.Frontier, c.table = t.Tasks, t
+	if f := in.Frontier; f != nil {
+		c.Frontier = f.table.Tasks
+		if !f.flat {
+			c.table = &f.table
+		}
 	}
 	return nil
+}
+
+// frontierIn is a checkpoint's frontier as read: a table (core.TaskTable), or
+// a version-1 file's flat list of tasks, each with its whole prefix — the one
+// place that list is still read, into the table's Tasks.
+type frontierIn struct {
+	table core.TaskTable
+	flat  bool
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (f *frontierIn) UnmarshalJSON(b []byte) error {
+	if f.flat = b[0] == '['; f.flat { // encoding/json hands over the value alone, no space before it
+		return json.Unmarshal(b, &f.table.Tasks)
+	}
+	return f.table.UnmarshalJSON(b)
 }
 
 // LoadCheckpoint reads a checkpoint file saved with Save.

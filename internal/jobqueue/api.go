@@ -294,9 +294,7 @@ func (a *API) metrics(w http.ResponseWriter, r *http.Request) {
 	} else {
 		// No live exploration: the same names the live dcoord metrics carry,
 		// so each scrape carries each name once.
-		fmt.Fprintf(&b, "# HELP dampi_checkpoints_written_total Frontier checkpoint files written, two fsyncs each (the file and its directory).\n# TYPE dampi_checkpoints_written_total counter\ndampi_checkpoints_written_total %d\n", a.svc.cfg.Server.CheckpointsWritten())
-		fmt.Fprintf(&b, "# HELP dampi_sampled_schedules_total Walk-step schedules merged in sampling mode.\n# TYPE dampi_sampled_schedules_total counter\ndampi_sampled_schedules_total %d\n", sampled)
-		fmt.Fprintf(&b, "# HELP dampi_sample_duplicates_total Sampled schedules whose decision vector was already sampled.\n# TYPE dampi_sample_duplicates_total counter\ndampi_sample_duplicates_total %d\n", sampled-distinct)
+		dcoord.WriteJobCounters(&b, a.svc.cfg.Server.CheckpointsWritten(), sampled, distinct)
 	}
 	_, _ = w.Write([]byte(b.String()))
 }

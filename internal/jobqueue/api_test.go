@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -480,6 +481,61 @@ func TestAPIStatusDuringJob(t *testing.T) {
 		}
 	}
 
+	waitJobTerminal(t, h.store, j.ID)
+	h.svc.Stop()
+	<-h.runDone
+}
+
+// scrapeHelp returns the HELP and TYPE lines of /metrics, by metric name.
+func scrapeHelp(t *testing.T, url string) map[string][]string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	help := map[string][]string{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# "); ok {
+			if f := strings.Fields(rest); len(f) > 1 {
+				help[f[1]] = append(help[f[1]], line)
+			}
+		}
+	}
+	return help
+}
+
+// TestIdleAndLiveScrapesShareHelpText: a metric /metrics carries while no job
+// is live and while one is has one HELP and one TYPE line, the same in both
+// scrapes.
+func TestIdleAndLiveScrapesShareHelpText(t *testing.T) {
+	f := newTestFactory()
+	h := startHarness(t, t.TempDir(), f, 1, 1, 0)
+	defer h.api.Close()
+	defer h.stopWorkers()
+	idle := scrapeHelp(t, h.api.URL)
+	j, _, err := h.svc.Submit(dcoord.JobSpec{Workload: "slowfanin", Procs: 5, Space: dexplore.Space{MixingBound: core.Unbounded}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunningProgress(t, h, j.ID, 1)
+	live := scrapeHelp(t, h.api.URL)
+	both := 0
+	for name, lines := range idle {
+		if len(lines) != 2 {
+			t.Errorf("the idle scrape's %s has %q, want one HELP and one TYPE line", name, lines)
+		}
+		if got, ok := live[name]; ok {
+			both++
+			if !slices.Equal(got, lines) {
+				t.Errorf("%s: the live scrape says %q, the idle one %q", name, got, lines)
+			}
+		}
+	}
+	if both < 3 {
+		t.Errorf("%d metrics in both scrapes, want at least the sampling and checkpoint counters", both)
+	}
 	waitJobTerminal(t, h.store, j.ID)
 	h.svc.Stop()
 	<-h.runDone
